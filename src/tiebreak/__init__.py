@@ -5,7 +5,7 @@ The package splits into:
 - `core`: contest specifications, tie rules, payoffs, serialization.
 - `families`: built-in contest success functions with tie outcomes.
 - `audit`: grid certification of the regularity conditions solvers rely on.
-- `equilibrium`: closed-form, root-finding, and fixed-point solvers.
+- `equilibrium`: closed-form, root-finding, and Newton solvers.
 - `oracle`: brute-force discretized-game verification, independent of the
   analytic code paths.
 - `designer`: total-effort sweeps, shape certificates, optimal and random

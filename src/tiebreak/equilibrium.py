@@ -2,10 +2,12 @@
 
 Ratio-form contests (linear cost) admit a closed form: both efforts share the
 factor beta * z_q'(beta) at beta = v1/v2.  Difference-form contests
-(quadratic cost) reduce to one root-finding problem for the equilibrium
-effort gap, after which each effort is prize times slope.  Concave-impact
-contests solve the two first-order conditions directly: analytically when
-the impact is linear, by damped best-response iteration otherwise.
+(quadratic cost) reduce to one root for the equilibrium effort gap, found
+by safeguarded Newton-bisection on the analytic z' and z''; each effort is
+then prize times slope.  Concave-impact contests solve the two first-order
+conditions directly: analytically when the impact is linear, and otherwise
+by Newton's method with backtracking in log-impact coordinates
+g_i = log(x_i^r).
 
 Solvers work internally with valuations ordered strongest-first and report
 results in the caller's labels, so callers never need to pre-sort prizes.
@@ -21,16 +23,13 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, field
 
-import numpy as np
-from scipy.optimize import brentq
-
-from .audit import default_diff_grid
 from .core import ContestSpec, CostKind, TieRule, Valuations
 from .errors import ConvergenceError, NoEquilibriumError, ValidationError
 
-_BRENTQ_RTOL = 4.0 * np.finfo(float).eps
+_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -40,7 +39,7 @@ class Tolerances:
     closed_form_residual: float = 1e-10
     beta_residual: float = 1e-12
     iterative_residual: float = 1e-9
-    max_iterations: int = 100_000
+    max_iterations: int = 100
     bracket_expansions: int = 100
 
 
@@ -148,18 +147,51 @@ def solve_ratio(csf, v, q, *, force: bool = False, audited: bool = False,
     slope = float(csf.z_prime(beta_int, q_int))
     strong = vals.v1 * beta_int * slope
     weak = vals.v2 * beta_int * slope
+    if weak == 0.0:
+        raise ConvergenceError(f"closed-form efforts underflow double precision (slope {slope})")
     x1, x2 = _user_order(vals, strong, weak)
 
     theta = x1 / x2
     v1u, v2u = (vals.v2, vals.v1) if vals.swapped else (vals.v1, vals.v2)
     zp = float(csf.z_prime(theta, q_user))
     r1 = v1u * zp / x2 - 1.0
-    r2 = v2u * zp * x1 / (x2 * x2) - 1.0
+    r2 = v2u * zp * theta / x2 - 1.0
 
     return Equilibrium(
         x1=x1, x2=x2, beta=theta, method=SolveMethod.CLOSED_FORM,
         residuals=(r1, r2), corner_flags=(False, False), warnings=tuple(warnings),
     )
+
+
+def _safeguarded_root(fdf, lo: float, hi: float, budget: int) -> tuple[float, float]:
+    """Root of f on a bracket with f(lo) <= 0 < f(hi), given fdf(x) = (f, f').
+
+    Newton steps while they land strictly inside the bracket and shrink at
+    least as fast as bisection, bisection otherwise (`rtsafe`, Numerical
+    Recipes 9.4).  Stops at an exact zero, after a step below 1e-12 relative
+    to x (further steps only chase roundoff in f), or after `budget` steps;
+    returns the last point and its f value.
+    """
+    x = lo
+    step_old = step = hi - lo
+    fx, dfx = fdf(x)
+    for _ in range(budget):
+        if fx == 0.0:
+            break
+        if fx < 0.0:
+            lo = x
+        else:
+            hi = x
+        if ((x - hi) * dfx - fx) * ((x - lo) * dfx - fx) >= 0.0 or abs(2.0 * fx) > abs(step_old * dfx):
+            step_old, step = step, 0.5 * (hi - lo)
+            x = lo + step
+        else:
+            step_old, step = step, fx / dfx
+            x -= step
+        fx, dfx = fdf(x)
+        if abs(step) <= 1e-12 * abs(x):
+            break
+    return x, fx
 
 
 def solve_beta(csf, v, q, *, tolerances: Tolerances = DEFAULT_TOLERANCES) -> float:
@@ -168,10 +200,10 @@ def solve_beta(csf, v, q, *, tolerances: Tolerances = DEFAULT_TOLERANCES) -> flo
     Solves theta = (v1 - v2) * z_q'(theta) for the unique nonnegative root,
     with valuations normalized strongest-first (the returned gap is that of
     the stronger player and is always >= 0).  Returns exactly 0.0 for equal
-    prizes.  Bracketing exploits that the right side is bounded by
-    (v1 - v2) * sup z'; the bracket is grown by doubling if the grid
-    underestimates that supremum, and the bisection result is polished by
-    Newton steps to the `beta_residual` tolerance.
+    prizes.  The bracket [0, 1] is doubled until the left side is ahead of
+    the right, which terminates because z' is bounded.  The root is found by
+    safeguarded Newton-bisection on the analytic z' and z'' and accepted
+    when its residual is within `beta_residual` times max(1, v1 - v2).
     """
     if getattr(csf, "kind", None) != "diff":
         raise ValidationError("solve_beta requires a difference-form family")
@@ -183,12 +215,14 @@ def solve_beta(csf, v, q, *, tolerances: Tolerances = DEFAULT_TOLERANCES) -> flo
     def f(theta: float) -> float:
         return theta - gap * float(csf.z_prime(theta, q_int))
 
-    slope_sup = float(np.max(np.asarray(csf.z_prime(default_diff_grid(), q_int))))
-    hi = gap * slope_sup + 1.0
+    def fdf(theta: float) -> tuple[float, float]:
+        return f(theta), 1.0 - gap * float(csf.z_double_prime(theta, q_int))
+
+    lo, hi = 0.0, 1.0
     for _ in range(tolerances.bracket_expansions):
         if f(hi) > 0.0:
             break
-        hi *= 2.0
+        lo, hi = hi, 2.0 * hi
     else:
         raise ConvergenceError(
             f"could not bracket the effort-gap root within "
@@ -196,19 +230,10 @@ def solve_beta(csf, v, q, *, tolerances: Tolerances = DEFAULT_TOLERANCES) -> flo
             "the slope condition for existence likely fails at these prizes"
         )
 
-    root = float(brentq(f, 0.0, hi, xtol=1e-15, rtol=_BRENTQ_RTOL))
-    for _ in range(10):
-        resid = f(root)
-        if abs(resid) <= tolerances.beta_residual:
-            break
-        dslope = 1.0 - gap * float(csf.z_double_prime(root, q_int))
-        if dslope == 0.0:
-            break
-        root -= resid / dslope
-    if abs(f(root)) > tolerances.beta_residual:
-        raise ConvergenceError(
-            f"effort-gap residual {f(root):.3e} exceeds {tolerances.beta_residual:.3e}"
-        )
+    root, resid = _safeguarded_root(fdf, lo, hi, tolerances.max_iterations)
+    limit = tolerances.beta_residual * max(1.0, gap)
+    if not abs(resid) <= limit:
+        raise ConvergenceError(f"effort-gap residual {resid:.3e} exceeds {limit:.3e}")
     return max(root, 0.0)
 
 
@@ -249,7 +274,7 @@ def _concave_marginal(csf, prize: float, own_q: float, own: float, other: float)
     nothing (rival impact + 1 - own tie share is zero), +inf for exponents
     below one, and the finite linear-impact expression otherwise.
     """
-    press = float(csf.impact(other)) + 1.0 - own_q
+    press = float(csf.impact(other)) + (1.0 - own_q)
     if press <= 0.0:
         return -1.0
     if own > 0.0:
@@ -260,99 +285,90 @@ def _concave_marginal(csf, prize: float, own_q: float, own: float, other: float)
     return prize * press / (total * total) - 1.0
 
 
-def _concave_best_response(csf, prize: float, own_q: float, other: float,
-                           tolerances: Tolerances) -> float:
-    """Best response in a concave-impact contest against a fixed rival effort.
+def _lottery_corner(csf, v1: float, v2: float, q_int: float,
+                    tolerances: Tolerances) -> tuple[float, float]:
+    """Corner equilibrium of a linear-impact contest whose interior profile fails.
 
-    The payoff is strictly concave in own effort wherever the win-probability
-    pressure (rival impact + 1 - own tie share) is positive, so the response
-    is the unique root of the payoff slope, or zero when the slope is already
-    nonpositive at the origin.
+    Tests (b1(0), 0), then (0, b2(0)), where b_i(0) = max(0, sqrt(v_i (1 - q_i)) - 1)
+    answers an inactive rival; (0, 0) is the first of these when b1(0) = 0
+    and no equilibrium otherwise.  A candidate is accepted when the inactive
+    player's payoff slope at zero is nonpositive.
     """
-    f_other = float(csf.impact(other))
-    press = f_other + 1.0 - own_q
-    if press <= 0.0:
-        return 0.0
+    b1 = max(0.0, math.sqrt(v1 * (1.0 - q_int)) - 1.0)
+    if _concave_marginal(csf, v2, 1.0 - q_int, 0.0, b1) <= tolerances.closed_form_residual:
+        return b1, 0.0
+    b2 = max(0.0, math.sqrt(v2 * q_int) - 1.0)
+    if _concave_marginal(csf, v1, q_int, 0.0, b2) <= tolerances.closed_form_residual:
+        return 0.0, b2
+    raise NoEquilibriumError(f"no axis profile is a mutual best response "
+                             f"(single-entrant responses {b1} and {b2})")
+
+
+def _logaddexp(a: float, b: float) -> float:
+    """log(e^a + e^b) without overflow; either argument may be -inf."""
+    hi, lo = (a, b) if a >= b else (b, a)
+    return hi + math.log1p(math.exp(lo - hi))
+
+
+def _log_impact_foc(g1: float, g2: float, log_rv1: float, log_rv2: float, c: float,
+                    log_head1: float, log_head2: float):
+    """First-order conditions of a power-impact contest in g_i = log(x_i^r).
+
+    G_i = log(r v_i) - c g_i + log a_i - 2 log T is the log of marginal
+    benefit over marginal cost, with c = (1 - r) / r, f_i = e^(g_i),
+    T = f1 + f2 + 1, a1 = f2 + (1 - q1) and a2 = f1 + q1 (the log heads are
+    log(1 - q1) and log(q1)).  Returns G, the exact Jacobian (row-major) and
+    each G_i's summed term magnitudes, the scale of its rounding error.
+    Every exponential has a nonpositive argument, so nothing overflows.
+    """
+    log_t = _logaddexp(_logaddexp(g1, g2), 0.0)
+    log_a1 = _logaddexp(g2, log_head1)
+    log_a2 = _logaddexp(g1, log_head2)
+    s1 = math.exp(g1 - log_t)
+    s2 = math.exp(g2 - log_t)
+    residual = (log_rv1 - c * g1 + log_a1 - 2.0 * log_t,
+                log_rv2 - c * g2 + log_a2 - 2.0 * log_t)
+    jacobian = (-c - 2.0 * s1, math.exp(g2 - log_a1) - 2.0 * s2,
+                math.exp(g1 - log_a2) - 2.0 * s1, -c - 2.0 * s2)
+    scale = (abs(log_rv1) + abs(c * g1) + abs(log_a1) + 2.0 * log_t,
+             abs(log_rv2) + abs(c * g2) + abs(log_a2) + 2.0 * log_t)
+    return residual, jacobian, scale
+
+
+def _concave_newton(csf, v1: float, v2: float, q_int: float,
+                    tolerances: Tolerances) -> tuple[float, float]:
+    """Interior equilibrium of a power-impact contest with exponent below one.
+
+    Newton's method on `_log_impact_foc` from g_i = r log(v_i / 4), with
+    backtracking on the squared residual norm, for at most `max_iterations`
+    steps.  The caller checks the residuals in effort space.
+    """
     r = csf.r
-    if r == 1.0:
-        return max(0.0, math.sqrt(prize * press) - (f_other + 1.0))
-
-    def slope(x: float) -> float:
-        fp = r * x ** (r - 1.0)
-        total = x**r + f_other + 1.0
-        return prize * fp * press / (total * total) - 1.0
-
-    lo = 1e-12
-    if slope(lo) <= 0.0:
-        return 0.0
-    hi = max(1.0, math.sqrt(prize * press))
-    for _ in range(tolerances.bracket_expansions):
-        if slope(hi) < 0.0:
+    consts = (math.log(r) + math.log(v1), math.log(r) + math.log(v2), (1.0 - r) / r,
+              *(math.log(h) if h > 0.0 else -math.inf for h in (1.0 - q_int, q_int)))
+    g1, g2 = r * math.log(v1 / 4.0), r * math.log(v2 / 4.0)
+    (G1, G2), (J11, J12, J21, J22), (S1, S2) = _log_impact_foc(g1, g2, *consts)
+    for _ in range(tolerances.max_iterations):
+        at_rounding_floor = abs(G1) <= 4.0 * _EPS * S1 and abs(G2) <= 4.0 * _EPS * S2
+        det = J11 * J22 - J12 * J21
+        if at_rounding_floor or det == 0.0:
             break
-        hi *= 2.0
-    else:
-        raise ConvergenceError("could not bracket the concave best response")
-    return float(brentq(slope, lo, hi, xtol=1e-14, rtol=_BRENTQ_RTOL))
+        d1, d2 = (G1 * J22 - G2 * J12) / det, (J11 * G2 - J21 * G1) / det
+        for halvings in range(40):
+            t = 0.5**halvings
+            trial = _log_impact_foc(g1 - t * d1, g2 - t * d2, *consts)
+            if trial[0][0] ** 2 + trial[0][1] ** 2 <= (1.0 - 1e-4 * t) * (G1 * G1 + G2 * G2):
+                break
+        else:
+            break
+        g1, g2 = g1 - t * d1, g2 - t * d2
+        (G1, G2), (J11, J12, J21, J22), (S1, S2) = trial
 
-
-def _concave_scan_restart(csf, v1: float, v2: float, q_int: float) -> tuple[float, float]:
-    """Coarse two-dimensional scan for a restart point near mutual optimality."""
-    cap = max(v1, v2, 1.0)
-    axis = np.linspace(0.0, cap, 201)
-    f = csf.impact(axis)
-    f1 = f[:, None]
-    f2 = f[None, :]
-    total = f1 + f2 + 1.0
-    pay1 = v1 * (f1 + q_int) / total - axis[:, None]
-    pay2 = v2 * (f2 + (1.0 - q_int)) / total - axis[None, :]
-    loss1 = np.max(pay1, axis=0, keepdims=True) - pay1
-    loss2 = np.max(pay2, axis=1, keepdims=True) - pay2
-    worst = np.maximum(loss1, loss2)
-    i, j = np.unravel_index(int(np.argmin(worst)), worst.shape)
-    return float(axis[i]), float(axis[j])
-
-
-def _concave_residuals(csf, v1: float, v2: float, q_int: float,
-                       x1: float, x2: float) -> tuple[float, float]:
-    r1 = _concave_marginal(csf, v1, q_int, x1, x2)
-    r2 = _concave_marginal(csf, v2, 1.0 - q_int, x2, x1)
-    return r1, r2
-
-
-def _concave_iterate(csf, v1: float, v2: float, q_int: float,
-                     start: tuple[float, float],
-                     tolerances: Tolerances) -> tuple[float, float]:
-    """Damped best-response iteration; returns a profile meeting the residual target."""
-
-    def settled(x1: float, x2: float) -> bool:
-        r1, r2 = _concave_residuals(csf, v1, v2, q_int, x1, x2)
-        tol = tolerances.iterative_residual
-        ok1 = abs(r1) <= tol if x1 > 0.0 else r1 <= tol
-        ok2 = abs(r2) <= tol if x2 > 0.0 else r2 <= tol
-        return ok1 and ok2
-
-    x1, x2 = start
-    budget = tolerances.max_iterations
-    restarted = False
-    it = 0
-    while it < budget:
-        it += 1
-        b1 = _concave_best_response(csf, v1, q_int, x2, tolerances)
-        b2 = _concave_best_response(csf, v2, 1.0 - q_int, x1, tolerances)
-        x1 = 0.5 * (x1 + b1)
-        x2 = 0.5 * (x2 + b2)
-        if settled(x1, x2):
-            return x1, x2
-        if it == budget and not restarted:
-            x1, x2 = _concave_scan_restart(csf, v1, v2, q_int)
-            restarted = True
-            it = 0
-    r1, r2 = _concave_residuals(csf, v1, v2, q_int, x1, x2)
-    raise ConvergenceError(
-        f"best-response iteration did not reach residual "
-        f"{tolerances.iterative_residual:.1e} within {tolerances.max_iterations} "
-        f"iterations; last iterate ({x1}, {x2}) with residuals ({r1:.3e}, {r2:.3e})"
-    )
+    x1, x2 = math.exp(g1 / r), math.exp(g2 / r)
+    if min(x1, x2) < sys.float_info.min:
+        raise ConvergenceError(f"an equilibrium effort underflows double precision "
+                               f"(log-impacts {g1:.6g}, {g2:.6g} at r = {r})")
+    return x1, x2
 
 
 def solve_concave(csf, v, q, *, audited: bool = False,
@@ -361,12 +377,12 @@ def solve_concave(csf, v, q, *, audited: bool = False,
 
     Linear impact admits a closed form: the classic lottery efforts shifted
     down by each player's own tie share.  When that shift drives an effort
-    negative the profile is clamped to the axis, re-equilibrated by damped
-    analytic best responses, and accepted only if the result is a mutual
-    best response (otherwise `NoEquilibriumError`).  Concave impact with
-    exponent below one is solved by damped best-response iteration from the
-    symmetric lottery benchmark, with a coarse grid scan as a restart
-    fallback.
+    negative, the axis profiles are tested in closed form and the first
+    mutual best response is returned (otherwise `NoEquilibriumError`).
+    Concave impact with exponent below one keeps both players active; the
+    Newton solution in log-impact coordinates is accepted only if both
+    effort-space residuals are within `iterative_residual` and no effort
+    underflows double precision (otherwise `ConvergenceError`).
     """
     if getattr(csf, "kind", None) != "concave":
         raise ValidationError("solve_concave requires a concave-impact family")
@@ -382,45 +398,26 @@ def solve_concave(csf, v, q, *, audited: bool = False,
             x1i, x2i = strong, weak
             method = SolveMethod.CLOSED_FORM
         else:
-            x1i, x2i = max(strong, 0.0), max(weak, 0.0)
-            for _ in range(tolerances.max_iterations):
-                b1 = _concave_best_response(csf, v1, q_int, x2i, tolerances)
-                b2 = _concave_best_response(csf, v2, 1.0 - q_int, x1i, tolerances)
-                if max(abs(x1i - b1), abs(x2i - b2)) <= 1e-13 * (1.0 + x1i + x2i):
-                    break
-                x1i = 0.5 * (x1i + b1)
-                x2i = 0.5 * (x2i + b2)
-            b1 = _concave_best_response(csf, v1, q_int, x2i, tolerances)
-            b2 = _concave_best_response(csf, v2, 1.0 - q_int, x1i, tolerances)
-            if max(abs(x1i - b1), abs(x2i - b2)) > tolerances.iterative_residual:
-                raise NoEquilibriumError(
-                    "the axis-clamped profile is not a mutual best response; "
-                    f"no pure equilibrium found (last iterate ({x1i}, {x2i}))"
-                )
-            x1i, x2i = b1, b2
+            x1i, x2i = _lottery_corner(csf, v1, v2, q_int, tolerances)
             method = SolveMethod.FOC_SOLVE
             warnings.append(CORNER_UNIQUENESS_WARNING)
     else:
-        x1i, x2i = _concave_iterate(
-            csf, v1, v2, q_int, (v1 / 4.0, v2 / 4.0), tolerances
-        )
+        x1i, x2i = _concave_newton(csf, v1, v2, q_int, tolerances)
         method = SolveMethod.FOC_SOLVE
 
-    r1i, r2i = _concave_residuals(csf, v1, v2, q_int, x1i, x2i)
-    flags_int = (x1i == 0.0, x2i == 0.0)
-
-    if vals.swapped:
-        x1, x2 = x2i, x1i
-        residuals = (r2i, r1i)
-        corner_flags = (flags_int[1], flags_int[0])
-    else:
-        x1, x2 = x1i, x2i
-        residuals = (r1i, r2i)
-        corner_flags = flags_int
-
+    r1i = _concave_marginal(csf, v1, q_int, x1i, x2i)
+    r2i = _concave_marginal(csf, v2, 1.0 - q_int, x2i, x1i)
+    tol = tolerances.iterative_residual
+    if csf.r < 1.0 and not (abs(r1i) <= tol and abs(r2i) <= tol):
+        raise ConvergenceError(
+            f"Newton solve did not reach residual {tol:.1e} within "
+            f"{tolerances.max_iterations} iterations; last iterate ({x1i}, {x2i}) "
+            f"with residuals ({r1i:.3e}, {r2i:.3e})"
+        )
+    x1, x2 = _user_order(vals, x1i, x2i)
     return Equilibrium(
-        x1=x1, x2=x2, beta=None, method=method,
-        residuals=residuals, corner_flags=corner_flags, warnings=tuple(warnings),
+        x1=x1, x2=x2, beta=None, method=method, residuals=_user_order(vals, r1i, r2i),
+        corner_flags=(x1 == 0.0, x2 == 0.0), warnings=tuple(warnings),
     )
 
 

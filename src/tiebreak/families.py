@@ -465,7 +465,7 @@ class BlavatskyyPower(object):
         f1 = self.impact(x1)
         f2 = self.impact(x2)
         total = f1 + f2 + 1.0
-        return _ret(self.impact_prime(x1) * (f2 + 1.0 - qv) / total**2, x1, x2)
+        return _ret(self.impact_prime(x1) * (f2 + (1.0 - qv)) / total**2, x1, x2)
 
     def win_prob_d11(self, x1, x2, q):
         """Second own-effort derivative of player 1's eventual win probability."""
@@ -475,7 +475,7 @@ class BlavatskyyPower(object):
         total = f1 + f2 + 1.0
         fp = self.impact_prime(x1)
         fpp = self.impact_double_prime(x1)
-        return _ret((f2 + 1.0 - qv) * (fpp * total - 2.0 * fp * fp) / total**3, x1, x2)
+        return _ret((f2 + (1.0 - qv)) * (fpp * total - 2.0 * fp * fp) / total**3, x1, x2)
 
     def tie_prob_d1(self, x1, x2):
         """d/dx1 of the tie probability."""

@@ -110,13 +110,13 @@ def test_acceptance_05_square_root_impact_benchmark(capsys):
     with scoreboard(capsys, 5, "square-root impact anchors and coin advantage"):
         csf = make_family("blavatskyy-power", r=0.5)
         even = solve_concave(csf, (4.0, 4.0), 0.5)
-        assert even.x1 == pytest.approx(0.25, abs=1e-6)
-        assert even.x2 == pytest.approx(0.25, abs=1e-6)
+        assert even.x1 == pytest.approx(0.25, abs=1e-12)
+        assert even.x2 == pytest.approx(0.25, abs=1e-12)
         skewed = solve_concave(csf, (4.0, 4.0), 0.0)
-        assert skewed.x1 == pytest.approx(4.0 / 9.0, abs=1e-6)
-        assert skewed.x2 == pytest.approx(1.0 / 9.0, abs=1e-6)
-        assert skewed.total == pytest.approx(5.0 / 9.0, abs=1e-6)
-        assert even.total == pytest.approx(0.5, abs=1e-6)
+        assert skewed.x1 == pytest.approx(4.0 / 9.0, abs=1e-12)
+        assert skewed.x2 == pytest.approx(1.0 / 9.0, abs=1e-12)
+        assert skewed.total == pytest.approx(5.0 / 9.0, abs=1e-12)
+        assert even.total == pytest.approx(0.5, abs=1e-12)
         assert skewed.total > even.total
         for prize in range(1, 21):
             v = float(prize)

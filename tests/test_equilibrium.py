@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -27,9 +28,10 @@ from tiebreak import (
 from tiebreak.equilibrium import (
     CORNER_UNIQUENESS_WARNING,
     UNCHECKED_ASSUMPTIONS_WARNING,
+    _log_impact_foc,
 )
 
-from helpers import DIFF_CASES, RATIO_CASES, build, case_id
+from helpers import DIFF_CASES, FD_REL_TOL, RATIO_CASES, build, case_id, max_rel_err
 
 # Root of gap = sigma(gap) * (1 - sigma(gap)) for prize gap 1, computed by an
 # independent 200-step bisection on [0, 1] before the solver existed.
@@ -98,6 +100,16 @@ class TestRatioClosedForm:
         with pytest.raises(ValidationError):
             solve_ratio(make_family("jia-diff", k=2), (2.0, 1.0), 0.5)
 
+    def test_tiny_closed_form_efforts_keep_exact_residuals(self):
+        """Efforts near 1e-301 square to zero; the residual must not."""
+        eq = solve_ratio(make_family("vesperoni-ratio", r=0.001, k=1000), (2.0, 1.0), 0.0)
+        assert 1e-302 < eq.x1 < 1e-300
+        assert eq.residuals == (0.0, 0.0)
+
+    def test_underflowing_closed_form_raises(self):
+        with pytest.raises(ConvergenceError, match="underflow"):
+            solve_ratio(make_family("vesperoni-ratio", r=1e-9, k=1e9), (2.0, 1.0), 0.0)
+
 
 class TestEffortGapRoot:
     def test_equal_prizes_give_exact_zero(self):
@@ -133,6 +145,15 @@ class TestEffortGapRoot:
     def test_rejects_wrong_family_kind(self):
         with pytest.raises(ValidationError):
             solve_beta(make_family("jia-ratio", r=1.0, k=2), (2.0, 1.0), 0.5)
+
+    def test_residual_target_scales_with_the_prize_gap(self):
+        """At prizes (1e6, 1) the gap residual's rounding floor is ~1e-10."""
+        csf = make_family("jia-diff", k=2)
+        beta = solve_beta(csf, (1e6, 1.0), 0.0)
+        gap = 1e6 - 1.0
+        resid = abs(beta - gap * csf.z_prime(beta, 0.0))
+        assert resid <= DEFAULT_TOLERANCES.beta_residual * gap
+        assert beta == pytest.approx(12.0219025, abs=1e-6)
 
 
 class TestDiffSolver:
@@ -192,6 +213,14 @@ class TestConcaveSolver:
         # The cornered player's payoff slope at zero must be nonpositive.
         assert eq.residuals[1] <= 1e-12
 
+    def test_lopsided_prizes_corner_in_closed_form(self):
+        csf = make_family("blavatskyy-power", r=1.0)
+        eq = solve_concave(csf, (1e12, 1e-6), 0.5)
+        assert eq.x1 == pytest.approx(math.sqrt(0.5e12) - 1.0, rel=1e-15)
+        assert eq.x2 == 0.0
+        assert eq.corner_flags == (False, True)
+        assert abs(eq.residuals[0]) <= 1e-12 and eq.residuals[1] <= 0.0
+
     def test_small_prizes_collapse_to_inactivity(self):
         csf = make_family("blavatskyy-power", r=1.0)
         eq = solve_concave(csf, (1.0, 1.0), 0.0)
@@ -201,11 +230,11 @@ class TestConcaveSolver:
     def test_concave_impact_square_root_anchors(self):
         csf = make_family("blavatskyy-power", r=0.5)
         even = solve_concave(csf, (4.0, 4.0), 0.5)
-        assert even.x1 == pytest.approx(0.25, abs=1e-6)
-        assert even.x2 == pytest.approx(0.25, abs=1e-6)
+        assert even.x1 == pytest.approx(0.25, abs=1e-12)
+        assert even.x2 == pytest.approx(0.25, abs=1e-12)
         skewed = solve_concave(csf, (4.0, 4.0), 0.0)
-        assert skewed.x1 == pytest.approx(4.0 / 9.0, abs=1e-6)
-        assert skewed.x2 == pytest.approx(1.0 / 9.0, abs=1e-6)
+        assert skewed.x1 == pytest.approx(4.0 / 9.0, abs=1e-12)
+        assert skewed.x2 == pytest.approx(1.0 / 9.0, abs=1e-12)
 
     def test_iterative_residuals_meet_target(self):
         csf = make_family("blavatskyy-power", r=0.7)
@@ -219,6 +248,40 @@ class TestConcaveSolver:
         behind = solve_concave(csf, (2.0, 4.0), 0.7)
         assert behind.x1 == pytest.approx(ahead.x2, abs=1e-12)
         assert behind.x2 == pytest.approx(ahead.x1, abs=1e-12)
+
+    def test_tiny_rival_impact_keeps_tie_pressure_digits(self):
+        """The weak player's pressure f1 + (1 - q) with q = 1 and f1 ~ 1e-15
+        must not be rounded through 1 + f1."""
+        eq = solve_concave(make_family("blavatskyy-power", r=0.9462), (0.1522, 0.0694), 0.0)
+        assert max(abs(r) for r in eq.residuals) <= 1e-12
+
+    def test_underflowing_effort_raises_at_once(self):
+        csf = make_family("blavatskyy-power", r=0.999999)
+        started = time.perf_counter()
+        with pytest.raises(ConvergenceError, match="underflow"):
+            solve_concave(csf, (4.0, 2.0), 0.0)
+        assert time.perf_counter() - started < 0.1
+
+    def test_log_impact_jacobian_matches_central_differences(self):
+        h = 1e-6
+        for r, v1, v2, q in [(0.5, 4.0, 2.0, 0.3), (0.9, 4.0, 0.5, 0.0),
+                             (0.2, 7.0, 1.0, 1.0), (0.7, 1e3, 1e-3, 0.5)]:
+            args = (math.log(r * v1), math.log(r * v2), (1.0 - r) / r,
+                    math.log(1.0 - q) if q < 1.0 else -math.inf,
+                    math.log(q) if q > 0.0 else -math.inf)
+            for g in [(0.3, -0.8), (-2.0, 1.5), (-9.0, -0.1)]:
+                _, jac, _ = _log_impact_foc(*g, *args)
+                numeric = []
+                for i in range(2):
+                    up = list(g)
+                    down = list(g)
+                    up[i] += h
+                    down[i] -= h
+                    g_up = _log_impact_foc(*up, *args)[0]
+                    g_down = _log_impact_foc(*down, *args)[0]
+                    numeric.append([(a - b) / (2.0 * h) for a, b in zip(g_up, g_down)])
+                fd = (numeric[0][0], numeric[1][0], numeric[0][1], numeric[1][1])
+                assert max_rel_err(fd, jac) <= FD_REL_TOL, (r, q, g)
 
     def test_exhausted_iteration_budget_raises(self):
         csf = make_family("blavatskyy-power", r=0.5)
