@@ -6,6 +6,7 @@ The package splits into:
 - `families`: built-in contest success functions with tie outcomes.
 - `audit`: grid certification of the regularity conditions solvers rely on.
 - `equilibrium`: closed-form, root-finding, and Newton solvers.
+- `batch`: the same solvers vectorized over many tie rules at once.
 - `oracle`: brute-force discretized-game verification, independent of the
   analytic code paths.
 - `designer`: total-effort sweeps, shape certificates, optimal and random
@@ -22,6 +23,7 @@ from .audit import (
     default_ratio_grid,
     estimate_vbar,
 )
+from .batch import solve_many
 from .core import (
     ContestSpec,
     CostKind,
@@ -143,6 +145,7 @@ __all__ = [
     "solve_beta",
     "solve_concave",
     "solve_diff",
+    "solve_many",
     "solve_ratio",
     "sweep",
     "verify",

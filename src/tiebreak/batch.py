@@ -1,0 +1,331 @@
+"""Equilibria of one contest at many tie rules, solved as one batch.
+
+`solve_many(spec, qs)` returns what `solve(spec.with_q(q))` returns for each
+q, to rounding: same route, steps, stop rules, residual checks, corner
+flags, warnings and errors.  Each route runs vectorized over q.  Since z_q
+and the win probability are affine in q, the family is evaluated at q = 0
+and q = 1 on arrays of contest states, so family methods keep a scalar q.
+Every q is a lane: an iterative lane retires on its own stop rule and the
+loop ends when no lane is left.
+
+A single q stays on the scalar routes of `equilibrium`, which are cheaper
+for one lane than array code; the designer's curves come from here.
+"""
+from __future__ import annotations
+
+import math
+import sys
+
+import numpy as np
+
+from .core import ContestSpec
+from .equilibrium import (
+    _EPS,
+    CORNER_UNIQUENESS_WARNING,
+    DEFAULT_TOLERANCES,
+    Equilibrium,
+    SolveMethod,
+    Tolerances,
+    _checked_kind,
+    _effort_underflow,
+    _gap_residual,
+    _newton_residual,
+    _no_axis_equilibrium,
+    _opening_warnings,
+    _ratio_underflow,
+    _unbracketed,
+    _user_order,
+)
+from .errors import ContestError, ValidationError
+
+
+def _tie_rules(qs) -> np.ndarray:
+    try:
+        arr = np.asarray(qs, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"qs must be a sequence of numbers, got {qs!r}") from exc
+    if arr.ndim != 1:
+        raise ValidationError(f"qs must be one-dimensional, got shape {arr.shape}")
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):
+        raise ValidationError("every q must be finite and lie in [0, 1]")
+    return arr
+
+
+def _slopes(method, theta, q):
+    """z_q' (or z_q'') at theta for an array of q, from z_0 and z_1 (z_q is affine in q)."""
+    return (1.0 - q) * method(theta, 0.0) + q * method(theta, 1.0)
+
+
+def _lane(*fields):
+    """A lane's `Equilibrium`, or the error constructing it raises."""
+    try:
+        return Equilibrium(*fields)
+    except ContestError as exc:
+        return exc
+
+
+def _fill(lanes: list, ok, method: SolveMethod, warnings: tuple, x1, x2, beta, r1, r2) -> list:
+    """Store each solved lane's `Equilibrium` at its index in `ok`."""
+    for i, a, b, th, s1, s2 in zip(ok.tolist(), x1.tolist(), x2.tolist(), beta.tolist(),
+                                   r1.tolist(), r2.tolist()):
+        lanes[i] = _lane(a, b, th, method, (s1, s2), (False, False), warnings)
+    return lanes
+
+
+def _ratio_lanes(csf, vals, q_user, q_int, warnings, tolerances):
+    beta = vals.beta
+    slope = _slopes(csf.z_prime, beta, q_int)
+    strong, weak = vals.v1 * beta * slope, vals.v2 * beta * slope
+    lanes: list = [None] * q_int.size
+    for i in np.flatnonzero(weak == 0.0):
+        lanes[i] = _ratio_underflow(float(slope[i]))
+    ok = np.flatnonzero(weak != 0.0)
+    x1, x2 = _user_order(vals, strong[ok], weak[ok])
+    theta = x1 / x2
+    v1u, v2u = _user_order(vals, vals.v1, vals.v2)
+    zp = _slopes(csf.z_prime, theta, q_user[ok])
+    r1 = v1u * zp / x2 - 1.0
+    r2 = v2u * zp * theta / x2 - 1.0
+    return _fill(lanes, ok, SolveMethod.CLOSED_FORM, warnings, x1, x2, theta, r1, r2)
+
+
+def _safeguarded_roots(fdf, lo, hi, budget: int):
+    """`_safeguarded_root` on many brackets at once, one lane per bracket.
+
+    `fdf(x, lanes)` returns (f, f') at the points x of the given lanes.  Each
+    lane takes exactly the scalar routine's steps and stops on its own; the
+    loop ends when no lane is left.  Returns the last points and f values.
+    """
+    x = lo.copy()
+    step_old, step = hi - lo, hi - lo
+    fx, dfx = fdf(x, np.arange(x.size))
+    live = np.flatnonzero(fx != 0.0)
+    for _ in range(budget):
+        if live.size == 0:
+            break
+        xl, fl, dl = x[live], fx[live], dfx[live]
+        lo[live] = np.where(fl < 0.0, xl, lo[live])
+        hi[live] = np.where(fl < 0.0, hi[live], xl)
+        lol, hil = lo[live], hi[live]
+        bisect = ((((xl - hil) * dl - fl) * ((xl - lol) * dl - fl) >= 0.0)
+                  | (np.abs(2.0 * fl) > np.abs(step_old[live] * dl)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            new_step = np.where(bisect, 0.5 * (hil - lol), fl / dl)
+        new_x = np.where(bisect, lol + new_step, xl - new_step)
+        step_old[live], step[live], x[live] = step[live], new_step, new_x
+        fx[live], dfx[live] = fdf(new_x, live)
+        stopped = (np.abs(new_step) <= 1e-12 * np.abs(new_x)) | (fx[live] == 0.0)
+        live = live[~stopped]
+    return x, fx
+
+
+def _gap_roots(csf, gap: float, q_int: np.ndarray, tolerances: Tolerances):
+    """`solve_beta` for an array of internal tie shares; failing lanes hold their error."""
+    n = q_int.size
+    if gap == 0.0:
+        return np.zeros(n), {}
+    lo, hi = np.zeros(n), np.ones(n)
+    unbracketed = np.arange(n)
+    for _ in range(tolerances.bracket_expansions):
+        ahead = hi[unbracketed] - gap * _slopes(csf.z_prime, hi[unbracketed],
+                                                q_int[unbracketed]) > 0.0
+        unbracketed = unbracketed[~ahead]
+        if unbracketed.size == 0:
+            break
+        lo[unbracketed], hi[unbracketed] = hi[unbracketed], 2.0 * hi[unbracketed]
+    errors = {int(i): _unbracketed(float(hi[i]), tolerances) for i in unbracketed}
+
+    bracketed = np.ones(n, dtype=bool)
+    bracketed[unbracketed] = False
+    lanes = np.flatnonzero(bracketed)
+    q_lanes = q_int[lanes]
+
+    def fdf(theta, sub):
+        q = q_lanes[sub]
+        return (theta - gap * _slopes(csf.z_prime, theta, q),
+                1.0 - gap * _slopes(csf.z_double_prime, theta, q))
+
+    roots = np.zeros(n)
+    root, resid = _safeguarded_roots(fdf, lo[lanes], hi[lanes], tolerances.max_iterations)
+    limit = tolerances.beta_residual * max(1.0, gap)
+    for j, i in enumerate(lanes):
+        if not abs(resid[j]) <= limit:
+            errors[int(i)] = _gap_residual(float(resid[j]), limit)
+    roots[lanes] = np.maximum(root, 0.0)
+    return roots, errors
+
+
+def _diff_lanes(csf, vals, q_user, q_int, warnings, tolerances):
+    beta, errors = _gap_roots(csf, vals.v1 - vals.v2, q_int, tolerances)
+    ok = np.array([i for i in range(q_int.size) if i not in errors], dtype=int)
+    slope = _slopes(csf.z_prime, beta[ok], q_int[ok])
+    x1, x2 = _user_order(vals, vals.v1 * slope, vals.v2 * slope)
+    theta = x1 - x2
+    v1u, v2u = _user_order(vals, vals.v1, vals.v2)
+    zp = _slopes(csf.z_prime, theta, q_user[ok])
+    r1, r2 = v1u * zp - x1, v2u * zp - x2
+    lanes = [errors.get(i) for i in range(q_int.size)]
+    return _fill(lanes, ok, SolveMethod.ROOT_FIND, warnings, x1, x2, theta, r1, r2)
+
+
+def _concave_marginals(csf, prize: float, own_q, own, other):
+    """`_concave_marginal` over lanes of efforts and own tie shares."""
+    f_other = np.asarray(csf.impact(other), dtype=float)
+    press = f_other + (1.0 - own_q)
+    out = np.full(own.shape, -1.0)
+    moving = (press > 0.0) & (own > 0.0)
+    if moving.any():
+        out[moving] = prize * _slopes(lambda x, q: csf.win_prob_d1(x, other[moving], q),
+                                      own[moving], own_q[moving]) - 1.0
+    at_zero = (press > 0.0) & ~(own > 0.0)
+    if csf.r < 1.0:
+        out[at_zero] = math.inf
+    else:
+        total = f_other[at_zero] + 1.0
+        out[at_zero] = prize * press[at_zero] / (total * total) - 1.0
+    return out
+
+
+def _lottery_corners(csf, v1: float, v2: float, q_int: np.ndarray, tolerances: Tolerances):
+    """`_lottery_corner` over lanes; a lane with no axis profile holds its error."""
+    zero = np.zeros(q_int.size)
+    b1 = np.maximum(0.0, np.sqrt(v1 * (1.0 - q_int)) - 1.0)
+    b2 = np.maximum(0.0, np.sqrt(v2 * q_int) - 1.0)
+    tol = tolerances.closed_form_residual
+    first = _concave_marginals(csf, v2, 1.0 - q_int, zero, b1) <= tol
+    second = ~first & (_concave_marginals(csf, v1, q_int, zero, b2) <= tol)
+    errors = {int(i): _no_axis_equilibrium(float(b1[i]), float(b2[i]))
+              for i in np.flatnonzero(~first & ~second)}
+    return np.where(first, b1, 0.0), np.where(second, b2, 0.0), errors
+
+
+def _log_impact_focs(g1, g2, log_rv1, log_rv2, c, log_head1, log_head2):
+    """`_log_impact_foc` over lanes, as rows G1, G2, J11, J12, J21, J22, S1, S2."""
+    log_t = np.logaddexp(np.logaddexp(g1, g2), 0.0)
+    log_a1 = np.logaddexp(g2, log_head1)
+    log_a2 = np.logaddexp(g1, log_head2)
+    s1 = np.exp(g1 - log_t)
+    s2 = np.exp(g2 - log_t)
+    return np.stack((
+        log_rv1 - c * g1 + log_a1 - 2.0 * log_t, log_rv2 - c * g2 + log_a2 - 2.0 * log_t,
+        -c - 2.0 * s1, np.exp(g2 - log_a1) - 2.0 * s2,
+        np.exp(g1 - log_a2) - 2.0 * s1, -c - 2.0 * s2,
+        abs(log_rv1) + np.abs(c * g1) + np.abs(log_a1) + 2.0 * log_t,
+        abs(log_rv2) + np.abs(c * g2) + np.abs(log_a2) + 2.0 * log_t,
+    ))
+
+
+def _concave_newtons(csf, v1: float, v2: float, q_int: np.ndarray, tolerances: Tolerances):
+    """`_concave_newton` for an array of internal tie shares; returns g1, g2.
+
+    Every lane starts where the scalar routine does and takes its steps,
+    backtracking and stop rules; a lane retires on its own and the loop ends
+    when none is left.
+    """
+    r = csf.r
+    with np.errstate(divide="ignore"):
+        heads = (np.log(1.0 - q_int), np.log(q_int))
+    consts = (math.log(r) + math.log(v1), math.log(r) + math.log(v2), (1.0 - r) / r)
+    g1 = np.full(q_int.size, r * math.log(v1 / 4.0))
+    g2 = np.full(q_int.size, r * math.log(v2 / 4.0))
+    foc = _log_impact_focs(g1, g2, *consts, *heads)
+    live = np.arange(q_int.size)
+    for _ in range(tolerances.max_iterations):
+        G1, G2, J11, J12, J21, J22, S1, S2 = foc[:, live]
+        det = J11 * J22 - J12 * J21
+        at_rounding_floor = (np.abs(G1) <= 4.0 * _EPS * S1) & (np.abs(G2) <= 4.0 * _EPS * S2)
+        keep = ~at_rounding_floor & (det != 0.0)
+        live, G1, G2, J11, J12, J21, J22, det = (
+            a[keep] for a in (live, G1, G2, J11, J12, J21, J22, det))
+        if live.size == 0:
+            break
+        d1, d2 = (G1 * J22 - G2 * J12) / det, (J11 * G2 - J21 * G1) / det
+        norm = G1 * G1 + G2 * G2
+        search = np.arange(live.size)
+        for halvings in range(40):
+            t = 0.5**halvings
+            lanes = live[search]
+            n1, n2 = g1[lanes] - t * d1[search], g2[lanes] - t * d2[search]
+            trial = _log_impact_focs(n1, n2, *consts, heads[0][lanes], heads[1][lanes])
+            done = trial[0] ** 2 + trial[1] ** 2 <= (1.0 - 1e-4 * t) * norm[search]
+            g1[lanes[done]], g2[lanes[done]] = n1[done], n2[done]
+            foc[:, lanes[done]] = trial[:, done]
+            search = search[~done]
+            if search.size == 0:
+                break
+        live = np.delete(live, search)
+    return g1, g2
+
+
+def _concave_lanes(csf, vals, q_user, q_int, warnings, tolerances):
+    v1, v2 = vals.v1, vals.v2
+    n = q_int.size
+    errors: dict[int, ContestError] = {}
+    cornered = np.zeros(n, dtype=bool)
+    if csf.r == 1.0:
+        scale = v1 * v2 / (v1 + v2) ** 2
+        x1i, x2i = v1 * scale - q_int, v2 * scale - (1.0 - q_int)
+        cornered = ~((x1i >= 0.0) & (x2i >= 0.0))
+        at = np.flatnonzero(cornered)
+        x1i[at], x2i[at], corner_errors = _lottery_corners(csf, v1, v2, q_int[at], tolerances)
+        errors = {int(at[j]): exc for j, exc in corner_errors.items()}
+    else:
+        g1, g2 = _concave_newtons(csf, v1, v2, q_int, tolerances)
+        x1i, x2i = np.exp(g1 / csf.r), np.exp(g2 / csf.r)
+        for i in np.flatnonzero(np.minimum(x1i, x2i) < sys.float_info.min):
+            errors[int(i)] = _effort_underflow(float(g1[i]), float(g2[i]), csf.r)
+
+    ok = np.array([i for i in range(n) if i not in errors], dtype=int)
+    x1i, x2i, q_ok = x1i[ok], x2i[ok], q_int[ok]
+    r1i = _concave_marginals(csf, v1, q_ok, x1i, x2i)
+    r2i = _concave_marginals(csf, v2, 1.0 - q_ok, x2i, x1i)
+    tol = tolerances.iterative_residual
+    lanes: list = [errors.get(i) for i in range(n)]
+    for i, x1, x2, r1, r2, corner in zip(ok.tolist(), x1i.tolist(), x2i.tolist(),
+                                         r1i.tolist(), r2i.tolist(), cornered[ok].tolist()):
+        if csf.r < 1.0 and not (abs(r1) <= tol and abs(r2) <= tol):
+            lanes[i] = _newton_residual(x1, x2, r1, r2, tolerances)
+            continue
+        x1, x2 = _user_order(vals, x1, x2)
+        lanes[i] = _lane(
+            x1, x2, None,
+            SolveMethod.FOC_SOLVE if corner or csf.r < 1.0 else SolveMethod.CLOSED_FORM,
+            _user_order(vals, r1, r2), (x1 == 0.0, x2 == 0.0),
+            warnings + (CORNER_UNIQUENESS_WARNING,) if corner else warnings,
+        )
+    return lanes
+
+
+_LANE_ROUTES = {"ratio": _ratio_lanes, "diff": _diff_lanes, "concave": _concave_lanes}
+
+
+def solve_lanes(spec: ContestSpec, qs, *, force: bool, audited: bool,
+                tolerances: Tolerances) -> list:
+    """One entry per q: its `Equilibrium`, or the `ContestError` its solve raises.
+
+    Errors that hold at every q (family kind, cost, closed-form
+    precondition, malformed `qs`) are raised at once.
+    """
+    kind = _checked_kind(spec)
+    q_user = _tie_rules(qs)
+    warnings = tuple(_opening_warnings(spec.csf, force, audited))
+    vals = spec.valuations
+    q_int = 1.0 - q_user if vals.swapped else q_user
+    return _LANE_ROUTES[kind](spec.csf, vals, q_user, q_int, warnings, tolerances)
+
+
+def solve_many(spec: ContestSpec, qs, *, force: bool = False, audited: bool = False,
+               tolerances: Tolerances = DEFAULT_TOLERANCES) -> tuple[Equilibrium, ...]:
+    """Equilibria of one contest at each tie rule in `qs` (the q in `spec` is ignored).
+
+    Entry i matches `solve(spec.with_q(qs[i]))` to rounding (see the module
+    docstring).  `qs` must be a one-dimensional sequence of numbers in
+    [0, 1].  If any tie rule fails, the error its scalar solve raises is
+    raised, for the smallest failing q.
+    """
+    q = _tie_rules(qs)
+    lanes = solve_lanes(spec, q, force=force, audited=audited, tolerances=tolerances)
+    failed = [i for i, lane in enumerate(lanes) if isinstance(lane, ContestError)]
+    if failed:
+        raise lanes[min(failed, key=lambda i: q[i])]
+    return tuple(lanes)

@@ -4,7 +4,10 @@ The designer's objective is total equilibrium effort R(q) = x1(q) + x2(q).
 This module sweeps R over q, certifies curve shapes (constant, linear,
 monotone decreasing, convex) with explicit tolerances, finds the optimal
 deterministic rule, and evaluates random tie-breaking rules by expected
-total effort.
+total effort.  Every curve is solved in one batch over its tie rules
+(`batch.solve_many`): sweeps, the optimal rule's 101-point cross-check
+and random rules never loop over q.  Only the concave golden-section search
+solves one tie rule at a time, because each step depends on the last.
 
 Shape certificates are numeric statements about the sampled curve, not
 symbolic proofs: each records the worst measured violation alongside the
@@ -26,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ContestSpec, RandomTieRule, TieRule
+from .batch import solve_lanes, solve_many
 from .equilibrium import DEFAULT_TOLERANCES, Tolerances, solve
 from .errors import ContestError, ValidationError
 
@@ -162,29 +166,38 @@ def _certify(totals: np.ndarray) -> ShapeCertificate:
                             linear=linear, convex=convex)
 
 
+def _failed_at(exc: ContestError, q: float) -> ContestError:
+    return type(exc)(f"sweep failed at q = {float(q):.17g}: {exc}")
+
+
+def _swept(qs: np.ndarray, lanes: list) -> list:
+    """A batch's equilibria, or its first failure re-raised with that q attached."""
+    for q, lane in zip(qs, lanes):
+        if isinstance(lane, ContestError):
+            raise _failed_at(lane, q) from lane
+    return lanes
+
+
 def sweep(spec: ContestSpec, q_count: int, *, force: bool = False,
           audited: bool = False,
           tolerances: Tolerances = DEFAULT_TOLERANCES) -> EffortCurve:
     """Equilibrium efforts at `q_count` equally spaced tie rules.
 
-    The q stored in `spec` is ignored; every point is solved fresh.  Solver
-    failures are re-raised with the offending q attached.
+    The q stored in `spec` is ignored; all points are solved in one batch.
+    Solver failures are re-raised with the smallest offending q attached.
     """
     if not isinstance(q_count, (int, np.integer)) or isinstance(q_count, bool):
         raise ValidationError(f"q_count must be an integer, got {q_count!r}")
     if q_count < 2:
         raise ValidationError(f"q_count must be >= 2, got {q_count}")
-    samples = []
-    for q in np.linspace(0.0, 1.0, int(q_count)):
-        qv = float(q)
-        try:
-            eq = solve(spec.with_q(qv), force=force, audited=audited,
-                       tolerances=tolerances)
-        except ContestError as exc:
-            raise type(exc)(f"sweep failed at q = {qv:.17g}: {exc}") from exc
-        samples.append(CurveSample(q=qv, x1=eq.x1, x2=eq.x2, beta=eq.beta))
-    totals = np.array([s.R for s in samples])
-    return EffortCurve(samples=tuple(samples), shape=_certify(totals))
+    qs = np.linspace(0.0, 1.0, int(q_count))
+    try:
+        lanes = solve_lanes(spec, qs, force=force, audited=audited, tolerances=tolerances)
+    except ContestError as exc:
+        raise _failed_at(exc, qs[0]) from exc
+    samples = tuple(CurveSample(q=float(q), x1=eq.x1, x2=eq.x2, beta=eq.beta)
+                    for q, eq in zip(qs, _swept(qs, lanes)))
+    return EffortCurve(samples=samples, shape=_certify(np.array([s.R for s in samples])))
 
 
 class Rationale(enum.Enum):
@@ -216,7 +229,7 @@ class OptimalQ:
 def _total_at(spec: ContestSpec, q: float, force: bool, audited: bool,
               tolerances: Tolerances):
     eq = solve(spec.with_q(q), force=force, audited=audited, tolerances=tolerances)
-    return eq.x1 + eq.x2, eq
+    return eq.total, eq
 
 
 def _golden_section_max(fn, lo: float, hi: float, tol: float) -> float:
@@ -247,18 +260,24 @@ def optimal_q(spec: ContestSpec, *, force: bool = False, audited: bool = False,
     when prizes are equal (resolved to q = 0, rationale "indifferent").
     Concave contests are searched numerically (golden section refined to
     1e-6, plus both endpoints).  Every route is cross-checked against a
-    101-point sweep; the sweep's best point wins only if it improves the
-    candidate beyond a determinism guard, in which case the rationale is
-    downgraded to "numeric".
+    101-point sweep, solved in one batch that also supplies the ratio and
+    difference candidates (q = 0 and q = 1 are sweep points); the sweep's
+    best point wins only if it improves the candidate beyond a determinism
+    guard, in which case the rationale is downgraded to "numeric".
     """
     kind = spec.csf.kind
     vals = spec.valuations
+    qs = np.linspace(0.0, 1.0, CROSS_CHECK_POINTS)
     if kind in ("ratio", "diff"):
         if vals.v1 == vals.v2:
             q_candidate, rationale = 0.0, Rationale.INDIFFERENT
         else:
             q_candidate = 1.0 if vals.swapped else 0.0
             rationale = Rationale.THEOREM
+        lanes = solve_lanes(spec, qs, force=force, audited=audited, tolerances=tolerances)
+        eq = lanes[-1 if q_candidate == 1.0 else 0]
+        if isinstance(eq, ContestError):
+            raise eq
     elif kind == "concave":
         rationale = Rationale.NUMERIC
 
@@ -266,25 +285,23 @@ def optimal_q(spec: ContestSpec, *, force: bool = False, audited: bool = False,
             return _total_at(spec, q, force, audited, tolerances)[0]
 
         interior = _golden_section_max(objective, 0.0, 1.0, GOLDEN_SECTION_TOL)
-        candidates = sorted({0.0, 1.0, interior})
-        values = {qc: objective(qc) for qc in candidates}
-        best_val = max(values.values())
+        solved = {qc: _total_at(spec, qc, force, audited, tolerances)
+                  for qc in sorted({0.0, 1.0, interior})}
+        best_val = max(value for value, _ in solved.values())
         guard = OPTIMAL_IMPROVEMENT_GUARD * (1.0 + abs(best_val))
-        q_candidate = min(qc for qc in candidates if values[qc] >= best_val - guard)
+        q_candidate = min(qc for qc, (value, _) in solved.items() if value >= best_val - guard)
+        eq = solved[q_candidate][1]
+        lanes = solve_lanes(spec, qs, force=force, audited=audited, tolerances=tolerances)
     else:
         raise ValidationError(f"no designer support for family kind {kind!r}")
 
-    total, eq = _total_at(spec, q_candidate, force, audited, tolerances)
-
-    curve = sweep(spec, CROSS_CHECK_POINTS, force=force, audited=audited,
-                  tolerances=tolerances)
-    totals = np.array(curve.totals)
+    total = eq.total
+    totals = np.array([lane.total for lane in _swept(qs, lanes)])
     guard = OPTIMAL_IMPROVEMENT_GUARD * (1.0 + abs(total))
     best_idx = int(np.argmax(totals))
     if float(totals[best_idx]) > total + guard:
-        qv = curve.samples[best_idx].q
-        total, eq = _total_at(spec, qv, force, audited, tolerances)
-        q_candidate = qv
+        eq = lanes[best_idx]
+        total, q_candidate = eq.total, float(qs[best_idx])
         rationale = Rationale.NUMERIC
 
     return OptimalQ(q_star=TieRule(q_candidate), total_effort=total,
@@ -297,15 +314,15 @@ def expected_effort(spec: ContestSpec, rule: RandomTieRule, *,
     """Expected total equilibrium effort under a random tie-breaking rule.
 
     The rule commits to drawing q before efforts are chosen, so the
-    expectation is the weight-average of R over the rule's atoms.
+    expectation is the weight-average of R over the rule's atoms, all
+    solved in one batch.  If some atoms fail to solve, the error for the
+    smallest failing q is raised.
     """
     if not isinstance(rule, RandomTieRule):
         rule = RandomTieRule.from_pairs(rule)
-    terms = []
-    for atom, weight in rule.atoms:
-        total, _ = _total_at(spec, atom.q, force, audited, tolerances)
-        terms.append(weight * total)
-    return math.fsum(terms)
+    eqs = solve_many(spec, [atom.q for atom, _ in rule.atoms], force=force,
+                     audited=audited, tolerances=tolerances)
+    return math.fsum(weight * eq.total for (_, weight), eq in zip(rule.atoms, eqs))
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,10 @@ Solvers work internally with valuations ordered strongest-first and report
 results in the caller's labels, so callers never need to pre-sort prizes.
 The tie rule is relabeled alongside (player 2's tie share is 1 - q).
 
+`solve` handles one tie rule; `batch.solve_many` runs the same routes for an
+array of tie rules at once.  Both share the check of family kind, cost and
+closed-form precondition here, and the errors each route raises.
+
 Every solver returns an `Equilibrium` carrying per-player first-order
 residuals evaluated at the returned profile, corner flags, and any warnings
 (notably an unchecked-assumptions note unless the caller vouches that an
@@ -26,8 +30,9 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-from .core import ContestSpec, CostKind, TieRule, Valuations
+from .core import ContestSpec, TieRule, Valuations
 from .errors import ConvergenceError, NoEquilibriumError, ValidationError
+from .families import DEFAULT_COST
 
 _EPS = sys.float_info.epsilon
 
@@ -112,8 +117,82 @@ def _oriented(v, q) -> tuple[Valuations, float, float]:
     return vals, q_user, q_int
 
 
-def _user_order(vals: Valuations, strong: float, weak: float) -> tuple[float, float]:
+def _user_order(vals: Valuations, strong, weak):
     return (weak, strong) if vals.swapped else (strong, weak)
+
+
+def _checked_kind(spec: ContestSpec) -> str:
+    """The family kind of `spec`, once its cost is the one the theory assumes.
+
+    Ratio and concave classes are stated under linear cost and the
+    difference class under half-quadratic cost; other pairings have no
+    solver and raise.
+    """
+    kind = spec.csf.kind
+    expected = DEFAULT_COST.get(kind)
+    if expected is None:
+        raise ValidationError(f"no solver for family kind {kind!r}")
+    if spec.cost is not expected:
+        raise ValidationError(
+            f"{kind}-form contests are solved under {expected.value!r} cost, "
+            f"got {spec.cost.value!r}"
+        )
+    return kind
+
+
+def _opening_warnings(csf, force: bool, audited: bool) -> list[str]:
+    """Closed-form precondition check and the warnings every solve starts with.
+
+    A family whose closed form is only guaranteed under a parameter
+    restriction is rejected outside it unless `force` is given, in which
+    case a warning is attached instead.
+    """
+    warnings: list[str] = []
+    if not csf.lemma_precondition_ok:
+        if not force:
+            raise ValidationError(
+                f"family {csf.name!r} violates its closed-form precondition "
+                f"({csf.lemma_precondition}); pass force=True to evaluate anyway"
+            )
+        warnings.append(
+            f"closed-form precondition {csf.lemma_precondition} violated; "
+            "result computed under protest"
+        )
+    if not audited:
+        warnings.append(UNCHECKED_ASSUMPTIONS_WARNING)
+    return warnings
+
+
+# Errors shared by the scalar and batch routes, so a lane fails as its scalar
+# solve does.
+def _ratio_underflow(slope: float) -> ConvergenceError:
+    return ConvergenceError(f"closed-form efforts underflow double precision (slope {slope})")
+
+
+def _unbracketed(hi: float, tolerances: Tolerances) -> ConvergenceError:
+    return ConvergenceError(
+        f"could not bracket the effort-gap root within "
+        f"{tolerances.bracket_expansions} expansions (last upper bound {hi}); "
+        "the slope condition for existence likely fails at these prizes"
+    )
+
+
+def _gap_residual(resid: float, limit: float) -> ConvergenceError:
+    return ConvergenceError(f"effort-gap residual {resid:.3e} exceeds {limit:.3e}")
+
+
+def _effort_underflow(g1: float, g2: float, r: float) -> ConvergenceError:
+    return ConvergenceError(f"an equilibrium effort underflows double precision "
+                            f"(log-impacts {g1:.6g}, {g2:.6g} at r = {r})")
+
+
+def _newton_residual(x1: float, x2: float, r1: float, r2: float,
+                     tolerances: Tolerances) -> ConvergenceError:
+    return ConvergenceError(
+        f"Newton solve did not reach residual {tolerances.iterative_residual:.1e} within "
+        f"{tolerances.max_iterations} iterations; last iterate ({x1}, {x2}) "
+        f"with residuals ({r1:.3e}, {r2:.3e})"
+    )
 
 
 def solve_ratio(csf, v, q, *, force: bool = False, audited: bool = False,
@@ -129,26 +208,14 @@ def solve_ratio(csf, v, q, *, force: bool = False, audited: bool = False,
     if getattr(csf, "kind", None) != "ratio":
         raise ValidationError("solve_ratio requires a ratio-form family")
     vals, q_user, q_int = _oriented(v, q)
-    warnings: list[str] = []
-    if not csf.lemma_precondition_ok:
-        if not force:
-            raise ValidationError(
-                f"family {csf.name!r} violates its closed-form precondition "
-                f"({csf.lemma_precondition}); pass force=True to evaluate anyway"
-            )
-        warnings.append(
-            f"closed-form precondition {csf.lemma_precondition} violated; "
-            "result computed under protest"
-        )
-    if not audited:
-        warnings.append(UNCHECKED_ASSUMPTIONS_WARNING)
+    warnings = _opening_warnings(csf, force, audited)
 
     beta_int = vals.beta
     slope = float(csf.z_prime(beta_int, q_int))
     strong = vals.v1 * beta_int * slope
     weak = vals.v2 * beta_int * slope
     if weak == 0.0:
-        raise ConvergenceError(f"closed-form efforts underflow double precision (slope {slope})")
+        raise _ratio_underflow(slope)
     x1, x2 = _user_order(vals, strong, weak)
 
     theta = x1 / x2
@@ -224,16 +291,12 @@ def solve_beta(csf, v, q, *, tolerances: Tolerances = DEFAULT_TOLERANCES) -> flo
             break
         lo, hi = hi, 2.0 * hi
     else:
-        raise ConvergenceError(
-            f"could not bracket the effort-gap root within "
-            f"{tolerances.bracket_expansions} expansions (last upper bound {hi}); "
-            "the slope condition for existence likely fails at these prizes"
-        )
+        raise _unbracketed(hi, tolerances)
 
     root, resid = _safeguarded_root(fdf, lo, hi, tolerances.max_iterations)
     limit = tolerances.beta_residual * max(1.0, gap)
     if not abs(resid) <= limit:
-        raise ConvergenceError(f"effort-gap residual {resid:.3e} exceeds {limit:.3e}")
+        raise _gap_residual(resid, limit)
     return max(root, 0.0)
 
 
@@ -260,10 +323,9 @@ def solve_diff(csf, v, q, *, audited: bool = False,
     r1 = v1u * zp - x1
     r2 = v2u * zp - x2
 
-    warnings = () if audited else (UNCHECKED_ASSUMPTIONS_WARNING,)
     return Equilibrium(
-        x1=x1, x2=x2, beta=theta, method=SolveMethod.ROOT_FIND,
-        residuals=(r1, r2), corner_flags=(False, False), warnings=warnings,
+        x1=x1, x2=x2, beta=theta, method=SolveMethod.ROOT_FIND, residuals=(r1, r2),
+        corner_flags=(False, False), warnings=tuple(_opening_warnings(csf, False, audited)),
     )
 
 
@@ -285,6 +347,11 @@ def _concave_marginal(csf, prize: float, own_q: float, own: float, other: float)
     return prize * press / (total * total) - 1.0
 
 
+def _no_axis_equilibrium(b1: float, b2: float) -> NoEquilibriumError:
+    return NoEquilibriumError(f"no axis profile is a mutual best response "
+                              f"(single-entrant responses {b1} and {b2})")
+
+
 def _lottery_corner(csf, v1: float, v2: float, q_int: float,
                     tolerances: Tolerances) -> tuple[float, float]:
     """Corner equilibrium of a linear-impact contest whose interior profile fails.
@@ -300,8 +367,7 @@ def _lottery_corner(csf, v1: float, v2: float, q_int: float,
     b2 = max(0.0, math.sqrt(v2 * q_int) - 1.0)
     if _concave_marginal(csf, v1, q_int, 0.0, b2) <= tolerances.closed_form_residual:
         return 0.0, b2
-    raise NoEquilibriumError(f"no axis profile is a mutual best response "
-                             f"(single-entrant responses {b1} and {b2})")
+    raise _no_axis_equilibrium(b1, b2)
 
 
 def _logaddexp(a: float, b: float) -> float:
@@ -366,8 +432,7 @@ def _concave_newton(csf, v1: float, v2: float, q_int: float,
 
     x1, x2 = math.exp(g1 / r), math.exp(g2 / r)
     if min(x1, x2) < sys.float_info.min:
-        raise ConvergenceError(f"an equilibrium effort underflows double precision "
-                               f"(log-impacts {g1:.6g}, {g2:.6g} at r = {r})")
+        raise _effort_underflow(g1, g2, r)
     return x1, x2
 
 
@@ -388,7 +453,7 @@ def solve_concave(csf, v, q, *, audited: bool = False,
         raise ValidationError("solve_concave requires a concave-impact family")
     vals, _, q_int = _oriented(v, q)
     v1, v2 = vals.v1, vals.v2
-    warnings: list[str] = [] if audited else [UNCHECKED_ASSUMPTIONS_WARNING]
+    warnings = _opening_warnings(csf, False, audited)
 
     if csf.r == 1.0:
         scale = v1 * v2 / (v1 + v2) ** 2
@@ -409,23 +474,12 @@ def solve_concave(csf, v, q, *, audited: bool = False,
     r2i = _concave_marginal(csf, v2, 1.0 - q_int, x2i, x1i)
     tol = tolerances.iterative_residual
     if csf.r < 1.0 and not (abs(r1i) <= tol and abs(r2i) <= tol):
-        raise ConvergenceError(
-            f"Newton solve did not reach residual {tol:.1e} within "
-            f"{tolerances.max_iterations} iterations; last iterate ({x1i}, {x2i}) "
-            f"with residuals ({r1i:.3e}, {r2i:.3e})"
-        )
+        raise _newton_residual(x1i, x2i, r1i, r2i, tolerances)
     x1, x2 = _user_order(vals, x1i, x2i)
     return Equilibrium(
         x1=x1, x2=x2, beta=None, method=method, residuals=_user_order(vals, r1i, r2i),
         corner_flags=(x1 == 0.0, x2 == 0.0), warnings=tuple(warnings),
     )
-
-
-_EXPECTED_COST: dict[str, CostKind] = {
-    "ratio": CostKind.LINEAR,
-    "diff": CostKind.QUADRATIC_HALF,
-    "concave": CostKind.LINEAR,
-}
 
 
 def solve(spec: ContestSpec, *, force: bool = False, audited: bool = False,
@@ -436,15 +490,7 @@ def solve(spec: ContestSpec, *, force: bool = False, audited: bool = False,
     is stated under (linear for ratio and concave classes, half-quadratic
     for the difference class); other pairings have no solver and raise.
     """
-    kind = spec.csf.kind
-    expected = _EXPECTED_COST.get(kind)
-    if expected is None:
-        raise ValidationError(f"no solver for family kind {kind!r}")
-    if spec.cost is not expected:
-        raise ValidationError(
-            f"{kind}-form contests are solved under {expected.value!r} cost, "
-            f"got {spec.cost.value!r}"
-        )
+    kind = _checked_kind(spec)
     if kind == "ratio":
         return solve_ratio(spec.csf, (spec.v1, spec.v2), spec.q,
                            force=force, audited=audited, tolerances=tolerances)

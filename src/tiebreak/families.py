@@ -26,7 +26,9 @@ derivatives follow exactly: p0' = z_1' - z_0' and likewise for p0''.
 Evaluations are numerically stabilized.  Difference-form families touch
 exponentials only through e^(-|theta|) and logistic ratios, so theta up to
 +/-500 stays finite; ratio-form families work through u = theta^r/(1+theta^r)
-and its complement for the same reason.
+and its complement for the same reason.  A share's complement is never formed
+as 1 minus the share: it comes from the same exponential or power, so slopes
+keep full relative precision where a share approaches one.
 
 All family objects are immutable after construction; every method is pure.
 """
@@ -76,14 +78,35 @@ def _ret(value, *inputs):
     return value
 
 
-def _logistic_share(theta, k: float):
-    """e^theta / (k + e^theta), computed through e^(-|theta|) only."""
+def _logistic_pair(theta, k: float):
+    """u = e^theta / (k + e^theta) and w = u(-theta), from one e^(-|theta|) <= 1."""
     t = np.asarray(theta, dtype=float)
     a = np.exp(-np.abs(t))
     with np.errstate(over="ignore"):
-        pos = 1.0 / (1.0 + k * a)
-        neg = a / (k + a)
-    return np.where(t >= 0, pos, neg)
+        near = 1.0 / (1.0 + k * a)
+        far = a / (k + a)
+    up = t >= 0
+    return np.where(up, near, far), np.where(up, far, near)
+
+
+def _logistic_shares(theta, k: float):
+    """`_logistic_pair` with complements: (u, 1 - u, w, 1 - w).
+
+    All four come from the one exponential, and each complement
+    (1 - u = k / (k + e^theta), 1 - w = k e^theta / (1 + k e^theta)) is
+    formed without subtraction, keeping full relative precision where a
+    share approaches one.
+    """
+    t = np.asarray(theta, dtype=float)
+    a = np.exp(-np.abs(t))
+    with np.errstate(over="ignore"):
+        ka = k * a
+        near_den, far_den = 1.0 + ka, k + a
+        near, near_comp = 1.0 / near_den, ka / near_den
+        far, far_comp = a / far_den, k / far_den
+    up = t >= 0
+    return (np.where(up, near, far), np.where(up, near_comp, far_comp),
+            np.where(up, far, near), np.where(up, far_comp, near_comp))
 
 
 class _ReducedCsf:
@@ -248,12 +271,13 @@ class VesperoniRatio(RatioCsf):
 class JiaRatio(RatioCsf):
     """Ratio-form family p = theta^r / (theta^r + k).
 
-    With u = theta^r / (theta^r + k) and w = 1 / (1 + k theta^r):
+    With u = theta^r / (theta^r + k) and w = 1 / (1 + k theta^r), and the
+    complements ub = 1 - u and wb = 1 - w taken from the same power:
 
         p = u,   p(1/theta) = w,   p0 = 1 - u - w,
-        z_q'  = (r / theta)   * ((1-q) u (1-u) + q w (1-w)),
-        z_q'' = -(r / theta^2) * ((1-q) u (1-u) (2 r u + 1 - r)
-                                  + q w (1-w) (2 r (1-w) + 1 - r)).
+        z_q'  = (r / theta)   * ((1-q) u ub + q w wb),
+        z_q'' = -(r / theta^2) * ((1-q) u ub (2 r u + 1 - r)
+                                  + q w wb (2 r wb + 1 - r)).
 
     k = 1 collapses to the classic lottery contest (p0 = 0).  The closed-form
     equilibrium requires r <= 1.
@@ -282,27 +306,31 @@ class JiaRatio(RatioCsf):
 
     def _shares(self, th):
         t = np.power(th, self.r)
-        return t / (t + self.k), 1.0 / (1.0 + self.k * t)
+        u_den = t + self.k
+        with np.errstate(over="ignore", divide="ignore"):
+            kt = self.k * t
+            return t / u_den, self.k / u_den, 1.0 / (1.0 + kt), 1.0 / (1.0 + 1.0 / kt)
 
     def _triple(self, th):
-        u, w = self._shares(th)
+        t = np.power(th, self.r)
+        u, w = t / (t + self.k), 1.0 / (1.0 + self.k * t)
         return u, w, 1.0 - u - w
 
     def z_prime(self, theta, q):
         qv = q_value(q)
         th = self._theta(theta)
-        u, w = self._shares(th)
+        u, ub, w, wb = self._shares(th)
         r = self.r
-        val = (r / th) * ((1.0 - qv) * u * (1.0 - u) + qv * w * (1.0 - w))
+        val = (r / th) * ((1.0 - qv) * u * ub + qv * w * wb)
         return _ret(val, theta)
 
     def z_double_prime(self, theta, q):
         qv = q_value(q)
         th = self._theta(theta)
-        u, w = self._shares(th)
+        u, ub, w, wb = self._shares(th)
         r = self.r
-        lead = (1.0 - qv) * u * (1.0 - u) * (2.0 * r * u + 1.0 - r)
-        trail = qv * w * (1.0 - w) * (2.0 * r * (1.0 - w) + 1.0 - r)
+        lead = (1.0 - qv) * u * ub * (2.0 * r * u + (1.0 - r))
+        trail = qv * w * wb * (2.0 * r * wb + (1.0 - r))
         return _ret(-(r / th**2) * (lead + trail), theta)
 
 
@@ -331,7 +359,7 @@ class VesperoniDiff(DiffCsf):
         return {"k": self.k}
 
     def _shares(self, th):
-        return _logistic_share(th, 1.0), _logistic_share(-th, 1.0)
+        return _logistic_pair(th, 1.0)
 
     def _triple(self, th):
         s, sb = self._shares(th)
@@ -360,11 +388,13 @@ class VesperoniDiff(DiffCsf):
 class JiaDiff(DiffCsf):
     """Difference-form family p = e^theta / (k + e^theta).
 
-    With u = e^theta / (k + e^theta) and w = u(-theta) = 1 / (k e^theta + 1):
+    With u = e^theta / (k + e^theta) and w = u(-theta) = 1 / (k e^theta + 1),
+    and the complements ub = 1 - u and wb = 1 - w taken from the same
+    exponential:
 
         p = u,   p(-theta) = w,   p0 = 1 - u - w,
-        z_q'  = (1-q) u (1-u) + q w (1-w),
-        z_q'' = (1-q) u (1-u) (1 - 2u) + q w (1-w) (2w - 1).
+        z_q'  = (1-q) u ub + q w wb,
+        z_q'' = (1-q) u ub (1 - 2u) + q w wb (2w - 1).
 
     k = 1 collapses to the logit contest (p0 = 0, z'' the logistic bump).
     """
@@ -381,24 +411,24 @@ class JiaDiff(DiffCsf):
         return {"k": self.k}
 
     def _shares(self, th):
-        return _logistic_share(th, self.k), _logistic_share(-th, self.k)
+        return _logistic_shares(th, self.k)
 
     def _triple(self, th):
-        u, w = self._shares(th)
+        u, w = _logistic_pair(th, self.k)
         return u, w, 1.0 - u - w
 
     def z_prime(self, theta, q):
         qv = q_value(q)
         th = self._theta(theta)
-        u, w = self._shares(th)
-        return _ret((1.0 - qv) * u * (1.0 - u) + qv * w * (1.0 - w), theta)
+        u, ub, w, wb = self._shares(th)
+        return _ret((1.0 - qv) * u * ub + qv * w * wb, theta)
 
     def z_double_prime(self, theta, q):
         qv = q_value(q)
         th = self._theta(theta)
-        u, w = self._shares(th)
-        lead = (1.0 - qv) * u * (1.0 - u) * (1.0 - 2.0 * u)
-        trail = qv * w * (1.0 - w) * (2.0 * w - 1.0)
+        u, ub, w, wb = self._shares(th)
+        lead = (1.0 - qv) * u * ub * (1.0 - 2.0 * u)
+        trail = qv * w * wb * (2.0 * w - 1.0)
         return _ret(lead + trail, theta)
 
 

@@ -1,6 +1,8 @@
 """Built-in contest families: registry, validation, probability structure."""
 from __future__ import annotations
 
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
@@ -259,3 +261,50 @@ class TestConcaveFamily:
         csf = build(case)
         with pytest.raises(DomainError):
             csf.outcome(-0.2, 0.1)
+
+
+class TestJiaSlopePrecision:
+    """Jia slopes keep full relative precision where a share approaches one.
+
+    The reference evaluates the same closed forms in 50-digit decimal
+    arithmetic, with every complement formed exactly.
+    """
+
+    @staticmethod
+    def _reference(u, ub, w, wb, q, lead_curv, trail_curv, factor1, factor2):
+        zp = factor1 * ((1 - q) * u * ub + q * w * wb)
+        zpp = factor2 * ((1 - q) * u * ub * lead_curv + q * w * wb * trail_curv)
+        return zp, zpp
+
+    @staticmethod
+    def _assert_close(value: float, ref) -> None:
+        assert abs((Decimal(value) - ref) / ref) <= Decimal("1e-14")
+
+    @pytest.mark.parametrize("theta", [12.0, 20.0, 30.0, -12.0, -30.0])
+    @pytest.mark.parametrize("q", [0.0, 1.0, 0.25])
+    def test_jia_diff_against_decimal(self, theta, q):
+        csf = make_family("jia-diff", k=2.0)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            e, k, qd = Decimal(theta).exp(), Decimal(2), Decimal(q)
+            u, ub = e / (k + e), k / (k + e)
+            w, wb = 1 / (k * e + 1), k * e / (k * e + 1)
+            zp, zpp = self._reference(u, ub, w, wb, qd, 1 - 2 * u, 2 * w - 1, 1, 1)
+            self._assert_close(csf.z_prime(theta, q), zp)
+            self._assert_close(csf.z_double_prime(theta, q), zpp)
+
+    @pytest.mark.parametrize("theta", [1e8, 1e12, 1e-8, 1e-12])
+    @pytest.mark.parametrize("r", [1.0, 0.5])
+    @pytest.mark.parametrize("q", [0.0, 1.0])
+    def test_jia_ratio_against_decimal(self, theta, r, q):
+        csf = make_family("jia-ratio", r=r, k=2.0)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            th, rd, k, qd = Decimal(theta), Decimal(r), Decimal(2), Decimal(q)
+            t = th**rd
+            u, ub = t / (t + k), k / (t + k)
+            w, wb = 1 / (1 + k * t), k * t / (1 + k * t)
+            zp, zpp = self._reference(u, ub, w, wb, qd, 2 * rd * u + 1 - rd,
+                                      2 * rd * wb + 1 - rd, rd / th, -rd / th**2)
+            self._assert_close(csf.z_prime(theta, q), zp)
+            self._assert_close(csf.z_double_prime(theta, q), zpp)
