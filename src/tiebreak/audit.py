@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import q_value
+from .core import JsonRecord, q_value
 from .errors import DomainError, ValidationError
 
 STRICT_SLACK = 1e-12
@@ -75,7 +75,7 @@ def default_diff_grid(points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ConditionRecord:
+class ConditionRecord(JsonRecord):
     """Outcome of one audited condition.
 
     `violation` is the worst wrong-side magnitude found (0.0 when the
@@ -90,16 +90,6 @@ class ConditionRecord:
     witness_theta: float | None = None
     witness_q: float | None = None
     note: str = ""
-
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "violation": self.violation,
-            "witness_theta": self.witness_theta,
-            "witness_q": self.witness_q,
-            "note": self.note,
-        }
 
 
 @dataclass(frozen=True)
@@ -412,6 +402,24 @@ def audit_concave(csf, x_grid=None) -> AuditReport:
         theta_count=int(x.size), q_values=(),
         notes=("m and M bound the impact function's second derivative",),
     )
+
+
+def audit_family(csf, v1=None, grid_points=None) -> AuditReport:
+    """Audit any family with the audit of its kind, on the default grids.
+
+    `v1` is the larger prize, which difference-form audits need;
+    `grid_points` overrides the theta grid's resolution of ratio- and
+    difference-form audits.
+    """
+    if csf.kind == "ratio":
+        grid = default_ratio_grid(grid_points) if grid_points else None
+        return audit_ratio(csf, theta_grid=grid)
+    if csf.kind == "diff":
+        if v1 is None:
+            raise ValidationError("difference-form audits need the larger prize: give --v1")
+        grid = default_diff_grid(grid_points) if grid_points else None
+        return audit_diff(csf, v1, theta_grid=grid)
+    return audit_concave(csf)
 
 
 def estimate_vbar(csf, theta_grid=None, q_grid=None) -> float:

@@ -22,7 +22,7 @@ import argparse
 import json
 import sys
 
-from . import audit as audit_mod
+from .audit import audit_family
 from .core import ContestSpec, RandomTieRule
 from .designer import expected_effort, optimal_q, sweep
 from .equilibrium import solve
@@ -83,25 +83,16 @@ def _build_parser() -> _Parser:
     p_solve = sub.add_parser("solve", help="solve one contest for its equilibrium")
     add_spec_flags(p_solve)
     add_output_flags(p_solve)
-    p_solve.add_argument("--force", action="store_true",
-                         help="evaluate closed forms outside their guaranteed "
-                              "parameter region")
 
     p_sweep = sub.add_parser("sweep", help="total-effort curve R(q) over [0, 1]")
     add_spec_flags(p_sweep)
     add_output_flags(p_sweep, formats=("json", "csv"))
     p_sweep.add_argument("--points", type=int, default=11,
                          help="number of equally spaced q samples (default 11)")
-    p_sweep.add_argument("--force", action="store_true",
-                         help="evaluate closed forms outside their guaranteed "
-                              "parameter region")
 
     p_opt = sub.add_parser("optimize", help="find the tie rule maximizing total effort")
     add_spec_flags(p_opt)
     add_output_flags(p_opt)
-    p_opt.add_argument("--force", action="store_true",
-                       help="evaluate closed forms outside their guaranteed "
-                            "parameter region")
 
     p_exp = sub.add_parser("expected",
                            help="expected total effort under a random tie rule")
@@ -109,9 +100,6 @@ def _build_parser() -> _Parser:
     add_output_flags(p_exp)
     p_exp.add_argument("--rule", required=True, metavar="Q:W,Q:W,...",
                        help="random rule atoms, e.g. 0:0.5,1:0.5")
-    p_exp.add_argument("--force", action="store_true",
-                       help="evaluate closed forms outside their guaranteed "
-                            "parameter region")
 
     p_audit = sub.add_parser("audit", help="audit the family's regularity conditions")
     add_spec_flags(p_audit)
@@ -129,9 +117,9 @@ def _build_parser() -> _Parser:
                           help="effort grid ceiling (default: dominance bound)")
     p_verify.add_argument("--eps", type=float, default=None,
                           help="best-response slack for the grid Nash scan")
-    p_verify.add_argument("--force", action="store_true",
-                          help="evaluate closed forms outside their guaranteed "
-                               "parameter region")
+    for p in (p_solve, p_sweep, p_opt, p_exp, p_verify):
+        p.add_argument("--force", action="store_true",
+                       help="evaluate closed forms outside their guaranteed parameter region")
     return parser
 
 
@@ -170,18 +158,6 @@ def _maybe_emit_spec(args, spec: ContestSpec) -> None:
     if getattr(args, "emit_spec", None):
         with open(args.emit_spec, "w", encoding="utf-8") as fh:
             fh.write(spec.to_json())
-
-
-def _quick_audit(spec: ContestSpec, grid_points: int | None = None):
-    """Default-grid audit for a contest's family, keyed by family class."""
-    kind = spec.csf.kind
-    if kind == "ratio":
-        grid = audit_mod.default_ratio_grid(grid_points) if grid_points else None
-        return audit_mod.audit_ratio(spec.csf, theta_grid=grid)
-    if kind == "diff":
-        grid = audit_mod.default_diff_grid(grid_points) if grid_points else None
-        return audit_mod.audit_diff(spec.csf, spec.valuations.v1, theta_grid=grid)
-    return audit_mod.audit_concave(spec.csf)
 
 
 def _audit_summary(report) -> dict:
@@ -225,7 +201,7 @@ def _parse_rule(text: str) -> RandomTieRule:
 def _cmd_solve(args) -> int:
     spec = _spec_from_args(args, need_q=True)
     _maybe_emit_spec(args, spec)
-    report = _quick_audit(spec)
+    report = audit_family(spec.csf, spec.valuations.v1)
     eq = solve(spec, force=args.force, audited=report.passed)
     _emit_json(args, {
         "spec": spec.to_json_dict(),
@@ -238,7 +214,7 @@ def _cmd_solve(args) -> int:
 def _cmd_sweep(args) -> int:
     spec = _spec_from_args(args, need_q=False)
     _maybe_emit_spec(args, spec)
-    report = _quick_audit(spec)
+    report = audit_family(spec.csf, spec.valuations.v1)
     curve = sweep(spec, args.points, force=args.force, audited=report.passed)
     if args.format == "csv":
         _emit(args, curve.to_csv())
@@ -254,7 +230,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_optimize(args) -> int:
     spec = _spec_from_args(args, need_q=False)
     _maybe_emit_spec(args, spec)
-    report = _quick_audit(spec)
+    report = audit_family(spec.csf, spec.valuations.v1)
     best = optimal_q(spec, force=args.force, audited=report.passed)
     _emit_json(args, {
         "spec": spec.to_json_dict(),
@@ -268,7 +244,7 @@ def _cmd_expected(args) -> int:
     spec = _spec_from_args(args, need_q=False)
     _maybe_emit_spec(args, spec)
     rule = _parse_rule(args.rule)
-    report = _quick_audit(spec)
+    report = audit_family(spec.csf, spec.valuations.v1)
     value = expected_effort(spec, rule, force=args.force, audited=report.passed)
     _emit_json(args, {
         "spec": spec.to_json_dict(),
@@ -296,21 +272,7 @@ def _cmd_audit(args) -> int:
         if getattr(args, "emit_spec", None):
             spec = _spec_from_args(args, need_q=False)
             _maybe_emit_spec(args, spec)
-
-    kind = csf.kind
-    if kind == "ratio":
-        grid = audit_mod.default_ratio_grid(args.grid_points) if args.grid_points else None
-        report = audit_mod.audit_ratio(csf, theta_grid=grid)
-    elif kind == "diff":
-        if v1 is None:
-            raise ValidationError(
-                "difference-form audits need the larger prize: give --v1"
-            )
-        grid = audit_mod.default_diff_grid(args.grid_points) if args.grid_points else None
-        report = audit_mod.audit_diff(csf, v1, theta_grid=grid)
-    else:
-        report = audit_mod.audit_concave(csf)
-
+    report = audit_family(csf, v1, args.grid_points)
     _emit_json(args, report.to_json_dict())
     return EXIT_OK if report.passed else EXIT_INVALID
 
@@ -318,7 +280,7 @@ def _cmd_audit(args) -> int:
 def _cmd_verify(args) -> int:
     spec = _spec_from_args(args, need_q=True)
     _maybe_emit_spec(args, spec)
-    report = _quick_audit(spec)
+    report = audit_family(spec.csf, spec.valuations.v1)
     eq = solve(spec, force=args.force, audited=report.passed)
     if args.x_max is not None:
         grid = GridSpec(x_max=args.x_max, steps=args.steps, eps=args.eps)

@@ -43,6 +43,27 @@ def _as_float(value: Any, field: str) -> float:
     return out
 
 
+class JsonRecord:
+    """Dataclass mixin serializing the fields in declaration order.
+
+    Enums become their value, tuples become lists, and nested records (any
+    value with its own `to_json_dict`) become their dicts.
+    """
+
+    def to_json_dict(self) -> dict:
+        return {f.name: _json_value(getattr(self, f.name)) for f in dataclasses.fields(self)}
+
+
+def _json_value(value):
+    if hasattr(value, "to_json_dict"):
+        return value.to_json_dict()
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return [_json_value(v) for v in value]
+    return value
+
+
 class CostKind(Enum):
     """Effort cost technology: c(x) = x, or c(x) = x**2 / 2."""
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ContestSpec, RandomTieRule, TieRule
+from .core import ContestSpec, JsonRecord, RandomTieRule, TieRule
 from .batch import solve_lanes, solve_many
 from .equilibrium import DEFAULT_TOLERANCES, Tolerances, solve
 from .errors import ContestError, ValidationError
@@ -58,30 +58,19 @@ CROSS_CHECK_POINTS = 101
 
 
 @dataclass(frozen=True)
-class ShapeCheck:
+class ShapeCheck(JsonRecord):
     """One certified curve property: verdict plus worst measured violation."""
 
     holds: bool
     violation: float
 
-    def to_json_dict(self) -> dict:
-        return {"holds": self.holds, "violation": self.violation}
-
 
 @dataclass(frozen=True)
-class ShapeCertificate:
+class ShapeCertificate(JsonRecord):
     monotone_decreasing: ShapeCheck
     constant: ShapeCheck
     linear: ShapeCheck
     convex: ShapeCheck
-
-    def to_json_dict(self) -> dict:
-        return {
-            "monotone_decreasing": self.monotone_decreasing.to_json_dict(),
-            "constant": self.constant.to_json_dict(),
-            "linear": self.linear.to_json_dict(),
-            "convex": self.convex.to_json_dict(),
-        }
 
 
 @dataclass(frozen=True)
@@ -103,7 +92,7 @@ class CurveSample:
 
 
 @dataclass(frozen=True)
-class EffortCurve:
+class EffortCurve(JsonRecord):
     """Total-effort curve R(q) with shape certificates."""
 
     samples: tuple[CurveSample, ...]
@@ -135,12 +124,6 @@ class EffortCurve:
         for s in self.samples:
             lines.append(",".join(format(v, ".17g") for v in (s.q, s.x1, s.x2, s.R)))
         return "\n".join(lines) + "\n"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "samples": [s.to_json_dict() for s in self.samples],
-            "shape": self.shape.to_json_dict(),
-        }
 
 
 def _certify(totals: np.ndarray) -> ShapeCertificate:
@@ -326,7 +309,7 @@ def expected_effort(spec: ContestSpec, rule: RandomTieRule, *,
 
 
 @dataclass(frozen=True)
-class ConvexityPrecondition:
+class ConvexityPrecondition(JsonRecord):
     """Grid verdict on strict negativity of the tie probability's curvature.
 
     `holds` is True when the second derivative of the tie probability stays
@@ -343,16 +326,6 @@ class ConvexityPrecondition:
     theta_max: float
     points: int
     first_crossing: float | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "holds": self.holds,
-            "worst_value": self.worst_value,
-            "worst_theta": self.worst_theta,
-            "theta_max": self.theta_max,
-            "points": self.points,
-            "first_crossing": self.first_crossing,
-        }
 
 
 def convexity_precondition(csf, v1, points: int = 2001) -> ConvexityPrecondition:

@@ -30,9 +30,8 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-from .core import ContestSpec, TieRule, Valuations
+from .core import ContestSpec, JsonRecord, TieRule, Valuations
 from .errors import ConvergenceError, NoEquilibriumError, ValidationError
-from .families import DEFAULT_COST
 
 _EPS = sys.float_info.epsilon
 
@@ -68,7 +67,7 @@ class SolveMethod(enum.Enum):
 
 
 @dataclass(frozen=True)
-class Equilibrium:
+class Equilibrium(JsonRecord):
     """A pure-strategy equilibrium profile in the caller's player labels.
 
     `beta` is the effort ratio x1/x2 for ratio-form contests, the effort gap
@@ -97,17 +96,6 @@ class Equilibrium:
     def total(self) -> float:
         return self.x1 + self.x2
 
-    def to_json_dict(self) -> dict:
-        return {
-            "x1": self.x1,
-            "x2": self.x2,
-            "beta": self.beta,
-            "method": self.method.value,
-            "residuals": list(self.residuals),
-            "corner_flags": list(self.corner_flags),
-            "warnings": list(self.warnings),
-        }
-
 
 def _oriented(v, q) -> tuple[Valuations, float, float]:
     """Normalize labels: strongest prize first, tie share relabeled to match."""
@@ -124,12 +112,12 @@ def _user_order(vals: Valuations, strong, weak):
 def _checked_kind(spec: ContestSpec) -> str:
     """The family kind of `spec`, once its cost is the one the theory assumes.
 
-    Ratio and concave classes are stated under linear cost and the
-    difference class under half-quadratic cost; other pairings have no
-    solver and raise.
+    Each family class declares that cost as `default_cost` (linear for the
+    ratio and concave classes, half-quadratic for the difference class);
+    other pairings have no solver and raise.
     """
     kind = spec.csf.kind
-    expected = DEFAULT_COST.get(kind)
+    expected = getattr(spec.csf, "default_cost", None)
     if expected is None:
         raise ValidationError(f"no solver for family kind {kind!r}")
     if spec.cost is not expected:
@@ -219,7 +207,7 @@ def solve_ratio(csf, v, q, *, force: bool = False, audited: bool = False,
     x1, x2 = _user_order(vals, strong, weak)
 
     theta = x1 / x2
-    v1u, v2u = (vals.v2, vals.v1) if vals.swapped else (vals.v1, vals.v2)
+    v1u, v2u = _user_order(vals, vals.v1, vals.v2)
     zp = float(csf.z_prime(theta, q_user))
     r1 = v1u * zp / x2 - 1.0
     r2 = v2u * zp * theta / x2 - 1.0
@@ -318,7 +306,7 @@ def solve_diff(csf, v, q, *, audited: bool = False,
     x1, x2 = _user_order(vals, strong, weak)
 
     theta = x1 - x2
-    v1u, v2u = (vals.v2, vals.v1) if vals.swapped else (vals.v1, vals.v2)
+    v1u, v2u = _user_order(vals, vals.v1, vals.v2)
     zp = float(csf.z_prime(theta, q_user))
     r1 = v1u * zp - x1
     r2 = v2u * zp - x2

@@ -35,7 +35,7 @@ All family objects are immutable after construction; every method is pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, ClassVar
+from typing import ClassVar
 
 import numpy as np
 
@@ -109,11 +109,35 @@ def _logistic_shares(theta, k: float):
             np.where(up, far, near), np.where(up, far_comp, near_comp))
 
 
-class _ReducedCsf:
-    """Shared behavior of families that reduce to a scalar contest state theta."""
+class _Family:
+    """Registry facts every family class declares about itself.
 
-    kind: ClassVar[str]
+    `name` is the registry key, `kind` the contest class (ratio, diff or
+    concave), `constraints` the parameter domain as shown in the CLI help,
+    `default_cost` the cost technology the class's theory is stated under,
+    and `lemma_precondition` the parameter restriction its closed form
+    needs ("none" when there is none; `lemma_precondition_ok` tests it).
+    The parameters are the dataclass fields, whose names the dataclass
+    lists in declaration order as `__match_args__`.
+    """
+
     name: ClassVar[str]
+    kind: ClassVar[str]
+    constraints: ClassVar[str]
+    default_cost: ClassVar[CostKind]
+    lemma_precondition: ClassVar[str] = "none"
+
+    @property
+    def params(self) -> dict:
+        return {name: getattr(self, name) for name in self.__match_args__}
+
+    @property
+    def lemma_precondition_ok(self) -> bool:
+        return True
+
+
+class _ReducedCsf(_Family):
+    """Shared behavior of families that reduce to a scalar contest state theta."""
 
     # subclasses: _triple(theta) -> (p(theta), p(mirror theta), p0(theta))
     # with mirror = 1/theta (ratio) or -theta (difference), all mutually consistent.
@@ -151,14 +175,6 @@ class _ReducedCsf:
             theta,
         )
 
-    @property
-    def lemma_precondition_ok(self) -> bool:
-        return True
-
-    @property
-    def lemma_precondition(self) -> str:
-        return "none"
-
 
 class RatioCsf(_ReducedCsf):
     """Base class of families driven by the effort ratio theta = x1 / x2.
@@ -169,6 +185,7 @@ class RatioCsf(_ReducedCsf):
     """
 
     kind: ClassVar[str] = "ratio"
+    default_cost: ClassVar[CostKind] = CostKind.LINEAR
 
     def _theta(self, theta):
         return _as_array(theta, "theta", positive=True)
@@ -192,6 +209,7 @@ class DiffCsf(_ReducedCsf):
     """Base class of families driven by the effort difference theta = x1 - x2."""
 
     kind: ClassVar[str] = "diff"
+    default_cost: ClassVar[CostKind] = CostKind.QUADRATIC_HALF
 
     def _theta(self, theta):
         return _as_array(theta, "theta")
@@ -222,22 +240,16 @@ class VesperoniRatio(RatioCsf):
     k: float
 
     name: ClassVar[str] = "vesperoni-ratio"
+    constraints: ClassVar[str] = "r > 0, k >= 1 (closed form needs r*k <= 1)"
+    lemma_precondition: ClassVar[str] = "r * k <= 1"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "r", _check_param("r", self.r, 0.0, False, None, self.name))
         object.__setattr__(self, "k", _check_param("k", self.k, 1.0, True, None, self.name))
 
     @property
-    def params(self) -> dict:
-        return {"r": self.r, "k": self.k}
-
-    @property
     def lemma_precondition_ok(self) -> bool:
         return self.r * self.k <= 1.0
-
-    @property
-    def lemma_precondition(self) -> str:
-        return "r * k <= 1"
 
     def _shares(self, th):
         t = np.power(th, self.r)
@@ -287,22 +299,16 @@ class JiaRatio(RatioCsf):
     k: float
 
     name: ClassVar[str] = "jia-ratio"
+    constraints: ClassVar[str] = "r > 0, k >= 1 (closed form needs r <= 1)"
+    lemma_precondition: ClassVar[str] = "r <= 1"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "r", _check_param("r", self.r, 0.0, False, None, self.name))
         object.__setattr__(self, "k", _check_param("k", self.k, 1.0, True, None, self.name))
 
     @property
-    def params(self) -> dict:
-        return {"r": self.r, "k": self.k}
-
-    @property
     def lemma_precondition_ok(self) -> bool:
         return self.r <= 1.0
-
-    @property
-    def lemma_precondition(self) -> str:
-        return "r <= 1"
 
     def _shares(self, th):
         t = np.power(th, self.r)
@@ -350,13 +356,10 @@ class VesperoniDiff(DiffCsf):
     k: float
 
     name: ClassVar[str] = "vesperoni-diff"
+    constraints: ClassVar[str] = "k >= 1"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "k", _check_param("k", self.k, 1.0, True, None, self.name))
-
-    @property
-    def params(self) -> dict:
-        return {"k": self.k}
 
     def _shares(self, th):
         return _logistic_pair(th, 1.0)
@@ -402,13 +405,10 @@ class JiaDiff(DiffCsf):
     k: float
 
     name: ClassVar[str] = "jia-diff"
+    constraints: ClassVar[str] = "k >= 1"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "k", _check_param("k", self.k, 1.0, True, None, self.name))
-
-    @property
-    def params(self) -> dict:
-        return {"k": self.k}
 
     def _shares(self, th):
         return _logistic_shares(th, self.k)
@@ -433,7 +433,7 @@ class JiaDiff(DiffCsf):
 
 
 @dataclass(frozen=True)
-class BlavatskyyPower(object):
+class BlavatskyyPower(_Family):
     """Concave-impact family p_i = x_i^r / (x1^r + x2^r + 1), 0 < r <= 1.
 
     The residual 1 / (x1^r + x2^r + 1) is the tie probability.  Folding the
@@ -448,22 +448,13 @@ class BlavatskyyPower(object):
 
     name: ClassVar[str] = "blavatskyy-power"
     kind: ClassVar[str] = "concave"
+    constraints: ClassVar[str] = "0 < r <= 1"
+    default_cost: ClassVar[CostKind] = CostKind.LINEAR
+    # impact x^r is strictly increasing and concave by construction
+    lemma_precondition: ClassVar[str] = "0 < r <= 1 (enforced at construction)"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "r", _check_param("r", self.r, 0.0, False, 1.0, self.name))
-
-    @property
-    def params(self) -> dict:
-        return {"r": self.r}
-
-    @property
-    def lemma_precondition_ok(self) -> bool:
-        # impact x^r is strictly increasing and concave by construction
-        return True
-
-    @property
-    def lemma_precondition(self) -> str:
-        return "0 < r <= 1 (enforced at construction)"
 
     def impact(self, x):
         return np.power(_as_array(x, "x", nonnegative=True), self.r)
@@ -532,28 +523,6 @@ FAMILIES: dict[str, type] = {
     BlavatskyyPower.name: BlavatskyyPower,
 }
 
-_FAMILY_PARAMS: dict[str, tuple[str, ...]] = {
-    "vesperoni-ratio": ("r", "k"),
-    "jia-ratio": ("r", "k"),
-    "vesperoni-diff": ("k",),
-    "jia-diff": ("k",),
-    "blavatskyy-power": ("r",),
-}
-
-_PARAM_CONSTRAINTS: dict[str, str] = {
-    "vesperoni-ratio": "r > 0, k >= 1 (closed form needs r*k <= 1)",
-    "jia-ratio": "r > 0, k >= 1 (closed form needs r <= 1)",
-    "vesperoni-diff": "k >= 1",
-    "jia-diff": "k >= 1",
-    "blavatskyy-power": "0 < r <= 1",
-}
-
-DEFAULT_COST: dict[str, CostKind] = {
-    "ratio": CostKind.LINEAR,
-    "diff": CostKind.QUADRATIC_HALF,
-    "concave": CostKind.LINEAR,
-}
-
 
 def family_names() -> tuple[str, ...]:
     return tuple(sorted(FAMILIES))
@@ -563,8 +532,9 @@ def describe_families() -> str:
     """One line per registered family: key, parameters, constraints."""
     lines = []
     for name in family_names():
-        params = ", ".join(_FAMILY_PARAMS[name])
-        lines.append(f"  {name:<17} params: {params:<5} constraints: {_PARAM_CONSTRAINTS[name]}")
+        cls = FAMILIES[name]
+        params = ", ".join(cls.__match_args__)
+        lines.append(f"  {name:<17} params: {params:<5} constraints: {cls.constraints}")
     return "\n".join(lines)
 
 
@@ -574,7 +544,7 @@ def make_family(name: str, **params):
         raise ValidationError(
             f"unknown family {name!r}; known families: {', '.join(family_names())}"
         )
-    allowed = _FAMILY_PARAMS[name]
+    allowed = FAMILIES[name].__match_args__
     given = {k: v for k, v in params.items() if v is not None}
     for key in given:
         if key not in allowed:
@@ -585,13 +555,8 @@ def make_family(name: str, **params):
     return FAMILIES[name](**given)
 
 
-def default_cost(csf) -> CostKind:
-    """The cost technology under which the family's theory is stated."""
-    return DEFAULT_COST[csf.kind]
-
-
 def make_contest(family: str, *, v1, v2, q, cost=None, **params) -> ContestSpec:
     """Build a ContestSpec from plain values, filling the family's default cost."""
     csf = make_family(family, **params)
-    kind = CostKind.coerce(cost) if cost is not None else default_cost(csf)
+    kind = CostKind.coerce(cost) if cost is not None else csf.default_cost
     return ContestSpec(csf=csf, v1=v1, v2=v2, q=q, cost=kind)

@@ -64,9 +64,14 @@ class GridSpec:
             raise ValidationError(f"steps must be >= 2, got {self.steps}")
         object.__setattr__(self, "steps", int(self.steps))
         if self.eps is not None:
-            eps = float(self.eps)
+            try:
+                eps = float(self.eps)
+            except (TypeError, ValueError) as exc:
+                raise ValidationError(f"eps must be a number, got {self.eps!r}") from exc
             if math.isnan(eps) or eps < 0:
                 raise ValidationError(f"eps must be >= 0, got {eps}")
+            if math.isinf(eps):
+                raise ValidationError(f"eps must be finite, got {eps}")
             object.__setattr__(self, "eps", eps)
 
     @property

@@ -170,6 +170,10 @@ class TestVerifyCommand:
         assert code == EXIT_OK
         assert doc["verification"]["passed"] is True
 
+    def test_infinite_slack_rejected(self, capsys):
+        assert run(["verify", *SHARP, "--steps", "201", "--eps", "inf"]) == EXIT_INVALID
+        assert capsys.readouterr().err == "error: eps must be finite, got inf\n"
+
     def test_failed_verification_exit_code(self, capsys, monkeypatch):
         import tiebreak.cli as cli
         from tiebreak import Equilibrium, SolveMethod

@@ -15,7 +15,6 @@ from tiebreak import (
     make_contest,
     make_family,
 )
-from tiebreak.families import default_cost
 
 from helpers import CONCAVE_CASES, DIFF_CASES, RATIO_CASES, build, case_id
 
@@ -66,9 +65,9 @@ class TestRegistry:
             make_family(name, **params)
 
     def test_default_cost_per_class(self):
-        assert default_cost(make_family("jia-ratio", r=1.0, k=2)).value == "linear"
-        assert default_cost(make_family("jia-diff", k=2)).value == "quadratic_half"
-        assert default_cost(make_family("blavatskyy-power", r=0.5)).value == "linear"
+        assert make_family("jia-ratio", r=1.0, k=2).default_cost.value == "linear"
+        assert make_family("jia-diff", k=2).default_cost.value == "quadratic_half"
+        assert make_family("blavatskyy-power", r=0.5).default_cost.value == "linear"
 
     def test_family_instances_are_frozen(self):
         csf = make_family("jia-diff", k=2)

@@ -46,6 +46,11 @@ class TestGridSpec:
         with pytest.raises((ValidationError, DomainError)):
             GridSpec(**kwargs)
 
+    @pytest.mark.parametrize("eps", [math.inf, -math.inf, math.nan, "abc", [0.1]])
+    def test_eps_must_be_a_finite_number(self, eps):
+        with pytest.raises(ValidationError, match="eps must be"):
+            GridSpec(x_max=1.0, steps=5, eps=eps)
+
     def test_for_contest_covers_linear_cost_deviations(self):
         grid = GridSpec.for_contest(SHARP_RATIO, steps=2001)
         # No deviation above the prize can ever pay under linear cost.
@@ -106,8 +111,9 @@ class TestGridNash:
         assert points[0].x1 == pytest.approx(0.41, abs=1e-12)
         assert points[0].x2 == pytest.approx(0.205, abs=1e-12)
 
-    def test_slack_of_infinity_accepts_every_profile(self):
-        points = grid_nash(TULLOCK, GridSpec(x_max=1.0, steps=5, eps=math.inf))
+    def test_slack_beyond_every_payoff_gap_accepts_every_profile(self):
+        # payoffs lie in [-1, 1] on this grid, so a slack of 2 admits every cell
+        points = grid_nash(TULLOCK, GridSpec(x_max=1.0, steps=5, eps=2.0))
         assert len(points) == 25
 
     def test_profiles_sorted_lexicographically(self):
