@@ -16,14 +16,15 @@ noise.  The peak point itself is exempt from the unimodality inequalities.
 
 Boundary limits (eventual win probability approaching 0 and 1, tie
 probability vanishing) cannot sit on a fixed grid edge for every parameter
-choice, so tail checks step the evaluation point outward by factors of 10,
-up to `TAIL_CAP`, until the limit is met within `TAIL_TOL`; the point that
-certified (or last failed) the limit is recorded as the witness.
+choice, so tail checks evaluate a ladder of points stepping outward by
+factors of 10, up to `TAIL_CAP`, and take the first that meets the limit
+within `TAIL_TOL`; that point (or the last one probed, on failure) is
+recorded as the witness.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -211,25 +212,25 @@ def _strict_condition(name: str, deficit: np.ndarray, theta: np.ndarray,
     )
 
 
-def _tail_condition(name: str, evaluate, start: float, direction: str,
-                    qs: tuple[float, ...]) -> ConditionRecord:
-    """Check a boundary limit by stepping the probe point outward by 10x.
+def _tail_condition(name: str, evaluate, start: float, direction: str) -> ConditionRecord:
+    """Check a boundary limit on a ladder of probe points, in one evaluation.
 
-    `evaluate(point)` returns the worst absolute gap to the limit across the
-    q grid at that point.  `direction` is "up" (point *= 10 toward +inf) or
-    "down" (point /= 10 toward 0+); the magnitude is capped at TAIL_CAP and
-    1/TAIL_CAP respectively.
+    The ladder steps from `start` by repeated *10 ("up") or /10 ("down")
+    while the magnitude stays within [1/TAIL_CAP, TAIL_CAP].  `evaluate`
+    maps the ladder to each point's worst absolute gap to the limit across
+    the q grid.  The witness is the first point within TAIL_TOL, else the last.
     """
-    point = start
-    gap = float(evaluate(point))
-    while gap > TAIL_TOL:
-        nxt = point * 10.0 if direction == "up" else point / 10.0
-        if direction == "up" and nxt > TAIL_CAP:
+    points = [start]
+    while True:
+        nxt = points[-1] * 10.0 if direction == "up" else points[-1] / 10.0
+        if nxt > TAIL_CAP or nxt < 1.0 / TAIL_CAP:
             break
-        if direction == "down" and nxt < 1.0 / TAIL_CAP:
-            break
-        point = nxt
-        gap = float(evaluate(point))
+        points.append(nxt)
+    with np.errstate(all="ignore"):
+        gaps = np.asarray(evaluate(np.array(points)), dtype=float)
+    settled = np.flatnonzero(~(gaps > TAIL_TOL))
+    at = int(settled[0]) if settled.size else len(points) - 1
+    point, gap = points[at], float(gaps[at])
     passed = gap <= TAIL_TOL
     note = f"limit gap {gap:.3e} at probe point {point:.3e}"
     return ConditionRecord(
@@ -294,18 +295,18 @@ def audit_ratio(csf, theta_grid=None, q_grid=None) -> AuditReport:
         ),
         _tail_condition(
             "vanishes_at_zero",
-            lambda pt: max(abs(float(csf.z(pt, q))) for q in qs),
-            start=min(float(theta[0]), 1.0 / TAIL_START), direction="down", qs=qs,
+            lambda pts: np.max([np.abs(csf.z(pts, q)) for q in qs], axis=0),
+            start=min(float(theta[0]), 1.0 / TAIL_START), direction="down",
         ),
         _tail_condition(
             "saturates_at_infinity",
-            lambda pt: max(abs(1.0 - float(csf.z(pt, q))) for q in qs),
-            start=max(float(theta[-1]), TAIL_START), direction="up", qs=qs,
+            lambda pts: np.max([np.abs(1.0 - csf.z(pts, q)) for q in qs], axis=0),
+            start=max(float(theta[-1]), TAIL_START), direction="up",
         ),
         _tail_condition(
             "tie_prob_vanishes_at_zero",
-            lambda pt: abs(float(csf.p0(pt))),
-            start=min(float(theta[0]), 1.0 / TAIL_START), direction="down", qs=qs,
+            lambda pts: np.abs(csf.p0(pts)),
+            start=min(float(theta[0]), 1.0 / TAIL_START), direction="down",
         ),
         _unimodality_condition(csf, theta, peak=1.0),
     ]
@@ -370,10 +371,7 @@ def audit_concave(csf, x_grid=None) -> AuditReport:
     """
     if getattr(csf, "kind", None) != "concave":
         raise ValidationError("audit_concave requires a concave-impact family")
-    if x_grid is None:
-        x = np.geomspace(RATIO_GRID_LO, RATIO_GRID_HI, DEFAULT_GRID_POINTS)
-    else:
-        x = np.asarray(x_grid, dtype=float)
+    x = default_ratio_grid() if x_grid is None else np.asarray(x_grid, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise ValidationError("effort grid must be a nonempty 1-d sequence")
     if not np.all(np.isfinite(x)) or np.any(x <= 0):
@@ -382,17 +380,9 @@ def audit_concave(csf, x_grid=None) -> AuditReport:
 
     fp = np.asarray(csf.impact_prime(x), dtype=float)[None, :]
     fpp = np.asarray(csf.impact_double_prime(x), dtype=float)[None, :]
-    qs_dummy = (0.0,)
-    conditions = (
-        _strict_condition("impact_increasing", -fp, x, qs_dummy),
-        _strict_condition("impact_concave", fpp, x, qs_dummy),
-    )
     conditions = tuple(
-        ConditionRecord(
-            name=c.name, passed=c.passed, violation=c.violation,
-            witness_theta=c.witness_theta, witness_q=None, note=c.note,
-        )
-        for c in conditions
+        replace(_strict_condition(name, deficit, x, (0.0,)), witness_q=None)
+        for name, deficit in (("impact_increasing", -fp), ("impact_concave", fpp))
     )
     return AuditReport(
         family=csf.name, params=dict(csf.params), kind="concave",
@@ -408,18 +398,21 @@ def audit_family(csf, v1=None, grid_points=None) -> AuditReport:
     """Audit any family with the audit of its kind, on the default grids.
 
     `v1` is the larger prize, which difference-form audits need;
-    `grid_points` overrides the theta grid's resolution of ratio- and
-    difference-form audits.
+    `grid_points`, an integer >= 2, overrides the resolution of the default
+    theta grid (effort grid for concave families).
     """
+    if grid_points is not None and (
+            not isinstance(grid_points, (int, np.integer)) or isinstance(grid_points, bool)
+            or grid_points < 2):
+        raise ValidationError(f"grid points must be an integer >= 2, got {grid_points!r}")
+    points = DEFAULT_GRID_POINTS if grid_points is None else int(grid_points)
     if csf.kind == "ratio":
-        grid = default_ratio_grid(grid_points) if grid_points else None
-        return audit_ratio(csf, theta_grid=grid)
+        return audit_ratio(csf, theta_grid=default_ratio_grid(points))
     if csf.kind == "diff":
         if v1 is None:
             raise ValidationError("difference-form audits need the larger prize: give --v1")
-        grid = default_diff_grid(grid_points) if grid_points else None
-        return audit_diff(csf, v1, theta_grid=grid)
-    return audit_concave(csf)
+        return audit_diff(csf, v1, theta_grid=default_diff_grid(points))
+    return audit_concave(csf, x_grid=default_ratio_grid(points))
 
 
 def estimate_vbar(csf, theta_grid=None, q_grid=None) -> float:

@@ -14,13 +14,13 @@ for one lane than array code; the designer's curves come from here.
 from __future__ import annotations
 
 import math
-import sys
 
 import numpy as np
 
 from .core import ContestSpec
 from .equilibrium import (
     _EPS,
+    _TINY,
     CORNER_UNIQUENESS_WARNING,
     DEFAULT_TOLERANCES,
     Equilibrium,
@@ -33,6 +33,7 @@ from .equilibrium import (
     _no_axis_equilibrium,
     _opening_warnings,
     _ratio_underflow,
+    _ratio_underflows,
     _unbracketed,
     _user_order,
 )
@@ -77,9 +78,10 @@ def _ratio_lanes(csf, vals, q_user, q_int, warnings, tolerances):
     slope = _slopes(csf.z_prime, beta, q_int)
     strong, weak = vals.v1 * beta * slope, vals.v2 * beta * slope
     lanes: list = [None] * q_int.size
-    for i in np.flatnonzero(weak == 0.0):
+    underflow = _ratio_underflows(slope, weak)
+    for i in np.flatnonzero(underflow):
         lanes[i] = _ratio_underflow(float(slope[i]))
-    ok = np.flatnonzero(weak != 0.0)
+    ok = np.flatnonzero(~underflow)
     x1, x2 = _user_order(vals, strong[ok], weak[ok])
     theta = x1 / x2
     v1u, v2u = _user_order(vals, vals.v1, vals.v2)
@@ -272,7 +274,7 @@ def _concave_lanes(csf, vals, q_user, q_int, warnings, tolerances):
     else:
         g1, g2 = _concave_newtons(csf, v1, v2, q_int, tolerances)
         x1i, x2i = np.exp(g1 / csf.r), np.exp(g2 / csf.r)
-        for i in np.flatnonzero(np.minimum(x1i, x2i) < sys.float_info.min):
+        for i in np.flatnonzero(np.minimum(x1i, x2i) < _TINY):
             errors[int(i)] = _effort_underflow(float(g1[i]), float(g2[i]), csf.r)
 
     ok = np.array([i for i in range(n) if i not in errors], dtype=int)

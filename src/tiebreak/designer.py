@@ -6,8 +6,10 @@ monotone decreasing, convex) with explicit tolerances, finds the optimal
 deterministic rule, and evaluates random tie-breaking rules by expected
 total effort.  Every curve is solved in one batch over its tie rules
 (`batch.solve_many`): sweeps, the optimal rule's 101-point cross-check
-and random rules never loop over q.  Only the concave golden-section search
-solves one tie rule at a time, because each step depends on the last.
+and random rules never loop over q.  The concave optimum is read off that
+cross-check batch and certified by the sign of dR/dq, from the implicit
+function theorem on the first-order conditions; only an optimum inside
+(0, 1) is refined, by a few more batches around it.
 
 Shape certificates are numeric statements about the sampled curve, not
 symbolic proofs: each records the worst measured violation alongside the
@@ -30,7 +32,7 @@ import numpy as np
 
 from .core import ContestSpec, JsonRecord, RandomTieRule, TieRule
 from .batch import solve_lanes, solve_many
-from .equilibrium import DEFAULT_TOLERANCES, Tolerances, solve
+from .equilibrium import DEFAULT_TOLERANCES, SolveMethod, Tolerances, _log_impact_foc
 from .errors import ContestError, ValidationError
 
 CONSTANT_TOL = 1e-10
@@ -51,10 +53,11 @@ STRICT_NEGATIVE_SLACK = 1e-12
 OPTIMAL_IMPROVEMENT_GUARD = 1e-12
 """Relative improvement a cross-check must exceed to override a candidate."""
 
-GOLDEN_SECTION_TOL = 1e-6
-"""Bracket width at which the golden-section refinement stops."""
+REFINE_WIDTH = 1e-6
+"""Bracket width at which the refinement of an interior concave optimum stops."""
 
 CROSS_CHECK_POINTS = 101
+REFINE_POINTS = 21
 
 
 @dataclass(frozen=True)
@@ -209,75 +212,100 @@ class OptimalQ:
         }
 
 
-def _total_at(spec: ContestSpec, q: float, force: bool, audited: bool,
-              tolerances: Tolerances):
-    eq = solve(spec.with_q(q), force=force, audited=audited, tolerances=tolerances)
-    return eq.total, eq
+def _total_effort_slope(spec: ContestSpec, q: float, eq) -> float:
+    """dR/dq of a concave contest at tie rule q, whose equilibrium is `eq`.
+
+    For r < 1, the implicit function theorem on the log-impact conditions
+    G(g; q1) = 0 of `equilibrium._log_impact_foc` (internal labels) gives
+    dg/dq1 = -J^-1 dG/dq1 with dG/dq1 = (-1/a1, +1/a2), and
+    dR/dq1 = sum_i (x_i / r) dg_i/dq1.  For r = 1, R is constant on the
+    interior closed form, and a lone entrant exerts sqrt(v_i (1 - q_i)) - 1.
+    """
+    vals, r = spec.valuations, spec.csf.r
+    q1 = 1.0 - q if vals.swapped else q
+    x1, x2 = (eq.x2, eq.x1) if vals.swapped else (eq.x1, eq.x2)
+    if r == 1.0:
+        slope, corner = 0.0, eq.method is not SolveMethod.CLOSED_FORM
+        if corner and x1 > 0.0:
+            slope = -0.5 * math.sqrt(vals.v1 / (1.0 - q1))
+        elif corner and x2 > 0.0:
+            slope = 0.5 * math.sqrt(vals.v2 / q1)
+    else:
+        g1, g2 = r * math.log(x1), r * math.log(x2)
+        heads = (math.log(h) if h > 0.0 else -math.inf for h in (1.0 - q1, q1))
+        _, (J11, J12, J21, J22), _ = _log_impact_foc(
+            g1, g2, math.log(r * vals.v1), math.log(r * vals.v2), (1.0 - r) / r, *heads)
+        dG1, dG2 = -1.0 / (math.exp(g2) + (1.0 - q1)), 1.0 / (math.exp(g1) + q1)
+        det = J11 * J22 - J12 * J21 or math.nan  # singular: sign unknown, so refine
+        dg1, dg2 = (J12 * dG2 - J22 * dG1) / det, (J21 * dG1 - J11 * dG2) / det
+        slope = (x1 * dg1 + x2 * dg2) / r
+    return -slope if vals.swapped else slope
 
 
-def _golden_section_max(fn, lo: float, hi: float, tol: float) -> float:
-    """Abscissa of a maximum of `fn` on [lo, hi] by golden-section search."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-    return 0.5 * (a + b)
+def _concave_optimum(spec: ContestSpec, qs: np.ndarray, eqs, solve_kwargs: dict):
+    """Best tie rule of a concave contest, given its equilibria at the grid `qs`.
+
+    The candidate is the smallest of q = 0, the argmax and q = 1 within the
+    improvement guard of the best.  Unless the argmax is an endpoint whose
+    dR/dq points outward, its neighbour bracket is zoomed in on, one batch of
+    `REFINE_POINTS` per step, to `REFINE_WIDTH`; the best point found wins
+    if it improves the candidate beyond the guard.
+    """
+    totals = np.array([eq.total for eq in eqs])
+    last, top = qs.size - 1, int(np.argmax(totals))
+    guard = OPTIMAL_IMPROVEMENT_GUARD * (1.0 + abs(float(totals[top])))
+    i = min(j for j in (0, top, last) if totals[j] >= totals[top] - guard)
+    q, eq = float(qs[i]), eqs[i]
+    if top in (0, last):
+        slope = _total_effort_slope(spec, float(qs[top]), eqs[top])
+        if (slope <= 0.0) if top == 0 else (slope >= 0.0):
+            return q, eq
+    best_q, best, grid = float(qs[top]), eqs[top], qs
+    while grid[min(top + 1, last)] - grid[max(top - 1, 0)] > REFINE_WIDTH:
+        grid = np.linspace(grid[max(top - 1, 0)], grid[min(top + 1, last)], REFINE_POINTS)
+        found = solve_many(spec, grid, **solve_kwargs)
+        last, top = grid.size - 1, int(np.argmax([e.total for e in found]))
+        if found[top].total > best.total:
+            best_q, best = float(grid[top]), found[top]
+    if best.total > eq.total + OPTIMAL_IMPROVEMENT_GUARD * (1.0 + abs(eq.total)):
+        return best_q, best
+    return q, eq
 
 
 def optimal_q(spec: ContestSpec, *, force: bool = False, audited: bool = False,
               tolerances: Tolerances = DEFAULT_TOLERANCES) -> OptimalQ:
     """The deterministic tie rule maximizing total equilibrium effort.
 
-    For ratio- and difference-form contests the answer is structural: give
-    the stronger player no tie share (rationale "theorem"), or any q at all
-    when prizes are equal (resolved to q = 0, rationale "indifferent").
-    Concave contests are searched numerically (golden section refined to
-    1e-6, plus both endpoints).  Every route is cross-checked against a
-    101-point sweep, solved in one batch that also supplies the ratio and
-    difference candidates (q = 0 and q = 1 are sweep points); the sweep's
-    best point wins only if it improves the candidate beyond a determinism
-    guard, in which case the rationale is downgraded to "numeric".
+    Every route solves a 101-point curve in one batch.  For ratio- and
+    difference-form contests the answer is structural: give the stronger
+    player no tie share (rationale "theorem"), or any q when prizes are equal
+    (q = 0, rationale "indifferent"); the curve's best point wins only if it
+    beats that candidate beyond a determinism guard (rationale "numeric").
+    Concave contests (rationale "numeric") take the curve's best point,
+    certified by the sign of dR/dq at an endpoint and refined to 1e-6
+    inside (0, 1); a failing tie rule raises its own error.
     """
     kind = spec.csf.kind
     vals = spec.valuations
     qs = np.linspace(0.0, 1.0, CROSS_CHECK_POINTS)
-    if kind in ("ratio", "diff"):
-        if vals.v1 == vals.v2:
-            q_candidate, rationale = 0.0, Rationale.INDIFFERENT
-        else:
-            q_candidate = 1.0 if vals.swapped else 0.0
-            rationale = Rationale.THEOREM
-        lanes = solve_lanes(spec, qs, force=force, audited=audited, tolerances=tolerances)
-        eq = lanes[-1 if q_candidate == 1.0 else 0]
-        if isinstance(eq, ContestError):
-            raise eq
-    elif kind == "concave":
-        rationale = Rationale.NUMERIC
-
-        def objective(q: float) -> float:
-            return _total_at(spec, q, force, audited, tolerances)[0]
-
-        interior = _golden_section_max(objective, 0.0, 1.0, GOLDEN_SECTION_TOL)
-        solved = {qc: _total_at(spec, qc, force, audited, tolerances)
-                  for qc in sorted({0.0, 1.0, interior})}
-        best_val = max(value for value, _ in solved.values())
-        guard = OPTIMAL_IMPROVEMENT_GUARD * (1.0 + abs(best_val))
-        q_candidate = min(qc for qc, (value, _) in solved.items() if value >= best_val - guard)
-        eq = solved[q_candidate][1]
-        lanes = solve_lanes(spec, qs, force=force, audited=audited, tolerances=tolerances)
-    else:
+    solve_kwargs = dict(force=force, audited=audited, tolerances=tolerances)
+    if kind == "concave":
+        q_star, eq = _concave_optimum(spec, qs, solve_many(spec, qs, **solve_kwargs),
+                                      solve_kwargs)
+        return OptimalQ(q_star=TieRule(q_star), total_effort=eq.total,
+                        rationale=Rationale.NUMERIC, x1=eq.x1, x2=eq.x2)
+    if kind not in ("ratio", "diff"):
         raise ValidationError(f"no designer support for family kind {kind!r}")
 
+    lanes = solve_lanes(spec, qs, **solve_kwargs)
+    if vals.v1 == vals.v2:
+        q_candidate, rationale = 0.0, Rationale.INDIFFERENT
+    else:
+        q_candidate = 1.0 if vals.swapped else 0.0
+        rationale = Rationale.THEOREM
+    eq = lanes[-1 if q_candidate == 1.0 else 0]
+    if isinstance(eq, ContestError):
+        raise eq
     total = eq.total
     totals = np.array([lane.total for lane in _swept(qs, lanes)])
     guard = OPTIMAL_IMPROVEMENT_GUARD * (1.0 + abs(total))

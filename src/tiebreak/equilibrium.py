@@ -34,6 +34,7 @@ from .core import ContestSpec, JsonRecord, TieRule, Valuations
 from .errors import ConvergenceError, NoEquilibriumError, ValidationError
 
 _EPS = sys.float_info.epsilon
+_TINY = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -151,6 +152,12 @@ def _opening_warnings(csf, force: bool, audited: bool) -> list[str]:
     return warnings
 
 
+def _ratio_underflows(slope, weak):
+    """Whether a ratio closed form's slope or weak effort is subnormal (too few
+    bits for a rounding-level residual); works on scalars and lanes alike."""
+    return (slope < _TINY) | (weak < _TINY)
+
+
 # Errors shared by the scalar and batch routes, so a lane fails as its scalar
 # solve does.
 def _ratio_underflow(slope: float) -> ConvergenceError:
@@ -202,7 +209,7 @@ def solve_ratio(csf, v, q, *, force: bool = False, audited: bool = False,
     slope = float(csf.z_prime(beta_int, q_int))
     strong = vals.v1 * beta_int * slope
     weak = vals.v2 * beta_int * slope
-    if weak == 0.0:
+    if _ratio_underflows(slope, weak):
         raise _ratio_underflow(slope)
     x1, x2 = _user_order(vals, strong, weak)
 
@@ -419,7 +426,7 @@ def _concave_newton(csf, v1: float, v2: float, q_int: float,
         (G1, G2), (J11, J12, J21, J22), (S1, S2) = trial
 
     x1, x2 = math.exp(g1 / r), math.exp(g2 / r)
-    if min(x1, x2) < sys.float_info.min:
+    if min(x1, x2) < _TINY:
         raise _effort_underflow(g1, g2, r)
     return x1, x2
 

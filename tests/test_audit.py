@@ -19,6 +19,9 @@ from tiebreak.audit import (
     DEGENERATE_TIE_TOL,
     GRID_DISCLAIMER,
     RATIO_ZERO_CONVENTION_NOTE,
+    TAIL_CAP,
+    TAIL_START,
+    TAIL_TOL,
     default_diff_grid,
     default_ratio_grid,
 )
@@ -112,6 +115,59 @@ class TestRatioAudit:
         assert doc["passed"] is True
         assert len(doc["conditions"]) == len(RATIO_CONDITIONS)
         assert doc["grid"]["theta_count"] == 2001
+
+
+def _stepped_tail(evaluate, start: float, direction: str):
+    """Reference tail check: one scalar probe at a time, stepping out by 10x."""
+    point = start
+    gap = float(evaluate(point))
+    while gap > TAIL_TOL:
+        nxt = point * 10.0 if direction == "up" else point / 10.0
+        if direction == "up" and nxt > TAIL_CAP:
+            break
+        if direction == "down" and nxt < 1.0 / TAIL_CAP:
+            break
+        point = nxt
+        gap = float(evaluate(point))
+    passed = gap <= TAIL_TOL
+    return point, passed, 0.0 if passed else gap
+
+
+def _seeded_ratio_families(seed: int = 8, count: int = 40):
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        name = ("vesperoni-ratio", "jia-ratio")[i % 2]
+        r = float(10.0 ** rng.uniform(-3.0, 0.3))
+        k = float(10.0 ** rng.uniform(0.0, 3.0))
+        yield make_family(name, r=r, k=k)
+
+
+class TestTailLadder:
+    """The vector ladder settles each tail where the scalar stepping loop does."""
+
+    def test_matches_the_scalar_stepping_loop(self):
+        qs = (0.0, 0.25, 0.5, 0.75, 1.0)
+        failures = 0
+        for csf in _seeded_ratio_families():
+            report = audit_ratio(csf)
+            low, high = min(1e-3, 1.0 / TAIL_START), max(1e3, TAIL_START)
+            references = {
+                "vanishes_at_zero": _stepped_tail(
+                    lambda pt: max(abs(csf.z(pt, q)) for q in qs), low, "down"),
+                "saturates_at_infinity": _stepped_tail(
+                    lambda pt: max(abs(1.0 - csf.z(pt, q)) for q in qs), high, "up"),
+                "tie_prob_vanishes_at_zero": _stepped_tail(
+                    lambda pt: abs(csf.p0(pt)), low, "down"),
+            }
+            for name, (point, passed, violation) in references.items():
+                record = report.condition(name)
+                assert record.witness_theta == point, (csf, name)
+                assert record.passed is passed, (csf, name)
+                # Gaps are differences of probabilities of order one, where vector
+                # and scalar pow may round apart by an ulp of one.
+                assert abs(record.violation - violation) <= 4.0 * math.ulp(1.0), (csf, name)
+                failures += not passed
+        assert failures >= 5
 
 
 class TestDiffAudit:

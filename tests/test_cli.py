@@ -163,6 +163,32 @@ class TestAuditCommand:
     def test_diff_audit_requires_prize(self, capsys):
         assert run(["audit", "--family", "jia-diff", "--k", "2"]) == EXIT_INVALID
 
+    @pytest.mark.parametrize("family", [
+        ["--family", "jia-ratio", "--r", "1", "--k", "2"],
+        ["--family", "jia-diff", "--k", "2", "--v1", "1"],
+        ["--family", "blavatskyy-power", "--r", "0.5"],
+    ])
+    @pytest.mark.parametrize("points", ["-5", "0", "1"])
+    def test_grid_points_below_two_rejected(self, capsys, family, points):
+        assert run(["audit", *family, "--grid-points", points]) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: grid points must be an integer >= 2, got {int(points)}\n")
+
+    @pytest.mark.parametrize("family,kind", [
+        (["--family", "jia-ratio", "--r", "1", "--k", "2"], "ratio"),
+        (["--family", "jia-diff", "--k", "2", "--v1", "1"], "diff"),
+        (["--family", "blavatskyy-power", "--r", "0.5"], "concave"),
+    ])
+    def test_grid_points_set_every_kind_of_grid(self, capsys, family, kind):
+        code, doc = run_json(capsys, ["audit", *family, "--grid-points", "3"])
+        assert code == EXIT_OK
+        assert doc["kind"] == kind
+        assert doc["grid"]["theta_count"] == 3
+        code, doc = run_json(capsys, ["audit", *family])
+        assert doc["grid"]["theta_count"] == 2001
+
 
 class TestVerifyCommand:
     def test_verified_solution(self, capsys):

@@ -1,12 +1,18 @@
 """Designer tools: sweeps, shape certificates, optimal tie rules, random rules."""
 from __future__ import annotations
 
+import json
 import math
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import tiebreak.designer as designer_mod
 from tiebreak import (
+    ContestError,
+    ConvergenceError,
     RandomTieRule,
     Rationale,
     ValidationError,
@@ -148,6 +154,95 @@ class TestOptimalQ:
         doc = optimal_q(SHARP_RATIO).to_json_dict()
         assert set(doc) == {"q_star", "total_effort", "rationale", "x1", "x2"}
         assert doc["rationale"] == "theorem"
+
+
+PARENT_OPTIMA = json.loads(
+    (Path(__file__).parent / "data" / "optimal_q_parent.json").read_text())["contests"]
+
+
+def _total(spec, q: float) -> float:
+    return solve(spec.with_q(q)).total
+
+
+def _difference_slope(spec, q: float, h: float = 1e-5) -> float:
+    """dR/dq by central differences, one-sided second order at an endpoint."""
+    if q - h < 0.0:
+        return (-3.0 * _total(spec, q) + 4.0 * _total(spec, q + h) - _total(spec, q + 2 * h)) / (2 * h)
+    if q + h > 1.0:
+        return (3.0 * _total(spec, q) - 4.0 * _total(spec, q - h) + _total(spec, q - 2 * h)) / (2 * h)
+    return (_total(spec, q + h) - _total(spec, q - h)) / (2 * h)
+
+
+class TestConcaveOptimum:
+    @pytest.mark.parametrize("r", [0.3, 0.5, 0.9])
+    @pytest.mark.parametrize("q", [0.0, 0.37, 1.0])
+    @pytest.mark.parametrize("v1,v2", [(3.0, 1.2), (1.2, 3.0)])
+    def test_implicit_slope_matches_differences(self, r, q, v1, v2):
+        spec = make_contest(family="blavatskyy-power", v1=v1, v2=v2, q=q, r=r)
+        slope = designer_mod._total_effort_slope(spec, q, solve(spec))
+        assert slope == pytest.approx(_difference_slope(spec, q), rel=1e-6, abs=0.0)
+
+    # Linear impact, one tie rule per regime of the strong player (prize 3 or 12):
+    # interior closed form, strong player alone (b1, 0), weak player alone (0, b2).
+    @pytest.mark.parametrize("strong,weak,q,active", [
+        (12.0, 9.0, 0.4, (True, True)),
+        (3.0, 1.2, 0.3, (True, False)),
+        (3.0, 1.2, 0.95, (False, True)),
+    ])
+    @pytest.mark.parametrize("swapped", [False, True])
+    def test_linear_impact_slope_per_regime(self, strong, weak, q, active, swapped):
+        v1, v2 = (weak, strong) if swapped else (strong, weak)
+        q_user = 1.0 - q if swapped else q
+        spec = make_contest(family="blavatskyy-power", v1=v1, v2=v2, q=q_user, r=1.0)
+        eq = solve(spec)
+        efforts = (eq.x2, eq.x1) if swapped else (eq.x1, eq.x2)
+        assert tuple(x > 0.0 for x in efforts) == active
+        slope = designer_mod._total_effort_slope(spec, q_user, eq)
+        expected = _difference_slope(spec, q_user)
+        assert slope == pytest.approx(expected, rel=1e-6, abs=1e-9)
+        if all(active):
+            assert slope == 0.0
+
+    @pytest.mark.parametrize("row", PARENT_OPTIMA,
+                             ids=lambda row: f"r{row['r']:.6g}-v{row['v1']:.4g}-{row['v2']:.4g}")
+    def test_matches_the_golden_section_results(self, row):
+        spec = make_contest(family="blavatskyy-power", v1=row["v1"], v2=row["v2"], q=0.5,
+                            r=row["r"])
+        if row["error"] is not None:
+            with pytest.raises(ContestError) as info:
+                optimal_q(spec)
+            assert type(info.value).__name__ == row["error"]
+            return
+        best = optimal_q(spec)
+        assert abs(best.q_star.q - row["q_star"]) <= 1e-6
+        parent = row["total_effort"]
+        assert best.total_effort >= parent - 1e-12 * (1.0 + parent)
+
+    @pytest.mark.parametrize("peak", [0.43217, 0.996, 0.0021])
+    def test_refinement_zooms_onto_an_interior_maximum(self, monkeypatch, peak):
+        batches = []
+
+        def curve(qs):
+            return [SimpleNamespace(total=1.0 - (q - peak) ** 2, x1=0.5, x2=0.5) for q in qs]
+
+        def zoom(spec, qs, **kwargs):
+            batches.append(qs)
+            return curve(qs)
+
+        monkeypatch.setattr(designer_mod, "solve_many", zoom)
+        monkeypatch.setattr(designer_mod, "_total_effort_slope",
+                            lambda spec, q, eq: -2.0 * (q - peak))
+        qs = np.linspace(0.0, 1.0, designer_mod.CROSS_CHECK_POINTS)
+        q_star, eq = designer_mod._concave_optimum(None, qs, curve(qs), {})
+        assert abs(q_star - peak) <= designer_mod.REFINE_WIDTH
+        assert eq.total == 1.0 - (q_star - peak) ** 2
+        # each batch narrows the bracket tenfold: 0.02 down to 1e-6 takes five
+        assert len(batches) <= 5
+
+    def test_failing_tie_rule_raises_its_own_error(self):
+        spec = make_contest(family="blavatskyy-power", v1=0.1024, v2=0.01184, q=0.5, r=0.9386)
+        with pytest.raises(ConvergenceError, match=r"^an equilibrium effort underflows"):
+            optimal_q(spec)
 
 
 class TestExpectedEffort:

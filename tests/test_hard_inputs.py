@@ -8,6 +8,8 @@ tolerance.
 """
 from __future__ import annotations
 
+import math
+import random
 import subprocess
 import sys
 import time
@@ -16,10 +18,15 @@ from pathlib import Path
 import pytest
 
 import tiebreak
-from tiebreak import ContestError, make_contest, solve
+from tiebreak import ContestError, make_contest, solve, solve_many
 
 WALL_BOUND_S = 1.0
 RESIDUAL_BOUND = 1e-12
+EXTREME_RESIDUAL_BOUND = 1e-8
+# Draws per family; difference-form solves cost ~0.6 ms each at these
+# scales, so they take fewer draws to keep the sweep under a second.
+EXTREME_DRAWS = {"vesperoni-ratio": 1000, "jia-ratio": 1000, "vesperoni-diff": 500,
+                 "jia-diff": 500, "blavatskyy-power": 1000}
 
 HARD_CORPUS = [
     ("concave-r-near-1", "blavatskyy-power", {"r": 0.999999}, 4.0, 2.0, 0.0),
@@ -35,6 +42,20 @@ HARD_CORPUS = [
     ("jia-ratio-prizes-1e-6-1e12", "jia-ratio", {"r": 0.5, "k": 2.0}, 1e-6, 1e12, 0.5),
     ("vesperoni-diff-prize-1e12", "vesperoni-diff", {"k": 2.0}, 1e12, 1.0, 0.5),
     ("jia-diff-prizes-1e-6", "jia-diff", {"k": 2.0}, 2e-6, 1e-6, 0.5),
+    # vesperoni-ratio with k above ~1020: u**k, z' and the closed-form efforts
+    # are subnormal, so their residuals reach 1e-5 to 1.0 unless refused.
+    ("vesperoni-ratio-subnormal-residual-1", "vesperoni-ratio",
+     {"r": 3.342689745554877e-08, "k": 1048.18744972969},
+     35.08001445767375, 0.049976387919152786, 0.26831663288889884),
+    ("vesperoni-ratio-subnormal-strong-v2", "vesperoni-ratio",
+     {"r": 0.0009416895497798755, "k": 1055.719409569256},
+     0.0502394040522645, 10.248284985218264, 0.9303551693289323),
+    ("vesperoni-ratio-subnormal-huge-prizes", "vesperoni-ratio",
+     {"r": 0.0009467849687645521, "k": 1056.1764731503654},
+     27553662.804962438, 8784118321.821434, 0.11179520219685335),
+    ("vesperoni-ratio-subnormal-efforts", "vesperoni-ratio",
+     {"r": 1.4343910967027183e-07, "k": 1032.6729889142523},
+     0.03658989052566806, 0.0001429976828254914, 0.8684404448098633),
 ]
 
 
@@ -66,6 +87,54 @@ def test_solves_at_machine_residual_or_raises_typed_error_fast(entry):
     else:
         assert relative_residual(spec, eq) <= RESIDUAL_BOUND
     assert time.perf_counter() - started < WALL_BOUND_S
+
+
+@pytest.mark.parametrize("entry", HARD_CORPUS, ids=lambda entry: entry[0])
+def test_batch_lane_solves_at_machine_residual_or_holds_typed_error(entry):
+    _, family, params, v1, v2, q = entry
+    spec = make_contest(family, v1=v1, v2=v2, q=q, **params)
+    try:
+        (eq,) = solve_many(spec, [q])
+    except ContestError:
+        return
+    assert relative_residual(spec, eq) <= RESIDUAL_BOUND
+
+
+def extreme_draws(family: str, seed: int, count: int):
+    """Contests at the edges of the documented domain, seeded per family.
+
+    Strong prize log-uniform in [1e-3, 1e12] and prize ratio in [1, 1e3]
+    (labels in random order), k log-uniform in [1, 1e9], r within 1e-2 of
+    either edge of its range (alternating), q uniform; vesperoni-ratio's r
+    is divided by k so that r * k <= 1 keeps its closed form.
+    """
+    rng = random.Random(f"{family}-{seed}")
+    for i in range(count):
+        edge = 10.0 ** rng.uniform(-6.0, -2.0)
+        r = edge if i % 2 else 1.0 - edge
+        k = 10.0 ** rng.uniform(0.0, 9.0)
+        params = {"vesperoni-ratio": {"r": r / k, "k": k},
+                  "jia-ratio": {"r": r, "k": k},
+                  "blavatskyy-power": {"r": r}}.get(family, {"k": k})
+        strong = 10.0 ** rng.uniform(-3.0, 12.0)
+        weak = strong / 10.0 ** rng.uniform(0.0, 3.0)
+        v1, v2 = (strong, weak) if rng.random() < 0.5 else (weak, strong)
+        yield make_contest(family, v1=v1, v2=v2, q=rng.random(), **params)
+
+
+@pytest.mark.parametrize("family", sorted(EXTREME_DRAWS))
+def test_extreme_draws_never_return_a_wrong_answer(family):
+    solved = 0
+    count = EXTREME_DRAWS[family]
+    for spec in extreme_draws(family, seed=2026, count=count):
+        try:
+            eq = solve(spec)
+        except ContestError:
+            continue
+        assert math.isfinite(eq.total), spec
+        assert relative_residual(spec, eq) <= EXTREME_RESIDUAL_BOUND, spec
+        solved += 1
+    assert solved >= count // 4
 
 
 def test_import_leaves_scipy_unloaded():

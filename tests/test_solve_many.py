@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import tiebreak.designer as designer_mod
+import tiebreak.equilibrium as equilibrium_mod
 from tiebreak import (
     DEFAULT_TOLERANCES,
     BlavatskyyPower,
@@ -176,13 +177,27 @@ class TestDesignerStaysBatched:
 
     @pytest.fixture
     def scalar_calls(self, monkeypatch):
+        """Tie rules of every scalar solve: each scalar route orients its labels."""
         calls = []
+        oriented = equilibrium_mod._oriented
 
-        def counting_solve(spec, **kwargs):
-            calls.append(spec.q)
-            return solve(spec, **kwargs)
+        def counting_oriented(v, q):
+            calls.append(q)
+            return oriented(v, q)
 
-        monkeypatch.setattr(designer_mod, "solve", counting_solve)
+        monkeypatch.setattr(equilibrium_mod, "_oriented", counting_oriented)
+        return calls
+
+    @pytest.fixture
+    def batches(self, monkeypatch):
+        """Tie-rule arrays of every batch the designer solves."""
+        calls = []
+        for name, batch in (("solve_lanes", solve_lanes), ("solve_many", solve_many)):
+            def counting(spec, qs, *, _batch=batch, **kwargs):
+                calls.append(np.asarray(qs))
+                return _batch(spec, qs, **kwargs)
+
+            monkeypatch.setattr(designer_mod, name, counting)
         return calls
 
     @pytest.mark.parametrize("family,params", [
@@ -198,16 +213,18 @@ class TestDesignerStaysBatched:
         assert scalar_calls == []
 
     @pytest.mark.parametrize("r", [0.5, 1.0])
-    def test_concave_solves_only_its_search_points(self, scalar_calls, r):
-        spec = make_contest("blavatskyy-power", v1=3.0, v2=1.2, q=0.0, r=r)
+    @pytest.mark.parametrize("v1,v2,q_star", [(3.0, 1.2, 0.0), (1.2, 3.0, 1.0)])
+    def test_concave_endpoint_optimum_takes_one_batch_and_no_scalar_solve(
+            self, scalar_calls, batches, r, v1, v2, q_star):
+        spec = make_contest("blavatskyy-power", v1=v1, v2=v2, q=0.0, r=r)
         sweep(spec, 101)
         expected_effort(spec, RandomTieRule.from_pairs([(0.2, 0.5), (0.9, 0.5)]))
+        batches.clear()
+        best = optimal_q(spec)
+        assert best.q_star.q == q_star
         assert scalar_calls == []
-        optimal_q(spec)
-        golden = []
-        designer_mod._golden_section_max(lambda q: golden.append(q) or 0.0, 0.0, 1.0,
-                                         designer_mod.GOLDEN_SECTION_TOL)
-        assert len(golden) + 2 <= len(scalar_calls) <= len(golden) + 3
+        assert len(batches) == 1
+        assert batches[0].size == designer_mod.CROSS_CHECK_POINTS
 
 
 # Contests whose scalar Newton solve backtracks (strongest prize first).
