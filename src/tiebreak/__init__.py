@@ -50,10 +50,8 @@ from .designer import (
     sweep,
 )
 from .equilibrium import (
-    DEFAULT_TOLERANCES,
     Equilibrium,
     SolveMethod,
-    Tolerances,
     solve,
     solve_beta,
     solve_concave,
@@ -99,7 +97,6 @@ __all__ = [
     "ConvexityPrecondition",
     "CostKind",
     "CurveSample",
-    "DEFAULT_TOLERANCES",
     "DomainError",
     "EffortCurve",
     "EffortProfile",
@@ -117,7 +114,6 @@ __all__ = [
     "ShapeCheck",
     "SolveMethod",
     "TieRule",
-    "Tolerances",
     "ValidationError",
     "Valuations",
     "VerificationReport",

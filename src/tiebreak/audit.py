@@ -267,9 +267,9 @@ def _unimodality_condition(csf, theta: np.ndarray, peak: float) -> ConditionReco
 
 
 def _derivative_tables(csf, theta: np.ndarray, qs: tuple[float, ...]):
-    zp = np.vstack([np.asarray(csf.z_prime(theta, q), dtype=float) for q in qs])
-    zpp = np.vstack([np.asarray(csf.z_double_prime(theta, q), dtype=float) for q in qs])
-    return zp, zpp
+    """z_q' and z_q'' on the grid, one row per tie rule."""
+    q_col = np.array(qs)[:, None]
+    return csf.z_prime(theta, q_col), csf.z_double_prime(theta, q_col)
 
 
 def audit_ratio(csf, theta_grid=None, q_grid=None) -> AuditReport:
@@ -286,6 +286,7 @@ def audit_ratio(csf, theta_grid=None, q_grid=None) -> AuditReport:
         raise ValidationError("audit_ratio requires a ratio-form family")
     theta, qs = _check_grids(theta_grid, q_grid, positive_theta=True)
     zp, zpp = _derivative_tables(csf, theta, qs)
+    q_col = np.array(qs)[:, None]
 
     conditions = [
         _strict_condition("win_prob_increasing", -zp, theta, qs),
@@ -295,12 +296,12 @@ def audit_ratio(csf, theta_grid=None, q_grid=None) -> AuditReport:
         ),
         _tail_condition(
             "vanishes_at_zero",
-            lambda pts: np.max([np.abs(csf.z(pts, q)) for q in qs], axis=0),
+            lambda pts: np.max(np.abs(csf.z(pts, q_col)), axis=0),
             start=min(float(theta[0]), 1.0 / TAIL_START), direction="down",
         ),
         _tail_condition(
             "saturates_at_infinity",
-            lambda pts: np.max([np.abs(1.0 - csf.z(pts, q)) for q in qs], axis=0),
+            lambda pts: np.max(np.abs(1.0 - csf.z(pts, q_col)), axis=0),
             start=max(float(theta[-1]), TAIL_START), direction="up",
         ),
         _tail_condition(

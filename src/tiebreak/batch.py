@@ -2,14 +2,15 @@
 
 `solve_many(spec, qs)` returns what `solve(spec.with_q(q))` returns for each
 q, to rounding: same route, steps, stop rules, residual checks, corner
-flags, warnings and errors.  Each route runs vectorized over q.  Since z_q
-and the win probability are affine in q, the family is evaluated at q = 0
-and q = 1 on arrays of contest states, so family methods keep a scalar q.
-Every q is a lane: an iterative lane retires on its own stop rule and the
-loop ends when no lane is left.
+flags, warnings and errors.  Each route runs vectorized over q: family
+methods take an array of tie shares, one per lane, and the closed forms are
+the functions the scalar routes call.  Every q is a lane: an iterative lane
+retires on its own stop rule and the loop ends when no lane is left.
 
-A single q stays on the scalar routes of `equilibrium`, which are cheaper
-for one lane than array code; the designer's curves come from here.
+Only the iteration loops exist twice.  A single q stays on the scalar loops
+of `equilibrium`, which are cheaper for one lane than array code; the
+designer's curves come from here.  Both read the solver limits of
+`equilibrium` at call time.
 """
 from __future__ import annotations
 
@@ -17,44 +18,36 @@ import math
 
 import numpy as np
 
+from . import equilibrium
 from .core import ContestSpec
 from .equilibrium import (
     _EPS,
     _TINY,
     CORNER_UNIQUENESS_WARNING,
-    DEFAULT_TOLERANCES,
     Equilibrium,
     SolveMethod,
-    Tolerances,
     _checked_kind,
+    _diff_closed_form,
     _effort_underflow,
     _gap_residual,
     _newton_residual,
     _no_axis_equilibrium,
     _opening_warnings,
+    _ratio_closed_form,
     _ratio_underflow,
     _ratio_underflows,
     _unbracketed,
     _user_order,
 )
 from .errors import ContestError, ValidationError
+from .families import q_array
 
 
 def _tie_rules(qs) -> np.ndarray:
-    try:
-        arr = np.asarray(qs, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"qs must be a sequence of numbers, got {qs!r}") from exc
+    arr = q_array(qs)
     if arr.ndim != 1:
         raise ValidationError(f"qs must be one-dimensional, got shape {arr.shape}")
-    if not np.all((arr >= 0.0) & (arr <= 1.0)):
-        raise ValidationError("every q must be finite and lie in [0, 1]")
     return arr
-
-
-def _slopes(method, theta, q):
-    """z_q' (or z_q'') at theta for an array of q, from z_0 and z_1 (z_q is affine in q)."""
-    return (1.0 - q) * method(theta, 0.0) + q * method(theta, 1.0)
 
 
 def _lane(*fields):
@@ -73,22 +66,15 @@ def _fill(lanes: list, ok, method: SolveMethod, warnings: tuple, x1, x2, beta, r
     return lanes
 
 
-def _ratio_lanes(csf, vals, q_user, q_int, warnings, tolerances):
-    beta = vals.beta
-    slope = _slopes(csf.z_prime, beta, q_int)
-    strong, weak = vals.v1 * beta * slope, vals.v2 * beta * slope
+def _ratio_lanes(csf, vals, q_user, q_int, warnings):
+    slope = csf.z_prime(vals.beta, q_int)
     lanes: list = [None] * q_int.size
-    underflow = _ratio_underflows(slope, weak)
+    underflow = _ratio_underflows(vals, slope)
     for i in np.flatnonzero(underflow):
         lanes[i] = _ratio_underflow(float(slope[i]))
     ok = np.flatnonzero(~underflow)
-    x1, x2 = _user_order(vals, strong[ok], weak[ok])
-    theta = x1 / x2
-    v1u, v2u = _user_order(vals, vals.v1, vals.v2)
-    zp = _slopes(csf.z_prime, theta, q_user[ok])
-    r1 = v1u * zp / x2 - 1.0
-    r2 = v2u * zp * theta / x2 - 1.0
-    return _fill(lanes, ok, SolveMethod.CLOSED_FORM, warnings, x1, x2, theta, r1, r2)
+    return _fill(lanes, ok, SolveMethod.CLOSED_FORM, warnings,
+                 *_ratio_closed_form(csf, vals, q_user[ok], slope[ok]))
 
 
 def _safeguarded_roots(fdf, lo, hi, budget: int):
@@ -121,21 +107,20 @@ def _safeguarded_roots(fdf, lo, hi, budget: int):
     return x, fx
 
 
-def _gap_roots(csf, gap: float, q_int: np.ndarray, tolerances: Tolerances):
+def _gap_roots(csf, gap: float, q_int: np.ndarray):
     """`solve_beta` for an array of internal tie shares; failing lanes hold their error."""
     n = q_int.size
     if gap == 0.0:
         return np.zeros(n), {}
     lo, hi = np.zeros(n), np.ones(n)
     unbracketed = np.arange(n)
-    for _ in range(tolerances.bracket_expansions):
-        ahead = hi[unbracketed] - gap * _slopes(csf.z_prime, hi[unbracketed],
-                                                q_int[unbracketed]) > 0.0
+    for _ in range(equilibrium.BRACKET_EXPANSIONS):
+        ahead = hi[unbracketed] - gap * csf.z_prime(hi[unbracketed], q_int[unbracketed]) > 0.0
         unbracketed = unbracketed[~ahead]
         if unbracketed.size == 0:
             break
         lo[unbracketed], hi[unbracketed] = hi[unbracketed], 2.0 * hi[unbracketed]
-    errors = {int(i): _unbracketed(float(hi[i]), tolerances) for i in unbracketed}
+    errors = {int(i): _unbracketed(float(hi[i])) for i in unbracketed}
 
     bracketed = np.ones(n, dtype=bool)
     bracketed[unbracketed] = False
@@ -144,12 +129,11 @@ def _gap_roots(csf, gap: float, q_int: np.ndarray, tolerances: Tolerances):
 
     def fdf(theta, sub):
         q = q_lanes[sub]
-        return (theta - gap * _slopes(csf.z_prime, theta, q),
-                1.0 - gap * _slopes(csf.z_double_prime, theta, q))
+        return theta - gap * csf.z_prime(theta, q), 1.0 - gap * csf.z_double_prime(theta, q)
 
     roots = np.zeros(n)
-    root, resid = _safeguarded_roots(fdf, lo[lanes], hi[lanes], tolerances.max_iterations)
-    limit = tolerances.beta_residual * max(1.0, gap)
+    root, resid = _safeguarded_roots(fdf, lo[lanes], hi[lanes], equilibrium.MAX_ITERATIONS)
+    limit = equilibrium.BETA_RESIDUAL * max(1.0, gap)
     for j, i in enumerate(lanes):
         if not abs(resid[j]) <= limit:
             errors[int(i)] = _gap_residual(float(resid[j]), limit)
@@ -157,17 +141,12 @@ def _gap_roots(csf, gap: float, q_int: np.ndarray, tolerances: Tolerances):
     return roots, errors
 
 
-def _diff_lanes(csf, vals, q_user, q_int, warnings, tolerances):
-    beta, errors = _gap_roots(csf, vals.v1 - vals.v2, q_int, tolerances)
+def _diff_lanes(csf, vals, q_user, q_int, warnings):
+    gap, errors = _gap_roots(csf, vals.v1 - vals.v2, q_int)
     ok = np.array([i for i in range(q_int.size) if i not in errors], dtype=int)
-    slope = _slopes(csf.z_prime, beta[ok], q_int[ok])
-    x1, x2 = _user_order(vals, vals.v1 * slope, vals.v2 * slope)
-    theta = x1 - x2
-    v1u, v2u = _user_order(vals, vals.v1, vals.v2)
-    zp = _slopes(csf.z_prime, theta, q_user[ok])
-    r1, r2 = v1u * zp - x1, v2u * zp - x2
     lanes = [errors.get(i) for i in range(q_int.size)]
-    return _fill(lanes, ok, SolveMethod.ROOT_FIND, warnings, x1, x2, theta, r1, r2)
+    return _fill(lanes, ok, SolveMethod.ROOT_FIND, warnings,
+                 *_diff_closed_form(csf, vals, q_user[ok], q_int[ok], gap[ok]))
 
 
 def _concave_marginals(csf, prize: float, own_q, own, other):
@@ -177,8 +156,7 @@ def _concave_marginals(csf, prize: float, own_q, own, other):
     out = np.full(own.shape, -1.0)
     moving = (press > 0.0) & (own > 0.0)
     if moving.any():
-        out[moving] = prize * _slopes(lambda x, q: csf.win_prob_d1(x, other[moving], q),
-                                      own[moving], own_q[moving]) - 1.0
+        out[moving] = prize * csf.win_prob_d1(own[moving], other[moving], own_q[moving]) - 1.0
     at_zero = (press > 0.0) & ~(own > 0.0)
     if csf.r < 1.0:
         out[at_zero] = math.inf
@@ -188,12 +166,12 @@ def _concave_marginals(csf, prize: float, own_q, own, other):
     return out
 
 
-def _lottery_corners(csf, v1: float, v2: float, q_int: np.ndarray, tolerances: Tolerances):
+def _lottery_corners(csf, v1: float, v2: float, q_int: np.ndarray):
     """`_lottery_corner` over lanes; a lane with no axis profile holds its error."""
     zero = np.zeros(q_int.size)
     b1 = np.maximum(0.0, np.sqrt(v1 * (1.0 - q_int)) - 1.0)
     b2 = np.maximum(0.0, np.sqrt(v2 * q_int) - 1.0)
-    tol = tolerances.closed_form_residual
+    tol = equilibrium.CLOSED_FORM_RESIDUAL
     first = _concave_marginals(csf, v2, 1.0 - q_int, zero, b1) <= tol
     second = ~first & (_concave_marginals(csf, v1, q_int, zero, b2) <= tol)
     errors = {int(i): _no_axis_equilibrium(float(b1[i]), float(b2[i]))
@@ -217,7 +195,7 @@ def _log_impact_focs(g1, g2, log_rv1, log_rv2, c, log_head1, log_head2):
     ))
 
 
-def _concave_newtons(csf, v1: float, v2: float, q_int: np.ndarray, tolerances: Tolerances):
+def _concave_newtons(csf, v1: float, v2: float, q_int: np.ndarray):
     """`_concave_newton` for an array of internal tie shares; returns g1, g2.
 
     Every lane starts where the scalar routine does and takes its steps,
@@ -232,7 +210,7 @@ def _concave_newtons(csf, v1: float, v2: float, q_int: np.ndarray, tolerances: T
     g2 = np.full(q_int.size, r * math.log(v2 / 4.0))
     foc = _log_impact_focs(g1, g2, *consts, *heads)
     live = np.arange(q_int.size)
-    for _ in range(tolerances.max_iterations):
+    for _ in range(equilibrium.MAX_ITERATIONS):
         G1, G2, J11, J12, J21, J22, S1, S2 = foc[:, live]
         det = J11 * J22 - J12 * J21
         at_rounding_floor = (np.abs(G1) <= 4.0 * _EPS * S1) & (np.abs(G2) <= 4.0 * _EPS * S2)
@@ -259,7 +237,7 @@ def _concave_newtons(csf, v1: float, v2: float, q_int: np.ndarray, tolerances: T
     return g1, g2
 
 
-def _concave_lanes(csf, vals, q_user, q_int, warnings, tolerances):
+def _concave_lanes(csf, vals, q_user, q_int, warnings):
     v1, v2 = vals.v1, vals.v2
     n = q_int.size
     errors: dict[int, ContestError] = {}
@@ -269,10 +247,10 @@ def _concave_lanes(csf, vals, q_user, q_int, warnings, tolerances):
         x1i, x2i = v1 * scale - q_int, v2 * scale - (1.0 - q_int)
         cornered = ~((x1i >= 0.0) & (x2i >= 0.0))
         at = np.flatnonzero(cornered)
-        x1i[at], x2i[at], corner_errors = _lottery_corners(csf, v1, v2, q_int[at], tolerances)
+        x1i[at], x2i[at], corner_errors = _lottery_corners(csf, v1, v2, q_int[at])
         errors = {int(at[j]): exc for j, exc in corner_errors.items()}
     else:
-        g1, g2 = _concave_newtons(csf, v1, v2, q_int, tolerances)
+        g1, g2 = _concave_newtons(csf, v1, v2, q_int)
         x1i, x2i = np.exp(g1 / csf.r), np.exp(g2 / csf.r)
         for i in np.flatnonzero(np.minimum(x1i, x2i) < _TINY):
             errors[int(i)] = _effort_underflow(float(g1[i]), float(g2[i]), csf.r)
@@ -281,12 +259,12 @@ def _concave_lanes(csf, vals, q_user, q_int, warnings, tolerances):
     x1i, x2i, q_ok = x1i[ok], x2i[ok], q_int[ok]
     r1i = _concave_marginals(csf, v1, q_ok, x1i, x2i)
     r2i = _concave_marginals(csf, v2, 1.0 - q_ok, x2i, x1i)
-    tol = tolerances.iterative_residual
+    tol = equilibrium.ITERATIVE_RESIDUAL
     lanes: list = [errors.get(i) for i in range(n)]
     for i, x1, x2, r1, r2, corner in zip(ok.tolist(), x1i.tolist(), x2i.tolist(),
                                          r1i.tolist(), r2i.tolist(), cornered[ok].tolist()):
         if csf.r < 1.0 and not (abs(r1) <= tol and abs(r2) <= tol):
-            lanes[i] = _newton_residual(x1, x2, r1, r2, tolerances)
+            lanes[i] = _newton_residual(x1, x2, r1, r2)
             continue
         x1, x2 = _user_order(vals, x1, x2)
         lanes[i] = _lane(
@@ -301,8 +279,7 @@ def _concave_lanes(csf, vals, q_user, q_int, warnings, tolerances):
 _LANE_ROUTES = {"ratio": _ratio_lanes, "diff": _diff_lanes, "concave": _concave_lanes}
 
 
-def solve_lanes(spec: ContestSpec, qs, *, force: bool, audited: bool,
-                tolerances: Tolerances) -> list:
+def solve_lanes(spec: ContestSpec, qs, *, force: bool, audited: bool) -> list:
     """One entry per q: its `Equilibrium`, or the `ContestError` its solve raises.
 
     Errors that hold at every q (family kind, cost, closed-form
@@ -313,11 +290,11 @@ def solve_lanes(spec: ContestSpec, qs, *, force: bool, audited: bool,
     warnings = tuple(_opening_warnings(spec.csf, force, audited))
     vals = spec.valuations
     q_int = 1.0 - q_user if vals.swapped else q_user
-    return _LANE_ROUTES[kind](spec.csf, vals, q_user, q_int, warnings, tolerances)
+    return _LANE_ROUTES[kind](spec.csf, vals, q_user, q_int, warnings)
 
 
-def solve_many(spec: ContestSpec, qs, *, force: bool = False, audited: bool = False,
-               tolerances: Tolerances = DEFAULT_TOLERANCES) -> tuple[Equilibrium, ...]:
+def solve_many(spec: ContestSpec, qs, *, force: bool = False,
+               audited: bool = False) -> tuple[Equilibrium, ...]:
     """Equilibria of one contest at each tie rule in `qs` (the q in `spec` is ignored).
 
     Entry i matches `solve(spec.with_q(qs[i]))` to rounding (see the module
@@ -326,7 +303,7 @@ def solve_many(spec: ContestSpec, qs, *, force: bool = False, audited: bool = Fa
     raised, for the smallest failing q.
     """
     q = _tie_rules(qs)
-    lanes = solve_lanes(spec, q, force=force, audited=audited, tolerances=tolerances)
+    lanes = solve_lanes(spec, q, force=force, audited=audited)
     failed = [i for i, lane in enumerate(lanes) if isinstance(lane, ContestError)]
     if failed:
         raise lanes[min(failed, key=lambda i: q[i])]

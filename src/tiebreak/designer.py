@@ -2,7 +2,7 @@
 
 The designer's objective is total equilibrium effort R(q) = x1(q) + x2(q).
 This module sweeps R over q, certifies curve shapes (constant, linear,
-monotone decreasing, convex) with explicit tolerances, finds the optimal
+monotone decreasing, convex) within explicit bounds, finds the optimal
 deterministic rule, and evaluates random tie-breaking rules by expected
 total effort.  Every curve is solved in one batch over its tie rules
 (`batch.solve_many`): sweeps, the optimal rule's 101-point cross-check
@@ -13,7 +13,7 @@ function theorem on the first-order conditions; only an optimum inside
 
 Shape certificates are numeric statements about the sampled curve, not
 symbolic proofs: each records the worst measured violation alongside the
-verdict, and the tolerances are module constants shared with the test
+verdict, and the bounds are module constants shared with the test
 suite.  The linearity certificate uses the three-point midpoint deviation,
 which presumes equally spaced samples; `sweep` always produces them.
 
@@ -32,7 +32,7 @@ import numpy as np
 
 from .core import ContestSpec, JsonRecord, RandomTieRule, TieRule
 from .batch import solve_lanes, solve_many
-from .equilibrium import DEFAULT_TOLERANCES, SolveMethod, Tolerances, _log_impact_foc
+from .equilibrium import SolveMethod, _log_impact_foc
 from .errors import ContestError, ValidationError
 
 CONSTANT_TOL = 1e-10
@@ -165,8 +165,7 @@ def _swept(qs: np.ndarray, lanes: list) -> list:
 
 
 def sweep(spec: ContestSpec, q_count: int, *, force: bool = False,
-          audited: bool = False,
-          tolerances: Tolerances = DEFAULT_TOLERANCES) -> EffortCurve:
+          audited: bool = False) -> EffortCurve:
     """Equilibrium efforts at `q_count` equally spaced tie rules.
 
     The q stored in `spec` is ignored; all points are solved in one batch.
@@ -178,7 +177,7 @@ def sweep(spec: ContestSpec, q_count: int, *, force: bool = False,
         raise ValidationError(f"q_count must be >= 2, got {q_count}")
     qs = np.linspace(0.0, 1.0, int(q_count))
     try:
-        lanes = solve_lanes(spec, qs, force=force, audited=audited, tolerances=tolerances)
+        lanes = solve_lanes(spec, qs, force=force, audited=audited)
     except ContestError as exc:
         raise _failed_at(exc, qs[0]) from exc
     samples = tuple(CurveSample(q=float(q), x1=eq.x1, x2=eq.x2, beta=eq.beta)
@@ -272,8 +271,7 @@ def _concave_optimum(spec: ContestSpec, qs: np.ndarray, eqs, solve_kwargs: dict)
     return q, eq
 
 
-def optimal_q(spec: ContestSpec, *, force: bool = False, audited: bool = False,
-              tolerances: Tolerances = DEFAULT_TOLERANCES) -> OptimalQ:
+def optimal_q(spec: ContestSpec, *, force: bool = False, audited: bool = False) -> OptimalQ:
     """The deterministic tie rule maximizing total equilibrium effort.
 
     Every route solves a 101-point curve in one batch.  For ratio- and
@@ -288,7 +286,7 @@ def optimal_q(spec: ContestSpec, *, force: bool = False, audited: bool = False,
     kind = spec.csf.kind
     vals = spec.valuations
     qs = np.linspace(0.0, 1.0, CROSS_CHECK_POINTS)
-    solve_kwargs = dict(force=force, audited=audited, tolerances=tolerances)
+    solve_kwargs = dict(force=force, audited=audited)
     if kind == "concave":
         q_star, eq = _concave_optimum(spec, qs, solve_many(spec, qs, **solve_kwargs),
                                       solve_kwargs)
@@ -320,8 +318,7 @@ def optimal_q(spec: ContestSpec, *, force: bool = False, audited: bool = False,
 
 
 def expected_effort(spec: ContestSpec, rule: RandomTieRule, *,
-                    force: bool = False, audited: bool = False,
-                    tolerances: Tolerances = DEFAULT_TOLERANCES) -> float:
+                    force: bool = False, audited: bool = False) -> float:
     """Expected total equilibrium effort under a random tie-breaking rule.
 
     The rule commits to drawing q before efforts are chosen, so the
@@ -331,8 +328,7 @@ def expected_effort(spec: ContestSpec, rule: RandomTieRule, *,
     """
     if not isinstance(rule, RandomTieRule):
         rule = RandomTieRule.from_pairs(rule)
-    eqs = solve_many(spec, [atom.q for atom, _ in rule.atoms], force=force,
-                     audited=audited, tolerances=tolerances)
+    eqs = solve_many(spec, [atom.q for atom, _ in rule.atoms], force=force, audited=audited)
     return math.fsum(weight * eq.total for (_, weight), eq in zip(rule.atoms, eqs))
 
 

@@ -20,8 +20,8 @@ closed-form precondition here, and the errors each route raises.
 Every solver returns an `Equilibrium` carrying per-player first-order
 residuals evaluated at the returned profile, corner flags, and any warnings
 (notably an unchecked-assumptions note unless the caller vouches that an
-audit passed).  Residuals and iteration budgets live in one frozen
-`Tolerances` record so tests and documentation quote a single source.
+audit passed).  Residual targets and iteration budgets are the module
+constants below, shared by the scalar and batch routes and read at call time.
 """
 from __future__ import annotations
 
@@ -36,19 +36,20 @@ from .errors import ConvergenceError, NoEquilibriumError, ValidationError
 _EPS = sys.float_info.epsilon
 _TINY = sys.float_info.min
 
+CLOSED_FORM_RESIDUAL = 1e-10
+"""Largest payoff slope at zero effort for which an inactive player is at a corner."""
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Residual targets and iteration budgets for all solver routes."""
+BETA_RESIDUAL = 1e-12
+"""Accepted effort-gap residual, relative to max(1, v1 - v2)."""
 
-    closed_form_residual: float = 1e-10
-    beta_residual: float = 1e-12
-    iterative_residual: float = 1e-9
-    max_iterations: int = 100
-    bracket_expansions: int = 100
+ITERATIVE_RESIDUAL = 1e-9
+"""Accepted first-order residual of a Newton-solved concave equilibrium."""
 
+MAX_ITERATIONS = 100
+"""Step budget of the gap root and of the concave Newton solve."""
 
-DEFAULT_TOLERANCES = Tolerances()
+BRACKET_EXPANSIONS = 100
+"""Doublings allowed to bracket the effort-gap root."""
 
 UNCHECKED_ASSUMPTIONS_WARNING = (
     "regularity conditions not audited for this family instance; run the "
@@ -152,10 +153,10 @@ def _opening_warnings(csf, force: bool, audited: bool) -> list[str]:
     return warnings
 
 
-def _ratio_underflows(slope, weak):
+def _ratio_underflows(vals: Valuations, slope):
     """Whether a ratio closed form's slope or weak effort is subnormal (too few
     bits for a rounding-level residual); works on scalars and lanes alike."""
-    return (slope < _TINY) | (weak < _TINY)
+    return (slope < _TINY) | (vals.v2 * vals.beta * slope < _TINY)
 
 
 # Errors shared by the scalar and batch routes, so a lane fails as its scalar
@@ -164,10 +165,10 @@ def _ratio_underflow(slope: float) -> ConvergenceError:
     return ConvergenceError(f"closed-form efforts underflow double precision (slope {slope})")
 
 
-def _unbracketed(hi: float, tolerances: Tolerances) -> ConvergenceError:
+def _unbracketed(hi: float) -> ConvergenceError:
     return ConvergenceError(
         f"could not bracket the effort-gap root within "
-        f"{tolerances.bracket_expansions} expansions (last upper bound {hi}); "
+        f"{BRACKET_EXPANSIONS} expansions (last upper bound {hi}); "
         "the slope condition for existence likely fails at these prizes"
     )
 
@@ -181,17 +182,26 @@ def _effort_underflow(g1: float, g2: float, r: float) -> ConvergenceError:
                             f"(log-impacts {g1:.6g}, {g2:.6g} at r = {r})")
 
 
-def _newton_residual(x1: float, x2: float, r1: float, r2: float,
-                     tolerances: Tolerances) -> ConvergenceError:
+def _newton_residual(x1: float, x2: float, r1: float, r2: float) -> ConvergenceError:
     return ConvergenceError(
-        f"Newton solve did not reach residual {tolerances.iterative_residual:.1e} within "
-        f"{tolerances.max_iterations} iterations; last iterate ({x1}, {x2}) "
+        f"Newton solve did not reach residual {ITERATIVE_RESIDUAL:.1e} within "
+        f"{MAX_ITERATIONS} iterations; last iterate ({x1}, {x2}) "
         f"with residuals ({r1:.3e}, {r2:.3e})"
     )
 
 
-def solve_ratio(csf, v, q, *, force: bool = False, audited: bool = False,
-                tolerances: Tolerances = DEFAULT_TOLERANCES) -> Equilibrium:
+def _ratio_closed_form(csf, vals: Valuations, q_user, slope):
+    """Efforts, their ratio and first-order residuals in the caller's labels,
+    from the slope z_q'(beta) at beta = v1/v2; one tie rule or an array of lanes."""
+    beta = vals.beta
+    x1, x2 = _user_order(vals, vals.v1 * beta * slope, vals.v2 * beta * slope)
+    theta = x1 / x2
+    v1u, v2u = _user_order(vals, vals.v1, vals.v2)
+    zp = csf.z_prime(theta, q_user)
+    return x1, x2, theta, v1u * zp / x2 - 1.0, v2u * zp * theta / x2 - 1.0
+
+
+def solve_ratio(csf, v, q, *, force: bool = False, audited: bool = False) -> Equilibrium:
     """Closed-form equilibrium of a ratio-form contest with linear cost.
 
     Both players exert prize * beta * z_q'(beta) at beta = v1/v2 (labels
@@ -205,20 +215,10 @@ def solve_ratio(csf, v, q, *, force: bool = False, audited: bool = False,
     vals, q_user, q_int = _oriented(v, q)
     warnings = _opening_warnings(csf, force, audited)
 
-    beta_int = vals.beta
-    slope = float(csf.z_prime(beta_int, q_int))
-    strong = vals.v1 * beta_int * slope
-    weak = vals.v2 * beta_int * slope
-    if _ratio_underflows(slope, weak):
+    slope = csf.z_prime(vals.beta, q_int)
+    if _ratio_underflows(vals, slope):
         raise _ratio_underflow(slope)
-    x1, x2 = _user_order(vals, strong, weak)
-
-    theta = x1 / x2
-    v1u, v2u = _user_order(vals, vals.v1, vals.v2)
-    zp = float(csf.z_prime(theta, q_user))
-    r1 = v1u * zp / x2 - 1.0
-    r2 = v2u * zp * theta / x2 - 1.0
-
+    x1, x2, theta, r1, r2 = _ratio_closed_form(csf, vals, q_user, slope)
     return Equilibrium(
         x1=x1, x2=x2, beta=theta, method=SolveMethod.CLOSED_FORM,
         residuals=(r1, r2), corner_flags=(False, False), warnings=tuple(warnings),
@@ -256,7 +256,7 @@ def _safeguarded_root(fdf, lo: float, hi: float, budget: int) -> tuple[float, fl
     return x, fx
 
 
-def solve_beta(csf, v, q, *, tolerances: Tolerances = DEFAULT_TOLERANCES) -> float:
+def solve_beta(csf, v, q) -> float:
     """Equilibrium effort gap of a difference-form contest.
 
     Solves theta = (v1 - v2) * z_q'(theta) for the unique nonnegative root,
@@ -265,7 +265,7 @@ def solve_beta(csf, v, q, *, tolerances: Tolerances = DEFAULT_TOLERANCES) -> flo
     prizes.  The bracket [0, 1] is doubled until the left side is ahead of
     the right, which terminates because z' is bounded.  The root is found by
     safeguarded Newton-bisection on the analytic z' and z'' and accepted
-    when its residual is within `beta_residual` times max(1, v1 - v2).
+    when its residual is within `BETA_RESIDUAL` times max(1, v1 - v2).
     """
     if getattr(csf, "kind", None) != "diff":
         raise ValidationError("solve_beta requires a difference-form family")
@@ -275,28 +275,39 @@ def solve_beta(csf, v, q, *, tolerances: Tolerances = DEFAULT_TOLERANCES) -> flo
         return 0.0
 
     def f(theta: float) -> float:
-        return theta - gap * float(csf.z_prime(theta, q_int))
+        return theta - gap * csf.z_prime(theta, q_int)
 
     def fdf(theta: float) -> tuple[float, float]:
-        return f(theta), 1.0 - gap * float(csf.z_double_prime(theta, q_int))
+        return f(theta), 1.0 - gap * csf.z_double_prime(theta, q_int)
 
     lo, hi = 0.0, 1.0
-    for _ in range(tolerances.bracket_expansions):
+    for _ in range(BRACKET_EXPANSIONS):
         if f(hi) > 0.0:
             break
         lo, hi = hi, 2.0 * hi
     else:
-        raise _unbracketed(hi, tolerances)
+        raise _unbracketed(hi)
 
-    root, resid = _safeguarded_root(fdf, lo, hi, tolerances.max_iterations)
-    limit = tolerances.beta_residual * max(1.0, gap)
+    root, resid = _safeguarded_root(fdf, lo, hi, MAX_ITERATIONS)
+    limit = BETA_RESIDUAL * max(1.0, gap)
     if not abs(resid) <= limit:
         raise _gap_residual(resid, limit)
     return max(root, 0.0)
 
 
-def solve_diff(csf, v, q, *, audited: bool = False,
-               tolerances: Tolerances = DEFAULT_TOLERANCES) -> Equilibrium:
+def _diff_closed_form(csf, vals: Valuations, q_user, q_int, gap):
+    """Efforts, their gap and first-order residuals in the caller's labels,
+    from the equilibrium gap of the stronger player; one tie rule or an array
+    of lanes.  Each effort is prize * z_q'(gap)."""
+    slope = csf.z_prime(gap, q_int)
+    x1, x2 = _user_order(vals, vals.v1 * slope, vals.v2 * slope)
+    theta = x1 - x2
+    v1u, v2u = _user_order(vals, vals.v1, vals.v2)
+    zp = csf.z_prime(theta, q_user)
+    return x1, x2, theta, v1u * zp - x1, v2u * zp - x2
+
+
+def solve_diff(csf, v, q, *, audited: bool = False) -> Equilibrium:
     """Equilibrium of a difference-form contest with quadratic cost.
 
     Each effort is prize * z_q'(beta) at the equilibrium gap beta from
@@ -306,18 +317,8 @@ def solve_diff(csf, v, q, *, audited: bool = False,
     if getattr(csf, "kind", None) != "diff":
         raise ValidationError("solve_diff requires a difference-form family")
     vals, q_user, q_int = _oriented(v, q)
-    beta_int = solve_beta(csf, vals, q_user, tolerances=tolerances)
-    slope = float(csf.z_prime(beta_int, q_int))
-    strong = vals.v1 * slope
-    weak = vals.v2 * slope
-    x1, x2 = _user_order(vals, strong, weak)
-
-    theta = x1 - x2
-    v1u, v2u = _user_order(vals, vals.v1, vals.v2)
-    zp = float(csf.z_prime(theta, q_user))
-    r1 = v1u * zp - x1
-    r2 = v2u * zp - x2
-
+    gap = solve_beta(csf, vals, q_user)
+    x1, x2, theta, r1, r2 = _diff_closed_form(csf, vals, q_user, q_int, gap)
     return Equilibrium(
         x1=x1, x2=x2, beta=theta, method=SolveMethod.ROOT_FIND, residuals=(r1, r2),
         corner_flags=(False, False), warnings=tuple(_opening_warnings(csf, False, audited)),
@@ -335,7 +336,7 @@ def _concave_marginal(csf, prize: float, own_q: float, own: float, other: float)
     if press <= 0.0:
         return -1.0
     if own > 0.0:
-        return prize * float(csf.win_prob_d1(own, other, own_q)) - 1.0
+        return prize * csf.win_prob_d1(own, other, own_q) - 1.0
     if csf.r < 1.0:
         return math.inf
     total = float(csf.impact(other)) + 1.0
@@ -347,8 +348,7 @@ def _no_axis_equilibrium(b1: float, b2: float) -> NoEquilibriumError:
                               f"(single-entrant responses {b1} and {b2})")
 
 
-def _lottery_corner(csf, v1: float, v2: float, q_int: float,
-                    tolerances: Tolerances) -> tuple[float, float]:
+def _lottery_corner(csf, v1: float, v2: float, q_int: float) -> tuple[float, float]:
     """Corner equilibrium of a linear-impact contest whose interior profile fails.
 
     Tests (b1(0), 0), then (0, b2(0)), where b_i(0) = max(0, sqrt(v_i (1 - q_i)) - 1)
@@ -357,10 +357,10 @@ def _lottery_corner(csf, v1: float, v2: float, q_int: float,
     player's payoff slope at zero is nonpositive.
     """
     b1 = max(0.0, math.sqrt(v1 * (1.0 - q_int)) - 1.0)
-    if _concave_marginal(csf, v2, 1.0 - q_int, 0.0, b1) <= tolerances.closed_form_residual:
+    if _concave_marginal(csf, v2, 1.0 - q_int, 0.0, b1) <= CLOSED_FORM_RESIDUAL:
         return b1, 0.0
     b2 = max(0.0, math.sqrt(v2 * q_int) - 1.0)
-    if _concave_marginal(csf, v1, q_int, 0.0, b2) <= tolerances.closed_form_residual:
+    if _concave_marginal(csf, v1, q_int, 0.0, b2) <= CLOSED_FORM_RESIDUAL:
         return 0.0, b2
     raise _no_axis_equilibrium(b1, b2)
 
@@ -396,12 +396,11 @@ def _log_impact_foc(g1: float, g2: float, log_rv1: float, log_rv2: float, c: flo
     return residual, jacobian, scale
 
 
-def _concave_newton(csf, v1: float, v2: float, q_int: float,
-                    tolerances: Tolerances) -> tuple[float, float]:
+def _concave_newton(csf, v1: float, v2: float, q_int: float) -> tuple[float, float]:
     """Interior equilibrium of a power-impact contest with exponent below one.
 
     Newton's method on `_log_impact_foc` from g_i = r log(v_i / 4), with
-    backtracking on the squared residual norm, for at most `max_iterations`
+    backtracking on the squared residual norm, for at most `MAX_ITERATIONS`
     steps.  The caller checks the residuals in effort space.
     """
     r = csf.r
@@ -409,7 +408,7 @@ def _concave_newton(csf, v1: float, v2: float, q_int: float,
               *(math.log(h) if h > 0.0 else -math.inf for h in (1.0 - q_int, q_int)))
     g1, g2 = r * math.log(v1 / 4.0), r * math.log(v2 / 4.0)
     (G1, G2), (J11, J12, J21, J22), (S1, S2) = _log_impact_foc(g1, g2, *consts)
-    for _ in range(tolerances.max_iterations):
+    for _ in range(MAX_ITERATIONS):
         at_rounding_floor = abs(G1) <= 4.0 * _EPS * S1 and abs(G2) <= 4.0 * _EPS * S2
         det = J11 * J22 - J12 * J21
         if at_rounding_floor or det == 0.0:
@@ -431,8 +430,7 @@ def _concave_newton(csf, v1: float, v2: float, q_int: float,
     return x1, x2
 
 
-def solve_concave(csf, v, q, *, audited: bool = False,
-                  tolerances: Tolerances = DEFAULT_TOLERANCES) -> Equilibrium:
+def solve_concave(csf, v, q, *, audited: bool = False) -> Equilibrium:
     """Equilibrium of a concave-impact contest with linear cost.
 
     Linear impact admits a closed form: the classic lottery efforts shifted
@@ -441,7 +439,7 @@ def solve_concave(csf, v, q, *, audited: bool = False,
     mutual best response is returned (otherwise `NoEquilibriumError`).
     Concave impact with exponent below one keeps both players active; the
     Newton solution in log-impact coordinates is accepted only if both
-    effort-space residuals are within `iterative_residual` and no effort
+    effort-space residuals are within `ITERATIVE_RESIDUAL` and no effort
     underflows double precision (otherwise `ConvergenceError`).
     """
     if getattr(csf, "kind", None) != "concave":
@@ -458,18 +456,18 @@ def solve_concave(csf, v, q, *, audited: bool = False,
             x1i, x2i = strong, weak
             method = SolveMethod.CLOSED_FORM
         else:
-            x1i, x2i = _lottery_corner(csf, v1, v2, q_int, tolerances)
+            x1i, x2i = _lottery_corner(csf, v1, v2, q_int)
             method = SolveMethod.FOC_SOLVE
             warnings.append(CORNER_UNIQUENESS_WARNING)
     else:
-        x1i, x2i = _concave_newton(csf, v1, v2, q_int, tolerances)
+        x1i, x2i = _concave_newton(csf, v1, v2, q_int)
         method = SolveMethod.FOC_SOLVE
 
     r1i = _concave_marginal(csf, v1, q_int, x1i, x2i)
     r2i = _concave_marginal(csf, v2, 1.0 - q_int, x2i, x1i)
-    tol = tolerances.iterative_residual
+    tol = ITERATIVE_RESIDUAL
     if csf.r < 1.0 and not (abs(r1i) <= tol and abs(r2i) <= tol):
-        raise _newton_residual(x1i, x2i, r1i, r2i, tolerances)
+        raise _newton_residual(x1i, x2i, r1i, r2i)
     x1, x2 = _user_order(vals, x1i, x2i)
     return Equilibrium(
         x1=x1, x2=x2, beta=None, method=method, residuals=_user_order(vals, r1i, r2i),
@@ -477,8 +475,7 @@ def solve_concave(csf, v, q, *, audited: bool = False,
     )
 
 
-def solve(spec: ContestSpec, *, force: bool = False, audited: bool = False,
-          tolerances: Tolerances = DEFAULT_TOLERANCES) -> Equilibrium:
+def solve(spec: ContestSpec, *, force: bool = False, audited: bool = False) -> Equilibrium:
     """Dispatch a contest to the solver for its family class.
 
     Validates that the cost technology matches the one the family's theory
@@ -487,10 +484,7 @@ def solve(spec: ContestSpec, *, force: bool = False, audited: bool = False,
     """
     kind = _checked_kind(spec)
     if kind == "ratio":
-        return solve_ratio(spec.csf, (spec.v1, spec.v2), spec.q,
-                           force=force, audited=audited, tolerances=tolerances)
+        return solve_ratio(spec.csf, (spec.v1, spec.v2), spec.q, force=force, audited=audited)
     if kind == "diff":
-        return solve_diff(spec.csf, (spec.v1, spec.v2), spec.q,
-                          audited=audited, tolerances=tolerances)
-    return solve_concave(spec.csf, (spec.v1, spec.v2), spec.q,
-                         audited=audited, tolerances=tolerances)
+        return solve_diff(spec.csf, (spec.v1, spec.v2), spec.q, audited=audited)
+    return solve_concave(spec.csf, (spec.v1, spec.v2), spec.q, audited=audited)

@@ -23,6 +23,10 @@ smooth, noise-free evaluations, so finite differences appear only in the test
 suite as an oracle.  Because z_q is affine in q, the tie-probability
 derivatives follow exactly: p0' = z_1' - z_0' and likewise for p0''.
 
+Every method that takes a tie rule q accepts one tie share (a number or a
+`TieRule`) or an array of them, broadcast against the contest states, so one
+call evaluates many tie rules.  Scalar inputs return a builtin float.
+
 Evaluations are numerically stabilized.  Difference-form families touch
 exponentials only through e^(-|theta|) and logistic ratios, so theta up to
 +/-500 stays finite; ratio-form families work through u = theta^r/(1+theta^r)
@@ -71,11 +75,25 @@ def _as_array(x, name: str, *, positive: bool = False, nonnegative: bool = False
     return arr
 
 
-def _ret(value, *inputs):
-    """Collapse a 0-d result back to a builtin float for scalar inputs."""
-    if all(np.ndim(i) == 0 for i in inputs):
-        return float(value)
-    return value
+def q_array(qs) -> np.ndarray:
+    """Float array of tie shares, each finite and in [0, 1]."""
+    try:
+        arr = np.asarray(qs, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"tie shares must be numbers, got {qs!r}") from exc
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):
+        raise ValidationError("every q must be finite and lie in [0, 1]")
+    return arr
+
+
+def _tie_share(q):
+    """`q_value` of one tie rule, or `q_array` of a list, tuple or array of them."""
+    return q_array(q) if isinstance(q, (np.ndarray, list, tuple)) else q_value(q)
+
+
+def _ret(value):
+    """A 0-d result as a builtin float; any other result as it is."""
+    return float(value) if value.ndim == 0 else value
 
 
 def _logistic_pair(theta, k: float):
@@ -147,33 +165,26 @@ class _ReducedCsf(_Family):
 
     def p(self, theta):
         th = self._theta(theta)
-        return _ret(self._triple(th)[0], theta)
+        return _ret(self._triple(th)[0])
 
     def p0(self, theta):
         th = self._theta(theta)
-        return _ret(self._triple(th)[2], theta)
+        return _ret(self._triple(th)[2])
 
     def z(self, theta, q) -> float:
         """Eventual win probability of player 1: p(theta) + q * p0(theta)."""
-        qv = q_value(q)
+        qv = _tie_share(q)
         th = self._theta(theta)
         win, _, tie = self._triple(th)
-        return _ret(win + qv * tie, theta)
+        return _ret(win + qv * tie)
 
     def p0_prime(self, theta):
         """d p0 / d theta, exact via affinity of z_q in q."""
-        return _ret(
-            np.asarray(self.z_prime(theta, 1.0)) - np.asarray(self.z_prime(theta, 0.0)),
-            theta,
-        )
+        return self.z_prime(theta, 1.0) - self.z_prime(theta, 0.0)
 
     def p0_double_prime(self, theta):
         """d^2 p0 / d theta^2, exact via affinity of z_q in q."""
-        return _ret(
-            np.asarray(self.z_double_prime(theta, 1.0))
-            - np.asarray(self.z_double_prime(theta, 0.0)),
-            theta,
-        )
+        return self.z_double_prime(theta, 1.0) - self.z_double_prime(theta, 0.0)
 
 
 class RatioCsf(_ReducedCsf):
@@ -202,7 +213,7 @@ class RatioCsf(_ReducedCsf):
         win1 = np.where(only1, 1.0, np.where(only2, 0.0, win1))
         win2 = np.where(only1, 0.0, np.where(only2, 1.0, win2))
         tie = np.where(only1 | only2, 0.0, tie)
-        return (_ret(win1, x1, x2), _ret(win2, x1, x2), _ret(tie, x1, x2))
+        return (_ret(win1), _ret(win2), _ret(tie))
 
 
 class DiffCsf(_ReducedCsf):
@@ -218,7 +229,7 @@ class DiffCsf(_ReducedCsf):
         x1a = _as_array(x1, "x1", nonnegative=True)
         x2a = _as_array(x2, "x2", nonnegative=True)
         win1, win2, tie = self._triple(x1a - x2a)
-        return (_ret(win1, x1, x2), _ret(win2, x1, x2), _ret(tie, x1, x2))
+        return (_ret(win1), _ret(win2), _ret(tie))
 
 
 @dataclass(frozen=True)
@@ -262,21 +273,21 @@ class VesperoniRatio(RatioCsf):
         return pk, pm, 1.0 - pk - pm
 
     def z_prime(self, theta, q):
-        qv = q_value(q)
+        qv = _tie_share(q)
         th = self._theta(theta)
         u, ub = self._shares(th)
         k, r = self.k, self.r
         val = (k * r / th) * ((1.0 - qv) * u**k * ub + qv * u * ub**k)
-        return _ret(val, theta)
+        return _ret(val)
 
     def z_double_prime(self, theta, q):
-        qv = q_value(q)
+        qv = _tie_share(q)
         th = self._theta(theta)
         u, ub = self._shares(th)
         k, r = self.k, self.r
         lead = (1.0 - qv) * u**k * ub * ((r * k - 1.0) * ub - (1.0 + r) * u)
         trail = qv * u * ub**k * ((r - 1.0) * ub - (1.0 + k * r) * u)
-        return _ret((k * r / th**2) * (lead + trail), theta)
+        return _ret((k * r / th**2) * (lead + trail))
 
 
 @dataclass(frozen=True)
@@ -323,21 +334,21 @@ class JiaRatio(RatioCsf):
         return u, w, 1.0 - u - w
 
     def z_prime(self, theta, q):
-        qv = q_value(q)
+        qv = _tie_share(q)
         th = self._theta(theta)
         u, ub, w, wb = self._shares(th)
         r = self.r
         val = (r / th) * ((1.0 - qv) * u * ub + qv * w * wb)
-        return _ret(val, theta)
+        return _ret(val)
 
     def z_double_prime(self, theta, q):
-        qv = q_value(q)
+        qv = _tie_share(q)
         th = self._theta(theta)
         u, ub, w, wb = self._shares(th)
         r = self.r
         lead = (1.0 - qv) * u * ub * (2.0 * r * u + (1.0 - r))
         trail = qv * w * wb * (2.0 * r * wb + (1.0 - r))
-        return _ret(-(r / th**2) * (lead + trail), theta)
+        return _ret(-(r / th**2) * (lead + trail))
 
 
 @dataclass(frozen=True)
@@ -371,20 +382,20 @@ class VesperoniDiff(DiffCsf):
         return pk, pm, 1.0 - pk - pm
 
     def z_prime(self, theta, q):
-        qv = q_value(q)
+        qv = _tie_share(q)
         th = self._theta(theta)
         s, sb = self._shares(th)
         k = self.k
-        return _ret(k * ((1.0 - qv) * s**k * sb + qv * s * sb**k), theta)
+        return _ret(k * ((1.0 - qv) * s**k * sb + qv * s * sb**k))
 
     def z_double_prime(self, theta, q):
-        qv = q_value(q)
+        qv = _tie_share(q)
         th = self._theta(theta)
         s, sb = self._shares(th)
         k = self.k
         lead = (1.0 - qv) * s**k * sb * (k * sb - s)
         trail = qv * s * sb**k * (sb - k * s)
-        return _ret(k * (lead + trail), theta)
+        return _ret(k * (lead + trail))
 
 
 @dataclass(frozen=True)
@@ -418,18 +429,18 @@ class JiaDiff(DiffCsf):
         return u, w, 1.0 - u - w
 
     def z_prime(self, theta, q):
-        qv = q_value(q)
+        qv = _tie_share(q)
         th = self._theta(theta)
         u, ub, w, wb = self._shares(th)
-        return _ret((1.0 - qv) * u * ub + qv * w * wb, theta)
+        return _ret((1.0 - qv) * u * ub + qv * w * wb)
 
     def z_double_prime(self, theta, q):
-        qv = q_value(q)
+        qv = _tie_share(q)
         th = self._theta(theta)
         u, ub, w, wb = self._shares(th)
         lead = (1.0 - qv) * u * ub * (1.0 - 2.0 * u)
         trail = qv * w * wb * (2.0 * w - 1.0)
-        return _ret(lead + trail, theta)
+        return _ret(lead + trail)
 
 
 @dataclass(frozen=True)
@@ -471,39 +482,39 @@ class BlavatskyyPower(_Family):
         f1 = self.impact(x1)
         f2 = self.impact(x2)
         total = f1 + f2 + 1.0
-        return (_ret(f1 / total, x1, x2), _ret(f2 / total, x1, x2), _ret(1.0 / total, x1, x2))
+        return (_ret(f1 / total), _ret(f2 / total), _ret(1.0 / total))
 
     def win_prob(self, x1, x2, q):
         """Eventual win probability of player 1: (x1^r + q) / (x1^r + x2^r + 1)."""
-        qv = q_value(q)
+        qv = _tie_share(q)
         f1 = self.impact(x1)
         f2 = self.impact(x2)
-        return _ret((f1 + qv) / (f1 + f2 + 1.0), x1, x2)
+        return _ret((f1 + qv) / (f1 + f2 + 1.0))
 
     def win_prob_d1(self, x1, x2, q):
         """d/dx1 of the eventual win probability of player 1."""
-        qv = q_value(q)
+        qv = _tie_share(q)
         f1 = self.impact(x1)
         f2 = self.impact(x2)
         total = f1 + f2 + 1.0
-        return _ret(self.impact_prime(x1) * (f2 + (1.0 - qv)) / total**2, x1, x2)
+        return _ret(self.impact_prime(x1) * (f2 + (1.0 - qv)) / total**2)
 
     def win_prob_d11(self, x1, x2, q):
         """Second own-effort derivative of player 1's eventual win probability."""
-        qv = q_value(q)
+        qv = _tie_share(q)
         f1 = self.impact(x1)
         f2 = self.impact(x2)
         total = f1 + f2 + 1.0
         fp = self.impact_prime(x1)
         fpp = self.impact_double_prime(x1)
-        return _ret((f2 + (1.0 - qv)) * (fpp * total - 2.0 * fp * fp) / total**3, x1, x2)
+        return _ret((f2 + (1.0 - qv)) * (fpp * total - 2.0 * fp * fp) / total**3)
 
     def tie_prob_d1(self, x1, x2):
         """d/dx1 of the tie probability."""
         f1 = self.impact(x1)
         f2 = self.impact(x2)
         total = f1 + f2 + 1.0
-        return _ret(-self.impact_prime(x1) / total**2, x1, x2)
+        return _ret(-self.impact_prime(x1) / total**2)
 
     def tie_prob_d11(self, x1, x2):
         """Second own-effort derivative of the tie probability."""
@@ -512,7 +523,7 @@ class BlavatskyyPower(_Family):
         total = f1 + f2 + 1.0
         fp = self.impact_prime(x1)
         fpp = self.impact_double_prime(x1)
-        return _ret((2.0 * fp * fp - fpp * total) / total**3, x1, x2)
+        return _ret((2.0 * fp * fp - fpp * total) / total**3)
 
 
 FAMILIES: dict[str, type] = {

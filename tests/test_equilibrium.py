@@ -1,7 +1,6 @@
 """Equilibrium solvers: anchors, first-order residuals, label handling."""
 from __future__ import annotations
 
-import dataclasses
 import math
 import time
 
@@ -11,10 +10,8 @@ import pytest
 from tiebreak import (
     ConvergenceError,
     CostKind,
-    DEFAULT_TOLERANCES,
     Equilibrium,
     SolveMethod,
-    Tolerances,
     ValidationError,
     Valuations,
     make_contest,
@@ -25,8 +22,12 @@ from tiebreak import (
     solve_diff,
     solve_ratio,
 )
+import tiebreak.equilibrium as equilibrium_mod
 from tiebreak.equilibrium import (
+    BETA_RESIDUAL,
+    CLOSED_FORM_RESIDUAL,
     CORNER_UNIQUENESS_WARNING,
+    ITERATIVE_RESIDUAL,
     UNCHECKED_ASSUMPTIONS_WARNING,
     _log_impact_foc,
 )
@@ -72,7 +73,7 @@ class TestRatioClosedForm:
         csf = build(case)
         for v, q in [((2.0, 1.0), 0.0), ((1.0, 3.0), 0.7), ((5.0, 4.0), 1.0)]:
             eq = solve_ratio(csf, v, q)
-            assert max(abs(r) for r in eq.residuals) <= DEFAULT_TOLERANCES.closed_form_residual
+            assert max(abs(r) for r in eq.residuals) <= CLOSED_FORM_RESIDUAL
 
     def test_swapped_prizes_mirror_the_solution(self):
         # Tie shares 0.25 and 0.75 are exact binary complements, so the
@@ -126,7 +127,7 @@ class TestEffortGapRoot:
         for v1, v2, q in [(2.0, 1.0, 0.0), (1.2, 1.0, 0.5), (7.0, 2.0, 1.0)]:
             beta = solve_beta(csf, (v1, v2), q)
             resid = abs(beta - (v1 - v2) * csf.z_prime(beta, q))
-            assert resid <= DEFAULT_TOLERANCES.beta_residual
+            assert resid <= BETA_RESIDUAL
 
     def test_swapped_prizes_use_mirrored_tie_share(self):
         csf = make_family("vesperoni-diff", k=2)
@@ -134,7 +135,7 @@ class TestEffortGapRoot:
         mirrored = solve_beta(csf, (1.0, 2.0), 0.75)
         assert direct == pytest.approx(mirrored, abs=1e-14)
         resid = abs(mirrored - 1.0 * csf.z_prime(mirrored, 0.25))
-        assert resid <= DEFAULT_TOLERANCES.beta_residual
+        assert resid <= BETA_RESIDUAL
 
     def test_gap_shrinks_as_tie_share_favors_leader(self):
         csf = make_family("vesperoni-diff", k=2)
@@ -152,7 +153,7 @@ class TestEffortGapRoot:
         beta = solve_beta(csf, (1e6, 1.0), 0.0)
         gap = 1e6 - 1.0
         resid = abs(beta - gap * csf.z_prime(beta, 0.0))
-        assert resid <= DEFAULT_TOLERANCES.beta_residual * gap
+        assert resid <= BETA_RESIDUAL * gap
         assert beta == pytest.approx(12.0219025, abs=1e-6)
 
 
@@ -240,7 +241,7 @@ class TestConcaveSolver:
         csf = make_family("blavatskyy-power", r=0.7)
         eq = solve_concave(csf, (5.0, 2.0), 0.25)
         assert eq.method is SolveMethod.FOC_SOLVE
-        assert max(abs(r) for r in eq.residuals) <= DEFAULT_TOLERANCES.iterative_residual
+        assert max(abs(r) for r in eq.residuals) <= ITERATIVE_RESIDUAL
 
     def test_swapped_prizes_mirror_the_solution(self):
         csf = make_family("blavatskyy-power", r=0.5)
@@ -283,11 +284,11 @@ class TestConcaveSolver:
                 fd = (numeric[0][0], numeric[1][0], numeric[0][1], numeric[1][1])
                 assert max_rel_err(fd, jac) <= FD_REL_TOL, (r, q, g)
 
-    def test_exhausted_iteration_budget_raises(self):
+    def test_exhausted_iteration_budget_raises(self, monkeypatch):
         csf = make_family("blavatskyy-power", r=0.5)
-        squeezed = dataclasses.replace(DEFAULT_TOLERANCES, max_iterations=1)
+        monkeypatch.setattr(equilibrium_mod, "MAX_ITERATIONS", 1)
         with pytest.raises(ConvergenceError, match="residual"):
-            solve_concave(csf, (4.0, 4.0), 0.5, tolerances=squeezed)
+            solve_concave(csf, (4.0, 4.0), 0.5)
 
     def test_rejects_wrong_family_kind(self):
         with pytest.raises(ValidationError):
@@ -360,4 +361,4 @@ class TestRandomDrawResiduals:
             vals = Valuations(v1, v2)
             q_int = 1.0 - q if vals.swapped else q
             resid = abs(beta - (vals.v1 - vals.v2) * csf.z_prime(beta, q_int))
-            assert resid <= DEFAULT_TOLERANCES.beta_residual
+            assert resid <= BETA_RESIDUAL

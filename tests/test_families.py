@@ -9,6 +9,7 @@ import pytest
 from tiebreak import (
     DomainError,
     FAMILIES,
+    TieRule,
     ValidationError,
     describe_families,
     family_names,
@@ -260,6 +261,64 @@ class TestConcaveFamily:
         csf = build(case)
         with pytest.raises(DomainError):
             csf.outcome(-0.2, 0.1)
+
+
+TIE_RULE_METHODS = {
+    "ratio": ("z", "z_prime", "z_double_prime"),
+    "diff": ("z", "z_prime", "z_double_prime"),
+    "concave": ("win_prob", "win_prob_d1", "win_prob_d11"),
+}
+
+Q_COLUMN = np.array([0.0, 0.3, 0.5, 0.9871, 1.0])[:, None]
+
+
+def _states(csf):
+    """The arguments before q of a tie-rule method, as 1-D arrays of one length."""
+    if csf.kind == "concave":
+        x = np.geomspace(1e-3, 1e2, 9)
+        return (x, x[::-1].copy())
+    if csf.kind == "ratio":
+        return (np.geomspace(1e-3, 1e3, 9),)
+    return (np.linspace(-8.0, 8.0, 9),)
+
+
+@pytest.mark.parametrize("case,name", [
+    (case, name) for case in ALL_REDUCED + CONCAVE_CASES
+    for name in TIE_RULE_METHODS[build(case).kind]
+], ids=lambda v: case_id(v) if isinstance(v, tuple) else v)
+class TestArrayTieShares:
+    """Every method taking a tie rule broadcasts an array of tie shares."""
+
+    def test_q_column_against_a_state_row_matches_per_q_calls(self, case, name):
+        csf = build(case)
+        method, states = getattr(csf, name), _states(csf)
+        table = method(*(s[None, :] for s in states), Q_COLUMN)
+        assert table.shape == (Q_COLUMN.size, states[0].size)
+        for row, q in zip(table, Q_COLUMN[:, 0].tolist()):
+            np.testing.assert_array_equal(row, method(*states, q))
+
+    def test_q_array_is_elementwise_with_states(self, case, name):
+        csf = build(case)
+        method, states = getattr(csf, name), _states(csf)
+        qs = np.linspace(0.0, 1.0, states[0].size)
+        out = method(*states, qs)
+        assert out.shape == qs.shape
+        for j, q in enumerate(qs.tolist()):
+            assert out[j] == method(*states, q)[j], j
+
+    def test_tie_shares_outside_the_unit_interval_raise(self, case, name):
+        csf = build(case)
+        method, states = getattr(csf, name), _states(csf)
+        for bad in ([0.2, np.nan], np.array([-0.1]), (0.5, 1.1), np.array([[0.3], [np.inf]]),
+                    ["a"]):
+            with pytest.raises(ValidationError):
+                method(*(s[0] for s in states), bad)
+
+    def test_scalar_inputs_return_a_builtin_float(self, case, name):
+        csf = build(case)
+        method, states = getattr(csf, name), _states(csf)
+        for q in (0.3, TieRule(0.3), np.float64(0.3)):
+            assert type(method(*(float(s[4]) for s in states), q)) is float
 
 
 class TestJiaSlopePrecision:
