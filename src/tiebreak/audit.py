@@ -269,7 +269,7 @@ def _unimodality_condition(csf, theta: np.ndarray, peak: float) -> ConditionReco
 def _derivative_tables(csf, theta: np.ndarray, qs: tuple[float, ...]):
     """z_q' and z_q'' on the grid, one row per tie rule."""
     q_col = np.array(qs)[:, None]
-    return csf.z_prime(theta, q_col), csf.z_double_prime(theta, q_col)
+    return csf.z_slopes(theta, q_col)
 
 
 def audit_ratio(csf, theta_grid=None, q_grid=None) -> AuditReport:

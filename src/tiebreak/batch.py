@@ -7,14 +7,17 @@ methods take an array of tie shares, one per lane, and the closed forms are
 the functions the scalar routes call.  Every q is a lane: an iterative lane
 retires on its own stop rule and the loop ends when no lane is left.
 
+`solve_lanes` returns arrays (`Lanes`), which the designer reads; only
+`solve_many` turns lanes into `Equilibrium` objects.
+
 Only the iteration loops exist twice.  A single q stays on the scalar loops
-of `equilibrium`, which are cheaper for one lane than array code; the
-designer's curves come from here.  Both read the solver limits of
-`equilibrium` at call time.
+of `equilibrium`, which are cheaper for one lane than array code.  Both
+read the solver limits of `equilibrium` at call time.
 """
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,6 +33,7 @@ from .equilibrium import (
     _diff_closed_form,
     _effort_underflow,
     _gap_residual,
+    _negative_efforts,
     _newton_residual,
     _no_axis_equilibrium,
     _opening_warnings,
@@ -50,31 +54,51 @@ def _tie_rules(qs) -> np.ndarray:
     return arr
 
 
-def _lane(*fields):
-    """A lane's `Equilibrium`, or the error constructing it raises."""
-    try:
-        return Equilibrium(*fields)
-    except ContestError as exc:
-        return exc
+@dataclass(frozen=True)
+class Lanes:
+    """One contest at many tie rules, one array entry per lane.
 
+    Fields are those of `Equilibrium` in the caller's labels (`beta` None
+    for concave contests); `errors` maps each failing lane, whose entries
+    mean nothing, to its scalar solve's error.  A `cornered` lane (a
+    corner-adjusted linear impact) is a FOC_SOLVE with the corner warning.
+    """
 
-def _fill(lanes: list, ok, method: SolveMethod, warnings: tuple, x1, x2, beta, r1, r2) -> list:
-    """Store each solved lane's `Equilibrium` at its index in `ok`."""
-    for i, a, b, th, s1, s2 in zip(ok.tolist(), x1.tolist(), x2.tolist(), beta.tolist(),
-                                   r1.tolist(), r2.tolist()):
-        lanes[i] = _lane(a, b, th, method, (s1, s2), (False, False), warnings)
-    return lanes
+    x1: np.ndarray
+    x2: np.ndarray
+    beta: np.ndarray | None
+    residuals: tuple[np.ndarray, np.ndarray]
+    cornered: np.ndarray
+    method: SolveMethod
+    warnings: tuple[str, ...]
+    errors: dict[int, ContestError]
+
+    def checked(self, qs) -> Lanes:
+        """These lanes if none failed; else raise the error of the smallest failing q."""
+        if self.errors:
+            raise self.errors[min(sorted(self.errors), key=lambda i: qs[i])]
+        return self
+
+    def equilibrium(self, i: int) -> Equilibrium:
+        """Lane i, which solved, as the `Equilibrium` its scalar solve returns."""
+        x1, x2 = float(self.x1[i]), float(self.x2[i])
+        corner = bool(self.cornered[i])
+        return Equilibrium(
+            x1, x2, None if self.beta is None else float(self.beta[i]),
+            SolveMethod.FOC_SOLVE if corner else self.method,
+            (float(self.residuals[0][i]), float(self.residuals[1][i])),
+            (x1 == 0.0, x2 == 0.0) if self.beta is None else (False, False),
+            self.warnings + (CORNER_UNIQUENESS_WARNING,) if corner else self.warnings)
 
 
 def _ratio_lanes(csf, vals, q_user, q_int, warnings):
     slope = csf.z_prime(vals.beta, q_int)
-    lanes: list = [None] * q_int.size
     underflow = _ratio_underflows(vals, slope)
-    for i in np.flatnonzero(underflow):
-        lanes[i] = _ratio_underflow(float(slope[i]))
-    ok = np.flatnonzero(~underflow)
-    return _fill(lanes, ok, SolveMethod.CLOSED_FORM, warnings,
-                 *_ratio_closed_form(csf, vals, q_user[ok], slope[ok]))
+    errors = {int(i): _ratio_underflow(float(slope[i])) for i in np.flatnonzero(underflow)}
+    # a failed lane takes slope 1, which keeps its unused profile in the family's domain
+    x1, x2, beta, r1, r2 = _ratio_closed_form(csf, vals, q_user, np.where(underflow, 1.0, slope))
+    return Lanes(x1, x2, beta, (r1, r2), np.zeros(q_int.size, dtype=bool),
+                 SolveMethod.CLOSED_FORM, warnings, errors)
 
 
 def _safeguarded_roots(fdf, lo, hi, budget: int):
@@ -128,25 +152,23 @@ def _gap_roots(csf, gap: float, q_int: np.ndarray):
     q_lanes = q_int[lanes]
 
     def fdf(theta, sub):
-        q = q_lanes[sub]
-        return theta - gap * csf.z_prime(theta, q), 1.0 - gap * csf.z_double_prime(theta, q)
+        zp, zpp = csf.z_slopes(theta, q_lanes[sub])
+        return theta - gap * zp, 1.0 - gap * zpp
 
     roots = np.zeros(n)
     root, resid = _safeguarded_roots(fdf, lo[lanes], hi[lanes], equilibrium.MAX_ITERATIONS)
     limit = equilibrium.BETA_RESIDUAL * max(1.0, gap)
-    for j, i in enumerate(lanes):
-        if not abs(resid[j]) <= limit:
-            errors[int(i)] = _gap_residual(float(resid[j]), limit)
+    for j in np.flatnonzero(~(np.abs(resid) <= limit)):
+        errors[int(lanes[j])] = _gap_residual(float(resid[j]), limit)
     roots[lanes] = np.maximum(root, 0.0)
     return roots, errors
 
 
 def _diff_lanes(csf, vals, q_user, q_int, warnings):
-    gap, errors = _gap_roots(csf, vals.v1 - vals.v2, q_int)
-    ok = np.array([i for i in range(q_int.size) if i not in errors], dtype=int)
-    lanes = [errors.get(i) for i in range(q_int.size)]
-    return _fill(lanes, ok, SolveMethod.ROOT_FIND, warnings,
-                 *_diff_closed_form(csf, vals, q_user[ok], q_int[ok], gap[ok]))
+    gap, errors = _gap_roots(csf, vals.v1 - vals.v2, q_int)  # a failed lane's gap is finite
+    x1, x2, beta, r1, r2 = _diff_closed_form(csf, vals, q_user, q_int, gap)
+    return Lanes(x1, x2, beta, (r1, r2), np.zeros(q_int.size, dtype=bool),
+                 SolveMethod.ROOT_FIND, warnings, errors)
 
 
 def _concave_marginals(csf, prize: float, own_q, own, other):
@@ -249,48 +271,49 @@ def _concave_lanes(csf, vals, q_user, q_int, warnings):
         at = np.flatnonzero(cornered)
         x1i[at], x2i[at], corner_errors = _lottery_corners(csf, v1, v2, q_int[at])
         errors = {int(at[j]): exc for j, exc in corner_errors.items()}
+        method = SolveMethod.CLOSED_FORM
     else:
         g1, g2 = _concave_newtons(csf, v1, v2, q_int)
         x1i, x2i = np.exp(g1 / csf.r), np.exp(g2 / csf.r)
         for i in np.flatnonzero(np.minimum(x1i, x2i) < _TINY):
             errors[int(i)] = _effort_underflow(float(g1[i]), float(g2[i]), csf.r)
+        method = SolveMethod.FOC_SOLVE
 
-    ok = np.array([i for i in range(n) if i not in errors], dtype=int)
-    x1i, x2i, q_ok = x1i[ok], x2i[ok], q_int[ok]
-    r1i = _concave_marginals(csf, v1, q_ok, x1i, x2i)
-    r2i = _concave_marginals(csf, v2, 1.0 - q_ok, x2i, x1i)
-    tol = equilibrium.ITERATIVE_RESIDUAL
-    lanes: list = [errors.get(i) for i in range(n)]
-    for i, x1, x2, r1, r2, corner in zip(ok.tolist(), x1i.tolist(), x2i.tolist(),
-                                         r1i.tolist(), r2i.tolist(), cornered[ok].tolist()):
-        if csf.r < 1.0 and not (abs(r1) <= tol and abs(r2) <= tol):
-            lanes[i] = _newton_residual(x1, x2, r1, r2)
-            continue
-        x1, x2 = _user_order(vals, x1, x2)
-        lanes[i] = _lane(
-            x1, x2, None,
-            SolveMethod.FOC_SOLVE if corner or csf.r < 1.0 else SolveMethod.CLOSED_FORM,
-            _user_order(vals, r1, r2), (x1 == 0.0, x2 == 0.0),
-            warnings + (CORNER_UNIQUENESS_WARNING,) if corner else warnings,
-        )
-    return lanes
+    failed = np.zeros(n, dtype=bool)
+    failed[list(errors)] = True
+    # a failed lane takes efforts (1, 1), which keep its unused residuals finite
+    x1i, x2i = np.where(failed, 1.0, x1i), np.where(failed, 1.0, x2i)
+    r1i = _concave_marginals(csf, v1, q_int, x1i, x2i)
+    r2i = _concave_marginals(csf, v2, 1.0 - q_int, x2i, x1i)
+    if csf.r < 1.0:
+        tol = equilibrium.ITERATIVE_RESIDUAL
+        for i in np.flatnonzero(~failed & ~((np.abs(r1i) <= tol) & (np.abs(r2i) <= tol))):
+            errors[int(i)] = _newton_residual(
+                float(x1i[i]), float(x2i[i]), float(r1i[i]), float(r2i[i]))
+    return Lanes(*_user_order(vals, x1i, x2i), None, _user_order(vals, r1i, r2i), cornered,
+                 method, warnings, errors)
 
 
 _LANE_ROUTES = {"ratio": _ratio_lanes, "diff": _diff_lanes, "concave": _concave_lanes}
 
 
-def solve_lanes(spec: ContestSpec, qs, *, force: bool, audited: bool) -> list:
-    """One entry per q: its `Equilibrium`, or the `ContestError` its solve raises.
+def solve_lanes(spec: ContestSpec, qs, *, force: bool, audited: bool) -> Lanes:
+    """The contest at every q in `qs`, as arrays with one lane per q.
 
-    Errors that hold at every q (family kind, cost, closed-form
-    precondition, malformed `qs`) are raised at once.
+    A lane fails with its scalar solve's error, the `Equilibrium` check on
+    its efforts included.  Errors that hold at every q (family kind, cost,
+    closed-form precondition, malformed `qs`) are raised at once.
     """
     kind = _checked_kind(spec)
     q_user = _tie_rules(qs)
     warnings = tuple(_opening_warnings(spec.csf, force, audited))
     vals = spec.valuations
     q_int = 1.0 - q_user if vals.swapped else q_user
-    return _LANE_ROUTES[kind](spec.csf, vals, q_user, q_int, warnings)
+    lanes = _LANE_ROUTES[kind](spec.csf, vals, q_user, q_int, warnings)
+    for i in np.flatnonzero(~((lanes.x1 >= 0.0) & (lanes.x2 >= 0.0))):
+        lanes.errors.setdefault(int(i), _negative_efforts(float(lanes.x1[i]),
+                                                          float(lanes.x2[i])))
+    return lanes
 
 
 def solve_many(spec: ContestSpec, qs, *, force: bool = False,
@@ -303,8 +326,5 @@ def solve_many(spec: ContestSpec, qs, *, force: bool = False,
     raised, for the smallest failing q.
     """
     q = _tie_rules(qs)
-    lanes = solve_lanes(spec, q, force=force, audited=audited)
-    failed = [i for i, lane in enumerate(lanes) if isinstance(lane, ContestError)]
-    if failed:
-        raise lanes[min(failed, key=lambda i: q[i])]
-    return tuple(lanes)
+    lanes = solve_lanes(spec, q, force=force, audited=audited).checked(q)
+    return tuple(lanes.equilibrium(i) for i in range(q.size))

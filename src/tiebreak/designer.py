@@ -5,11 +5,12 @@ This module sweeps R over q, certifies curve shapes (constant, linear,
 monotone decreasing, convex) within explicit bounds, finds the optimal
 deterministic rule, and evaluates random tie-breaking rules by expected
 total effort.  Every curve is solved in one batch over its tie rules
-(`batch.solve_many`): sweeps, the optimal rule's 101-point cross-check
-and random rules never loop over q.  The concave optimum is read off that
-cross-check batch and certified by the sign of dR/dq, from the implicit
-function theorem on the first-order conditions; only an optimum inside
-(0, 1) is refined, by a few more batches around it.
+(`batch.solve_lanes`) and read as x1 + x2 off its effort arrays: sweeps,
+the optimal rule's 101-point cross-check and random rules never loop over
+q or build a per-q record.  The concave optimum is read off that batch and
+certified by the sign of dR/dq, from the implicit function theorem on the
+first-order conditions; only an optimum inside (0, 1) is refined, by a few
+more batches around it.
 
 Shape certificates are numeric statements about the sampled curve, not
 symbolic proofs: each records the worst measured violation alongside the
@@ -31,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ContestSpec, JsonRecord, RandomTieRule, TieRule
-from .batch import solve_lanes, solve_many
-from .equilibrium import SolveMethod, _log_impact_foc
+from .batch import solve_lanes
+from .equilibrium import _log_impact_foc, _user_order
 from .errors import ContestError, ValidationError
 
 CONSTANT_TOL = 1e-10
@@ -96,36 +97,43 @@ class CurveSample:
 
 @dataclass(frozen=True)
 class EffortCurve(JsonRecord):
-    """Total-effort curve R(q) with shape certificates."""
+    """Total-effort curve R(q) with shape certificates, stored as columns of
+    one entry per tie rule (betas None for concave contests); `samples`,
+    `totals` R = x1 + x2, the JSON form and the CSV derive from them."""
 
-    samples: tuple[CurveSample, ...]
+    q_values: tuple[float, ...]
+    x1: tuple[float, ...]
+    x2: tuple[float, ...]
+    betas: tuple[float | None, ...]
     shape: ShapeCertificate
 
     def __post_init__(self) -> None:
-        qs = [s.q for s in self.samples]
+        qs = self.q_values
         if len(qs) < 2:
             raise ValidationError("an effort curve needs at least two samples")
+        if not len(self.x1) == len(self.x2) == len(self.betas) == len(qs):
+            raise ValidationError("curve columns must have one entry per q value")
         if any(not 0.0 <= q <= 1.0 for q in qs):
             raise ValidationError("curve q values must lie in [0, 1]")
         if any(b >= a for a, b in zip(qs[1:], qs)):
             raise ValidationError("curve q values must be strictly increasing")
 
     @property
-    def q_values(self) -> tuple[float, ...]:
-        return tuple(s.q for s in self.samples)
+    def samples(self) -> tuple[CurveSample, ...]:
+        return tuple(map(CurveSample, self.q_values, self.x1, self.x2, self.betas))
 
     @property
     def totals(self) -> tuple[float, ...]:
-        return tuple(s.R for s in self.samples)
+        return tuple(a + b for a, b in zip(self.x1, self.x2))
 
-    @property
-    def betas(self) -> tuple[float | None, ...]:
-        return tuple(s.beta for s in self.samples)
+    def to_json_dict(self) -> dict:
+        return {"samples": [s.to_json_dict() for s in self.samples],
+                "shape": self.shape.to_json_dict()}
 
     def to_csv(self) -> str:
         lines = ["q,x1,x2,R"]
-        for s in self.samples:
-            lines.append(",".join(format(v, ".17g") for v in (s.q, s.x1, s.x2, s.R)))
+        for row in zip(self.q_values, self.x1, self.x2, self.totals):
+            lines.append(",".join(format(v, ".17g") for v in row))
         return "\n".join(lines) + "\n"
 
 
@@ -156,12 +164,11 @@ def _failed_at(exc: ContestError, q: float) -> ContestError:
     return type(exc)(f"sweep failed at q = {float(q):.17g}: {exc}")
 
 
-def _swept(qs: np.ndarray, lanes: list) -> list:
-    """A batch's equilibria, or its first failure re-raised with that q attached."""
-    for q, lane in zip(qs, lanes):
-        if isinstance(lane, ContestError):
-            raise _failed_at(lane, q) from lane
-    return lanes
+def _raise_first_failure(qs: np.ndarray, lanes) -> None:
+    """Re-raise a batch's first failing lane, if any, with its q attached."""
+    if lanes.errors:
+        i = min(lanes.errors)
+        raise _failed_at(lanes.errors[i], qs[i]) from lanes.errors[i]
 
 
 def sweep(spec: ContestSpec, q_count: int, *, force: bool = False,
@@ -180,9 +187,10 @@ def sweep(spec: ContestSpec, q_count: int, *, force: bool = False,
         lanes = solve_lanes(spec, qs, force=force, audited=audited)
     except ContestError as exc:
         raise _failed_at(exc, qs[0]) from exc
-    samples = tuple(CurveSample(q=float(q), x1=eq.x1, x2=eq.x2, beta=eq.beta)
-                    for q, eq in zip(qs, _swept(qs, lanes)))
-    return EffortCurve(samples=samples, shape=_certify(np.array([s.R for s in samples])))
+    _raise_first_failure(qs, lanes)
+    betas = (None,) * qs.size if lanes.beta is None else tuple(lanes.beta.tolist())
+    return EffortCurve(tuple(qs.tolist()), tuple(lanes.x1.tolist()), tuple(lanes.x2.tolist()),
+                       betas, _certify(lanes.x1 + lanes.x2))
 
 
 class Rationale(enum.Enum):
@@ -211,8 +219,9 @@ class OptimalQ:
         }
 
 
-def _total_effort_slope(spec: ContestSpec, q: float, eq) -> float:
-    """dR/dq of a concave contest at tie rule q, whose equilibrium is `eq`.
+def _total_effort_slope(spec: ContestSpec, q: float, x1: float, x2: float,
+                        cornered: bool) -> float:
+    """dR/dq of a concave contest at tie rule q, at equilibrium efforts x1, x2.
 
     For r < 1, the implicit function theorem on the log-impact conditions
     G(g; q1) = 0 of `equilibrium._log_impact_foc` (internal labels) gives
@@ -222,12 +231,12 @@ def _total_effort_slope(spec: ContestSpec, q: float, eq) -> float:
     """
     vals, r = spec.valuations, spec.csf.r
     q1 = 1.0 - q if vals.swapped else q
-    x1, x2 = (eq.x2, eq.x1) if vals.swapped else (eq.x1, eq.x2)
+    x1, x2 = _user_order(vals, x1, x2)
     if r == 1.0:
-        slope, corner = 0.0, eq.method is not SolveMethod.CLOSED_FORM
-        if corner and x1 > 0.0:
+        slope = 0.0
+        if cornered and x1 > 0.0:
             slope = -0.5 * math.sqrt(vals.v1 / (1.0 - q1))
-        elif corner and x2 > 0.0:
+        elif cornered and x2 > 0.0:
             slope = 0.5 * math.sqrt(vals.v2 / q1)
     else:
         g1, g2 = r * math.log(x1), r * math.log(x2)
@@ -241,8 +250,13 @@ def _total_effort_slope(spec: ContestSpec, q: float, eq) -> float:
     return -slope if vals.swapped else slope
 
 
-def _concave_optimum(spec: ContestSpec, qs: np.ndarray, eqs, solve_kwargs: dict):
-    """Best tie rule of a concave contest, given its equilibria at the grid `qs`.
+def _point(qs, lanes, i: int) -> tuple[float, float, float]:
+    """Tie rule i of a solved batch and its efforts."""
+    return float(qs[i]), float(lanes.x1[i]), float(lanes.x2[i])
+
+
+def _concave_optimum(spec: ContestSpec, qs: np.ndarray, lanes, solve_kwargs: dict):
+    """Best (q, x1, x2) of a concave contest, given its solved batch at the grid `qs`.
 
     The candidate is the smallest of q = 0, the argmax and q = 1 within the
     improvement guard of the best.  Unless the argmax is an endpoint whose
@@ -250,25 +264,25 @@ def _concave_optimum(spec: ContestSpec, qs: np.ndarray, eqs, solve_kwargs: dict)
     `REFINE_POINTS` per step, to `REFINE_WIDTH`; the best point found wins
     if it improves the candidate beyond the guard.
     """
-    totals = np.array([eq.total for eq in eqs])
+    totals = lanes.x1 + lanes.x2
     last, top = qs.size - 1, int(np.argmax(totals))
     guard = OPTIMAL_IMPROVEMENT_GUARD * (1.0 + abs(float(totals[top])))
-    i = min(j for j in (0, top, last) if totals[j] >= totals[top] - guard)
-    q, eq = float(qs[i]), eqs[i]
+    pick = _point(qs, lanes, min(j for j in (0, top, last) if totals[j] >= totals[top] - guard))
     if top in (0, last):
-        slope = _total_effort_slope(spec, float(qs[top]), eqs[top])
+        slope = _total_effort_slope(spec, *_point(qs, lanes, top), bool(lanes.cornered[top]))
         if (slope <= 0.0) if top == 0 else (slope >= 0.0):
-            return q, eq
-    best_q, best, grid = float(qs[top]), eqs[top], qs
+            return pick
+    best, grid = _point(qs, lanes, top), qs
     while grid[min(top + 1, last)] - grid[max(top - 1, 0)] > REFINE_WIDTH:
         grid = np.linspace(grid[max(top - 1, 0)], grid[min(top + 1, last)], REFINE_POINTS)
-        found = solve_many(spec, grid, **solve_kwargs)
-        last, top = grid.size - 1, int(np.argmax([e.total for e in found]))
-        if found[top].total > best.total:
-            best_q, best = float(grid[top]), found[top]
-    if best.total > eq.total + OPTIMAL_IMPROVEMENT_GUARD * (1.0 + abs(eq.total)):
-        return best_q, best
-    return q, eq
+        found = solve_lanes(spec, grid, **solve_kwargs).checked(grid)
+        totals = found.x1 + found.x2
+        last, top = grid.size - 1, int(np.argmax(totals))
+        if totals[top] > best[1] + best[2]:
+            best = _point(grid, found, top)
+    total = pick[1] + pick[2]
+    beats = best[1] + best[2] > total + OPTIMAL_IMPROVEMENT_GUARD * (1.0 + abs(total))
+    return best if beats else pick
 
 
 def optimal_q(spec: ContestSpec, *, force: bool = False, audited: bool = False) -> OptimalQ:
@@ -288,33 +302,27 @@ def optimal_q(spec: ContestSpec, *, force: bool = False, audited: bool = False) 
     qs = np.linspace(0.0, 1.0, CROSS_CHECK_POINTS)
     solve_kwargs = dict(force=force, audited=audited)
     if kind == "concave":
-        q_star, eq = _concave_optimum(spec, qs, solve_many(spec, qs, **solve_kwargs),
-                                      solve_kwargs)
-        return OptimalQ(q_star=TieRule(q_star), total_effort=eq.total,
-                        rationale=Rationale.NUMERIC, x1=eq.x1, x2=eq.x2)
-    if kind not in ("ratio", "diff"):
-        raise ValidationError(f"no designer support for family kind {kind!r}")
-
-    lanes = solve_lanes(spec, qs, **solve_kwargs)
-    if vals.v1 == vals.v2:
-        q_candidate, rationale = 0.0, Rationale.INDIFFERENT
-    else:
-        q_candidate = 1.0 if vals.swapped else 0.0
-        rationale = Rationale.THEOREM
-    eq = lanes[-1 if q_candidate == 1.0 else 0]
-    if isinstance(eq, ContestError):
-        raise eq
-    total = eq.total
-    totals = np.array([lane.total for lane in _swept(qs, lanes)])
-    guard = OPTIMAL_IMPROVEMENT_GUARD * (1.0 + abs(total))
-    best_idx = int(np.argmax(totals))
-    if float(totals[best_idx]) > total + guard:
-        eq = lanes[best_idx]
-        total, q_candidate = eq.total, float(qs[best_idx])
+        lanes = solve_lanes(spec, qs, **solve_kwargs).checked(qs)
+        q_star, x1, x2 = _concave_optimum(spec, qs, lanes, solve_kwargs)
         rationale = Rationale.NUMERIC
-
-    return OptimalQ(q_star=TieRule(q_candidate), total_effort=total,
-                    rationale=rationale, x1=eq.x1, x2=eq.x2)
+    elif kind in ("ratio", "diff"):
+        lanes = solve_lanes(spec, qs, **solve_kwargs)
+        if vals.v1 == vals.v2:
+            i, rationale = 0, Rationale.INDIFFERENT
+        else:
+            i, rationale = (qs.size - 1 if vals.swapped else 0), Rationale.THEOREM
+        if i in lanes.errors:
+            raise lanes.errors[i]
+        _raise_first_failure(qs, lanes)
+        totals = lanes.x1 + lanes.x2
+        best = int(np.argmax(totals))
+        if totals[best] > totals[i] + OPTIMAL_IMPROVEMENT_GUARD * (1.0 + abs(float(totals[i]))):
+            i, rationale = best, Rationale.NUMERIC
+        q_star, x1, x2 = _point(qs, lanes, i)
+    else:
+        raise ValidationError(f"no designer support for family kind {kind!r}")
+    return OptimalQ(q_star=TieRule(q_star), total_effort=x1 + x2, rationale=rationale,
+                    x1=x1, x2=x2)
 
 
 def expected_effort(spec: ContestSpec, rule: RandomTieRule, *,
@@ -328,8 +336,10 @@ def expected_effort(spec: ContestSpec, rule: RandomTieRule, *,
     """
     if not isinstance(rule, RandomTieRule):
         rule = RandomTieRule.from_pairs(rule)
-    eqs = solve_many(spec, [atom.q for atom, _ in rule.atoms], force=force, audited=audited)
-    return math.fsum(weight * eq.total for (_, weight), eq in zip(rule.atoms, eqs))
+    qs = [atom.q for atom, _ in rule.atoms]
+    lanes = solve_lanes(spec, qs, force=force, audited=audited).checked(qs)
+    totals = (lanes.x1 + lanes.x2).tolist()
+    return math.fsum(weight * total for (_, weight), total in zip(rule.atoms, totals))
 
 
 @dataclass(frozen=True)

@@ -90,7 +90,7 @@ class Equilibrium(JsonRecord):
 
     def __post_init__(self) -> None:
         if not (self.x1 >= 0.0 and self.x2 >= 0.0):
-            raise ValidationError(f"efforts must be >= 0, got ({self.x1}, {self.x2})")
+            raise _negative_efforts(self.x1, self.x2)
         if len(self.residuals) != 2 or len(self.corner_flags) != 2:
             raise ValidationError("residuals and corner_flags must have one entry per player")
 
@@ -161,6 +161,10 @@ def _ratio_underflows(vals: Valuations, slope):
 
 # Errors shared by the scalar and batch routes, so a lane fails as its scalar
 # solve does.
+def _negative_efforts(x1: float, x2: float) -> ValidationError:
+    return ValidationError(f"efforts must be >= 0, got ({x1}, {x2})")
+
+
 def _ratio_underflow(slope: float) -> ConvergenceError:
     return ConvergenceError(f"closed-form efforts underflow double precision (slope {slope})")
 
@@ -278,7 +282,8 @@ def solve_beta(csf, v, q) -> float:
         return theta - gap * csf.z_prime(theta, q_int)
 
     def fdf(theta: float) -> tuple[float, float]:
-        return f(theta), 1.0 - gap * csf.z_double_prime(theta, q_int)
+        zp, zpp = csf.z_slopes(theta, q_int)
+        return theta - gap * zp, 1.0 - gap * zpp
 
     lo, hi = 0.0, 1.0
     for _ in range(BRACKET_EXPANSIONS):

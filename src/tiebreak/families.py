@@ -20,7 +20,8 @@ Built-in families (registry keys):
 
 First and second derivatives of z_q are analytic: root finding and audits need
 smooth, noise-free evaluations, so finite differences appear only in the test
-suite as an oracle.  Because z_q is affine in q, the tie-probability
+suite as an oracle; `z_slopes` returns (z_q', z_q'') from one share evaluation,
+and z_q'' is written only there.  Because z_q is affine in q, the tie-probability
 derivatives follow exactly: p0' = z_1' - z_0' and likewise for p0''.
 
 Every method that takes a tie rule q accepts one tie share (a number or a
@@ -157,8 +158,8 @@ class _Family:
 class _ReducedCsf(_Family):
     """Shared behavior of families that reduce to a scalar contest state theta."""
 
-    # subclasses: _triple(theta) -> (p(theta), p(mirror theta), p0(theta))
-    # with mirror = 1/theta (ratio) or -theta (difference), all mutually consistent.
+    # subclasses: _triple(theta) -> mutually consistent (p(theta), p(mirror), p0(theta))
+    # with mirror = 1/theta (ratio) or -theta (difference), z_prime and z_slopes.
 
     def _theta(self, theta):
         raise NotImplementedError
@@ -177,6 +178,10 @@ class _ReducedCsf(_Family):
         th = self._theta(theta)
         win, _, tie = self._triple(th)
         return _ret(win + qv * tie)
+
+    def z_double_prime(self, theta, q):
+        """d^2 z_q / d theta^2; `z_slopes` evaluates it alongside z_q'."""
+        return self.z_slopes(theta, q)[1]
 
     def p0_prime(self, theta):
         """d p0 / d theta, exact via affinity of z_q in q."""
@@ -280,14 +285,15 @@ class VesperoniRatio(RatioCsf):
         val = (k * r / th) * ((1.0 - qv) * u**k * ub + qv * u * ub**k)
         return _ret(val)
 
-    def z_double_prime(self, theta, q):
+    def z_slopes(self, theta, q):
         qv = _tie_share(q)
         th = self._theta(theta)
         u, ub = self._shares(th)
         k, r = self.k, self.r
-        lead = (1.0 - qv) * u**k * ub * ((r * k - 1.0) * ub - (1.0 + r) * u)
-        trail = qv * u * ub**k * ((r - 1.0) * ub - (1.0 + k * r) * u)
-        return _ret((k * r / th**2) * (lead + trail))
+        lead, trail = (1.0 - qv) * u**k * ub, qv * u * ub**k
+        zpp = (k * r / th**2) * (lead * ((r * k - 1.0) * ub - (1.0 + r) * u)
+                                 + trail * ((r - 1.0) * ub - (1.0 + k * r) * u))
+        return _ret((k * r / th) * (lead + trail)), _ret(zpp)
 
 
 @dataclass(frozen=True)
@@ -341,14 +347,15 @@ class JiaRatio(RatioCsf):
         val = (r / th) * ((1.0 - qv) * u * ub + qv * w * wb)
         return _ret(val)
 
-    def z_double_prime(self, theta, q):
+    def z_slopes(self, theta, q):
         qv = _tie_share(q)
         th = self._theta(theta)
         u, ub, w, wb = self._shares(th)
         r = self.r
-        lead = (1.0 - qv) * u * ub * (2.0 * r * u + (1.0 - r))
-        trail = qv * w * wb * (2.0 * r * wb + (1.0 - r))
-        return _ret(-(r / th**2) * (lead + trail))
+        lead, trail = (1.0 - qv) * u * ub, qv * w * wb
+        zpp = -(r / th**2) * (lead * (2.0 * r * u + (1.0 - r))
+                              + trail * (2.0 * r * wb + (1.0 - r)))
+        return _ret((r / th) * (lead + trail)), _ret(zpp)
 
 
 @dataclass(frozen=True)
@@ -388,14 +395,13 @@ class VesperoniDiff(DiffCsf):
         k = self.k
         return _ret(k * ((1.0 - qv) * s**k * sb + qv * s * sb**k))
 
-    def z_double_prime(self, theta, q):
+    def z_slopes(self, theta, q):
         qv = _tie_share(q)
         th = self._theta(theta)
         s, sb = self._shares(th)
         k = self.k
-        lead = (1.0 - qv) * s**k * sb * (k * sb - s)
-        trail = qv * s * sb**k * (sb - k * s)
-        return _ret(k * (lead + trail))
+        lead, trail = (1.0 - qv) * s**k * sb, qv * s * sb**k
+        return _ret(k * (lead + trail)), _ret(k * (lead * (k * sb - s) + trail * (sb - k * s)))
 
 
 @dataclass(frozen=True)
@@ -434,13 +440,12 @@ class JiaDiff(DiffCsf):
         u, ub, w, wb = self._shares(th)
         return _ret((1.0 - qv) * u * ub + qv * w * wb)
 
-    def z_double_prime(self, theta, q):
+    def z_slopes(self, theta, q):
         qv = _tie_share(q)
         th = self._theta(theta)
         u, ub, w, wb = self._shares(th)
-        lead = (1.0 - qv) * u * ub * (1.0 - 2.0 * u)
-        trail = qv * w * wb * (2.0 * w - 1.0)
-        return _ret(lead + trail)
+        lead, trail = (1.0 - qv) * u * ub, qv * w * wb
+        return _ret(lead + trail), _ret(lead * (1.0 - 2.0 * u) + trail * (2.0 * w - 1.0))
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,6 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,6 +23,14 @@ from tiebreak import (
     solve,
     sweep,
 )
+from tiebreak.batch import Lanes
+from tiebreak.equilibrium import CORNER_UNIQUENESS_WARNING, SolveMethod
+
+
+def _slope_at(spec, q, eq):
+    """`_total_effort_slope` at the equilibrium `eq` of `spec` at tie rule q."""
+    return designer_mod._total_effort_slope(spec, q, eq.x1, eq.x2,
+                                            CORNER_UNIQUENESS_WARNING in eq.warnings)
 
 SHARP_RATIO = make_contest(family="jia-ratio", v1=2.0, v2=1.0, q=0.0, r=1.0, k=2)
 SOFT_RATIO = make_contest(family="vesperoni-ratio", v1=2.0, v2=1.0, q=0.0, r=0.5, k=2)
@@ -179,7 +186,7 @@ class TestConcaveOptimum:
     @pytest.mark.parametrize("v1,v2", [(3.0, 1.2), (1.2, 3.0)])
     def test_implicit_slope_matches_differences(self, r, q, v1, v2):
         spec = make_contest(family="blavatskyy-power", v1=v1, v2=v2, q=q, r=r)
-        slope = designer_mod._total_effort_slope(spec, q, solve(spec))
+        slope = _slope_at(spec, q, solve(spec))
         assert slope == pytest.approx(_difference_slope(spec, q), rel=1e-6, abs=0.0)
 
     # Linear impact, one tie rule per regime of the strong player (prize 3 or 12):
@@ -197,7 +204,7 @@ class TestConcaveOptimum:
         eq = solve(spec)
         efforts = (eq.x2, eq.x1) if swapped else (eq.x1, eq.x2)
         assert tuple(x > 0.0 for x in efforts) == active
-        slope = designer_mod._total_effort_slope(spec, q_user, eq)
+        slope = _slope_at(spec, q_user, eq)
         expected = _difference_slope(spec, q_user)
         assert slope == pytest.approx(expected, rel=1e-6, abs=1e-9)
         if all(active):
@@ -223,19 +230,21 @@ class TestConcaveOptimum:
         batches = []
 
         def curve(qs):
-            return [SimpleNamespace(total=1.0 - (q - peak) ** 2, x1=0.5, x2=0.5) for q in qs]
+            zeros = np.zeros(len(qs))
+            return Lanes(1.0 - (np.asarray(qs) - peak) ** 2, zeros, None, (zeros, zeros),
+                         zeros.astype(bool), SolveMethod.FOC_SOLVE, (), {})
 
         def zoom(spec, qs, **kwargs):
             batches.append(qs)
             return curve(qs)
 
-        monkeypatch.setattr(designer_mod, "solve_many", zoom)
+        monkeypatch.setattr(designer_mod, "solve_lanes", zoom)
         monkeypatch.setattr(designer_mod, "_total_effort_slope",
-                            lambda spec, q, eq: -2.0 * (q - peak))
+                            lambda spec, q, x1, x2, cornered: -2.0 * (q - peak))
         qs = np.linspace(0.0, 1.0, designer_mod.CROSS_CHECK_POINTS)
-        q_star, eq = designer_mod._concave_optimum(None, qs, curve(qs), {})
+        q_star, x1, x2 = designer_mod._concave_optimum(None, qs, curve(qs), {})
         assert abs(q_star - peak) <= designer_mod.REFINE_WIDTH
-        assert eq.total == 1.0 - (q_star - peak) ** 2
+        assert x1 + x2 == 1.0 - (q_star - peak) ** 2
         # each batch narrows the bracket tenfold: 0.02 down to 1e-6 takes five
         assert len(batches) <= 5
 

@@ -321,6 +321,34 @@ class TestArrayTieShares:
             assert type(method(*(float(s[4]) for s in states), q)) is float
 
 
+@pytest.mark.parametrize("case", ALL_REDUCED, ids=case_id)
+class TestZSlopes:
+    """`z_slopes` returns (z_q', z_q'') from one call, exactly as the accessors do."""
+
+    def test_q_column_against_a_state_row_matches_the_accessors_bit_for_bit(self, case):
+        csf = build(case)
+        row = _states(csf)[0][None, :]
+        zp, zpp = csf.z_slopes(row, Q_COLUMN)
+        assert zp.shape == zpp.shape == (Q_COLUMN.size, row.size)
+        assert zp.tobytes() == csf.z_prime(row, Q_COLUMN).tobytes()
+        assert zpp.tobytes() == csf.z_double_prime(row, Q_COLUMN).tobytes()
+
+    def test_scalar_inputs_return_builtin_floats(self, case):
+        csf = build(case)
+        theta = float(_states(csf)[0][4])
+        for q in (0.3, TieRule(0.3), np.float64(0.3)):
+            zp, zpp = csf.z_slopes(theta, q)
+            assert type(zp) is float and type(zpp) is float
+            assert (zp, zpp) == (csf.z_prime(theta, q), csf.z_double_prime(theta, q))
+
+    def test_tie_shares_outside_the_unit_interval_raise(self, case):
+        csf = build(case)
+        theta = float(_states(csf)[0][4])
+        for bad in (np.nan, -0.1, 1.1, [0.2, np.nan], np.array([-0.1]), (0.5, 1.1)):
+            with pytest.raises(ValidationError):
+                csf.z_slopes(theta, bad)
+
+
 class TestJiaSlopePrecision:
     """Jia slopes keep full relative precision where a share approaches one.
 

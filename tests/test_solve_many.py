@@ -12,6 +12,8 @@ from tiebreak import (
     BlavatskyyPower,
     ContestError,
     ConvergenceError,
+    Equilibrium,
+    JiaRatio,
     RandomTieRule,
     ValidationError,
     expected_effort,
@@ -88,12 +90,14 @@ def _close(a: float, b: float, scale: float, rel: float = 1e-12) -> bool:
                          ids=lambda s: f"{s.csf.name}-{s.csf.params}-{s.v1:.4g}-{s.v2:.4g}")
 def test_every_lane_matches_the_scalar_solve(spec):
     lanes = solve_lanes(spec, LANE_QS, force=False, audited=False)
-    assert len(lanes) == LANE_QS.size
+    assert lanes.x1.size == lanes.x2.size == LANE_QS.size
     # Only the concave Newton loop (r < 1) differs between a lane and a scalar
     # solve; every other route evaluates the same expressions.
     iterative = spec.csf.kind == "concave" and spec.csf.r < 1.0
     effort_rel = 1e-12 if iterative else 4.0 * np.finfo(float).eps
-    for q, lane in zip(LANE_QS, lanes):
+    for i, q in enumerate(LANE_QS):
+        # solve_many's conversion: a failing lane's error, or its Equilibrium
+        lane = lanes.errors[i] if i in lanes.errors else lanes.equilibrium(i)
         ref = _scalar(spec, q)
         assert type(lane) is type(ref), (q, lane, ref)
         if isinstance(ref, ContestError):
@@ -177,6 +181,25 @@ def test_whole_contest_errors_raise_at_once():
         solve_many(wrong_cost, [0.5])
 
 
+def test_nan_slope_lane_fails_as_its_scalar_solve(monkeypatch):
+    # The batch checks efforts on its arrays, as `Equilibrium` does for a solve.
+    spec = make_contest("jia-ratio", v1=2.0, v2=1.0, q=0.0, r=0.5, k=2.0)
+    z_prime = JiaRatio.z_prime
+
+    def nan_at_half(self, theta, q):
+        slope = z_prime(self, np.where(np.isnan(theta), 1.0, theta), q)
+        out = np.where(np.equal(q, 0.5), math.nan, slope)
+        return float(out) if out.ndim == 0 else out
+
+    monkeypatch.setattr(JiaRatio, "z_prime", nan_at_half)
+    with pytest.raises(ValidationError, match="efforts must be >= 0") as scalar:
+        solve(spec.with_q(0.5))
+    with pytest.raises(ValidationError) as lane:
+        solve_many(spec, [0.0, 0.5, 1.0])
+    assert str(lane.value) == str(scalar.value)
+    assert set(solve_lanes(spec, [0.0, 0.5, 1.0], force=False, audited=False).errors) == {1}
+
+
 @pytest.mark.parametrize("qs", [[0.5, math.nan], [math.inf], [-0.1], [0.2, 1.5],
                                 [[0.1, 0.2]], 0.5, ["a"], [None]])
 def test_rejects_tie_rules_outside_the_unit_interval(qs):
@@ -205,12 +228,12 @@ class TestDesignerStaysBatched:
     def batches(self, monkeypatch):
         """Tie-rule arrays of every batch the designer solves."""
         calls = []
-        for name, batch in (("solve_lanes", solve_lanes), ("solve_many", solve_many)):
-            def counting(spec, qs, *, _batch=batch, **kwargs):
-                calls.append(np.asarray(qs))
-                return _batch(spec, qs, **kwargs)
 
-            monkeypatch.setattr(designer_mod, name, counting)
+        def counting(spec, qs, **kwargs):
+            calls.append(np.asarray(qs))
+            return solve_lanes(spec, qs, **kwargs)
+
+        monkeypatch.setattr(designer_mod, "solve_lanes", counting)
         return calls
 
     @pytest.mark.parametrize("family,params", [
@@ -224,6 +247,28 @@ class TestDesignerStaysBatched:
         assert best.q_star.q == 1.0
         expected_effort(spec, RandomTieRule.from_pairs([(0.0, 0.5), (1.0, 0.5)]))
         assert scalar_calls == []
+
+    @pytest.mark.parametrize("family,params", [
+        ("jia-ratio", dict(r=0.8, k=3.0)), ("jia-diff", dict(k=2.5)),
+        ("blavatskyy-power", dict(r=0.5)), ("blavatskyy-power", dict(r=1.0)),
+    ])
+    def test_designer_builds_no_per_q_equilibrium(self, monkeypatch, family, params):
+        built = []
+        post_init = Equilibrium.__post_init__
+
+        def counting(eq):
+            built.append(eq)
+            post_init(eq)
+
+        monkeypatch.setattr(Equilibrium, "__post_init__", counting)
+        spec = make_contest(family, v1=1.3, v2=2.0, q=0.0, **params)
+        sweep(spec, 101)
+        optimal_q(spec)
+        expected_effort(spec, RandomTieRule.from_pairs(
+            [(0.1, 0.25), (0.4, 0.25), (0.7, 0.25), (1.0, 0.25)]))
+        assert built == []
+        solve(spec)
+        assert len(built) == 1
 
     @pytest.mark.parametrize("r", [0.5, 1.0])
     @pytest.mark.parametrize("v1,v2,q_star", [(3.0, 1.2, 0.0), (1.2, 3.0, 1.0)])
