@@ -246,13 +246,13 @@ def _unimodality_condition(csf, theta: np.ndarray, peak: float) -> ConditionReco
     zero on the grid (single-winner families) the condition passes with a
     degenerate note instead of asserting vacuous strictness.
     """
-    p0 = np.asarray(csf.p0(theta), dtype=float)
+    p0 = csf._triple(theta)[2]
     if float(np.max(np.abs(p0))) <= DEGENERATE_TIE_TOL:
         return ConditionRecord(
             name="tie_prob_unimodal", passed=True, violation=0.0,
             note="degenerate: p0 = 0 everywhere on the probed grid",
         )
-    slope = np.asarray(csf.p0_prime(theta), dtype=float)
+    slope = csf._zp(theta, 1.0) - csf._zp(theta, 0.0)
     deficit = np.where(theta < peak, -slope, np.where(theta > peak, slope, -np.inf))
     worst = float(np.max(deficit))
     if worst <= STRICT_SLACK:
@@ -269,7 +269,7 @@ def _unimodality_condition(csf, theta: np.ndarray, peak: float) -> ConditionReco
 def _derivative_tables(csf, theta: np.ndarray, qs: tuple[float, ...]):
     """z_q' and z_q'' on the grid, one row per tie rule."""
     q_col = np.array(qs)[:, None]
-    return csf.z_slopes(theta, q_col)
+    return csf._zslopes(theta, q_col)
 
 
 def audit_ratio(csf, theta_grid=None, q_grid=None) -> AuditReport:
@@ -296,17 +296,17 @@ def audit_ratio(csf, theta_grid=None, q_grid=None) -> AuditReport:
         ),
         _tail_condition(
             "vanishes_at_zero",
-            lambda pts: np.max(np.abs(csf.z(pts, q_col)), axis=0),
+            lambda pts: np.max(np.abs(csf._z(pts, q_col)), axis=0),
             start=min(float(theta[0]), 1.0 / TAIL_START), direction="down",
         ),
         _tail_condition(
             "saturates_at_infinity",
-            lambda pts: np.max(np.abs(1.0 - csf.z(pts, q_col)), axis=0),
+            lambda pts: np.max(np.abs(1.0 - csf._z(pts, q_col)), axis=0),
             start=max(float(theta[-1]), TAIL_START), direction="up",
         ),
         _tail_condition(
             "tie_prob_vanishes_at_zero",
-            lambda pts: np.abs(csf.p0(pts)),
+            lambda pts: np.abs(csf._triple(pts)[2]),
             start=min(float(theta[0]), 1.0 / TAIL_START), direction="down",
         ),
         _unimodality_condition(csf, theta, peak=1.0),
@@ -379,8 +379,8 @@ def audit_concave(csf, x_grid=None) -> AuditReport:
         raise DomainError("effort grid must be finite and > 0")
     x = np.sort(x)
 
-    fp = np.asarray(csf.impact_prime(x), dtype=float)[None, :]
-    fpp = np.asarray(csf.impact_double_prime(x), dtype=float)[None, :]
+    fp = csf._impact_prime(x)[None, :]
+    fpp = csf._impact_double_prime(x)[None, :]
     conditions = tuple(
         replace(_strict_condition(name, deficit, x, (0.0,)), witness_q=None)
         for name, deficit in (("impact_increasing", -fp), ("impact_concave", fpp))

@@ -37,6 +37,7 @@ from .equilibrium import (
     _newton_residual,
     _no_axis_equilibrium,
     _opening_warnings,
+    _overflow_check,
     _ratio_closed_form,
     _ratio_underflow,
     _ratio_underflows,
@@ -92,7 +93,8 @@ class Lanes:
 
 
 def _ratio_lanes(csf, vals, q_user, q_int, warnings):
-    slope = csf.z_prime(vals.beta, q_int)
+    _overflow_check(csf, vals.beta, vals.beta == math.inf)
+    slope = csf._zp(vals.beta, q_int)
     underflow = _ratio_underflows(vals, slope)
     errors = {int(i): _ratio_underflow(float(slope[i])) for i in np.flatnonzero(underflow)}
     # a failed lane takes slope 1, which keeps its unused profile in the family's domain
@@ -139,7 +141,7 @@ def _gap_roots(csf, gap: float, q_int: np.ndarray):
     lo, hi = np.zeros(n), np.ones(n)
     unbracketed = np.arange(n)
     for _ in range(equilibrium.BRACKET_EXPANSIONS):
-        ahead = hi[unbracketed] - gap * csf.z_prime(hi[unbracketed], q_int[unbracketed]) > 0.0
+        ahead = hi[unbracketed] - gap * csf._zp(hi[unbracketed], q_int[unbracketed]) > 0.0
         unbracketed = unbracketed[~ahead]
         if unbracketed.size == 0:
             break
@@ -152,7 +154,7 @@ def _gap_roots(csf, gap: float, q_int: np.ndarray):
     q_lanes = q_int[lanes]
 
     def fdf(theta, sub):
-        zp, zpp = csf.z_slopes(theta, q_lanes[sub])
+        zp, zpp = csf._zslopes(theta, q_lanes[sub])
         return theta - gap * zp, 1.0 - gap * zpp
 
     roots = np.zeros(n)
@@ -173,12 +175,12 @@ def _diff_lanes(csf, vals, q_user, q_int, warnings):
 
 def _concave_marginals(csf, prize: float, own_q, own, other):
     """`_concave_marginal` over lanes of efforts and own tie shares."""
-    f_other = np.asarray(csf.impact(other), dtype=float)
+    f_other = csf._impact(other)
     press = f_other + (1.0 - own_q)
     out = np.full(own.shape, -1.0)
     moving = (press > 0.0) & (own > 0.0)
     if moving.any():
-        out[moving] = prize * csf.win_prob_d1(own[moving], other[moving], own_q[moving]) - 1.0
+        out[moving] = prize * csf._win_d1(own[moving], other[moving], own_q[moving]) - 1.0
     at_zero = (press > 0.0) & ~(own > 0.0)
     if csf.r < 1.0:
         out[at_zero] = math.inf

@@ -15,7 +15,8 @@ The tie rule is relabeled alongside (player 2's tie share is 1 - q).
 
 `solve` handles one tie rule; `batch.solve_many` runs the same routes for an
 array of tie rules at once.  Both share the check of family kind, cost and
-closed-form precondition here, and the errors each route raises.
+closed-form precondition here, and the errors each route raises.  Both check
+their inputs on entry, then call only the families' unchecked kernels.
 
 Every solver returns an `Equilibrium` carrying per-player first-order
 residuals evaluated at the returned profile, corner flags, and any warnings
@@ -194,14 +195,21 @@ def _newton_residual(x1: float, x2: float, r1: float, r2: float) -> ConvergenceE
     )
 
 
+def _overflow_check(csf, theta, overflow) -> None:
+    """The family's domain error where `overflow` holds: checked prizes can overflow."""
+    if overflow if isinstance(overflow, bool) else overflow.any():
+        csf._theta(theta)
+
+
 def _ratio_closed_form(csf, vals: Valuations, q_user, slope):
     """Efforts, their ratio and first-order residuals in the caller's labels,
     from the slope z_q'(beta) at beta = v1/v2; one tie rule or an array of lanes."""
     beta = vals.beta
     x1, x2 = _user_order(vals, vals.v1 * beta * slope, vals.v2 * beta * slope)
     theta = x1 / x2
+    _overflow_check(csf, theta, vals.v1 * beta * slope == math.inf)
     v1u, v2u = _user_order(vals, vals.v1, vals.v2)
-    zp = csf.z_prime(theta, q_user)
+    zp = csf._zp(theta, q_user)
     return x1, x2, theta, v1u * zp / x2 - 1.0, v2u * zp * theta / x2 - 1.0
 
 
@@ -219,10 +227,11 @@ def solve_ratio(csf, v, q, *, force: bool = False, audited: bool = False) -> Equ
     vals, q_user, q_int = _oriented(v, q)
     warnings = _opening_warnings(csf, force, audited)
 
-    slope = csf.z_prime(vals.beta, q_int)
+    _overflow_check(csf, vals.beta, vals.beta == math.inf)
+    slope = float(csf._zp(vals.beta, q_int))
     if _ratio_underflows(vals, slope):
         raise _ratio_underflow(slope)
-    x1, x2, theta, r1, r2 = _ratio_closed_form(csf, vals, q_user, slope)
+    x1, x2, theta, r1, r2 = map(float, _ratio_closed_form(csf, vals, q_user, slope))
     return Equilibrium(
         x1=x1, x2=x2, beta=theta, method=SolveMethod.CLOSED_FORM,
         residuals=(r1, r2), corner_flags=(False, False), warnings=tuple(warnings),
@@ -278,16 +287,13 @@ def solve_beta(csf, v, q) -> float:
     if gap == 0.0:
         return 0.0
 
-    def f(theta: float) -> float:
-        return theta - gap * csf.z_prime(theta, q_int)
-
     def fdf(theta: float) -> tuple[float, float]:
-        zp, zpp = csf.z_slopes(theta, q_int)
-        return theta - gap * zp, 1.0 - gap * zpp
+        zp, zpp = csf._zslopes(theta, q_int)
+        return theta - gap * float(zp), 1.0 - gap * float(zpp)
 
     lo, hi = 0.0, 1.0
     for _ in range(BRACKET_EXPANSIONS):
-        if f(hi) > 0.0:
+        if fdf(hi)[0] > 0.0:
             break
         lo, hi = hi, 2.0 * hi
     else:
@@ -304,11 +310,11 @@ def _diff_closed_form(csf, vals: Valuations, q_user, q_int, gap):
     """Efforts, their gap and first-order residuals in the caller's labels,
     from the equilibrium gap of the stronger player; one tie rule or an array
     of lanes.  Each effort is prize * z_q'(gap)."""
-    slope = csf.z_prime(gap, q_int)
+    slope = csf._zp(gap, q_int)
     x1, x2 = _user_order(vals, vals.v1 * slope, vals.v2 * slope)
     theta = x1 - x2
     v1u, v2u = _user_order(vals, vals.v1, vals.v2)
-    zp = csf.z_prime(theta, q_user)
+    zp = csf._zp(theta, q_user)
     return x1, x2, theta, v1u * zp - x1, v2u * zp - x2
 
 
@@ -323,7 +329,7 @@ def solve_diff(csf, v, q, *, audited: bool = False) -> Equilibrium:
         raise ValidationError("solve_diff requires a difference-form family")
     vals, q_user, q_int = _oriented(v, q)
     gap = solve_beta(csf, vals, q_user)
-    x1, x2, theta, r1, r2 = _diff_closed_form(csf, vals, q_user, q_int, gap)
+    x1, x2, theta, r1, r2 = map(float, _diff_closed_form(csf, vals, q_user, q_int, gap))
     return Equilibrium(
         x1=x1, x2=x2, beta=theta, method=SolveMethod.ROOT_FIND, residuals=(r1, r2),
         corner_flags=(False, False), warnings=tuple(_opening_warnings(csf, False, audited)),
@@ -337,14 +343,15 @@ def _concave_marginal(csf, prize: float, own_q: float, own: float, other: float)
     nothing (rival impact + 1 - own tie share is zero), +inf for exponents
     below one, and the finite linear-impact expression otherwise.
     """
-    press = float(csf.impact(other)) + (1.0 - own_q)
+    f_other = float(csf._impact(other))
+    press = f_other + (1.0 - own_q)
     if press <= 0.0:
         return -1.0
     if own > 0.0:
-        return prize * csf.win_prob_d1(own, other, own_q) - 1.0
+        return prize * float(csf._win_d1(own, other, own_q)) - 1.0
     if csf.r < 1.0:
         return math.inf
-    total = float(csf.impact(other)) + 1.0
+    total = f_other + 1.0
     return prize * press / (total * total) - 1.0
 
 

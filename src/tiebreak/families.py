@@ -28,6 +28,11 @@ Every method that takes a tie rule q accepts one tie share (a number or a
 `TieRule`) or an array of them, broadcast against the contest states, so one
 call evaluates many tie rules.  Scalar inputs return a builtin float.
 
+Public methods check their arguments, then call one private kernel (`_triple`,
+`_zp`, `_zslopes`; `_impact`, `_impact_prime`, `_win_d1`), which assumes
+checked input inside the domain.  The scalar and batch solvers and the audits
+check their inputs once on entry and call only kernels.
+
 Evaluations are numerically stabilized.  Difference-form families touch
 exponentials only through e^(-|theta|) and logistic ratios, so theta up to
 +/-500 stays finite; ratio-form families work through u = theta^r/(1+theta^r)
@@ -156,28 +161,42 @@ class _Family:
 
 
 class _ReducedCsf(_Family):
-    """Shared behavior of families that reduce to a scalar contest state theta."""
+    """Shared behavior of families that reduce to a scalar contest state theta.
 
-    # subclasses: _triple(theta) -> mutually consistent (p(theta), p(mirror), p0(theta))
-    # with mirror = 1/theta (ratio) or -theta (difference), z_prime and z_slopes.
+    Subclasses define the check `_theta` and the kernels `_zp`, `_zslopes` and
+    `_triple(th)` -> consistent (p(theta), p(mirror), p0(theta)), with mirror =
+    1/theta (ratio) or -theta (difference)."""
 
-    def _theta(self, theta):
-        raise NotImplementedError
+    def __init_subclass__(cls):
+        # every family class holds its own `z_prime`, so wrapping one class's
+        # method (as perfbench's tracer does) leaves the other families alone
+        cls.z_prime = _ReducedCsf.z_prime
 
     def p(self, theta):
-        th = self._theta(theta)
-        return _ret(self._triple(th)[0])
+        return _ret(self._triple(self._theta(theta))[0])
 
     def p0(self, theta):
-        th = self._theta(theta)
-        return _ret(self._triple(th)[2])
+        return _ret(self._triple(self._theta(theta))[2])
+
+    def _z(self, th, qv):
+        win, _, tie = self._triple(th)
+        return win + qv * tie
 
     def z(self, theta, q) -> float:
         """Eventual win probability of player 1: p(theta) + q * p0(theta)."""
         qv = _tie_share(q)
-        th = self._theta(theta)
-        win, _, tie = self._triple(th)
-        return _ret(win + qv * tie)
+        return _ret(self._z(self._theta(theta), qv))
+
+    def z_prime(self, theta, q):
+        """d z_q / d theta."""
+        qv = _tie_share(q)
+        return _ret(self._zp(self._theta(theta), qv))
+
+    def z_slopes(self, theta, q):
+        """(z_q', z_q'') from one share evaluation."""
+        qv = _tie_share(q)
+        zp, zpp = self._zslopes(self._theta(theta), qv)
+        return _ret(zp), _ret(zpp)
 
     def z_double_prime(self, theta, q):
         """d^2 z_q / d theta^2; `z_slopes` evaluates it alongside z_q'."""
@@ -185,11 +204,13 @@ class _ReducedCsf(_Family):
 
     def p0_prime(self, theta):
         """d p0 / d theta, exact via affinity of z_q in q."""
-        return self.z_prime(theta, 1.0) - self.z_prime(theta, 0.0)
+        th = self._theta(theta)
+        return _ret(self._zp(th, 1.0) - self._zp(th, 0.0))
 
     def p0_double_prime(self, theta):
         """d^2 p0 / d theta^2, exact via affinity of z_q in q."""
-        return self.z_double_prime(theta, 1.0) - self.z_double_prime(theta, 0.0)
+        th = self._theta(theta)
+        return _ret(self._zslopes(th, 1.0)[1] - self._zslopes(th, 0.0)[1])
 
 
 class RatioCsf(_ReducedCsf):
@@ -277,23 +298,18 @@ class VesperoniRatio(RatioCsf):
         pm = ub**self.k
         return pk, pm, 1.0 - pk - pm
 
-    def z_prime(self, theta, q):
-        qv = _tie_share(q)
-        th = self._theta(theta)
+    def _zp(self, th, qv):
         u, ub = self._shares(th)
         k, r = self.k, self.r
-        val = (k * r / th) * ((1.0 - qv) * u**k * ub + qv * u * ub**k)
-        return _ret(val)
+        return (k * r / th) * ((1.0 - qv) * u**k * ub + qv * u * ub**k)
 
-    def z_slopes(self, theta, q):
-        qv = _tie_share(q)
-        th = self._theta(theta)
+    def _zslopes(self, th, qv):
         u, ub = self._shares(th)
         k, r = self.k, self.r
         lead, trail = (1.0 - qv) * u**k * ub, qv * u * ub**k
         zpp = (k * r / th**2) * (lead * ((r * k - 1.0) * ub - (1.0 + r) * u)
                                  + trail * ((r - 1.0) * ub - (1.0 + k * r) * u))
-        return _ret((k * r / th) * (lead + trail)), _ret(zpp)
+        return (k * r / th) * (lead + trail), zpp
 
 
 @dataclass(frozen=True)
@@ -339,23 +355,17 @@ class JiaRatio(RatioCsf):
         u, w = t / (t + self.k), 1.0 / (1.0 + self.k * t)
         return u, w, 1.0 - u - w
 
-    def z_prime(self, theta, q):
-        qv = _tie_share(q)
-        th = self._theta(theta)
+    def _zp(self, th, qv):
         u, ub, w, wb = self._shares(th)
-        r = self.r
-        val = (r / th) * ((1.0 - qv) * u * ub + qv * w * wb)
-        return _ret(val)
+        return (self.r / th) * ((1.0 - qv) * u * ub + qv * w * wb)
 
-    def z_slopes(self, theta, q):
-        qv = _tie_share(q)
-        th = self._theta(theta)
+    def _zslopes(self, th, qv):
         u, ub, w, wb = self._shares(th)
         r = self.r
         lead, trail = (1.0 - qv) * u * ub, qv * w * wb
         zpp = -(r / th**2) * (lead * (2.0 * r * u + (1.0 - r))
                               + trail * (2.0 * r * wb + (1.0 - r)))
-        return _ret((r / th) * (lead + trail)), _ret(zpp)
+        return (r / th) * (lead + trail), zpp
 
 
 @dataclass(frozen=True)
@@ -388,20 +398,16 @@ class VesperoniDiff(DiffCsf):
         pm = sb**self.k
         return pk, pm, 1.0 - pk - pm
 
-    def z_prime(self, theta, q):
-        qv = _tie_share(q)
-        th = self._theta(theta)
+    def _zp(self, th, qv):
         s, sb = self._shares(th)
         k = self.k
-        return _ret(k * ((1.0 - qv) * s**k * sb + qv * s * sb**k))
+        return k * ((1.0 - qv) * s**k * sb + qv * s * sb**k)
 
-    def z_slopes(self, theta, q):
-        qv = _tie_share(q)
-        th = self._theta(theta)
+    def _zslopes(self, th, qv):
         s, sb = self._shares(th)
         k = self.k
         lead, trail = (1.0 - qv) * s**k * sb, qv * s * sb**k
-        return _ret(k * (lead + trail)), _ret(k * (lead * (k * sb - s) + trail * (sb - k * s)))
+        return k * (lead + trail), k * (lead * (k * sb - s) + trail * (sb - k * s))
 
 
 @dataclass(frozen=True)
@@ -434,18 +440,14 @@ class JiaDiff(DiffCsf):
         u, w = _logistic_pair(th, self.k)
         return u, w, 1.0 - u - w
 
-    def z_prime(self, theta, q):
-        qv = _tie_share(q)
-        th = self._theta(theta)
+    def _zp(self, th, qv):
         u, ub, w, wb = self._shares(th)
-        return _ret((1.0 - qv) * u * ub + qv * w * wb)
+        return (1.0 - qv) * u * ub + qv * w * wb
 
-    def z_slopes(self, theta, q):
-        qv = _tie_share(q)
-        th = self._theta(theta)
+    def _zslopes(self, th, qv):
         u, ub, w, wb = self._shares(th)
         lead, trail = (1.0 - qv) * u * ub, qv * w * wb
-        return _ret(lead + trail), _ret(lead * (1.0 - 2.0 * u) + trail * (2.0 * w - 1.0))
+        return lead + trail, lead * (1.0 - 2.0 * u) + trail * (2.0 * w - 1.0)
 
 
 @dataclass(frozen=True)
@@ -472,62 +474,71 @@ class BlavatskyyPower(_Family):
     def __post_init__(self) -> None:
         object.__setattr__(self, "r", _check_param("r", self.r, 0.0, False, 1.0, self.name))
 
+    def _impact(self, x):
+        return np.power(x, self.r)
+
+    def _impact_prime(self, x):
+        return self.r * np.power(x, self.r - 1.0)
+
+    def _impact_double_prime(self, x):
+        return self.r * (self.r - 1.0) * np.power(x, self.r - 2.0)
+
+    def _win_d1(self, x1, x2, qv):
+        f2 = self._impact(x2)
+        total = self._impact(x1) + f2 + 1.0
+        return self._impact_prime(x1) * (f2 + (1.0 - qv)) / total**2
+
+    def _efforts(self, x1, x2, own_positive: bool = False):
+        """Both efforts checked finite and >= 0, then own effort > 0 if asked."""
+        x1a, x2a = _as_array(x1, "x", nonnegative=True), _as_array(x2, "x", nonnegative=True)
+        if own_positive and np.any(x1a <= 0.0):
+            raise DomainError("x must be > 0")
+        return x1a, x2a
+
     def impact(self, x):
-        return np.power(_as_array(x, "x", nonnegative=True), self.r)
+        return self._impact(_as_array(x, "x", nonnegative=True))
 
     def impact_prime(self, x):
-        xa = _as_array(x, "x", positive=True)
-        return self.r * np.power(xa, self.r - 1.0)
+        return self._impact_prime(_as_array(x, "x", positive=True))
 
     def impact_double_prime(self, x):
-        xa = _as_array(x, "x", positive=True)
-        return self.r * (self.r - 1.0) * np.power(xa, self.r - 2.0)
+        return self._impact_double_prime(_as_array(x, "x", positive=True))
 
     def outcome(self, x1, x2):
-        f1 = self.impact(x1)
-        f2 = self.impact(x2)
+        f1, f2 = map(self._impact, self._efforts(x1, x2))
         total = f1 + f2 + 1.0
         return (_ret(f1 / total), _ret(f2 / total), _ret(1.0 / total))
 
     def win_prob(self, x1, x2, q):
         """Eventual win probability of player 1: (x1^r + q) / (x1^r + x2^r + 1)."""
         qv = _tie_share(q)
-        f1 = self.impact(x1)
-        f2 = self.impact(x2)
+        f1, f2 = map(self._impact, self._efforts(x1, x2))
         return _ret((f1 + qv) / (f1 + f2 + 1.0))
 
     def win_prob_d1(self, x1, x2, q):
         """d/dx1 of the eventual win probability of player 1."""
         qv = _tie_share(q)
-        f1 = self.impact(x1)
-        f2 = self.impact(x2)
-        total = f1 + f2 + 1.0
-        return _ret(self.impact_prime(x1) * (f2 + (1.0 - qv)) / total**2)
+        return _ret(self._win_d1(*self._efforts(x1, x2, own_positive=True), qv))
+
+    def _curvature_parts(self, x1a, x2a):
+        f2 = self._impact(x2a)
+        total = self._impact(x1a) + f2 + 1.0
+        return f2, total, self._impact_prime(x1a), self._impact_double_prime(x1a)
 
     def win_prob_d11(self, x1, x2, q):
         """Second own-effort derivative of player 1's eventual win probability."""
         qv = _tie_share(q)
-        f1 = self.impact(x1)
-        f2 = self.impact(x2)
-        total = f1 + f2 + 1.0
-        fp = self.impact_prime(x1)
-        fpp = self.impact_double_prime(x1)
+        f2, total, fp, fpp = self._curvature_parts(*self._efforts(x1, x2, own_positive=True))
         return _ret((f2 + (1.0 - qv)) * (fpp * total - 2.0 * fp * fp) / total**3)
 
     def tie_prob_d1(self, x1, x2):
         """d/dx1 of the tie probability."""
-        f1 = self.impact(x1)
-        f2 = self.impact(x2)
-        total = f1 + f2 + 1.0
-        return _ret(-self.impact_prime(x1) / total**2)
+        _, total, fp, _ = self._curvature_parts(*self._efforts(x1, x2, own_positive=True))
+        return _ret(-fp / total**2)
 
     def tie_prob_d11(self, x1, x2):
         """Second own-effort derivative of the tie probability."""
-        f1 = self.impact(x1)
-        f2 = self.impact(x2)
-        total = f1 + f2 + 1.0
-        fp = self.impact_prime(x1)
-        fpp = self.impact_double_prime(x1)
+        _, total, fp, fpp = self._curvature_parts(*self._efforts(x1, x2, own_positive=True))
         return _ret((2.0 * fp * fp - fpp * total) / total**3)
 
 

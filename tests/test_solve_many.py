@@ -183,15 +183,14 @@ def test_whole_contest_errors_raise_at_once():
 
 def test_nan_slope_lane_fails_as_its_scalar_solve(monkeypatch):
     # The batch checks efforts on its arrays, as `Equilibrium` does for a solve.
+    # The solvers evaluate the family's kernel `_zp`, not the checked `z_prime`.
     spec = make_contest("jia-ratio", v1=2.0, v2=1.0, q=0.0, r=0.5, k=2.0)
-    z_prime = JiaRatio.z_prime
+    zp = JiaRatio._zp
 
-    def nan_at_half(self, theta, q):
-        slope = z_prime(self, np.where(np.isnan(theta), 1.0, theta), q)
-        out = np.where(np.equal(q, 0.5), math.nan, slope)
-        return float(out) if out.ndim == 0 else out
+    def nan_at_half(self, th, qv):
+        return np.where(np.equal(qv, 0.5), math.nan, zp(self, th, qv))
 
-    monkeypatch.setattr(JiaRatio, "z_prime", nan_at_half)
+    monkeypatch.setattr(JiaRatio, "_zp", nan_at_half)
     with pytest.raises(ValidationError, match="efforts must be >= 0") as scalar:
         solve(spec.with_q(0.5))
     with pytest.raises(ValidationError) as lane:
