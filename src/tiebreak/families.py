@@ -26,12 +26,11 @@ derivatives follow exactly: p0' = z_1' - z_0' and likewise for p0''.
 
 Every method that takes a tie rule q accepts one tie share (a number or a
 `TieRule`) or an array of them, broadcast against the contest states, so one
-call evaluates many tie rules.  Scalar inputs return a builtin float.
-
-Public methods check their arguments, then call one private kernel (`_triple`,
-`_zp`, `_zslopes`; `_impact`, `_impact_prime`, `_win_d1`), which assumes
-checked input inside the domain.  The scalar and batch solvers and the audits
-check their inputs once on entry and call only kernels.
+call evaluates many tie rules.  Public methods return a builtin float for
+scalar inputs: they check their arguments, then call one private kernel
+(`_triple`, `_zp`, `_zslopes`; `_impact`, `_impact_prime`, `_win_d1`) that
+assumes checked input.  The solvers and audits check once on entry and call
+only kernels, which take arrays or Python floats (no array conversion).
 
 Evaluations are numerically stabilized.  Difference-form families touch
 exponentials only through e^(-|theta|) and logistic ratios, so theta up to
@@ -99,38 +98,37 @@ def _tie_share(q):
 
 def _ret(value):
     """A 0-d result as a builtin float; any other result as it is."""
-    return float(value) if value.ndim == 0 else value
+    return float(value) if np.ndim(value) == 0 else value
 
 
-def _logistic_pair(theta, k: float):
-    """u = e^theta / (k + e^theta) and w = u(-theta), from one e^(-|theta|) <= 1."""
-    t = np.asarray(theta, dtype=float)
-    a = np.exp(-np.abs(t))
-    with np.errstate(over="ignore"):
-        near = 1.0 / (1.0 + k * a)
-        far = a / (k + a)
-    up = t >= 0
-    return np.where(up, near, far), np.where(up, far, near)
+def _unit_share(u):
+    """A share u = t / (t + c), or its limit 1 where t = theta^r overflowed (inf / inf)."""
+    return np.fmin(u, 1.0) if isinstance(u, np.ndarray) else (1.0 if u != u else u)
 
 
-def _logistic_shares(theta, k: float):
-    """`_logistic_pair` with complements: (u, 1 - u, w, 1 - w).
+def _logistic_shares(theta, k: float, complements: bool = True):
+    """u = e^theta / (k + e^theta) and w = u(-theta) as (u, 1 - u, w, 1 - w), or as (u, w).
 
-    All four come from the one exponential, and each complement
-    (1 - u = k / (k + e^theta), 1 - w = k e^theta / (1 + k e^theta)) is
-    formed without subtraction, keeping full relative precision where a
-    share approaches one.
+    All come from one a = e^(-|theta|) <= 1, so nothing overflows, and each
+    complement (1 - u = k / (k + e^theta), 1 - w = k e^theta / (1 + k e^theta))
+    is formed without subtraction, keeping full relative precision where a
+    share approaches one.  A float theta stays on Python floats (`np.exp`, not
+    `math.exp`, keeps a bit-identical to the array loop's); an array theta
+    selects only the shares asked for.
     """
-    t = np.asarray(theta, dtype=float)
-    a = np.exp(-np.abs(t))
-    with np.errstate(over="ignore"):
+    scalar = isinstance(theta, float)
+    t = theta if scalar else np.asarray(theta, dtype=float)
+    a = float(np.exp(-abs(t))) if scalar else np.exp(-np.abs(t))
+    if complements:
         ka = k * a
         near_den, far_den = 1.0 + ka, k + a
-        near, near_comp = 1.0 / near_den, ka / near_den
-        far, far_comp = a / far_den, k / far_den
+        near, far = (1.0 / near_den, ka / near_den), (a / far_den, k / far_den)
+    else:  # inline: temporaries held to the return slow large grids by about a third
+        near, far = (1.0 / (1.0 + k * a),), (a / (k + a),)
+    if scalar:
+        return near + far if t >= 0 else far + near
     up = t >= 0
-    return (np.where(up, near, far), np.where(up, near_comp, far_comp),
-            np.where(up, far, near), np.where(up, far_comp, near_comp))
+    return tuple(np.where(up, x, y) for x, y in zip(near + far, far + near))
 
 
 class _Family:
@@ -290,7 +288,7 @@ class VesperoniRatio(RatioCsf):
 
     def _shares(self, th):
         t = np.power(th, self.r)
-        return t / (1.0 + t), 1.0 / (1.0 + t)
+        return _unit_share(t / (1.0 + t)), 1.0 / (1.0 + t)
 
     def _triple(self, th):
         u, ub = self._shares(th)
@@ -348,11 +346,11 @@ class JiaRatio(RatioCsf):
         u_den = t + self.k
         with np.errstate(over="ignore", divide="ignore"):
             kt = self.k * t
-            return t / u_den, self.k / u_den, 1.0 / (1.0 + kt), 1.0 / (1.0 + 1.0 / kt)
+            return _unit_share(t / u_den), self.k / u_den, 1.0 / (1.0 + kt), 1.0 / (1.0 + 1.0 / kt)
 
     def _triple(self, th):
         t = np.power(th, self.r)
-        u, w = t / (t + self.k), 1.0 / (1.0 + self.k * t)
+        u, w = _unit_share(t / (t + self.k)), 1.0 / (1.0 + self.k * t)
         return u, w, 1.0 - u - w
 
     def _zp(self, th, qv):
@@ -390,23 +388,22 @@ class VesperoniDiff(DiffCsf):
         object.__setattr__(self, "k", _check_param("k", self.k, 1.0, True, None, self.name))
 
     def _shares(self, th):
-        return _logistic_pair(th, 1.0)
+        return _logistic_shares(th, 1.0, complements=False)
 
     def _triple(self, th):
         s, sb = self._shares(th)
-        pk = s**self.k
-        pm = sb**self.k
+        pk, pm = np.power(s, self.k), np.power(sb, self.k)
         return pk, pm, 1.0 - pk - pm
 
     def _zp(self, th, qv):
         s, sb = self._shares(th)
         k = self.k
-        return k * ((1.0 - qv) * s**k * sb + qv * s * sb**k)
+        return k * ((1.0 - qv) * np.power(s, k) * sb + qv * s * np.power(sb, k))
 
     def _zslopes(self, th, qv):
         s, sb = self._shares(th)
         k = self.k
-        lead, trail = (1.0 - qv) * s**k * sb, qv * s * sb**k
+        lead, trail = (1.0 - qv) * np.power(s, k) * sb, qv * s * np.power(sb, k)
         return k * (lead + trail), k * (lead * (k * sb - s) + trail * (sb - k * s))
 
 
@@ -437,7 +434,7 @@ class JiaDiff(DiffCsf):
         return _logistic_shares(th, self.k)
 
     def _triple(self, th):
-        u, w = _logistic_pair(th, self.k)
+        u, w = _logistic_shares(th, self.k, complements=False)
         return u, w, 1.0 - u - w
 
     def _zp(self, th, qv):

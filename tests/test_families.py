@@ -15,6 +15,7 @@ from tiebreak import (
     family_names,
     make_contest,
     make_family,
+    solve_beta,
 )
 
 from helpers import CONCAVE_CASES, DIFF_CASES, RATIO_CASES, build, case_id
@@ -347,6 +348,40 @@ class TestZSlopes:
         for bad in (np.nan, -0.1, 1.1, [0.2, np.nan], np.array([-0.1]), (0.5, 1.1)):
             with pytest.raises(ValidationError):
                 csf.z_slopes(theta, bad)
+
+
+KERNEL_THETAS = (0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0, 745.0, -745.0,
+                 *np.random.default_rng(1206).uniform(-40.0, 40.0, 120).tolist())
+
+
+def _same_bits(got, ref) -> bool:
+    """A float kernel result equals a 1-element array's entry, sign of zero included."""
+    return isinstance(got, float) and np.float64(got).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("family", ["jia-diff", "vesperoni-diff"])
+@pytest.mark.parametrize("k", [1.0, 1.5, 2.0, 3.0, 7.3, 1e3, 1e6, 1e9, 1e12])
+def test_float_theta_kernels_match_the_array_kernels_bit_for_bit(family, k):
+    """The scalar solvers pass Python floats to the kernels; the lanes pass arrays."""
+    csf = make_family(family, k=k)
+    for theta in KERNEL_THETAS:
+        row = np.array([theta])
+        for got, ref in zip(csf._triple(theta), csf._triple(row)):
+            assert _same_bits(got, ref), (theta, got, ref)
+        for q in (0.0, 0.3, 1.0):
+            assert _same_bits(csf._zp(theta, q), csf._zp(row, q)), (theta, q)
+            for got, ref in zip(csf._zslopes(theta, q), csf._zslopes(row, q)):
+                assert _same_bits(got, ref), (theta, q, got, ref)
+
+
+@pytest.mark.parametrize("case", DIFF_CASES, ids=case_id)
+def test_diff_outcome_and_gap_root_return_builtin_floats(case):
+    csf = build(case)
+    for x1, x2 in [(1.25, 0.5), (0.5, 1.25), (0.0, 0.0), (np.float64(2.0), 1.0)]:
+        out = csf.outcome(x1, x2)
+        assert all(type(p) is float for p in out), (x1, x2, out)
+        assert out == tuple(float(p[0]) for p in csf.outcome(np.array([x1]), np.array([x2])))
+    assert type(solve_beta(csf, (3.0, 1.2), 0.3)) is float
 
 
 class TestJiaSlopePrecision:

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import tiebreak
-from tiebreak import ContestError, make_contest, solve, solve_many
+from tiebreak import ContestError, ConvergenceError, make_contest, solve, solve_many
 
 WALL_BOUND_S = 1.0
 RESIDUAL_BOUND = 1e-12
@@ -98,6 +98,32 @@ def test_batch_lane_solves_at_machine_residual_or_holds_typed_error(entry):
     except ContestError:
         return
     assert relative_residual(spec, eq) <= RESIDUAL_BOUND
+
+
+# Forced ratio contests (closed-form precondition violated) at whose prize
+# ratio theta^r overflows to inf: the share u = t / (1 + t) must take its
+# limit 1, not inf / inf = nan, so the slope is 0 and the closed form's
+# underflow error is raised, not "efforts must be >= 0, got (nan, nan)".
+FORCED_OVERFLOW = [
+    ("jia-ratio", {"r": 88.95, "k": 2.72e6}),
+    ("vesperoni-ratio", {"r": 88.95, "k": 2.0}),
+]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("family,params", FORCED_OVERFLOW)
+def test_forced_ratio_overflow_ends_in_the_underflow_error(family, params):
+    spec = make_contest(family, v1=0.15, v2=1.94e-5, q=0.724, **params)
+    message = "closed-form efforts underflow double precision (slope 0.0)"
+    for route in (lambda: solve(spec, force=True),
+                  lambda: solve_many(spec, [spec.q], force=True),
+                  lambda: solve_many(spec, [0.0, spec.q, 1.0], force=True)):
+        with pytest.raises(ConvergenceError) as err:
+            route()
+        assert str(err.value) == message
+    beta = spec.valuations.beta
+    assert (spec.csf.p(beta), spec.csf.p0(beta), spec.csf.z_prime(beta, spec.q)) == (1.0, 0.0, 0.0)
 
 
 def extreme_draws(family: str, seed: int, count: int):

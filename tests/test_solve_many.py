@@ -92,9 +92,8 @@ def test_every_lane_matches_the_scalar_solve(spec):
     lanes = solve_lanes(spec, LANE_QS, force=False, audited=False)
     assert lanes.x1.size == lanes.x2.size == LANE_QS.size
     # Only the concave Newton loop (r < 1) differs between a lane and a scalar
-    # solve; every other route evaluates the same expressions.
+    # solve; every other route evaluates the same expressions, bit for bit.
     iterative = spec.csf.kind == "concave" and spec.csf.r < 1.0
-    effort_rel = 1e-12 if iterative else 4.0 * np.finfo(float).eps
     for i, q in enumerate(LANE_QS):
         # solve_many's conversion: a failing lane's error, or its Equilibrium
         lane = lanes.errors[i] if i in lanes.errors else lanes.equilibrium(i)
@@ -103,15 +102,15 @@ def test_every_lane_matches_the_scalar_solve(spec):
         if isinstance(ref, ContestError):
             assert str(lane) == str(ref)
             continue
-        for a, b in ((lane.x1, ref.x1), (lane.x2, ref.x2)):
-            assert _close(a, b, max(abs(a), abs(b)), effort_rel), (q, lane, ref)
-        prizes = (spec.v1, spec.v2) if spec.csf.kind == "diff" else (1.0, 1.0)
-        for a, b, scale in zip(lane.residuals, ref.residuals, prizes):
-            assert _close(a, b, scale), (q, lane.residuals, ref.residuals)
-        if ref.beta is None:
-            assert lane.beta is None
+        if not iterative:
+            assert (lane.x1, lane.x2, lane.residuals, lane.beta) == (
+                ref.x1, ref.x2, ref.residuals, ref.beta), (q, lane, ref)
         else:
-            assert _close(lane.beta, ref.beta, max(abs(ref.beta), 1.0))
+            for a, b in ((lane.x1, ref.x1), (lane.x2, ref.x2)):
+                assert _close(a, b, max(abs(a), abs(b))), (q, lane, ref)
+            for a, b in zip(lane.residuals, ref.residuals):
+                assert _close(a, b, 1.0), (q, lane.residuals, ref.residuals)
+            assert lane.beta is ref.beta is None
         assert lane.method is ref.method
         assert lane.corner_flags == ref.corner_flags
         assert lane.warnings == ref.warnings
@@ -327,4 +326,4 @@ def test_truncated_gap_roots_take_the_scalar_steps(budget, family, params, prize
             assert str(errors[lane]) == str(exc)
             continue
         assert lane not in errors
-        assert roots[lane] == pytest.approx(ref, rel=1e-12, abs=0.0)
+        assert roots[lane] == ref
