@@ -20,9 +20,15 @@ choice, so tail checks evaluate a ladder of points stepping outward by
 factors of 10, up to `TAIL_CAP`, and take the first that meets the limit
 within `TAIL_TOL`; that point (or the last one probed, on failure) is
 recorded as the witness.
+
+Each audit evaluates the family's slopes once, as one derivative table on
+the grid whose q = 0 and q = 1 rows also give the tie probability's slope,
+and its outcome probabilities once on the grid and once on the tail ladders.
+The default grids are built on first use and shared, read-only, by every audit.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -166,85 +172,87 @@ class AuditReport:
         }
 
 
+@functools.cache
+def _shared_grid(positive: bool) -> np.ndarray:
+    """The default ratio (positive) or difference grid, built once, read-only."""
+    grid = default_ratio_grid() if positive else default_diff_grid()
+    grid.flags.writeable = False
+    return grid
+
+
 def _check_grids(theta_grid, q_grid, *, positive_theta: bool):
     if theta_grid is None:
-        theta = default_ratio_grid() if positive_theta else default_diff_grid()
+        theta = _shared_grid(positive_theta)
     else:
         theta = np.asarray(theta_grid, dtype=float)
-    if theta.ndim != 1 or theta.size < 2:
-        raise ValidationError(
-            "theta grid must be a 1-d sequence with at least two points"
-        )
-    if not np.all(np.isfinite(theta)):
-        raise DomainError("theta grid must be finite")
-    if positive_theta and np.any(theta <= 0):
-        raise DomainError("theta grid must be > 0 for ratio-form families")
-    theta = np.sort(theta)
+        if theta.ndim != 1 or theta.size < 2:
+            raise ValidationError("theta grid must be a 1-d sequence with at least two points")
+        if not np.all(np.isfinite(theta)):
+            raise DomainError("theta grid must be finite")
+        if positive_theta and np.any(theta <= 0):
+            raise DomainError("theta grid must be > 0 for ratio-form families")
+        theta = np.sort(theta)
     qs = DEFAULT_Q_GRID if q_grid is None else tuple(q_value(q) for q in q_grid)
     if len(qs) == 0:
         raise ValidationError("q grid must be nonempty")
     return theta, tuple(sorted(qs))
 
 
-def _worst_violation(deficit: np.ndarray, theta: np.ndarray, qs: tuple[float, ...]):
-    """Locate the largest wrong-side excess in a (q, theta) deficit matrix.
+def _strict_condition(name: str, deficit: np.ndarray, theta: np.ndarray,
+                      qs: tuple[float, ...], note: str = "") -> ConditionRecord:
+    """Record a condition whose (q, theta) deficit matrix must stay <= STRICT_SLACK.
 
-    Returns (worst, witness_theta, witness_q); ties on the exact worst value
-    resolve to the smallest theta, then the smallest q.
+    On failure the witness is the largest wrong-side excess; ties on the
+    exact worst value resolve to the smallest theta, then the smallest q.
     """
     worst = float(np.max(deficit))
     if worst <= STRICT_SLACK:
-        return worst, None, None
-    hits = np.argwhere(deficit == np.max(deficit))
-    best = min((float(theta[it]), float(qs[iq])) for iq, it in hits)
-    return worst, best[0], best[1]
-
-
-def _strict_condition(name: str, deficit: np.ndarray, theta: np.ndarray,
-                      qs: tuple[float, ...], note: str = "") -> ConditionRecord:
-    """Build a record for a condition whose deficit must stay <= STRICT_SLACK."""
-    worst, wt, wq = _worst_violation(deficit, theta, qs)
-    if worst <= STRICT_SLACK:
         return ConditionRecord(name=name, passed=True, violation=0.0, note=note)
+    wt, wq = min((float(theta[it]), float(qs[iq])) for iq, it in np.argwhere(deficit == worst))
     return ConditionRecord(
         name=name, passed=False, violation=worst,
         witness_theta=wt, witness_q=wq, note=note,
     )
 
 
-def _tail_condition(name: str, evaluate, start: float, direction: str) -> ConditionRecord:
-    """Check a boundary limit on a ladder of probe points, in one evaluation.
+def _tail_conditions(csf, theta: np.ndarray, q_col: np.ndarray) -> list[ConditionRecord]:
+    """The boundary limits of a ratio-form family, from one share evaluation.
 
-    The ladder steps from `start` by repeated *10 ("up") or /10 ("down")
-    while the magnitude stays within [1/TAIL_CAP, TAIL_CAP].  `evaluate`
-    maps the ladder to each point's worst absolute gap to the limit across
-    the q grid.  The witness is the first point within TAIL_TOL, else the last.
-    """
-    points = [start]
-    while True:
-        nxt = points[-1] * 10.0 if direction == "up" else points[-1] / 10.0
-        if nxt > TAIL_CAP or nxt < 1.0 / TAIL_CAP:
-            break
-        points.append(nxt)
+    The ladders step by factors of 10 from min(theta_min, 1/TAIL_START) down
+    and from max(theta_max, TAIL_START) up, within [1/TAIL_CAP, TAIL_CAP].
+    A gap is the worst across the q grid; the witness is the first point
+    within TAIL_TOL, else the last."""
+    down, up = [min(float(theta[0]), 1.0 / TAIL_START)], [max(float(theta[-1]), TAIL_START)]
+    while down[-1] / 10.0 >= 1.0 / TAIL_CAP:
+        down.append(down[-1] / 10.0)
+    while up[-1] * 10.0 <= TAIL_CAP:
+        up.append(up[-1] * 10.0)
+    n = len(down)
     with np.errstate(all="ignore"):
-        gaps = np.asarray(evaluate(np.array(points)), dtype=float)
-    settled = np.flatnonzero(~(gaps > TAIL_TOL))
-    at = int(settled[0]) if settled.size else len(points) - 1
-    point, gap = points[at], float(gaps[at])
-    passed = gap <= TAIL_TOL
-    note = f"limit gap {gap:.3e} at probe point {point:.3e}"
-    return ConditionRecord(
-        name=name, passed=passed, violation=0.0 if passed else gap,
-        witness_theta=point, witness_q=None, note=note,
-    )
+        win, _, tie = csf._triple(np.array(down + up))
+        z = win + q_col * tie
+        limits = (("vanishes_at_zero", down, np.max(np.abs(z[:, :n]), axis=0)),
+                  ("saturates_at_infinity", up, np.max(np.abs(1.0 - z[:, n:]), axis=0)),
+                  ("tie_prob_vanishes_at_zero", down, np.abs(tie[:n])))
+    records = []
+    for name, points, gaps in limits:
+        settled = np.flatnonzero(~(gaps > TAIL_TOL))
+        at = int(settled[0]) if settled.size else len(points) - 1
+        point, gap = points[at], float(gaps[at])
+        records.append(ConditionRecord(
+            name=name, passed=gap <= TAIL_TOL, violation=0.0 if gap <= TAIL_TOL else gap,
+            witness_theta=point, note=f"limit gap {gap:.3e} at probe point {point:.3e}"))
+    return records
 
 
-def _unimodality_condition(csf, theta: np.ndarray, peak: float) -> ConditionRecord:
+def _unimodality_condition(csf, theta: np.ndarray, slope: np.ndarray,
+                           peak: float) -> ConditionRecord:
     """Tie probability rises strictly left of `peak` and falls right of it.
 
-    The peak point itself is exempt.  When the tie probability is identically
-    zero on the grid (single-winner families) the condition passes with a
-    degenerate note instead of asserting vacuous strictness.
+    `slope` is its derivative on the grid.  The peak point itself is exempt.
+    When the tie probability is identically zero on the grid (single-winner
+    families) the condition passes with a degenerate note instead of
+    asserting vacuous strictness.
     """
     p0 = csf._triple(theta)[2]
     if float(np.max(np.abs(p0))) <= DEGENERATE_TIE_TOL:
@@ -252,24 +260,18 @@ def _unimodality_condition(csf, theta: np.ndarray, peak: float) -> ConditionReco
             name="tie_prob_unimodal", passed=True, violation=0.0,
             note="degenerate: p0 = 0 everywhere on the probed grid",
         )
-    slope = csf._zp(theta, 1.0) - csf._zp(theta, 0.0)
     deficit = np.where(theta < peak, -slope, np.where(theta > peak, slope, -np.inf))
-    worst = float(np.max(deficit))
-    if worst <= STRICT_SLACK:
-        return ConditionRecord(name="tie_prob_unimodal", passed=True, violation=0.0,
-                               note=f"peak checked at theta = {peak}")
-    hits = np.argwhere(deficit == np.max(deficit)).ravel()
-    wt = float(theta[int(hits.min())])
-    return ConditionRecord(
-        name="tie_prob_unimodal", passed=False, violation=worst,
-        witness_theta=wt, witness_q=None, note=f"peak checked at theta = {peak}",
-    )
+    return replace(_strict_condition("tie_prob_unimodal", deficit[None, :], theta, (0.0,),
+                                     note=f"peak checked at theta = {peak}"), witness_q=None)
 
 
-def _derivative_tables(csf, theta: np.ndarray, qs: tuple[float, ...]):
-    """z_q' and z_q'' on the grid, one row per tie rule."""
-    q_col = np.array(qs)[:, None]
-    return csf._zslopes(theta, q_col)
+def _slope_table(csf, theta: np.ndarray, qs: tuple[float, ...]):
+    """z_q' and z_q'' on the grid, one row per tie rule in `qs`, and the tie
+    probability's slope z_1' - z_0', from one evaluation on `qs` plus 0 and 1."""
+    rows = sorted({*qs, 0.0, 1.0})
+    zp, zpp = csf._zslopes(theta, np.array(rows)[:, None])
+    at = slice(None) if rows == list(qs) else [rows.index(q) for q in qs]
+    return zp[at], zpp[at], zp[-1] - zp[0]
 
 
 def audit_ratio(csf, theta_grid=None, q_grid=None) -> AuditReport:
@@ -285,8 +287,7 @@ def audit_ratio(csf, theta_grid=None, q_grid=None) -> AuditReport:
     if getattr(csf, "kind", None) != "ratio":
         raise ValidationError("audit_ratio requires a ratio-form family")
     theta, qs = _check_grids(theta_grid, q_grid, positive_theta=True)
-    zp, zpp = _derivative_tables(csf, theta, qs)
-    q_col = np.array(qs)[:, None]
+    zp, zpp, tie_slope = _slope_table(csf, theta, qs)
 
     conditions = [
         _strict_condition("win_prob_increasing", -zp, theta, qs),
@@ -294,22 +295,8 @@ def audit_ratio(csf, theta_grid=None, q_grid=None) -> AuditReport:
         _strict_condition(
             "rival_payoff_concavity", -(2.0 * zp + theta[None, :] * zpp), theta, qs
         ),
-        _tail_condition(
-            "vanishes_at_zero",
-            lambda pts: np.max(np.abs(csf._z(pts, q_col)), axis=0),
-            start=min(float(theta[0]), 1.0 / TAIL_START), direction="down",
-        ),
-        _tail_condition(
-            "saturates_at_infinity",
-            lambda pts: np.max(np.abs(1.0 - csf._z(pts, q_col)), axis=0),
-            start=max(float(theta[-1]), TAIL_START), direction="up",
-        ),
-        _tail_condition(
-            "tie_prob_vanishes_at_zero",
-            lambda pts: np.abs(csf._triple(pts)[2]),
-            start=min(float(theta[0]), 1.0 / TAIL_START), direction="down",
-        ),
-        _unimodality_condition(csf, theta, peak=1.0),
+        *_tail_conditions(csf, theta, np.array(qs)[:, None]),
+        _unimodality_condition(csf, theta, tie_slope, peak=1.0),
     ]
 
     return AuditReport(
@@ -339,7 +326,7 @@ def audit_diff(csf, v1, theta_grid=None, q_grid=None) -> AuditReport:
     if not (math.isfinite(v1f) and v1f > 0):
         raise ValidationError(f"v1 must be a positive finite number, got {v1f}")
     theta, qs = _check_grids(theta_grid, q_grid, positive_theta=False)
-    zp, zpp = _derivative_tables(csf, theta, qs)
+    zp, zpp, tie_slope = _slope_table(csf, theta, qs)
 
     conditions = [
         _strict_condition("win_prob_increasing", -zp, theta, qs),
@@ -347,7 +334,7 @@ def audit_diff(csf, v1, theta_grid=None, q_grid=None) -> AuditReport:
             "curvature_within_prize_bound", np.abs(zpp) - 1.0 / v1f, theta, qs,
             note=f"bound |z''| <= {1.0 / v1f:.6g} from prize v1 = {v1f:.6g}",
         ),
-        _unimodality_condition(csf, theta, peak=0.0),
+        _unimodality_condition(csf, theta, tie_slope, peak=0.0),
     ]
 
     m = float(np.min(zpp))
@@ -372,12 +359,15 @@ def audit_concave(csf, x_grid=None) -> AuditReport:
     """
     if getattr(csf, "kind", None) != "concave":
         raise ValidationError("audit_concave requires a concave-impact family")
-    x = default_ratio_grid() if x_grid is None else np.asarray(x_grid, dtype=float)
-    if x.ndim != 1 or x.size == 0:
-        raise ValidationError("effort grid must be a nonempty 1-d sequence")
-    if not np.all(np.isfinite(x)) or np.any(x <= 0):
-        raise DomainError("effort grid must be finite and > 0")
-    x = np.sort(x)
+    if x_grid is None:
+        x = _shared_grid(True)
+    else:
+        x = np.asarray(x_grid, dtype=float)
+        if x.ndim != 1 or x.size == 0:
+            raise ValidationError("effort grid must be a nonempty 1-d sequence")
+        if not np.all(np.isfinite(x)) or np.any(x <= 0):
+            raise DomainError("effort grid must be finite and > 0")
+        x = np.sort(x)
 
     fp = csf._impact_prime(x)[None, :]
     fpp = csf._impact_double_prime(x)[None, :]
@@ -406,14 +396,15 @@ def audit_family(csf, v1=None, grid_points=None) -> AuditReport:
             not isinstance(grid_points, (int, np.integer)) or isinstance(grid_points, bool)
             or grid_points < 2):
         raise ValidationError(f"grid points must be an integer >= 2, got {grid_points!r}")
-    points = DEFAULT_GRID_POINTS if grid_points is None else int(grid_points)
+    make = default_diff_grid if csf.kind == "diff" else default_ratio_grid
+    grid = None if grid_points in (None, DEFAULT_GRID_POINTS) else make(int(grid_points))
     if csf.kind == "ratio":
-        return audit_ratio(csf, theta_grid=default_ratio_grid(points))
+        return audit_ratio(csf, theta_grid=grid)
     if csf.kind == "diff":
         if v1 is None:
             raise ValidationError("difference-form audits need the larger prize: give --v1")
-        return audit_diff(csf, v1, theta_grid=default_diff_grid(points))
-    return audit_concave(csf, x_grid=default_ratio_grid(points))
+        return audit_diff(csf, v1, theta_grid=grid)
+    return audit_concave(csf, x_grid=grid)
 
 
 def estimate_vbar(csf, theta_grid=None, q_grid=None) -> float:
@@ -426,7 +417,7 @@ def estimate_vbar(csf, theta_grid=None, q_grid=None) -> float:
     if getattr(csf, "kind", None) != "diff":
         raise ValidationError("estimate_vbar requires a difference-form family")
     theta, qs = _check_grids(theta_grid, q_grid, positive_theta=False)
-    _, zpp = _derivative_tables(csf, theta, qs)
+    zpp = csf._zslopes(theta, np.array(qs)[:, None])[1]
     peak = float(np.max(np.abs(zpp)))
     if peak <= 0.0:
         raise DomainError(

@@ -5,12 +5,13 @@ This module sweeps R over q, certifies curve shapes (constant, linear,
 monotone decreasing, convex) within explicit bounds, finds the optimal
 deterministic rule, and evaluates random tie-breaking rules by expected
 total effort.  Every curve is solved in one batch over its tie rules
-(`batch.solve_lanes`) and read as x1 + x2 off its effort arrays: sweeps,
-the optimal rule's 101-point cross-check and random rules never loop over
-q or build a per-q record.  The concave optimum is read off that batch and
-certified by the sign of dR/dq, from the implicit function theorem on the
-first-order conditions; only an optimum inside (0, 1) is refined, by a few
-more batches around it.
+(`batch.solve_lanes`) and read as x1 + x2 off its effort arrays: sweeps and
+the optimal rule's 101-point cross-check never loop over q or build a per-q
+record, while a random rule, a handful of atoms too few for a batch to
+pay, takes one scalar `solve` per atom.  The concave optimum is read off the
+cross-check batch and certified by the sign of dR/dq, from the implicit
+function theorem on the first-order conditions; only an optimum inside
+(0, 1) is refined, by a few more batches around it.
 
 Shape certificates are numeric statements about the sampled curve, not
 symbolic proofs: each records the worst measured violation alongside the
@@ -33,7 +34,7 @@ import numpy as np
 
 from .core import ContestSpec, JsonRecord, RandomTieRule, TieRule
 from .batch import solve_lanes
-from .equilibrium import _log_impact_foc, _user_order
+from .equilibrium import _log_impact_foc, _user_order, solve
 from .errors import ContestError, ValidationError
 
 CONSTANT_TOL = 1e-10
@@ -330,16 +331,16 @@ def expected_effort(spec: ContestSpec, rule: RandomTieRule, *,
     """Expected total equilibrium effort under a random tie-breaking rule.
 
     The rule commits to drawing q before efforts are chosen, so the
-    expectation is the weight-average of R over the rule's atoms, all
-    solved in one batch.  If some atoms fail to solve, the error for the
+    expectation is the weight-average of R over the rule's atoms, each
+    solved by one scalar `solve`, in increasing q: a rule has too few atoms
+    for a batch to pay.  If some atoms fail to solve, the error for the
     smallest failing q is raised.
     """
     if not isinstance(rule, RandomTieRule):
         rule = RandomTieRule.from_pairs(rule)
-    qs = [atom.q for atom, _ in rule.atoms]
-    lanes = solve_lanes(spec, qs, force=force, audited=audited).checked(qs)
-    totals = (lanes.x1 + lanes.x2).tolist()
-    return math.fsum(weight * total for (_, weight), total in zip(rule.atoms, totals))
+    qs = sorted(atom.q for atom, _ in rule.atoms)
+    totals = {q: solve(spec.with_q(q), force=force, audited=audited).total for q in qs}
+    return math.fsum(weight * totals[atom.q] for atom, weight in rule.atoms)
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,7 @@ All family objects are immutable after construction; every method is pure.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -104,6 +105,16 @@ def _ret(value):
 def _unit_share(u):
     """A share u = t / (t + c), or its limit 1 where t = theta^r overflowed (inf / inf)."""
     return np.fmin(u, 1.0) if isinstance(u, np.ndarray) else (1.0 if u != u else u)
+
+
+def _power_shares(shares, th, r: float):
+    """shares(t) at t = theta^r, without NumPy's overflow, nan or 1/0 warnings: a float
+    theta with a finite nonzero t (|r log theta| < 709.78, just below the log of the largest
+    double) stays on Python floats, which make inf and nan silently, and no `np.errstate`."""
+    if isinstance(th, float) and abs(r * math.log(th)) < 709.78:
+        return shares(float(np.power(th, r)))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return shares(np.power(th, r))
 
 
 def _logistic_shares(theta, k: float, complements: bool = True):
@@ -287,8 +298,7 @@ class VesperoniRatio(RatioCsf):
         return self.r * self.k <= 1.0
 
     def _shares(self, th):
-        t = np.power(th, self.r)
-        return _unit_share(t / (1.0 + t)), 1.0 / (1.0 + t)
+        return _power_shares(lambda t: (_unit_share(t / (1.0 + t)), 1.0 / (1.0 + t)), th, self.r)
 
     def _triple(self, th):
         u, ub = self._shares(th)
@@ -342,15 +352,13 @@ class JiaRatio(RatioCsf):
         return self.r <= 1.0
 
     def _shares(self, th):
-        t = np.power(th, self.r)
-        u_den = t + self.k
-        with np.errstate(over="ignore", divide="ignore"):
-            kt = self.k * t
-            return _unit_share(t / u_den), self.k / u_den, 1.0 / (1.0 + kt), 1.0 / (1.0 + 1.0 / kt)
+        return _power_shares(lambda t: (_unit_share(t / (t + self.k)), self.k / (t + self.k),
+                                        1.0 / (1.0 + self.k * t), 1.0 / (1.0 + 1.0 / (self.k * t))),
+                             th, self.r)
 
     def _triple(self, th):
-        t = np.power(th, self.r)
-        u, w = _unit_share(t / (t + self.k)), 1.0 / (1.0 + self.k * t)
+        u, w = _power_shares(lambda t: (_unit_share(t / (t + self.k)), 1.0 / (1.0 + self.k * t)),
+                             th, self.r)
         return u, w, 1.0 - u - w
 
     def _zp(self, th, qv):

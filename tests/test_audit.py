@@ -1,12 +1,15 @@
 """Numerical regularity audits: pass/fail semantics, witnesses, curvature bounds."""
 from __future__ import annotations
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tiebreak import (
+    ContestError,
     DomainError,
     ValidationError,
     audit_concave,
@@ -25,6 +28,7 @@ from tiebreak.audit import (
     default_diff_grid,
     default_ratio_grid,
 )
+import tiebreak.audit as audit_mod
 
 from helpers import DIFF_CASES, RATIO_CASES, build
 
@@ -274,5 +278,38 @@ class TestGridHelpers:
                 theta_grid=np.array([-1.0, 1.0, 2.0]),
             )
 
+    def test_public_default_grids_are_fresh_and_writable(self):
+        csf = make_family("jia-ratio", r=0.8, k=3)
+        before = audit_ratio(csf).to_json_dict()
+        for make in (default_ratio_grid, default_diff_grid):
+            grid = make()
+            assert grid.flags.writeable
+            grid[:] = 7.0
+            assert make() is not grid and make()[0] != 7.0
+        assert audit_ratio(csf).to_json_dict() == before
+
     def test_degenerate_tolerance_is_tiny(self):
         assert DEGENERATE_TIE_TOL <= 1e-12
+
+
+# Reports recorded before the audits evaluated each family once; the cases
+# cover all five families, failing audits with witnesses, custom q grids
+# without 0 and 1, unsorted theta grids, other resolutions, overflowing
+# shares and rejected inputs.
+PARENT_AUDITS = json.loads(
+    (Path(__file__).parent / "data" / "audit_parent.json").read_text())["cases"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("case", PARENT_AUDITS,
+                         ids=lambda c: f"{c['audit']}-{c['family']}-{sorted(c['kwargs'])}")
+def test_report_equals_the_recorded_report(case):
+    csf = make_family(case["family"], **case["params"])
+    args = (csf, case["v1"]) if "v1" in case else (csf,)
+    try:
+        got = {"report": getattr(audit_mod, case["audit"])(*args, **case["kwargs"]).to_json_dict()}
+    except (ContestError, ValueError) as exc:
+        got = {"error": f"{type(exc).__name__}: {exc}"}
+    want = {key: case[key] for key in ("report", "error") if key in case}
+    # compared as JSON text, so an inf or nan in a report compares equal to itself
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)

@@ -103,15 +103,15 @@ def test_batch_lane_solves_at_machine_residual_or_holds_typed_error(entry):
 # Forced ratio contests (closed-form precondition violated) at whose prize
 # ratio theta^r overflows to inf: the share u = t / (1 + t) must take its
 # limit 1, not inf / inf = nan, so the slope is 0 and the closed form's
-# underflow error is raised, not "efforts must be >= 0, got (nan, nan)".
+# underflow error is raised, not "efforts must be >= 0, got (nan, nan)".  No
+# route may warn on the way: any NumPy RuntimeWarning fails the test.
 FORCED_OVERFLOW = [
     ("jia-ratio", {"r": 88.95, "k": 2.72e6}),
     ("vesperoni-ratio", {"r": 88.95, "k": 2.0}),
 ]
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("family,params", FORCED_OVERFLOW)
 def test_forced_ratio_overflow_ends_in_the_underflow_error(family, params):
     spec = make_contest(family, v1=0.15, v2=1.94e-5, q=0.724, **params)

@@ -206,8 +206,25 @@ def test_rejects_tie_rules_outside_the_unit_interval(qs):
         solve_many(spec, qs)
 
 
+FIVE_FAMILIES = [
+    ("jia-ratio", dict(r=0.8, k=3.0)), ("vesperoni-ratio", dict(r=0.3, k=2.0)),
+    ("jia-diff", dict(k=2.5)), ("vesperoni-diff", dict(k=2.0)),
+    ("blavatskyy-power", dict(r=0.5)), ("blavatskyy-power", dict(r=1.0)),
+]
+RULES = [
+    [(0.3, 1.0)],
+    [(0.25, 0.5), (0.75, 0.5)],
+    [(0.9, 0.2), (0.1, 0.3), (0.5, 0.5)],
+    [(1.0, 0.1), (0.0, 0.2), (0.6, 0.3), (0.35, 0.4)],
+    [(0.8, 0.2), (0.0, 0.2), (0.45, 0.2), (1.0, 0.2), (0.2, 0.2)],
+]
+
+
 class TestDesignerStaysBatched:
-    """The designer's curves come from one batch solve, never a per-q loop."""
+    """The designer's curves come from one batch solve, never a per-q loop.
+
+    A random rule is the one exception: it takes one scalar solve per atom.
+    """
 
     @pytest.fixture
     def scalar_calls(self, monkeypatch):
@@ -234,16 +251,24 @@ class TestDesignerStaysBatched:
         monkeypatch.setattr(designer_mod, "solve_lanes", counting)
         return calls
 
-    @pytest.mark.parametrize("family,params", [
-        ("jia-ratio", dict(r=0.8, k=3.0)), ("vesperoni-ratio", dict(r=0.3, k=2.0)),
-        ("jia-diff", dict(k=2.5)), ("vesperoni-diff", dict(k=2.0)),
-    ])
+    @pytest.fixture
+    def designer_solves(self, monkeypatch):
+        """Tie rules of every scalar `solve` the designer makes."""
+        calls = []
+
+        def counting(spec, **kwargs):
+            calls.append(spec.q)
+            return solve(spec, **kwargs)
+
+        monkeypatch.setattr(designer_mod, "solve", counting)
+        return calls
+
+    @pytest.mark.parametrize("family,params", FIVE_FAMILIES[:4])
     def test_ratio_and_diff_make_no_scalar_solves(self, scalar_calls, family, params):
         spec = make_contest(family, v1=1.3, v2=2.0, q=0.0, **params)
         sweep(spec, 101)
         best = optimal_q(spec)
         assert best.q_star.q == 1.0
-        expected_effort(spec, RandomTieRule.from_pairs([(0.0, 0.5), (1.0, 0.5)]))
         assert scalar_calls == []
 
     @pytest.mark.parametrize("family,params", [
@@ -262,11 +287,9 @@ class TestDesignerStaysBatched:
         spec = make_contest(family, v1=1.3, v2=2.0, q=0.0, **params)
         sweep(spec, 101)
         optimal_q(spec)
-        expected_effort(spec, RandomTieRule.from_pairs(
-            [(0.1, 0.25), (0.4, 0.25), (0.7, 0.25), (1.0, 0.25)]))
         assert built == []
-        solve(spec)
-        assert len(built) == 1
+        expected_effort(spec, RandomTieRule.from_pairs(RULES[-1]))
+        assert len(built) == len(RULES[-1])
 
     @pytest.mark.parametrize("r", [0.5, 1.0])
     @pytest.mark.parametrize("v1,v2,q_star", [(3.0, 1.2, 0.0), (1.2, 3.0, 1.0)])
@@ -274,13 +297,66 @@ class TestDesignerStaysBatched:
             self, scalar_calls, batches, r, v1, v2, q_star):
         spec = make_contest("blavatskyy-power", v1=v1, v2=v2, q=0.0, r=r)
         sweep(spec, 101)
-        expected_effort(spec, RandomTieRule.from_pairs([(0.2, 0.5), (0.9, 0.5)]))
         batches.clear()
         best = optimal_q(spec)
         assert best.q_star.q == q_star
         assert scalar_calls == []
         assert len(batches) == 1
         assert batches[0].size == designer_mod.CROSS_CHECK_POINTS
+
+    @pytest.mark.parametrize("family,params", FIVE_FAMILIES)
+    @pytest.mark.parametrize("pairs", RULES, ids=len)
+    def test_rule_takes_one_scalar_solve_per_atom_in_increasing_q(
+            self, batches, designer_solves, family, params, pairs):
+        spec = make_contest(family, v1=1.3, v2=2.0, q=0.0, **params)
+        expected_effort(spec, RandomTieRule.from_pairs(pairs))
+        assert designer_solves == sorted(q for q, _ in pairs)
+        assert batches == []
+
+
+# Design-study draws (r, v1, v2, rule) whose concave batch of lanes differs
+# from the sum of scalar solves by 1 ulp.
+CONCAVE_LANE_ULP = [
+    (0.7437515852324442, 0.172059549439248, 0.02697767611923317,
+     [(0.5711027718664878, 0.5), (0.21396437176278482, 0.5)]),
+    (0.6187515852324442, 7.1079649432013445, 8.235287803309882,
+     [(0.5267498579274686, 0.25), (0.9826656486883563, 0.25), (0.9656418779050355, 0.25),
+      (0.700694208903192, 0.25)]),
+    (0.8687515852324443, 1.0486587044079279, 1.5692017410328811,
+     [(0.6958275498115098, 0.25), (0.49396091371681516, 0.25), (0.42916995345262654, 0.25),
+      (0.5628837188096592, 0.25)]),
+    (0.08750158523244422, 0.09481587988985464, 0.3729741915928849,
+     [(0.8226938674257945, 0.5), (0.2103006910924714, 0.5)]),
+    (0.6118489426771864, 9.368744925552177, 6.990683780619831,
+     [(0.09442077368926127, 0.5), (0.01839540309506793, 0.5)]),
+]
+RULE_CONTESTS = [
+    (family, params, v1, v2, pairs) for family, params in FIVE_FAMILIES
+    for v1, v2 in ((3.0, 1.2), (1.2, 3.0)) for pairs in RULES
+] + [("blavatskyy-power", dict(r=r), v1, v2, pairs) for r, v1, v2, pairs in CONCAVE_LANE_ULP]
+
+
+@pytest.mark.parametrize("family,params,v1,v2,pairs", RULE_CONTESTS)
+def test_rule_equals_the_sum_of_scalar_solves(family, params, v1, v2, pairs):
+    spec = make_contest(family, v1=v1, v2=v2, q=0.0, **params)
+    want = math.fsum(w * solve(spec.with_q(q)).total for q, w in pairs)
+    assert expected_effort(spec, RandomTieRule.from_pairs(pairs)) == want
+
+
+@pytest.mark.parametrize("pairs", [
+    [(1.0, 0.3), (0.5, 0.4), (0.0, 0.3)],    # q = 0 and q = 1 fail with different texts
+    [(0.5, 0.4), (1.0, 0.6)],
+])
+def test_rule_raises_the_smallest_failing_atoms_error(pairs):
+    spec = make_contest("blavatskyy-power", v1=0.01184, v2=0.1024, q=0.0, r=0.97)
+    qs = sorted(q for q, _ in pairs)
+    lanes = solve_lanes(spec, qs, force=False, audited=False)
+    failing = min(lanes.errors)
+    with pytest.raises(ConvergenceError) as scalar:
+        solve(spec.with_q(qs[failing]))
+    with pytest.raises(ConvergenceError) as err:
+        expected_effort(spec, RandomTieRule.from_pairs(pairs))
+    assert str(err.value) == str(scalar.value) == str(lanes.errors[failing])
 
 
 # Contests whose scalar Newton solve backtracks (strongest prize first).
