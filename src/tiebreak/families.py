@@ -30,7 +30,8 @@ call evaluates many tie rules.  Public methods return a builtin float for
 scalar inputs: they check their arguments, then call one private kernel
 (`_triple`, `_zp`, `_zslopes`; `_impact`, `_impact_prime`, `_win_d1`) that
 assumes checked input.  The solvers and audits check once on entry and call
-only kernels, which take arrays or Python floats (no array conversion).
+only kernels, which take arrays or Python floats and give a float the bits
+of a one-element array (Vesperoni ratio powers u^k go through NumPy for it).
 
 Evaluations are numerically stabilized.  Difference-form families touch
 exponentials only through e^(-|theta|) and logistic ratios, so theta up to
@@ -110,11 +111,26 @@ def _unit_share(u):
 def _power_shares(shares, th, r: float):
     """shares(t) at t = theta^r, without NumPy's overflow, nan or 1/0 warnings: a float
     theta with a finite nonzero t (|r log theta| < 709.78, just below the log of the largest
-    double) stays on Python floats, which make inf and nan silently, and no `np.errstate`."""
+    double) stays on Python floats, which make inf and nan silently, and no `np.errstate`;
+    any other float theta gets its shares back as Python floats."""
     if isinstance(th, float) and abs(r * math.log(th)) < 709.78:
         return shares(float(np.power(th, r)))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return shares(np.power(th, r))
+        out = shares(np.power(th, r))
+    return tuple(map(float, out)) if isinstance(th, float) else out
+
+
+def _share_powers(u, ub, k: float):
+    """(u^k, ub^k) by NumPy's `**` for floats too: Python's pow can differ in the last bit."""
+    if isinstance(u, float):
+        return tuple((np.array((u, ub)) ** k).tolist())
+    return u**k, ub**k
+
+
+def _over_square(c: float, th):
+    """c / theta^2 for c > 0; a float theta whose square underflows gives inf, as arrays do."""
+    square = th * th
+    return math.inf if isinstance(square, float) and square == 0.0 else c / square
 
 
 def _logistic_shares(theta, k: float, complements: bool = True):
@@ -298,25 +314,27 @@ class VesperoniRatio(RatioCsf):
         return self.r * self.k <= 1.0
 
     def _shares(self, th):
-        return _power_shares(lambda t: (_unit_share(t / (1.0 + t)), 1.0 / (1.0 + t)), th, self.r)
+        """(u, ub, u^k, ub^k)."""
+        def shares(t):
+            u, ub = _unit_share(t / (1.0 + t)), 1.0 / (1.0 + t)
+            return (u, ub) + _share_powers(u, ub, self.k)
+        return _power_shares(shares, th, self.r)
 
     def _triple(self, th):
-        u, ub = self._shares(th)
-        pk = u**self.k
-        pm = ub**self.k
+        _, _, pk, pm = self._shares(th)
         return pk, pm, 1.0 - pk - pm
 
     def _zp(self, th, qv):
-        u, ub = self._shares(th)
+        u, ub, pk, pm = self._shares(th)
         k, r = self.k, self.r
-        return (k * r / th) * ((1.0 - qv) * u**k * ub + qv * u * ub**k)
+        return (k * r / th) * ((1.0 - qv) * pk * ub + qv * u * pm)
 
     def _zslopes(self, th, qv):
-        u, ub = self._shares(th)
+        u, ub, pk, pm = self._shares(th)
         k, r = self.k, self.r
-        lead, trail = (1.0 - qv) * u**k * ub, qv * u * ub**k
-        zpp = (k * r / th**2) * (lead * ((r * k - 1.0) * ub - (1.0 + r) * u)
-                                 + trail * ((r - 1.0) * ub - (1.0 + k * r) * u))
+        lead, trail = (1.0 - qv) * pk * ub, qv * u * pm
+        zpp = _over_square(k * r, th) * (lead * ((r * k - 1.0) * ub - (1.0 + r) * u)
+                                         + trail * ((r - 1.0) * ub - (1.0 + k * r) * u))
         return (k * r / th) * (lead + trail), zpp
 
 
@@ -369,8 +387,8 @@ class JiaRatio(RatioCsf):
         u, ub, w, wb = self._shares(th)
         r = self.r
         lead, trail = (1.0 - qv) * u * ub, qv * w * wb
-        zpp = -(r / th**2) * (lead * (2.0 * r * u + (1.0 - r))
-                              + trail * (2.0 * r * wb + (1.0 - r)))
+        zpp = -_over_square(r, th) * (lead * (2.0 * r * u + (1.0 - r))
+                                      + trail * (2.0 * r * wb + (1.0 - r)))
         return (r / th) * (lead + trail), zpp
 
 

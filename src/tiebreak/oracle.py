@@ -4,7 +4,14 @@ Everything here treats the contest as a finite bimatrix game on an effort
 grid and checks Nash conditions exhaustively.  The oracle deliberately calls
 only outcome probabilities and payoffs, never the analytic derivative code,
 so agreement between a solver's output and the oracle is evidence from an
-independent route.
+independent route.  One helper, `_payoffs`, evaluates both players' payoffs
+at broadcast efforts; every scan reads its payoffs from it.
+
+`grid_nash` scans the payoff grid once, in blocks of player-1 rows sized by a
+cell budget, and never holds an n x n matrix: a block settles player 2's
+best responses on its rows, a running column maximum carries player 1's, and
+only player 2's best cells are kept to the end.  Each cell is evaluated once,
+and the peak memory stays flat as the grid grows.
 
 Payoffs on a grid of pitch h can differ from the continuous optimum by an
 amount proportional to h, so `verify` converts the pitch into a payoff
@@ -30,7 +37,9 @@ BAND_FLOOR_REL = 1e-12
 COARSE_STEPS = 10
 """Grids with fewer steps than this are flagged as too coarse to trust."""
 
-_BLOCK_ROWS = 128
+_BLOCK_CELLS = 1 << 15
+"""Cells per block of `grid_nash` rows: each temporary array (256 kB) stays
+cache-sized, and the peak memory stays flat in the grid size."""
 
 RATIO_ZERO_NOTE = (
     "ratio-form zero-effort convention in effect: (0, 0) is scored at "
@@ -106,19 +115,12 @@ class GridSpec:
         return cls(x_max=bound * (steps - 1) / (steps - 2), steps=int(steps), eps=eps)
 
 
-def _eventual_win_probs(spec: ContestSpec, x1, x2):
+def _payoffs(spec: ContestSpec, x1, x2):
+    """Both players' payoffs at broadcast efforts: v_i * (win_i + q_i * tie) - cost(x_i)."""
     win1, win2, tie = spec.csf.outcome(x1, x2)
     q = spec.tie.q
-    return win1 + q * np.asarray(tie), win2 + (1.0 - q) * np.asarray(tie)
-
-
-def _payoff_columns(spec: ContestSpec, own: np.ndarray, other: float, player: int):
-    """Payoffs for one player across a vector of own efforts, rival fixed."""
-    if player == 1:
-        prob1, _ = _eventual_win_probs(spec, own, other)
-        return spec.v1 * np.asarray(prob1) - spec.cost.cost(own)
-    _, prob2 = _eventual_win_probs(spec, other, own)
-    return spec.v2 * np.asarray(prob2) - spec.cost.cost(own)
+    return (spec.v1 * (win1 + q * tie) - spec.cost.cost(x1),
+            spec.v2 * (win2 + (1.0 - q) * tie) - spec.cost.cost(x2))
 
 
 def grid_best_response(spec: ContestSpec, opponent_effort: float, grid: GridSpec,
@@ -137,25 +139,10 @@ def grid_best_response(spec: ContestSpec, opponent_effort: float, grid: GridSpec
             f"opponent effort {opp} outside the grid range [0, {grid.x_max}]"
         )
     axis = grid.axis()
-    payoffs = _payoff_columns(spec, axis, opp, player)
+    efforts = (axis, opp) if player == 1 else (opp, axis)
+    payoffs = _payoffs(spec, *efforts)[player - 1]
     idx = int(np.argmax(payoffs))
     return float(axis[idx]), float(payoffs[idx])
-
-
-def _payoff_matrices(spec: ContestSpec, axis: np.ndarray):
-    """Full payoff matrices, player-1 efforts on rows, player-2 on columns."""
-    n = axis.size
-    pay1 = np.empty((n, n))
-    pay2 = np.empty((n, n))
-    cost = spec.cost.cost(axis)
-    for lo in range(0, n, _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, n)
-        x1 = axis[lo:hi, None]
-        x2 = axis[None, :]
-        prob1, prob2 = _eventual_win_probs(spec, x1, x2)
-        pay1[lo:hi, :] = spec.v1 * prob1 - cost[lo:hi, None]
-        pay2[lo:hi, :] = spec.v2 * prob2 - cost[None, :]
-    return pay1, pay2
 
 
 def grid_nash(spec: ContestSpec, grid: GridSpec) -> list[EffortProfile]:
@@ -163,15 +150,23 @@ def grid_nash(spec: ContestSpec, grid: GridSpec) -> list[EffortProfile]:
 
     With the default slack (eps = 0) a profile qualifies only if each
     player's effort exactly maximizes their payoff column against the
-    other's effort.  Results are sorted lexicographically.
+    other's effort.  Results are sorted lexicographically.  Player 2's
+    eps-best cells are kept per row block with player 1's payoffs there, and
+    checked against player 1's column maxima once every block has run.
     """
     axis = grid.axis()
-    pay1, pay2 = _payoff_matrices(spec, axis)
     eps = grid.resolved_eps
-    best1 = pay1 >= np.max(pay1, axis=0, keepdims=True) - eps
-    best2 = pay2 >= np.max(pay2, axis=1, keepdims=True) - eps
-    cells = np.argwhere(best1 & best2)
-    return [EffortProfile(float(axis[i]), float(axis[j])) for i, j in cells]
+    rows = max(1, _BLOCK_CELLS // axis.size)
+    col_max = np.full(axis.size, -np.inf)
+    kept = []
+    for lo in range(0, axis.size, rows):
+        pay1, pay2 = _payoffs(spec, axis[lo:lo + rows, None], axis[None, :])
+        np.maximum(col_max, np.max(pay1, axis=0), out=col_max)
+        i, j = np.nonzero(pay2 >= np.max(pay2, axis=1, keepdims=True) - eps)
+        kept.append((i + lo, j, pay1[i, j]))
+    i, j, pay = (np.concatenate(parts) for parts in zip(*kept))
+    best = pay >= col_max[j] - eps
+    return [EffortProfile(float(axis[a]), float(axis[b])) for a, b in zip(i[best], j[best])]
 
 
 def _slope_bound(spec: ContestSpec, axis: np.ndarray, other: float, player: int) -> float:
@@ -180,7 +175,8 @@ def _slope_bound(spec: ContestSpec, axis: np.ndarray, other: float, player: int)
     Excluding the 0 -> h step keeps the ratio-form zero-effort payoff jump
     from inflating the bound; the remaining steps probe the smooth region.
     """
-    payoffs = _payoff_columns(spec, axis, other, player)
+    efforts = (axis, other) if player == 1 else (other, axis)
+    payoffs = _payoffs(spec, *efforts)[player - 1]
     h = axis[1] - axis[0]
     diffs = np.abs(np.diff(payoffs[1:])) if payoffs.size > 2 else np.abs(np.diff(payoffs))
     if diffs.size == 0:

@@ -1,6 +1,7 @@
 """Built-in contest families: registry, validation, probability structure."""
 from __future__ import annotations
 
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -371,6 +372,29 @@ def test_float_theta_kernels_match_the_array_kernels_bit_for_bit(family, k):
         for q in (0.0, 0.3, 1.0):
             assert _same_bits(csf._zp(theta, q), csf._zp(row, q)), (theta, q)
             for got, ref in zip(csf._zslopes(theta, q), csf._zslopes(row, q)):
+                assert _same_bits(got, ref), (theta, q, got, ref)
+
+
+RATIO_KERNEL_THETAS = (1e-320, 5e-324, 1e-200, 1e-160, 1.0, 1e154, 1e200, 1e308,
+                       *(10.0 ** np.random.default_rng(1407).uniform(-320.0, 308.0, 150)).tolist())
+
+
+@pytest.mark.parametrize("family", ["jia-ratio", "vesperoni-ratio"])
+@pytest.mark.parametrize("r, k", [(0.05, 1.0), (0.3, 1.5), (0.5, 2.0), (1.0, 1.0),
+                                  (1.0, 2.0), (2.0, 7.3), (50.0, 3.0)])
+def test_float_theta_ratio_kernels_match_the_array_kernels_bit_for_bit(family, r, k):
+    """A float theta from 1e-320 to 1e308 gives the 1-element array's values,
+    overflowed and underflowed slopes included, with no exception and no warning."""
+    csf = make_family(family, r=r, k=k)
+    for theta in RATIO_KERNEL_THETAS:
+        row = np.array([theta])
+        for q in (0.0, 0.3, 1.0):
+            with np.errstate(all="ignore"):
+                refs = (*csf._triple(row), csf._zp(row, q), *csf._zslopes(row, q))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                gots = (*csf._triple(theta), csf._zp(theta, q), *csf._zslopes(theta, q))
+            for got, ref in zip(gots, refs):
                 assert _same_bits(got, ref), (theta, q, got, ref)
 
 

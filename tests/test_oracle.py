@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from tiebreak import (
     solve,
     verify,
 )
+from tiebreak import oracle
 
 TULLOCK = make_contest(family="jia-ratio", v1=1.0, v2=1.0, q=0.5, r=1.0, k=1)
 SHARP_RATIO = make_contest(family="jia-ratio", v1=2.0, v2=1.0, q=0.5, r=1.0, k=2)
@@ -120,6 +122,93 @@ class TestGridNash:
         points = grid_nash(TULLOCK, GridSpec(x_max=1.0, steps=41, eps=0.05))
         keys = [(p.x1, p.x2) for p in points]
         assert keys == sorted(keys)
+
+
+def _full_payoff_matrices(spec, grid):
+    """Both n x n payoff matrices, player-1 efforts on rows, from `outcome` and `cost`."""
+    axis = grid.axis()
+    win1, win2, tie = spec.csf.outcome(axis[:, None], axis[None, :])
+    q = spec.tie.q
+    cost = spec.cost.cost(axis)
+    pay1 = spec.v1 * (win1 + q * tie) - cost[:, None]
+    pay2 = spec.v2 * (win2 + (1.0 - q) * tie) - cost[None, :]
+    return pay1, pay2
+
+
+def _reference_grid_nash(spec, grid):
+    """Grid equilibria from the full matrices: every cell's eps-best test at once."""
+    axis = grid.axis()
+    pay1, pay2 = _full_payoff_matrices(spec, grid)
+    eps = grid.resolved_eps
+    best1 = pay1 >= np.max(pay1, axis=0, keepdims=True) - eps
+    best2 = pay2 >= np.max(pay2, axis=1, keepdims=True) - eps
+    return [EffortProfile(float(axis[i]), float(axis[j])) for i, j in np.argwhere(best1 & best2)]
+
+
+def _reference_contests(seed: int = 1407):
+    """Seeded contests over all five families plus concave r = 1, both label orders."""
+    rng = np.random.default_rng(seed)
+    k = float(rng.uniform(1.0, 4.0))
+    families = [
+        ("vesperoni-ratio", dict(r=float(rng.uniform(0.1, 1.0)) / k, k=k)),
+        ("jia-ratio", dict(r=float(rng.uniform(0.1, 1.0)), k=k)),
+        ("vesperoni-diff", dict(k=k)),
+        ("jia-diff", dict(k=k)),
+        ("blavatskyy-power", dict(r=float(rng.uniform(0.1, 0.9)))),
+        ("blavatskyy-power", dict(r=1.0)),
+    ]
+    contests = []
+    for family, params in families:
+        strong = float(rng.uniform(1.0, 3.0))
+        weak = strong / float(rng.uniform(1.0, 3.0))
+        q = float(rng.uniform(0.0, 1.0))
+        for v1, v2 in ((strong, weak), (weak, strong)):
+            contests.append(make_contest(family, v1=v1, v2=v2, q=q, **params))
+    return contests
+
+
+@pytest.mark.parametrize("spec", _reference_contests(),
+                         ids=lambda s: f"{s.csf.name}-r{s.csf.params.get('r')}-v1_{s.v1:.3g}")
+@pytest.mark.parametrize("steps, block_rows", [(57, 7), (150, 16), (401, None)])
+@pytest.mark.parametrize("eps", [None, 1e-3])
+def test_grid_nash_matches_the_full_matrix_reference(monkeypatch, spec, steps, block_rows, eps):
+    """Each case spans several row blocks and ends on a ragged one: 7 and 16
+    rows by a shrunk cell budget, and the real budget's rows at 401 steps."""
+    if block_rows is not None:
+        monkeypatch.setattr(oracle, "_BLOCK_CELLS", block_rows * steps)
+    rows = oracle._BLOCK_CELLS // steps
+    assert 1 < rows < steps and steps % rows != 0
+    grid = GridSpec.for_contest(spec, steps=steps, eps=eps)
+    assert grid_nash(spec, grid) == _reference_grid_nash(spec, grid)
+
+
+def test_grid_nash_drops_player_two_best_cells_that_fail_player_one(monkeypatch):
+    """At this slack most of player 2's eps-best cells are not eps-best for
+    player 1, so the kept candidates outnumber the output."""
+    monkeypatch.setattr(oracle, "_BLOCK_CELLS", 5 * 41)
+    grid = GridSpec(x_max=1.0, steps=41, eps=0.01)
+    points = grid_nash(SHARP_RATIO, grid)
+    pay1, pay2 = _full_payoff_matrices(SHARP_RATIO, grid)
+    best2 = pay2 >= np.max(pay2, axis=1, keepdims=True) - grid.resolved_eps
+    assert 0 < len(points) < int(best2.sum()) // 2
+    assert points == _reference_grid_nash(SHARP_RATIO, grid)
+
+
+def test_verify_peak_memory_stays_flat_in_the_grid_size():
+    """`grid_nash` holds no n x n matrix: the traced peak of `verify` stays
+    under 30 MB and grows by under 25% from 1001 to 2001 steps."""
+    eq = solve(SHARP_RATIO)
+    peaks = []
+    for steps in (1001, 2001):
+        grid = GridSpec.for_contest(SHARP_RATIO, steps=steps)
+        tracemalloc.start()
+        try:
+            verify(SHARP_RATIO, eq, grid)
+            peaks.append(tracemalloc.get_traced_memory()[1] / 1e6)
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 30.0, peaks
+    assert max(peaks) <= 1.25 * min(peaks), peaks
 
 
 class TestVerify:

@@ -64,6 +64,10 @@ def _draw_contests(seed: int = 20240613):
         ("blavatskyy-power", dict(r=0.99999104), 0.834, 0.1036),  # Newton backtracks
         ("blavatskyy-power", dict(r=0.5), 2.0, 2.0),
         ("vesperoni-ratio", dict(r=0.001, k=1000.0), 3.0, 1.0),  # ratio underflow
+        # Python's pow and NumPy's array power can round u**k apart here, which
+        # shows in the q = 0 residuals unless the float kernels take NumPy's
+        ("vesperoni-ratio", dict(r=0.10972543855593699, k=8.57704671360143),
+         4.193346828096193, 0.23999701580654786),
         ("jia-diff", dict(k=2.0), 1e6, 1.0),                    # gap-scaled residual
         ("vesperoni-diff", dict(k=3.0), 1.5, 1.5),              # zero gap
         ("jia-ratio", dict(r=1.0, k=2.0), 1.0, 1.0),
