@@ -8,10 +8,11 @@ total effort.  Every curve is solved in one batch over its tie rules
 (`batch.solve_lanes`) and read as x1 + x2 off its effort arrays: sweeps and
 the optimal rule's 101-point cross-check never loop over q or build a per-q
 record, while a random rule, a handful of atoms too few for a batch to
-pay, takes one scalar `solve` per atom.  The concave optimum is read off the
-cross-check batch and certified by the sign of dR/dq, from the implicit
-function theorem on the first-order conditions; only an optimum inside
-(0, 1) is refined, by a few more batches around it.
+pay, takes one scalar `solve` per atom.  A contest's grid batch is solved
+once: `sweep` and `optimal_q` reuse the last one with no failing lane.  The
+concave optimum is read off that batch and certified by the sign of dR/dq,
+from the implicit function theorem on the first-order conditions; only an
+optimum inside (0, 1) is refined, by a few more batches around it.
 
 Shape certificates are numeric statements about the sampled curve, not
 symbolic proofs: each records the worst measured violation alongside the
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,9 +116,9 @@ class EffortCurve(JsonRecord):
             raise ValidationError("an effort curve needs at least two samples")
         if not len(self.x1) == len(self.x2) == len(self.betas) == len(qs):
             raise ValidationError("curve columns must have one entry per q value")
-        if any(not 0.0 <= q <= 1.0 for q in qs):
-            raise ValidationError("curve q values must lie in [0, 1]")
-        if any(b >= a for a, b in zip(qs[1:], qs)):
+        if not (0.0 <= qs[0] and qs[-1] <= 1.0 and all(map(operator.lt, qs, qs[1:]))):
+            if any(not 0.0 <= q <= 1.0 for q in qs):
+                raise ValidationError("curve q values must lie in [0, 1]")
             raise ValidationError("curve q values must be strictly increasing")
 
     @property
@@ -149,11 +151,10 @@ def _certify(totals: np.ndarray) -> ShapeCertificate:
 
     if totals.size >= 3:
         mid_dev = float(np.max(np.abs((totals[:-2] + totals[2:]) / 2.0 - totals[1:-1])))
-        second = np.diff(totals, 2)
+        second = np.diff(diffs)
         dip = float(max(0.0, -np.min(second)))
     else:
-        mid_dev = 0.0
-        dip = 0.0
+        mid_dev = dip = 0.0
     linear = ShapeCheck(holds=mid_dev <= LINEAR_TOL, violation=mid_dev)
     convex = ShapeCheck(holds=dip <= CONVEX_TOL, violation=dip)
 
@@ -172,6 +173,28 @@ def _raise_first_failure(qs: np.ndarray, lanes) -> None:
         raise _failed_at(lanes.errors[i], qs[i]) from lanes.errors[i]
 
 
+_last_grid: tuple = ()  # (key, qs, lanes) of the last grid batch with no failing lane
+
+
+def _grid_lanes(spec: ContestSpec, q_count: int, force: bool, audited: bool):
+    """The contest at `q_count` equally spaced tie rules, as (qs, lanes).
+
+    Keeps the last batch with no failing lane, read-only, keyed by all that
+    `solve_lanes` reads but the spec's q; a batch with one is solved anew."""
+    global _last_grid
+    key = (spec.csf, spec.v1, spec.v2, spec.cost, q_count, force, audited)
+    if (held := _last_grid) and held[0] == key:  # one read: a thread may replace it
+        return held[1:]
+    qs = np.linspace(0.0, 1.0, q_count)
+    lanes = solve_lanes(spec, qs, force=force, audited=audited)
+    if not lanes.errors:
+        for arr in (qs, lanes.x1, lanes.x2, lanes.beta, *lanes.residuals, lanes.cornered):
+            if arr is not None:
+                arr.flags.writeable = False
+        _last_grid = (key, qs, lanes)
+    return qs, lanes
+
+
 def sweep(spec: ContestSpec, q_count: int, *, force: bool = False,
           audited: bool = False) -> EffortCurve:
     """Equilibrium efforts at `q_count` equally spaced tie rules.
@@ -183,11 +206,10 @@ def sweep(spec: ContestSpec, q_count: int, *, force: bool = False,
         raise ValidationError(f"q_count must be an integer, got {q_count!r}")
     if q_count < 2:
         raise ValidationError(f"q_count must be >= 2, got {q_count}")
-    qs = np.linspace(0.0, 1.0, int(q_count))
     try:
-        lanes = solve_lanes(spec, qs, force=force, audited=audited)
+        qs, lanes = _grid_lanes(spec, int(q_count), force, audited)
     except ContestError as exc:
-        raise _failed_at(exc, qs[0]) from exc
+        raise _failed_at(exc, 0.0) from exc
     _raise_first_failure(qs, lanes)
     betas = (None,) * qs.size if lanes.beta is None else tuple(lanes.beta.tolist())
     return EffortCurve(tuple(qs.tolist()), tuple(lanes.x1.tolist()), tuple(lanes.x2.tolist()),
@@ -289,25 +311,25 @@ def _concave_optimum(spec: ContestSpec, qs: np.ndarray, lanes, solve_kwargs: dic
 def optimal_q(spec: ContestSpec, *, force: bool = False, audited: bool = False) -> OptimalQ:
     """The deterministic tie rule maximizing total equilibrium effort.
 
-    Every route solves a 101-point curve in one batch.  For ratio- and
-    difference-form contests the answer is structural: give the stronger
-    player no tie share (rationale "theorem"), or any q when prizes are equal
-    (q = 0, rationale "indifferent"); the curve's best point wins only if it
-    beats that candidate beyond a determinism guard (rationale "numeric").
-    Concave contests (rationale "numeric") take the curve's best point,
-    certified by the sign of dR/dq at an endpoint and refined to 1e-6
-    inside (0, 1); a failing tie rule raises its own error.
-    """
+    Every route reads a 101-point curve solved in one batch, the one
+    `sweep(spec, 101)` solved if it just ran.  For ratio- and difference-form
+    contests the answer is structural: give the stronger player no tie share
+    (rationale "theorem"), or any q when prizes are equal (q = 0, rationale
+    "indifferent"); the curve's best point wins only if it beats that
+    candidate beyond a determinism guard (rationale "numeric").  Concave
+    contests (rationale "numeric") take the curve's best point, certified by
+    the sign of dR/dq at an endpoint and refined to 1e-6 inside (0, 1); a
+    failing tie rule raises its own error."""
     kind = spec.csf.kind
     vals = spec.valuations
-    qs = np.linspace(0.0, 1.0, CROSS_CHECK_POINTS)
-    solve_kwargs = dict(force=force, audited=audited)
+    if kind not in ("concave", "ratio", "diff"):
+        raise ValidationError(f"no designer support for family kind {kind!r}")
+    qs, lanes = _grid_lanes(spec, CROSS_CHECK_POINTS, force, audited)
     if kind == "concave":
-        lanes = solve_lanes(spec, qs, **solve_kwargs).checked(qs)
-        q_star, x1, x2 = _concave_optimum(spec, qs, lanes, solve_kwargs)
+        solve_kwargs = dict(force=force, audited=audited)
+        q_star, x1, x2 = _concave_optimum(spec, qs, lanes.checked(qs), solve_kwargs)
         rationale = Rationale.NUMERIC
-    elif kind in ("ratio", "diff"):
-        lanes = solve_lanes(spec, qs, **solve_kwargs)
+    else:
         if vals.v1 == vals.v2:
             i, rationale = 0, Rationale.INDIFFERENT
         else:
@@ -320,8 +342,6 @@ def optimal_q(spec: ContestSpec, *, force: bool = False, audited: bool = False) 
         if totals[best] > totals[i] + OPTIMAL_IMPROVEMENT_GUARD * (1.0 + abs(float(totals[i]))):
             i, rationale = best, Rationale.NUMERIC
         q_star, x1, x2 = _point(qs, lanes, i)
-    else:
-        raise ValidationError(f"no designer support for family kind {kind!r}")
     return OptimalQ(q_star=TieRule(q_star), total_effort=x1 + x2, rationale=rationale,
                     x1=x1, x2=x2)
 

@@ -254,6 +254,93 @@ class TestConcaveOptimum:
             optimal_q(spec)
 
 
+MEMO_CONTESTS = [
+    ("vesperoni-ratio", dict(r=0.5, k=2.0)), ("jia-ratio", dict(r=0.5, k=2.0)),
+    ("vesperoni-diff", dict(k=2.0)), ("jia-diff", dict(k=2.0)),
+    ("blavatskyy-power", dict(r=0.5)), ("blavatskyy-power", dict(r=1.0)),
+]
+MEMO_BASE = dict(family="jia-ratio", v1=3.0, v2=1.2, q=0.0, r=0.5, k=2.0)
+
+
+def _bits(result) -> str:
+    """A result's JSON form as text, which tells -0.0 from 0.0."""
+    return json.dumps(result.to_json_dict(), sort_keys=True)
+
+
+class TestGridMemo:
+    """`sweep` and `optimal_q` share the last error-free grid batch of a contest."""
+
+    @pytest.mark.parametrize("family,params", MEMO_CONTESTS)
+    @pytest.mark.parametrize("v1,v2", [(3.0, 1.2), (1.2, 3.0)])
+    def test_warm_results_equal_cold_ones_bit_for_bit(self, batches, family, params, v1, v2):
+        spec = make_contest(family, v1=v1, v2=v2, q=0.0, **params)
+        cold_best = _bits(optimal_q(spec))
+        designer_mod._last_grid = ()
+        cold_curve = _bits(sweep(spec, 101))
+        held = designer_mod._last_grid
+        assert _bits(optimal_q(spec)) == cold_best
+        assert _bits(sweep(spec, 101)) == cold_curve
+        assert designer_mod._last_grid is held
+        assert [qs.size for qs in batches] == [101, 101]  # the two cold calls
+
+    def test_a_spec_differing_only_in_q_hits(self, batches):
+        spec = make_contest(**MEMO_BASE)
+        cold = _bits(optimal_q(spec.with_q(0.7)))
+        sweep(spec, 101)
+        batches.clear()
+        assert _bits(optimal_q(spec.with_q(0.7))) == cold
+        assert batches == []
+
+    @pytest.mark.parametrize("contest,kwargs,q_count", [
+        (dict(MEMO_BASE, v1=math.nextafter(3.0, math.inf)), {}, 101),
+        (dict(MEMO_BASE, v2=math.nextafter(1.2, 0.0)), {}, 101),
+        (dict(MEMO_BASE, v1=1.2, v2=3.0), {}, 101),
+        (MEMO_BASE, dict(force=True), 101),
+        (MEMO_BASE, dict(audited=True), 101),
+        (dict(MEMO_BASE, family="vesperoni-ratio"), {}, 101),
+        (MEMO_BASE, {}, 51),
+    ], ids=["v1-ulp", "v2-ulp", "swapped", "force", "audited", "family", "q_count"])
+    def test_any_other_change_misses_and_gives_its_own_cold_answer(
+            self, batches, contest, kwargs, q_count):
+        base, spec = make_contest(**MEMO_BASE), make_contest(**contest)
+        # each call runs after a batch of the base contest; optimal_q reads
+        # 101 points, so its q_count case is primed with the other count
+        calls = [(101, lambda: sweep(spec, q_count, **kwargs)),
+                 (q_count, lambda: optimal_q(spec, **kwargs))]
+        for prime, call in calls:
+            designer_mod._last_grid = ()
+            cold = _bits(call())
+            sweep(base, prime)
+            batches.clear()
+            assert _bits(call()) == cold
+            assert len(batches) == 1
+
+    @pytest.mark.parametrize("family,params", MEMO_CONTESTS[3:5])
+    def test_held_arrays_are_read_only(self, family, params):
+        sweep(make_contest(family, v1=3.0, v2=1.2, q=0.0, **params), 101)
+        _, qs, lanes = designer_mod._last_grid
+        arrays = [qs, lanes.x1, lanes.x2, lanes.beta, *lanes.residuals, lanes.cornered]
+        for arr in filter(lambda a: a is not None, arrays):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = arr[1]
+
+    def test_failing_contest_is_never_stored(self):
+        sweep(make_contest(**MEMO_BASE), 101)
+        held = designer_mod._last_grid
+        spec = make_contest(family="blavatskyy-power", v1=0.1024, v2=0.01184, q=0.5, r=0.9386)
+        with pytest.raises(ConvergenceError) as lane:
+            solve(spec.with_q(1.0))
+        raised = []
+        for call, text in [(lambda: sweep(spec, 101), f"sweep failed at q = 1: {lane.value}"),
+                           (lambda: optimal_q(spec), str(lane.value))] * 2:
+            with pytest.raises(ConvergenceError) as info:
+                call()
+            assert str(info.value) == text
+            raised.append(info.value)
+        assert len({id(exc) for exc in raised}) == len(raised)
+        assert designer_mod._last_grid is held
+
+
 class TestExpectedEffort:
     def test_point_mass_equals_plain_solve(self):
         rule = RandomTieRule.from_pairs([(0.3, 1.0)])

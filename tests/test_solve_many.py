@@ -224,6 +224,10 @@ RULES = [
 ]
 
 
+# One ratio, one difference and both concave branches.
+KINDS = [FIVE_FAMILIES[0], FIVE_FAMILIES[2], FIVE_FAMILIES[4], FIVE_FAMILIES[5]]
+
+
 class TestDesignerStaysBatched:
     """The designer's curves come from one batch solve, never a per-q loop.
 
@@ -241,18 +245,6 @@ class TestDesignerStaysBatched:
             return oriented(v, q)
 
         monkeypatch.setattr(equilibrium_mod, "_oriented", counting_oriented)
-        return calls
-
-    @pytest.fixture
-    def batches(self, monkeypatch):
-        """Tie-rule arrays of every batch the designer solves."""
-        calls = []
-
-        def counting(spec, qs, **kwargs):
-            calls.append(np.asarray(qs))
-            return solve_lanes(spec, qs, **kwargs)
-
-        monkeypatch.setattr(designer_mod, "solve_lanes", counting)
         return calls
 
     @pytest.fixture
@@ -275,10 +267,7 @@ class TestDesignerStaysBatched:
         assert best.q_star.q == 1.0
         assert scalar_calls == []
 
-    @pytest.mark.parametrize("family,params", [
-        ("jia-ratio", dict(r=0.8, k=3.0)), ("jia-diff", dict(k=2.5)),
-        ("blavatskyy-power", dict(r=0.5)), ("blavatskyy-power", dict(r=1.0)),
-    ])
+    @pytest.mark.parametrize("family,params", KINDS)
     def test_designer_builds_no_per_q_equilibrium(self, monkeypatch, family, params):
         built = []
         post_init = Equilibrium.__post_init__
@@ -295,18 +284,30 @@ class TestDesignerStaysBatched:
         expected_effort(spec, RandomTieRule.from_pairs(RULES[-1]))
         assert len(built) == len(RULES[-1])
 
-    @pytest.mark.parametrize("r", [0.5, 1.0])
+    @pytest.mark.parametrize("family,params", KINDS)
     @pytest.mark.parametrize("v1,v2,q_star", [(3.0, 1.2, 0.0), (1.2, 3.0, 1.0)])
-    def test_concave_endpoint_optimum_takes_one_batch_and_no_scalar_solve(
-            self, scalar_calls, batches, r, v1, v2, q_star):
-        spec = make_contest("blavatskyy-power", v1=v1, v2=v2, q=0.0, r=r)
-        sweep(spec, 101)
-        batches.clear()
+    def test_cold_endpoint_optimum_takes_one_batch_and_no_scalar_solve(
+            self, scalar_calls, batches, family, params, v1, v2, q_star):
+        spec = make_contest(family, v1=v1, v2=v2, q=0.0, **params)
         best = optimal_q(spec)
         assert best.q_star.q == q_star
         assert scalar_calls == []
         assert len(batches) == 1
         assert batches[0].size == designer_mod.CROSS_CHECK_POINTS
+
+    @pytest.mark.parametrize("family,params", KINDS)
+    @pytest.mark.parametrize("v1,v2,q_star", [(3.0, 1.2, 0.0), (1.2, 3.0, 1.0)])
+    def test_endpoint_optimum_after_sweep_takes_no_batch_and_no_scalar_solve(
+            self, scalar_calls, batches, family, params, v1, v2, q_star):
+        # the optimum reads the 101-point batch the sweep just solved
+        spec = make_contest(family, v1=v1, v2=v2, q=0.0, **params)
+        sweep(spec, 101)
+        assert len(batches) == 1
+        batches.clear()
+        best = optimal_q(spec)
+        assert best.q_star.q == q_star
+        assert scalar_calls == []
+        assert batches == []
 
     @pytest.mark.parametrize("family,params", FIVE_FAMILIES)
     @pytest.mark.parametrize("pairs", RULES, ids=len)
