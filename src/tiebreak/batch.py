@@ -33,6 +33,7 @@ from .equilibrium import (
     _diff_closed_form,
     _effort_underflow,
     _gap_residual,
+    _lottery_interior,
     _negative_efforts,
     _newton_residual,
     _no_axis_equilibrium,
@@ -267,8 +268,7 @@ def _concave_lanes(csf, vals, q_user, q_int, warnings):
     errors: dict[int, ContestError] = {}
     cornered = np.zeros(n, dtype=bool)
     if csf.r == 1.0:
-        scale = v1 * v2 / (v1 + v2) ** 2
-        x1i, x2i = v1 * scale - q_int, v2 * scale - (1.0 - q_int)
+        x1i, x2i = _lottery_interior(v1, v2, q_int)
         cornered = ~((x1i >= 0.0) & (x2i >= 0.0))
         at = np.flatnonzero(cornered)
         x1i[at], x2i[at], corner_errors = _lottery_corners(csf, v1, v2, q_int[at])

@@ -319,15 +319,9 @@ def run(argv) -> int:
 
     try:
         return _COMMANDS[args.command](args)
-    except ConvergenceError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_NO_CONVERGENCE
-    except ValidationError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INVALID
     except ContestError as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INVALID
+        return EXIT_NO_CONVERGENCE if isinstance(exc, ConvergenceError) else EXIT_INVALID
 
 
 def main() -> None:

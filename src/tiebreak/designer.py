@@ -11,8 +11,8 @@ record, while a random rule, a handful of atoms too few for a batch to
 pay, takes one scalar `solve` per atom.  A contest's grid batch is solved
 once: `sweep` and `optimal_q` reuse the last one with no failing lane.  The
 concave optimum is read off that batch and certified by the sign of dR/dq,
-from the implicit function theorem on the first-order conditions; only an
-optimum inside (0, 1) is refined, by a few more batches around it.
+from the implicit function theorem on the first-order conditions: an
+endpoint where it points outward, or `optimal_q` raises `ConvergenceError`.
 
 Shape certificates are numeric statements about the sampled curve, not
 symbolic proofs: each records the worst measured violation alongside the
@@ -37,7 +37,7 @@ import numpy as np
 from .core import ContestSpec, JsonRecord, RandomTieRule, TieRule
 from .batch import solve_lanes
 from .equilibrium import _log_impact_foc, _user_order, solve
-from .errors import ContestError, ValidationError
+from .errors import ContestError, ConvergenceError, ValidationError
 
 CONSTANT_TOL = 1e-10
 """Max allowed range of R over the sweep for the constant certificate."""
@@ -57,11 +57,7 @@ STRICT_NEGATIVE_SLACK = 1e-12
 OPTIMAL_IMPROVEMENT_GUARD = 1e-12
 """Relative improvement a cross-check must exceed to override a candidate."""
 
-REFINE_WIDTH = 1e-6
-"""Bracket width at which the refinement of an interior concave optimum stops."""
-
 CROSS_CHECK_POINTS = 101
-REFINE_POINTS = 21
 
 
 @dataclass(frozen=True)
@@ -253,8 +249,8 @@ def _total_effort_slope(spec: ContestSpec, q: float, x1: float, x2: float,
     interior closed form, and a lone entrant exerts sqrt(v_i (1 - q_i)) - 1.
     """
     vals, r = spec.valuations, spec.csf.r
-    q1 = 1.0 - q if vals.swapped else q
-    x1, x2 = _user_order(vals, x1, x2)
+    q1 = float(1.0 - q if vals.swapped else q)
+    x1, x2 = _user_order(vals, float(x1), float(x2))
     if r == 1.0:
         slope = 0.0
         if cornered and x1 > 0.0:
@@ -267,45 +263,29 @@ def _total_effort_slope(spec: ContestSpec, q: float, x1: float, x2: float,
         _, (J11, J12, J21, J22), _ = _log_impact_foc(
             g1, g2, math.log(r * vals.v1), math.log(r * vals.v2), (1.0 - r) / r, *heads)
         dG1, dG2 = -1.0 / (math.exp(g2) + (1.0 - q1)), 1.0 / (math.exp(g1) + q1)
-        det = J11 * J22 - J12 * J21 or math.nan  # singular: sign unknown, so refine
+        det = J11 * J22 - J12 * J21 or math.nan  # singular: sign unknown, so uncertified
         dg1, dg2 = (J12 * dG2 - J22 * dG1) / det, (J21 * dG1 - J11 * dG2) / det
         slope = (x1 * dg1 + x2 * dg2) / r
     return -slope if vals.swapped else slope
 
 
-def _point(qs, lanes, i: int) -> tuple[float, float, float]:
-    """Tie rule i of a solved batch and its efforts."""
-    return float(qs[i]), float(lanes.x1[i]), float(lanes.x2[i])
-
-
-def _concave_optimum(spec: ContestSpec, qs: np.ndarray, lanes, solve_kwargs: dict):
-    """Best (q, x1, x2) of a concave contest, given its solved batch at the grid `qs`.
+def _concave_optimum(spec: ContestSpec, qs: np.ndarray, lanes) -> int:
+    """Index of the best tie rule of a concave contest in its solved batch at `qs`.
 
     The candidate is the smallest of q = 0, the argmax and q = 1 within the
-    improvement guard of the best.  Unless the argmax is an endpoint whose
-    dR/dq points outward, its neighbour bracket is zoomed in on, one batch of
-    `REFINE_POINTS` per step, to `REFINE_WIDTH`; the best point found wins
-    if it improves the candidate beyond the guard.
+    improvement guard of the best.  It is returned only if it is an endpoint
+    where dR/dq points outward (<= 0 at q = 0, >= 0 at q = 1); an interior
+    candidate, an inward slope or a NaN one raises `ConvergenceError`.
     """
     totals = lanes.x1 + lanes.x2
     last, top = qs.size - 1, int(np.argmax(totals))
     guard = OPTIMAL_IMPROVEMENT_GUARD * (1.0 + abs(float(totals[top])))
-    pick = _point(qs, lanes, min(j for j in (0, top, last) if totals[j] >= totals[top] - guard))
-    if top in (0, last):
-        slope = _total_effort_slope(spec, *_point(qs, lanes, top), bool(lanes.cornered[top]))
-        if (slope <= 0.0) if top == 0 else (slope >= 0.0):
-            return pick
-    best, grid = _point(qs, lanes, top), qs
-    while grid[min(top + 1, last)] - grid[max(top - 1, 0)] > REFINE_WIDTH:
-        grid = np.linspace(grid[max(top - 1, 0)], grid[min(top + 1, last)], REFINE_POINTS)
-        found = solve_lanes(spec, grid, **solve_kwargs).checked(grid)
-        totals = found.x1 + found.x2
-        last, top = grid.size - 1, int(np.argmax(totals))
-        if totals[top] > best[1] + best[2]:
-            best = _point(grid, found, top)
-    total = pick[1] + pick[2]
-    beats = best[1] + best[2] > total + OPTIMAL_IMPROVEMENT_GUARD * (1.0 + abs(total))
-    return best if beats else pick
+    i = min(j for j in (0, top, last) if totals[j] >= totals[top] - guard)
+    slope = _total_effort_slope(spec, qs[i], lanes.x1[i], lanes.x2[i], lanes.cornered[i])
+    if (i == 0 and slope <= 0.0) or (i == last and slope >= 0.0):
+        return i
+    raise ConvergenceError(f"optimal tie rule not certified: the best of {qs.size} grid "
+                           f"points is q = {qs[i]:.17g}, where dR/dq = {slope:.17g}")
 
 
 def optimal_q(spec: ContestSpec, *, force: bool = False, audited: bool = False) -> OptimalQ:
@@ -317,23 +297,19 @@ def optimal_q(spec: ContestSpec, *, force: bool = False, audited: bool = False) 
     (rationale "theorem"), or any q when prizes are equal (q = 0, rationale
     "indifferent"); the curve's best point wins only if it beats that
     candidate beyond a determinism guard (rationale "numeric").  Concave
-    contests (rationale "numeric") take the curve's best point, certified by
-    the sign of dR/dq at an endpoint and refined to 1e-6 inside (0, 1); a
-    failing tie rule raises its own error."""
+    contests (rationale "numeric") take the curve's best point, which must be
+    an endpoint certified by the outward sign of dR/dq; any other point
+    raises `ConvergenceError`, and a failing tie rule raises its own error."""
     kind = spec.csf.kind
     vals = spec.valuations
     if kind not in ("concave", "ratio", "diff"):
         raise ValidationError(f"no designer support for family kind {kind!r}")
     qs, lanes = _grid_lanes(spec, CROSS_CHECK_POINTS, force, audited)
     if kind == "concave":
-        solve_kwargs = dict(force=force, audited=audited)
-        q_star, x1, x2 = _concave_optimum(spec, qs, lanes.checked(qs), solve_kwargs)
-        rationale = Rationale.NUMERIC
+        i, rationale = _concave_optimum(spec, qs, lanes.checked(qs)), Rationale.NUMERIC
     else:
-        if vals.v1 == vals.v2:
-            i, rationale = 0, Rationale.INDIFFERENT
-        else:
-            i, rationale = (qs.size - 1 if vals.swapped else 0), Rationale.THEOREM
+        i = qs.size - 1 if vals.swapped else 0  # equal prizes are never swapped
+        rationale = Rationale.INDIFFERENT if vals.v1 == vals.v2 else Rationale.THEOREM
         if i in lanes.errors:
             raise lanes.errors[i]
         _raise_first_failure(qs, lanes)
@@ -341,7 +317,7 @@ def optimal_q(spec: ContestSpec, *, force: bool = False, audited: bool = False) 
         best = int(np.argmax(totals))
         if totals[best] > totals[i] + OPTIMAL_IMPROVEMENT_GUARD * (1.0 + abs(float(totals[i]))):
             i, rationale = best, Rationale.NUMERIC
-        q_star, x1, x2 = _point(qs, lanes, i)
+    q_star, x1, x2 = float(qs[i]), float(lanes.x1[i]), float(lanes.x2[i])
     return OptimalQ(q_star=TieRule(q_star), total_effort=x1 + x2, rationale=rationale,
                     x1=x1, x2=x2)
 

@@ -360,6 +360,15 @@ def _no_axis_equilibrium(b1: float, b2: float) -> NoEquilibriumError:
                               f"(single-entrant responses {b1} and {b2})")
 
 
+def _lottery_interior(v1: float, v2: float, q_int):
+    """Linear-impact efforts v_i v1 v2 / (v1 + v2)^2 less each tie share, for
+    one tie rule or an array of lanes; the scale comes from rho = v2 / v1 <= 1,
+    so no square overflows or underflows at any pair of finite prizes."""
+    rho = v2 / v1
+    scale = rho / (1.0 + rho) ** 2
+    return v1 * scale - q_int, v2 * scale - (1.0 - q_int)
+
+
 def _lottery_corner(csf, v1: float, v2: float, q_int: float) -> tuple[float, float]:
     """Corner equilibrium of a linear-impact contest whose interior profile fails.
 
@@ -461,13 +470,9 @@ def solve_concave(csf, v, q, *, audited: bool = False) -> Equilibrium:
     warnings = _opening_warnings(csf, False, audited)
 
     if csf.r == 1.0:
-        scale = v1 * v2 / (v1 + v2) ** 2
-        strong = v1 * scale - q_int
-        weak = v2 * scale - (1.0 - q_int)
-        if strong >= 0.0 and weak >= 0.0:
-            x1i, x2i = strong, weak
-            method = SolveMethod.CLOSED_FORM
-        else:
+        x1i, x2i = _lottery_interior(v1, v2, q_int)
+        method = SolveMethod.CLOSED_FORM
+        if not (x1i >= 0.0 and x2i >= 0.0):
             x1i, x2i = _lottery_corner(csf, v1, v2, q_int)
             method = SolveMethod.FOC_SOLVE
             warnings.append(CORNER_UNIQUENESS_WARNING)

@@ -509,7 +509,7 @@ class BlavatskyyPower(_Family):
     def _win_d1(self, x1, x2, qv):
         f2 = self._impact(x2)
         total = self._impact(x1) + f2 + 1.0
-        return self._impact_prime(x1) * (f2 + (1.0 - qv)) / total**2
+        return self._impact_prime(x1) * (f2 + (1.0 - qv)) / total / total
 
     def _efforts(self, x1, x2, own_positive: bool = False):
         """Both efforts checked finite and >= 0, then own effort > 0 if asked."""

@@ -97,6 +97,12 @@ class TestSolveCommand:
         assert run(["solve", *SHARP]) == EXIT_NO_CONVERGENCE
         assert "stalled" in capsys.readouterr().err
 
+    def test_linear_impact_solve_at_a_huge_prize(self, capsys):
+        code, doc = run_json(capsys, ["solve", "--family", "blavatskyy-power", "--r", "1",
+                                      "--v1", "1e200", "--v2", "1", "--q", "0"])
+        assert code == EXIT_OK
+        assert (doc["equilibrium"]["x1"], doc["equilibrium"]["x2"]) == (1e100, 0.0)
+
 
 class TestSweepCommand:
     def test_csv_output(self, capsys):
@@ -127,6 +133,16 @@ class TestOptimizeCommand:
         assert doc["optimal"]["q_star"] == 0.0
         assert doc["optimal"]["rationale"] == "theorem"
         assert doc["optimal"]["total_effort"] == pytest.approx(0.75, abs=1e-10)
+
+    def test_uncertified_concave_optimum_exits_with_convergence_code(self, capsys,
+                                                                     monkeypatch):
+        import tiebreak.designer as designer
+
+        monkeypatch.setattr(designer, "_total_effort_slope", lambda *args: float("nan"))
+        argv = ["optimize", "--family", "blavatskyy-power", "--r", "0.5",
+                "--v1", "2", "--v2", "1", "--q", "0.5"]
+        assert run(argv) == EXIT_NO_CONVERGENCE
+        assert "q = 0, where dR/dq = nan" in capsys.readouterr().err
 
 
 class TestExpectedCommand:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -225,28 +226,56 @@ class TestConcaveOptimum:
         parent = row["total_effort"]
         assert best.total_effort >= parent - 1e-12 * (1.0 + parent)
 
-    @pytest.mark.parametrize("peak", [0.43217, 0.996, 0.0021])
-    def test_refinement_zooms_onto_an_interior_maximum(self, monkeypatch, peak):
-        batches = []
-
-        def curve(qs):
-            zeros = np.zeros(len(qs))
-            return Lanes(1.0 - (np.asarray(qs) - peak) ** 2, zeros, None, (zeros, zeros),
-                         zeros.astype(bool), SolveMethod.FOC_SOLVE, (), {})
-
-        def zoom(spec, qs, **kwargs):
-            batches.append(qs)
-            return curve(qs)
-
-        monkeypatch.setattr(designer_mod, "solve_lanes", zoom)
-        monkeypatch.setattr(designer_mod, "_total_effort_slope",
-                            lambda spec, q, x1, x2, cornered: -2.0 * (q - peak))
+    @staticmethod
+    def _stubbed_optimum(monkeypatch, totals, slope):
+        """`_concave_optimum` on a stubbed 101-point curve R(q) with slope dR/dq."""
         qs = np.linspace(0.0, 1.0, designer_mod.CROSS_CHECK_POINTS)
-        q_star, x1, x2 = designer_mod._concave_optimum(None, qs, curve(qs), {})
-        assert abs(q_star - peak) <= designer_mod.REFINE_WIDTH
-        assert x1 + x2 == 1.0 - (q_star - peak) ** 2
-        # each batch narrows the bracket tenfold: 0.02 down to 1e-6 takes five
-        assert len(batches) <= 5
+        zeros = np.zeros(qs.size)
+        lanes = Lanes(totals(qs), zeros, None, (zeros, zeros), zeros.astype(bool),
+                      SolveMethod.FOC_SOLVE, (), {})
+        monkeypatch.setattr(designer_mod, "_total_effort_slope",
+                            lambda spec, q, x1, x2, cornered: slope(q))
+        return qs, lambda: designer_mod._concave_optimum(None, qs, lanes)
+
+    # a peak between grid points lands on the nearest one: inside (0, 1), or
+    # at an endpoint whose slope points back inward
+    @pytest.mark.parametrize("peak,at", [(0.43217, 43), (0.996, 100), (0.0021, 0)],
+                             ids=["interior", "inward-at-1", "inward-at-0"])
+    def test_uncertified_candidate_raises_naming_q_and_slope(self, monkeypatch, peak, at):
+        qs, optimum = self._stubbed_optimum(monkeypatch, lambda q: 1.0 - (q - peak) ** 2,
+                                            lambda q: -2.0 * (q - peak))
+        q, slope = float(qs[at]), -2.0 * (float(qs[at]) - peak)
+        with pytest.raises(ConvergenceError,
+                           match=re.escape(f"q = {q:.17g}, where dR/dq = {slope:.17g}")):
+            optimum()
+
+    def test_nan_slope_at_an_endpoint_raises(self, monkeypatch):
+        _, optimum = self._stubbed_optimum(monkeypatch, lambda q: 1.0 - q, lambda q: math.nan)
+        with pytest.raises(ConvergenceError, match=r"q = 0, where dR/dq = nan$"):
+            optimum()
+
+    @pytest.mark.parametrize("totals,slope,q_star", [
+        (lambda q: 1.0 - q, -1.0, 0.0),
+        (lambda q: q, 1.0, 1.0),
+        (lambda q: np.full(q.size, 2.0), 0.0, 0.0),
+    ], ids=["falling", "rising", "flat"])
+    def test_outward_or_flat_endpoint_slope_returns_the_candidate(
+            self, monkeypatch, totals, slope, q_star):
+        qs, optimum = self._stubbed_optimum(monkeypatch, totals, lambda q: slope)
+        assert qs[optimum()] == q_star
+
+    # linear impact with the interior closed form at every q: R is flat up to
+    # rounding, so the grid argmax sits inside (0, 1) but the candidate is q = 0
+    @pytest.mark.parametrize("v1,v2,total", [
+        (10.0, 8.0, 3.444444444444444),
+        (8.0, 10.0, 3.444444444444444),
+        (19.18639171345799, 19.18639171345799, 8.593195856728995),
+    ])
+    def test_flat_linear_impact_curve_is_certified_in_one_batch(self, batches, v1, v2, total):
+        spec = make_contest(family="blavatskyy-power", v1=v1, v2=v2, q=0.5, r=1.0)
+        best = optimal_q(spec)
+        assert len(batches) == 1
+        assert (best.q_star.q, best.total_effort) == (0.0, total)
 
     def test_failing_tie_rule_raises_its_own_error(self):
         spec = make_contest(family="blavatskyy-power", v1=0.1024, v2=0.01184, q=0.5, r=0.9386)

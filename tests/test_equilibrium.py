@@ -16,10 +16,12 @@ from tiebreak import (
     Valuations,
     make_contest,
     make_family,
+    optimal_q,
     solve,
     solve_beta,
     solve_concave,
     solve_diff,
+    solve_many,
     solve_ratio,
 )
 import tiebreak.equilibrium as equilibrium_mod
@@ -227,6 +229,27 @@ class TestConcaveSolver:
         eq = solve_concave(csf, (1.0, 1.0), 0.0)
         assert (eq.x1, eq.x2) == (0.0, 0.0)
         assert eq.corner_flags == (True, True)
+
+    # prizes whose (v1 + v2)^2 would overflow (past about 1.34e154) or
+    # underflow to zero (near 1e-300)
+    @pytest.mark.parametrize("v1,v2,q,x1,x2,q_star", [
+        (1e200, 1e200, 0.5, 2.5e199, 2.5e199, 0.0),
+        (1e200, 1.0, 0.0, 1e100, 0.0, 0.0),
+        (1.0, 1e200, 1.0, 0.0, 1e100, 1.0),
+        (1e-300, 1e-300, 0.5, 0.0, 0.0, 0.0),
+        (1.7e308, 1e-300, 0.5, math.sqrt(0.85e308), 0.0, 0.0),
+    ])
+    def test_linear_impact_extreme_prizes_solve(self, v1, v2, q, x1, x2, q_star):
+        spec = make_contest(family="blavatskyy-power", v1=v1, v2=v2, q=q, r=1.0)
+        eq = solve(spec)
+        (lane,) = solve_many(spec, [q])
+        assert (eq.x1, eq.x2) == (lane.x1, lane.x2) == pytest.approx((x1, x2), rel=1e-15)
+        assert eq.residuals == lane.residuals
+        for res, cornered in zip(eq.residuals, eq.corner_flags):
+            assert (res <= 0.0) if cornered else abs(res) <= 1e-15
+        best = optimal_q(spec)
+        assert best.q_star.q == q_star
+        assert best.total_effort == pytest.approx(solve(spec.with_q(q_star)).total, rel=1e-15)
 
     def test_concave_impact_square_root_anchors(self):
         csf = make_family("blavatskyy-power", r=0.5)

@@ -265,6 +265,16 @@ class TestConcaveFamily:
             csf.outcome(-0.2, 0.1)
 
 
+@pytest.mark.parametrize("efforts", [2.5e199, np.array([2.5e199, 2.5e199])])
+def test_concave_win_slope_at_huge_efforts_stays_finite(efforts):
+    """The squared total (5e199)^2 would overflow; dividing twice does not."""
+    csf = make_family("blavatskyy-power", r=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = csf.win_prob_d1(efforts, efforts, 0.5)
+    np.testing.assert_allclose(got, 1e-200, rtol=1e-15, atol=0.0)
+
+
 TIE_RULE_METHODS = {
     "ratio": ("z", "z_prime", "z_double_prime"),
     "diff": ("z", "z_prime", "z_double_prime"),
