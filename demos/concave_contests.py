@@ -17,9 +17,8 @@ import argparse
 from tiebreak import (
     audit_concave,
     make_contest,
-    make_family,
     optimal_q,
-    solve_concave,
+    solve,
     sweep,
 )
 
@@ -42,35 +41,32 @@ def main() -> None:
     args = parser.parse_args()
 
     header("Linear impact: a pure substitution story")
-    linear = make_family("blavatskyy-power", r=1.0)
-    print(f"audit: {'passed' if audit_concave(linear).passed else 'failed'}")
+    linear = make_contest(family="blavatskyy-power", v1=9.0, v2=9.0, q=0.0, r=1.0)
+    print(f"audit: {'passed' if audit_concave(linear.csf).passed else 'failed'}")
     print("with prizes (9, 9), each effort is the lottery benchmark 2.25")
     print("minus that player's own tie share; the total never moves:")
     for q in Q_SAMPLES:
-        eq = solve_concave(linear, (9.0, 9.0), q)
+        eq = solve(linear.with_q(q))
         print(f"  q = {q:4.2f}   x = ({eq.x1:.4f}, {eq.x2:.4f})   "
               f"R = {eq.total:.4f}")
-    small = solve_concave(linear, (1.0, 1.0), 0.25)
+    small = solve(make_contest(family="blavatskyy-power", v1=1.0, v2=1.0, q=0.25, r=1.0))
     print("small prizes push the formula negative and the solver clamps:")
     print(f"  prizes (1, 1), q = 0.25 -> x = ({small.x1}, {small.x2}), "
           f"corners {small.corner_flags}")
 
     header("Strictly concave impact: the curve bends")
-    csf = make_family("blavatskyy-power", r=args.exponent)
     v = args.prize
+    spec = make_contest(family="blavatskyy-power", v1=v, v2=v, q=0.0, r=args.exponent)
     for q in Q_SAMPLES:
-        eq = solve_concave(csf, (v, v), q)
+        eq = solve(spec.with_q(q))
         print(f"  q = {q:4.2f}   x = ({eq.x1:.9f}, {eq.x2:.9f})   "
               f"R = {eq.total:.9f}")
-    even = solve_concave(csf, (v, v), 0.5).total
-    extreme = solve_concave(csf, (v, v), 0.0).total
+    even = solve(spec.with_q(0.5)).total
+    extreme = solve(spec.with_q(0.0)).total
     print(f"R(0) = {extreme:.9f} versus R(1/2) = {even:.9f}: "
           f"{'extreme rule wins' if extreme > even else 'even split wins'}")
 
     header("What the optimizer finds")
-    spec = make_contest(
-        family="blavatskyy-power", v1=v, v2=v, q=0.0, r=args.exponent,
-    )
     best = optimal_q(spec)
     print(f"optimal q* = {best.q_star.q} via {best.rationale.value} search")
     print(f"efforts at q*: ({best.x1:.9f}, {best.x2:.9f}), "

@@ -5,7 +5,8 @@ The package splits into:
 - `core`: contest specifications, tie rules, payoffs, serialization.
 - `families`: built-in contest success functions with tie outcomes.
 - `audit`: grid certification of the regularity conditions solvers rely on.
-- `equilibrium`: closed-form, root-finding, and Newton solvers.
+- `equilibrium`: `solve`, its closed-form, root-finding and Newton routes,
+  and the effort-gap root `solve_beta`.
 - `batch`: the same solvers vectorized over many tie rules at once.
 - `oracle`: brute-force discretized-game verification, independent of the
   analytic code paths.
@@ -54,9 +55,6 @@ from .equilibrium import (
     SolveMethod,
     solve,
     solve_beta,
-    solve_concave,
-    solve_diff,
-    solve_ratio,
 )
 from .errors import (
     ContestError,
@@ -139,10 +137,7 @@ __all__ = [
     "payoff",
     "solve",
     "solve_beta",
-    "solve_concave",
-    "solve_diff",
     "solve_many",
-    "solve_ratio",
     "sweep",
     "verify",
 ]

@@ -7,7 +7,8 @@ methods take an array of tie shares, one per lane, and the closed forms are
 the functions the scalar routes call.  Every q is a lane: an iterative lane
 retires on its own stop rule and the loop ends when no lane is left.
 
-`solve_lanes` returns arrays (`Lanes`), which the designer reads; only
+`solve_lanes` mirrors `equilibrium.solve`, with `_LANE_ROUTES` for its
+`_ROUTES`, and returns arrays (`Lanes`), which the designer reads; only
 `solve_many` turns lanes into `Equilibrium` objects.
 
 Only the iteration loops exist twice.  A single q stays on the scalar loops
@@ -98,8 +99,11 @@ def _ratio_lanes(csf, vals, q_user, q_int, warnings):
     slope = csf._zp(vals.beta, q_int)
     underflow = _ratio_underflows(vals, slope)
     errors = {int(i): _ratio_underflow(float(slope[i])) for i in np.flatnonzero(underflow)}
-    # a failed lane takes slope 1, which keeps its unused profile in the family's domain
-    x1, x2, beta, r1, r2 = _ratio_closed_form(csf, vals, q_user, np.where(underflow, 1.0, slope))
+    if not errors:
+        x1, x2, beta, r1, r2 = _ratio_closed_form(csf, vals, q_user, slope)
+    else:  # a failed lane's v1 * beta * slope can overflow: only the others take the closed form
+        x1, x2, beta, r1, r2 = out = np.ones((5, q_int.size))
+        out[:, ~underflow] = _ratio_closed_form(csf, vals, q_user[~underflow], slope[~underflow])
     return Lanes(x1, x2, beta, (r1, r2), np.zeros(q_int.size, dtype=bool),
                  SolveMethod.CLOSED_FORM, warnings, errors)
 
@@ -135,7 +139,7 @@ def _safeguarded_roots(fdf, lo, hi, budget: int):
 
 
 def _gap_roots(csf, gap: float, q_int: np.ndarray):
-    """`solve_beta` for an array of internal tie shares; failing lanes hold their error."""
+    """`_gap_root` for an array of internal tie shares; failing lanes hold their error."""
     n = q_int.size
     if gap == 0.0:
         return np.zeros(n), {}

@@ -9,14 +9,13 @@ conditions directly: analytically when the impact is linear, and otherwise
 by Newton's method with backtracking in log-impact coordinates
 g_i = log(x_i^r).
 
-Solvers work internally with valuations ordered strongest-first and report
-results in the caller's labels, so callers never need to pre-sort prizes.
-The tie rule is relabeled alongside (player 2's tie share is 1 - q).
-
-`solve` handles one tie rule; `batch.solve_many` runs the same routes for an
-array of tie rules at once.  Both share the check of family kind, cost and
-closed-form precondition here, and the errors each route raises.  Both check
-their inputs on entry, then call only the families' unchecked kernels.
+`solve(spec)` is the one way in.  It checks family kind, cost and closed-form
+precondition once, orients the labels (strongest prize first, player 2's tie
+share 1 - q) and calls the family kind's route in `_ROUTES`, which reports in
+the caller's labels.  `batch.solve_lanes` does the same for many tie rules
+through `batch._LANE_ROUTES`: same route signature, closed forms and errors.
+Routes call only the families' unchecked kernels.  `solve_beta` is the one
+raw-input helper, the effort-gap root of a difference-form contest.
 
 Every solver returns an `Equilibrium` carrying per-player first-order
 residuals evaluated at the returned profile, corner flags, and any warnings
@@ -31,7 +30,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-from .core import ContestSpec, JsonRecord, TieRule, Valuations
+from .core import ContestSpec, JsonRecord, Valuations, q_value
 from .errors import ConvergenceError, NoEquilibriumError, ValidationError
 
 _EPS = sys.float_info.epsilon
@@ -98,14 +97,6 @@ class Equilibrium(JsonRecord):
     @property
     def total(self) -> float:
         return self.x1 + self.x2
-
-
-def _oriented(v, q) -> tuple[Valuations, float, float]:
-    """Normalize labels: strongest prize first, tie share relabeled to match."""
-    vals = v if isinstance(v, Valuations) else Valuations(*v)
-    q_user = TieRule.coerce(q).q
-    q_int = 1.0 - q_user if vals.swapped else q_user
-    return vals, q_user, q_int
 
 
 def _user_order(vals: Valuations, strong, weak):
@@ -213,29 +204,16 @@ def _ratio_closed_form(csf, vals: Valuations, q_user, slope):
     return x1, x2, theta, v1u * zp / x2 - 1.0, v2u * zp * theta / x2 - 1.0
 
 
-def solve_ratio(csf, v, q, *, force: bool = False, audited: bool = False) -> Equilibrium:
-    """Closed-form equilibrium of a ratio-form contest with linear cost.
-
-    Both players exert prize * beta * z_q'(beta) at beta = v1/v2 (labels
-    normalized strongest-first internally).  Families whose closed form is
-    only guaranteed under a parameter restriction reject parameters outside
-    it unless `force` is given, in which case the formula is evaluated
-    anyway and a warning is attached.
-    """
-    if getattr(csf, "kind", None) != "ratio":
-        raise ValidationError("solve_ratio requires a ratio-form family")
-    vals, q_user, q_int = _oriented(v, q)
-    warnings = _opening_warnings(csf, force, audited)
-
+def _solve_ratio(csf, vals, q_user, q_int, warnings) -> Equilibrium:
+    """Closed-form equilibrium of a ratio-form contest with linear cost: both
+    players exert prize * beta * z_q'(beta) at beta = v1/v2."""
     _overflow_check(csf, vals.beta, vals.beta == math.inf)
     slope = float(csf._zp(vals.beta, q_int))
     if _ratio_underflows(vals, slope):
         raise _ratio_underflow(slope)
     x1, x2, theta, r1, r2 = map(float, _ratio_closed_form(csf, vals, q_user, slope))
-    return Equilibrium(
-        x1=x1, x2=x2, beta=theta, method=SolveMethod.CLOSED_FORM,
-        residuals=(r1, r2), corner_flags=(False, False), warnings=tuple(warnings),
-    )
+    return Equilibrium(x1, x2, theta, SolveMethod.CLOSED_FORM, (r1, r2),
+                       warnings=tuple(warnings))
 
 
 def _safeguarded_root(fdf, lo: float, hi: float, budget: int) -> tuple[float, float]:
@@ -270,20 +248,23 @@ def _safeguarded_root(fdf, lo: float, hi: float, budget: int) -> tuple[float, fl
 
 
 def solve_beta(csf, v, q) -> float:
-    """Equilibrium effort gap of a difference-form contest.
-
-    Solves theta = (v1 - v2) * z_q'(theta) for the unique nonnegative root,
-    with valuations normalized strongest-first (the returned gap is that of
-    the stronger player and is always >= 0).  Returns exactly 0.0 for equal
-    prizes.  The bracket [0, 1] is doubled until the left side is ahead of
-    the right, which terminates because z' is bounded.  The root is found by
-    safeguarded Newton-bisection on the analytic z' and z'' and accepted
-    when its residual is within `BETA_RESIDUAL` times max(1, v1 - v2).
-    """
+    """Equilibrium effort gap of a difference-form contest at prizes `v` and tie rule `q`:
+    the stronger player's gap, >= 0 and exactly 0.0 for equal prizes.  Checks
+    its inputs, then runs `_gap_root` as `solve`'s difference-form route does."""
     if getattr(csf, "kind", None) != "diff":
         raise ValidationError("solve_beta requires a difference-form family")
-    vals, _, q_int = _oriented(v, q)
-    gap = vals.v1 - vals.v2
+    vals = Valuations(*v)
+    q_user = q_value(q)
+    return _gap_root(csf, vals.v1 - vals.v2, 1.0 - q_user if vals.swapped else q_user)
+
+
+def _gap_root(csf, gap: float, q_int: float) -> float:
+    """The unique root of theta = gap * z_q'(theta) for a prize gap >= 0 and
+    an internal tie share.  The bracket [0, 1] is doubled until the left side
+    is ahead of the right, which terminates because z' is bounded.  The root
+    is found by safeguarded Newton-bisection on the analytic z' and z'' and
+    accepted when its residual is within `BETA_RESIDUAL` times max(1, gap).
+    """
     if gap == 0.0:
         return 0.0
 
@@ -318,22 +299,14 @@ def _diff_closed_form(csf, vals: Valuations, q_user, q_int, gap):
     return x1, x2, theta, v1u * zp - x1, v2u * zp - x2
 
 
-def solve_diff(csf, v, q, *, audited: bool = False) -> Equilibrium:
-    """Equilibrium of a difference-form contest with quadratic cost.
-
-    Each effort is prize * z_q'(beta) at the equilibrium gap beta from
-    `solve_beta`; the first-order conditions are exactly
-    v_i * z_q'(gap) = x_i.
-    """
-    if getattr(csf, "kind", None) != "diff":
-        raise ValidationError("solve_diff requires a difference-form family")
-    vals, q_user, q_int = _oriented(v, q)
-    gap = solve_beta(csf, vals, q_user)
+def _solve_diff(csf, vals, q_user, q_int, warnings) -> Equilibrium:
+    """Equilibrium of a difference-form contest with quadratic cost: each
+    effort is prize * z_q'(gap) at the equilibrium gap from `_gap_root`, so
+    the first-order conditions are exactly v_i * z_q'(gap) = x_i."""
+    gap = _gap_root(csf, vals.v1 - vals.v2, q_int)
     x1, x2, theta, r1, r2 = map(float, _diff_closed_form(csf, vals, q_user, q_int, gap))
-    return Equilibrium(
-        x1=x1, x2=x2, beta=theta, method=SolveMethod.ROOT_FIND, residuals=(r1, r2),
-        corner_flags=(False, False), warnings=tuple(_opening_warnings(csf, False, audited)),
-    )
+    return Equilibrium(x1, x2, theta, SolveMethod.ROOT_FIND, (r1, r2),
+                       warnings=tuple(warnings))
 
 
 def _concave_marginal(csf, prize: float, own_q: float, own: float, other: float) -> float:
@@ -451,7 +424,7 @@ def _concave_newton(csf, v1: float, v2: float, q_int: float) -> tuple[float, flo
     return x1, x2
 
 
-def solve_concave(csf, v, q, *, audited: bool = False) -> Equilibrium:
+def _solve_concave(csf, vals, q_user, q_int, warnings) -> Equilibrium:
     """Equilibrium of a concave-impact contest with linear cost.
 
     Linear impact admits a closed form: the classic lottery efforts shifted
@@ -463,11 +436,7 @@ def solve_concave(csf, v, q, *, audited: bool = False) -> Equilibrium:
     effort-space residuals are within `ITERATIVE_RESIDUAL` and no effort
     underflows double precision (otherwise `ConvergenceError`).
     """
-    if getattr(csf, "kind", None) != "concave":
-        raise ValidationError("solve_concave requires a concave-impact family")
-    vals, _, q_int = _oriented(v, q)
     v1, v2 = vals.v1, vals.v2
-    warnings = _opening_warnings(csf, False, audited)
 
     if csf.r == 1.0:
         x1i, x2i = _lottery_interior(v1, v2, q_int)
@@ -486,22 +455,24 @@ def solve_concave(csf, v, q, *, audited: bool = False) -> Equilibrium:
     if csf.r < 1.0 and not (abs(r1i) <= tol and abs(r2i) <= tol):
         raise _newton_residual(x1i, x2i, r1i, r2i)
     x1, x2 = _user_order(vals, x1i, x2i)
-    return Equilibrium(
-        x1=x1, x2=x2, beta=None, method=method, residuals=_user_order(vals, r1i, r2i),
-        corner_flags=(x1 == 0.0, x2 == 0.0), warnings=tuple(warnings),
-    )
+    return Equilibrium(x1, x2, None, method, _user_order(vals, r1i, r2i),
+                       (x1 == 0.0, x2 == 0.0), tuple(warnings))
+
+
+_ROUTES = {"ratio": _solve_ratio, "diff": _solve_diff, "concave": _solve_concave}
 
 
 def solve(spec: ContestSpec, *, force: bool = False, audited: bool = False) -> Equilibrium:
-    """Dispatch a contest to the solver for its family class.
+    """Equilibrium of a contest, by the route for its family class.
 
     Validates that the cost technology matches the one the family's theory
     is stated under (linear for ratio and concave classes, half-quadratic
     for the difference class); other pairings have no solver and raise.
+    A ratio family outside its closed-form precondition raises unless
+    `force` is given, in which case a warning is attached instead.
     """
     kind = _checked_kind(spec)
-    if kind == "ratio":
-        return solve_ratio(spec.csf, (spec.v1, spec.v2), spec.q, force=force, audited=audited)
-    if kind == "diff":
-        return solve_diff(spec.csf, (spec.v1, spec.v2), spec.q, audited=audited)
-    return solve_concave(spec.csf, (spec.v1, spec.v2), spec.q, audited=audited)
+    warnings = _opening_warnings(spec.csf, force, audited)
+    vals = spec.valuations
+    q_int = 1.0 - spec.q if vals.swapped else spec.q
+    return _ROUTES[kind](spec.csf, vals, spec.q, q_int, warnings)

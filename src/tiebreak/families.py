@@ -253,18 +253,13 @@ class RatioCsf(_ReducedCsf):
         return _as_array(theta, "theta", positive=True)
 
     def outcome(self, x1, x2):
+        # theta = x1 / x2 lands on the kernels' exact limits: inf for a lone
+        # positive x1 (or an overflowing ratio) gives (1, 0, 0), 0 gives (0, 1, 0)
         x1a = _as_array(x1, "x1", nonnegative=True)
         x2a = _as_array(x2, "x2", nonnegative=True)
-        x1a, x2a = np.broadcast_arrays(x1a, x2a)
-        interior = (x1a > 0) & (x2a > 0)
-        theta = np.where(interior, x1a, 1.0) / np.where(interior, x2a, 1.0)
-        win1, win2, tie = self._triple(theta)
-        only1 = (x1a > 0) & (x2a == 0)
-        only2 = (x1a == 0) & (x2a > 0)
-        win1 = np.where(only1, 1.0, np.where(only2, 0.0, win1))
-        win2 = np.where(only1, 0.0, np.where(only2, 1.0, win2))
-        tie = np.where(only1 | only2, 0.0, tie)
-        return (_ret(win1), _ret(win2), _ret(tie))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            theta = np.where(x1a == x2a, 1.0, x1a / x2a)
+        return tuple(map(_ret, self._triple(theta)))
 
 
 class DiffCsf(_ReducedCsf):
@@ -552,17 +547,17 @@ class BlavatskyyPower(_Family):
         """Second own-effort derivative of player 1's eventual win probability."""
         qv = _tie_share(q)
         f2, total, fp, fpp = self._curvature_parts(*self._efforts(x1, x2, own_positive=True))
-        return _ret((f2 + (1.0 - qv)) * (fpp * total - 2.0 * fp * fp) / total**3)
+        return _ret((f2 + (1.0 - qv)) / total * (fpp * total - 2.0 * fp * fp) / total / total)
 
     def tie_prob_d1(self, x1, x2):
         """d/dx1 of the tie probability."""
         _, total, fp, _ = self._curvature_parts(*self._efforts(x1, x2, own_positive=True))
-        return _ret(-fp / total**2)
+        return _ret(-fp / total / total)
 
     def tie_prob_d11(self, x1, x2):
         """Second own-effort derivative of the tie probability."""
         _, total, fp, fpp = self._curvature_parts(*self._efforts(x1, x2, own_positive=True))
-        return _ret((2.0 * fp * fp - fpp * total) / total**3)
+        return _ret((2.0 * fp * fp - fpp * total) / total / total / total)
 
 
 FAMILIES: dict[str, type] = {

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from tiebreak import make_family
+from tiebreak import ContestSpec, make_family, solve
 
 FD_STEP = 1e-5
 FD_REL_TOL = 1e-6
@@ -67,3 +67,8 @@ def rel_err(approx, reference):
 
 def max_rel_err(approx, reference) -> float:
     return float(np.max(rel_err(approx, reference)))
+
+
+def solve_at(csf, v, q, **kw):
+    """`solve` of family `csf` at prizes v and tie share q, under the family's own cost."""
+    return solve(ContestSpec(csf, *v, q, csf.default_cost), **kw)

@@ -27,12 +27,11 @@ from tiebreak import (
     make_family,
     solve,
     solve_beta,
-    solve_concave,
     sweep,
     verify,
 )
 
-from helpers import central_diff, max_rel_err
+from helpers import central_diff, max_rel_err, solve_at
 
 
 @contextmanager
@@ -109,10 +108,10 @@ def test_acceptance_04_symmetric_prizes_make_the_rule_irrelevant(capsys):
 def test_acceptance_05_square_root_impact_benchmark(capsys):
     with scoreboard(capsys, 5, "square-root impact anchors and coin advantage"):
         csf = make_family("blavatskyy-power", r=0.5)
-        even = solve_concave(csf, (4.0, 4.0), 0.5)
+        even = solve_at(csf, (4.0, 4.0), 0.5)
         assert even.x1 == pytest.approx(0.25, abs=1e-12)
         assert even.x2 == pytest.approx(0.25, abs=1e-12)
-        skewed = solve_concave(csf, (4.0, 4.0), 0.0)
+        skewed = solve_at(csf, (4.0, 4.0), 0.0)
         assert skewed.x1 == pytest.approx(4.0 / 9.0, abs=1e-12)
         assert skewed.x2 == pytest.approx(1.0 / 9.0, abs=1e-12)
         assert skewed.total == pytest.approx(5.0 / 9.0, abs=1e-12)
@@ -120,8 +119,8 @@ def test_acceptance_05_square_root_impact_benchmark(capsys):
         assert skewed.total > even.total
         for prize in range(1, 21):
             v = float(prize)
-            r0 = solve_concave(csf, (v, v), 0.0).total
-            r_half = solve_concave(csf, (v, v), 0.5).total
+            r0 = solve_at(csf, (v, v), 0.0).total
+            r_half = solve_at(csf, (v, v), 0.5).total
             assert r0 > r_half, prize
 
 
@@ -129,11 +128,11 @@ def test_acceptance_06_linear_impact_head_start_substitution(capsys):
     with scoreboard(capsys, 6, "linear impact swaps effort for head starts one for one"):
         csf = make_family("blavatskyy-power", r=1.0)
         for q in (0.0, 0.25, 0.5, 0.75, 1.0):
-            eq = solve_concave(csf, (9.0, 9.0), q)
+            eq = solve_at(csf, (9.0, 9.0), q)
             assert eq.x1 == pytest.approx(2.25 - q, abs=1e-10)
             assert eq.x2 == pytest.approx(2.25 - (1.0 - q), abs=1e-10)
             assert eq.total == pytest.approx(3.5, abs=1e-10)
-        small = solve_concave(csf, (1.0, 1.0), 0.25)
+        small = solve_at(csf, (1.0, 1.0), 0.25)
         assert small.x1 >= 0.0 and small.x2 >= 0.0
         assert small.corner_flags[1], "clamped player must be flagged"
 

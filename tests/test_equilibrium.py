@@ -19,10 +19,7 @@ from tiebreak import (
     optimal_q,
     solve,
     solve_beta,
-    solve_concave,
-    solve_diff,
     solve_many,
-    solve_ratio,
 )
 import tiebreak.equilibrium as equilibrium_mod
 from tiebreak.equilibrium import (
@@ -34,7 +31,7 @@ from tiebreak.equilibrium import (
     _log_impact_foc,
 )
 
-from helpers import DIFF_CASES, FD_REL_TOL, RATIO_CASES, build, case_id, max_rel_err
+from helpers import DIFF_CASES, FD_REL_TOL, RATIO_CASES, build, case_id, max_rel_err, solve_at
 
 # Root of gap = sigma(gap) * (1 - sigma(gap)) for prize gap 1, computed by an
 # independent 200-step bisection on [0, 1] before the solver existed.
@@ -47,26 +44,26 @@ class TestRatioClosedForm:
         linear in the tie share with hand-checked coefficients."""
         csf = make_family("jia-ratio", r=1.0, k=2)
         for q in (0.0, 0.25, 0.5, 0.75, 1.0):
-            eq = solve_ratio(csf, (2.0, 1.0), q)
+            eq = solve_at(csf, (2.0, 1.0), q)
             assert eq.x1 == pytest.approx(0.5 - 0.18 * q, abs=1e-12)
             assert eq.x2 == pytest.approx(0.25 - 0.09 * q, abs=1e-12)
             assert eq.method is SolveMethod.CLOSED_FORM
 
     def test_tieless_lottery_anchor(self):
         csf = make_family("jia-ratio", r=1.0, k=1)
-        eq = solve_ratio(csf, (1.0, 1.0), 0.5)
+        eq = solve_at(csf, (1.0, 1.0), 0.5)
         assert eq.x1 == pytest.approx(0.25, abs=1e-14)
         assert eq.x2 == pytest.approx(0.25, abs=1e-14)
 
     def test_symmetric_shared_tie_anchor(self):
-        eq = solve_ratio(make_family("vesperoni-ratio", r=0.5, k=2), (1.0, 1.0), 0.5)
+        eq = solve_at(make_family("vesperoni-ratio", r=0.5, k=2), (1.0, 1.0), 0.5)
         assert eq.x1 == pytest.approx(0.125, abs=1e-12)
         assert eq.x2 == pytest.approx(0.125, abs=1e-12)
 
     @pytest.mark.parametrize("case", RATIO_CASES, ids=case_id)
     def test_effort_ratio_equals_prize_ratio(self, case):
         csf = build(case)
-        eq = solve_ratio(csf, (3.0, 1.2), 0.3)
+        eq = solve_at(csf, (3.0, 1.2), 0.3)
         assert eq.x1 / eq.x2 == pytest.approx(2.5, abs=1e-12)
         assert eq.beta == pytest.approx(2.5, abs=1e-12)
 
@@ -74,44 +71,40 @@ class TestRatioClosedForm:
     def test_first_order_residuals_vanish(self, case):
         csf = build(case)
         for v, q in [((2.0, 1.0), 0.0), ((1.0, 3.0), 0.7), ((5.0, 4.0), 1.0)]:
-            eq = solve_ratio(csf, v, q)
+            eq = solve_at(csf, v, q)
             assert max(abs(r) for r in eq.residuals) <= CLOSED_FORM_RESIDUAL
 
     def test_swapped_prizes_mirror_the_solution(self):
         # Tie shares 0.25 and 0.75 are exact binary complements, so the
         # mirrored solve reproduces the same floats bit for bit.
         csf = make_family("jia-ratio", r=1.0, k=2)
-        ahead = solve_ratio(csf, (2.0, 1.0), 0.25)
-        behind = solve_ratio(csf, (1.0, 2.0), 0.75)
+        ahead = solve_at(csf, (2.0, 1.0), 0.25)
+        behind = solve_at(csf, (1.0, 2.0), 0.75)
         assert behind.x1 == ahead.x2 and behind.x2 == ahead.x1
         assert behind.beta == pytest.approx(1.0 / ahead.beta, abs=1e-14)
 
     def test_precondition_violation_rejected_without_force(self):
         csf = make_family("vesperoni-ratio", r=0.6, k=2)
         with pytest.raises(ValidationError):
-            solve_ratio(csf, (2.0, 1.0), 0.5)
-        eq = solve_ratio(csf, (2.0, 1.0), 0.5, force=True)
+            solve_at(csf, (2.0, 1.0), 0.5)
+        eq = solve_at(csf, (2.0, 1.0), 0.5, force=True)
         assert any("under protest" in w for w in eq.warnings)
 
     def test_unaudited_warning_togglable(self):
         csf = make_family("jia-ratio", r=1.0, k=2)
-        assert UNCHECKED_ASSUMPTIONS_WARNING in solve_ratio(csf, (2.0, 1.0), 0.5).warnings
-        clean = solve_ratio(csf, (2.0, 1.0), 0.5, audited=True)
+        assert UNCHECKED_ASSUMPTIONS_WARNING in solve_at(csf, (2.0, 1.0), 0.5).warnings
+        clean = solve_at(csf, (2.0, 1.0), 0.5, audited=True)
         assert UNCHECKED_ASSUMPTIONS_WARNING not in clean.warnings
-
-    def test_rejects_wrong_family_kind(self):
-        with pytest.raises(ValidationError):
-            solve_ratio(make_family("jia-diff", k=2), (2.0, 1.0), 0.5)
 
     def test_tiny_closed_form_efforts_keep_exact_residuals(self):
         """Efforts near 1e-301 square to zero; the residual must not."""
-        eq = solve_ratio(make_family("vesperoni-ratio", r=0.001, k=1000), (2.0, 1.0), 0.0)
+        eq = solve_at(make_family("vesperoni-ratio", r=0.001, k=1000), (2.0, 1.0), 0.0)
         assert 1e-302 < eq.x1 < 1e-300
         assert eq.residuals == (0.0, 0.0)
 
     def test_underflowing_closed_form_raises(self):
         with pytest.raises(ConvergenceError, match="underflow"):
-            solve_ratio(make_family("vesperoni-ratio", r=1e-9, k=1e9), (2.0, 1.0), 0.0)
+            solve_at(make_family("vesperoni-ratio", r=1e-9, k=1e9), (2.0, 1.0), 0.0)
 
 
 class TestEffortGapRoot:
@@ -162,7 +155,7 @@ class TestEffortGapRoot:
 class TestDiffSolver:
     def test_efforts_are_prize_times_slope_at_the_gap(self):
         csf = make_family("jia-diff", k=2)
-        eq = solve_diff(csf, (1.2, 1.0), 0.25)
+        eq = solve_at(csf, (1.2, 1.0), 0.25)
         slope = csf.z_prime(eq.beta, 0.25)
         assert eq.x1 == pytest.approx(1.2 * slope, abs=1e-14)
         assert eq.x2 == pytest.approx(1.0 * slope, abs=1e-14)
@@ -170,25 +163,25 @@ class TestDiffSolver:
         assert eq.method is SolveMethod.ROOT_FIND
 
     def test_effort_ratio_equals_prize_ratio(self):
-        eq = solve_diff(make_family("vesperoni-diff", k=3), (3.0, 2.0), 0.6)
+        eq = solve_at(make_family("vesperoni-diff", k=3), (3.0, 2.0), 0.6)
         assert eq.x1 / eq.x2 == pytest.approx(1.5, abs=1e-12)
 
     def test_symmetric_prizes_symmetric_efforts(self):
         csf = make_family("vesperoni-diff", k=1)
-        eq = solve_diff(csf, (1.0, 1.0), 0.0)
+        eq = solve_at(csf, (1.0, 1.0), 0.0)
         assert eq.beta == 0.0
         assert eq.x1 == eq.x2 == pytest.approx(0.25, abs=1e-14)
 
     def test_swapped_prizes_mirror_the_solution(self):
         csf = make_family("jia-diff", k=2)
-        ahead = solve_diff(csf, (1.2, 1.0), 0.25)
-        behind = solve_diff(csf, (1.0, 1.2), 0.75)
+        ahead = solve_at(csf, (1.2, 1.0), 0.25)
+        behind = solve_at(csf, (1.0, 1.2), 0.75)
         assert behind.x1 == ahead.x2 and behind.x2 == ahead.x1
         assert behind.beta == pytest.approx(-ahead.beta, abs=1e-14)
 
     def test_residuals_in_quadratic_cost_units(self):
         csf = make_family("jia-diff", k=2)
-        eq = solve_diff(csf, (1.2, 1.0), 0.5)
+        eq = solve_at(csf, (1.2, 1.0), 0.5)
         assert max(abs(r) for r in eq.residuals) <= 1e-12
 
 
@@ -198,7 +191,7 @@ class TestConcaveSolver:
         that player's own tie share; the total never moves."""
         csf = make_family("blavatskyy-power", r=1.0)
         for q in (0.0, 0.25, 0.5, 0.75, 1.0):
-            eq = solve_concave(csf, (9.0, 9.0), q)
+            eq = solve_at(csf, (9.0, 9.0), q)
             assert eq.x1 == pytest.approx(2.25 - q, abs=1e-12)
             assert eq.x2 == pytest.approx(2.25 - (1.0 - q), abs=1e-12)
             assert eq.total == pytest.approx(3.5, abs=1e-12)
@@ -207,7 +200,7 @@ class TestConcaveSolver:
 
     def test_negative_formula_value_becomes_corner(self):
         csf = make_family("blavatskyy-power", r=1.0)
-        eq = solve_concave(csf, (9.0, 1.0), 0.5)
+        eq = solve_at(csf, (9.0, 1.0), 0.5)
         assert eq.corner_flags == (False, True)
         assert eq.x2 == 0.0
         assert eq.x1 == pytest.approx(math.sqrt(4.5) - 1.0, abs=1e-10)
@@ -218,7 +211,7 @@ class TestConcaveSolver:
 
     def test_lopsided_prizes_corner_in_closed_form(self):
         csf = make_family("blavatskyy-power", r=1.0)
-        eq = solve_concave(csf, (1e12, 1e-6), 0.5)
+        eq = solve_at(csf, (1e12, 1e-6), 0.5)
         assert eq.x1 == pytest.approx(math.sqrt(0.5e12) - 1.0, rel=1e-15)
         assert eq.x2 == 0.0
         assert eq.corner_flags == (False, True)
@@ -226,7 +219,7 @@ class TestConcaveSolver:
 
     def test_small_prizes_collapse_to_inactivity(self):
         csf = make_family("blavatskyy-power", r=1.0)
-        eq = solve_concave(csf, (1.0, 1.0), 0.0)
+        eq = solve_at(csf, (1.0, 1.0), 0.0)
         assert (eq.x1, eq.x2) == (0.0, 0.0)
         assert eq.corner_flags == (True, True)
 
@@ -253,37 +246,37 @@ class TestConcaveSolver:
 
     def test_concave_impact_square_root_anchors(self):
         csf = make_family("blavatskyy-power", r=0.5)
-        even = solve_concave(csf, (4.0, 4.0), 0.5)
+        even = solve_at(csf, (4.0, 4.0), 0.5)
         assert even.x1 == pytest.approx(0.25, abs=1e-12)
         assert even.x2 == pytest.approx(0.25, abs=1e-12)
-        skewed = solve_concave(csf, (4.0, 4.0), 0.0)
+        skewed = solve_at(csf, (4.0, 4.0), 0.0)
         assert skewed.x1 == pytest.approx(4.0 / 9.0, abs=1e-12)
         assert skewed.x2 == pytest.approx(1.0 / 9.0, abs=1e-12)
 
     def test_iterative_residuals_meet_target(self):
         csf = make_family("blavatskyy-power", r=0.7)
-        eq = solve_concave(csf, (5.0, 2.0), 0.25)
+        eq = solve_at(csf, (5.0, 2.0), 0.25)
         assert eq.method is SolveMethod.FOC_SOLVE
         assert max(abs(r) for r in eq.residuals) <= ITERATIVE_RESIDUAL
 
     def test_swapped_prizes_mirror_the_solution(self):
         csf = make_family("blavatskyy-power", r=0.5)
-        ahead = solve_concave(csf, (4.0, 2.0), 0.3)
-        behind = solve_concave(csf, (2.0, 4.0), 0.7)
+        ahead = solve_at(csf, (4.0, 2.0), 0.3)
+        behind = solve_at(csf, (2.0, 4.0), 0.7)
         assert behind.x1 == pytest.approx(ahead.x2, abs=1e-12)
         assert behind.x2 == pytest.approx(ahead.x1, abs=1e-12)
 
     def test_tiny_rival_impact_keeps_tie_pressure_digits(self):
         """The weak player's pressure f1 + (1 - q) with q = 1 and f1 ~ 1e-15
         must not be rounded through 1 + f1."""
-        eq = solve_concave(make_family("blavatskyy-power", r=0.9462), (0.1522, 0.0694), 0.0)
+        eq = solve_at(make_family("blavatskyy-power", r=0.9462), (0.1522, 0.0694), 0.0)
         assert max(abs(r) for r in eq.residuals) <= 1e-12
 
     def test_underflowing_effort_raises_at_once(self):
         csf = make_family("blavatskyy-power", r=0.999999)
         started = time.perf_counter()
         with pytest.raises(ConvergenceError, match="underflow"):
-            solve_concave(csf, (4.0, 2.0), 0.0)
+            solve_at(csf, (4.0, 2.0), 0.0)
         assert time.perf_counter() - started < 0.1
 
     def test_log_impact_jacobian_matches_central_differences(self):
@@ -311,11 +304,7 @@ class TestConcaveSolver:
         csf = make_family("blavatskyy-power", r=0.5)
         monkeypatch.setattr(equilibrium_mod, "MAX_ITERATIONS", 1)
         with pytest.raises(ConvergenceError, match="residual"):
-            solve_concave(csf, (4.0, 4.0), 0.5)
-
-    def test_rejects_wrong_family_kind(self):
-        with pytest.raises(ValidationError):
-            solve_concave(make_family("jia-ratio", r=1.0, k=2), (2.0, 1.0), 0.5)
+            solve_at(csf, (4.0, 4.0), 0.5)
 
 
 class TestDispatch:
@@ -334,12 +323,6 @@ class TestDispatch:
         )
         with pytest.raises(ValidationError, match="linear"):
             solve(spec)
-
-    def test_matches_direct_solver_calls(self):
-        spec = make_contest(family="jia-ratio", v1=2.0, v2=1.0, q=0.25, r=1.0, k=2)
-        via_dispatch = solve(spec)
-        direct = solve_ratio(spec.csf, (2.0, 1.0), 0.25)
-        assert via_dispatch.x1 == direct.x1 and via_dispatch.x2 == direct.x2
 
 
 class TestEquilibriumRecord:

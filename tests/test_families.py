@@ -275,6 +275,20 @@ def test_concave_win_slope_at_huge_efforts_stays_finite(efforts):
     np.testing.assert_allclose(got, 1e-200, rtol=1e-15, atol=0.0)
 
 
+@pytest.mark.parametrize("r", [0.5, 1.0])
+@pytest.mark.parametrize("effort", [1e110, 2.5e199])
+def test_concave_curvature_at_huge_efforts_stays_finite(r, effort):
+    """total**2 and total**3 would overflow; dividing by the total in turn does not."""
+    csf = make_family("blavatskyy-power", r=r)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tie_d1 = csf.tie_prob_d1(effort, effort)
+        win_d11 = csf.win_prob_d11(effort, effort, 0.5)
+        tie_d11 = csf.tie_prob_d11(effort, effort)
+    assert all(np.isfinite((tie_d1, win_d11, tie_d11)))
+    assert tie_d1 <= 0.0 and win_d11 <= 0.0 and tie_d11 >= 0.0
+
+
 TIE_RULE_METHODS = {
     "ratio": ("z", "z_prime", "z_double_prime"),
     "diff": ("z", "z_prime", "z_double_prime"),
@@ -463,3 +477,59 @@ class TestJiaSlopePrecision:
                                       2 * rd * wb + 1 - rd, rd / th, -rd / th**2)
             self._assert_close(csf.z_prime(theta, q), zp)
             self._assert_close(csf.z_double_prime(theta, q), zpp)
+
+
+def _masked_ratio_outcome(csf, x1, x2):
+    """`RatioCsf.outcome` as it was formed with zero-effort masks: the reference.
+
+    Theta is kept an array: as a float it took the float kernels, which give the
+    same bits but raised on a ratio that underflows to zero."""
+    x1a, x2a = np.broadcast_arrays(np.asarray(x1, dtype=float), np.asarray(x2, dtype=float))
+    interior = (x1a > 0) & (x2a > 0)
+    with np.errstate(over="ignore"):
+        theta = np.asarray(np.where(interior, x1a, 1.0) / np.where(interior, x2a, 1.0))
+    win1, win2, tie = csf._triple(theta)
+    only1 = (x1a > 0) & (x2a == 0)
+    only2 = (x1a == 0) & (x2a > 0)
+    win1 = np.where(only1, 1.0, np.where(only2, 0.0, win1))
+    win2 = np.where(only1, 0.0, np.where(only2, 1.0, win2))
+    tie = np.where(only1 | only2, 0.0, tie)
+    return tuple(float(p) if np.ndim(p) == 0 else p for p in (win1, win2, tie))
+
+
+OUTCOME_EFFORTS = np.concatenate([
+    [0.0, 5e-324, 1e-310, 1e-300, 1e-10, 0.5, 1.0, 2.0, 1e10, 1e300, 1.7e308],
+    10.0 ** np.random.default_rng(1903).uniform(-320.0, 308.0, 60),
+    np.random.default_rng(1904).uniform(0.0, 3.0, 60),
+])
+
+
+@pytest.mark.parametrize("family,params", [
+    *RATIO_CASES, ("vesperoni-ratio", dict(r=0.001, k=1000)), ("jia-ratio", dict(r=5.0, k=3)),
+], ids=lambda v: v if isinstance(v, str) else "-".join(f"{k}{x:g}" for k, x in v.items()))
+def test_ratio_outcome_matches_the_masked_formula_bit_for_bit(family, params):
+    """Zeros in either argument, subnormal, huge and overflowing ratios; broadcast
+    grids, 0-d arrays and scalars, with no warning."""
+    csf = make_family(family, **params)
+    x = OUTCOME_EFFORTS
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = csf.outcome(x[:, None], x[None, :])
+        zero_d = csf.outcome(np.array(x[3]), np.array(x[:5]))
+        scalars = [csf.outcome(float(a), float(b)) for a in x[::7] for b in x[::5]]
+    for got, ref in zip(grid + zero_d, _masked_ratio_outcome(csf, x[:, None], x[None, :])
+                        + _masked_ratio_outcome(csf, np.array(x[3]), np.array(x[:5]))):
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+    refs = [_masked_ratio_outcome(csf, float(a), float(b)) for a in x[::7] for b in x[::5]]
+    for got, ref in zip(scalars, refs):
+        assert all(type(p) is float for p in got)
+        assert np.array(got).tobytes() == np.array(ref).tobytes(), (got, ref)
+
+
+def test_ratio_outcome_of_an_overflowing_or_underflowing_effort_ratio_is_an_outright_win():
+    csf = make_family("jia-ratio", r=1.0, k=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert csf.outcome(1e300, 1e-10) == (1.0, 0.0, 0.0)
+        assert csf.outcome(1e-10, 1e300)[1:] == (1.0, 0.0)  # theta 1e-310 is subnormal
+        assert csf.outcome(5e-324, 1.7e308) == (0.0, 1.0, 0.0)

@@ -71,6 +71,9 @@ def _draw_contests(seed: int = 20240613):
         ("jia-diff", dict(k=2.0), 1e6, 1.0),                    # gap-scaled residual
         ("vesperoni-diff", dict(k=3.0), 1.5, 1.5),              # zero gap
         ("jia-ratio", dict(r=1.0, k=2.0), 1.0, 1.0),
+        ("jia-ratio", dict(r=1.0, k=2.0), 1e200, 1.0),           # slope underflows where
+        ("jia-ratio", dict(r=1.0, k=2.0), 1.0, 1e200),           # v1 * beta overflows
+        ("jia-ratio", dict(r=1.0, k=2.0), 1e160, 1.0),
     ]
     contests += [make_contest(f, v1=v1, v2=v2, q=0.0, **p) for f, p, v1, v2 in edge]
     return contests
@@ -236,15 +239,14 @@ class TestDesignerStaysBatched:
 
     @pytest.fixture
     def scalar_calls(self, monkeypatch):
-        """Tie rules of every scalar solve: each scalar route orients its labels."""
+        """Tie rules of every scalar solve, counted at its route."""
         calls = []
-        oriented = equilibrium_mod._oriented
+        for kind, route in equilibrium_mod._ROUTES.items():
+            def counting(csf, vals, q_user, q_int, warnings, route=route):
+                calls.append(q_user)
+                return route(csf, vals, q_user, q_int, warnings)
 
-        def counting_oriented(v, q):
-            calls.append(q)
-            return oriented(v, q)
-
-        monkeypatch.setattr(equilibrium_mod, "_oriented", counting_oriented)
+            monkeypatch.setitem(equilibrium_mod._ROUTES, kind, counting)
         return calls
 
     @pytest.fixture
