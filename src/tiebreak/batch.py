@@ -97,13 +97,11 @@ class Lanes:
 def _ratio_lanes(csf, vals, q_user, q_int, warnings):
     _overflow_check(csf, vals.beta, vals.beta == math.inf)
     slope = csf._zp(vals.beta, q_int)
-    underflow = _ratio_underflows(vals, slope)
-    errors = {int(i): _ratio_underflow(float(slope[i])) for i in np.flatnonzero(underflow)}
-    if not errors:
-        x1, x2, beta, r1, r2 = _ratio_closed_form(csf, vals, q_user, slope)
-    else:  # a failed lane's v1 * beta * slope can overflow: only the others take the closed form
-        x1, x2, beta, r1, r2 = out = np.ones((5, q_int.size))
-        out[:, ~underflow] = _ratio_closed_form(csf, vals, q_user[~underflow], slope[~underflow])
+    ok = ~_ratio_underflows(vals, slope)
+    errors = {int(i): _ratio_underflow(float(slope[i])) for i in np.flatnonzero(~ok)}
+    # a failed lane's v1 * beta * slope can overflow: only the others take the closed form
+    x1, x2, beta, r1, r2 = out = np.ones((5, q_int.size))
+    out[:, ok] = _ratio_closed_form(csf, vals, q_user[ok], slope[ok])
     return Lanes(x1, x2, beta, (r1, r2), np.zeros(q_int.size, dtype=bool),
                  SolveMethod.CLOSED_FORM, warnings, errors)
 

@@ -212,8 +212,10 @@ def _solve_ratio(csf, vals, q_user, q_int, warnings) -> Equilibrium:
     if _ratio_underflows(vals, slope):
         raise _ratio_underflow(slope)
     x1, x2, theta, r1, r2 = map(float, _ratio_closed_form(csf, vals, q_user, slope))
-    return Equilibrium(x1, x2, theta, SolveMethod.CLOSED_FORM, (r1, r2),
-                       warnings=tuple(warnings))
+    return Equilibrium(
+        x1=x1, x2=x2, beta=theta, method=SolveMethod.CLOSED_FORM,
+        residuals=(r1, r2), corner_flags=(False, False), warnings=tuple(warnings),
+    )
 
 
 def _safeguarded_root(fdf, lo: float, hi: float, budget: int) -> tuple[float, float]:
@@ -253,7 +255,7 @@ def solve_beta(csf, v, q) -> float:
     its inputs, then runs `_gap_root` as `solve`'s difference-form route does."""
     if getattr(csf, "kind", None) != "diff":
         raise ValidationError("solve_beta requires a difference-form family")
-    vals = Valuations(*v)
+    vals = v if isinstance(v, Valuations) else Valuations(*v)
     q_user = q_value(q)
     return _gap_root(csf, vals.v1 - vals.v2, 1.0 - q_user if vals.swapped else q_user)
 
@@ -305,8 +307,10 @@ def _solve_diff(csf, vals, q_user, q_int, warnings) -> Equilibrium:
     the first-order conditions are exactly v_i * z_q'(gap) = x_i."""
     gap = _gap_root(csf, vals.v1 - vals.v2, q_int)
     x1, x2, theta, r1, r2 = map(float, _diff_closed_form(csf, vals, q_user, q_int, gap))
-    return Equilibrium(x1, x2, theta, SolveMethod.ROOT_FIND, (r1, r2),
-                       warnings=tuple(warnings))
+    return Equilibrium(
+        x1=x1, x2=x2, beta=theta, method=SolveMethod.ROOT_FIND, residuals=(r1, r2),
+        corner_flags=(False, False), warnings=tuple(warnings),
+    )
 
 
 def _concave_marginal(csf, prize: float, own_q: float, own: float, other: float) -> float:
@@ -455,8 +459,10 @@ def _solve_concave(csf, vals, q_user, q_int, warnings) -> Equilibrium:
     if csf.r < 1.0 and not (abs(r1i) <= tol and abs(r2i) <= tol):
         raise _newton_residual(x1i, x2i, r1i, r2i)
     x1, x2 = _user_order(vals, x1i, x2i)
-    return Equilibrium(x1, x2, None, method, _user_order(vals, r1i, r2i),
-                       (x1 == 0.0, x2 == 0.0), tuple(warnings))
+    return Equilibrium(
+        x1=x1, x2=x2, beta=None, method=method, residuals=_user_order(vals, r1i, r2i),
+        corner_flags=(x1 == 0.0, x2 == 0.0), warnings=tuple(warnings),
+    )
 
 
 _ROUTES = {"ratio": _solve_ratio, "diff": _solve_diff, "concave": _solve_concave}

@@ -142,6 +142,10 @@ class TestEffortGapRoot:
         with pytest.raises(ValidationError):
             solve_beta(make_family("jia-ratio", r=1.0, k=2), (2.0, 1.0), 0.5)
 
+    def test_takes_valuations_as_a_prize_pair(self):
+        csf = make_family("vesperoni-diff", k=2)
+        assert solve_beta(csf, Valuations(1.0, 2.0), 0.75) == solve_beta(csf, (1.0, 2.0), 0.75)
+
     def test_residual_target_scales_with_the_prize_gap(self):
         """At prizes (1e6, 1) the gap residual's rounding floor is ~1e-10."""
         csf = make_family("jia-diff", k=2)
