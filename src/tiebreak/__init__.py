@@ -6,8 +6,8 @@ The package splits into:
 - `families`: built-in contest success functions with tie outcomes.
 - `audit`: grid certification of the regularity conditions solvers rely on.
 - `equilibrium`: `solve`, its closed-form, root-finding and Newton routes,
+  each beside its version vectorized over many tie rules (`solve_many`),
   and the effort-gap root `solve_beta`.
-- `batch`: the same solvers vectorized over many tie rules at once.
 - `oracle`: brute-force discretized-game verification, independent of the
   analytic code paths.
 - `designer`: total-effort sweeps, shape certificates, optimal and random
@@ -24,7 +24,6 @@ from .audit import (
     default_ratio_grid,
     estimate_vbar,
 )
-from .batch import solve_many
 from .core import (
     ContestSpec,
     CostKind,
@@ -55,6 +54,7 @@ from .equilibrium import (
     SolveMethod,
     solve,
     solve_beta,
+    solve_many,
 )
 from .errors import (
     ContestError,

@@ -5,10 +5,10 @@ This module sweeps R over q, certifies curve shapes (constant, linear,
 monotone decreasing, convex) within explicit bounds, finds the optimal
 deterministic rule, and evaluates random tie-breaking rules by expected
 total effort.  Every curve is solved in one batch over its tie rules
-(`batch.solve_lanes`) and read as x1 + x2 off its effort arrays: sweeps and
-the optimal rule's 101-point cross-check never loop over q or build a per-q
-record, while a random rule, a handful of atoms too few for a batch to
-pay, takes one scalar `solve` per atom.  A contest's grid batch is solved
+(`equilibrium.solve_lanes`) and read as x1 + x2 off its effort arrays:
+sweeps and the optimal rule's 101-point cross-check never loop over q or
+build a per-q record, while a random rule, a handful of atoms too few for
+a batch to pay, takes one scalar `solve` per atom.  A contest's grid batch is solved
 once: `sweep` and `optimal_q` reuse the last one with no failing lane.  The
 concave optimum is read off that batch and certified by the sign of dR/dq,
 from the implicit function theorem on the first-order conditions: an
@@ -35,9 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ContestSpec, JsonRecord, RandomTieRule, TieRule
-from .batch import solve_lanes
-from .equilibrium import _log_impact_foc, _user_order, solve
-from .errors import ContestError, ConvergenceError, ValidationError
+from .equilibrium import solve, solve_lanes, total_effort_slope
+from .errors import ConvergenceError, ValidationError
 
 CONSTANT_TOL = 1e-10
 """Max allowed range of R over the sweep for the constant certificate."""
@@ -158,15 +157,12 @@ def _certify(totals: np.ndarray) -> ShapeCertificate:
                             linear=linear, convex=convex)
 
 
-def _failed_at(exc: ContestError, q: float) -> ContestError:
-    return type(exc)(f"sweep failed at q = {float(q):.17g}: {exc}")
-
-
-def _raise_first_failure(qs: np.ndarray, lanes) -> None:
+def _raise_first_failure(lanes) -> None:
     """Re-raise a batch's first failing lane, if any, with its q attached."""
     if lanes.errors:
         i = min(lanes.errors)
-        raise _failed_at(lanes.errors[i], qs[i]) from lanes.errors[i]
+        exc = lanes.errors[i]
+        raise type(exc)(f"sweep failed at q = {float(lanes.q[i]):.17g}: {exc}") from exc
 
 
 _last_grid: tuple = ()  # (key, qs, lanes) of the last grid batch with no failing lane
@@ -196,17 +192,15 @@ def sweep(spec: ContestSpec, q_count: int, *, force: bool = False,
     """Equilibrium efforts at `q_count` equally spaced tie rules.
 
     The q stored in `spec` is ignored; all points are solved in one batch.
-    Solver failures are re-raised with the smallest offending q attached.
+    A failing tie rule raises its error with the smallest failing q
+    attached; an error that holds at every q is raised unchanged.
     """
     if not isinstance(q_count, (int, np.integer)) or isinstance(q_count, bool):
         raise ValidationError(f"q_count must be an integer, got {q_count!r}")
     if q_count < 2:
         raise ValidationError(f"q_count must be >= 2, got {q_count}")
-    try:
-        qs, lanes = _grid_lanes(spec, int(q_count), force, audited)
-    except ContestError as exc:
-        raise _failed_at(exc, 0.0) from exc
-    _raise_first_failure(qs, lanes)
+    qs, lanes = _grid_lanes(spec, int(q_count), force, audited)
+    _raise_first_failure(lanes)
     betas = (None,) * qs.size if lanes.beta is None else tuple(lanes.beta.tolist())
     return EffortCurve(tuple(qs.tolist()), tuple(lanes.x1.tolist()), tuple(lanes.x2.tolist()),
                        betas, _certify(lanes.x1 + lanes.x2))
@@ -238,37 +232,6 @@ class OptimalQ:
         }
 
 
-def _total_effort_slope(spec: ContestSpec, q: float, x1: float, x2: float,
-                        cornered: bool) -> float:
-    """dR/dq of a concave contest at tie rule q, at equilibrium efforts x1, x2.
-
-    For r < 1, the implicit function theorem on the log-impact conditions
-    G(g; q1) = 0 of `equilibrium._log_impact_foc` (internal labels) gives
-    dg/dq1 = -J^-1 dG/dq1 with dG/dq1 = (-1/a1, +1/a2), and
-    dR/dq1 = sum_i (x_i / r) dg_i/dq1.  For r = 1, R is constant on the
-    interior closed form, and a lone entrant exerts sqrt(v_i (1 - q_i)) - 1.
-    """
-    vals, r = spec.valuations, spec.csf.r
-    q1 = float(1.0 - q if vals.swapped else q)
-    x1, x2 = _user_order(vals, float(x1), float(x2))
-    if r == 1.0:
-        slope = 0.0
-        if cornered and x1 > 0.0:
-            slope = -0.5 * math.sqrt(vals.v1 / (1.0 - q1))
-        elif cornered and x2 > 0.0:
-            slope = 0.5 * math.sqrt(vals.v2 / q1)
-    else:
-        g1, g2 = r * math.log(x1), r * math.log(x2)
-        heads = (math.log(h) if h > 0.0 else -math.inf for h in (1.0 - q1, q1))
-        _, (J11, J12, J21, J22), _ = _log_impact_foc(
-            g1, g2, math.log(r * vals.v1), math.log(r * vals.v2), (1.0 - r) / r, *heads)
-        dG1, dG2 = -1.0 / (math.exp(g2) + (1.0 - q1)), 1.0 / (math.exp(g1) + q1)
-        det = J11 * J22 - J12 * J21 or math.nan  # singular: sign unknown, so uncertified
-        dg1, dg2 = (J12 * dG2 - J22 * dG1) / det, (J21 * dG1 - J11 * dG2) / det
-        slope = (x1 * dg1 + x2 * dg2) / r
-    return -slope if vals.swapped else slope
-
-
 def _concave_optimum(spec: ContestSpec, qs: np.ndarray, lanes) -> int:
     """Index of the best tie rule of a concave contest in its solved batch at `qs`.
 
@@ -281,7 +244,7 @@ def _concave_optimum(spec: ContestSpec, qs: np.ndarray, lanes) -> int:
     last, top = qs.size - 1, int(np.argmax(totals))
     guard = OPTIMAL_IMPROVEMENT_GUARD * (1.0 + abs(float(totals[top])))
     i = min(j for j in (0, top, last) if totals[j] >= totals[top] - guard)
-    slope = _total_effort_slope(spec, qs[i], lanes.x1[i], lanes.x2[i], lanes.cornered[i])
+    slope = total_effort_slope(spec, qs[i], lanes.x1[i], lanes.x2[i], lanes.cornered[i])
     if (i == 0 and slope <= 0.0) or (i == last and slope >= 0.0):
         return i
     raise ConvergenceError(f"optimal tie rule not certified: the best of {qs.size} grid "
@@ -299,20 +262,18 @@ def optimal_q(spec: ContestSpec, *, force: bool = False, audited: bool = False) 
     candidate beyond a determinism guard (rationale "numeric").  Concave
     contests (rationale "numeric") take the curve's best point, which must be
     an endpoint certified by the outward sign of dR/dq; any other point
-    raises `ConvergenceError`, and a failing tie rule raises its own error."""
+    raises `ConvergenceError`.  Failures are raised as `sweep` raises them."""
     kind = spec.csf.kind
     vals = spec.valuations
     if kind not in ("concave", "ratio", "diff"):
         raise ValidationError(f"no designer support for family kind {kind!r}")
     qs, lanes = _grid_lanes(spec, CROSS_CHECK_POINTS, force, audited)
+    _raise_first_failure(lanes)
     if kind == "concave":
-        i, rationale = _concave_optimum(spec, qs, lanes.checked(qs)), Rationale.NUMERIC
+        i, rationale = _concave_optimum(spec, qs, lanes), Rationale.NUMERIC
     else:
         i = qs.size - 1 if vals.swapped else 0  # equal prizes are never swapped
         rationale = Rationale.INDIFFERENT if vals.v1 == vals.v2 else Rationale.THEOREM
-        if i in lanes.errors:
-            raise lanes.errors[i]
-        _raise_first_failure(qs, lanes)
         totals = lanes.x1 + lanes.x2
         best = int(np.argmax(totals))
         if totals[best] > totals[i] + OPTIMAL_IMPROVEMENT_GUARD * (1.0 + abs(float(totals[i]))):

@@ -9,19 +9,24 @@ conditions directly: analytically when the impact is linear, and otherwise
 by Newton's method with backtracking in log-impact coordinates
 g_i = log(x_i^r).
 
-`solve(spec)` is the one way in.  It checks family kind, cost and closed-form
-precondition once, orients the labels (strongest prize first, player 2's tie
-share 1 - q) and calls the family kind's route in `_ROUTES`, which reports in
-the caller's labels.  `batch.solve_lanes` does the same for many tie rules
-through `batch._LANE_ROUTES`: same route signature, closed forms and errors.
-Routes call only the families' unchecked kernels.  `solve_beta` is the one
-raw-input helper, the effort-gap root of a difference-form contest.
+`solve(spec)` is the one way in for one tie rule, `solve_lanes(spec, qs)`
+for many.  Both run one prologue: it checks family kind, cost and
+closed-form precondition once, orients the labels (strongest prize first,
+player 2's tie share 1 - q) and picks the family kind's pair of routes in
+`_ROUTES`.  The scalar route runs float loops, cheaper for one tie rule than
+array code; the lane route runs the same closed forms, steps, stop rules and
+errors vectorized over q, one lane per tie rule, each iterative lane
+retiring on its own, and returns arrays (`Lanes`) with each failing lane's
+error.  Both report in the caller's labels, and one builder turns either
+into an `Equilibrium`.  Routes call only the families' unchecked kernels.
+`solve_beta` is the one raw-input helper, the effort-gap root of a
+difference-form contest.
 
 Every solver returns an `Equilibrium` carrying per-player first-order
 residuals evaluated at the returned profile, corner flags, and any warnings
 (notably an unchecked-assumptions note unless the caller vouches that an
 audit passed).  Residual targets and iteration budgets are the module
-constants below, shared by the scalar and batch routes and read at call time.
+constants below, shared by the scalar and lane routes and read at call time.
 """
 from __future__ import annotations
 
@@ -30,8 +35,12 @@ import math
 import sys
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .core import ContestSpec, JsonRecord, Valuations, q_value
-from .errors import ConvergenceError, NoEquilibriumError, ValidationError
+from .errors import (ContestError, ConvergenceError, DomainError, NoEquilibriumError,
+                     ValidationError)
+from .families import q_array
 
 _EPS = sys.float_info.epsilon
 _TINY = sys.float_info.min
@@ -99,66 +108,59 @@ class Equilibrium(JsonRecord):
         return self.x1 + self.x2
 
 
+def _equilibrium(x1: float, x2: float, beta, residuals, cornered: bool, method: SolveMethod,
+                 warnings: tuple[str, ...]) -> Equilibrium:
+    """A route's output as an `Equilibrium`: a cornered profile (a
+    corner-adjusted linear impact) is a FOC_SOLVE with the corner warning,
+    and only concave profiles (`beta` None) flag their zero efforts."""
+    return Equilibrium(
+        x1=x1, x2=x2, beta=beta, method=SolveMethod.FOC_SOLVE if cornered else method,
+        residuals=residuals,
+        corner_flags=(x1 == 0.0, x2 == 0.0) if beta is None else (False, False),
+        warnings=warnings + (CORNER_UNIQUENESS_WARNING,) if cornered else warnings,
+    )
+
+
+@dataclass(frozen=True)
+class Lanes:
+    """One contest at the tie rules `q`, one array entry per lane.
+
+    Fields are those a scalar route returns, in the caller's labels (`beta`
+    None for concave contests); `errors` maps each failing lane, whose
+    entries mean nothing, to its scalar solve's error.
+    """
+
+    q: np.ndarray
+    x1: np.ndarray
+    x2: np.ndarray
+    beta: np.ndarray | None
+    residuals: tuple[np.ndarray, np.ndarray]
+    cornered: np.ndarray
+    method: SolveMethod
+    warnings: tuple[str, ...]
+    errors: dict[int, ContestError]
+
+    def equilibrium(self, i: int) -> Equilibrium:
+        """Lane i, which solved, as the `Equilibrium` its scalar solve returns."""
+        return _equilibrium(
+            float(self.x1[i]), float(self.x2[i]), None if self.beta is None else float(self.beta[i]),
+            (float(self.residuals[0][i]), float(self.residuals[1][i])), bool(self.cornered[i]),
+            self.method, self.warnings)
+
+
 def _user_order(vals: Valuations, strong, weak):
     return (weak, strong) if vals.swapped else (strong, weak)
 
 
-def _checked_kind(spec: ContestSpec) -> str:
-    """The family kind of `spec`, once its cost is the one the theory assumes.
-
-    Each family class declares that cost as `default_cost` (linear for the
-    ratio and concave classes, half-quadratic for the difference class);
-    other pairings have no solver and raise.
-    """
-    kind = spec.csf.kind
-    expected = getattr(spec.csf, "default_cost", None)
-    if expected is None:
-        raise ValidationError(f"no solver for family kind {kind!r}")
-    if spec.cost is not expected:
-        raise ValidationError(
-            f"{kind}-form contests are solved under {expected.value!r} cost, "
-            f"got {spec.cost.value!r}"
-        )
-    return kind
-
-
-def _opening_warnings(csf, force: bool, audited: bool) -> list[str]:
-    """Closed-form precondition check and the warnings every solve starts with.
-
-    A family whose closed form is only guaranteed under a parameter
-    restriction is rejected outside it unless `force` is given, in which
-    case a warning is attached instead.
-    """
-    warnings: list[str] = []
-    if not csf.lemma_precondition_ok:
-        if not force:
-            raise ValidationError(
-                f"family {csf.name!r} violates its closed-form precondition "
-                f"({csf.lemma_precondition}); pass force=True to evaluate anyway"
-            )
-        warnings.append(
-            f"closed-form precondition {csf.lemma_precondition} violated; "
-            "result computed under protest"
-        )
-    if not audited:
-        warnings.append(UNCHECKED_ASSUMPTIONS_WARNING)
-    return warnings
-
-
-def _ratio_underflows(vals: Valuations, slope):
-    """Whether a ratio closed form's slope or weak effort is subnormal (too few
-    bits for a rounding-level residual); works on scalars and lanes alike."""
-    return (slope < _TINY) | (vals.v2 * vals.beta * slope < _TINY)
-
-
-# Errors shared by the scalar and batch routes, so a lane fails as its scalar
+# Errors shared by the scalar and lane routes, so a lane fails as its scalar
 # solve does.
 def _negative_efforts(x1: float, x2: float) -> ValidationError:
     return ValidationError(f"efforts must be >= 0, got ({x1}, {x2})")
 
 
-def _ratio_underflow(slope: float) -> ConvergenceError:
-    return ConvergenceError(f"closed-form efforts underflow double precision (slope {slope})")
+def _ratio_range_error(slope: float, underflow) -> ConvergenceError:
+    side = "underflow" if underflow else "overflow"
+    return ConvergenceError(f"closed-form efforts {side} double precision (slope {slope})")
 
 
 def _unbracketed(hi: float) -> ConvergenceError:
@@ -186,10 +188,27 @@ def _newton_residual(x1: float, x2: float, r1: float, r2: float) -> ConvergenceE
     )
 
 
-def _overflow_check(csf, theta, overflow) -> None:
-    """The family's domain error where `overflow` holds: checked prizes can overflow."""
-    if overflow if isinstance(overflow, bool) else overflow.any():
-        csf._theta(theta)
+def _no_axis_equilibrium(b1: float, b2: float) -> NoEquilibriumError:
+    return NoEquilibriumError(f"no axis profile is a mutual best response "
+                              f"(single-entrant responses {b1} and {b2})")
+
+
+def _ratio_slope(csf, vals: Valuations, q_int):
+    """z_q'(beta) at the prize ratio beta = v1/v2, for one internal tie share
+    or an array of lanes; a prize ratio beyond double precision has none."""
+    if vals.beta == math.inf:
+        raise DomainError(f"the ratio of prizes {_user_order(vals, vals.v1, vals.v2)} "
+                          "overflows double precision")
+    return csf._zp(vals.beta, q_int)
+
+
+def _ratio_range(vals: Valuations, slope):
+    """(underflow, overflow) of a ratio closed form at slope z_q'(beta), for
+    one tie rule or an array of lanes: a subnormal slope or weak effort has
+    too few bits for a rounding-level residual, and the strong effort
+    v1 * beta * slope can overflow at finite prizes."""
+    return ((slope < _TINY) | (vals.v2 * vals.beta * slope < _TINY),
+            vals.v1 * vals.beta * slope == math.inf)
 
 
 def _ratio_closed_form(csf, vals: Valuations, q_user, slope):
@@ -198,24 +217,33 @@ def _ratio_closed_form(csf, vals: Valuations, q_user, slope):
     beta = vals.beta
     x1, x2 = _user_order(vals, vals.v1 * beta * slope, vals.v2 * beta * slope)
     theta = x1 / x2
-    _overflow_check(csf, theta, vals.v1 * beta * slope == math.inf)
     v1u, v2u = _user_order(vals, vals.v1, vals.v2)
     zp = csf._zp(theta, q_user)
     return x1, x2, theta, v1u * zp / x2 - 1.0, v2u * zp * theta / x2 - 1.0
 
 
-def _solve_ratio(csf, vals, q_user, q_int, warnings) -> Equilibrium:
+def _solve_ratio(csf, vals, q_user, q_int):
     """Closed-form equilibrium of a ratio-form contest with linear cost: both
     players exert prize * beta * z_q'(beta) at beta = v1/v2."""
-    _overflow_check(csf, vals.beta, vals.beta == math.inf)
-    slope = float(csf._zp(vals.beta, q_int))
-    if _ratio_underflows(vals, slope):
-        raise _ratio_underflow(slope)
+    slope = float(_ratio_slope(csf, vals, q_int))
+    underflow, overflow = _ratio_range(vals, slope)
+    if underflow or overflow:
+        raise _ratio_range_error(slope, underflow)
     x1, x2, theta, r1, r2 = map(float, _ratio_closed_form(csf, vals, q_user, slope))
-    return Equilibrium(
-        x1=x1, x2=x2, beta=theta, method=SolveMethod.CLOSED_FORM,
-        residuals=(r1, r2), corner_flags=(False, False), warnings=tuple(warnings),
-    )
+    return x1, x2, theta, (r1, r2), False, SolveMethod.CLOSED_FORM
+
+
+def _ratio_lanes(csf, vals, q_user, q_int):
+    slope = _ratio_slope(csf, vals, q_int)
+    with np.errstate(over="ignore", invalid="ignore"):  # the overflow test itself overflows
+        underflow, overflow = _ratio_range(vals, slope)
+    ok = ~(underflow | overflow)
+    errors = {int(i): _ratio_range_error(float(slope[i]), underflow[i])
+              for i in np.flatnonzero(~ok)}
+    # a failed lane's efforts can overflow: only the others take the closed form
+    x1, x2, beta, r1, r2 = out = np.ones((5, q_int.size))
+    out[:, ok] = _ratio_closed_form(csf, vals, q_user[ok], slope[ok])
+    return x1, x2, beta, (r1, r2), np.zeros(q_int.size, dtype=bool), SolveMethod.CLOSED_FORM, errors
 
 
 def _safeguarded_root(fdf, lo: float, hi: float, budget: int) -> tuple[float, float]:
@@ -246,6 +274,36 @@ def _safeguarded_root(fdf, lo: float, hi: float, budget: int) -> tuple[float, fl
         fx, dfx = fdf(x)
         if abs(step) <= 1e-12 * abs(x):
             break
+    return x, fx
+
+
+def _safeguarded_roots(fdf, lo, hi, budget: int):
+    """`_safeguarded_root` on many brackets at once, one lane per bracket.
+
+    `fdf(x, lanes)` returns (f, f') at the points x of the given lanes.  Each
+    lane takes exactly the scalar routine's steps and stops on its own; the
+    loop ends when no lane is left.  Returns the last points and f values.
+    """
+    x = lo.copy()
+    step_old, step = hi - lo, hi - lo
+    fx, dfx = fdf(x, np.arange(x.size))
+    live = np.flatnonzero(fx != 0.0)
+    for _ in range(budget):
+        if live.size == 0:
+            break
+        xl, fl, dl = x[live], fx[live], dfx[live]
+        lo[live] = np.where(fl < 0.0, xl, lo[live])
+        hi[live] = np.where(fl < 0.0, hi[live], xl)
+        lol, hil = lo[live], hi[live]
+        bisect = ((((xl - hil) * dl - fl) * ((xl - lol) * dl - fl) >= 0.0)
+                  | (np.abs(2.0 * fl) > np.abs(step_old[live] * dl)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            new_step = np.where(bisect, 0.5 * (hil - lol), fl / dl)
+        new_x = np.where(bisect, lol + new_step, xl - new_step)
+        step_old[live], step[live], x[live] = step[live], new_step, new_x
+        fx[live], dfx[live] = fdf(new_x, live)
+        stopped = (np.abs(new_step) <= 1e-12 * np.abs(new_x)) | (fx[live] == 0.0)
+        live = live[~stopped]
     return x, fx
 
 
@@ -289,6 +347,39 @@ def _gap_root(csf, gap: float, q_int: float) -> float:
     return max(root, 0.0)
 
 
+def _gap_roots(csf, gap: float, q_int: np.ndarray):
+    """`_gap_root` for an array of internal tie shares; failing lanes hold their error."""
+    n = q_int.size
+    if gap == 0.0:
+        return np.zeros(n), {}
+    lo, hi = np.zeros(n), np.ones(n)
+    unbracketed = np.arange(n)
+    for _ in range(BRACKET_EXPANSIONS):
+        ahead = hi[unbracketed] - gap * csf._zp(hi[unbracketed], q_int[unbracketed]) > 0.0
+        unbracketed = unbracketed[~ahead]
+        if unbracketed.size == 0:
+            break
+        lo[unbracketed], hi[unbracketed] = hi[unbracketed], 2.0 * hi[unbracketed]
+    errors = {int(i): _unbracketed(float(hi[i])) for i in unbracketed}
+
+    bracketed = np.ones(n, dtype=bool)
+    bracketed[unbracketed] = False
+    lanes = np.flatnonzero(bracketed)
+    q_lanes = q_int[lanes]
+
+    def fdf(theta, sub):
+        zp, zpp = csf._zslopes(theta, q_lanes[sub])
+        return theta - gap * zp, 1.0 - gap * zpp
+
+    roots = np.zeros(n)
+    root, resid = _safeguarded_roots(fdf, lo[lanes], hi[lanes], MAX_ITERATIONS)
+    limit = BETA_RESIDUAL * max(1.0, gap)
+    for j in np.flatnonzero(~(np.abs(resid) <= limit)):
+        errors[int(lanes[j])] = _gap_residual(float(resid[j]), limit)
+    roots[lanes] = np.maximum(root, 0.0)
+    return roots, errors
+
+
 def _diff_closed_form(csf, vals: Valuations, q_user, q_int, gap):
     """Efforts, their gap and first-order residuals in the caller's labels,
     from the equilibrium gap of the stronger player; one tie rule or an array
@@ -301,16 +392,19 @@ def _diff_closed_form(csf, vals: Valuations, q_user, q_int, gap):
     return x1, x2, theta, v1u * zp - x1, v2u * zp - x2
 
 
-def _solve_diff(csf, vals, q_user, q_int, warnings) -> Equilibrium:
+def _solve_diff(csf, vals, q_user, q_int):
     """Equilibrium of a difference-form contest with quadratic cost: each
     effort is prize * z_q'(gap) at the equilibrium gap from `_gap_root`, so
     the first-order conditions are exactly v_i * z_q'(gap) = x_i."""
     gap = _gap_root(csf, vals.v1 - vals.v2, q_int)
     x1, x2, theta, r1, r2 = map(float, _diff_closed_form(csf, vals, q_user, q_int, gap))
-    return Equilibrium(
-        x1=x1, x2=x2, beta=theta, method=SolveMethod.ROOT_FIND, residuals=(r1, r2),
-        corner_flags=(False, False), warnings=tuple(warnings),
-    )
+    return x1, x2, theta, (r1, r2), False, SolveMethod.ROOT_FIND
+
+
+def _diff_lanes(csf, vals, q_user, q_int):
+    gap, errors = _gap_roots(csf, vals.v1 - vals.v2, q_int)  # a failed lane's gap is finite
+    x1, x2, beta, r1, r2 = _diff_closed_form(csf, vals, q_user, q_int, gap)
+    return x1, x2, beta, (r1, r2), np.zeros(q_int.size, dtype=bool), SolveMethod.ROOT_FIND, errors
 
 
 def _concave_marginal(csf, prize: float, own_q: float, own: float, other: float) -> float:
@@ -332,9 +426,21 @@ def _concave_marginal(csf, prize: float, own_q: float, own: float, other: float)
     return prize * press / (total * total) - 1.0
 
 
-def _no_axis_equilibrium(b1: float, b2: float) -> NoEquilibriumError:
-    return NoEquilibriumError(f"no axis profile is a mutual best response "
-                              f"(single-entrant responses {b1} and {b2})")
+def _concave_marginals(csf, prize: float, own_q, own, other):
+    """`_concave_marginal` over lanes of efforts and own tie shares."""
+    f_other = csf._impact(other)
+    press = f_other + (1.0 - own_q)
+    out = np.full(own.shape, -1.0)
+    moving = (press > 0.0) & (own > 0.0)
+    if moving.any():
+        out[moving] = prize * csf._win_d1(own[moving], other[moving], own_q[moving]) - 1.0
+    at_zero = (press > 0.0) & ~(own > 0.0)
+    if csf.r < 1.0:
+        out[at_zero] = math.inf
+    else:
+        total = f_other[at_zero] + 1.0
+        out[at_zero] = prize * press[at_zero] / (total * total) - 1.0
+    return out
 
 
 def _lottery_interior(v1: float, v2: float, q_int):
@@ -361,6 +467,18 @@ def _lottery_corner(csf, v1: float, v2: float, q_int: float) -> tuple[float, flo
     if _concave_marginal(csf, v1, q_int, 0.0, b2) <= CLOSED_FORM_RESIDUAL:
         return 0.0, b2
     raise _no_axis_equilibrium(b1, b2)
+
+
+def _lottery_corners(csf, v1: float, v2: float, q_int: np.ndarray):
+    """`_lottery_corner` over lanes; a lane with no axis profile holds its error."""
+    zero = np.zeros(q_int.size)
+    b1 = np.maximum(0.0, np.sqrt(v1 * (1.0 - q_int)) - 1.0)
+    b2 = np.maximum(0.0, np.sqrt(v2 * q_int) - 1.0)
+    first = _concave_marginals(csf, v2, 1.0 - q_int, zero, b1) <= CLOSED_FORM_RESIDUAL
+    second = ~first & (_concave_marginals(csf, v1, q_int, zero, b2) <= CLOSED_FORM_RESIDUAL)
+    errors = {int(i): _no_axis_equilibrium(float(b1[i]), float(b2[i]))
+              for i in np.flatnonzero(~first & ~second)}
+    return np.where(first, b1, 0.0), np.where(second, b2, 0.0), errors
 
 
 def _logaddexp(a: float, b: float) -> float:
@@ -392,6 +510,22 @@ def _log_impact_foc(g1: float, g2: float, log_rv1: float, log_rv2: float, c: flo
     scale = (abs(log_rv1) + abs(c * g1) + abs(log_a1) + 2.0 * log_t,
              abs(log_rv2) + abs(c * g2) + abs(log_a2) + 2.0 * log_t)
     return residual, jacobian, scale
+
+
+def _log_impact_focs(g1, g2, log_rv1, log_rv2, c, log_head1, log_head2):
+    """`_log_impact_foc` over lanes, as rows G1, G2, J11, J12, J21, J22, S1, S2."""
+    log_t = np.logaddexp(np.logaddexp(g1, g2), 0.0)
+    log_a1 = np.logaddexp(g2, log_head1)
+    log_a2 = np.logaddexp(g1, log_head2)
+    s1 = np.exp(g1 - log_t)
+    s2 = np.exp(g2 - log_t)
+    return np.stack((
+        log_rv1 - c * g1 + log_a1 - 2.0 * log_t, log_rv2 - c * g2 + log_a2 - 2.0 * log_t,
+        -c - 2.0 * s1, np.exp(g2 - log_a1) - 2.0 * s2,
+        np.exp(g1 - log_a2) - 2.0 * s1, -c - 2.0 * s2,
+        abs(log_rv1) + np.abs(c * g1) + np.abs(log_a1) + 2.0 * log_t,
+        abs(log_rv2) + np.abs(c * g2) + np.abs(log_a2) + 2.0 * log_t,
+    ))
 
 
 def _concave_newton(csf, v1: float, v2: float, q_int: float) -> tuple[float, float]:
@@ -428,7 +562,80 @@ def _concave_newton(csf, v1: float, v2: float, q_int: float) -> tuple[float, flo
     return x1, x2
 
 
-def _solve_concave(csf, vals, q_user, q_int, warnings) -> Equilibrium:
+def _concave_newtons(csf, v1: float, v2: float, q_int: np.ndarray):
+    """`_concave_newton` for an array of internal tie shares; returns g1, g2.
+
+    Every lane starts where the scalar routine does and takes its steps,
+    backtracking and stop rules; a lane retires on its own and the loop ends
+    when none is left.
+    """
+    r = csf.r
+    with np.errstate(divide="ignore"):
+        heads = (np.log(1.0 - q_int), np.log(q_int))
+    consts = (math.log(r) + math.log(v1), math.log(r) + math.log(v2), (1.0 - r) / r)
+    g1 = np.full(q_int.size, r * math.log(v1 / 4.0))
+    g2 = np.full(q_int.size, r * math.log(v2 / 4.0))
+    foc = _log_impact_focs(g1, g2, *consts, *heads)
+    live = np.arange(q_int.size)
+    for _ in range(MAX_ITERATIONS):
+        G1, G2, J11, J12, J21, J22, S1, S2 = foc[:, live]
+        det = J11 * J22 - J12 * J21
+        at_rounding_floor = (np.abs(G1) <= 4.0 * _EPS * S1) & (np.abs(G2) <= 4.0 * _EPS * S2)
+        keep = ~at_rounding_floor & (det != 0.0)
+        live, G1, G2, J11, J12, J21, J22, det = (
+            a[keep] for a in (live, G1, G2, J11, J12, J21, J22, det))
+        if live.size == 0:
+            break
+        d1, d2 = (G1 * J22 - G2 * J12) / det, (J11 * G2 - J21 * G1) / det
+        norm = G1 * G1 + G2 * G2
+        search = np.arange(live.size)
+        for halvings in range(40):
+            t = 0.5**halvings
+            lanes = live[search]
+            n1, n2 = g1[lanes] - t * d1[search], g2[lanes] - t * d2[search]
+            trial = _log_impact_focs(n1, n2, *consts, heads[0][lanes], heads[1][lanes])
+            done = trial[0] ** 2 + trial[1] ** 2 <= (1.0 - 1e-4 * t) * norm[search]
+            g1[lanes[done]], g2[lanes[done]] = n1[done], n2[done]
+            foc[:, lanes[done]] = trial[:, done]
+            search = search[~done]
+            if search.size == 0:
+                break
+        live = np.delete(live, search)
+    return g1, g2
+
+
+def total_effort_slope(spec: ContestSpec, q: float, x1: float, x2: float,
+                       cornered: bool) -> float:
+    """dR/dq of a concave contest at tie rule q, at equilibrium efforts x1, x2.
+
+    For r < 1, the implicit function theorem on the log-impact conditions
+    G(g; q1) = 0 of `_log_impact_foc` (internal labels) gives
+    dg/dq1 = -J^-1 dG/dq1 with dG/dq1 = (-1/a1, +1/a2), and
+    dR/dq1 = sum_i (x_i / r) dg_i/dq1.  For r = 1, R is constant on the
+    interior closed form, and a lone entrant exerts sqrt(v_i (1 - q_i)) - 1.
+    """
+    vals, r = spec.valuations, spec.csf.r
+    q1 = float(1.0 - q if vals.swapped else q)
+    x1, x2 = _user_order(vals, float(x1), float(x2))
+    if r == 1.0:
+        slope = 0.0
+        if cornered and x1 > 0.0:
+            slope = -0.5 * math.sqrt(vals.v1 / (1.0 - q1))
+        elif cornered and x2 > 0.0:
+            slope = 0.5 * math.sqrt(vals.v2 / q1)
+    else:
+        g1, g2 = r * math.log(x1), r * math.log(x2)
+        heads = (math.log(h) if h > 0.0 else -math.inf for h in (1.0 - q1, q1))
+        _, (J11, J12, J21, J22), _ = _log_impact_foc(
+            g1, g2, math.log(r * vals.v1), math.log(r * vals.v2), (1.0 - r) / r, *heads)
+        dG1, dG2 = -1.0 / (math.exp(g2) + (1.0 - q1)), 1.0 / (math.exp(g1) + q1)
+        det = J11 * J22 - J12 * J21 or math.nan  # singular: sign unknown, so uncertified
+        dg1, dg2 = (J12 * dG2 - J22 * dG1) / det, (J21 * dG1 - J11 * dG2) / det
+        slope = (x1 * dg1 + x2 * dg2) / r
+    return -slope if vals.swapped else slope
+
+
+def _solve_concave(csf, vals, q_user, q_int):
     """Equilibrium of a concave-impact contest with linear cost.
 
     Linear impact admits a closed form: the classic lottery efforts shifted
@@ -441,14 +648,13 @@ def _solve_concave(csf, vals, q_user, q_int, warnings) -> Equilibrium:
     underflows double precision (otherwise `ConvergenceError`).
     """
     v1, v2 = vals.v1, vals.v2
-
+    cornered = False
     if csf.r == 1.0:
         x1i, x2i = _lottery_interior(v1, v2, q_int)
         method = SolveMethod.CLOSED_FORM
         if not (x1i >= 0.0 and x2i >= 0.0):
             x1i, x2i = _lottery_corner(csf, v1, v2, q_int)
-            method = SolveMethod.FOC_SOLVE
-            warnings.append(CORNER_UNIQUENESS_WARNING)
+            cornered = True
     else:
         x1i, x2i = _concave_newton(csf, v1, v2, q_int)
         method = SolveMethod.FOC_SOLVE
@@ -458,18 +664,84 @@ def _solve_concave(csf, vals, q_user, q_int, warnings) -> Equilibrium:
     tol = ITERATIVE_RESIDUAL
     if csf.r < 1.0 and not (abs(r1i) <= tol and abs(r2i) <= tol):
         raise _newton_residual(x1i, x2i, r1i, r2i)
-    x1, x2 = _user_order(vals, x1i, x2i)
-    return Equilibrium(
-        x1=x1, x2=x2, beta=None, method=method, residuals=_user_order(vals, r1i, r2i),
-        corner_flags=(x1 == 0.0, x2 == 0.0), warnings=tuple(warnings),
-    )
+    return (*_user_order(vals, x1i, x2i), None, _user_order(vals, r1i, r2i), cornered, method)
 
 
-_ROUTES = {"ratio": _solve_ratio, "diff": _solve_diff, "concave": _solve_concave}
+def _concave_lanes(csf, vals, q_user, q_int):
+    v1, v2 = vals.v1, vals.v2
+    n = q_int.size
+    errors: dict[int, ContestError] = {}
+    cornered = np.zeros(n, dtype=bool)
+    if csf.r == 1.0:
+        x1i, x2i = _lottery_interior(v1, v2, q_int)
+        cornered = ~((x1i >= 0.0) & (x2i >= 0.0))
+        at = np.flatnonzero(cornered)
+        x1i[at], x2i[at], corner_errors = _lottery_corners(csf, v1, v2, q_int[at])
+        errors = {int(at[j]): exc for j, exc in corner_errors.items()}
+        method = SolveMethod.CLOSED_FORM
+    else:
+        g1, g2 = _concave_newtons(csf, v1, v2, q_int)
+        x1i, x2i = np.exp(g1 / csf.r), np.exp(g2 / csf.r)
+        for i in np.flatnonzero(np.minimum(x1i, x2i) < _TINY):
+            errors[int(i)] = _effort_underflow(float(g1[i]), float(g2[i]), csf.r)
+        method = SolveMethod.FOC_SOLVE
+
+    failed = np.zeros(n, dtype=bool)
+    failed[list(errors)] = True
+    # a failed lane takes efforts (1, 1), which keep its unused residuals finite
+    x1i, x2i = np.where(failed, 1.0, x1i), np.where(failed, 1.0, x2i)
+    r1i = _concave_marginals(csf, v1, q_int, x1i, x2i)
+    r2i = _concave_marginals(csf, v2, 1.0 - q_int, x2i, x1i)
+    if csf.r < 1.0:
+        tol = ITERATIVE_RESIDUAL
+        for i in np.flatnonzero(~failed & ~((np.abs(r1i) <= tol) & (np.abs(r2i) <= tol))):
+            errors[int(i)] = _newton_residual(
+                float(x1i[i]), float(x2i[i]), float(r1i[i]), float(r2i[i]))
+    return (*_user_order(vals, x1i, x2i), None, _user_order(vals, r1i, r2i), cornered,
+            method, errors)
+
+
+# (scalar route, lane route) per family kind.  Both take (csf, vals, q_user,
+# q_int) and return (x1, x2, beta, residuals, cornered, method) in the
+# caller's labels; the lane route returns arrays and, last, its failing lanes'
+# errors.
+_ROUTES = {
+    "ratio": (_solve_ratio, _ratio_lanes),
+    "diff": (_solve_diff, _diff_lanes),
+    "concave": (_solve_concave, _concave_lanes),
+}
+
+
+def _prologue(spec: ContestSpec, q_user, force: bool, audited: bool):
+    """The routes, prizes, internal tie share(s) and opening warnings of a
+    solve at tie rule(s) `q_user`, once the checks that hold at every q pass
+    (see `solve`); each family class declares its cost as `default_cost`."""
+    csf, kind = spec.csf, spec.csf.kind
+    expected = getattr(csf, "default_cost", None)
+    if expected is None:
+        raise ValidationError(f"no solver for family kind {kind!r}")
+    if spec.cost is not expected:
+        raise ValidationError(
+            f"{kind}-form contests are solved under {expected.value!r} cost, "
+            f"got {spec.cost.value!r}"
+        )
+    warnings: tuple[str, ...] = ()
+    if not csf.lemma_precondition_ok:
+        if not force:
+            raise ValidationError(
+                f"family {csf.name!r} violates its closed-form precondition "
+                f"({csf.lemma_precondition}); pass force=True to evaluate anyway"
+            )
+        warnings += (f"closed-form precondition {csf.lemma_precondition} violated; "
+                     "result computed under protest",)
+    if not audited:
+        warnings += (UNCHECKED_ASSUMPTIONS_WARNING,)
+    vals = spec.valuations
+    return _ROUTES[kind], vals, 1.0 - q_user if vals.swapped else q_user, warnings
 
 
 def solve(spec: ContestSpec, *, force: bool = False, audited: bool = False) -> Equilibrium:
-    """Equilibrium of a contest, by the route for its family class.
+    """Equilibrium of a contest, by the scalar route for its family class.
 
     Validates that the cost technology matches the one the family's theory
     is stated under (linear for ratio and concave classes, half-quadratic
@@ -477,8 +749,38 @@ def solve(spec: ContestSpec, *, force: bool = False, audited: bool = False) -> E
     A ratio family outside its closed-form precondition raises unless
     `force` is given, in which case a warning is attached instead.
     """
-    kind = _checked_kind(spec)
-    warnings = _opening_warnings(spec.csf, force, audited)
-    vals = spec.valuations
-    q_int = 1.0 - spec.q if vals.swapped else spec.q
-    return _ROUTES[kind](spec.csf, vals, spec.q, q_int, warnings)
+    (route, _), vals, q_int, warnings = _prologue(spec, spec.q, force, audited)
+    return _equilibrium(*route(spec.csf, vals, spec.q, q_int), warnings)
+
+
+def solve_lanes(spec: ContestSpec, qs, *, force: bool, audited: bool) -> Lanes:
+    """The contest at every q in `qs`, as arrays with one lane per q.
+
+    A lane fails with its scalar solve's error, the `Equilibrium` check on
+    its efforts included.  Errors that hold at every q (malformed `qs`,
+    family kind, cost, closed-form precondition) are raised at once.
+    """
+    q_user = q_array(qs)
+    if q_user.ndim != 1:
+        raise ValidationError(f"qs must be one-dimensional, got shape {q_user.shape}")
+    (_, route), vals, q_int, warnings = _prologue(spec, q_user, force, audited)
+    x1, x2, beta, residuals, cornered, method, errors = route(spec.csf, vals, q_user, q_int)
+    for i in np.flatnonzero(~((x1 >= 0.0) & (x2 >= 0.0))):
+        errors.setdefault(int(i), _negative_efforts(float(x1[i]), float(x2[i])))
+    return Lanes(q_user, x1, x2, beta, residuals, cornered, method, warnings, errors)
+
+
+def solve_many(spec: ContestSpec, qs, *, force: bool = False,
+               audited: bool = False) -> tuple[Equilibrium, ...]:
+    """Equilibria of one contest at each tie rule in `qs` (the q in `spec` is ignored).
+
+    Entry i matches `solve(spec.with_q(qs[i]))` to rounding: same route,
+    steps, stop rules, residual checks, corner flags, warnings and errors.
+    `qs` must be a one-dimensional sequence of numbers in [0, 1].  If any
+    tie rule fails, the error its scalar solve raises is raised, for the
+    smallest failing q.
+    """
+    lanes = solve_lanes(spec, qs, force=force, audited=audited)
+    if lanes.errors:
+        raise lanes.errors[min(sorted(lanes.errors), key=lambda i: lanes.q[i])]
+    return tuple(map(lanes.equilibrium, range(lanes.q.size)))

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .audit import RATIO_ZERO_CONVENTION_NOTE
 from .core import ContestSpec, CostKind, EffortProfile, payoff
 from .errors import DomainError, ValidationError
 
@@ -40,11 +41,6 @@ COARSE_STEPS = 10
 _BLOCK_CELLS = 1 << 15
 """Cells per block of `grid_nash` rows: each temporary array (256 kB) stays
 cache-sized, and the peak memory stays flat in the grid size."""
-
-RATIO_ZERO_NOTE = (
-    "ratio-form zero-effort convention in effect: (0, 0) is scored at "
-    "theta = 1 and a lone positive effort wins outright"
-)
 
 
 @dataclass(frozen=True)
@@ -274,7 +270,7 @@ def verify(spec: ContestSpec, eq, grid: GridSpec) -> VerificationReport:
 
     notes = []
     if spec.csf.kind == "ratio":
-        notes.append(RATIO_ZERO_NOTE)
+        notes.append(RATIO_ZERO_CONVENTION_NOTE)
     if not equilibria:
         notes.append("no exact grid equilibrium exists at this resolution")
 

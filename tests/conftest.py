@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import tiebreak.designer as designer_mod
-from tiebreak.batch import solve_lanes
+from tiebreak.equilibrium import solve_lanes
 
 
 @pytest.fixture(autouse=True)

@@ -14,6 +14,7 @@ import pytest
 
 from tiebreak import (
     FAMILIES,
+    ConvergenceError,
     DomainError,
     GridSpec,
     RandomTieRule,
@@ -30,6 +31,7 @@ from tiebreak import (
     verify,
 )
 from tiebreak.audit import audit_family
+from tiebreak.equilibrium import solve_lanes
 
 from helpers import case_id
 
@@ -229,24 +231,45 @@ def test_oracle_calls_neither_derivatives_nor_kernels(monkeypatch, name, params)
     assert after == before
 
 
-# Prizes are checked on entry, but the ratio closed form derives theta from
-# them: a prize ratio or a forced effort that overflows keeps the family's
-# domain error rather than reaching the kernels.
+# Prizes are checked on entry, but the ratio closed form derives its efforts
+# from them: a prize ratio beyond double precision is a domain error of the
+# contest, and a strong effort v1 * beta * slope that overflows fails its tie
+# rule as an effort that underflows does.  Neither emits a NumPy warning.
 RATIO_OVERFLOWS = [
-    (dict(v1=1e200, v2=1e-200, r=0.5), False, "theta must be finite"),
-    (dict(v1=1e-200, v2=1e200, r=0.5), False, "theta must be finite"),
-    (dict(v1=1e308, v2=1e308 / 1.001, r=1000.0), True, "theta must be finite"),
-    (dict(v1=1e308, v2=1e306, r=30.0), True, "theta must be finite"),
-    (dict(v1=1e306, v2=1e308, r=30.0), True, "theta must be > 0"),
+    (dict(v1=1e200, v2=1e-200, r=0.5), False, DomainError,
+     "the ratio of prizes (1e+200, 1e-200) overflows double precision"),
+    (dict(v1=1e-200, v2=1e200, r=0.5), False, DomainError,
+     "the ratio of prizes (1e-200, 1e+200) overflows double precision"),
+    (dict(v1=1e308, v2=1e308 / 1.001, r=1000.0), True, ConvergenceError,
+     "closed-form efforts overflow double precision (slope 196.46086657315118)"),
+    (dict(v1=1e308, v2=1e306, r=30.0), True, ConvergenceError,
+     "closed-form efforts overflow double precision (slope 3e-61)"),
+    (dict(v1=1e306, v2=1e308, r=30.0), True, ConvergenceError,
+     "closed-form efforts overflow double precision (slope 3e-61)"),
 ]
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
-@pytest.mark.parametrize("prizes, force, text", RATIO_OVERFLOWS)
-def test_ratio_overflow_raises_the_family_domain_error(prizes, force, text):
+@pytest.mark.parametrize("prizes, force, error, text", RATIO_OVERFLOWS)
+def test_ratio_overflow_raises_a_typed_error(prizes, force, error, text):
     spec = make_contest("jia-ratio", q=0.3, k=1.0, **prizes)
-    with pytest.raises(DomainError, match=f"^{re.escape(text)}$"):
+    with pytest.raises(error, match=f"^{re.escape(text)}$"):
         solve(spec, force=force)
-    with pytest.raises(DomainError, match=f"^{re.escape(text)}$"):
+    with pytest.raises(error, match=f"^{re.escape(text)}$"):
         solve_many(spec, [0.0, 0.3], force=force)
+
+
+def test_ratio_lanes_fail_only_where_the_strong_effort_overflows():
+    # slope z_q'(1.1) falls from 1.816 at q = 0 to 1.115 at q = 1, so
+    # v1 * beta * slope passes the largest double between q = 0.4 and 0.5
+    spec = make_contest("jia-ratio", v1=1.1e308, v2=1e308, q=0.0, r=8.0, k=2.0)
+    qs = [i / 10 for i in range(11)]
+    lanes = solve_lanes(spec, qs, force=True, audited=False)
+    assert sorted(lanes.errors) == [0, 1, 2, 3, 4]
+    for i, q in enumerate(qs):
+        if i in lanes.errors:
+            with pytest.raises(ConvergenceError, match="^closed-form efforts overflow") as info:
+                solve(spec.with_q(q), force=True)
+            assert str(lanes.errors[i]) == str(info.value)
+        else:
+            assert lanes.equilibrium(i) == solve(spec.with_q(q), force=True)
+            assert math.isfinite(lanes.x1[i]) and math.isfinite(lanes.x2[i])

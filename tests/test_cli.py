@@ -138,7 +138,7 @@ class TestOptimizeCommand:
                                                                      monkeypatch):
         import tiebreak.designer as designer
 
-        monkeypatch.setattr(designer, "_total_effort_slope", lambda *args: float("nan"))
+        monkeypatch.setattr(designer, "total_effort_slope", lambda *args: float("nan"))
         argv = ["optimize", "--family", "blavatskyy-power", "--r", "0.5",
                 "--v1", "2", "--v2", "1", "--q", "0.5"]
         assert run(argv) == EXIT_NO_CONVERGENCE

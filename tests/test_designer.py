@@ -24,14 +24,13 @@ from tiebreak import (
     solve,
     sweep,
 )
-from tiebreak.batch import Lanes
-from tiebreak.equilibrium import CORNER_UNIQUENESS_WARNING, SolveMethod
+from tiebreak.equilibrium import (CORNER_UNIQUENESS_WARNING, Lanes, SolveMethod,
+                                  total_effort_slope)
 
 
 def _slope_at(spec, q, eq):
-    """`_total_effort_slope` at the equilibrium `eq` of `spec` at tie rule q."""
-    return designer_mod._total_effort_slope(spec, q, eq.x1, eq.x2,
-                                            CORNER_UNIQUENESS_WARNING in eq.warnings)
+    """`total_effort_slope` at the equilibrium `eq` of `spec` at tie rule q."""
+    return total_effort_slope(spec, q, eq.x1, eq.x2, CORNER_UNIQUENESS_WARNING in eq.warnings)
 
 SHARP_RATIO = make_contest(family="jia-ratio", v1=2.0, v2=1.0, q=0.0, r=1.0, k=2)
 SOFT_RATIO = make_contest(family="vesperoni-ratio", v1=2.0, v2=1.0, q=0.0, r=0.5, k=2)
@@ -78,11 +77,22 @@ class TestSweep:
             sweep(SHARP_RATIO, 1)
 
     def test_solver_errors_carry_the_failing_q(self):
+        # an error that holds at every q is raised as `solve` raises it
         bad = make_contest(
             family="vesperoni-ratio", v1=2.0, v2=1.0, q=0.0, r=0.6, k=2
         )
-        with pytest.raises(ValidationError, match="sweep failed at q = 0"):
+        with pytest.raises(ValidationError) as scalar:
+            solve(bad)
+        with pytest.raises(ValidationError) as info:
             sweep(bad, 5)
+        assert str(info.value) == str(scalar.value)
+        # a failing tie rule is named, the smallest failing one
+        spec = make_contest(family="blavatskyy-power", v1=0.1024, v2=0.01184, q=0.5, r=0.9386)
+        with pytest.raises(ConvergenceError) as lane:
+            solve(spec.with_q(1.0))
+        with pytest.raises(ConvergenceError) as info:
+            sweep(spec, 5)
+        assert str(info.value) == f"sweep failed at q = 1: {lane.value}"
 
     def test_csv_round_trip(self):
         curve = sweep(SHARP_RATIO, 3)
@@ -231,9 +241,9 @@ class TestConcaveOptimum:
         """`_concave_optimum` on a stubbed 101-point curve R(q) with slope dR/dq."""
         qs = np.linspace(0.0, 1.0, designer_mod.CROSS_CHECK_POINTS)
         zeros = np.zeros(qs.size)
-        lanes = Lanes(totals(qs), zeros, None, (zeros, zeros), zeros.astype(bool),
+        lanes = Lanes(qs, totals(qs), zeros, None, (zeros, zeros), zeros.astype(bool),
                       SolveMethod.FOC_SOLVE, (), {})
-        monkeypatch.setattr(designer_mod, "_total_effort_slope",
+        monkeypatch.setattr(designer_mod, "total_effort_slope",
                             lambda spec, q, x1, x2, cornered: slope(q))
         return qs, lambda: designer_mod._concave_optimum(None, qs, lanes)
 
@@ -279,7 +289,8 @@ class TestConcaveOptimum:
 
     def test_failing_tie_rule_raises_its_own_error(self):
         spec = make_contest(family="blavatskyy-power", v1=0.1024, v2=0.01184, q=0.5, r=0.9386)
-        with pytest.raises(ConvergenceError, match=r"^an equilibrium effort underflows"):
+        with pytest.raises(ConvergenceError,
+                           match=r"^sweep failed at q = 1: an equilibrium effort underflows"):
             optimal_q(spec)
 
 
@@ -361,7 +372,7 @@ class TestGridMemo:
             solve(spec.with_q(1.0))
         raised = []
         for call, text in [(lambda: sweep(spec, 101), f"sweep failed at q = 1: {lane.value}"),
-                           (lambda: optimal_q(spec), str(lane.value))] * 2:
+                           (lambda: optimal_q(spec), f"sweep failed at q = 1: {lane.value}")] * 2:
             with pytest.raises(ConvergenceError) as info:
                 call()
             assert str(info.value) == text

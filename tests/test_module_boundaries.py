@@ -1,0 +1,75 @@
+"""Modules of the package use each other only through public names.
+
+An underscore name is private to the module that defines it: a sibling
+that imports it (`from .x import _y`) or reads it off the module (`x._y`)
+couples to internals that may change without notice.  Names read off other
+objects, such as a family's kernels `csf._zp`, are not module reads.
+"""
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tiebreak"
+MODULES = sorted(PACKAGE.glob("*.py"))
+SIBLINGS = {path.stem for path in MODULES}
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _sibling(module: str | None, level: int) -> str | None:
+    """The sibling named by an import's module and level, if it names one."""
+    if level == 1:
+        return module
+    if module and module.startswith("tiebreak."):
+        return module.split(".", 1)[1]
+    return None
+
+
+def crossings(source: str) -> list[str]:
+    """Each private name of a sibling module that `source` imports or reads."""
+    tree = ast.parse(source)
+    found, aliases = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            sibling = _sibling(node.module, node.level)
+            if sibling is not None:
+                found += [f"from {'.' * node.level}{node.module} import {a.name}"
+                          for a in node.names if _private(a.name)]
+            elif (node.level, node.module) in ((1, None), (0, "tiebreak")):
+                aliases |= {a.asname or a.name for a in node.names if a.name in SIBLINGS}
+        elif isinstance(node, ast.Import):
+            aliases |= {a.asname for a in node.names
+                        if a.asname and _sibling(a.name, 0) in SIBLINGS}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases and _private(node.attr)):
+            found.append(f"{node.value.id}.{node.attr}")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_module_uses_only_public_names_of_its_siblings(path):
+    assert crossings(path.read_text(encoding="utf-8")) == []
+
+
+def test_guard_sees_private_imports_and_reads():
+    source = "\n".join([
+        "from . import equilibrium, core as c",
+        "from .equilibrium import _ROUTES, solve",
+        "from tiebreak.designer import _last_grid",
+        "import tiebreak.families as fam",
+        "equilibrium._TINY, equilibrium.MAX_ITERATIONS, c._as_float, fam.__name__",
+        "spec.csf._zp, fam._ret",
+    ])
+    assert crossings(source) == [
+        "from .equilibrium import _ROUTES",
+        "from tiebreak.designer import _last_grid",
+        "equilibrium._TINY",
+        "c._as_float",
+        "fam._ret",
+    ]

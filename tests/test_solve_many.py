@@ -24,8 +24,7 @@ from tiebreak import (
     solve_many,
     sweep,
 )
-from tiebreak.batch import _concave_newtons, _gap_roots, solve_lanes
-from tiebreak.equilibrium import _concave_newton
+from tiebreak.equilibrium import _concave_newton, _concave_newtons, _gap_roots, solve_lanes
 
 LANE_QS = np.concatenate([np.linspace(0.0, 1.0, 21), [0.0122, 0.377, 0.5 + 1e-9, 0.9871]])
 
@@ -239,14 +238,14 @@ class TestDesignerStaysBatched:
 
     @pytest.fixture
     def scalar_calls(self, monkeypatch):
-        """Tie rules of every scalar solve, counted at its route."""
+        """Tie rules of every scalar solve, counted at its scalar route."""
         calls = []
-        for kind, route in equilibrium_mod._ROUTES.items():
-            def counting(csf, vals, q_user, q_int, warnings, route=route):
+        for kind, (route, lanes) in equilibrium_mod._ROUTES.items():
+            def counting(csf, vals, q_user, q_int, route=route):
                 calls.append(q_user)
-                return route(csf, vals, q_user, q_int, warnings)
+                return route(csf, vals, q_user, q_int)
 
-            monkeypatch.setitem(equilibrium_mod._ROUTES, kind, counting)
+            monkeypatch.setitem(equilibrium_mod._ROUTES, kind, (counting, lanes))
         return calls
 
     @pytest.fixture
