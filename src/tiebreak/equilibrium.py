@@ -17,7 +17,7 @@ player 2's tie share 1 - q) and picks the family kind's pair of routes in
 array code; the lane route runs the same closed forms, steps, stop rules and
 errors vectorized over q, one lane per tie rule, each iterative lane
 retiring on its own, and returns arrays (`Lanes`) with each failing lane's
-error.  Both report in the caller's labels, and one builder turns either
+error.  Both report in the caller's labels, and `_equilibrium` turns either
 into an `Equilibrium`.  Routes call only the families' unchecked kernels.
 `solve_beta` is the one raw-input helper, the effort-gap root of a
 difference-form contest.
