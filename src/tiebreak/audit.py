@@ -21,16 +21,17 @@ factors of 10, up to `TAIL_CAP`, and take the first that meets the limit
 within `TAIL_TOL`; that point (or the last one probed, on failure) is
 recorded as the witness.
 
-Each audit evaluates the family's slopes once, as one derivative table on
-the grid whose q = 0 and q = 1 rows also give the tie probability's slope,
-and its outcome probabilities once on the grid and once on the tail ladders.
-The default grids are built on first use and shared, read-only, by every audit.
+z_q = p + q p0 is affine in q, so each scanned quantity (z_q', z_q'', their
+combinations, |z_q''| - 1/v1, the tail gaps) is affine in q or the absolute
+value of an affine function, worst at the smallest or largest grid q: audits
+evaluate shares once per grid and z_q', z_q'' and p0 on those two rows only
+(and q = 0, 1 for the tie slope).  Grids and tail ladders are shared read-only.
 """
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -86,9 +87,9 @@ class ConditionRecord(JsonRecord):
     """Outcome of one audited condition.
 
     `violation` is the worst wrong-side magnitude found (0.0 when the
-    condition passed); `witness_theta` / `witness_q` locate it, tie-broken
-    toward the smallest theta and then the smallest q.  Tail checks reuse the
-    witness fields for the evaluation point that settled the limit.
+    condition passed); `witness_theta` / `witness_q` (an end of the q grid)
+    locate it, tie-broken toward the smallest theta and then the smallest q.
+    Tail checks reuse the witness fields for the point that settled the limit.
     """
 
     name: str
@@ -180,39 +181,59 @@ def _shared_grid(positive: bool) -> np.ndarray:
     return grid
 
 
-def _check_grids(theta_grid, q_grid, *, positive_theta: bool):
+def _slope_rows(csf, theta_grid, q_grid):
+    """(theta, qs, ends, z_q', z_q'', z_1' - z_0', p0): a reduced family's checked
+    grids, and on theta its slopes with one row per q in ends = (min qs, max qs),
+    from one share evaluation on those rows and q = 0 and 1."""
     if theta_grid is None:
-        theta = _shared_grid(positive_theta)
+        theta = _shared_grid(csf.kind == "ratio")
     else:
         theta = np.asarray(theta_grid, dtype=float)
         if theta.ndim != 1 or theta.size < 2:
             raise ValidationError("theta grid must be a 1-d sequence with at least two points")
         if not np.all(np.isfinite(theta)):
             raise DomainError("theta grid must be finite")
-        if positive_theta and np.any(theta <= 0):
+        if csf.kind == "ratio" and np.any(theta <= 0):
             raise DomainError("theta grid must be > 0 for ratio-form families")
         theta = np.sort(theta)
-    qs = DEFAULT_Q_GRID if q_grid is None else tuple(q_value(q) for q in q_grid)
+    qs = DEFAULT_Q_GRID if q_grid is None else tuple(sorted(q_value(q) for q in q_grid))
     if len(qs) == 0:
         raise ValidationError("q grid must be nonempty")
-    return theta, tuple(sorted(qs))
+    ends = (qs[0], qs[-1])
+    rows = sorted({*ends, 0.0, 1.0})
+    zp, zpp, p0 = csf._slopes_and_tie(theta, np.array(rows)[:, None])
+    at = slice(None) if rows == list(ends) else [rows.index(q) for q in ends]
+    return theta, qs, ends, zp[at], zpp[at], zp[-1] - zp[0], p0
 
 
 def _strict_condition(name: str, deficit: np.ndarray, theta: np.ndarray,
-                      qs: tuple[float, ...], note: str = "") -> ConditionRecord:
+                      qs: tuple[float | None, ...], note: str = "") -> ConditionRecord:
     """Record a condition whose (q, theta) deficit matrix must stay <= STRICT_SLACK.
 
     On failure the witness is the largest wrong-side excess; ties on the
     exact worst value resolve to the smallest theta, then the smallest q.
     """
-    worst = float(np.max(deficit))
+    worst = float(deficit.max())
     if worst <= STRICT_SLACK:
         return ConditionRecord(name=name, passed=True, violation=0.0, note=note)
-    wt, wq = min((float(theta[it]), float(qs[iq])) for iq, it in np.argwhere(deficit == worst))
+    wt, wq = min((float(theta[it]), qs[iq]) for iq, it in np.argwhere(deficit == worst))
     return ConditionRecord(
         name=name, passed=False, violation=worst,
         witness_theta=wt, witness_q=wq, note=note,
     )
+
+
+@functools.lru_cache(maxsize=16)
+def _tail_ladder(theta_min: float, theta_max: float):
+    """A grid's tail probe points as (down, up, both in one read-only array)."""
+    down, up = [min(theta_min, 1.0 / TAIL_START)], [max(theta_max, TAIL_START)]
+    while down[-1] / 10.0 >= 1.0 / TAIL_CAP:
+        down.append(down[-1] / 10.0)
+    while up[-1] * 10.0 <= TAIL_CAP:
+        up.append(up[-1] * 10.0)
+    points = np.array(down + up)
+    points.flags.writeable = False
+    return tuple(down), tuple(up), points
 
 
 def _tail_conditions(csf, theta: np.ndarray, q_col: np.ndarray) -> list[ConditionRecord]:
@@ -220,58 +241,45 @@ def _tail_conditions(csf, theta: np.ndarray, q_col: np.ndarray) -> list[Conditio
 
     The ladders step by factors of 10 from min(theta_min, 1/TAIL_START) down
     and from max(theta_max, TAIL_START) up, within [1/TAIL_CAP, TAIL_CAP].
-    A gap is the worst across the q grid; the witness is the first point
-    within TAIL_TOL, else the last."""
-    down, up = [min(float(theta[0]), 1.0 / TAIL_START)], [max(float(theta[-1]), TAIL_START)]
-    while down[-1] / 10.0 >= 1.0 / TAIL_CAP:
-        down.append(down[-1] / 10.0)
-    while up[-1] * 10.0 <= TAIL_CAP:
-        up.append(up[-1] * 10.0)
+    A gap is the worst across the tie rules in `q_col`; the witness is the
+    first point within TAIL_TOL, else the last."""
+    down, up, points = _tail_ladder(float(theta[0]), float(theta[-1]))
     n = len(down)
     with np.errstate(all="ignore"):
-        win, _, tie = csf._triple(np.array(down + up))
+        win, _, tie = csf._triple(points)
         z = win + q_col * tie
-        limits = (("vanishes_at_zero", down, np.max(np.abs(z[:, :n]), axis=0)),
-                  ("saturates_at_infinity", up, np.max(np.abs(1.0 - z[:, n:]), axis=0)),
+        limits = (("vanishes_at_zero", down, np.abs(z[:, :n]).max(axis=0)),
+                  ("saturates_at_infinity", up, np.abs(1.0 - z[:, n:]).max(axis=0)),
                   ("tie_prob_vanishes_at_zero", down, np.abs(tie[:n])))
     records = []
-    for name, points, gaps in limits:
-        settled = np.flatnonzero(~(gaps > TAIL_TOL))
-        at = int(settled[0]) if settled.size else len(points) - 1
-        point, gap = points[at], float(gaps[at])
+    for name, probes, gaps in limits:
+        gaps = gaps.tolist()  # a few probes: plain floats beat array calls
+        at = next((i for i, gap in enumerate(gaps) if not gap > TAIL_TOL), len(gaps) - 1)
+        point, gap = probes[at], gaps[at]
         records.append(ConditionRecord(
             name=name, passed=gap <= TAIL_TOL, violation=0.0 if gap <= TAIL_TOL else gap,
             witness_theta=point, note=f"limit gap {gap:.3e} at probe point {point:.3e}"))
     return records
 
 
-def _unimodality_condition(csf, theta: np.ndarray, slope: np.ndarray,
+def _unimodality_condition(theta: np.ndarray, p0: np.ndarray, slope: np.ndarray,
                            peak: float) -> ConditionRecord:
     """Tie probability rises strictly left of `peak` and falls right of it.
 
-    `slope` is its derivative on the grid.  The peak point itself is exempt.
-    When the tie probability is identically zero on the grid (single-winner
-    families) the condition passes with a degenerate note instead of
-    asserting vacuous strictness.
+    `p0` is the tie probability on the ascending grid and `slope` its
+    derivative.  The peak point itself is exempt.  When the tie probability is identically
+    zero on the grid (single-winner families) the condition passes with a
+    degenerate note instead of asserting vacuous strictness.
     """
-    p0 = csf._triple(theta)[2]
-    if float(np.max(np.abs(p0))) <= DEGENERATE_TIE_TOL:
+    if float(max(p0.max(), -p0.min())) <= DEGENERATE_TIE_TOL:
         return ConditionRecord(
             name="tie_prob_unimodal", passed=True, violation=0.0,
             note="degenerate: p0 = 0 everywhere on the probed grid",
         )
-    deficit = np.where(theta < peak, -slope, np.where(theta > peak, slope, -np.inf))
-    return replace(_strict_condition("tie_prob_unimodal", deficit[None, :], theta, (0.0,),
-                                     note=f"peak checked at theta = {peak}"), witness_q=None)
-
-
-def _slope_table(csf, theta: np.ndarray, qs: tuple[float, ...]):
-    """z_q' and z_q'' on the grid, one row per tie rule in `qs`, and the tie
-    probability's slope z_1' - z_0', from one evaluation on `qs` plus 0 and 1."""
-    rows = sorted({*qs, 0.0, 1.0})
-    zp, zpp = csf._zslopes(theta, np.array(rows)[:, None])
-    at = slice(None) if rows == list(qs) else [rows.index(q) for q in qs]
-    return zp[at], zpp[at], zp[-1] - zp[0]
+    left, right = np.searchsorted(theta, peak, "left"), np.searchsorted(theta, peak, "right")
+    deficit = np.concatenate((-slope[:left], np.full(right - left, -np.inf), slope[right:]))
+    return _strict_condition("tie_prob_unimodal", deficit[None, :], theta, (None,),
+                             note=f"peak checked at theta = {peak}")
 
 
 def audit_ratio(csf, theta_grid=None, q_grid=None) -> AuditReport:
@@ -286,23 +294,22 @@ def audit_ratio(csf, theta_grid=None, q_grid=None) -> AuditReport:
     """
     if getattr(csf, "kind", None) != "ratio":
         raise ValidationError("audit_ratio requires a ratio-form family")
-    theta, qs = _check_grids(theta_grid, q_grid, positive_theta=True)
-    zp, zpp, tie_slope = _slope_table(csf, theta, qs)
+    theta, qs, ends, zp, zpp, tie_slope, p0 = _slope_rows(csf, theta_grid, q_grid)
 
     conditions = [
-        _strict_condition("win_prob_increasing", -zp, theta, qs),
-        _strict_condition("own_payoff_concavity", zpp, theta, qs),
+        _strict_condition("win_prob_increasing", -zp, theta, ends),
+        _strict_condition("own_payoff_concavity", zpp, theta, ends),
         _strict_condition(
-            "rival_payoff_concavity", -(2.0 * zp + theta[None, :] * zpp), theta, qs
+            "rival_payoff_concavity", -(2.0 * zp + theta[None, :] * zpp), theta, ends
         ),
-        *_tail_conditions(csf, theta, np.array(qs)[:, None]),
-        _unimodality_condition(csf, theta, tie_slope, peak=1.0),
+        *_tail_conditions(csf, theta, np.array(ends)[:, None]),
+        _unimodality_condition(theta, p0, tie_slope, peak=1.0),
     ]
 
     return AuditReport(
         family=csf.name, params=dict(csf.params), kind="ratio",
         conditions=tuple(conditions),
-        m=float(np.min(zpp)), M=float(np.max(zpp)), vbar=None,
+        m=float(zpp.min()), M=float(zpp.max()), vbar=None,
         theta_min=float(theta[0]), theta_max=float(theta[-1]),
         theta_count=int(theta.size), q_values=qs,
         notes=(RATIO_ZERO_CONVENTION_NOTE,),
@@ -325,20 +332,18 @@ def audit_diff(csf, v1, theta_grid=None, q_grid=None) -> AuditReport:
         raise ValidationError(f"v1 must be a number, got {v1!r}") from exc
     if not (math.isfinite(v1f) and v1f > 0):
         raise ValidationError(f"v1 must be a positive finite number, got {v1f}")
-    theta, qs = _check_grids(theta_grid, q_grid, positive_theta=False)
-    zp, zpp, tie_slope = _slope_table(csf, theta, qs)
+    theta, qs, ends, zp, zpp, tie_slope, p0 = _slope_rows(csf, theta_grid, q_grid)
 
     conditions = [
-        _strict_condition("win_prob_increasing", -zp, theta, qs),
+        _strict_condition("win_prob_increasing", -zp, theta, ends),
         _strict_condition(
-            "curvature_within_prize_bound", np.abs(zpp) - 1.0 / v1f, theta, qs,
+            "curvature_within_prize_bound", np.abs(zpp) - 1.0 / v1f, theta, ends,
             note=f"bound |z''| <= {1.0 / v1f:.6g} from prize v1 = {v1f:.6g}",
         ),
-        _unimodality_condition(csf, theta, tie_slope, peak=0.0),
+        _unimodality_condition(theta, p0, tie_slope, peak=0.0),
     ]
 
-    m = float(np.min(zpp))
-    M = float(np.max(zpp))
+    m, M = float(zpp.min()), float(zpp.max())
     denom = max(abs(m), abs(M))
     vbar = (1.0 / denom) if denom > 0 else None
     return AuditReport(
@@ -372,13 +377,13 @@ def audit_concave(csf, x_grid=None) -> AuditReport:
     fp = csf._impact_prime(x)[None, :]
     fpp = csf._impact_double_prime(x)[None, :]
     conditions = tuple(
-        replace(_strict_condition(name, deficit, x, (0.0,)), witness_q=None)
+        _strict_condition(name, deficit, x, (None,))
         for name, deficit in (("impact_increasing", -fp), ("impact_concave", fpp))
     )
     return AuditReport(
         family=csf.name, params=dict(csf.params), kind="concave",
         conditions=conditions,
-        m=float(np.min(fpp)), M=float(np.max(fpp)), vbar=None,
+        m=float(fpp.min()), M=float(fpp.max()), vbar=None,
         theta_min=float(x[0]), theta_max=float(x[-1]),
         theta_count=int(x.size), q_values=(),
         notes=("m and M bound the impact function's second derivative",),
@@ -416,9 +421,8 @@ def estimate_vbar(csf, theta_grid=None, q_grid=None) -> float:
     """
     if getattr(csf, "kind", None) != "diff":
         raise ValidationError("estimate_vbar requires a difference-form family")
-    theta, qs = _check_grids(theta_grid, q_grid, positive_theta=False)
-    zpp = csf._zslopes(theta, np.array(qs)[:, None])[1]
-    peak = float(np.max(np.abs(zpp)))
+    zpp = _slope_rows(csf, theta_grid, q_grid)[4]
+    peak = float(np.abs(zpp).max())
     if peak <= 0.0:
         raise DomainError(
             "eventual-win-probability curvature vanishes on the entire grid; "

@@ -278,7 +278,9 @@ class ContestSpec:
         return self.csf.name
 
     def with_q(self, q: TieRule | float) -> "ContestSpec":
-        return dataclasses.replace(self, q=q_value(q))
+        spec = object.__new__(type(self))
+        spec.__dict__.update(self.__dict__, q=q_value(q))  # the rest was checked when built
+        return spec
 
     def to_json_dict(self) -> dict:
         return {

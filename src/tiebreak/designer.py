@@ -28,6 +28,7 @@ when player 1 has the larger prize and q = 1 when player 2 does.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -122,7 +123,7 @@ class EffortCurve(JsonRecord):
 
     @property
     def totals(self) -> tuple[float, ...]:
-        return tuple(a + b for a, b in zip(self.x1, self.x2))
+        return tuple(map(operator.add, self.x1, self.x2))
 
     def to_json_dict(self) -> dict:
         return {"samples": [s.to_json_dict() for s in self.samples],
@@ -136,55 +137,69 @@ class EffortCurve(JsonRecord):
 
 
 def _certify(totals: np.ndarray) -> ShapeCertificate:
-    diffs = np.diff(totals)
-    up_step = float(np.max(diffs)) if diffs.size else 0.0
-    monotone = ShapeCheck(holds=up_step <= MONOTONE_SLACK,
-                          violation=max(0.0, up_step))
-
-    spread = float(np.max(totals) - np.min(totals))
-    constant = ShapeCheck(holds=spread <= CONSTANT_TOL, violation=spread)
-
-    if totals.size >= 3:
-        mid_dev = float(np.max(np.abs((totals[:-2] + totals[2:]) / 2.0 - totals[1:-1])))
-        second = np.diff(diffs)
-        dip = float(max(0.0, -np.min(second)))
-    else:
-        mid_dev = dip = 0.0
-    linear = ShapeCheck(holds=mid_dev <= LINEAR_TOL, violation=mid_dev)
-    convex = ShapeCheck(holds=dip <= CONVEX_TOL, violation=dip)
-
-    return ShapeCertificate(monotone_decreasing=monotone, constant=constant,
-                            linear=linear, convex=convex)
+    """Shape checks of sampled totals, all extremes from one max-reduction: min(x)
+    as -max(-x), -(second difference) as steps[:-1] - steps[1:], both exact."""
+    n, steps = totals.size, totals[1:] - totals[:-1]
+    mids = np.abs((totals[:-2] + totals[2:]) / 2.0 - totals[1:-1])
+    # segments of n - 1, n, n, n - 2 and n - 2 + 1 entries: the last 0.0 floors
+    # the dip and, when n = 2, stands in for the empty last two segments
+    parts = (steps, totals, -totals, mids, steps[:-1] - steps[1:], (0.0,))
+    up_step, top, neg_low, mid_dev, dip = np.maximum.reduceat(
+        np.concatenate(parts), (0, n - 1, 2 * n - 1, 3 * n - 1, 4 * n - 3)).tolist()
+    spread, dip = top - (-neg_low), max(0.0, dip)
+    return ShapeCertificate(
+        monotone_decreasing=ShapeCheck(holds=up_step <= MONOTONE_SLACK,
+                                       violation=max(0.0, up_step)),
+        constant=ShapeCheck(holds=spread <= CONSTANT_TOL, violation=spread),
+        linear=ShapeCheck(holds=mid_dev <= LINEAR_TOL, violation=mid_dev),
+        convex=ShapeCheck(holds=dip <= CONVEX_TOL, violation=dip))
 
 
-def _raise_first_failure(lanes) -> None:
-    """Re-raise a batch's first failing lane, if any, with its q attached."""
-    if lanes.errors:
-        i = min(lanes.errors)
-        exc = lanes.errors[i]
-        raise type(exc)(f"sweep failed at q = {float(lanes.q[i]):.17g}: {exc}") from exc
+def _totals(qs, x1: np.ndarray, x2: np.ndarray, errors=None) -> np.ndarray:
+    """R = x1 + x2 at the ascending tie rules `qs`, after raising the smallest failing
+    q's error in `errors` with q attached; an R that overflows raises at its q."""
+    if errors:
+        i = min(errors)
+        exc = errors[i]
+        raise type(exc)(f"sweep failed at q = {float(qs[i]):.17g}: {exc}") from exc
+    with np.errstate(over="ignore"):
+        totals = x1 + x2
+    if totals.max() == math.inf:
+        i = int(np.argmax(totals))  # the first inf
+        raise ConvergenceError(f"total effort R = x1 + x2 overflows double precision at q = "
+                               f"{float(qs[i]):.17g} (x1 = {float(x1[i])!r}, x2 = {float(x2[i])!r})")
+    return totals
 
 
-_last_grid: tuple = ()  # (key, qs, lanes) of the last grid batch with no failing lane
+_last_grid: tuple = ()  # (key, qs, lanes, totals) of the last grid batch that raised nothing
+
+
+@functools.lru_cache(maxsize=8)
+def _q_grid(q_count: int) -> np.ndarray:
+    """`q_count` equally spaced tie rules on [0, 1], built once per count, read-only."""
+    qs = np.linspace(0.0, 1.0, q_count)
+    qs.flags.writeable = False
+    return qs
 
 
 def _grid_lanes(spec: ContestSpec, q_count: int, force: bool, audited: bool):
-    """The contest at `q_count` equally spaced tie rules, as (qs, lanes).
+    """The contest at `q_count` equally spaced tie rules, as (qs, lanes, totals);
+    a failing lane or total raises as `_totals` raises.
 
-    Keeps the last batch with no failing lane, read-only, keyed by all that
-    `solve_lanes` reads but the spec's q; a batch with one is solved anew."""
+    Keeps the last batch that raised nothing, read-only, keyed by all that
+    `solve_lanes` reads but the spec's q; a batch that raised is solved anew."""
     global _last_grid
     key = (spec.csf, spec.v1, spec.v2, spec.cost, q_count, force, audited)
     if (held := _last_grid) and held[0] == key:  # one read: a thread may replace it
         return held[1:]
-    qs = np.linspace(0.0, 1.0, q_count)
+    qs = _q_grid(q_count)
     lanes = solve_lanes(spec, qs, force=force, audited=audited)
-    if not lanes.errors:
-        for arr in (qs, lanes.x1, lanes.x2, lanes.beta, *lanes.residuals, lanes.cornered):
-            if arr is not None:
-                arr.flags.writeable = False
-        _last_grid = (key, qs, lanes)
-    return qs, lanes
+    totals = _totals(qs, lanes.x1, lanes.x2, lanes.errors)
+    for arr in (totals, lanes.x1, lanes.x2, lanes.beta, *lanes.residuals, lanes.cornered):
+        if arr is not None:
+            arr.flags.writeable = False
+    _last_grid = (key, qs, lanes, totals)
+    return qs, lanes, totals
 
 
 def sweep(spec: ContestSpec, q_count: int, *, force: bool = False,
@@ -193,17 +208,17 @@ def sweep(spec: ContestSpec, q_count: int, *, force: bool = False,
 
     The q stored in `spec` is ignored; all points are solved in one batch.
     A failing tie rule raises its error with the smallest failing q
-    attached; an error that holds at every q is raised unchanged.
+    attached; an error that holds at every q is raised unchanged.  Then a
+    total effort that overflows raises `ConvergenceError` naming its q.
     """
     if not isinstance(q_count, (int, np.integer)) or isinstance(q_count, bool):
         raise ValidationError(f"q_count must be an integer, got {q_count!r}")
     if q_count < 2:
         raise ValidationError(f"q_count must be >= 2, got {q_count}")
-    qs, lanes = _grid_lanes(spec, int(q_count), force, audited)
-    _raise_first_failure(lanes)
+    qs, lanes, totals = _grid_lanes(spec, int(q_count), force, audited)
     betas = (None,) * qs.size if lanes.beta is None else tuple(lanes.beta.tolist())
     return EffortCurve(tuple(qs.tolist()), tuple(lanes.x1.tolist()), tuple(lanes.x2.tolist()),
-                       betas, _certify(lanes.x1 + lanes.x2))
+                       betas, _certify(totals))
 
 
 class Rationale(enum.Enum):
@@ -267,14 +282,12 @@ def optimal_q(spec: ContestSpec, *, force: bool = False, audited: bool = False) 
     vals = spec.valuations
     if kind not in ("concave", "ratio", "diff"):
         raise ValidationError(f"no designer support for family kind {kind!r}")
-    qs, lanes = _grid_lanes(spec, CROSS_CHECK_POINTS, force, audited)
-    _raise_first_failure(lanes)
+    qs, lanes, totals = _grid_lanes(spec, CROSS_CHECK_POINTS, force, audited)
     if kind == "concave":
         i, rationale = _concave_optimum(spec, qs, lanes), Rationale.NUMERIC
     else:
         i = qs.size - 1 if vals.swapped else 0  # equal prizes are never swapped
         rationale = Rationale.INDIFFERENT if vals.v1 == vals.v2 else Rationale.THEOREM
-        totals = lanes.x1 + lanes.x2
         best = int(np.argmax(totals))
         if totals[best] > totals[i] + OPTIMAL_IMPROVEMENT_GUARD * (1.0 + abs(float(totals[i]))):
             i, rationale = best, Rationale.NUMERIC
@@ -291,12 +304,14 @@ def expected_effort(spec: ContestSpec, rule: RandomTieRule, *,
     expectation is the weight-average of R over the rule's atoms, each
     solved by one scalar `solve`, in increasing q: a rule has too few atoms
     for a batch to pay.  If some atoms fail to solve, the error for the
-    smallest failing q is raised.
+    smallest failing q is raised; else a total effort that overflows raises.
     """
     if not isinstance(rule, RandomTieRule):
         rule = RandomTieRule.from_pairs(rule)
     qs = sorted(atom.q for atom, _ in rule.atoms)
-    totals = {q: solve(spec.with_q(q), force=force, audited=audited).total for q in qs}
+    solved = [solve(spec.with_q(q), force=force, audited=audited) for q in qs]
+    x1, x2 = np.array([(eq.x1, eq.x2) for eq in solved]).T
+    totals = dict(zip(qs, _totals(qs, x1, x2).tolist()))
     return math.fsum(weight * totals[atom.q] for atom, weight in rule.atoms)
 
 

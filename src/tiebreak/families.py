@@ -155,6 +155,8 @@ def _logistic_shares(theta, k: float, complements: bool = True):
     if scalar:
         return near + far if t >= 0 else far + near
     up = t >= 0
+    if up.all():  # no sign selection: gap roots work at theta >= 0
+        return near + far
     return tuple(np.where(up, x, y) for x, y in zip(near + far, far + near))
 
 
@@ -188,9 +190,10 @@ class _Family:
 class _ReducedCsf(_Family):
     """Shared behavior of families that reduce to a scalar contest state theta.
 
-    Subclasses define the check `_theta` and the kernels `_zp`, `_zslopes` and
-    `_triple(th)` -> consistent (p(theta), p(mirror), p0(theta)), with mirror =
-    1/theta (ratio) or -theta (difference)."""
+    Subclasses define the check `_theta` and the kernels `_shares`, `_zp`,
+    `_zslopes` and `_triple` -> consistent (p(theta), p(mirror), p0(theta)),
+    with mirror = 1/theta (ratio) or -theta (difference); the last two also
+    take `_shares` output already evaluated at theta."""
 
     def __init_subclass__(cls):
         # every family class holds its own `z_prime`, so wrapping one class's
@@ -203,14 +206,16 @@ class _ReducedCsf(_Family):
     def p0(self, theta):
         return _ret(self._triple(self._theta(theta))[2])
 
-    def _z(self, th, qv):
-        win, _, tie = self._triple(th)
-        return win + qv * tie
+    def _slopes_and_tie(self, th, qv):
+        """`_zslopes(th, qv)` and p0(theta), from one share evaluation."""
+        shares = self._shares(th)
+        return (*self._zslopes(th, qv, shares), self._triple(th, shares)[2])
 
     def z(self, theta, q) -> float:
         """Eventual win probability of player 1: p(theta) + q * p0(theta)."""
         qv = _tie_share(q)
-        return _ret(self._z(self._theta(theta), qv))
+        win, _, tie = self._triple(self._theta(theta))
+        return _ret(win + qv * tie)
 
     def z_prime(self, theta, q):
         """d z_q / d theta."""
@@ -315,8 +320,8 @@ class VesperoniRatio(RatioCsf):
             return (u, ub) + _share_powers(u, ub, self.k)
         return _power_shares(shares, th, self.r)
 
-    def _triple(self, th):
-        _, _, pk, pm = self._shares(th)
+    def _triple(self, th, shares=None):
+        _, _, pk, pm = shares or self._shares(th)
         return pk, pm, 1.0 - pk - pm
 
     def _zp(self, th, qv):
@@ -324,8 +329,8 @@ class VesperoniRatio(RatioCsf):
         k, r = self.k, self.r
         return (k * r / th) * ((1.0 - qv) * pk * ub + qv * u * pm)
 
-    def _zslopes(self, th, qv):
-        u, ub, pk, pm = self._shares(th)
+    def _zslopes(self, th, qv, shares=None):
+        u, ub, pk, pm = shares or self._shares(th)
         k, r = self.k, self.r
         lead, trail = (1.0 - qv) * pk * ub, qv * u * pm
         zpp = _over_square(k * r, th) * (lead * ((r * k - 1.0) * ub - (1.0 + r) * u)
@@ -369,17 +374,17 @@ class JiaRatio(RatioCsf):
                                         1.0 / (1.0 + self.k * t), 1.0 / (1.0 + 1.0 / (self.k * t))),
                              th, self.r)
 
-    def _triple(self, th):
-        u, w = _power_shares(lambda t: (_unit_share(t / (t + self.k)), 1.0 / (1.0 + self.k * t)),
-                             th, self.r)
+    def _triple(self, th, shares=None):
+        u, w = shares[::2] if shares else _power_shares(
+            lambda t: (_unit_share(t / (t + self.k)), 1.0 / (1.0 + self.k * t)), th, self.r)
         return u, w, 1.0 - u - w
 
     def _zp(self, th, qv):
         u, ub, w, wb = self._shares(th)
         return (self.r / th) * ((1.0 - qv) * u * ub + qv * w * wb)
 
-    def _zslopes(self, th, qv):
-        u, ub, w, wb = self._shares(th)
+    def _zslopes(self, th, qv, shares=None):
+        u, ub, w, wb = shares or self._shares(th)
         r = self.r
         lead, trail = (1.0 - qv) * u * ub, qv * w * wb
         zpp = -_over_square(r, th) * (lead * (2.0 * r * u + (1.0 - r))
@@ -411,8 +416,8 @@ class VesperoniDiff(DiffCsf):
     def _shares(self, th):
         return _logistic_shares(th, 1.0, complements=False)
 
-    def _triple(self, th):
-        s, sb = self._shares(th)
+    def _triple(self, th, shares=None):
+        s, sb = shares or self._shares(th)
         pk, pm = np.power(s, self.k), np.power(sb, self.k)
         return pk, pm, 1.0 - pk - pm
 
@@ -421,8 +426,8 @@ class VesperoniDiff(DiffCsf):
         k = self.k
         return k * ((1.0 - qv) * np.power(s, k) * sb + qv * s * np.power(sb, k))
 
-    def _zslopes(self, th, qv):
-        s, sb = self._shares(th)
+    def _zslopes(self, th, qv, shares=None):
+        s, sb = shares or self._shares(th)
         k = self.k
         lead, trail = (1.0 - qv) * np.power(s, k) * sb, qv * s * np.power(sb, k)
         return k * (lead + trail), k * (lead * (k * sb - s) + trail * (sb - k * s))
@@ -454,16 +459,16 @@ class JiaDiff(DiffCsf):
     def _shares(self, th):
         return _logistic_shares(th, self.k)
 
-    def _triple(self, th):
-        u, w = _logistic_shares(th, self.k, complements=False)
+    def _triple(self, th, shares=None):
+        u, w = shares[::2] if shares else _logistic_shares(th, self.k, complements=False)
         return u, w, 1.0 - u - w
 
     def _zp(self, th, qv):
         u, ub, w, wb = self._shares(th)
         return (1.0 - qv) * u * ub + qv * w * wb
 
-    def _zslopes(self, th, qv):
-        u, ub, w, wb = self._shares(th)
+    def _zslopes(self, th, qv, shares=None):
+        u, ub, w, wb = shares or self._shares(th)
         lead, trail = (1.0 - qv) * u * ub, qv * w * wb
         return lead + trail, lead * (1.0 - 2.0 * u) + trail * (2.0 * w - 1.0)
 

@@ -292,24 +292,189 @@ class TestGridHelpers:
         assert DEGENERATE_TIE_TOL <= 1e-12
 
 
-# Reports recorded before the audits evaluated each family once; the cases
-# cover all five families, failing audits with witnesses, custom q grids
-# without 0 and 1, unsorted theta grids, other resolutions, overflowing
-# shares and rejected inputs.
-PARENT_AUDITS = json.loads(
-    (Path(__file__).parent / "data" / "audit_parent.json").read_text())["cases"]
+# Recorded reports; the cases cover all five families, failing audits with
+# witnesses, custom q grids without 0 and 1, unsorted theta grids, other
+# resolutions, overflowing shares and rejected inputs.  NumPy's AVX-512
+# kernels for float64 exp, log and power round some last bits differently
+# from its other kernels, so each case holds the result under AVX-512
+# dispatch ("report" or "error") and, where it differs, the result without
+# it ("without_avx512"); a host is compared exactly with its own target's.
+AUDIT_RECORDS = Path(__file__).parent / "data" / "audit_parent.json"
+PARENT_AUDITS = json.loads(AUDIT_RECORDS.read_text())["cases"]
+
+
+def _dispatch_target() -> str:
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # NumPy < 2
+        from numpy.core._multiarray_umath import __cpu_features__
+    # NPY_DISABLE_CPU_FEATURES clears the flags of the targets it disables
+    return "avx512" if __cpu_features__.get("AVX512_SKX") else "without_avx512"
+
+
+def _recorded_result(case) -> dict:
+    csf = make_family(case["family"], **case["params"])
+    args = (csf, case["v1"]) if "v1" in case else (csf,)
+    try:
+        return {"report": getattr(audit_mod, case["audit"])(*args, **case["kwargs"]).to_json_dict()}
+    except (ContestError, ValueError) as exc:
+        return {"error": f"{type(exc).__name__}: {exc}"}
+
+
+def _avx512_result(case) -> dict:
+    return {key: case[key] for key in ("report", "error") if key in case}
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("case", PARENT_AUDITS,
                          ids=lambda c: f"{c['audit']}-{c['family']}-{sorted(c['kwargs'])}")
 def test_report_equals_the_recorded_report(case):
-    csf = make_family(case["family"], **case["params"])
-    args = (csf, case["v1"]) if "v1" in case else (csf,)
-    try:
-        got = {"report": getattr(audit_mod, case["audit"])(*args, **case["kwargs"]).to_json_dict()}
-    except (ContestError, ValueError) as exc:
-        got = {"error": f"{type(exc).__name__}: {exc}"}
-    want = {key: case[key] for key in ("report", "error") if key in case}
+    want = _avx512_result(case)
+    if _dispatch_target() == "without_avx512":
+        want = case.get("without_avx512", want)
     # compared as JSON text, so an inf or nan in a report compares equal to itself
-    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+    assert json.dumps(_recorded_result(case), sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+def main() -> None:
+    """Re-record every case for this host's dispatch target.  Run it on a host
+    with AVX-512 first as it is, then with that dispatch off:
+
+        PYTHONPATH=src python tests/test_audit.py
+        NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4" \\
+            PYTHONPATH=src python tests/test_audit.py
+    """
+    doc = json.loads(AUDIT_RECORDS.read_text())
+    target = _dispatch_target()
+    for case in doc["cases"]:
+        got = _recorded_result(case)
+        if target == "avx512":
+            case.pop("report", None)
+            case.pop("error", None)
+            case.update(got)
+        elif got != _avx512_result(case):
+            case["without_avx512"] = got
+        else:
+            case.pop("without_avx512", None)
+    AUDIT_RECORDS.write_text(json.dumps(doc, indent=1))
+
+
+# z_q is affine in q, so the audits form z_q' and z_q'' on the smallest and
+# largest q of the grid only.  The reference below rebuilds the table the
+# audits used before, `_zslopes` on every q row and p0 from `_triple`; for
+# k > 1 the reports must not move by a bit.
+_checked_slope_rows = audit_mod._slope_rows
+
+
+def _every_row_slope_rows(csf, theta_grid, q_grid):
+    theta, qs, *_ = _checked_slope_rows(csf, theta_grid, q_grid)
+    rows = sorted({*qs, 0.0, 1.0})
+    zp, zpp = csf._zslopes(theta, np.array(rows)[:, None])
+    at = [rows.index(q) for q in qs]
+    return theta, qs, qs, zp[at], zpp[at], zp[-1] - zp[0], csf._triple(theta)[2]
+
+
+REFERENCE_Q_GRIDS = [None, (0.2, 0.7), (0.0, 0.3, 0.9), (0.1, 0.6, 1.0), (0.35,),
+                     (0.05, 0.25, 0.5, 0.75, 0.95)]
+
+
+def _reference_audits(seed: int = 21, count: int = 160):
+    """Seeded (audit, args, kwargs) for k > 1 families of all four reduced kinds."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        name = ("vesperoni-ratio", "jia-ratio", "vesperoni-diff", "jia-diff")[i % 4]
+        k = float(10.0 ** rng.uniform(math.log10(1.5), 3.0))
+        kwargs = {"q_grid": REFERENCE_Q_GRIDS[(i // 4) % len(REFERENCE_Q_GRIDS)]}
+        if i % 3 == 2:
+            lo, hi = (10.0 ** rng.uniform(-5, -1), 10.0 ** rng.uniform(1, 5)) if name.endswith(
+                "ratio") else (rng.uniform(-30, -1), rng.uniform(1, 30))
+            kwargs["theta_grid"] = np.linspace(lo, hi, int(rng.integers(3, 400)))
+        if name.endswith("ratio"):
+            csf = make_family(name, r=float(10.0 ** rng.uniform(-1.5, 0.6)), k=k)
+            yield audit_ratio, (csf,), kwargs
+        else:
+            csf = make_family(name, k=k)
+            yield audit_diff, (csf, float(10.0 ** rng.uniform(-1.0, 1.5))), kwargs
+            yield estimate_vbar, (csf,), kwargs
+
+
+def test_audits_equal_the_every_row_table_for_k_above_one(monkeypatch):
+    cases = list(_reference_audits())
+    got = [audit(*args, **kwargs) for audit, args, kwargs in cases]
+    monkeypatch.setattr(audit_mod, "_slope_rows", _every_row_slope_rows)
+    want = [audit(*args, **kwargs) for audit, args, kwargs in cases]
+    witnesses = 0
+    for (audit, args, kwargs), g, w in zip(cases, got, want):
+        if audit is estimate_vbar:
+            assert g == w, (args, kwargs)
+            continue
+        assert g.to_json_dict() == w.to_json_dict(), (args, kwargs)
+        witnesses += sum(c.witness_q is not None for c in g.conditions)
+    # failing audits whose witnesses sit at either end of the q grid
+    assert witnesses >= 40
+
+
+@pytest.mark.parametrize("family, params, audit_args, condition", [
+    ("jia-diff", {"k": 1.0}, (20.0,), "curvature_within_prize_bound"),
+    ("vesperoni-diff", {"k": 1.0}, (20.0,), "curvature_within_prize_bound"),
+    ("vesperoni-ratio", {"r": 2.0, "k": 1.0}, (), "own_payoff_concavity"),
+])
+@pytest.mark.parametrize("q_grid", [None, (0.3, 0.6, 0.8)])
+def test_q_free_families_take_the_smallest_grid_q_as_witness(family, params, audit_args,
+                                                             condition, q_grid):
+    # at k = 1 z_q does not depend on q: every row of the table is the same
+    # function, so the worst value ties across q and resolves to the smallest
+    csf = make_family(family, **params)
+    audit = audit_ratio if family.endswith("ratio") else audit_diff
+    record = audit(csf, *audit_args, q_grid=q_grid).condition(condition)
+    assert not record.passed
+    assert record.witness_q == (0.0 if q_grid is None else q_grid[0])
+
+
+@pytest.mark.parametrize("family, params", [
+    ("vesperoni-ratio", {"r": 0.3, "k": 2.0}), ("vesperoni-ratio", {"r": 2.0, "k": 1.0}),
+    ("jia-ratio", {"r": 0.8, "k": 3.0}), ("jia-ratio", {"r": 88.95, "k": 2.72e6}),
+    ("vesperoni-diff", {"k": 1.0}), ("vesperoni-diff", {"k": 7.5}),
+    ("jia-diff", {"k": 1.0}), ("jia-diff", {"k": 1e6}),
+])
+def test_fused_kernel_rows_equal_the_slope_kernel_bit_for_bit(family, params):
+    csf = make_family(family, **params)
+    ratio = family.endswith("ratio")
+    rows = np.array([0.0, 0.1, 0.5, 1.0])[:, None]
+    grids = [default_ratio_grid(), np.geomspace(1e-300, 1e300, 301)] if ratio else [
+        default_diff_grid(), np.linspace(-700.0, 700.0, 301), np.linspace(0.0, 40.0, 101)]
+    with np.errstate(all="ignore"):
+        for theta in grids:
+            zp, zpp, p0 = csf._slopes_and_tie(theta, rows)
+            want_zp, want_zpp = csf._zslopes(theta, rows)
+            assert np.array_equal(zp, want_zp, equal_nan=True)
+            assert np.array_equal(zpp, want_zpp, equal_nan=True)
+            assert np.array_equal(p0, csf._triple(theta)[2], equal_nan=True)
+        for th in (0.5, 3.0) if ratio else (-2.0, 0.0, 3.0):
+            fused = csf._slopes_and_tie(th, 0.25)
+            assert fused == (*csf._zslopes(th, 0.25), csf._triple(th)[2])
+
+
+def test_unimodality_split_equals_the_sign_selection():
+    """The deficit is -slope left of the peak and slope right of it, the peak
+    itself exempt; on an ascending grid it is cut at the peak's position."""
+    rng = np.random.default_rng(2110)
+    grids = [default_diff_grid(), default_ratio_grid(), np.linspace(-3.0, 3.0, 7),
+             np.linspace(0.5, 4.0, 9), np.array([-2.0, 0.0, 0.0, 1.0])]
+    failures = 0
+    for theta in grids:
+        for peak in (0.0, 1.0, -5.0, 5.0):
+            for _ in range(20):
+                slope = rng.normal(size=theta.size) * rng.choice([1e-14, 1e-3, 1.0])
+                p0 = np.abs(rng.normal(size=theta.size))
+                deficit = np.where(theta < peak, -slope, np.where(theta > peak, slope, -np.inf))
+                want = audit_mod._strict_condition("tie_prob_unimodal", deficit[None, :], theta,
+                                                   (None,), note=f"peak checked at theta = {peak}")
+                got = audit_mod._unimodality_condition(theta, p0, slope, peak)
+                assert got == want, (theta, peak)
+                failures += not got.passed
+    assert failures >= 100
+
+
+if __name__ == "__main__":
+    main()

@@ -258,6 +258,39 @@ def test_ratio_overflow_raises_a_typed_error(prizes, force, error, text):
         solve_many(spec, [0.0, 0.3], force=force)
 
 
+# Finite efforts whose total R = x1 + x2 passes the largest double: the
+# designer's totals raise `ConvergenceError` naming the smallest such q
+# (forced jia-ratio r = 8; R overflows only near the tie rule that favours
+# the stronger player), while `Equilibrium.total` stays IEEE.
+TOTAL_OVERFLOWS = [
+    (dict(v1=1e308, v2=1e308 / 1.5, r=8.0, k=5.0), "0", "0"),
+    (dict(v1=1e308 / 1.5, v2=1e308, r=8.0, k=5.0), "0.98999999999999999", "1"),
+]
+
+
+@pytest.mark.parametrize("prizes, q_101, q_11", TOTAL_OVERFLOWS)
+def test_designer_totals_that_overflow_raise_naming_q(prizes, q_101, q_11):
+    spec = make_contest("jia-ratio", q=0.5, **prizes)
+    text = "total effort R = x1 + x2 overflows double precision at q = "
+    for call, q in [(lambda: sweep(spec, 101, force=True), q_101),
+                    (lambda: optimal_q(spec, force=True), q_101),
+                    (lambda: sweep(spec, 11, force=True), q_11)]:
+        with pytest.raises(ConvergenceError, match=f"^{re.escape(text + q)} \\(x1 = "):
+            call()
+    assert math.isfinite(solve(spec.with_q(0.5), force=True).total)
+
+
+@pytest.mark.parametrize("rule", [((0.5, 0.5), (0.9, 0.5)), ((0.9, 0.5), (0.5, 0.5))])
+def test_expected_effort_of_an_overflowing_total_raises_naming_q(rule):
+    spec = make_contest("jia-ratio", v1=1.1e308, v2=1e308, q=0.5, r=8.0, k=2.0)
+    eq = solve(spec.with_q(0.5), force=True)
+    assert math.isfinite(eq.x1) and math.isfinite(eq.x2) and eq.total == math.inf
+    with pytest.raises(ConvergenceError, match=re.escape(
+            "total effort R = x1 + x2 overflows double precision at q = 0.5 "
+            f"(x1 = {eq.x1!r}, x2 = {eq.x2!r})")):
+        expected_effort(spec, rule, force=True)
+
+
 def test_ratio_lanes_fail_only_where_the_strong_effort_overflows():
     # slope z_q'(1.1) falls from 1.816 at q = 0 to 1.115 at q = 1, so
     # v1 * beta * slope passes the largest double between q = 0.4 and 0.5

@@ -161,6 +161,21 @@ class TestContestSpec:
         assert other.csf is spec.csf
         assert (other.v1, other.v2, other.cost) == (spec.v1, spec.v2, spec.cost)
 
+    def test_with_q_checks_q_and_equals_a_spec_built_anew(self):
+        spec = self.make(v1=2, v2=1)
+        for q in (0.25, TieRule(0.25), np.float64(0.25), 1):
+            other = spec.with_q(q)
+            fresh = self.make(v1=2, v2=1, q=q)
+            assert type(other) is ContestSpec and type(other.q) is float
+            assert other == fresh and hash(other) == hash(fresh)
+            assert other.to_json() == fresh.to_json()
+        for bad in (1.5, -0.1, math.nan, math.inf, "half", None):
+            with pytest.raises(ValidationError):
+                spec.with_q(bad)
+        assert spec.q == 0.5
+        with pytest.raises(AttributeError):
+            spec.with_q(0.25).q = 0.5
+
     def test_json_round_trip_preserves_fields(self):
         spec = self.make()
         clone = ContestSpec.from_json(spec.to_json())

@@ -358,11 +358,21 @@ class TestGridMemo:
     @pytest.mark.parametrize("family,params", MEMO_CONTESTS[3:5])
     def test_held_arrays_are_read_only(self, family, params):
         sweep(make_contest(family, v1=3.0, v2=1.2, q=0.0, **params), 101)
-        _, qs, lanes = designer_mod._last_grid
-        arrays = [qs, lanes.x1, lanes.x2, lanes.beta, *lanes.residuals, lanes.cornered]
+        _, qs, lanes, totals = designer_mod._last_grid
+        arrays = [qs, totals, lanes.x1, lanes.x2, lanes.beta, *lanes.residuals, lanes.cornered]
         for arr in filter(lambda a: a is not None, arrays):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = arr[1]
+
+    def test_every_batch_of_a_count_shares_one_read_only_grid(self, batches):
+        sweep(make_contest(**MEMO_BASE), 101)
+        optimal_q(make_contest(**dict(MEMO_BASE, v1=5.0)))
+        sweep(make_contest(**dict(MEMO_BASE, family="vesperoni-ratio")), 11)
+        assert batches[0] is batches[1] and batches[2] is not batches[0]
+        for qs, n in ((batches[0], 101), (batches[2], 11)):
+            assert np.array_equal(qs, np.linspace(0.0, 1.0, n))
+            with pytest.raises(ValueError, match="read-only"):
+                qs[0] = 0.5
 
     def test_failing_contest_is_never_stored(self):
         sweep(make_contest(**MEMO_BASE), 101)
@@ -379,6 +389,39 @@ class TestGridMemo:
             raised.append(info.value)
         assert len({id(exc) for exc in raised}) == len(raised)
         assert designer_mod._last_grid is held
+
+
+def _certificate_by_separate_reductions(totals):
+    """The shape certificate as separate `np.diff`, max and min calls form it."""
+    diffs = np.diff(totals)
+    up_step = float(np.max(diffs))
+    spread = float(np.max(totals) - np.min(totals))
+    if totals.size >= 3:
+        mid_dev = float(np.max(np.abs((totals[:-2] + totals[2:]) / 2.0 - totals[1:-1])))
+        dip = float(max(0.0, -np.min(np.diff(diffs))))
+    else:
+        mid_dev = dip = 0.0
+    check = designer_mod.ShapeCheck
+    return designer_mod.ShapeCertificate(
+        monotone_decreasing=check(up_step <= designer_mod.MONOTONE_SLACK, max(0.0, up_step)),
+        constant=check(spread <= designer_mod.CONSTANT_TOL, spread),
+        linear=check(mid_dev <= designer_mod.LINEAR_TOL, mid_dev),
+        convex=check(dip <= designer_mod.CONVEX_TOL, dip))
+
+
+def test_certificate_equals_the_separate_reductions_bit_for_bit():
+    rng = np.random.default_rng(2108)
+    curves = [np.zeros(2), np.array([1.0, 0.5]), np.array([0.5, 1.0]), np.zeros(3),
+              np.array([0.0, -0.0, 0.0]),
+              np.full(101, 0.3), np.linspace(2.0, 1.0, 101), np.linspace(0.0, 1e307, 101)]
+    for _ in range(400):
+        n = int(rng.integers(2, 130))
+        scale = 10.0 ** rng.uniform(-300.0, 300.0)
+        curves += [rng.random(n) * scale, np.sort(rng.random(n))[::-1] * scale,
+                   3.0 + rng.random(n) * 1e-12, (np.linspace(-1.0, 1.0, n) ** 2) * scale]
+    for totals in curves:
+        want = _certificate_by_separate_reductions(totals)
+        assert _bits(designer_mod._certify(totals)) == _bits(want), totals
 
 
 class TestExpectedEffort:

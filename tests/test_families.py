@@ -19,6 +19,8 @@ from tiebreak import (
     solve_beta,
 )
 
+from tiebreak.families import _logistic_shares
+
 from helpers import CONCAVE_CASES, DIFF_CASES, RATIO_CASES, build, case_id
 
 ALL_REDUCED = RATIO_CASES + DIFF_CASES
@@ -420,6 +422,26 @@ def test_float_theta_ratio_kernels_match_the_array_kernels_bit_for_bit(family, r
                 gots = (*csf._triple(theta), csf._zp(theta, q), *csf._zslopes(theta, q))
             for got, ref in zip(gots, refs):
                 assert _same_bits(got, ref), (theta, q, got, ref)
+
+
+@pytest.mark.parametrize("family", ["jia-diff", "vesperoni-diff"])
+@pytest.mark.parametrize("k", [1.0, 2.0, 7.3, 1e6])
+def test_nonnegative_theta_arrays_skip_the_sign_selection_bit_for_bit(family, k):
+    """Gap roots evaluate the kernels at theta >= 0 only, where the shares are
+    returned without a sign selection; they equal the shares that a call whose
+    array also holds negative thetas selects."""
+    csf = make_family(family, k=k)
+    theta = np.array([0.0, -0.0, 1e-300, 0.5, 745.0, 800.0,
+                      *np.random.default_rng(2107).uniform(0.0, 40.0, 60)])
+    mixed = np.concatenate([theta, -theta[2:]])
+    for complements in (True, False):
+        alone = _logistic_shares(theta, csf.k, complements)
+        selected = _logistic_shares(mixed, csf.k, complements)
+        for got, ref in zip(alone, selected, strict=True):
+            assert got.tobytes() == ref[:theta.size].tobytes()
+    q = np.array([[0.0], [0.3], [1.0]])
+    for got, ref in zip(csf._zslopes(theta, q), csf._zslopes(mixed, q)):
+        assert got.tobytes() == np.ascontiguousarray(ref[:, :theta.size]).tobytes()
 
 
 @pytest.mark.parametrize("case", DIFF_CASES, ids=case_id)
