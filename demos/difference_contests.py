@@ -71,8 +71,8 @@ def main() -> None:
         family="jia-diff", v1=args.v1, v2=args.v2, q=0.0, k=args.k,
     )
     curve = sweep(spec, 11, audited=report.passed)
-    for sample in curve.samples:
-        print(f"  q = {sample.q:4.2f}   R = {sample.R:.9f}")
+    for q, total in zip(curve.q_values, curve.totals):
+        print(f"  q = {q:4.2f}   R = {total:.9f}")
     drop = curve.totals[0] - curve.totals[-1]
     print(f"drop from q=0 to q=1: {drop:.3e}")
     print(f"certified nonincreasing: {curve.shape.monotone_decreasing.holds}")

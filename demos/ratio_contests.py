@@ -63,9 +63,8 @@ def main() -> None:
 
     header("Response of total effort to the tie rule")
     curve = sweep(spec, args.sweep_points, audited=report.passed)
-    for sample in curve.samples:
-        print(f"  q = {sample.q:4.2f}   x1 = {sample.x1:.6f}   "
-              f"x2 = {sample.x2:.6f}   R = {sample.R:.6f}")
+    for q, x1, x2, total in zip(curve.q_values, curve.x1, curve.x2, curve.totals):
+        print(f"  q = {q:4.2f}   x1 = {x1:.6f}   x2 = {x2:.6f}   R = {total:.6f}")
     shape = curve.shape
     print(f"certified monotone decreasing: {shape.monotone_decreasing.holds}")
     print(f"certified linear in q:         {shape.linear.holds}")

@@ -38,7 +38,6 @@ from .core import (
 )
 from .designer import (
     ConvexityPrecondition,
-    CurveSample,
     EffortCurve,
     OptimalQ,
     Rationale,
@@ -94,7 +93,6 @@ __all__ = [
     "ConvergenceError",
     "ConvexityPrecondition",
     "CostKind",
-    "CurveSample",
     "DomainError",
     "EffortCurve",
     "EffortProfile",

@@ -101,7 +101,7 @@ class ConditionRecord(JsonRecord):
 
 
 @dataclass(frozen=True)
-class AuditReport:
+class AuditReport(JsonRecord):
     """Grid-evidence report on a family's regularity conditions.
 
     `m` and `M` bound the second derivative of the eventual win probability
@@ -125,6 +125,10 @@ class AuditReport:
     q_values: tuple[float, ...]
     disclaimer: str = GRID_DISCLAIMER
     notes: tuple[str, ...] = field(default=())
+
+    json_keys = ("family", "params", "kind", "passed", "conditions", "m", "M", "vbar",
+                 ("grid", ("theta_min", "theta_max", "theta_count", "q_values")),
+                 "disclaimer", "notes")
 
     def __post_init__(self) -> None:
         if not self.m <= self.M:
@@ -151,26 +155,6 @@ class AuditReport:
             if c.name == name:
                 return c
         raise KeyError(name)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "params": dict(self.params),
-            "kind": self.kind,
-            "passed": self.passed,
-            "conditions": [c.to_json_dict() for c in self.conditions],
-            "m": self.m,
-            "M": self.M,
-            "vbar": self.vbar,
-            "grid": {
-                "theta_min": self.theta_min,
-                "theta_max": self.theta_max,
-                "theta_count": self.theta_count,
-                "q_values": list(self.q_values),
-            },
-            "disclaimer": self.disclaimer,
-            "notes": list(self.notes),
-        }
 
 
 @functools.cache

@@ -44,14 +44,31 @@ def _as_float(value: Any, field: str) -> float:
 
 
 class JsonRecord:
-    """Dataclass mixin serializing the fields in declaration order.
+    """Dataclass mixin serializing a record as one JSON object.
 
-    Enums become their value, tuples become lists, and nested records (any
-    value with its own `to_json_dict`) become their dicts.
+    `json_keys` lists the keys in output order, by default the fields in
+    declaration order.  An entry names a field or a property; a
+    `(key, names)` pair nests those names under `key`; a field left out is
+    not emitted.  Enums become their value, tie rules their q, tuples lists,
+    dicts copies, and nested records (any value with its own `to_json_dict`)
+    their dicts.
     """
 
+    json_keys: tuple = ()
+
     def to_json_dict(self) -> dict:
-        return {f.name: _json_value(getattr(self, f.name)) for f in dataclasses.fields(self)}
+        return _json_object(self, self.json_keys or [f.name for f in dataclasses.fields(self)])
+
+
+def _json_object(record, keys) -> dict:
+    """The values `keys` name on `record`, as `JsonRecord` describes."""
+    out = {}
+    for key in keys:
+        if isinstance(key, str):
+            out[key] = _json_value(getattr(record, key))
+        else:
+            out[key[0]] = _json_object(record, key[1])
+    return out
 
 
 def _json_value(value):
@@ -59,8 +76,12 @@ def _json_value(value):
         return value.to_json_dict()
     if isinstance(value, Enum):
         return value.value
+    if isinstance(value, TieRule):
+        return value.q
     if isinstance(value, tuple):
         return [_json_value(v) for v in value]
+    if isinstance(value, dict):
+        return dict(value)
     return value
 
 
@@ -179,7 +200,7 @@ class RandomTieRule:
 
 
 @dataclass(frozen=True)
-class EffortProfile:
+class EffortProfile(JsonRecord):
     """A pair of nonnegative efforts."""
 
     x1: float
@@ -234,7 +255,7 @@ class OutcomeDistribution:
 
 
 @dataclass(frozen=True)
-class ContestSpec:
+class ContestSpec(JsonRecord):
     """Full description of one contest: family, prizes, tie rule, cost.
 
     Values are stored exactly as given by the caller; player labels are never
@@ -247,6 +268,8 @@ class ContestSpec:
     v2: float
     q: float
     cost: CostKind
+
+    json_keys = ("family", "params", "v1", "v2", "q", "cost")
 
     def __post_init__(self) -> None:
         v1 = _as_float(self.v1, "v1")
@@ -277,20 +300,14 @@ class ContestSpec:
     def family(self) -> str:
         return self.csf.name
 
+    @property
+    def params(self) -> dict:
+        return self.csf.params
+
     def with_q(self, q: TieRule | float) -> "ContestSpec":
         spec = object.__new__(type(self))
         spec.__dict__.update(self.__dict__, q=q_value(q))  # the rest was checked when built
         return spec
-
-    def to_json_dict(self) -> dict:
-        return {
-            "family": self.csf.name,
-            "params": dict(self.csf.params),
-            "v1": self.v1,
-            "v2": self.v2,
-            "q": self.q,
-            "cost": self.cost.value,
-        }
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2) + "\n"

@@ -77,28 +77,10 @@ class ShapeCertificate(JsonRecord):
 
 
 @dataclass(frozen=True)
-class CurveSample:
-    """Equilibrium summary at one tie rule along a sweep."""
-
-    q: float
-    x1: float
-    x2: float
-    beta: float | None
-
-    @property
-    def R(self) -> float:
-        return self.x1 + self.x2
-
-    def to_json_dict(self) -> dict:
-        return {"q": self.q, "x1": self.x1, "x2": self.x2,
-                "R": self.R, "beta": self.beta}
-
-
-@dataclass(frozen=True)
-class EffortCurve(JsonRecord):
+class EffortCurve:
     """Total-effort curve R(q) with shape certificates, stored as columns of
-    one entry per tie rule (betas None for concave contests); `samples`,
-    `totals` R = x1 + x2, the JSON form and the CSV derive from them."""
+    one entry per tie rule (betas None for concave contests); `totals`
+    R = x1 + x2, the JSON rows and the CSV derive from them."""
 
     q_values: tuple[float, ...]
     x1: tuple[float, ...]
@@ -118,15 +100,13 @@ class EffortCurve(JsonRecord):
             raise ValidationError("curve q values must be strictly increasing")
 
     @property
-    def samples(self) -> tuple[CurveSample, ...]:
-        return tuple(map(CurveSample, self.q_values, self.x1, self.x2, self.betas))
-
-    @property
     def totals(self) -> tuple[float, ...]:
         return tuple(map(operator.add, self.x1, self.x2))
 
     def to_json_dict(self) -> dict:
-        return {"samples": [s.to_json_dict() for s in self.samples],
+        """One row per tie rule: a transpose of the columns, which no key list spells."""
+        rows = zip(self.q_values, self.x1, self.x2, self.totals, self.betas)
+        return {"samples": [dict(zip(("q", "x1", "x2", "R", "beta"), row)) for row in rows],
                 "shape": self.shape.to_json_dict()}
 
     def to_csv(self) -> str:
@@ -140,7 +120,8 @@ def _certify(totals: np.ndarray) -> ShapeCertificate:
     """Shape checks of sampled totals, all extremes from one max-reduction: min(x)
     as -max(-x), -(second difference) as steps[:-1] - steps[1:], both exact."""
     n, steps = totals.size, totals[1:] - totals[:-1]
-    mids = np.abs((totals[:-2] + totals[2:]) / 2.0 - totals[1:-1])
+    # halved before the sum, which overflows for totals near the largest double
+    mids = np.abs(totals[:-2] / 2.0 + totals[2:] / 2.0 - totals[1:-1])
     # segments of n - 1, n, n, n - 2 and n - 2 + 1 entries: the last 0.0 floors
     # the dip and, when n = 2, stands in for the empty last two segments
     parts = (steps, totals, -totals, mids, steps[:-1] - steps[1:], (0.0,))
@@ -228,7 +209,7 @@ class Rationale(enum.Enum):
 
 
 @dataclass(frozen=True)
-class OptimalQ:
+class OptimalQ(JsonRecord):
     """The designer's best deterministic tie rule and its total effort."""
 
     q_star: TieRule
@@ -236,15 +217,6 @@ class OptimalQ:
     rationale: Rationale
     x1: float
     x2: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "q_star": self.q_star.q,
-            "total_effort": self.total_effort,
-            "rationale": self.rationale.value,
-            "x1": self.x1,
-            "x2": self.x2,
-        }
 
 
 def _concave_optimum(spec: ContestSpec, qs: np.ndarray, lanes) -> int:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .audit import RATIO_ZERO_CONVENTION_NOTE
-from .core import ContestSpec, CostKind, EffortProfile, payoff
+from .core import ContestSpec, CostKind, EffortProfile, JsonRecord, payoff
 from .errors import DomainError, ValidationError
 
 BAND_FLOOR_REL = 1e-12
@@ -181,7 +181,7 @@ def _slope_bound(spec: ContestSpec, axis: np.ndarray, other: float, player: int)
 
 
 @dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(JsonRecord):
     """Outcome of checking a candidate profile against the grid oracle.
 
     `payoff_losses` is, per player, the payoff gained by the best grid
@@ -205,27 +205,13 @@ class VerificationReport:
     resolution_too_coarse: bool
     notes: tuple[str, ...] = field(default=())
 
+    json_keys = ("profile", "passed", "payoff_losses", "bands", "best_responses",
+                 "nearest_nash", "nash_distance", ("grid", ("x_max", "steps", "h", "eps")),
+                 "resolution_too_coarse", "notes")
+
     @property
     def passed(self) -> bool:
         return all(loss <= band for loss, band in zip(self.payoff_losses, self.bands))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "profile": {"x1": self.profile.x1, "x2": self.profile.x2},
-            "passed": self.passed,
-            "payoff_losses": list(self.payoff_losses),
-            "bands": list(self.bands),
-            "best_responses": list(self.best_responses),
-            "nearest_nash": (
-                None if self.nearest_nash is None
-                else {"x1": self.nearest_nash.x1, "x2": self.nearest_nash.x2}
-            ),
-            "nash_distance": self.nash_distance,
-            "grid": {"x_max": self.x_max, "steps": self.steps,
-                     "h": self.h, "eps": self.eps},
-            "resolution_too_coarse": self.resolution_too_coarse,
-            "notes": list(self.notes),
-        }
 
 
 def verify(spec: ContestSpec, eq, grid: GridSpec) -> VerificationReport:

@@ -13,6 +13,7 @@ from tiebreak.cli import (
     EXIT_VERIFY_FAILED,
     run,
 )
+from test_cli_golden import CASES, COLUMNS, SPEC_DOC, invoke
 
 SHARP = ["--family", "jia-ratio", "--r", "1", "--k", "2",
          "--v1", "2", "--v2", "1", "--q", "0.5"]
@@ -243,3 +244,27 @@ class TestTopLevel:
 
     def test_unknown_command_rejected(self, capsys):
         assert run(["frobnicate"]) == EXIT_INVALID
+
+
+# Totals of 1e308 at every q: the curve's certificates sit next to the overflow.
+OVERFLOW_SWEEP = ["sweep", "--family", "jia-ratio", "--r", "2", "--k", "1",
+                  "--v1", "1e308", "--v2", "1e308", "--points", "5", "--force"]
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_every_json_output_is_strict_json(tmp_path, monkeypatch):
+    """Each recorded invocation and the overflow sweep print strict JSON (no NaN or
+    Infinity) unless they print help text or CSV."""
+    monkeypatch.setenv("COLUMNS", COLUMNS)
+    spec_path = tmp_path / "contest.json"
+    spec_path.write_text(json.dumps(SPEC_DOC), encoding="utf-8")
+    docs = {}
+    for argv in [*CASES, OVERFLOW_SWEEP]:
+        out = invoke(argv, str(spec_path))["stdout"]
+        if out and not out.startswith(("usage: ", "q,x1,x2,R\n")):
+            docs[" ".join(argv)] = json.loads(out, parse_constant=_reject_constant)
+    shape = docs[" ".join(OVERFLOW_SWEEP)]["curve"]["shape"]
+    assert shape["linear"] == {"holds": True, "violation": 0.0}

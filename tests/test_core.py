@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -16,11 +17,63 @@ from tiebreak import (
     TieRule,
     ValidationError,
     Valuations,
+    audit_ratio,
     eventual_win_prob,
     make_contest,
     outcome_distribution,
     payoff,
 )
+from tiebreak.core import JsonRecord
+
+
+@dataclass(frozen=True)
+class Plain(JsonRecord):
+    b: float
+    a: tuple
+    cost: CostKind
+    rule: TieRule
+    table: dict
+
+
+@dataclass(frozen=True)
+class Keyed(JsonRecord):
+    lo: float
+    hi: float
+    trace: tuple = ()
+
+    json_keys = ("width", ("bounds", ("lo", "hi")))
+
+    @property
+    def width(self) -> float:
+        return self.hi - self.lo
+
+
+class TestJsonRecord:
+    def test_default_keys_are_the_fields_in_declaration_order(self):
+        doc = Plain(2.0, (1.0, EffortProfile(0.5, 0.25)), CostKind.LINEAR, TieRule(0.75),
+                    {"k": 2.0}).to_json_dict()
+        assert list(doc) == ["b", "a", "cost", "rule", "table"]
+        assert doc == {"b": 2.0, "a": [1.0, {"x1": 0.5, "x2": 0.25}], "cost": "linear",
+                       "rule": 0.75, "table": {"k": 2.0}}
+
+    def test_key_list_orders_properties_and_nested_groups(self):
+        doc = Keyed(1.0, 3.0).to_json_dict()
+        assert doc == {"width": 2.0, "bounds": {"lo": 1.0, "hi": 3.0}}
+        assert list(doc) == ["width", "bounds"]
+
+    def test_a_field_left_out_of_the_key_list_is_not_emitted(self):
+        assert "trace" not in Keyed(1.0, 3.0, trace=("step",)).to_json_dict()
+
+    def test_dicts_are_copied(self):
+        record = Plain(0.0, (), CostKind.LINEAR, TieRule(0.0), {"k": 2.0})
+        record.to_json_dict()["table"]["k"] = 9.0
+        assert record.table == {"k": 2.0}
+        spec = make_contest(family="jia-ratio", v1=2.0, v2=1.0, q=0.5, r=1.0, k=2)
+        spec.to_json_dict()["params"]["k"] = 9.0
+        assert spec.csf.params["k"] == 2 and spec.params["k"] == 2
+        report = audit_ratio(spec.csf)
+        report.to_json_dict()["params"]["k"] = 9.0
+        assert report.params["k"] == 2
 
 
 class TestCostKind:

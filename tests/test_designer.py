@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -41,9 +42,9 @@ COIN = RandomTieRule.from_pairs([(0.0, 0.5), (1.0, 0.5)])
 class TestSweep:
     def test_linear_decreasing_ratio_curve(self):
         curve = sweep(SHARP_RATIO, 11)
-        assert len(curve.samples) == 11
-        for sample in curve.samples:
-            assert sample.R == pytest.approx(0.75 - 0.27 * sample.q, abs=1e-10)
+        assert len(curve.q_values) == len(curve.totals) == 11
+        for q, total in zip(curve.q_values, curve.totals):
+            assert total == pytest.approx(0.75 - 0.27 * q, abs=1e-10)
         assert curve.shape.monotone_decreasing.holds
         assert curve.shape.linear.holds
         assert not curve.shape.constant.holds
@@ -53,11 +54,10 @@ class TestSweep:
         np.testing.assert_allclose(curve.q_values, [0.0, 0.25, 0.5, 0.75, 1.0])
         assert np.all(np.diff(curve.q_values) > 0)
 
-    def test_samples_expose_components_and_total(self):
+    def test_columns_expose_components_and_total(self):
         curve = sweep(SHARP_RATIO, 3)
-        first = curve.samples[0]
-        assert first.R == pytest.approx(first.x1 + first.x2, abs=1e-15)
-        assert first.beta == pytest.approx(2.0, abs=1e-12)
+        assert curve.totals[0] == pytest.approx(curve.x1[0] + curve.x2[0], abs=1e-15)
+        assert curve.betas[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_symmetric_prizes_certified_constant(self):
         spec = make_contest(family="jia-ratio", v1=1.0, v2=1.0, q=0.0, r=1.0, k=2)
@@ -71,6 +71,16 @@ class TestSweep:
         totals = curve.totals
         assert totals[0] - totals[-1] > 1e-6
         assert curve.shape.monotone_decreasing.holds
+
+    def test_linear_certificate_of_totals_near_the_largest_double(self):
+        # two totals of 1e308 sum past the largest double: the midpoint halves them first
+        spec = make_contest(family="jia-ratio", v1=1e308, v2=1e308, q=0.0, r=2.0, k=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            curve = sweep(spec, 5, force=True)
+        assert curve.totals == (1e308,) * 5
+        assert curve.shape.constant.holds and curve.shape.linear.holds
+        assert curve.shape.linear.violation == 0.0
 
     def test_requires_at_least_two_points(self):
         with pytest.raises(ValidationError):
@@ -104,7 +114,7 @@ class TestSweep:
         assert total == pytest.approx(0.75, abs=1e-15)
         # Seventeen significant digits reproduce the floats exactly.
         row = curve.to_csv().splitlines()[2]
-        assert float(row.split(",")[1]) == curve.samples[1].x1
+        assert float(row.split(",")[1]) == curve.x1[1]
 
     def test_convexity_certificate_on_diff_sweep(self):
         curve = sweep(DIFF_SMALL, 21, audited=True)

@@ -4,6 +4,9 @@ An underscore name is private to the module that defines it: a sibling
 that imports it (`from .x import _y`) or reads it off the module (`x._y`)
 couples to internals that may change without notice.  Names read off other
 objects, such as a family's kernels `csf._zp`, are not module reads.
+
+Result records also share one serializer: only `core.JsonRecord` writes a
+`to_json_dict`, apart from `EffortCurve`, whose JSON rows transpose its columns.
 """
 from __future__ import annotations
 
@@ -73,3 +76,32 @@ def test_guard_sees_private_imports_and_reads():
         "c._as_float",
         "fam._ret",
     ]
+
+
+SERIALIZERS = {"JsonRecord", "EffortCurve"}
+
+
+def serializers(source: str) -> list[str]:
+    """Each class in `source` that defines its own `to_json_dict`."""
+    return [node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ClassDef)
+            and any(isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and item.name == "to_json_dict" for item in node.body)]
+
+
+def test_only_json_record_writes_json():
+    found = [name for path in MODULES for name in serializers(path.read_text(encoding="utf-8"))]
+    assert sorted(found) == sorted(SERIALIZERS)
+
+
+def test_guard_sees_hand_written_serializers():
+    source = "\n".join([
+        "class Report(JsonRecord):",
+        "    json_keys = ('passed',)",
+        "class Sample:",
+        "    def to_json_dict(self):",
+        "        return {}",
+        "def to_json_dict(record):",
+        "    return {}",
+    ])
+    assert serializers(source) == ["Sample"]

@@ -5,7 +5,7 @@ import tiebreak
 
 PUBLIC_NAMES = [
     "AuditReport", "BlavatskyyPower", "ConditionRecord", "ContestError", "ContestSpec",
-    "ConvergenceError", "ConvexityPrecondition", "CostKind", "CurveSample", "DomainError",
+    "ConvergenceError", "ConvexityPrecondition", "CostKind", "DomainError",
     "EffortCurve", "EffortProfile", "Equilibrium", "FAMILIES", "GridSpec", "JiaDiff",
     "JiaRatio", "NoEquilibriumError", "OptimalQ", "OutcomeDistribution", "RandomTieRule",
     "Rationale", "ShapeCertificate", "ShapeCheck", "SolveMethod", "TieRule",
