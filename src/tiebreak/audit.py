@@ -106,10 +106,7 @@ class AuditReport(JsonRecord):
 
     `m` and `M` bound the second derivative of the eventual win probability
     over the probed grid (for concave families they bound the impact
-    function's second derivative instead; see `audit_concave`).  `vbar` is
-    populated for difference-form families only and equals
-    1 / max(|m|, |M|): prizes at or below that bound keep the curvature
-    condition satisfied on the probed grid.
+    function's second derivative instead; see `audit_concave`).
     """
 
     family: str
@@ -118,7 +115,6 @@ class AuditReport(JsonRecord):
     conditions: tuple[ConditionRecord, ...]
     m: float
     M: float
-    vbar: float | None
     theta_min: float
     theta_max: float
     theta_count: int
@@ -133,14 +129,13 @@ class AuditReport(JsonRecord):
     def __post_init__(self) -> None:
         if not self.m <= self.M:
             raise ValidationError(f"audit bounds out of order: m={self.m} > M={self.M}")
-        if self.vbar is not None:
-            denom = max(abs(self.m), abs(self.M))
-            if denom <= 0:
-                raise ValidationError("vbar present but both curvature bounds are zero")
-            if not math.isclose(self.vbar, 1.0 / denom, rel_tol=0.0, abs_tol=1e-12):
-                raise ValidationError(
-                    f"vbar={self.vbar} does not match 1/max(|m|,|M|)={1.0 / denom}"
-                )
+
+    @property
+    def vbar(self) -> float | None:
+        """1 / max(|m|, |M|) for difference-form families, else None: prizes at
+        or below it keep the curvature condition satisfied on the probed grid."""
+        denom = max(abs(self.m), abs(self.M))
+        return 1.0 / denom if self.kind == "diff" and denom > 0 else None
 
     @property
     def passed(self) -> bool:
@@ -293,7 +288,7 @@ def audit_ratio(csf, theta_grid=None, q_grid=None) -> AuditReport:
     return AuditReport(
         family=csf.name, params=dict(csf.params), kind="ratio",
         conditions=tuple(conditions),
-        m=float(zpp.min()), M=float(zpp.max()), vbar=None,
+        m=float(zpp.min()), M=float(zpp.max()),
         theta_min=float(theta[0]), theta_max=float(theta[-1]),
         theta_count=int(theta.size), q_values=qs,
         notes=(RATIO_ZERO_CONVENTION_NOTE,),
@@ -327,13 +322,10 @@ def audit_diff(csf, v1, theta_grid=None, q_grid=None) -> AuditReport:
         _unimodality_condition(theta, p0, tie_slope, peak=0.0),
     ]
 
-    m, M = float(zpp.min()), float(zpp.max())
-    denom = max(abs(m), abs(M))
-    vbar = (1.0 / denom) if denom > 0 else None
     return AuditReport(
         family=csf.name, params=dict(csf.params), kind="diff",
         conditions=tuple(conditions),
-        m=m, M=M, vbar=vbar,
+        m=float(zpp.min()), M=float(zpp.max()),
         theta_min=float(theta[0]), theta_max=float(theta[-1]),
         theta_count=int(theta.size), q_values=qs,
     )
@@ -344,7 +336,7 @@ def audit_concave(csf, x_grid=None) -> AuditReport:
 
     The report's `m` and `M` bound the impact function's second derivative
     over the probed effort grid (there is no scalar reduction here); `vbar`
-    is absent.  The q grid is irrelevant and recorded as empty.
+    is None.  The q grid is irrelevant and recorded as empty.
     """
     if getattr(csf, "kind", None) != "concave":
         raise ValidationError("audit_concave requires a concave-impact family")
@@ -367,7 +359,7 @@ def audit_concave(csf, x_grid=None) -> AuditReport:
     return AuditReport(
         family=csf.name, params=dict(csf.params), kind="concave",
         conditions=conditions,
-        m=float(fpp.min()), M=float(fpp.max()), vbar=None,
+        m=float(fpp.min()), M=float(fpp.max()),
         theta_min=float(x[0]), theta_max=float(x[-1]),
         theta_count=int(x.size), q_values=(),
         notes=("m and M bound the impact function's second derivative",),

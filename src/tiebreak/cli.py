@@ -60,15 +60,14 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    def add_spec_flags(p: _Parser, with_q: bool = True) -> None:
+    def add_spec_flags(p: _Parser) -> None:
         p.add_argument("--spec", help="path to a contest spec JSON file")
         p.add_argument("--family", help="family key (see main help for the list)")
         p.add_argument("--r", type=float, help="family parameter r")
         p.add_argument("--k", type=float, help="family parameter k")
         p.add_argument("--v1", type=float, help="player 1 prize")
         p.add_argument("--v2", type=float, help="player 2 prize")
-        if with_q:
-            p.add_argument("--q", type=float, help="player 1 tie share in [0, 1]")
+        p.add_argument("--q", type=float, help="player 1 tie share in [0, 1]")
         p.add_argument("--cost", choices=["linear", "quadratic_half"],
                        help="cost technology (defaults to the family's)")
         p.add_argument("--emit-spec", metavar="PATH",
@@ -124,7 +123,7 @@ def _build_parser() -> _Parser:
 
 
 def _inline_given(args) -> bool:
-    return any(getattr(args, name, None) is not None for name in _INLINE_FLAGS)
+    return any(getattr(args, name) is not None for name in _INLINE_FLAGS)
 
 
 def _spec_from_args(args, *, need_q: bool) -> ContestSpec:
@@ -145,19 +144,23 @@ def _spec_from_args(args, *, need_q: bool) -> ContestSpec:
         raise ValidationError("missing spec source: give --spec FILE or --family ...")
     if args.v1 is None or args.v2 is None:
         raise ValidationError("inline specs require --v1 and --v2")
-    q = getattr(args, "q", None)
-    if q is None:
-        if need_q:
-            raise ValidationError("this subcommand requires --q")
-        q = 0.0
-    return make_contest(args.family, v1=args.v1, v2=args.v2, q=q,
+    if args.q is None and need_q:
+        raise ValidationError("this subcommand requires --q")
+    return make_contest(args.family, v1=args.v1, v2=args.v2, q=0.0 if args.q is None else args.q,
                         cost=args.cost, r=args.r, k=args.k)
 
 
 def _maybe_emit_spec(args, spec: ContestSpec) -> None:
-    if getattr(args, "emit_spec", None):
+    if args.emit_spec:
         with open(args.emit_spec, "w", encoding="utf-8") as fh:
             fh.write(spec.to_json())
+
+
+def _audited_spec(args, *, need_q: bool):
+    """The contest, written to --emit-spec if asked, and its family's audit."""
+    spec = _spec_from_args(args, need_q=need_q)
+    _maybe_emit_spec(args, spec)
+    return spec, audit_family(spec.csf, spec.valuations.v1)
 
 
 def _audit_summary(report) -> dict:
@@ -199,9 +202,7 @@ def _parse_rule(text: str) -> RandomTieRule:
 
 
 def _cmd_solve(args) -> int:
-    spec = _spec_from_args(args, need_q=True)
-    _maybe_emit_spec(args, spec)
-    report = audit_family(spec.csf, spec.valuations.v1)
+    spec, report = _audited_spec(args, need_q=True)
     eq = solve(spec, force=args.force, audited=report.passed)
     _emit_json(args, {
         "spec": spec.to_json_dict(),
@@ -212,9 +213,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    spec = _spec_from_args(args, need_q=False)
-    _maybe_emit_spec(args, spec)
-    report = audit_family(spec.csf, spec.valuations.v1)
+    spec, report = _audited_spec(args, need_q=False)
     curve = sweep(spec, args.points, force=args.force, audited=report.passed)
     if args.format == "csv":
         _emit(args, curve.to_csv())
@@ -228,9 +227,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    spec = _spec_from_args(args, need_q=False)
-    _maybe_emit_spec(args, spec)
-    report = audit_family(spec.csf, spec.valuations.v1)
+    spec, report = _audited_spec(args, need_q=False)
     best = optimal_q(spec, force=args.force, audited=report.passed)
     _emit_json(args, {
         "spec": spec.to_json_dict(),
@@ -241,10 +238,8 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_expected(args) -> int:
-    spec = _spec_from_args(args, need_q=False)
-    _maybe_emit_spec(args, spec)
+    spec, report = _audited_spec(args, need_q=False)
     rule = _parse_rule(args.rule)
-    report = audit_family(spec.csf, spec.valuations.v1)
     value = expected_effort(spec, rule, force=args.force, audited=report.passed)
     _emit_json(args, {
         "spec": spec.to_json_dict(),
@@ -265,22 +260,16 @@ def _cmd_audit(args) -> int:
         if args.family is None:
             raise ValidationError("missing spec source: give --spec FILE or --family ...")
         csf = make_family(args.family, r=args.r, k=args.k)
-        v1 = None
-        if args.v1 is not None or args.v2 is not None:
-            vs = [v for v in (args.v1, args.v2) if v is not None]
-            v1 = max(vs)
-        if getattr(args, "emit_spec", None):
-            spec = _spec_from_args(args, need_q=False)
-            _maybe_emit_spec(args, spec)
+        v1 = max((v for v in (args.v1, args.v2) if v is not None), default=None)
+        if args.emit_spec:
+            _maybe_emit_spec(args, _spec_from_args(args, need_q=False))
     report = audit_family(csf, v1, args.grid_points)
     _emit_json(args, report.to_json_dict())
     return EXIT_OK if report.passed else EXIT_INVALID
 
 
 def _cmd_verify(args) -> int:
-    spec = _spec_from_args(args, need_q=True)
-    _maybe_emit_spec(args, spec)
-    report = audit_family(spec.csf, spec.valuations.v1)
+    spec, report = _audited_spec(args, need_q=True)
     eq = solve(spec, force=args.force, audited=report.passed)
     if args.x_max is not None:
         grid = GridSpec(x_max=args.x_max, steps=args.steps, eps=args.eps)

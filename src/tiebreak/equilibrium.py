@@ -202,47 +202,62 @@ def _ratio_slope(csf, vals: Valuations, q_int):
     return csf._zp(vals.beta, q_int)
 
 
+def _reordered(first_ok, first, second):
+    """`first` where `first_ok` holds and `second()` elsewhere, for one tie rule
+    or an array of lanes: a product is formed in a second order only where its
+    first order leaves the normal range, so every other result keeps its bits."""
+    if isinstance(first, float):
+        return first if first_ok else second()
+    return first if first_ok.all() else np.where(first_ok, first, second())
+
+
 def _ratio_range(vals: Valuations, slope):
-    """(underflow, overflow) of a ratio closed form at slope z_q'(beta), for
-    one tie rule or an array of lanes: a subnormal slope or weak effort has
-    too few bits for a rounding-level residual, and the strong effort
-    v1 * beta * slope can overflow at finite prizes."""
-    return ((slope < _TINY) | (vals.v2 * vals.beta * slope < _TINY),
-            vals.v1 * vals.beta * slope == math.inf)
+    """(underflow, overflow, strong effort) of a ratio closed form at slope
+    z_q'(beta), for one tie rule or an array of lanes: a subnormal slope or
+    weak effort has too few bits for a rounding-level residual, and the strong
+    effort v1 * beta * slope, formed as v1 * (beta * slope) where that order
+    overflows, can overflow at finite prizes."""
+    strong = vals.v1 * vals.beta * slope
+    strong = _reordered(strong != math.inf, strong, lambda: vals.v1 * (vals.beta * slope))
+    return (slope < _TINY) | (vals.v2 * vals.beta * slope < _TINY), strong == math.inf, strong
 
 
-def _ratio_closed_form(csf, vals: Valuations, q_user, slope):
+def _ratio_closed_form(csf, vals: Valuations, q_user, slope, strong):
     """Efforts, their ratio and first-order residuals in the caller's labels,
-    from the slope z_q'(beta) at beta = v1/v2; one tie rule or an array of lanes."""
-    beta = vals.beta
-    x1, x2 = _user_order(vals, vals.v1 * beta * slope, vals.v2 * beta * slope)
+    from the slope z_q'(beta) at beta = v1/v2 and the strong effort; one tie
+    rule or an array of lanes.  Player 2's marginal benefit v2 * z' * theta is
+    formed as v2 * (z' * theta) where v2 * z' leaves the normal range."""
+    x1, x2 = _user_order(vals, strong, vals.v2 * vals.beta * slope)
     theta = x1 / x2
     v1u, v2u = _user_order(vals, vals.v1, vals.v2)
     zp = csf._zp(theta, q_user)
-    return x1, x2, theta, v1u * zp / x2 - 1.0, v2u * zp * theta / x2 - 1.0
+    head = v2u * zp
+    r2 = _reordered((head >= _TINY) & (head * theta != math.inf), head * theta / x2 - 1.0,
+                    lambda: v2u * (zp * theta) / x2 - 1.0)
+    return x1, x2, theta, v1u * zp / x2 - 1.0, r2
 
 
 def _solve_ratio(csf, vals, q_user, q_int):
     """Closed-form equilibrium of a ratio-form contest with linear cost: both
     players exert prize * beta * z_q'(beta) at beta = v1/v2."""
     slope = float(_ratio_slope(csf, vals, q_int))
-    underflow, overflow = _ratio_range(vals, slope)
+    underflow, overflow, strong = _ratio_range(vals, slope)
     if underflow or overflow:
         raise _ratio_range_error(slope, underflow)
-    x1, x2, theta, r1, r2 = map(float, _ratio_closed_form(csf, vals, q_user, slope))
+    x1, x2, theta, r1, r2 = map(float, _ratio_closed_form(csf, vals, q_user, slope, strong))
     return x1, x2, theta, (r1, r2), False, SolveMethod.CLOSED_FORM
 
 
 def _ratio_lanes(csf, vals, q_user, q_int):
     slope = _ratio_slope(csf, vals, q_int)
-    with np.errstate(over="ignore", invalid="ignore"):  # the overflow test itself overflows
-        underflow, overflow = _ratio_range(vals, slope)
-    ok = ~(underflow | overflow)
+    x1, x2, beta, r1, r2 = out = np.ones((5, q_int.size))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow tests and unused orders overflow
+        underflow, overflow, strong = _ratio_range(vals, slope)
+        ok = ~(underflow | overflow)
+        # a failed lane's efforts can overflow: only the others take the closed form
+        out[:, ok] = _ratio_closed_form(csf, vals, q_user[ok], slope[ok], strong[ok])
     errors = {int(i): _ratio_range_error(float(slope[i]), underflow[i])
               for i in np.flatnonzero(~ok)}
-    # a failed lane's efforts can overflow: only the others take the closed form
-    x1, x2, beta, r1, r2 = out = np.ones((5, q_int.size))
-    out[:, ok] = _ratio_closed_form(csf, vals, q_user[ok], slope[ok])
     return x1, x2, beta, (r1, r2), np.zeros(q_int.size, dtype=bool), SolveMethod.CLOSED_FORM, errors
 
 
@@ -487,45 +502,29 @@ def _logaddexp(a: float, b: float) -> float:
     return hi + math.log1p(math.exp(lo - hi))
 
 
-def _log_impact_foc(g1: float, g2: float, log_rv1: float, log_rv2: float, c: float,
-                    log_head1: float, log_head2: float):
+def _log_impact_foc(g1, g2, log_rv1, log_rv2, c, log_head1, log_head2,
+                    exp=math.exp, logaddexp=_logaddexp):
     """First-order conditions of a power-impact contest in g_i = log(x_i^r).
 
     G_i = log(r v_i) - c g_i + log a_i - 2 log T is the log of marginal
     benefit over marginal cost, with c = (1 - r) / r, f_i = e^(g_i),
     T = f1 + f2 + 1, a1 = f2 + (1 - q1) and a2 = f1 + q1 (the log heads are
-    log(1 - q1) and log(q1)).  Returns G, the exact Jacobian (row-major) and
-    each G_i's summed term magnitudes, the scale of its rounding error.
+    log(1 - q1) and log(q1)).  Returns the rows G1, G2, J11, J12, J21, J22,
+    S1, S2: G, its exact Jacobian (row-major) and each G_i's summed term
+    magnitudes, the scale of its rounding error.  One tie rule takes the
+    default `exp` and `logaddexp` on floats; lanes pass NumPy's on arrays.
     Every exponential has a nonpositive argument, so nothing overflows.
     """
-    log_t = _logaddexp(_logaddexp(g1, g2), 0.0)
-    log_a1 = _logaddexp(g2, log_head1)
-    log_a2 = _logaddexp(g1, log_head2)
-    s1 = math.exp(g1 - log_t)
-    s2 = math.exp(g2 - log_t)
-    residual = (log_rv1 - c * g1 + log_a1 - 2.0 * log_t,
-                log_rv2 - c * g2 + log_a2 - 2.0 * log_t)
-    jacobian = (-c - 2.0 * s1, math.exp(g2 - log_a1) - 2.0 * s2,
-                math.exp(g1 - log_a2) - 2.0 * s1, -c - 2.0 * s2)
-    scale = (abs(log_rv1) + abs(c * g1) + abs(log_a1) + 2.0 * log_t,
-             abs(log_rv2) + abs(c * g2) + abs(log_a2) + 2.0 * log_t)
-    return residual, jacobian, scale
-
-
-def _log_impact_focs(g1, g2, log_rv1, log_rv2, c, log_head1, log_head2):
-    """`_log_impact_foc` over lanes, as rows G1, G2, J11, J12, J21, J22, S1, S2."""
-    log_t = np.logaddexp(np.logaddexp(g1, g2), 0.0)
-    log_a1 = np.logaddexp(g2, log_head1)
-    log_a2 = np.logaddexp(g1, log_head2)
-    s1 = np.exp(g1 - log_t)
-    s2 = np.exp(g2 - log_t)
-    return np.stack((
-        log_rv1 - c * g1 + log_a1 - 2.0 * log_t, log_rv2 - c * g2 + log_a2 - 2.0 * log_t,
-        -c - 2.0 * s1, np.exp(g2 - log_a1) - 2.0 * s2,
-        np.exp(g1 - log_a2) - 2.0 * s1, -c - 2.0 * s2,
-        abs(log_rv1) + np.abs(c * g1) + np.abs(log_a1) + 2.0 * log_t,
-        abs(log_rv2) + np.abs(c * g2) + np.abs(log_a2) + 2.0 * log_t,
-    ))
+    log_t = logaddexp(logaddexp(g1, g2), 0.0)
+    log_a1 = logaddexp(g2, log_head1)
+    log_a2 = logaddexp(g1, log_head2)
+    s1 = exp(g1 - log_t)
+    s2 = exp(g2 - log_t)
+    return (log_rv1 - c * g1 + log_a1 - 2.0 * log_t, log_rv2 - c * g2 + log_a2 - 2.0 * log_t,
+            -c - 2.0 * s1, exp(g2 - log_a1) - 2.0 * s2,
+            exp(g1 - log_a2) - 2.0 * s1, -c - 2.0 * s2,
+            abs(log_rv1) + abs(c * g1) + abs(log_a1) + 2.0 * log_t,
+            abs(log_rv2) + abs(c * g2) + abs(log_a2) + 2.0 * log_t)
 
 
 def _concave_newton(csf, v1: float, v2: float, q_int: float) -> tuple[float, float]:
@@ -539,7 +538,7 @@ def _concave_newton(csf, v1: float, v2: float, q_int: float) -> tuple[float, flo
     consts = (math.log(r) + math.log(v1), math.log(r) + math.log(v2), (1.0 - r) / r,
               *(math.log(h) if h > 0.0 else -math.inf for h in (1.0 - q_int, q_int)))
     g1, g2 = r * math.log(v1 / 4.0), r * math.log(v2 / 4.0)
-    (G1, G2), (J11, J12, J21, J22), (S1, S2) = _log_impact_foc(g1, g2, *consts)
+    G1, G2, J11, J12, J21, J22, S1, S2 = _log_impact_foc(g1, g2, *consts)
     for _ in range(MAX_ITERATIONS):
         at_rounding_floor = abs(G1) <= 4.0 * _EPS * S1 and abs(G2) <= 4.0 * _EPS * S2
         det = J11 * J22 - J12 * J21
@@ -549,12 +548,12 @@ def _concave_newton(csf, v1: float, v2: float, q_int: float) -> tuple[float, flo
         for halvings in range(40):
             t = 0.5**halvings
             trial = _log_impact_foc(g1 - t * d1, g2 - t * d2, *consts)
-            if trial[0][0] ** 2 + trial[0][1] ** 2 <= (1.0 - 1e-4 * t) * (G1 * G1 + G2 * G2):
+            if trial[0] ** 2 + trial[1] ** 2 <= (1.0 - 1e-4 * t) * (G1 * G1 + G2 * G2):
                 break
         else:
             break
         g1, g2 = g1 - t * d1, g2 - t * d2
-        (G1, G2), (J11, J12, J21, J22), (S1, S2) = trial
+        G1, G2, J11, J12, J21, J22, S1, S2 = trial
 
     x1, x2 = math.exp(g1 / r), math.exp(g2 / r)
     if min(x1, x2) < _TINY:
@@ -571,11 +570,11 @@ def _concave_newtons(csf, v1: float, v2: float, q_int: np.ndarray):
     """
     r = csf.r
     with np.errstate(divide="ignore"):
-        heads = (np.log(1.0 - q_int), np.log(q_int))
+        heads = np.log(np.stack((1.0 - q_int, q_int)))
     consts = (math.log(r) + math.log(v1), math.log(r) + math.log(v2), (1.0 - r) / r)
     g1 = np.full(q_int.size, r * math.log(v1 / 4.0))
     g2 = np.full(q_int.size, r * math.log(v2 / 4.0))
-    foc = _log_impact_focs(g1, g2, *consts, *heads)
+    foc = np.stack(_log_impact_foc(g1, g2, *consts, *heads, np.exp, np.logaddexp))
     live = np.arange(q_int.size)
     for _ in range(MAX_ITERATIONS):
         G1, G2, J11, J12, J21, J22, S1, S2 = foc[:, live]
@@ -593,7 +592,7 @@ def _concave_newtons(csf, v1: float, v2: float, q_int: np.ndarray):
             t = 0.5**halvings
             lanes = live[search]
             n1, n2 = g1[lanes] - t * d1[search], g2[lanes] - t * d2[search]
-            trial = _log_impact_focs(n1, n2, *consts, heads[0][lanes], heads[1][lanes])
+            trial = np.stack(_log_impact_foc(n1, n2, *consts, *heads[:, lanes], np.exp, np.logaddexp))
             done = trial[0] ** 2 + trial[1] ** 2 <= (1.0 - 1e-4 * t) * norm[search]
             g1[lanes[done]], g2[lanes[done]] = n1[done], n2[done]
             foc[:, lanes[done]] = trial[:, done]
@@ -626,7 +625,7 @@ def total_effort_slope(spec: ContestSpec, q: float, x1: float, x2: float,
     else:
         g1, g2 = r * math.log(x1), r * math.log(x2)
         heads = (math.log(h) if h > 0.0 else -math.inf for h in (1.0 - q1, q1))
-        _, (J11, J12, J21, J22), _ = _log_impact_foc(
+        _, _, J11, J12, J21, J22, _, _ = _log_impact_foc(
             g1, g2, math.log(r * vals.v1), math.log(r * vals.v2), (1.0 - r) / r, *heads)
         dG1, dG2 = -1.0 / (math.exp(g2) + (1.0 - q1)), 1.0 / (math.exp(g1) + q1)
         det = J11 * J22 - J12 * J21 or math.nan  # singular: sign unknown, so uncertified

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 
 import pytest
 
@@ -233,8 +234,9 @@ def test_oracle_calls_neither_derivatives_nor_kernels(monkeypatch, name, params)
 
 # Prizes are checked on entry, but the ratio closed form derives its efforts
 # from them: a prize ratio beyond double precision is a domain error of the
-# contest, and a strong effort v1 * beta * slope that overflows fails its tie
-# rule as an effort that underflows does.  Neither emits a NumPy warning.
+# contest, and a strong effort v1 * beta * slope that overflows in both
+# orders of its product fails its tie rule as an effort that underflows
+# does.  Neither emits a NumPy warning.
 RATIO_OVERFLOWS = [
     (dict(v1=1e200, v2=1e-200, r=0.5), False, DomainError,
      "the ratio of prizes (1e+200, 1e-200) overflows double precision"),
@@ -242,10 +244,6 @@ RATIO_OVERFLOWS = [
      "the ratio of prizes (1e-200, 1e+200) overflows double precision"),
     (dict(v1=1e308, v2=1e308 / 1.001, r=1000.0), True, ConvergenceError,
      "closed-form efforts overflow double precision (slope 196.46086657315118)"),
-    (dict(v1=1e308, v2=1e306, r=30.0), True, ConvergenceError,
-     "closed-form efforts overflow double precision (slope 3e-61)"),
-    (dict(v1=1e306, v2=1e308, r=30.0), True, ConvergenceError,
-     "closed-form efforts overflow double precision (slope 3e-61)"),
 ]
 
 
@@ -256,6 +254,35 @@ def test_ratio_overflow_raises_a_typed_error(prizes, force, error, text):
         solve(spec, force=force)
     with pytest.raises(error, match=f"^{re.escape(text)}$"):
         solve_many(spec, [0.0, 0.3], force=force)
+
+
+# Finite efforts whose closed form overflows or underflows in one order of a
+# product: v1 * beta passes the largest double, so the strong effort is formed
+# as v1 * (beta * slope); or v2 * z' leaves the normal range (the last two), so
+# player 2's marginal benefit is formed as v2 * (z' * theta).  Scalar and lane
+# solves agree to the bit, with residuals at rounding level.
+RATIO_REORDERED = [
+    ("jia-ratio", dict(r=30.0, k=1.0), (1e306, 1e308), (3e247, 3e249)),
+    ("jia-ratio", dict(r=30.0, k=1.0), (1e308, 1e306), (3e249, 3e247)),
+    ("vesperoni-ratio", dict(r=0.5, k=2.0), (1e200, 1.0), (5e99, 5e-101)),
+    ("jia-ratio", dict(r=0.5, k=2.0), (1e160, 1.0), (6.25e79, 6.25e-81)),
+    ("jia-ratio", dict(r=0.5, k=2.0), (1e100, 1e-100), (0.625, 6.25e-201)),
+    ("jia-ratio", dict(r=0.5, k=2.0), (1e100, 1e300), (0.625, 6.25e199)),
+]
+
+
+@pytest.mark.parametrize("name, params, prizes, efforts", RATIO_REORDERED,
+                         ids=[f"{n}-{p[0]:g}-{p[1]:g}" for n, _, p, _ in RATIO_REORDERED])
+def test_ratio_products_that_overflow_only_in_one_order_solve(name, params, prizes, efforts):
+    spec = make_contest(name, v1=prizes[0], v2=prizes[1], q=0.5, **params)
+    eq = solve(spec, force=True)
+    assert (eq.x1, eq.x2) == pytest.approx(efforts, rel=1e-14)
+    assert max(map(abs, eq.residuals)) <= 4.0 * sys.float_info.epsilon
+    qs = [0.0, 0.3, 0.5]
+    lanes = solve_lanes(spec, qs, force=True, audited=False)
+    assert not lanes.errors
+    for i, q in enumerate(qs):
+        assert lanes.equilibrium(i) == solve(spec.with_q(q), force=True)
 
 
 # Finite efforts whose total R = x1 + x2 passes the largest double: the

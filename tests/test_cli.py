@@ -213,6 +213,11 @@ class TestVerifyCommand:
         assert code == EXIT_OK
         assert doc["verification"]["passed"] is True
 
+    def test_grid_ceiling_is_the_given_x_max(self, capsys):
+        code, doc = run_json(capsys, ["verify", *SHARP, "--steps", "401", "--x-max", "1.5"])
+        assert code == EXIT_OK
+        assert doc["verification"]["grid"]["x_max"] == 1.5
+
     def test_infinite_slack_rejected(self, capsys):
         assert run(["verify", *SHARP, "--steps", "201", "--eps", "inf"]) == EXIT_INVALID
         assert capsys.readouterr().err == "error: eps must be finite, got inf\n"

@@ -1,6 +1,7 @@
 """Designer tools: sweeps, shape certificates, optimal tie rules, random rules."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import re
@@ -25,7 +26,8 @@ from tiebreak import (
     solve,
     sweep,
 )
-from tiebreak.equilibrium import (CORNER_UNIQUENESS_WARNING, Lanes, SolveMethod,
+from tiebreak.designer import OPTIMAL_IMPROVEMENT_GUARD
+from tiebreak.equilibrium import (CORNER_UNIQUENESS_WARNING, Lanes, SolveMethod, solve_lanes,
                                   total_effort_slope)
 
 
@@ -165,6 +167,30 @@ class TestOptimalQ:
         best = optimal_q(spec, audited=True)
         assert best.q_star.q == 0.0
         assert best.rationale is Rationale.THEOREM
+
+    # a stubbed curve whose point at q = 0.37 beats the structural endpoint
+    # by twice the guard overrides it; by half the guard it does not
+    @pytest.mark.parametrize("spec", [
+        SOFT_RATIO, DIFF_SMALL,
+        make_contest(family="jia-ratio", v1=1.0, v2=2.0, q=0.0, r=1.0, k=2),
+    ], ids=["ratio", "diff", "ratio-swapped"])
+    @pytest.mark.parametrize("margin,rationale", [(2.0, Rationale.NUMERIC),
+                                                  (0.5, Rationale.THEOREM)])
+    def test_interior_point_beyond_the_guard_overrides_the_endpoint(
+            self, monkeypatch, spec, margin, rationale):
+        def bumped(spec, qs, **kwargs):
+            lanes = solve_lanes(spec, qs, **kwargs)
+            end = lanes.x1 + lanes.x2
+            end = float(end[-1] if spec.valuations.swapped else end[0])
+            x1 = lanes.x1.copy()
+            x1[37] = end - lanes.x2[37] + margin * OPTIMAL_IMPROVEMENT_GUARD * (1.0 + end)
+            return dataclasses.replace(lanes, x1=x1)
+
+        monkeypatch.setattr(designer_mod, "solve_lanes", bumped)
+        best = optimal_q(spec)
+        assert best.rationale is rationale
+        structural = 1.0 if spec.valuations.swapped else 0.0
+        assert best.q_star.q == (0.37 if rationale is Rationale.NUMERIC else structural)
 
     def test_concave_search_matches_known_boundary_solution(self):
         spec = make_contest(family="blavatskyy-power", v1=4.0, v2=4.0, q=0.0, r=0.5)

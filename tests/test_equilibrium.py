@@ -291,15 +291,15 @@ class TestConcaveSolver:
                     math.log(1.0 - q) if q < 1.0 else -math.inf,
                     math.log(q) if q > 0.0 else -math.inf)
             for g in [(0.3, -0.8), (-2.0, 1.5), (-9.0, -0.1)]:
-                _, jac, _ = _log_impact_foc(*g, *args)
+                jac = _log_impact_foc(*g, *args)[2:6]
                 numeric = []
                 for i in range(2):
                     up = list(g)
                     down = list(g)
                     up[i] += h
                     down[i] -= h
-                    g_up = _log_impact_foc(*up, *args)[0]
-                    g_down = _log_impact_foc(*down, *args)[0]
+                    g_up = _log_impact_foc(*up, *args)[:2]
+                    g_down = _log_impact_foc(*down, *args)[:2]
                     numeric.append([(a - b) / (2.0 * h) for a, b in zip(g_up, g_down)])
                 fd = (numeric[0][0], numeric[1][0], numeric[0][1], numeric[1][1])
                 assert max_rel_err(fd, jac) <= FD_REL_TOL, (r, q, g)
@@ -307,8 +307,11 @@ class TestConcaveSolver:
     def test_exhausted_iteration_budget_raises(self, monkeypatch):
         csf = make_family("blavatskyy-power", r=0.5)
         monkeypatch.setattr(equilibrium_mod, "MAX_ITERATIONS", 1)
-        with pytest.raises(ConvergenceError, match="residual"):
+        with pytest.raises(ConvergenceError, match="residual") as scalar:
             solve_at(csf, (4.0, 4.0), 0.5)
+        with pytest.raises(ConvergenceError) as lane:
+            solve_many(make_contest("blavatskyy-power", v1=4.0, v2=4.0, q=0.5, r=0.5), [0.5])
+        assert str(lane.value) == str(scalar.value)
 
 
 class TestDispatch:

@@ -240,6 +240,12 @@ class TestVerify:
         report = verify(TULLOCK, (0.25, 0.25), GridSpec(x_max=1.0, steps=101))
         assert any("zero" in note for note in report.notes)
 
+    def test_no_exact_grid_equilibrium_is_noted(self):
+        spec = make_contest(family="jia-ratio", v1=2.0, v2=0.5, q=0.3, r=1.0, k=2)
+        report = verify(spec, solve(spec), GridSpec.for_contest(spec, steps=11))
+        assert report.nearest_nash is None and report.nash_distance is None
+        assert "no exact grid equilibrium exists at this resolution" in report.notes
+
     def test_bands_shrink_linearly_with_step(self):
         """The acceptance band is slope-bound times step, so halving the step
         should halve the band (within slack) while the loss stays zero."""
