@@ -255,6 +255,7 @@ def _cmd_expected(args) -> int:
 def _cmd_audit(args) -> int:
     if args.spec is not None:
         spec = _spec_from_args(args, need_q=False)
+        _maybe_emit_spec(args, spec)
         csf, v1 = spec.csf, spec.valuations.v1
     else:
         if args.family is None:

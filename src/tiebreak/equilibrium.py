@@ -261,8 +261,9 @@ def _ratio_lanes(csf, vals, q_user, q_int):
     return x1, x2, beta, (r1, r2), np.zeros(q_int.size, dtype=bool), SolveMethod.CLOSED_FORM, errors
 
 
-def _safeguarded_root(fdf, lo: float, hi: float, budget: int) -> tuple[float, float]:
-    """Root of f on a bracket with f(lo) <= 0 < f(hi), given fdf(x) = (f, f').
+def _safeguarded_root(fdf, lo: float, hi: float, budget: int, at_lo=None) -> tuple[float, float]:
+    """Root of f on a bracket with f(lo) <= 0 < f(hi), given fdf(x) = (f, f')
+    and, when the caller has it, at_lo = fdf(lo).
 
     Newton steps while they land strictly inside the bracket and shrink at
     least as fast as bisection, bisection otherwise (`rtsafe`, Numerical
@@ -272,7 +273,7 @@ def _safeguarded_root(fdf, lo: float, hi: float, budget: int) -> tuple[float, fl
     """
     x = lo
     step_old = step = hi - lo
-    fx, dfx = fdf(x)
+    fx, dfx = at_lo or fdf(x)
     for _ in range(budget):
         if fx == 0.0:
             break
@@ -347,15 +348,15 @@ def _gap_root(csf, gap: float, q_int: float) -> float:
         zp, zpp = csf._zslopes(theta, q_int)
         return theta - gap * float(zp), 1.0 - gap * float(zpp)
 
-    lo, hi = 0.0, 1.0
+    lo, hi, at_lo = 0.0, 1.0, None
     for _ in range(BRACKET_EXPANSIONS):
-        if fdf(hi)[0] > 0.0:
+        if (at_hi := fdf(hi))[0] > 0.0:
             break
-        lo, hi = hi, 2.0 * hi
+        lo, hi, at_lo = hi, 2.0 * hi, at_hi
     else:
         raise _unbracketed(hi)
 
-    root, resid = _safeguarded_root(fdf, lo, hi, MAX_ITERATIONS)
+    root, resid = _safeguarded_root(fdf, lo, hi, MAX_ITERATIONS, at_lo)
     limit = BETA_RESIDUAL * max(1.0, gap)
     if not abs(resid) <= limit:
         raise _gap_residual(resid, limit)
@@ -429,13 +430,15 @@ def _concave_marginal(csf, prize: float, own_q: float, own: float, other: float)
     nothing (rival impact + 1 - own tie share is zero), +inf for exponents
     below one, and the finite linear-impact expression otherwise.
     """
-    f_other = float(csf._impact(other))
+    r = csf.r  # one NumPy call per exponent: a scalar one takes the lanes' fast paths (0.5: sqrt)
+    f_other, f_own = np.power((other, own), r).tolist()
     press = f_other + (1.0 - own_q)
     if press <= 0.0:
         return -1.0
-    if own > 0.0:
-        return prize * float(csf._win_d1(own, other, own_q)) - 1.0
-    if csf.r < 1.0:
+    if own > 0.0:  # `_win_d1` on Python floats
+        total = f_own + f_other + 1.0
+        return prize * (r * float(np.power(own, r - 1.0)) * press / total / total) - 1.0
+    if r < 1.0:
         return math.inf
     total = f_other + 1.0
     return prize * press / (total * total) - 1.0

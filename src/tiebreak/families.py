@@ -31,7 +31,8 @@ scalar inputs: they check their arguments, then call one private kernel
 (`_triple`, `_zp`, `_zslopes`; `_impact`, `_impact_prime`, `_win_d1`) that
 assumes checked input.  The solvers and audits check once on entry and call
 only kernels, which take arrays or Python floats and give a float the bits
-of a one-element array (Vesperoni ratio powers u^k go through NumPy for it).
+of a one-element array: a scalar solve's kernel evaluation makes one NumPy call
+per group of powers or exponentials and stays on Python floats otherwise.
 
 Evaluations are numerically stabilized.  Difference-form families touch
 exponentials only through e^(-|theta|) and logistic ratios, so theta up to
@@ -414,22 +415,24 @@ class VesperoniDiff(DiffCsf):
         object.__setattr__(self, "k", _check_param("k", self.k, 1.0, True, None, self.name))
 
     def _shares(self, th):
-        return _logistic_shares(th, 1.0, complements=False)
+        """(s, sb, s^k, sb^k); a float pair takes one `np.power` call and stays on Python floats."""
+        s, sb = _logistic_shares(th, 1.0, complements=False)
+        if isinstance(s, float):
+            return (s, sb, *np.power((s, sb), self.k).tolist())
+        return s, sb, np.power(s, self.k), np.power(sb, self.k)
 
     def _triple(self, th, shares=None):
-        s, sb = shares or self._shares(th)
-        pk, pm = np.power(s, self.k), np.power(sb, self.k)
+        _, _, pk, pm = shares or self._shares(th)
         return pk, pm, 1.0 - pk - pm
 
     def _zp(self, th, qv):
-        s, sb = self._shares(th)
-        k = self.k
-        return k * ((1.0 - qv) * np.power(s, k) * sb + qv * s * np.power(sb, k))
+        s, sb, pk, pm = self._shares(th)
+        return self.k * ((1.0 - qv) * pk * sb + qv * s * pm)
 
     def _zslopes(self, th, qv, shares=None):
-        s, sb = shares or self._shares(th)
+        s, sb, pk, pm = shares or self._shares(th)
         k = self.k
-        lead, trail = (1.0 - qv) * np.power(s, k) * sb, qv * s * np.power(sb, k)
+        lead, trail = (1.0 - qv) * pk * sb, qv * s * pm
         return k * (lead + trail), k * (lead * (k * sb - s) + trail * (sb - k * s))
 
 

@@ -11,6 +11,7 @@ import math
 import re
 import sys
 
+import numpy as np
 import pytest
 
 from tiebreak import (
@@ -32,7 +33,7 @@ from tiebreak import (
     verify,
 )
 from tiebreak.audit import audit_family
-from tiebreak.equilibrium import solve_lanes
+from tiebreak.equilibrium import _concave_marginal, _concave_marginals, solve_lanes
 
 from helpers import case_id
 
@@ -176,6 +177,43 @@ def test_every_route_returns_builtin_floats(route, name, params, strong, weak, q
     _assert_builtin_fields(lane, corner)
     if route == "diff":
         assert type(solve_beta(spec.csf, (v1, v2), q)) is float
+
+
+KERNEL_THETAS = (-700.0, -36.0, -1.5, -1e-9, 0.0, 1e-9, 0.3, 1.5, 36.0, 700.0)
+KERNEL_EFFORTS = (0.0, 1e-300, 1e-150, 1e-20, 0.3, 1.0, 7.0, 1e20, 1e150, 1e300)
+
+
+def _assert_lane_bits(scalars, lanes):
+    """Each scalar result is a builtin float with the bits of its one-element lane."""
+    for scalar, lane in zip(scalars, lanes, strict=True):
+        assert type(scalar) is float
+        assert scalar.hex() == float(lane[0]).hex()
+
+
+@pytest.mark.parametrize("k", [1.0, 2.0, 2.5, 1e9])
+@pytest.mark.parametrize("theta", KERNEL_THETAS)
+def test_vesperoni_diff_float_kernels_keep_the_array_bits(k, theta):
+    csf, lane = make_family("vesperoni-diff", k=k), np.array([theta])
+    _assert_lane_bits(csf._triple(theta), csf._triple(lane))
+    for q in (0.0, 0.3, 1.0):
+        _assert_lane_bits((csf._zp(theta, q),), (csf._zp(lane, q),))
+        _assert_lane_bits(csf._zslopes(theta, q), csf._zslopes(lane, q))
+        _assert_lane_bits(csf._slopes_and_tie(theta, q), csf._slopes_and_tie(lane, q))
+
+
+# r = 0.5: NumPy takes x^0.5 with a scalar exponent as a square root, whose
+# last bit can differ from pow's, so the scalar route must keep that dispatch
+@pytest.mark.parametrize("r", [0.01, 0.3, 0.5, 0.9, 0.999])
+@pytest.mark.parametrize("prize", [1.7, 1e6])
+def test_concave_float_marginal_keeps_the_lane_bits(r, prize):
+    csf = make_family("blavatskyy-power", r=r)
+    for own in KERNEL_EFFORTS:
+        for other in KERNEL_EFFORTS:
+            for own_q in (0.0, 0.4, 1.0):
+                scalar = _concave_marginal(csf, prize, own_q, own, other)
+                lane = _concave_marginals(csf, prize, np.array([own_q]),
+                                          np.array([own]), np.array([other]))
+                _assert_lane_bits((scalar,), (lane,))
 
 
 # ------------------------------------------------------------ the boundary

@@ -180,6 +180,15 @@ class TestAuditCommand:
     def test_diff_audit_requires_prize(self, capsys):
         assert run(["audit", "--family", "jia-diff", "--k", "2"]) == EXIT_INVALID
 
+    @pytest.mark.parametrize("source", ["inline", "spec"])
+    def test_emit_spec_from_either_source(self, capsys, tmp_path, source):
+        path, copy = tmp_path / "contest.json", tmp_path / "copy.json"
+        run(["solve", *SHARP, "--emit-spec", str(path)])
+        capsys.readouterr()
+        argv = SHARP if source == "inline" else ["--spec", str(path)]
+        assert run(["audit", *argv, "--emit-spec", str(copy)]) == EXIT_OK
+        assert copy.read_text() == path.read_text()
+
     @pytest.mark.parametrize("family", [
         ["--family", "jia-ratio", "--r", "1", "--k", "2"],
         ["--family", "jia-diff", "--k", "2", "--v1", "1"],

@@ -100,6 +100,25 @@ def test_batch_lane_solves_at_machine_residual_or_holds_typed_error(entry):
     assert relative_residual(spec, eq) <= RESIDUAL_BOUND
 
 
+def test_gap_root_evaluates_no_theta_twice(monkeypatch):
+    """The bracket hands its last f and f' at lo to the root finder: the
+    prize-1e12 solve makes 18 kernel evaluations, each at its own theta, and
+    keeps the efforts it had when lo was evaluated twice (19 evaluations)."""
+    kernel, thetas = tiebreak.VesperoniDiff._zslopes, []
+
+    def counted(self, th, qv, shares=None):
+        thetas.append(th)
+        return kernel(self, th, qv, shares)
+
+    monkeypatch.setattr(tiebreak.VesperoniDiff, "_zslopes", counted)
+    _, family, params, v1, v2, q = next(
+        entry for entry in HARD_CORPUS if entry[0] == "vesperoni-diff-prize-1e12")
+    eq = solve(make_contest(family, v1=v1, v2=v2, q=q, **params))
+    assert len(thetas) == 18
+    assert len(set(thetas)) == 18
+    assert (eq.x1.hex(), eq.x2.hex()) == ("0x1.86f5c72dcb5efp+4", "0x1.addd7a0b286aap-36")
+
+
 # Forced ratio contests (closed-form precondition violated) at whose prize
 # ratio theta^r overflows to inf: the share u = t / (1 + t) must take its
 # limit 1, not inf / inf = nan, so the slope is 0 and the closed form's
