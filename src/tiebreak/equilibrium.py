@@ -10,17 +10,18 @@ by Newton's method with backtracking in log-impact coordinates
 g_i = log(x_i^r).
 
 `solve(spec)` is the one way in for one tie rule, `solve_lanes(spec, qs)`
-for many.  Both run one prologue: it checks family kind, cost and
-closed-form precondition once, orients the labels (strongest prize first,
-player 2's tie share 1 - q) and picks the family kind's pair of routes in
-`_ROUTES`.  The scalar route runs float loops, cheaper for one tie rule than
-array code; the lane route runs the same closed forms, steps, stop rules and
-errors vectorized over q, one lane per tie rule, each iterative lane
-retiring on its own, and returns arrays (`Lanes`) with each failing lane's
-error.  Both report in the caller's labels, and `_equilibrium` turns either
-into an `Equilibrium`.  Routes call only the families' unchecked kernels.
-`solve_beta` is the one raw-input helper, the effort-gap root of a
-difference-form contest.
+for many.  Each runs one prologue: it checks family kind, cost, closed-form
+precondition and a ratio form's prize ratio once, orients the labels
+(strongest prize first, player 2's tie share 1 - q) and picks the family
+kind's routes in `_ROUTES`.  Routes solve stronger-player-first: the scalar
+route in float loops, cheaper for one tie rule than array code, the lane route
+in the same closed forms, steps, stop rules and errors vectorized over q, one
+lane per tie rule, each iterative lane retiring on its own.  One epilogue per
+entry point maps the efforts to the caller's labels, evaluates the first-order
+residuals there and gates iterative solves: `solve` returns an `Equilibrium`,
+`solve_lanes` arrays (`Lanes`) with each failing lane's error.  Routes call
+only the families' unchecked kernels.  `solve_beta` is the one raw-input
+helper, the effort-gap root of a difference-form contest.
 
 Every solver returns an `Equilibrium` carrying per-player first-order
 residuals evaluated at the returned profile, corner flags, and any warnings
@@ -125,9 +126,10 @@ def _equilibrium(x1: float, x2: float, beta, residuals, cornered: bool, method: 
 class Lanes:
     """One contest at the tie rules `q`, one array entry per lane.
 
-    Fields are those a scalar route returns, in the caller's labels (`beta`
-    None for concave contests); `errors` maps each failing lane, whose
-    entries mean nothing, to its scalar solve's error.
+    The lane route solves stronger-player-first; `solve_lanes`'s one epilogue
+    maps its efforts to the caller's labels, evaluates the residuals there and
+    gates iterative lanes (`beta` None for concave contests).  `errors` maps
+    each failing lane, whose entries mean nothing, to its scalar solve's error.
     """
 
     q: np.ndarray
@@ -193,13 +195,9 @@ def _no_axis_equilibrium(b1: float, b2: float) -> NoEquilibriumError:
                               f"(single-entrant responses {b1} and {b2})")
 
 
-def _ratio_slope(csf, vals: Valuations, q_int):
-    """z_q'(beta) at the prize ratio beta = v1/v2, for one internal tie share
-    or an array of lanes; a prize ratio beyond double precision has none."""
-    if vals.beta == math.inf:
-        raise DomainError(f"the ratio of prizes {_user_order(vals, vals.v1, vals.v2)} "
-                          "overflows double precision")
-    return csf._zp(vals.beta, q_int)
+def _converged(r1, r2):
+    """Both residuals within `ITERATIVE_RESIDUAL`, for one tie rule or an array of lanes."""
+    return (abs(r1) <= ITERATIVE_RESIDUAL) & (abs(r2) <= ITERATIVE_RESIDUAL)
 
 
 def _reordered(first_ok, first, second):
@@ -212,53 +210,46 @@ def _reordered(first_ok, first, second):
 
 
 def _ratio_range(vals: Valuations, slope):
-    """(underflow, overflow, strong effort) of a ratio closed form at slope
-    z_q'(beta), for one tie rule or an array of lanes: a subnormal slope or
-    weak effort has too few bits for a rounding-level residual, and the strong
-    effort v1 * beta * slope, formed as v1 * (beta * slope) where that order
-    overflows, can overflow at finite prizes."""
+    """(underflow, overflow, strong effort, weak effort) of a ratio closed form
+    at slope z_q'(beta), for one tie rule or an array of lanes: a subnormal
+    slope or weak effort has too few bits for a rounding-level residual, and
+    the strong effort v1 * beta * slope, formed as v1 * (beta * slope) where
+    that order overflows, can overflow at finite prizes."""
     strong = vals.v1 * vals.beta * slope
     strong = _reordered(strong != math.inf, strong, lambda: vals.v1 * (vals.beta * slope))
-    return (slope < _TINY) | (vals.v2 * vals.beta * slope < _TINY), strong == math.inf, strong
+    weak = vals.v2 * vals.beta * slope
+    return (slope < _TINY) | (weak < _TINY), strong == math.inf, strong, weak
 
 
-def _ratio_closed_form(csf, vals: Valuations, q_user, slope, strong):
-    """Efforts, their ratio and first-order residuals in the caller's labels,
-    from the slope z_q'(beta) at beta = v1/v2 and the strong effort; one tie
-    rule or an array of lanes.  Player 2's marginal benefit v2 * z' * theta is
-    formed as v2 * (z' * theta) where v2 * z' leaves the normal range."""
-    x1, x2 = _user_order(vals, strong, vals.v2 * vals.beta * slope)
-    theta = x1 / x2
-    v1u, v2u = _user_order(vals, vals.v1, vals.v2)
-    zp = csf._zp(theta, q_user)
-    head = v2u * zp
-    r2 = _reordered((head >= _TINY) & (head * theta != math.inf), head * theta / x2 - 1.0,
-                    lambda: v2u * (zp * theta) / x2 - 1.0)
-    return x1, x2, theta, v1u * zp / x2 - 1.0, r2
-
-
-def _solve_ratio(csf, vals, q_user, q_int):
+def _solve_ratio(csf, vals, q_int):
     """Closed-form equilibrium of a ratio-form contest with linear cost: both
     players exert prize * beta * z_q'(beta) at beta = v1/v2."""
-    slope = float(_ratio_slope(csf, vals, q_int))
-    underflow, overflow, strong = _ratio_range(vals, slope)
+    slope = float(csf._zp(vals.beta, q_int))
+    underflow, overflow, strong, weak = _ratio_range(vals, slope)
     if underflow or overflow:
         raise _ratio_range_error(slope, underflow)
-    x1, x2, theta, r1, r2 = map(float, _ratio_closed_form(csf, vals, q_user, slope, strong))
-    return x1, x2, theta, (r1, r2), False, SolveMethod.CLOSED_FORM
+    return strong, weak, False, SolveMethod.CLOSED_FORM
 
 
-def _ratio_lanes(csf, vals, q_user, q_int):
-    slope = _ratio_slope(csf, vals, q_int)
-    x1, x2, beta, r1, r2 = out = np.ones((5, q_int.size))
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow tests and unused orders overflow
-        underflow, overflow, strong = _ratio_range(vals, slope)
-        ok = ~(underflow | overflow)
-        # a failed lane's efforts can overflow: only the others take the closed form
-        out[:, ok] = _ratio_closed_form(csf, vals, q_user[ok], slope[ok], strong[ok])
+def _ratio_lanes(csf, vals, q_int):
+    slope = csf._zp(vals.beta, q_int)
+    with np.errstate(over="ignore", invalid="ignore"):  # a failing lane's efforts overflow
+        underflow, overflow, strong, weak = _ratio_range(vals, slope)
     errors = {int(i): _ratio_range_error(float(slope[i]), underflow[i])
-              for i in np.flatnonzero(~ok)}
-    return x1, x2, beta, (r1, r2), np.zeros(q_int.size, dtype=bool), SolveMethod.CLOSED_FORM, errors
+              for i in np.flatnonzero(underflow | overflow)}
+    return strong, weak, np.zeros(q_int.size, dtype=bool), SolveMethod.CLOSED_FORM, errors
+
+
+def _ratio_residuals(csf, v1, v2, q, x1, x2):
+    """Effort ratio and first-order residuals in the caller's labels, for one
+    tie rule or an array of lanes.  Player 2's marginal benefit v2 * z' * theta
+    is formed as v2 * (z' * theta) where v2 * z' leaves the normal range."""
+    theta = x1 / x2
+    zp = csf._zp(theta, q)
+    head = v2 * zp
+    r2 = _reordered((head >= _TINY) & (head * theta != math.inf), head * theta / x2 - 1.0,
+                    lambda: v2 * (zp * theta) / x2 - 1.0)
+    return theta, v1 * zp / x2 - 1.0, r2
 
 
 def _safeguarded_root(fdf, lo: float, hi: float, budget: int, at_lo=None) -> tuple[float, float]:
@@ -396,31 +387,27 @@ def _gap_roots(csf, gap: float, q_int: np.ndarray):
     return roots, errors
 
 
-def _diff_closed_form(csf, vals: Valuations, q_user, q_int, gap):
-    """Efforts, their gap and first-order residuals in the caller's labels,
-    from the equilibrium gap of the stronger player; one tie rule or an array
-    of lanes.  Each effort is prize * z_q'(gap)."""
-    slope = csf._zp(gap, q_int)
-    x1, x2 = _user_order(vals, vals.v1 * slope, vals.v2 * slope)
-    theta = x1 - x2
-    v1u, v2u = _user_order(vals, vals.v1, vals.v2)
-    zp = csf._zp(theta, q_user)
-    return x1, x2, theta, v1u * zp - x1, v2u * zp - x2
-
-
-def _solve_diff(csf, vals, q_user, q_int):
+def _solve_diff(csf, vals, q_int):
     """Equilibrium of a difference-form contest with quadratic cost: each
     effort is prize * z_q'(gap) at the equilibrium gap from `_gap_root`, so
     the first-order conditions are exactly v_i * z_q'(gap) = x_i."""
-    gap = _gap_root(csf, vals.v1 - vals.v2, q_int)
-    x1, x2, theta, r1, r2 = map(float, _diff_closed_form(csf, vals, q_user, q_int, gap))
-    return x1, x2, theta, (r1, r2), False, SolveMethod.ROOT_FIND
+    slope = csf._zp(_gap_root(csf, vals.v1 - vals.v2, q_int), q_int)
+    return vals.v1 * slope, vals.v2 * slope, False, SolveMethod.ROOT_FIND
 
 
-def _diff_lanes(csf, vals, q_user, q_int):
-    gap, errors = _gap_roots(csf, vals.v1 - vals.v2, q_int)  # a failed lane's gap is finite
-    x1, x2, beta, r1, r2 = _diff_closed_form(csf, vals, q_user, q_int, gap)
-    return x1, x2, beta, (r1, r2), np.zeros(q_int.size, dtype=bool), SolveMethod.ROOT_FIND, errors
+def _diff_lanes(csf, vals, q_int):
+    gap, errors = _gap_roots(csf, vals.v1 - vals.v2, q_int)
+    slope = csf._zp(gap, q_int)
+    return (vals.v1 * slope, vals.v2 * slope, np.zeros(q_int.size, dtype=bool),
+            SolveMethod.ROOT_FIND, errors)
+
+
+def _diff_residuals(csf, v1, v2, q, x1, x2):
+    """Effort gap and first-order residuals v_i * z_q'(gap) - x_i in the
+    caller's labels, for one tie rule or an array of lanes."""
+    theta = x1 - x2
+    zp = csf._zp(theta, q)
+    return theta, v1 * zp - x1, v2 * zp - x2
 
 
 def _concave_marginal(csf, prize: float, own_q: float, own: float, other: float) -> float:
@@ -450,8 +437,10 @@ def _concave_marginals(csf, prize: float, own_q, own, other):
     press = f_other + (1.0 - own_q)
     out = np.full(own.shape, -1.0)
     moving = (press > 0.0) & (own > 0.0)
-    if moving.any():
-        out[moving] = prize * csf._win_d1(own[moving], other[moving], own_q[moving]) - 1.0
+    if moving.any():  # `_win_d1`'s operation order, from the rival impact and press at hand
+        x = own[moving]
+        total = csf._impact(x) + f_other[moving] + 1.0
+        out[moving] = prize * (csf._impact_prime(x) * press[moving] / total / total) - 1.0
     at_zero = (press > 0.0) & ~(own > 0.0)
     if csf.r < 1.0:
         out[at_zero] = math.inf
@@ -637,7 +626,7 @@ def total_effort_slope(spec: ContestSpec, q: float, x1: float, x2: float,
     return -slope if vals.swapped else slope
 
 
-def _solve_concave(csf, vals, q_user, q_int):
+def _solve_concave(csf, vals, q_int):
     """Equilibrium of a concave-impact contest with linear cost.
 
     Linear impact admits a closed form: the classic lottery efforts shifted
@@ -645,72 +634,53 @@ def _solve_concave(csf, vals, q_user, q_int):
     negative, the axis profiles are tested in closed form and the first
     mutual best response is returned (otherwise `NoEquilibriumError`).
     Concave impact with exponent below one keeps both players active; the
-    Newton solution in log-impact coordinates is accepted only if both
-    effort-space residuals are within `ITERATIVE_RESIDUAL` and no effort
-    underflows double precision (otherwise `ConvergenceError`).
+    Newton solution in log-impact coordinates raises `ConvergenceError` if an
+    effort underflows double precision, and the epilogue accepts it only if
+    both effort-space residuals are within `ITERATIVE_RESIDUAL`.
     """
     v1, v2 = vals.v1, vals.v2
-    cornered = False
-    if csf.r == 1.0:
-        x1i, x2i = _lottery_interior(v1, v2, q_int)
-        method = SolveMethod.CLOSED_FORM
-        if not (x1i >= 0.0 and x2i >= 0.0):
-            x1i, x2i = _lottery_corner(csf, v1, v2, q_int)
-            cornered = True
-    else:
-        x1i, x2i = _concave_newton(csf, v1, v2, q_int)
-        method = SolveMethod.FOC_SOLVE
-
-    r1i = _concave_marginal(csf, v1, q_int, x1i, x2i)
-    r2i = _concave_marginal(csf, v2, 1.0 - q_int, x2i, x1i)
-    tol = ITERATIVE_RESIDUAL
-    if csf.r < 1.0 and not (abs(r1i) <= tol and abs(r2i) <= tol):
-        raise _newton_residual(x1i, x2i, r1i, r2i)
-    return (*_user_order(vals, x1i, x2i), None, _user_order(vals, r1i, r2i), cornered, method)
-
-
-def _concave_lanes(csf, vals, q_user, q_int):
-    v1, v2 = vals.v1, vals.v2
-    n = q_int.size
-    errors: dict[int, ContestError] = {}
-    cornered = np.zeros(n, dtype=bool)
-    if csf.r == 1.0:
-        x1i, x2i = _lottery_interior(v1, v2, q_int)
-        cornered = ~((x1i >= 0.0) & (x2i >= 0.0))
-        at = np.flatnonzero(cornered)
-        x1i[at], x2i[at], corner_errors = _lottery_corners(csf, v1, v2, q_int[at])
-        errors = {int(at[j]): exc for j, exc in corner_errors.items()}
-        method = SolveMethod.CLOSED_FORM
-    else:
-        g1, g2 = _concave_newtons(csf, v1, v2, q_int)
-        x1i, x2i = np.exp(g1 / csf.r), np.exp(g2 / csf.r)
-        for i in np.flatnonzero(np.minimum(x1i, x2i) < _TINY):
-            errors[int(i)] = _effort_underflow(float(g1[i]), float(g2[i]), csf.r)
-        method = SolveMethod.FOC_SOLVE
-
-    failed = np.zeros(n, dtype=bool)
-    failed[list(errors)] = True
-    # a failed lane takes efforts (1, 1), which keep its unused residuals finite
-    x1i, x2i = np.where(failed, 1.0, x1i), np.where(failed, 1.0, x2i)
-    r1i = _concave_marginals(csf, v1, q_int, x1i, x2i)
-    r2i = _concave_marginals(csf, v2, 1.0 - q_int, x2i, x1i)
     if csf.r < 1.0:
-        tol = ITERATIVE_RESIDUAL
-        for i in np.flatnonzero(~failed & ~((np.abs(r1i) <= tol) & (np.abs(r2i) <= tol))):
-            errors[int(i)] = _newton_residual(
-                float(x1i[i]), float(x2i[i]), float(r1i[i]), float(r2i[i]))
-    return (*_user_order(vals, x1i, x2i), None, _user_order(vals, r1i, r2i), cornered,
-            method, errors)
+        return (*_concave_newton(csf, v1, v2, q_int), False, SolveMethod.FOC_SOLVE)
+    x1, x2 = _lottery_interior(v1, v2, q_int)
+    if x1 >= 0.0 and x2 >= 0.0:
+        return x1, x2, False, SolveMethod.CLOSED_FORM
+    return (*_lottery_corner(csf, v1, v2, q_int), True, SolveMethod.CLOSED_FORM)
 
 
-# (scalar route, lane route) per family kind.  Both take (csf, vals, q_user,
-# q_int) and return (x1, x2, beta, residuals, cornered, method) in the
-# caller's labels; the lane route returns arrays and, last, its failing lanes'
-# errors.
+def _concave_lanes(csf, vals, q_int):
+    v1, v2 = vals.v1, vals.v2
+    if csf.r < 1.0:
+        g1, g2 = _concave_newtons(csf, v1, v2, q_int)
+        x1, x2 = np.exp(g1 / csf.r), np.exp(g2 / csf.r)
+        errors = {int(i): _effort_underflow(float(g1[i]), float(g2[i]), csf.r)
+                  for i in np.flatnonzero(np.minimum(x1, x2) < _TINY)}
+        return x1, x2, np.zeros(q_int.size, dtype=bool), SolveMethod.FOC_SOLVE, errors
+    x1, x2 = _lottery_interior(v1, v2, q_int)
+    cornered = ~((x1 >= 0.0) & (x2 >= 0.0))
+    at = np.flatnonzero(cornered)
+    x1[at], x2[at], errors = _lottery_corners(csf, v1, v2, q_int[at])
+    return x1, x2, cornered, SolveMethod.CLOSED_FORM, {int(at[j]): e for j, e in errors.items()}
+
+
+def _concave_residuals(csf, v1, v2, q, x1, x2):
+    """No effort ratio or gap, and each player's payoff slope in own effort,
+    in the caller's labels; one tie rule or an array of lanes."""
+    marginal = _concave_marginal if isinstance(x1, float) else _concave_marginals
+    return None, marginal(csf, v1, q, x1, x2), marginal(csf, v2, 1.0 - q, x2, x1)
+
+
+# (scalar route, lane route, residuals) per family kind.  Routes solve
+# stronger-player-first: they take (csf, vals, q_int) and return the stronger
+# and the weaker player's efforts, the cornered flag and the method; the lane
+# route returns arrays and, last, its failing lanes' errors.  The residuals
+# take (csf, v1, v2, q, x1, x2) in the caller's labels, for one tie rule or
+# lanes, and return (beta, r1, r2).  One epilogue per entry point (`solve`,
+# `solve_lanes`) maps the labels, evaluates the residuals and gates iterative
+# solves.
 _ROUTES = {
-    "ratio": (_solve_ratio, _ratio_lanes),
-    "diff": (_solve_diff, _diff_lanes),
-    "concave": (_solve_concave, _concave_lanes),
+    "ratio": (_solve_ratio, _ratio_lanes, _ratio_residuals),
+    "diff": (_solve_diff, _diff_lanes, _diff_residuals),
+    "concave": (_solve_concave, _concave_lanes, _concave_residuals),
 }
 
 
@@ -739,6 +709,8 @@ def _prologue(spec: ContestSpec, q_user, force: bool, audited: bool):
     if not audited:
         warnings += (UNCHECKED_ASSUMPTIONS_WARNING,)
     vals = spec.valuations
+    if kind == "ratio" and vals.beta == math.inf:
+        raise DomainError(f"the ratio of prizes {(spec.v1, spec.v2)} overflows double precision")
     return _ROUTES[kind], vals, 1.0 - q_user if vals.swapped else q_user, warnings
 
 
@@ -751,8 +723,13 @@ def solve(spec: ContestSpec, *, force: bool = False, audited: bool = False) -> E
     A ratio family outside its closed-form precondition raises unless
     `force` is given, in which case a warning is attached instead.
     """
-    (route, _), vals, q_int, warnings = _prologue(spec, spec.q, force, audited)
-    return _equilibrium(*route(spec.csf, vals, spec.q, q_int), warnings)
+    (route, _, residuals), vals, q_int, warnings = _prologue(spec, spec.q, force, audited)
+    strong, weak, cornered, method = route(spec.csf, vals, q_int)
+    x1, x2 = _user_order(vals, strong, weak)
+    beta, r1, r2 = residuals(spec.csf, spec.v1, spec.v2, spec.q, x1, x2)
+    if method is SolveMethod.FOC_SOLVE and not _converged(r1, r2):
+        raise _newton_residual(x1, x2, r1, r2)
+    return _equilibrium(x1, x2, beta, (r1, r2), cornered, method, warnings)
 
 
 def solve_lanes(spec: ContestSpec, qs, *, force: bool, audited: bool) -> Lanes:
@@ -760,16 +737,26 @@ def solve_lanes(spec: ContestSpec, qs, *, force: bool, audited: bool) -> Lanes:
 
     A lane fails with its scalar solve's error, the `Equilibrium` check on
     its efforts included.  Errors that hold at every q (malformed `qs`,
-    family kind, cost, closed-form precondition) are raised at once.
+    family kind, cost, closed-form precondition, a ratio form's prize ratio)
+    are raised at once.
     """
     q_user = q_array(qs)
     if q_user.ndim != 1:
         raise ValidationError(f"qs must be one-dimensional, got shape {q_user.shape}")
-    (_, route), vals, q_int, warnings = _prologue(spec, q_user, force, audited)
-    x1, x2, beta, residuals, cornered, method, errors = route(spec.csf, vals, q_user, q_int)
+    (_, route, residuals), vals, q_int, warnings = _prologue(spec, q_user, force, audited)
+    strong, weak, cornered, method, errors = route(spec.csf, vals, q_int)
+    failed = np.zeros(q_user.size, dtype=bool)
+    failed[list(errors)] = True
+    # a failed lane takes efforts (1, 1), which keep its unused residuals finite
+    x1, x2 = _user_order(vals, np.where(failed, 1.0, strong), np.where(failed, 1.0, weak))
+    with np.errstate(over="ignore", invalid="ignore"):  # a ratio product's unused order overflows
+        beta, r1, r2 = residuals(spec.csf, spec.v1, spec.v2, q_user, x1, x2)
+    if method is SolveMethod.FOC_SOLVE:
+        for i in np.flatnonzero(~failed & ~_converged(r1, r2)):
+            errors[int(i)] = _newton_residual(float(x1[i]), float(x2[i]), float(r1[i]), float(r2[i]))
     for i in np.flatnonzero(~((x1 >= 0.0) & (x2 >= 0.0))):
         errors.setdefault(int(i), _negative_efforts(float(x1[i]), float(x2[i])))
-    return Lanes(q_user, x1, x2, beta, residuals, cornered, method, warnings, errors)
+    return Lanes(q_user, x1, x2, beta, (r1, r2), cornered, method, warnings, errors)
 
 
 def solve_many(spec: ContestSpec, qs, *, force: bool = False,

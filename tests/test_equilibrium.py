@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import re
 import time
 
 import numpy as np
@@ -312,6 +313,25 @@ class TestConcaveSolver:
         with pytest.raises(ConvergenceError) as lane:
             solve_many(make_contest("blavatskyy-power", v1=4.0, v2=4.0, q=0.5, r=0.5), [0.5])
         assert str(lane.value) == str(scalar.value)
+
+    def test_exhausted_budget_reports_the_callers_labels(self, monkeypatch):
+        """The last iterate and its residuals are listed in the caller's order:
+        a weak-first contest reports its strong-first mirror's pairs reversed,
+        so its weaker player 1's effort comes first."""
+        monkeypatch.setattr(equilibrium_mod, "MAX_ITERATIONS", 1)
+        pattern = re.compile(r"last iterate \((.+), (.+)\) with residuals \((.+), (.+)\)")
+        reported = {}
+        for v, q in (((1.0, 4.0), 0.25), ((4.0, 1.0), 0.75)):
+            spec = make_contest("blavatskyy-power", v1=v[0], v2=v[1], q=q, r=0.5)
+            with pytest.raises(ConvergenceError) as scalar:
+                solve(spec)
+            with pytest.raises(ConvergenceError) as lane:
+                solve_many(spec, [q])
+            assert str(lane.value) == str(scalar.value)
+            reported[v] = pattern.search(str(scalar.value)).groups()
+        x1, x2, r1, r2 = reported[(1.0, 4.0)]
+        assert (x2, x1, r2, r1) == reported[(4.0, 1.0)]
+        assert float(x1) < float(x2)
 
 
 class TestDispatch:

@@ -119,6 +119,21 @@ def test_gap_root_evaluates_no_theta_twice(monkeypatch):
     assert (eq.x1.hex(), eq.x2.hex()) == ("0x1.86f5c72dcb5efp+4", "0x1.addd7a0b286aap-36")
 
 
+def test_unbracketed_gap_root_fails_alike_in_solve_and_lanes(monkeypatch):
+    """A gap root beyond the last doubling (about 12 at prizes (1e6, 1), past 8
+    after three expansions) raises in the scalar solve and fails its lane with
+    the same text."""
+    monkeypatch.setattr(tiebreak.equilibrium, "BRACKET_EXPANSIONS", 3)
+    qs = [0.0, 0.5, 1.0]
+    spec = make_contest("jia-diff", v1=1e6, v2=1.0, q=0.0, k=2.0)
+    lanes = tiebreak.equilibrium.solve_lanes(spec, qs, force=False, audited=False)
+    assert sorted(lanes.errors) == [0, 1, 2]
+    for i, q in enumerate(qs):
+        with pytest.raises(ConvergenceError, match="could not bracket") as scalar:
+            solve(spec.with_q(q))
+        assert str(lanes.errors[i]) == str(scalar.value)
+
+
 # Forced ratio contests (closed-form precondition violated) at whose prize
 # ratio theta^r overflows to inf: the share u = t / (1 + t) must take its
 # limit 1, not inf / inf = nan, so the slope is 0 and the closed form's

@@ -7,6 +7,8 @@ objects, such as a family's kernels `csf._zp`, are not module reads.
 
 Result records also share one serializer: only `core.JsonRecord` writes a
 `to_json_dict`, apart from `EffortCurve`, whose JSON rows transpose its columns.
+And the solver routes stay label-free: only the `solve` and `solve_lanes`
+epilogues map results back to the caller's player labels.
 """
 from __future__ import annotations
 
@@ -105,3 +107,59 @@ def test_guard_sees_hand_written_serializers():
         "    return {}",
     ])
     assert serializers(source) == ["Sample"]
+
+
+# Label reads that only the `solve` and `solve_lanes` epilogues may make.
+LABEL_READS = ("swapped", "_user_order")
+
+
+def route_label_reads(source: str) -> list[str]:
+    """Each label read in a function of `_ROUTES` or a module function it names.
+
+    Routes solve stronger-player-first; reading `.swapped` or calling
+    `_user_order` there would map labels outside the one epilogue per entry point.
+    """
+    tree = ast.parse(source)
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    table = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and any(isinstance(t, ast.Name) and t.id == "_ROUTES" for t in node.targets))
+    todo = [node.id for node in ast.walk(table) if isinstance(node, ast.Name)]
+    seen, found = set(), []
+    while todo:
+        name = todo.pop()
+        if name in seen or name not in functions:
+            continue
+        seen.add(name)
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Attribute) and node.attr in LABEL_READS:
+                found.append(f"{name}: .{node.attr}")
+            elif isinstance(node, ast.Name):
+                if node.id in LABEL_READS:
+                    found.append(f"{name}: {node.id}")
+                todo.append(node.id)
+    return sorted(found)
+
+
+def test_routes_stay_label_free():
+    source = (PACKAGE / "equilibrium.py").read_text(encoding="utf-8")
+    assert route_label_reads(source) == []
+
+
+def test_guard_sees_label_reads_in_routes_and_their_helpers():
+    source = "\n".join([
+        "def _user_order(vals, a, b):",
+        "    return (b, a) if vals.swapped else (a, b)",
+        "def _helper(vals):",
+        "    return vals.swapped",
+        "def _route(csf, vals, q):",
+        "    return _helper(vals)",
+        "def _lanes(csf, vals, q):",
+        "    return _user_order(vals, 1.0, 2.0)",
+        "def _residuals(csf, v1, v2, q, x1, x2):",
+        "    return None, 0.0, 0.0",
+        "def solve(spec):",
+        "    return spec.valuations.swapped",
+        "_ROUTES = {'kind': (_route, _lanes, _residuals)}",
+    ])
+    assert route_label_reads(source) == [
+        "_helper: .swapped", "_lanes: _user_order", "_user_order: .swapped"]

@@ -238,14 +238,14 @@ class TestDesignerStaysBatched:
 
     @pytest.fixture
     def scalar_calls(self, monkeypatch):
-        """Tie rules of every scalar solve, counted at its scalar route."""
+        """Internal tie shares of every scalar solve, counted at its scalar route."""
         calls = []
-        for kind, (route, lanes) in equilibrium_mod._ROUTES.items():
-            def counting(csf, vals, q_user, q_int, route=route):
-                calls.append(q_user)
-                return route(csf, vals, q_user, q_int)
+        for kind, (route, lanes, residuals) in equilibrium_mod._ROUTES.items():
+            def counting(csf, vals, q_int, route=route):
+                calls.append(q_int)
+                return route(csf, vals, q_int)
 
-            monkeypatch.setitem(equilibrium_mod._ROUTES, kind, (counting, lanes))
+            monkeypatch.setitem(equilibrium_mod._ROUTES, kind, (counting, lanes, residuals))
         return calls
 
     @pytest.fixture
