@@ -31,6 +31,7 @@ import enum
 import functools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,16 +119,17 @@ class EffortCurve:
 
 def _certify(totals: np.ndarray) -> ShapeCertificate:
     """Shape checks of sampled totals, all extremes from one max-reduction: min(x)
-    as -max(-x), -(second difference) as steps[:-1] - steps[1:], both exact."""
+    as -max(-x), -(second difference) as twice steps[:-1] / 2 - steps[1:] / 2,
+    both exact outside the subnormal range; the dip is capped at the largest double."""
     n, steps = totals.size, totals[1:] - totals[:-1]
-    # halved before the sum, which overflows for totals near the largest double
+    # halved before the sum or difference, which overflows near the largest double
     mids = np.abs(totals[:-2] / 2.0 + totals[2:] / 2.0 - totals[1:-1])
     # segments of n - 1, n, n, n - 2 and n - 2 + 1 entries: the last 0.0 floors
     # the dip and, when n = 2, stands in for the empty last two segments
-    parts = (steps, totals, -totals, mids, steps[:-1] - steps[1:], (0.0,))
-    up_step, top, neg_low, mid_dev, dip = np.maximum.reduceat(
+    parts = (steps, totals, -totals, mids, steps[:-1] / 2.0 - steps[1:] / 2.0, (0.0,))
+    up_step, top, neg_low, mid_dev, half_dip = np.maximum.reduceat(
         np.concatenate(parts), (0, n - 1, 2 * n - 1, 3 * n - 1, 4 * n - 3)).tolist()
-    spread, dip = top - (-neg_low), max(0.0, dip)
+    spread, dip = top - (-neg_low), min(2.0 * max(0.0, half_dip), sys.float_info.max)
     return ShapeCertificate(
         monotone_decreasing=ShapeCheck(holds=up_step <= MONOTONE_SLACK,
                                        violation=max(0.0, up_step)),

@@ -9,19 +9,21 @@ conditions directly: analytically when the impact is linear, and otherwise
 by Newton's method with backtracking in log-impact coordinates
 g_i = log(x_i^r).
 
-`solve(spec)` is the one way in for one tie rule, `solve_lanes(spec, qs)`
-for many.  Each runs one prologue: it checks family kind, cost, closed-form
+`solve(spec)` is the one way in for one tie rule, `solve_lanes(spec, qs)` for
+many.  Each runs one prologue: it checks family kind, cost, closed-form
 precondition and a ratio form's prize ratio once, orients the labels
 (strongest prize first, player 2's tie share 1 - q) and picks the family
-kind's routes in `_ROUTES`.  Routes solve stronger-player-first: the scalar
-route in float loops, cheaper for one tie rule than array code, the lane route
-in the same closed forms, steps, stop rules and errors vectorized over q, one
-lane per tie rule, each iterative lane retiring on its own.  One epilogue per
-entry point maps the efforts to the caller's labels, evaluates the first-order
-residuals there and gates iterative solves: `solve` returns an `Equilibrium`,
-`solve_lanes` arrays (`Lanes`) with each failing lane's error.  Routes call
-only the families' unchecked kernels.  `solve_beta` is the one raw-input
-helper, the effort-gap root of a difference-form contest.
+kind's routes in `_ROUTES`.  Routes solve stronger-player-first.  Each solver
+step is one body written against the primitives `_Ops`: the scalar route runs
+its float instance, cheaper for one tie rule than array code, the lane route
+its lane instance over q, one lane per tie rule, each iterative lane stopping
+on its own and then holding its values.  Each acceptance test is one gate,
+which a scalar route raises and a lane route maps to its failing lanes.  One
+epilogue per entry point maps the efforts to the caller's labels, evaluates
+the first-order residuals there and gates iterative solves: `solve` returns an
+`Equilibrium`, `solve_lanes` arrays (`Lanes`) with each failing lane's
+error.  Routes call only the families' unchecked kernels.  `solve_beta` is the
+one raw-input helper, the effort-gap root of a difference-form contest.
 
 Every solver returns an `Equilibrium` carrying per-player first-order
 residuals evaluated at the returned profile, corner flags, and any warnings
@@ -34,6 +36,7 @@ from __future__ import annotations
 import enum
 import math
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -195,9 +198,51 @@ def _no_axis_equilibrium(b1: float, b2: float) -> NoEquilibriumError:
                               f"(single-entrant responses {b1} and {b2})")
 
 
-def _converged(r1, r2):
-    """Both residuals within `ITERATIVE_RESIDUAL`, for one tie rule or an array of lanes."""
-    return (abs(r1) <= ITERATIVE_RESIDUAL) & (abs(r2) <= ITERATIVE_RESIDUAL)
+# A gate is (failing, error, *args): where `failing` holds, the solve fails with
+# error(*args).  Each gate is built once, for one tie rule or an array of lanes;
+# the scalar routes raise the first failing gate's error, the lane routes map
+# each failing lane to the error of the first gate it fails.
+def _raise_first(*gates) -> None:
+    for gate in gates:
+        if gate[0]:
+            raise gate[1](*gate[2:])
+
+
+def _lane_errors(*gates) -> dict[int, ContestError]:
+    """Each failing lane's error, an array argument read at that lane."""
+    errors = {}
+    for failing, error, *args in gates:
+        for i in np.flatnonzero(failing).tolist():
+            read = (a[i].item() if isinstance(a, np.ndarray) else a for a in args)
+            errors.setdefault(i, error(*read))
+    return errors
+
+
+def _logaddexp(a: float, b: float) -> float:
+    """log(e^a + e^b) without overflow; either argument may be -inf."""
+    hi, lo = (a, b) if a >= b else (b, a)
+    return hi + math.log1p(math.exp(lo - hi))
+
+
+# The primitives each solver step is written against once, passed as the array
+# API standard passes a namespace.  `_FLOATS` runs one tie rule on Python
+# floats; `_LANES` runs one lane per tie rule on arrays kept at full length,
+# where a lane that stops holds its values through `select`, so each live lane
+# performs the float instance's IEEE operations in the same order (the lane
+# routes silence the warnings of stopped lanes).  `select(c, a, b)` is a where
+# c holds and b elsewhere, entry by entry for tuples; `live(c)` is whether c
+# holds in any lane; `log(0.0)` is -inf.
+_Ops = namedtuple("_Ops", "select live sqrt exp log logaddexp power")
+_FLOATS = _Ops(lambda c, a, b: a if c else b, bool, math.sqrt, math.exp,
+               lambda h: math.log(h) if h > 0.0 else -math.inf, _logaddexp,
+               lambda x, p: np.power(x, p).tolist())
+_LANES = _Ops(np.where, np.ndarray.any, np.sqrt, np.exp, np.log, np.logaddexp, np.power)
+
+
+def _residual_gate(x1, x2, r1, r2):
+    """Fails unless both residuals are within `ITERATIVE_RESIDUAL`."""
+    converged = (abs(r1) <= ITERATIVE_RESIDUAL) & (abs(r2) <= ITERATIVE_RESIDUAL)
+    return converged ^ True, _newton_residual, x1, x2, r1, r2
 
 
 def _reordered(first_ok, first, second):
@@ -210,34 +255,29 @@ def _reordered(first_ok, first, second):
 
 
 def _ratio_range(vals: Valuations, slope):
-    """(underflow, overflow, strong effort, weak effort) of a ratio closed form
-    at slope z_q'(beta), for one tie rule or an array of lanes: a subnormal
-    slope or weak effort has too few bits for a rounding-level residual, and
-    the strong effort v1 * beta * slope, formed as v1 * (beta * slope) where
-    that order overflows, can overflow at finite prizes."""
+    """Efforts and range gate of a ratio closed form at slope z_q'(beta), for one
+    tie rule or lanes: a subnormal slope or weak effort has too few bits for a
+    rounding-level residual, and the strong effort v1 * beta * slope, formed as
+    v1 * (beta * slope) where that order overflows, can overflow at finite prizes."""
     strong = vals.v1 * vals.beta * slope
     strong = _reordered(strong != math.inf, strong, lambda: vals.v1 * (vals.beta * slope))
     weak = vals.v2 * vals.beta * slope
-    return (slope < _TINY) | (weak < _TINY), strong == math.inf, strong, weak
+    underflow = (slope < _TINY) | (weak < _TINY)
+    return strong, weak, (underflow | (strong == math.inf), _ratio_range_error, slope, underflow)
 
 
 def _solve_ratio(csf, vals, q_int):
     """Closed-form equilibrium of a ratio-form contest with linear cost: both
     players exert prize * beta * z_q'(beta) at beta = v1/v2."""
-    slope = float(csf._zp(vals.beta, q_int))
-    underflow, overflow, strong, weak = _ratio_range(vals, slope)
-    if underflow or overflow:
-        raise _ratio_range_error(slope, underflow)
+    strong, weak, gate = _ratio_range(vals, float(csf._zp(vals.beta, q_int)))
+    _raise_first(gate)
     return strong, weak, False, SolveMethod.CLOSED_FORM
 
 
 def _ratio_lanes(csf, vals, q_int):
-    slope = csf._zp(vals.beta, q_int)
     with np.errstate(over="ignore", invalid="ignore"):  # a failing lane's efforts overflow
-        underflow, overflow, strong, weak = _ratio_range(vals, slope)
-    errors = {int(i): _ratio_range_error(float(slope[i]), underflow[i])
-              for i in np.flatnonzero(underflow | overflow)}
-    return strong, weak, np.zeros(q_int.size, dtype=bool), SolveMethod.CLOSED_FORM, errors
+        strong, weak, gate = _ratio_range(vals, csf._zp(vals.beta, q_int))
+    return strong, weak, np.zeros(q_int.size, dtype=bool), SolveMethod.CLOSED_FORM, _lane_errors(gate)
 
 
 def _ratio_residuals(csf, v1, v2, q, x1, x2):
@@ -252,9 +292,9 @@ def _ratio_residuals(csf, v1, v2, q, x1, x2):
     return theta, v1 * zp / x2 - 1.0, r2
 
 
-def _safeguarded_root(fdf, lo: float, hi: float, budget: int, at_lo=None) -> tuple[float, float]:
+def _safeguarded_root(fdf, lo, hi, budget: int, at_lo, xp: _Ops = _FLOATS):
     """Root of f on a bracket with f(lo) <= 0 < f(hi), given fdf(x) = (f, f')
-    and, when the caller has it, at_lo = fdf(lo).
+    and at_lo = fdf(lo), for one tie rule or lanes (`xp`, see `_Ops`).
 
     Newton steps while they land strictly inside the bracket and shrink at
     least as fast as bisection, bisection otherwise (`rtsafe`, Numerical
@@ -262,144 +302,94 @@ def _safeguarded_root(fdf, lo: float, hi: float, budget: int, at_lo=None) -> tup
     to x (further steps only chase roundoff in f), or after `budget` steps;
     returns the last point and its f value.
     """
-    x = lo
+    select, live = xp.select, xp.live
+    x, (fx, dfx) = lo, at_lo
     step_old = step = hi - lo
-    fx, dfx = at_lo or fdf(x)
+    stepping = fx != 0.0
     for _ in range(budget):
-        if fx == 0.0:
+        if not live(stepping):
             break
-        if fx < 0.0:
-            lo = x
-        else:
-            hi = x
-        if ((x - hi) * dfx - fx) * ((x - lo) * dfx - fx) >= 0.0 or abs(2.0 * fx) > abs(step_old * dfx):
-            step_old, step = step, 0.5 * (hi - lo)
-            x = lo + step
-        else:
-            step_old, step = step, fx / dfx
-            x -= step
+        lo, hi = select(fx < 0.0, (x, hi), (lo, x))
+        bisect = ((((x - hi) * dfx - fx) * ((x - lo) * dfx - fx) >= 0.0)
+                  | (abs(2.0 * fx) > abs(step_old * dfx)))
+        half, newton = 0.5 * (hi - lo), fx / select(bisect, 1.0, dfx)  # f' = 0 bisects
+        step_old, (step, moved) = step, select(bisect, (half, lo + half), (newton, x - newton))
+        x = select(stepping, moved, x)  # a stopped lane holds
         fx, dfx = fdf(x)
-        if abs(step) <= 1e-12 * abs(x):
-            break
-    return x, fx
-
-
-def _safeguarded_roots(fdf, lo, hi, budget: int):
-    """`_safeguarded_root` on many brackets at once, one lane per bracket.
-
-    `fdf(x, lanes)` returns (f, f') at the points x of the given lanes.  Each
-    lane takes exactly the scalar routine's steps and stops on its own; the
-    loop ends when no lane is left.  Returns the last points and f values.
-    """
-    x = lo.copy()
-    step_old, step = hi - lo, hi - lo
-    fx, dfx = fdf(x, np.arange(x.size))
-    live = np.flatnonzero(fx != 0.0)
-    for _ in range(budget):
-        if live.size == 0:
-            break
-        xl, fl, dl = x[live], fx[live], dfx[live]
-        lo[live] = np.where(fl < 0.0, xl, lo[live])
-        hi[live] = np.where(fl < 0.0, hi[live], xl)
-        lol, hil = lo[live], hi[live]
-        bisect = ((((xl - hil) * dl - fl) * ((xl - lol) * dl - fl) >= 0.0)
-                  | (np.abs(2.0 * fl) > np.abs(step_old[live] * dl)))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            new_step = np.where(bisect, 0.5 * (hil - lol), fl / dl)
-        new_x = np.where(bisect, lol + new_step, xl - new_step)
-        step_old[live], step[live], x[live] = step[live], new_step, new_x
-        fx[live], dfx[live] = fdf(new_x, live)
-        stopped = (np.abs(new_step) <= 1e-12 * np.abs(new_x)) | (fx[live] == 0.0)
-        live = live[~stopped]
+        stepping = stepping & (fx != 0.0) & (abs(step) > 1e-12 * abs(x))  # a NaN step: x NaN for good
     return x, fx
 
 
 def solve_beta(csf, v, q) -> float:
     """Equilibrium effort gap of a difference-form contest at prizes `v` and tie rule `q`:
     the stronger player's gap, >= 0 and exactly 0.0 for equal prizes.  Checks
-    its inputs, then runs `_gap_root` as `solve`'s difference-form route does."""
+    its inputs, then finds the root as `solve`'s difference-form route does."""
     if getattr(csf, "kind", None) != "diff":
         raise ValidationError("solve_beta requires a difference-form family")
     vals = v if isinstance(v, Valuations) else Valuations(*v)
     q_user = q_value(q)
-    return _gap_root(csf, vals.v1 - vals.v2, 1.0 - q_user if vals.swapped else q_user)
+    return _checked_gap(csf, vals.v1 - vals.v2, 1.0 - q_user if vals.swapped else q_user)
 
 
-def _gap_root(csf, gap: float, q_int: float) -> float:
-    """The unique root of theta = gap * z_q'(theta) for a prize gap >= 0 and
-    an internal tie share.  The bracket [0, 1] is doubled until the left side
-    is ahead of the right, which terminates because z' is bounded.  The root
-    is found by safeguarded Newton-bisection on the analytic z' and z'' and
-    accepted when its residual is within `BETA_RESIDUAL` times max(1, gap).
+def _gap_root(csf, gap: float, q_int, xp: _Ops = _FLOATS):
+    """The root of theta = gap * z_q'(theta) for a prize gap >= 0 and internal
+    tie shares, for one tie rule or lanes (`xp`, see `_Ops`).
+
+    The upper bounds 1, 2, 4, ..., 2^`BRACKET_EXPANSIONS` are tried until the
+    left side is ahead of the right, which happens because z' is bounded;
+    `_safeguarded_root` then runs on the analytic z' and z'' from the last
+    bound behind, whose f and f' it is handed.  Returns the root (at least
+    0), its residual, the last bound tried and whether it was ahead.
     """
-    if gap == 0.0:
-        return 0.0
-
-    def fdf(theta: float) -> tuple[float, float]:
+    def fdf(theta):
         zp, zpp = csf._zslopes(theta, q_int)
-        return theta - gap * float(zp), 1.0 - gap * float(zpp)
-
-    lo, hi, at_lo = 0.0, 1.0, None
-    for _ in range(BRACKET_EXPANSIONS):
-        if (at_hi := fdf(hi))[0] > 0.0:
-            break
-        lo, hi, at_lo = hi, 2.0 * hi, at_hi
-    else:
-        raise _unbracketed(hi)
-
-    root, resid = _safeguarded_root(fdf, lo, hi, MAX_ITERATIONS, at_lo)
-    limit = BETA_RESIDUAL * max(1.0, gap)
-    if not abs(resid) <= limit:
-        raise _gap_residual(resid, limit)
-    return max(root, 0.0)
-
-
-def _gap_roots(csf, gap: float, q_int: np.ndarray):
-    """`_gap_root` for an array of internal tie shares; failing lanes hold their error."""
-    n = q_int.size
-    if gap == 0.0:
-        return np.zeros(n), {}
-    lo, hi = np.zeros(n), np.ones(n)
-    unbracketed = np.arange(n)
-    for _ in range(BRACKET_EXPANSIONS):
-        ahead = hi[unbracketed] - gap * csf._zp(hi[unbracketed], q_int[unbracketed]) > 0.0
-        unbracketed = unbracketed[~ahead]
-        if unbracketed.size == 0:
-            break
-        lo[unbracketed], hi[unbracketed] = hi[unbracketed], 2.0 * hi[unbracketed]
-    errors = {int(i): _unbracketed(float(hi[i])) for i in unbracketed}
-
-    bracketed = np.ones(n, dtype=bool)
-    bracketed[unbracketed] = False
-    lanes = np.flatnonzero(bracketed)
-    q_lanes = q_int[lanes]
-
-    def fdf(theta, sub):
-        zp, zpp = csf._zslopes(theta, q_lanes[sub])
         return theta - gap * zp, 1.0 - gap * zpp
 
-    roots = np.zeros(n)
-    root, resid = _safeguarded_roots(fdf, lo[lanes], hi[lanes], MAX_ITERATIONS)
+    lo, hi = 0.0 * q_int, 0.0 * q_int + 1.0  # floats for one tie rule, arrays for lanes
+    f_hi, df_hi = fdf(hi)
+    f_lo, df_lo = fdf(lo) if xp.live(f_hi > 0.0) else (f_hi, df_hi)  # where the first is ahead
+    for _ in range(BRACKET_EXPANSIONS):
+        ahead = f_hi > 0.0
+        if not xp.live(ahead ^ True):  # every lane is ahead
+            break
+        lo, hi, f_lo, df_lo = xp.select(ahead, (lo, hi, f_lo, df_lo), (hi, 2.0 * hi, f_hi, df_hi))
+        f_hi, df_hi = fdf(hi)
+    ahead = f_hi > 0.0
+    # a lane with no bracket starts at f = 0, so it takes no step
+    root, resid = _safeguarded_root(fdf, lo, hi, MAX_ITERATIONS,
+                                    (xp.select(ahead, f_lo, 0.0), df_lo), xp)
+    return xp.select(root >= 0.0, root, 0.0), resid, hi, ahead
+
+
+def _gap_gates(gap: float, resid, hi, bracketed):
+    """A `_gap_root`'s gates: bracketed, residual within `BETA_RESIDUAL` * max(1, gap)."""
     limit = BETA_RESIDUAL * max(1.0, gap)
-    for j in np.flatnonzero(~(np.abs(resid) <= limit)):
-        errors[int(lanes[j])] = _gap_residual(float(resid[j]), limit)
-    roots[lanes] = np.maximum(root, 0.0)
-    return roots, errors
+    return ((bracketed ^ True, _unbracketed, hi),
+            ((abs(resid) <= limit) ^ True, _gap_residual, resid, limit))
+
+
+def _checked_gap(csf, gap: float, q_int: float) -> float:
+    """`_gap_root` for one tie rule, once it passes its gates."""
+    root, resid, hi, bracketed = _gap_root(csf, gap, q_int)
+    _raise_first(*_gap_gates(gap, resid, hi, bracketed))
+    return root
 
 
 def _solve_diff(csf, vals, q_int):
     """Equilibrium of a difference-form contest with quadratic cost: each
     effort is prize * z_q'(gap) at the equilibrium gap from `_gap_root`, so
     the first-order conditions are exactly v_i * z_q'(gap) = x_i."""
-    slope = csf._zp(_gap_root(csf, vals.v1 - vals.v2, q_int), q_int)
+    slope = csf._zp(_checked_gap(csf, vals.v1 - vals.v2, q_int), q_int)
     return vals.v1 * slope, vals.v2 * slope, False, SolveMethod.ROOT_FIND
 
 
 def _diff_lanes(csf, vals, q_int):
-    gap, errors = _gap_roots(csf, vals.v1 - vals.v2, q_int)
-    slope = csf._zp(gap, q_int)
+    gap = vals.v1 - vals.v2
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # stopped lanes step on
+        theta, resid, hi, bracketed = _gap_root(csf, gap, q_int, _LANES)
+    slope = csf._zp(theta, q_int)
     return (vals.v1 * slope, vals.v2 * slope, np.zeros(q_int.size, dtype=bool),
-            SolveMethod.ROOT_FIND, errors)
+            SolveMethod.ROOT_FIND, _lane_errors(*_gap_gates(gap, resid, hi, bracketed)))
 
 
 def _diff_residuals(csf, v1, v2, q, x1, x2):
@@ -410,92 +400,53 @@ def _diff_residuals(csf, v1, v2, q, x1, x2):
     return theta, v1 * zp - x1, v2 * zp - x2
 
 
-def _concave_marginal(csf, prize: float, own_q: float, own: float, other: float) -> float:
-    """Payoff slope in own effort for a concave-impact contest, linear cost.
+def _concave_marginal(csf, prize: float, own_q, own, other, xp: _Ops = _FLOATS):
+    """Payoff slope in own effort for a concave-impact contest, linear cost,
+    for one tie rule or lanes (`xp`, see `_Ops`).
 
     At zero own effort the slope is the one-sided limit: -1 when winning adds
     nothing (rival impact + 1 - own tie share is zero), +inf for exponents
-    below one, and the finite linear-impact expression otherwise.
+    below one, and the finite linear-impact expression otherwise.  A power
+    takes one NumPy call per exponent: a scalar exponent takes the same fast
+    paths for one tie rule as for lanes (0.5: sqrt).
     """
-    r = csf.r  # one NumPy call per exponent: a scalar one takes the lanes' fast paths (0.5: sqrt)
-    f_other, f_own = np.power((other, own), r).tolist()
+    r, select, positive = csf.r, xp.select, own > 0.0
+    f_other, f_own = xp.power((other, own), r)
     press = f_other + (1.0 - own_q)
-    if press <= 0.0:
-        return -1.0
-    if own > 0.0:  # `_win_d1` on Python floats
-        total = f_own + f_other + 1.0
-        return prize * (r * float(np.power(own, r - 1.0)) * press / total / total) - 1.0
-    if r < 1.0:
-        return math.inf
-    total = f_other + 1.0
-    return prize * press / (total * total) - 1.0
+    total = f_own + f_other + 1.0
+    # `_win_d1`'s operation order where own effort is positive
+    own_slope = xp.power(select(positive, own, 1.0), r - 1.0) if xp.live(positive) else 0.0
+    slope = prize * (r * own_slope * press / total / total) - 1.0
+    if xp.live(positive ^ True):
+        slope = select(positive, slope, math.inf if r < 1.0 else prize * press / (total * total) - 1.0)
+    return select(press > 0.0, slope, -1.0)
 
 
-def _concave_marginals(csf, prize: float, own_q, own, other):
-    """`_concave_marginal` over lanes of efforts and own tie shares."""
-    f_other = csf._impact(other)
-    press = f_other + (1.0 - own_q)
-    out = np.full(own.shape, -1.0)
-    moving = (press > 0.0) & (own > 0.0)
-    if moving.any():  # `_win_d1`'s operation order, from the rival impact and press at hand
-        x = own[moving]
-        total = csf._impact(x) + f_other[moving] + 1.0
-        out[moving] = prize * (csf._impact_prime(x) * press[moving] / total / total) - 1.0
-    at_zero = (press > 0.0) & ~(own > 0.0)
-    if csf.r < 1.0:
-        out[at_zero] = math.inf
-    else:
-        total = f_other[at_zero] + 1.0
-        out[at_zero] = prize * press[at_zero] / (total * total) - 1.0
-    return out
-
-
-def _lottery_interior(v1: float, v2: float, q_int):
-    """Linear-impact efforts v_i v1 v2 / (v1 + v2)^2 less each tie share, for
-    one tie rule or an array of lanes; the scale comes from rho = v2 / v1 <= 1,
-    so no square overflows or underflows at any pair of finite prizes."""
+def _lottery(csf, v1: float, v2: float, q_int, xp: _Ops = _FLOATS):
+    """Efforts, cornered flag and no-axis gate of a linear-impact contest,
+    for one tie rule or lanes (`xp`, see `_Ops`).  Interior efforts are
+    v_i v1 v2 / (v1 + v2)^2 less each tie share, scaled by rho = v2 / v1 <= 1
+    so no square leaves the normal range.  Where one is negative, (b1(0), 0)
+    then (0, b2(0)) are tested, b_i(0) = max(0, sqrt(v_i (1 - q_i)) - 1)
+    answering an inactive rival, and accepted when the inactive player's
+    payoff slope at zero is nonpositive; (0, 0) is the first when b1(0) = 0."""
     rho = v2 / v1
     scale = rho / (1.0 + rho) ** 2
-    return v1 * scale - q_int, v2 * scale - (1.0 - q_int)
+    x1, x2 = v1 * scale - q_int, v2 * scale - (1.0 - q_int)
+    cornered = ((x1 >= 0.0) & (x2 >= 0.0)) ^ True
+    if not xp.live(cornered):
+        return x1, x2, cornered, (cornered, _no_axis_equilibrium)  # a gate that fails nowhere
+    select, zero = xp.select, 0.0 * q_int
+    b1, b2 = xp.sqrt(v1 * (1.0 - q_int)) - 1.0, xp.sqrt(v2 * q_int) - 1.0
+    b1, b2 = select(b1 > 0.0, b1, 0.0), select(b2 > 0.0, b2, 0.0)
+    first = _concave_marginal(csf, v2, 1.0 - q_int, zero, b1, xp) <= CLOSED_FORM_RESIDUAL
+    second = xp.live(first ^ True) and (  # False where every first candidate holds
+        _concave_marginal(csf, v1, q_int, zero, b2, xp) <= CLOSED_FORM_RESIDUAL)
+    x1, x2 = select(cornered, select(first, (b1, zero), (zero, select(second, b2, zero))), (x1, x2))
+    return x1, x2, cornered, (cornered & ((first | second) ^ True), _no_axis_equilibrium, b1, b2)
 
 
-def _lottery_corner(csf, v1: float, v2: float, q_int: float) -> tuple[float, float]:
-    """Corner equilibrium of a linear-impact contest whose interior profile fails.
-
-    Tests (b1(0), 0), then (0, b2(0)), where b_i(0) = max(0, sqrt(v_i (1 - q_i)) - 1)
-    answers an inactive rival; (0, 0) is the first of these when b1(0) = 0
-    and no equilibrium otherwise.  A candidate is accepted when the inactive
-    player's payoff slope at zero is nonpositive.
-    """
-    b1 = max(0.0, math.sqrt(v1 * (1.0 - q_int)) - 1.0)
-    if _concave_marginal(csf, v2, 1.0 - q_int, 0.0, b1) <= CLOSED_FORM_RESIDUAL:
-        return b1, 0.0
-    b2 = max(0.0, math.sqrt(v2 * q_int) - 1.0)
-    if _concave_marginal(csf, v1, q_int, 0.0, b2) <= CLOSED_FORM_RESIDUAL:
-        return 0.0, b2
-    raise _no_axis_equilibrium(b1, b2)
-
-
-def _lottery_corners(csf, v1: float, v2: float, q_int: np.ndarray):
-    """`_lottery_corner` over lanes; a lane with no axis profile holds its error."""
-    zero = np.zeros(q_int.size)
-    b1 = np.maximum(0.0, np.sqrt(v1 * (1.0 - q_int)) - 1.0)
-    b2 = np.maximum(0.0, np.sqrt(v2 * q_int) - 1.0)
-    first = _concave_marginals(csf, v2, 1.0 - q_int, zero, b1) <= CLOSED_FORM_RESIDUAL
-    second = ~first & (_concave_marginals(csf, v1, q_int, zero, b2) <= CLOSED_FORM_RESIDUAL)
-    errors = {int(i): _no_axis_equilibrium(float(b1[i]), float(b2[i]))
-              for i in np.flatnonzero(~first & ~second)}
-    return np.where(first, b1, 0.0), np.where(second, b2, 0.0), errors
-
-
-def _logaddexp(a: float, b: float) -> float:
-    """log(e^a + e^b) without overflow; either argument may be -inf."""
-    hi, lo = (a, b) if a >= b else (b, a)
-    return hi + math.log1p(math.exp(lo - hi))
-
-
-def _log_impact_foc(g1, g2, log_rv1, log_rv2, c, log_head1, log_head2,
-                    exp=math.exp, logaddexp=_logaddexp):
+def _log_impact_foc(g1, g2, log_rv1, log_rv2, c, log_head1, log_head2, xp: _Ops = _FLOATS):
     """First-order conditions of a power-impact contest in g_i = log(x_i^r).
 
     G_i = log(r v_i) - c g_i + log a_i - 2 log T is the log of marginal
@@ -503,10 +454,11 @@ def _log_impact_foc(g1, g2, log_rv1, log_rv2, c, log_head1, log_head2,
     T = f1 + f2 + 1, a1 = f2 + (1 - q1) and a2 = f1 + q1 (the log heads are
     log(1 - q1) and log(q1)).  Returns the rows G1, G2, J11, J12, J21, J22,
     S1, S2: G, its exact Jacobian (row-major) and each G_i's summed term
-    magnitudes, the scale of its rounding error.  One tie rule takes the
-    default `exp` and `logaddexp` on floats; lanes pass NumPy's on arrays.
+    magnitudes, the scale of its rounding error.  One tie rule takes math's
+    `exp` and `logaddexp` on floats, lanes NumPy's on arrays (`xp`).
     Every exponential has a nonpositive argument, so nothing overflows.
     """
+    exp, logaddexp = xp.exp, xp.logaddexp
     log_t = logaddexp(logaddexp(g1, g2), 0.0)
     log_a1 = logaddexp(g2, log_head1)
     log_a2 = logaddexp(g1, log_head2)
@@ -519,80 +471,50 @@ def _log_impact_foc(g1, g2, log_rv1, log_rv2, c, log_head1, log_head2,
             abs(log_rv2) + abs(c * g2) + abs(log_a2) + 2.0 * log_t)
 
 
-def _concave_newton(csf, v1: float, v2: float, q_int: float) -> tuple[float, float]:
-    """Interior equilibrium of a power-impact contest with exponent below one.
+def _concave_newton(csf, v1: float, v2: float, q_int, xp: _Ops = _FLOATS):
+    """Log-impacts (g1, g2) of the interior equilibrium of a power-impact
+    contest with exponent below one, for one tie rule or lanes (`xp`, see `_Ops`).
 
     Newton's method on `_log_impact_foc` from g_i = r log(v_i / 4), with
     backtracking on the squared residual norm, for at most `MAX_ITERATIONS`
-    steps.  The caller checks the residuals in effort space.
+    steps; a lane stops at the rounding floor, at a singular Jacobian or
+    when backtracking fails.  The caller checks the efforts e^(g_i / r) and
+    their residuals in effort space.
     """
-    r = csf.r
+    select, live, r = xp.select, xp.live, csf.r
     consts = (math.log(r) + math.log(v1), math.log(r) + math.log(v2), (1.0 - r) / r,
-              *(math.log(h) if h > 0.0 else -math.inf for h in (1.0 - q_int, q_int)))
-    g1, g2 = r * math.log(v1 / 4.0), r * math.log(v2 / 4.0)
-    G1, G2, J11, J12, J21, J22, S1, S2 = _log_impact_foc(g1, g2, *consts)
+              xp.log(1.0 - q_int), xp.log(q_int), xp)
+    zero = 0.0 * q_int
+    g1, g2 = zero + r * math.log(v1 / 4.0), zero + r * math.log(v2 / 4.0)
+    state, moving = (g1, g2, *_log_impact_foc(g1, g2, *consts)), True
     for _ in range(MAX_ITERATIONS):
-        at_rounding_floor = abs(G1) <= 4.0 * _EPS * S1 and abs(G2) <= 4.0 * _EPS * S2
+        g1, g2, G1, G2, J11, J12, J21, J22, S1, S2 = state
         det = J11 * J22 - J12 * J21
-        if at_rounding_floor or det == 0.0:
+        at_rounding_floor = (abs(G1) <= 4.0 * _EPS * S1) & (abs(G2) <= 4.0 * _EPS * S2)
+        moving = moving & (det != 0.0) & (at_rounding_floor ^ True)
+        if not live(moving):
             break
         d1, d2 = (G1 * J22 - G2 * J12) / det, (J11 * G2 - J21 * G1) / det
+        norm, searching = G1 * G1 + G2 * G2, moving
         for halvings in range(40):
             t = 0.5**halvings
-            trial = _log_impact_foc(g1 - t * d1, g2 - t * d2, *consts)
-            if trial[0] ** 2 + trial[1] ** 2 <= (1.0 - 1e-4 * t) * (G1 * G1 + G2 * G2):
+            n1, n2 = g1 - t * d1, g2 - t * d2
+            trial = (n1, n2, *_log_impact_foc(n1, n2, *consts))
+            done = searching & (trial[2] ** 2 + trial[3] ** 2 <= (1.0 - 1e-4 * t) * norm)
+            state = select(done, trial, state)
+            searching = searching ^ done  # done lanes are searching ones
+            if not live(searching):
                 break
-        else:
-            break
-        g1, g2 = g1 - t * d1, g2 - t * d2
-        G1, G2, J11, J12, J21, J22, S1, S2 = trial
-
-    x1, x2 = math.exp(g1 / r), math.exp(g2 / r)
-    if min(x1, x2) < _TINY:
-        raise _effort_underflow(g1, g2, r)
-    return x1, x2
+        moving = moving ^ searching  # backtracking failed
+    return state[0], state[1]
 
 
-def _concave_newtons(csf, v1: float, v2: float, q_int: np.ndarray):
-    """`_concave_newton` for an array of internal tie shares; returns g1, g2.
-
-    Every lane starts where the scalar routine does and takes its steps,
-    backtracking and stop rules; a lane retires on its own and the loop ends
-    when none is left.
-    """
+def _newton_efforts(csf, v1: float, v2: float, q_int, xp: _Ops = _FLOATS):
+    """Efforts e^(g_i / r) of `_concave_newton`, and their underflow gate."""
     r = csf.r
-    with np.errstate(divide="ignore"):
-        heads = np.log(np.stack((1.0 - q_int, q_int)))
-    consts = (math.log(r) + math.log(v1), math.log(r) + math.log(v2), (1.0 - r) / r)
-    g1 = np.full(q_int.size, r * math.log(v1 / 4.0))
-    g2 = np.full(q_int.size, r * math.log(v2 / 4.0))
-    foc = np.stack(_log_impact_foc(g1, g2, *consts, *heads, np.exp, np.logaddexp))
-    live = np.arange(q_int.size)
-    for _ in range(MAX_ITERATIONS):
-        G1, G2, J11, J12, J21, J22, S1, S2 = foc[:, live]
-        det = J11 * J22 - J12 * J21
-        at_rounding_floor = (np.abs(G1) <= 4.0 * _EPS * S1) & (np.abs(G2) <= 4.0 * _EPS * S2)
-        keep = ~at_rounding_floor & (det != 0.0)
-        live, G1, G2, J11, J12, J21, J22, det = (
-            a[keep] for a in (live, G1, G2, J11, J12, J21, J22, det))
-        if live.size == 0:
-            break
-        d1, d2 = (G1 * J22 - G2 * J12) / det, (J11 * G2 - J21 * G1) / det
-        norm = G1 * G1 + G2 * G2
-        search = np.arange(live.size)
-        for halvings in range(40):
-            t = 0.5**halvings
-            lanes = live[search]
-            n1, n2 = g1[lanes] - t * d1[search], g2[lanes] - t * d2[search]
-            trial = np.stack(_log_impact_foc(n1, n2, *consts, *heads[:, lanes], np.exp, np.logaddexp))
-            done = trial[0] ** 2 + trial[1] ** 2 <= (1.0 - 1e-4 * t) * norm[search]
-            g1[lanes[done]], g2[lanes[done]] = n1[done], n2[done]
-            foc[:, lanes[done]] = trial[:, done]
-            search = search[~done]
-            if search.size == 0:
-                break
-        live = np.delete(live, search)
-    return g1, g2
+    g1, g2 = _concave_newton(csf, v1, v2, q_int, xp)
+    x1, x2 = xp.exp(g1 / r), xp.exp(g2 / r)
+    return x1, x2, ((x1 < _TINY) | (x2 < _TINY), _effort_underflow, g1, g2, r)
 
 
 def total_effort_slope(spec: ContestSpec, q: float, x1: float, x2: float,
@@ -616,9 +538,9 @@ def total_effort_slope(spec: ContestSpec, q: float, x1: float, x2: float,
             slope = 0.5 * math.sqrt(vals.v2 / q1)
     else:
         g1, g2 = r * math.log(x1), r * math.log(x2)
-        heads = (math.log(h) if h > 0.0 else -math.inf for h in (1.0 - q1, q1))
         _, _, J11, J12, J21, J22, _, _ = _log_impact_foc(
-            g1, g2, math.log(r * vals.v1), math.log(r * vals.v2), (1.0 - r) / r, *heads)
+            g1, g2, math.log(r * vals.v1), math.log(r * vals.v2), (1.0 - r) / r,
+            _FLOATS.log(1.0 - q1), _FLOATS.log(q1))
         dG1, dG2 = -1.0 / (math.exp(g2) + (1.0 - q1)), 1.0 / (math.exp(g1) + q1)
         det = J11 * J22 - J12 * J21 or math.nan  # singular: sign unknown, so uncertified
         dg1, dg2 = (J12 * dG2 - J22 * dG1) / det, (J21 * dG1 - J11 * dG2) / det
@@ -638,35 +560,31 @@ def _solve_concave(csf, vals, q_int):
     effort underflows double precision, and the epilogue accepts it only if
     both effort-space residuals are within `ITERATIVE_RESIDUAL`.
     """
-    v1, v2 = vals.v1, vals.v2
     if csf.r < 1.0:
-        return (*_concave_newton(csf, v1, v2, q_int), False, SolveMethod.FOC_SOLVE)
-    x1, x2 = _lottery_interior(v1, v2, q_int)
-    if x1 >= 0.0 and x2 >= 0.0:
-        return x1, x2, False, SolveMethod.CLOSED_FORM
-    return (*_lottery_corner(csf, v1, v2, q_int), True, SolveMethod.CLOSED_FORM)
+        x1, x2, gate = _newton_efforts(csf, vals.v1, vals.v2, q_int)
+        _raise_first(gate)
+        return x1, x2, False, SolveMethod.FOC_SOLVE
+    x1, x2, cornered, gate = _lottery(csf, vals.v1, vals.v2, q_int)
+    _raise_first(gate)
+    return x1, x2, cornered, SolveMethod.CLOSED_FORM
 
 
 def _concave_lanes(csf, vals, q_int):
-    v1, v2 = vals.v1, vals.v2
-    if csf.r < 1.0:
-        g1, g2 = _concave_newtons(csf, v1, v2, q_int)
-        x1, x2 = np.exp(g1 / csf.r), np.exp(g2 / csf.r)
-        errors = {int(i): _effort_underflow(float(g1[i]), float(g2[i]), csf.r)
-                  for i in np.flatnonzero(np.minimum(x1, x2) < _TINY)}
-        return x1, x2, np.zeros(q_int.size, dtype=bool), SolveMethod.FOC_SOLVE, errors
-    x1, x2 = _lottery_interior(v1, v2, q_int)
-    cornered = ~((x1 >= 0.0) & (x2 >= 0.0))
-    at = np.flatnonzero(cornered)
-    x1[at], x2[at], errors = _lottery_corners(csf, v1, v2, q_int[at])
-    return x1, x2, cornered, SolveMethod.CLOSED_FORM, {int(at[j]): e for j, e in errors.items()}
+    # log(0), stopped Newton lanes, and interior lanes' corner slopes at huge prizes
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if csf.r < 1.0:
+            x1, x2, gate = _newton_efforts(csf, vals.v1, vals.v2, q_int, _LANES)
+            return x1, x2, np.zeros(q_int.size, dtype=bool), SolveMethod.FOC_SOLVE, _lane_errors(gate)
+        x1, x2, cornered, gate = _lottery(csf, vals.v1, vals.v2, q_int, _LANES)
+    return x1, x2, cornered, SolveMethod.CLOSED_FORM, _lane_errors(gate)
 
 
 def _concave_residuals(csf, v1, v2, q, x1, x2):
     """No effort ratio or gap, and each player's payoff slope in own effort,
     in the caller's labels; one tie rule or an array of lanes."""
-    marginal = _concave_marginal if isinstance(x1, float) else _concave_marginals
-    return None, marginal(csf, v1, q, x1, x2), marginal(csf, v2, 1.0 - q, x2, x1)
+    xp = _FLOATS if isinstance(x1, float) else _LANES
+    return (None, _concave_marginal(csf, v1, q, x1, x2, xp),
+            _concave_marginal(csf, v2, 1.0 - q, x2, x1, xp))
 
 
 # (scalar route, lane route, residuals) per family kind.  Routes solve
@@ -727,8 +645,8 @@ def solve(spec: ContestSpec, *, force: bool = False, audited: bool = False) -> E
     strong, weak, cornered, method = route(spec.csf, vals, q_int)
     x1, x2 = _user_order(vals, strong, weak)
     beta, r1, r2 = residuals(spec.csf, spec.v1, spec.v2, spec.q, x1, x2)
-    if method is SolveMethod.FOC_SOLVE and not _converged(r1, r2):
-        raise _newton_residual(x1, x2, r1, r2)
+    if method is SolveMethod.FOC_SOLVE:
+        _raise_first(_residual_gate(x1, x2, r1, r2))
     return _equilibrium(x1, x2, beta, (r1, r2), cornered, method, warnings)
 
 
@@ -751,11 +669,9 @@ def solve_lanes(spec: ContestSpec, qs, *, force: bool, audited: bool) -> Lanes:
     x1, x2 = _user_order(vals, np.where(failed, 1.0, strong), np.where(failed, 1.0, weak))
     with np.errstate(over="ignore", invalid="ignore"):  # a ratio product's unused order overflows
         beta, r1, r2 = residuals(spec.csf, spec.v1, spec.v2, q_user, x1, x2)
-    if method is SolveMethod.FOC_SOLVE:
-        for i in np.flatnonzero(~failed & ~_converged(r1, r2)):
-            errors[int(i)] = _newton_residual(float(x1[i]), float(x2[i]), float(r1[i]), float(r2[i]))
-    for i in np.flatnonzero(~((x1 >= 0.0) & (x2 >= 0.0))):
-        errors.setdefault(int(i), _negative_efforts(float(x1[i]), float(x2[i])))
+    gates = (_residual_gate(x1, x2, r1, r2),) if method is SolveMethod.FOC_SOLVE else ()
+    negative = ((x1 >= 0.0) & (x2 >= 0.0)) ^ True
+    errors = {**_lane_errors(*gates, (negative, _negative_efforts, x1, x2)), **errors}  # route's first
     return Lanes(q_user, x1, x2, beta, (r1, r2), cornered, method, warnings, errors)
 
 

@@ -33,7 +33,7 @@ from tiebreak import (
     verify,
 )
 from tiebreak.audit import audit_family
-from tiebreak.equilibrium import _concave_marginal, _concave_marginals, solve_lanes
+from tiebreak.equilibrium import _LANES, _concave_marginal, solve_lanes
 
 from helpers import case_id
 
@@ -211,8 +211,8 @@ def test_concave_float_marginal_keeps_the_lane_bits(r, prize):
         for other in KERNEL_EFFORTS:
             for own_q in (0.0, 0.4, 1.0):
                 scalar = _concave_marginal(csf, prize, own_q, own, other)
-                lane = _concave_marginals(csf, prize, np.array([own_q]),
-                                          np.array([own]), np.array([other]))
+                lane = _concave_marginal(csf, prize, np.array([own_q]),
+                                         np.array([own]), np.array([other]), _LANES)
                 _assert_lane_bits((scalar,), (lane,))
 
 

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import re
+import sys
 import warnings
 from pathlib import Path
 
@@ -458,6 +459,15 @@ def test_certificate_equals_the_separate_reductions_bit_for_bit():
     for totals in curves:
         want = _certificate_by_separate_reductions(totals)
         assert _bits(designer_mod._certify(totals)) == _bits(want), totals
+
+
+@pytest.mark.filterwarnings("error")
+def test_certificate_dip_of_opposite_huge_steps_stays_finite():
+    """Neighbouring steps of opposite sign whose difference passes the largest
+    double: the convexity dip is capped there, not an overflow to inf."""
+    convex = designer_mod._certify(np.array([0.0, 1.7e308, 0.0])).convex
+    assert convex.holds is False
+    assert convex.violation == sys.float_info.max
 
 
 class TestExpectedEffort:

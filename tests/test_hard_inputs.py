@@ -122,7 +122,7 @@ def test_gap_root_evaluates_no_theta_twice(monkeypatch):
 def test_unbracketed_gap_root_fails_alike_in_solve_and_lanes(monkeypatch):
     """A gap root beyond the last doubling (about 12 at prizes (1e6, 1), past 8
     after three expansions) raises in the scalar solve and fails its lane with
-    the same text."""
+    the same text, which names the last bound tried."""
     monkeypatch.setattr(tiebreak.equilibrium, "BRACKET_EXPANSIONS", 3)
     qs = [0.0, 0.5, 1.0]
     spec = make_contest("jia-diff", v1=1e6, v2=1.0, q=0.0, k=2.0)
@@ -132,6 +132,34 @@ def test_unbracketed_gap_root_fails_alike_in_solve_and_lanes(monkeypatch):
         with pytest.raises(ConvergenceError, match="could not bracket") as scalar:
             solve(spec.with_q(q))
         assert str(lanes.errors[i]) == str(scalar.value)
+        assert "(last upper bound 8.0)" in str(scalar.value)
+
+
+def test_gap_root_bracket_tries_its_last_bound(monkeypatch):
+    """Four expansions try the bounds 1, 2, 4, 8 and 16: the gap root near
+    12.02 at prizes (1e6, 1) lies below the last one, so the scalar solve and
+    its lane both find it."""
+    monkeypatch.setattr(tiebreak.equilibrium, "BRACKET_EXPANSIONS", 4)
+    spec = make_contest("jia-diff", v1=1e6, v2=1.0, q=0.0, k=2.0)
+    lanes = tiebreak.equilibrium.solve_lanes(spec, [0.0], force=False, audited=False)
+    eq = solve(spec)
+    assert lanes.errors == {}
+    assert eq.beta == pytest.approx(12.02, abs=0.01)
+    assert float(lanes.beta[0]) == eq.beta
+
+
+@pytest.mark.filterwarnings("error")
+def test_interior_linear_impact_lanes_at_huge_prizes_stay_silent():
+    """At prizes (1e300, 1e300) every linear-impact lane is interior, and the
+    corner test's payoff slopes would overflow there: the lanes solve as the
+    scalar solves do, and nothing warns."""
+    spec = make_contest("blavatskyy-power", v1=1e300, v2=1e300, q=0.5, r=1.0)
+    qs = [0.0, 0.25, 0.5, 1.0]
+    lanes = tiebreak.equilibrium.solve_lanes(spec, qs, force=False, audited=False)
+    assert lanes.errors == {} and not lanes.cornered.any()
+    for i, q in enumerate(qs):
+        eq = solve(spec.with_q(q))
+        assert (float(lanes.x1[i]), float(lanes.x2[i])) == (eq.x1, eq.x2)
 
 
 # Forced ratio contests (closed-form precondition violated) at whose prize

@@ -8,7 +8,8 @@ objects, such as a family's kernels `csf._zp`, are not module reads.
 Result records also share one serializer: only `core.JsonRecord` writes a
 `to_json_dict`, apart from `EffortCurve`, whose JSON rows transpose its columns.
 And the solver routes stay label-free: only the `solve` and `solve_lanes`
-epilogues map results back to the caller's player labels.
+epilogues map results back to the caller's player labels.  Each solver step
+the routes reach is one body for one tie rule and for lanes, with no lane twin.
 """
 from __future__ import annotations
 
@@ -113,36 +114,59 @@ def test_guard_sees_hand_written_serializers():
 LABEL_READS = ("swapped", "_user_order")
 
 
+def route_functions(source: str) -> dict[str, ast.FunctionDef]:
+    """Each module function of `source` that `_ROUTES` names, directly or
+    through the module functions those name, by name."""
+    tree = ast.parse(source)
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    table = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and any(isinstance(t, ast.Name) and t.id == "_ROUTES" for t in node.targets))
+    todo = [node.id for node in ast.walk(table) if isinstance(node, ast.Name)]
+    reached = {}
+    while todo:
+        name = todo.pop()
+        if name in reached or name not in functions:
+            continue
+        reached[name] = functions[name]
+        todo += [node.id for node in ast.walk(functions[name]) if isinstance(node, ast.Name)]
+    return reached
+
+
 def route_label_reads(source: str) -> list[str]:
     """Each label read in a function of `_ROUTES` or a module function it names.
 
     Routes solve stronger-player-first; reading `.swapped` or calling
     `_user_order` there would map labels outside the one epilogue per entry point.
     """
-    tree = ast.parse(source)
-    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    table = next(node.value for node in tree.body if isinstance(node, ast.Assign)
-                 and any(isinstance(t, ast.Name) and t.id == "_ROUTES" for t in node.targets))
-    todo = [node.id for node in ast.walk(table) if isinstance(node, ast.Name)]
-    seen, found = set(), []
-    while todo:
-        name = todo.pop()
-        if name in seen or name not in functions:
-            continue
-        seen.add(name)
-        for node in ast.walk(functions[name]):
+    found = []
+    for name, function in route_functions(source).items():
+        for node in ast.walk(function):
             if isinstance(node, ast.Attribute) and node.attr in LABEL_READS:
                 found.append(f"{name}: .{node.attr}")
-            elif isinstance(node, ast.Name):
-                if node.id in LABEL_READS:
-                    found.append(f"{name}: {node.id}")
-                todo.append(node.id)
+            elif isinstance(node, ast.Name) and node.id in LABEL_READS:
+                found.append(f"{name}: {node.id}")
     return sorted(found)
 
 
 def test_routes_stay_label_free():
     source = (PACKAGE / "equilibrium.py").read_text(encoding="utf-8")
     assert route_label_reads(source) == []
+
+
+# One body per solver step, run by the scalar routes on floats and by the lane
+# routes on lanes; a lane twin beside a body would be a second copy of its rules.
+SHARED_BODIES = ("_safeguarded_root", "_gap_root", "_concave_newton", "_concave_marginal",
+                 "_lottery")
+LANE_TWINS = ("_safeguarded_roots", "_gap_roots", "_concave_newtons", "_concave_marginals",
+              "_lottery_corners")
+
+
+def test_each_solver_step_is_one_body_that_the_route_guard_covers():
+    source = (PACKAGE / "equilibrium.py").read_text(encoding="utf-8")
+    defined = {node.name for node in ast.walk(ast.parse(source))
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert defined.isdisjoint(LANE_TWINS)
+    assert set(SHARED_BODIES) <= set(route_functions(source))
 
 
 def test_guard_sees_label_reads_in_routes_and_their_helpers():

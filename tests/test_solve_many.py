@@ -24,7 +24,8 @@ from tiebreak import (
     solve_many,
     sweep,
 )
-from tiebreak.equilibrium import _concave_newton, _concave_newtons, _gap_roots, solve_lanes
+from tiebreak.core import Valuations
+from tiebreak.equilibrium import _LANES, _concave_newton, _diff_lanes, _gap_root, solve_lanes
 
 LANE_QS = np.concatenate([np.linspace(0.0, 1.0, 21), [0.0122, 0.377, 0.5 + 1e-9, 0.9871]])
 
@@ -375,19 +376,20 @@ BACKTRACKING = [
 
 @pytest.mark.parametrize("budget", [1, 2, 3, 5, 8])
 def test_truncated_newton_lanes_take_the_scalar_steps(budget, monkeypatch):
+    """The lane instance of the Newton body ends each lane where its float
+    instance ends, to the rounding of math's and NumPy's log and exp."""
     monkeypatch.setattr(equilibrium_mod, "MAX_ITERATIONS", budget)
     for r, v1, v2, q in BACKTRACKING:
         csf = BlavatskyyPower(r)
         qs = np.array([q, 0.0, 0.5, 1.0])
-        g1, g2 = _concave_newtons(csf, v1, v2, qs)
+        with np.errstate(all="ignore"):
+            g1, g2 = _concave_newton(csf, v1, v2, qs, _LANES)
         for lane, q_lane in enumerate(qs):
-            try:
-                x1, x2 = _concave_newton(csf, v1, v2, float(q_lane))
-            except ConvergenceError as exc:
-                assert f"(log-impacts {g1[lane]:.6g}, {g2[lane]:.6g} " in str(exc)
-                continue
-            assert math.exp(g1[lane] / r) == pytest.approx(x1, rel=1e-12, abs=0.0)
-            assert math.exp(g2[lane] / r) == pytest.approx(x2, rel=1e-12, abs=0.0)
+            s1, s2 = _concave_newton(csf, v1, v2, float(q_lane))
+            # the underflow error's text, and the efforts
+            assert f"{g1[lane]:.6g}, {g2[lane]:.6g}" == f"{s1:.6g}, {s2:.6g}"
+            assert math.exp(g1[lane] / r) == pytest.approx(math.exp(s1 / r), rel=1e-12, abs=0.0)
+            assert math.exp(g2[lane] / r) == pytest.approx(math.exp(s2 / r), rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("budget", [1, 2, 3, 5, 8])
@@ -397,15 +399,23 @@ def test_truncated_newton_lanes_take_the_scalar_steps(budget, monkeypatch):
     ("jia-diff", dict(k=1.0), (1e6, 1.0)),
 ])
 def test_truncated_gap_roots_take_the_scalar_steps(budget, family, params, prizes, monkeypatch):
+    """The lane instance of the gap-root body returns each lane's float
+    instance bits: root, residual, last bound and whether it was ahead; and
+    the lane route fails each lane with `solve_beta`'s error or finds its root."""
     monkeypatch.setattr(equilibrium_mod, "MAX_ITERATIONS", budget)
     csf = make_contest(family, v1=prizes[0], v2=prizes[1], q=0.0, **params).csf
     qs = np.linspace(0.0, 1.0, 6)
-    roots, errors = _gap_roots(csf, prizes[0] - prizes[1], qs)
+    with np.errstate(all="ignore"):
+        lanes = _gap_root(csf, prizes[0] - prizes[1], qs, _LANES)
+    *_, errors = _diff_lanes(csf, Valuations(*prizes), qs)
     for lane, q in enumerate(qs):
+        root, resid, hi, ahead = _gap_root(csf, prizes[0] - prizes[1], float(q))
+        assert [float(a[lane]).hex() for a in lanes[:3]] == [root.hex(), resid.hex(), hi.hex()]
+        assert lanes[3][lane] == ahead
         try:
             ref = solve_beta(csf, prizes, float(q))
         except ConvergenceError as exc:
             assert str(errors[lane]) == str(exc)
             continue
         assert lane not in errors
-        assert roots[lane] == ref
+        assert lanes[0][lane] == ref
