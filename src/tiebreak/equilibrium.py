@@ -13,23 +13,26 @@ g_i = log(x_i^r).
 many.  Each runs one prologue: it checks family kind, cost, closed-form
 precondition and a ratio form's prize ratio once, orients the labels
 (strongest prize first, player 2's tie share 1 - q) and picks the family
-kind's routes in `_ROUTES`.  Routes solve stronger-player-first.  Each solver
-step is one body written against the primitives `_Ops`: the scalar route runs
-its float instance, cheaper for one tie rule than array code, the lane route
-its lane instance over q, one lane per tie rule, each iterative lane stopping
-on its own and then holding its values.  Each acceptance test is one gate,
-which a scalar route raises and a lane route maps to its failing lanes.  One
-epilogue per entry point maps the efforts to the caller's labels, evaluates
-the first-order residuals there and gates iterative solves: `solve` returns an
-`Equilibrium`, `solve_lanes` arrays (`Lanes`) with each failing lane's
-error.  Routes call only the families' unchecked kernels.  `solve_beta` is the
-one raw-input helper, the effort-gap root of a difference-form contest.
+kind's route in `_ROUTES`.  Each family kind has one route, and each solver
+step one body, written against the primitives `_Ops` and run by both entry
+points, which choose the instance: `solve` the float instance, cheaper for
+one tie rule than array code, `solve_lanes` the lane instance over q, one
+lane per tie rule, each iterative lane stopping on its own and then holding
+its values.  Routes solve stronger-player-first and return their acceptance
+tests as gates, which only the entry points apply: `solve` raises the first
+failing gate's error, `solve_lanes` gives each failing lane the error of the
+first gate it fails.  Each entry point then maps the efforts to the caller's
+labels, evaluates the first-order residuals there and gates iterative
+solves: `solve` returns an `Equilibrium`, `solve_lanes` arrays (`Lanes`)
+with each failing lane's error.  Routes call only the families' unchecked
+kernels.  `solve_beta` is the one raw-input helper, the effort-gap root of a
+difference-form contest.
 
 Every solver returns an `Equilibrium` carrying per-player first-order
 residuals evaluated at the returned profile, corner flags, and any warnings
 (notably an unchecked-assumptions note unless the caller vouches that an
 audit passed).  Residual targets and iteration budgets are the module
-constants below, shared by the scalar and lane routes and read at call time.
+constants below, shared by both instances and read at call time.
 """
 from __future__ import annotations
 
@@ -129,10 +132,11 @@ def _equilibrium(x1: float, x2: float, beta, residuals, cornered: bool, method: 
 class Lanes:
     """One contest at the tie rules `q`, one array entry per lane.
 
-    The lane route solves stronger-player-first; `solve_lanes`'s one epilogue
-    maps its efforts to the caller's labels, evaluates the residuals there and
-    gates iterative lanes (`beta` None for concave contests).  `errors` maps
-    each failing lane, whose entries mean nothing, to its scalar solve's error.
+    The route solves stronger-player-first on the lane instance; `solve_lanes`
+    applies its gates, maps its efforts to the caller's labels, evaluates the
+    residuals there and gates iterative lanes (`beta` None for concave
+    contests).  `errors` maps each failing lane, whose entries mean nothing,
+    to its scalar solve's error.
     """
 
     q: np.ndarray
@@ -157,7 +161,7 @@ def _user_order(vals: Valuations, strong, weak):
     return (weak, strong) if vals.swapped else (strong, weak)
 
 
-# Errors shared by the scalar and lane routes, so a lane fails as its scalar
+# Errors shared by both instances of the routes, so a lane fails as its scalar
 # solve does.
 def _negative_efforts(x1: float, x2: float) -> ValidationError:
     return ValidationError(f"efforts must be >= 0, got ({x1}, {x2})")
@@ -200,8 +204,8 @@ def _no_axis_equilibrium(b1: float, b2: float) -> NoEquilibriumError:
 
 # A gate is (failing, error, *args): where `failing` holds, the solve fails with
 # error(*args).  Each gate is built once, for one tie rule or an array of lanes;
-# the scalar routes raise the first failing gate's error, the lane routes map
-# each failing lane to the error of the first gate it fails.
+# `solve` raises the first failing gate's error, `solve_lanes` maps each failing
+# lane to the error of the first gate it fails.
 def _raise_first(*gates) -> None:
     for gate in gates:
         if gate[0]:
@@ -228,14 +232,15 @@ def _logaddexp(a: float, b: float) -> float:
 # API standard passes a namespace.  `_FLOATS` runs one tie rule on Python
 # floats; `_LANES` runs one lane per tie rule on arrays kept at full length,
 # where a lane that stops holds its values through `select`, so each live lane
-# performs the float instance's IEEE operations in the same order (the lane
-# routes silence the warnings of stopped lanes).  `select(c, a, b)` is a where
-# c holds and b elsewhere, entry by entry for tuples; `live(c)` is whether c
-# holds in any lane; `log(0.0)` is -inf.
+# performs the float instance's IEEE operations in the same order
+# (`solve_lanes` silences the warnings of stopped lanes).  `select(c, a, b)` is
+# a where c holds and b elsewhere, entry by entry for tuples; `live(c)` is
+# whether c holds in any lane; `log(0.0)` is -inf; `power(xs, p)` raises each
+# of the tuple xs to p in one NumPy call.
 _Ops = namedtuple("_Ops", "select live sqrt exp log logaddexp power")
 _FLOATS = _Ops(lambda c, a, b: a if c else b, bool, math.sqrt, math.exp,
                lambda h: math.log(h) if h > 0.0 else -math.inf, _logaddexp,
-               lambda x, p: np.power(x, p).tolist())
+               lambda xs, p: np.power(xs, p).tolist())  # a NumPy scalar's tolist is slow
 _LANES = _Ops(np.where, np.ndarray.any, np.sqrt, np.exp, np.log, np.logaddexp, np.power)
 
 
@@ -245,50 +250,41 @@ def _residual_gate(x1, x2, r1, r2):
     return converged ^ True, _newton_residual, x1, x2, r1, r2
 
 
-def _reordered(first_ok, first, second):
-    """`first` where `first_ok` holds and `second()` elsewhere, for one tie rule
-    or an array of lanes: a product is formed in a second order only where its
-    first order leaves the normal range, so every other result keeps its bits."""
-    if isinstance(first, float):
-        return first if first_ok else second()
-    return first if first_ok.all() else np.where(first_ok, first, second())
+def _reordered(first_ok, first, second, xp: _Ops):
+    """`first` where `first_ok` holds and `second()` elsewhere (`xp`, see `_Ops`):
+    a product is formed in a second order only where its first order leaves
+    the normal range, so every other result keeps its bits."""
+    return xp.select(first_ok, first, second()) if xp.live(first_ok ^ True) else first
 
 
-def _ratio_range(vals: Valuations, slope):
-    """Efforts and range gate of a ratio closed form at slope z_q'(beta), for one
-    tie rule or lanes: a subnormal slope or weak effort has too few bits for a
-    rounding-level residual, and the strong effort v1 * beta * slope, formed as
+def _ratio_range(vals: Valuations, slope, xp: _Ops):
+    """Efforts and range gate of a ratio closed form at slope z_q'(beta): a
+    subnormal slope or weak effort has too few bits for a rounding-level
+    residual, and the strong effort v1 * beta * slope, formed as
     v1 * (beta * slope) where that order overflows, can overflow at finite prizes."""
     strong = vals.v1 * vals.beta * slope
-    strong = _reordered(strong != math.inf, strong, lambda: vals.v1 * (vals.beta * slope))
+    strong = _reordered(strong != math.inf, strong, lambda: vals.v1 * (vals.beta * slope), xp)
     weak = vals.v2 * vals.beta * slope
     underflow = (slope < _TINY) | (weak < _TINY)
     return strong, weak, (underflow | (strong == math.inf), _ratio_range_error, slope, underflow)
 
 
-def _solve_ratio(csf, vals, q_int):
+def _ratio(csf, vals, q_int, xp: _Ops):
     """Closed-form equilibrium of a ratio-form contest with linear cost: both
     players exert prize * beta * z_q'(beta) at beta = v1/v2."""
-    strong, weak, gate = _ratio_range(vals, float(csf._zp(vals.beta, q_int)))
-    _raise_first(gate)
-    return strong, weak, False, SolveMethod.CLOSED_FORM
+    strong, weak, gate = _ratio_range(vals, csf._zp(vals.beta, q_int), xp)
+    return strong, weak, False, SolveMethod.CLOSED_FORM, (gate,)
 
 
-def _ratio_lanes(csf, vals, q_int):
-    with np.errstate(over="ignore", invalid="ignore"):  # a failing lane's efforts overflow
-        strong, weak, gate = _ratio_range(vals, csf._zp(vals.beta, q_int))
-    return strong, weak, np.zeros(q_int.size, dtype=bool), SolveMethod.CLOSED_FORM, _lane_errors(gate)
-
-
-def _ratio_residuals(csf, v1, v2, q, x1, x2):
-    """Effort ratio and first-order residuals in the caller's labels, for one
-    tie rule or an array of lanes.  Player 2's marginal benefit v2 * z' * theta
-    is formed as v2 * (z' * theta) where v2 * z' leaves the normal range."""
+def _ratio_residuals(csf, v1, v2, q, x1, x2, xp: _Ops):
+    """Effort ratio and first-order residuals in the caller's labels.  Player
+    2's marginal benefit v2 * z' * theta is formed as v2 * (z' * theta) where
+    v2 * z' leaves the normal range."""
     theta = x1 / x2
     zp = csf._zp(theta, q)
     head = v2 * zp
     r2 = _reordered((head >= _TINY) & (head * theta != math.inf), head * theta / x2 - 1.0,
-                    lambda: v2 * (zp * theta) / x2 - 1.0)
+                    lambda: v2 * (zp * theta) / x2 - 1.0, xp)
     return theta, v1 * zp / x2 - 1.0, r2
 
 
@@ -327,8 +323,10 @@ def solve_beta(csf, v, q) -> float:
     if getattr(csf, "kind", None) != "diff":
         raise ValidationError("solve_beta requires a difference-form family")
     vals = v if isinstance(v, Valuations) else Valuations(*v)
-    q_user = q_value(q)
-    return _checked_gap(csf, vals.v1 - vals.v2, 1.0 - q_user if vals.swapped else q_user)
+    q_user, gap = q_value(q), vals.v1 - vals.v2
+    root, resid, hi, bracketed = _gap_root(csf, gap, 1.0 - q_user if vals.swapped else q_user)
+    _raise_first(*_gap_gates(gap, resid, hi, bracketed))
+    return root
 
 
 def _gap_root(csf, gap: float, q_int, xp: _Ops = _FLOATS):
@@ -368,33 +366,20 @@ def _gap_gates(gap: float, resid, hi, bracketed):
             ((abs(resid) <= limit) ^ True, _gap_residual, resid, limit))
 
 
-def _checked_gap(csf, gap: float, q_int: float) -> float:
-    """`_gap_root` for one tie rule, once it passes its gates."""
-    root, resid, hi, bracketed = _gap_root(csf, gap, q_int)
-    _raise_first(*_gap_gates(gap, resid, hi, bracketed))
-    return root
-
-
-def _solve_diff(csf, vals, q_int):
+def _diff(csf, vals, q_int, xp: _Ops):
     """Equilibrium of a difference-form contest with quadratic cost: each
     effort is prize * z_q'(gap) at the equilibrium gap from `_gap_root`, so
     the first-order conditions are exactly v_i * z_q'(gap) = x_i."""
-    slope = csf._zp(_checked_gap(csf, vals.v1 - vals.v2, q_int), q_int)
-    return vals.v1 * slope, vals.v2 * slope, False, SolveMethod.ROOT_FIND
-
-
-def _diff_lanes(csf, vals, q_int):
     gap = vals.v1 - vals.v2
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # stopped lanes step on
-        theta, resid, hi, bracketed = _gap_root(csf, gap, q_int, _LANES)
+    theta, resid, hi, bracketed = _gap_root(csf, gap, q_int, xp)
     slope = csf._zp(theta, q_int)
-    return (vals.v1 * slope, vals.v2 * slope, np.zeros(q_int.size, dtype=bool),
-            SolveMethod.ROOT_FIND, _lane_errors(*_gap_gates(gap, resid, hi, bracketed)))
+    return (vals.v1 * slope, vals.v2 * slope, False, SolveMethod.ROOT_FIND,
+            _gap_gates(gap, resid, hi, bracketed))
 
 
-def _diff_residuals(csf, v1, v2, q, x1, x2):
+def _diff_residuals(csf, v1, v2, q, x1, x2, xp: _Ops):
     """Effort gap and first-order residuals v_i * z_q'(gap) - x_i in the
-    caller's labels, for one tie rule or an array of lanes."""
+    caller's labels."""
     theta = x1 - x2
     zp = csf._zp(theta, q)
     return theta, v1 * zp - x1, v2 * zp - x2
@@ -408,14 +393,17 @@ def _concave_marginal(csf, prize: float, own_q, own, other, xp: _Ops = _FLOATS):
     nothing (rival impact + 1 - own tie share is zero), +inf for exponents
     below one, and the finite linear-impact expression otherwise.  A power
     takes one NumPy call per exponent: a scalar exponent takes the same fast
-    paths for one tie rule as for lanes (0.5: sqrt).
+    paths for one tie rule as for lanes (0.5: sqrt).  Linear impact takes
+    none, as x^1 = x and x^0 = 1 exactly.
     """
     r, select, positive = csf.r, xp.select, own > 0.0
-    f_other, f_own = xp.power((other, own), r)
+    linear = r == 1.0
+    f_other, f_own = (other, own) if linear else xp.power((other, own), r)
     press = f_other + (1.0 - own_q)
     total = f_own + f_other + 1.0
     # `_win_d1`'s operation order where own effort is positive
-    own_slope = xp.power(select(positive, own, 1.0), r - 1.0) if xp.live(positive) else 0.0
+    own_slope = (1.0 if linear or not xp.live(positive)
+                 else xp.power((select(positive, own, 1.0),), r - 1.0)[0])
     slope = prize * (r * own_slope * press / total / total) - 1.0
     if xp.live(positive ^ True):
         slope = select(positive, slope, math.inf if r < 1.0 else prize * press / (total * total) - 1.0)
@@ -442,7 +430,7 @@ def _lottery(csf, v1: float, v2: float, q_int, xp: _Ops = _FLOATS):
     first = _concave_marginal(csf, v2, 1.0 - q_int, zero, b1, xp) <= CLOSED_FORM_RESIDUAL
     second = xp.live(first ^ True) and (  # False where every first candidate holds
         _concave_marginal(csf, v1, q_int, zero, b2, xp) <= CLOSED_FORM_RESIDUAL)
-    x1, x2 = select(cornered, select(first, (b1, zero), (zero, select(second, b2, zero))), (x1, x2))
+    x1, x2 = select(cornered, select(first, (b1, zero), (zero, b2)), (x1, x2))
     return x1, x2, cornered, (cornered & ((first | second) ^ True), _no_axis_equilibrium, b1, b2)
 
 
@@ -501,7 +489,7 @@ def _concave_newton(csf, v1: float, v2: float, q_int, xp: _Ops = _FLOATS):
             n1, n2 = g1 - t * d1, g2 - t * d2
             trial = (n1, n2, *_log_impact_foc(n1, n2, *consts))
             done = searching & (trial[2] ** 2 + trial[3] ** 2 <= (1.0 - 1e-4 * t) * norm)
-            state = select(done, trial, state)
+            state = select(done, trial, state) if live(done ^ True) else trial
             searching = searching ^ done  # done lanes are searching ones
             if not live(searching):
                 break
@@ -548,7 +536,7 @@ def total_effort_slope(spec: ContestSpec, q: float, x1: float, x2: float,
     return -slope if vals.swapped else slope
 
 
-def _solve_concave(csf, vals, q_int):
+def _concave(csf, vals, q_int, xp: _Ops):
     """Equilibrium of a concave-impact contest with linear cost.
 
     Linear impact admits a closed form: the classic lottery efforts shifted
@@ -556,49 +544,35 @@ def _solve_concave(csf, vals, q_int):
     negative, the axis profiles are tested in closed form and the first
     mutual best response is returned (otherwise `NoEquilibriumError`).
     Concave impact with exponent below one keeps both players active; the
-    Newton solution in log-impact coordinates raises `ConvergenceError` if an
-    effort underflows double precision, and the epilogue accepts it only if
-    both effort-space residuals are within `ITERATIVE_RESIDUAL`.
+    Newton solution in log-impact coordinates fails with `ConvergenceError`
+    if an effort underflows double precision, and the entry points accept it
+    only if both effort-space residuals are within `ITERATIVE_RESIDUAL`.
     """
     if csf.r < 1.0:
-        x1, x2, gate = _newton_efforts(csf, vals.v1, vals.v2, q_int)
-        _raise_first(gate)
-        return x1, x2, False, SolveMethod.FOC_SOLVE
-    x1, x2, cornered, gate = _lottery(csf, vals.v1, vals.v2, q_int)
-    _raise_first(gate)
-    return x1, x2, cornered, SolveMethod.CLOSED_FORM
+        x1, x2, gate = _newton_efforts(csf, vals.v1, vals.v2, q_int, xp)
+        return x1, x2, False, SolveMethod.FOC_SOLVE, (gate,)
+    x1, x2, cornered, gate = _lottery(csf, vals.v1, vals.v2, q_int, xp)
+    return x1, x2, cornered, SolveMethod.CLOSED_FORM, (gate,)
 
 
-def _concave_lanes(csf, vals, q_int):
-    # log(0), stopped Newton lanes, and interior lanes' corner slopes at huge prizes
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if csf.r < 1.0:
-            x1, x2, gate = _newton_efforts(csf, vals.v1, vals.v2, q_int, _LANES)
-            return x1, x2, np.zeros(q_int.size, dtype=bool), SolveMethod.FOC_SOLVE, _lane_errors(gate)
-        x1, x2, cornered, gate = _lottery(csf, vals.v1, vals.v2, q_int, _LANES)
-    return x1, x2, cornered, SolveMethod.CLOSED_FORM, _lane_errors(gate)
-
-
-def _concave_residuals(csf, v1, v2, q, x1, x2):
+def _concave_residuals(csf, v1, v2, q, x1, x2, xp: _Ops):
     """No effort ratio or gap, and each player's payoff slope in own effort,
-    in the caller's labels; one tie rule or an array of lanes."""
-    xp = _FLOATS if isinstance(x1, float) else _LANES
+    in the caller's labels."""
     return (None, _concave_marginal(csf, v1, q, x1, x2, xp),
             _concave_marginal(csf, v2, 1.0 - q, x2, x1, xp))
 
 
-# (scalar route, lane route, residuals) per family kind.  Routes solve
-# stronger-player-first: they take (csf, vals, q_int) and return the stronger
-# and the weaker player's efforts, the cornered flag and the method; the lane
-# route returns arrays and, last, its failing lanes' errors.  The residuals
-# take (csf, v1, v2, q, x1, x2) in the caller's labels, for one tie rule or
-# lanes, and return (beta, r1, r2).  One epilogue per entry point (`solve`,
-# `solve_lanes`) maps the labels, evaluates the residuals and gates iterative
-# solves.
+# (route, residuals) per family kind, each written once against the primitives
+# `xp` (see `_Ops`): `solve` runs them on `_FLOATS`, `solve_lanes` on `_LANES`.
+# Routes solve stronger-player-first: they take (csf, vals, q_int, xp) and
+# return the stronger and the weaker player's efforts, the cornered flag, the
+# method and the route's gates, which only the entry points apply.  The
+# residuals take (csf, v1, v2, q, x1, x2, xp) in the caller's labels and return
+# (beta, r1, r2).
 _ROUTES = {
-    "ratio": (_solve_ratio, _ratio_lanes, _ratio_residuals),
-    "diff": (_solve_diff, _diff_lanes, _diff_residuals),
-    "concave": (_solve_concave, _concave_lanes, _concave_residuals),
+    "ratio": (_ratio, _ratio_residuals),
+    "diff": (_diff, _diff_residuals),
+    "concave": (_concave, _concave_residuals),
 }
 
 
@@ -633,7 +607,7 @@ def _prologue(spec: ContestSpec, q_user, force: bool, audited: bool):
 
 
 def solve(spec: ContestSpec, *, force: bool = False, audited: bool = False) -> Equilibrium:
-    """Equilibrium of a contest, by the scalar route for its family class.
+    """Equilibrium of a contest, by its family class's route on one tie rule.
 
     Validates that the cost technology matches the one the family's theory
     is stated under (linear for ratio and concave classes, half-quadratic
@@ -641,10 +615,11 @@ def solve(spec: ContestSpec, *, force: bool = False, audited: bool = False) -> E
     A ratio family outside its closed-form precondition raises unless
     `force` is given, in which case a warning is attached instead.
     """
-    (route, _, residuals), vals, q_int, warnings = _prologue(spec, spec.q, force, audited)
-    strong, weak, cornered, method = route(spec.csf, vals, q_int)
+    (route, residuals), vals, q_int, warnings = _prologue(spec, spec.q, force, audited)
+    strong, weak, cornered, method, gates = route(spec.csf, vals, q_int, _FLOATS)
+    _raise_first(*gates)
     x1, x2 = _user_order(vals, strong, weak)
-    beta, r1, r2 = residuals(spec.csf, spec.v1, spec.v2, spec.q, x1, x2)
+    beta, r1, r2 = residuals(spec.csf, spec.v1, spec.v2, spec.q, x1, x2, _FLOATS)
     if method is SolveMethod.FOC_SOLVE:
         _raise_first(_residual_gate(x1, x2, r1, r2))
     return _equilibrium(x1, x2, beta, (r1, r2), cornered, method, warnings)
@@ -661,17 +636,21 @@ def solve_lanes(spec: ContestSpec, qs, *, force: bool, audited: bool) -> Lanes:
     q_user = q_array(qs)
     if q_user.ndim != 1:
         raise ValidationError(f"qs must be one-dimensional, got shape {q_user.shape}")
-    (_, route, residuals), vals, q_int, warnings = _prologue(spec, q_user, force, audited)
-    strong, weak, cornered, method, errors = route(spec.csf, vals, q_int)
+    (route, residuals), vals, q_int, warnings = _prologue(spec, q_user, force, audited)
     failed = np.zeros(q_user.size, dtype=bool)
-    failed[list(errors)] = True
-    # a failed lane takes efforts (1, 1), which keep its unused residuals finite
-    x1, x2 = _user_order(vals, np.where(failed, 1.0, strong), np.where(failed, 1.0, weak))
-    with np.errstate(over="ignore", invalid="ignore"):  # a ratio product's unused order overflows
-        beta, r1, r2 = residuals(spec.csf, spec.v1, spec.v2, q_user, x1, x2)
-    gates = (_residual_gate(x1, x2, r1, r2),) if method is SolveMethod.FOC_SOLVE else ()
+    # log(0), stopped iterative lanes, failing lanes' efforts and their unused orders
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        strong, weak, cornered, method, gates = route(spec.csf, vals, q_int, _LANES)
+        for failing, *_ in gates:
+            failed |= failing
+        # a failed lane takes efforts (1, 1), which keep its unused residuals finite
+        x1, x2 = _user_order(vals, np.where(failed, 1.0, strong), np.where(failed, 1.0, weak))
+        beta, r1, r2 = residuals(spec.csf, spec.v1, spec.v2, q_user, x1, x2, _LANES)
+    if method is SolveMethod.FOC_SOLVE:
+        gates += (_residual_gate(x1, x2, r1, r2),)
     negative = ((x1 >= 0.0) & (x2 >= 0.0)) ^ True
-    errors = {**_lane_errors(*gates, (negative, _negative_efforts, x1, x2)), **errors}  # route's first
+    errors = _lane_errors(*gates, (negative, _negative_efforts, x1, x2))  # the route's gates first
+    cornered = np.zeros(q_user.size, dtype=bool) | cornered  # routes that never corner give False
     return Lanes(q_user, x1, x2, beta, (r1, r2), cornered, method, warnings, errors)
 
 

@@ -8,8 +8,10 @@ objects, such as a family's kernels `csf._zp`, are not module reads.
 Result records also share one serializer: only `core.JsonRecord` writes a
 `to_json_dict`, apart from `EffortCurve`, whose JSON rows transpose its columns.
 And the solver routes stay label-free: only the `solve` and `solve_lanes`
-epilogues map results back to the caller's player labels.  Each solver step
-the routes reach is one body for one tie rule and for lanes, with no lane twin.
+epilogues map results back to the caller's player labels.  Each family kind
+has one route, run by both entry points on one tie rule or on lanes, and each
+solver step the routes reach is one body, with no lane twin and no dispatch
+on the type of its arguments.
 """
 from __future__ import annotations
 
@@ -114,13 +116,18 @@ def test_guard_sees_hand_written_serializers():
 LABEL_READS = ("swapped", "_user_order")
 
 
+def routes_table(tree: ast.Module) -> ast.expr:
+    """The value assigned to `_ROUTES` in a parsed module."""
+    return next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "_ROUTES" for t in node.targets))
+
+
 def route_functions(source: str) -> dict[str, ast.FunctionDef]:
     """Each module function of `source` that `_ROUTES` names, directly or
     through the module functions those name, by name."""
     tree = ast.parse(source)
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    table = next(node.value for node in tree.body if isinstance(node, ast.Assign)
-                 and any(isinstance(t, ast.Name) and t.id == "_ROUTES" for t in node.targets))
+    table = routes_table(tree)
     todo = [node.id for node in ast.walk(table) if isinstance(node, ast.Name)]
     reached = {}
     while todo:
@@ -153,8 +160,8 @@ def test_routes_stay_label_free():
     assert route_label_reads(source) == []
 
 
-# One body per solver step, run by the scalar routes on floats and by the lane
-# routes on lanes; a lane twin beside a body would be a second copy of its rules.
+# One body per solver step, run by each route on floats and on lanes; a lane
+# twin beside a body would be a second copy of its rules.
 SHARED_BODIES = ("_safeguarded_root", "_gap_root", "_concave_newton", "_concave_marginal",
                  "_lottery")
 LANE_TWINS = ("_safeguarded_roots", "_gap_roots", "_concave_newtons", "_concave_marginals",
@@ -175,15 +182,54 @@ def test_guard_sees_label_reads_in_routes_and_their_helpers():
         "    return (b, a) if vals.swapped else (a, b)",
         "def _helper(vals):",
         "    return vals.swapped",
-        "def _route(csf, vals, q):",
-        "    return _helper(vals)",
-        "def _lanes(csf, vals, q):",
-        "    return _user_order(vals, 1.0, 2.0)",
-        "def _residuals(csf, v1, v2, q, x1, x2):",
+        "def _route(csf, vals, q, xp):",
+        "    return _helper(vals), _user_order(vals, 1.0, 2.0)",
+        "def _residuals(csf, v1, v2, q, x1, x2, xp):",
         "    return None, 0.0, 0.0",
         "def solve(spec):",
         "    return spec.valuations.swapped",
-        "_ROUTES = {'kind': (_route, _lanes, _residuals)}",
+        "_ROUTES = {'kind': (_route, _residuals)}",
     ])
     assert route_label_reads(source) == [
-        "_helper: .swapped", "_lanes: _user_order", "_user_order: .swapped"]
+        "_helper: .swapped", "_route: _user_order", "_user_order: .swapped"]
+
+
+# One route per family kind, run by `solve` on floats and by `solve_lanes` on
+# lanes through the primitives it is passed; a scalar route beside a lane route
+# would be a second copy of its rules and gates.
+ROUTE_TWINS = ("_solve_ratio", "_ratio_lanes", "_solve_diff", "_diff_lanes", "_checked_gap",
+               "_solve_concave", "_concave_lanes")
+
+
+def route_type_dispatches(source: str) -> list[str]:
+    """Each function that `_ROUTES` reaches and that calls `isinstance`."""
+    return sorted(name for name, function in route_functions(source).items()
+                  if any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                         and node.func.id == "isinstance" for node in ast.walk(function)))
+
+
+def test_each_family_kind_has_one_route_that_takes_its_primitives():
+    source = (PACKAGE / "equilibrium.py").read_text(encoding="utf-8")
+    tree = ast.parse(source)
+    for pair in routes_table(tree).values:
+        assert isinstance(pair, ast.Tuple) and len(pair.elts) == 2, ast.unparse(pair)
+        assert pair.elts[1].id.endswith("_residuals"), ast.unparse(pair)
+    defined = {node.name for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert defined.isdisjoint(ROUTE_TWINS)
+    assert route_type_dispatches(source) == []
+
+
+def test_guard_sees_type_dispatch_in_routes_and_their_helpers():
+    source = "\n".join([
+        "def _helper(x):",
+        "    return x if isinstance(x, float) else x.sum()",
+        "def _route(csf, vals, q, xp):",
+        "    return _helper(q)",
+        "def _residuals(csf, v1, v2, q, x1, x2, xp):",
+        "    return None, 0.0, 0.0",
+        "def solve(spec):",
+        "    return isinstance(spec, float)",
+        "_ROUTES = {'kind': (_route, _residuals)}",
+    ])
+    assert route_type_dispatches(source) == ["_helper"]

@@ -24,8 +24,7 @@ from tiebreak import (
     solve_many,
     sweep,
 )
-from tiebreak.core import Valuations
-from tiebreak.equilibrium import _LANES, _concave_newton, _diff_lanes, _gap_root, solve_lanes
+from tiebreak.equilibrium import _FLOATS, _LANES, _concave_newton, _gap_root, solve_lanes
 
 LANE_QS = np.concatenate([np.linspace(0.0, 1.0, 21), [0.0122, 0.377, 0.5 + 1e-9, 0.9871]])
 
@@ -239,14 +238,15 @@ class TestDesignerStaysBatched:
 
     @pytest.fixture
     def scalar_calls(self, monkeypatch):
-        """Internal tie shares of every scalar solve, counted at its scalar route."""
+        """Internal tie shares of every scalar solve, counted at its route's float runs."""
         calls = []
-        for kind, (route, lanes, residuals) in equilibrium_mod._ROUTES.items():
-            def counting(csf, vals, q_int, route=route):
-                calls.append(q_int)
-                return route(csf, vals, q_int)
+        for kind, (route, residuals) in equilibrium_mod._ROUTES.items():
+            def counting(csf, vals, q_int, xp, route=route):
+                if xp is _FLOATS:
+                    calls.append(q_int)
+                return route(csf, vals, q_int, xp)
 
-            monkeypatch.setitem(equilibrium_mod._ROUTES, kind, (counting, lanes, residuals))
+            monkeypatch.setitem(equilibrium_mod._ROUTES, kind, (counting, residuals))
         return calls
 
     @pytest.fixture
@@ -401,13 +401,13 @@ def test_truncated_newton_lanes_take_the_scalar_steps(budget, monkeypatch):
 def test_truncated_gap_roots_take_the_scalar_steps(budget, family, params, prizes, monkeypatch):
     """The lane instance of the gap-root body returns each lane's float
     instance bits: root, residual, last bound and whether it was ahead; and
-    the lane route fails each lane with `solve_beta`'s error or finds its root."""
+    `solve_lanes` fails each lane with `solve_beta`'s error or finds its root."""
     monkeypatch.setattr(equilibrium_mod, "MAX_ITERATIONS", budget)
-    csf = make_contest(family, v1=prizes[0], v2=prizes[1], q=0.0, **params).csf
-    qs = np.linspace(0.0, 1.0, 6)
+    spec = make_contest(family, v1=prizes[0], v2=prizes[1], q=0.0, **params)
+    csf, qs = spec.csf, np.linspace(0.0, 1.0, 6)
     with np.errstate(all="ignore"):
         lanes = _gap_root(csf, prizes[0] - prizes[1], qs, _LANES)
-    *_, errors = _diff_lanes(csf, Valuations(*prizes), qs)
+    errors = solve_lanes(spec, qs, force=False, audited=False).errors
     for lane, q in enumerate(qs):
         root, resid, hi, ahead = _gap_root(csf, prizes[0] - prizes[1], float(q))
         assert [float(a[lane]).hex() for a in lanes[:3]] == [root.hex(), resid.hex(), hi.hex()]
