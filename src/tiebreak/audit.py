@@ -37,6 +37,7 @@ import numpy as np
 
 from .core import JsonRecord, q_value
 from .errors import DomainError, ValidationError
+from .families import LANES
 
 STRICT_SLACK = 1e-12
 """Wrong-side tolerance for strict grid inequalities."""
@@ -180,7 +181,7 @@ def _slope_rows(csf, theta_grid, q_grid):
         raise ValidationError("q grid must be nonempty")
     ends = (qs[0], qs[-1])
     rows = sorted({*ends, 0.0, 1.0})
-    zp, zpp, p0 = csf._slopes_and_tie(theta, np.array(rows)[:, None])
+    zp, zpp, p0 = csf._slopes_and_tie(theta, np.array(rows)[:, None], LANES)
     at = slice(None) if rows == list(ends) else [rows.index(q) for q in ends]
     return theta, qs, ends, zp[at], zpp[at], zp[-1] - zp[0], p0
 
@@ -225,7 +226,7 @@ def _tail_conditions(csf, theta: np.ndarray, q_col: np.ndarray) -> list[Conditio
     down, up, points = _tail_ladder(float(theta[0]), float(theta[-1]))
     n = len(down)
     with np.errstate(all="ignore"):
-        win, _, tie = csf._triple(points)
+        win, _, tie = csf._triple(points, LANES)
         z = win + q_col * tie
         limits = (("vanishes_at_zero", down, np.abs(z[:, :n]).max(axis=0)),
                   ("saturates_at_infinity", up, np.abs(1.0 - z[:, n:]).max(axis=0)),

@@ -14,9 +14,9 @@ many.  Each runs one prologue: it checks family kind, cost, closed-form
 precondition and a ratio form's prize ratio once, orients the labels
 (strongest prize first, player 2's tie share 1 - q) and picks the family
 kind's route in `_ROUTES`.  Each family kind has one route, and each solver
-step one body, written against the primitives `_Ops` and run by both entry
-points, which choose the instance: `solve` the float instance, cheaper for
-one tie rule than array code, `solve_lanes` the lane instance over q, one
+step one body, written against the primitives `families.Ops` and run by both
+entry points, which choose the instance: `solve` `FLOATS`, cheaper for one
+tie rule than array code, `solve_lanes` `LANES` over q, one
 lane per tie rule, each iterative lane stopping on its own and then holding
 its values.  Routes solve stronger-player-first and return their acceptance
 tests as gates, which only the entry points apply: `solve` raises the first
@@ -25,8 +25,8 @@ first gate it fails.  Each entry point then maps the efforts to the caller's
 labels, evaluates the first-order residuals there and gates iterative
 solves: `solve` returns an `Equilibrium`, `solve_lanes` arrays (`Lanes`)
 with each failing lane's error.  Routes call only the families' unchecked
-kernels.  `solve_beta` is the one raw-input helper, the effort-gap root of a
-difference-form contest.
+kernels, which take the same primitives.  `solve_beta` is the one raw-input
+helper, the effort-gap root of a difference-form contest.
 
 Every solver returns an `Equilibrium` carrying per-player first-order
 residuals evaluated at the returned profile, corner flags, and any warnings
@@ -39,7 +39,6 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,7 +46,7 @@ import numpy as np
 from .core import ContestSpec, JsonRecord, Valuations, q_value
 from .errors import (ContestError, ConvergenceError, DomainError, NoEquilibriumError,
                      ValidationError)
-from .families import q_array
+from .families import FLOATS, LANES, Ops, q_array
 
 _EPS = sys.float_info.epsilon
 _TINY = sys.float_info.min
@@ -222,42 +221,20 @@ def _lane_errors(*gates) -> dict[int, ContestError]:
     return errors
 
 
-def _logaddexp(a: float, b: float) -> float:
-    """log(e^a + e^b) without overflow; either argument may be -inf."""
-    hi, lo = (a, b) if a >= b else (b, a)
-    return hi + math.log1p(math.exp(lo - hi))
-
-
-# The primitives each solver step is written against once, passed as the array
-# API standard passes a namespace.  `_FLOATS` runs one tie rule on Python
-# floats; `_LANES` runs one lane per tie rule on arrays kept at full length,
-# where a lane that stops holds its values through `select`, so each live lane
-# performs the float instance's IEEE operations in the same order
-# (`solve_lanes` silences the warnings of stopped lanes).  `select(c, a, b)` is
-# a where c holds and b elsewhere, entry by entry for tuples; `live(c)` is
-# whether c holds in any lane; `log(0.0)` is -inf; `power(xs, p)` raises each
-# of the tuple xs to p in one NumPy call.
-_Ops = namedtuple("_Ops", "select live sqrt exp log logaddexp power")
-_FLOATS = _Ops(lambda c, a, b: a if c else b, bool, math.sqrt, math.exp,
-               lambda h: math.log(h) if h > 0.0 else -math.inf, _logaddexp,
-               lambda xs, p: np.power(xs, p).tolist())  # a NumPy scalar's tolist is slow
-_LANES = _Ops(np.where, np.ndarray.any, np.sqrt, np.exp, np.log, np.logaddexp, np.power)
-
-
 def _residual_gate(x1, x2, r1, r2):
     """Fails unless both residuals are within `ITERATIVE_RESIDUAL`."""
     converged = (abs(r1) <= ITERATIVE_RESIDUAL) & (abs(r2) <= ITERATIVE_RESIDUAL)
     return converged ^ True, _newton_residual, x1, x2, r1, r2
 
 
-def _reordered(first_ok, first, second, xp: _Ops):
-    """`first` where `first_ok` holds and `second()` elsewhere (`xp`, see `_Ops`):
+def _reordered(first_ok, first, second, xp: Ops):
+    """`first` where `first_ok` holds and `second()` elsewhere (`xp`, see `Ops`):
     a product is formed in a second order only where its first order leaves
     the normal range, so every other result keeps its bits."""
     return xp.select(first_ok, first, second()) if xp.live(first_ok ^ True) else first
 
 
-def _ratio_range(vals: Valuations, slope, xp: _Ops):
+def _ratio_range(vals: Valuations, slope, xp: Ops):
     """Efforts and range gate of a ratio closed form at slope z_q'(beta): a
     subnormal slope or weak effort has too few bits for a rounding-level
     residual, and the strong effort v1 * beta * slope, formed as
@@ -269,28 +246,29 @@ def _ratio_range(vals: Valuations, slope, xp: _Ops):
     return strong, weak, (underflow | (strong == math.inf), _ratio_range_error, slope, underflow)
 
 
-def _ratio(csf, vals, q_int, xp: _Ops):
+def _ratio(csf, vals, q_int, xp: Ops):
     """Closed-form equilibrium of a ratio-form contest with linear cost: both
     players exert prize * beta * z_q'(beta) at beta = v1/v2."""
-    strong, weak, gate = _ratio_range(vals, csf._zp(vals.beta, q_int), xp)
+    # beta is one float at every tie rule: its shares take the float kernels
+    strong, weak, gate = _ratio_range(vals, csf._zp(vals.beta, q_int, FLOATS), xp)
     return strong, weak, False, SolveMethod.CLOSED_FORM, (gate,)
 
 
-def _ratio_residuals(csf, v1, v2, q, x1, x2, xp: _Ops):
+def _ratio_residuals(csf, v1, v2, q, x1, x2, xp: Ops):
     """Effort ratio and first-order residuals in the caller's labels.  Player
     2's marginal benefit v2 * z' * theta is formed as v2 * (z' * theta) where
     v2 * z' leaves the normal range."""
     theta = x1 / x2
-    zp = csf._zp(theta, q)
+    zp = csf._zp(theta, q, xp)
     head = v2 * zp
     r2 = _reordered((head >= _TINY) & (head * theta != math.inf), head * theta / x2 - 1.0,
                     lambda: v2 * (zp * theta) / x2 - 1.0, xp)
     return theta, v1 * zp / x2 - 1.0, r2
 
 
-def _safeguarded_root(fdf, lo, hi, budget: int, at_lo, xp: _Ops = _FLOATS):
+def _safeguarded_root(fdf, lo, hi, budget: int, at_lo, xp: Ops = FLOATS):
     """Root of f on a bracket with f(lo) <= 0 < f(hi), given fdf(x) = (f, f')
-    and at_lo = fdf(lo), for one tie rule or lanes (`xp`, see `_Ops`).
+    and at_lo = fdf(lo), for one tie rule or lanes (`xp`, see `Ops`).
 
     Newton steps while they land strictly inside the bracket and shrink at
     least as fast as bisection, bisection otherwise (`rtsafe`, Numerical
@@ -329,9 +307,9 @@ def solve_beta(csf, v, q) -> float:
     return root
 
 
-def _gap_root(csf, gap: float, q_int, xp: _Ops = _FLOATS):
+def _gap_root(csf, gap: float, q_int, xp: Ops = FLOATS):
     """The root of theta = gap * z_q'(theta) for a prize gap >= 0 and internal
-    tie shares, for one tie rule or lanes (`xp`, see `_Ops`).
+    tie shares, for one tie rule or lanes (`xp`, see `Ops`).
 
     The upper bounds 1, 2, 4, ..., 2^`BRACKET_EXPANSIONS` are tried until the
     left side is ahead of the right, which happens because z' is bounded;
@@ -340,7 +318,7 @@ def _gap_root(csf, gap: float, q_int, xp: _Ops = _FLOATS):
     0), its residual, the last bound tried and whether it was ahead.
     """
     def fdf(theta):
-        zp, zpp = csf._zslopes(theta, q_int)
+        zp, zpp = csf._zslopes(theta, q_int, xp)
         return theta - gap * zp, 1.0 - gap * zpp
 
     lo, hi = 0.0 * q_int, 0.0 * q_int + 1.0  # floats for one tie rule, arrays for lanes
@@ -366,53 +344,47 @@ def _gap_gates(gap: float, resid, hi, bracketed):
             ((abs(resid) <= limit) ^ True, _gap_residual, resid, limit))
 
 
-def _diff(csf, vals, q_int, xp: _Ops):
+def _diff(csf, vals, q_int, xp: Ops):
     """Equilibrium of a difference-form contest with quadratic cost: each
     effort is prize * z_q'(gap) at the equilibrium gap from `_gap_root`, so
     the first-order conditions are exactly v_i * z_q'(gap) = x_i."""
     gap = vals.v1 - vals.v2
     theta, resid, hi, bracketed = _gap_root(csf, gap, q_int, xp)
-    slope = csf._zp(theta, q_int)
+    slope = csf._zp(theta, q_int, xp)
     return (vals.v1 * slope, vals.v2 * slope, False, SolveMethod.ROOT_FIND,
             _gap_gates(gap, resid, hi, bracketed))
 
 
-def _diff_residuals(csf, v1, v2, q, x1, x2, xp: _Ops):
+def _diff_residuals(csf, v1, v2, q, x1, x2, xp: Ops):
     """Effort gap and first-order residuals v_i * z_q'(gap) - x_i in the
     caller's labels."""
     theta = x1 - x2
-    zp = csf._zp(theta, q)
+    zp = csf._zp(theta, q, xp)
     return theta, v1 * zp - x1, v2 * zp - x2
 
 
-def _concave_marginal(csf, prize: float, own_q, own, other, xp: _Ops = _FLOATS):
+def _concave_marginal(csf, prize: float, own_q, own, other, xp: Ops = FLOATS):
     """Payoff slope in own effort for a concave-impact contest, linear cost,
-    for one tie rule or lanes (`xp`, see `_Ops`).
+    for one tie rule or lanes (`xp`, see `Ops`): prize * `_win_d1` - 1.
 
     At zero own effort the slope is the one-sided limit: -1 when winning adds
     nothing (rival impact + 1 - own tie share is zero), +inf for exponents
-    below one, and the finite linear-impact expression otherwise.  A power
-    takes one NumPy call per exponent: a scalar exponent takes the same fast
-    paths for one tie rule as for lanes (0.5: sqrt).  Linear impact takes
-    none, as x^1 = x and x^0 = 1 exactly.
+    below one, and the finite linear-impact expression otherwise.
     """
-    r, select, positive = csf.r, xp.select, own > 0.0
-    linear = r == 1.0
-    f_other, f_own = (other, own) if linear else xp.power((other, own), r)
-    press = f_other + (1.0 - own_q)
-    total = f_own + f_other + 1.0
-    # `_win_d1`'s operation order where own effort is positive
-    own_slope = (1.0 if linear or not xp.live(positive)
-                 else xp.power((select(positive, own, 1.0),), r - 1.0)[0])
-    slope = prize * (r * own_slope * press / total / total) - 1.0
+    select, positive, concave = xp.select, own > 0.0, csf.r < 1.0
+    # x^(r - 1) is taken at 1 where own effort is 0, whose slope is the limit
+    win_d1, press, total = csf._win_d1(select(positive, own, 1.0) if concave else own, other,
+                                       own_q, xp)
+    slope = prize * win_d1 - 1.0
     if xp.live(positive ^ True):
-        slope = select(positive, slope, math.inf if r < 1.0 else prize * press / (total * total) - 1.0)
+        slope = select(positive, slope,
+                       math.inf if concave else prize * press / (total * total) - 1.0)
     return select(press > 0.0, slope, -1.0)
 
 
-def _lottery(csf, v1: float, v2: float, q_int, xp: _Ops = _FLOATS):
+def _lottery(csf, v1: float, v2: float, q_int, xp: Ops = FLOATS):
     """Efforts, cornered flag and no-axis gate of a linear-impact contest,
-    for one tie rule or lanes (`xp`, see `_Ops`).  Interior efforts are
+    for one tie rule or lanes (`xp`, see `Ops`).  Interior efforts are
     v_i v1 v2 / (v1 + v2)^2 less each tie share, scaled by rho = v2 / v1 <= 1
     so no square leaves the normal range.  Where one is negative, (b1(0), 0)
     then (0, b2(0)) are tested, b_i(0) = max(0, sqrt(v_i (1 - q_i)) - 1)
@@ -434,7 +406,7 @@ def _lottery(csf, v1: float, v2: float, q_int, xp: _Ops = _FLOATS):
     return x1, x2, cornered, (cornered & ((first | second) ^ True), _no_axis_equilibrium, b1, b2)
 
 
-def _log_impact_foc(g1, g2, log_rv1, log_rv2, c, log_head1, log_head2, xp: _Ops = _FLOATS):
+def _log_impact_foc(g1, g2, log_rv1, log_rv2, c, log_head1, log_head2, xp: Ops = FLOATS):
     """First-order conditions of a power-impact contest in g_i = log(x_i^r).
 
     G_i = log(r v_i) - c g_i + log a_i - 2 log T is the log of marginal
@@ -459,9 +431,9 @@ def _log_impact_foc(g1, g2, log_rv1, log_rv2, c, log_head1, log_head2, xp: _Ops 
             abs(log_rv2) + abs(c * g2) + abs(log_a2) + 2.0 * log_t)
 
 
-def _concave_newton(csf, v1: float, v2: float, q_int, xp: _Ops = _FLOATS):
+def _concave_newton(csf, v1: float, v2: float, q_int, xp: Ops = FLOATS):
     """Log-impacts (g1, g2) of the interior equilibrium of a power-impact
-    contest with exponent below one, for one tie rule or lanes (`xp`, see `_Ops`).
+    contest with exponent below one, for one tie rule or lanes (`xp`, see `Ops`).
 
     Newton's method on `_log_impact_foc` from g_i = r log(v_i / 4), with
     backtracking on the squared residual norm, for at most `MAX_ITERATIONS`
@@ -497,7 +469,7 @@ def _concave_newton(csf, v1: float, v2: float, q_int, xp: _Ops = _FLOATS):
     return state[0], state[1]
 
 
-def _newton_efforts(csf, v1: float, v2: float, q_int, xp: _Ops = _FLOATS):
+def _newton_efforts(csf, v1: float, v2: float, q_int, xp: Ops = FLOATS):
     """Efforts e^(g_i / r) of `_concave_newton`, and their underflow gate."""
     r = csf.r
     g1, g2 = _concave_newton(csf, v1, v2, q_int, xp)
@@ -528,7 +500,7 @@ def total_effort_slope(spec: ContestSpec, q: float, x1: float, x2: float,
         g1, g2 = r * math.log(x1), r * math.log(x2)
         _, _, J11, J12, J21, J22, _, _ = _log_impact_foc(
             g1, g2, math.log(r * vals.v1), math.log(r * vals.v2), (1.0 - r) / r,
-            _FLOATS.log(1.0 - q1), _FLOATS.log(q1))
+            FLOATS.log(1.0 - q1), FLOATS.log(q1))
         dG1, dG2 = -1.0 / (math.exp(g2) + (1.0 - q1)), 1.0 / (math.exp(g1) + q1)
         det = J11 * J22 - J12 * J21 or math.nan  # singular: sign unknown, so uncertified
         dg1, dg2 = (J12 * dG2 - J22 * dG1) / det, (J21 * dG1 - J11 * dG2) / det
@@ -536,7 +508,7 @@ def total_effort_slope(spec: ContestSpec, q: float, x1: float, x2: float,
     return -slope if vals.swapped else slope
 
 
-def _concave(csf, vals, q_int, xp: _Ops):
+def _concave(csf, vals, q_int, xp: Ops):
     """Equilibrium of a concave-impact contest with linear cost.
 
     Linear impact admits a closed form: the classic lottery efforts shifted
@@ -555,7 +527,7 @@ def _concave(csf, vals, q_int, xp: _Ops):
     return x1, x2, cornered, SolveMethod.CLOSED_FORM, (gate,)
 
 
-def _concave_residuals(csf, v1, v2, q, x1, x2, xp: _Ops):
+def _concave_residuals(csf, v1, v2, q, x1, x2, xp: Ops):
     """No effort ratio or gap, and each player's payoff slope in own effort,
     in the caller's labels."""
     return (None, _concave_marginal(csf, v1, q, x1, x2, xp),
@@ -563,7 +535,7 @@ def _concave_residuals(csf, v1, v2, q, x1, x2, xp: _Ops):
 
 
 # (route, residuals) per family kind, each written once against the primitives
-# `xp` (see `_Ops`): `solve` runs them on `_FLOATS`, `solve_lanes` on `_LANES`.
+# `xp` (see `Ops`): `solve` runs them on `FLOATS`, `solve_lanes` on `LANES`.
 # Routes solve stronger-player-first: they take (csf, vals, q_int, xp) and
 # return the stronger and the weaker player's efforts, the cornered flag, the
 # method and the route's gates, which only the entry points apply.  The
@@ -616,10 +588,10 @@ def solve(spec: ContestSpec, *, force: bool = False, audited: bool = False) -> E
     `force` is given, in which case a warning is attached instead.
     """
     (route, residuals), vals, q_int, warnings = _prologue(spec, spec.q, force, audited)
-    strong, weak, cornered, method, gates = route(spec.csf, vals, q_int, _FLOATS)
+    strong, weak, cornered, method, gates = route(spec.csf, vals, q_int, FLOATS)
     _raise_first(*gates)
     x1, x2 = _user_order(vals, strong, weak)
-    beta, r1, r2 = residuals(spec.csf, spec.v1, spec.v2, spec.q, x1, x2, _FLOATS)
+    beta, r1, r2 = residuals(spec.csf, spec.v1, spec.v2, spec.q, x1, x2, FLOATS)
     if method is SolveMethod.FOC_SOLVE:
         _raise_first(_residual_gate(x1, x2, r1, r2))
     return _equilibrium(x1, x2, beta, (r1, r2), cornered, method, warnings)
@@ -640,12 +612,12 @@ def solve_lanes(spec: ContestSpec, qs, *, force: bool, audited: bool) -> Lanes:
     failed = np.zeros(q_user.size, dtype=bool)
     # log(0), stopped iterative lanes, failing lanes' efforts and their unused orders
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        strong, weak, cornered, method, gates = route(spec.csf, vals, q_int, _LANES)
+        strong, weak, cornered, method, gates = route(spec.csf, vals, q_int, LANES)
         for failing, *_ in gates:
             failed |= failing
         # a failed lane takes efforts (1, 1), which keep its unused residuals finite
         x1, x2 = _user_order(vals, np.where(failed, 1.0, strong), np.where(failed, 1.0, weak))
-        beta, r1, r2 = residuals(spec.csf, spec.v1, spec.v2, q_user, x1, x2, _LANES)
+        beta, r1, r2 = residuals(spec.csf, spec.v1, spec.v2, q_user, x1, x2, LANES)
     if method is SolveMethod.FOC_SOLVE:
         gates += (_residual_gate(x1, x2, r1, r2),)
     negative = ((x1 >= 0.0) & (x2 >= 0.0)) ^ True

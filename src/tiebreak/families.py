@@ -30,9 +30,10 @@ call evaluates many tie rules.  Public methods return a builtin float for
 scalar inputs: they check their arguments, then call one private kernel
 (`_triple`, `_zp`, `_zslopes`; `_impact`, `_impact_prime`, `_win_d1`) that
 assumes checked input.  The solvers and audits check once on entry and call
-only kernels, which take arrays or Python floats and give a float the bits
-of a one-element array: a scalar solve's kernel evaluation makes one NumPy call
-per group of powers or exponentials and stays on Python floats otherwise.
+only kernels.  Each kernel is written once against the primitives `xp`
+(`Ops`): the scalar solvers pass `FLOATS`, whose Python floats get the bits of
+a one-element array from one NumPy call per group of powers or exponentials,
+and the lane solvers, the audits and the public methods pass `LANES`.
 
 Evaluations are numerically stabilized.  Difference-form families touch
 exponentials only through e^(-|theta|) and logistic ratios, so theta up to
@@ -46,6 +47,8 @@ All family objects are immutable after construction; every method is pure.
 from __future__ import annotations
 
 import math
+import operator
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -104,61 +107,74 @@ def _ret(value):
     return float(value) if np.ndim(value) == 0 else value
 
 
-def _unit_share(u):
-    """A share u = t / (t + c), or its limit 1 where t = theta^r overflowed (inf / inf)."""
-    return np.fmin(u, 1.0) if isinstance(u, np.ndarray) else (1.0 if u != u else u)
+def _logaddexp(a: float, b: float) -> float:
+    """log(e^a + e^b) without overflow; either argument may be -inf."""
+    hi, lo = (a, b) if a >= b else (b, a)
+    return hi + math.log1p(math.exp(lo - hi))
 
 
-def _power_shares(shares, th, r: float):
-    """shares(t) at t = theta^r, without NumPy's overflow, nan or 1/0 warnings: a float
-    theta with a finite nonzero t (|r log theta| < 709.78, just below the log of the largest
-    double) stays on Python floats, which make inf and nan silently, and no `np.errstate`;
-    any other float theta gets its shares back as Python floats."""
-    if isinstance(th, float) and abs(r * math.log(th)) < 709.78:
-        return shares(float(np.power(th, r)))
+def _quiet_power_shares(shares, th, r: float):
+    """shares(t) at t = theta^r, without NumPy's overflow, nan or 1/0 warnings."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        out = shares(np.power(th, r))
-    return tuple(map(float, out)) if isinstance(th, float) else out
+        return shares(np.power(th, r))
 
 
-def _share_powers(u, ub, k: float):
-    """(u^k, ub^k) by NumPy's `**` for floats too: Python's pow can differ in the last bit."""
-    if isinstance(u, float):
-        return tuple((np.array((u, ub)) ** k).tolist())
-    return u**k, ub**k
+def _quiet_over(c, d):
+    """c / d for c > 0, without NumPy's 1/0 warning where d is 0."""
+    with np.errstate(divide="ignore"):
+        return c / d
 
 
-def _over_square(c: float, th):
-    """c / theta^2 for c > 0; a float theta whose square underflows gives inf, as arrays do."""
-    square = th * th
-    return math.inf if isinstance(square, float) and square == 0.0 else c / square
+def _float_power_shares(shares, th: float, r: float):
+    """shares(t) at t = theta^r: on Python floats while t is finite and nonzero,
+    |r log theta| < 709.78; otherwise by `_quiet_power_shares`, as Python floats."""
+    if abs(r * math.log(th)) < 709.78:
+        return shares(float(np.power(th, r)))
+    return tuple(map(float, _quiet_power_shares(shares, th, r)))
 
 
-def _logistic_shares(theta, k: float, complements: bool = True):
+# The primitives each family kernel and solver step is written against once,
+# passed as the array API standard passes a namespace.  `FLOATS` runs one tie
+# rule on Python floats; `LANES` runs arrays (solver lanes, one per tie rule,
+# audit grids, checked public input) with the IEEE operations of `FLOATS` in
+# the same order, so a one-entry array gets a float's bits; a stopped solver
+# lane holds its values through `select(c, a, b)`, which is a where c holds and
+# b elsewhere, entry by entry for tuples.  `live(c)` is whether c holds anywhere;
+# `power(xs, p)` raises each of xs to p, floats in one NumPy call; `exp` is
+# math's for floats, `np_exp` NumPy's for both; `log(0.0)` is -inf; `over(c, d)`
+# is c / d for c > 0, inf where d = 0; `fmin(1.0, u)` is 1 where u is nan; and
+# `power_shares(shares, th, r)` is shares(th^r).  These three never warn.
+Ops = namedtuple("Ops", "select live sqrt exp log logaddexp power np_exp over fmin power_shares")
+FLOATS = Ops(lambda c, a, b: a if c else b, bool, math.sqrt, math.exp,
+             lambda h: math.log(h) if h > 0.0 else -math.inf, _logaddexp,
+             lambda xs, p: np.power(xs, p).tolist(),  # a NumPy scalar's tolist is slow
+             lambda x: float(np.exp(x)), lambda c, d: c / d if d else math.inf, min,
+             _float_power_shares)
+LANES = Ops(np.where, operator.methodcaller("any"), np.sqrt, np.exp, np.log, np.logaddexp,
+            lambda xs, p: [np.power(x, p) for x in xs],  # one call each: no stacking copy
+            np.exp, _quiet_over, np.fmin, _quiet_power_shares)
+
+
+def _logistic_shares(theta, k: float, xp: Ops, complements: bool = True):
     """u = e^theta / (k + e^theta) and w = u(-theta) as (u, 1 - u, w, 1 - w), or as (u, w).
 
     All come from one a = e^(-|theta|) <= 1, so nothing overflows, and each
     complement (1 - u = k / (k + e^theta), 1 - w = k e^theta / (1 + k e^theta))
     is formed without subtraction, keeping full relative precision where a
-    share approaches one.  A float theta stays on Python floats (`np.exp`, not
-    `math.exp`, keeps a bit-identical to the array loop's); an array theta
-    selects only the shares asked for.
+    share approaches one.  Where no theta is negative, as in gap roots, no
+    sign is selected.
     """
-    scalar = isinstance(theta, float)
-    t = theta if scalar else np.asarray(theta, dtype=float)
-    a = float(np.exp(-abs(t))) if scalar else np.exp(-np.abs(t))
+    a = xp.np_exp(-abs(theta))
     if complements:
         ka = k * a
         near_den, far_den = 1.0 + ka, k + a
         near, far = (1.0 / near_den, ka / near_den), (a / far_den, k / far_den)
     else:  # inline: temporaries held to the return slow large grids by about a third
         near, far = (1.0 / (1.0 + k * a),), (a / (k + a),)
-    if scalar:
-        return near + far if t >= 0 else far + near
-    up = t >= 0
-    if up.all():  # no sign selection: gap roots work at theta >= 0
+    below = theta < 0.0
+    if not xp.live(below):
         return near + far
-    return tuple(np.where(up, x, y) for x, y in zip(near + far, far + near))
+    return tuple(xp.select(below, far + near, near + far))
 
 
 class _Family:
@@ -193,8 +209,8 @@ class _ReducedCsf(_Family):
 
     Subclasses define the check `_theta` and the kernels `_shares`, `_zp`,
     `_zslopes` and `_triple` -> consistent (p(theta), p(mirror), p0(theta)),
-    with mirror = 1/theta (ratio) or -theta (difference); the last two also
-    take `_shares` output already evaluated at theta."""
+    with mirror = 1/theta (ratio) or -theta (difference).  Each kernel takes
+    the primitives `xp`; all but `_shares` also take its output at theta."""
 
     def __init_subclass__(cls):
         # every family class holds its own `z_prime`, so wrapping one class's
@@ -202,31 +218,31 @@ class _ReducedCsf(_Family):
         cls.z_prime = _ReducedCsf.z_prime
 
     def p(self, theta):
-        return _ret(self._triple(self._theta(theta))[0])
+        return _ret(self._triple(self._theta(theta), LANES)[0])
 
     def p0(self, theta):
-        return _ret(self._triple(self._theta(theta))[2])
+        return _ret(self._triple(self._theta(theta), LANES)[2])
 
-    def _slopes_and_tie(self, th, qv):
-        """`_zslopes(th, qv)` and p0(theta), from one share evaluation."""
-        shares = self._shares(th)
-        return (*self._zslopes(th, qv, shares), self._triple(th, shares)[2])
+    def _slopes_and_tie(self, th, qv, xp: Ops):
+        """`_zslopes(th, qv, xp)` and p0(theta), from one share evaluation."""
+        shares = self._shares(th, xp)
+        return (*self._zslopes(th, qv, xp, shares), self._triple(th, xp, shares)[2])
 
     def z(self, theta, q) -> float:
         """Eventual win probability of player 1: p(theta) + q * p0(theta)."""
         qv = _tie_share(q)
-        win, _, tie = self._triple(self._theta(theta))
+        win, _, tie = self._triple(self._theta(theta), LANES)
         return _ret(win + qv * tie)
 
     def z_prime(self, theta, q):
         """d z_q / d theta."""
         qv = _tie_share(q)
-        return _ret(self._zp(self._theta(theta), qv))
+        return _ret(self._zp(self._theta(theta), qv, LANES))
 
     def z_slopes(self, theta, q):
         """(z_q', z_q'') from one share evaluation."""
         qv = _tie_share(q)
-        zp, zpp = self._zslopes(self._theta(theta), qv)
+        zp, zpp = self._zslopes(self._theta(theta), qv, LANES)
         return _ret(zp), _ret(zpp)
 
     def z_double_prime(self, theta, q):
@@ -234,14 +250,17 @@ class _ReducedCsf(_Family):
         return self.z_slopes(theta, q)[1]
 
     def p0_prime(self, theta):
-        """d p0 / d theta, exact via affinity of z_q in q."""
+        """d p0 / d theta, exact via affinity of z_q in q, from one share evaluation."""
         th = self._theta(theta)
-        return _ret(self._zp(th, 1.0) - self._zp(th, 0.0))
+        shares = self._shares(th, LANES)
+        return _ret(self._zp(th, 1.0, LANES, shares) - self._zp(th, 0.0, LANES, shares))
 
     def p0_double_prime(self, theta):
-        """d^2 p0 / d theta^2, exact via affinity of z_q in q."""
+        """d^2 p0 / d theta^2, exact via affinity of z_q in q, from one share evaluation."""
         th = self._theta(theta)
-        return _ret(self._zslopes(th, 1.0)[1] - self._zslopes(th, 0.0)[1])
+        shares = self._shares(th, LANES)
+        return _ret(self._zslopes(th, 1.0, LANES, shares)[1]
+                    - self._zslopes(th, 0.0, LANES, shares)[1])
 
 
 class RatioCsf(_ReducedCsf):
@@ -265,7 +284,7 @@ class RatioCsf(_ReducedCsf):
         x2a = _as_array(x2, "x2", nonnegative=True)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             theta = np.where(x1a == x2a, 1.0, x1a / x2a)
-        return tuple(map(_ret, self._triple(theta)))
+        return tuple(map(_ret, self._triple(theta, LANES)))
 
 
 class DiffCsf(_ReducedCsf):
@@ -280,8 +299,7 @@ class DiffCsf(_ReducedCsf):
     def outcome(self, x1, x2):
         x1a = _as_array(x1, "x1", nonnegative=True)
         x2a = _as_array(x2, "x2", nonnegative=True)
-        win1, win2, tie = self._triple(x1a - x2a)
-        return (_ret(win1), _ret(win2), _ret(tie))
+        return tuple(map(_ret, self._triple(x1a - x2a, LANES)))
 
 
 @dataclass(frozen=True)
@@ -314,27 +332,26 @@ class VesperoniRatio(RatioCsf):
     def lemma_precondition_ok(self) -> bool:
         return self.r * self.k <= 1.0
 
-    def _shares(self, th):
-        """(u, ub, u^k, ub^k)."""
+    def _shares(self, th, xp: Ops):
+        """(u, ub, u^k, ub^k); u is 1 where theta^r overflowed (inf / inf)."""
         def shares(t):
-            u, ub = _unit_share(t / (1.0 + t)), 1.0 / (1.0 + t)
-            return (u, ub) + _share_powers(u, ub, self.k)
-        return _power_shares(shares, th, self.r)
+            u, ub = xp.fmin(1.0, t / (1.0 + t)), 1.0 / (1.0 + t)
+            return (u, ub, *xp.power((u, ub), self.k))
+        return xp.power_shares(shares, th, self.r)
 
-    def _triple(self, th, shares=None):
-        _, _, pk, pm = shares or self._shares(th)
+    def _triple(self, th, xp: Ops, shares=None):
+        _, _, pk, pm = shares or self._shares(th, xp)
         return pk, pm, 1.0 - pk - pm
 
-    def _zp(self, th, qv):
-        u, ub, pk, pm = self._shares(th)
-        k, r = self.k, self.r
-        return (k * r / th) * ((1.0 - qv) * pk * ub + qv * u * pm)
+    def _zp(self, th, qv, xp: Ops, shares=None):
+        u, ub, pk, pm = shares or self._shares(th, xp)
+        return (self.k * self.r / th) * ((1.0 - qv) * pk * ub + qv * u * pm)
 
-    def _zslopes(self, th, qv, shares=None):
-        u, ub, pk, pm = shares or self._shares(th)
+    def _zslopes(self, th, qv, xp: Ops, shares=None):
+        u, ub, pk, pm = shares or self._shares(th, xp)
         k, r = self.k, self.r
         lead, trail = (1.0 - qv) * pk * ub, qv * u * pm
-        zpp = _over_square(k * r, th) * (lead * ((r * k - 1.0) * ub - (1.0 + r) * u)
+        zpp = xp.over(k * r, th * th) * (lead * ((r * k - 1.0) * ub - (1.0 + r) * u)
                                          + trail * ((r - 1.0) * ub - (1.0 + k * r) * u))
         return (k * r / th) * (lead + trail), zpp
 
@@ -370,25 +387,28 @@ class JiaRatio(RatioCsf):
     def lemma_precondition_ok(self) -> bool:
         return self.r <= 1.0
 
-    def _shares(self, th):
-        return _power_shares(lambda t: (_unit_share(t / (t + self.k)), self.k / (t + self.k),
-                                        1.0 / (1.0 + self.k * t), 1.0 / (1.0 + 1.0 / (self.k * t))),
-                             th, self.r)
+    def _shares(self, th, xp: Ops):
+        """(u, ub, w, wb); u is 1 where theta^r overflowed (inf / inf)."""
+        k = self.k
+        return xp.power_shares(lambda t: (xp.fmin(1.0, t / (t + k)), k / (t + k),
+                                          1.0 / (1.0 + k * t), 1.0 / (1.0 + 1.0 / (k * t))),
+                               th, self.r)
 
-    def _triple(self, th, shares=None):
-        u, w = shares[::2] if shares else _power_shares(
-            lambda t: (_unit_share(t / (t + self.k)), 1.0 / (1.0 + self.k * t)), th, self.r)
+    def _triple(self, th, xp: Ops, shares=None):
+        k = self.k
+        u, w = shares[::2] if shares else xp.power_shares(
+            lambda t: (xp.fmin(1.0, t / (t + k)), 1.0 / (1.0 + k * t)), th, self.r)
         return u, w, 1.0 - u - w
 
-    def _zp(self, th, qv):
-        u, ub, w, wb = self._shares(th)
+    def _zp(self, th, qv, xp: Ops, shares=None):
+        u, ub, w, wb = shares or self._shares(th, xp)
         return (self.r / th) * ((1.0 - qv) * u * ub + qv * w * wb)
 
-    def _zslopes(self, th, qv, shares=None):
-        u, ub, w, wb = shares or self._shares(th)
+    def _zslopes(self, th, qv, xp: Ops, shares=None):
+        u, ub, w, wb = shares or self._shares(th, xp)
         r = self.r
         lead, trail = (1.0 - qv) * u * ub, qv * w * wb
-        zpp = -_over_square(r, th) * (lead * (2.0 * r * u + (1.0 - r))
+        zpp = -xp.over(r, th * th) * (lead * (2.0 * r * u + (1.0 - r))
                                       + trail * (2.0 * r * wb + (1.0 - r)))
         return (r / th) * (lead + trail), zpp
 
@@ -414,23 +434,21 @@ class VesperoniDiff(DiffCsf):
     def __post_init__(self) -> None:
         object.__setattr__(self, "k", _check_param("k", self.k, 1.0, True, None, self.name))
 
-    def _shares(self, th):
-        """(s, sb, s^k, sb^k); a float pair takes one `np.power` call and stays on Python floats."""
-        s, sb = _logistic_shares(th, 1.0, complements=False)
-        if isinstance(s, float):
-            return (s, sb, *np.power((s, sb), self.k).tolist())
-        return s, sb, np.power(s, self.k), np.power(sb, self.k)
+    def _shares(self, th, xp: Ops):
+        """(s, sb, s^k, sb^k); floats take both powers from one NumPy call."""
+        s, sb = _logistic_shares(th, 1.0, xp, complements=False)
+        return (s, sb, *xp.power((s, sb), self.k))
 
-    def _triple(self, th, shares=None):
-        _, _, pk, pm = shares or self._shares(th)
+    def _triple(self, th, xp: Ops, shares=None):
+        _, _, pk, pm = shares or self._shares(th, xp)
         return pk, pm, 1.0 - pk - pm
 
-    def _zp(self, th, qv):
-        s, sb, pk, pm = self._shares(th)
+    def _zp(self, th, qv, xp: Ops, shares=None):
+        s, sb, pk, pm = shares or self._shares(th, xp)
         return self.k * ((1.0 - qv) * pk * sb + qv * s * pm)
 
-    def _zslopes(self, th, qv, shares=None):
-        s, sb, pk, pm = shares or self._shares(th)
+    def _zslopes(self, th, qv, xp: Ops, shares=None):
+        s, sb, pk, pm = shares or self._shares(th, xp)
         k = self.k
         lead, trail = (1.0 - qv) * pk * sb, qv * s * pm
         return k * (lead + trail), k * (lead * (k * sb - s) + trail * (sb - k * s))
@@ -459,19 +477,19 @@ class JiaDiff(DiffCsf):
     def __post_init__(self) -> None:
         object.__setattr__(self, "k", _check_param("k", self.k, 1.0, True, None, self.name))
 
-    def _shares(self, th):
-        return _logistic_shares(th, self.k)
+    def _shares(self, th, xp: Ops):
+        return _logistic_shares(th, self.k, xp)
 
-    def _triple(self, th, shares=None):
-        u, w = shares[::2] if shares else _logistic_shares(th, self.k, complements=False)
+    def _triple(self, th, xp: Ops, shares=None):
+        u, w = shares[::2] if shares else _logistic_shares(th, self.k, xp, complements=False)
         return u, w, 1.0 - u - w
 
-    def _zp(self, th, qv):
-        u, ub, w, wb = self._shares(th)
+    def _zp(self, th, qv, xp: Ops, shares=None):
+        u, ub, w, wb = shares or self._shares(th, xp)
         return (1.0 - qv) * u * ub + qv * w * wb
 
-    def _zslopes(self, th, qv, shares=None):
-        u, ub, w, wb = shares or self._shares(th)
+    def _zslopes(self, th, qv, xp: Ops, shares=None):
+        u, ub, w, wb = shares or self._shares(th, xp)
         lead, trail = (1.0 - qv) * u * ub, qv * w * wb
         return lead + trail, lead * (1.0 - 2.0 * u) + trail * (2.0 * w - 1.0)
 
@@ -509,10 +527,18 @@ class BlavatskyyPower(_Family):
     def _impact_double_prime(self, x):
         return self.r * (self.r - 1.0) * np.power(x, self.r - 2.0)
 
-    def _win_d1(self, x1, x2, qv):
-        f2 = self._impact(x2)
-        total = self._impact(x1) + f2 + 1.0
-        return self._impact_prime(x1) * (f2 + (1.0 - qv)) / total / total
+    def _win_d1(self, x1, x2, qv, xp: Ops):
+        """d/dx1 of player 1's eventual win probability at x1 > 0, with the rival's
+        head x2^r + 1 - q and the total impact x1^r + x2^r + 1 it is formed from.
+        A power takes one NumPy call per exponent for floats; linear impact takes
+        none, as x^1 = x and x^0 = 1 exactly."""
+        r = self.r
+        if r == 1.0:
+            f1, f2, own_slope = x1, x2, 1.0
+        else:
+            (f1, f2), own_slope = xp.power((x1, x2), r), xp.power((x1,), r - 1.0)[0]
+        head, total = f2 + (1.0 - qv), f1 + f2 + 1.0
+        return r * own_slope * head / total / total, head, total
 
     def _efforts(self, x1, x2, own_positive: bool = False):
         """Both efforts checked finite and >= 0, then own effort > 0 if asked."""
@@ -544,7 +570,7 @@ class BlavatskyyPower(_Family):
     def win_prob_d1(self, x1, x2, q):
         """d/dx1 of the eventual win probability of player 1."""
         qv = _tie_share(q)
-        return _ret(self._win_d1(*self._efforts(x1, x2, own_positive=True), qv))
+        return _ret(self._win_d1(*self._efforts(x1, x2, own_positive=True), qv, LANES)[0])
 
     def _curvature_parts(self, x1a, x2a):
         f2 = self._impact(x2a)

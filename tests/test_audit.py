@@ -29,6 +29,7 @@ from tiebreak.audit import (
     default_ratio_grid,
 )
 import tiebreak.audit as audit_mod
+from tiebreak.families import FLOATS, LANES
 
 from helpers import DIFF_CASES, RATIO_CASES, build
 
@@ -369,9 +370,9 @@ _checked_slope_rows = audit_mod._slope_rows
 def _every_row_slope_rows(csf, theta_grid, q_grid):
     theta, qs, *_ = _checked_slope_rows(csf, theta_grid, q_grid)
     rows = sorted({*qs, 0.0, 1.0})
-    zp, zpp = csf._zslopes(theta, np.array(rows)[:, None])
+    zp, zpp = csf._zslopes(theta, np.array(rows)[:, None], LANES)
     at = [rows.index(q) for q in qs]
-    return theta, qs, qs, zp[at], zpp[at], zp[-1] - zp[0], csf._triple(theta)[2]
+    return theta, qs, qs, zp[at], zpp[at], zp[-1] - zp[0], csf._triple(theta, LANES)[2]
 
 
 REFERENCE_Q_GRIDS = [None, (0.2, 0.7), (0.0, 0.3, 0.9), (0.1, 0.6, 1.0), (0.35,),
@@ -445,14 +446,14 @@ def test_fused_kernel_rows_equal_the_slope_kernel_bit_for_bit(family, params):
         default_diff_grid(), np.linspace(-700.0, 700.0, 301), np.linspace(0.0, 40.0, 101)]
     with np.errstate(all="ignore"):
         for theta in grids:
-            zp, zpp, p0 = csf._slopes_and_tie(theta, rows)
-            want_zp, want_zpp = csf._zslopes(theta, rows)
+            zp, zpp, p0 = csf._slopes_and_tie(theta, rows, LANES)
+            want_zp, want_zpp = csf._zslopes(theta, rows, LANES)
             assert np.array_equal(zp, want_zp, equal_nan=True)
             assert np.array_equal(zpp, want_zpp, equal_nan=True)
-            assert np.array_equal(p0, csf._triple(theta)[2], equal_nan=True)
+            assert np.array_equal(p0, csf._triple(theta, LANES)[2], equal_nan=True)
         for th in (0.5, 3.0) if ratio else (-2.0, 0.0, 3.0):
-            fused = csf._slopes_and_tie(th, 0.25)
-            assert fused == (*csf._zslopes(th, 0.25), csf._triple(th)[2])
+            fused = csf._slopes_and_tie(th, 0.25, FLOATS)
+            assert fused == (*csf._zslopes(th, 0.25, FLOATS), csf._triple(th, FLOATS)[2])
 
 
 def test_unimodality_split_equals_the_sign_selection():

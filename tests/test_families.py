@@ -19,7 +19,7 @@ from tiebreak import (
     solve_beta,
 )
 
-from tiebreak.families import _logistic_shares
+from tiebreak.families import FLOATS, LANES, _logistic_shares
 
 from helpers import CONCAVE_CASES, DIFF_CASES, RATIO_CASES, build, case_id
 
@@ -377,51 +377,72 @@ class TestZSlopes:
                 csf.z_slopes(theta, bad)
 
 
-KERNEL_THETAS = (0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0, 745.0, -745.0,
-                 *np.random.default_rng(1206).uniform(-40.0, 40.0, 120).tolist())
-
-
-def _same_bits(got, ref) -> bool:
-    """A float kernel result equals a 1-element array's entry, sign of zero included."""
-    return isinstance(got, float) and np.float64(got).tobytes() == ref.tobytes()
-
-
-@pytest.mark.parametrize("family", ["jia-diff", "vesperoni-diff"])
-@pytest.mark.parametrize("k", [1.0, 1.5, 2.0, 3.0, 7.3, 1e3, 1e6, 1e9, 1e12])
-def test_float_theta_kernels_match_the_array_kernels_bit_for_bit(family, k):
-    """The scalar solvers pass Python floats to the kernels; the lanes pass arrays."""
-    csf = make_family(family, k=k)
-    for theta in KERNEL_THETAS:
-        row = np.array([theta])
-        for got, ref in zip(csf._triple(theta), csf._triple(row)):
-            assert _same_bits(got, ref), (theta, got, ref)
-        for q in (0.0, 0.3, 1.0):
-            assert _same_bits(csf._zp(theta, q), csf._zp(row, q)), (theta, q)
-            for got, ref in zip(csf._zslopes(theta, q), csf._zslopes(row, q)):
-                assert _same_bits(got, ref), (theta, q, got, ref)
-
-
+DIFF_KERNEL_THETAS = (0.0, -0.0, 1e-300, -1e-300, 1e-9, -1e-9, 0.3, 1.0, -1.0, 1.5, -1.5,
+                      36.0, -36.0, 700.0, -700.0, 745.0, -745.0,
+                      *np.random.default_rng(1206).uniform(-40.0, 40.0, 120).tolist())
 RATIO_KERNEL_THETAS = (1e-320, 5e-324, 1e-200, 1e-160, 1.0, 1e154, 1e200, 1e308,
                        *(10.0 ** np.random.default_rng(1407).uniform(-320.0, 308.0, 150)).tolist())
+DIFF_KERNEL_KS = (1.0, 1.5, 2.0, 2.5, 3.0, 7.3, 1e3, 1e6, 1e9, 1e12)
+RATIO_KERNEL_PARAMS = ((0.05, 1.0), (0.3, 1.5), (0.5, 2.0), (1.0, 1.0), (1.0, 2.0), (2.0, 7.3),
+                       (50.0, 3.0))
+KERNEL_FAMILIES = ([(family, {"k": k}) for family in ("jia-diff", "vesperoni-diff")
+                    for k in DIFF_KERNEL_KS]
+                   + [(family, {"r": r, "k": k}) for family in ("jia-ratio", "vesperoni-ratio")
+                      for r, k in RATIO_KERNEL_PARAMS])
 
 
-@pytest.mark.parametrize("family", ["jia-ratio", "vesperoni-ratio"])
-@pytest.mark.parametrize("r, k", [(0.05, 1.0), (0.3, 1.5), (0.5, 2.0), (1.0, 1.0),
-                                  (1.0, 2.0), (2.0, 7.3), (50.0, 3.0)])
-def test_float_theta_ratio_kernels_match_the_array_kernels_bit_for_bit(family, r, k):
-    """A float theta from 1e-320 to 1e308 gives the 1-element array's values,
-    overflowed and underflowed slopes included, with no exception and no warning."""
-    csf = make_family(family, r=r, k=k)
-    for theta in RATIO_KERNEL_THETAS:
-        row = np.array([theta])
-        for q in (0.0, 0.3, 1.0):
-            with np.errstate(all="ignore"):
-                refs = (*csf._triple(row), csf._zp(row, q), *csf._zslopes(row, q))
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                gots = (*csf._triple(theta), csf._zp(theta, q), *csf._zslopes(theta, q))
-            for got, ref in zip(gots, refs):
-                assert _same_bits(got, ref), (theta, q, got, ref)
+def _kernel_results(csf, theta, q, xp):
+    """Every kernel of a reduced family at theta and tie rule q on the primitives `xp`."""
+    return (*csf._shares(theta, xp), *csf._triple(theta, xp), csf._zp(theta, q, xp),
+            *csf._zslopes(theta, q, xp), *csf._slopes_and_tie(theta, q, xp))
+
+
+@pytest.mark.parametrize("q", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("family, params", KERNEL_FAMILIES, ids=map(case_id, KERNEL_FAMILIES))
+def test_float_kernels_match_the_lane_kernels_bit_for_bit(family, params, q):
+    """The scalar solvers run the kernels on `FLOATS`, the lanes on `LANES`: a
+    float theta gives builtin floats with a one-element array's bits, sign of
+    zero, overflowed and underflowed ratio slopes included, and raises and
+    warns nothing."""
+    csf = make_family(family, **params)
+    ratio = csf.kind == "ratio"
+    for theta in RATIO_KERNEL_THETAS if ratio else DIFF_KERNEL_THETAS:
+        # ratio lanes warn where theta^r or theta^2 leaves the normal range
+        with np.errstate(all="ignore") if ratio else np.errstate():
+            refs = _kernel_results(csf, np.array([theta]), q, LANES)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gots = _kernel_results(csf, theta, q, FLOATS)
+        for got, ref in zip(gots, refs, strict=True):
+            assert type(got) is float and np.float64(got).tobytes() == ref.tobytes(), (
+                theta, got, ref)
+
+
+@pytest.mark.parametrize("case", ALL_REDUCED, ids=case_id)
+def test_tie_slopes_evaluate_the_shares_once(monkeypatch, case):
+    """p0' and p0'' take both tie rules' slopes from one share evaluation,
+    with the bits of z_1' - z_0' and z_1'' - z_0'' (2,001 points, as the
+    convexity precondition scans, and one float)."""
+    csf = build(case)
+    theta = np.linspace(0.01 if csf.kind == "ratio" else -3.0, 3.0, 2001)
+    wants = [(csf.z_prime(th, 1.0) - csf.z_prime(th, 0.0),
+              csf.z_double_prime(th, 1.0) - csf.z_double_prime(th, 0.0)) for th in (theta, 0.7)]
+    shares, calls = type(csf)._shares, []
+
+    def counted(self, *args):
+        calls.append(args)
+        return shares(self, *args)
+
+    monkeypatch.setattr(type(csf), "_shares", counted)
+    for th, (want_p, want_pp) in zip((theta, 0.7), wants):
+        got_p = csf.p0_prime(th)
+        assert len(calls) == 1
+        got_pp = csf.p0_double_prime(th)
+        assert len(calls) == 2
+        calls.clear()
+        assert type(got_p) is type(want_p) and type(got_pp) is type(want_pp)
+        assert np.asarray(got_p).tobytes() == np.asarray(want_p).tobytes()
+        assert np.asarray(got_pp).tobytes() == np.asarray(want_pp).tobytes()
 
 
 @pytest.mark.parametrize("family", ["jia-diff", "vesperoni-diff"])
@@ -435,12 +456,12 @@ def test_nonnegative_theta_arrays_skip_the_sign_selection_bit_for_bit(family, k)
                       *np.random.default_rng(2107).uniform(0.0, 40.0, 60)])
     mixed = np.concatenate([theta, -theta[2:]])
     for complements in (True, False):
-        alone = _logistic_shares(theta, csf.k, complements)
-        selected = _logistic_shares(mixed, csf.k, complements)
+        alone = _logistic_shares(theta, csf.k, LANES, complements)
+        selected = _logistic_shares(mixed, csf.k, LANES, complements)
         for got, ref in zip(alone, selected, strict=True):
             assert got.tobytes() == ref[:theta.size].tobytes()
     q = np.array([[0.0], [0.3], [1.0]])
-    for got, ref in zip(csf._zslopes(theta, q), csf._zslopes(mixed, q)):
+    for got, ref in zip(csf._zslopes(theta, q, LANES), csf._zslopes(mixed, q, LANES)):
         assert got.tobytes() == np.ascontiguousarray(ref[:, :theta.size]).tobytes()
 
 
@@ -504,13 +525,13 @@ class TestJiaSlopePrecision:
 def _masked_ratio_outcome(csf, x1, x2):
     """`RatioCsf.outcome` as it was formed with zero-effort masks: the reference.
 
-    Theta is kept an array: as a float it took the float kernels, which give the
-    same bits but raised on a ratio that underflows to zero."""
+    Theta is kept an array for the lane kernels: the float kernels give the same
+    bits, but Python floats raise on a ratio that underflows to zero."""
     x1a, x2a = np.broadcast_arrays(np.asarray(x1, dtype=float), np.asarray(x2, dtype=float))
     interior = (x1a > 0) & (x2a > 0)
     with np.errstate(over="ignore"):
         theta = np.asarray(np.where(interior, x1a, 1.0) / np.where(interior, x2a, 1.0))
-    win1, win2, tie = csf._triple(theta)
+    win1, win2, tie = csf._triple(theta, LANES)
     only1 = (x1a > 0) & (x2a == 0)
     only2 = (x1a == 0) & (x2a > 0)
     win1 = np.where(only1, 1.0, np.where(only2, 0.0, win1))

@@ -106,9 +106,9 @@ def test_gap_root_evaluates_no_theta_twice(monkeypatch):
     keeps the efforts it had when lo was evaluated twice (19 evaluations)."""
     kernel, thetas = tiebreak.VesperoniDiff._zslopes, []
 
-    def counted(self, th, qv, shares=None):
+    def counted(self, th, qv, xp, shares=None):
         thetas.append(th)
-        return kernel(self, th, qv, shares)
+        return kernel(self, th, qv, xp, shares)
 
     monkeypatch.setattr(tiebreak.VesperoniDiff, "_zslopes", counted)
     _, family, params, v1, v2, q = next(

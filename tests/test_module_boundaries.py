@@ -11,7 +11,7 @@ And the solver routes stay label-free: only the `solve` and `solve_lanes`
 epilogues map results back to the caller's player labels.  Each family kind
 has one route, run by both entry points on one tie rule or on lanes, and each
 solver step the routes reach is one body, with no lane twin and no dispatch
-on the type of its arguments.
+on the type of its arguments; nor do the family kernels the routes call.
 """
 from __future__ import annotations
 
@@ -201,9 +201,44 @@ ROUTE_TWINS = ("_solve_ratio", "_ratio_lanes", "_solve_diff", "_diff_lanes", "_c
                "_solve_concave", "_concave_lanes")
 
 
-def route_type_dispatches(source: str) -> list[str]:
-    """Each function that `_ROUTES` reaches and that calls `isinstance`."""
-    return sorted(name for name, function in route_functions(source).items()
+def _attributes(function: ast.FunctionDef, owner: str) -> list[str]:
+    """Each attribute that `function` reads off the name `owner`."""
+    return [node.attr for node in ast.walk(function) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == owner]
+
+
+def kernel_functions(routes: dict[str, ast.FunctionDef],
+                     families_source: str) -> dict[str, ast.FunctionDef]:
+    """Each function of `families_source` that the `routes` reach, keyed
+    `families.Class.method` or `families.function`: the methods of any class
+    that the routes call on `csf`, the methods those call on `self`, and the
+    module functions any of them name."""
+    tree = ast.parse(families_source)
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    methods: dict[str, list] = {}
+    for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+        for item in (item for item in cls.body if isinstance(item, ast.FunctionDef)):
+            methods.setdefault(item.name, []).append((f"families.{cls.name}.{item.name}", item))
+    todo = [(key, function) for route in routes.values()
+            for name in _attributes(route, "csf") for key, function in methods.get(name, [])]
+    reached = {}
+    while todo:
+        key, function = todo.pop()
+        if key in reached:
+            continue
+        reached[key] = function
+        todo += [pair for name in _attributes(function, "self") for pair in methods.get(name, [])]
+        todo += [(f"families.{node.id}", functions[node.id]) for node in ast.walk(function)
+                 if isinstance(node, ast.Name) and node.id in functions]
+    return reached
+
+
+def route_type_dispatches(source: str, families_source: str) -> list[str]:
+    """Each function that `_ROUTES` reaches in `source`, or through the family
+    kernels it calls in `families_source`, and that calls `isinstance`."""
+    routes = route_functions(source)
+    reached = {**routes, **kernel_functions(routes, families_source)}
+    return sorted(name for name, function in reached.items()
                   if any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                          and node.func.id == "isinstance" for node in ast.walk(function)))
 
@@ -217,7 +252,12 @@ def test_each_family_kind_has_one_route_that_takes_its_primitives():
     defined = {node.name for node in ast.walk(tree)
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert defined.isdisjoint(ROUTE_TWINS)
-    assert route_type_dispatches(source) == []
+    families_source = (PACKAGE / "families.py").read_text(encoding="utf-8")
+    assert route_type_dispatches(source, families_source) == []
+    # the guard follows the routes into every kind's kernels
+    assert {"families.JiaRatio._zp", "families.VesperoniDiff._shares", "families._logistic_shares",
+            "families.BlavatskyyPower._win_d1"} <= set(kernel_functions(route_functions(source),
+                                                                         families_source))
 
 
 def test_guard_sees_type_dispatch_in_routes_and_their_helpers():
@@ -232,4 +272,32 @@ def test_guard_sees_type_dispatch_in_routes_and_their_helpers():
         "    return isinstance(spec, float)",
         "_ROUTES = {'kind': (_route, _residuals)}",
     ])
-    assert route_type_dispatches(source) == ["_helper"]
+    assert route_type_dispatches(source, "") == ["_helper"]
+
+
+def test_guard_follows_the_routes_into_the_family_kernels():
+    source = "\n".join([
+        "def _route(csf, vals, q, xp):",
+        "    return csf._zp(vals.beta, q, xp), csf.r",
+        "def _residuals(csf, v1, v2, q, x1, x2, xp):",
+        "    return None, 0.0, 0.0",
+        "_ROUTES = {'kind': (_route, _residuals)}",
+    ])
+    families_source = "\n".join([
+        "def _helper(th):",
+        "    return th if isinstance(th, float) else th.sum()",
+        "def _parse(theta):",
+        "    return [theta] if isinstance(theta, float) else theta",
+        "class Family:",
+        "    def _zp(self, th, q, xp):",
+        "        return self._shares(th, xp)[0] * q",
+        "    def _shares(self, th, xp):",
+        "        return (_helper(th),)",
+        "    def z_prime(self, theta, q):",
+        "        return self._zp(_parse(theta), q, None)",
+        "class Other:",
+        "    def _zp(self, th, q, xp):",
+        "        return th if isinstance(q, float) else q",
+    ])
+    assert route_type_dispatches(source, families_source) == [
+        "families.Other._zp", "families._helper"]

@@ -24,7 +24,8 @@ from tiebreak import (
     solve_many,
     sweep,
 )
-from tiebreak.equilibrium import _FLOATS, _LANES, _concave_newton, _gap_root, solve_lanes
+from tiebreak.equilibrium import _concave_newton, _gap_root, solve_lanes
+from tiebreak.families import FLOATS, LANES
 
 LANE_QS = np.concatenate([np.linspace(0.0, 1.0, 21), [0.0122, 0.377, 0.5 + 1e-9, 0.9871]])
 
@@ -192,8 +193,8 @@ def test_nan_slope_lane_fails_as_its_scalar_solve(monkeypatch):
     spec = make_contest("jia-ratio", v1=2.0, v2=1.0, q=0.0, r=0.5, k=2.0)
     zp = JiaRatio._zp
 
-    def nan_at_half(self, th, qv):
-        return np.where(np.equal(qv, 0.5), math.nan, zp(self, th, qv))
+    def nan_at_half(self, th, qv, xp, shares=None):
+        return np.where(np.equal(qv, 0.5), math.nan, zp(self, th, qv, xp, shares))
 
     monkeypatch.setattr(JiaRatio, "_zp", nan_at_half)
     with pytest.raises(ValidationError, match="efforts must be >= 0") as scalar:
@@ -242,7 +243,7 @@ class TestDesignerStaysBatched:
         calls = []
         for kind, (route, residuals) in equilibrium_mod._ROUTES.items():
             def counting(csf, vals, q_int, xp, route=route):
-                if xp is _FLOATS:
+                if xp is FLOATS:
                     calls.append(q_int)
                 return route(csf, vals, q_int, xp)
 
@@ -383,7 +384,7 @@ def test_truncated_newton_lanes_take_the_scalar_steps(budget, monkeypatch):
         csf = BlavatskyyPower(r)
         qs = np.array([q, 0.0, 0.5, 1.0])
         with np.errstate(all="ignore"):
-            g1, g2 = _concave_newton(csf, v1, v2, qs, _LANES)
+            g1, g2 = _concave_newton(csf, v1, v2, qs, LANES)
         for lane, q_lane in enumerate(qs):
             s1, s2 = _concave_newton(csf, v1, v2, float(q_lane))
             # the underflow error's text, and the efforts
@@ -406,7 +407,7 @@ def test_truncated_gap_roots_take_the_scalar_steps(budget, family, params, prize
     spec = make_contest(family, v1=prizes[0], v2=prizes[1], q=0.0, **params)
     csf, qs = spec.csf, np.linspace(0.0, 1.0, 6)
     with np.errstate(all="ignore"):
-        lanes = _gap_root(csf, prizes[0] - prizes[1], qs, _LANES)
+        lanes = _gap_root(csf, prizes[0] - prizes[1], qs, LANES)
     errors = solve_lanes(spec, qs, force=False, audited=False).errors
     for lane, q in enumerate(qs):
         root, resid, hi, ahead = _gap_root(csf, prizes[0] - prizes[1], float(q))
