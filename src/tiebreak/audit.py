@@ -30,12 +30,11 @@ evaluate shares once per grid and z_q', z_q'' and p0 on those two rows only
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import JsonRecord, q_value
+from .core import JsonRecord, larger_prize, q_value
 from .errors import DomainError, ValidationError
 from .families import LANES
 
@@ -262,6 +261,15 @@ def _unimodality_condition(theta: np.ndarray, p0: np.ndarray, slope: np.ndarray,
                              note=f"peak checked at theta = {peak}")
 
 
+def _report(csf, conditions, second, grid: np.ndarray, qs, notes=()) -> AuditReport:
+    """A family's report: its conditions, m and M the extremes of the second
+    derivative `second`, and the grid it probed."""
+    return AuditReport(
+        family=csf.name, params=dict(csf.params), kind=csf.kind, conditions=tuple(conditions),
+        m=float(second.min()), M=float(second.max()), theta_min=float(grid[0]),
+        theta_max=float(grid[-1]), theta_count=int(grid.size), q_values=qs, notes=notes)
+
+
 def audit_ratio(csf, theta_grid=None, q_grid=None) -> AuditReport:
     """Audit a ratio-form family's regularity conditions on a grid.
 
@@ -285,15 +293,7 @@ def audit_ratio(csf, theta_grid=None, q_grid=None) -> AuditReport:
         *_tail_conditions(csf, theta, np.array(ends)[:, None]),
         _unimodality_condition(theta, p0, tie_slope, peak=1.0),
     ]
-
-    return AuditReport(
-        family=csf.name, params=dict(csf.params), kind="ratio",
-        conditions=tuple(conditions),
-        m=float(zpp.min()), M=float(zpp.max()),
-        theta_min=float(theta[0]), theta_max=float(theta[-1]),
-        theta_count=int(theta.size), q_values=qs,
-        notes=(RATIO_ZERO_CONVENTION_NOTE,),
-    )
+    return _report(csf, conditions, zpp, theta, qs, (RATIO_ZERO_CONVENTION_NOTE,))
 
 
 def audit_diff(csf, v1, theta_grid=None, q_grid=None) -> AuditReport:
@@ -306,12 +306,7 @@ def audit_diff(csf, v1, theta_grid=None, q_grid=None) -> AuditReport:
     """
     if getattr(csf, "kind", None) != "diff":
         raise ValidationError("audit_diff requires a difference-form family")
-    try:
-        v1f = float(v1)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"v1 must be a number, got {v1!r}") from exc
-    if not (math.isfinite(v1f) and v1f > 0):
-        raise ValidationError(f"v1 must be a positive finite number, got {v1f}")
+    v1f = larger_prize(v1)
     theta, qs, ends, zp, zpp, tie_slope, p0 = _slope_rows(csf, theta_grid, q_grid)
 
     conditions = [
@@ -322,14 +317,7 @@ def audit_diff(csf, v1, theta_grid=None, q_grid=None) -> AuditReport:
         ),
         _unimodality_condition(theta, p0, tie_slope, peak=0.0),
     ]
-
-    return AuditReport(
-        family=csf.name, params=dict(csf.params), kind="diff",
-        conditions=tuple(conditions),
-        m=float(zpp.min()), M=float(zpp.max()),
-        theta_min=float(theta[0]), theta_max=float(theta[-1]),
-        theta_count=int(theta.size), q_values=qs,
-    )
+    return _report(csf, conditions, zpp, theta, qs)
 
 
 def audit_concave(csf, x_grid=None) -> AuditReport:
@@ -353,18 +341,10 @@ def audit_concave(csf, x_grid=None) -> AuditReport:
 
     fp = csf._impact_prime(x)[None, :]
     fpp = csf._impact_double_prime(x)[None, :]
-    conditions = tuple(
-        _strict_condition(name, deficit, x, (None,))
-        for name, deficit in (("impact_increasing", -fp), ("impact_concave", fpp))
-    )
-    return AuditReport(
-        family=csf.name, params=dict(csf.params), kind="concave",
-        conditions=conditions,
-        m=float(fpp.min()), M=float(fpp.max()),
-        theta_min=float(x[0]), theta_max=float(x[-1]),
-        theta_count=int(x.size), q_values=(),
-        notes=("m and M bound the impact function's second derivative",),
-    )
+    conditions = (_strict_condition(name, deficit, x, (None,))
+                  for name, deficit in (("impact_increasing", -fp), ("impact_concave", fpp)))
+    return _report(csf, conditions, fpp, x, (),
+                   ("m and M bound the impact function's second derivative",))
 
 
 def audit_family(csf, v1=None, grid_points=None) -> AuditReport:

@@ -9,6 +9,11 @@ tie in favor of player 1 with probability q, so player i's payoff is
 
 and "eventual win probability" means p_i + q_i * p0.
 
+Each input is checked once, where it enters: a `ContestSpec` checks its
+prizes by building the `Valuations` it holds, which every solver, designer
+and oracle path reads, and its tie share by `q_value`, as `TieRule` does.
+`larger_prize` and `count_value` check a bare larger prize and a sample count.
+
 Every type here is an immutable value and every operation a pure function;
 concurrent callers need no synchronization.
 """
@@ -17,9 +22,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -41,6 +48,27 @@ def _as_float(value: Any, field: str) -> float:
     if not math.isfinite(out):
         raise ValidationError(f"{field} must be finite, got {out!r}")
     return out
+
+
+def larger_prize(v1) -> float:
+    """The larger prize v1 as a float, checked positive and finite."""
+    try:
+        out = float(v1)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"v1 must be a number, got {v1!r}") from exc
+    if not (math.isfinite(out) and out > 0):
+        raise ValidationError(f"v1 must be a positive finite number, got {out}")
+    return out
+
+
+def count_value(value, name: str) -> int:
+    """A count of samples named `name` as an int, checked integral (a bool is
+    not a count) and >= 2."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < 2:
+        raise ValidationError(f"{name} must be >= 2, got {value}")
+    return int(value)
 
 
 class JsonRecord:
@@ -146,10 +174,8 @@ class TieRule:
     q: float
 
     def __post_init__(self) -> None:
-        q = _as_float(self.q, "q")
-        if not 0.0 <= q <= 1.0:
-            raise ValidationError(f"q must lie in [0, 1], got {q}")
-        object.__setattr__(self, "q", q)
+        # a number, never a rule: TieRule(TieRule(q)) is refused as a non-number
+        object.__setattr__(self, "q", q_value(_as_float(self.q, "q")))
 
     @classmethod
     def coerce(cls, value: "TieRule | float") -> "TieRule":
@@ -158,7 +184,12 @@ class TieRule:
 
 def q_value(q: TieRule | float) -> float:
     """Validated float value of a tie rule given as TieRule or bare number."""
-    return TieRule.coerce(q).q
+    if isinstance(q, TieRule):
+        return q.q
+    out = _as_float(q, "q")
+    if not 0.0 <= out <= 1.0:
+        raise ValidationError(f"q must lie in [0, 1], got {out}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -259,8 +290,10 @@ class ContestSpec(JsonRecord):
     """Full description of one contest: family, prizes, tie rule, cost.
 
     Values are stored exactly as given by the caller; player labels are never
-    rewritten here.  Solvers that need the stronger player first normalize
-    internally and translate their answers back (see `Valuations.swapped`).
+    rewritten here.  Solvers that need the stronger player first read
+    `valuations`, the checked prizes in that order, built once here and
+    carried by `with_q`, and translate their answers back (see
+    `Valuations.swapped`).
     """
 
     csf: Any
@@ -268,14 +301,12 @@ class ContestSpec(JsonRecord):
     v2: float
     q: float
     cost: CostKind
+    valuations: Valuations = field(init=False, repr=False, compare=False)
 
     json_keys = ("family", "params", "v1", "v2", "q", "cost")
 
     def __post_init__(self) -> None:
-        v1 = _as_float(self.v1, "v1")
-        v2 = _as_float(self.v2, "v2")
-        if v1 <= 0 or v2 <= 0:
-            raise ValidationError(f"valuations must be positive, got ({v1}, {v2})")
+        vals = Valuations(self.v1, self.v2)
         q = q_value(self.q)
         cost = CostKind.coerce(self.cost)
         for attr in ("name", "kind", "outcome", "params"):
@@ -283,14 +314,12 @@ class ContestSpec(JsonRecord):
                 raise ValidationError(
                     f"csf must be a contest success family (missing {attr!r})"
                 )
+        v1, v2 = (vals.v2, vals.v1) if vals.swapped else (vals.v1, vals.v2)
         object.__setattr__(self, "v1", v1)
         object.__setattr__(self, "v2", v2)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "cost", cost)
-
-    @property
-    def valuations(self) -> Valuations:
-        return Valuations(self.v1, self.v2)
+        object.__setattr__(self, "valuations", vals)
 
     @property
     def tie(self) -> TieRule:

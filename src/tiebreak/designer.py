@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ContestSpec, JsonRecord, RandomTieRule, TieRule
+from .core import ContestSpec, JsonRecord, RandomTieRule, TieRule, count_value, larger_prize
 from .equilibrium import solve, solve_lanes, total_effort_slope
 from .errors import ConvergenceError, ValidationError
 
@@ -194,11 +194,7 @@ def sweep(spec: ContestSpec, q_count: int, *, force: bool = False,
     attached; an error that holds at every q is raised unchanged.  Then a
     total effort that overflows raises `ConvergenceError` naming its q.
     """
-    if not isinstance(q_count, (int, np.integer)) or isinstance(q_count, bool):
-        raise ValidationError(f"q_count must be an integer, got {q_count!r}")
-    if q_count < 2:
-        raise ValidationError(f"q_count must be >= 2, got {q_count}")
-    qs, lanes, totals = _grid_lanes(spec, int(q_count), force, audited)
+    qs, lanes, totals = _grid_lanes(spec, count_value(q_count, "q_count"), force, audited)
     betas = (None,) * qs.size if lanes.beta is None else tuple(lanes.beta.tolist())
     return EffortCurve(tuple(qs.tolist()), tuple(lanes.x1.tolist()), tuple(lanes.x2.tolist()),
                        betas, _certify(totals))
@@ -319,12 +315,7 @@ def convexity_precondition(csf, v1, points: int = 2001) -> ConvexityPrecondition
     """
     if getattr(csf, "kind", None) != "diff":
         raise ValidationError("convexity_precondition requires a difference-form family")
-    try:
-        v1f = float(v1)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"v1 must be a number, got {v1!r}") from exc
-    if not (math.isfinite(v1f) and v1f > 0):
-        raise ValidationError(f"v1 must be a positive finite number, got {v1f}")
+    v1f = larger_prize(v1)
     if not isinstance(points, (int, np.integer)) or points < 2:
         raise ValidationError("points must be an integer >= 2")
 

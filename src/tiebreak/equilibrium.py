@@ -369,16 +369,14 @@ def _concave_marginal(csf, prize: float, own_q, own, other, xp: Ops = FLOATS):
 
     At zero own effort the slope is the one-sided limit: -1 when winning adds
     nothing (rival impact + 1 - own tie share is zero), +inf for exponents
-    below one, and the finite linear-impact expression otherwise.
+    below one; linear impact's expression holds there as it is.
     """
     select, positive, concave = xp.select, own > 0.0, csf.r < 1.0
     # x^(r - 1) is taken at 1 where own effort is 0, whose slope is the limit
-    win_d1, press, total = csf._win_d1(select(positive, own, 1.0) if concave else own, other,
-                                       own_q, xp)
+    win_d1, press = csf._win_d1(select(positive, own, 1.0) if concave else own, other, own_q, xp)
     slope = prize * win_d1 - 1.0
-    if xp.live(positive ^ True):
-        slope = select(positive, slope,
-                       math.inf if concave else prize * press / (total * total) - 1.0)
+    if concave and xp.live(positive ^ True):
+        slope = select(positive, slope, math.inf)
     return select(press > 0.0, slope, -1.0)
 
 

@@ -64,7 +64,7 @@ def _check_param(name: str, value, low: float, low_inclusive: bool, high: float 
         out = float(value)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{family}: parameter {name!r} must be a number, got {value!r}") from exc
-    if not np.isfinite(out):
+    if not math.isfinite(out):
         raise ValidationError(f"{family}: parameter {name!r} must be finite")
     ok_low = out >= low if low_inclusive else out > low
     if not ok_low or (high is not None and out > high):
@@ -119,10 +119,11 @@ def _quiet_power_shares(shares, th, r: float):
         return shares(np.power(th, r))
 
 
-def _quiet_over(c, d):
-    """c / d for c > 0, without NumPy's 1/0 warning where d is 0."""
-    with np.errstate(divide="ignore"):
-        return c / d
+def _quiet_over_square(c, t):
+    """c / (t * t) for c > 0, without NumPy's overflow or 1/0 warning where
+    the square leaves the normal range."""
+    with np.errstate(divide="ignore", over="ignore"):
+        return c / (t * t)
 
 
 def _float_power_shares(shares, th: float, r: float):
@@ -141,18 +142,20 @@ def _float_power_shares(shares, th: float, r: float):
 # lane holds its values through `select(c, a, b)`, which is a where c holds and
 # b elsewhere, entry by entry for tuples.  `live(c)` is whether c holds anywhere;
 # `power(xs, p)` raises each of xs to p, floats in one NumPy call; `exp` is
-# math's for floats, `np_exp` NumPy's for both; `log(0.0)` is -inf; `over(c, d)`
-# is c / d for c > 0, inf where d = 0; `fmin(1.0, u)` is 1 where u is nan; and
-# `power_shares(shares, th, r)` is shares(th^r).  These three never warn.
-Ops = namedtuple("Ops", "select live sqrt exp log logaddexp power np_exp over fmin power_shares")
+# math's for floats, `np_exp` NumPy's for both; `log(0.0)` is -inf;
+# `over_square(c, t)` is c / (t * t) for c > 0, inf where the square is 0;
+# `fmin(1.0, u)` is 1 where u is nan; and `power_shares(shares, th, r)` is
+# shares(th^r).  These three never warn.
+Ops = namedtuple("Ops", "select live sqrt exp log logaddexp power np_exp over_square fmin "
+                        "power_shares")
 FLOATS = Ops(lambda c, a, b: a if c else b, bool, math.sqrt, math.exp,
              lambda h: math.log(h) if h > 0.0 else -math.inf, _logaddexp,
              lambda xs, p: np.power(xs, p).tolist(),  # a NumPy scalar's tolist is slow
-             lambda x: float(np.exp(x)), lambda c, d: c / d if d else math.inf, min,
+             lambda x: float(np.exp(x)), lambda c, t: c / s if (s := t * t) else math.inf, min,
              _float_power_shares)
 LANES = Ops(np.where, operator.methodcaller("any"), np.sqrt, np.exp, np.log, np.logaddexp,
             lambda xs, p: [np.power(x, p) for x in xs],  # one call each: no stacking copy
-            np.exp, _quiet_over, np.fmin, _quiet_power_shares)
+            np.exp, _quiet_over_square, np.fmin, _quiet_power_shares)
 
 
 def _logistic_shares(theta, k: float, xp: Ops, complements: bool = True):
@@ -351,8 +354,8 @@ class VesperoniRatio(RatioCsf):
         u, ub, pk, pm = shares or self._shares(th, xp)
         k, r = self.k, self.r
         lead, trail = (1.0 - qv) * pk * ub, qv * u * pm
-        zpp = xp.over(k * r, th * th) * (lead * ((r * k - 1.0) * ub - (1.0 + r) * u)
-                                         + trail * ((r - 1.0) * ub - (1.0 + k * r) * u))
+        zpp = xp.over_square(k * r, th) * (lead * ((r * k - 1.0) * ub - (1.0 + r) * u)
+                                           + trail * ((r - 1.0) * ub - (1.0 + k * r) * u))
         return (k * r / th) * (lead + trail), zpp
 
 
@@ -408,8 +411,8 @@ class JiaRatio(RatioCsf):
         u, ub, w, wb = shares or self._shares(th, xp)
         r = self.r
         lead, trail = (1.0 - qv) * u * ub, qv * w * wb
-        zpp = -xp.over(r, th * th) * (lead * (2.0 * r * u + (1.0 - r))
-                                      + trail * (2.0 * r * wb + (1.0 - r)))
+        zpp = -xp.over_square(r, th) * (lead * (2.0 * r * u + (1.0 - r))
+                                        + trail * (2.0 * r * wb + (1.0 - r)))
         return (r / th) * (lead + trail), zpp
 
 
@@ -528,8 +531,8 @@ class BlavatskyyPower(_Family):
         return self.r * (self.r - 1.0) * np.power(x, self.r - 2.0)
 
     def _win_d1(self, x1, x2, qv, xp: Ops):
-        """d/dx1 of player 1's eventual win probability at x1 > 0, with the rival's
-        head x2^r + 1 - q and the total impact x1^r + x2^r + 1 it is formed from.
+        """d/dx1 of player 1's eventual win probability at x1 > 0 (at x1 >= 0 for
+        linear impact), with the rival's head x2^r + 1 - q it is formed from.
         A power takes one NumPy call per exponent for floats; linear impact takes
         none, as x^1 = x and x^0 = 1 exactly."""
         r = self.r
@@ -538,7 +541,7 @@ class BlavatskyyPower(_Family):
         else:
             (f1, f2), own_slope = xp.power((x1, x2), r), xp.power((x1,), r - 1.0)[0]
         head, total = f2 + (1.0 - qv), f1 + f2 + 1.0
-        return r * own_slope * head / total / total, head, total
+        return r * own_slope * head / total / total, head
 
     def _efforts(self, x1, x2, own_positive: bool = False):
         """Both efforts checked finite and >= 0, then own effort > 0 if asked."""

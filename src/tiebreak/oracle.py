@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .audit import RATIO_ZERO_CONVENTION_NOTE
-from .core import ContestSpec, CostKind, EffortProfile, JsonRecord, payoff
+from .core import ContestSpec, CostKind, EffortProfile, JsonRecord, count_value, payoff
 from .errors import DomainError, ValidationError
 
 BAND_FLOOR_REL = 1e-12
@@ -63,11 +63,7 @@ class GridSpec:
         if not (math.isfinite(xm) and xm > 0):
             raise ValidationError(f"x_max must be positive and finite, got {xm}")
         object.__setattr__(self, "x_max", xm)
-        if not isinstance(self.steps, (int, np.integer)) or isinstance(self.steps, bool):
-            raise ValidationError(f"steps must be an integer, got {self.steps!r}")
-        if self.steps < 2:
-            raise ValidationError(f"steps must be >= 2, got {self.steps}")
-        object.__setattr__(self, "steps", int(self.steps))
+        object.__setattr__(self, "steps", count_value(self.steps, "steps"))
         if self.eps is not None:
             try:
                 eps = float(self.eps)
@@ -114,7 +110,7 @@ class GridSpec:
 def _payoffs(spec: ContestSpec, x1, x2):
     """Both players' payoffs at broadcast efforts: v_i * (win_i + q_i * tie) - cost(x_i)."""
     win1, win2, tie = spec.csf.outcome(x1, x2)
-    q = spec.tie.q
+    q = spec.q
     return (spec.v1 * (win1 + q * tie) - spec.cost.cost(x1),
             spec.v2 * (win2 + (1.0 - q) * tie) - spec.cost.cost(x2))
 
@@ -175,8 +171,6 @@ def _slope_bound(spec: ContestSpec, axis: np.ndarray, other: float, player: int)
     payoffs = _payoffs(spec, *efforts)[player - 1]
     h = axis[1] - axis[0]
     diffs = np.abs(np.diff(payoffs[1:])) if payoffs.size > 2 else np.abs(np.diff(payoffs))
-    if diffs.size == 0:
-        return 0.0
     return float(np.max(diffs) / h)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from tiebreak import (
 )
 from tiebreak.audit import audit_family
 from tiebreak.equilibrium import _concave_marginal, solve_lanes
-from tiebreak.families import LANES
+from tiebreak.families import FLOATS, LANES
 
 from helpers import case_id
 
@@ -217,6 +218,19 @@ def test_concave_marginal_is_prize_times_the_public_derivative_less_one(r, prize
                 want = prize * csf.win_prob_d1(own, other, own_q) - 1.0
                 got = _concave_marginal(csf, prize, own_q, own, other)
                 assert type(got) is float and got.hex() == want.hex(), (own, other, own_q)
+
+
+@pytest.mark.parametrize("other", [1e300, np.array([1e300])])
+def test_linear_marginal_at_zero_effort_against_a_huge_rival_is_quiet(other):
+    """The slope at zero own effort is `_win_d1`'s head / total / total, whose
+    quotients stay in range where total * total would overflow."""
+    csf = make_family("blavatskyy-power", r=1.0)
+    own = 0.0 * other
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _concave_marginal(csf, 2.0, 0.5 + own, own, other,
+                                LANES if isinstance(other, np.ndarray) else FLOATS)
+    assert np.all(got == -1.0)
 
 
 # ------------------------------------------------------------ the boundary

@@ -12,18 +12,23 @@ from tiebreak import (
     ContestSpec,
     CostKind,
     EffortProfile,
+    GridSpec,
     OutcomeDistribution,
     RandomTieRule,
     TieRule,
     ValidationError,
     Valuations,
+    audit_diff,
     audit_ratio,
+    convexity_precondition,
     eventual_win_prob,
     make_contest,
+    make_family,
     outcome_distribution,
     payoff,
+    sweep,
 )
-from tiebreak.core import JsonRecord
+from tiebreak.core import JsonRecord, q_value
 
 
 @dataclass(frozen=True)
@@ -266,6 +271,65 @@ class TestContestSpec:
         spec = make_contest(family="jia-ratio", v1=1.0, v2=3.0, q=0.25, r=1.0, k=2)
         assert spec.valuations.swapped is True
         assert spec.tie.q == 0.25
+
+    def test_valuations_are_built_once_and_carried_by_with_q(self):
+        spec = make_contest(family="jia-ratio", v1=1.0, v2=3.0, q=0.25, r=1.0, k=2)
+        vals = spec.valuations
+        assert (vals.v1, vals.v2, vals.swapped) == (3.0, 1.0, True)
+        assert spec.valuations is vals and spec.with_q(0.75).valuations is vals
+        assert spec.with_q(0.25) == spec and "valuations" not in repr(spec)
+
+
+DIFF_FAMILY = make_family("jia-diff", k=2)
+DIFF_SPEC = make_contest(family="jia-diff", v1=2.0, v2=1.0, q=0.5, k=2)
+
+
+def _contest(**kwargs):
+    return make_contest(**{"family": "jia-diff", "v1": 2.0, "v2": 1.0, "q": 0.5, "k": 2,
+                           **kwargs})
+
+
+# Each input checked once where it enters the package, with the text its check raises.
+INPUT_CHECKS = {
+    "make_contest-v1-text": (lambda: _contest(v1="a"), "v1 must be a real number, got 'a'"),
+    "make_contest-v2-inf": (lambda: _contest(v2=math.inf), "v2 must be finite, got inf"),
+    "make_contest-v1-negative": (lambda: _contest(v1=-1),
+                                 "valuations must be positive, got (-1.0, 1.0)"),
+    "make_contest-v2-zero": (lambda: _contest(v2=0.0),
+                             "valuations must be positive, got (2.0, 0.0)"),
+    "audit_diff-text": (lambda: audit_diff(DIFF_FAMILY, "a"), "v1 must be a number, got 'a'"),
+    "audit_diff-inf": (lambda: audit_diff(DIFF_FAMILY, math.inf),
+                       "v1 must be a positive finite number, got inf"),
+    "audit_diff-zero": (lambda: audit_diff(DIFF_FAMILY, 0),
+                        "v1 must be a positive finite number, got 0.0"),
+    "convexity-none": (lambda: convexity_precondition(DIFF_FAMILY, None),
+                       "v1 must be a number, got None"),
+    "convexity-nan": (lambda: convexity_precondition(DIFF_FAMILY, math.nan),
+                      "v1 must be a positive finite number, got nan"),
+    "convexity-negative": (lambda: convexity_precondition(DIFF_FAMILY, -2),
+                           "v1 must be a positive finite number, got -2.0"),
+    "sweep-bool": (lambda: sweep(DIFF_SPEC, True), "q_count must be an integer, got True"),
+    "sweep-float": (lambda: sweep(DIFF_SPEC, 101.0), "q_count must be an integer, got 101.0"),
+    "sweep-one": (lambda: sweep(DIFF_SPEC, 1), "q_count must be >= 2, got 1"),
+    "GridSpec-bool": (lambda: GridSpec(1.0, True), "steps must be an integer, got True"),
+    "GridSpec-float": (lambda: GridSpec(1.0, 5.0), "steps must be an integer, got 5.0"),
+    "GridSpec-one": (lambda: GridSpec(1.0, np.int64(1)), "steps must be >= 2, got 1"),
+    "TieRule": (lambda: TieRule(1.5), "q must lie in [0, 1], got 1.5"),
+    "TieRule-nan": (lambda: TieRule(math.nan), "q must be finite, got nan"),
+    "TieRule-of-a-rule": (lambda: TieRule(TieRule(0.5)),
+                          "q must be a real number, got TieRule(q=0.5)"),
+    "q_value": (lambda: q_value(-0.25), "q must lie in [0, 1], got -0.25"),
+    "q_value-text": (lambda: q_value("x"), "q must be a real number, got 'x'"),
+    "ContestSpec": (lambda: _contest(q=2), "q must lie in [0, 1], got 2.0"),
+    "with_q": (lambda: DIFF_SPEC.with_q(1.5), "q must lie in [0, 1], got 1.5"),
+}
+
+
+@pytest.mark.parametrize("call, text", INPUT_CHECKS.values(), ids=INPUT_CHECKS)
+def test_each_checked_input_raises_its_text(call, text):
+    with pytest.raises(ValidationError) as caught:
+        call()
+    assert type(caught.value) is ValidationError and str(caught.value) == text
 
 
 class TestPayoffs:

@@ -1,0 +1,88 @@
+"""Deterministic cost counts of the solvers, pinned per kind.
+
+`tools/costscan.py` counts bytecodes (`sys.settrace` opcode events) for
+`make_contest`, scalar `solve` and a seeded design-study sample, and NumPy
+calls for a 101-lane `solve_lanes`, on the hard corpus.  The per-kind totals
+are pinned in `tests/data/cost_counts.json` under the interpreter's Python
+and NumPy versions and NumPy's AVX-512 dispatch; an interpreter with no
+record skips the gate.  Any change in a total, up or down, fails until the
+totals are re-recorded:
+
+    PYTHONPATH=src python tools/costscan.py --record
+"""
+from __future__ import annotations
+
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from tiebreak import ContestError
+
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "costscan.py"
+
+
+def _load_tool():
+    spec = importlib.util.spec_from_file_location("costscan", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+costscan = _load_tool()
+
+
+@pytest.fixture(scope="module")
+def rows():
+    return list(costscan.scan())
+
+
+def test_cost_counts_equal_the_record(rows):
+    key = costscan.record_key()
+    records = json.loads(costscan.RECORD.read_text(encoding="utf-8"))
+    if key not in records:
+        pytest.skip(f"no cost counts recorded for {key!r}")
+    got, want = costscan.totals(rows), records[key]
+    moved = {k: (want.get(k), got.get(k)) for k in {*got, *want} if got.get(k) != want.get(k)}
+    assert not moved, (
+        f"cost counts moved (recorded, now): {dict(sorted(moved.items()))}; state the change "
+        "and re-record with `PYTHONPATH=src python tools/costscan.py --record`")
+
+
+def _bits(result):
+    """What a result carries, exactly: reprs of floats round-trip their bits."""
+    if isinstance(result, ContestError):
+        return f"{type(result).__name__}: {result}"
+    if hasattr(result, "errors"):  # lanes
+        arrays = (result.q, result.x1, result.x2, result.beta, *result.residuals, result.cornered)
+        return ([None if a is None else np.asarray(a).tobytes() for a in arrays],
+                result.method, result.warnings, {i: _bits(e) for i, e in result.errors.items()})
+    return repr(result)
+
+
+def test_counted_runs_compute_the_plain_runs_bits(rows):
+    assert {row.op for row in rows} == set(costscan.UNITS)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for row in rows:
+            assert _bits(row.result) == _bits(row.plain()), (row.op, row.label)
+
+
+def test_lane_counts_follow_the_arrays_to_the_result(rows):
+    """Arithmetic keeps the counting subclass, so a lane count covers the
+    whole loop, not only the calls on the tie rules themselves."""
+    lanes = next(row.result for row in rows if row.op == "lanes" and row.kind == "diff")
+    assert type(lanes.x1) is costscan.CountedArray
+
+
+def test_costscan_prints_in_a_fresh_process_what_it_counts_here(rows):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, str(TOOL)], capture_output=True, check=True, env=env)
+    assert out.stdout.decode() == costscan.text(rows)

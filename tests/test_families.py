@@ -291,6 +291,19 @@ def test_concave_curvature_at_huge_efforts_stays_finite(r, effort):
     assert tie_d1 <= 0.0 and win_d11 <= 0.0 and tie_d11 >= 0.0
 
 
+@pytest.mark.parametrize("family", ["jia-ratio", "vesperoni-ratio"])
+@pytest.mark.parametrize("theta", [1e200, np.array([1e200, 1e200])])
+def test_ratio_curvature_at_huge_ratios_is_quiet(family, theta):
+    """theta * theta overflows to inf, so z'' is -0.0 and p0'' is 0.0, with no warning."""
+    csf = make_family(family, r=0.5, k=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        zpp = (csf.z_slopes(theta, 0.3)[1], csf.z_double_prime(theta, 0.3))
+        p0pp = csf.p0_double_prime(theta)
+    assert np.all(np.asarray(zpp) == 0.0) and np.all(np.signbit(zpp))
+    assert np.all(np.asarray(p0pp) == 0.0) and not np.any(np.signbit(p0pp))
+
+
 TIE_RULE_METHODS = {
     "ratio": ("z", "z_prime", "z_double_prime"),
     "diff": ("z", "z_prime", "z_double_prime"),

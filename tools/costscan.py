@@ -1,0 +1,271 @@
+"""Deterministic cost counts of the solvers: the counting twin of `bitscan.py`.
+
+Wall clock on a shared host cannot resolve a change of a few percent, but
+the work a call does can be counted exactly, the same on every run.  This
+scan counts two things:
+
+- **Bytecodes**, as `sys.settrace` opcode events in every Python frame the
+  call runs (the package's, the standard library's and NumPy's Python
+  code), for `make_contest` and a scalar `solve` on each contest of the
+  hard corpus (`perfbench/corpus.json`), and for a seeded sample of
+  design-study operations (audit, `solve`, `sweep`, `optimal_q`,
+  `expected_effort`) drawn as `bitscan.py` draws its design-scale contests.
+- **NumPy calls**, for a 101-lane `solve_lanes` on each corpus contest: its
+  tie rules are viewed as an ndarray subclass whose `__array_ufunc__` and
+  `__array_function__` (NEP 13, NEP 18) count each call the program makes
+  on an array that descends from them, then defer to the base class.
+
+Each operation is run once before it is counted, and the designer's grid
+memo is emptied before each design operation, so caches are in a fixed
+state.  Counts depend on the Python and NumPy versions, not on the host:
+
+    PYTHONPATH=src python tools/costscan.py > before.txt
+    (change the code)
+    PYTHONPATH=src python tools/costscan.py > after.txt
+    diff before.txt after.txt
+
+`--record` instead writes the per-kind totals that
+`tests/test_cost_counts.py` pins to `tests/data/cost_counts.json`, under
+this interpreter's key.
+"""
+from __future__ import annotations
+
+import argparse
+import contextlib
+import functools
+import gc
+import importlib.util
+import json
+import sys
+import warnings
+from collections import namedtuple
+from pathlib import Path
+
+import numpy as np
+
+from tiebreak import (FAMILIES, ContestError, RandomTieRule, expected_effort, make_contest,
+                      optimal_q, solve, sweep)
+from tiebreak import designer, equilibrium
+from tiebreak.audit import audit_family
+
+ROOT = Path(__file__).resolve().parents[1]
+CORPUS = ROOT / "perfbench" / "corpus.json"
+RECORD = ROOT / "tests" / "data" / "cost_counts.json"
+LANE_QS = np.linspace(0.0, 1.0, 101)
+DESIGN_DRAWS = 100
+
+
+def _load_bitscan():
+    spec = importlib.util.spec_from_file_location("bitscan", Path(__file__).with_name("bitscan.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def record_key() -> str:
+    """What the counts depend on: Python's and NumPy's major.minor, and whether
+    NumPy dispatches to its AVX-512 kernels, whose exp, log and power round
+    some last bits apart and so change some iteration counts."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # NumPy < 2
+        from numpy.core._multiarray_umath import __cpu_features__
+    numpy_minor = ".".join(np.__version__.split(".")[:2])
+    target = "avx512" if __cpu_features__.get("AVX512_SKX") else "without_avx512"
+    return f"python {sys.version_info.major}.{sys.version_info.minor} numpy {numpy_minor} {target}"
+
+
+@contextlib.contextmanager
+def _quiet():
+    """No garbage collection (its finalizers would run uncounted code at
+    random points) and no warnings shown (a shown warning runs Python code)."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _attempt(call):
+    try:
+        return call()
+    except ContestError as exc:
+        return exc
+
+
+def bytecodes(call):
+    """(opcode events, result) of `call()`; a `ContestError` is its result."""
+    count = 0
+
+    def tracer(frame, event, arg):
+        nonlocal count
+        if event == "call":
+            frame.f_trace_opcodes, frame.f_trace_lines = True, False
+        elif event == "opcode":
+            count += 1
+        return tracer
+
+    previous = sys.gettrace()
+    with _quiet():
+        sys.settrace(tracer)
+        try:
+            result = _attempt(call)
+        finally:
+            sys.settrace(previous)
+    return count, result
+
+
+class CountedArray(np.ndarray):
+    """An ndarray that counts each NumPy call made on it or on arrays computed
+    from it.  Calls nested inside a counted call are not counted again."""
+
+    calls = 0
+    _depth = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        def base(x):
+            return x.view(np.ndarray) if isinstance(x, CountedArray) else x
+
+        if "out" in kwargs:
+            kwargs["out"] = tuple(map(base, kwargs["out"]))
+        result = self._counted(getattr(ufunc, method), tuple(map(base, inputs)), kwargs)
+        return _counted_view(result)
+
+    def __array_function__(self, func, types, args, kwargs):
+        result = self._counted(lambda *a, **k: super(CountedArray, self).__array_function__(
+            func, types, a, k), args, kwargs)
+        return _counted_view(result)
+
+    @classmethod
+    def _counted(cls, call, args, kwargs):
+        cls.calls += cls._depth == 0
+        cls._depth += 1
+        try:
+            return call(*args, **kwargs)
+        finally:
+            cls._depth -= 1
+
+
+def _counted_view(result):
+    if isinstance(result, (tuple, list)):
+        return type(result)(map(_counted_view, result))
+    if type(result) is np.ndarray:
+        return result.view(CountedArray)
+    return result
+
+
+_plain_q_array = equilibrium.q_array
+
+
+def _counted_q_array(qs):
+    return _plain_q_array(qs).view(CountedArray)
+
+
+def numpy_calls(call):
+    """(NumPy calls, result) of `call()`, a `solve_lanes`: its checked tie
+    rules become a `CountedArray`, which `q_array`'s `np.asarray` would
+    return as a base array."""
+    CountedArray.calls = 0
+    equilibrium.q_array = _counted_q_array
+    try:
+        with _quiet():
+            result = _attempt(call)
+    finally:
+        equilibrium.q_array = _plain_q_array
+    return CountedArray.calls, result
+
+
+def corpus():
+    """(name, family, make_contest keywords) of each hard-corpus contest."""
+    entries = json.loads(CORPUS.read_text(encoding="utf-8"))
+    return [(e["name"], e["family"], dict(family=e["family"], v1=e["v1"], v2=e["v2"],
+                                          q=e["q"], **e["params"])) for e in entries]
+
+
+def design_sample():
+    """(index, family, make_contest keywords, rule pairs) of the first
+    `DESIGN_DRAWS` design-scale draws of `bitscan.py`, which alternates five
+    design-scale draws with five extreme-scale ones."""
+    bitscan = _load_bitscan()
+    return [(i, family, dict(family=family, v1=v1, v2=v2, q=q, **params), pairs)
+            for i in range(2 * DESIGN_DRAWS) if i // 5 % 2 == 0
+            for family, params, v1, v2, q, pairs in [bitscan.draw(i)]]
+
+
+def design_op(spec, pairs):
+    """One design-study operation: audit, then solve, sweep, optimal_q and
+    expected_effort under its verdict; an error ends it."""
+    designer._last_grid = ()
+    audited = audit_family(spec.csf, v1=max(spec.v1, spec.v2)).passed
+    solve(spec, audited=audited)
+    sweep(spec, 101, audited=audited)
+    optimal_q(spec, audited=audited)
+    return expected_effort(spec, RandomTieRule.from_pairs(pairs), audited=audited)
+
+
+Row = namedtuple("Row", "op kind label count result plain")
+Row.__doc__ = """One counted operation: `count` in `UNITS[op]`, `result` what the
+counted call returned or raised, and `plain()` the same call uncounted."""
+
+UNITS = {"make_contest": "bytecodes", "solve": "bytecodes", "lanes": "numpy_calls",
+         "design": "bytecodes"}
+
+
+def _row(op, family, label, count, call):
+    """`call` counted by `count` after one uncounted run, which fills caches."""
+    count(call)
+    return Row(op, FAMILIES[family].kind, label, *count(call), functools.partial(_attempt, call))
+
+
+def scan():
+    """Yield a `Row` per operation: on each corpus contest `make_contest`,
+    `solve` and the lanes, then each draw of the design sample."""
+    for name, family, kw in corpus():
+        build = functools.partial(make_contest, **kw)
+        spec = build()
+        yield _row("make_contest", family, name, bytecodes, build)
+        yield _row("solve", family, name, bytecodes, functools.partial(solve, spec))
+        yield _row("lanes", family, name, numpy_calls, functools.partial(
+            equilibrium.solve_lanes, spec, LANE_QS, force=False, audited=False))
+    for index, family, kw, pairs in design_sample():
+        yield _row("design", family, f"{index}-{family}", bytecodes,
+                   functools.partial(design_op, make_contest(**kw), pairs))
+
+
+def totals(rows) -> dict[str, int]:
+    """Per-kind totals, keyed `operation.unit.kind`, in sorted key order."""
+    out: dict[str, int] = {}
+    for row in rows:
+        key = f"{row.op}.{UNITS[row.op]}.{row.kind}"
+        out[key] = out.get(key, 0) + row.count
+    return dict(sorted(out.items()))
+
+
+def text(rows) -> str:
+    """The scan's output: the record key, then one line per operation."""
+    return "".join([f"# {record_key()}\n", *(
+        f"{row.op} {row.kind} {row.label} {row.count} {UNITS[row.op]}\n" for row in rows)])
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--record", action="store_true",
+                        help=f"write the per-kind totals to {RECORD.relative_to(ROOT)}")
+    args = parser.parse_args(argv)
+    rows = list(scan())
+    if args.record:
+        records = json.loads(RECORD.read_text(encoding="utf-8")) if RECORD.exists() else {}
+        records[record_key()] = totals(rows)
+        RECORD.write_text(json.dumps(dict(sorted(records.items())), indent=2) + "\n",
+                          encoding="utf-8")
+        return 0
+    sys.stdout.write(text(rows))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
