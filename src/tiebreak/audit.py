@@ -34,9 +34,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import JsonRecord, larger_prize, q_value
+from .core import JsonRecord, count_value, positive_value, q_value
 from .errors import DomainError, ValidationError
-from .families import LANES
+from .families import LANES, checked_array
 
 STRICT_SLACK = 1e-12
 """Wrong-side tolerance for strict grid inequalities."""
@@ -170,11 +170,7 @@ def _slope_rows(csf, theta_grid, q_grid):
         theta = np.asarray(theta_grid, dtype=float)
         if theta.ndim != 1 or theta.size < 2:
             raise ValidationError("theta grid must be a 1-d sequence with at least two points")
-        if not np.all(np.isfinite(theta)):
-            raise DomainError("theta grid must be finite")
-        if csf.kind == "ratio" and np.any(theta <= 0):
-            raise DomainError("theta grid must be > 0 for ratio-form families")
-        theta = np.sort(theta)
+        theta = np.sort(checked_array(theta, "theta grid", positive=csf.kind == "ratio"))
     qs = DEFAULT_Q_GRID if q_grid is None else tuple(sorted(q_value(q) for q in q_grid))
     if len(qs) == 0:
         raise ValidationError("q grid must be nonempty")
@@ -306,7 +302,7 @@ def audit_diff(csf, v1, theta_grid=None, q_grid=None) -> AuditReport:
     """
     if getattr(csf, "kind", None) != "diff":
         raise ValidationError("audit_diff requires a difference-form family")
-    v1f = larger_prize(v1)
+    v1f = positive_value(v1, "v1")
     theta, qs, ends, zp, zpp, tie_slope, p0 = _slope_rows(csf, theta_grid, q_grid)
 
     conditions = [
@@ -335,9 +331,7 @@ def audit_concave(csf, x_grid=None) -> AuditReport:
         x = np.asarray(x_grid, dtype=float)
         if x.ndim != 1 or x.size == 0:
             raise ValidationError("effort grid must be a nonempty 1-d sequence")
-        if not np.all(np.isfinite(x)) or np.any(x <= 0):
-            raise DomainError("effort grid must be finite and > 0")
-        x = np.sort(x)
+        x = np.sort(checked_array(x, "effort grid", positive=True))
 
     fp = csf._impact_prime(x)[None, :]
     fpp = csf._impact_double_prime(x)[None, :]
@@ -354,12 +348,10 @@ def audit_family(csf, v1=None, grid_points=None) -> AuditReport:
     `grid_points`, an integer >= 2, overrides the resolution of the default
     theta grid (effort grid for concave families).
     """
-    if grid_points is not None and (
-            not isinstance(grid_points, (int, np.integer)) or isinstance(grid_points, bool)
-            or grid_points < 2):
-        raise ValidationError(f"grid points must be an integer >= 2, got {grid_points!r}")
+    if grid_points is not None:
+        grid_points = count_value(grid_points, "grid points")
     make = default_diff_grid if csf.kind == "diff" else default_ratio_grid
-    grid = None if grid_points in (None, DEFAULT_GRID_POINTS) else make(int(grid_points))
+    grid = None if grid_points in (None, DEFAULT_GRID_POINTS) else make(grid_points)
     if csf.kind == "ratio":
         return audit_ratio(csf, theta_grid=grid)
     if csf.kind == "diff":

@@ -12,7 +12,9 @@ and "eventual win probability" means p_i + q_i * p0.
 Each input is checked once, where it enters: a `ContestSpec` checks its
 prizes by building the `Valuations` it holds, which every solver, designer
 and oracle path reads, and its tie share by `q_value`, as `TieRule` does.
-`larger_prize` and `count_value` check a bare larger prize and a sample count.
+Each kind of bare input value has one check here, which the other modules
+call: `finite_value` a finite real, `positive_value` a positive magnitude
+(a larger prize, a grid ceiling) and `count_value` a sample count.
 
 Every type here is an immutable value and every operation a pure function;
 concurrent callers need no synchronization.
@@ -40,34 +42,35 @@ WEIGHT_SUM_TOL = 1e-12
 UNBIASED_TOL = 1e-12
 
 
-def _as_float(value: Any, field: str) -> float:
+def finite_value(value: Any, name: str) -> float:
+    """The real number named `name` as a float, checked finite."""
     try:
         out = float(value)
     except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{field} must be a real number, got {value!r}") from exc
+        raise ValidationError(f"{name} must be a real number, got {value!r}") from exc
     if not math.isfinite(out):
-        raise ValidationError(f"{field} must be finite, got {out!r}")
+        raise ValidationError(f"{name} must be finite, got {out!r}")
     return out
 
 
-def larger_prize(v1) -> float:
-    """The larger prize v1 as a float, checked positive and finite."""
+def positive_value(value, name: str) -> float:
+    """The magnitude named `name` as a float, checked positive and finite."""
     try:
-        out = float(v1)
+        out = float(value)
     except (TypeError, ValueError) as exc:
-        raise ValidationError(f"v1 must be a number, got {v1!r}") from exc
+        raise ValidationError(f"{name} must be a number, got {value!r}") from exc
     if not (math.isfinite(out) and out > 0):
-        raise ValidationError(f"v1 must be a positive finite number, got {out}")
+        raise ValidationError(f"{name} must be a positive finite number, got {out}")
     return out
 
 
-def count_value(value, name: str) -> int:
+def count_value(value, name: str, low: int = 2) -> int:
     """A count of samples named `name` as an int, checked integral (a bool is
-    not a count) and >= 2."""
+    not a count) and >= `low`."""
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
-    if value < 2:
-        raise ValidationError(f"{name} must be >= 2, got {value}")
+    if value < low:
+        raise ValidationError(f"{name} must be >= {low}, got {value}")
     return int(value)
 
 
@@ -150,8 +153,8 @@ class Valuations:
     swapped: bool = False
 
     def __post_init__(self) -> None:
-        v1 = _as_float(self.v1, "v1")
-        v2 = _as_float(self.v2, "v2")
+        v1 = finite_value(self.v1, "v1")
+        v2 = finite_value(self.v2, "v2")
         if v1 <= 0 or v2 <= 0:
             raise ValidationError(f"valuations must be positive, got ({v1}, {v2})")
         swapped = v2 > v1
@@ -175,7 +178,7 @@ class TieRule:
 
     def __post_init__(self) -> None:
         # a number, never a rule: TieRule(TieRule(q)) is refused as a non-number
-        object.__setattr__(self, "q", q_value(_as_float(self.q, "q")))
+        object.__setattr__(self, "q", q_value(finite_value(self.q, "q")))
 
     @classmethod
     def coerce(cls, value: "TieRule | float") -> "TieRule":
@@ -186,7 +189,7 @@ def q_value(q: TieRule | float) -> float:
     """Validated float value of a tie rule given as TieRule or bare number."""
     if isinstance(q, TieRule):
         return q.q
-    out = _as_float(q, "q")
+    out = finite_value(q, "q")
     if not 0.0 <= out <= 1.0:
         raise ValidationError(f"q must lie in [0, 1], got {out}")
     return out
@@ -207,7 +210,7 @@ class RandomTieRule:
         cleaned = []
         for i, (rule, weight) in enumerate(self.atoms):
             rule = TieRule.coerce(rule)
-            weight = _as_float(weight, f"atoms[{i}] weight")
+            weight = finite_value(weight, f"atoms[{i}] weight")
             if weight <= 0:
                 raise ValidationError(f"atom weights must be positive, got {weight}")
             cleaned.append((rule, weight))
@@ -238,8 +241,8 @@ class EffortProfile(JsonRecord):
     x2: float
 
     def __post_init__(self) -> None:
-        x1 = _as_float(self.x1, "x1")
-        x2 = _as_float(self.x2, "x2")
+        x1 = finite_value(self.x1, "x1")
+        x2 = finite_value(self.x2, "x2")
         if x1 < 0 or x2 < 0:
             raise ValidationError(f"efforts must be nonnegative, got ({x1}, {x2})")
         object.__setattr__(self, "x1", x1)
@@ -270,9 +273,9 @@ class OutcomeDistribution:
     p0: float
 
     def __post_init__(self) -> None:
-        p1 = _as_float(self.p1, "p1")
-        p2 = _as_float(self.p2, "p2")
-        p0 = _as_float(self.p0, "p0")
+        p1 = finite_value(self.p1, "p1")
+        p2 = finite_value(self.p2, "p2")
+        p0 = finite_value(self.p0, "p0")
         for name, p in (("p1", p1), ("p2", p2), ("p0", p0)):
             if p < -PROB_SUM_TOL or p > 1.0 + PROB_SUM_TOL:
                 raise ValidationError(f"{name} out of [0, 1]: {p!r}")

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ContestSpec, JsonRecord, RandomTieRule, TieRule, count_value, larger_prize
+from .core import ContestSpec, JsonRecord, RandomTieRule, TieRule, count_value, positive_value
 from .equilibrium import solve, solve_lanes, total_effort_slope
 from .errors import ConvergenceError, ValidationError
 
@@ -315,12 +315,11 @@ def convexity_precondition(csf, v1, points: int = 2001) -> ConvexityPrecondition
     """
     if getattr(csf, "kind", None) != "diff":
         raise ValidationError("convexity_precondition requires a difference-form family")
-    v1f = larger_prize(v1)
-    if not isinstance(points, (int, np.integer)) or points < 2:
-        raise ValidationError("points must be an integer >= 2")
+    v1f = positive_value(v1, "v1")
+    points = count_value(points, "points")
 
     hi = math.sqrt(2.0 * v1f)
-    theta = np.linspace(0.0, hi, int(points))
+    theta = np.linspace(0.0, hi, points)
     curv = np.asarray(csf.p0_double_prime(theta), dtype=float)
     worst_idx = int(np.argmax(curv))
     worst = float(curv[worst_idx])
@@ -334,6 +333,6 @@ def convexity_precondition(csf, v1, points: int = 2001) -> ConvexityPrecondition
         worst_value=worst,
         worst_theta=float(theta[worst_idx]),
         theta_max=hi,
-        points=int(points),
+        points=points,
         first_crossing=crossing,
     )

@@ -54,18 +54,13 @@ from typing import ClassVar
 
 import numpy as np
 
-from .core import ContestSpec, CostKind, q_value
+from .core import ContestSpec, CostKind, finite_value, q_value
 from .errors import DomainError, ValidationError
 
 
 def _check_param(name: str, value, low: float, low_inclusive: bool, high: float | None,
                  family: str) -> float:
-    try:
-        out = float(value)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{family}: parameter {name!r} must be a number, got {value!r}") from exc
-    if not math.isfinite(out):
-        raise ValidationError(f"{family}: parameter {name!r} must be finite")
+    out = finite_value(value, f"{family}: parameter {name!r}")
     ok_low = out >= low if low_inclusive else out > low
     if not ok_low or (high is not None and out > high):
         bound = f">= {low}" if low_inclusive else f"> {low}"
@@ -75,7 +70,9 @@ def _check_param(name: str, value, low: float, low_inclusive: bool, high: float 
     return out
 
 
-def _as_array(x, name: str, *, positive: bool = False, nonnegative: bool = False):
+def checked_array(x, name: str, *, positive: bool = False, nonnegative: bool = False):
+    """`x` as a float array, checked finite, and > 0 or >= 0 where asked: the
+    one check of an array of contest states or a grid."""
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise DomainError(f"{name} must be finite")
@@ -278,13 +275,13 @@ class RatioCsf(_ReducedCsf):
     default_cost: ClassVar[CostKind] = CostKind.LINEAR
 
     def _theta(self, theta):
-        return _as_array(theta, "theta", positive=True)
+        return checked_array(theta, "theta", positive=True)
 
     def outcome(self, x1, x2):
         # theta = x1 / x2 lands on the kernels' exact limits: inf for a lone
         # positive x1 (or an overflowing ratio) gives (1, 0, 0), 0 gives (0, 1, 0)
-        x1a = _as_array(x1, "x1", nonnegative=True)
-        x2a = _as_array(x2, "x2", nonnegative=True)
+        x1a = checked_array(x1, "x1", nonnegative=True)
+        x2a = checked_array(x2, "x2", nonnegative=True)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             theta = np.where(x1a == x2a, 1.0, x1a / x2a)
         return tuple(map(_ret, self._triple(theta, LANES)))
@@ -297,11 +294,11 @@ class DiffCsf(_ReducedCsf):
     default_cost: ClassVar[CostKind] = CostKind.QUADRATIC_HALF
 
     def _theta(self, theta):
-        return _as_array(theta, "theta")
+        return checked_array(theta, "theta")
 
     def outcome(self, x1, x2):
-        x1a = _as_array(x1, "x1", nonnegative=True)
-        x2a = _as_array(x2, "x2", nonnegative=True)
+        x1a = checked_array(x1, "x1", nonnegative=True)
+        x2a = checked_array(x2, "x2", nonnegative=True)
         return tuple(map(_ret, self._triple(x1a - x2a, LANES)))
 
 
@@ -545,19 +542,19 @@ class BlavatskyyPower(_Family):
 
     def _efforts(self, x1, x2, own_positive: bool = False):
         """Both efforts checked finite and >= 0, then own effort > 0 if asked."""
-        x1a, x2a = _as_array(x1, "x", nonnegative=True), _as_array(x2, "x", nonnegative=True)
+        x1a, x2a = checked_array(x1, "x", nonnegative=True), checked_array(x2, "x", nonnegative=True)
         if own_positive and np.any(x1a <= 0.0):
             raise DomainError("x must be > 0")
         return x1a, x2a
 
     def impact(self, x):
-        return self._impact(_as_array(x, "x", nonnegative=True))
+        return self._impact(checked_array(x, "x", nonnegative=True))
 
     def impact_prime(self, x):
-        return self._impact_prime(_as_array(x, "x", positive=True))
+        return self._impact_prime(checked_array(x, "x", positive=True))
 
     def impact_double_prime(self, x):
-        return self._impact_double_prime(_as_array(x, "x", positive=True))
+        return self._impact_double_prime(checked_array(x, "x", positive=True))
 
     def outcome(self, x1, x2):
         f1, f2 = map(self._impact, self._efforts(x1, x2))

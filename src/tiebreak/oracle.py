@@ -5,7 +5,10 @@ grid and checks Nash conditions exhaustively.  The oracle deliberately calls
 only outcome probabilities and payoffs, never the analytic derivative code,
 so agreement between a solver's output and the oracle is evidence from an
 independent route.  One helper, `_payoffs`, evaluates both players' payoffs
-at broadcast efforts; every scan reads its payoffs from it.
+at broadcast efforts; every scan reads its payoffs from it.  `GridSpec`
+and `grid_best_response` check their numbers with `core`'s one check of
+each kind: the ceiling is a positive magnitude, the steps a sample count,
+and the slack and the opponent's effort are finite reals.
 
 `grid_nash` scans the payoff grid once, in blocks of player-1 rows sized by a
 cell budget, and never holds an n x n matrix: a block settles player 2's
@@ -29,7 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .audit import RATIO_ZERO_CONVENTION_NOTE
-from .core import ContestSpec, CostKind, EffortProfile, JsonRecord, count_value, payoff
+from .core import (ContestSpec, CostKind, EffortProfile, JsonRecord, count_value, finite_value,
+                   payoff, positive_value)
 from .errors import DomainError, ValidationError
 
 BAND_FLOOR_REL = 1e-12
@@ -56,23 +60,12 @@ class GridSpec:
     eps: float | None = None
 
     def __post_init__(self) -> None:
-        try:
-            xm = float(self.x_max)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"x_max must be a number, got {self.x_max!r}") from exc
-        if not (math.isfinite(xm) and xm > 0):
-            raise ValidationError(f"x_max must be positive and finite, got {xm}")
-        object.__setattr__(self, "x_max", xm)
+        object.__setattr__(self, "x_max", positive_value(self.x_max, "x_max"))
         object.__setattr__(self, "steps", count_value(self.steps, "steps"))
         if self.eps is not None:
-            try:
-                eps = float(self.eps)
-            except (TypeError, ValueError) as exc:
-                raise ValidationError(f"eps must be a number, got {self.eps!r}") from exc
-            if math.isnan(eps) or eps < 0:
+            eps = finite_value(self.eps, "eps")
+            if eps < 0:
                 raise ValidationError(f"eps must be >= 0, got {eps}")
-            if math.isinf(eps):
-                raise ValidationError(f"eps must be finite, got {eps}")
             object.__setattr__(self, "eps", eps)
 
     @property
@@ -97,14 +90,13 @@ class GridSpec:
         plus one grid step; solving the fixed point gives
         x_max = bound * (steps - 1) / (steps - 2).
         """
-        if not isinstance(steps, (int, np.integer)) or steps < 3:
-            raise ValidationError("for_contest requires integer steps >= 3")
+        steps = count_value(steps, "steps", 3)
         vals = spec.valuations
         if spec.cost is CostKind.LINEAR:
             bound = vals.v1
         else:
             bound = math.sqrt(2.0 * vals.v1)
-        return cls(x_max=bound * (steps - 1) / (steps - 2), steps=int(steps), eps=eps)
+        return cls(x_max=bound * (steps - 1) / (steps - 2), steps=steps, eps=eps)
 
 
 def _payoffs(spec: ContestSpec, x1, x2):
@@ -125,7 +117,7 @@ def grid_best_response(spec: ContestSpec, opponent_effort: float, grid: GridSpec
     """
     if player not in (1, 2):
         raise ValidationError(f"player must be 1 or 2, got {player!r}")
-    opp = float(opponent_effort)
+    opp = finite_value(opponent_effort, "opponent effort")
     if not (0.0 <= opp <= grid.x_max):
         raise DomainError(
             f"opponent effort {opp} outside the grid range [0, {grid.x_max}]"

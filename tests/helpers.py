@@ -72,3 +72,16 @@ def max_rel_err(approx, reference) -> float:
 def solve_at(csf, v, q, **kw):
     """`solve` of family `csf` at prizes v and tie share q, under the family's own cost."""
     return solve(ContestSpec(csf, *v, q, csf.default_cost), **kw)
+
+
+class Lottery:
+    """A contest success family of a kind no solver or designer knows: a fair
+    coin, never a tie, and no declared cost."""
+
+    name, kind, params = "lottery", "lottery", {}
+
+    def outcome(self, x1, x2):
+        return (0.5, 0.5, 0.0)
+
+
+LOTTERY_CONTEST = ContestSpec(Lottery(), 2.0, 1.0, 0.5, "linear")

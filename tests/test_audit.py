@@ -1,6 +1,7 @@
 """Numerical regularity audits: pass/fail semantics, witnesses, curvature bounds."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -245,6 +246,11 @@ class TestCurvatureBoundEstimate:
         with pytest.raises(ValidationError):
             estimate_vbar(make_family("jia-ratio", r=1.0, k=2))
 
+    def test_flat_curvature_on_a_custom_grid_has_no_bound(self):
+        # the tieless logistic's curvature is zero at theta = 0
+        with pytest.raises(DomainError, match="curvature vanishes on the entire grid"):
+            estimate_vbar(make_family("jia-diff", k=1), theta_grid=[0.0, 0.0])
+
 
 class TestConcaveAudit:
     @pytest.mark.parametrize("r", [0.3, 0.7, 1.0])
@@ -259,6 +265,18 @@ class TestConcaveAudit:
     def test_rejects_wrong_family_kind(self):
         with pytest.raises(ValidationError):
             audit_concave(make_family("jia-diff", k=2))
+
+
+class TestReportRecord:
+    def test_rejects_bounds_out_of_order(self):
+        report = audit_ratio(make_family("jia-ratio", r=1.0, k=2))
+        with pytest.raises(ValidationError, match=r"^audit bounds out of order: m=1\.0 > M=0\.0$"):
+            dataclasses.replace(report, m=1.0, M=0.0)
+
+    def test_unknown_condition_name_raises_key_error(self):
+        report = audit_ratio(make_family("jia-ratio", r=1.0, k=2))
+        with pytest.raises(KeyError, match="no_such_condition"):
+            report.condition("no_such_condition")
 
 
 class TestGridHelpers:

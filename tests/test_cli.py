@@ -73,6 +73,16 @@ class TestSolveCommand:
         assert run(argv) == EXIT_INVALID
         assert "nope" in capsys.readouterr().err
 
+    def test_unreadable_spec_file_rejected(self, capsys, tmp_path):
+        path = str(tmp_path / "missing.json")
+        assert run(["solve", "--spec", path]) == EXIT_INVALID
+        assert capsys.readouterr().err.startswith(f"error: cannot read spec file {path!r}: ")
+
+    def test_inline_spec_needs_both_prizes(self, capsys):
+        argv = ["solve", "--family", "jia-ratio", "--r", "1", "--k", "2", "--v1", "2", "--q", "0.5"]
+        assert run(argv) == EXIT_INVALID
+        assert capsys.readouterr().err == "error: inline specs require --v1 and --v2\n"
+
     def test_malformed_spec_file_rejected(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -162,6 +172,10 @@ class TestExpectedCommand:
     def test_rule_syntax_errors_rejected(self, capsys):
         assert run(["expected", *SHARP, "--rule", "a:b"]) == EXIT_INVALID
 
+    def test_empty_rule_atom_rejected(self, capsys):
+        assert run(["expected", *SHARP, "--rule", "0:0.5,,1:0.5"]) == EXIT_INVALID
+        assert capsys.readouterr().err == "error: empty atom at position 1 in --rule\n"
+
 
 class TestAuditCommand:
     def test_passing_audit(self, capsys):
@@ -179,6 +193,11 @@ class TestAuditCommand:
 
     def test_diff_audit_requires_prize(self, capsys):
         assert run(["audit", "--family", "jia-diff", "--k", "2"]) == EXIT_INVALID
+
+    def test_audit_needs_a_source(self, capsys):
+        assert run(["audit"]) == EXIT_INVALID
+        assert capsys.readouterr().err == (
+            "error: missing spec source: give --spec FILE or --family ...\n")
 
     @pytest.mark.parametrize("source", ["inline", "spec"])
     def test_emit_spec_from_either_source(self, capsys, tmp_path, source):
@@ -200,7 +219,7 @@ class TestAuditCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            f"error: grid points must be an integer >= 2, got {int(points)}\n")
+            f"error: grid points must be >= 2, got {int(points)}\n")
 
     @pytest.mark.parametrize("family,kind", [
         (["--family", "jia-ratio", "--r", "1", "--k", "2"], "ratio"),

@@ -11,6 +11,7 @@ import pytest
 from tiebreak import (
     ContestSpec,
     CostKind,
+    DomainError,
     EffortProfile,
     GridSpec,
     OutcomeDistribution,
@@ -18,16 +19,19 @@ from tiebreak import (
     TieRule,
     ValidationError,
     Valuations,
+    audit_concave,
     audit_diff,
     audit_ratio,
     convexity_precondition,
     eventual_win_prob,
+    grid_best_response,
     make_contest,
     make_family,
     outcome_distribution,
     payoff,
     sweep,
 )
+from tiebreak.audit import audit_family
 from tiebreak.core import JsonRecord, q_value
 
 
@@ -322,6 +326,14 @@ INPUT_CHECKS = {
     "q_value-text": (lambda: q_value("x"), "q must be a real number, got 'x'"),
     "ContestSpec": (lambda: _contest(q=2), "q must lie in [0, 1], got 2.0"),
     "with_q": (lambda: DIFF_SPEC.with_q(1.5), "q must lie in [0, 1], got 1.5"),
+    "RandomTieRule-empty": (lambda: RandomTieRule(()), "a random tie rule needs at least one atom"),
+    "ContestSpec-csf": (lambda: ContestSpec(object(), 2.0, 1.0, 0.5, "linear"),
+                        "csf must be a contest success family (missing 'name')"),
+    "from_json-list": (lambda: ContestSpec.from_json("[1, 2]"),
+                       "spec document must be a JSON object"),
+    "from_json-params": (lambda: ContestSpec.from_json(
+        '{"family": "jia-ratio", "v1": 2, "v2": 1, "q": 0.5, "params": [1]}'),
+        "params must be a JSON object"),
 }
 
 
@@ -330,6 +342,76 @@ def test_each_checked_input_raises_its_text(call, text):
     with pytest.raises(ValidationError) as caught:
         call()
     assert type(caught.value) is ValidationError and str(caught.value) == text
+
+
+RATIO_FAMILY = make_family("jia-ratio", r=1.0, k=2)
+CONCAVE_FAMILY = make_family("blavatskyy-power", r=0.5)
+RATIO_SPEC = make_contest(family="jia-ratio", v1=2.0, v2=1.0, q=0.5, r=1.0, k=2)
+GRID = GridSpec(2.0, 5)
+
+# Each bare value outside `ContestSpec` is checked by the one helper of its
+# kind: a finite real by `core.finite_value`, a positive magnitude by
+# `core.positive_value`, a sample count by `core.count_value` and a grid by
+# `families.checked_array`; each case pins the exception type and text.
+VALUE_CHECKS = {
+    "family-param-text": (lambda: make_family("jia-ratio", r="x", k=2), ValidationError,
+                          "jia-ratio: parameter 'r' must be a real number, got 'x'"),
+    "family-param-inf": (lambda: make_family("jia-ratio", r=math.inf, k=2), ValidationError,
+                         "jia-ratio: parameter 'r' must be finite, got inf"),
+    "family-param-bound": (lambda: make_family("blavatskyy-power", r=1.5), ValidationError,
+                           "blavatskyy-power: parameter 'r' must be > 0.0 and <= 1.0, got 1.5"),
+    "x_max-text": (lambda: GridSpec("a", 5), ValidationError, "x_max must be a number, got 'a'"),
+    "x_max-zero": (lambda: GridSpec(0, 5), ValidationError,
+                   "x_max must be a positive finite number, got 0.0"),
+    "x_max-nan": (lambda: GridSpec(math.nan, 5), ValidationError,
+                  "x_max must be a positive finite number, got nan"),
+    "eps-text": (lambda: GridSpec(1.0, 5, "abc"), ValidationError,
+                 "eps must be a real number, got 'abc'"),
+    "eps-nan": (lambda: GridSpec(1.0, 5, math.nan), ValidationError, "eps must be finite, got nan"),
+    "eps-minus-inf": (lambda: GridSpec(1.0, 5, -math.inf), ValidationError,
+                      "eps must be finite, got -inf"),
+    "eps-inf": (lambda: GridSpec(1.0, 5, math.inf), ValidationError, "eps must be finite, got inf"),
+    "eps-negative": (lambda: GridSpec(1.0, 5, -1), ValidationError, "eps must be >= 0, got -1.0"),
+    "for_contest-two": (lambda: GridSpec.for_contest(RATIO_SPEC, 2), ValidationError,
+                        "steps must be >= 3, got 2"),
+    "for_contest-float": (lambda: GridSpec.for_contest(RATIO_SPEC, 2.5), ValidationError,
+                          "steps must be an integer, got 2.5"),
+    "for_contest-bool": (lambda: GridSpec.for_contest(RATIO_SPEC, True), ValidationError,
+                         "steps must be an integer, got True"),
+    "convexity-one": (lambda: convexity_precondition(DIFF_FAMILY, 2.0, 1), ValidationError,
+                      "points must be >= 2, got 1"),
+    "convexity-float": (lambda: convexity_precondition(DIFF_FAMILY, 2.0, 2.5), ValidationError,
+                        "points must be an integer, got 2.5"),
+    "convexity-bool": (lambda: convexity_precondition(DIFF_FAMILY, 2.0, True), ValidationError,
+                       "points must be an integer, got True"),
+    "audit_family-one": (lambda: audit_family(RATIO_FAMILY, grid_points=1), ValidationError,
+                         "grid points must be >= 2, got 1"),
+    "audit_family-float": (lambda: audit_family(RATIO_FAMILY, grid_points=2.5), ValidationError,
+                           "grid points must be an integer, got 2.5"),
+    "theta-grid-inf": (lambda: audit_ratio(RATIO_FAMILY, theta_grid=[1.0, math.inf]), DomainError,
+                       "theta grid must be finite"),
+    "theta-grid-zero": (lambda: audit_ratio(RATIO_FAMILY, theta_grid=[0.0, 1.0]), DomainError,
+                        "theta grid must be > 0"),
+    "effort-grid-empty": (lambda: audit_concave(CONCAVE_FAMILY, x_grid=[]), ValidationError,
+                          "effort grid must be a nonempty 1-d sequence"),
+    "effort-grid-nan": (lambda: audit_concave(CONCAVE_FAMILY, x_grid=[1.0, math.nan]),
+                        DomainError, "effort grid must be finite"),
+    "effort-grid-zero": (lambda: audit_concave(CONCAVE_FAMILY, x_grid=[0.0, 1.0]), DomainError,
+                         "effort grid must be > 0"),
+    "opponent-text": (lambda: grid_best_response(RATIO_SPEC, "abc", GRID), ValidationError,
+                      "opponent effort must be a real number, got 'abc'"),
+    "opponent-none": (lambda: grid_best_response(RATIO_SPEC, None, GRID), ValidationError,
+                      "opponent effort must be a real number, got None"),
+    "opponent-nan": (lambda: grid_best_response(RATIO_SPEC, math.nan, GRID), ValidationError,
+                     "opponent effort must be finite, got nan"),
+}
+
+
+@pytest.mark.parametrize("call, kind, text", VALUE_CHECKS.values(), ids=VALUE_CHECKS)
+def test_each_kind_of_value_raises_its_type_and_text(call, kind, text):
+    with pytest.raises(kind) as caught:
+        call()
+    assert type(caught.value) is kind and str(caught.value) == text
 
 
 class TestPayoffs:

@@ -31,6 +31,8 @@ from tiebreak.designer import OPTIMAL_IMPROVEMENT_GUARD
 from tiebreak.equilibrium import (CORNER_UNIQUENESS_WARNING, Lanes, SolveMethod, solve_lanes,
                                   total_effort_slope)
 
+from helpers import LOTTERY_CONTEST
+
 
 def _slope_at(spec, q, eq):
     """`total_effort_slope` at the equilibrium `eq` of `spec` at tie rule q."""
@@ -51,6 +53,18 @@ class TestSweep:
         assert curve.shape.monotone_decreasing.holds
         assert curve.shape.linear.holds
         assert not curve.shape.constant.holds
+
+    @pytest.mark.parametrize("columns, text", [
+        (lambda c: dict(q_values=c.q_values[:1]), "an effort curve needs at least two samples"),
+        (lambda c: dict(x1=c.x1[:-1]), "curve columns must have one entry per q value"),
+        (lambda c: dict(q_values=(-0.5, *c.q_values[1:])), "curve q values must lie in [0, 1]"),
+        (lambda c: dict(q_values=c.q_values[::-1]), "curve q values must be strictly increasing"),
+    ], ids=["one-sample", "short-column", "q-outside", "q-decreasing"])
+    def test_curve_rejects_malformed_columns(self, columns, text):
+        curve = sweep(SHARP_RATIO, 5)
+        with pytest.raises(ValidationError) as caught:
+            dataclasses.replace(curve, **columns(curve))
+        assert str(caught.value) == text
 
     def test_q_values_span_the_unit_interval(self):
         curve = sweep(SOFT_RATIO, 5)
@@ -156,6 +170,11 @@ class TestOptimalQ:
         assert best.q_star.q == 1.0
         assert best.rationale is Rationale.THEOREM
         assert best.total_effort == pytest.approx(0.75, abs=1e-10)
+
+    def test_rejects_unknown_family_kind(self):
+        with pytest.raises(ValidationError,
+                           match="^no designer support for family kind 'lottery'$"):
+            optimal_q(LOTTERY_CONTEST)
 
     def test_equal_prizes_indifferent(self):
         spec = make_contest(family="jia-diff", v1=1.0, v2=1.0, q=0.0, k=2)

@@ -32,7 +32,8 @@ from tiebreak.equilibrium import (
     _log_impact_foc,
 )
 
-from helpers import DIFF_CASES, FD_REL_TOL, RATIO_CASES, build, case_id, max_rel_err, solve_at
+from helpers import (DIFF_CASES, FD_REL_TOL, LOTTERY_CONTEST, RATIO_CASES, build, case_id,
+                     max_rel_err, solve_at)
 
 # Root of gap = sigma(gap) * (1 - sigma(gap)) for prize gap 1, computed by an
 # independent 200-step bisection on [0, 1] before the solver existed.
@@ -351,6 +352,11 @@ class TestDispatch:
         with pytest.raises(ValidationError, match="linear"):
             solve(spec)
 
+    def test_rejects_unknown_family_kind(self):
+        for call in (solve, lambda spec: solve_many(spec, [0.25, 0.5])):
+            with pytest.raises(ValidationError, match="^no solver for family kind 'lottery'$"):
+                call(LOTTERY_CONTEST)
+
 
 class TestEquilibriumRecord:
     def test_rejects_negative_efforts(self):
@@ -359,6 +365,13 @@ class TestEquilibriumRecord:
                 x1=-0.1, x2=0.2, beta=None, method=SolveMethod.CLOSED_FORM,
                 residuals=(0.0, 0.0),
             )
+
+    @pytest.mark.parametrize("columns", [dict(residuals=(0.0,)),
+                                         dict(residuals=(0.0, 0.0), corner_flags=(False,))])
+    def test_rejects_a_column_without_one_entry_per_player(self, columns):
+        with pytest.raises(ValidationError,
+                           match="^residuals and corner_flags must have one entry per player$"):
+            Equilibrium(x1=0.3, x2=0.2, beta=1.5, method=SolveMethod.CLOSED_FORM, **columns)
 
     def test_total_and_json_shape(self):
         eq = Equilibrium(

@@ -12,6 +12,9 @@ epilogues map results back to the caller's player labels.  Each family kind
 has one route, run by both entry points on one tie rule or on lanes, and each
 solver step the routes reach is one body, with no lane twin and no dispatch
 on the type of its arguments; nor do the family kernels the routes call.
+Each kind of input value has one check: a scalar in `core` (a finite real,
+a positive magnitude, a sample count) and an array in `families.checked_array`;
+no other function tests finiteness or integer types by hand.
 """
 from __future__ import annotations
 
@@ -71,16 +74,71 @@ def test_guard_sees_private_imports_and_reads():
         "from .equilibrium import _ROUTES, solve",
         "from tiebreak.designer import _last_grid",
         "import tiebreak.families as fam",
-        "equilibrium._TINY, equilibrium.MAX_ITERATIONS, c._as_float, fam.__name__",
+        "equilibrium._TINY, equilibrium.MAX_ITERATIONS, c._json_value, fam.__name__",
         "spec.csf._zp, fam._ret",
     ])
     assert crossings(source) == [
         "from .equilibrium import _ROUTES",
         "from tiebreak.designer import _last_grid",
         "equilibrium._TINY",
-        "c._as_float",
+        "c._json_value",
         "fam._ret",
     ]
+
+
+# Tests of a value's kind that only the one check of each kind may make.
+VALUE_TESTS = {"isfinite", "isnan", "isinf"}
+ARRAY_CHECK = "families.checked_array"
+
+
+def hand_checks(module: str, source: str) -> list[str]:
+    """Each function of `source`, as `module.Class.function` (`module` for
+    module-level code), that calls `isfinite`, `isnan` or `isinf` of `math`
+    or NumPy, or names `np.integer`."""
+    found = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{owner}.{child.name}")
+                continue
+            if isinstance(child, ast.Attribute) and isinstance(child.value, ast.Name):
+                base, attr = child.value.id, child.attr
+                if (base in ("math", "np", "numpy") and attr in VALUE_TESTS
+                        or base in ("np", "numpy") and attr == "integer"):
+                    found.add(owner)
+            elif isinstance(child, ast.Name) and child.id in VALUE_TESTS:
+                found.add(owner)
+            visit(child, owner)
+
+    visit(ast.parse(source), module)
+    return sorted(found)
+
+
+def test_each_kind_of_input_value_has_one_check():
+    found = [name for path in MODULES if path.stem != "core"
+             for name in hand_checks(path.stem, path.read_text(encoding="utf-8"))]
+    assert found == [ARRAY_CHECK]
+
+
+def test_guard_sees_hand_written_value_checks():
+    source = "\n".join([
+        "import math",
+        "from math import isnan",
+        "import numpy as np",
+        "LIMIT = np.isinf(1.0)",
+        "def checked(x):",
+        "    return math.isfinite(x) and not isnan(x)",
+        "class Grid:",
+        "    def __post_init__(self):",
+        "        return isinstance(self.steps, (int, np.integer))",
+        "    def axis(self):",
+        "        return np.linspace(0.0, math.inf, self.steps)",
+        "def count(n):",
+        "    return np.isfinite(np.asarray(n)).all()",
+    ])
+    assert hand_checks("grid", source) == [
+        "grid", "grid.Grid.__post_init__", "grid.checked", "grid.count"]
 
 
 SERIALIZERS = {"JsonRecord", "EffortCurve"}
