@@ -36,7 +36,7 @@ import numpy as np
 
 from .core import JsonRecord, count_value, positive_value, q_value
 from .errors import DomainError, ValidationError
-from .families import LANES, checked_array
+from .families import LANES, checked_array, float_array
 
 STRICT_SLACK = 1e-12
 """Wrong-side tolerance for strict grid inequalities."""
@@ -64,11 +64,6 @@ DEFAULT_Q_GRID: tuple[float, ...] = (0.0, 0.25, 0.5, 0.75, 1.0)
 GRID_DISCLAIMER = (
     "grid evidence, not proof: conditions were checked on the recorded finite "
     "grid only"
-)
-
-RATIO_ZERO_CONVENTION_NOTE = (
-    "zero-effort convention: the all-zero profile (0, 0) is scored at "
-    "theta = 1; a lone positive effort wins outright"
 )
 
 
@@ -167,7 +162,7 @@ def _slope_rows(csf, theta_grid, q_grid):
     if theta_grid is None:
         theta = _shared_grid(csf.kind == "ratio")
     else:
-        theta = np.asarray(theta_grid, dtype=float)
+        theta = float_array(theta_grid, "theta grid")
         if theta.ndim != 1 or theta.size < 2:
             raise ValidationError("theta grid must be a 1-d sequence with at least two points")
         theta = np.sort(checked_array(theta, "theta grid", positive=csf.kind == "ratio"))
@@ -289,7 +284,7 @@ def audit_ratio(csf, theta_grid=None, q_grid=None) -> AuditReport:
         *_tail_conditions(csf, theta, np.array(ends)[:, None]),
         _unimodality_condition(theta, p0, tie_slope, peak=1.0),
     ]
-    return _report(csf, conditions, zpp, theta, qs, (RATIO_ZERO_CONVENTION_NOTE,))
+    return _report(csf, conditions, zpp, theta, qs, (csf.zero_effort_note,))
 
 
 def audit_diff(csf, v1, theta_grid=None, q_grid=None) -> AuditReport:
@@ -328,7 +323,7 @@ def audit_concave(csf, x_grid=None) -> AuditReport:
     if x_grid is None:
         x = _shared_grid(True)
     else:
-        x = np.asarray(x_grid, dtype=float)
+        x = float_array(x_grid, "effort grid")
         if x.ndim != 1 or x.size == 0:
             raise ValidationError("effort grid must be a nonempty 1-d sequence")
         x = np.sort(checked_array(x, "effort grid", positive=True))

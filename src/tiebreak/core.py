@@ -7,14 +7,18 @@ tie in favor of player 1 with probability q, so player i's payoff is
 
     Pi_i = V_i * (p_i + q_i * p0) - c(x_i),   q_1 = q,  q_2 = 1 - q,
 
-and "eventual win probability" means p_i + q_i * p0.
+and "eventual win probability" means p_i + q_i * p0.  Each game fact is
+stated here once, for the other modules to call: the payoff in `payoffs`,
+a cost's break-even effort in `CostKind.break_even`, and the label swap in
+the `Valuations` label maps `tie_share` and `in_order`.
 
 Each input is checked once, where it enters: a `ContestSpec` checks its
 prizes by building the `Valuations` it holds, which every solver, designer
 and oracle path reads, and its tie share by `q_value`, as `TieRule` does.
 Each kind of bare input value has one check here, which the other modules
 call: `finite_value` a finite real, `positive_value` a positive magnitude
-(a larger prize, a grid ceiling) and `count_value` a sample count.
+(a larger prize, a grid ceiling) and `count_value` a sample count, at most
+`MAX_COUNT` since counts size arrays.
 
 Every type here is an immutable value and every operation a pure function;
 concurrent callers need no synchronization.
@@ -41,6 +45,9 @@ WEIGHT_SUM_TOL = 1e-12
 # |E[Q] - 1/2| at or below this counts as an unbiased random rule.
 UNBIASED_TOL = 1e-12
 
+# Largest sample count: counts size arrays, so a larger one is refused before any is allocated.
+MAX_COUNT = 10**6
+
 
 def finite_value(value: Any, name: str) -> float:
     """The real number named `name` as a float, checked finite."""
@@ -66,11 +73,13 @@ def positive_value(value, name: str) -> float:
 
 def count_value(value, name: str, low: int = 2) -> int:
     """A count of samples named `name` as an int, checked integral (a bool is
-    not a count) and >= `low`."""
+    not a count), >= `low` and <= `MAX_COUNT`."""
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
     if value < low:
         raise ValidationError(f"{name} must be >= {low}, got {value}")
+    if value > MAX_COUNT:
+        raise ValidationError(f"{name} must be <= {MAX_COUNT}, got {value}")
     return int(value)
 
 
@@ -124,9 +133,11 @@ class CostKind(Enum):
 
     def cost(self, x):
         """Cost of effort x; accepts scalars or arrays."""
-        if self is CostKind.LINEAR:
-            return x
-        return 0.5 * x * x
+        return x if self is CostKind.LINEAR else 0.5 * x * x
+
+    def break_even(self, prize: float) -> float:
+        """The effort costing `prize`, above which staying out does better."""
+        return prize if self is CostKind.LINEAR else math.sqrt(2.0 * prize)
 
     @classmethod
     def coerce(cls, value: "CostKind | str") -> "CostKind":
@@ -144,8 +155,8 @@ class Valuations:
     """Prize values of the two players, normalized so v1 >= v2 > 0.
 
     Inputs arriving in the other order are accepted and silently swapped;
-    `swapped` records that the constructor reversed the labels so callers
-    can report results under the original ones.
+    `swapped` records that the constructor reversed the labels, and the label
+    maps `tie_share` and `in_order` apply it, in either direction.
     """
 
     v1: float
@@ -168,6 +179,14 @@ class Valuations:
     def beta(self) -> float:
         """Valuation ratio v1 / v2 >= 1."""
         return self.v1 / self.v2
+
+    def tie_share(self, q):
+        """The stronger player's tie share(s) at player 1's `q`, a float or an array."""
+        return 1.0 - q if self.swapped else q
+
+    def in_order(self, a, b):
+        """The pair (a, b), swapped when the labels were."""
+        return (b, a) if self.swapped else (a, b)
 
 
 @dataclass(frozen=True)
@@ -295,8 +314,8 @@ class ContestSpec(JsonRecord):
     Values are stored exactly as given by the caller; player labels are never
     rewritten here.  Solvers that need the stronger player first read
     `valuations`, the checked prizes in that order, built once here and
-    carried by `with_q`, and translate their answers back (see
-    `Valuations.swapped`).
+    carried by `with_q`, and translate their answers back with its label
+    maps (see `Valuations`).
     """
 
     csf: Any
@@ -392,22 +411,24 @@ def outcome_distribution(spec: ContestSpec, profile) -> OutcomeDistribution:
     return OutcomeDistribution(float(p1), float(p2), float(p0))
 
 
+def payoffs(spec: ContestSpec, x1, x2, outcome=None):
+    """Both players' payoffs V_i * (p_i + q_i * p0) - c(x_i) at efforts x1, x2,
+    scalars or broadcast arrays, from the outcome (p1, p2, p0) there if given."""
+    win1, win2, tie = spec.csf.outcome(x1, x2) if outcome is None else outcome
+    return (spec.v1 * (win1 + spec.q * tie) - spec.cost.cost(x1),
+            spec.v2 * (win2 + (1.0 - spec.q) * tie) - spec.cost.cost(x2))
+
+
 def payoff(spec: ContestSpec, profile, player: int) -> float:
-    """Expected payoff V_i * (p_i + q_i * p0) - c(x_i) of player 1 or 2."""
+    """Expected payoff of player 1 or 2 (`payoffs`) at its validated outcome distribution."""
     if player not in (1, 2):
         raise ValidationError(f"player must be 1 or 2, got {player!r}")
     prof = _as_profile(profile)
     dist = outcome_distribution(spec, prof)
-    if player == 1:
-        win = dist.p1 + spec.q * dist.p0
-        return spec.v1 * win - float(spec.cost.cost(prof.x1))
-    win = dist.p2 + (1.0 - spec.q) * dist.p0
-    return spec.v2 * win - float(spec.cost.cost(prof.x2))
+    return payoffs(spec, prof.x1, prof.x2, (dist.p1, dist.p2, dist.p0))[player - 1]
 
 
 def eventual_win_prob(spec: ContestSpec, profile) -> tuple[float, float]:
     """Probabilities that each player ends up with the prize; sums to one."""
     dist = outcome_distribution(spec, _as_profile(profile))
-    win1 = dist.p1 + spec.q * dist.p0
-    win2 = dist.p2 + (1.0 - spec.q) * dist.p0
-    return (win1, win2)
+    return (dist.p1 + spec.q * dist.p0, dist.p2 + (1.0 - spec.q) * dist.p0)

@@ -256,7 +256,7 @@ def optimal_q(spec: ContestSpec, *, force: bool = False, audited: bool = False) 
     if kind == "concave":
         i, rationale = _concave_optimum(spec, qs, lanes), Rationale.NUMERIC
     else:
-        i = qs.size - 1 if vals.swapped else 0  # equal prizes are never swapped
+        i = int(vals.tie_share(0.0)) * (qs.size - 1)  # the stronger player's tie share is 0
         rationale = Rationale.INDIFFERENT if vals.v1 == vals.v2 else Rationale.THEOREM
         best = int(np.argmax(totals))
         if totals[best] > totals[i] + OPTIMAL_IMPROVEMENT_GUARD * (1.0 + abs(float(totals[i]))):
@@ -309,16 +309,16 @@ def convexity_precondition(csf, v1, points: int = 2001) -> ConvexityPrecondition
     """Check the curvature condition that makes R(q) convex for small prizes.
 
     Scans the analytic second derivative of the tie probability over
-    [0, sqrt(2 * v1)] (the reachable effort-gap range at prize v1 under
-    half-quadratic cost).  A family with no ties fails: its curvature is
-    identically zero, not strictly negative.
+    [0, sqrt(2 * v1)], the reachable effort-gap range at prize v1: the
+    break-even effort of the family's half-quadratic cost.  A family with no
+    ties fails: its curvature is identically zero, not strictly negative.
     """
     if getattr(csf, "kind", None) != "diff":
         raise ValidationError("convexity_precondition requires a difference-form family")
     v1f = positive_value(v1, "v1")
     points = count_value(points, "points")
 
-    hi = math.sqrt(2.0 * v1f)
+    hi = csf.default_cost.break_even(v1f)
     theta = np.linspace(0.0, hi, points)
     curv = np.asarray(csf.p0_double_prime(theta), dtype=float)
     worst_idx = int(np.argmax(curv))

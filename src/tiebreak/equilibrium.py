@@ -11,22 +11,22 @@ g_i = log(x_i^r).
 
 `solve(spec)` is the one way in for one tie rule, `solve_lanes(spec, qs)` for
 many.  Each runs one prologue: it checks family kind, cost, closed-form
-precondition and a ratio form's prize ratio once, orients the labels
-(strongest prize first, player 2's tie share 1 - q) and picks the family
-kind's route in `_ROUTES`.  Each family kind has one route, and each solver
-step one body, written against the primitives `families.Ops` and run by both
-entry points, which choose the instance: `solve` `FLOATS`, cheaper for one
-tie rule than array code, `solve_lanes` `LANES` over q, one
-lane per tie rule, each iterative lane stopping on its own and then holding
-its values.  Routes solve stronger-player-first and return their acceptance
-tests as gates, which only the entry points apply: `solve` raises the first
-failing gate's error, `solve_lanes` gives each failing lane the error of the
-first gate it fails.  Each entry point then maps the efforts to the caller's
-labels, evaluates the first-order residuals there and gates iterative
-solves: `solve` returns an `Equilibrium`, `solve_lanes` arrays (`Lanes`)
-with each failing lane's error.  Routes call only the families' unchecked
-kernels, which take the same primitives.  `solve_beta` is the one raw-input
-helper, the effort-gap root of a difference-form contest.
+precondition and a ratio form's prize ratio once, takes the stronger player's
+tie share(s) from `Valuations.tie_share` and picks the family kind's route in
+`_ROUTES`.  Each family kind has one route, and each solver step one body,
+written against the primitives `families.Ops` and run by both entry points,
+which choose the instance: `solve` `FLOATS`, cheaper for one tie rule than
+array code, `solve_lanes` `LANES` over q, one lane per tie rule, each
+iterative lane stopping on its own and then holding its values.  Routes solve
+stronger-player-first and return their acceptance tests as gates, which only
+the entry points apply: `solve` raises the first failing gate's error,
+`solve_lanes` gives each failing lane the error of the first gate it fails.
+Each entry point then maps the efforts to the caller's labels by
+`Valuations.in_order`, evaluates the first-order residuals there and gates
+iterative solves: `solve` returns an `Equilibrium`, `solve_lanes` arrays
+(`Lanes`) with each failing lane's error.  Routes call only the families'
+unchecked kernels, which take the same primitives.  `solve_beta` is the one
+raw-input helper, the effort-gap root of a difference-form contest.
 
 Every solver returns an `Equilibrium` carrying per-player first-order
 residuals evaluated at the returned profile, corner flags, and any warnings
@@ -154,10 +154,6 @@ class Lanes:
             float(self.x1[i]), float(self.x2[i]), None if self.beta is None else float(self.beta[i]),
             (float(self.residuals[0][i]), float(self.residuals[1][i])), bool(self.cornered[i]),
             self.method, self.warnings)
-
-
-def _user_order(vals: Valuations, strong, weak):
-    return (weak, strong) if vals.swapped else (strong, weak)
 
 
 # Errors shared by both instances of the routes, so a lane fails as its scalar
@@ -301,8 +297,8 @@ def solve_beta(csf, v, q) -> float:
     if getattr(csf, "kind", None) != "diff":
         raise ValidationError("solve_beta requires a difference-form family")
     vals = v if isinstance(v, Valuations) else Valuations(*v)
-    q_user, gap = q_value(q), vals.v1 - vals.v2
-    root, resid, hi, bracketed = _gap_root(csf, gap, 1.0 - q_user if vals.swapped else q_user)
+    gap = vals.v1 - vals.v2
+    root, resid, hi, bracketed = _gap_root(csf, gap, vals.tie_share(q_value(q)))
     _raise_first(*_gap_gates(gap, resid, hi, bracketed))
     return root
 
@@ -486,8 +482,8 @@ def total_effort_slope(spec: ContestSpec, q: float, x1: float, x2: float,
     interior closed form, and a lone entrant exerts sqrt(v_i (1 - q_i)) - 1.
     """
     vals, r = spec.valuations, spec.csf.r
-    q1 = float(1.0 - q if vals.swapped else q)
-    x1, x2 = _user_order(vals, float(x1), float(x2))
+    q1 = float(vals.tie_share(q))
+    x1, x2 = vals.in_order(float(x1), float(x2))
     if r == 1.0:
         slope = 0.0
         if cornered and x1 > 0.0:
@@ -503,7 +499,7 @@ def total_effort_slope(spec: ContestSpec, q: float, x1: float, x2: float,
         det = J11 * J22 - J12 * J21 or math.nan  # singular: sign unknown, so uncertified
         dg1, dg2 = (J12 * dG2 - J22 * dG1) / det, (J21 * dG1 - J11 * dG2) / det
         slope = (x1 * dg1 + x2 * dg2) / r
-    return -slope if vals.swapped else slope
+    return slope * (vals.tie_share(1.0) - vals.tie_share(0.0))  # times dq1/dq = +1 or -1
 
 
 def _concave(csf, vals, q_int, xp: Ops):
@@ -573,7 +569,7 @@ def _prologue(spec: ContestSpec, q_user, force: bool, audited: bool):
     vals = spec.valuations
     if kind == "ratio" and vals.beta == math.inf:
         raise DomainError(f"the ratio of prizes {(spec.v1, spec.v2)} overflows double precision")
-    return _ROUTES[kind], vals, 1.0 - q_user if vals.swapped else q_user, warnings
+    return _ROUTES[kind], vals, vals.tie_share(q_user), warnings
 
 
 def solve(spec: ContestSpec, *, force: bool = False, audited: bool = False) -> Equilibrium:
@@ -588,7 +584,7 @@ def solve(spec: ContestSpec, *, force: bool = False, audited: bool = False) -> E
     (route, residuals), vals, q_int, warnings = _prologue(spec, spec.q, force, audited)
     strong, weak, cornered, method, gates = route(spec.csf, vals, q_int, FLOATS)
     _raise_first(*gates)
-    x1, x2 = _user_order(vals, strong, weak)
+    x1, x2 = vals.in_order(strong, weak)
     beta, r1, r2 = residuals(spec.csf, spec.v1, spec.v2, spec.q, x1, x2, FLOATS)
     if method is SolveMethod.FOC_SOLVE:
         _raise_first(_residual_gate(x1, x2, r1, r2))
@@ -614,7 +610,7 @@ def solve_lanes(spec: ContestSpec, qs, *, force: bool, audited: bool) -> Lanes:
         for failing, *_ in gates:
             failed |= failing
         # a failed lane takes efforts (1, 1), which keep its unused residuals finite
-        x1, x2 = _user_order(vals, np.where(failed, 1.0, strong), np.where(failed, 1.0, weak))
+        x1, x2 = vals.in_order(np.where(failed, 1.0, strong), np.where(failed, 1.0, weak))
         beta, r1, r2 = residuals(spec.csf, spec.v1, spec.v2, q_user, x1, x2, LANES)
     if method is SolveMethod.FOC_SOLVE:
         gates += (_residual_gate(x1, x2, r1, r2),)

@@ -70,10 +70,18 @@ def _check_param(name: str, value, low: float, low_inclusive: bool, high: float 
     return out
 
 
+def float_array(x, name: str) -> np.ndarray:
+    """`x` as a float array: the one conversion of an array, naming it if an entry is no number."""
+    try:
+        return np.asarray(x, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name} must be numbers, got {x!r}") from exc
+
+
 def checked_array(x, name: str, *, positive: bool = False, nonnegative: bool = False):
-    """`x` as a float array, checked finite, and > 0 or >= 0 where asked: the
-    one check of an array of contest states or a grid."""
-    arr = np.asarray(x, dtype=float)
+    """`x` as a float array (`float_array`), checked finite, and > 0 or >= 0
+    where asked: the one check of an array of contest states or a grid."""
+    arr = float_array(x, name)
     if not np.all(np.isfinite(arr)):
         raise DomainError(f"{name} must be finite")
     if positive and np.any(arr <= 0.0):
@@ -85,10 +93,7 @@ def checked_array(x, name: str, *, positive: bool = False, nonnegative: bool = F
 
 def q_array(qs) -> np.ndarray:
     """Float array of tie shares, each finite and in [0, 1]."""
-    try:
-        arr = np.asarray(qs, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"tie shares must be numbers, got {qs!r}") from exc
+    arr = float_array(qs, "tie shares")
     if not np.all((arr >= 0.0) & (arr <= 1.0)):
         raise ValidationError("every q must be finite and lie in [0, 1]")
     return arr
@@ -264,15 +269,15 @@ class _ReducedCsf(_Family):
 
 
 class RatioCsf(_ReducedCsf):
-    """Base class of families driven by the effort ratio theta = x1 / x2.
-
-    Convention at zero efforts: a lone positive effort wins outright; the
-    all-zero profile (0, 0) is scored at theta = 1, i.e. as a symmetric
-    contest.
-    """
+    """Base class of families driven by the effort ratio theta = x1 / x2,
+    with the zero-effort convention `zero_effort_note`, which audits and the
+    grid oracle report."""
 
     kind: ClassVar[str] = "ratio"
     default_cost: ClassVar[CostKind] = CostKind.LINEAR
+    zero_effort_note: ClassVar[str] = (
+        "zero-effort convention: the all-zero profile (0, 0) is scored at "
+        "theta = 1; a lone positive effort wins outright")
 
     def _theta(self, theta):
         return checked_array(theta, "theta", positive=True)

@@ -4,11 +4,11 @@ Everything here treats the contest as a finite bimatrix game on an effort
 grid and checks Nash conditions exhaustively.  The oracle deliberately calls
 only outcome probabilities and payoffs, never the analytic derivative code,
 so agreement between a solver's output and the oracle is evidence from an
-independent route.  One helper, `_payoffs`, evaluates both players' payoffs
-at broadcast efforts; every scan reads its payoffs from it.  `GridSpec`
-and `grid_best_response` check their numbers with `core`'s one check of
-each kind: the ceiling is a positive magnitude, the steps a sample count,
-and the slack and the opponent's effort are finite reals.
+independent route.  It depends on `core` alone, whose `payoffs` every scan
+reads at broadcast efforts.  `GridSpec` and `grid_best_response` check
+their numbers with `core`'s one check of each kind: the ceiling is a
+positive magnitude, the steps a sample count, and the slack and the
+opponent's effort are finite reals.
 
 `grid_nash` scans the payoff grid once, in blocks of player-1 rows sized by a
 cell budget, and never holds an n x n matrix: a block settles player 2's
@@ -18,22 +18,21 @@ and the peak memory stays flat as the grid grows.
 
 Payoffs on a grid of pitch h can differ from the continuous optimum by an
 amount proportional to h, so `verify` converts the pitch into a payoff
-acceptance band via a numerically probed slope bound instead of using a
-magic constant.  The first grid step is excluded from the slope probe: under
-the zero-effort convention of ratio-form contests the payoff jumps
+acceptance band via a slope bound probed on the payoff column that gives
+the best deviation, instead of using a magic constant.  The first grid step
+is excluded from the slope probe: under the zero-effort convention of
+ratio-form contests (the family's `zero_effort_note`) the payoff jumps
 discontinuously between zero and any positive effort, and a band built from
 that jump would be vacuously wide.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audit import RATIO_ZERO_CONVENTION_NOTE
-from .core import (ContestSpec, CostKind, EffortProfile, JsonRecord, count_value, finite_value,
-                   payoff, positive_value)
+from .core import (ContestSpec, EffortProfile, JsonRecord, count_value, finite_value, payoff,
+                   payoffs, positive_value)
 from .errors import DomainError, ValidationError
 
 BAND_FLOOR_REL = 1e-12
@@ -84,27 +83,27 @@ class GridSpec:
                     eps: float | None = None) -> "GridSpec":
         """Grid whose ceiling no best response can exceed.
 
-        Any effort whose cost exceeds the prize is dominated by staying out,
-        so the ceiling is the largest prize's break-even effort (the prize
-        itself under linear cost, sqrt(2 * prize) under half-quadratic cost)
-        plus one grid step; solving the fixed point gives
-        x_max = bound * (steps - 1) / (steps - 2).
+        Any effort costing more than the prize is dominated by staying out, so
+        the ceiling is the largest prize's break-even effort plus one grid
+        step, the fixed point x_max = bound * (steps - 1) / (steps - 2).
         """
         steps = count_value(steps, "steps", 3)
-        vals = spec.valuations
-        if spec.cost is CostKind.LINEAR:
-            bound = vals.v1
-        else:
-            bound = math.sqrt(2.0 * vals.v1)
+        bound = spec.cost.break_even(spec.valuations.v1)
         return cls(x_max=bound * (steps - 1) / (steps - 2), steps=steps, eps=eps)
 
 
-def _payoffs(spec: ContestSpec, x1, x2):
-    """Both players' payoffs at broadcast efforts: v_i * (win_i + q_i * tie) - cost(x_i)."""
-    win1, win2, tie = spec.csf.outcome(x1, x2)
-    q = spec.q
-    return (spec.v1 * (win1 + q * tie) - spec.cost.cost(x1),
-            spec.v2 * (win2 + (1.0 - q) * tie) - spec.cost.cost(x2))
+def _deviations(spec: ContestSpec, opponent_effort: float, grid: GridSpec, player: int):
+    """The grid axis, `player`'s payoff column on it against a fixed opponent
+    effort, and the column's best effort and payoff (see `grid_best_response`)."""
+    if player not in (1, 2):
+        raise ValidationError(f"player must be 1 or 2, got {player!r}")
+    opp = finite_value(opponent_effort, "opponent effort")
+    if not (0.0 <= opp <= grid.x_max):
+        raise DomainError(f"opponent effort {opp} outside the grid range [0, {grid.x_max}]")
+    axis = grid.axis()
+    column = payoffs(spec, *((axis, opp) if player == 1 else (opp, axis)))[player - 1]
+    idx = int(np.argmax(column))
+    return axis, column, float(axis[idx]), float(column[idx])
 
 
 def grid_best_response(spec: ContestSpec, opponent_effort: float, grid: GridSpec,
@@ -115,18 +114,7 @@ def grid_best_response(spec: ContestSpec, opponent_effort: float, grid: GridSpec
     resolve to the smaller effort.  The opponent effort must lie within the
     grid ceiling (it need not sit on the grid itself).
     """
-    if player not in (1, 2):
-        raise ValidationError(f"player must be 1 or 2, got {player!r}")
-    opp = finite_value(opponent_effort, "opponent effort")
-    if not (0.0 <= opp <= grid.x_max):
-        raise DomainError(
-            f"opponent effort {opp} outside the grid range [0, {grid.x_max}]"
-        )
-    axis = grid.axis()
-    efforts = (axis, opp) if player == 1 else (opp, axis)
-    payoffs = _payoffs(spec, *efforts)[player - 1]
-    idx = int(np.argmax(payoffs))
-    return float(axis[idx]), float(payoffs[idx])
+    return _deviations(spec, opponent_effort, grid, player)[2:]
 
 
 def grid_nash(spec: ContestSpec, grid: GridSpec) -> list[EffortProfile]:
@@ -144,7 +132,7 @@ def grid_nash(spec: ContestSpec, grid: GridSpec) -> list[EffortProfile]:
     col_max = np.full(axis.size, -np.inf)
     kept = []
     for lo in range(0, axis.size, rows):
-        pay1, pay2 = _payoffs(spec, axis[lo:lo + rows, None], axis[None, :])
+        pay1, pay2 = payoffs(spec, axis[lo:lo + rows, None], axis[None, :])
         np.maximum(col_max, np.max(pay1, axis=0), out=col_max)
         i, j = np.nonzero(pay2 >= np.max(pay2, axis=1, keepdims=True) - eps)
         kept.append((i + lo, j, pay1[i, j]))
@@ -153,16 +141,14 @@ def grid_nash(spec: ContestSpec, grid: GridSpec) -> list[EffortProfile]:
     return [EffortProfile(float(axis[a]), float(axis[b])) for a, b in zip(i[best], j[best])]
 
 
-def _slope_bound(spec: ContestSpec, axis: np.ndarray, other: float, player: int) -> float:
-    """Largest per-step payoff slope along the scan, first step excluded.
+def _slope_bound(axis: np.ndarray, column: np.ndarray) -> float:
+    """Largest per-step slope of a payoff column, first step excluded.
 
     Excluding the 0 -> h step keeps the ratio-form zero-effort payoff jump
     from inflating the bound; the remaining steps probe the smooth region.
     """
-    efforts = (axis, other) if player == 1 else (other, axis)
-    payoffs = _payoffs(spec, *efforts)[player - 1]
     h = axis[1] - axis[0]
-    diffs = np.abs(np.diff(payoffs[1:])) if payoffs.size > 2 else np.abs(np.diff(payoffs))
+    diffs = np.abs(np.diff(column[1:])) if column.size > 2 else np.abs(np.diff(column))
     return float(np.max(diffs) / h)
 
 
@@ -205,9 +191,9 @@ def verify(spec: ContestSpec, eq, grid: GridSpec) -> VerificationReport:
 
     For each player, compares their payoff at the claimed profile with their
     best grid response against the rival's claimed effort; the difference
-    must fit inside a band derived from the grid pitch and a probed slope
-    bound.  Also reports the nearest exact grid equilibrium, recomputed
-    independently of any solver.
+    must fit inside a band derived from the grid pitch and a slope bound
+    probed on the same payoff column.  Also reports the nearest exact grid
+    equilibrium, recomputed independently of any solver.
     """
     if hasattr(eq, "x1") and hasattr(eq, "x2"):
         profile = EffortProfile(float(eq.x1), float(eq.x2))
@@ -219,38 +205,30 @@ def verify(spec: ContestSpec, eq, grid: GridSpec) -> VerificationReport:
                 "eq must expose x1/x2 attributes or be a two-element sequence"
             ) from exc
 
-    axis = grid.axis()
-    br1, br1_pay = grid_best_response(spec, profile.x2, grid, player=1)
-    br2, br2_pay = grid_best_response(spec, profile.x1, grid, player=2)
-    at1 = payoff(spec, profile, 1)
-    at2 = payoff(spec, profile, 2)
-    loss1 = max(0.0, br1_pay - at1)
-    loss2 = max(0.0, br2_pay - at2)
+    deviations = (_deviations(spec, profile.x2, grid, 1), _deviations(spec, profile.x1, grid, 2))
+    best, losses, bands = [], [], []
+    for player, (axis, column, response, response_pay) in enumerate(deviations, start=1):
+        at = payoff(spec, profile, player)
+        best.append(response)
+        losses.append(max(0.0, response_pay - at))
+        scale = max(abs(response_pay), abs(at), 1.0)
+        bands.append(2.0 * _slope_bound(axis, column) * grid.h + BAND_FLOOR_REL * scale)
 
-    scale1 = max(abs(br1_pay), abs(at1), 1.0)
-    scale2 = max(abs(br2_pay), abs(at2), 1.0)
-    band1 = 2.0 * _slope_bound(spec, axis, profile.x2, 1) * grid.h + BAND_FLOOR_REL * scale1
-    band2 = 2.0 * _slope_bound(spec, axis, profile.x1, 2) * grid.h + BAND_FLOOR_REL * scale2
-
+    notes = [note] if (note := getattr(spec.csf, "zero_effort_note", None)) else []
+    nearest, distance = None, None
     equilibria = grid_nash(spec, grid)
     if equilibria:
         dists = [max(abs(p.x1 - profile.x1), abs(p.x2 - profile.x2)) for p in equilibria]
         k = int(np.argmin(dists))
         nearest, distance = equilibria[k], float(dists[k])
     else:
-        nearest, distance = None, None
-
-    notes = []
-    if spec.csf.kind == "ratio":
-        notes.append(RATIO_ZERO_CONVENTION_NOTE)
-    if not equilibria:
         notes.append("no exact grid equilibrium exists at this resolution")
 
     return VerificationReport(
         profile=profile,
-        payoff_losses=(loss1, loss2),
-        bands=(band1, band2),
-        best_responses=(br1, br2),
+        payoff_losses=tuple(losses),
+        bands=tuple(bands),
+        best_responses=tuple(best),
         nearest_nash=nearest,
         nash_distance=distance,
         x_max=grid.x_max,

@@ -2,10 +2,12 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
 from tiebreak import ConvergenceError
+from tiebreak.core import MAX_COUNT
 from tiebreak.cli import (
     EXIT_INVALID,
     EXIT_NO_CONVERGENCE,
@@ -220,6 +222,22 @@ class TestAuditCommand:
         assert captured.out == ""
         assert captured.err == (
             f"error: grid points must be >= 2, got {int(points)}\n")
+
+    @pytest.mark.parametrize("argv, name", [
+        (["audit", "--family", "jia-ratio", "--r", "1", "--k", "2", "--grid-points"],
+         "grid points"),
+        (["sweep", *SHARP, "--points"], "q_count"),
+        (["verify", *SHARP, "--steps"], "steps"),
+    ])
+    def test_a_count_above_the_ceiling_is_refused_before_any_allocation(self, capsys, argv,
+                                                                        name):
+        start = time.perf_counter()
+        code = run([*argv, "100000000000"])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_INVALID, "")
+        assert captured.err == f"error: {name} must be <= {MAX_COUNT}, got 100000000000\n"
+        assert elapsed < 1.0
 
     @pytest.mark.parametrize("family,kind", [
         (["--family", "jia-ratio", "--r", "1", "--k", "2"], "ratio"),

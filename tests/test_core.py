@@ -32,7 +32,7 @@ from tiebreak import (
     sweep,
 )
 from tiebreak.audit import audit_family
-from tiebreak.core import JsonRecord, q_value
+from tiebreak.core import MAX_COUNT, JsonRecord, payoffs, q_value
 
 
 @dataclass(frozen=True)
@@ -107,6 +107,13 @@ class TestCostKind:
         with pytest.raises(ValidationError):
             CostKind.coerce("cubic")
 
+    @pytest.mark.parametrize("kind", list(CostKind))
+    @pytest.mark.parametrize("prize", [0.5, 2.0, 1e9])
+    def test_break_even_effort_costs_the_prize(self, kind, prize):
+        effort = kind.break_even(prize)
+        assert kind.cost(effort) == pytest.approx(prize, rel=1e-15)
+        assert effort == (prize if kind is CostKind.LINEAR else math.sqrt(2.0 * prize))
+
 
 class TestValuations:
     def test_orders_strongest_first(self):
@@ -122,6 +129,14 @@ class TestValuations:
 
     def test_beta_is_prize_ratio(self):
         assert Valuations(3.0, 1.5).beta == 2.0
+
+    def test_label_maps_act_only_when_swapped(self):
+        kept, swapped = Valuations(2.0, 1.0), Valuations(1.0, 2.0)
+        assert (kept.tie_share(0.25), kept.in_order("a", "b")) == (0.25, ("a", "b"))
+        assert (swapped.tie_share(0.25), swapped.in_order("a", "b")) == (0.75, ("b", "a"))
+        qs = np.array([0.0, 0.3, 1.0])
+        assert swapped.tie_share(qs).tolist() == (1.0 - qs).tolist()
+        assert kept.tie_share(qs) is qs
 
     @pytest.mark.parametrize("pair", [(0.0, 1.0), (1.0, -2.0), (math.nan, 1.0)])
     def test_rejects_nonpositive_or_nan(self, pair):
@@ -404,6 +419,26 @@ VALUE_CHECKS = {
                       "opponent effort must be a real number, got None"),
     "opponent-nan": (lambda: grid_best_response(RATIO_SPEC, math.nan, GRID), ValidationError,
                      "opponent effort must be finite, got nan"),
+    # an entry that is no number, in a public family call or a custom audit grid
+    "outcome-text": (lambda: RATIO_FAMILY.outcome("a", 1.0), ValidationError,
+                     "x1 must be numbers, got 'a'"),
+    "z_prime-text": (lambda: RATIO_FAMILY.z_prime([1.0, "x"], 0.5), ValidationError,
+                     "theta must be numbers, got [1.0, 'x']"),
+    "theta-grid-text": (lambda: audit_ratio(RATIO_FAMILY, theta_grid=["a", "b"]), ValidationError,
+                        "theta grid must be numbers, got ['a', 'b']"),
+    "effort-grid-text": (lambda: audit_concave(CONCAVE_FAMILY, x_grid=[1.0, None, "c"]),
+                         ValidationError, "effort grid must be numbers, got [1.0, None, 'c']"),
+    # a count that sizes arrays, refused above the ceiling before any is allocated
+    "audit_family-huge": (lambda: audit_family(RATIO_FAMILY, grid_points=10**11), ValidationError,
+                          f"grid points must be <= {MAX_COUNT}, got 100000000000"),
+    "sweep-huge": (lambda: sweep(RATIO_SPEC, MAX_COUNT + 1), ValidationError,
+                   f"q_count must be <= {MAX_COUNT}, got {MAX_COUNT + 1}"),
+    "steps-huge": (lambda: GridSpec(1.0, np.int64(10**11)), ValidationError,
+                   f"steps must be <= {MAX_COUNT}, got 100000000000"),
+    "for_contest-huge": (lambda: GridSpec.for_contest(RATIO_SPEC, 10**11), ValidationError,
+                         f"steps must be <= {MAX_COUNT}, got 100000000000"),
+    "convexity-huge": (lambda: convexity_precondition(DIFF_FAMILY, 2.0, 10**11), ValidationError,
+                       f"points must be <= {MAX_COUNT}, got 100000000000"),
 }
 
 
@@ -446,3 +481,16 @@ class TestPayoffs:
         spec = make_contest(family="jia-ratio", v1=2.0, v2=1.0, q=0.5, r=1.0, k=2)
         with pytest.raises(ValidationError):
             payoff(spec, (0.1, 0.1), 3)
+
+    @pytest.mark.parametrize("family, params", [("jia-ratio", {"r": 1.0, "k": 2}),
+                                                ("vesperoni-diff", {"k": 2}),
+                                                ("blavatskyy-power", {"r": 0.5})])
+    def test_payoffs_broadcast_and_give_payoffs_bits(self, family, params):
+        spec = make_contest(family=family, v1=1.0, v2=3.0, q=0.3, **params)
+        x1, x2 = np.array([[0.0], [0.2], [0.7]]), np.array([0.0, 0.4, 1.1, 2.5])
+        pay1, pay2 = payoffs(spec, x1, x2)
+        assert pay1.shape == pay2.shape == (3, 4)
+        for i, a in enumerate(x1[:, 0].tolist()):
+            for j, b in enumerate(x2.tolist()):
+                assert (pay1[i, j], pay2[i, j]) == (payoff(spec, (a, b), 1),
+                                                    payoff(spec, (a, b), 2))

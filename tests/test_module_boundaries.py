@@ -14,7 +14,10 @@ solver step the routes reach is one body, with no lane twin and no dispatch
 on the type of its arguments; nor do the family kernels the routes call.
 Each kind of input value has one check: a scalar in `core` (a finite real,
 a positive magnitude, a sample count) and an array in `families.checked_array`;
-no other function tests finiteness or integer types by hand.
+no other function tests finiteness or integer types by hand.  And each game
+fact is stated once, in `core`: only `core` reads the label swap
+(`Valuations.swapped`) or calls a cost technology's `cost`, and the grid
+oracle depends on `core` (and `errors`) alone.
 """
 from __future__ import annotations
 
@@ -86,15 +89,9 @@ def test_guard_sees_private_imports_and_reads():
     ]
 
 
-# Tests of a value's kind that only the one check of each kind may make.
-VALUE_TESTS = {"isfinite", "isnan", "isinf"}
-ARRAY_CHECK = "families.checked_array"
-
-
-def hand_checks(module: str, source: str) -> list[str]:
+def owners(module: str, source: str, matches) -> list[str]:
     """Each function of `source`, as `module.Class.function` (`module` for
-    module-level code), that calls `isfinite`, `isnan` or `isinf` of `math`
-    or NumPy, or names `np.integer`."""
+    module-level code), that holds a node for which `matches(node)` holds."""
     found = set()
 
     def visit(node, owner):
@@ -102,17 +99,31 @@ def hand_checks(module: str, source: str) -> list[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{owner}.{child.name}")
                 continue
-            if isinstance(child, ast.Attribute) and isinstance(child.value, ast.Name):
-                base, attr = child.value.id, child.attr
-                if (base in ("math", "np", "numpy") and attr in VALUE_TESTS
-                        or base in ("np", "numpy") and attr == "integer"):
-                    found.add(owner)
-            elif isinstance(child, ast.Name) and child.id in VALUE_TESTS:
+            if matches(child):
                 found.add(owner)
             visit(child, owner)
 
     visit(ast.parse(source), module)
     return sorted(found)
+
+
+# Tests of a value's kind that only the one check of each kind may make.
+VALUE_TESTS = {"isfinite", "isnan", "isinf"}
+ARRAY_CHECK = "families.checked_array"
+
+
+def _value_test(node) -> bool:
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        base, attr = node.value.id, node.attr
+        return (base in ("math", "np", "numpy") and attr in VALUE_TESTS
+                or base in ("np", "numpy") and attr == "integer")
+    return isinstance(node, ast.Name) and node.id in VALUE_TESTS
+
+
+def hand_checks(module: str, source: str) -> list[str]:
+    """Each function of `source` (see `owners`) that calls `isfinite`, `isnan`
+    or `isinf` of `math` or NumPy, or names `np.integer`."""
+    return owners(module, source, _value_test)
 
 
 def test_each_kind_of_input_value_has_one_check():
@@ -170,8 +181,83 @@ def test_guard_sees_hand_written_serializers():
     assert serializers(source) == ["Sample"]
 
 
+# Game facts that `core` alone states: the label swap, which only its
+# `Valuations` label maps apply, and the payoff, whose cost only `payoffs` takes.
+def swap_reads(module: str, source: str) -> list[str]:
+    """Each function of `source` (see `owners`) that reads `.swapped`."""
+    return owners(module, source,
+                  lambda node: isinstance(node, ast.Attribute) and node.attr == "swapped")
+
+
+def cost_calls(module: str, source: str) -> list[str]:
+    """Each function of `source` (see `owners`) that calls a `cost` method."""
+    return owners(module, source, lambda node: isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute) and node.func.attr == "cost")
+
+
+@pytest.mark.parametrize("guard", (swap_reads, cost_calls), ids=lambda guard: guard.__name__)
+def test_only_core_reads_the_label_swap_or_calls_a_cost(guard):
+    found = [name for path in MODULES if path.stem != "core"
+             for name in guard(path.stem, path.read_text(encoding="utf-8"))]
+    assert found == []
+
+
+def test_guard_sees_label_swap_reads_and_cost_calls():
+    source = "\n".join([
+        "def _order(vals, a, b):",
+        "    return (b, a) if vals.swapped else (a, b)",
+        "class Solver:",
+        "    def run(self, spec, x):",
+        "        return spec.valuations.in_order(x, spec.cost.cost(x))",
+        "    def payoff(self, spec, x):",
+        "        return spec.v1 - spec.cost.cost(x) + spec.cost.break_even(1.0)",
+        "FLIPPED = VALS.swapped",
+    ])
+    assert swap_reads("mod", source) == ["mod", "mod._order"]
+    assert cost_calls("mod", source) == ["mod.Solver.payoff", "mod.Solver.run"]
+
+
+def sibling_imports(source: str) -> set[str]:
+    """Each sibling module that `source` imports, at any depth."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            sibling = _sibling(node.module, node.level)
+            if sibling is not None:
+                found.add(sibling)
+            elif (node.level, node.module) in ((1, None), (0, "tiebreak")):
+                found |= {a.name for a in node.names if a.name in SIBLINGS}
+        elif isinstance(node, ast.Import):
+            found |= {_sibling(a.name, 0) for a in node.names} & SIBLINGS
+    return found
+
+
+# The grid oracle calls only outcomes and payoffs, so it reads no solver,
+# designer, audit or family code of the package.
+ORACLE_SIBLINGS = {"core", "errors"}
+
+
+def test_oracle_depends_on_core_alone():
+    source = (PACKAGE / "oracle.py").read_text(encoding="utf-8")
+    assert sorted(sibling_imports(source) - ORACLE_SIBLINGS) == []
+
+
+def test_guard_sees_sibling_imports():
+    source = "\n".join([
+        "import numpy as np",
+        "import tiebreak.designer as des",
+        "from . import audit, helper",
+        "from .core import payoffs",
+        "from tiebreak import cli",
+        "from tiebreak.errors import DomainError",
+        "def late():",
+        "    from .families import make_family",
+    ])
+    assert sibling_imports(source) == {"audit", "cli", "core", "designer", "errors", "families"}
+
+
 # Label reads that only the `solve` and `solve_lanes` epilogues may make.
-LABEL_READS = ("swapped", "_user_order")
+LABEL_READS = ("swapped", "tie_share", "in_order")
 
 
 def routes_table(tree: ast.Module) -> ast.expr:
@@ -200,8 +286,9 @@ def route_functions(source: str) -> dict[str, ast.FunctionDef]:
 def route_label_reads(source: str) -> list[str]:
     """Each label read in a function of `_ROUTES` or a module function it names.
 
-    Routes solve stronger-player-first; reading `.swapped` or calling
-    `_user_order` there would map labels outside the one epilogue per entry point.
+    Routes solve stronger-player-first; reading `.swapped` or calling a label
+    map of `Valuations` there would map labels outside the one prologue and
+    epilogue per entry point.
     """
     found = []
     for name, function in route_functions(source).items():
@@ -236,20 +323,20 @@ def test_each_solver_step_is_one_body_that_the_route_guard_covers():
 
 def test_guard_sees_label_reads_in_routes_and_their_helpers():
     source = "\n".join([
-        "def _user_order(vals, a, b):",
-        "    return (b, a) if vals.swapped else (a, b)",
+        "def _share(vals, q):",
+        "    return vals.tie_share(q)",
         "def _helper(vals):",
         "    return vals.swapped",
         "def _route(csf, vals, q, xp):",
-        "    return _helper(vals), _user_order(vals, 1.0, 2.0)",
+        "    return _helper(vals), _share(vals, q), vals.in_order(1.0, 2.0)",
         "def _residuals(csf, v1, v2, q, x1, x2, xp):",
         "    return None, 0.0, 0.0",
         "def solve(spec):",
-        "    return spec.valuations.swapped",
+        "    return spec.valuations.in_order(1.0, 2.0), spec.valuations.tie_share(0.5)",
         "_ROUTES = {'kind': (_route, _residuals)}",
     ])
     assert route_label_reads(source) == [
-        "_helper: .swapped", "_route: _user_order", "_user_order: .swapped"]
+        "_helper: .swapped", "_route: .in_order", "_share: .tie_share"]
 
 
 # One route per family kind, run by `solve` on floats and by `solve_lanes` on

@@ -20,6 +20,8 @@ from tiebreak import (
     verify,
 )
 from tiebreak import oracle
+from tiebreak.core import payoffs
+from tiebreak.families import RatioCsf
 
 TULLOCK = make_contest(family="jia-ratio", v1=1.0, v2=1.0, q=0.5, r=1.0, k=1)
 SHARP_RATIO = make_contest(family="jia-ratio", v1=2.0, v2=1.0, q=0.5, r=1.0, k=2)
@@ -269,6 +271,32 @@ class TestVerify:
         assert report.payoff_losses[0] == pytest.approx(
             max(0.0, best - eq_pay), abs=1e-15
         )
+
+    def test_one_payoff_column_per_player(self, monkeypatch):
+        """Each player's best deviation, loss and slope band come from one
+        payoff column; the other scans are `grid_nash`'s two-dimensional blocks."""
+        shapes = []
+
+        def counted(spec, x1, x2, outcome=None):
+            shapes.append(np.broadcast(np.asarray(x1), np.asarray(x2)).shape)
+            return payoffs(spec, x1, x2, outcome)
+
+        monkeypatch.setattr(oracle, "payoffs", counted)
+        verify(SHARP_RATIO, solve(SHARP_RATIO), GridSpec(x_max=2.0, steps=201))
+        assert [shape for shape in shapes if len(shape) != 2] == [(201,), (201,)]
+
+    def test_rival_effort_outside_the_grid_rejected(self):
+        with pytest.raises(DomainError, match="outside the grid range"):
+            verify(TULLOCK, (0.25, 1.5), GridSpec(x_max=1.0, steps=11))
+
+    @pytest.mark.parametrize("spec, notes", [
+        (TULLOCK, (RatioCsf.zero_effort_note,)),
+        (make_contest(family="jia-diff", v1=1.5, v2=0.5, q=0.25, k=2), ()),
+        (make_contest(family="blavatskyy-power", v1=4.0, v2=2.0, q=0.5, r=1.0), ()),
+    ])
+    def test_the_family_states_its_zero_effort_note(self, spec, notes):
+        report = verify(spec, solve(spec), GridSpec.for_contest(spec, steps=201))
+        assert report.notes == notes
 
     def test_json_dict_shape(self):
         report = verify(TULLOCK, (0.25, 0.25), GridSpec(x_max=1.0, steps=101))
