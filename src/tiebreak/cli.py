@@ -5,6 +5,14 @@ takes exactly one contest description, either inline flags (--family with
 its parameters, prizes, tie rule) or a JSON file via --spec, and emits one
 JSON document (CSV for sweeps on request) to stdout or --output.
 
+Every subcommand but audit runs one contest frame: `_preamble` builds the
+contest from its one source, writes --emit-spec before anything is solved,
+audits the family and forms the solver keywords (--force and whether the
+audit passed); `_emit_contest` writes the document, the spec first, then the
+subcommand's own entries, then the audit summary (verify's document has
+none).  Once argparse accepts the flags, errors in the contest come before
+errors in the subcommand's own values (--rule, --points, the verify grid).
+
 Exit codes: 0 success; 1 domain or validation problem, including audit
 reports with failing conditions; 2 convergence failure inside a solver;
 3 verification failure (the brute-force oracle rejected a solution).
@@ -35,8 +43,6 @@ EXIT_INVALID = 1
 EXIT_NO_CONVERGENCE = 2
 EXIT_VERIFY_FAILED = 3
 
-_INLINE_FLAGS = ("family", "r", "k", "v1", "v2", "q", "cost")
-
 
 class _Parser(argparse.ArgumentParser):
     """Argument parser that reports usage problems as validation errors.
@@ -51,6 +57,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
+    """The parser; each subcommand's namespace carries its `handler` and the
+    `inline` flags that describe a contest without --spec."""
     parser = _Parser(
         prog="tiebreak",
         description="Equilibria and tie-breaking-rule design for two-player "
@@ -60,56 +68,43 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    def add_spec_flags(p: _Parser) -> None:
+    def command(name: str, handler, about: str, formats=("json",)) -> _Parser:
+        p = sub.add_parser(name, help=about)
         p.add_argument("--spec", help="path to a contest spec JSON file")
-        p.add_argument("--family", help="family key (see main help for the list)")
-        p.add_argument("--r", type=float, help="family parameter r")
-        p.add_argument("--k", type=float, help="family parameter k")
-        p.add_argument("--v1", type=float, help="player 1 prize")
-        p.add_argument("--v2", type=float, help="player 2 prize")
-        p.add_argument("--q", type=float, help="player 1 tie share in [0, 1]")
-        p.add_argument("--cost", choices=["linear", "quadratic_half"],
-                       help="cost technology (defaults to the family's)")
+        inline = (
+            p.add_argument("--family", help="family key (see main help for the list)"),
+            p.add_argument("--r", type=float, help="family parameter r"),
+            p.add_argument("--k", type=float, help="family parameter k"),
+            p.add_argument("--v1", type=float, help="player 1 prize"),
+            p.add_argument("--v2", type=float, help="player 2 prize"),
+            p.add_argument("--q", type=float, help="player 1 tie share in [0, 1]"),
+            p.add_argument("--cost", choices=["linear", "quadratic_half"],
+                           help="cost technology (defaults to the family's)"),
+        )
         p.add_argument("--emit-spec", metavar="PATH",
                        help="also write the canonical spec JSON to PATH")
-
-    def add_output_flags(p: _Parser, formats=("json",)) -> None:
         p.add_argument("--output", "-o", metavar="PATH",
                        help="write the document here instead of stdout")
         p.add_argument("--format", choices=list(formats), default="json",
                        help="output format (default json)")
+        p.set_defaults(handler=handler, inline=tuple(action.dest for action in inline))
+        return p
 
-    p_solve = sub.add_parser("solve", help="solve one contest for its equilibrium")
-    add_spec_flags(p_solve)
-    add_output_flags(p_solve)
-
-    p_sweep = sub.add_parser("sweep", help="total-effort curve R(q) over [0, 1]")
-    add_spec_flags(p_sweep)
-    add_output_flags(p_sweep, formats=("json", "csv"))
+    p_solve = command("solve", _cmd_solve, "solve one contest for its equilibrium")
+    p_sweep = command("sweep", _cmd_sweep, "total-effort curve R(q) over [0, 1]",
+                      formats=("json", "csv"))
     p_sweep.add_argument("--points", type=int, default=11,
                          help="number of equally spaced q samples (default 11)")
-
-    p_opt = sub.add_parser("optimize", help="find the tie rule maximizing total effort")
-    add_spec_flags(p_opt)
-    add_output_flags(p_opt)
-
-    p_exp = sub.add_parser("expected",
-                           help="expected total effort under a random tie rule")
-    add_spec_flags(p_exp)
-    add_output_flags(p_exp)
+    p_opt = command("optimize", _cmd_optimize, "find the tie rule maximizing total effort")
+    p_exp = command("expected", _cmd_expected,
+                    "expected total effort under a random tie rule")
     p_exp.add_argument("--rule", required=True, metavar="Q:W,Q:W,...",
                        help="random rule atoms, e.g. 0:0.5,1:0.5")
-
-    p_audit = sub.add_parser("audit", help="audit the family's regularity conditions")
-    add_spec_flags(p_audit)
-    add_output_flags(p_audit)
+    p_audit = command("audit", _cmd_audit, "audit the family's regularity conditions")
     p_audit.add_argument("--grid-points", type=int, default=None,
                          help="theta grid resolution override")
-
-    p_verify = sub.add_parser("verify",
-                              help="solve, then check against the brute-force grid")
-    add_spec_flags(p_verify)
-    add_output_flags(p_verify)
+    p_verify = command("verify", _cmd_verify,
+                       "solve, then check against the brute-force grid")
     p_verify.add_argument("--steps", type=int, default=2001,
                           help="effort grid resolution (default 2001)")
     p_verify.add_argument("--x-max", type=float, default=None,
@@ -122,26 +117,30 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _inline_given(args) -> bool:
-    return any(getattr(args, name) is not None for name in _INLINE_FLAGS)
+def _spec_file(args) -> ContestSpec | None:
+    """The contest of the --spec file, or None when inline flags give it;
+    raises unless exactly one source is given."""
+    if args.spec is None:
+        if args.family is None:
+            raise ValidationError("missing spec source: give --spec FILE or --family ...")
+        return None
+    if any(getattr(args, name) is not None for name in args.inline):
+        raise ValidationError(
+            "give exactly one spec source: --spec file or inline flags, not both"
+        )
+    try:
+        with open(args.spec, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ValidationError(f"cannot read spec file {args.spec!r}: {exc}") from exc
+    return ContestSpec.from_json(text)
 
 
 def _spec_from_args(args, *, need_q: bool) -> ContestSpec:
     """Build the contest from exactly one source: --spec file or inline flags."""
-    if args.spec is not None:
-        if _inline_given(args):
-            raise ValidationError(
-                "give exactly one spec source: --spec file or inline flags, not both"
-            )
-        try:
-            with open(args.spec, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ValidationError(f"cannot read spec file {args.spec!r}: {exc}") from exc
-        return ContestSpec.from_json(text)
-
-    if args.family is None:
-        raise ValidationError("missing spec source: give --spec FILE or --family ...")
+    spec = _spec_file(args)
+    if spec is not None:
+        return spec
     if args.v1 is None or args.v2 is None:
         raise ValidationError("inline specs require --v1 and --v2")
     if args.q is None and need_q:
@@ -156,19 +155,13 @@ def _maybe_emit_spec(args, spec: ContestSpec) -> None:
             fh.write(spec.to_json())
 
 
-def _audited_spec(args, *, need_q: bool):
-    """The contest, written to --emit-spec if asked, and its family's audit."""
+def _preamble(args, *, need_q: bool):
+    """The contest, written to --emit-spec if asked, its family's audit, and the
+    keywords that every solver call of the subcommand takes."""
     spec = _spec_from_args(args, need_q=need_q)
     _maybe_emit_spec(args, spec)
-    return spec, audit_family(spec.csf, spec.valuations.v1)
-
-
-def _audit_summary(report) -> dict:
-    return {
-        "checked": True,
-        "passed": report.passed,
-        "failed_conditions": [c.name for c in report.failures],
-    }
+    report = audit_family(spec.csf, spec.valuations.v1)
+    return spec, report, {"force": args.force, "audited": report.passed}
 
 
 def _emit(args, text: str) -> None:
@@ -181,6 +174,16 @@ def _emit(args, text: str) -> None:
 
 def _emit_json(args, doc: dict) -> None:
     _emit(args, json.dumps(doc, indent=2) + "\n")
+
+
+def _emit_contest(args, spec: ContestSpec, report, **entries) -> None:
+    """Write a contest document: the spec, the subcommand's `entries` in order,
+    then the audit's summary unless `report` is None."""
+    doc = {"spec": spec.to_json_dict(), **entries}
+    if report is not None:
+        doc["audit"] = {"checked": True, "passed": report.passed,
+                        "failed_conditions": [c.name for c in report.failures]}
+    _emit_json(args, doc)
 
 
 def _parse_rule(text: str) -> RandomTieRule:
@@ -202,97 +205,62 @@ def _parse_rule(text: str) -> RandomTieRule:
 
 
 def _cmd_solve(args) -> int:
-    spec, report = _audited_spec(args, need_q=True)
-    eq = solve(spec, force=args.force, audited=report.passed)
-    _emit_json(args, {
-        "spec": spec.to_json_dict(),
-        "equilibrium": eq.to_json_dict(),
-        "audit": _audit_summary(report),
-    })
+    spec, report, solver = _preamble(args, need_q=True)
+    _emit_contest(args, spec, report, equilibrium=solve(spec, **solver).to_json_dict())
     return EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
-    spec, report = _audited_spec(args, need_q=False)
-    curve = sweep(spec, args.points, force=args.force, audited=report.passed)
+    spec, report, solver = _preamble(args, need_q=False)
+    curve = sweep(spec, args.points, **solver)
     if args.format == "csv":
         _emit(args, curve.to_csv())
     else:
-        _emit_json(args, {
-            "spec": spec.to_json_dict(),
-            "curve": curve.to_json_dict(),
-            "audit": _audit_summary(report),
-        })
+        _emit_contest(args, spec, report, curve=curve.to_json_dict())
     return EXIT_OK
 
 
 def _cmd_optimize(args) -> int:
-    spec, report = _audited_spec(args, need_q=False)
-    best = optimal_q(spec, force=args.force, audited=report.passed)
-    _emit_json(args, {
-        "spec": spec.to_json_dict(),
-        "optimal": best.to_json_dict(),
-        "audit": _audit_summary(report),
-    })
+    spec, report, solver = _preamble(args, need_q=False)
+    _emit_contest(args, spec, report, optimal=optimal_q(spec, **solver).to_json_dict())
     return EXIT_OK
 
 
 def _cmd_expected(args) -> int:
-    spec, report = _audited_spec(args, need_q=False)
+    spec, report, solver = _preamble(args, need_q=False)
     rule = _parse_rule(args.rule)
-    value = expected_effort(spec, rule, force=args.force, audited=report.passed)
-    _emit_json(args, {
-        "spec": spec.to_json_dict(),
-        "rule": [{"q": atom.q, "weight": w} for atom, w in rule.atoms],
-        "mean_q": rule.mean_q,
-        "unbiased": rule.is_unbiased,
-        "expected_total_effort": value,
-        "audit": _audit_summary(report),
-    })
+    _emit_contest(args, spec, report, rule=[{"q": atom.q, "weight": w} for atom, w in rule.atoms],
+                  mean_q=rule.mean_q, unbiased=rule.is_unbiased,
+                  expected_total_effort=expected_effort(spec, rule, **solver))
     return EXIT_OK
 
 
 def _cmd_audit(args) -> int:
-    if args.spec is not None:
-        spec = _spec_from_args(args, need_q=False)
-        _maybe_emit_spec(args, spec)
-        csf, v1 = spec.csf, spec.valuations.v1
-    else:
-        if args.family is None:
-            raise ValidationError("missing spec source: give --spec FILE or --family ...")
+    spec = _spec_file(args)
+    if spec is None:
         csf = make_family(args.family, r=args.r, k=args.k)
         v1 = max((v for v in (args.v1, args.v2) if v is not None), default=None)
         if args.emit_spec:
             _maybe_emit_spec(args, _spec_from_args(args, need_q=False))
+    else:
+        _maybe_emit_spec(args, spec)
+        csf, v1 = spec.csf, spec.valuations.v1
     report = audit_family(csf, v1, args.grid_points)
     _emit_json(args, report.to_json_dict())
     return EXIT_OK if report.passed else EXIT_INVALID
 
 
 def _cmd_verify(args) -> int:
-    spec, report = _audited_spec(args, need_q=True)
-    eq = solve(spec, force=args.force, audited=report.passed)
+    spec, _, solver = _preamble(args, need_q=True)
+    eq = solve(spec, **solver)
     if args.x_max is not None:
         grid = GridSpec(x_max=args.x_max, steps=args.steps, eps=args.eps)
     else:
         grid = GridSpec.for_contest(spec, steps=args.steps, eps=args.eps)
     result = verify(spec, eq, grid)
-    _emit_json(args, {
-        "spec": spec.to_json_dict(),
-        "equilibrium": eq.to_json_dict(),
-        "verification": result.to_json_dict(),
-    })
+    _emit_contest(args, spec, None, equilibrium=eq.to_json_dict(),
+                  verification=result.to_json_dict())
     return EXIT_OK if result.passed else EXIT_VERIFY_FAILED
-
-
-_COMMANDS = {
-    "solve": _cmd_solve,
-    "sweep": _cmd_sweep,
-    "optimize": _cmd_optimize,
-    "expected": _cmd_expected,
-    "audit": _cmd_audit,
-    "verify": _cmd_verify,
-}
 
 
 def run(argv) -> int:
@@ -300,7 +268,7 @@ def run(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:  # --help and --version exit through here
+    except SystemExit as exc:  # --help exits through here (there is no --version)
         code = exc.code
         return int(code) if code is not None else 0
     except ValidationError as exc:
@@ -308,7 +276,7 @@ def run(argv) -> int:
         return EXIT_INVALID
 
     try:
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except ContestError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_NO_CONVERGENCE if isinstance(exc, ConvergenceError) else EXIT_INVALID

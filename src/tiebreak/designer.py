@@ -217,15 +217,15 @@ class OptimalQ(JsonRecord):
     x2: float
 
 
-def _concave_optimum(spec: ContestSpec, qs: np.ndarray, lanes) -> int:
-    """Index of the best tie rule of a concave contest in its solved batch at `qs`.
+def _concave_optimum(spec: ContestSpec, qs: np.ndarray, lanes, totals: np.ndarray) -> int:
+    """Index of the best tie rule of a concave contest in its solved batch at `qs`,
+    whose total efforts are `totals`.
 
     The candidate is the smallest of q = 0, the argmax and q = 1 within the
     improvement guard of the best.  It is returned only if it is an endpoint
     where dR/dq points outward (<= 0 at q = 0, >= 0 at q = 1); an interior
     candidate, an inward slope or a NaN one raises `ConvergenceError`.
     """
-    totals = lanes.x1 + lanes.x2
     last, top = qs.size - 1, int(np.argmax(totals))
     guard = OPTIMAL_IMPROVEMENT_GUARD * (1.0 + abs(float(totals[top])))
     i = min(j for j in (0, top, last) if totals[j] >= totals[top] - guard)
@@ -254,7 +254,7 @@ def optimal_q(spec: ContestSpec, *, force: bool = False, audited: bool = False) 
         raise ValidationError(f"no designer support for family kind {kind!r}")
     qs, lanes, totals = _grid_lanes(spec, CROSS_CHECK_POINTS, force, audited)
     if kind == "concave":
-        i, rationale = _concave_optimum(spec, qs, lanes), Rationale.NUMERIC
+        i, rationale = _concave_optimum(spec, qs, lanes, totals), Rationale.NUMERIC
     else:
         i = int(vals.tie_share(0.0)) * (qs.size - 1)  # the stronger player's tie share is 0
         rationale = Rationale.INDIFFERENT if vals.v1 == vals.v2 else Rationale.THEOREM

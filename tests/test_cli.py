@@ -2,8 +2,14 @@
 from __future__ import annotations
 
 import json
+import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tiebreak import ConvergenceError
@@ -109,6 +115,19 @@ class TestSolveCommand:
         monkeypatch.setattr(cli, "solve", explode)
         assert run(["solve", *SHARP]) == EXIT_NO_CONVERGENCE
         assert "stalled" in capsys.readouterr().err
+
+    def test_no_axis_equilibrium_exits_with_convergence_code(self, capsys, monkeypatch):
+        """`NoEquilibriumError` is a `ConvergenceError` (see test_equilibrium.py
+        for the patched gate that raises it)."""
+        import tiebreak.equilibrium as equilibrium
+
+        monkeypatch.setattr(equilibrium, "CLOSED_FORM_RESIDUAL", -math.inf)
+        argv = ["solve", "--family", "blavatskyy-power", "--r", "1",
+                "--v1", "9", "--v2", "1", "--q", "0.9"]
+        assert run(argv) == EXIT_NO_CONVERGENCE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: no axis profile is a mutual best response")
 
     def test_linear_impact_solve_at_a_huge_prize(self, capsys):
         code, doc = run_json(capsys, ["solve", "--family", "blavatskyy-power", "--r", "1",
@@ -283,6 +302,29 @@ class TestVerifyCommand:
         assert doc["verification"]["passed"] is False
 
 
+    def test_grid_beyond_the_scan_budget_is_refused_before_the_scan(self, capsys,
+                                                                   monkeypatch):
+        """`GridSpec` takes 10^6 steps, but `grid_nash` refuses a grid whose
+        n x n scan would run for hours, before any block of it is evaluated."""
+        import tiebreak.oracle as oracle
+
+        payoffs = oracle.payoffs
+
+        def columns_only(spec, x1, x2, outcome=None):
+            assert np.ndim(x1) < 2, "grid_nash started its scan"
+            return payoffs(spec, x1, x2, outcome)
+
+        monkeypatch.setattr(oracle, "payoffs", columns_only)
+        start = time.perf_counter()
+        code = run(["verify", *SHARP, "--steps", "1000000"])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_INVALID, "")
+        assert captured.err == ("error: grid_nash scans steps^2 payoff cells: 1000000 steps "
+                                f"exceed the ceiling of {math.isqrt(oracle.MAX_SCAN_CELLS)}\n")
+        assert elapsed < 1.0
+
+
 class TestTopLevel:
     def test_help_lists_families(self, capsys):
         assert run(["--help"]) == EXIT_OK
@@ -295,6 +337,43 @@ class TestTopLevel:
 
     def test_unknown_command_rejected(self, capsys):
         assert run(["frobnicate"]) == EXIT_INVALID
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_module(*argv) -> subprocess.CompletedProcess:
+    """`python -m tiebreak argv` in a child process that imports this tree."""
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-m", "tiebreak", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60)
+
+
+class TestEntryPoints:
+    def test_module_prints_the_bytes_of_run(self, capsys):
+        assert run(["solve", *SHARP]) == EXIT_OK
+        child = run_module("solve", *SHARP)
+        assert (child.returncode, child.stdout, child.stderr) == (
+            EXIT_OK, capsys.readouterr().out, "")
+
+    @pytest.mark.parametrize("argv,code", [
+        (["solve", "--family", "nope", "--v1", "1", "--v2", "1", "--q", "0"], EXIT_INVALID),
+        (["solve", "--family", "blavatskyy-power", "--r", "0.99999104",
+          "--v1", "0.834", "--v2", "0.1036", "--q", "0.0122"], EXIT_NO_CONVERGENCE),
+    ], ids=["invalid", "no-convergence"])
+    def test_module_exits_with_the_code_of_run(self, argv, code):
+        child = run_module(*argv)
+        assert (child.returncode, child.stdout) == (code, "")
+        assert child.stderr.startswith("error: ") and child.stderr.count("\n") == 1
+
+    def test_main_exits_with_the_code_of_run(self, capsys, monkeypatch):
+        import tiebreak.cli as cli
+
+        monkeypatch.setattr(sys, "argv", ["tiebreak", "solve", *SHARP[:-2]])
+        with pytest.raises(SystemExit) as info:
+            cli.main()
+        assert info.value.code == EXIT_INVALID
+        assert capsys.readouterr().err == "error: this subcommand requires --q\n"
 
 
 # Totals of 1e308 at every q: the curve's certificates sit next to the overflow.

@@ -301,7 +301,7 @@ class TestConcaveOptimum:
                       SolveMethod.FOC_SOLVE, (), {})
         monkeypatch.setattr(designer_mod, "total_effort_slope",
                             lambda spec, q, x1, x2, cornered: slope(q))
-        return qs, lambda: designer_mod._concave_optimum(None, qs, lanes)
+        return qs, lambda: designer_mod._concave_optimum(None, qs, lanes, lanes.x1 + lanes.x2)
 
     # a peak between grid points lands on the nearest one: inside (0, 1), or
     # at an endpoint whose slope points back inward

@@ -12,6 +12,7 @@ from tiebreak import (
     ConvergenceError,
     CostKind,
     Equilibrium,
+    NoEquilibriumError,
     SolveMethod,
     ValidationError,
     Valuations,
@@ -228,6 +229,16 @@ class TestConcaveSolver:
         eq = solve_at(csf, (1.0, 1.0), 0.0)
         assert (eq.x1, eq.x2) == (0.0, 0.0)
         assert eq.corner_flags == (True, True)
+
+    def test_no_axis_equilibrium_raises_from_both_entry_points(self, monkeypatch):
+        """Under linear impact each payoff is concave in the player's own effort,
+        so a cornered contest always has an axis equilibrium and no input reaches
+        the no-axis gate; a candidate test that accepts nothing shows its error."""
+        monkeypatch.setattr(equilibrium_mod, "CLOSED_FORM_RESIDUAL", -math.inf)
+        spec = make_contest(family="blavatskyy-power", v1=9.0, v2=1.0, q=0.9, r=1.0)
+        for call in (lambda: solve(spec), lambda: solve_many(spec, [0.9])):
+            with pytest.raises(NoEquilibriumError, match="single-entrant responses"):
+                call()
 
     # prizes whose (v1 + v2)^2 would overflow (past about 1.34e154) or
     # underflow to zero (near 1e-300)

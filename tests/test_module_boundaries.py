@@ -17,7 +17,8 @@ a positive magnitude, a sample count) and an array in `families.checked_array`;
 no other function tests finiteness or integer types by hand.  And each game
 fact is stated once, in `core`: only `core` reads the label swap
 (`Valuations.swapped`) or calls a cost technology's `cost`, and the grid
-oracle depends on `core` (and `errors`) alone.
+oracle depends on `core` (and `errors`) alone.  The CLI forms the solver
+keywords once: only its contest preamble reads `args.force`.
 """
 from __future__ import annotations
 
@@ -446,3 +447,33 @@ def test_guard_follows_the_routes_into_the_family_kernels():
     ])
     assert route_type_dispatches(source, families_source) == [
         "families.Other._zp", "families._helper"]
+
+
+# The one function of `cli.py` that forms the keywords every solver call takes.
+SOLVER_KEYWORDS = "cli._preamble"
+
+
+def force_reads(module: str, source: str) -> list[str]:
+    """Each function of `source` (see `owners`) that reads `args.force`."""
+    return owners(module, source, lambda node: isinstance(node, ast.Attribute)
+                  and node.attr == "force" and isinstance(node.value, ast.Name)
+                  and node.value.id == "args")
+
+
+def test_cli_forms_the_solver_keywords_once():
+    source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
+    assert force_reads("cli", source) == [SOLVER_KEYWORDS]
+
+
+def test_guard_sees_force_reads():
+    source = "\n".join([
+        "FORCE = args.force",
+        "def _cmd_solve(args):",
+        "    return solve(spec, force=args.force)",
+        "def _cmd_audit(args):",
+        "    return args.forced, getattr(args, 'force'), spec.force",
+        "class Frame:",
+        "    def keywords(self, args):",
+        "        return {'force': args.force}",
+    ])
+    assert force_reads("cli", source) == ["cli", "cli.Frame.keywords", "cli._cmd_solve"]

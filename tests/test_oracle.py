@@ -20,7 +20,7 @@ from tiebreak import (
     verify,
 )
 from tiebreak import oracle
-from tiebreak.core import payoffs
+from tiebreak.core import MAX_COUNT, payoffs
 from tiebreak.families import RatioCsf
 
 TULLOCK = make_contest(family="jia-ratio", v1=1.0, v2=1.0, q=0.5, r=1.0, k=1)
@@ -102,6 +102,10 @@ class TestGridBestResponse:
         with pytest.raises(ValidationError):
             grid_best_response(TULLOCK, 0.5, GridSpec(x_max=1.0, steps=11), player=3)
 
+    def test_takes_every_step_count_that_grid_spec_takes(self):
+        x, _ = grid_best_response(TULLOCK, 0.25, GridSpec(x_max=1.0, steps=MAX_COUNT))
+        assert x == pytest.approx(0.25, abs=1e-6)
+
 
 class TestGridNash:
     def test_tullock_has_exactly_one_grid_equilibrium(self):
@@ -124,6 +128,23 @@ class TestGridNash:
         points = grid_nash(TULLOCK, GridSpec(x_max=1.0, steps=41, eps=0.05))
         keys = [(p.x1, p.x2) for p in points]
         assert keys == sorted(keys)
+
+    def test_grid_beyond_the_cell_budget_is_refused_before_its_scan(self, monkeypatch):
+        """The scan takes time quadratic in the steps, so a grid of more than
+        `MAX_SCAN_CELLS` cells raises, naming its steps and the ceiling, before
+        any block of payoffs is evaluated.  The ceiling admits the 4001-step grid."""
+        ceiling = math.isqrt(oracle.MAX_SCAN_CELLS)
+        assert ceiling >= 4001
+
+        def columns_only(spec, x1, x2, outcome=None):
+            assert np.ndim(x1) < 2, "grid_nash started its scan"
+            return payoffs(spec, x1, x2, outcome)
+
+        monkeypatch.setattr(oracle, "payoffs", columns_only)
+        for steps in (ceiling + 1, MAX_COUNT):
+            with pytest.raises(ValidationError,
+                               match=f" {steps} steps exceed the ceiling of {ceiling}$"):
+                grid_nash(TULLOCK, GridSpec(x_max=1.0, steps=steps))
 
 
 def _full_payoff_matrices(spec, grid):
