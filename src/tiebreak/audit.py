@@ -23,9 +23,10 @@ recorded as the witness.
 
 z_q = p + q p0 is affine in q, so each scanned quantity (z_q', z_q'', their
 combinations, |z_q''| - 1/v1, the tail gaps) is affine in q or the absolute
-value of an affine function, worst at the smallest or largest grid q: audits
-evaluate shares once per grid and z_q', z_q'' and p0 on those two rows only
-(and q = 0, 1 for the tie slope).  Grids and tail ladders are shared read-only.
+value of an affine function, worst at the smallest or largest grid q: an
+audit evaluates shares once, on its grid and a ratio family's tail ladder, and
+z_q', z_q'' and p0 on those two rows only (and q = 0, 1 for the tie slope).
+Grids and tail ladders are shared read-only; `estimate_vbar` is a report's `vbar`.
 """
 from __future__ import annotations
 
@@ -155,25 +156,36 @@ def _shared_grid(positive: bool) -> np.ndarray:
     return grid
 
 
+def _grid(grid, positive: bool, name: str, fewest: int, shape: str) -> np.ndarray:
+    """`_shared_grid(positive)` if `grid` is None, else `grid` sorted, checked 1-d with
+    `fewest` points or more (else "`name` must be `shape`"), finite, and > 0 if `positive`."""
+    if grid is None:
+        return _shared_grid(positive)
+    values = float_array(grid, name)
+    if values.ndim != 1 or values.size < fewest:
+        raise ValidationError(f"{name} must be {shape}")
+    return np.sort(checked_array(values, name, positive=positive))
+
+
 def _slope_rows(csf, theta_grid, q_grid):
-    """(theta, qs, ends, z_q', z_q'', z_1' - z_0', p0): a reduced family's checked
-    grids, and on theta its slopes with one row per q in ends = (min qs, max qs),
-    from one share evaluation on those rows and q = 0 and 1."""
-    if theta_grid is None:
-        theta = _shared_grid(csf.kind == "ratio")
-    else:
-        theta = float_array(theta_grid, "theta grid")
-        if theta.ndim != 1 or theta.size < 2:
-            raise ValidationError("theta grid must be a 1-d sequence with at least two points")
-        theta = np.sort(checked_array(theta, "theta grid", positive=csf.kind == "ratio"))
+    """(theta, qs, ends, z_q', z_q'', z_1' - z_0', p0, tail): a reduced family's checked
+    grids, and on theta its slopes with one row per q in ends = (min qs, max qs) and
+    p0, from one share evaluation on those rows and q = 0 and 1 that a ratio family's
+    `_tail_ladder` rides along in: tail is (p, p0) there (empty for other families)."""
+    ratio = csf.kind == "ratio"
+    theta = _grid(theta_grid, ratio, "theta grid", 2, "a 1-d sequence with at least two points")
     qs = DEFAULT_Q_GRID if q_grid is None else tuple(sorted(q_value(q) for q in q_grid))
     if len(qs) == 0:
         raise ValidationError("q grid must be nonempty")
     ends = (qs[0], qs[-1])
     rows = sorted({*ends, 0.0, 1.0})
-    zp, zpp, p0 = csf._slopes_and_tie(theta, np.array(rows)[:, None], LANES)
+    points = (np.concatenate((theta, _tail_ladder(float(theta[0]), float(theta[-1]))[2]))
+              if ratio else theta)
+    shares, n = csf._shares(points, LANES), theta.size
+    win, _, tie = csf._triple(points, LANES, shares)
+    zp, zpp = csf._zslopes(theta, np.array(rows)[:, None], LANES, tuple(s[:n] for s in shares))
     at = slice(None) if rows == list(ends) else [rows.index(q) for q in ends]
-    return theta, qs, ends, zp[at], zpp[at], zp[-1] - zp[0], p0
+    return theta, qs, ends, zp[at], zpp[at], zp[-1] - zp[0], tie[:n], (win[n:], tie[n:])
 
 
 def _strict_condition(name: str, deficit: np.ndarray, theta: np.ndarray,
@@ -206,21 +218,19 @@ def _tail_ladder(theta_min: float, theta_max: float):
     return tuple(down), tuple(up), points
 
 
-def _tail_conditions(csf, theta: np.ndarray, q_col: np.ndarray) -> list[ConditionRecord]:
-    """The boundary limits of a ratio-form family, from one share evaluation.
+def _tail_conditions(theta: np.ndarray, q_col: np.ndarray, win, tie) -> list[ConditionRecord]:
+    """The boundary limits of a ratio-form family, from its `_slope_rows` tail (win, tie).
 
     The ladders step by factors of 10 from min(theta_min, 1/TAIL_START) down
     and from max(theta_max, TAIL_START) up, within [1/TAIL_CAP, TAIL_CAP].
     A gap is the worst across the tie rules in `q_col`; the witness is the
     first point within TAIL_TOL, else the last."""
-    down, up, points = _tail_ladder(float(theta[0]), float(theta[-1]))
+    down, up, _ = _tail_ladder(float(theta[0]), float(theta[-1]))
     n = len(down)
-    with np.errstate(all="ignore"):
-        win, _, tie = csf._triple(points, LANES)
-        z = win + q_col * tie
-        limits = (("vanishes_at_zero", down, np.abs(z[:, :n]).max(axis=0)),
-                  ("saturates_at_infinity", up, np.abs(1.0 - z[:, n:]).max(axis=0)),
-                  ("tie_prob_vanishes_at_zero", down, np.abs(tie[:n])))
+    z = win + q_col * tie
+    limits = (("vanishes_at_zero", down, np.abs(z[:, :n]).max(axis=0)),
+              ("saturates_at_infinity", up, np.abs(1.0 - z[:, n:]).max(axis=0)),
+              ("tie_prob_vanishes_at_zero", down, np.abs(tie[:n])))
     records = []
     for name, probes, gaps in limits:
         gaps = gaps.tolist()  # a few probes: plain floats beat array calls
@@ -273,7 +283,7 @@ def audit_ratio(csf, theta_grid=None, q_grid=None) -> AuditReport:
     """
     if getattr(csf, "kind", None) != "ratio":
         raise ValidationError("audit_ratio requires a ratio-form family")
-    theta, qs, ends, zp, zpp, tie_slope, p0 = _slope_rows(csf, theta_grid, q_grid)
+    theta, qs, ends, zp, zpp, tie_slope, p0, tail = _slope_rows(csf, theta_grid, q_grid)
 
     conditions = [
         _strict_condition("win_prob_increasing", -zp, theta, ends),
@@ -281,7 +291,7 @@ def audit_ratio(csf, theta_grid=None, q_grid=None) -> AuditReport:
         _strict_condition(
             "rival_payoff_concavity", -(2.0 * zp + theta[None, :] * zpp), theta, ends
         ),
-        *_tail_conditions(csf, theta, np.array(ends)[:, None]),
+        *_tail_conditions(theta, np.array(ends)[:, None], *tail),
         _unimodality_condition(theta, p0, tie_slope, peak=1.0),
     ]
     return _report(csf, conditions, zpp, theta, qs, (csf.zero_effort_note,))
@@ -298,7 +308,7 @@ def audit_diff(csf, v1, theta_grid=None, q_grid=None) -> AuditReport:
     if getattr(csf, "kind", None) != "diff":
         raise ValidationError("audit_diff requires a difference-form family")
     v1f = positive_value(v1, "v1")
-    theta, qs, ends, zp, zpp, tie_slope, p0 = _slope_rows(csf, theta_grid, q_grid)
+    theta, qs, ends, zp, zpp, tie_slope, p0, _ = _slope_rows(csf, theta_grid, q_grid)
 
     conditions = [
         _strict_condition("win_prob_increasing", -zp, theta, ends),
@@ -320,14 +330,7 @@ def audit_concave(csf, x_grid=None) -> AuditReport:
     """
     if getattr(csf, "kind", None) != "concave":
         raise ValidationError("audit_concave requires a concave-impact family")
-    if x_grid is None:
-        x = _shared_grid(True)
-    else:
-        x = float_array(x_grid, "effort grid")
-        if x.ndim != 1 or x.size == 0:
-            raise ValidationError("effort grid must be a nonempty 1-d sequence")
-        x = np.sort(checked_array(x, "effort grid", positive=True))
-
+    x = _grid(x_grid, True, "effort grid", 1, "a nonempty 1-d sequence")
     fp = csf._impact_prime(x)[None, :]
     fpp = csf._impact_double_prime(x)[None, :]
     conditions = (_strict_condition(name, deficit, x, (None,))
@@ -359,17 +362,17 @@ def audit_family(csf, v1=None, grid_points=None) -> AuditReport:
 def estimate_vbar(csf, theta_grid=None, q_grid=None) -> float:
     """Largest prize keeping the curvature condition satisfied on the grid.
 
-    Returns 1 / max |z''| over the probed (theta, q) grid.  Refining the grid
-    can only raise the observed maximum, so the estimate is monotone
-    nonincreasing under refinement.
+    Returns 1 / max |z''| over the probed (theta, q) grid, as a report's `vbar`.
+    Refining the grid can only raise the observed maximum, so the estimate is
+    monotone nonincreasing under refinement.
     """
     if getattr(csf, "kind", None) != "diff":
         raise ValidationError("estimate_vbar requires a difference-form family")
-    zpp = _slope_rows(csf, theta_grid, q_grid)[4]
-    peak = float(np.abs(zpp).max())
-    if peak <= 0.0:
+    theta, qs, _, _, zpp, *_ = _slope_rows(csf, theta_grid, q_grid)
+    vbar = _report(csf, (), zpp, theta, qs).vbar
+    if vbar is None:
         raise DomainError(
             "eventual-win-probability curvature vanishes on the entire grid; "
             "the prize bound is unbounded"
         )
-    return 1.0 / peak
+    return vbar

@@ -262,21 +262,21 @@ def _ratio_residuals(csf, v1, v2, q, x1, x2, xp: Ops):
     return theta, v1 * zp / x2 - 1.0, r2
 
 
-def _safeguarded_root(fdf, lo, hi, budget: int, at_lo, xp: Ops = FLOATS):
+def _safeguarded_root(fdf, lo, hi, at_lo, xp: Ops = FLOATS):
     """Root of f on a bracket with f(lo) <= 0 < f(hi), given fdf(x) = (f, f')
     and at_lo = fdf(lo), for one tie rule or lanes (`xp`, see `Ops`).
 
     Newton steps while they land strictly inside the bracket and shrink at
     least as fast as bisection, bisection otherwise (`rtsafe`, Numerical
     Recipes 9.4).  Stops at an exact zero, after a step below 1e-12 relative
-    to x (further steps only chase roundoff in f), or after `budget` steps;
-    returns the last point and its f value.
+    to x (further steps only chase roundoff in f), or after `MAX_ITERATIONS`
+    steps; returns the last point and its f value.
     """
     select, live = xp.select, xp.live
     x, (fx, dfx) = lo, at_lo
     step_old = step = hi - lo
     stepping = fx != 0.0
-    for _ in range(budget):
+    for _ in range(MAX_ITERATIONS):
         if not live(stepping):
             break
         lo, hi = select(fx < 0.0, (x, hi), (lo, x))
@@ -328,8 +328,7 @@ def _gap_root(csf, gap: float, q_int, xp: Ops = FLOATS):
         f_hi, df_hi = fdf(hi)
     ahead = f_hi > 0.0
     # a lane with no bracket starts at f = 0, so it takes no step
-    root, resid = _safeguarded_root(fdf, lo, hi, MAX_ITERATIONS,
-                                    (xp.select(ahead, f_lo, 0.0), df_lo), xp)
+    root, resid = _safeguarded_root(fdf, lo, hi, (xp.select(ahead, f_lo, 0.0), df_lo), xp)
     return xp.select(root >= 0.0, root, 0.0), resid, hi, ahead
 
 

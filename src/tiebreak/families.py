@@ -228,11 +228,6 @@ class _ReducedCsf(_Family):
     def p0(self, theta):
         return _ret(self._triple(self._theta(theta), LANES)[2])
 
-    def _slopes_and_tie(self, th, qv, xp: Ops):
-        """`_zslopes(th, qv, xp)` and p0(theta), from one share evaluation."""
-        shares = self._shares(th, xp)
-        return (*self._zslopes(th, qv, xp, shares), self._triple(th, xp, shares)[2])
-
     def z(self, theta, q) -> float:
         """Eventual win probability of player 1: p(theta) + q * p0(theta)."""
         qv = _tie_share(q)

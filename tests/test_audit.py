@@ -29,7 +29,7 @@ from tiebreak.audit import (
     default_ratio_grid,
 )
 import tiebreak.audit as audit_mod
-from tiebreak.families import FLOATS, LANES, RatioCsf
+from tiebreak.families import LANES, RatioCsf
 
 from helpers import DIFF_CASES, RATIO_CASES, build
 
@@ -199,7 +199,7 @@ class TestDiffAudit:
     def test_curvature_range_and_reported_bound(self):
         report = audit_diff(make_family("jia-diff", k=2), v1=1.0)
         assert report.m <= report.M
-        assert report.vbar == pytest.approx(1.0 / max(abs(report.m), abs(report.M)))
+        assert report.vbar == 1.0 / max(abs(report.m), abs(report.M))
 
     def test_violation_grows_with_refinement(self):
         """A failing audit cannot be rescued by probing a finer grid."""
@@ -245,10 +245,16 @@ class TestCurvatureBoundEstimate:
         with pytest.raises(ValidationError):
             estimate_vbar(make_family("jia-ratio", r=1.0, k=2))
 
-    def test_flat_curvature_on_a_custom_grid_has_no_bound(self):
-        # the tieless logistic's curvature is zero at theta = 0
-        with pytest.raises(DomainError, match="curvature vanishes on the entire grid"):
-            estimate_vbar(make_family("jia-diff", k=1), theta_grid=[0.0, 0.0])
+    @pytest.mark.parametrize("family", ["jia-diff", "vesperoni-diff"])
+    @pytest.mark.parametrize("q_grid", [None, (0.3, 0.8)])
+    def test_flat_curvature_on_a_custom_grid_has_no_bound(self, family, q_grid):
+        # the tieless logistic's curvature is zero at theta = 0: the report
+        # has no vbar, and the estimate raises
+        csf = make_family(family, k=1)
+        assert audit_diff(csf, 1.0, theta_grid=[0.0, 0.0], q_grid=q_grid).vbar is None
+        with pytest.raises(DomainError, match="^eventual-win-probability curvature vanishes on "
+                                              "the entire grid; the prize bound is unbounded$"):
+            estimate_vbar(csf, theta_grid=[0.0, 0.0], q_grid=q_grid)
 
 
 class TestConcaveAudit:
@@ -380,8 +386,10 @@ def main() -> None:
 
 
 # z_q is affine in q, so the audits form z_q' and z_q'' on the smallest and
-# largest q of the grid only.  The reference below rebuilds the table the
-# audits used before, `_zslopes` on every q row and p0 from `_triple`; for
+# largest q of the grid only, from one share evaluation that a ratio family's
+# tail ladder rides along in.  The reference below rebuilds the table the
+# audits used before, `_zslopes` on every q row, p0 from `_triple` and the
+# ladder's win and tie probabilities from an evaluation of their own; for
 # k > 1 the reports must not move by a bit.
 _checked_slope_rows = audit_mod._slope_rows
 
@@ -391,7 +399,12 @@ def _every_row_slope_rows(csf, theta_grid, q_grid):
     rows = sorted({*qs, 0.0, 1.0})
     zp, zpp = csf._zslopes(theta, np.array(rows)[:, None], LANES)
     at = [rows.index(q) for q in qs]
-    return theta, qs, qs, zp[at], zpp[at], zp[-1] - zp[0], csf._triple(theta, LANES)[2]
+    tail = None
+    if csf.kind == "ratio":
+        win, _, tie = csf._triple(audit_mod._tail_ladder(float(theta[0]), float(theta[-1]))[2],
+                                  LANES)
+        tail = win, tie
+    return theta, qs, qs, zp[at], zpp[at], zp[-1] - zp[0], csf._triple(theta, LANES)[2], tail
 
 
 REFERENCE_Q_GRIDS = [None, (0.2, 0.7), (0.0, 0.3, 0.9), (0.1, 0.6, 1.0), (0.35,),
@@ -416,6 +429,45 @@ def _reference_audits(seed: int = 21, count: int = 160):
             csf = make_family(name, k=k)
             yield audit_diff, (csf, float(10.0 ** rng.uniform(-1.0, 1.5))), kwargs
             yield estimate_vbar, (csf,), kwargs
+
+
+def test_estimate_vbar_is_the_report_bound_bit_for_bit():
+    pairs = 0
+    for audit, args, kwargs in _reference_audits():
+        if audit is audit_diff:
+            csf, v1 = args
+            assert estimate_vbar(csf, **kwargs) == audit_diff(csf, v1, **kwargs).vbar, kwargs
+            pairs += 1
+    assert pairs >= 50
+
+
+@pytest.mark.parametrize("audit, family, params", [
+    (audit_ratio, "vesperoni-ratio", {"r": 0.3, "k": 2.0}),
+    (audit_ratio, "jia-ratio", {"r": 0.8, "k": 3.0}),
+    (audit_diff, "vesperoni-diff", {"k": 2.5}),
+    (audit_diff, "jia-diff", {"k": 2.0}),
+    (estimate_vbar, "jia-diff", {"k": 2.0}),
+])
+def test_an_audit_evaluates_the_family_once(monkeypatch, audit, family, params):
+    """One share evaluation covers the grid, its q rows and a ratio family's
+    tail ladder: `_shares` runs once, and so does the one power or exponential
+    every evaluation of a family's shares goes through."""
+    csf = make_family(family, **params)
+    calls = {"_shares": 0, "power_shares": 0, "np_exp": 0}
+
+    def counted(name, call):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return call(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(type(csf), "_shares", counted("_shares", type(csf)._shares))
+    monkeypatch.setattr(audit_mod, "LANES", LANES._replace(
+        power_shares=counted("power_shares", LANES.power_shares),
+        np_exp=counted("np_exp", LANES.np_exp)))
+    audit(csf, *(() if audit is not audit_diff else (1.0,)))
+    primitive = "power_shares" if csf.kind == "ratio" else "np_exp"
+    assert calls == {"_shares": 1, "power_shares": 0, "np_exp": 0, primitive: 1}
 
 
 def test_audits_equal_the_every_row_table_for_k_above_one(monkeypatch):
@@ -457,22 +509,31 @@ def test_q_free_families_take_the_smallest_grid_q_as_witness(family, params, aud
     ("vesperoni-diff", {"k": 1.0}), ("vesperoni-diff", {"k": 7.5}),
     ("jia-diff", {"k": 1.0}), ("jia-diff", {"k": 1e6}),
 ])
-def test_fused_kernel_rows_equal_the_slope_kernel_bit_for_bit(family, params):
+def test_slope_rows_equal_the_kernels_bit_for_bit(family, params):
+    """The one share evaluation of `_slope_rows`, on the grid with a ratio
+    family's tail ladder appended, gives each kernel's bits on the grid and
+    the ladder alone, overflowing grids included."""
     csf = make_family(family, **params)
     ratio = family.endswith("ratio")
-    rows = np.array([0.0, 0.1, 0.5, 1.0])[:, None]
+    qs, rows = (0.1, 0.5), np.array([0.0, 0.1, 0.5, 1.0])[:, None]
     grids = [default_ratio_grid(), np.geomspace(1e-300, 1e300, 301)] if ratio else [
         default_diff_grid(), np.linspace(-700.0, 700.0, 301), np.linspace(0.0, 40.0, 101)]
     with np.errstate(all="ignore"):
         for theta in grids:
-            zp, zpp, p0 = csf._slopes_and_tie(theta, rows, LANES)
+            _, _, ends, zp, zpp, tie_slope, p0, tail = audit_mod._slope_rows(csf, theta, qs)
             want_zp, want_zpp = csf._zslopes(theta, rows, LANES)
-            assert np.array_equal(zp, want_zp, equal_nan=True)
-            assert np.array_equal(zpp, want_zpp, equal_nan=True)
+            assert ends == qs
+            assert np.array_equal(zp, want_zp[1:3], equal_nan=True)
+            assert np.array_equal(zpp, want_zpp[1:3], equal_nan=True)
+            assert np.array_equal(tie_slope, want_zp[3] - want_zp[0], equal_nan=True)
             assert np.array_equal(p0, csf._triple(theta, LANES)[2], equal_nan=True)
-        for th in (0.5, 3.0) if ratio else (-2.0, 0.0, 3.0):
-            fused = csf._slopes_and_tie(th, 0.25, FLOATS)
-            assert fused == (*csf._zslopes(th, 0.25, FLOATS), csf._triple(th, FLOATS)[2])
+            if not ratio:
+                assert [share.size for share in tail] == [0, 0]
+                continue
+            win, _, tie = csf._triple(
+                audit_mod._tail_ladder(float(theta[0]), float(theta[-1]))[2], LANES)
+            assert np.array_equal(tail[0], win, equal_nan=True)
+            assert np.array_equal(tail[1], tie, equal_nan=True)
 
 
 def test_unimodality_split_equals_the_sign_selection():

@@ -407,7 +407,7 @@ KERNEL_FAMILIES = ([(family, {"k": k}) for family in ("jia-diff", "vesperoni-dif
 def _kernel_results(csf, theta, q, xp):
     """Every kernel of a reduced family at theta and tie rule q on the primitives `xp`."""
     return (*csf._shares(theta, xp), *csf._triple(theta, xp), csf._zp(theta, q, xp),
-            *csf._zslopes(theta, q, xp), *csf._slopes_and_tie(theta, q, xp))
+            *csf._zslopes(theta, q, xp))
 
 
 @pytest.mark.parametrize("q", [0.0, 0.3, 1.0])

@@ -3,27 +3,30 @@
 Each draw is a contest from one of the five families, at design scale
 (prizes 0.1 to 10, k 1 to 10) or at extreme scale (prizes 1e-3 to 1e12 or
 to 1e300, k up to 1e9, r near 0, near 1 or 1), in a random label order.
-For each draw the scan writes four lines: `solve`, a 101-lane
-`solve_lanes`, `optimal_q` and `expected_effort` at a random tie rule.  A
-line holds the `float.hex` of every number the result carries, or the
-error's type and text, and then the text of each warning the call emitted,
-so two trees compute the same bits and warn alike exactly when their
-outputs are identical:
+For each draw the scan writes five lines: `audit_family` at the larger
+prize, `solve`, a 101-lane `solve_lanes`, `optimal_q` and `expected_effort`
+at a random tie rule.  A line holds the `float.hex` of every number the
+result carries, or the error's type and text, and then the text of each
+warning the call emitted, so two trees compute the same bits and warn alike
+exactly when their outputs are identical:
 
     PYTHONPATH=src python tools/bitscan.py --draws 20000 > before.txt
     (change the code)
     PYTHONPATH=src python tools/bitscan.py --draws 20000 > after.txt
     diff before.txt after.txt
 
-The lanes line carries a digest of the lanes; the `# index ...` line above
-it names the contest, so a mismatching draw can be rerun through
-`solve_lanes` directly.  NumPy picks its float kernels by CPU; run both trees under the same
+The audit line carries a digest of the report's JSON with every float
+written by `float.hex`, and the lanes line a digest of the lanes; the
+`# index ...` line above them names the contest, so a mismatching draw can
+be rerun through `audit_family` or `solve_lanes` directly.  NumPy picks its
+float kernels by CPU; run both trees under the same
 `NPY_DISABLE_CPU_FEATURES` setting.
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import math
 import random
 import sys
@@ -33,6 +36,7 @@ import numpy as np
 
 from tiebreak import (ContestError, RandomTieRule, expected_effort, make_contest,
                       optimal_q, solve)
+from tiebreak.audit import audit_family
 from tiebreak.equilibrium import solve_lanes
 
 FAMILIES = ("vesperoni-ratio", "jia-ratio", "vesperoni-diff", "jia-diff", "blavatskyy-power")
@@ -83,6 +87,21 @@ def _hex(*values) -> str:
     return " ".join("None" if v is None else float(v).hex() for v in values)
 
 
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:32]
+
+
+def _hex_json(value):
+    """A report's JSON value with every float as its `float.hex`."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return {key: _hex_json(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_hex_json(item) for item in value]
+    return value
+
+
 def _error(exc: ContestError) -> str:
     return f"{type(exc).__name__}: {exc}"
 
@@ -116,19 +135,23 @@ def scan(draws: int):
         yield f"# {index} {family} {params!r} v=({v1!r}, {v2!r}) q={q!r} rule={pairs!r}"
         spec = make_contest(family, v1=v1, v2=v2, q=q, **params)
 
+        def audited():
+            report = audit_family(spec.csf, spec.valuations.v1).to_json_dict()
+            return _digest(json.dumps(_hex_json(report)))
+
         def solved():
             eq = solve(spec)
             return _hex(eq.x1, eq.x2, eq.beta, *eq.residuals)
 
         def lanes():
-            text = _lanes_text(solve_lanes(spec, LANE_QS, force=False, audited=False))
-            return hashlib.sha256(text.encode()).hexdigest()[:32]
+            return _digest(_lanes_text(solve_lanes(spec, LANE_QS, force=False, audited=False)))
 
         def optimum():
             best = optimal_q(spec)
             values = _hex(best.q_star.q, best.total_effort, best.x1, best.x2)
             return f"{values} {best.rationale.value}"
 
+        yield f"audit {_result(audited)}"
         yield f"solve {_result(solved)}"
         yield f"lanes {_result(lanes)}"
         yield f"optimal_q {_result(optimum)}"
