@@ -15,10 +15,12 @@ the `Valuations` label maps `tie_share` and `in_order`.
 Each input is checked once, where it enters: a `ContestSpec` checks its
 prizes by building the `Valuations` it holds, which every solver, designer
 and oracle path reads, and its tie share by `q_value`, as `TieRule` does.
-Each kind of bare input value has one check here, which the other modules
-call: `finite_value` a finite real, `positive_value` a positive magnitude
-(a larger prize, a grid ceiling) and `count_value` a sample count, at most
-`MAX_COUNT` since counts size arrays.
+Each kind of input value has one check here, which the other modules call:
+`finite_value` a finite real, `positive_value` a positive magnitude, `count_value`
+a sample count (at most `MAX_COUNT`: counts size arrays), `player_value` a player
+label, `pair_value` a pair (prizes, a tie-rule atom), and `profile_value` an effort
+profile, which `payoff` and `oracle.verify` alike take as an `EffortProfile`,
+anything with `x1` and `x2` (an `Equilibrium`) or a pair.
 
 Every type here is an immutable value and every operation a pure function;
 concurrent callers need no synchronization.
@@ -80,6 +82,22 @@ def count_value(value, name: str, low: int = 2) -> int:
         raise ValidationError(f"{name} must be >= {low}, got {value}")
     if value > MAX_COUNT:
         raise ValidationError(f"{name} must be <= {MAX_COUNT}, got {value}")
+    return int(value)
+
+
+def pair_value(value, name: str) -> tuple:
+    """The pair named `name` as a 2-tuple of its entries, unchecked."""
+    try:
+        first, second = value
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name} must be a pair, got {value!r}") from exc
+    return first, second
+
+
+def player_value(value) -> int:
+    """A player label as the int 1 or 2 (a bool is not a player)."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value not in (1, 2):
+        raise ValidationError(f"player must be 1 or 2, got {value!r}")
     return int(value)
 
 
@@ -224,10 +242,15 @@ class RandomTieRule:
     atoms: tuple[tuple[TieRule, float], ...]
 
     def __post_init__(self) -> None:
-        if not self.atoms:
+        try:
+            atoms = tuple(self.atoms)
+        except TypeError as exc:
+            raise ValidationError(f"atoms must be a sequence of pairs, got {self.atoms!r}") from exc
+        if not atoms:
             raise ValidationError("a random tie rule needs at least one atom")
         cleaned = []
-        for i, (rule, weight) in enumerate(self.atoms):
+        for i, atom in enumerate(atoms):
+            rule, weight = pair_value(atom, f"atoms[{i}]")
             rule = TieRule.coerce(rule)
             weight = finite_value(weight, f"atoms[{i}] weight")
             if weight <= 0:
@@ -240,7 +263,7 @@ class RandomTieRule:
 
     @classmethod
     def from_pairs(cls, pairs) -> "RandomTieRule":
-        return cls(tuple((TieRule.coerce(q), w) for q, w in pairs))
+        return cls(pairs)
 
     @property
     def mean_q(self) -> float:
@@ -292,19 +315,14 @@ class OutcomeDistribution:
     p0: float
 
     def __post_init__(self) -> None:
-        p1 = finite_value(self.p1, "p1")
-        p2 = finite_value(self.p2, "p2")
-        p0 = finite_value(self.p0, "p0")
-        for name, p in (("p1", p1), ("p2", p2), ("p0", p0)):
+        for name in ("p1", "p2", "p0"):
+            p = finite_value(getattr(self, name), name)
             if p < -PROB_SUM_TOL or p > 1.0 + PROB_SUM_TOL:
                 raise ValidationError(f"{name} out of [0, 1]: {p!r}")
-        if abs((p1 + p2 + p0) - 1.0) > PROB_SUM_TOL:
-            raise ValidationError(
-                f"outcome probabilities must sum to 1, got {p1 + p2 + p0!r}"
-            )
-        object.__setattr__(self, "p1", p1)
-        object.__setattr__(self, "p2", p2)
-        object.__setattr__(self, "p0", p0)
+            object.__setattr__(self, name, p)
+        total = self.p1 + self.p2 + self.p0
+        if abs(total - 1.0) > PROB_SUM_TOL:
+            raise ValidationError(f"outcome probabilities must sum to 1, got {total!r}")
 
 
 @dataclass(frozen=True)
@@ -397,16 +415,18 @@ class ContestSpec(JsonRecord):
         return cls.from_json_dict(doc)
 
 
-def _as_profile(profile) -> EffortProfile:
+def profile_value(profile) -> EffortProfile:
+    """An `EffortProfile`, anything with `x1` and `x2`, or a pair, as a checked `EffortProfile`."""
     if isinstance(profile, EffortProfile):
         return profile
-    x1, x2 = profile
-    return EffortProfile(x1, x2)
+    if hasattr(profile, "x1") and hasattr(profile, "x2"):
+        return EffortProfile(profile.x1, profile.x2)
+    return EffortProfile(*pair_value(profile, "profile"))
 
 
 def outcome_distribution(spec: ContestSpec, profile) -> OutcomeDistribution:
-    """Outcome probabilities at a profile, validated as a distribution."""
-    prof = _as_profile(profile)
+    """Outcome probabilities at a profile (`profile_value`), validated as a distribution."""
+    prof = profile_value(profile)
     p1, p2, p0 = spec.csf.outcome(prof.x1, prof.x2)
     return OutcomeDistribution(float(p1), float(p2), float(p0))
 
@@ -421,14 +441,13 @@ def payoffs(spec: ContestSpec, x1, x2, outcome=None):
 
 def payoff(spec: ContestSpec, profile, player: int) -> float:
     """Expected payoff of player 1 or 2 (`payoffs`) at its validated outcome distribution."""
-    if player not in (1, 2):
-        raise ValidationError(f"player must be 1 or 2, got {player!r}")
-    prof = _as_profile(profile)
+    index = player_value(player) - 1
+    prof = profile_value(profile)
     dist = outcome_distribution(spec, prof)
-    return payoffs(spec, prof.x1, prof.x2, (dist.p1, dist.p2, dist.p0))[player - 1]
+    return payoffs(spec, prof.x1, prof.x2, (dist.p1, dist.p2, dist.p0))[index]
 
 
 def eventual_win_prob(spec: ContestSpec, profile) -> tuple[float, float]:
     """Probabilities that each player ends up with the prize; sums to one."""
-    dist = outcome_distribution(spec, _as_profile(profile))
+    dist = outcome_distribution(spec, profile)
     return (dist.p1 + spec.q * dist.p0, dist.p2 + (1.0 - spec.q) * dist.p0)

@@ -248,12 +248,9 @@ def optimal_q(spec: ContestSpec, *, force: bool = False, audited: bool = False) 
     contests (rationale "numeric") take the curve's best point, which must be
     an endpoint certified by the outward sign of dR/dq; any other point
     raises `ConvergenceError`.  Failures are raised as `sweep` raises them."""
-    kind = spec.csf.kind
     vals = spec.valuations
-    if kind not in ("concave", "ratio", "diff"):
-        raise ValidationError(f"no designer support for family kind {kind!r}")
     qs, lanes, totals = _grid_lanes(spec, CROSS_CHECK_POINTS, force, audited)
-    if kind == "concave":
+    if spec.csf.kind == "concave":
         i, rationale = _concave_optimum(spec, qs, lanes, totals), Rationale.NUMERIC
     else:
         i = int(vals.tie_share(0.0)) * (qs.size - 1)  # the stronger player's tie share is 0

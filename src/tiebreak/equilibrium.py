@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ContestSpec, JsonRecord, Valuations, q_value
+from .core import ContestSpec, JsonRecord, Valuations, pair_value, q_value
 from .errors import (ContestError, ConvergenceError, DomainError, NoEquilibriumError,
                      ValidationError)
 from .families import FLOATS, LANES, Ops, q_array
@@ -296,7 +296,7 @@ def solve_beta(csf, v, q) -> float:
     its inputs, then finds the root as `solve`'s difference-form route does."""
     if getattr(csf, "kind", None) != "diff":
         raise ValidationError("solve_beta requires a difference-form family")
-    vals = v if isinstance(v, Valuations) else Valuations(*v)
+    vals = v if isinstance(v, Valuations) else Valuations(*pair_value(v, "prizes"))
     gap = vals.v1 - vals.v2
     root, resid, hi, bracketed = _gap_root(csf, gap, vals.tie_share(q_value(q)))
     _raise_first(*_gap_gates(gap, resid, hi, bracketed))
@@ -546,14 +546,11 @@ def _prologue(spec: ContestSpec, q_user, force: bool, audited: bool):
     solve at tie rule(s) `q_user`, once the checks that hold at every q pass
     (see `solve`); each family class declares its cost as `default_cost`."""
     csf, kind = spec.csf, spec.csf.kind
-    expected = getattr(csf, "default_cost", None)
-    if expected is None:
+    if kind not in _ROUTES:
         raise ValidationError(f"no solver for family kind {kind!r}")
-    if spec.cost is not expected:
-        raise ValidationError(
-            f"{kind}-form contests are solved under {expected.value!r} cost, "
-            f"got {spec.cost.value!r}"
-        )
+    if spec.cost is not csf.default_cost:
+        raise ValidationError(f"{kind}-form contests are solved under "
+                              f"{csf.default_cost.value!r} cost, got {spec.cost.value!r}")
     warnings: tuple[str, ...] = ()
     if not csf.lemma_precondition_ok:
         if not force:

@@ -208,6 +208,13 @@ class _Family:
     def lemma_precondition_ok(self) -> bool:
         return True
 
+    def _efforts(self, x1, x2, own_positive: bool = False):
+        """Every family's one check of an effort pair: finite, >= 0, then x1 > 0 if asked."""
+        x1a, x2a = checked_array(x1, "x1", nonnegative=True), checked_array(x2, "x2", nonnegative=True)
+        if own_positive and np.any(x1a <= 0.0):
+            raise DomainError("x1 must be > 0")
+        return x1a, x2a
+
 
 class _ReducedCsf(_Family):
     """Shared behavior of families that reduce to a scalar contest state theta.
@@ -280,8 +287,7 @@ class RatioCsf(_ReducedCsf):
     def outcome(self, x1, x2):
         # theta = x1 / x2 lands on the kernels' exact limits: inf for a lone
         # positive x1 (or an overflowing ratio) gives (1, 0, 0), 0 gives (0, 1, 0)
-        x1a = checked_array(x1, "x1", nonnegative=True)
-        x2a = checked_array(x2, "x2", nonnegative=True)
+        x1a, x2a = self._efforts(x1, x2)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             theta = np.where(x1a == x2a, 1.0, x1a / x2a)
         return tuple(map(_ret, self._triple(theta, LANES)))
@@ -297,8 +303,7 @@ class DiffCsf(_ReducedCsf):
         return checked_array(theta, "theta")
 
     def outcome(self, x1, x2):
-        x1a = checked_array(x1, "x1", nonnegative=True)
-        x2a = checked_array(x2, "x2", nonnegative=True)
+        x1a, x2a = self._efforts(x1, x2)
         return tuple(map(_ret, self._triple(x1a - x2a, LANES)))
 
 
@@ -539,13 +544,6 @@ class BlavatskyyPower(_Family):
             (f1, f2), own_slope = xp.power((x1, x2), r), xp.power((x1,), r - 1.0)[0]
         head, total = f2 + (1.0 - qv), f1 + f2 + 1.0
         return r * own_slope * head / total / total, head
-
-    def _efforts(self, x1, x2, own_positive: bool = False):
-        """Both efforts checked finite and >= 0, then own effort > 0 if asked."""
-        x1a, x2a = checked_array(x1, "x", nonnegative=True), checked_array(x2, "x", nonnegative=True)
-        if own_positive and np.any(x1a <= 0.0):
-            raise DomainError("x must be > 0")
-        return x1a, x2a
 
     def impact(self, x):
         return self._impact(checked_array(x, "x", nonnegative=True))

@@ -5,10 +5,10 @@ grid and checks Nash conditions exhaustively.  The oracle deliberately calls
 only outcome probabilities and payoffs, never the analytic derivative code,
 so agreement between a solver's output and the oracle is evidence from an
 independent route.  It depends on `core` alone, whose `payoffs` every scan
-reads at broadcast efforts.  `GridSpec` and `grid_best_response` check
-their numbers with `core`'s one check of each kind: the ceiling is a
-positive magnitude, the steps a sample count, and the slack and the
-opponent's effort are finite reals.
+reads at broadcast efforts.  Each input is read by `core`'s one check of
+its kind: the ceiling is a positive magnitude, the steps a sample count, the
+slack and the opponent's effort finite reals, the player a player label, and
+`verify`'s claimed equilibrium a profile, which `payoff` takes alike.
 
 `grid_nash` scans the payoff grid once, in blocks of player-1 rows sized by a
 cell budget, and never holds an n x n matrix: a block settles player 2's
@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (ContestSpec, EffortProfile, JsonRecord, count_value, finite_value, payoff,
-                   payoffs, positive_value)
+                   payoffs, player_value, positive_value, profile_value)
 from .errors import DomainError, ValidationError
 
 BAND_FLOOR_REL = 1e-12
@@ -58,37 +58,32 @@ a Xeon host (0.3 s at 4,001 steps)."""
 class GridSpec:
     """Effort-grid geometry for the brute-force scan.
 
-    `eps` is the best-response payoff slack used by `grid_nash`; None means
-    exact grid argmax (slack 0).  The pitch is h = x_max / (steps - 1).
+    `eps` is the best-response payoff slack used by `grid_nash`; 0, the
+    default, means exact grid argmax, and None is stored as 0.  The pitch is
+    h = x_max / (steps - 1).
     """
 
     x_max: float
     steps: int
-    eps: float | None = None
+    eps: float = 0.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "x_max", positive_value(self.x_max, "x_max"))
         object.__setattr__(self, "steps", count_value(self.steps, "steps"))
-        if self.eps is not None:
-            eps = finite_value(self.eps, "eps")
-            if eps < 0:
-                raise ValidationError(f"eps must be >= 0, got {eps}")
-            object.__setattr__(self, "eps", eps)
+        eps = 0.0 if self.eps is None else finite_value(self.eps, "eps")
+        if eps < 0:
+            raise ValidationError(f"eps must be >= 0, got {eps}")
+        object.__setattr__(self, "eps", eps)
 
     @property
     def h(self) -> float:
         return self.x_max / (self.steps - 1)
 
-    @property
-    def resolved_eps(self) -> float:
-        return 0.0 if self.eps is None else self.eps
-
     def axis(self) -> np.ndarray:
         return np.linspace(0.0, self.x_max, self.steps)
 
     @classmethod
-    def for_contest(cls, spec: ContestSpec, steps: int = 2001,
-                    eps: float | None = None) -> "GridSpec":
+    def for_contest(cls, spec: ContestSpec, steps: int = 2001, eps: float = 0.0) -> "GridSpec":
         """Grid whose ceiling no best response can exceed.
 
         Any effort costing more than the prize is dominated by staying out, so
@@ -103,8 +98,7 @@ class GridSpec:
 def _deviations(spec: ContestSpec, opponent_effort: float, grid: GridSpec, player: int):
     """The grid axis, `player`'s payoff column on it against a fixed opponent
     effort, and the column's best effort and payoff (see `grid_best_response`)."""
-    if player not in (1, 2):
-        raise ValidationError(f"player must be 1 or 2, got {player!r}")
+    player = player_value(player)
     opp = finite_value(opponent_effort, "opponent effort")
     if not (0.0 <= opp <= grid.x_max):
         raise DomainError(f"opponent effort {opp} outside the grid range [0, {grid.x_max}]")
@@ -139,7 +133,7 @@ def grid_nash(spec: ContestSpec, grid: GridSpec) -> list[EffortProfile]:
         raise ValidationError(f"grid_nash scans steps^2 payoff cells: {grid.steps} steps exceed "
                               f"the ceiling of {math.isqrt(MAX_SCAN_CELLS)}")
     axis = grid.axis()
-    eps = grid.resolved_eps
+    eps = grid.eps
     rows = max(1, _BLOCK_CELLS // axis.size)
     col_max = np.full(axis.size, -np.inf)
     kept = []
@@ -205,18 +199,10 @@ def verify(spec: ContestSpec, eq, grid: GridSpec) -> VerificationReport:
     best grid response against the rival's claimed effort; the difference
     must fit inside a band derived from the grid pitch and a slope bound
     probed on the same payoff column.  Also reports the nearest exact grid
-    equilibrium, recomputed independently of any solver.
+    equilibrium, recomputed independently of any solver.  `eq` is any
+    profile `payoff` takes (`core.profile_value`).
     """
-    if hasattr(eq, "x1") and hasattr(eq, "x2"):
-        profile = EffortProfile(float(eq.x1), float(eq.x2))
-    else:
-        try:
-            profile = EffortProfile(float(eq[0]), float(eq[1]))
-        except (TypeError, ValueError, IndexError, KeyError) as exc:
-            raise ValidationError(
-                "eq must expose x1/x2 attributes or be a two-element sequence"
-            ) from exc
-
+    profile = profile_value(eq)
     deviations = (_deviations(spec, profile.x2, grid, 1), _deviations(spec, profile.x1, grid, 2))
     best, losses, bands = [], [], []
     for player, (axis, column, response, response_pay) in enumerate(deviations, start=1):
@@ -246,7 +232,7 @@ def verify(spec: ContestSpec, eq, grid: GridSpec) -> VerificationReport:
         x_max=grid.x_max,
         steps=grid.steps,
         h=grid.h,
-        eps=grid.resolved_eps,
+        eps=grid.eps,
         resolution_too_coarse=grid.steps < COARSE_STEPS,
         notes=tuple(notes),
     )

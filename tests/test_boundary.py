@@ -105,18 +105,18 @@ def _error_cases():
         for x in (0.0, -1.0, [1.0, 0.0]):
             cases.append((name, method, (x,), (DomainError, "x must be > 0")))
     for method in PAIR_METHODS:
-        for x1, x2 in ((math.nan, 1.0), (1.0, math.inf)):
+        for x1, x2, text in ((math.nan, 1.0, "x1"), (1.0, math.inf, "x2")):
             cases.append((name, method, _pair_call(method, x1, x2),
-                          (DomainError, "x must be finite")))
-        for x1, x2 in ((-1.0, 1.0), (1.0, -1.0), ([1.0, -1.0], 1.0)):
+                          (DomainError, f"{text} must be finite")))
+        for x1, x2, text in ((-1.0, 1.0, "x1"), (1.0, -1.0, "x2"), ([1.0, -1.0], 1.0, "x1")):
             cases.append((name, method, _pair_call(method, x1, x2),
-                          (DomainError, "x must be >= 0")))
+                          (DomainError, f"{text} must be >= 0")))
     for method in OWN_POSITIVE:
         cases.append((name, method, _pair_call(method, 0.0, 1.0),
-                      (DomainError, "x must be > 0")))
+                      (DomainError, "x1 must be > 0")))
         # both efforts are checked for sign before own effort for positivity
         cases.append((name, method, _pair_call(method, 0.0, -1.0),
-                      (DomainError, "x must be >= 0")))
+                      (DomainError, "x2 must be >= 0")))
     for method in PAIR_Q_METHODS:
         cases.append((name, method, (1.0, 1.0, 1.5), Q_SCALAR))
         cases.append((name, method, (1.0, 1.0, math.nan), Q_NAN))

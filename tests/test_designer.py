@@ -173,7 +173,7 @@ class TestOptimalQ:
 
     def test_rejects_unknown_family_kind(self):
         with pytest.raises(ValidationError,
-                           match="^no designer support for family kind 'lottery'$"):
+                           match="^no solver for family kind 'lottery'$"):
             optimal_q(LOTTERY_CONTEST)
 
     def test_equal_prizes_indifferent(self):

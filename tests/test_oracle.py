@@ -32,10 +32,19 @@ class TestGridSpec:
         grid = GridSpec(x_max=1.0, steps=5)
         assert grid.h == pytest.approx(0.25)
         np.testing.assert_allclose(grid.axis(), [0.0, 0.25, 0.5, 0.75, 1.0])
-        assert grid.resolved_eps == 0.0
+        assert grid.eps == 0.0
 
     def test_explicit_eps_kept(self):
-        assert GridSpec(x_max=1.0, steps=5, eps=0.01).resolved_eps == 0.01
+        assert GridSpec(x_max=1.0, steps=5, eps=0.01).eps == 0.01
+
+    def test_no_slack_has_one_spelling(self):
+        spellings = (GridSpec(x_max=1, steps=5), GridSpec(x_max=1, steps=5, eps=None),
+                     GridSpec(x_max=1, steps=5, eps=0.0), GridSpec(x_max=1, steps=5, eps=0))
+        assert all(grid == spellings[0] and type(grid.eps) is float for grid in spellings)
+        assert GridSpec.for_contest(TULLOCK, 11, eps=None) == GridSpec.for_contest(TULLOCK, 11)
+        assert not hasattr(GridSpec, "resolved_eps")
+        report = verify(TULLOCK, (0.25, 0.25), GridSpec(x_max=1.0, steps=11, eps=None))
+        assert report.to_json_dict()["grid"]["eps"] == 0.0
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -162,7 +171,7 @@ def _reference_grid_nash(spec, grid):
     """Grid equilibria from the full matrices: every cell's eps-best test at once."""
     axis = grid.axis()
     pay1, pay2 = _full_payoff_matrices(spec, grid)
-    eps = grid.resolved_eps
+    eps = grid.eps
     best1 = pay1 >= np.max(pay1, axis=0, keepdims=True) - eps
     best2 = pay2 >= np.max(pay2, axis=1, keepdims=True) - eps
     return [EffortProfile(float(axis[i]), float(axis[j])) for i, j in np.argwhere(best1 & best2)]
@@ -212,7 +221,7 @@ def test_grid_nash_drops_player_two_best_cells_that_fail_player_one(monkeypatch)
     grid = GridSpec(x_max=1.0, steps=41, eps=0.01)
     points = grid_nash(SHARP_RATIO, grid)
     pay1, pay2 = _full_payoff_matrices(SHARP_RATIO, grid)
-    best2 = pay2 >= np.max(pay2, axis=1, keepdims=True) - grid.resolved_eps
+    best2 = pay2 >= np.max(pay2, axis=1, keepdims=True) - grid.eps
     assert 0 < len(points) < int(best2.sum()) // 2
     assert points == _reference_grid_nash(SHARP_RATIO, grid)
 

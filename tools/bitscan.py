@@ -3,23 +3,24 @@
 Each draw is a contest from one of the five families, at design scale
 (prizes 0.1 to 10, k 1 to 10) or at extreme scale (prizes 1e-3 to 1e12 or
 to 1e300, k up to 1e9, r near 0, near 1 or 1), in a random label order.
-For each draw the scan writes five lines: `audit_family` at the larger
-prize, `solve`, a 101-lane `solve_lanes`, `optimal_q` and `expected_effort`
-at a random tie rule.  A line holds the `float.hex` of every number the
-result carries, or the error's type and text, and then the text of each
-warning the call emitted, so two trees compute the same bits and warn alike
-exactly when their outputs are identical:
+For each draw the scan writes six lines: `audit_family` at the larger
+prize, `solve`, `verify` of the solved profile on a 101-step
+`GridSpec.for_contest` grid, a 101-lane `solve_lanes`, `optimal_q` and
+`expected_effort` at a random tie rule.  A line holds the `float.hex` of
+every number the result carries, or the error's type and text, and then the
+text of each warning the call emitted, so two trees compute the same bits
+and warn alike exactly when their outputs are identical:
 
     PYTHONPATH=src python tools/bitscan.py --draws 20000 > before.txt
     (change the code)
     PYTHONPATH=src python tools/bitscan.py --draws 20000 > after.txt
     diff before.txt after.txt
 
-The audit line carries a digest of the report's JSON with every float
-written by `float.hex`, and the lanes line a digest of the lanes; the
+The audit and verify lines carry a digest of the report's JSON with every
+float written by `float.hex`, and the lanes line a digest of the lanes; the
 `# index ...` line above them names the contest, so a mismatching draw can
-be rerun through `audit_family` or `solve_lanes` directly.  NumPy picks its
-float kernels by CPU; run both trees under the same
+be rerun through `audit_family`, `verify` or `solve_lanes` directly.  NumPy
+picks its float kernels by CPU; run both trees under the same
 `NPY_DISABLE_CPU_FEATURES` setting.
 """
 from __future__ import annotations
@@ -34,8 +35,8 @@ import warnings
 
 import numpy as np
 
-from tiebreak import (ContestError, RandomTieRule, expected_effort, make_contest,
-                      optimal_q, solve)
+from tiebreak import (ContestError, GridSpec, RandomTieRule, expected_effort, make_contest,
+                      optimal_q, solve, verify)
 from tiebreak.audit import audit_family
 from tiebreak.equilibrium import solve_lanes
 
@@ -102,6 +103,10 @@ def _hex_json(value):
     return value
 
 
+def _report_digest(report) -> str:
+    return _digest(json.dumps(_hex_json(report.to_json_dict())))
+
+
 def _error(exc: ContestError) -> str:
     return f"{type(exc).__name__}: {exc}"
 
@@ -136,12 +141,14 @@ def scan(draws: int):
         spec = make_contest(family, v1=v1, v2=v2, q=q, **params)
 
         def audited():
-            report = audit_family(spec.csf, spec.valuations.v1).to_json_dict()
-            return _digest(json.dumps(_hex_json(report)))
+            return _report_digest(audit_family(spec.csf, spec.valuations.v1))
 
         def solved():
             eq = solve(spec)
             return _hex(eq.x1, eq.x2, eq.beta, *eq.residuals)
+
+        def verified():
+            return _report_digest(verify(spec, solve(spec), GridSpec.for_contest(spec, steps=101)))
 
         def lanes():
             return _digest(_lanes_text(solve_lanes(spec, LANE_QS, force=False, audited=False)))
@@ -153,6 +160,7 @@ def scan(draws: int):
 
         yield f"audit {_result(audited)}"
         yield f"solve {_result(solved)}"
+        yield f"verify {_result(verified)}"
         yield f"lanes {_result(lanes)}"
         yield f"optimal_q {_result(optimum)}"
         yield "expected_effort " + _result(
