@@ -8,9 +8,11 @@ total effort.  Every curve is solved in one batch over its tie rules
 (`equilibrium.solve_lanes`) and read as x1 + x2 off its effort arrays:
 sweeps and the optimal rule's 101-point cross-check never loop over q or
 build a per-q record, while a random rule, a handful of atoms too few for
-a batch to pay, takes one scalar `solve` per atom.  A contest's grid batch is solved
-once: `sweep` and `optimal_q` reuse the last one with no failing lane.  The
-concave optimum is read off that batch and certified by the sign of dR/dq,
+a batch to pay, takes one scalar `solve` per distinct atom.  `sweep` and
+`optimal_q` reuse the last grid batch with no failing lane, held by a stdlib
+`lru_cache`, not module state, keyed by family, prizes, cost, count and `force`.
+`audited` is accepted and changes nothing: no result here carries warnings.
+The concave optimum is read off that batch and certified by the sign of dR/dq,
 from the implicit function theorem on the first-order conditions: an
 endpoint where it points outward, or `optimal_q` raises `ConvergenceError`.
 
@@ -154,9 +156,6 @@ def _totals(qs, x1: np.ndarray, x2: np.ndarray, errors=None) -> np.ndarray:
     return totals
 
 
-_last_grid: tuple = ()  # (key, qs, lanes, totals) of the last grid batch that raised nothing
-
-
 @functools.lru_cache(maxsize=8)
 def _q_grid(q_count: int) -> np.ndarray:
     """`q_count` equally spaced tie rules on [0, 1], built once per count, read-only."""
@@ -165,23 +164,17 @@ def _q_grid(q_count: int) -> np.ndarray:
     return qs
 
 
-def _grid_lanes(spec: ContestSpec, q_count: int, force: bool, audited: bool):
+@functools.lru_cache(maxsize=1)
+def _grid_lanes(csf, v1: float, v2: float, cost, q_count: int, force: bool):
     """The contest at `q_count` equally spaced tie rules, as (qs, lanes, totals);
-    a failing lane or total raises as `_totals` raises.
-
-    Keeps the last batch that raised nothing, read-only, keyed by all that
-    `solve_lanes` reads but the spec's q; a batch that raised is solved anew."""
-    global _last_grid
-    key = (spec.csf, spec.v1, spec.v2, spec.cost, q_count, force, audited)
-    if (held := _last_grid) and held[0] == key:  # one read: a thread may replace it
-        return held[1:]
+    a failing lane or total raises as `_totals` raises.  The cache holds the
+    last batch that raised nothing, read-only; its spec is built on a miss."""
     qs = _q_grid(q_count)
-    lanes = solve_lanes(spec, qs, force=force, audited=audited)
+    lanes = solve_lanes(ContestSpec(csf, v1, v2, 0.0, cost), qs, force=force)
     totals = _totals(qs, lanes.x1, lanes.x2, lanes.errors)
     for arr in (totals, lanes.x1, lanes.x2, lanes.beta, *lanes.residuals, lanes.cornered):
         if arr is not None:
             arr.flags.writeable = False
-    _last_grid = (key, qs, lanes, totals)
     return qs, lanes, totals
 
 
@@ -189,12 +182,13 @@ def sweep(spec: ContestSpec, q_count: int, *, force: bool = False,
           audited: bool = False) -> EffortCurve:
     """Equilibrium efforts at `q_count` equally spaced tie rules.
 
-    The q stored in `spec` is ignored; all points are solved in one batch.
-    A failing tie rule raises its error with the smallest failing q
-    attached; an error that holds at every q is raised unchanged.  Then a
+    The q in `spec` and `audited` change nothing; all points are solved in
+    one batch.  A failing tie rule raises its error with the smallest failing
+    q attached; an error that holds at every q is raised unchanged.  Then a
     total effort that overflows raises `ConvergenceError` naming its q.
     """
-    qs, lanes, totals = _grid_lanes(spec, count_value(q_count, "q_count"), force, audited)
+    qs, lanes, totals = _grid_lanes(spec.csf, spec.v1, spec.v2, spec.cost,
+                                    count_value(q_count, "q_count"), force)
     betas = (None,) * qs.size if lanes.beta is None else tuple(lanes.beta.tolist())
     return EffortCurve(tuple(qs.tolist()), tuple(lanes.x1.tolist()), tuple(lanes.x2.tolist()),
                        betas, _certify(totals))
@@ -240,16 +234,16 @@ def optimal_q(spec: ContestSpec, *, force: bool = False, audited: bool = False) 
     """The deterministic tie rule maximizing total equilibrium effort.
 
     Every route reads a 101-point curve solved in one batch, the one
-    `sweep(spec, 101)` solved if it just ran.  For ratio- and difference-form
-    contests the answer is structural: give the stronger player no tie share
-    (rationale "theorem"), or any q when prizes are equal (q = 0, rationale
-    "indifferent"); the curve's best point wins only if it beats that
-    candidate beyond a determinism guard (rationale "numeric").  Concave
-    contests (rationale "numeric") take the curve's best point, which must be
-    an endpoint certified by the outward sign of dR/dq; any other point
+    `sweep(spec, 101)` solved if it just ran; `audited` changes nothing.  For
+    ratio- and difference-form contests the answer is structural: give the
+    stronger player no tie share (rationale "theorem"), or any q when prizes are
+    equal (q = 0, rationale "indifferent"); the curve's best point wins only if
+    it beats that candidate beyond a determinism guard (rationale "numeric").
+    Concave contests (rationale "numeric") take the curve's best point, which
+    must be an endpoint certified by the outward sign of dR/dq; any other point
     raises `ConvergenceError`.  Failures are raised as `sweep` raises them."""
     vals = spec.valuations
-    qs, lanes, totals = _grid_lanes(spec, CROSS_CHECK_POINTS, force, audited)
+    qs, lanes, totals = _grid_lanes(spec.csf, spec.v1, spec.v2, spec.cost, CROSS_CHECK_POINTS, force)
     if spec.csf.kind == "concave":
         i, rationale = _concave_optimum(spec, qs, lanes, totals), Rationale.NUMERIC
     else:
@@ -269,14 +263,14 @@ def expected_effort(spec: ContestSpec, rule: RandomTieRule, *,
 
     The rule commits to drawing q before efforts are chosen, so the
     expectation is the weight-average of R over the rule's atoms, each
-    solved by one scalar `solve`, in increasing q: a rule has too few atoms
-    for a batch to pay.  If some atoms fail to solve, the error for the
+    distinct q solved once by a scalar `solve`, in increasing q (`audited`
+    changes nothing).  If some atoms fail to solve, the error for the
     smallest failing q is raised; else a total effort that overflows raises.
     """
     if not isinstance(rule, RandomTieRule):
         rule = RandomTieRule.from_pairs(rule)
-    qs = sorted(atom.q for atom, _ in rule.atoms)
-    solved = [solve(spec.with_q(q), force=force, audited=audited) for q in qs]
+    qs = sorted({atom.q for atom, _ in rule.atoms})
+    solved = [solve(spec.with_q(q), force=force) for q in qs]
     x1, x2 = np.array([(eq.x1, eq.x2) for eq in solved]).T
     totals = dict(zip(qs, _totals(qs, x1, x2).tolist()))
     return math.fsum(weight * totals[atom.q] for atom, weight in rule.atoms)

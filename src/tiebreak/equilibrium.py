@@ -104,10 +104,15 @@ class Equilibrium(JsonRecord):
     warnings: tuple[str, ...] = field(default=())
 
     def __post_init__(self) -> None:
-        if not (self.x1 >= 0.0 and self.x2 >= 0.0):
-            raise _negative_efforts(self.x1, self.x2)
-        if len(self.residuals) != 2 or len(self.corner_flags) != 2:
-            raise ValidationError("residuals and corner_flags must have one entry per player")
+        try:
+            if not (self.x1 >= 0.0 and self.x2 >= 0.0):
+                raise _negative_efforts(self.x1, self.x2)
+            if len(self.residuals) != 2 or len(self.corner_flags) != 2:
+                raise ValidationError("residuals and corner_flags must have one entry per player")
+        except TypeError:  # a field of the wrong type: a pair by its own check, else an effort
+            pair_value(self.residuals, "residuals")
+            pair_value(self.corner_flags, "corner_flags")
+            raise ValidationError(f"x1 and x2 must be real numbers, got ({self.x1!r}, {self.x2!r})")
 
     @property
     def total(self) -> float:
@@ -587,7 +592,7 @@ def solve(spec: ContestSpec, *, force: bool = False, audited: bool = False) -> E
     return _equilibrium(x1, x2, beta, (r1, r2), cornered, method, warnings)
 
 
-def solve_lanes(spec: ContestSpec, qs, *, force: bool, audited: bool) -> Lanes:
+def solve_lanes(spec: ContestSpec, qs, *, force: bool = False, audited: bool = False) -> Lanes:
     """The contest at every q in `qs`, as arrays with one lane per q.
 
     A lane fails with its scalar solve's error, the `Equilibrium` check on

@@ -617,7 +617,7 @@ def describe_families() -> str:
 
 def make_family(name: str, **params):
     """Instantiate a registered family by key, validating its parameters."""
-    if name not in FAMILIES:
+    if not isinstance(name, str) or name not in FAMILIES:
         raise ValidationError(
             f"unknown family {name!r}; known families: {', '.join(family_names())}"
         )

@@ -12,7 +12,7 @@ from tiebreak.equilibrium import solve_lanes
 def empty_grid_memo():
     """Start each test with no grid batch held by the designer, so a test that
     counts batches does not depend on which test ran before it."""
-    designer_mod._last_grid = ()
+    designer_mod._grid_lanes.cache_clear()
 
 
 @pytest.fixture

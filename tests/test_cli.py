@@ -81,6 +81,17 @@ class TestSolveCommand:
         assert run(argv) == EXIT_INVALID
         assert "nope" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("family", [["jia-diff"], {"a": 1}], ids=["list", "dict"])
+    def test_a_family_name_that_is_no_string_is_unknown(self, capsys, tmp_path, family):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"family": family, "params": {"k": 2}, "v1": 2.0, "v2": 1.0,
+                                    "q": 0.5}), encoding="utf-8")
+        assert run(["solve", "--spec", str(path)]) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: unknown family {family!r}; known families: ")
+        assert captured.err.count("\n") == 1
+
     def test_unreadable_spec_file_rejected(self, capsys, tmp_path):
         path = str(tmp_path / "missing.json")
         assert run(["solve", "--spec", path]) == EXIT_INVALID

@@ -363,6 +363,12 @@ def _bits(result) -> str:
     return json.dumps(result.to_json_dict(), sort_keys=True)
 
 
+def _held(spec, q_count=101, force=False):
+    """The grid batch the designer's cache holds for `spec`: the same object
+    on every call while it is held, a new one after it is replaced."""
+    return designer_mod._grid_lanes(spec.csf, spec.v1, spec.v2, spec.cost, q_count, force)
+
+
 class TestGridMemo:
     """`sweep` and `optimal_q` share the last error-free grid batch of a contest."""
 
@@ -371,20 +377,23 @@ class TestGridMemo:
     def test_warm_results_equal_cold_ones_bit_for_bit(self, batches, family, params, v1, v2):
         spec = make_contest(family, v1=v1, v2=v2, q=0.0, **params)
         cold_best = _bits(optimal_q(spec))
-        designer_mod._last_grid = ()
+        designer_mod._grid_lanes.cache_clear()
         cold_curve = _bits(sweep(spec, 101))
-        held = designer_mod._last_grid
+        held = _held(spec)
         assert _bits(optimal_q(spec)) == cold_best
         assert _bits(sweep(spec, 101)) == cold_curve
-        assert designer_mod._last_grid is held
+        assert _held(spec) is held
         assert [qs.size for qs in batches] == [101, 101]  # the two cold calls
 
-    def test_a_spec_differing_only_in_q_hits(self, batches):
+    @pytest.mark.parametrize("q,kwargs", [(0.7, {}), (0.0, dict(audited=True))],
+                             ids=["q", "audited"])
+    def test_a_change_the_batch_does_not_read_hits(self, batches, q, kwargs):
+        """An optimal_q after an unaudited sweep(spec, 101) solves nothing new."""
         spec = make_contest(**MEMO_BASE)
-        cold = _bits(optimal_q(spec.with_q(0.7)))
+        cold = _bits(optimal_q(spec.with_q(q), **kwargs))
         sweep(spec, 101)
         batches.clear()
-        assert _bits(optimal_q(spec.with_q(0.7))) == cold
+        assert _bits(optimal_q(spec.with_q(q), **kwargs)) == cold
         assert batches == []
 
     @pytest.mark.parametrize("contest,kwargs,q_count", [
@@ -392,10 +401,9 @@ class TestGridMemo:
         (dict(MEMO_BASE, v2=math.nextafter(1.2, 0.0)), {}, 101),
         (dict(MEMO_BASE, v1=1.2, v2=3.0), {}, 101),
         (MEMO_BASE, dict(force=True), 101),
-        (MEMO_BASE, dict(audited=True), 101),
         (dict(MEMO_BASE, family="vesperoni-ratio"), {}, 101),
         (MEMO_BASE, {}, 51),
-    ], ids=["v1-ulp", "v2-ulp", "swapped", "force", "audited", "family", "q_count"])
+    ], ids=["v1-ulp", "v2-ulp", "swapped", "force", "family", "q_count"])
     def test_any_other_change_misses_and_gives_its_own_cold_answer(
             self, batches, contest, kwargs, q_count):
         base, spec = make_contest(**MEMO_BASE), make_contest(**contest)
@@ -404,7 +412,7 @@ class TestGridMemo:
         calls = [(101, lambda: sweep(spec, q_count, **kwargs)),
                  (q_count, lambda: optimal_q(spec, **kwargs))]
         for prime, call in calls:
-            designer_mod._last_grid = ()
+            designer_mod._grid_lanes.cache_clear()
             cold = _bits(call())
             sweep(base, prime)
             batches.clear()
@@ -413,8 +421,10 @@ class TestGridMemo:
 
     @pytest.mark.parametrize("family,params", MEMO_CONTESTS[3:5])
     def test_held_arrays_are_read_only(self, family, params):
-        sweep(make_contest(family, v1=3.0, v2=1.2, q=0.0, **params), 101)
-        _, qs, lanes, totals = designer_mod._last_grid
+        spec = make_contest(family, v1=3.0, v2=1.2, q=0.0, **params)
+        sweep(spec, 101)
+        qs, lanes, totals = _held(spec)
+        assert designer_mod._grid_lanes.cache_info()[:2] == (1, 1)  # the sweep's batch
         arrays = [qs, totals, lanes.x1, lanes.x2, lanes.beta, *lanes.residuals, lanes.cornered]
         for arr in filter(lambda a: a is not None, arrays):
             with pytest.raises(ValueError, match="read-only"):
@@ -431,8 +441,9 @@ class TestGridMemo:
                 qs[0] = 0.5
 
     def test_failing_contest_is_never_stored(self):
-        sweep(make_contest(**MEMO_BASE), 101)
-        held = designer_mod._last_grid
+        base = make_contest(**MEMO_BASE)
+        sweep(base, 101)
+        held = _held(base)
         spec = make_contest(family="blavatskyy-power", v1=0.1024, v2=0.01184, q=0.5, r=0.9386)
         with pytest.raises(ConvergenceError) as lane:
             solve(spec.with_q(1.0))
@@ -444,7 +455,7 @@ class TestGridMemo:
             assert str(info.value) == text
             raised.append(info.value)
         assert len({id(exc) for exc in raised}) == len(raised)
-        assert designer_mod._last_grid is held
+        assert _held(base) is held
 
 
 def _certificate_by_separate_reductions(totals):
@@ -519,6 +530,19 @@ class TestExpectedEffort:
     def test_invalid_rule_rejected(self):
         with pytest.raises(ValidationError):
             expected_effort(SHARP_RATIO, [(0.0, 0.9)])
+
+    def test_a_repeated_atom_is_solved_once(self, monkeypatch):
+        pairs = [(0.7, 0.25), (0.3, 0.25), (0.7, 0.5)]
+        solved = []
+
+        def counting(spec, **kwargs):
+            solved.append(spec.q)
+            return solve(spec, **kwargs)
+
+        monkeypatch.setattr(designer_mod, "solve", counting)
+        value = expected_effort(SOFT_RATIO, pairs)
+        assert solved == [0.3, 0.7]
+        assert value == math.fsum(w * solve(SOFT_RATIO.with_q(q)).total for q, w in pairs)
 
     def test_coin_beats_half_under_convexity(self):
         coin_value = expected_effort(DIFF_SMALL, COIN, audited=True)

@@ -384,6 +384,18 @@ class TestEquilibriumRecord:
                            match="^residuals and corner_flags must have one entry per player$"):
             Equilibrium(x1=0.3, x2=0.2, beta=1.5, method=SolveMethod.CLOSED_FORM, **columns)
 
+    @pytest.mark.parametrize("field,value,text", [
+        ("residuals", 5, "residuals must be a pair, got 5"),
+        ("corner_flags", None, "corner_flags must be a pair, got None"),
+        ("x1", "a", "x1 and x2 must be real numbers, got ('a', 0.2)"),
+        ("x2", "0.5", "x1 and x2 must be real numbers, got (0.3, '0.5')"),
+    ])
+    def test_a_field_of_the_wrong_type_is_named(self, field, value, text):
+        columns = dict(x1=0.3, x2=0.2, beta=1.5, method=SolveMethod.CLOSED_FORM,
+                       residuals=(0.0, 0.0))
+        with pytest.raises(ValidationError, match=f"^{re.escape(text)}$"):
+            Equilibrium(**dict(columns, **{field: value}))
+
     def test_total_and_json_shape(self):
         eq = Equilibrium(
             x1=0.3, x2=0.2, beta=1.5, method=SolveMethod.CLOSED_FORM,

@@ -1,6 +1,8 @@
 """Built-in contest families: registry, validation, probability structure."""
 from __future__ import annotations
 
+import json
+import re
 import warnings
 from decimal import Decimal, localcontext
 
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 
 from tiebreak import (
+    ContestSpec,
     DomainError,
     FAMILIES,
     TieRule,
@@ -45,6 +48,16 @@ class TestRegistry:
     def test_unknown_family_rejected(self):
         with pytest.raises(ValidationError):
             make_family("logit-ratio")
+
+    @pytest.mark.parametrize("name", [["jia-diff"], {"a": 1}, 5, None],
+                             ids=["list", "dict", "int", "none"])
+    def test_a_family_name_that_is_no_string_is_unknown(self, name):
+        text = f"unknown family {name!r}; known families: {', '.join(family_names())}"
+        doc = {"family": name, "params": {"k": 2}, "v1": 2.0, "v2": 1.0, "q": 0.5}
+        for call in (lambda: make_family(name, k=2),
+                     lambda: ContestSpec.from_json(json.dumps(doc))):
+            with pytest.raises(ValidationError, match=f"^{re.escape(text)}$"):
+                call()
 
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ValidationError):

@@ -76,14 +76,14 @@ def test_guard_sees_private_imports_and_reads():
     source = "\n".join([
         "from . import equilibrium, core as c",
         "from .equilibrium import _ROUTES, solve",
-        "from tiebreak.designer import _last_grid",
+        "from tiebreak.designer import _grid_lanes",
         "import tiebreak.families as fam",
         "equilibrium._TINY, equilibrium.MAX_ITERATIONS, c._json_value, fam.__name__",
         "spec.csf._zp, fam._ret",
     ])
     assert crossings(source) == [
         "from .equilibrium import _ROUTES",
-        "from tiebreak.designer import _last_grid",
+        "from tiebreak.designer import _grid_lanes",
         "equilibrium._TINY",
         "c._json_value",
         "fam._ret",

@@ -199,7 +199,7 @@ def design_sample():
 def design_op(spec, pairs):
     """One design-study operation: audit, then solve, sweep, optimal_q and
     expected_effort under its verdict; an error ends it."""
-    designer._last_grid = ()
+    designer._grid_lanes.cache_clear()
     audited = audit_family(spec.csf, v1=max(spec.v1, spec.v2)).passed
     solve(spec, audited=audited)
     sweep(spec, 101, audited=audited)
