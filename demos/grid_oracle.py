@@ -3,7 +3,7 @@
 Every closed form in the package can be cross-examined by a discretized
 game that evaluates raw payoffs and nothing else.  This script shows the
 three oracle views: a single best response, the set of exact grid equilibria,
-and the verification report with its resolution-aware acceptance band.
+and the verification report, which forgives rounding alone at every grid.
 
 Run:
     python demos/grid_oracle.py
@@ -62,15 +62,15 @@ def main() -> None:
           f"{report.nash_distance:.3e}")
     print(f"passed: {report.passed}")
 
-    header("The band shrinks linearly with the step")
+    header("The band is the rounding floor at every step")
     for steps in RESOLUTIONS:
         coarse = GridSpec(x_max=2.0, steps=steps)
         check = verify(spec, eq, coarse)
         print(f"  steps = {steps:5d}   h = {coarse.h:.4g}   "
               f"band = {max(check.bands):.3e}   "
               f"loss = {max(check.payoff_losses):.3e}")
-    print("halving the step halves what the oracle must forgive, while the")
-    print("measured loss of a correct solution stays pinned near zero.")
+    print("no grid point beats a true best response, so the loss of a correct")
+    print("solution is 0 at every pitch, and a pass means no grid point beats it.")
 
     header("An impostor does not get through")
     fake = (0.9, 0.9)

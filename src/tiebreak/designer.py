@@ -10,7 +10,7 @@ sweeps and the optimal rule's 101-point cross-check never loop over q or
 build a per-q record, while a random rule, a handful of atoms too few for
 a batch to pay, takes one scalar `solve` per distinct atom.  `sweep` and
 `optimal_q` reuse the last grid batch with no failing lane, held by a stdlib
-`lru_cache`, not module state, keyed by family, prizes, cost, count and `force`.
+`lru_cache`, not module state, keyed by the contest at q = 0, count and `force`.
 `audited` is accepted and changes nothing: no result here carries warnings.
 The concave optimum is read off that batch and certified by the sign of dR/dq,
 from the implicit function theorem on the first-order conditions: an
@@ -165,12 +165,13 @@ def _q_grid(q_count: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=1)
-def _grid_lanes(csf, v1: float, v2: float, cost, q_count: int, force: bool):
-    """The contest at `q_count` equally spaced tie rules, as (qs, lanes, totals);
-    a failing lane or total raises as `_totals` raises.  The cache holds the
-    last batch that raised nothing, read-only; its spec is built on a miss."""
+def _grid_lanes(spec: ContestSpec, q_count: int, force: bool):
+    """`spec` at `q_count` equally spaced tie rules, as (qs, lanes, totals); a
+    failing lane or total raises as `_totals` raises.  Callers pass the contest
+    at q = 0, which `ContestSpec` equality compares by family, prizes and cost,
+    so the cache holds the last batch that raised nothing, read-only."""
     qs = _q_grid(q_count)
-    lanes = solve_lanes(ContestSpec(csf, v1, v2, 0.0, cost), qs, force=force)
+    lanes = solve_lanes(spec, qs, force=force)
     totals = _totals(qs, lanes.x1, lanes.x2, lanes.errors)
     for arr in (totals, lanes.x1, lanes.x2, lanes.beta, *lanes.residuals, lanes.cornered):
         if arr is not None:
@@ -187,8 +188,7 @@ def sweep(spec: ContestSpec, q_count: int, *, force: bool = False,
     q attached; an error that holds at every q is raised unchanged.  Then a
     total effort that overflows raises `ConvergenceError` naming its q.
     """
-    qs, lanes, totals = _grid_lanes(spec.csf, spec.v1, spec.v2, spec.cost,
-                                    count_value(q_count, "q_count"), force)
+    qs, lanes, totals = _grid_lanes(spec.with_q(0.0), count_value(q_count, "q_count"), force)
     betas = (None,) * qs.size if lanes.beta is None else tuple(lanes.beta.tolist())
     return EffortCurve(tuple(qs.tolist()), tuple(lanes.x1.tolist()), tuple(lanes.x2.tolist()),
                        betas, _certify(totals))
@@ -243,7 +243,7 @@ def optimal_q(spec: ContestSpec, *, force: bool = False, audited: bool = False) 
     must be an endpoint certified by the outward sign of dR/dq; any other point
     raises `ConvergenceError`.  Failures are raised as `sweep` raises them."""
     vals = spec.valuations
-    qs, lanes, totals = _grid_lanes(spec.csf, spec.v1, spec.v2, spec.cost, CROSS_CHECK_POINTS, force)
+    qs, lanes, totals = _grid_lanes(spec.with_q(0.0), CROSS_CHECK_POINTS, force)
     if spec.csf.kind == "concave":
         i, rationale = _concave_optimum(spec, qs, lanes, totals), Rationale.NUMERIC
     else:

@@ -19,14 +19,14 @@ square of the steps, so a grid of more than `MAX_SCAN_CELLS` cells is refused
 before the scan starts; `grid_best_response` scans one column and takes any
 step count that `GridSpec` takes.
 
-Payoffs on a grid of pitch h can differ from the continuous optimum by an
-amount proportional to h, so `verify` converts the pitch into a payoff
-acceptance band via a slope bound probed on the payoff column that gives
-the best deviation, instead of using a magic constant.  The first grid step
-is excluded from the slope probe: under the zero-effort convention of
-ratio-form contests (the family's `zero_effort_note`) the payoff jumps
-discontinuously between zero and any positive effort, and a band built from
-that jump would be vacuously wide.
+`verify` evaluates each claimed payoff at the claimed profile itself, not at
+a grid snap, and every grid effort is a feasible deviation, so a grid point
+that pays more than the claim refutes it exactly, whatever the pitch (an
+a-posteriori check; Rump, Acta Numerica 19, 2010).  Under the paper's second
+assumption each player's objective is concave with a unique best response,
+so at a true equilibrium no grid point pays more, and the verdict forgives
+rounding alone (`BAND_FLOOR_REL`) at every grid: a pass means that no grid
+point beats the claim.
 """
 from __future__ import annotations
 
@@ -40,7 +40,10 @@ from .core import (ContestSpec, EffortProfile, JsonRecord, count_value, finite_v
 from .errors import DomainError, ValidationError
 
 BAND_FLOOR_REL = 1e-12
-"""Relative floor added to verification bands to absorb pure roundoff."""
+"""The payoff loss `verify` forgives, relative to the larger of the player's
+prize, the magnitude of their claimed payoff and 1: the win share is at most 1,
+so that scale also bounds the cost at the claim, and the band covers the
+rounding of every term of the payoff."""
 
 COARSE_STEPS = 10
 """Grids with fewer steps than this are flagged as too coarse to trust."""
@@ -95,17 +98,12 @@ class GridSpec:
         return cls(x_max=bound * (steps - 1) / (steps - 2), steps=steps, eps=eps)
 
 
-def _deviations(spec: ContestSpec, opponent_effort: float, grid: GridSpec, player: int):
-    """The grid axis, `player`'s payoff column on it against a fixed opponent
-    effort, and the column's best effort and payoff (see `grid_best_response`)."""
-    player = player_value(player)
-    opp = finite_value(opponent_effort, "opponent effort")
-    if not (0.0 <= opp <= grid.x_max):
-        raise DomainError(f"opponent effort {opp} outside the grid range [0, {grid.x_max}]")
-    axis = grid.axis()
-    column = payoffs(spec, *((axis, opp) if player == 1 else (opp, axis)))[player - 1]
+def _deviation(spec: ContestSpec, opponent: float, axis: np.ndarray, player: int):
+    """`player`'s best effort on `axis` and its payoff against any finite
+    nonnegative opponent effort; exact payoff ties go to the smaller effort."""
+    column = payoffs(spec, *((axis, opponent) if player == 1 else (opponent, axis)))[player - 1]
     idx = int(np.argmax(column))
-    return axis, column, float(axis[idx]), float(column[idx])
+    return float(axis[idx]), float(column[idx])
 
 
 def grid_best_response(spec: ContestSpec, opponent_effort: float, grid: GridSpec,
@@ -116,7 +114,11 @@ def grid_best_response(spec: ContestSpec, opponent_effort: float, grid: GridSpec
     resolve to the smaller effort.  The opponent effort must lie within the
     grid ceiling (it need not sit on the grid itself).
     """
-    return _deviations(spec, opponent_effort, grid, player)[2:]
+    player = player_value(player)
+    opp = finite_value(opponent_effort, "opponent effort")
+    if not (0.0 <= opp <= grid.x_max):
+        raise DomainError(f"opponent effort {opp} outside the grid range [0, {grid.x_max}]")
+    return _deviation(spec, opp, grid.axis(), player)
 
 
 def grid_nash(spec: ContestSpec, grid: GridSpec) -> list[EffortProfile]:
@@ -147,27 +149,17 @@ def grid_nash(spec: ContestSpec, grid: GridSpec) -> list[EffortProfile]:
     return [EffortProfile(float(axis[a]), float(axis[b])) for a, b in zip(i[best], j[best])]
 
 
-def _slope_bound(axis: np.ndarray, column: np.ndarray) -> float:
-    """Largest per-step slope of a payoff column, first step excluded.
-
-    Excluding the 0 -> h step keeps the ratio-form zero-effort payoff jump
-    from inflating the bound; the remaining steps probe the smooth region.
-    """
-    h = axis[1] - axis[0]
-    diffs = np.abs(np.diff(column[1:])) if column.size > 2 else np.abs(np.diff(column))
-    return float(np.max(diffs) / h)
-
-
 @dataclass(frozen=True)
 class VerificationReport(JsonRecord):
     """Outcome of checking a candidate profile against the grid oracle.
 
     `payoff_losses` is, per player, the payoff gained by the best grid
     deviation over staying at the candidate (clipped at zero); the check
-    passes when each loss is within that player's `bands` entry, which is
-    2 * slope_bound * h plus a roundoff floor.  `nash_distance` is the
-    Chebyshev distance to the nearest grid equilibrium, None when the grid
-    has none.
+    passes when each loss is within that player's `bands` entry, the rounding
+    floor `BAND_FLOOR_REL` times the larger of their prize, the magnitude of
+    their claimed payoff and 1, whatever the grid pitch.  A pass means no
+    grid point beats the candidate.  `nash_distance` is the Chebyshev
+    distance to the nearest grid equilibrium, None when the grid has none.
     """
 
     profile: EffortProfile
@@ -196,21 +188,21 @@ def verify(spec: ContestSpec, eq, grid: GridSpec) -> VerificationReport:
     """Check a claimed equilibrium against the brute-force grid.
 
     For each player, compares their payoff at the claimed profile with their
-    best grid response against the rival's claimed effort; the difference
-    must fit inside a band derived from the grid pitch and a slope bound
-    probed on the same payoff column.  Also reports the nearest exact grid
-    equilibrium, recomputed independently of any solver.  `eq` is any
-    profile `payoff` takes (`core.profile_value`).
+    best grid response against the rival's claimed effort, which may lie
+    anywhere, above the grid ceiling included; the claim fails when a grid
+    point pays more than rounding (`BAND_FLOOR_REL`) forgives.  Also reports
+    the nearest exact grid equilibrium, recomputed independently of any
+    solver.  `eq` is any profile `payoff` takes (`core.profile_value`).
     """
     profile = profile_value(eq)
-    deviations = (_deviations(spec, profile.x2, grid, 1), _deviations(spec, profile.x1, grid, 2))
+    axis = grid.axis()
     best, losses, bands = [], [], []
-    for player, (axis, column, response, response_pay) in enumerate(deviations, start=1):
+    for player, prize, rival in ((1, spec.v1, profile.x2), (2, spec.v2, profile.x1)):
+        response, response_pay = _deviation(spec, rival, axis, player)
         at = payoff(spec, profile, player)
         best.append(response)
         losses.append(max(0.0, response_pay - at))
-        scale = max(abs(response_pay), abs(at), 1.0)
-        bands.append(2.0 * _slope_bound(axis, column) * grid.h + BAND_FLOOR_REL * scale)
+        bands.append(BAND_FLOOR_REL * max(prize, abs(at), 1.0))
 
     notes = [note] if (note := getattr(spec.csf, "zero_effort_note", None)) else []
     nearest, distance = None, None

@@ -312,6 +312,17 @@ class TestVerifyCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["verification"]["passed"] is False
 
+    def test_solution_above_the_grid_ceiling_fails_its_report(self, capsys):
+        """`solve` returns efforts above this grid's ceiling (`tools/bitscan.py`
+        draw 19388); the report refutes them, where a range check once raised."""
+        code, doc = run_json(capsys, [
+            "verify", "--family", "jia-diff", "--k", "7399.610211971736",
+            "--v1", "432037.5564741736", "--v2", "438543.8394421204",
+            "--q", "0.8824038936733141", "--steps", "101"])
+        assert code == EXIT_VERIFY_FAILED
+        report = doc["verification"]
+        assert report["passed"] is False
+        assert report["profile"]["x2"] > report["grid"]["x_max"]
 
     def test_grid_beyond_the_scan_budget_is_refused_before_the_scan(self, capsys,
                                                                    monkeypatch):

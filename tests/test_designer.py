@@ -366,7 +366,7 @@ def _bits(result) -> str:
 def _held(spec, q_count=101, force=False):
     """The grid batch the designer's cache holds for `spec`: the same object
     on every call while it is held, a new one after it is replaced."""
-    return designer_mod._grid_lanes(spec.csf, spec.v1, spec.v2, spec.cost, q_count, force)
+    return designer_mod._grid_lanes(spec.with_q(0.0), q_count, force)
 
 
 class TestGridMemo:

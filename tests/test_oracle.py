@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from tiebreak import (
+    FAMILIES,
+    ContestError,
     DomainError,
     EffortProfile,
     GridSpec,
@@ -20,11 +22,17 @@ from tiebreak import (
     verify,
 )
 from tiebreak import oracle
+from tiebreak.audit import audit_family
 from tiebreak.core import MAX_COUNT, payoffs
 from tiebreak.families import RatioCsf
 
 TULLOCK = make_contest(family="jia-ratio", v1=1.0, v2=1.0, q=0.5, r=1.0, k=1)
 SHARP_RATIO = make_contest(family="jia-ratio", v1=2.0, v2=1.0, q=0.5, r=1.0, k=2)
+# `solve`'s answer for this contest lies above the ceiling of its standard grid
+# (`tools/bitscan.py` draw 19388).
+ABOVE_CEILING = make_contest(family="jia-diff", k=7399.610211971736, v1=432037.5564741736,
+                             v2=438543.8394421204, q=0.8824038936733141)
+ABOVE_CEILING_CLAIM = (986.7959775287866, 1001.6566621272046)
 
 
 class TestGridSpec:
@@ -106,6 +114,10 @@ class TestGridBestResponse:
             grid_best_response(TULLOCK, 1.5, grid)
         with pytest.raises(DomainError):
             grid_best_response(TULLOCK, -0.1, grid)
+        # `verify` reports on this claim; a lone best response still refuses it
+        with pytest.raises(DomainError, match="outside the grid range"):
+            grid_best_response(ABOVE_CEILING, ABOVE_CEILING_CLAIM[1],
+                               GridSpec.for_contest(ABOVE_CEILING, steps=101))
 
     def test_player_index_validated(self):
         with pytest.raises(ValidationError):
@@ -278,18 +290,32 @@ class TestVerify:
         assert report.nearest_nash is None and report.nash_distance is None
         assert "no exact grid equilibrium exists at this resolution" in report.notes
 
-    def test_bands_shrink_linearly_with_step(self):
-        """The acceptance band is slope-bound times step, so halving the step
-        should halve the band (within slack) while the loss stays zero."""
+    def test_band_is_the_rounding_floor_at_every_step(self):
+        """No grid point beats a true best response, so the band forgives
+        rounding alone, whatever the pitch, and the loss stays exactly 0."""
         eq = solve(TULLOCK)
-        bands = []
         for steps in (251, 501, 1001):
             report = verify(TULLOCK, eq, GridSpec(x_max=1.0, steps=steps))
             assert report.passed
-            assert max(report.payoff_losses) <= 1e-9
-            bands.append(max(report.bands))
-        assert bands[1] <= 0.6 * bands[0]
-        assert bands[2] <= 0.6 * bands[1]
+            assert report.payoff_losses == (0.0, 0.0)
+            assert report.bands == (oracle.BAND_FLOOR_REL, oracle.BAND_FLOOR_REL)
+
+    @pytest.mark.parametrize("contest, profile, steps", [
+        (dict(family="vesperoni-diff", k=6.022162110116971, v1=4.5930743098969975,
+              v2=0.6250700980082916, q=0.018592499748740332),
+         (0.6632399038831392, 0.09026011855064908), 2001),
+        (dict(family="vesperoni-diff", k=2818154.73110268, v1=225610.73794694318,
+              v2=19369.695882945667, q=0.3162147603572901), (0.0, 0.0), 101),
+    ], ids=["bitscan-6332", "bitscan-377"])
+    def test_a_grid_point_that_beats_the_claim_refutes_it(self, contest, profile, steps):
+        """Profiles that `solve` returned for two `tools/bitscan.py` draws: a grid
+        point beats each by more than 1e-3 of the player's prize, which a band
+        of 2 * slope * h forgave."""
+        spec = make_contest(**contest)
+        report = verify(spec, profile, GridSpec.for_contest(spec, steps=steps))
+        assert not report.passed
+        assert max(loss / prize for loss, prize
+                   in zip(report.payoff_losses, (spec.v1, spec.v2))) > 1e-3
 
     def test_loss_is_exact_payoff_difference(self):
         grid = GridSpec(x_max=1.0, steps=301)
@@ -303,8 +329,8 @@ class TestVerify:
         )
 
     def test_one_payoff_column_per_player(self, monkeypatch):
-        """Each player's best deviation, loss and slope band come from one
-        payoff column; the other scans are `grid_nash`'s two-dimensional blocks."""
+        """Each player's best deviation and loss come from one payoff column;
+        the other scans are `grid_nash`'s two-dimensional blocks."""
         shapes = []
 
         def counted(spec, x1, x2, outcome=None):
@@ -315,9 +341,14 @@ class TestVerify:
         verify(SHARP_RATIO, solve(SHARP_RATIO), GridSpec(x_max=2.0, steps=201))
         assert [shape for shape in shapes if len(shape) != 2] == [(201,), (201,)]
 
-    def test_rival_effort_outside_the_grid_rejected(self):
-        with pytest.raises(DomainError, match="outside the grid range"):
-            verify(TULLOCK, (0.25, 1.5), GridSpec(x_max=1.0, steps=11))
+    def test_claim_above_the_grid_ceiling_gets_a_failing_report(self):
+        """Both efforts cost more than either prize, so staying out beats them."""
+        grid = GridSpec.for_contest(ABOVE_CEILING, steps=101)
+        assert max(ABOVE_CEILING_CLAIM) > grid.x_max
+        report = verify(ABOVE_CEILING, ABOVE_CEILING_CLAIM, grid)
+        assert not report.passed
+        assert report.best_responses == (0.0, 0.0)
+        assert min(report.payoff_losses) > 6e4
 
     @pytest.mark.parametrize("spec, notes", [
         (TULLOCK, (RatioCsf.zero_effort_note,)),
@@ -333,3 +364,64 @@ class TestVerify:
         doc = report.to_json_dict()
         for key in ("profile", "payoff_losses", "bands", "passed", "nash_distance"):
             assert key in doc
+
+
+def _design_contests(family, count, seed=4118):
+    """Seeded design-scale contests of one family: prizes 0.1 to 10 at a ratio
+    up to 10 in either label order, k in [1, 10], r in [0.05, 0.95] (a
+    Vesperoni ratio family's r is divided by k; half the concave ones take
+    linear impact r = 1), and a uniform tie rule."""
+    rng = np.random.default_rng([seed, list(FAMILIES).index(family)])
+    for _ in range(count):
+        strong = math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
+        weak = strong / math.exp(rng.uniform(0.0, math.log(10.0)))
+        k, r = float(rng.uniform(1.0, 10.0)), float(rng.uniform(0.05, 0.95))
+        params = {"vesperoni-ratio": dict(r=r / k, k=k), "jia-ratio": dict(r=r, k=k),
+                  "blavatskyy-power": dict(r=r if rng.random() < 0.5 else 1.0)}
+        v1, v2 = (strong, weak) if rng.random() < 0.5 else (weak, strong)
+        yield make_contest(family, v1=v1, v2=v2, q=float(rng.random()),
+                           **params.get(family, dict(k=k)))
+
+
+def _grid_gain(spec, claim, player, axis):
+    """`player`'s best payoff on `axis` less their claimed payoff, against the
+    rival's claimed effort, from `outcome` and `cost` alone."""
+    prize, tie_share = (spec.v1, spec.q) if player == 1 else (spec.v2, 1.0 - spec.q)
+
+    def pay(own):
+        x1, x2 = (own, claim[1]) if player == 1 else (claim[0], own)
+        outcome = spec.csf.outcome(x1, x2)
+        return prize * (outcome[player - 1] + tie_share * outcome[2]) - spec.cost.cost(own)
+
+    return float(np.max(pay(axis)) - pay(claim[player - 1]))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_verify_passes_audited_solutions_and_refutes_beaten_claims(family):
+    """On seeded design-scale contests, every solution of a contest that passes
+    its audit passes `verify`.  A claim with one effort moved off it fails
+    whenever a grid point, recomputed here, beats the claim by more than the
+    rounding floor; the report's loss is that gain."""
+    passed = beaten = 0
+    for spec in _design_contests(family, 100):
+        if not audit_family(spec.csf, spec.valuations.v1).passed:
+            continue
+        try:
+            eq = solve(spec, audited=True)
+        except ContestError:
+            continue
+        grid = GridSpec.for_contest(spec, steps=101)
+        assert verify(spec, eq, grid).passed, spec
+        passed += 1
+        for claim in ((0.5 * eq.x1, eq.x2), (eq.x1, 0.5 * eq.x2 + grid.h)):
+            report = verify(spec, claim, grid)
+            for player, prize in ((1, spec.v1), (2, spec.v2)):
+                gain = _grid_gain(spec, claim, player, grid.axis())
+                floor = oracle.BAND_FLOOR_REL * max(prize, abs(payoff(spec, claim, player)), 1.0)
+                assert report.bands[player - 1] == floor
+                assert report.payoff_losses[player - 1] == pytest.approx(
+                    max(gain, 0.0), rel=1e-9, abs=floor)
+                if gain > 2.0 * floor:
+                    assert not report.passed, (spec, claim, player)
+                    beaten += 1
+    assert passed >= 10 and beaten >= passed

@@ -18,8 +18,10 @@ and warn alike exactly when their outputs are identical:
 
 The audit and verify lines carry a digest of the report's JSON with every
 float written by `float.hex`, and the lanes line a digest of the lanes; the
-`# index ...` line above them names the contest, so a mismatching draw can
-be rerun through `audit_family`, `verify` or `solve_lanes` directly.  NumPy
+verify line leads with the report's verdict, so a diff shows a verdict that
+flips apart from a report that moves.  The `# index ...` line above them
+names the contest, so a mismatching draw can be rerun through
+`audit_family`, `verify` or `solve_lanes` directly.  NumPy
 picks its float kernels by CPU; run both trees under the same
 `NPY_DISABLE_CPU_FEATURES` setting.
 """
@@ -148,7 +150,8 @@ def scan(draws: int):
             return _hex(eq.x1, eq.x2, eq.beta, *eq.residuals)
 
         def verified():
-            return _report_digest(verify(spec, solve(spec), GridSpec.for_contest(spec, steps=101)))
+            report = verify(spec, solve(spec), GridSpec.for_contest(spec, steps=101))
+            return f"{report.passed} {_report_digest(report)}"
 
         def lanes():
             return _digest(_lanes_text(solve_lanes(spec, LANE_QS, force=False, audited=False)))
