@@ -6,8 +6,8 @@ The package splits into:
 - `families`: built-in contest success functions with tie outcomes.
 - `audit`: grid certification of the regularity conditions solvers rely on.
 - `equilibrium`: `solve`, its closed-form, root-finding and Newton routes,
-  each beside its version vectorized over many tie rules (`solve_many`),
-  and the effort-gap root `solve_beta`.
+  each one body that runs one tie rule or many at once (`solve_many`), and
+  the effort-gap root `solve_beta`.
 - `oracle`: brute-force discretized-game verification, independent of the
   analytic code paths.
 - `designer`: total-effort sweeps, shape certificates, optimal and random

@@ -23,10 +23,10 @@ recorded as the witness.
 
 z_q = p + q p0 is affine in q, so each scanned quantity (z_q', z_q'', their
 combinations, |z_q''| - 1/v1, the tail gaps) is affine in q or the absolute
-value of an affine function, worst at the smallest or largest grid q: an
-audit evaluates shares once, on its grid and a ratio family's tail ladder, and
-z_q', z_q'' and p0 on those two rows only (and q = 0, 1 for the tie slope).
-Grids and tail ladders are shared read-only; `estimate_vbar` is a report's `vbar`.
+value of an affine function, worst at q = 0 or 1: those two rows decide each
+condition for every tie rule q in [0, 1].  An audit evaluates shares once, on
+its grid and a ratio family's tail ladder, and z_q', z_q'' and p0 on the two
+rows only; grids, ladders and rows are shared read-only.  `estimate_vbar` is a report's `vbar`.
 """
 from __future__ import annotations
 
@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import JsonRecord, count_value, positive_value, q_value
+from .core import JsonRecord, count_value, positive_value
 from .errors import DomainError, ValidationError
 from .families import LANES, checked_array, float_array
 
@@ -61,6 +61,11 @@ DIFF_GRID_HI = 10.0
 DEFAULT_GRID_POINTS = 2001
 
 DEFAULT_Q_GRID: tuple[float, ...] = (0.0, 0.25, 0.5, 0.75, 1.0)
+"""The tie rules a report records; its ends, q = 0 and 1, are the rows scanned."""
+
+_ENDS = (0.0, 1.0)
+_END_ROWS = np.array(_ENDS)[:, None]
+_END_ROWS.flags.writeable = False
 
 GRID_DISCLAIMER = (
     "grid evidence, not proof: conditions were checked on the recorded finite "
@@ -83,8 +88,8 @@ class ConditionRecord(JsonRecord):
     """Outcome of one audited condition.
 
     `violation` is the worst wrong-side magnitude found (0.0 when the
-    condition passed); `witness_theta` / `witness_q` (an end of the q grid)
-    locate it, tie-broken toward the smallest theta and then the smallest q.
+    condition passed); `witness_theta` / `witness_q` (0.0 or 1.0, None where
+    q plays no part) locate it, tie-broken toward the smallest theta, then q.
     Tail checks reuse the witness fields for the point that settled the limit.
     """
 
@@ -167,25 +172,18 @@ def _grid(grid, positive: bool, name: str, fewest: int, shape: str) -> np.ndarra
     return np.sort(checked_array(values, name, positive=positive))
 
 
-def _slope_rows(csf, theta_grid, q_grid):
-    """(theta, qs, ends, z_q', z_q'', z_1' - z_0', p0, tail): a reduced family's checked
-    grids, and on theta its slopes with one row per q in ends = (min qs, max qs) and
-    p0, from one share evaluation on those rows and q = 0 and 1 that a ratio family's
-    `_tail_ladder` rides along in: tail is (p, p0) there (empty for other families)."""
+def _slope_rows(csf, theta_grid):
+    """(theta, z_q', z_q'', z_1' - z_0', p0, tail): a reduced family's checked grid, and
+    on it the slopes in the rows q = 0 and 1 and p0, from one share evaluation that a
+    ratio family's `_tail_ladder` rides along in: tail is (p, p0) there, else empty."""
     ratio = csf.kind == "ratio"
     theta = _grid(theta_grid, ratio, "theta grid", 2, "a 1-d sequence with at least two points")
-    qs = DEFAULT_Q_GRID if q_grid is None else tuple(sorted(q_value(q) for q in q_grid))
-    if len(qs) == 0:
-        raise ValidationError("q grid must be nonempty")
-    ends = (qs[0], qs[-1])
-    rows = sorted({*ends, 0.0, 1.0})
     points = (np.concatenate((theta, _tail_ladder(float(theta[0]), float(theta[-1]))[2]))
               if ratio else theta)
     shares, n = csf._shares(points, LANES), theta.size
     win, _, tie = csf._triple(points, LANES, shares)
-    zp, zpp = csf._zslopes(theta, np.array(rows)[:, None], LANES, tuple(s[:n] for s in shares))
-    at = slice(None) if rows == list(ends) else [rows.index(q) for q in ends]
-    return theta, qs, ends, zp[at], zpp[at], zp[-1] - zp[0], tie[:n], (win[n:], tie[n:])
+    zp, zpp = csf._zslopes(theta, _END_ROWS, LANES, tuple(s[:n] for s in shares))
+    return theta, zp, zpp, zp[1] - zp[0], tie[:n], (win[n:], tie[n:])
 
 
 def _strict_condition(name: str, deficit: np.ndarray, theta: np.ndarray,
@@ -218,16 +216,16 @@ def _tail_ladder(theta_min: float, theta_max: float):
     return tuple(down), tuple(up), points
 
 
-def _tail_conditions(theta: np.ndarray, q_col: np.ndarray, win, tie) -> list[ConditionRecord]:
+def _tail_conditions(theta: np.ndarray, win, tie) -> list[ConditionRecord]:
     """The boundary limits of a ratio-form family, from its `_slope_rows` tail (win, tie).
 
     The ladders step by factors of 10 from min(theta_min, 1/TAIL_START) down
     and from max(theta_max, TAIL_START) up, within [1/TAIL_CAP, TAIL_CAP].
-    A gap is the worst across the tie rules in `q_col`; the witness is the
-    first point within TAIL_TOL, else the last."""
+    A gap is the worse of the rows q = 0 and 1; the witness is the first point
+    within TAIL_TOL, else the last."""
     down, up, _ = _tail_ladder(float(theta[0]), float(theta[-1]))
     n = len(down)
-    z = win + q_col * tie
+    z = win + _END_ROWS * tie
     limits = (("vanishes_at_zero", down, np.abs(z[:, :n]).max(axis=0)),
               ("saturates_at_infinity", up, np.abs(1.0 - z[:, n:]).max(axis=0)),
               ("tie_prob_vanishes_at_zero", down, np.abs(tie[:n])))
@@ -271,8 +269,8 @@ def _report(csf, conditions, second, grid: np.ndarray, qs, notes=()) -> AuditRep
         theta_max=float(grid[-1]), theta_count=int(grid.size), q_values=qs, notes=notes)
 
 
-def audit_ratio(csf, theta_grid=None, q_grid=None) -> AuditReport:
-    """Audit a ratio-form family's regularity conditions on a grid.
+def audit_ratio(csf, theta_grid=None) -> AuditReport:
+    """Audit a ratio-form family's regularity conditions on a grid, at every tie rule.
 
     Conditions: the eventual win probability is strictly increasing and
     strictly concave in theta, the rival-curvature combination
@@ -283,22 +281,22 @@ def audit_ratio(csf, theta_grid=None, q_grid=None) -> AuditReport:
     """
     if getattr(csf, "kind", None) != "ratio":
         raise ValidationError("audit_ratio requires a ratio-form family")
-    theta, qs, ends, zp, zpp, tie_slope, p0, tail = _slope_rows(csf, theta_grid, q_grid)
+    theta, zp, zpp, tie_slope, p0, tail = _slope_rows(csf, theta_grid)
 
     conditions = [
-        _strict_condition("win_prob_increasing", -zp, theta, ends),
-        _strict_condition("own_payoff_concavity", zpp, theta, ends),
+        _strict_condition("win_prob_increasing", -zp, theta, _ENDS),
+        _strict_condition("own_payoff_concavity", zpp, theta, _ENDS),
         _strict_condition(
-            "rival_payoff_concavity", -(2.0 * zp + theta[None, :] * zpp), theta, ends
+            "rival_payoff_concavity", -(2.0 * zp + theta[None, :] * zpp), theta, _ENDS
         ),
-        *_tail_conditions(theta, np.array(ends)[:, None], *tail),
+        *_tail_conditions(theta, *tail),
         _unimodality_condition(theta, p0, tie_slope, peak=1.0),
     ]
-    return _report(csf, conditions, zpp, theta, qs, (csf.zero_effort_note,))
+    return _report(csf, conditions, zpp, theta, DEFAULT_Q_GRID, (csf.zero_effort_note,))
 
 
-def audit_diff(csf, v1, theta_grid=None, q_grid=None) -> AuditReport:
-    """Audit a difference-form family's regularity conditions on a grid.
+def audit_diff(csf, v1, theta_grid=None) -> AuditReport:
+    """Audit a difference-form family's regularity conditions on a grid, at every tie rule.
 
     Conditions: the eventual win probability is strictly increasing in theta,
     its curvature stays within the prize bound (|z''| <= 1/v1, the existence
@@ -308,17 +306,17 @@ def audit_diff(csf, v1, theta_grid=None, q_grid=None) -> AuditReport:
     if getattr(csf, "kind", None) != "diff":
         raise ValidationError("audit_diff requires a difference-form family")
     v1f = positive_value(v1, "v1")
-    theta, qs, ends, zp, zpp, tie_slope, p0, _ = _slope_rows(csf, theta_grid, q_grid)
+    theta, zp, zpp, tie_slope, p0, _ = _slope_rows(csf, theta_grid)
 
     conditions = [
-        _strict_condition("win_prob_increasing", -zp, theta, ends),
+        _strict_condition("win_prob_increasing", -zp, theta, _ENDS),
         _strict_condition(
-            "curvature_within_prize_bound", np.abs(zpp) - 1.0 / v1f, theta, ends,
+            "curvature_within_prize_bound", np.abs(zpp) - 1.0 / v1f, theta, _ENDS,
             note=f"bound |z''| <= {1.0 / v1f:.6g} from prize v1 = {v1f:.6g}",
         ),
         _unimodality_condition(theta, p0, tie_slope, peak=0.0),
     ]
-    return _report(csf, conditions, zpp, theta, qs)
+    return _report(csf, conditions, zpp, theta, DEFAULT_Q_GRID)
 
 
 def audit_concave(csf, x_grid=None) -> AuditReport:
@@ -359,17 +357,17 @@ def audit_family(csf, v1=None, grid_points=None) -> AuditReport:
     return audit_concave(csf, x_grid=grid)
 
 
-def estimate_vbar(csf, theta_grid=None, q_grid=None) -> float:
+def estimate_vbar(csf, theta_grid=None) -> float:
     """Largest prize keeping the curvature condition satisfied on the grid.
 
-    Returns 1 / max |z''| over the probed (theta, q) grid, as a report's `vbar`.
+    Returns 1 / max |z''| over the probed theta grid at every tie rule, as a report's `vbar`.
     Refining the grid can only raise the observed maximum, so the estimate is
     monotone nonincreasing under refinement.
     """
     if getattr(csf, "kind", None) != "diff":
         raise ValidationError("estimate_vbar requires a difference-form family")
-    theta, qs, _, _, zpp, *_ = _slope_rows(csf, theta_grid, q_grid)
-    vbar = _report(csf, (), zpp, theta, qs).vbar
+    theta, _, zpp, *_ = _slope_rows(csf, theta_grid)
+    vbar = _report(csf, (), zpp, theta, DEFAULT_Q_GRID).vbar
     if vbar is None:
         raise DomainError(
             "eventual-win-probability curvature vanishes on the entire grid; "

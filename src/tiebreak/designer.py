@@ -80,16 +80,18 @@ class ShapeCertificate(JsonRecord):
 
 
 @dataclass(frozen=True)
-class EffortCurve:
+class EffortCurve(JsonRecord):
     """Total-effort curve R(q) with shape certificates, stored as columns of
     one entry per tie rule (betas None for concave contests); `totals`
-    R = x1 + x2, the JSON rows and the CSV derive from them."""
+    R = x1 + x2, the JSON `samples` rows and the CSV derive from them."""
 
     q_values: tuple[float, ...]
     x1: tuple[float, ...]
     x2: tuple[float, ...]
     betas: tuple[float | None, ...]
     shape: ShapeCertificate
+
+    json_keys = ("samples", "shape")
 
     def __post_init__(self) -> None:
         qs = self.q_values
@@ -106,11 +108,11 @@ class EffortCurve:
     def totals(self) -> tuple[float, ...]:
         return tuple(map(operator.add, self.x1, self.x2))
 
-    def to_json_dict(self) -> dict:
-        """One row per tie rule: a transpose of the columns, which no key list spells."""
+    @property
+    def samples(self) -> tuple[dict, ...]:
+        """One row per tie rule: a transpose of the columns."""
         rows = zip(self.q_values, self.x1, self.x2, self.totals, self.betas)
-        return {"samples": [dict(zip(("q", "x1", "x2", "R", "beta"), row)) for row in rows],
-                "shape": self.shape.to_json_dict()}
+        return tuple(dict(zip(("q", "x1", "x2", "R", "beta"), row)) for row in rows)
 
     def to_csv(self) -> str:
         lines = ["q,x1,x2,R"]
@@ -157,7 +159,7 @@ def _totals(qs, x1: np.ndarray, x2: np.ndarray, errors=None) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _q_grid(q_count: int) -> np.ndarray:
+def _q_values(q_count: int) -> np.ndarray:
     """`q_count` equally spaced tie rules on [0, 1], built once per count, read-only."""
     qs = np.linspace(0.0, 1.0, q_count)
     qs.flags.writeable = False
@@ -170,7 +172,7 @@ def _grid_lanes(spec: ContestSpec, q_count: int, force: bool):
     failing lane or total raises as `_totals` raises.  Callers pass the contest
     at q = 0, which `ContestSpec` equality compares by family, prizes and cost,
     so the cache holds the last batch that raised nothing, read-only."""
-    qs = _q_grid(q_count)
+    qs = _q_values(q_count)
     lanes = solve_lanes(spec, qs, force=force)
     totals = _totals(qs, lanes.x1, lanes.x2, lanes.errors)
     for arr in (totals, lanes.x1, lanes.x2, lanes.beta, *lanes.residuals, lanes.cornered):

@@ -47,7 +47,6 @@ All family objects are immutable after construction; every method is pure.
 from __future__ import annotations
 
 import math
-import operator
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import ClassVar
@@ -139,15 +138,15 @@ def _float_power_shares(shares, th: float, r: float):
 # The primitives each family kernel and solver step is written against once,
 # passed as the array API standard passes a namespace.  `FLOATS` runs one tie
 # rule on Python floats; `LANES` runs arrays (solver lanes, one per tie rule,
-# audit grids, checked public input) with the IEEE operations of `FLOATS` in
-# the same order, so a one-entry array gets a float's bits; a stopped solver
-# lane holds its values through `select(c, a, b)`, which is a where c holds and
-# b elsewhere, entry by entry for tuples.  `live(c)` is whether c holds anywhere;
-# `power(xs, p)` raises each of xs to p, floats in one NumPy call; `exp` is
-# math's for floats, `np_exp` NumPy's for both; `log(0.0)` is -inf;
-# `over_square(c, t)` is c / (t * t) for c > 0, inf where the square is 0;
-# `fmin(1.0, u)` is 1 where u is nan; and `power_shares(shares, th, r)` is
-# shares(th^r).  These three never warn.
+# audit grids, checked public input) with the IEEE operations of `FLOATS` in the
+# same order, so a one-entry array gets a float's bits; a stopped solver lane
+# holds its values through `select(c, a, b)`, which is a where c holds and b
+# elsewhere, entry by entry for tuples.  `live(c)` is whether c holds anywhere,
+# as a bool (a count beats NumPy's `any`); `power(xs, p)` raises each of xs to
+# p, floats in one NumPy call; `exp` is math's for floats, `np_exp` NumPy's for
+# both; `log(0.0)` is -inf; `over_square(c, t)` is c / (t * t) for c > 0, inf
+# where the square is 0; `fmin(1.0, u)` is 1 where u is nan; and
+# `power_shares(shares, th, r)` is shares(th^r).  These three never warn.
 Ops = namedtuple("Ops", "select live sqrt exp log logaddexp power np_exp over_square fmin "
                         "power_shares")
 FLOATS = Ops(lambda c, a, b: a if c else b, bool, math.sqrt, math.exp,
@@ -155,7 +154,7 @@ FLOATS = Ops(lambda c, a, b: a if c else b, bool, math.sqrt, math.exp,
              lambda xs, p: np.power(xs, p).tolist(),  # a NumPy scalar's tolist is slow
              lambda x: float(np.exp(x)), lambda c, t: c / s if (s := t * t) else math.inf, min,
              _float_power_shares)
-LANES = Ops(np.where, operator.methodcaller("any"), np.sqrt, np.exp, np.log, np.logaddexp,
+LANES = Ops(np.where, lambda c: bool(np.count_nonzero(c)), np.sqrt, np.exp, np.log, np.logaddexp,
             lambda xs, p: [np.power(x, p) for x in xs],  # one call each: no stacking copy
             np.exp, _quiet_over_square, np.fmin, _quiet_power_shares)
 

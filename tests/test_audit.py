@@ -246,15 +246,14 @@ class TestCurvatureBoundEstimate:
             estimate_vbar(make_family("jia-ratio", r=1.0, k=2))
 
     @pytest.mark.parametrize("family", ["jia-diff", "vesperoni-diff"])
-    @pytest.mark.parametrize("q_grid", [None, (0.3, 0.8)])
-    def test_flat_curvature_on_a_custom_grid_has_no_bound(self, family, q_grid):
+    def test_flat_curvature_on_a_custom_grid_has_no_bound(self, family):
         # the tieless logistic's curvature is zero at theta = 0: the report
         # has no vbar, and the estimate raises
         csf = make_family(family, k=1)
-        assert audit_diff(csf, 1.0, theta_grid=[0.0, 0.0], q_grid=q_grid).vbar is None
+        assert audit_diff(csf, 1.0, theta_grid=[0.0, 0.0]).vbar is None
         with pytest.raises(DomainError, match="^eventual-win-probability curvature vanishes on "
                                               "the entire grid; the prize bound is unbounded$"):
-            estimate_vbar(csf, theta_grid=[0.0, 0.0], q_grid=q_grid)
+            estimate_vbar(csf, theta_grid=[0.0, 0.0])
 
 
 class TestConcaveAudit:
@@ -317,12 +316,12 @@ class TestGridHelpers:
 
 
 # Recorded reports; the cases cover all five families, failing audits with
-# witnesses, custom q grids without 0 and 1, unsorted theta grids, other
-# resolutions, overflowing shares and rejected inputs.  NumPy's AVX-512
-# kernels for float64 exp, log and power round some last bits differently
-# from its other kernels, so each case holds the result under AVX-512
-# dispatch ("report" or "error") and, where it differs, the result without
-# it ("without_avx512"); a host is compared exactly with its own target's.
+# witnesses, unsorted theta grids, other resolutions, overflowing shares and
+# rejected inputs.  NumPy's AVX-512 kernels for float64 exp, log and power
+# round some last bits differently from its other kernels, so each case holds
+# the result under AVX-512 dispatch ("report" or "error") and, where it
+# differs, the result without it ("without_avx512"); a host is compared
+# exactly with its own target's.
 AUDIT_RECORDS = Path(__file__).parent / "data" / "audit_parent.json"
 PARENT_AUDITS = json.loads(AUDIT_RECORDS.read_text())["cases"]
 
@@ -385,30 +384,25 @@ def main() -> None:
     AUDIT_RECORDS.write_text(json.dumps(doc, indent=1))
 
 
-# z_q is affine in q, so the audits form z_q' and z_q'' on the smallest and
-# largest q of the grid only, from one share evaluation that a ratio family's
-# tail ladder rides along in.  The reference below rebuilds the table the
-# audits used before, `_zslopes` on every q row, p0 from `_triple` and the
-# ladder's win and tie probabilities from an evaluation of their own; for
-# k > 1 the reports must not move by a bit.
+# z_q is affine in q, so the audits form z_q' and z_q'' on the rows q = 0 and
+# 1 only, from one share evaluation that a ratio family's tail ladder rides
+# along in.  The reference below scans every row of the report's q grid
+# instead, `_zslopes` on each, p0 from `_triple` and the ladder's win and tie
+# probabilities from an evaluation of their own; for k > 1 the reports must
+# not move by a bit.
 _checked_slope_rows = audit_mod._slope_rows
+EVERY_ROW = audit_mod.DEFAULT_Q_GRID
 
 
-def _every_row_slope_rows(csf, theta_grid, q_grid):
-    theta, qs, *_ = _checked_slope_rows(csf, theta_grid, q_grid)
-    rows = sorted({*qs, 0.0, 1.0})
-    zp, zpp = csf._zslopes(theta, np.array(rows)[:, None], LANES)
-    at = [rows.index(q) for q in qs]
+def _every_row_slope_rows(csf, theta_grid):
+    theta, *_ = _checked_slope_rows(csf, theta_grid)
+    zp, zpp = csf._zslopes(theta, np.array(EVERY_ROW)[:, None], LANES)
     tail = None
     if csf.kind == "ratio":
         win, _, tie = csf._triple(audit_mod._tail_ladder(float(theta[0]), float(theta[-1]))[2],
                                   LANES)
         tail = win, tie
-    return theta, qs, qs, zp[at], zpp[at], zp[-1] - zp[0], csf._triple(theta, LANES)[2], tail
-
-
-REFERENCE_Q_GRIDS = [None, (0.2, 0.7), (0.0, 0.3, 0.9), (0.1, 0.6, 1.0), (0.35,),
-                     (0.05, 0.25, 0.5, 0.75, 0.95)]
+    return theta, zp, zpp, zp[-1] - zp[0], csf._triple(theta, LANES)[2], tail
 
 
 def _reference_audits(seed: int = 21, count: int = 160):
@@ -417,7 +411,7 @@ def _reference_audits(seed: int = 21, count: int = 160):
     for i in range(count):
         name = ("vesperoni-ratio", "jia-ratio", "vesperoni-diff", "jia-diff")[i % 4]
         k = float(10.0 ** rng.uniform(math.log10(1.5), 3.0))
-        kwargs = {"q_grid": REFERENCE_Q_GRIDS[(i // 4) % len(REFERENCE_Q_GRIDS)]}
+        kwargs = {}
         if i % 3 == 2:
             lo, hi = (10.0 ** rng.uniform(-5, -1), 10.0 ** rng.uniform(1, 5)) if name.endswith(
                 "ratio") else (rng.uniform(-30, -1), rng.uniform(1, 30))
@@ -449,7 +443,7 @@ def test_estimate_vbar_is_the_report_bound_bit_for_bit():
     (estimate_vbar, "jia-diff", {"k": 2.0}),
 ])
 def test_an_audit_evaluates_the_family_once(monkeypatch, audit, family, params):
-    """One share evaluation covers the grid, its q rows and a ratio family's
+    """One share evaluation covers the grid, its two q rows and a ratio family's
     tail ladder: `_shares` runs once, and so does the one power or exponential
     every evaluation of a family's shares goes through."""
     csf = make_family(family, **params)
@@ -474,6 +468,8 @@ def test_audits_equal_the_every_row_table_for_k_above_one(monkeypatch):
     cases = list(_reference_audits())
     got = [audit(*args, **kwargs) for audit, args, kwargs in cases]
     monkeypatch.setattr(audit_mod, "_slope_rows", _every_row_slope_rows)
+    monkeypatch.setattr(audit_mod, "_ENDS", EVERY_ROW)
+    monkeypatch.setattr(audit_mod, "_END_ROWS", np.array(EVERY_ROW)[:, None])
     want = [audit(*args, **kwargs) for audit, args, kwargs in cases]
     witnesses = 0
     for (audit, args, kwargs), g, w in zip(cases, got, want):
@@ -482,7 +478,7 @@ def test_audits_equal_the_every_row_table_for_k_above_one(monkeypatch):
             continue
         assert g.to_json_dict() == w.to_json_dict(), (args, kwargs)
         witnesses += sum(c.witness_q is not None for c in g.conditions)
-    # failing audits whose witnesses sit at either end of the q grid
+    # failing audits whose witnesses sit on the row q = 0 or 1
     assert witnesses >= 40
 
 
@@ -491,16 +487,15 @@ def test_audits_equal_the_every_row_table_for_k_above_one(monkeypatch):
     ("vesperoni-diff", {"k": 1.0}, (20.0,), "curvature_within_prize_bound"),
     ("vesperoni-ratio", {"r": 2.0, "k": 1.0}, (), "own_payoff_concavity"),
 ])
-@pytest.mark.parametrize("q_grid", [None, (0.3, 0.6, 0.8)])
 def test_q_free_families_take_the_smallest_grid_q_as_witness(family, params, audit_args,
-                                                             condition, q_grid):
-    # at k = 1 z_q does not depend on q: every row of the table is the same
-    # function, so the worst value ties across q and resolves to the smallest
+                                                             condition):
+    # at k = 1 z_q does not depend on q: both rows are the same function, so
+    # the worst value ties across q and resolves to the smaller, q = 0
     csf = make_family(family, **params)
     audit = audit_ratio if family.endswith("ratio") else audit_diff
-    record = audit(csf, *audit_args, q_grid=q_grid).condition(condition)
+    record = audit(csf, *audit_args).condition(condition)
     assert not record.passed
-    assert record.witness_q == (0.0 if q_grid is None else q_grid[0])
+    assert record.witness_q == 0.0
 
 
 @pytest.mark.parametrize("family, params", [
@@ -515,17 +510,15 @@ def test_slope_rows_equal_the_kernels_bit_for_bit(family, params):
     the ladder alone, overflowing grids included."""
     csf = make_family(family, **params)
     ratio = family.endswith("ratio")
-    qs, rows = (0.1, 0.5), np.array([0.0, 0.1, 0.5, 1.0])[:, None]
     grids = [default_ratio_grid(), np.geomspace(1e-300, 1e300, 301)] if ratio else [
         default_diff_grid(), np.linspace(-700.0, 700.0, 301), np.linspace(0.0, 40.0, 101)]
     with np.errstate(all="ignore"):
         for theta in grids:
-            _, _, ends, zp, zpp, tie_slope, p0, tail = audit_mod._slope_rows(csf, theta, qs)
-            want_zp, want_zpp = csf._zslopes(theta, rows, LANES)
-            assert ends == qs
-            assert np.array_equal(zp, want_zp[1:3], equal_nan=True)
-            assert np.array_equal(zpp, want_zpp[1:3], equal_nan=True)
-            assert np.array_equal(tie_slope, want_zp[3] - want_zp[0], equal_nan=True)
+            _, zp, zpp, tie_slope, p0, tail = audit_mod._slope_rows(csf, theta)
+            want = [csf._zslopes(theta, q, LANES) for q in (0.0, 1.0)]
+            assert np.array_equal(zp, [slopes[0] for slopes in want], equal_nan=True)
+            assert np.array_equal(zpp, [slopes[1] for slopes in want], equal_nan=True)
+            assert np.array_equal(tie_slope, want[1][0] - want[0][0], equal_nan=True)
             assert np.array_equal(p0, csf._triple(theta, LANES)[2], equal_nan=True)
             if not ratio:
                 assert [share.size for share in tail] == [0, 0]

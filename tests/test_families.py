@@ -444,6 +444,18 @@ def test_float_kernels_match_the_lane_kernels_bit_for_bit(family, params, q):
                 theta, got, ref)
 
 
+@pytest.mark.parametrize("mask, holds", [
+    (np.zeros(101, dtype=bool), False),
+    (np.arange(101) == 50, True),
+    (np.ones((2, 3), dtype=bool), True),
+])
+def test_lane_live_is_a_builtin_bool(mask, holds):
+    """`LANES.live` returns a builtin bool, as `FLOATS.live` does, so that
+    `live(c) and ...` in a solver step is a bool on either instance."""
+    got = LANES.live(mask)
+    assert type(got) is bool and got is holds
+
+
 @pytest.mark.parametrize("case", ALL_REDUCED, ids=case_id)
 def test_tie_slopes_evaluate_the_shares_once(monkeypatch, case):
     """p0' and p0'' take both tie rules' slopes from one share evaluation,

@@ -6,12 +6,12 @@ couples to internals that may change without notice.  Names read off other
 objects, such as a family's kernels `csf._zp`, are not module reads.
 
 Result records also share one serializer: only `core.JsonRecord` writes a
-`to_json_dict`, apart from `EffortCurve`, whose JSON rows transpose its columns.
-And the solver routes stay label-free: only the `solve` and `solve_lanes`
-epilogues map results back to the caller's player labels.  Each family kind
-has one route, run by both entry points on one tie rule or on lanes, and each
-solver step the routes reach is one body, with no lane twin and no dispatch
-on the type of its arguments; nor do the family kernels the routes call.
+`to_json_dict`.  And the solver routes stay label-free: only the `solve` and
+`solve_lanes` epilogues map results back to the caller's player labels.  Each
+family kind has one route, run by both entry points on one tie rule or on
+lanes, and each solver step the routes reach is one body, with no lane twin
+and no dispatch on the type of its arguments; nor do the family kernels the
+routes call.
 Each kind of input value has one check: a scalar in `core` (a finite real,
 a positive magnitude, a sample count) and an array in `families.checked_array`;
 no other function tests finiteness or integer types by hand.  And each game
@@ -153,7 +153,7 @@ def test_guard_sees_hand_written_value_checks():
         "grid", "grid.Grid.__post_init__", "grid.checked", "grid.count"]
 
 
-SERIALIZERS = {"JsonRecord", "EffortCurve"}
+SERIALIZERS = {"JsonRecord"}
 
 
 def serializers(source: str) -> list[str]:
