@@ -498,6 +498,70 @@ def test_q_free_families_take_the_smallest_grid_q_as_witness(family, params, aud
     assert record.witness_q == 0.0
 
 
+EVERY_Q = np.linspace(0.0, 1.0, 41)[:, None]
+
+
+def _fine_q_deficits(csf, theta, v1):
+    """Each strict slope condition's deficit on every row of EVERY_Q, from the kernels."""
+    zp, zpp = csf._zslopes(theta, EVERY_Q, LANES)
+    if v1 is None:
+        return {"win_prob_increasing": -zp, "own_payoff_concavity": zpp,
+                "rival_payoff_concavity": -(2.0 * zp + theta * zpp)}
+    return {"win_prob_increasing": -zp, "curvature_within_prize_bound": np.abs(zpp) - 1.0 / v1}
+
+
+@pytest.mark.parametrize("family, params, v1", [
+    ("vesperoni-ratio", {"r": 0.5, "k": 2.0}, None),
+    ("vesperoni-ratio", {"r": 0.25, "k": 3.0}, None),
+    ("vesperoni-ratio", {"r": 2.0, "k": 3.0}, None),
+    ("vesperoni-ratio", {"r": 1.5, "k": 40.0}, None),
+    ("jia-ratio", {"r": 0.5, "k": 2.0}, None),
+    ("jia-ratio", {"r": 0.8, "k": 3.0}, None),
+    ("jia-ratio", {"r": 2.0, "k": 5.0}, None),
+    ("vesperoni-diff", {"k": 2.0}, 0.5),
+    ("vesperoni-diff", {"k": 2.5}, 10.0),
+    ("vesperoni-diff", {"k": 30.0}, 2.0),
+    ("jia-diff", {"k": 2.0}, 0.5),
+    ("jia-diff", {"k": 2.0}, 20.0),
+    ("jia-diff", {"k": 5.0}, 3.0),
+], ids=str)
+def test_an_audit_speaks_for_every_tie_rule(family, params, v1):
+    """z_q is affine in q, so the rows q = 0 and 1 decide each condition for
+    every tie rule in [0, 1]: on a fine q grid a passed condition holds at
+    every row, and a failed one is worst by its recorded violation, witnessed
+    on the row q = 0 or 1.  Tail gaps at the settling probe behave alike."""
+    csf = make_family(family, **params)
+    report = audit_ratio(csf) if v1 is None else audit_diff(csf, v1)
+    assert report.q_values == audit_mod.DEFAULT_Q_GRID
+    theta = default_ratio_grid() if v1 is None else default_diff_grid()
+    for name, deficit in _fine_q_deficits(csf, theta, v1).items():
+        record, worst = report.condition(name), float(deficit.max())
+        if record.passed:
+            assert worst <= audit_mod.STRICT_SLACK, name
+        else:
+            assert record.witness_q in (0.0, 1.0), record
+            assert worst == pytest.approx(record.violation, rel=1e-9, abs=1e-15), name
+    if v1 is None:
+        for name, gap in (("vanishes_at_zero", np.abs),
+                          ("saturates_at_infinity", lambda z: np.abs(1.0 - z))):
+            record = report.condition(name)
+            win, _, tie = csf._triple(np.array([record.witness_theta]), LANES)
+            worst = float(gap(win + EVERY_Q * tie).max())
+            assert (worst <= TAIL_TOL) is record.passed, name
+            assert record.passed or worst == pytest.approx(record.violation, rel=1e-9), name
+
+
+@pytest.mark.parametrize("audit, args", [
+    (audit_ratio, ()), (audit_diff, (1.0,)), (estimate_vbar, ()),
+], ids=lambda value: getattr(value, "__name__", str(value)))
+def test_audits_take_no_q_grid(audit, args):
+    # every audit certifies every tie rule: no keyword narrows it to a sub-range
+    csf = make_family("jia-ratio", r=1.0, k=2.0) if audit is audit_ratio else make_family(
+        "jia-diff", k=2.0)
+    with pytest.raises(TypeError, match="q_grid"):
+        audit(csf, *args, q_grid=(0.0, 1.0))
+
+
 @pytest.mark.parametrize("family, params", [
     ("vesperoni-ratio", {"r": 0.3, "k": 2.0}), ("vesperoni-ratio", {"r": 2.0, "k": 1.0}),
     ("jia-ratio", {"r": 0.8, "k": 3.0}), ("jia-ratio", {"r": 88.95, "k": 2.72e6}),
