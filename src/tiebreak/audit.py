@@ -7,7 +7,9 @@ These quantify over every theta, which no finite computation can certify, so
 this module scans dense grids instead and reports the worst violation found
 together with a witness point.  A passing report therefore means "no
 violation found on the probed grid", never a proof; every report carries the
-disclaimer string and the grid it probed.
+disclaimer string and the grid it probed.  The grid's range is its kind's
+(ratio-form and concave [1e-3, 1e3], difference-form [-10, 10]); a caller
+sets only its count, `grid_points`.
 
 Strict inequalities are tested with slack: a value on the wrong side of zero
 by at most `STRICT_SLACK` still passes, so exact-zero points (e.g. the tie
@@ -16,37 +18,38 @@ noise.  The peak point itself is exempt from the unimodality inequalities.
 
 Boundary limits (eventual win probability approaching 0 and 1, tie
 probability vanishing) cannot sit on a fixed grid edge for every parameter
-choice, so tail checks evaluate a ladder of points stepping outward by
-factors of 10, up to `TAIL_CAP`, and take the first that meets the limit
-within `TAIL_TOL`; that point (or the last one probed, on failure) is
-recorded as the witness.
+choice, so tail checks evaluate a ladder of points stepping outward from the
+ratio grid's ends by factors of 10, up to `TAIL_CAP`, and take the first that
+meets the limit within `TAIL_TOL`; that point (or the last one probed, on
+failure) is recorded as the witness.
 
 z_q = p + q p0 is affine in q, so each scanned quantity (z_q', z_q'', their
 combinations, |z_q''| - 1/v1, the tail gaps) is affine in q or the absolute
 value of an affine function, worst at q = 0 or 1: those two rows decide each
 condition for every tie rule q in [0, 1].  An audit evaluates shares once, on
 its grid and a ratio family's tail ladder, and z_q', z_q'' and p0 on the two
-rows only; grids, ladders and rows are shared read-only.  `estimate_vbar` is a report's `vbar`.
+rows only; grids (one per kind and count), the ladder and the rows are shared
+read-only.  `estimate_vbar` is a default report's `vbar`.
 """
 from __future__ import annotations
 
 import functools
+import itertools
+import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import JsonRecord, count_value, positive_value
 from .errors import DomainError, ValidationError
-from .families import LANES, checked_array, float_array
+from .families import LANES
 
 STRICT_SLACK = 1e-12
 """Wrong-side tolerance for strict grid inequalities."""
 
 TAIL_TOL = 1e-3
 """Acceptance tolerance for boundary-limit checks."""
-
-TAIL_START = 1e3
-"""Smallest magnitude at which tail checks begin probing."""
 
 TAIL_CAP = 1e12
 """Largest magnitude a tail check will probe."""
@@ -60,12 +63,17 @@ DIFF_GRID_LO = -10.0
 DIFF_GRID_HI = 10.0
 DEFAULT_GRID_POINTS = 2001
 
-DEFAULT_Q_GRID: tuple[float, ...] = (0.0, 0.25, 0.5, 0.75, 1.0)
-"""The tie rules a report records; its ends, q = 0 and 1, are the rows scanned."""
-
 _ENDS = (0.0, 1.0)
 _END_ROWS = np.array(_ENDS)[:, None]
 _END_ROWS.flags.writeable = False
+
+# Tail probes stepping by factors of 10 from every ratio grid's ends out to 1/TAIL_CAP
+# and TAIL_CAP; the share evaluation reads both ladders in one array.
+_STEPS = [10.0] * round(math.log10(TAIL_CAP / RATIO_GRID_HI))
+_TAIL_DOWN = tuple(itertools.accumulate(_STEPS, operator.truediv, initial=RATIO_GRID_LO))
+_TAIL_UP = tuple(itertools.accumulate(_STEPS, operator.mul, initial=RATIO_GRID_HI))
+_TAIL_POINTS = np.array(_TAIL_DOWN + _TAIL_UP)
+_TAIL_POINTS.flags.writeable = False
 
 GRID_DISCLAIMER = (
     "grid evidence, not proof: conditions were checked on the recorded finite "
@@ -74,13 +82,13 @@ GRID_DISCLAIMER = (
 
 
 def default_ratio_grid(points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
-    """Log-spaced theta grid covering both tails of a ratio-form contest."""
-    return np.geomspace(RATIO_GRID_LO, RATIO_GRID_HI, points)
+    """Log-spaced theta grid covering both tails of a ratio-form contest; `points` >= 2."""
+    return np.geomspace(RATIO_GRID_LO, RATIO_GRID_HI, count_value(points, "grid points"))
 
 
 def default_diff_grid(points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
-    """Linear theta grid covering both tails of a difference-form contest."""
-    return np.linspace(DIFF_GRID_LO, DIFF_GRID_HI, points)
+    """Linear theta grid covering both tails of a difference-form contest; `points` >= 2."""
+    return np.linspace(DIFF_GRID_LO, DIFF_GRID_HI, count_value(points, "grid points"))
 
 
 @dataclass(frozen=True)
@@ -119,12 +127,11 @@ class AuditReport(JsonRecord):
     theta_min: float
     theta_max: float
     theta_count: int
-    q_values: tuple[float, ...]
     disclaimer: str = GRID_DISCLAIMER
     notes: tuple[str, ...] = field(default=())
 
     json_keys = ("family", "params", "kind", "passed", "conditions", "m", "M", "vbar",
-                 ("grid", ("theta_min", "theta_max", "theta_count", "q_values")),
+                 ("grid", ("theta_min", "theta_max", "theta_count")),
                  "disclaimer", "notes")
 
     def __post_init__(self) -> None:
@@ -153,37 +160,26 @@ class AuditReport(JsonRecord):
         raise KeyError(name)
 
 
-@functools.cache
-def _shared_grid(positive: bool) -> np.ndarray:
-    """The default ratio (positive) or difference grid, built once, read-only."""
-    grid = default_ratio_grid() if positive else default_diff_grid()
+@functools.lru_cache(maxsize=4)
+def _kind_grid(positive: bool, points: int) -> np.ndarray:
+    """A kind's audit grid at a count the caller checked (the cache keys 2.0 as 2):
+    `default_ratio_grid` for ratio-form and concave families (`positive`), else
+    `default_diff_grid`; built once per count, read-only."""
+    grid = default_ratio_grid(points) if positive else default_diff_grid(points)
     grid.flags.writeable = False
     return grid
 
 
-def _grid(grid, positive: bool, name: str, fewest: int, shape: str) -> np.ndarray:
-    """`_shared_grid(positive)` if `grid` is None, else `grid` sorted, checked 1-d with
-    `fewest` points or more (else "`name` must be `shape`"), finite, and > 0 if `positive`."""
-    if grid is None:
-        return _shared_grid(positive)
-    values = float_array(grid, name)
-    if values.ndim != 1 or values.size < fewest:
-        raise ValidationError(f"{name} must be {shape}")
-    return np.sort(checked_array(values, name, positive=positive))
-
-
-def _slope_rows(csf, theta_grid):
-    """(theta, z_q', z_q'', z_1' - z_0', p0, tail): a reduced family's checked grid, and
-    on it the slopes in the rows q = 0 and 1 and p0, from one share evaluation that a
-    ratio family's `_tail_ladder` rides along in: tail is (p, p0) there, else empty."""
+def _slope_rows(csf, theta):
+    """(z_q', z_q'', z_1' - z_0', p0, tail) on a reduced family's ascending grid `theta`:
+    the slopes in the rows q = 0 and 1 and p0, from one share evaluation that a ratio
+    family's tail ladder rides along in: tail is (p, p0) there, else empty."""
     ratio = csf.kind == "ratio"
-    theta = _grid(theta_grid, ratio, "theta grid", 2, "a 1-d sequence with at least two points")
-    points = (np.concatenate((theta, _tail_ladder(float(theta[0]), float(theta[-1]))[2]))
-              if ratio else theta)
+    points = np.concatenate((theta, _TAIL_POINTS)) if ratio else theta
     shares, n = csf._shares(points, LANES), theta.size
     win, _, tie = csf._triple(points, LANES, shares)
     zp, zpp = csf._zslopes(theta, _END_ROWS, LANES, tuple(s[:n] for s in shares))
-    return theta, zp, zpp, zp[1] - zp[0], tie[:n], (win[n:], tie[n:])
+    return zp, zpp, zp[1] - zp[0], tie[:n], (win[n:], tie[n:])
 
 
 def _strict_condition(name: str, deficit: np.ndarray, theta: np.ndarray,
@@ -203,32 +199,15 @@ def _strict_condition(name: str, deficit: np.ndarray, theta: np.ndarray,
     )
 
 
-@functools.lru_cache(maxsize=16)
-def _tail_ladder(theta_min: float, theta_max: float):
-    """A grid's tail probe points as (down, up, both in one read-only array)."""
-    down, up = [min(theta_min, 1.0 / TAIL_START)], [max(theta_max, TAIL_START)]
-    while down[-1] / 10.0 >= 1.0 / TAIL_CAP:
-        down.append(down[-1] / 10.0)
-    while up[-1] * 10.0 <= TAIL_CAP:
-        up.append(up[-1] * 10.0)
-    points = np.array(down + up)
-    points.flags.writeable = False
-    return tuple(down), tuple(up), points
-
-
-def _tail_conditions(theta: np.ndarray, win, tie) -> list[ConditionRecord]:
-    """The boundary limits of a ratio-form family, from its `_slope_rows` tail (win, tie).
-
-    The ladders step by factors of 10 from min(theta_min, 1/TAIL_START) down
-    and from max(theta_max, TAIL_START) up, within [1/TAIL_CAP, TAIL_CAP].
-    A gap is the worse of the rows q = 0 and 1; the witness is the first point
-    within TAIL_TOL, else the last."""
-    down, up, _ = _tail_ladder(float(theta[0]), float(theta[-1]))
-    n = len(down)
+def _tail_conditions(win, tie) -> list[ConditionRecord]:
+    """The boundary limits of a ratio-form family, from its `_slope_rows` tail (win, tie)
+    on `_TAIL_DOWN` and `_TAIL_UP`.  A gap is the worse of the rows q = 0 and 1; the
+    witness is the first point within TAIL_TOL, else the last."""
+    n = len(_TAIL_DOWN)
     z = win + _END_ROWS * tie
-    limits = (("vanishes_at_zero", down, np.abs(z[:, :n]).max(axis=0)),
-              ("saturates_at_infinity", up, np.abs(1.0 - z[:, n:]).max(axis=0)),
-              ("tie_prob_vanishes_at_zero", down, np.abs(tie[:n])))
+    limits = (("vanishes_at_zero", _TAIL_DOWN, np.abs(z[:, :n]).max(axis=0)),
+              ("saturates_at_infinity", _TAIL_UP, np.abs(1.0 - z[:, n:]).max(axis=0)),
+              ("tie_prob_vanishes_at_zero", _TAIL_DOWN, np.abs(tie[:n])))
     records = []
     for name, probes, gaps in limits:
         gaps = gaps.tolist()  # a few probes: plain floats beat array calls
@@ -260,17 +239,18 @@ def _unimodality_condition(theta: np.ndarray, p0: np.ndarray, slope: np.ndarray,
                              note=f"peak checked at theta = {peak}")
 
 
-def _report(csf, conditions, second, grid: np.ndarray, qs, notes=()) -> AuditReport:
+def _report(csf, conditions, second, grid: np.ndarray, notes=()) -> AuditReport:
     """A family's report: its conditions, m and M the extremes of the second
     derivative `second`, and the grid it probed."""
     return AuditReport(
         family=csf.name, params=dict(csf.params), kind=csf.kind, conditions=tuple(conditions),
         m=float(second.min()), M=float(second.max()), theta_min=float(grid[0]),
-        theta_max=float(grid[-1]), theta_count=int(grid.size), q_values=qs, notes=notes)
+        theta_max=float(grid[-1]), theta_count=int(grid.size), notes=notes)
 
 
-def audit_ratio(csf, theta_grid=None) -> AuditReport:
-    """Audit a ratio-form family's regularity conditions on a grid, at every tie rule.
+def audit_ratio(csf, grid_points: int = DEFAULT_GRID_POINTS) -> AuditReport:
+    """Audit a ratio-form family's regularity conditions at every tie rule, on the
+    theta grid `default_ratio_grid(grid_points)`; refine it by raising `grid_points`.
 
     Conditions: the eventual win probability is strictly increasing and
     strictly concave in theta, the rival-curvature combination
@@ -281,7 +261,8 @@ def audit_ratio(csf, theta_grid=None) -> AuditReport:
     """
     if getattr(csf, "kind", None) != "ratio":
         raise ValidationError("audit_ratio requires a ratio-form family")
-    theta, zp, zpp, tie_slope, p0, tail = _slope_rows(csf, theta_grid)
+    theta = _kind_grid(True, count_value(grid_points, "grid points"))
+    zp, zpp, tie_slope, p0, tail = _slope_rows(csf, theta)
 
     conditions = [
         _strict_condition("win_prob_increasing", -zp, theta, _ENDS),
@@ -289,14 +270,15 @@ def audit_ratio(csf, theta_grid=None) -> AuditReport:
         _strict_condition(
             "rival_payoff_concavity", -(2.0 * zp + theta[None, :] * zpp), theta, _ENDS
         ),
-        *_tail_conditions(theta, *tail),
+        *_tail_conditions(*tail),
         _unimodality_condition(theta, p0, tie_slope, peak=1.0),
     ]
-    return _report(csf, conditions, zpp, theta, DEFAULT_Q_GRID, (csf.zero_effort_note,))
+    return _report(csf, conditions, zpp, theta, (csf.zero_effort_note,))
 
 
-def audit_diff(csf, v1, theta_grid=None) -> AuditReport:
-    """Audit a difference-form family's regularity conditions on a grid, at every tie rule.
+def audit_diff(csf, v1, grid_points: int = DEFAULT_GRID_POINTS) -> AuditReport:
+    """Audit a difference-form family's regularity conditions at every tie rule, on the
+    theta grid `default_diff_grid(grid_points)`; refine it by raising `grid_points`.
 
     Conditions: the eventual win probability is strictly increasing in theta,
     its curvature stays within the prize bound (|z''| <= 1/v1, the existence
@@ -306,7 +288,8 @@ def audit_diff(csf, v1, theta_grid=None) -> AuditReport:
     if getattr(csf, "kind", None) != "diff":
         raise ValidationError("audit_diff requires a difference-form family")
     v1f = positive_value(v1, "v1")
-    theta, zp, zpp, tie_slope, p0, _ = _slope_rows(csf, theta_grid)
+    theta = _kind_grid(False, count_value(grid_points, "grid points"))
+    zp, zpp, tie_slope, p0, _ = _slope_rows(csf, theta)
 
     conditions = [
         _strict_condition("win_prob_increasing", -zp, theta, _ENDS),
@@ -316,58 +299,58 @@ def audit_diff(csf, v1, theta_grid=None) -> AuditReport:
         ),
         _unimodality_condition(theta, p0, tie_slope, peak=0.0),
     ]
-    return _report(csf, conditions, zpp, theta, DEFAULT_Q_GRID)
+    return _report(csf, conditions, zpp, theta)
 
 
-def audit_concave(csf, x_grid=None) -> AuditReport:
-    """Audit a concave-impact family: impact strictly increasing and concave.
+def audit_concave(csf, grid_points: int = DEFAULT_GRID_POINTS) -> AuditReport:
+    """Audit a concave-impact family: impact strictly increasing and concave, on the
+    effort grid `default_ratio_grid(grid_points)`; refine it by raising `grid_points`.
 
     The report's `m` and `M` bound the impact function's second derivative
-    over the probed effort grid (there is no scalar reduction here); `vbar`
-    is None.  The q grid is irrelevant and recorded as empty.
+    over the probed effort grid (there is no scalar reduction here, and no tie
+    rule plays a part); `vbar` is None.
     """
     if getattr(csf, "kind", None) != "concave":
         raise ValidationError("audit_concave requires a concave-impact family")
-    x = _grid(x_grid, True, "effort grid", 1, "a nonempty 1-d sequence")
+    x = _kind_grid(True, count_value(grid_points, "grid points"))
     fp = csf._impact_prime(x)[None, :]
     fpp = csf._impact_double_prime(x)[None, :]
     conditions = (_strict_condition(name, deficit, x, (None,))
                   for name, deficit in (("impact_increasing", -fp), ("impact_concave", fpp)))
-    return _report(csf, conditions, fpp, x, (),
+    return _report(csf, conditions, fpp, x,
                    ("m and M bound the impact function's second derivative",))
 
 
 def audit_family(csf, v1=None, grid_points=None) -> AuditReport:
-    """Audit any family with the audit of its kind, on the default grids.
+    """Audit any family with the audit of its kind.
 
     `v1` is the larger prize, which difference-form audits need;
-    `grid_points`, an integer >= 2, overrides the resolution of the default
-    theta grid (effort grid for concave families).
+    `grid_points`, an integer >= 2 (None for `DEFAULT_GRID_POINTS`), is the
+    count of the kind's theta grid (effort grid for concave families).
     """
-    if grid_points is not None:
-        grid_points = count_value(grid_points, "grid points")
-    make = default_diff_grid if csf.kind == "diff" else default_ratio_grid
-    grid = None if grid_points in (None, DEFAULT_GRID_POINTS) else make(grid_points)
+    points = (DEFAULT_GRID_POINTS if grid_points is None  # a bad count is named before v1
+              else count_value(grid_points, "grid points"))
     if csf.kind == "ratio":
-        return audit_ratio(csf, theta_grid=grid)
+        return audit_ratio(csf, points)
     if csf.kind == "diff":
         if v1 is None:
             raise ValidationError("difference-form audits need the larger prize: give --v1")
-        return audit_diff(csf, v1, theta_grid=grid)
-    return audit_concave(csf, x_grid=grid)
+        return audit_diff(csf, v1, points)
+    return audit_concave(csf, points)
 
 
-def estimate_vbar(csf, theta_grid=None) -> float:
-    """Largest prize keeping the curvature condition satisfied on the grid.
+def estimate_vbar(csf) -> float:
+    """Largest prize keeping the curvature condition satisfied on the default grid.
 
-    Returns 1 / max |z''| over the probed theta grid at every tie rule, as a report's `vbar`.
-    Refining the grid can only raise the observed maximum, so the estimate is
-    monotone nonincreasing under refinement.
+    Returns 1 / max |z''| over `default_diff_grid()` at every tie rule, the `vbar`
+    of a default `audit_diff` report.  Refinement goes through that audit's
+    `grid_points`: a finer grid can only raise the observed maximum, so its
+    `vbar` is monotone nonincreasing under refinement.
     """
     if getattr(csf, "kind", None) != "diff":
         raise ValidationError("estimate_vbar requires a difference-form family")
-    theta, _, zpp, *_ = _slope_rows(csf, theta_grid)
-    vbar = _report(csf, (), zpp, theta, DEFAULT_Q_GRID).vbar
+    theta = _kind_grid(False, DEFAULT_GRID_POINTS)
+    vbar = _report(csf, (), _slope_rows(csf, theta)[1], theta).vbar
     if vbar is None:
         raise DomainError(
             "eventual-win-probability curvature vanishes on the entire grid; "

@@ -23,7 +23,6 @@ from tiebreak.audit import (
     DEGENERATE_TIE_TOL,
     GRID_DISCLAIMER,
     TAIL_CAP,
-    TAIL_START,
     TAIL_TOL,
     default_diff_grid,
     default_ratio_grid,
@@ -86,7 +85,6 @@ class TestRatioAudit:
         assert report.theta_min == pytest.approx(1e-3)
         assert report.theta_max == pytest.approx(1e3)
         assert report.theta_count == 2001
-        assert report.q_values == (0.0, 0.25, 0.5, 0.75, 1.0)
         assert RatioCsf.zero_effort_note in report.notes
 
     def test_curvature_range_ordered_and_no_bound_for_ratio(self):
@@ -119,7 +117,7 @@ class TestRatioAudit:
         assert doc["family"] == "jia-ratio"
         assert doc["passed"] is True
         assert len(doc["conditions"]) == len(RATIO_CONDITIONS)
-        assert doc["grid"]["theta_count"] == 2001
+        assert doc["grid"] == {"theta_min": 1e-3, "theta_max": 1e3, "theta_count": 2001}
 
 
 def _stepped_tail(evaluate, start: float, direction: str):
@@ -155,7 +153,7 @@ class TestTailLadder:
         failures = 0
         for csf in _seeded_ratio_families():
             report = audit_ratio(csf)
-            low, high = min(1e-3, 1.0 / TAIL_START), max(1e3, TAIL_START)
+            low, high = 1e-3, 1e3  # the grid's ends
             references = {
                 "vanishes_at_zero": _stepped_tail(
                     lambda pt: max(abs(csf.z(pt, q)) for q in qs), low, "down"),
@@ -204,8 +202,8 @@ class TestDiffAudit:
     def test_violation_grows_with_refinement(self):
         """A failing audit cannot be rescued by probing a finer grid."""
         csf = make_family("jia-diff", k=1)
-        coarse = audit_diff(csf, v1=20.0, theta_grid=default_diff_grid(501))
-        fine = audit_diff(csf, v1=20.0, theta_grid=default_diff_grid(4001))
+        coarse = audit_diff(csf, v1=20.0, grid_points=501)
+        fine = audit_diff(csf, v1=20.0, grid_points=4001)
         worst_coarse = coarse.condition("curvature_within_prize_bound").violation
         worst_fine = fine.condition("curvature_within_prize_bound").violation
         assert not coarse.passed and not fine.passed
@@ -237,23 +235,24 @@ class TestCurvatureBoundEstimate:
 
     def test_refinement_only_tightens_the_bound(self):
         csf = make_family("vesperoni-diff", k=2)
-        coarse = estimate_vbar(csf, theta_grid=default_diff_grid(501))
-        fine = estimate_vbar(csf, theta_grid=default_diff_grid(8001))
+        coarse = audit_diff(csf, 1.0, grid_points=501).vbar
+        fine = audit_diff(csf, 1.0, grid_points=8001).vbar
         assert fine <= coarse + 1e-15
 
     def test_rejects_wrong_family_kind(self):
         with pytest.raises(ValidationError):
             estimate_vbar(make_family("jia-ratio", r=1.0, k=2))
 
-    @pytest.mark.parametrize("family", ["jia-diff", "vesperoni-diff"])
-    def test_flat_curvature_on_a_custom_grid_has_no_bound(self, family):
-        # the tieless logistic's curvature is zero at theta = 0: the report
-        # has no vbar, and the estimate raises
-        csf = make_family(family, k=1)
-        assert audit_diff(csf, 1.0, theta_grid=[0.0, 0.0]).vbar is None
+    def test_flat_curvature_on_the_grid_has_no_bound(self):
+        # at k = 1e9 the win probability is a step at theta = 0 whose curvature
+        # underflows to zero at every grid point: the report has no vbar, and
+        # the estimate raises
+        csf = make_family("vesperoni-diff", k=1e9)
+        report = audit_diff(csf, 1.0)
+        assert report.m == report.M == 0.0 and report.vbar is None
         with pytest.raises(DomainError, match="^eventual-win-probability curvature vanishes on "
                                               "the entire grid; the prize bound is unbounded$"):
-            estimate_vbar(csf, theta_grid=[0.0, 0.0])
+            estimate_vbar(csf)
 
 
 class TestConcaveAudit:
@@ -292,14 +291,21 @@ class TestGridHelpers:
         assert diff[0] == -10.0 and diff[-1] == 10.0
         assert np.all(np.diff(ratio) > 0)
 
-    def test_grid_validation(self):
-        with pytest.raises(ValidationError):
-            audit_ratio(make_family("jia-ratio", r=1.0, k=2), theta_grid=np.array([1.0]))
-        with pytest.raises(DomainError):
-            audit_ratio(
-                make_family("jia-ratio", r=1.0, k=2),
-                theta_grid=np.array([-1.0, 1.0, 2.0]),
-            )
+    @pytest.mark.parametrize("audit, args, make", [
+        (audit_ratio, ("jia-ratio", {"r": 0.8, "k": 3.0}), default_ratio_grid),
+        (audit_diff, ("jia-diff", {"k": 2.0}, 1.0), default_diff_grid),
+        (audit_concave, ("blavatskyy-power", {"r": 0.5}), default_ratio_grid),
+    ], ids=["ratio", "diff", "concave"])
+    def test_an_audit_probes_its_kinds_grid_at_a_count(self, audit, args, make):
+        csf = make_family(args[0], **args[1])
+        for points in (2, 3, 501):
+            report = audit(csf, *args[2:], grid_points=points)
+            grid = make(points)
+            assert (report.theta_min, report.theta_max, report.theta_count) == (
+                grid[0], grid[-1], points)
+            shared = audit_mod._kind_grid(make is default_ratio_grid, points)
+            assert shared is audit_mod._kind_grid(make is default_ratio_grid, points)
+            assert not shared.flags.writeable and np.array_equal(shared, grid)
 
     def test_public_default_grids_are_fresh_and_writable(self):
         csf = make_family("jia-ratio", r=0.8, k=3)
@@ -316,12 +322,12 @@ class TestGridHelpers:
 
 
 # Recorded reports; the cases cover all five families, failing audits with
-# witnesses, unsorted theta grids, other resolutions, overflowing shares and
-# rejected inputs.  NumPy's AVX-512 kernels for float64 exp, log and power
-# round some last bits differently from its other kernels, so each case holds
-# the result under AVX-512 dispatch ("report" or "error") and, where it
-# differs, the result without it ("without_avx512"); a host is compared
-# exactly with its own target's.
+# witnesses, other resolutions, overflowing shares and rejected inputs.
+# NumPy's AVX-512 kernels for float64 exp, log and power round some last
+# bits differently from its other kernels, so each case holds the result
+# under AVX-512 dispatch ("report" or "error") and, where it differs, the
+# result without it ("without_avx512"); a host is compared exactly with its
+# own target's.
 AUDIT_RECORDS = Path(__file__).parent / "data" / "audit_parent.json"
 PARENT_AUDITS = json.loads(AUDIT_RECORDS.read_text())["cases"]
 
@@ -386,23 +392,20 @@ def main() -> None:
 
 # z_q is affine in q, so the audits form z_q' and z_q'' on the rows q = 0 and
 # 1 only, from one share evaluation that a ratio family's tail ladder rides
-# along in.  The reference below scans every row of the report's q grid
+# along in.  The reference below scans five rows q = 0, 0.25, ..., 1
 # instead, `_zslopes` on each, p0 from `_triple` and the ladder's win and tie
 # probabilities from an evaluation of their own; for k > 1 the reports must
 # not move by a bit.
-_checked_slope_rows = audit_mod._slope_rows
-EVERY_ROW = audit_mod.DEFAULT_Q_GRID
+EVERY_ROW = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
-def _every_row_slope_rows(csf, theta_grid):
-    theta, *_ = _checked_slope_rows(csf, theta_grid)
+def _every_row_slope_rows(csf, theta):
     zp, zpp = csf._zslopes(theta, np.array(EVERY_ROW)[:, None], LANES)
     tail = None
     if csf.kind == "ratio":
-        win, _, tie = csf._triple(audit_mod._tail_ladder(float(theta[0]), float(theta[-1]))[2],
-                                  LANES)
+        win, _, tie = csf._triple(audit_mod._TAIL_POINTS, LANES)
         tail = win, tie
-    return theta, zp, zpp, zp[-1] - zp[0], csf._triple(theta, LANES)[2], tail
+    return zp, zpp, zp[-1] - zp[0], csf._triple(theta, LANES)[2], tail
 
 
 def _reference_audits(seed: int = 21, count: int = 160):
@@ -411,26 +414,22 @@ def _reference_audits(seed: int = 21, count: int = 160):
     for i in range(count):
         name = ("vesperoni-ratio", "jia-ratio", "vesperoni-diff", "jia-diff")[i % 4]
         k = float(10.0 ** rng.uniform(math.log10(1.5), 3.0))
-        kwargs = {}
-        if i % 3 == 2:
-            lo, hi = (10.0 ** rng.uniform(-5, -1), 10.0 ** rng.uniform(1, 5)) if name.endswith(
-                "ratio") else (rng.uniform(-30, -1), rng.uniform(1, 30))
-            kwargs["theta_grid"] = np.linspace(lo, hi, int(rng.integers(3, 400)))
+        kwargs = {"grid_points": int(rng.integers(3, 400))} if i % 3 == 2 else {}
         if name.endswith("ratio"):
             csf = make_family(name, r=float(10.0 ** rng.uniform(-1.5, 0.6)), k=k)
             yield audit_ratio, (csf,), kwargs
         else:
             csf = make_family(name, k=k)
             yield audit_diff, (csf, float(10.0 ** rng.uniform(-1.0, 1.5))), kwargs
-            yield estimate_vbar, (csf,), kwargs
+            yield estimate_vbar, (csf,), {}
 
 
 def test_estimate_vbar_is_the_report_bound_bit_for_bit():
     pairs = 0
-    for audit, args, kwargs in _reference_audits():
+    for audit, args, _ in _reference_audits():
         if audit is audit_diff:
             csf, v1 = args
-            assert estimate_vbar(csf, **kwargs) == audit_diff(csf, v1, **kwargs).vbar, kwargs
+            assert estimate_vbar(csf) == audit_diff(csf, v1).vbar, args
             pairs += 1
     assert pairs >= 50
 
@@ -532,7 +531,6 @@ def test_an_audit_speaks_for_every_tie_rule(family, params, v1):
     on the row q = 0 or 1.  Tail gaps at the settling probe behave alike."""
     csf = make_family(family, **params)
     report = audit_ratio(csf) if v1 is None else audit_diff(csf, v1)
-    assert report.q_values == audit_mod.DEFAULT_Q_GRID
     theta = default_ratio_grid() if v1 is None else default_diff_grid()
     for name, deficit in _fine_q_deficits(csf, theta, v1).items():
         record, worst = report.condition(name), float(deficit.max())
@@ -551,15 +549,19 @@ def test_an_audit_speaks_for_every_tie_rule(family, params, v1):
             assert record.passed or worst == pytest.approx(record.violation, rel=1e-9), name
 
 
-@pytest.mark.parametrize("audit, args", [
-    (audit_ratio, ()), (audit_diff, (1.0,)), (estimate_vbar, ()),
+@pytest.mark.parametrize("audit, args, keyword", [
+    (audit_ratio, (), "q_grid"), (audit_diff, (1.0,), "q_grid"), (estimate_vbar, (), "q_grid"),
+    (audit_ratio, (), "theta_grid"), (audit_diff, (1.0,), "theta_grid"),
+    (estimate_vbar, (), "theta_grid"), (audit_concave, (), "x_grid"),
 ], ids=lambda value: getattr(value, "__name__", str(value)))
-def test_audits_take_no_q_grid(audit, args):
-    # every audit certifies every tie rule: no keyword narrows it to a sub-range
-    csf = make_family("jia-ratio", r=1.0, k=2.0) if audit is audit_ratio else make_family(
-        "jia-diff", k=2.0)
-    with pytest.raises(TypeError, match="q_grid"):
-        audit(csf, *args, q_grid=(0.0, 1.0))
+def test_audits_take_no_custom_grid(audit, args, keyword):
+    # every audit certifies every tie rule on its kind's whole window: no
+    # keyword narrows it to a sub-range of q or theta, or of effort
+    csf = {audit_ratio: make_family("jia-ratio", r=1.0, k=2.0),
+           audit_concave: make_family("blavatskyy-power", r=0.5)}.get(
+        audit, make_family("jia-diff", k=2.0))
+    with pytest.raises(TypeError, match=keyword):
+        audit(csf, *args, **{keyword: (0.5, 1.0)})
 
 
 @pytest.mark.parametrize("family, params", [
@@ -570,15 +572,15 @@ def test_audits_take_no_q_grid(audit, args):
 ])
 def test_slope_rows_equal_the_kernels_bit_for_bit(family, params):
     """The one share evaluation of `_slope_rows`, on the grid with a ratio
-    family's tail ladder appended, gives each kernel's bits on the grid and
-    the ladder alone, overflowing grids included."""
+    family's constant tail ladder appended, gives each kernel's bits on the
+    grid and the ladder alone, overflowing grids included."""
     csf = make_family(family, **params)
     ratio = family.endswith("ratio")
     grids = [default_ratio_grid(), np.geomspace(1e-300, 1e300, 301)] if ratio else [
         default_diff_grid(), np.linspace(-700.0, 700.0, 301), np.linspace(0.0, 40.0, 101)]
     with np.errstate(all="ignore"):
         for theta in grids:
-            _, zp, zpp, tie_slope, p0, tail = audit_mod._slope_rows(csf, theta)
+            zp, zpp, tie_slope, p0, tail = audit_mod._slope_rows(csf, theta)
             want = [csf._zslopes(theta, q, LANES) for q in (0.0, 1.0)]
             assert np.array_equal(zp, [slopes[0] for slopes in want], equal_nan=True)
             assert np.array_equal(zpp, [slopes[1] for slopes in want], equal_nan=True)
@@ -587,8 +589,7 @@ def test_slope_rows_equal_the_kernels_bit_for_bit(family, params):
             if not ratio:
                 assert [share.size for share in tail] == [0, 0]
                 continue
-            win, _, tie = csf._triple(
-                audit_mod._tail_ladder(float(theta[0]), float(theta[-1]))[2], LANES)
+            win, _, tie = csf._triple(audit_mod._TAIL_POINTS, LANES)
             assert np.array_equal(tail[0], win, equal_nan=True)
             assert np.array_equal(tail[1], tie, equal_nan=True)
 

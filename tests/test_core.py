@@ -11,7 +11,6 @@ import pytest
 from tiebreak import (
     ContestSpec,
     CostKind,
-    DomainError,
     EffortProfile,
     GridSpec,
     OutcomeDistribution,
@@ -19,7 +18,6 @@ from tiebreak import (
     TieRule,
     ValidationError,
     Valuations,
-    audit_concave,
     audit_diff,
     audit_ratio,
     convexity_precondition,
@@ -31,7 +29,7 @@ from tiebreak import (
     payoff,
     sweep,
 )
-from tiebreak.audit import audit_family
+from tiebreak.audit import audit_family, default_diff_grid, default_ratio_grid
 from tiebreak.core import MAX_COUNT, JsonRecord, payoffs, q_value
 
 
@@ -360,14 +358,14 @@ def test_each_checked_input_raises_its_text(call, text):
 
 
 RATIO_FAMILY = make_family("jia-ratio", r=1.0, k=2)
-CONCAVE_FAMILY = make_family("blavatskyy-power", r=0.5)
 RATIO_SPEC = make_contest(family="jia-ratio", v1=2.0, v2=1.0, q=0.5, r=1.0, k=2)
 GRID = GridSpec(2.0, 5)
 
 # Each bare value outside `ContestSpec` is checked by the one helper of its
 # kind: a finite real by `core.finite_value`, a positive magnitude by
-# `core.positive_value`, a sample count by `core.count_value` and a grid by
-# `families.checked_array`; each case pins the exception type and text.
+# `core.positive_value`, a sample count (an audit's grid points included) by
+# `core.count_value` and an array by `families.checked_array`; each case pins the
+# exception type and text.
 VALUE_CHECKS = {
     "family-param-text": (lambda: make_family("jia-ratio", r="x", k=2), ValidationError,
                           "jia-ratio: parameter 'r' must be a real number, got 'x'"),
@@ -403,31 +401,27 @@ VALUE_CHECKS = {
                          "grid points must be >= 2, got 1"),
     "audit_family-float": (lambda: audit_family(RATIO_FAMILY, grid_points=2.5), ValidationError,
                            "grid points must be an integer, got 2.5"),
-    "theta-grid-inf": (lambda: audit_ratio(RATIO_FAMILY, theta_grid=[1.0, math.inf]), DomainError,
-                       "theta grid must be finite"),
-    "theta-grid-zero": (lambda: audit_ratio(RATIO_FAMILY, theta_grid=[0.0, 1.0]), DomainError,
-                        "theta grid must be > 0"),
-    "effort-grid-empty": (lambda: audit_concave(CONCAVE_FAMILY, x_grid=[]), ValidationError,
-                          "effort grid must be a nonempty 1-d sequence"),
-    "effort-grid-nan": (lambda: audit_concave(CONCAVE_FAMILY, x_grid=[1.0, math.nan]),
-                        DomainError, "effort grid must be finite"),
-    "effort-grid-zero": (lambda: audit_concave(CONCAVE_FAMILY, x_grid=[0.0, 1.0]), DomainError,
-                         "effort grid must be > 0"),
+    "ratio_grid-negative": (lambda: default_ratio_grid(-5), ValidationError,
+                            "grid points must be >= 2, got -5"),
+    "ratio_grid-float": (lambda: default_ratio_grid(2.5), ValidationError,
+                         "grid points must be an integer, got 2.5"),
+    "diff_grid-bool": (lambda: default_diff_grid(True), ValidationError,
+                       "grid points must be an integer, got True"),
+    "diff_grid-zero": (lambda: default_diff_grid(0), ValidationError,
+                       "grid points must be >= 2, got 0"),
+    "audit_ratio-list": (lambda: audit_ratio(RATIO_FAMILY, grid_points=[3]), ValidationError,
+                         "grid points must be an integer, got [3]"),
     "opponent-text": (lambda: grid_best_response(RATIO_SPEC, "abc", GRID), ValidationError,
                       "opponent effort must be a real number, got 'abc'"),
     "opponent-none": (lambda: grid_best_response(RATIO_SPEC, None, GRID), ValidationError,
                       "opponent effort must be a real number, got None"),
     "opponent-nan": (lambda: grid_best_response(RATIO_SPEC, math.nan, GRID), ValidationError,
                      "opponent effort must be finite, got nan"),
-    # an entry that is no number, in a public family call or a custom audit grid
+    # an entry that is no number, in a public family call
     "outcome-text": (lambda: RATIO_FAMILY.outcome("a", 1.0), ValidationError,
                      "x1 must be numbers, got 'a'"),
     "z_prime-text": (lambda: RATIO_FAMILY.z_prime([1.0, "x"], 0.5), ValidationError,
                      "theta must be numbers, got [1.0, 'x']"),
-    "theta-grid-text": (lambda: audit_ratio(RATIO_FAMILY, theta_grid=["a", "b"]), ValidationError,
-                        "theta grid must be numbers, got ['a', 'b']"),
-    "effort-grid-text": (lambda: audit_concave(CONCAVE_FAMILY, x_grid=[1.0, None, "c"]),
-                         ValidationError, "effort grid must be numbers, got [1.0, None, 'c']"),
     # a count that sizes arrays, refused above the ceiling before any is allocated
     "audit_family-huge": (lambda: audit_family(RATIO_FAMILY, grid_points=10**11), ValidationError,
                           f"grid points must be <= {MAX_COUNT}, got 100000000000"),
