@@ -83,12 +83,12 @@ GRID_DISCLAIMER = (
 
 def default_ratio_grid(points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
     """Log-spaced theta grid covering both tails of a ratio-form contest; `points` >= 2."""
-    return np.geomspace(RATIO_GRID_LO, RATIO_GRID_HI, count_value(points, "grid points"))
+    return _kind_grid(True, count_value(points, "grid points")).copy()
 
 
 def default_diff_grid(points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
     """Linear theta grid covering both tails of a difference-form contest; `points` >= 2."""
-    return np.linspace(DIFF_GRID_LO, DIFF_GRID_HI, count_value(points, "grid points"))
+    return _kind_grid(False, count_value(points, "grid points")).copy()
 
 
 @dataclass(frozen=True)
@@ -162,10 +162,11 @@ class AuditReport(JsonRecord):
 
 @functools.lru_cache(maxsize=4)
 def _kind_grid(positive: bool, points: int) -> np.ndarray:
-    """A kind's audit grid at a count the caller checked (the cache keys 2.0 as 2):
-    `default_ratio_grid` for ratio-form and concave families (`positive`), else
-    `default_diff_grid`; built once per count, read-only."""
-    grid = default_ratio_grid(points) if positive else default_diff_grid(points)
+    """A kind's audit grid at a count the caller checked (the cache keys 2.0 as 2): log-spaced
+    for ratio-form and concave families (`positive`), else linear; built once per count,
+    read-only, and copied by `default_ratio_grid` and `default_diff_grid`."""
+    grid = (np.geomspace(RATIO_GRID_LO, RATIO_GRID_HI, points) if positive
+            else np.linspace(DIFF_GRID_LO, DIFF_GRID_HI, points))
     grid.flags.writeable = False
     return grid
 
@@ -261,19 +262,7 @@ def audit_ratio(csf, grid_points: int = DEFAULT_GRID_POINTS) -> AuditReport:
     """
     if getattr(csf, "kind", None) != "ratio":
         raise ValidationError("audit_ratio requires a ratio-form family")
-    theta = _kind_grid(True, count_value(grid_points, "grid points"))
-    zp, zpp, tie_slope, p0, tail = _slope_rows(csf, theta)
-
-    conditions = [
-        _strict_condition("win_prob_increasing", -zp, theta, _ENDS),
-        _strict_condition("own_payoff_concavity", zpp, theta, _ENDS),
-        _strict_condition(
-            "rival_payoff_concavity", -(2.0 * zp + theta[None, :] * zpp), theta, _ENDS
-        ),
-        *_tail_conditions(*tail),
-        _unimodality_condition(theta, p0, tie_slope, peak=1.0),
-    ]
-    return _report(csf, conditions, zpp, theta, (csf.zero_effort_note,))
+    return _audit(csf, None, count_value(grid_points, "grid points"))
 
 
 def audit_diff(csf, v1, grid_points: int = DEFAULT_GRID_POINTS) -> AuditReport:
@@ -288,18 +277,7 @@ def audit_diff(csf, v1, grid_points: int = DEFAULT_GRID_POINTS) -> AuditReport:
     if getattr(csf, "kind", None) != "diff":
         raise ValidationError("audit_diff requires a difference-form family")
     v1f = positive_value(v1, "v1")
-    theta = _kind_grid(False, count_value(grid_points, "grid points"))
-    zp, zpp, tie_slope, p0, _ = _slope_rows(csf, theta)
-
-    conditions = [
-        _strict_condition("win_prob_increasing", -zp, theta, _ENDS),
-        _strict_condition(
-            "curvature_within_prize_bound", np.abs(zpp) - 1.0 / v1f, theta, _ENDS,
-            note=f"bound |z''| <= {1.0 / v1f:.6g} from prize v1 = {v1f:.6g}",
-        ),
-        _unimodality_condition(theta, p0, tie_slope, peak=0.0),
-    ]
-    return _report(csf, conditions, zpp, theta)
+    return _audit(csf, v1f, count_value(grid_points, "grid points"))
 
 
 def audit_concave(csf, grid_points: int = DEFAULT_GRID_POINTS) -> AuditReport:
@@ -312,13 +290,7 @@ def audit_concave(csf, grid_points: int = DEFAULT_GRID_POINTS) -> AuditReport:
     """
     if getattr(csf, "kind", None) != "concave":
         raise ValidationError("audit_concave requires a concave-impact family")
-    x = _kind_grid(True, count_value(grid_points, "grid points"))
-    fp = csf._impact_prime(x)[None, :]
-    fpp = csf._impact_double_prime(x)[None, :]
-    conditions = (_strict_condition(name, deficit, x, (None,))
-                  for name, deficit in (("impact_increasing", -fp), ("impact_concave", fpp)))
-    return _report(csf, conditions, fpp, x,
-                   ("m and M bound the impact function's second derivative",))
+    return _audit(csf, None, count_value(grid_points, "grid points"))
 
 
 def audit_family(csf, v1=None, grid_points=None) -> AuditReport:
@@ -330,13 +302,48 @@ def audit_family(csf, v1=None, grid_points=None) -> AuditReport:
     """
     points = (DEFAULT_GRID_POINTS if grid_points is None  # a bad count is named before v1
               else count_value(grid_points, "grid points"))
-    if csf.kind == "ratio":
-        return audit_ratio(csf, points)
     if csf.kind == "diff":
         if v1 is None:
             raise ValidationError("difference-form audits need the larger prize: give --v1")
-        return audit_diff(csf, v1, points)
-    return audit_concave(csf, points)
+        v1 = positive_value(v1, "v1")
+    elif csf.kind not in ("ratio", "concave"):  # `audit_concave` refuses any other kind
+        raise ValidationError("audit_concave requires a concave-impact family")
+    return _audit(csf, v1, points)
+
+
+def _audit(csf, v1, points: int) -> AuditReport:
+    """The audit of `csf`'s kind on its grid of `points`, once the caller has checked
+    the kind, the count and, for a difference form, the prize `v1`."""
+    if csf.kind == "concave":
+        x = _kind_grid(True, points)
+        fp = csf._impact_prime(x)[None, :]
+        fpp = csf._impact_double_prime(x)[None, :]
+        conditions = (_strict_condition(name, deficit, x, (None,))
+                      for name, deficit in (("impact_increasing", -fp), ("impact_concave", fpp)))
+        return _report(csf, conditions, fpp, x,
+                       ("m and M bound the impact function's second derivative",))
+    theta = _kind_grid(csf.kind == "ratio", points)
+    zp, zpp, tie_slope, p0, tail = _slope_rows(csf, theta)
+    if csf.kind == "diff":
+        conditions = [
+            _strict_condition("win_prob_increasing", -zp, theta, _ENDS),
+            _strict_condition(
+                "curvature_within_prize_bound", np.abs(zpp) - 1.0 / v1, theta, _ENDS,
+                note=f"bound |z''| <= {1.0 / v1:.6g} from prize v1 = {v1:.6g}",
+            ),
+            _unimodality_condition(theta, p0, tie_slope, peak=0.0),
+        ]
+        return _report(csf, conditions, zpp, theta)
+    conditions = [
+        _strict_condition("win_prob_increasing", -zp, theta, _ENDS),
+        _strict_condition("own_payoff_concavity", zpp, theta, _ENDS),
+        _strict_condition(
+            "rival_payoff_concavity", -(2.0 * zp + theta[None, :] * zpp), theta, _ENDS
+        ),
+        *_tail_conditions(*tail),
+        _unimodality_condition(theta, p0, tie_slope, peak=1.0),
+    ]
+    return _report(csf, conditions, zpp, theta, (csf.zero_effort_note,))
 
 
 def estimate_vbar(csf) -> float:

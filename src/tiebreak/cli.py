@@ -102,15 +102,13 @@ def _build_parser() -> _Parser:
                        help="random rule atoms, e.g. 0:0.5,1:0.5")
     p_audit = command("audit", _cmd_audit, "audit the family's regularity conditions")
     p_audit.add_argument("--grid-points", type=int, default=None,
-                         help="theta grid resolution override")
+                         help="theta grid points, effort grid points if concave (default 2001)")
     p_verify = command("verify", _cmd_verify,
                        "solve, then check against the brute-force grid")
     p_verify.add_argument("--steps", type=int, default=2001,
                           help="effort grid resolution (default 2001)")
     p_verify.add_argument("--x-max", type=float, default=None,
                           help="effort grid ceiling (default: dominance bound)")
-    p_verify.add_argument("--eps", type=float, default=None,
-                          help="best-response slack for the grid Nash scan")
     for p in (p_solve, p_sweep, p_opt, p_exp, p_verify):
         p.add_argument("--force", action="store_true",
                        help="evaluate closed forms outside their guaranteed parameter region")
@@ -253,10 +251,8 @@ def _cmd_audit(args) -> int:
 def _cmd_verify(args) -> int:
     spec, _, solver = _preamble(args, need_q=True)
     eq = solve(spec, **solver)
-    if args.x_max is not None:
-        grid = GridSpec(x_max=args.x_max, steps=args.steps, eps=args.eps)
-    else:
-        grid = GridSpec.for_contest(spec, steps=args.steps, eps=args.eps)
+    grid = (GridSpec.for_contest(spec, steps=args.steps) if args.x_max is None
+            else GridSpec(x_max=args.x_max, steps=args.steps))
     result = verify(spec, eq, grid)
     _emit_contest(args, spec, None, equilibrium=eq.to_json_dict(),
                   verification=result.to_json_dict())

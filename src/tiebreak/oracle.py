@@ -7,12 +7,13 @@ so agreement between a solver's output and the oracle is evidence from an
 independent route.  It depends on `core` alone, whose `payoffs` every scan
 reads at broadcast efforts.  Each input is read by `core`'s one check of
 its kind: the ceiling is a positive magnitude, the steps a sample count, the
-slack and the opponent's effort finite reals, the player a player label, and
-`verify`'s claimed equilibrium a profile, which `payoff` takes alike.
+opponent's effort a finite real, the player a player label, and `verify`'s
+claimed equilibrium a profile, which `payoff` takes alike.
 
-`grid_nash` scans the payoff grid once, in blocks of player-1 rows sized by a
-cell budget, and never holds an n x n matrix: a block settles player 2's
-best responses on its rows, a running column maximum carries player 1's, and
+`grid_nash` finds every grid equilibrium, a profile of exact best responses,
+in one scan of the payoff grid, in blocks of player-1 rows sized by a cell
+budget, and never holds an n x n matrix: a block settles player 2's best
+responses on its rows, a running column maximum carries player 1's, and
 only player 2's best cells are kept to the end.  Each cell is evaluated once,
 and the peak memory stays flat as the grid grows.  Its time grows with the
 square of the steps, so a grid of more than `MAX_SCAN_CELLS` cells is refused
@@ -59,24 +60,14 @@ a Xeon host (0.3 s at 4,001 steps)."""
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Effort-grid geometry for the brute-force scan.
-
-    `eps` is the best-response payoff slack used by `grid_nash`; 0, the
-    default, means exact grid argmax, and None is stored as 0.  The pitch is
-    h = x_max / (steps - 1).
-    """
+    """Effort-grid geometry: `steps` efforts from 0 to `x_max`, h = x_max / (steps - 1) apart."""
 
     x_max: float
     steps: int
-    eps: float = 0.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "x_max", positive_value(self.x_max, "x_max"))
         object.__setattr__(self, "steps", count_value(self.steps, "steps"))
-        eps = 0.0 if self.eps is None else finite_value(self.eps, "eps")
-        if eps < 0:
-            raise ValidationError(f"eps must be >= 0, got {eps}")
-        object.__setattr__(self, "eps", eps)
 
     @property
     def h(self) -> float:
@@ -86,7 +77,7 @@ class GridSpec:
         return np.linspace(0.0, self.x_max, self.steps)
 
     @classmethod
-    def for_contest(cls, spec: ContestSpec, steps: int = 2001, eps: float = 0.0) -> "GridSpec":
+    def for_contest(cls, spec: ContestSpec, steps: int = 2001) -> "GridSpec":
         """Grid whose ceiling no best response can exceed.
 
         Any effort costing more than the prize is dominated by staying out, so
@@ -95,7 +86,7 @@ class GridSpec:
         """
         steps = count_value(steps, "steps", 3)
         bound = spec.cost.break_even(spec.valuations.v1)
-        return cls(x_max=bound * (steps - 1) / (steps - 2), steps=steps, eps=eps)
+        return cls(x_max=bound * (steps - 1) / (steps - 2), steps=steps)
 
 
 def _deviation(spec: ContestSpec, opponent: float, axis: np.ndarray, player: int):
@@ -122,30 +113,26 @@ def grid_best_response(spec: ContestSpec, opponent_effort: float, grid: GridSpec
 
 
 def grid_nash(spec: ContestSpec, grid: GridSpec) -> list[EffortProfile]:
-    """All grid profiles where both efforts are eps-best responses.
+    """All grid equilibria, profiles of exact best responses, sorted lexicographically.
 
-    With the default slack (eps = 0) a profile qualifies only if each
-    player's effort exactly maximizes their payoff column against the
-    other's effort.  Results are sorted lexicographically.  Player 2's
-    eps-best cells are kept per row block with player 1's payoffs there, and
-    checked against player 1's column maxima once every block has run.
-    A grid of more than `MAX_SCAN_CELLS` cells raises `ValidationError`.
+    Player 2's best cells are kept per row block with player 1's payoffs
+    there, and checked against player 1's column maxima once every block has
+    run.  A grid of more than `MAX_SCAN_CELLS` cells raises `ValidationError`.
     """
     if grid.steps ** 2 > MAX_SCAN_CELLS:
         raise ValidationError(f"grid_nash scans steps^2 payoff cells: {grid.steps} steps exceed "
                               f"the ceiling of {math.isqrt(MAX_SCAN_CELLS)}")
     axis = grid.axis()
-    eps = grid.eps
     rows = max(1, _BLOCK_CELLS // axis.size)
     col_max = np.full(axis.size, -np.inf)
     kept = []
     for lo in range(0, axis.size, rows):
         pay1, pay2 = payoffs(spec, axis[lo:lo + rows, None], axis[None, :])
         np.maximum(col_max, np.max(pay1, axis=0), out=col_max)
-        i, j = np.nonzero(pay2 >= np.max(pay2, axis=1, keepdims=True) - eps)
+        i, j = np.nonzero(pay2 >= np.max(pay2, axis=1, keepdims=True))
         kept.append((i + lo, j, pay1[i, j]))
     i, j, pay = (np.concatenate(parts) for parts in zip(*kept))
-    best = pay >= col_max[j] - eps
+    best = pay >= col_max[j]
     return [EffortProfile(float(axis[a]), float(axis[b])) for a, b in zip(i[best], j[best])]
 
 
@@ -158,8 +145,8 @@ class VerificationReport(JsonRecord):
     passes when each loss is within that player's `bands` entry, the rounding
     floor `BAND_FLOOR_REL` times the larger of their prize, the magnitude of
     their claimed payoff and 1, whatever the grid pitch.  A pass means no
-    grid point beats the candidate.  `nash_distance` is the Chebyshev
-    distance to the nearest grid equilibrium, None when the grid has none.
+    grid point beats the candidate.  `nash_distance` is the Chebyshev distance
+    to the nearest grid equilibrium `nearest_nash`, both None if the grid has none.
     """
 
     profile: EffortProfile
@@ -171,12 +158,11 @@ class VerificationReport(JsonRecord):
     x_max: float
     steps: int
     h: float
-    eps: float
     resolution_too_coarse: bool
     notes: tuple[str, ...] = field(default=())
 
     json_keys = ("profile", "passed", "payoff_losses", "bands", "best_responses",
-                 "nearest_nash", "nash_distance", ("grid", ("x_max", "steps", "h", "eps")),
+                 "nearest_nash", "nash_distance", ("grid", ("x_max", "steps", "h")),
                  "resolution_too_coarse", "notes")
 
     @property
@@ -191,8 +177,8 @@ def verify(spec: ContestSpec, eq, grid: GridSpec) -> VerificationReport:
     best grid response against the rival's claimed effort, which may lie
     anywhere, above the grid ceiling included; the claim fails when a grid
     point pays more than rounding (`BAND_FLOOR_REL`) forgives.  Also reports
-    the nearest exact grid equilibrium, recomputed independently of any
-    solver.  `eq` is any profile `payoff` takes (`core.profile_value`).
+    the nearest grid equilibrium, the first in `grid_nash`'s order at the least
+    Chebyshev distance.  `eq` is any profile `payoff` takes (`core.profile_value`).
     """
     profile = profile_value(eq)
     axis = grid.axis()
@@ -224,7 +210,6 @@ def verify(spec: ContestSpec, eq, grid: GridSpec) -> VerificationReport:
         x_max=grid.x_max,
         steps=grid.steps,
         h=grid.h,
-        eps=grid.eps,
         resolution_too_coarse=grid.steps < COARSE_STEPS,
         notes=tuple(notes),
     )

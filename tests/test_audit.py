@@ -24,10 +24,12 @@ from tiebreak.audit import (
     GRID_DISCLAIMER,
     TAIL_CAP,
     TAIL_TOL,
+    audit_family,
     default_diff_grid,
     default_ratio_grid,
 )
 import tiebreak.audit as audit_mod
+from tiebreak.core import count_value
 from tiebreak.families import LANES, RatioCsf
 
 from helpers import DIFF_CASES, RATIO_CASES, build
@@ -461,6 +463,25 @@ def test_an_audit_evaluates_the_family_once(monkeypatch, audit, family, params):
     audit(csf, *(() if audit is not audit_diff else (1.0,)))
     primitive = "power_shares" if csf.kind == "ratio" else "np_exp"
     assert calls == {"_shares": 1, "power_shares": 0, "np_exp": 0, primitive: 1}
+
+
+@pytest.mark.parametrize("family, params, v1", [
+    ("jia-ratio", {"r": 0.8, "k": 3.0}, None),
+    ("jia-diff", {"k": 2.0}, 1.0),
+    ("blavatskyy-power", {"r": 0.5}, None),
+], ids=["ratio", "diff", "concave"])
+def test_audit_family_checks_a_custom_count_once(monkeypatch, family, params, v1):
+    """`audit_family` checks a custom count itself, before the prize, and the
+    audit body it runs does not check it again."""
+    calls = []
+
+    def counted(value, name, low=2):
+        calls.append((value, name))
+        return count_value(value, name, low)
+
+    monkeypatch.setattr(audit_mod, "count_value", counted)
+    report = audit_family(make_family(family, **params), v1, grid_points=501)
+    assert calls == [(501, "grid points")] and report.theta_count == 501
 
 
 def test_audits_equal_the_every_row_table_for_k_above_one(monkeypatch):

@@ -280,7 +280,7 @@ def test_solvers_designer_and_audits_call_no_public_family_method(monkeypatch, n
 def test_oracle_calls_neither_derivatives_nor_kernels(monkeypatch, name, params):
     spec = make_contest(name, v1=3.0, v2=1.5, q=0.4, **params)
     eq = solve(spec)
-    grid = GridSpec.for_contest(spec, steps=201, eps=1e-3)
+    grid = GridSpec.for_contest(spec, steps=201)
     before = (verify(spec, eq, grid).to_json_dict(), grid_nash(spec, grid))
     _forbid(monkeypatch, DERIVATIVES + DERIVATIVE_KERNELS)
     after = (verify(spec, eq, grid).to_json_dict(), grid_nash(spec, grid))

@@ -378,13 +378,14 @@ VALUE_CHECKS = {
                    "x_max must be a positive finite number, got 0.0"),
     "x_max-nan": (lambda: GridSpec(math.nan, 5), ValidationError,
                   "x_max must be a positive finite number, got nan"),
-    "eps-text": (lambda: GridSpec(1.0, 5, "abc"), ValidationError,
-                 "eps must be a real number, got 'abc'"),
-    "eps-nan": (lambda: GridSpec(1.0, 5, math.nan), ValidationError, "eps must be finite, got nan"),
-    "eps-minus-inf": (lambda: GridSpec(1.0, 5, -math.inf), ValidationError,
-                      "eps must be finite, got -inf"),
-    "eps-inf": (lambda: GridSpec(1.0, 5, math.inf), ValidationError, "eps must be finite, got inf"),
-    "eps-negative": (lambda: GridSpec(1.0, 5, -1), ValidationError, "eps must be >= 0, got -1.0"),
+    "x_max-inf": (lambda: GridSpec(math.inf, 5), ValidationError,
+                  "x_max must be a positive finite number, got inf"),
+    "x_max-minus-inf": (lambda: GridSpec(-math.inf, 5), ValidationError,
+                        "x_max must be a positive finite number, got -inf"),
+    "x_max-negative": (lambda: GridSpec(-1, 5), ValidationError,
+                       "x_max must be a positive finite number, got -1.0"),
+    "steps-text": (lambda: GridSpec(1.0, "a"), ValidationError, "steps must be an integer, got 'a'"),
+    "steps-zero": (lambda: GridSpec(1.0, 0), ValidationError, "steps must be >= 2, got 0"),
     "for_contest-two": (lambda: GridSpec.for_contest(RATIO_SPEC, 2), ValidationError,
                         "steps must be >= 3, got 2"),
     "for_contest-float": (lambda: GridSpec.for_contest(RATIO_SPEC, 2.5), ValidationError,
@@ -401,6 +402,11 @@ VALUE_CHECKS = {
                          "grid points must be >= 2, got 1"),
     "audit_family-float": (lambda: audit_family(RATIO_FAMILY, grid_points=2.5), ValidationError,
                            "grid points must be an integer, got 2.5"),
+    # a bad count is named before a missing or bad prize
+    "audit_family-no-v1": (lambda: audit_family(DIFF_FAMILY, None, grid_points=1),
+                           ValidationError, "grid points must be >= 2, got 1"),
+    "audit_family-bad-v1": (lambda: audit_family(DIFF_FAMILY, -1.0, grid_points=[3]),
+                            ValidationError, "grid points must be an integer, got [3]"),
     "ratio_grid-negative": (lambda: default_ratio_grid(-5), ValidationError,
                             "grid points must be >= 2, got -5"),
     "ratio_grid-float": (lambda: default_ratio_grid(2.5), ValidationError,

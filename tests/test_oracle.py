@@ -1,6 +1,7 @@
 """Brute-force grid oracle: best responses, grid equilibria, verification."""
 from __future__ import annotations
 
+import itertools
 import math
 import tracemalloc
 
@@ -23,6 +24,7 @@ from tiebreak import (
 )
 from tiebreak import oracle
 from tiebreak.audit import audit_family
+from tiebreak.cli import EXIT_INVALID, run
 from tiebreak.core import MAX_COUNT, payoffs
 from tiebreak.families import RatioCsf
 
@@ -40,37 +42,34 @@ class TestGridSpec:
         grid = GridSpec(x_max=1.0, steps=5)
         assert grid.h == pytest.approx(0.25)
         np.testing.assert_allclose(grid.axis(), [0.0, 0.25, 0.5, 0.75, 1.0])
-        assert grid.eps == 0.0
 
-    def test_explicit_eps_kept(self):
-        assert GridSpec(x_max=1.0, steps=5, eps=0.01).eps == 0.01
-
-    def test_no_slack_has_one_spelling(self):
-        spellings = (GridSpec(x_max=1, steps=5), GridSpec(x_max=1, steps=5, eps=None),
-                     GridSpec(x_max=1, steps=5, eps=0.0), GridSpec(x_max=1, steps=5, eps=0))
-        assert all(grid == spellings[0] and type(grid.eps) is float for grid in spellings)
-        assert GridSpec.for_contest(TULLOCK, 11, eps=None) == GridSpec.for_contest(TULLOCK, 11)
-        assert not hasattr(GridSpec, "resolved_eps")
-        report = verify(TULLOCK, (0.25, 0.25), GridSpec(x_max=1.0, steps=11, eps=None))
-        assert report.to_json_dict()["grid"]["eps"] == 0.0
+    def test_no_slack_has_one_spelling(self, capsys):
+        """The grid oracle is exact: no layer takes a best-response slack."""
+        for eps in (None, 0.0, 1e-3):
+            with pytest.raises(TypeError):
+                GridSpec(x_max=1.0, steps=5, eps=eps)
+            with pytest.raises(TypeError):
+                GridSpec.for_contest(TULLOCK, 11, eps=eps)
+        assert run(["verify", "--family", "jia-ratio", "--r", "1", "--k", "1", "--v1", "1",
+                    "--v2", "1", "--q", "0.5", "--steps", "11", "--eps", "0"]) == EXIT_INVALID
+        assert "unrecognized arguments: --eps 0" in capsys.readouterr().err
+        report = verify(TULLOCK, (0.25, 0.25), GridSpec(x_max=1.0, steps=11))
+        assert list(report.to_json_dict()["grid"]) == ["x_max", "steps", "h"]
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             dict(x_max=0.0, steps=5),
             dict(x_max=1.0, steps=1),
-            dict(x_max=1.0, steps=5, eps=-1e-3),
             dict(x_max=math.nan, steps=5),
+            dict(x_max=math.inf, steps=5),
+            dict(x_max=-1.0, steps=5),
+            dict(x_max=1.0, steps=0),
         ],
     )
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises((ValidationError, DomainError)):
             GridSpec(**kwargs)
-
-    @pytest.mark.parametrize("eps", [math.inf, -math.inf, math.nan, "abc", [0.1]])
-    def test_eps_must_be_a_finite_number(self, eps):
-        with pytest.raises(ValidationError, match="eps must be"):
-            GridSpec(x_max=1.0, steps=5, eps=eps)
 
     def test_for_contest_covers_linear_cost_deviations(self):
         grid = GridSpec.for_contest(SHARP_RATIO, steps=2001)
@@ -140,15 +139,10 @@ class TestGridNash:
         assert points[0].x1 == pytest.approx(0.41, abs=1e-12)
         assert points[0].x2 == pytest.approx(0.205, abs=1e-12)
 
-    def test_slack_beyond_every_payoff_gap_accepts_every_profile(self):
-        # payoffs lie in [-1, 1] on this grid, so a slack of 2 admits every cell
-        points = grid_nash(TULLOCK, GridSpec(x_max=1.0, steps=5, eps=2.0))
-        assert len(points) == 25
-
     def test_profiles_sorted_lexicographically(self):
-        points = grid_nash(TULLOCK, GridSpec(x_max=1.0, steps=41, eps=0.05))
+        points = grid_nash(TULLOCK, GridSpec(x_max=1.0, steps=11))
         keys = [(p.x1, p.x2) for p in points]
-        assert keys == sorted(keys)
+        assert len(keys) == 3 and keys == sorted(keys)
 
     def test_grid_beyond_the_cell_budget_is_refused_before_its_scan(self, monkeypatch):
         """The scan takes time quadratic in the steps, so a grid of more than
@@ -180,12 +174,11 @@ def _full_payoff_matrices(spec, grid):
 
 
 def _reference_grid_nash(spec, grid):
-    """Grid equilibria from the full matrices: every cell's eps-best test at once."""
+    """Grid equilibria from the full matrices: every cell's exact best-response test at once."""
     axis = grid.axis()
     pay1, pay2 = _full_payoff_matrices(spec, grid)
-    eps = grid.eps
-    best1 = pay1 >= np.max(pay1, axis=0, keepdims=True) - eps
-    best2 = pay2 >= np.max(pay2, axis=1, keepdims=True) - eps
+    best1 = pay1 >= np.max(pay1, axis=0, keepdims=True)
+    best2 = pay2 >= np.max(pay2, axis=1, keepdims=True)
     return [EffortProfile(float(axis[i]), float(axis[j])) for i, j in np.argwhere(best1 & best2)]
 
 
@@ -214,28 +207,82 @@ def _reference_contests(seed: int = 1407):
 @pytest.mark.parametrize("spec", _reference_contests(),
                          ids=lambda s: f"{s.csf.name}-r{s.csf.params.get('r')}-v1_{s.v1:.3g}")
 @pytest.mark.parametrize("steps, block_rows", [(57, 7), (150, 16), (401, None)])
-@pytest.mark.parametrize("eps", [None, 1e-3])
-def test_grid_nash_matches_the_full_matrix_reference(monkeypatch, spec, steps, block_rows, eps):
+def test_grid_nash_matches_the_full_matrix_reference(monkeypatch, spec, steps, block_rows):
     """Each case spans several row blocks and ends on a ragged one: 7 and 16
     rows by a shrunk cell budget, and the real budget's rows at 401 steps."""
     if block_rows is not None:
         monkeypatch.setattr(oracle, "_BLOCK_CELLS", block_rows * steps)
     rows = oracle._BLOCK_CELLS // steps
     assert 1 < rows < steps and steps % rows != 0
-    grid = GridSpec.for_contest(spec, steps=steps, eps=eps)
+    grid = GridSpec.for_contest(spec, steps=steps)
     assert grid_nash(spec, grid) == _reference_grid_nash(spec, grid)
 
 
 def test_grid_nash_drops_player_two_best_cells_that_fail_player_one(monkeypatch):
-    """At this slack most of player 2's eps-best cells are not eps-best for
-    player 1, so the kept candidates outnumber the output."""
+    """Most of player 2's best cells are not best for player 1, so the kept
+    candidates outnumber the output."""
     monkeypatch.setattr(oracle, "_BLOCK_CELLS", 5 * 41)
-    grid = GridSpec(x_max=1.0, steps=41, eps=0.01)
+    grid = GridSpec(x_max=1.0, steps=41)
     points = grid_nash(SHARP_RATIO, grid)
     pay1, pay2 = _full_payoff_matrices(SHARP_RATIO, grid)
-    best2 = pay2 >= np.max(pay2, axis=1, keepdims=True) - grid.eps
+    best2 = pay2 >= np.max(pay2, axis=1, keepdims=True)
     assert 0 < len(points) < int(best2.sum()) // 2
     assert points == _reference_grid_nash(SHARP_RATIO, grid)
+
+
+@pytest.mark.parametrize("spec, steps", [
+    *((spec, steps) for steps in (57, 150) for spec in _reference_contests()),
+    (_reference_contests()[2], 35),  # no grid equilibrium
+    (TULLOCK, 24),  # four grid equilibria
+], ids=lambda case: f"{case.csf.name}-v1_{case.v1:.3g}" if hasattr(case, "csf") else str(case))
+def test_verify_reports_the_first_nearest_grid_equilibrium(spec, steps):
+    """`nearest_nash` is the first of the reference equilibria, in their
+    lexicographic order, at the least Chebyshev distance from the claim, and
+    `nash_distance` is that distance; both are None when the grid has none.
+    The claims are seeded draws on the grid square and the midpoints of pairs
+    of equilibria, where distances tie."""
+    grid = GridSpec.for_contest(spec, steps=steps)
+    reference = _reference_grid_nash(spec, grid)
+    rng = np.random.default_rng(steps)
+    claims = [tuple(rng.uniform(0.0, grid.x_max, 2).tolist()) for _ in range(4)]
+    claims += [((a.x1 + b.x1) / 2, (a.x2 + b.x2) / 2)
+               for a, b in itertools.combinations(reference, 2)]
+    ties = 0
+    for claim in claims:
+        report = verify(spec, claim, grid)
+        if not reference:
+            assert report.nearest_nash is None and report.nash_distance is None
+            continue
+        dists = [max(abs(p.x1 - claim[0]), abs(p.x2 - claim[1])) for p in reference]
+        first = dists.index(min(dists))
+        ties += dists.count(dists[first]) > 1
+        assert (report.nearest_nash, report.nash_distance) == (reference[first], dists[first])
+    assert ties > 0 if len(reference) > 1 else ties == 0
+
+
+@pytest.mark.parametrize("block_rows", [1, 3])
+@pytest.mark.parametrize("spec, grid", [
+    (TULLOCK, GridSpec(1.0, 11)),
+    (TULLOCK, GridSpec(1.0, 41)),
+    (TULLOCK, GridSpec(1.0, 81)),
+    (TULLOCK, GridSpec.for_contest(TULLOCK, 24)),
+    (TULLOCK, GridSpec.for_contest(TULLOCK, 57)),
+    (SHARP_RATIO, GridSpec.for_contest(SHARP_RATIO, 11)),
+], ids=lambda case: f"{case.csf.name}-k{case.csf.params['k']:g}" if hasattr(case, "csf")
+   else f"x{case.x_max:.4g}-n{case.steps}")
+def test_grid_nash_keeps_exact_payoff_ties_across_row_blocks(monkeypatch, spec, grid, block_rows):
+    """On these grids some best responses tie exactly: a row of player 2's
+    payoffs or a column of player 1's has more than one maximum, and the
+    11- and 24-step TULLOCK grids have 3 and 4 equilibria.  With one row per
+    block every tied column spans blocks; with three, some do.  Every tied
+    cell must survive the blocked scan, so the output is the reference's."""
+    pay1, pay2 = _full_payoff_matrices(spec, grid)
+    ties1 = (pay1 == np.max(pay1, axis=0, keepdims=True)).sum(axis=0) > 1
+    ties2 = (pay2 == np.max(pay2, axis=1, keepdims=True)).sum(axis=1) > 1
+    assert ties1.any() or ties2.any()
+    monkeypatch.setattr(oracle, "_BLOCK_CELLS", block_rows * grid.steps)
+    assert oracle._BLOCK_CELLS // grid.steps == block_rows
+    assert grid_nash(spec, grid) == _reference_grid_nash(spec, grid)
 
 
 def test_verify_peak_memory_stays_flat_in_the_grid_size():
