@@ -50,7 +50,7 @@ def main() -> None:
     header("Audit the regularity conditions")
     report = audit_ratio(spec.csf)
     print(f"family {report.family} with params {report.params}")
-    print(f"all conditions hold on the probed grid: {report.passed}")
+    print(f"all conditions hold for every theta and tie rule: {report.passed}")
     for condition in report.conditions:
         print(f"  {condition.name:28s} {'ok' if condition.passed else 'VIOLATED'}")
 

@@ -4,7 +4,8 @@ The package splits into:
 
 - `core`: contest specifications, tie rules, payoffs, serialization.
 - `families`: built-in contest success functions with tie outcomes.
-- `audit`: grid certification of the regularity conditions solvers rely on.
+- `audit`: the regularity conditions solvers rely on, decided exactly from
+  each family's parameters.
 - `equilibrium`: `solve`, its closed-form, root-finding and Newton routes,
   each one body that runs one tie rule or many at once (`solve_many`), and
   the effort-gap root `solve_beta`.
@@ -20,8 +21,6 @@ from .audit import (
     audit_concave,
     audit_diff,
     audit_ratio,
-    default_diff_grid,
-    default_ratio_grid,
     estimate_vbar,
 )
 from .core import (
@@ -119,8 +118,6 @@ __all__ = [
     "audit_diff",
     "audit_ratio",
     "convexity_precondition",
-    "default_diff_grid",
-    "default_ratio_grid",
     "describe_families",
     "estimate_vbar",
     "eventual_win_prob",

@@ -100,9 +100,7 @@ def _build_parser() -> _Parser:
                     "expected total effort under a random tie rule")
     p_exp.add_argument("--rule", required=True, metavar="Q:W,Q:W,...",
                        help="random rule atoms, e.g. 0:0.5,1:0.5")
-    p_audit = command("audit", _cmd_audit, "audit the family's regularity conditions")
-    p_audit.add_argument("--grid-points", type=int, default=None,
-                         help="theta grid points, effort grid points if concave (default 2001)")
+    command("audit", _cmd_audit, "audit the family's regularity conditions")
     p_verify = command("verify", _cmd_verify,
                        "solve, then check against the brute-force grid")
     p_verify.add_argument("--steps", type=int, default=2001,
@@ -243,7 +241,7 @@ def _cmd_audit(args) -> int:
     else:
         _maybe_emit_spec(args, spec)
         csf, v1 = spec.csf, spec.valuations.v1
-    report = audit_family(csf, v1, args.grid_points)
+    report = audit_family(csf, v1)
     _emit_json(args, report.to_json_dict())
     return EXIT_OK if report.passed else EXIT_INVALID
 

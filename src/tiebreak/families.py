@@ -18,10 +18,11 @@ Built-in families (registry keys):
     jia-diff          p = e^theta / (k + e^theta)                    k >= 1
     blavatskyy-power  p_i = x_i^r / (x1^r + x2^r + 1)                0 < r <= 1
 
-First and second derivatives of z_q are analytic: root finding and audits need
+First and second derivatives of z_q are analytic: root finding needs
 smooth, noise-free evaluations, so finite differences appear only in the test
 suite as an oracle; `z_slopes` returns (z_q', z_q'') from one share evaluation,
-and z_q'' is written only there.  Because z_q is affine in q, the tie-probability
+and z_q'' is written only there; a difference family states its supremum over
+theta and q as `curvature_peak`.  Because z_q is affine in q, the tie-probability
 derivatives follow exactly: p0' = z_1' - z_0' and likewise for p0''.
 
 Every method that takes a tie rule q accepts one tie share (a number or a
@@ -29,11 +30,11 @@ Every method that takes a tie rule q accepts one tie share (a number or a
 call evaluates many tie rules.  Public methods return a builtin float for
 scalar inputs: they check their arguments, then call one private kernel
 (`_triple`, `_zp`, `_zslopes`; `_impact`, `_impact_prime`, `_win_d1`) that
-assumes checked input.  The solvers and audits check once on entry and call
-only kernels.  Each kernel is written once against the primitives `xp`
+assumes checked input.  The solvers check once on entry and call only
+kernels.  Each kernel is written once against the primitives `xp`
 (`Ops`): the scalar solvers pass `FLOATS`, whose Python floats get the bits of
 a one-element array from one NumPy call per group of powers or exponentials,
-and the lane solvers, the audits and the public methods pass `LANES`.
+and the lane solvers and the public methods pass `LANES`.
 
 Evaluations are numerically stabilized.  Difference-form families touch
 exponentials only through e^(-|theta|) and logistic ratios, so theta up to
@@ -138,8 +139,8 @@ def _float_power_shares(shares, th: float, r: float):
 # The primitives each family kernel and solver step is written against once,
 # passed as the array API standard passes a namespace.  `FLOATS` runs one tie
 # rule on Python floats; `LANES` runs arrays (solver lanes, one per tie rule,
-# audit grids, checked public input) with the IEEE operations of `FLOATS` in the
-# same order, so a one-entry array gets a float's bits; a stopped solver lane
+# checked public input) with the IEEE operations of `FLOATS` in the same
+# order, so a one-entry array gets a float's bits; a stopped solver lane
 # holds its values through `select(c, a, b)`, which is a where c holds and b
 # elsewhere, entry by entry for tuples.  `live(c)` is whether c holds anywhere,
 # as a bool (a count beats NumPy's `any`); `power(xs, p)` raises each of xs to
@@ -157,6 +158,12 @@ FLOATS = Ops(lambda c, a, b: a if c else b, bool, math.sqrt, math.exp,
 LANES = Ops(np.where, lambda c: bool(np.count_nonzero(c)), np.sqrt, np.exp, np.log, np.logaddexp,
             lambda xs, p: [np.power(x, p) for x in xs],  # one call each: no stacking copy
             np.exp, _quiet_over_square, np.fmin, _quiet_power_shares)
+
+
+# sup |p''| of the logistic p = 1 / (1 + e^-theta), where p'' = p (1 - p)(1 - 2p)
+# peaks at p = (3 -+ sqrt(3)) / 6, that is at theta = -+log(2 + sqrt(3)).
+_LOGISTIC_CURVATURE = math.sqrt(3.0) / 18.0
+_LOGISTIC_PEAK = math.log(2.0 + math.sqrt(3.0))
 
 
 def _logistic_shares(theta, k: float, xp: Ops, complements: bool = True):
@@ -283,6 +290,10 @@ class RatioCsf(_ReducedCsf):
     def _theta(self, theta):
         return checked_array(theta, "theta", positive=True)
 
+    @property
+    def lemma_precondition_ok(self) -> bool:
+        return self.lemma_excess <= 0.0
+
     def outcome(self, x1, x2):
         # theta = x1 / x2 lands on the kernels' exact limits: inf for a lone
         # positive x1 (or an overflowing ratio) gives (1, 0, 0), 0 gives (0, 1, 0)
@@ -293,7 +304,12 @@ class RatioCsf(_ReducedCsf):
 
 
 class DiffCsf(_ReducedCsf):
-    """Base class of families driven by the effort difference theta = x1 - x2."""
+    """Base class of families driven by the effort difference theta = x1 - x2.
+
+    Each states `curvature_peak`, (S, thetas): S = sup |z_q''| over every theta
+    and tie rule q, and the thetas, ascending, where the row q = 0 reaches it.  The
+    row q = 1 is its mirror, z_1''(theta) = -z_0''(-theta) as z_1(theta) =
+    1 - p(-theta), and z_q'' is affine in q, so no other row passes S."""
 
     kind: ClassVar[str] = "diff"
     default_cost: ClassVar[CostKind] = CostKind.QUADRATIC_HALF
@@ -333,8 +349,9 @@ class VesperoniRatio(RatioCsf):
         object.__setattr__(self, "k", _check_param("k", self.k, 1.0, True, None, self.name))
 
     @property
-    def lemma_precondition_ok(self) -> bool:
-        return self.r * self.k <= 1.0
+    def lemma_excess(self) -> float:
+        """r k - 1: the closed form and both payoff concavities hold iff it is <= 0."""
+        return self.r * self.k - 1.0
 
     def _shares(self, th, xp: Ops):
         """(u, ub, u^k, ub^k); u is 1 where theta^r overflowed (inf / inf)."""
@@ -388,8 +405,9 @@ class JiaRatio(RatioCsf):
         object.__setattr__(self, "k", _check_param("k", self.k, 1.0, True, None, self.name))
 
     @property
-    def lemma_precondition_ok(self) -> bool:
-        return self.r <= 1.0
+    def lemma_excess(self) -> float:
+        """r - 1: the closed form and both payoff concavities hold iff it is <= 0."""
+        return self.r - 1.0
 
     def _shares(self, th, xp: Ops):
         """(u, ub, w, wb); u is 1 where theta^r overflowed (inf / inf)."""
@@ -457,6 +475,22 @@ class VesperoniDiff(DiffCsf):
         lead, trail = (1.0 - qv) * pk * sb, qv * s * pm
         return k * (lead + trail), k * (lead * (k * sb - s) + trail * (sb - k * s))
 
+    @property
+    def curvature_peak(self) -> tuple[float, tuple[float, ...]]:
+        """With t = sb, z_0'' = k (1 - t)^k t ((k + 1) t - 1), whose extremes sit at
+        the roots t = (3 +- sqrt(9 - 4 (k + 2) / (k + 1))) / (2 (k + 2)) of
+        (k + 1)(k + 2) t^2 - 3 (k + 1) t + 1, at theta = log((1 - t) / t); S is the
+        larger, with (1 - t)^k as exp(k log1p(-t)), finite for every k.  At k = 1
+        the two are the logistic's, the same size."""
+        k = self.k
+        if k == 1.0:
+            return _LOGISTIC_CURVATURE, (-_LOGISTIC_PEAK, _LOGISTIC_PEAK)
+        root = math.sqrt(9.0 - 4.0 * (k + 2.0) / (k + 1.0))
+        top, theta = max((abs(k * t * math.exp(k * math.log1p(-t)) * ((k + 1.0) * t - 1.0)),
+                          math.log1p(-t) - math.log(t))
+                         for t in ((3.0 + root) / 2.0 / (k + 2.0), (3.0 - root) / 2.0 / (k + 2.0)))
+        return top, (theta,)
+
 
 @dataclass(frozen=True)
 class JiaDiff(DiffCsf):
@@ -496,6 +530,12 @@ class JiaDiff(DiffCsf):
         u, ub, w, wb = shares or self._shares(th, xp)
         lead, trail = (1.0 - qv) * u * ub, qv * w * wb
         return lead + trail, lead * (1.0 - 2.0 * u) + trail * (2.0 * w - 1.0)
+
+    @property
+    def curvature_peak(self) -> tuple[float, tuple[float, ...]]:
+        """p is the logistic shifted by log k, so S is the logistic's for every k."""
+        shift = math.log(self.k)
+        return _LOGISTIC_CURVATURE, (shift - _LOGISTIC_PEAK, shift + _LOGISTIC_PEAK)
 
 
 @dataclass(frozen=True)

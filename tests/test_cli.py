@@ -240,22 +240,7 @@ class TestAuditCommand:
         assert run(["audit", *argv, "--emit-spec", str(copy)]) == EXIT_OK
         assert copy.read_text() == path.read_text()
 
-    @pytest.mark.parametrize("family", [
-        ["--family", "jia-ratio", "--r", "1", "--k", "2"],
-        ["--family", "jia-diff", "--k", "2", "--v1", "1"],
-        ["--family", "blavatskyy-power", "--r", "0.5"],
-    ])
-    @pytest.mark.parametrize("points", ["-5", "0", "1"])
-    def test_grid_points_below_two_rejected(self, capsys, family, points):
-        assert run(["audit", *family, "--grid-points", points]) == EXIT_INVALID
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            f"error: grid points must be >= 2, got {int(points)}\n")
-
     @pytest.mark.parametrize("argv, name", [
-        (["audit", "--family", "jia-ratio", "--r", "1", "--k", "2", "--grid-points"],
-         "grid points"),
         (["sweep", *SHARP, "--points"], "q_count"),
         (["verify", *SHARP, "--steps"], "steps"),
     ])
@@ -268,19 +253,6 @@ class TestAuditCommand:
         assert (code, captured.out) == (EXIT_INVALID, "")
         assert captured.err == f"error: {name} must be <= {MAX_COUNT}, got 100000000000\n"
         assert elapsed < 1.0
-
-    @pytest.mark.parametrize("family,kind", [
-        (["--family", "jia-ratio", "--r", "1", "--k", "2"], "ratio"),
-        (["--family", "jia-diff", "--k", "2", "--v1", "1"], "diff"),
-        (["--family", "blavatskyy-power", "--r", "0.5"], "concave"),
-    ])
-    def test_grid_points_set_every_kind_of_grid(self, capsys, family, kind):
-        code, doc = run_json(capsys, ["audit", *family, "--grid-points", "3"])
-        assert code == EXIT_OK
-        assert doc["kind"] == kind
-        assert doc["grid"]["theta_count"] == 3
-        code, doc = run_json(capsys, ["audit", *family])
-        assert doc["grid"]["theta_count"] == 2001
 
 
 class TestVerifyCommand:

@@ -71,8 +71,6 @@ CASES = (
     + [
         ["sweep", *CONTESTS["jia-diff"], "--points", "11", "--format", "csv"],
         ["sweep", *CONTESTS["swapped"], "--points", "5", "--format", "csv"],
-        ["audit", *CONTESTS["jia-ratio"], "--grid-points", "101"],
-        ["audit", *CONTESTS["jia-diff"], "--grid-points", "101"],
         ["audit", "--family", "jia-diff", "--k", "1", "--v1", "20"],
         ["solve", "--spec", "{spec}"],
         ["audit", "--spec", "{spec}"],

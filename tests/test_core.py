@@ -29,7 +29,7 @@ from tiebreak import (
     payoff,
     sweep,
 )
-from tiebreak.audit import audit_family, default_diff_grid, default_ratio_grid
+from tiebreak.audit import audit_family
 from tiebreak.core import MAX_COUNT, JsonRecord, payoffs, q_value
 
 
@@ -363,7 +363,7 @@ GRID = GridSpec(2.0, 5)
 
 # Each bare value outside `ContestSpec` is checked by the one helper of its
 # kind: a finite real by `core.finite_value`, a positive magnitude by
-# `core.positive_value`, a sample count (an audit's grid points included) by
+# `core.positive_value`, a sample count by
 # `core.count_value` and an array by `families.checked_array`; each case pins the
 # exception type and text.
 VALUE_CHECKS = {
@@ -398,25 +398,9 @@ VALUE_CHECKS = {
                         "points must be an integer, got 2.5"),
     "convexity-bool": (lambda: convexity_precondition(DIFF_FAMILY, 2.0, True), ValidationError,
                        "points must be an integer, got True"),
-    "audit_family-one": (lambda: audit_family(RATIO_FAMILY, grid_points=1), ValidationError,
-                         "grid points must be >= 2, got 1"),
-    "audit_family-float": (lambda: audit_family(RATIO_FAMILY, grid_points=2.5), ValidationError,
-                           "grid points must be an integer, got 2.5"),
-    # a bad count is named before a missing or bad prize
-    "audit_family-no-v1": (lambda: audit_family(DIFF_FAMILY, None, grid_points=1),
-                           ValidationError, "grid points must be >= 2, got 1"),
-    "audit_family-bad-v1": (lambda: audit_family(DIFF_FAMILY, -1.0, grid_points=[3]),
-                            ValidationError, "grid points must be an integer, got [3]"),
-    "ratio_grid-negative": (lambda: default_ratio_grid(-5), ValidationError,
-                            "grid points must be >= 2, got -5"),
-    "ratio_grid-float": (lambda: default_ratio_grid(2.5), ValidationError,
-                         "grid points must be an integer, got 2.5"),
-    "diff_grid-bool": (lambda: default_diff_grid(True), ValidationError,
-                       "grid points must be an integer, got True"),
-    "diff_grid-zero": (lambda: default_diff_grid(0), ValidationError,
-                       "grid points must be >= 2, got 0"),
-    "audit_ratio-list": (lambda: audit_ratio(RATIO_FAMILY, grid_points=[3]), ValidationError,
-                         "grid points must be an integer, got [3]"),
+    # a value that is no family gets the error of the kind-specific audits
+    "audit_family-no-family": (lambda: audit_family(object()), ValidationError,
+                               "audit_concave requires a concave-impact family"),
     "opponent-text": (lambda: grid_best_response(RATIO_SPEC, "abc", GRID), ValidationError,
                       "opponent effort must be a real number, got 'abc'"),
     "opponent-none": (lambda: grid_best_response(RATIO_SPEC, None, GRID), ValidationError,
@@ -429,8 +413,6 @@ VALUE_CHECKS = {
     "z_prime-text": (lambda: RATIO_FAMILY.z_prime([1.0, "x"], 0.5), ValidationError,
                      "theta must be numbers, got [1.0, 'x']"),
     # a count that sizes arrays, refused above the ceiling before any is allocated
-    "audit_family-huge": (lambda: audit_family(RATIO_FAMILY, grid_points=10**11), ValidationError,
-                          f"grid points must be <= {MAX_COUNT}, got 100000000000"),
     "sweep-huge": (lambda: sweep(RATIO_SPEC, MAX_COUNT + 1), ValidationError,
                    f"q_count must be <= {MAX_COUNT}, got {MAX_COUNT + 1}"),
     "steps-huge": (lambda: GridSpec(1.0, np.int64(10**11)), ValidationError,

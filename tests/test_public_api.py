@@ -11,7 +11,7 @@ PUBLIC_NAMES = [
     "Rationale", "ShapeCertificate", "ShapeCheck", "SolveMethod", "TieRule",
     "ValidationError", "Valuations", "VerificationReport", "VesperoniDiff", "VesperoniRatio",
     "audit_concave", "audit_diff", "audit_ratio", "convexity_precondition",
-    "default_diff_grid", "default_ratio_grid", "describe_families", "estimate_vbar",
+    "describe_families", "estimate_vbar",
     "eventual_win_prob", "expected_effort", "family_names", "grid_best_response",
     "grid_nash", "make_contest", "make_family", "optimal_q", "outcome_distribution",
     "payoff", "solve", "solve_beta", "solve_many", "sweep", "verify",
