@@ -70,7 +70,7 @@ def main() -> None:
     spec = make_contest(
         family="jia-diff", v1=args.v1, v2=args.v2, q=0.0, k=args.k,
     )
-    curve = sweep(spec, 11, audited=report.passed)
+    curve = sweep(spec, 11)
     for q, total in zip(curve.q_values, curve.totals):
         print(f"  q = {q:4.2f}   R = {total:.9f}")
     drop = curve.totals[0] - curve.totals[-1]
@@ -78,7 +78,7 @@ def main() -> None:
     print(f"certified nonincreasing: {curve.shape.monotone_decreasing.holds}")
 
     header("Quadratic costs change the books, not the ranking")
-    eq = solve(spec, audited=report.passed)
+    eq = solve(spec)
     print(f"at q = 0: efforts ({eq.x1:.9f}, {eq.x2:.9f}), gap {eq.beta:.9f}")
     print(f"effort ratio x1/x2 = {eq.x1 / eq.x2:.9f} "
           f"(equals the prize ratio {args.v1 / args.v2:.9f})")

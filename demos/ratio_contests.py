@@ -55,14 +55,14 @@ def main() -> None:
         print(f"  {condition.name:28s} {'ok' if condition.passed else 'VIOLATED'}")
 
     header("Closed-form equilibrium")
-    eq = solve(spec, audited=report.passed)
+    eq = solve(spec)
     print(f"prizes ({spec.v1}, {spec.v2}), tie share q = {spec.q}")
     print(f"efforts x1 = {eq.x1:.12f}, x2 = {eq.x2:.12f}")
     print(f"effort ratio beta = {eq.beta:.12f} (equals the prize ratio)")
     print(f"first-order residuals: {eq.residuals[0]:.2e}, {eq.residuals[1]:.2e}")
 
     header("Response of total effort to the tie rule")
-    curve = sweep(spec, args.sweep_points, audited=report.passed)
+    curve = sweep(spec, args.sweep_points)
     for q, x1, x2, total in zip(curve.q_values, curve.x1, curve.x2, curve.totals):
         print(f"  q = {q:4.2f}   x1 = {x1:.6f}   x2 = {x2:.6f}   R = {total:.6f}")
     shape = curve.shape
@@ -70,7 +70,7 @@ def main() -> None:
     print(f"certified linear in q:         {shape.linear.holds}")
 
     header("Designer's choice")
-    best = optimal_q(spec, audited=report.passed)
+    best = optimal_q(spec)
     print(f"optimal tie share q* = {best.q_star.q} ({best.rationale.value})")
     print(f"total effort at q*: {best.total_effort:.12f}")
     print("with unequal prizes, never breaking ties toward the favorite")

@@ -157,8 +157,7 @@ def _audit(csf, v1) -> AuditReport:
             _holds("impact_increasing", "x^r rises for every r > 0"),
             _holds("impact_concave", "x^r is concave for every r <= 1")))
     if csf.kind == "diff":
-        top, peaks = csf.curvature_peak
-        excess = top - 1.0 / v1
+        (top, peaks), excess = csf.curvature_peak, csf.assumption_excess(v1)
         witness = (None, None) if excess <= 0.0 else min(
             [(t, 0.0) for t in peaks] + [(-t, 1.0) for t in peaks])
         curvature = ConditionRecord(
@@ -168,7 +167,7 @@ def _audit(csf, v1) -> AuditReport:
         return AuditReport(**report, M=top, conditions=(
             _holds("win_prob_increasing", "z_q' > 0 for every k >= 1"), curvature,
             _unimodal(csf, "0")))
-    excess, note = csf.lemma_excess, f"holds iff {csf.lemma_precondition}"
+    excess, note = csf.assumption_excess(v1), f"holds iff {csf.lemma_precondition}"
     shape = tuple(ConditionRecord(name, excess <= 0.0, max(excess, 0.0), note=note)
                   for name in ("own_payoff_concavity", "rival_payoff_concavity"))
     return AuditReport(**report, notes=(csf.zero_effort_note,), conditions=(

@@ -7,11 +7,11 @@ JSON document (CSV for sweeps on request) to stdout or --output.
 
 Every subcommand but audit runs one contest frame: `_preamble` builds the
 contest from its one source, writes --emit-spec before anything is solved,
-audits the family and forms the solver keywords (--force and whether the
-audit passed); `_emit_contest` writes the document, the spec first, then the
-subcommand's own entries, then the audit summary (verify's document has
-none).  Once argparse accepts the flags, errors in the contest come before
-errors in the subcommand's own values (--rule, --points, the verify grid).
+audits the family for the document and forms the solver keywords (--force);
+`_emit_contest` writes the document, the spec first, then the subcommand's
+own entries, then the audit summary (verify's document has none).  Once
+argparse accepts the flags, errors in the contest come before errors in the
+subcommand's own values (--rule, --points, the verify grid).
 
 Exit codes: 0 success; 1 domain or validation problem, including audit
 reports with failing conditions; 2 convergence failure inside a solver;
@@ -157,7 +157,7 @@ def _preamble(args, *, need_q: bool):
     spec = _spec_from_args(args, need_q=need_q)
     _maybe_emit_spec(args, spec)
     report = audit_family(spec.csf, spec.valuations.v1)
-    return spec, report, {"force": args.force, "audited": report.passed}
+    return spec, report, {"force": args.force}
 
 
 def _emit(args, text: str) -> None:

@@ -11,7 +11,7 @@ build a per-q record, while a random rule, a handful of atoms too few for
 a batch to pay, takes one scalar `solve` per distinct atom.  `sweep` and
 `optimal_q` reuse the last grid batch with no failing lane, held by a stdlib
 `lru_cache`, not module state, keyed by the contest at q = 0, count and `force`.
-`audited` is accepted and changes nothing: no result here carries warnings.
+`audited` is accepted and ignored, as `solve` ignores it: no result here warns.
 The concave optimum is read off that batch and certified by the sign of dR/dq,
 from the implicit function theorem on the first-order conditions: an
 endpoint where it points outward, or `optimal_q` raises `ConvergenceError`.

@@ -10,8 +10,8 @@ by Newton's method with backtracking in log-impact coordinates
 g_i = log(x_i^r).
 
 `solve(spec)` is the one way in for one tie rule, `solve_lanes(spec, qs)` for
-many.  Each runs one prologue: it checks family kind, cost, closed-form
-precondition and a ratio form's prize ratio once, takes the stronger player's
+many.  Each runs one prologue: it checks family kind, cost, the audited
+conditions and a ratio form's prize ratio once, takes the stronger player's
 tie share(s) from `Valuations.tie_share` and picks the family kind's route in
 `_ROUTES`.  Each family kind has one route, and each solver step one body,
 written against the primitives `families.Ops` and run by both entry points,
@@ -30,8 +30,8 @@ raw-input helper, the effort-gap root of a difference-form contest.
 
 Every solver returns an `Equilibrium` carrying per-player first-order
 residuals evaluated at the returned profile, corner flags, and any warnings
-(notably an unchecked-assumptions note unless the caller vouches that an
-audit passed).  Residual targets and iteration budgets are the module
+(notably `UNCHECKED_ASSUMPTIONS_WARNING` where the family's audit fails at
+the larger prize).  Residual targets and iteration budgets are the module
 constants below, shared by both instances and read at call time.
 """
 from __future__ import annotations
@@ -67,9 +67,8 @@ BRACKET_EXPANSIONS = 100
 """Doublings allowed to bracket the effort-gap root."""
 
 UNCHECKED_ASSUMPTIONS_WARNING = (
-    "regularity conditions not audited for this family instance; run the "
-    "audit to confirm the solution formula applies"
-)
+    "the audited regularity conditions fail at the larger prize; the solution "
+    "formula may not give an equilibrium, so confirm it with the grid oracle")
 
 CORNER_UNIQUENESS_WARNING = (
     "corner-adjusted solution: the profile is a mutual best response, but "
@@ -546,7 +545,7 @@ _ROUTES = {
 }
 
 
-def _prologue(spec: ContestSpec, q_user, force: bool, audited: bool):
+def _prologue(spec: ContestSpec, q_user, force: bool):
     """The routes, prizes, internal tie share(s) and opening warnings of a
     solve at tie rule(s) `q_user`, once the checks that hold at every q pass
     (see `solve`); each family class declares its cost as `default_cost`."""
@@ -556,18 +555,13 @@ def _prologue(spec: ContestSpec, q_user, force: bool, audited: bool):
     if spec.cost is not csf.default_cost:
         raise ValidationError(f"{kind}-form contests are solved under "
                               f"{csf.default_cost.value!r} cost, got {spec.cost.value!r}")
-    warnings: tuple[str, ...] = ()
-    if not csf.lemma_precondition_ok:
-        if not force:
-            raise ValidationError(
-                f"family {csf.name!r} violates its closed-form precondition "
-                f"({csf.lemma_precondition}); pass force=True to evaluate anyway"
-            )
-        warnings += (f"closed-form precondition {csf.lemma_precondition} violated; "
-                     "result computed under protest",)
-    if not audited:
-        warnings += (UNCHECKED_ASSUMPTIONS_WARNING,)
-    vals = spec.valuations
+    vals, warnings = spec.valuations, ()
+    if csf.assumption_excess(vals.v1) > 0.0:  # where the family's audit fails
+        if not (force or csf.lemma_precondition_ok):
+            raise ValidationError(f"family {csf.name!r} violates its closed-form precondition "
+                                  f"({csf.lemma_precondition}); pass force=True (--force on "
+                                  "the command line) to evaluate anyway")
+        warnings = (UNCHECKED_ASSUMPTIONS_WARNING,)
     if kind == "ratio" and vals.beta == math.inf:
         raise DomainError(f"the ratio of prizes {(spec.v1, spec.v2)} overflows double precision")
     return _ROUTES[kind], vals, vals.tie_share(q_user), warnings
@@ -579,10 +573,11 @@ def solve(spec: ContestSpec, *, force: bool = False, audited: bool = False) -> E
     Validates that the cost technology matches the one the family's theory
     is stated under (linear for ratio and concave classes, half-quadratic
     for the difference class); other pairings have no solver and raise.
-    A ratio family outside its closed-form precondition raises unless
-    `force` is given, in which case a warning is attached instead.
+    Where the family's audit fails at the larger prize, a ratio family raises
+    unless `force` is given, and a returned solve carries
+    `UNCHECKED_ASSUMPTIONS_WARNING`.  `audited` is accepted and ignored.
     """
-    (route, residuals), vals, q_int, warnings = _prologue(spec, spec.q, force, audited)
+    (route, residuals), vals, q_int, warnings = _prologue(spec, spec.q, force)
     strong, weak, cornered, method, gates = route(spec.csf, vals, q_int, FLOATS)
     _raise_first(*gates)
     x1, x2 = vals.in_order(strong, weak)
@@ -592,7 +587,7 @@ def solve(spec: ContestSpec, *, force: bool = False, audited: bool = False) -> E
     return _equilibrium(x1, x2, beta, (r1, r2), cornered, method, warnings)
 
 
-def solve_lanes(spec: ContestSpec, qs, *, force: bool = False, audited: bool = False) -> Lanes:
+def solve_lanes(spec: ContestSpec, qs, *, force: bool = False) -> Lanes:
     """The contest at every q in `qs`, as arrays with one lane per q.
 
     A lane fails with its scalar solve's error, the `Equilibrium` check on
@@ -603,7 +598,7 @@ def solve_lanes(spec: ContestSpec, qs, *, force: bool = False, audited: bool = F
     q_user = q_array(qs)
     if q_user.ndim != 1:
         raise ValidationError(f"qs must be one-dimensional, got shape {q_user.shape}")
-    (route, residuals), vals, q_int, warnings = _prologue(spec, q_user, force, audited)
+    (route, residuals), vals, q_int, warnings = _prologue(spec, q_user, force)
     failed = np.zeros(q_user.size, dtype=bool)
     # log(0), stopped iterative lanes, failing lanes' efforts and their unused orders
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -621,8 +616,7 @@ def solve_lanes(spec: ContestSpec, qs, *, force: bool = False, audited: bool = F
     return Lanes(q_user, x1, x2, beta, (r1, r2), cornered, method, warnings, errors)
 
 
-def solve_many(spec: ContestSpec, qs, *, force: bool = False,
-               audited: bool = False) -> tuple[Equilibrium, ...]:
+def solve_many(spec: ContestSpec, qs, *, force: bool = False) -> tuple[Equilibrium, ...]:
     """Equilibria of one contest at each tie rule in `qs` (the q in `spec` is ignored).
 
     Entry i matches `solve(spec.with_q(qs[i]))` to rounding: same route,
@@ -631,7 +625,7 @@ def solve_many(spec: ContestSpec, qs, *, force: bool = False,
     tie rule fails, the error its scalar solve raises is raised, for the
     smallest failing q.
     """
-    lanes = solve_lanes(spec, qs, force=force, audited=audited)
+    lanes = solve_lanes(spec, qs, force=force)
     if lanes.errors:
         raise lanes.errors[min(sorted(lanes.errors), key=lambda i: lanes.q[i])]
     return tuple(map(lanes.equilibrium, range(lanes.q.size)))

@@ -195,7 +195,7 @@ class _Family:
     concave), `constraints` the parameter domain as shown in the CLI help,
     `default_cost` the cost technology the class's theory is stated under,
     and `lemma_precondition` the parameter restriction its closed form
-    needs ("none" when there is none; `lemma_precondition_ok` tests it).
+    needs ("none" when there is none; it holds iff `lemma_excess` <= 0).
     The parameters are the dataclass fields, whose names the dataclass
     lists in declaration order as `__match_args__`.
     """
@@ -205,6 +205,7 @@ class _Family:
     constraints: ClassVar[str]
     default_cost: ClassVar[CostKind]
     lemma_precondition: ClassVar[str] = "none"
+    lemma_excess: ClassVar[float] = 0.0
 
     @property
     def params(self) -> dict:
@@ -212,7 +213,12 @@ class _Family:
 
     @property
     def lemma_precondition_ok(self) -> bool:
-        return True
+        return self.lemma_excess <= 0.0
+
+    def assumption_excess(self, v1: float) -> float:
+        """How far the family misses the conditions that its audit and the solvers'
+        precondition gate decide at larger prize v1: they hold iff it is <= 0."""
+        return self.lemma_excess
 
     def _efforts(self, x1, x2, own_positive: bool = False):
         """Every family's one check of an effort pair: finite, >= 0, then x1 > 0 if asked."""
@@ -290,10 +296,6 @@ class RatioCsf(_ReducedCsf):
     def _theta(self, theta):
         return checked_array(theta, "theta", positive=True)
 
-    @property
-    def lemma_precondition_ok(self) -> bool:
-        return self.lemma_excess <= 0.0
-
     def outcome(self, x1, x2):
         # theta = x1 / x2 lands on the kernels' exact limits: inf for a lone
         # positive x1 (or an overflowing ratio) gives (1, 0, 0), 0 gives (0, 1, 0)
@@ -316,6 +318,9 @@ class DiffCsf(_ReducedCsf):
 
     def _theta(self, theta):
         return checked_array(theta, "theta")
+
+    def assumption_excess(self, v1: float) -> float:
+        return self.curvature_peak[0] - 1.0 / v1  # the bound |z_q''| <= 1 / v1
 
     def outcome(self, x1, x2):
         x1a, x2a = self._efforts(x1, x2)
@@ -480,12 +485,13 @@ class VesperoniDiff(DiffCsf):
         """With t = sb, z_0'' = k (1 - t)^k t ((k + 1) t - 1), whose extremes sit at
         the roots t = (3 +- sqrt(9 - 4 (k + 2) / (k + 1))) / (2 (k + 2)) of
         (k + 1)(k + 2) t^2 - 3 (k + 1) t + 1, at theta = log((1 - t) / t); S is the
-        larger, with (1 - t)^k as exp(k log1p(-t)), finite for every k.  At k = 1
-        the two are the logistic's, the same size."""
+        larger.  (k + 2) / (k + 1) is divided before its exact factor 4, and (1 - t)^k
+        taken as exp(k log1p(-t)), so S is finite for every k.  At k = 1 the two are
+        the logistic's, the same size."""
         k = self.k
         if k == 1.0:
             return _LOGISTIC_CURVATURE, (-_LOGISTIC_PEAK, _LOGISTIC_PEAK)
-        root = math.sqrt(9.0 - 4.0 * (k + 2.0) / (k + 1.0))
+        root = math.sqrt(9.0 - 4.0 * ((k + 2.0) / (k + 1.0)))
         top, theta = max((abs(k * t * math.exp(k * math.log1p(-t)) * ((k + 1.0) * t - 1.0)),
                           math.log1p(-t) - math.log(t))
                          for t in ((3.0 + root) / 2.0 / (k + 2.0), (3.0 - root) / 2.0 / (k + 2.0)))

@@ -84,7 +84,7 @@ def test_acceptance_03_diff_sweeps_drop_and_gap_shrinks(capsys):
             csf = make_family(name, k=2)
             assert audit_diff(csf, v1=1.2).passed, name
             spec = make_contest(family=name, v1=1.2, v2=1.0, q=0.0, k=2)
-            curve = sweep(spec, 21, audited=True)
+            curve = sweep(spec, 21)
             totals = np.array(curve.totals)
             assert np.all(np.diff(totals) <= 1e-12), name
             assert totals[0] - totals[-1] > 1e-6, name
@@ -149,7 +149,7 @@ def test_acceptance_07_unbiased_random_rules_are_interchangeable(capsys):
         assert all(rule.is_unbiased for rule in rules)
         for name, r, k in (("jia-ratio", 1.0, 2.0), ("vesperoni-ratio", 0.5, 2.0)):
             spec = ratio_contest(name, r, k)
-            values = [expected_effort(spec, rule, audited=True) for rule in rules]
+            values = [expected_effort(spec, rule) for rule in rules]
             spread = max(values) - min(values)
             assert spread <= 1e-10, (name, spread)
 
@@ -159,11 +159,11 @@ def test_acceptance_08_convexity_precondition_transfers(capsys):
         csf = make_family("vesperoni-diff", k=2)
         spec = make_contest(family="vesperoni-diff", v1=0.5, v2=0.4, q=0.0, k=2)
         assert convexity_precondition(csf, v1=0.5).holds
-        curve = sweep(spec, 21, audited=True)
+        curve = sweep(spec, 21)
         assert curve.shape.convex.holds
         coin = RandomTieRule.from_pairs([(0.0, 0.5), (1.0, 0.5)])
-        coin_value = expected_effort(spec, coin, audited=True)
-        half_value = solve(spec.with_q(0.5), audited=True).total
+        coin_value = expected_effort(spec, coin)
+        half_value = solve(spec.with_q(0.5)).total
         assert coin_value >= half_value - 1e-12
 
 

@@ -334,7 +334,7 @@ def test_ratio_products_that_overflow_only_in_one_order_solve(name, params, priz
     assert (eq.x1, eq.x2) == pytest.approx(efforts, rel=1e-14)
     assert max(map(abs, eq.residuals)) <= 4.0 * sys.float_info.epsilon
     qs = [0.0, 0.3, 0.5]
-    lanes = solve_lanes(spec, qs, force=True, audited=False)
+    lanes = solve_lanes(spec, qs, force=True)
     assert not lanes.errors
     for i, q in enumerate(qs):
         assert lanes.equilibrium(i) == solve(spec.with_q(q), force=True)
@@ -378,7 +378,7 @@ def test_ratio_lanes_fail_only_where_the_strong_effort_overflows():
     # v1 * beta * slope passes the largest double between q = 0.4 and 0.5
     spec = make_contest("jia-ratio", v1=1.1e308, v2=1e308, q=0.0, r=8.0, k=2.0)
     qs = [i / 10 for i in range(11)]
-    lanes = solve_lanes(spec, qs, force=True, audited=False)
+    lanes = solve_lanes(spec, qs, force=True)
     assert sorted(lanes.errors) == [0, 1, 2, 3, 4]
     for i, q in enumerate(qs):
         if i in lanes.errors:

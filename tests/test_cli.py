@@ -14,6 +14,7 @@ import pytest
 
 from tiebreak import ConvergenceError
 from tiebreak.core import MAX_COUNT
+from tiebreak.equilibrium import UNCHECKED_ASSUMPTIONS_WARNING
 from tiebreak.cli import (
     EXIT_INVALID,
     EXIT_NO_CONVERGENCE,
@@ -115,7 +116,7 @@ class TestSolveCommand:
         capsys.readouterr()
         code, doc = run_json(capsys, [*argv, "--force"])
         assert code == EXIT_OK
-        assert any("protest" in w for w in doc["equilibrium"]["warnings"])
+        assert doc["equilibrium"]["warnings"] == [UNCHECKED_ASSUMPTIONS_WARNING]
 
     def test_convergence_failure_exit_code(self, capsys, monkeypatch):
         import tiebreak.cli as cli

@@ -53,6 +53,10 @@ CONTESTS = {
                 "--v1", "1", "--v2", "2", "--q", "0.25"],
 }
 
+CURVATURE_FAILING = ["--family", "vesperoni-diff", "--k", "6.388505594693889",
+                     "--v1", "7.375058005576213", "--v2", "3.7494174585456066",
+                     "--q", "0.06293828720167405"]
+
 SUBCOMMAND_TAILS = {
     "solve": [],
     "sweep": ["--points", "21"],
@@ -107,6 +111,10 @@ CASES = (
         ["sweep", *CONTESTS["jia-ratio"], "--points", "1"],
         ["verify", *CONTESTS["jia-ratio"], "--steps", "201", "--eps", "-1"],
         ["solve", *CONTESTS["jia-ratio"], "--format", "csv"],
+        # a difference contest past its curvature bound: the solve returns a
+        # stationary point with the condition warning, which the oracle refutes
+        ["solve", *CURVATURE_FAILING],
+        ["verify", *CURVATURE_FAILING],
     ]
 )
 

@@ -84,7 +84,7 @@ class TestSweep:
 
     def test_diff_family_drop_between_extremes(self):
         spec = make_contest(family="jia-diff", v1=1.2, v2=1.0, q=0.0, k=2)
-        curve = sweep(spec, 21, audited=True)
+        curve = sweep(spec, 21)
         totals = curve.totals
         assert totals[0] - totals[-1] > 1e-6
         assert curve.shape.monotone_decreasing.holds
@@ -134,7 +134,7 @@ class TestSweep:
         assert float(row.split(",")[1]) == curve.x1[1]
 
     def test_convexity_certificate_on_diff_sweep(self):
-        curve = sweep(DIFF_SMALL, 21, audited=True)
+        curve = sweep(DIFF_SMALL, 21)
         assert curve.shape.convex.holds
 
 
@@ -184,7 +184,7 @@ class TestOptimalQ:
 
     def test_diff_family_favors_the_trailing_player(self):
         spec = make_contest(family="jia-diff", v1=1.2, v2=1.0, q=0.0, k=2)
-        best = optimal_q(spec, audited=True)
+        best = optimal_q(spec)
         assert best.q_star.q == 0.0
         assert best.rationale is Rationale.THEOREM
 
@@ -385,10 +385,10 @@ class TestGridMemo:
         assert _held(spec) is held
         assert [qs.size for qs in batches] == [101, 101]  # the two cold calls
 
-    @pytest.mark.parametrize("q,kwargs", [(0.7, {}), (0.0, dict(audited=True))],
-                             ids=["q", "audited"])
+    @pytest.mark.parametrize("q,kwargs", [(0.7, {}), (0.0, dict(force=False))],
+                             ids=["q", "default-force"])
     def test_a_change_the_batch_does_not_read_hits(self, batches, q, kwargs):
-        """An optimal_q after an unaudited sweep(spec, 101) solves nothing new."""
+        """An optimal_q after a sweep(spec, 101) solves nothing new."""
         spec = make_contest(**MEMO_BASE)
         cold = _bits(optimal_q(spec.with_q(q), **kwargs))
         sweep(spec, 101)
@@ -545,7 +545,7 @@ class TestExpectedEffort:
         assert value == math.fsum(w * solve(SOFT_RATIO.with_q(q)).total for q, w in pairs)
 
     def test_coin_beats_half_under_convexity(self):
-        coin_value = expected_effort(DIFF_SMALL, COIN, audited=True)
+        coin_value = expected_effort(DIFF_SMALL, COIN)
         half_value = solve(DIFF_SMALL.with_q(0.5)).total
         assert coin_value >= half_value - 1e-12
 
@@ -571,7 +571,7 @@ class TestConvexityPrecondition:
     def test_transfer_to_sweep_and_coin(self):
         check = convexity_precondition(DIFF_SMALL.csf, v1=DIFF_SMALL.v1)
         assert check.holds
-        curve = sweep(DIFF_SMALL, 21, audited=True)
+        curve = sweep(DIFF_SMALL, 21)
         assert curve.shape.convex.holds
 
     def test_input_validation(self):

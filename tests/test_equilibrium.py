@@ -24,6 +24,7 @@ from tiebreak import (
     solve_many,
 )
 import tiebreak.equilibrium as equilibrium_mod
+from tiebreak.audit import audit_family
 from tiebreak.equilibrium import (
     BETA_RESIDUAL,
     CLOSED_FORM_RESIDUAL,
@@ -91,13 +92,7 @@ class TestRatioClosedForm:
         with pytest.raises(ValidationError):
             solve_at(csf, (2.0, 1.0), 0.5)
         eq = solve_at(csf, (2.0, 1.0), 0.5, force=True)
-        assert any("under protest" in w for w in eq.warnings)
-
-    def test_unaudited_warning_togglable(self):
-        csf = make_family("jia-ratio", r=1.0, k=2)
-        assert UNCHECKED_ASSUMPTIONS_WARNING in solve_at(csf, (2.0, 1.0), 0.5).warnings
-        clean = solve_at(csf, (2.0, 1.0), 0.5, audited=True)
-        assert UNCHECKED_ASSUMPTIONS_WARNING not in clean.warnings
+        assert eq.warnings == (UNCHECKED_ASSUMPTIONS_WARNING,)
 
     def test_tiny_closed_form_efforts_keep_exact_residuals(self):
         """Efforts near 1e-301 square to zero; the residual must not."""
@@ -108,6 +103,22 @@ class TestRatioClosedForm:
     def test_underflowing_closed_form_raises(self):
         with pytest.raises(ConvergenceError, match="underflow"):
             solve_at(make_family("vesperoni-ratio", r=1e-9, k=1e9), (2.0, 1.0), 0.0)
+
+
+@pytest.mark.parametrize("family,params,v,warned", [
+    ("jia-ratio", dict(r=1.0, k=2), (2.0, 1.0), False),
+    ("jia-diff", dict(k=2), (3.0, 1.2), False),
+    ("vesperoni-diff", dict(k=2), (1.2, 3.0), False),
+    ("jia-diff", dict(k=2), (1.2, 20.0), True),  # 20 * sqrt(3) / 18 > 1
+    ("blavatskyy-power", dict(r=0.5), (4.0, 2.0), False),
+], ids=["ratio", "diff", "diff-swapped", "diff-past-its-curvature-bound", "concave"])
+def test_the_condition_warning_follows_the_audit(family, params, v, warned):
+    """A solve given no keyword warns exactly where the family's audit at the
+    larger prize fails."""
+    csf = make_family(family, **params)
+    assert audit_family(csf, max(v)).passed is not warned
+    eq = solve_at(csf, v, 0.5)
+    assert eq.warnings == ((UNCHECKED_ASSUMPTIONS_WARNING,) if warned else ())
 
 
 class TestEffortGapRoot:

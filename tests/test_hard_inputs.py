@@ -126,7 +126,7 @@ def test_unbracketed_gap_root_fails_alike_in_solve_and_lanes(monkeypatch):
     monkeypatch.setattr(tiebreak.equilibrium, "BRACKET_EXPANSIONS", 3)
     qs = [0.0, 0.5, 1.0]
     spec = make_contest("jia-diff", v1=1e6, v2=1.0, q=0.0, k=2.0)
-    lanes = tiebreak.equilibrium.solve_lanes(spec, qs, force=False, audited=False)
+    lanes = tiebreak.equilibrium.solve_lanes(spec, qs, force=False)
     assert sorted(lanes.errors) == [0, 1, 2]
     for i, q in enumerate(qs):
         with pytest.raises(ConvergenceError, match="could not bracket") as scalar:
@@ -141,7 +141,7 @@ def test_gap_root_bracket_tries_its_last_bound(monkeypatch):
     its lane both find it."""
     monkeypatch.setattr(tiebreak.equilibrium, "BRACKET_EXPANSIONS", 4)
     spec = make_contest("jia-diff", v1=1e6, v2=1.0, q=0.0, k=2.0)
-    lanes = tiebreak.equilibrium.solve_lanes(spec, [0.0], force=False, audited=False)
+    lanes = tiebreak.equilibrium.solve_lanes(spec, [0.0], force=False)
     eq = solve(spec)
     assert lanes.errors == {}
     assert eq.beta == pytest.approx(12.02, abs=0.01)
@@ -155,7 +155,7 @@ def test_interior_linear_impact_lanes_at_huge_prizes_stay_silent():
     scalar solves do, and nothing warns."""
     spec = make_contest("blavatskyy-power", v1=1e300, v2=1e300, q=0.5, r=1.0)
     qs = [0.0, 0.25, 0.5, 1.0]
-    lanes = tiebreak.equilibrium.solve_lanes(spec, qs, force=False, audited=False)
+    lanes = tiebreak.equilibrium.solve_lanes(spec, qs, force=False)
     assert lanes.errors == {} and not lanes.cornered.any()
     for i, q in enumerate(qs):
         eq = solve(spec.with_q(q))

@@ -454,7 +454,7 @@ def test_verify_passes_audited_solutions_and_refutes_beaten_claims(family):
         if not audit_family(spec.csf, spec.valuations.v1).passed:
             continue
         try:
-            eq = solve(spec, audited=True)
+            eq = solve(spec)
         except ContestError:
             continue
         grid = GridSpec.for_contest(spec, steps=101)

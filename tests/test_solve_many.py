@@ -96,7 +96,7 @@ def _close(a: float, b: float, scale: float, rel: float = 1e-12) -> bool:
 @pytest.mark.parametrize("spec", CONTESTS,
                          ids=lambda s: f"{s.csf.name}-{s.csf.params}-{s.v1:.4g}-{s.v2:.4g}")
 def test_every_lane_matches_the_scalar_solve(spec):
-    lanes = solve_lanes(spec, LANE_QS, force=False, audited=False)
+    lanes = solve_lanes(spec, LANE_QS, force=False)
     assert lanes.x1.size == lanes.x2.size == LANE_QS.size
     # Only the concave Newton loop (r < 1) differs between a lane and a scalar
     # solve; every other route evaluates the same expressions, bit for bit.
@@ -151,10 +151,10 @@ def test_grid_reaches_corner_and_underflow_lanes():
 def test_solve_many_returns_equilibria_in_order():
     spec = make_contest("jia-diff", v1=0.7, v2=4.0, q=0.0, k=2.5)
     qs = [0.9, 0.1, 0.5]
-    many = solve_many(spec, qs, audited=True)
+    many = solve_many(spec, qs)
     assert isinstance(many, tuple)
     for q, eq in zip(qs, many):
-        ref = solve(spec.with_q(q), audited=True)
+        ref = solve(spec.with_q(q))
         assert eq.x1 == pytest.approx(ref.x1, rel=1e-12)
         assert eq.x2 == pytest.approx(ref.x2, rel=1e-12)
         assert eq.warnings == ()
@@ -202,7 +202,7 @@ def test_nan_slope_lane_fails_as_its_scalar_solve(monkeypatch):
     with pytest.raises(ValidationError) as lane:
         solve_many(spec, [0.0, 0.5, 1.0])
     assert str(lane.value) == str(scalar.value)
-    assert set(solve_lanes(spec, [0.0, 0.5, 1.0], force=False, audited=False).errors) == {1}
+    assert set(solve_lanes(spec, [0.0, 0.5, 1.0], force=False).errors) == {1}
 
 
 @pytest.mark.parametrize("qs", [[0.5, math.nan], [math.inf], [-0.1], [0.2, 1.5],
@@ -358,7 +358,7 @@ def test_rule_equals_the_sum_of_scalar_solves(family, params, v1, v2, pairs):
 def test_rule_raises_the_smallest_failing_atoms_error(pairs):
     spec = make_contest("blavatskyy-power", v1=0.01184, v2=0.1024, q=0.0, r=0.97)
     qs = sorted(q for q, _ in pairs)
-    lanes = solve_lanes(spec, qs, force=False, audited=False)
+    lanes = solve_lanes(spec, qs, force=False)
     failing = min(lanes.errors)
     with pytest.raises(ConvergenceError) as scalar:
         solve(spec.with_q(qs[failing]))
@@ -408,7 +408,7 @@ def test_truncated_gap_roots_take_the_scalar_steps(budget, family, params, prize
     csf, qs = spec.csf, np.linspace(0.0, 1.0, 6)
     with np.errstate(all="ignore"):
         lanes = _gap_root(csf, prizes[0] - prizes[1], qs, LANES)
-    errors = solve_lanes(spec, qs, force=False, audited=False).errors
+    errors = solve_lanes(spec, qs, force=False).errors
     for lane, q in enumerate(qs):
         root, resid, hi, ahead = _gap_root(csf, prizes[0] - prizes[1], float(q))
         assert [float(a[lane]).hex() for a in lanes[:3]] == [root.hex(), resid.hex(), hi.hex()]

@@ -154,7 +154,7 @@ def scan(draws: int):
             return f"{report.passed} {_report_digest(report)}"
 
         def lanes():
-            return _digest(_lanes_text(solve_lanes(spec, LANE_QS, force=False, audited=False)))
+            return _digest(_lanes_text(solve_lanes(spec, LANE_QS, force=False)))
 
         def optimum():
             best = optimal_q(spec)

@@ -198,13 +198,13 @@ def design_sample():
 
 def design_op(spec, pairs):
     """One design-study operation: audit, then solve, sweep, optimal_q and
-    expected_effort under its verdict; an error ends it."""
+    expected_effort; an error ends it."""
     designer._grid_lanes.cache_clear()
-    audited = audit_family(spec.csf, v1=max(spec.v1, spec.v2)).passed
-    solve(spec, audited=audited)
-    sweep(spec, 101, audited=audited)
-    optimal_q(spec, audited=audited)
-    return expected_effort(spec, RandomTieRule.from_pairs(pairs), audited=audited)
+    audit_family(spec.csf, v1=max(spec.v1, spec.v2))
+    solve(spec)
+    sweep(spec, 101)
+    optimal_q(spec)
+    return expected_effort(spec, RandomTieRule.from_pairs(pairs))
 
 
 Row = namedtuple("Row", "op kind label count result plain")
@@ -230,7 +230,7 @@ def scan():
         yield _row("make_contest", family, name, bytecodes, build)
         yield _row("solve", family, name, bytecodes, functools.partial(solve, spec))
         yield _row("lanes", family, name, numpy_calls, functools.partial(
-            equilibrium.solve_lanes, spec, LANE_QS, force=False, audited=False))
+            equilibrium.solve_lanes, spec, LANE_QS, force=False))
     for index, family, kw, pairs in design_sample():
         yield _row("design", family, f"{index}-{family}", bytecodes,
                    functools.partial(design_op, make_contest(**kw), pairs))
