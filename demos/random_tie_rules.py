@@ -52,7 +52,8 @@ def main() -> None:
     diff = make_contest(family="vesperoni-diff", v1=0.5, v2=0.4, q=0.5, k=2)
     precondition = convexity_precondition(diff.csf, v1=diff.v1)
     print(f"tie-mass curvature strictly negative up to the prize bound: "
-          f"{precondition.holds}")
+          f"{precondition.holds} (gaps up to {precondition.theta_max:.4f}; p0 stops "
+          f"being concave at theta* = {diff.csf.tie_inflection:.4f})")
     coin = RandomTieRule.from_pairs([(0.0, 0.5), (1.0, 0.5)])
     coin_value = expected_effort(diff, coin)
     committed = solve(diff).total

@@ -154,8 +154,11 @@ class CostKind(Enum):
         return x if self is CostKind.LINEAR else 0.5 * x * x
 
     def break_even(self, prize: float) -> float:
-        """The effort costing `prize`, above which staying out does better."""
-        return prize if self is CostKind.LINEAR else math.sqrt(2.0 * prize)
+        """The effort costing `prize`, above which staying out does better; where 2 prize
+        overflows, sqrt(2 prize) is formed as 2 sqrt(prize / 2), the same number."""
+        if self is CostKind.LINEAR:
+            return prize
+        return math.sqrt(2.0 * prize) if 2.0 * prize < math.inf else 2.0 * math.sqrt(prize / 2.0)
 
     @classmethod
     def coerce(cls, value: "CostKind | str") -> "CostKind":

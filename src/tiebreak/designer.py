@@ -15,6 +15,7 @@ a batch to pay, takes one scalar `solve` per distinct atom.  `sweep` and
 The concave optimum is read off that batch and certified by the sign of dR/dq,
 from the implicit function theorem on the first-order conditions: an
 endpoint where it points outward, or `optimal_q` raises `ConvergenceError`.
+`convexity_precondition` reads the family's `tie_inflection`.
 
 Shape certificates are numeric statements about the sampled curve, not
 symbolic proofs: each records the worst measured violation alongside the
@@ -53,9 +54,6 @@ MONOTONE_SLACK = 1e-12
 
 CONVEX_TOL = 1e-10
 """Most negative allowed second difference of R for the convex certificate."""
-
-STRICT_NEGATIVE_SLACK = 1e-12
-"""Wrong-side slack for the strict tie-curvature precondition."""
 
 OPTIMAL_IMPROVEMENT_GUARD = 1e-12
 """Relative improvement a cross-check must exceed to override a candidate."""
@@ -280,52 +278,21 @@ def expected_effort(spec: ContestSpec, rule: RandomTieRule, *,
 
 @dataclass(frozen=True)
 class ConvexityPrecondition(JsonRecord):
-    """Grid verdict on strict negativity of the tie probability's curvature.
-
-    `holds` is True when the second derivative of the tie probability stays
-    strictly below zero (beyond slack) over [0, sqrt(2 * v1)];
-    `worst_value` is its largest sampled value and `worst_theta` where it
-    occurs (smallest such theta on ties).  On failure `first_crossing` is
-    the smallest sampled theta at which strict negativity already fails,
-    locating the sign change; it is None when the condition holds.
-    """
+    """Whether p0'' < 0 on the reachable gaps [0, theta_max]: theta_max < theta*, the
+    family's `tie_inflection`; `first_crossing` is theta* on failure, None otherwise."""
 
     holds: bool
-    worst_value: float
-    worst_theta: float
     theta_max: float
-    points: int
     first_crossing: float | None = None
 
 
-def convexity_precondition(csf, v1, points: int = 2001) -> ConvexityPrecondition:
-    """Check the curvature condition that makes R(q) convex for small prizes.
-
-    Scans the analytic second derivative of the tie probability over
-    [0, sqrt(2 * v1)], the reachable effort-gap range at prize v1: the
-    break-even effort of the family's half-quadratic cost.  A family with no
-    ties fails: its curvature is identically zero, not strictly negative.
-    """
+def convexity_precondition(csf, v1) -> ConvexityPrecondition:
+    """Check the curvature condition that makes R(q) convex for small prizes: p0'' < 0
+    on [0, sqrt(2 * v1)], the gaps within the break-even effort of the family's
+    half-quadratic cost at prize v1.  A family with no ties fails: its p0'' is 0."""
     if getattr(csf, "kind", None) != "diff":
         raise ValidationError("convexity_precondition requires a difference-form family")
-    v1f = positive_value(v1, "v1")
-    points = count_value(points, "points")
-
-    hi = csf.default_cost.break_even(v1f)
-    theta = np.linspace(0.0, hi, points)
-    curv = np.asarray(csf.p0_double_prime(theta), dtype=float)
-    worst_idx = int(np.argmax(curv))
-    worst = float(curv[worst_idx])
-    holds = worst < -STRICT_NEGATIVE_SLACK
-    crossing = None
-    if not holds:
-        bad = np.flatnonzero(curv >= -STRICT_NEGATIVE_SLACK)
-        crossing = float(theta[int(bad[0])])
-    return ConvexityPrecondition(
-        holds=holds,
-        worst_value=worst,
-        worst_theta=float(theta[worst_idx]),
-        theta_max=hi,
-        points=points,
-        first_crossing=crossing,
-    )
+    hi, inflection = csf.default_cost.break_even(positive_value(v1, "v1")), csf.tie_inflection
+    holds = hi < inflection
+    return ConvexityPrecondition(holds=holds, theta_max=hi,
+                                 first_crossing=None if holds else inflection)

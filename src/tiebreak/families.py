@@ -22,8 +22,9 @@ First and second derivatives of z_q are analytic: root finding needs
 smooth, noise-free evaluations, so finite differences appear only in the test
 suite as an oracle; `z_slopes` returns (z_q', z_q'') from one share evaluation,
 and z_q'' is written only there; a difference family states its supremum over
-theta and q as `curvature_peak`.  Because z_q is affine in q, the tie-probability
-derivatives follow exactly: p0' = z_1' - z_0' and likewise for p0''.
+theta and q as `curvature_peak`, and where p0 stops being concave as
+`tie_inflection`.  Because z_q is affine in q, the tie-probability derivatives
+follow exactly: p0' = z_1' - z_0' and likewise for p0''.
 
 Every method that takes a tie rule q accepts one tie share (a number or a
 `TieRule`) or an array of them, broadcast against the contest states, so one
@@ -308,10 +309,11 @@ class RatioCsf(_ReducedCsf):
 class DiffCsf(_ReducedCsf):
     """Base class of families driven by the effort difference theta = x1 - x2.
 
-    Each states `curvature_peak`, (S, thetas): S = sup |z_q''| over every theta
-    and tie rule q, and the thetas, ascending, where the row q = 0 reaches it.  The
-    row q = 1 is its mirror, z_1''(theta) = -z_0''(-theta) as z_1(theta) =
-    1 - p(-theta), and z_q'' is affine in q, so no other row passes S."""
+    Each states two facts of its parameters in `math` only.  `curvature_peak` is (S,
+    thetas): S = sup |z_q''| over every theta and tie rule q, and the ascending thetas
+    where the row q = 0 reaches it; the row q = 1 mirrors it, z_1''(theta) = -z_0''(-theta)
+    as z_1 = 1 - p(-theta), and z_q'' is affine in q, so no row passes S.  `tie_inflection`
+    is the theta* >= 0 with p0'' < 0 exactly for |theta| < theta*, 0.0 at k = 1 (p0 = 0)."""
 
     kind: ClassVar[str] = "diff"
     default_cost: ClassVar[CostKind] = CostKind.QUADRATIC_HALF
@@ -484,18 +486,33 @@ class VesperoniDiff(DiffCsf):
     def curvature_peak(self) -> tuple[float, tuple[float, ...]]:
         """With t = sb, z_0'' = k (1 - t)^k t ((k + 1) t - 1), whose extremes sit at
         the roots t = (3 +- sqrt(9 - 4 (k + 2) / (k + 1))) / (2 (k + 2)) of
-        (k + 1)(k + 2) t^2 - 3 (k + 1) t + 1, at theta = log((1 - t) / t); S is the
-        larger.  (k + 2) / (k + 1) is divided before its exact factor 4, and (1 - t)^k
-        taken as exp(k log1p(-t)), so S is finite for every k.  At k = 1 the two are
-        the logistic's, the same size."""
+        (k + 1)(k + 2) t^2 - 3 (k + 1) t + 1, at theta = log((1 - t) / t); S is at the
+        larger root, whose lobe a scan of 10^6 k in (1, e^707] never found the smaller.
+        (k + 2) / (k + 1) is divided before its exact factor 4, and (1 - t)^k taken as
+        exp(k log1p(-t)), so S is finite for every k.  At k = 1 the lobes tie."""
         k = self.k
         if k == 1.0:
             return _LOGISTIC_CURVATURE, (-_LOGISTIC_PEAK, _LOGISTIC_PEAK)
-        root = math.sqrt(9.0 - 4.0 * ((k + 2.0) / (k + 1.0)))
-        top, theta = max((abs(k * t * math.exp(k * math.log1p(-t)) * ((k + 1.0) * t - 1.0)),
-                          math.log1p(-t) - math.log(t))
-                         for t in ((3.0 + root) / 2.0 / (k + 2.0), (3.0 - root) / 2.0 / (k + 2.0)))
-        return top, (theta,)
+        t = (3.0 + math.sqrt(9.0 - 4.0 * ((k + 2.0) / (k + 1.0)))) / 2.0 / (k + 2.0)
+        top = k * t * math.exp(k * math.log1p(-t)) * ((k + 1.0) * t - 1.0)
+        return top, (math.log1p(-t) - math.log(t),)
+
+    @property
+    def tie_inflection(self) -> float:
+        """With rho = e^-|theta| and m = k - 1, s = 1 / (1 + rho) and sb = rho s, so
+        p0'' = k s sb (sb^m (sb - k s) - s^m (k sb - s)) has the sign of
+        F = (1 - rho)(1 - rho^m) - m (rho + rho^m) = 1 + rho^k - k (rho + rho^m), whose
+        slope k (rho^m - 1 - m rho^(m - 1)) < 0 on (0, 1): F falls from 1 to 2 - 2k,
+        with no closed-form root for real k.  At theta = log(2k) / min(1, m), k rho =
+        1/2 >= k rho^m (k >= 2) or k rho^m = 1/2 and rho <= rho^m (k < 2), so F > 0.
+        Bisection on the sign of F, 1 - rho and 1 - rho^m from expm1, halves that bracket
+        until its midpoint is an endpoint; the upper one is within two ulps of the root."""
+        m = self.k - 1.0  # k = 1 leaves the bracket [0, 0]
+        lo, hi = 0.0, (math.log(self.k) + math.log(2.0)) / min(1.0, m) if m else 0.0
+        while lo < (mid := lo + (hi - lo) / 2.0) < hi:
+            below = math.expm1(-mid) * math.expm1(-m * mid) < m * (math.exp(-mid) + math.exp(-m * mid))
+            lo, hi = (mid, hi) if below else (lo, mid)
+        return hi
 
 
 @dataclass(frozen=True)
@@ -542,6 +559,14 @@ class JiaDiff(DiffCsf):
         """p is the logistic shifted by log k, so S is the logistic's for every k."""
         shift = math.log(self.k)
         return _LOGISTIC_CURVATURE, (shift - _LOGISTIC_PEAK, shift + _LOGISTIC_PEAK)
+
+    @property
+    def tie_inflection(self) -> float:
+        """p0 = (k^2 - 1) / D, D = k^2 + 1 + 2k c, c = cosh theta, so p0'' = 2k (k^2 - 1)
+        (2k c^2 - (k^2 + 1) c - 4k) / D^3, whose one root c > 1 is (k + 1/k + hypot(k +
+        1/k, sqrt(32))) / 4, in quarters, hypot((k + 1/k) / 4, sqrt(2)), to stay finite."""
+        quarter = (self.k + 1.0 / self.k) / 4.0
+        return math.acosh(quarter + math.hypot(quarter, math.sqrt(2.0))) if self.k > 1.0 else 0.0
 
 
 @dataclass(frozen=True)

@@ -82,11 +82,16 @@ class GridSpec:
 
         Any effort costing more than the prize is dominated by staying out, so
         the ceiling is the largest prize's break-even effort plus one grid
-        step, the fixed point x_max = bound * (steps - 1) / (steps - 2).
+        step, the fixed point x_max = bound * (steps - 1) / (steps - 2), divided first
+        only where that order overflows; with no finite ceiling it raises `DomainError`.
         """
-        steps = count_value(steps, "steps", 3)
-        bound = spec.cost.break_even(spec.valuations.v1)
-        return cls(x_max=bound * (steps - 1) / (steps - 2), steps=steps)
+        steps, prize = count_value(steps, "steps", 3), spec.valuations.v1
+        bound = spec.cost.break_even(prize)
+        x_max = bound * (steps - 1) / (steps - 2)
+        if x_max == math.inf and (x_max := bound / (steps - 2) * (steps - 1)) == math.inf:
+            raise DomainError(f"no finite grid ceiling at prize {prize!r}: "
+                              f"a step above {bound!r} overflows")
+        return cls(x_max=x_max, steps=steps)
 
 
 def _deviation(spec: ContestSpec, opponent: float, axis: np.ndarray, player: int):

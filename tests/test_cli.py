@@ -293,6 +293,15 @@ class TestVerifyCommand:
         assert report["passed"] is False
         assert report["profile"]["x2"] > report["grid"]["x_max"]
 
+    def test_grid_ceiling_at_the_top_of_the_double_range_is_finite(self, capsys):
+        """sqrt(2 v1) overflowed above v1 = 8.99e307, and the command exited 1 naming
+        an x_max of inf that was never given."""
+        code, doc = run_json(capsys, ["verify", "--family", "jia-diff", "--k", "2",
+                                      "--v1", "1e308", "--v2", "1", "--q", "0.5", "--steps", "101"])
+        assert code in (EXIT_OK, EXIT_VERIFY_FAILED)
+        grid = doc["verification"]["grid"]
+        assert grid["x_max"] == pytest.approx(math.sqrt(2.0) * 1e154 * 100 / 99, rel=1e-15)
+
     def test_grid_beyond_the_scan_budget_is_refused_before_the_scan(self, capsys,
                                                                    monkeypatch):
         """`GridSpec` takes 10^6 steps, but `grid_nash` refuses a grid whose

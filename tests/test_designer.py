@@ -7,6 +7,7 @@ import math
 import re
 import sys
 import warnings
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -554,19 +555,50 @@ class TestConvexityPrecondition:
     def test_small_prize_certifies_convexity(self):
         check = convexity_precondition(make_family("vesperoni-diff", k=2), v1=0.5)
         assert check.holds
-        assert check.worst_value < 0.0
         assert check.first_crossing is None
 
     def test_large_prize_fails_with_crossing_location(self):
         check = convexity_precondition(make_family("vesperoni-diff", k=2), v1=50.0)
         assert not check.holds
-        assert check.worst_value > 0.0
-        # The tie-mass curvature turns nonnegative near 1.317 gap units.
-        assert check.first_crossing == pytest.approx(1.3170, abs=1.5e-2)
+        # The tie-mass curvature turns nonnegative at log(2 + sqrt(3)) gap units.
+        assert check.first_crossing == make_family("vesperoni-diff", k=2).tie_inflection
+        assert check.first_crossing == pytest.approx(1.3170, abs=1e-4)
 
-    def test_tieless_family_cannot_satisfy_it(self):
-        check = convexity_precondition(make_family("jia-diff", k=1), v1=0.5)
-        assert not check.holds
+    @pytest.mark.parametrize("family", ("jia-diff", "vesperoni-diff"))
+    def test_tieless_family_cannot_satisfy_it(self, family):
+        check = convexity_precondition(make_family(family, k=1), v1=0.5)
+        assert (check.holds, check.first_crossing) == (False, 0.0)
+
+    def test_verdict_is_the_inflection_against_the_break_even_gap(self):
+        for family, k, v1 in (("jia-diff", 2.0, 0.99), ("jia-diff", 2.0, 1.0),
+                              ("vesperoni-diff", 7.5, 0.5), ("vesperoni-diff", 7.5, 80.0)):
+            csf = make_family(family, k=k)
+            check = convexity_precondition(csf, v1)
+            assert check.theta_max == math.sqrt(2.0 * v1)
+            assert check.holds == (check.theta_max < csf.tie_inflection)
+            assert check.first_crossing == (None if check.holds else csf.tie_inflection)
+
+    def test_small_tie_curvature_is_not_a_crossing(self):
+        """p0'' < 0 on all of [0, theta_max] at this contest, but only by about
+        1e-48 near 0; a sampled scan with a 1e-12 slack reported a crossing at 0."""
+        csf = make_family("vesperoni-diff", k=172.349)
+        check = convexity_precondition(csf, v1=7.19344)
+        assert (check.holds, check.first_crossing) == (True, None)
+        k = Decimal("172.349")
+        with localcontext() as ctx:
+            ctx.prec = 80
+
+            def tie_curvature(theta):
+                s = 1 / (1 + (-theta).exp())
+                sb = 1 - s
+                return k * s * sb * (sb ** (k - 1) * (sb - k * s) - s ** (k - 1) * (k * sb - s))
+
+            thetas = [Decimal(check.theta_max) * i / 400 for i in range(401)]
+            assert max(tie_curvature(theta) for theta in thetas) < 0
+            # and the exact sign change sits at the family's inflection
+            inflection = Decimal(csf.tie_inflection)
+            assert tie_curvature(inflection * (1 - Decimal("1e-12"))) < 0
+            assert tie_curvature(inflection * (1 + Decimal("1e-12"))) > 0
 
     def test_transfer_to_sweep_and_coin(self):
         check = convexity_precondition(DIFF_SMALL.csf, v1=DIFF_SMALL.v1)
@@ -580,10 +612,13 @@ class TestConvexityPrecondition:
         with pytest.raises(ValidationError):
             convexity_precondition(make_family("jia-diff", k=2), v1=0.0)
 
+    def test_takes_no_point_count(self):
+        with pytest.raises(TypeError):
+            convexity_precondition(make_family("jia-diff", k=2), 0.5, 2001)
+
     def test_json_dict_shape(self):
         doc = convexity_precondition(make_family("jia-diff", k=2), v1=0.5).to_json_dict()
-        for key in ("holds", "worst_value", "worst_theta", "first_crossing"):
-            assert key in doc
+        assert list(doc) == ["holds", "theta_max", "first_crossing"]
 
 
 class TestConjectureExploration:

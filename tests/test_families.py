@@ -614,3 +614,59 @@ def test_ratio_outcome_of_an_overflowing_or_underflowing_effort_ratio_is_an_outr
         assert csf.outcome(1e300, 1e-10) == (1.0, 0.0, 0.0)
         assert csf.outcome(1e-10, 1e300)[1:] == (1.0, 0.0)  # theta 1e-310 is subnormal
         assert csf.outcome(5e-324, 1.7e308) == (0.0, 1.0, 0.0)
+
+
+# The reference for `tie_inflection`: the kernel's p0'' on a dense grid over
+# [0, 2 theta*] at seeded k from 1 + 1e-9 to 1e12.  Near theta* and near k = 1,
+# p0'' = z_1'' - z_0'' is a difference of terms far larger than itself, so a
+# point decides nothing where |p0''| is within a few eps of |z_0''| + |z_1''|;
+# nor does one within a few ulps of theta*, which the fact places to two ulps,
+# so the grid holds two probes 8 ulps either side of theta*.
+INFLECTION_KS = sorted((1.0 + np.exp(np.random.default_rng(2026).uniform(
+    np.log(1e-9), np.log(1e12), 40))).tolist())
+NOISE_EPS = 8.0 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("family", ("jia-diff", "vesperoni-diff"))
+def test_tie_curvature_changes_sign_at_the_inflection(family):
+    for k in INFLECTION_KS:
+        csf = make_family(family, k=k)
+        inflection = csf.tie_inflection
+        probes = inflection + np.array([-8.0, 8.0]) * np.spacing(inflection)
+        theta = np.concatenate([np.linspace(0.0, 2.0 * inflection, 4001), probes])
+        curvature = csf.p0_double_prime(theta)
+        noise = NOISE_EPS * (np.abs(csf.z_double_prime(theta, 0.0))
+                             + np.abs(csf.z_double_prime(theta, 1.0)))
+        want = np.where(theta < inflection, -1.0, 1.0)
+        near = np.abs(theta - inflection) <= 4.0 * np.spacing(inflection)
+        wrong = (want * curvature <= 0.0) & (np.abs(curvature) > noise) & ~near
+        assert not wrong.any(), (k, theta[wrong][:3], curvature[wrong][:3])
+
+
+@pytest.mark.parametrize("family, k, root", [
+    # 1 + rho^k - k (rho + rho^(k - 1)) factors as (1 + x)(x^2 - 5x/2 + 1) in
+    # x = sqrt(rho) at k = 1.5 and carries rho^2 - 4 rho + 1 at k = 2 and 3
+    ("vesperoni-diff", 1.5, lambda: Decimal(4).ln()),
+    ("vesperoni-diff", 2.0, lambda: (2 + Decimal(3).sqrt()).ln()),
+    ("vesperoni-diff", 3.0, lambda: (2 + Decimal(3).sqrt()).ln()),
+    # cosh theta* = (5/2 + sqrt(25/4 + 32)) / 4
+    ("jia-diff", 2.0, lambda: (lambda c: (c + (c * c - 1).sqrt()).ln())(
+        (Decimal("2.5") + Decimal("38.25").sqrt()) / 4)),
+])
+def test_tie_inflection_is_the_nearest_double_to_its_exact_root(family, k, root):
+    with localcontext() as ctx:
+        ctx.prec = 60
+        want = float(root())  # the double nearest the exact root
+    assert make_family(family, k=k).tie_inflection == want
+
+
+@pytest.mark.parametrize("family", ("jia-diff", "vesperoni-diff"))
+def test_tieless_families_have_no_concave_tie_stretch(family):
+    assert make_family(family, k=1.0).tie_inflection == 0.0
+
+
+@pytest.mark.parametrize("family", ("jia-diff", "vesperoni-diff"))
+@pytest.mark.parametrize("k", (1.0 + 2.0 ** -52, 1e300, 1.7976931348623157e308))
+def test_tie_inflection_is_finite_across_the_double_range(family, k):
+    inflection = make_family(family, k=k).tie_inflection
+    assert 1.0 < inflection < 710.0

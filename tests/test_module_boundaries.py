@@ -257,6 +257,49 @@ def test_guard_sees_sibling_imports():
     assert sibling_imports(source) == {"audit", "cli", "core", "designer", "errors", "families"}
 
 
+# Sample grids that the package builds: the designer's equally spaced tie rules
+# and the oracle's effort axis.  Every precondition and audit is a fact of the
+# family's parameters, so nothing else samples a kernel on a grid.
+GRID_BUILDERS = {"linspace", "geomspace", "logspace", "arange"}
+GRID_OWNERS = ["designer._q_values", "oracle.GridSpec.axis"]
+
+
+def _grid_build(node) -> bool:
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    return (isinstance(func, ast.Attribute) and func.attr in GRID_BUILDERS
+            or isinstance(func, ast.Name) and func.id in GRID_BUILDERS)
+
+
+def grid_builds(module: str, source: str) -> list[str]:
+    """Each function of `source` (see `owners`) that calls `np.linspace`,
+    `geomspace`, `logspace` or `arange`, read off a module or imported bare."""
+    return owners(module, source, _grid_build)
+
+
+def test_only_the_tie_rules_and_the_effort_axis_build_sample_grids():
+    found = [name for path in MODULES
+             for name in grid_builds(path.stem, path.read_text(encoding="utf-8"))]
+    assert sorted(found) == GRID_OWNERS
+
+
+def test_guard_sees_grid_builds():
+    source = "\n".join([
+        "import numpy as np",
+        "from numpy import geomspace",
+        "AXIS = np.arange(3)",
+        "def scan(csf, v1):",
+        "    return csf.p0_double_prime(np.linspace(0.0, v1, 2001))",
+        "class Audit:",
+        "    def tail(self):",
+        "        return geomspace(1.0, 1e9, 9), np.logspace(0, 3, 4)",
+        "def spaced(n):",
+        "    return np.asarray(range(n)), np.linspace",
+    ])
+    assert grid_builds("mod", source) == ["mod", "mod.Audit.tail", "mod.scan"]
+
+
 # Label reads that only the `solve` and `solve_lanes` epilogues may make.
 LABEL_READS = ("swapped", "tie_share", "in_order")
 

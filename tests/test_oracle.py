@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -80,6 +81,19 @@ class TestGridSpec:
         spec = make_contest(family="jia-diff", v1=2.0, v2=1.0, q=0.5, k=2)
         grid = GridSpec.for_contest(spec, steps=1001)
         assert grid.x_max >= math.sqrt(4.0) + grid.h - 1e-12
+
+    def test_for_contest_divides_first_only_where_the_product_overflows(self):
+        # bound * (steps - 1) overflows at a linear-cost prize of 1.7e308, though
+        # the ceiling itself is finite; every other grid keeps its bits
+        top = make_contest(family="jia-ratio", v1=1.7e308, v2=1.0, q=0.5, r=0.5, k=2)
+        assert GridSpec.for_contest(top, steps=101).x_max == 1.7e308 / 99 * 100
+        assert GridSpec.for_contest(SHARP_RATIO, steps=2001).x_max == 2.0 * 2000 / 1999
+
+    def test_for_contest_without_a_finite_ceiling_names_the_prize(self):
+        spec = make_contest(family="jia-ratio", v1=sys.float_info.max, v2=1.0, q=0.5, r=0.5, k=2)
+        with pytest.raises(DomainError, match=r"no finite grid ceiling at prize "
+                                              r"1\.7976931348623157e\+308"):
+            GridSpec.for_contest(spec, steps=101)
 
     def test_for_contest_needs_three_steps(self):
         with pytest.raises(ValidationError):
