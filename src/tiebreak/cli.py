@@ -78,8 +78,6 @@ def _build_parser() -> _Parser:
             p.add_argument("--v1", type=float, help="player 1 prize"),
             p.add_argument("--v2", type=float, help="player 2 prize"),
             p.add_argument("--q", type=float, help="player 1 tie share in [0, 1]"),
-            p.add_argument("--cost", choices=["linear", "quadratic_half"],
-                           help="cost technology (defaults to the family's)"),
         )
         p.add_argument("--emit-spec", metavar="PATH",
                        help="also write the canonical spec JSON to PATH")
@@ -142,7 +140,7 @@ def _spec_from_args(args, *, need_q: bool) -> ContestSpec:
     if args.q is None and need_q:
         raise ValidationError("this subcommand requires --q")
     return make_contest(args.family, v1=args.v1, v2=args.v2, q=0.0 if args.q is None else args.q,
-                        cost=args.cost, r=args.r, k=args.k)
+                        r=args.r, k=args.k)
 
 
 def _maybe_emit_spec(args, spec: ContestSpec) -> None:

@@ -12,9 +12,12 @@ stated here once, for the other modules to call: the payoff in `payoffs`,
 a cost's break-even effort in `CostKind.break_even`, and the label swap in
 the `Valuations` label maps `tie_share` and `in_order`.
 
-Each input is checked once, where it enters: a `ContestSpec` checks its
-prizes by building the `Valuations` it holds, which every solver, designer
-and oracle path reads, and its tie share by `q_value`, as `TieRule` does.
+A contest is its family, prizes and tie rule; its cost technology is the
+family's `default_cost`, never a setting of its own.  Each input is checked
+once, where it enters: a `ContestSpec` checks its prizes by building the
+`Valuations` it holds, which every solver, designer and oracle path reads,
+its tie share by `q_value`, as `TieRule` does, and a spec document's cost
+against its family's when the document is read.
 Each kind of input value has one check here, which the other modules call:
 `finite_value` a finite real, `positive_value` a positive magnitude, `count_value`
 a sample count (at most `MAX_COUNT`: counts size arrays), `player_value` a player
@@ -159,16 +162,6 @@ class CostKind(Enum):
         if self is CostKind.LINEAR:
             return prize
         return math.sqrt(2.0 * prize) if 2.0 * prize < math.inf else 2.0 * math.sqrt(prize / 2.0)
-
-    @classmethod
-    def coerce(cls, value: "CostKind | str") -> "CostKind":
-        if isinstance(value, cls):
-            return value
-        try:
-            return cls(value)
-        except ValueError as exc:
-            names = ", ".join(repr(k.value) for k in cls)
-            raise ValidationError(f"cost must be one of {names}, got {value!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -330,8 +323,11 @@ class OutcomeDistribution:
 
 @dataclass(frozen=True)
 class ContestSpec(JsonRecord):
-    """Full description of one contest: family, prizes, tie rule, cost.
+    """Full description of one contest: family, prizes, tie rule.
 
+    The cost technology is the family's: `cost` reads its `default_cost`,
+    and the JSON document writes it, so a spec file states it; a file that
+    states another is refused where it is read (`from_json_dict`).
     Values are stored exactly as given by the caller; player labels are never
     rewritten here.  Solvers that need the stronger player first read
     `valuations`, the checked prizes in that order, built once here and
@@ -343,7 +339,6 @@ class ContestSpec(JsonRecord):
     v1: float
     v2: float
     q: float
-    cost: CostKind
     valuations: Valuations = field(init=False, repr=False, compare=False)
 
     json_keys = ("family", "params", "v1", "v2", "q", "cost")
@@ -351,8 +346,7 @@ class ContestSpec(JsonRecord):
     def __post_init__(self) -> None:
         vals = Valuations(self.v1, self.v2)
         q = q_value(self.q)
-        cost = CostKind.coerce(self.cost)
-        for attr in ("name", "kind", "outcome", "params"):
+        for attr in ("name", "kind", "outcome", "params", "default_cost"):
             if not hasattr(self.csf, attr):
                 raise ValidationError(
                     f"csf must be a contest success family (missing {attr!r})"
@@ -361,7 +355,6 @@ class ContestSpec(JsonRecord):
         object.__setattr__(self, "v1", v1)
         object.__setattr__(self, "v2", v2)
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "cost", cost)
         object.__setattr__(self, "valuations", vals)
 
     @property
@@ -376,6 +369,10 @@ class ContestSpec(JsonRecord):
     def params(self) -> dict:
         return self.csf.params
 
+    @property
+    def cost(self) -> CostKind:
+        return self.csf.default_cost
+
     def with_q(self, q: TieRule | float) -> "ContestSpec":
         spec = object.__new__(type(self))
         spec.__dict__.update(self.__dict__, q=q_value(q))  # the rest was checked when built
@@ -386,12 +383,13 @@ class ContestSpec(JsonRecord):
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ContestSpec":
-        from .families import make_contest  # deferred: families imports this module
+        """The contest of a spec document; its `"cost"`, if given and not null,
+        must be the family's."""
+        from .families import make_family  # deferred: families imports this module
 
         if not isinstance(doc, dict):
             raise ValidationError("spec document must be a JSON object")
-        known = {"family", "params", "v1", "v2", "q", "cost"}
-        extra = set(doc) - known
+        extra = set(doc) - set(cls.json_keys)
         if extra:
             raise ValidationError(f"unknown spec field(s): {sorted(extra)}")
         for field in ("family", "v1", "v2", "q"):
@@ -400,14 +398,12 @@ class ContestSpec(JsonRecord):
         params = doc.get("params", {})
         if not isinstance(params, dict):
             raise ValidationError("params must be a JSON object")
-        return make_contest(
-            doc["family"],
-            v1=doc["v1"],
-            v2=doc["v2"],
-            q=doc["q"],
-            cost=doc.get("cost"),
-            **params,
-        )
+        csf = make_family(doc["family"], **params)
+        cost = doc.get("cost")
+        if cost is not None and cost != csf.default_cost.value:
+            raise ValidationError(f"{csf.kind}-form contests are solved under "
+                                  f"{csf.default_cost.value!r} cost, got {cost!r}")
+        return cls(csf, doc["v1"], doc["v2"], doc["q"])
 
     @classmethod
     def from_json(cls, text: str) -> "ContestSpec":

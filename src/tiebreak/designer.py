@@ -168,8 +168,9 @@ def _q_values(q_count: int) -> np.ndarray:
 def _grid_lanes(spec: ContestSpec, q_count: int, force: bool):
     """`spec` at `q_count` equally spaced tie rules, as (qs, lanes, totals); a
     failing lane or total raises as `_totals` raises.  Callers pass the contest
-    at q = 0, which `ContestSpec` equality compares by family, prizes and cost,
-    so the cache holds the last batch that raised nothing, read-only."""
+    at q = 0, which `ContestSpec` equality compares by family and prizes (the
+    family fixes the cost), so the cache holds the last batch that raised
+    nothing, read-only."""
     qs = _q_values(q_count)
     lanes = solve_lanes(spec, qs, force=force)
     totals = _totals(qs, lanes.x1, lanes.x2, lanes.errors)

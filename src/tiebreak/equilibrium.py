@@ -10,7 +10,7 @@ by Newton's method with backtracking in log-impact coordinates
 g_i = log(x_i^r).
 
 `solve(spec)` is the one way in for one tie rule, `solve_lanes(spec, qs)` for
-many.  Each runs one prologue: it checks family kind, cost, the audited
+many.  Each runs one prologue: it checks family kind, the audited
 conditions and a ratio form's prize ratio once, takes the stronger player's
 tie share(s) from `Valuations.tie_share` and picks the family kind's route in
 `_ROUTES`.  Each family kind has one route, and each solver step one body,
@@ -548,13 +548,10 @@ _ROUTES = {
 def _prologue(spec: ContestSpec, q_user, force: bool):
     """The routes, prizes, internal tie share(s) and opening warnings of a
     solve at tie rule(s) `q_user`, once the checks that hold at every q pass
-    (see `solve`); each family class declares its cost as `default_cost`."""
+    (see `solve`); each route solves under its family's `default_cost`."""
     csf, kind = spec.csf, spec.csf.kind
     if kind not in _ROUTES:
         raise ValidationError(f"no solver for family kind {kind!r}")
-    if spec.cost is not csf.default_cost:
-        raise ValidationError(f"{kind}-form contests are solved under "
-                              f"{csf.default_cost.value!r} cost, got {spec.cost.value!r}")
     vals, warnings = spec.valuations, ()
     if csf.assumption_excess(vals.v1) > 0.0:  # where the family's audit fails
         if not (force or csf.lemma_precondition_ok):
@@ -568,11 +565,10 @@ def _prologue(spec: ContestSpec, q_user, force: bool):
 
 
 def solve(spec: ContestSpec, *, force: bool = False, audited: bool = False) -> Equilibrium:
-    """Equilibrium of a contest, by its family class's route on one tie rule.
+    """Equilibrium of a contest, by its family class's route on one tie rule,
+    under the family's cost (linear for ratio and concave classes,
+    half-quadratic for the difference class).
 
-    Validates that the cost technology matches the one the family's theory
-    is stated under (linear for ratio and concave classes, half-quadratic
-    for the difference class); other pairings have no solver and raise.
     Where the family's audit fails at the larger prize, a ratio family raises
     unless `force` is given, and a returned solve carries
     `UNCHECKED_ASSUMPTIONS_WARNING`.  `audited` is accepted and ignored.
@@ -592,8 +588,8 @@ def solve_lanes(spec: ContestSpec, qs, *, force: bool = False) -> Lanes:
 
     A lane fails with its scalar solve's error, the `Equilibrium` check on
     its efforts included.  Errors that hold at every q (malformed `qs`,
-    family kind, cost, closed-form precondition, a ratio form's prize ratio)
-    are raised at once.
+    family kind, closed-form precondition, a ratio form's prize ratio) are
+    raised at once.
     """
     q_user = q_array(qs)
     if q_user.ndim != 1:

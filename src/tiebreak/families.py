@@ -194,7 +194,8 @@ class _Family:
 
     `name` is the registry key, `kind` the contest class (ratio, diff or
     concave), `constraints` the parameter domain as shown in the CLI help,
-    `default_cost` the cost technology the class's theory is stated under,
+    `default_cost` the one cost technology every contest of the family is
+    solved, audited and verified under (the one its theory is stated under),
     and `lemma_precondition` the parameter restriction its closed form
     needs ("none" when there is none; it holds iff `lemma_excess` <= 0).
     The parameters are the dataclass fields, whose names the dataclass
@@ -235,7 +236,7 @@ class _ReducedCsf(_Family):
     Subclasses define the check `_theta` and the kernels `_shares`, `_zp`,
     `_zslopes` and `_triple` -> consistent (p(theta), p(mirror), p0(theta)),
     with mirror = 1/theta (ratio) or -theta (difference).  Each kernel takes
-    the primitives `xp`; all but `_shares` also take its output at theta."""
+    the primitives `xp`; `_zp` and `_zslopes` also take its output at theta."""
 
     def __init_subclass__(cls):
         # every family class holds its own `z_prime`, so wrapping one class's
@@ -367,8 +368,8 @@ class VesperoniRatio(RatioCsf):
             return (u, ub, *xp.power((u, ub), self.k))
         return xp.power_shares(shares, th, self.r)
 
-    def _triple(self, th, xp: Ops, shares=None):
-        _, _, pk, pm = shares or self._shares(th, xp)
+    def _triple(self, th, xp: Ops):
+        _, _, pk, pm = self._shares(th, xp)
         return pk, pm, 1.0 - pk - pm
 
     def _zp(self, th, qv, xp: Ops, shares=None):
@@ -423,10 +424,10 @@ class JiaRatio(RatioCsf):
                                           1.0 / (1.0 + k * t), 1.0 / (1.0 + 1.0 / (k * t))),
                                th, self.r)
 
-    def _triple(self, th, xp: Ops, shares=None):
+    def _triple(self, th, xp: Ops):
         k = self.k
-        u, w = shares[::2] if shares else xp.power_shares(
-            lambda t: (xp.fmin(1.0, t / (t + k)), 1.0 / (1.0 + k * t)), th, self.r)
+        u, w = xp.power_shares(lambda t: (xp.fmin(1.0, t / (t + k)), 1.0 / (1.0 + k * t)),
+                               th, self.r)
         return u, w, 1.0 - u - w
 
     def _zp(self, th, qv, xp: Ops, shares=None):
@@ -468,8 +469,8 @@ class VesperoniDiff(DiffCsf):
         s, sb = _logistic_shares(th, 1.0, xp, complements=False)
         return (s, sb, *xp.power((s, sb), self.k))
 
-    def _triple(self, th, xp: Ops, shares=None):
-        _, _, pk, pm = shares or self._shares(th, xp)
+    def _triple(self, th, xp: Ops):
+        _, _, pk, pm = self._shares(th, xp)
         return pk, pm, 1.0 - pk - pm
 
     def _zp(self, th, qv, xp: Ops, shares=None):
@@ -541,8 +542,8 @@ class JiaDiff(DiffCsf):
     def _shares(self, th, xp: Ops):
         return _logistic_shares(th, self.k, xp)
 
-    def _triple(self, th, xp: Ops, shares=None):
-        u, w = shares[::2] if shares else _logistic_shares(th, self.k, xp, complements=False)
+    def _triple(self, th, xp: Ops):
+        u, w = _logistic_shares(th, self.k, xp, complements=False)
         return u, w, 1.0 - u - w
 
     def _zp(self, th, qv, xp: Ops, shares=None):
@@ -702,8 +703,6 @@ def make_family(name: str, **params):
     return FAMILIES[name](**given)
 
 
-def make_contest(family: str, *, v1, v2, q, cost=None, **params) -> ContestSpec:
-    """Build a ContestSpec from plain values, filling the family's default cost."""
-    csf = make_family(family, **params)
-    kind = CostKind.coerce(cost) if cost is not None else csf.default_cost
-    return ContestSpec(csf=csf, v1=v1, v2=v2, q=q, cost=kind)
+def make_contest(family: str, *, v1, v2, q, **params) -> ContestSpec:
+    """Build a ContestSpec from plain values; its cost is the family's `default_cost`."""
+    return ContestSpec(make_family(family, **params), v1, v2, q)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from tiebreak import ContestSpec, make_family, solve
+from tiebreak import ContestSpec, CostKind, make_family, solve
 
 FD_STEP = 1e-5
 FD_REL_TOL = 1e-6
@@ -71,17 +71,17 @@ def max_rel_err(approx, reference) -> float:
 
 def solve_at(csf, v, q, **kw):
     """`solve` of family `csf` at prizes v and tie share q, under the family's own cost."""
-    return solve(ContestSpec(csf, *v, q, csf.default_cost), **kw)
+    return solve(ContestSpec(csf, *v, q), **kw)
 
 
 class Lottery:
     """A contest success family of a kind no solver or designer knows: a fair
-    coin, never a tie, and no declared cost."""
+    coin, never a tie, under linear cost."""
 
-    name, kind, params = "lottery", "lottery", {}
+    name, kind, params, default_cost = "lottery", "lottery", {}, CostKind.LINEAR
 
     def outcome(self, x1, x2):
         return (0.5, 0.5, 0.0)
 
 
-LOTTERY_CONTEST = ContestSpec(Lottery(), 2.0, 1.0, 0.5, "linear")
+LOTTERY_CONTEST = ContestSpec(Lottery(), 2.0, 1.0, 0.5)

@@ -109,6 +109,14 @@ class TestSolveCommand:
         assert run(["solve", "--spec", str(path)]) == EXIT_INVALID
         assert capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["solve", "audit"])
+    def test_a_spec_file_with_another_cost_is_refused(self, capsys, tmp_path, command):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(dict(SPEC_DOC, cost="linear")), encoding="utf-8")
+        assert run([command, "--spec", str(path)]) == EXIT_INVALID
+        assert capsys.readouterr() == ("", "error: diff-form contests are solved under "
+                                           "'quadratic_half' cost, got 'linear'\n")
+
     def test_precondition_violation_needs_force(self, capsys):
         argv = ["solve", "--family", "vesperoni-ratio", "--r", "0.6", "--k", "2",
                 "--v1", "2", "--v2", "1", "--q", "0.5"]

@@ -16,13 +16,12 @@ import re
 import numpy as np
 import pytest
 
-from tiebreak import (CostKind, GridSpec, RandomTieRule, ValidationError, eventual_win_prob,
+from tiebreak import (GridSpec, RandomTieRule, ValidationError, eventual_win_prob,
                       expected_effort, family_names, grid_best_response, make_contest,
                       make_family, optimal_q, outcome_distribution, payoff, solve, solve_beta,
                       solve_many, sweep, verify)
-from tiebreak.core import ContestSpec
 
-from helpers import Lottery
+from helpers import LOTTERY_CONTEST
 
 SPEC = make_contest("jia-ratio", v1=2.0, v2=1.0, q=0.5, r=1.0, k=2)
 DIFF = make_family("jia-diff", k=2)
@@ -128,18 +127,9 @@ def test_payoff_and_verify_read_an_equilibrium_as_its_pair_bit_for_bit(spec):
     assert verify(spec, eq, grid).to_json_dict() == verify(spec, pair, grid).to_json_dict()
 
 
-class _CostedLottery(Lottery):
-    """A family of a kind no solver knows, which does declare a cost."""
-
-    default_cost = CostKind.LINEAR
-
-
-COSTED_LOTTERY = ContestSpec(_CostedLottery(), 2.0, 1.0, 0.5, "linear")
-
-
 @pytest.mark.parametrize("call", [
     solve, lambda spec: solve_many(spec, [0.25, 0.5]), lambda spec: sweep(spec, 11),
     optimal_q, lambda spec: expected_effort(spec, [(0.0, 0.5), (1.0, 0.5)]),
 ], ids=["solve", "solve_many", "sweep", "optimal_q", "expected_effort"])
-def test_a_kind_with_no_route_is_refused_before_its_cost_is_read(call):
-    _raises(lambda: call(COSTED_LOTTERY), "no solver for family kind 'lottery'")
+def test_a_kind_with_no_route_is_refused(call):
+    _raises(lambda: call(LOTTERY_CONTEST), "no solver for family kind 'lottery'")

@@ -6,6 +6,7 @@ import math
 import sys
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -97,15 +98,6 @@ class TestCostKind:
     def test_cost_accepts_arrays(self):
         x = np.array([0.0, 1.0, 2.0])
         np.testing.assert_allclose(CostKind.QUADRATIC_HALF.cost(x), [0.0, 0.5, 2.0])
-
-    def test_coerce_from_string(self):
-        assert CostKind.coerce("linear") is CostKind.LINEAR
-        assert CostKind.coerce("quadratic_half") is CostKind.QUADRATIC_HALF
-        assert CostKind.coerce(CostKind.LINEAR) is CostKind.LINEAR
-
-    def test_coerce_rejects_unknown(self):
-        with pytest.raises(ValidationError):
-            CostKind.coerce("cubic")
 
     @pytest.mark.parametrize("kind", list(CostKind))
     @pytest.mark.parametrize("prize", [0.5, 2.0, 1e9, 8.99e307, 1e308, sys.float_info.max])
@@ -217,6 +209,16 @@ class TestOutcomeDistribution:
         assert (dist.p1, dist.p2, dist.p0) == (0.5, 0.3, 0.2)
 
 
+# One point of each family's parameters.
+FAMILY_POINTS = {
+    "vesperoni-ratio": dict(r=0.5, k=2),
+    "jia-ratio": dict(r=1.0, k=2),
+    "vesperoni-diff": dict(k=2),
+    "jia-diff": dict(k=2),
+    "blavatskyy-power": dict(r=0.5),
+}
+
+
 class TestContestSpec:
     def make(self, **overrides):
         kwargs = dict(family="jia-ratio", v1=2.0, v2=1.0, q=0.5, r=1.0, k=2)
@@ -234,6 +236,32 @@ class TestContestSpec:
         assert diff.cost is CostKind.QUADRATIC_HALF
         concave = make_contest(family="blavatskyy-power", v1=1.0, v2=1.0, q=0.5, r=1.0)
         assert concave.cost is CostKind.LINEAR
+
+    @pytest.mark.parametrize("family, params", FAMILY_POINTS.items(), ids=FAMILY_POINTS)
+    def test_the_cost_is_the_family_s_and_survives_a_round_trip(self, family, params):
+        spec = make_contest(family, v1=1.0, v2=3.0, q=0.25, **params)
+        assert spec.cost is spec.csf.default_cost
+        clone = ContestSpec.from_json(spec.to_json())
+        assert clone == spec and clone.to_json() == spec.to_json()
+        doc = spec.to_json_dict()
+        assert doc["cost"] == spec.cost.value
+        for cost in (None, spec.cost.value):  # null or the family's own
+            assert ContestSpec.from_json_dict(dict(doc, cost=cost)) == spec
+        del doc["cost"]
+        assert ContestSpec.from_json_dict(doc) == spec
+
+    @pytest.mark.parametrize("cost", ["other", "cubic", 1, 0.5])
+    @pytest.mark.parametrize("family, params", FAMILY_POINTS.items(), ids=FAMILY_POINTS)
+    def test_a_document_with_another_cost_is_refused_at_read(self, family, params, cost):
+        spec = make_contest(family, v1=2.0, v2=1.0, q=0.5, **params)
+        own = spec.cost.value
+        if cost == "other":
+            cost = "linear" if spec.cost is CostKind.QUADRATIC_HALF else "quadratic_half"
+        text = json.dumps(dict(spec.to_json_dict(), cost=cost))
+        with pytest.raises(ValidationError) as caught:
+            ContestSpec.from_json(text)
+        assert str(caught.value) == (f"{spec.csf.kind}-form contests are solved under "
+                                     f"{own!r} cost, got {cost!r}")
 
     def test_with_q_replaces_only_q(self):
         spec = self.make()
@@ -346,7 +374,7 @@ INPUT_CHECKS = {
     "ContestSpec": (lambda: _contest(q=2), "q must lie in [0, 1], got 2.0"),
     "with_q": (lambda: DIFF_SPEC.with_q(1.5), "q must lie in [0, 1], got 1.5"),
     "RandomTieRule-empty": (lambda: RandomTieRule(()), "a random tie rule needs at least one atom"),
-    "ContestSpec-csf": (lambda: ContestSpec(object(), 2.0, 1.0, 0.5, "linear"),
+    "ContestSpec-csf": (lambda: ContestSpec(object(), 2.0, 1.0, 0.5),
                         "csf must be a contest success family (missing 'name')"),
     "from_json-list": (lambda: ContestSpec.from_json("[1, 2]"),
                        "spec document must be a JSON object"),
@@ -419,6 +447,10 @@ VALUE_CHECKS = {
                    f"steps must be <= {MAX_COUNT}, got 100000000000"),
     "for_contest-huge": (lambda: GridSpec.for_contest(RATIO_SPEC, 10**11), ValidationError,
                          f"steps must be <= {MAX_COUNT}, got 100000000000"),
+    # a family must state the cost its contests are solved under
+    "ContestSpec-no-cost": (lambda: ContestSpec(SimpleNamespace(
+        name="lottery", kind="lottery", outcome=None, params={}), 2.0, 1.0, 0.5),
+        ValidationError, "csf must be a contest success family (missing 'default_cost')"),
 }
 
 

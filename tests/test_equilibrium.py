@@ -366,14 +366,6 @@ class TestDispatch:
         assert solve(diff).method is SolveMethod.ROOT_FIND
         assert solve(concave).method is SolveMethod.CLOSED_FORM
 
-    def test_rejects_mismatched_cost_technology(self):
-        spec = make_contest(
-            family="jia-ratio", v1=2.0, v2=1.0, q=0.5, r=1.0, k=2,
-            cost="quadratic_half",
-        )
-        with pytest.raises(ValidationError, match="linear"):
-            solve(spec)
-
     def test_rejects_unknown_family_kind(self):
         for call in (solve, lambda spec: solve_many(spec, [0.25, 0.5])):
             with pytest.raises(ValidationError, match="^no solver for family kind 'lottery'$"):
