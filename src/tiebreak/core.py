@@ -168,14 +168,14 @@ class CostKind(Enum):
 class Valuations:
     """Prize values of the two players, normalized so v1 >= v2 > 0.
 
-    Inputs arriving in the other order are accepted and silently swapped;
-    `swapped` records that the constructor reversed the labels, and the label
-    maps `tie_share` and `in_order` apply it, in either direction.
+    Inputs arriving in the other order are accepted and silently swapped; the
+    constructor alone sets `swapped` to record it, and the label maps
+    `tie_share` and `in_order` apply it, in either direction.
     """
 
     v1: float
     v2: float
-    swapped: bool = False
+    swapped: bool = field(default=False, init=False)
 
     def __post_init__(self) -> None:
         v1 = finite_value(self.v1, "v1")
@@ -185,9 +185,7 @@ class Valuations:
         swapped = v2 > v1
         if swapped:
             v1, v2 = v2, v1
-        object.__setattr__(self, "v1", v1)
-        object.__setattr__(self, "v2", v2)
-        object.__setattr__(self, "swapped", bool(self.swapped) or swapped)
+        self.__dict__.update(v1=v1, v2=v2, swapped=swapped)  # frozen: set past __setattr__
 
     @property
     def beta(self) -> float:
@@ -351,11 +349,8 @@ class ContestSpec(JsonRecord):
                 raise ValidationError(
                     f"csf must be a contest success family (missing {attr!r})"
                 )
-        v1, v2 = (vals.v2, vals.v1) if vals.swapped else (vals.v1, vals.v2)
-        object.__setattr__(self, "v1", v1)
-        object.__setattr__(self, "v2", v2)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "valuations", vals)
+        v1, v2 = vals.in_order(vals.v1, vals.v2)  # checked, in the caller's labels
+        self.__dict__.update(v1=v1, v2=v2, q=q, valuations=vals)
 
     @property
     def tie(self) -> TieRule:

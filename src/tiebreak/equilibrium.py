@@ -363,20 +363,12 @@ def _diff_residuals(csf, v1, v2, q, x1, x2, xp: Ops):
 
 
 def _concave_marginal(csf, prize: float, own_q, own, other, xp: Ops = FLOATS):
-    """Payoff slope in own effort for a concave-impact contest, linear cost,
-    for one tie rule or lanes (`xp`, see `Ops`): prize * `_win_d1` - 1.
-
-    At zero own effort the slope is the one-sided limit: -1 when winning adds
-    nothing (rival impact + 1 - own tie share is zero), +inf for exponents
-    below one; linear impact's expression holds there as it is.
-    """
-    select, positive, concave = xp.select, own > 0.0, csf.r < 1.0
-    # x^(r - 1) is taken at 1 where own effort is 0, whose slope is the limit
-    win_d1, press = csf._win_d1(select(positive, own, 1.0) if concave else own, other, own_q, xp)
-    slope = prize * win_d1 - 1.0
-    if concave and xp.live(positive ^ True):
-        slope = select(positive, slope, math.inf)
-    return select(press > 0.0, slope, -1.0)
+    """Payoff slope in own effort for a concave-impact contest, linear cost, for one
+    tie rule or lanes (`xp`, see `Ops`): prize * `_win_d1` - 1, and -1 where winning
+    adds nothing (the rival's head x2^r + 1 - own tie share is 0), at own effort > 0
+    (>= 0 for linear impact: below it, efforts pass the underflow gate first)."""
+    win_d1, press = csf._win_d1(own, other, own_q, xp)
+    return xp.select(press > 0.0, prize * win_d1 - 1.0, -1.0)
 
 
 def _lottery(csf, v1: float, v2: float, q_int, xp: Ops = FLOATS):

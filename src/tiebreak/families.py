@@ -29,13 +29,13 @@ follow exactly: p0' = z_1' - z_0' and likewise for p0''.
 Every method that takes a tie rule q accepts one tie share (a number or a
 `TieRule`) or an array of them, broadcast against the contest states, so one
 call evaluates many tie rules.  Public methods return a builtin float for
-scalar inputs: they check their arguments, then call one private kernel
+scalar inputs: they check their arguments, then call private kernels
 (`_triple`, `_zp`, `_zslopes`; `_impact`, `_impact_prime`, `_win_d1`) that
-assumes checked input.  The solvers check once on entry and call only
-kernels.  Each kernel is written once against the primitives `xp`
-(`Ops`): the scalar solvers pass `FLOATS`, whose Python floats get the bits of
-a one-element array from one NumPy call per group of powers or exponentials,
-and the lane solvers and the public methods pass `LANES`.
+take checked input and the primitives, nothing more.  The solvers check once
+on entry and call only kernels.  Each kernel is written once against the
+primitives `xp` (`Ops`): the scalar solvers pass `FLOATS`, whose Python floats
+get the bits of a one-element array from one NumPy call per group of powers
+or exponentials, and the lane solvers and the public methods pass `LANES`.
 
 Evaluations are numerically stabilized.  Difference-form families touch
 exponentials only through e^(-|theta|) and logistic ratios, so theta up to
@@ -159,6 +159,8 @@ FLOATS = Ops(lambda c, a, b: a if c else b, bool, math.sqrt, math.exp,
 LANES = Ops(np.where, lambda c: bool(np.count_nonzero(c)), np.sqrt, np.exp, np.log, np.logaddexp,
             lambda xs, p: [np.power(x, p) for x in xs],  # one call each: no stacking copy
             np.exp, _quiet_over_square, np.fmin, _quiet_power_shares)
+_TIE_ROWS = np.array([1.0, 0.0])  # q = 1 and q = 0, whose z_q slopes differ by p0's
+_TIE_ROWS.flags.writeable = False
 
 
 # sup |p''| of the logistic p = 1 / (1 + e^-theta), where p'' = p (1 - p)(1 - 2p)
@@ -236,7 +238,7 @@ class _ReducedCsf(_Family):
     Subclasses define the check `_theta` and the kernels `_shares`, `_zp`,
     `_zslopes` and `_triple` -> consistent (p(theta), p(mirror), p0(theta)),
     with mirror = 1/theta (ratio) or -theta (difference).  Each kernel takes
-    the primitives `xp`; `_zp` and `_zslopes` also take its output at theta."""
+    checked theta (and tie shares `qv`) and the primitives `xp`, nothing more."""
 
     def __init_subclass__(cls):
         # every family class holds its own `z_prime`, so wrapping one class's
@@ -271,17 +273,14 @@ class _ReducedCsf(_Family):
         return self.z_slopes(theta, q)[1]
 
     def p0_prime(self, theta):
-        """d p0 / d theta, exact via affinity of z_q in q, from one share evaluation."""
-        th = self._theta(theta)
-        shares = self._shares(th, LANES)
-        return _ret(self._zp(th, 1.0, LANES, shares) - self._zp(th, 0.0, LANES, shares))
+        """d p0 / d theta = z_1' - z_0' (z_q is affine in q), from one kernel call."""
+        slopes = self._zp(self._theta(theta)[..., None], _TIE_ROWS, LANES)
+        return _ret(slopes[..., 0] - slopes[..., 1])
 
     def p0_double_prime(self, theta):
-        """d^2 p0 / d theta^2, exact via affinity of z_q in q, from one share evaluation."""
-        th = self._theta(theta)
-        shares = self._shares(th, LANES)
-        return _ret(self._zslopes(th, 1.0, LANES, shares)[1]
-                    - self._zslopes(th, 0.0, LANES, shares)[1])
+        """d^2 p0 / d theta^2 = z_1'' - z_0'', from one kernel call."""
+        curvatures = self._zslopes(self._theta(theta)[..., None], _TIE_ROWS, LANES)[1]
+        return _ret(curvatures[..., 0] - curvatures[..., 1])
 
 
 class RatioCsf(_ReducedCsf):
@@ -372,12 +371,12 @@ class VesperoniRatio(RatioCsf):
         _, _, pk, pm = self._shares(th, xp)
         return pk, pm, 1.0 - pk - pm
 
-    def _zp(self, th, qv, xp: Ops, shares=None):
-        u, ub, pk, pm = shares or self._shares(th, xp)
+    def _zp(self, th, qv, xp: Ops):
+        u, ub, pk, pm = self._shares(th, xp)
         return (self.k * self.r / th) * ((1.0 - qv) * pk * ub + qv * u * pm)
 
-    def _zslopes(self, th, qv, xp: Ops, shares=None):
-        u, ub, pk, pm = shares or self._shares(th, xp)
+    def _zslopes(self, th, qv, xp: Ops):
+        u, ub, pk, pm = self._shares(th, xp)
         k, r = self.k, self.r
         lead, trail = (1.0 - qv) * pk * ub, qv * u * pm
         zpp = xp.over_square(k * r, th) * (lead * ((r * k - 1.0) * ub - (1.0 + r) * u)
@@ -430,12 +429,12 @@ class JiaRatio(RatioCsf):
                                th, self.r)
         return u, w, 1.0 - u - w
 
-    def _zp(self, th, qv, xp: Ops, shares=None):
-        u, ub, w, wb = shares or self._shares(th, xp)
+    def _zp(self, th, qv, xp: Ops):
+        u, ub, w, wb = self._shares(th, xp)
         return (self.r / th) * ((1.0 - qv) * u * ub + qv * w * wb)
 
-    def _zslopes(self, th, qv, xp: Ops, shares=None):
-        u, ub, w, wb = shares or self._shares(th, xp)
+    def _zslopes(self, th, qv, xp: Ops):
+        u, ub, w, wb = self._shares(th, xp)
         r = self.r
         lead, trail = (1.0 - qv) * u * ub, qv * w * wb
         zpp = -xp.over_square(r, th) * (lead * (2.0 * r * u + (1.0 - r))
@@ -473,12 +472,12 @@ class VesperoniDiff(DiffCsf):
         _, _, pk, pm = self._shares(th, xp)
         return pk, pm, 1.0 - pk - pm
 
-    def _zp(self, th, qv, xp: Ops, shares=None):
-        s, sb, pk, pm = shares or self._shares(th, xp)
+    def _zp(self, th, qv, xp: Ops):
+        s, sb, pk, pm = self._shares(th, xp)
         return self.k * ((1.0 - qv) * pk * sb + qv * s * pm)
 
-    def _zslopes(self, th, qv, xp: Ops, shares=None):
-        s, sb, pk, pm = shares or self._shares(th, xp)
+    def _zslopes(self, th, qv, xp: Ops):
+        s, sb, pk, pm = self._shares(th, xp)
         k = self.k
         lead, trail = (1.0 - qv) * pk * sb, qv * s * pm
         return k * (lead + trail), k * (lead * (k * sb - s) + trail * (sb - k * s))
@@ -546,12 +545,12 @@ class JiaDiff(DiffCsf):
         u, w = _logistic_shares(th, self.k, xp, complements=False)
         return u, w, 1.0 - u - w
 
-    def _zp(self, th, qv, xp: Ops, shares=None):
-        u, ub, w, wb = shares or self._shares(th, xp)
+    def _zp(self, th, qv, xp: Ops):
+        u, ub, w, wb = self._shares(th, xp)
         return (1.0 - qv) * u * ub + qv * w * wb
 
-    def _zslopes(self, th, qv, xp: Ops, shares=None):
-        u, ub, w, wb = shares or self._shares(th, xp)
+    def _zslopes(self, th, qv, xp: Ops):
+        u, ub, w, wb = self._shares(th, xp)
         lead, trail = (1.0 - qv) * u * ub, qv * w * wb
         return lead + trail, lead * (1.0 - 2.0 * u) + trail * (2.0 * w - 1.0)
 
@@ -579,7 +578,7 @@ class BlavatskyyPower(_Family):
     g_i / (g1 + g2) where g1 = x1^r + q and g2 = x2^r + (1 - q), so the tie
     rule acts as a head start on the same scale as the "+1" in the
     denominator.  No scalar reduction exists here; derivative accessors are
-    partial derivatives in own effort.
+    partial derivatives in own effort, quietly +-inf where they overflow.
     """
 
     r: float
@@ -598,10 +597,14 @@ class BlavatskyyPower(_Family):
         return np.power(x, self.r)
 
     def _impact_prime(self, x):
-        return self.r * np.power(x, self.r - 1.0)
+        with np.errstate(over="ignore"):
+            return self.r * np.power(x, self.r - 1.0)
 
     def _impact_double_prime(self, x):
-        return self.r * (self.r - 1.0) * np.power(x, self.r - 2.0)
+        if self.r == 1.0:  # x^-1 may overflow, but its factor r - 1 is zero
+            return 0.0 * x
+        with np.errstate(over="ignore"):
+            return self.r * (self.r - 1.0) * np.power(x, self.r - 2.0)
 
     def _win_d1(self, x1, x2, qv, xp: Ops):
         """d/dx1 of player 1's eventual win probability at x1 > 0 (at x1 >= 0 for
@@ -617,13 +620,13 @@ class BlavatskyyPower(_Family):
         return r * own_slope * head / total / total, head
 
     def impact(self, x):
-        return self._impact(checked_array(x, "x", nonnegative=True))
+        return _ret(self._impact(checked_array(x, "x", nonnegative=True)))
 
     def impact_prime(self, x):
-        return self._impact_prime(checked_array(x, "x", positive=True))
+        return _ret(self._impact_prime(checked_array(x, "x", positive=True)))
 
     def impact_double_prime(self, x):
-        return self._impact_double_prime(checked_array(x, "x", positive=True))
+        return _ret(self._impact_double_prime(checked_array(x, "x", positive=True)))
 
     def outcome(self, x1, x2):
         f1, f2 = map(self._impact, self._efforts(x1, x2))
@@ -641,26 +644,33 @@ class BlavatskyyPower(_Family):
         qv = _tie_share(q)
         return _ret(self._win_d1(*self._efforts(x1, x2, own_positive=True), qv, LANES)[0])
 
-    def _curvature_parts(self, x1a, x2a):
+    def _slope_parts(self, x1, x2):
+        """Checked own effort, rival impact, x1^r + x2^r + 1 and the own impact slope."""
+        x1a, x2a = self._efforts(x1, x2, own_positive=True)
         f2 = self._impact(x2a)
-        total = self._impact(x1a) + f2 + 1.0
-        return f2, total, self._impact_prime(x1a), self._impact_double_prime(x1a)
+        return x1a, f2, self._impact(x1a) + f2 + 1.0, self._impact_prime(x1a)
 
     def win_prob_d11(self, x1, x2, q):
-        """Second own-effort derivative of player 1's eventual win probability."""
+        """Second own-effort derivative of player 1's eventual win probability; -0.0
+        where the rival's head x2^r + 1 - q is 0, as it then wins at every effort."""
         qv = _tie_share(q)
-        f2, total, fp, fpp = self._curvature_parts(*self._efforts(x1, x2, own_positive=True))
-        return _ret((f2 + (1.0 - qv)) / total * (fpp * total - 2.0 * fp * fp) / total / total)
+        x1a, f2, total, fp = self._slope_parts(x1, x2)
+        head, fpp = f2 + (1.0 - qv), self._impact_double_prime(x1a)
+        with np.errstate(over="ignore", invalid="ignore"):
+            d11 = head / total * (fpp * total - 2.0 * fp * fp) / total / total
+        return _ret(np.where(head > 0.0, d11, -0.0))
 
     def tie_prob_d1(self, x1, x2):
         """d/dx1 of the tie probability."""
-        _, total, fp, _ = self._curvature_parts(*self._efforts(x1, x2, own_positive=True))
+        _, _, total, fp = self._slope_parts(x1, x2)
         return _ret(-fp / total / total)
 
     def tie_prob_d11(self, x1, x2):
         """Second own-effort derivative of the tie probability."""
-        _, total, fp, fpp = self._curvature_parts(*self._efforts(x1, x2, own_positive=True))
-        return _ret((2.0 * fp * fp - fpp * total) / total / total / total)
+        x1a, _, total, fp = self._slope_parts(x1, x2)
+        fpp = self._impact_double_prime(x1a)
+        with np.errstate(over="ignore"):
+            return _ret((2.0 * fp * fp - fpp * total) / total / total / total)
 
 
 FAMILIES: dict[str, type] = {

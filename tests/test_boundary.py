@@ -15,8 +15,10 @@ import warnings
 import numpy as np
 import pytest
 
+import tiebreak.equilibrium
 from tiebreak import (
     FAMILIES,
+    ContestError,
     ConvergenceError,
     DomainError,
     GridSpec,
@@ -192,12 +194,14 @@ def _assert_lane_bits(scalars, lanes):
 
 
 # r = 0.5: NumPy takes x^0.5 with a scalar exponent as a square root, whose
-# last bit can differ from pow's, so the scalar route must keep that dispatch
+# last bit can differ from pow's, so the scalar route must keep that dispatch.
+# Below linear impact the marginal sees own effort > 0 only (see
+# `test_concave_marginal_sees_positive_own_effort_below_linear_impact`).
 @pytest.mark.parametrize("r", [0.01, 0.3, 0.5, 0.9, 0.999])
 @pytest.mark.parametrize("prize", [1.7, 1e6])
 def test_concave_float_marginal_keeps_the_lane_bits(r, prize):
     csf = make_family("blavatskyy-power", r=r)
-    for own in KERNEL_EFFORTS:
+    for own in KERNEL_EFFORTS[1:]:
         for other in KERNEL_EFFORTS:
             for own_q in (0.0, 0.4, 1.0):
                 scalar = _concave_marginal(csf, prize, own_q, own, other)
@@ -231,6 +235,59 @@ def test_linear_marginal_at_zero_effort_against_a_huge_rival_is_quiet(other):
         got = _concave_marginal(csf, 2.0, 0.5 + own, own, other,
                                 LANES if isinstance(other, np.ndarray) else FLOATS)
     assert np.all(got == -1.0)
+
+
+def _concave_draws(count: int):
+    """Seeded concave contests, alternating design scale (prizes 0.1 to 10, r in
+    (0, 1]) and extreme scale (prizes 1e-3 to 1e300, up to 1e3 apart, r within
+    1e-2 of 0 or of 1), every other pair at r = 1, in either label order."""
+    rng = np.random.default_rng(5006)
+    for i in range(count):
+        if i % 2:
+            strong, ratio = 10.0 ** rng.uniform(-3.0, 300.0), 10.0 ** rng.uniform(0.0, 3.0)
+            edge = 10.0 ** rng.uniform(-6.0, -2.0)
+            r = edge if rng.random() < 0.5 else 1.0 - edge
+        else:
+            strong, ratio = 10.0 ** rng.uniform(-1.0, 1.0), 10.0 ** rng.uniform(0.0, 1.0)
+            r = 1.0 - rng.random()
+        v1, v2 = (strong, strong / ratio) if rng.random() < 0.5 else (strong / ratio, strong)
+        yield make_contest("blavatskyy-power", v1=v1, v2=v2, q=rng.random(),
+                           r=1.0 if i % 4 >= 2 else r)
+
+
+# Contests whose efforts underflow at some tie rules (the first) or at all of them.
+UNDERFLOWING = [make_contest("blavatskyy-power", v1=v1, v2=v2, q=0.3, r=r) for r, v1, v2 in (
+    (0.9999844130652963, 860.481530024333, 11.648007893840989),
+    (0.9999516685593625, 0.5187675258988292, 0.03759187140132979),
+    (0.9989753013993117, 0.3071752938210344, 0.13492424671599415))]
+
+
+def test_concave_marginal_sees_positive_own_effort_below_linear_impact(monkeypatch):
+    """Zero own effort reaches the payoff slope only from the linear-impact
+    corners: an exponent below one passes its efforts through the underflow
+    gate first, and a failed lane's effort arrives as 1.  So every call at
+    r < 1, through every entry point, has own effort > 0."""
+    marginal, calls = tiebreak.equilibrium._concave_marginal, []
+
+    def recorded(csf, prize, own_q, own, other, xp=FLOATS):
+        calls.append((csf.r, np.min(own)))
+        return marginal(csf, prize, own_q, own, other, xp)
+
+    monkeypatch.setattr(tiebreak.equilibrium, "_concave_marginal", recorded)
+    rule, underflows = RandomTieRule.from_pairs([(0.1, 0.25), (0.6, 0.5), (0.95, 0.25)]), 0
+    for spec in (*_concave_draws(48), *UNDERFLOWING):
+        lanes = solve_lanes(spec, np.linspace(0.0, 1.0, 101))
+        underflows += sum("underflows" in str(error) for error in lanes.errors.values())
+        for call in (lambda: solve(spec), lambda: sweep(spec, 21), lambda: optimal_q(spec),
+                     lambda: expected_effort(spec, rule)):
+            try:
+                call()
+            except ContestError:
+                pass
+    below = [own for r, own in calls if r < 1.0]
+    assert underflows > 0 and len(below) > 300
+    assert min(below) > 0.0
+    assert any(own == 0.0 for r, own in calls if r == 1.0)  # the corners' zero effort
 
 
 # ------------------------------------------------------------ the boundary

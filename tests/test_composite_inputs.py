@@ -56,7 +56,9 @@ def test_prizes_that_are_no_pair_are_refused_naming_them(bad):
 
 
 def test_a_third_prize_entry_is_no_label_swap():
-    # read as Valuations(3, 1.2, swapped=1), the triple solved the other player's gap
+    # once read as Valuations(3, 1.2, swapped=1), the triple solved the other player's
+    # gap; now `pair_value` refuses it, and `Valuations` takes no `swapped` argument,
+    # so a third entry cannot reach the label swap at all
     _raises(lambda: solve_beta(DIFF, (3, 1.2, 1), 0.3), "prizes must be a pair, got (3, 1.2, 1)")
     assert solve_beta(DIFF, (3, 1.2), 0.3) == pytest.approx(0.4098, abs=1e-4)
 

@@ -134,6 +134,15 @@ class TestValuations:
         assert swapped.tie_share(qs).tolist() == (1.0 - qs).tolist()
         assert kept.tie_share(qs) is qs
 
+    def test_only_the_constructor_decides_the_swap(self):
+        """A third entry cannot set `swapped`: the order of the prizes decides it."""
+        for call in (lambda: Valuations(2.0, 1.0, True), lambda: Valuations(2.0, 1.0, swapped=True)):
+            with pytest.raises(TypeError):
+                call()
+        assert Valuations(2.0, 1.0) == Valuations(2.0, 1.0) != Valuations(1.0, 2.0)
+        assert Valuations(1.0, 2.0) == Valuations(1.0, 2.0)
+        assert repr(Valuations(1.0, 2.0)) == "Valuations(v1=2.0, v2=1.0, swapped=True)"
+
     @pytest.mark.parametrize("pair", [(0.0, 1.0), (1.0, -2.0), (math.nan, 1.0)])
     def test_rejects_nonpositive_or_nan(self, pair):
         with pytest.raises(ValidationError):

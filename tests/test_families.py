@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 import warnings
 from decimal import Decimal, localcontext
@@ -302,6 +303,56 @@ def test_concave_curvature_at_huge_efforts_stays_finite(r, effort):
         tie_d11 = csf.tie_prob_d11(effort, effort)
     assert all(np.isfinite((tie_d1, win_d11, tie_d11)))
     assert tie_d1 <= 0.0 and win_d11 <= 0.0 and tie_d11 >= 0.0
+
+
+@pytest.mark.parametrize("case", CONCAVE_CASES, ids=case_id)
+@pytest.mark.parametrize("name", ["impact", "impact_prime", "impact_double_prime"])
+def test_impact_accessors_return_a_builtin_float_for_a_scalar(case, name):
+    method = getattr(build(case), name)
+    for x in (2.0, np.float64(2.0), np.array(2.0)):
+        assert type(method(x)) is float
+    assert type(method([0.5, 2.0])) is np.ndarray and method([0.5, 2.0]).shape == (2,)
+
+
+def _quiet(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return call()
+
+
+def test_linear_impact_curvature_at_the_least_effort_is_exact():
+    """x^(r - 2) = 1/x overflows at x1 = 5e-324, but its factor r - 1 is zero:
+    the impact has no curvature, and with T = x1 + x2 + 1 = 2 and the rival's
+    head 1.7, win'' = -2 head / T^3 and tie'' = 2 / T^3 exactly."""
+    csf = make_family("blavatskyy-power", r=1.0)
+    assert _quiet(lambda: csf.impact_double_prime(5e-324)) == 0.0
+    assert _quiet(lambda: csf.win_prob_d11(5e-324, 1.0, 0.3)) == -0.425
+    assert _quiet(lambda: csf.tie_prob_d11(5e-324, 1.0)) == 0.25
+
+
+def test_concave_curvature_at_tiny_effort_overflows_quietly():
+    """At r = 0.5, x1 = 1e-300: x^-1.5 = 1e450 is past the largest double."""
+    csf = make_family("blavatskyy-power", r=0.5)
+    assert _quiet(lambda: csf.impact_double_prime(1e-300)) == -math.inf
+    assert _quiet(lambda: csf.win_prob_d11(1e-300, 1.0, 0.3)) == -math.inf
+    assert _quiet(lambda: csf.tie_prob_d11(1e-300, 1.0)) == math.inf
+
+
+def test_tie_slope_evaluates_no_curvature():
+    """The slope -r x^(r - 1) / T^2 is finite at r = 0.5, x1 = 1e-300, where the
+    curvature's x^(r - 2) is not: tie_prob_d1 takes only the slope."""
+    csf = make_family("blavatskyy-power", r=0.5)
+    got = _quiet(lambda: csf.tie_prob_d1(1e-300, 1.0))
+    assert got == pytest.approx(-0.5e150 / 4.0, rel=1e-15)
+
+
+def test_win_curvature_against_a_zero_head_is_zero():
+    """x2 = 0 and q = 1 leave the rival no head: player 1 wins for sure at
+    every own effort, so win'' is 0 even where the impact's curvature is -inf."""
+    csf = make_family("blavatskyy-power", r=0.5)
+    assert _quiet(lambda: csf.win_prob_d11(1e-300, 0.0, 1.0)) == 0.0
+    got = _quiet(lambda: csf.win_prob_d11(np.array([1e-300, 1.0]), 0.0, [1.0, 0.5]))
+    assert got[0] == 0.0 and got[1] < 0.0
 
 
 @pytest.mark.parametrize("family", ["jia-ratio", "vesperoni-ratio"])

@@ -11,7 +11,8 @@ Result records also share one serializer: only `core.JsonRecord` writes a
 family kind has one route, run by both entry points on one tie rule or on
 lanes, and each solver step the routes reach is one body, with no lane twin
 and no dispatch on the type of its arguments; nor do the family kernels the
-routes call.
+routes call, and a reduced family's kernels take checked input and the
+primitives, no precomputed shares.
 Each kind of input value has one check: a scalar in `core` (a finite real,
 a positive magnitude, a sample count) and an array in `families.checked_array`;
 no other function tests finiteness or integer types by hand.  And each game
@@ -381,6 +382,56 @@ def test_guard_sees_label_reads_in_routes_and_their_helpers():
     ])
     assert route_label_reads(source) == [
         "_helper: .swapped", "_route: .in_order", "_share: .tie_share"]
+
+
+# The kernels of a reduced family take checked input and the primitives, nothing
+# more: each evaluates its own shares, so no caller hands it a precomputed one.
+REDUCED_FAMILIES = ("VesperoniRatio", "JiaRatio", "VesperoniDiff", "JiaDiff")
+KERNEL_PARAMETERS = {"_shares": "self, th, xp", "_triple": "self, th, xp",
+                     "_zp": "self, th, qv, xp", "_zslopes": "self, th, qv, xp"}
+
+
+def kernel_parameters(source: str) -> dict[str, str]:
+    """Each method of a class in `source` that `KERNEL_PARAMETERS` names, as
+    `Class.kernel` -> its parameter names (`*` and `**` marking variadic ones)."""
+    found = {}
+    for cls in (node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ClassDef)):
+        for item in cls.body:
+            if isinstance(item, ast.FunctionDef) and item.name in KERNEL_PARAMETERS:
+                args = item.args
+                names = [a.arg for a in (*args.posonlyargs, *args.args)]
+                names += [f"*{args.vararg.arg}"] if args.vararg else []
+                names += [a.arg for a in args.kwonlyargs]
+                names += [f"**{args.kwarg.arg}"] if args.kwarg else []
+                found[f"{cls.name}.{item.name}"] = ", ".join(names)
+    return found
+
+
+def test_reduced_family_kernels_take_checked_input_and_the_primitives():
+    source = (PACKAGE / "families.py").read_text(encoding="utf-8")
+    assert kernel_parameters(source) == {f"{cls}.{name}": params for cls in REDUCED_FAMILIES
+                                         for name, params in KERNEL_PARAMETERS.items()}
+
+
+def test_guard_sees_kernel_parameters():
+    source = "\n".join([
+        "class Family:",
+        "    def _zp(self, th, qv, xp: Ops, shares=None):",
+        "        return (shares or self._shares(th, xp))[0] * qv",
+        "    def _shares(self, th, xp):",
+        "        return (th,)",
+        "    def _triple(self, th, *args, xp, **kw):",
+        "        return th, th, th",
+        "    def z_prime(self, theta, q, shares=None):",
+        "        return self._zp(theta, q, None, shares)",
+        "def _zslopes(th, qv, xp, shares=None):",
+        "    return th, th",
+    ])
+    assert kernel_parameters(source) == {
+        "Family._zp": "self, th, qv, xp, shares",
+        "Family._shares": "self, th, xp",
+        "Family._triple": "self, th, *args, xp, **kw",
+    }
 
 
 # One route per family kind, run by `solve` on floats and by `solve_lanes` on

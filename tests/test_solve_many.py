@@ -190,8 +190,8 @@ def test_nan_slope_lane_fails_as_its_scalar_solve(monkeypatch):
     spec = make_contest("jia-ratio", v1=2.0, v2=1.0, q=0.0, r=0.5, k=2.0)
     zp = JiaRatio._zp
 
-    def nan_at_half(self, th, qv, xp, shares=None):
-        return np.where(np.equal(qv, 0.5), math.nan, zp(self, th, qv, xp, shares))
+    def nan_at_half(self, th, qv, xp):
+        return np.where(np.equal(qv, 0.5), math.nan, zp(self, th, qv, xp))
 
     monkeypatch.setattr(JiaRatio, "_zp", nan_at_half)
     with pytest.raises(ValidationError, match="efforts must be >= 0") as scalar:
