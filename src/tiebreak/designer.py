@@ -19,9 +19,10 @@ endpoint where it points outward, or `optimal_q` raises `ConvergenceError`.
 
 Shape certificates are numeric statements about the sampled curve, not
 symbolic proofs: each records the worst measured violation alongside the
-verdict, and the bounds are module constants shared with the test
-suite.  The linearity certificate uses the three-point midpoint deviation,
-which presumes equally spaced samples; `sweep` always produces them.
+verdict, which holds when the violation is within one rounding floor,
+`SHAPE_FLOOR` * eps * max R, at every prize scale.  The linearity
+certificate uses the three-point midpoint deviation, which presumes equally
+spaced samples; `sweep` always produces them.
 
 Tie rules are labeled from player 1's perspective (q is player 1's tie
 share).  For unequal prizes the theory says the designer should give the
@@ -43,17 +44,11 @@ from .core import ContestSpec, JsonRecord, RandomTieRule, TieRule, count_value, 
 from .equilibrium import solve, solve_lanes, total_effort_slope
 from .errors import ConvergenceError, ValidationError
 
-CONSTANT_TOL = 1e-10
-"""Max allowed range of R over the sweep for the constant certificate."""
-
-LINEAR_TOL = 1e-10
-"""Max allowed three-point midpoint deviation for the linear certificate."""
-
-MONOTONE_SLACK = 1e-12
-"""Largest allowed upward step of R for the monotone-decreasing certificate."""
-
-CONVEX_TOL = 1e-10
-"""Most negative allowed second difference of R for the convex certificate."""
+SHAPE_FLOOR = 64.0
+"""A shape verdict holds when its violation is at most SHAPE_FLOOR * eps * max R.  A ratio
+form's R is affine in q (beta = v1/v2 does not depend on q, z_q' = p' + q p0'), an interior
+linear-impact R the constant v1 v2 / (v1 + v2) - 1: a few roundings of values shared by every
+q, their statistics stay within 6 eps * max R on bitscan's curves, a tenth of the floor."""
 
 OPTIMAL_IMPROVEMENT_GUARD = 1e-12
 """Relative improvement a cross-check must exceed to override a candidate."""
@@ -120,9 +115,10 @@ class EffortCurve(JsonRecord):
 
 
 def _certify(totals: np.ndarray) -> ShapeCertificate:
-    """Shape checks of sampled totals, all extremes from one max-reduction: min(x)
-    as -max(-x), -(second difference) as twice steps[:-1] / 2 - steps[1:] / 2,
-    both exact outside the subnormal range; the dip is capped at the largest double."""
+    """Shape checks of sampled totals R >= 0 against `SHAPE_FLOOR` * eps * max R, all
+    extremes from one max-reduction: min(x) as -max(-x), -(second difference) as twice
+    steps[:-1] / 2 - steps[1:] / 2, both exact outside the subnormal range; the dip is
+    capped at the largest double."""
     n, steps = totals.size, totals[1:] - totals[:-1]
     # halved before the sum or difference, which overflows near the largest double
     mids = np.abs(totals[:-2] / 2.0 + totals[2:] / 2.0 - totals[1:-1])
@@ -132,12 +128,12 @@ def _certify(totals: np.ndarray) -> ShapeCertificate:
     up_step, top, neg_low, mid_dev, half_dip = np.maximum.reduceat(
         np.concatenate(parts), (0, n - 1, 2 * n - 1, 3 * n - 1, 4 * n - 3)).tolist()
     spread, dip = top - (-neg_low), min(2.0 * max(0.0, half_dip), sys.float_info.max)
+    floor = SHAPE_FLOOR * sys.float_info.epsilon * top
     return ShapeCertificate(
-        monotone_decreasing=ShapeCheck(holds=up_step <= MONOTONE_SLACK,
-                                       violation=max(0.0, up_step)),
-        constant=ShapeCheck(holds=spread <= CONSTANT_TOL, violation=spread),
-        linear=ShapeCheck(holds=mid_dev <= LINEAR_TOL, violation=mid_dev),
-        convex=ShapeCheck(holds=dip <= CONVEX_TOL, violation=dip))
+        monotone_decreasing=ShapeCheck(holds=up_step <= floor, violation=max(0.0, up_step)),
+        constant=ShapeCheck(holds=spread <= floor, violation=spread),
+        linear=ShapeCheck(holds=mid_dev <= floor, violation=mid_dev),
+        convex=ShapeCheck(holds=dip <= floor, violation=dip))
 
 
 def _totals(qs, x1: np.ndarray, x2: np.ndarray, errors=None) -> np.ndarray:

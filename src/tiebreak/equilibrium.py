@@ -267,17 +267,17 @@ def _ratio_residuals(csf, v1, v2, q, x1, x2, xp: Ops):
 
 
 def _safeguarded_root(fdf, lo, hi, at_lo, xp: Ops = FLOATS):
-    """Root of f on a bracket with f(lo) <= 0 < f(hi), given fdf(x) = (f, f')
-    and at_lo = fdf(lo), for one tie rule or lanes (`xp`, see `Ops`).
+    """Root of f on a bracket with f(lo) <= 0 < f(hi), given fdf(x) = (f, f', z), z
+    carried along, and at_lo = fdf(lo), for one tie rule or lanes (`xp`, see `Ops`).
 
     Newton steps while they land strictly inside the bracket and shrink at
     least as fast as bisection, bisection otherwise (`rtsafe`, Numerical
     Recipes 9.4).  Stops at an exact zero, after a step below 1e-12 relative
     to x (further steps only chase roundoff in f), or after `MAX_ITERATIONS`
-    steps; returns the last point and its f value.
+    steps; returns the last point and its f and z values.
     """
     select, live = xp.select, xp.live
-    x, (fx, dfx) = lo, at_lo
+    x, (fx, dfx, zx) = lo, at_lo
     step_old = step = hi - lo
     stepping = fx != 0.0
     for _ in range(MAX_ITERATIONS):
@@ -289,9 +289,9 @@ def _safeguarded_root(fdf, lo, hi, at_lo, xp: Ops = FLOATS):
         half, newton = 0.5 * (hi - lo), fx / select(bisect, 1.0, dfx)  # f' = 0 bisects
         step_old, (step, moved) = step, select(bisect, (half, lo + half), (newton, x - newton))
         x = select(stepping, moved, x)  # a stopped lane holds
-        fx, dfx = fdf(x)
+        fx, dfx, zx = fdf(x)
         stepping = stepping & (fx != 0.0) & (abs(step) > 1e-12 * abs(x))  # a NaN step: x NaN for good
-    return x, fx
+    return x, fx, zx
 
 
 def solve_beta(csf, v, q) -> float:
@@ -302,7 +302,7 @@ def solve_beta(csf, v, q) -> float:
         raise ValidationError("solve_beta requires a difference-form family")
     vals = v if isinstance(v, Valuations) else Valuations(*pair_value(v, "prizes"))
     gap = vals.v1 - vals.v2
-    root, resid, hi, bracketed = _gap_root(csf, gap, vals.tie_share(q_value(q)))
+    root, _, resid, hi, bracketed = _gap_root(csf, gap, vals.tie_share(q_value(q)))
     _raise_first(*_gap_gates(gap, resid, hi, bracketed))
     return root
 
@@ -314,26 +314,28 @@ def _gap_root(csf, gap: float, q_int, xp: Ops = FLOATS):
     The upper bounds 1, 2, 4, ..., 2^`BRACKET_EXPANSIONS` are tried until the
     left side is ahead of the right, which happens because z' is bounded;
     `_safeguarded_root` then runs on the analytic z' and z'' from the last
-    bound behind, whose f and f' it is handed.  Returns the root (at least
-    0), its residual, the last bound tried and whether it was ahead.
+    bound behind, whose f, f' and z' it is handed.  Returns the root (at least
+    0 unless NaN), z_q' there, its residual, the last bound tried and whether
+    it was ahead.
     """
     def fdf(theta):
         zp, zpp = csf._zslopes(theta, q_int, xp)
-        return theta - gap * zp, 1.0 - gap * zpp
+        return theta - gap * zp, 1.0 - gap * zpp, zp
 
     lo, hi = 0.0 * q_int, 0.0 * q_int + 1.0  # floats for one tie rule, arrays for lanes
-    f_hi, df_hi = fdf(hi)
-    f_lo, df_lo = fdf(lo) if xp.live(f_hi > 0.0) else (f_hi, df_hi)  # where the first is ahead
+    at_hi = fdf(hi)
+    at_lo = fdf(lo) if xp.live(at_hi[0] > 0.0) else at_hi  # read where the first is ahead
     for _ in range(BRACKET_EXPANSIONS):
-        ahead = f_hi > 0.0
+        ahead = at_hi[0] > 0.0
         if not xp.live(ahead ^ True):  # every lane is ahead
             break
-        lo, hi, f_lo, df_lo = xp.select(ahead, (lo, hi, f_lo, df_lo), (hi, 2.0 * hi, f_hi, df_hi))
-        f_hi, df_hi = fdf(hi)
-    ahead = f_hi > 0.0
+        lo, hi, *at_lo = xp.select(ahead, (lo, hi, *at_lo), (hi, 2.0 * hi, *at_hi))
+        at_hi = fdf(hi)
+    ahead = at_hi[0] > 0.0
     # a lane with no bracket starts at f = 0, so it takes no step
-    root, resid = _safeguarded_root(fdf, lo, hi, (xp.select(ahead, f_lo, 0.0), df_lo), xp)
-    return xp.select(root >= 0.0, root, 0.0), resid, hi, ahead
+    root, resid, slope = _safeguarded_root(
+        fdf, lo, hi, (xp.select(ahead, at_lo[0], 0.0), *at_lo[1:]), xp)
+    return root, slope, resid, hi, ahead
 
 
 def _gap_gates(gap: float, resid, hi, bracketed):
@@ -344,12 +346,11 @@ def _gap_gates(gap: float, resid, hi, bracketed):
 
 
 def _diff(csf, vals, q_int, xp: Ops):
-    """Equilibrium of a difference-form contest with quadratic cost: each
-    effort is prize * z_q'(gap) at the equilibrium gap from `_gap_root`, so
-    the first-order conditions are exactly v_i * z_q'(gap) = x_i."""
+    """Equilibrium of a difference-form contest with quadratic cost: each effort
+    is prize * z_q'(gap) at the equilibrium gap, as `_gap_root` last evaluated
+    it, so the first-order conditions are exactly v_i * z_q'(gap) = x_i."""
     gap = vals.v1 - vals.v2
-    theta, resid, hi, bracketed = _gap_root(csf, gap, q_int, xp)
-    slope = csf._zp(theta, q_int, xp)
+    _, slope, resid, hi, bracketed = _gap_root(csf, gap, q_int, xp)
     return (vals.v1 * slope, vals.v2 * slope, False, SolveMethod.ROOT_FIND,
             _gap_gates(gap, resid, hi, bracketed))
 
@@ -411,13 +412,13 @@ def _log_impact_foc(g1, g2, log_rv1, log_rv2, c, log_head1, log_head2, xp: Ops =
     log_t = logaddexp(logaddexp(g1, g2), 0.0)
     log_a1 = logaddexp(g2, log_head1)
     log_a2 = logaddexp(g1, log_head2)
-    s1 = exp(g1 - log_t)
-    s2 = exp(g2 - log_t)
-    return (log_rv1 - c * g1 + log_a1 - 2.0 * log_t, log_rv2 - c * g2 + log_a2 - 2.0 * log_t,
-            -c - 2.0 * s1, exp(g2 - log_a1) - 2.0 * s2,
-            exp(g1 - log_a2) - 2.0 * s1, -c - 2.0 * s2,
-            abs(log_rv1) + abs(c * g1) + abs(log_a1) + 2.0 * log_t,
-            abs(log_rv2) + abs(c * g2) + abs(log_a2) + 2.0 * log_t)
+    two_log_t, c_g1, c_g2 = 2.0 * log_t, c * g1, c * g2
+    two_s1, two_s2 = 2.0 * exp(g1 - log_t), 2.0 * exp(g2 - log_t)
+    return (log_rv1 - c_g1 + log_a1 - two_log_t, log_rv2 - c_g2 + log_a2 - two_log_t,
+            -c - two_s1, exp(g2 - log_a1) - two_s2,
+            exp(g1 - log_a2) - two_s1, -c - two_s2,
+            abs(log_rv1) + abs(c_g1) + abs(log_a1) + two_log_t,
+            abs(log_rv2) + abs(c_g2) + abs(log_a2) + two_log_t)
 
 
 def _concave_newton(csf, v1: float, v2: float, q_int, xp: Ops = FLOATS):

@@ -642,7 +642,9 @@ class BlavatskyyPower(_Family):
     def win_prob_d1(self, x1, x2, q):
         """d/dx1 of the eventual win probability of player 1."""
         qv = _tie_share(q)
-        return _ret(self._win_d1(*self._efforts(x1, x2, own_positive=True), qv, LANES)[0])
+        efforts = self._efforts(x1, x2, own_positive=True)
+        with np.errstate(over="ignore"):
+            return _ret(self._win_d1(*efforts, qv, LANES)[0])
 
     def _slope_parts(self, x1, x2):
         """Checked own effort, rival impact, x1^r + x2^r + 1 and the own impact slope."""

@@ -19,9 +19,10 @@ def test_bitscan_writes_the_same_lines_twice():
     first, second = (list(bitscan.scan(draws=20)) for _ in range(2))
     assert first == second
     headers = [line for line in first if line.startswith("# ")]
-    assert len(headers) == 20 and len(first) == 7 * 20
+    assert len(headers) == 20 and len(first) == 8 * 20
     assert {line.split()[2] for line in headers} == set(bitscan.FAMILIES)
-    for prefix in ("audit ", "solve ", "verify ", "lanes ", "optimal_q ", "expected_effort "):
+    for prefix in ("audit ", "solve ", "verify ", "lanes ", "optimal_q ", "shape ",
+                   "expected_effort "):
         assert sum(line.startswith(prefix) for line in first) == 20
 
 

@@ -1,6 +1,7 @@
 """Deterministic cost counts of the solvers, pinned per kind.
 
-`tools/costscan.py` counts bytecodes (`sys.settrace` opcode events) for
+`tools/costscan.py` counts bytecodes (`sys.settrace` opcode events in the
+package's own frames, those whose code lies under `src/tiebreak`) for
 `make_contest`, scalar `solve` and a seeded design-study sample, and NumPy
 calls for a 101-lane `solve_lanes`, on the hard corpus.  The per-kind totals
 are pinned in `tests/data/cost_counts.json` under the interpreter's Python
@@ -23,7 +24,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tiebreak import ContestError
+from tiebreak import ContestError, make_contest
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "costscan.py"
@@ -73,6 +74,15 @@ def test_counted_runs_compute_the_plain_runs_bits(rows):
         warnings.simplefilter("ignore")
         for row in rows:
             assert _bits(row.result) == _bits(row.plain()), (row.op, row.label)
+
+
+def test_bytecodes_count_only_the_package_frames():
+    """NumPy's Python code (`ndarray.any` runs `numpy._core._methods._any`) and
+    this file's own frames go uncounted; a package call counts its frames."""
+    assert costscan.bytecodes(lambda: np.ones(3).any())[0] == 0
+    count, spec = costscan.bytecodes(
+        lambda: make_contest("jia-diff", v1=3.0, v2=1.2, q=0.5, k=2.0))
+    assert count > 0 and spec.csf.kind == "diff"
 
 
 def test_lane_counts_follow_the_arrays_to_the_result(rows):

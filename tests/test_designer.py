@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib.util
 import json
 import math
 import re
@@ -469,12 +470,13 @@ def _certificate_by_separate_reductions(totals):
         dip = float(max(0.0, -np.min(np.diff(diffs))))
     else:
         mid_dev = dip = 0.0
+    floor = designer_mod.SHAPE_FLOOR * sys.float_info.epsilon * float(np.max(totals))
     check = designer_mod.ShapeCheck
     return designer_mod.ShapeCertificate(
-        monotone_decreasing=check(up_step <= designer_mod.MONOTONE_SLACK, max(0.0, up_step)),
-        constant=check(spread <= designer_mod.CONSTANT_TOL, spread),
-        linear=check(mid_dev <= designer_mod.LINEAR_TOL, mid_dev),
-        convex=check(dip <= designer_mod.CONVEX_TOL, dip))
+        monotone_decreasing=check(up_step <= floor, max(0.0, up_step)),
+        constant=check(spread <= floor, spread),
+        linear=check(mid_dev <= floor, mid_dev),
+        convex=check(dip <= floor, dip))
 
 
 def test_certificate_equals_the_separate_reductions_bit_for_bit():
@@ -492,6 +494,22 @@ def test_certificate_equals_the_separate_reductions_bit_for_bit():
         assert _bits(designer_mod._certify(totals)) == _bits(want), totals
 
 
+def test_certificate_verdicts_do_not_depend_on_the_scale():
+    """Scaling a curve by a power of two scales every statistic and the floor exactly."""
+    rng = np.random.default_rng(51)
+    seen = set()
+    for _ in range(200):
+        n, slope = int(rng.integers(3, 30)), rng.choice((-0.5, 0.0, 0.5))
+        noise = rng.random(n) * 10.0 ** rng.uniform(-16.0, -12.0)  # up to 5e3 eps
+        base = 1.0 + slope * np.linspace(0.0, 1.0, n) + noise
+        want = [c.holds for c in vars(designer_mod._certify(base)).values()]
+        seen.update(enumerate(want))
+        for power in (-900, -400, 400, 900):
+            scaled = designer_mod._certify(base * 2.0 ** (power // 2) * 2.0 ** (power - power // 2))
+            assert [c.holds for c in vars(scaled).values()] == want, (power, base)
+    assert len(seen) == 8  # each check both holds and fails
+
+
 @pytest.mark.filterwarnings("error")
 def test_certificate_dip_of_opposite_huge_steps_stays_finite():
     """Neighbouring steps of opposite sign whose difference passes the largest
@@ -499,6 +517,75 @@ def test_certificate_dip_of_opposite_huge_steps_stays_finite():
     convex = designer_mod._certify(np.array([0.0, 1.7e308, 0.0])).convex
     assert convex.holds is False
     assert convex.violation == sys.float_info.max
+
+
+BITSCAN = Path(__file__).resolve().parents[1] / "tools" / "bitscan.py"
+THEOREM_DRAWS = 4000
+THEOREM_SHAPES = {"ratio": ("linear", "convex"),
+                  "linear impact": ("monotone_decreasing", "constant", "linear", "convex")}
+
+
+class TestShapeFloor:
+    """One rounding floor, `SHAPE_FLOOR` * eps * max R, decides every shape verdict."""
+
+    @pytest.mark.parametrize("family,params,v,shapes", [
+        ("jia-ratio", {"r": 0.5, "k": 2}, (3e6, 1.2e6), ("linear", "convex")),
+        ("jia-ratio", {"r": 0.5, "k": 2}, (3e12, 1.2e12), ("linear", "convex")),
+        ("blavatskyy-power", {"r": 1.0}, (3e6, 1.2e6), ("constant",)),
+    ], ids=["jia-ratio-3e6", "jia-ratio-3e12", "linear-impact-3e6"])
+    def test_large_prize_curves_certify_their_exact_shapes(self, family, params, v, shapes):
+        """A ratio R is affine in q and an interior linear-impact R constant; at these
+        prizes their rounding exceeds an absolute bound of 1e-10."""
+        curve = sweep(make_contest(family, v1=v[0], v2=v[1], q=0.0, **params), 101)
+        for name in shapes:
+            assert getattr(curve.shape, name).holds, name
+
+    @pytest.mark.parametrize("family,params", [("jia-diff", {"k": 2}),
+                                               ("blavatskyy-power", {"r": 0.5})])
+    def test_small_prize_curves_are_not_linear_to_rounding(self, family, params):
+        """Midpoint deviations of 6.7e-18 and 2.6e-12 lie below an absolute bound of
+        1e-10, but 322 and 5e11 times eps * max R, past four floors."""
+        curve = sweep(make_contest(family, v1=3e-4, v2=1.2e-4, q=0.0, **params), 101)
+        linear, floor = curve.shape.linear, designer_mod.SHAPE_FLOOR * sys.float_info.epsilon
+        assert not linear.holds
+        assert linear.violation > 4.0 * floor * max(curve.totals)
+
+    def test_curves_a_theorem_shapes_sit_an_order_below_the_floor(self):
+        """The reference for the floor: a ratio-form R is affine in q (beta = v1/v2
+        does not depend on q, and z_q' = p' + q p0'), and an interior linear-impact
+        R is v1 v2 / (v1 + v2) - 1 at every q.  On every such curve of the seeded
+        draws of `tools/bitscan.py`, each shape the theorem fixes certifies, and its
+        statistic sits at most a tenth of the floor.  The largest seen is a jia-ratio
+        convexity dip of 4.71 eps * max R with NumPy's AVX-512 kernels, 5.03 without."""
+        tool = importlib.util.spec_from_file_location("bitscan", BITSCAN)
+        bitscan = importlib.util.module_from_spec(tool)
+        tool.loader.exec_module(bitscan)
+        worst = {(kind, name): 0.0 for kind, names in THEOREM_SHAPES.items() for name in names}
+        curves = {kind: 0 for kind in THEOREM_SHAPES}
+        for index in range(THEOREM_DRAWS):
+            family, params, v1, v2, q, _ = bitscan.draw(index)
+            spec = make_contest(family, v1=v1, v2=v2, q=q, **params)
+            kind = spec.csf.kind
+            if kind == "concave" and spec.csf.r == 1.0:
+                kind = "linear impact"
+            if kind not in THEOREM_SHAPES:
+                continue
+            try:
+                _, lanes, totals = designer_mod._grid_lanes(spec.with_q(0.0), 101, False)
+            except ContestError:
+                continue
+            if lanes.cornered.any():  # only an interior linear-impact R is constant
+                continue
+            curves[kind] += 1
+            unit = sys.float_info.epsilon * float(totals.max())
+            certificate = designer_mod._certify(totals)
+            for name in THEOREM_SHAPES[kind]:
+                check = getattr(certificate, name)
+                assert check.holds, (index, name, check.violation / unit)
+                worst[kind, name] = max(worst[kind, name], check.violation / unit)
+        assert min(curves.values()) >= 100, curves
+        print(f"largest statistic a theorem fixes: {max(worst.values()):.3g} eps * max R")
+        assert max(worst.values()) <= designer_mod.SHAPE_FLOOR / 10.0, worst
 
 
 class TestExpectedEffort:

@@ -331,11 +331,14 @@ def test_linear_impact_curvature_at_the_least_effort_is_exact():
 
 
 def test_concave_curvature_at_tiny_effort_overflows_quietly():
-    """At r = 0.5, x1 = 1e-300: x^-1.5 = 1e450 is past the largest double."""
+    """At r = 0.5, x1 = 1e-300: x^-1.5 = 1e450 is past the largest double.  At
+    r = 0.01, x1 = 5e-324: the slope's x^-0.99 is past it too."""
     csf = make_family("blavatskyy-power", r=0.5)
     assert _quiet(lambda: csf.impact_double_prime(1e-300)) == -math.inf
     assert _quiet(lambda: csf.win_prob_d11(1e-300, 1.0, 0.3)) == -math.inf
     assert _quiet(lambda: csf.tie_prob_d11(1e-300, 1.0)) == math.inf
+    assert _quiet(lambda: make_family("blavatskyy-power", r=0.01).win_prob_d1(
+        5e-324, 1.0, 0.2)) == math.inf
 
 
 def test_tie_slope_evaluates_no_curvature():

@@ -101,21 +101,30 @@ def test_batch_lane_solves_at_machine_residual_or_holds_typed_error(entry):
 
 
 def test_gap_root_evaluates_no_theta_twice(monkeypatch):
-    """The bracket hands its last f and f' at lo to the root finder: the
+    """The bracket hands its last f, f' and z' at lo to the root finder: the
     prize-1e12 solve makes 18 kernel evaluations, each at its own theta, and
-    keeps the efforts it had when lo was evaluated twice (19 evaluations)."""
-    kernel, thetas = tiebreak.VesperoniDiff._zslopes, []
+    keeps the efforts it had when lo was evaluated twice (19 evaluations).
+    The efforts read z' at the root from the last of them; only the residuals
+    evaluate `_zp`, once."""
+    slopes, thetas, zp_thetas = tiebreak.VesperoniDiff._zslopes, [], []
 
     def counted(self, th, qv, xp):
         thetas.append(th)
-        return kernel(self, th, qv, xp)
+        return slopes(self, th, qv, xp)
 
+    def counted_zp(self, th, qv, xp):
+        zp_thetas.append(th)
+        return zp(self, th, qv, xp)
+
+    zp = tiebreak.VesperoniDiff._zp
     monkeypatch.setattr(tiebreak.VesperoniDiff, "_zslopes", counted)
+    monkeypatch.setattr(tiebreak.VesperoniDiff, "_zp", counted_zp)
     _, family, params, v1, v2, q = next(
         entry for entry in HARD_CORPUS if entry[0] == "vesperoni-diff-prize-1e12")
     eq = solve(make_contest(family, v1=v1, v2=v2, q=q, **params))
     assert len(thetas) == 18
     assert len(set(thetas)) == 18
+    assert zp_thetas == [eq.beta]
     assert (eq.x1.hex(), eq.x2.hex()) == ("0x1.86f5c72dcb5efp+4", "0x1.addd7a0b286aap-36")
 
 

@@ -398,8 +398,9 @@ def test_truncated_newton_lanes_take_the_scalar_steps(budget, monkeypatch):
 ])
 def test_truncated_gap_roots_take_the_scalar_steps(budget, family, params, prizes, monkeypatch):
     """The lane instance of the gap-root body returns each lane's float
-    instance bits: root, residual, last bound and whether it was ahead; and
-    `solve_lanes` fails each lane with `solve_beta`'s error or finds its root."""
+    instance bits: root, slope there, residual, last bound and whether it was
+    ahead; and `solve_lanes` fails each lane with `solve_beta`'s error or finds
+    its root."""
     monkeypatch.setattr(equilibrium_mod, "MAX_ITERATIONS", budget)
     spec = make_contest(family, v1=prizes[0], v2=prizes[1], q=0.0, **params)
     csf, qs = spec.csf, np.linspace(0.0, 1.0, 6)
@@ -407,9 +408,10 @@ def test_truncated_gap_roots_take_the_scalar_steps(budget, family, params, prize
         lanes = _gap_root(csf, prizes[0] - prizes[1], qs, LANES)
     errors = solve_lanes(spec, qs, force=False).errors
     for lane, q in enumerate(qs):
-        root, resid, hi, ahead = _gap_root(csf, prizes[0] - prizes[1], float(q))
-        assert [float(a[lane]).hex() for a in lanes[:3]] == [root.hex(), resid.hex(), hi.hex()]
-        assert lanes[3][lane] == ahead
+        root, slope, resid, hi, ahead = _gap_root(csf, prizes[0] - prizes[1], float(q))
+        want = [root.hex(), slope.hex(), resid.hex(), hi.hex()]
+        assert [float(a[lane]).hex() for a in lanes[:4]] == want
+        assert lanes[4][lane] == ahead
         try:
             ref = solve_beta(csf, prizes, float(q))
         except ConvergenceError as exc:

@@ -3,13 +3,15 @@
 Each draw is a contest from one of the five families, at design scale
 (prizes 0.1 to 10, k 1 to 10) or at extreme scale (prizes 1e-3 to 1e12 or
 to 1e300, k up to 1e9, r near 0, near 1 or 1), in a random label order.
-For each draw the scan writes six lines: `audit_family` at the larger
+For each draw the scan writes seven lines: `audit_family` at the larger
 prize, `solve`, `verify` of the solved profile on a 101-step
-`GridSpec.for_contest` grid, a 101-lane `solve_lanes`, `optimal_q` and
-`expected_effort` at a random tie rule.  A line holds the `float.hex` of
-every number the result carries, or the error's type and text, and then the
-text of each warning the call emitted, so two trees compute the same bits
-and warn alike exactly when their outputs are identical:
+`GridSpec.for_contest` grid, a 101-lane `solve_lanes`, `optimal_q`, the
+shape certificate of `sweep(spec, 101)` (the batch `optimal_q` has just
+solved, so it solves nothing new) and `expected_effort` at a random tie
+rule.  A line holds the `float.hex` of every number the result carries,
+or the error's type and text, and then the text of each warning the call
+emitted, so two trees compute the same bits and warn alike exactly when
+their outputs are identical:
 
     PYTHONPATH=src python tools/bitscan.py --draws 20000 > before.txt
     (change the code)
@@ -19,8 +21,9 @@ and warn alike exactly when their outputs are identical:
 The audit and verify lines carry a digest of the report's JSON with every
 float written by `float.hex`, and the lanes line a digest of the lanes; the
 verify line leads with the report's verdict, so a diff shows a verdict that
-flips apart from a report that moves.  The `# index ...` line above them
-names the contest, so a mismatching draw can be rerun through
+flips apart from a report that moves.  The shape line gives each of the
+four checks as its name, verdict and violation.  The `# index ...` line
+above them names the contest, so a mismatching draw can be rerun through
 `audit_family`, `verify` or `solve_lanes` directly.  NumPy
 picks its float kernels by CPU; run both trees under the same
 `NPY_DISABLE_CPU_FEATURES` setting.
@@ -38,7 +41,7 @@ import warnings
 import numpy as np
 
 from tiebreak import (ContestError, GridSpec, RandomTieRule, expected_effort, make_contest,
-                      optimal_q, solve, verify)
+                      optimal_q, solve, sweep, verify)
 from tiebreak.audit import audit_family
 from tiebreak.equilibrium import solve_lanes
 
@@ -161,11 +164,16 @@ def scan(draws: int):
             values = _hex(best.q_star.q, best.total_effort, best.x1, best.x2)
             return f"{values} {best.rationale.value}"
 
+        def shape():
+            checks = vars(sweep(spec, 101).shape).items()  # the four checks in field order
+            return " ".join(f"{name} {c.holds} {_hex(c.violation)}" for name, c in checks)
+
         yield f"audit {_result(audited)}"
         yield f"solve {_result(solved)}"
         yield f"verify {_result(verified)}"
         yield f"lanes {_result(lanes)}"
         yield f"optimal_q {_result(optimum)}"
+        yield f"shape {_result(shape)}"
         yield "expected_effort " + _result(
             lambda: _hex(expected_effort(spec, RandomTieRule.from_pairs(pairs))))
 

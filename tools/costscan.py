@@ -4,12 +4,16 @@ Wall clock on a shared host cannot resolve a change of a few percent, but
 the work a call does can be counted exactly, the same on every run.  This
 scan counts two things:
 
-- **Bytecodes**, as `sys.settrace` opcode events in every Python frame the
-  call runs (the package's, the standard library's and NumPy's Python
-  code), for `make_contest` and a scalar `solve` on each contest of the
-  hard corpus (`perfbench/corpus.json`), and for a seeded sample of
-  design-study operations (audit, `solve`, `sweep`, `optimal_q`,
-  `expected_effort`) drawn as `bitscan.py` draws its design-scale contests.
+- **Bytecodes**, as `sys.settrace` opcode events in the package's frames
+  only, those whose code lies under `src/tiebreak`, for `make_contest` and a
+  scalar `solve` on each contest of the hard corpus
+  (`perfbench/corpus.json`), and for a seeded sample of design-study
+  operations (audit, `solve`, `sweep`, `optimal_q`, `expected_effort`) drawn
+  as `bitscan.py` draws its design-scale contests.  The standard library's
+  and NumPy's Python code, and code that `dataclasses` and `namedtuple`
+  generate, go uncounted: counting them would rank NumPy entry points by the
+  Python opcodes they run, not by their speed (`c.any()` runs NumPy's Python
+  code and is slower than `bool(np.count_nonzero(c))`).
 - **NumPy calls**, for a 101-lane `solve_lanes` on each corpus contest: its
   tie rules are viewed as an ndarray subclass whose `__array_ufunc__` and
   `__array_function__` (NEP 13, NEP 18) count each call the program makes
@@ -36,6 +40,7 @@ import functools
 import gc
 import importlib.util
 import json
+import os
 import sys
 import warnings
 from collections import namedtuple
@@ -43,12 +48,14 @@ from pathlib import Path
 
 import numpy as np
 
+import tiebreak
 from tiebreak import (FAMILIES, ContestError, RandomTieRule, expected_effort, make_contest,
                       optimal_q, solve, sweep)
 from tiebreak import designer, equilibrium
 from tiebreak.audit import audit_family
 
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = os.path.join(os.path.dirname(tiebreak.__file__), "")  # the package's files, by prefix
 CORPUS = ROOT / "perfbench" / "corpus.json"
 RECORD = ROOT / "tests" / "data" / "cost_counts.json"
 LANE_QS = np.linspace(0.0, 1.0, 101)
@@ -98,12 +105,15 @@ def _attempt(call):
 
 
 def bytecodes(call):
-    """(opcode events, result) of `call()`; a `ContestError` is its result."""
+    """(opcode events in the package's frames, result) of `call()`; a
+    `ContestError` is its result."""
     count = 0
 
     def tracer(frame, event, arg):
         nonlocal count
         if event == "call":
+            if not frame.f_code.co_filename.startswith(PACKAGE):
+                return None  # no events from this frame; the frames it calls are checked
             frame.f_trace_opcodes, frame.f_trace_lines = True, False
         elif event == "opcode":
             count += 1
