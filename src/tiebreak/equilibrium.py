@@ -3,11 +3,12 @@
 Ratio-form contests (linear cost) admit a closed form: both efforts share the
 factor beta * z_q'(beta) at beta = v1/v2.  Difference-form contests
 (quadratic cost) reduce to one root for the equilibrium effort gap, found
-by safeguarded Newton-bisection on the analytic z' and z''; each effort is
-then prize times slope.  Concave-impact contests solve the two first-order
-conditions directly: analytically when the impact is linear, and otherwise
-by Newton's method with backtracking in log-impact coordinates
-g_i = log(x_i^r).
+by safeguarded Newton-bisection on the analytic z' and z'', first on its
+log where the root lies past 4 (a gap above 4e, as z' <= 1/e) and log z' is
+nearly linear; each effort is then prize times slope.  Concave-impact
+contests solve the two first-order conditions directly: analytically when
+the impact is linear, and otherwise by Newton's method with backtracking in
+log-impact coordinates g_i = log(x_i^r).
 
 `solve(spec)` is the one way in for one tie rule, `solve_lanes(spec, qs)` for
 many.  Each runs one prologue: it checks family kind, the audited
@@ -266,9 +267,10 @@ def _ratio_residuals(csf, v1, v2, q, x1, x2, xp: Ops):
     return theta, v1 * zp / x2 - 1.0, r2
 
 
-def _safeguarded_root(fdf, lo, hi, at_lo, xp: Ops = FLOATS):
-    """Root of f on a bracket with f(lo) <= 0 < f(hi), given fdf(x) = (f, f', z), z
-    carried along, and at_lo = fdf(lo), for one tie rule or lanes (`xp`, see `Ops`).
+def _safeguarded_root(fdf, lo, hi, x, at_x, stepping, xp: Ops = FLOATS):
+    """Root of f on a bracket with f(lo) <= 0 < f(hi), from x in it, given
+    fdf(x) = (f, f', z), z carried along, and at_x = fdf(x), for one tie rule
+    or lanes (`xp`, see `Ops`); only where `stepping` holds does x move.
 
     Newton steps while they land strictly inside the bracket and shrink at
     least as fast as bisection, bisection otherwise (`rtsafe`, Numerical
@@ -277,9 +279,9 @@ def _safeguarded_root(fdf, lo, hi, at_lo, xp: Ops = FLOATS):
     steps; returns the last point and its f and z values.
     """
     select, live = xp.select, xp.live
-    x, (fx, dfx, zx) = lo, at_lo
+    fx, dfx, zx = at_x
     step_old = step = hi - lo
-    stepping = fx != 0.0
+    stepping = stepping & (fx != 0.0)
     for _ in range(MAX_ITERATIONS):
         if not live(stepping):
             break
@@ -297,7 +299,8 @@ def _safeguarded_root(fdf, lo, hi, at_lo, xp: Ops = FLOATS):
 def solve_beta(csf, v, q) -> float:
     """Equilibrium effort gap of a difference-form contest at prizes `v` and tie rule `q`:
     the stronger player's gap, >= 0 and exactly 0.0 for equal prizes.  Checks
-    its inputs, then finds the root as `solve`'s difference-form route does."""
+    its inputs, then finds the root as `solve`'s difference-form route does,
+    on the log of the gap equation first past 4 (see `_gap_root`)."""
     if getattr(csf, "kind", None) != "diff":
         raise ValidationError("solve_beta requires a difference-form family")
     vals = v if isinstance(v, Valuations) else Valuations(*pair_value(v, "prizes"))
@@ -313,11 +316,16 @@ def _gap_root(csf, gap: float, q_int, xp: Ops = FLOATS):
 
     The upper bounds 1, 2, 4, ..., 2^`BRACKET_EXPANSIONS` are tried until the
     left side is ahead of the right, which happens because z' is bounded;
-    `_safeguarded_root` then runs on the analytic z' and z'' from the last
-    bound behind, whose f, f' and z' it is handed.  Returns the root (at least
-    0 unless NaN), z_q' there, its residual, the last bound tried and whether
-    it was ahead.
-    """
+    `_safeguarded_root` then runs on f = theta - gap z_q' from the last bound
+    behind, lo, whose f, f' and z' it is handed.  Where lo >= 4 (a gap above
+    4e, as every difference family has z_q' <= 1/e), the root lies in z_q''s
+    exponential tail near log(gap), where a Newton step on f gains about one
+    unit of theta: it runs first on g = log(theta) - log(gap z_q'), nearly
+    linear there, from lo's values, other lanes holding, and finishes on f
+    from g's root and its values; a lane stops in either where its Newton
+    step would leave theta in place.  Returns the root (at least 0 unless
+    NaN), z_q' there, its residual, the last bound tried and whether it was
+    ahead."""
     def fdf(theta):
         zp, zpp = csf._zslopes(theta, q_int, xp)
         return theta - gap * zp, 1.0 - gap * zpp, zp
@@ -332,9 +340,21 @@ def _gap_root(csf, gap: float, q_int, xp: Ops = FLOATS):
         lo, hi, *at_lo = xp.select(ahead, (lo, hi, *at_lo), (hi, 2.0 * hi, *at_hi))
         at_hi = fdf(hi)
     ahead = at_hi[0] > 0.0
-    # a lane with no bracket starts at f = 0, so it takes no step
-    root, resid, slope = _safeguarded_root(
-        fdf, lo, hi, (xp.select(ahead, at_lo[0], 0.0), *at_lo[1:]), xp)
+    x, at_x, stepping, tail = lo, at_lo, ahead, ahead & (lo >= 4.0)  # no bracket, no step
+    if xp.live(tail):
+        def stays(theta, f, df):  # where a Newton step on f leaves theta in place
+            return theta - f / xp.select(df > 0.0, df, math.nan) == theta
+        # g (0 where it stays), g' = 1/theta - z''/z' and f's values; where gap z'
+        # underflows to 0, g is +inf and g' finite, so that step bisects
+        def in_logs(theta, f, df, zp):
+            g = xp.log(theta) - xp.log(gap * zp)
+            dg = 1.0 / theta + (df - 1.0) / (gap * zp + (zp == 0.0))
+            return xp.select(stays(theta, g, dg), 0.0, g), dg, (f, df, zp)
+        x, _, at_root = _safeguarded_root(lambda theta: in_logs(theta, *fdf(theta)), lo, hi, lo,
+                                          in_logs(lo, *at_lo), tail, xp)
+        x, *at_x = xp.select(tail, (x, *at_root), (lo, *at_x))
+        stepping = stepping & ((tail & stays(x, *at_x[:2])) ^ True)  # where f's stays, f is final
+    root, resid, slope = _safeguarded_root(fdf, lo, hi, x, at_x, stepping, xp)
     return root, slope, resid, hi, ahead
 
 

@@ -1,8 +1,18 @@
-"""Smoke test of `tools/bitscan.py`, the bit-identity scan of the solvers."""
+"""Tests of `tools/bitscan.py`, the bit-identity scan of the solvers, and
+the pin of its first draws: one digest per family and line kind, recorded
+in `tests/data/bitscan.json` under the interpreter's Python and NumPy
+versions and NumPy's AVX-512 dispatch.  An interpreter with no record skips
+the pin.  Any moved line fails it until the digests are re-recorded:
+
+    PYTHONPATH=src python tools/bitscan.py --record
+"""
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
+
+import pytest
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bitscan.py"
 
@@ -32,3 +42,16 @@ def test_bitscan_draws_both_scales_and_label_orders():
     strong = [max(v1, v2) for _, _, v1, v2, _, _ in draws]
     assert max(strong) > 10.0 >= min(strong)  # extreme draws pass the design range
     assert {v1 > v2 for _, _, v1, v2, _, _ in draws} == {True, False}
+
+
+def test_bitscan_digests_equal_the_record():
+    bitscan = _load_tool()
+    key = bitscan.record_key()
+    records = json.loads(bitscan.RECORD.read_text(encoding="utf-8"))
+    if key not in records:
+        pytest.skip(f"no bitscan digests recorded for {key!r}")
+    got, want = bitscan.digests(), records[key]
+    moved = sorted(k for k in {*got, *want} if got.get(k) != want.get(k))
+    assert not moved, (
+        f"bitscan lines moved for {moved}; diff the scans of both trees, state the moves and "
+        "re-record with `PYTHONPATH=src python tools/bitscan.py --record`")

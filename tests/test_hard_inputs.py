@@ -100,32 +100,54 @@ def test_batch_lane_solves_at_machine_residual_or_holds_typed_error(entry):
     assert relative_residual(spec, eq) <= RESIDUAL_BOUND
 
 
+# jia-diff k = 2, q = 0.5 at prizes (v1, 1), whose first-order residuals grow
+# with the gap, to 2.7e-8 at 1e308.
+GROWING_RESIDUALS = {f"jia-diff-v{v1:g}": ("jia-diff", {"k": 2.0}, v1, 1.0, 0.5)
+                     for v1 in (1e12, 1e100, 1e300, 1e308)}
+# Gap roots past the bracket bound 4, by contest name: kernel evaluations of
+# the scalar solve, and its (x1, x2) as hex.  NumPy's AVX-512 exp rounds a
+# last bit apart from its other kernels, so two contests hold a second
+# (x1, x2), that of the solve without AVX-512 dispatch.
+LARGE_GAP_ROOTS = {
+    "vesperoni-diff-prize-1e12": (10, {("0x1.86f5c72dcb5efp+4", "0x1.addd7a0b286aap-36")}),
+    "jia-diff-v1e6-1": (9, {("0x1.80b3861545765p+3", "0x1.9363759c0c15ap-17"),
+                            ("0x1.80b3861545766p+3", "0x1.9363759c0c15bp-17")}),
+    "jia-diff-v1e+12": (10, {("0x1.8a63fd74919bap+4", "0x1.b1a314c0306c8p-36")}),
+    "jia-diff-v1e+100": (13, {("0x1.c2216a13f28dcp+7", "0x1.89d1bf6527ea3p-325")}),
+    "jia-diff-v1e+300": (14, {("0x1.563c29d4d9d85p+9", "0x1.ca627be5ecc6dp-988"),
+                              ("0x1.563c29d4d9d86p+9", "0x1.ca627be5ecc6ep-988")}),
+    "jia-diff-v1e+308": (14, {("0x1.5f6e9dbaa3841p+9", "0x1.3be22f2097947p-1014")}),
+}
+
+
 def test_gap_root_evaluates_no_theta_twice(monkeypatch):
-    """The bracket hands its last f, f' and z' at lo to the root finder: the
-    prize-1e12 solve makes 18 kernel evaluations, each at its own theta, and
-    keeps the efforts it had when lo was evaluated twice (19 evaluations).
-    The efforts read z' at the root from the last of them; only the residuals
-    evaluate `_zp`, once."""
-    slopes, thetas, zp_thetas = tiebreak.VesperoniDiff._zslopes, [], []
+    """Past the bound 4 the root finder runs on the log of the gap equation,
+    handed the bracket's f, f' and z' at lo, then finishes on the equation
+    itself from the log form's root and its values; in either phase a Newton
+    step that would leave theta in place ends the lane without a kernel
+    call.  So every kernel evaluation is at its own theta: 10 for the
+    prize-1e12 solve, and 9, 10, 13, 14 and 14 for the others, where the
+    gap equation alone took 18, 15, 14, 19, 28 and 33 and found the same
+    efforts.  The efforts read z' at the root from the last evaluation; only
+    the residuals evaluate `_zp`, once."""
+    thetas, zp_thetas = [], []
 
-    def counted(self, th, qv, xp):
-        thetas.append(th)
-        return slopes(self, th, qv, xp)
+    def counting(seen, method):
+        return lambda self, th, qv, xp: seen.append(th) or method(self, th, qv, xp)
 
-    def counted_zp(self, th, qv, xp):
-        zp_thetas.append(th)
-        return zp(self, th, qv, xp)
-
-    zp = tiebreak.VesperoniDiff._zp
-    monkeypatch.setattr(tiebreak.VesperoniDiff, "_zslopes", counted)
-    monkeypatch.setattr(tiebreak.VesperoniDiff, "_zp", counted_zp)
-    _, family, params, v1, v2, q = next(
-        entry for entry in HARD_CORPUS if entry[0] == "vesperoni-diff-prize-1e12")
-    eq = solve(make_contest(family, v1=v1, v2=v2, q=q, **params))
-    assert len(thetas) == 18
-    assert len(set(thetas)) == 18
-    assert zp_thetas == [eq.beta]
-    assert (eq.x1.hex(), eq.x2.hex()) == ("0x1.86f5c72dcb5efp+4", "0x1.addd7a0b286aap-36")
+    for csf_class in (tiebreak.VesperoniDiff, tiebreak.JiaDiff):
+        monkeypatch.setattr(csf_class, "_zslopes", counting(thetas, csf_class._zslopes))
+        monkeypatch.setattr(csf_class, "_zp", counting(zp_thetas, csf_class._zp))
+    contests = {name: contest for name, *contest in HARD_CORPUS} | GROWING_RESIDUALS
+    for name, (evaluations, efforts) in LARGE_GAP_ROOTS.items():
+        family, params, v1, v2, q = contests[name]
+        thetas.clear()
+        zp_thetas.clear()
+        eq = solve(make_contest(family, v1=v1, v2=v2, q=q, **params))
+        assert len(thetas) == evaluations, name
+        assert len(set(thetas)) == evaluations, name
+        assert zp_thetas == [eq.beta], name
+        assert (eq.x1.hex(), eq.x2.hex()) in efforts, name
 
 
 def test_unbracketed_gap_root_fails_alike_in_solve_and_lanes(monkeypatch):

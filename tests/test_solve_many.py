@@ -390,17 +390,47 @@ def test_truncated_newton_lanes_take_the_scalar_steps(budget, monkeypatch):
             assert math.exp(g2[lane] / r) == pytest.approx(math.exp(s2 / r), rel=1e-12, abs=0.0)
 
 
-@pytest.mark.parametrize("budget", [1, 2, 3, 5, 8])
+def test_gap_root_lanes_on_both_sides_of_the_log_form():
+    """At k = 1e3 and prizes (1e3, 1), 73 of 101 lanes bracket their root past
+    4, so they run the log form first, and the others take the gap equation
+    alone: every lane returns its float instance's root, slope there,
+    residual, last bound and bracket bit for bit, and `solve_lanes` the
+    `Equilibrium` of `solve`."""
+    spec = make_contest("jia-diff", v1=1e3, v2=1.0, q=0.0, k=1e3)
+    qs = np.linspace(0.0, 1.0, 101)
+    with np.errstate(all="ignore"):
+        lanes = _gap_root(spec.csf, 999.0, qs, LANES)
+    assert np.count_nonzero(lanes[3] >= 8.0) == 73  # lo = hi / 2 >= 4
+    solved = solve_lanes(spec, qs, force=False)
+    assert solved.errors == {}
+    for lane, q in enumerate(qs):
+        root, slope, resid, hi, ahead = _gap_root(spec.csf, 999.0, float(q))
+        assert [float(a[lane]).hex() for a in lanes[:4]] == [
+            root.hex(), slope.hex(), resid.hex(), hi.hex()]
+        assert lanes[4][lane] == ahead
+        assert solved.equilibrium(lane) == solve(spec.with_q(float(q)))
+
+
+@pytest.mark.parametrize("budget", [1, 2, 3, 4, 5, 8])
 @pytest.mark.parametrize("family,params,prizes", [
     ("jia-diff", dict(k=2.5), (4.0, 0.7)),
     ("vesperoni-diff", dict(k=4.0), (30.0, 1.0)),
     ("jia-diff", dict(k=1.0), (1e6, 1.0)),
+    ("jia-diff", dict(k=1e3), (1e3, 1.0)),
+    ("jia-diff", dict(k=2.0), (1e308, 1.0)),
+    ("jia-diff", dict(k=1e30), (1e300, 1.0)),
 ])
 def test_truncated_gap_roots_take_the_scalar_steps(budget, family, params, prizes, monkeypatch):
     """The lane instance of the gap-root body returns each lane's float
     instance bits: root, slope there, residual, last bound and whether it was
     ahead; and `solve_lanes` fails each lane with `solve_beta`'s error or finds
-    its root."""
+    its root.  The last four contests bracket roots past 4 (at k = 1e3 only
+    the lanes q <= 0.6), whose log form takes 3 to 5 steps and whose finish
+    on the gap equation then takes none: budgets 1 to 4 stop a lane inside
+    the log form, whose finish then takes 1 or 2 steps, and 1 and 2 stop it
+    inside that finish too.  At k = 1e30 the kernels' z' underflows to 0
+    past theta = 745, where the log form is +inf with a finite slope, so its
+    steps there bisect, and the finish bisects too."""
     monkeypatch.setattr(equilibrium_mod, "MAX_ITERATIONS", budget)
     spec = make_contest(family, v1=prizes[0], v2=prizes[1], q=0.0, **params)
     csf, qs = spec.csf, np.linspace(0.0, 1.0, 6)

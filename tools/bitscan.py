@@ -27,6 +27,14 @@ above them names the contest, so a mismatching draw can be rerun through
 `audit_family`, `verify` or `solve_lanes` directly.  NumPy
 picks its float kernels by CPU; run both trees under the same
 `NPY_DISABLE_CPU_FEATURES` setting.
+
+`--record` instead writes one digest per family and line kind over the
+first `RECORD_DRAWS` draws to `tests/data/bitscan.json`, under this
+interpreter's Python and NumPy versions and NumPy's AVX-512 dispatch, where
+`tests/test_bitscan.py` pins them; a change that moves lines re-records the
+file, and its diff names the families and line kinds that moved:
+
+    PYTHONPATH=src python tools/bitscan.py --record
 """
 from __future__ import annotations
 
@@ -37,6 +45,7 @@ import math
 import random
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 
@@ -48,6 +57,8 @@ from tiebreak.equilibrium import solve_lanes
 FAMILIES = ("vesperoni-ratio", "jia-ratio", "vesperoni-diff", "jia-diff", "blavatskyy-power")
 LANE_QS = np.linspace(0.0, 1.0, 101)
 SEED = 2026
+RECORD = Path(__file__).resolve().parents[1] / "tests" / "data" / "bitscan.json"
+RECORD_DRAWS = 500
 
 
 def _log_uniform(rng: random.Random, lo: float, hi: float) -> float:
@@ -178,10 +189,44 @@ def scan(draws: int):
             lambda: _hex(expected_effort(spec, RandomTieRule.from_pairs(pairs))))
 
 
+def record_key() -> str:
+    """What the bits depend on: Python's and NumPy's major.minor, and whether
+    NumPy dispatches to its AVX-512 kernels, whose exp, log and power round
+    some last bits apart."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # NumPy < 2
+        from numpy.core._multiarray_umath import __cpu_features__
+    numpy_minor = ".".join(np.__version__.split(".")[:2])
+    target = "avx512" if __cpu_features__.get("AVX512_SKX") else "without_avx512"
+    return f"python {sys.version_info.major}.{sys.version_info.minor} numpy {numpy_minor} {target}"
+
+
+def digests(draws: int = RECORD_DRAWS) -> dict[str, str]:
+    """One digest of the lines of each family and line kind over the first
+    `draws` draws, keyed "family kind" in sorted order."""
+    lines: dict[str, list[str]] = {}
+    for line in scan(draws):
+        if line.startswith("# "):
+            family = line.split()[2]
+        else:
+            lines.setdefault(f"{family} {line.split()[0]}", []).append(line)
+    return {key: _digest("\n".join(rows)) for key, rows in sorted(lines.items())}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--draws", type=int, default=1000, help="number of draws")
+    parser.add_argument("--record", action="store_true",
+                        help=f"write the digests of the first {RECORD_DRAWS} draws to "
+                             "tests/data/bitscan.json")
     args = parser.parse_args(argv)
+    if args.record:
+        records = json.loads(RECORD.read_text(encoding="utf-8")) if RECORD.exists() else {}
+        records[record_key()] = digests()
+        RECORD.write_text(json.dumps(dict(sorted(records.items())), indent=2) + "\n",
+                          encoding="utf-8")
+        return 0
     for line in scan(args.draws):
         sys.stdout.write(line + "\n")
     return 0

@@ -69,17 +69,8 @@ def _load_bitscan():
     return module
 
 
-def record_key() -> str:
-    """What the counts depend on: Python's and NumPy's major.minor, and whether
-    NumPy dispatches to its AVX-512 kernels, whose exp, log and power round
-    some last bits apart and so change some iteration counts."""
-    try:
-        from numpy._core._multiarray_umath import __cpu_features__
-    except ImportError:  # NumPy < 2
-        from numpy.core._multiarray_umath import __cpu_features__
-    numpy_minor = ".".join(np.__version__.split(".")[:2])
-    target = "avx512" if __cpu_features__.get("AVX512_SKX") else "without_avx512"
-    return f"python {sys.version_info.major}.{sys.version_info.minor} numpy {numpy_minor} {target}"
+bitscan = _load_bitscan()
+record_key = bitscan.record_key  # counts move where bits do: some iteration counts follow them
 
 
 @contextlib.contextmanager
@@ -200,7 +191,6 @@ def design_sample():
     """(index, family, make_contest keywords, rule pairs) of the first
     `DESIGN_DRAWS` design-scale draws of `bitscan.py`, which alternates five
     design-scale draws with five extreme-scale ones."""
-    bitscan = _load_bitscan()
     return [(i, family, dict(family=family, v1=v1, v2=v2, q=q, **params), pairs)
             for i in range(2 * DESIGN_DRAWS) if i // 5 % 2 == 0
             for family, params, v1, v2, q, pairs in [bitscan.draw(i)]]
