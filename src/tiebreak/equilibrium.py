@@ -7,7 +7,8 @@ by safeguarded Newton-bisection on the analytic z' and z'', first on its
 log where the root lies past 4 (a gap above 4e, as z' <= 1/e) and log z' is
 nearly linear; each effort is then prize times slope.  Concave-impact
 contests solve the two first-order conditions directly: analytically when
-the impact is linear, and otherwise by Newton's method with backtracking in
+the impact is linear, where the contest has exactly one equilibrium (see
+`_lottery`), and otherwise by Newton's method with backtracking in
 log-impact coordinates g_i = log(x_i^r).
 
 `solve(spec)` is the one way in for one tie rule, `solve_lanes(spec, qs)` for
@@ -45,8 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import ContestSpec, JsonRecord, Valuations, pair_value, q_value
-from .errors import (ContestError, ConvergenceError, DomainError, NoEquilibriumError,
-                     ValidationError)
+from .errors import ContestError, ConvergenceError, DomainError, ValidationError
 from .families import FLOATS, LANES, Ops, q_array
 
 _EPS = sys.float_info.epsilon
@@ -71,11 +71,6 @@ UNCHECKED_ASSUMPTIONS_WARNING = (
     "the audited regularity conditions fail at the larger prize; the solution "
     "formula may not give an equilibrium, so confirm it with the grid oracle")
 
-CORNER_UNIQUENESS_WARNING = (
-    "corner-adjusted solution: the profile is a mutual best response, but "
-    "uniqueness at the boundary is reported, not asserted"
-)
-
 
 class SolveMethod(enum.Enum):
     CLOSED_FORM = "closed_form"
@@ -91,8 +86,8 @@ class Equilibrium(JsonRecord):
     x1 - x2 for difference-form contests, and None for concave contests
     (which have no scalar reduction).  `residuals` are the first-order
     residuals per player at the returned profile: interior players should be
-    at machine-level zeros; a cornered player reports the (nonpositive)
-    payoff slope at zero effort instead.
+    at machine-level zeros; a cornered player reports the payoff slope at
+    zero effort instead, at most `CLOSED_FORM_RESIDUAL` (see `_lottery`).
     """
 
     x1: float
@@ -122,14 +117,13 @@ class Equilibrium(JsonRecord):
 def _equilibrium(x1: float, x2: float, beta, residuals, cornered: bool, method: SolveMethod,
                  warnings: tuple[str, ...]) -> Equilibrium:
     """A route's output as an `Equilibrium`: a cornered profile (a
-    corner-adjusted linear impact) is a FOC_SOLVE with the corner warning,
-    and only concave profiles (`beta` None) flag their zero efforts."""
+    corner-adjusted linear impact) is a FOC_SOLVE, and only concave profiles
+    (`beta` None) flag their zero efforts."""
     return Equilibrium(
         x1=x1, x2=x2, beta=beta, method=SolveMethod.FOC_SOLVE if cornered else method,
         residuals=residuals,
         corner_flags=(x1 == 0.0, x2 == 0.0) if beta is None else (False, False),
-        warnings=warnings + (CORNER_UNIQUENESS_WARNING,) if cornered else warnings,
-    )
+        warnings=warnings)
 
 
 @dataclass(frozen=True)
@@ -195,11 +189,6 @@ def _newton_residual(x1: float, x2: float, r1: float, r2: float) -> ConvergenceE
         f"{MAX_ITERATIONS} iterations; last iterate ({x1}, {x2}) "
         f"with residuals ({r1:.3e}, {r2:.3e})"
     )
-
-
-def _no_axis_equilibrium(b1: float, b2: float) -> NoEquilibriumError:
-    return NoEquilibriumError(f"no axis profile is a mutual best response "
-                              f"(single-entrant responses {b1} and {b2})")
 
 
 # A gate is (failing, error, *args): where `failing` holds, the solve fails with
@@ -393,27 +382,41 @@ def _concave_marginal(csf, prize: float, own_q, own, other, xp: Ops = FLOATS):
 
 
 def _lottery(csf, v1: float, v2: float, q_int, xp: Ops = FLOATS):
-    """Efforts, cornered flag and no-axis gate of a linear-impact contest,
-    for one tie rule or lanes (`xp`, see `Ops`).  Interior efforts are
-    v_i v1 v2 / (v1 + v2)^2 less each tie share, scaled by rho = v2 / v1 <= 1
-    so no square leaves the normal range.  Where one is negative, (b1(0), 0)
-    then (0, b2(0)) are tested, b_i(0) = max(0, sqrt(v_i (1 - q_i)) - 1)
-    answering an inactive rival, and accepted when the inactive player's
-    payoff slope at zero is nonpositive; (0, 0) is the first when b1(0) = 0."""
+    """Efforts and cornered flag of the one equilibrium of a linear-impact
+    contest, for one tie rule or lanes (`xp`, see `Ops`).  Interior efforts
+    are v_i v1 v2 / (v1 + v2)^2 less each tie share, scaled by rho = v2 / v1
+    <= 1 so no square leaves the normal range.  Where one is negative, it is
+    (b1(0), 0) if player 2's slope there is at most `CLOSED_FORM_RESIDUAL`
+    (on the interior/corner boundary it rounds a few ulps above 0), else
+    (0, b2(0)), b_i(0) = max(0, sqrt(v_i (1 - q_i)) - 1) answering an
+    inactive rival.
+
+    Proof, by shares (Szidarovszky and Okuguchi, GEB 18, 1997; Cornes and
+    Hartley, Econ. Theory 26, 2005).  With y_i = x_i + q_i, q1 + q2 = 1 and
+    Y = y1 + y2 >= 1, player i's payoff v_i y_i / Y - x_i has slope
+    v_i y_j / Y^2 - 1, nonincreasing in x_i: it is concave (v_i - x_i,
+    answered by 0, where y_j = 0), so the equilibria are the profiles where
+    each active player's slope is 0 and each inactive one's <= 0.  At an
+    aggregate Y that reads y_i = max(q_i, Y - Y^2 / v_i), a share s_i(Y) =
+    max(q_i / Y, 1 - Y / v_i), and the equilibria are the Y with
+    s1 + s2 = 1.  Each s_i is nonincreasing, strictly so where q_i > 0 (true
+    of some i); the sum is at least q1 + q2 = 1 at Y = 1 and tends to 0, so
+    exactly one Y solves it: there is exactly one equilibrium.  Each player
+    there is active on its first-order condition or inactive, so it is the
+    interior profile, (b1(0), 0) or (0, b2(0)) (both (0, 0) where they
+    meet), and where the first axis profile fails, the second holds."""
     rho = v2 / v1
     scale = rho / (1.0 + rho) ** 2
     x1, x2 = v1 * scale - q_int, v2 * scale - (1.0 - q_int)
     cornered = ((x1 >= 0.0) & (x2 >= 0.0)) ^ True
     if not xp.live(cornered):
-        return x1, x2, cornered, (cornered, _no_axis_equilibrium)  # a gate that fails nowhere
+        return x1, x2, cornered
     select, zero = xp.select, 0.0 * q_int
     b1, b2 = xp.sqrt(v1 * (1.0 - q_int)) - 1.0, xp.sqrt(v2 * q_int) - 1.0
     b1, b2 = select(b1 > 0.0, b1, 0.0), select(b2 > 0.0, b2, 0.0)
     first = _concave_marginal(csf, v2, 1.0 - q_int, zero, b1, xp) <= CLOSED_FORM_RESIDUAL
-    second = xp.live(first ^ True) and (  # False where every first candidate holds
-        _concave_marginal(csf, v1, q_int, zero, b2, xp) <= CLOSED_FORM_RESIDUAL)
     x1, x2 = select(cornered, select(first, (b1, zero), (zero, b2)), (x1, x2))
-    return x1, x2, cornered, (cornered & ((first | second) ^ True), _no_axis_equilibrium, b1, b2)
+    return x1, x2, cornered
 
 
 def _log_impact_foc(g1, g2, log_rv1, log_rv2, c, log_head1, log_head2, xp: Ops = FLOATS):
@@ -523,18 +526,17 @@ def _concave(csf, vals, q_int, xp: Ops):
 
     Linear impact admits a closed form: the classic lottery efforts shifted
     down by each player's own tie share.  When that shift drives an effort
-    negative, the axis profiles are tested in closed form and the first
-    mutual best response is returned (otherwise `NoEquilibriumError`).
-    Concave impact with exponent below one keeps both players active; the
-    Newton solution in log-impact coordinates fails with `ConvergenceError`
-    if an effort underflows double precision, and the entry points accept it
-    only if both effort-space residuals are within `ITERATIVE_RESIDUAL`.
+    negative, the one equilibrium is an axis profile, found in closed form
+    (see `_lottery`).  Concave impact with exponent below one keeps both
+    players active; the Newton solution in log-impact coordinates fails with
+    `ConvergenceError` if an effort underflows double precision, and the
+    entry points accept it only if both effort-space residuals are within
+    `ITERATIVE_RESIDUAL`.
     """
     if csf.r < 1.0:
         x1, x2, gate = _newton_efforts(csf, vals.v1, vals.v2, q_int, xp)
         return x1, x2, False, SolveMethod.FOC_SOLVE, (gate,)
-    x1, x2, cornered, gate = _lottery(csf, vals.v1, vals.v2, q_int, xp)
-    return x1, x2, cornered, SolveMethod.CLOSED_FORM, (gate,)
+    return (*_lottery(csf, vals.v1, vals.v2, q_int, xp), SolveMethod.CLOSED_FORM, ())
 
 
 def _concave_residuals(csf, v1, v2, q, x1, x2, xp: Ops):

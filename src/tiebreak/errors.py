@@ -18,4 +18,4 @@ class ConvergenceError(ContestError, RuntimeError):
 
 
 class NoEquilibriumError(ConvergenceError):
-    """No pure-strategy equilibrium could be certified at a corner profile."""
+    """No pure-strategy equilibrium exists, or none could be certified."""

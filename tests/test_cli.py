@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tiebreak import ConvergenceError
+from tiebreak import ConvergenceError, NoEquilibriumError
 from tiebreak.core import MAX_COUNT
 from tiebreak.equilibrium import UNCHECKED_ASSUMPTIONS_WARNING
 from tiebreak.cli import (
@@ -127,27 +127,18 @@ class TestSolveCommand:
         assert doc["equilibrium"]["warnings"] == [UNCHECKED_ASSUMPTIONS_WARNING]
 
     def test_convergence_failure_exit_code(self, capsys, monkeypatch):
+        """A `ConvergenceError`, and its subclass `NoEquilibriumError`, exit
+        with the convergence code, nothing on stdout and the message on stderr."""
         import tiebreak.cli as cli
 
-        def explode(*args, **kwargs):
-            raise ConvergenceError("iteration stalled")
+        for error in (ConvergenceError("iteration stalled"),
+                      NoEquilibriumError("no equilibrium stalled")):
+            def explode(*args, **kwargs):
+                raise error
 
-        monkeypatch.setattr(cli, "solve", explode)
-        assert run(["solve", *SHARP]) == EXIT_NO_CONVERGENCE
-        assert "stalled" in capsys.readouterr().err
-
-    def test_no_axis_equilibrium_exits_with_convergence_code(self, capsys, monkeypatch):
-        """`NoEquilibriumError` is a `ConvergenceError` (see test_equilibrium.py
-        for the patched gate that raises it)."""
-        import tiebreak.equilibrium as equilibrium
-
-        monkeypatch.setattr(equilibrium, "CLOSED_FORM_RESIDUAL", -math.inf)
-        argv = ["solve", "--family", "blavatskyy-power", "--r", "1",
-                "--v1", "9", "--v2", "1", "--q", "0.9"]
-        assert run(argv) == EXIT_NO_CONVERGENCE
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: no axis profile is a mutual best response")
+            monkeypatch.setattr(cli, "solve", explode)
+            assert run(["solve", *SHARP]) == EXIT_NO_CONVERGENCE
+            assert capsys.readouterr() == ("", f"error: {error}\n")
 
     def test_linear_impact_solve_at_a_huge_prize(self, capsys):
         code, doc = run_json(capsys, ["solve", "--family", "blavatskyy-power", "--r", "1",

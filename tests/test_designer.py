@@ -30,15 +30,15 @@ from tiebreak import (
     sweep,
 )
 from tiebreak.designer import OPTIMAL_IMPROVEMENT_GUARD
-from tiebreak.equilibrium import (CORNER_UNIQUENESS_WARNING, Lanes, SolveMethod, solve_lanes,
-                                  total_effort_slope)
+from tiebreak.equilibrium import Lanes, SolveMethod, solve_lanes, total_effort_slope
 
 from helpers import LOTTERY_CONTEST
 
 
 def _slope_at(spec, q, eq):
-    """`total_effort_slope` at the equilibrium `eq` of `spec` at tie rule q."""
-    return total_effort_slope(spec, q, eq.x1, eq.x2, CORNER_UNIQUENESS_WARNING in eq.warnings)
+    """`total_effort_slope` at the equilibrium `eq` of `spec` at tie rule q, with
+    the cornered flag the designer passes."""
+    return total_effort_slope(spec, q, eq.x1, eq.x2, solve_lanes(spec, [q]).cornered[0])
 
 SHARP_RATIO = make_contest(family="jia-ratio", v1=2.0, v2=1.0, q=0.0, r=1.0, k=2)
 SOFT_RATIO = make_contest(family="vesperoni-ratio", v1=2.0, v2=1.0, q=0.0, r=0.5, k=2)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import random
 import re
 import time
 
@@ -12,7 +13,6 @@ from tiebreak import (
     ConvergenceError,
     CostKind,
     Equilibrium,
-    NoEquilibriumError,
     SolveMethod,
     ValidationError,
     Valuations,
@@ -28,10 +28,10 @@ from tiebreak.audit import audit_family
 from tiebreak.equilibrium import (
     BETA_RESIDUAL,
     CLOSED_FORM_RESIDUAL,
-    CORNER_UNIQUENESS_WARNING,
     ITERATIVE_RESIDUAL,
     UNCHECKED_ASSUMPTIONS_WARNING,
     _log_impact_foc,
+    solve_lanes,
 )
 
 from helpers import (DIFF_CASES, FD_REL_TOL, LOTTERY_CONTEST, RATIO_CASES, build, case_id,
@@ -223,9 +223,21 @@ class TestConcaveSolver:
         assert eq.x2 == 0.0
         assert eq.x1 == pytest.approx(math.sqrt(4.5) - 1.0, abs=1e-10)
         assert eq.method is SolveMethod.FOC_SOLVE
-        assert CORNER_UNIQUENESS_WARNING in eq.warnings
+        assert eq.warnings == ()
         # The cornered player's payoff slope at zero must be nonpositive.
         assert eq.residuals[1] <= 1e-12
+
+    def test_corner_on_the_interior_boundary_keeps_the_first_candidate(self):
+        """Here the interior formula gives x2 = -1.1e-16 and player 2's slope at
+        (b1(0), 0) rounds to +2.2e-16: within `CLOSED_FORM_RESIDUAL`, so that
+        profile is returned, not (0, b2(0)), by both entry points."""
+        spec = make_contest(family="blavatskyy-power", v1=5.321030716303847,
+                            v2=3.0170996739989486, q=0.3033129832041895, r=1.0)
+        (lane,) = solve_many(spec, [spec.q])
+        for eq in (solve(spec), lane):
+            assert (eq.x1, eq.x2) == (0.9253812651058497, 0.0)
+            assert eq.residuals[1] == 2.220446049250313e-16 <= CLOSED_FORM_RESIDUAL
+            assert eq.corner_flags == (False, True) and eq.warnings == ()
 
     def test_lopsided_prizes_corner_in_closed_form(self):
         csf = make_family("blavatskyy-power", r=1.0)
@@ -240,16 +252,6 @@ class TestConcaveSolver:
         eq = solve_at(csf, (1.0, 1.0), 0.0)
         assert (eq.x1, eq.x2) == (0.0, 0.0)
         assert eq.corner_flags == (True, True)
-
-    def test_no_axis_equilibrium_raises_from_both_entry_points(self, monkeypatch):
-        """Under linear impact each payoff is concave in the player's own effort,
-        so a cornered contest always has an axis equilibrium and no input reaches
-        the no-axis gate; a candidate test that accepts nothing shows its error."""
-        monkeypatch.setattr(equilibrium_mod, "CLOSED_FORM_RESIDUAL", -math.inf)
-        spec = make_contest(family="blavatskyy-power", v1=9.0, v2=1.0, q=0.9, r=1.0)
-        for call in (lambda: solve(spec), lambda: solve_many(spec, [0.9])):
-            with pytest.raises(NoEquilibriumError, match="single-entrant responses"):
-                call()
 
     # prizes whose (v1 + v2)^2 would overflow (past about 1.34e154) or
     # underflow to zero (near 1e-300)
@@ -355,6 +357,89 @@ class TestConcaveSolver:
         x1, x2, r1, r2 = reported[(1.0, 4.0)]
         assert (x2, x1, r2, r1) == reported[(4.0, 1.0)]
         assert float(x1) < float(x2)
+
+
+def _on_one_scale(*values: float) -> tuple[list[int], int]:
+    """Integers n_i and one power of two d with values[i] = n_i / d exactly."""
+    ratios = [value.as_integer_ratio() for value in values]
+    d = max(den for _, den in ratios)
+    return [num * (d // den) for num, den in ratios], d
+
+
+def _linear_impact_equilibria(v1: float, v2: float, q: float) -> set[tuple[bool, bool]]:
+    """Which of a linear-impact contest's three candidate profiles are mutual
+    best responses, each named by who is active, decided exactly.
+
+    With heads h1 = q, h2 = 1 - q and y_i = x_i + h_i, player i's payoff
+    v_i y_i / Y - x_i is concave in x_i, so a profile is an equilibrium iff
+    each active player's slope v_i y_j / Y^2 - 1 is 0 and each idle one's
+    <= 0.  The interior profile x_i = v_i^2 v_j / (v1 + v2)^2 - h_i zeroes
+    both slopes, so it holds where both efforts are >= 0.  In (b1, 0),
+    player 1 answers an idle rival with b1 = sqrt(v1 h2) - 1 where v1 h2 > 1
+    and 0 otherwise, and player 2's slope at zero, v2 (b1 + h1) / (b1 + 1)^2
+    - 1, is <= 0 iff v2 h1 <= 1 at b1 = 0 and, squared, iff
+    v1 v2^2 <= (v1 + v2)^2 h2 at b1 > 0.  (0, b2) is its mirror.  Every
+    comparison is made in integers, each value scaled by one power of two."""
+    (a1, a2, h1), d = _on_one_scale(v1, v2, q)
+    h2, top, one = d - h1, (a1 + a2) ** 2, d * d
+    x1, x2 = a1 * a1 * a2 - h1 * top, a2 * a2 * a1 - h2 * top  # times d (v1 + v2)^2 > 0
+    found = {(x1 > 0, x2 > 0)} if x1 >= 0 and x2 >= 0 else set()
+    if (a2 * h1 <= one) if a1 * h2 <= one else (a1 * a2 * a2 <= top * h2):
+        found.add((a1 * h2 > one, False))
+    if (a1 * h2 <= one) if a2 * h1 <= one else (a2 * a1 * a1 <= top * h1):
+        found.add((False, a2 * h1 > one))
+    return found
+
+
+def _is_the_candidate(eq: Equilibrium, v1: float, v2: float, q: float, active) -> bool:
+    """Whether `eq` is the candidate in which the players `active` are active,
+    to within 8 eps: where both are, each x_i of v_i^2 v_j / (v1 + v2)^2 - h_i,
+    relative to v_i^2 v_j / (v1 + v2)^2 + 1; where player i is alone,
+    (x_i + 1)^2 of v_i h_j, relative to v_i h_j."""
+    (a1, a2, h1, x1, x2), d = _on_one_scale(v1, v2, q, eq.x1, eq.x2)
+    if (x1 > 0, x2 > 0) != active:
+        return False
+    a, h, x, top = (a1, a2), (h1, d - h1), (x1, x2), (a1 + a2) ** 2
+    for i, j in ((0, 1), (1, 0)):
+        if all(active):  # times d (v1 + v2)^2 / eps
+            lead = a[i] * a[i] * a[j]
+            if abs(x[i] * top - lead + h[i] * top) << 52 > 8 * (lead + d * top):
+                return False
+        elif active[i] and abs((x[i] + d) ** 2 - a[i] * h[j]) << 52 > 8 * a[i] * h[j]:
+            return False  # times d^2 / eps
+    return True
+
+
+class TestLinearImpactUniqueness:
+    """Every linear-impact contest has exactly one equilibrium (the proof is
+    `equilibrium._lottery`'s docstring), and both entry points return it:
+    checked exactly on seeded contests at design and extreme prize scales,
+    tie rules 0, 1/2 and 1 among random ones."""
+
+    PRIZE_PAIRS = 2500  # each at four tie rules
+
+    def test_exactly_one_candidate_holds_and_is_returned(self):
+        rng = random.Random(25)
+        seen = set()
+        for i in range(self.PRIZE_PAIRS):
+            scale = 7.0 if i % 2 else 300.0
+            v1, v2 = (math.exp(rng.uniform(-scale, scale)) for _ in range(2))
+            qs = [rng.random(), rng.random(), rng.random(), rng.choice((0.0, 0.5, 1.0))]
+            spec = make_contest(family="blavatskyy-power", v1=v1, v2=v2, q=qs[0], r=1.0)
+            lanes = solve_lanes(spec, qs)
+            assert not lanes.errors
+            for lane, q in enumerate(qs):
+                found = _linear_impact_equilibria(v1, v2, q)
+                assert len(found) == 1, (v1, v2, q, found)
+                (active,) = found
+                eq = solve(spec.with_q(q))
+                assert _is_the_candidate(eq, v1, v2, q, active), (v1, v2, q, active, eq)
+                assert eq.corner_flags == (not active[0], not active[1])
+                assert all(r <= CLOSED_FORM_RESIDUAL
+                           for r, on in zip(eq.residuals, active) if not on)
+                assert eq.warnings == () and lanes.equilibrium(lane) == eq
+                seen.add(active)
+        assert len(seen) == 4  # both active, either alone and both idle
 
 
 class TestDispatch:

@@ -19,8 +19,7 @@ import pytest
 from tiebreak import (ContestError, RandomTieRule, ValidationError, expected_effort,
                       make_contest, make_family, optimal_q, solve, sweep)
 from tiebreak.audit import audit_family
-from tiebreak.equilibrium import (CORNER_UNIQUENESS_WARNING, UNCHECKED_ASSUMPTIONS_WARNING,
-                                  solve_lanes)
+from tiebreak.equilibrium import UNCHECKED_ASSUMPTIONS_WARNING, solve_lanes
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bitscan.py"
 SCAN_DRAWS = 2000
@@ -32,11 +31,6 @@ def _bitscan():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
-
-
-def _condition_warnings(warnings) -> tuple[str, ...]:
-    """A solve's warnings less the corner note, which the gate does not set."""
-    return tuple(w for w in warnings if w != CORNER_UNIQUENESS_WARNING)
 
 
 def _failing_ratio_contests(count: int):
@@ -65,7 +59,7 @@ def test_the_warning_appears_exactly_where_the_audit_fails():
             except ContestError as exc:
                 assert "closed-form precondition" not in str(exc), (index, exc)
                 continue
-            assert _condition_warnings(warnings) == expected, (index, solved)
+            assert warnings == expected, (index, solved)
             seen[solved, passed] += 1
     # both verdicts are exercised by both entry points
     assert min(seen.values()) >= 100, seen

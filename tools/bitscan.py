@@ -10,7 +10,9 @@ shape certificate of `sweep(spec, 101)` (the batch `optimal_q` has just
 solved, so it solves nothing new) and `expected_effort` at a random tie
 rule.  A line holds the `float.hex` of every number the result carries,
 or the error's type and text, and then the text of each warning the call
-emitted, so two trees compute the same bits and warn alike exactly when
+emitted; the solve line also carries the equilibrium's method, corner
+flags and warnings, so a solve that reports differently moves its line.
+Two trees compute the same bits and report and warn alike exactly when
 their outputs are identical:
 
     PYTHONPATH=src python tools/bitscan.py --draws 20000 > before.txt
@@ -161,7 +163,8 @@ def scan(draws: int):
 
         def solved():
             eq = solve(spec)
-            return _hex(eq.x1, eq.x2, eq.beta, *eq.residuals)
+            values = _hex(eq.x1, eq.x2, eq.beta, *eq.residuals)
+            return f"{values} {eq.method.value} {eq.corner_flags} {eq.warnings}"
 
         def verified():
             report = verify(spec, solve(spec), GridSpec.for_contest(spec, steps=101))
