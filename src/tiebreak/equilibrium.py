@@ -84,10 +84,13 @@ class Equilibrium(JsonRecord):
 
     `beta` is the effort ratio x1/x2 for ratio-form contests, the effort gap
     x1 - x2 for difference-form contests, and None for concave contests
-    (which have no scalar reduction).  `residuals` are the first-order
-    residuals per player at the returned profile: interior players should be
-    at machine-level zeros; a cornered player reports the payoff slope at
-    zero effort instead, at most `CLOSED_FORM_RESIDUAL` (see `_lottery`).
+    (which have no scalar reduction).  `method` names the route: CLOSED_FORM
+    for ratio-form and linear-impact contests, cornered ones included,
+    ROOT_FIND for difference-form contests and FOC_SOLVE for concave impact
+    below linear.  `residuals` are the first-order residuals per player at
+    the returned profile: interior players should be at machine-level zeros;
+    a cornered player reports the payoff slope at zero effort instead, at
+    most `CLOSED_FORM_RESIDUAL` (see `_lottery`).
     """
 
     x1: float
@@ -114,14 +117,13 @@ class Equilibrium(JsonRecord):
         return self.x1 + self.x2
 
 
-def _equilibrium(x1: float, x2: float, beta, residuals, cornered: bool, method: SolveMethod,
+def _equilibrium(x1: float, x2: float, beta, residuals, method: SolveMethod,
                  warnings: tuple[str, ...]) -> Equilibrium:
-    """A route's output as an `Equilibrium`: a cornered profile (a
-    corner-adjusted linear impact) is a FOC_SOLVE, and only concave profiles
+    """A route's output as an `Equilibrium` labelled with the route's method (a
+    cornered linear-impact profile is closed form too): only concave profiles
     (`beta` None) flag their zero efforts."""
     return Equilibrium(
-        x1=x1, x2=x2, beta=beta, method=SolveMethod.FOC_SOLVE if cornered else method,
-        residuals=residuals,
+        x1=x1, x2=x2, beta=beta, method=method, residuals=residuals,
         corner_flags=(x1 == 0.0, x2 == 0.0) if beta is None else (False, False),
         warnings=warnings)
 
@@ -151,8 +153,8 @@ class Lanes:
         """Lane i, which solved, as the `Equilibrium` its scalar solve returns."""
         return _equilibrium(
             float(self.x1[i]), float(self.x2[i]), None if self.beta is None else float(self.beta[i]),
-            (float(self.residuals[0][i]), float(self.residuals[1][i])), bool(self.cornered[i]),
-            self.method, self.warnings)
+            (float(self.residuals[0][i]), float(self.residuals[1][i])), self.method,
+            self.warnings)
 
 
 # Errors shared by both instances of the routes, so a lane fails as its scalar
@@ -589,13 +591,13 @@ def solve(spec: ContestSpec, *, force: bool = False, audited: bool = False) -> E
     `UNCHECKED_ASSUMPTIONS_WARNING`.  `audited` is accepted and ignored.
     """
     (route, residuals), vals, q_int, warnings = _prologue(spec, spec.q, force)
-    strong, weak, cornered, method, gates = route(spec.csf, vals, q_int, FLOATS)
+    strong, weak, _, method, gates = route(spec.csf, vals, q_int, FLOATS)
     _raise_first(*gates)
     x1, x2 = vals.in_order(strong, weak)
     beta, r1, r2 = residuals(spec.csf, spec.v1, spec.v2, spec.q, x1, x2, FLOATS)
     if method is SolveMethod.FOC_SOLVE:
         _raise_first(_residual_gate(x1, x2, r1, r2))
-    return _equilibrium(x1, x2, beta, (r1, r2), cornered, method, warnings)
+    return _equilibrium(x1, x2, beta, (r1, r2), method, warnings)
 
 
 def solve_lanes(spec: ContestSpec, qs, *, force: bool = False) -> Lanes:

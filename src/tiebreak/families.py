@@ -20,29 +20,32 @@ Built-in families (registry keys):
 
 First and second derivatives of z_q are analytic: root finding needs
 smooth, noise-free evaluations, so finite differences appear only in the test
-suite as an oracle; `z_slopes` returns (z_q', z_q'') from one share evaluation,
-and z_q'' is written only there; a difference family states its supremum over
-theta and q as `curvature_peak`, and where p0 stops being concave as
-`tie_inflection`.  Because z_q is affine in q, the tie-probability derivatives
-follow exactly: p0' = z_1' - z_0' and likewise for p0''.
+suite as an oracle; `z_slopes` returns (z_q', z_q'') from one share evaluation;
+a difference family states its supremum over theta and q as `curvature_peak`,
+and where p0 stops being concave as `tie_inflection`.  Because z_q is affine in
+q, the tie-probability derivatives follow exactly: p0' = z_1' - z_0' and
+likewise for p0''.
 
 Every method that takes a tie rule q accepts one tie share (a number or a
 `TieRule`) or an array of them, broadcast against the contest states, so one
 call evaluates many tie rules.  Public methods return a builtin float for
 scalar inputs: they check their arguments, then call private kernels
-(`_triple`, `_zp`, `_zslopes`; `_impact`, `_impact_prime`, `_win_d1`) that
-take checked input and the primitives, nothing more.  The solvers check once
-on entry and call only kernels.  Each kernel is written once against the
-primitives `xp` (`Ops`): the scalar solvers pass `FLOATS`, whose Python floats
-get the bits of a one-element array from one NumPy call per group of powers
-or exponentials, and the lane solvers and the public methods pass `LANES`.
+(`_shares`, `_triple`, `_zp`, `_zslopes`; `_impact`, `_impact_prime`,
+`_win_d1`) that take checked input and the primitives, nothing more.  The
+solvers check once on entry and call only kernels.  Each kernel is written
+once against the primitives `xp` (`Ops`): the scalar solvers pass `FLOATS`,
+whose Python floats get the bits of a one-element array from one NumPy call
+per group of powers or exponentials, and the lane solvers and the public
+methods pass `LANES`.
 
-Evaluations are numerically stabilized.  Difference-form families touch
-exponentials only through e^(-|theta|) and logistic ratios, so theta up to
-+/-500 stays finite; ratio-form families work through u = theta^r/(1+theta^r)
-and its complement for the same reason.  A share's complement is never formed
-as 1 minus the share: it comes from the same exponential or power, so slopes
-keep full relative precision where a share approaches one.
+One share core serves both reduced forms.  A ratio family is its difference
+family read at phi = r log theta (Hirshleifer, Public Choice 63, 1989), so
+z_q' = (r / theta) z_d'(phi) and z_q'' = (r / theta^2)(r z_d'' - z_d'), the
+latter formed term by term with u + ub = 1, as that difference cancels.  The
+cores `_jia_shares` and `_vesperoni_shares` read a = e^(-|phi|) <= 1 and its
+side: e^(-|theta|), or theta^-r (theta >= 1) and theta^r, so nothing overflows
+and each complement comes from a, never as 1 minus a share: slopes keep full
+relative precision where a share approaches one.
 
 All family objects are immutable after construction; every method is pure.
 """
@@ -116,27 +119,6 @@ def _logaddexp(a: float, b: float) -> float:
     return hi + math.log1p(math.exp(lo - hi))
 
 
-def _quiet_power_shares(shares, th, r: float):
-    """shares(t) at t = theta^r, without NumPy's overflow, nan or 1/0 warnings."""
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return shares(np.power(th, r))
-
-
-def _quiet_over_square(c, t):
-    """c / (t * t) for c > 0, without NumPy's overflow or 1/0 warning where
-    the square leaves the normal range."""
-    with np.errstate(divide="ignore", over="ignore"):
-        return c / (t * t)
-
-
-def _float_power_shares(shares, th: float, r: float):
-    """shares(t) at t = theta^r: on Python floats while t is finite and nonzero,
-    |r log theta| < 709.78; otherwise by `_quiet_power_shares`, as Python floats."""
-    if abs(r * math.log(th)) < 709.78:
-        return shares(float(np.power(th, r)))
-    return tuple(map(float, _quiet_power_shares(shares, th, r)))
-
-
 # The primitives each family kernel and solver step is written against once,
 # passed as the array API standard passes a namespace.  `FLOATS` runs one tie
 # rule on Python floats; `LANES` runs arrays (solver lanes, one per tie rule,
@@ -146,19 +128,15 @@ def _float_power_shares(shares, th: float, r: float):
 # elsewhere, entry by entry for tuples.  `live(c)` is whether c holds anywhere,
 # as a bool (a count beats NumPy's `any`); `power(xs, p)` raises each of xs to
 # p, floats in one NumPy call; `exp` is math's for floats, `np_exp` NumPy's for
-# both; `log(0.0)` is -inf; `over_square(c, t)` is c / (t * t) for c > 0, inf
-# where the square is 0; `fmin(1.0, u)` is 1 where u is nan; and
-# `power_shares(shares, th, r)` is shares(th^r).  These three never warn.
-Ops = namedtuple("Ops", "select live sqrt exp log logaddexp power np_exp over_square fmin "
-                        "power_shares")
+# both; and `log(0.0)` is -inf.
+Ops = namedtuple("Ops", "select live sqrt exp log logaddexp power np_exp")
 FLOATS = Ops(lambda c, a, b: a if c else b, bool, math.sqrt, math.exp,
              lambda h: math.log(h) if h > 0.0 else -math.inf, _logaddexp,
              lambda xs, p: np.power(xs, p).tolist(),  # a NumPy scalar's tolist is slow
-             lambda x: float(np.exp(x)), lambda c, t: c / s if (s := t * t) else math.inf, min,
-             _float_power_shares)
+             lambda x: float(np.exp(x)))
 LANES = Ops(np.where, lambda c: bool(np.count_nonzero(c)), np.sqrt, np.exp, np.log, np.logaddexp,
             lambda xs, p: [np.power(x, p) for x in xs],  # one call each: no stacking copy
-            np.exp, _quiet_over_square, np.fmin, _quiet_power_shares)
+            np.exp)
 _TIE_ROWS = np.array([1.0, 0.0])  # q = 1 and q = 0, whose z_q slopes differ by p0's
 _TIE_ROWS.flags.writeable = False
 
@@ -169,26 +147,33 @@ _LOGISTIC_CURVATURE = math.sqrt(3.0) / 18.0
 _LOGISTIC_PEAK = math.log(2.0 + math.sqrt(3.0))
 
 
-def _logistic_shares(theta, k: float, xp: Ops, complements: bool = True):
-    """u = e^theta / (k + e^theta) and w = u(-theta) as (u, 1 - u, w, 1 - w), or as (u, w).
-
-    All come from one a = e^(-|theta|) <= 1, so nothing overflows, and each
-    complement (1 - u = k / (k + e^theta), 1 - w = k e^theta / (1 + k e^theta))
-    is formed without subtraction, keeping full relative precision where a
-    share approaches one.  Where no theta is negative, as in gap roots, no
-    sign is selected.
-    """
-    a = xp.np_exp(-abs(theta))
+def _jia_shares(a, below, k: float, xp: Ops, complements: bool = True):
+    """Jia's u = e^phi / (k + e^phi) and w = u(-phi) as (u, 1 - u, w, 1 - w), or
+    as (u, w), at the point a = e^(-|phi|), `below` where phi < 0: 1 - u =
+    k / (k + e^phi) and 1 - w = k e^phi / (1 + k e^phi).  A side is selected entry
+    by entry, only where lanes hold both: gap roots, above only, select none."""
     if complements:
         ka = k * a
         near_den, far_den = 1.0 + ka, k + a
         near, far = (1.0 / near_den, ka / near_den), (a / far_den, k / far_den)
     else:  # inline: temporaries held to the return slow large grids by about a third
         near, far = (1.0 / (1.0 + k * a),), (a / (k + a),)
-    below = theta < 0.0
     if not xp.live(below):
         return near + far
-    return tuple(xp.select(below, far + near, near + far))
+    if not xp.live(below ^ True):  # every entry below, as a float below is
+        return far + near
+    return tuple(xp.select(below, f, n) for f, n in zip(far + near, near + far))
+
+
+def _vesperoni_shares(a, below, k: float, xp: Ops, complements: bool = True):
+    """Vesperoni's (s^k, sb, sb^k, s), or (s^k, sb^k), at the point of `_jia_shares`, whose
+    shares at k = 1, s and sb = 1 - s, it writes out; floats take both powers in one call."""
+    den, one = 1.0 + a, 1.0
+    if xp.live(below):
+        one, a = xp.select(below, a, 1.0), xp.select(below, 1.0, a)
+    s, sb = one / den, a / den
+    pk, pm = xp.power((s, sb), k)
+    return (pk, sb, pm, s) if complements else (pk, pm)
 
 
 class _Family:
@@ -235,15 +220,20 @@ class _Family:
 class _ReducedCsf(_Family):
     """Shared behavior of families that reduce to a scalar contest state theta.
 
-    Subclasses define the check `_theta` and the kernels `_shares`, `_zp`,
-    `_zslopes` and `_triple` -> consistent (p(theta), p(mirror), p0(theta)),
-    with mirror = 1/theta (ratio) or -theta (difference).  Each kernel takes
-    checked theta (and tie shares `qv`) and the primitives `xp`, nothing more."""
+    Subclasses define the check `_theta`, the share core `_core` and the kernels
+    `_shares` (the core's at theta's point, p and p(mirror) first and third, or
+    alone without complements), `_zp` and `_zslopes`; `_triple` is (p(theta),
+    p(mirror), p0(theta)), mirror = 1/theta (ratio) or -theta (difference).  Each
+    kernel takes checked theta (and tie shares `qv`) and the primitives `xp`."""
 
     def __init_subclass__(cls):
         # every family class holds its own `z_prime`, so wrapping one class's
         # method (as perfbench's tracer does) leaves the other families alone
         cls.z_prime = _ReducedCsf.z_prime
+
+    def _triple(self, th, xp: Ops):
+        p, pm = self._shares(th, xp, False)
+        return p, pm, 1.0 - p - pm
 
     def p(self, theta):
         return _ret(self._triple(self._theta(theta), LANES)[0])
@@ -283,16 +273,33 @@ class _ReducedCsf(_Family):
         return _ret(curvatures[..., 0] - curvatures[..., 1])
 
 
+@dataclass(frozen=True)
 class RatioCsf(_ReducedCsf):
-    """Base class of families driven by the effort ratio theta = x1 / x2,
-    with the zero-effort convention `zero_effort_note`, which audits and the
-    grid oracle report."""
+    """Base class of families driven by the effort ratio theta = x1 / x2, with
+    parameters r > 0 and k >= 1 and the zero-effort convention `zero_effort_note`,
+    which audits and the grid oracle report.  Each is its difference family at
+    phi = r log theta: it states that family's `_core`, `_rate`, theta z_q' over
+    its share products' sum, and `_bends`, each product's factor in theta^2 z_q''
+    over `_rate`, and forms no factor r / theta or 1 / theta^2, which overflow."""
+
+    r: float
+    k: float
 
     kind: ClassVar[str] = "ratio"
     default_cost: ClassVar[CostKind] = CostKind.LINEAR
+    _rate = property(lambda self: self.r)
     zero_effort_note: ClassVar[str] = (
         "zero-effort convention: the all-zero profile (0, 0) is scored at "
         "theta = 1; a lone positive effort wins outright")
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "r", _check_param("r", self.r, 0.0, False, None, self.name))
+        object.__setattr__(self, "k", _check_param("k", self.k, 1.0, True, None, self.name))
+
+    @property
+    def lemma_excess(self) -> float:
+        """`_rate` - 1: the closed form and both payoff concavities hold iff it is <= 0."""
+        return self._rate - 1.0
 
     def _theta(self, theta):
         return checked_array(theta, "theta", positive=True)
@@ -305,21 +312,64 @@ class RatioCsf(_ReducedCsf):
             theta = np.where(x1a == x2a, 1.0, x1a / x2a)
         return tuple(map(_ret, self._triple(theta, LANES)))
 
+    def _shares(self, th, xp: Ops, complements: bool = True):
+        """The core's shares at a = theta^-r where theta >= 1 and theta^r below, each
+        side by its own scalar exponent, as `np.power` rounds an array exponent apart."""
+        below = th < 1.0
+        if not xp.live(below):
+            a = xp.power((th,), -self.r)[0]
+        elif xp.live(below ^ True):
+            a = xp.select(below, xp.power((xp.select(below, th, 1.0),), self.r)[0],
+                          xp.power((xp.select(below, 1.0, th),), -self.r)[0])
+        else:
+            a = xp.power((th,), self.r)[0]
+        return self._core(a, below, self.k, xp, complements)
 
+    def _zp(self, th, qv, xp: Ops):
+        p, pb, pm, mb = self._shares(th, xp)
+        return self._rate * (((1.0 - qv) * p * pb + qv * pm * mb) / th)
+
+    def _zslopes(self, th, qv, xp: Ops):
+        zp, zpp = self._sums(self._shares(th, xp), qv)
+        return self._rate * (zp / th), self._rate * (zpp / th / th)
+
+    def _sums(self, shares, qv):
+        """theta z_q' and theta^2 z_q'' over `_rate`; the kernels divide before they scale."""
+        p, pb, pm, mb = shares
+        lead, trail = (1.0 - qv) * p * pb, qv * pm * mb
+        bend_lead, bend_trail = self._bends(*shares)
+        return lead + trail, lead * bend_lead + trail * bend_trail
+
+    def p0_double_prime(self, theta):
+        """z_1'' - z_0'', the rows subtracted before the division by theta^2: p0''
+        is finite wherever it is in range, and +-inf, never nan, where both overflow."""
+        th = self._theta(theta)
+        curvatures = self._sums(self._shares(th[..., None], LANES), _TIE_ROWS)[1]
+        return _ret(self._rate * (curvatures[..., 0] - curvatures[..., 1]) / th / th)
+
+
+@dataclass(frozen=True)
 class DiffCsf(_ReducedCsf):
-    """Base class of families driven by the effort difference theta = x1 - x2.
-
-    Each states two facts of its parameters in `math` only.  `curvature_peak` is (S,
-    thetas): S = sup |z_q''| over every theta and tie rule q, and the ascending thetas
+    """Base class of families driven by the effort difference theta = x1 - x2, with
+    parameter k >= 1.  Each states two facts of its parameters in `math` only.  `curvature_peak`
+    is (S, thetas): S = sup |z_q''| over every theta and tie rule q, and the ascending thetas
     where the row q = 0 reaches it; the row q = 1 mirrors it, z_1''(theta) = -z_0''(-theta)
     as z_1 = 1 - p(-theta), and z_q'' is affine in q, so no row passes S.  `tie_inflection`
     is the theta* >= 0 with p0'' < 0 exactly for |theta| < theta*, 0.0 at k = 1 (p0 = 0)."""
 
+    k: float
+
     kind: ClassVar[str] = "diff"
     default_cost: ClassVar[CostKind] = CostKind.QUADRATIC_HALF
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "k", _check_param("k", self.k, 1.0, True, None, self.name))
+
     def _theta(self, theta):
         return checked_array(theta, "theta")
+
+    def _shares(self, th, xp: Ops, complements: bool = True):
+        return self._core(xp.np_exp(-abs(th)), th < 0.0, self.k, xp, complements)
 
     def assumption_excess(self, v1: float) -> float:
         return self.curvature_peak[0] - 1.0 / v1  # the bound |z_q''| <= 1 / v1
@@ -331,11 +381,9 @@ class DiffCsf(_ReducedCsf):
 
 @dataclass(frozen=True)
 class VesperoniRatio(RatioCsf):
-    """Ratio-form family p = theta^(r k) / (1 + theta^r)^k.
+    """Ratio-form family p = theta^(r k) / (1 + theta^r)^k, vesperoni-diff at
+    phi = r log theta.  With u = theta^r / (1 + theta^r) and ub = 1 - u, p = u^k:
 
-    With u = theta^r / (1 + theta^r) and ub = 1 - u:
-
-        p = u^k,   p(1/theta) = ub^k,   p0 = 1 - u^k - ub^k,
         z_q'  = (k r / theta)   * ((1-q) u^k ub + q u ub^k),
         z_q'' = (k r / theta^2) * ((1-q) u^k ub ((r k - 1) ub - (1 + r) u)
                                    + q u ub^k ((r - 1) ub - (1 + k r) u)).
@@ -344,54 +392,21 @@ class VesperoniRatio(RatioCsf):
     requires r * k <= 1 (see `lemma_precondition`).
     """
 
-    r: float
-    k: float
-
     name: ClassVar[str] = "vesperoni-ratio"
     constraints: ClassVar[str] = "r > 0, k >= 1 (closed form needs r*k <= 1)"
     lemma_precondition: ClassVar[str] = "r * k <= 1"
+    _core, _rate = staticmethod(_vesperoni_shares), property(lambda self: self.k * self.r)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "r", _check_param("r", self.r, 0.0, False, None, self.name))
-        object.__setattr__(self, "k", _check_param("k", self.k, 1.0, True, None, self.name))
-
-    @property
-    def lemma_excess(self) -> float:
-        """r k - 1: the closed form and both payoff concavities hold iff it is <= 0."""
-        return self.r * self.k - 1.0
-
-    def _shares(self, th, xp: Ops):
-        """(u, ub, u^k, ub^k); u is 1 where theta^r overflowed (inf / inf)."""
-        def shares(t):
-            u, ub = xp.fmin(1.0, t / (1.0 + t)), 1.0 / (1.0 + t)
-            return (u, ub, *xp.power((u, ub), self.k))
-        return xp.power_shares(shares, th, self.r)
-
-    def _triple(self, th, xp: Ops):
-        _, _, pk, pm = self._shares(th, xp)
-        return pk, pm, 1.0 - pk - pm
-
-    def _zp(self, th, qv, xp: Ops):
-        u, ub, pk, pm = self._shares(th, xp)
-        return (self.k * self.r / th) * ((1.0 - qv) * pk * ub + qv * u * pm)
-
-    def _zslopes(self, th, qv, xp: Ops):
-        u, ub, pk, pm = self._shares(th, xp)
-        k, r = self.k, self.r
-        lead, trail = (1.0 - qv) * pk * ub, qv * u * pm
-        zpp = xp.over_square(k * r, th) * (lead * ((r * k - 1.0) * ub - (1.0 + r) * u)
-                                           + trail * ((r - 1.0) * ub - (1.0 + k * r) * u))
-        return (k * r / th) * (lead + trail), zpp
+    def _bends(self, pk, ub, pm, u):
+        r, k = self.r, self.k
+        return (r * k - 1.0) * ub - (1.0 + r) * u, (r - 1.0) * ub - (1.0 + k * r) * u
 
 
 @dataclass(frozen=True)
 class JiaRatio(RatioCsf):
-    """Ratio-form family p = theta^r / (theta^r + k).
+    """Ratio-form family p = u = theta^r / (theta^r + k), jia-diff at phi = r log theta.
+    With w = 1 / (1 + k theta^r), ub = 1 - u and wb = 1 - w:
 
-    With u = theta^r / (theta^r + k) and w = 1 / (1 + k theta^r), and the
-    complements ub = 1 - u and wb = 1 - w taken from the same power:
-
-        p = u,   p(1/theta) = w,   p0 = 1 - u - w,
         z_q'  = (r / theta)   * ((1-q) u ub + q w wb),
         z_q'' = -(r / theta^2) * ((1-q) u ub (2 r u + 1 - r)
                                   + q w wb (2 r wb + 1 - r)).
@@ -400,46 +415,13 @@ class JiaRatio(RatioCsf):
     equilibrium requires r <= 1.
     """
 
-    r: float
-    k: float
-
     name: ClassVar[str] = "jia-ratio"
     constraints: ClassVar[str] = "r > 0, k >= 1 (closed form needs r <= 1)"
     lemma_precondition: ClassVar[str] = "r <= 1"
+    _core = staticmethod(_jia_shares)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "r", _check_param("r", self.r, 0.0, False, None, self.name))
-        object.__setattr__(self, "k", _check_param("k", self.k, 1.0, True, None, self.name))
-
-    @property
-    def lemma_excess(self) -> float:
-        """r - 1: the closed form and both payoff concavities hold iff it is <= 0."""
-        return self.r - 1.0
-
-    def _shares(self, th, xp: Ops):
-        """(u, ub, w, wb); u is 1 where theta^r overflowed (inf / inf)."""
-        k = self.k
-        return xp.power_shares(lambda t: (xp.fmin(1.0, t / (t + k)), k / (t + k),
-                                          1.0 / (1.0 + k * t), 1.0 / (1.0 + 1.0 / (k * t))),
-                               th, self.r)
-
-    def _triple(self, th, xp: Ops):
-        k = self.k
-        u, w = xp.power_shares(lambda t: (xp.fmin(1.0, t / (t + k)), 1.0 / (1.0 + k * t)),
-                               th, self.r)
-        return u, w, 1.0 - u - w
-
-    def _zp(self, th, qv, xp: Ops):
-        u, ub, w, wb = self._shares(th, xp)
-        return (self.r / th) * ((1.0 - qv) * u * ub + qv * w * wb)
-
-    def _zslopes(self, th, qv, xp: Ops):
-        u, ub, w, wb = self._shares(th, xp)
-        r = self.r
-        lead, trail = (1.0 - qv) * u * ub, qv * w * wb
-        zpp = -xp.over_square(r, th) * (lead * (2.0 * r * u + (1.0 - r))
-                                        + trail * (2.0 * r * wb + (1.0 - r)))
-        return (r / th) * (lead + trail), zpp
+    def _bends(self, u, ub, w, wb):
+        return -(2.0 * self.r * u + (1.0 - self.r)), -(2.0 * self.r * wb + (1.0 - self.r))
 
 
 @dataclass(frozen=True)
@@ -455,29 +437,16 @@ class VesperoniDiff(DiffCsf):
     k = 1 collapses to the tie-free logit contest.
     """
 
-    k: float
-
     name: ClassVar[str] = "vesperoni-diff"
     constraints: ClassVar[str] = "k >= 1"
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "k", _check_param("k", self.k, 1.0, True, None, self.name))
-
-    def _shares(self, th, xp: Ops):
-        """(s, sb, s^k, sb^k); floats take both powers from one NumPy call."""
-        s, sb = _logistic_shares(th, 1.0, xp, complements=False)
-        return (s, sb, *xp.power((s, sb), self.k))
-
-    def _triple(self, th, xp: Ops):
-        _, _, pk, pm = self._shares(th, xp)
-        return pk, pm, 1.0 - pk - pm
+    _core = staticmethod(_vesperoni_shares)
 
     def _zp(self, th, qv, xp: Ops):
-        s, sb, pk, pm = self._shares(th, xp)
+        pk, sb, pm, s = self._shares(th, xp)
         return self.k * ((1.0 - qv) * pk * sb + qv * s * pm)
 
     def _zslopes(self, th, qv, xp: Ops):
-        s, sb, pk, pm = self._shares(th, xp)
+        pk, sb, pm, s = self._shares(th, xp)
         k = self.k
         lead, trail = (1.0 - qv) * pk * sb, qv * s * pm
         return k * (lead + trail), k * (lead * (k * sb - s) + trail * (sb - k * s))
@@ -530,20 +499,9 @@ class JiaDiff(DiffCsf):
     k = 1 collapses to the logit contest (p0 = 0, z'' the logistic bump).
     """
 
-    k: float
-
     name: ClassVar[str] = "jia-diff"
     constraints: ClassVar[str] = "k >= 1"
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "k", _check_param("k", self.k, 1.0, True, None, self.name))
-
-    def _shares(self, th, xp: Ops):
-        return _logistic_shares(th, self.k, xp)
-
-    def _triple(self, th, xp: Ops):
-        u, w = _logistic_shares(th, self.k, xp, complements=False)
-        return u, w, 1.0 - u - w
+    _core = staticmethod(_jia_shares)
 
     def _zp(self, th, qv, xp: Ops):
         u, ub, w, wb = self._shares(th, xp)

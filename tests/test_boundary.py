@@ -365,7 +365,7 @@ def test_ratio_overflow_raises_a_typed_error(prizes, force, error, text):
     with pytest.raises(error, match=f"^{re.escape(text)}$"):
         solve(spec, force=force)
     with pytest.raises(error, match=f"^{re.escape(text)}$"):
-        solve_many(spec, [0.0, 0.3], force=force)
+        solve_many(spec, [0.3, 0.5], force=force)  # the error of its smallest q, 0.3
 
 
 # Finite efforts whose closed form overflows or underflows in one order of a

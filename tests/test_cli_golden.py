@@ -10,17 +10,29 @@ and help text are pinned.  Decimal numbers are compared to 1e-12 relative
 so a one-ulp libm difference on another machine does not fail the test.
 Help text is formatted for an 80-column terminal.
 
-Regenerate the recording only for an intended output change:
+`tests/data/cli_golden_digests.json` pins the bytes as well: a digest of
+each invocation's exit code, stdout and stderr, under the interpreter's
+Python and NumPy versions and NumPy's AVX-512 dispatch (the key of
+`tools/bitscan.py`, whose exp, log and power round some last bits apart).
+Where a digest is recorded for the running key, the replay also compares
+the bytes' digest with it.  Regenerate both for an intended output change,
+with AVX-512 dispatch on and then off:
 
     PYTHONPATH=src python tests/test_cli_golden.py
+    NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4" \
+        PYTHONPATH=src python tests/test_cli_golden.py
 
-A record whose replay still passes is kept as it is, so re-recording an
-unchanged tree leaves the file byte-identical whatever NumPy's dispatch
-target rounds in the last bits.
+The recorder writes the running key's digests, and writes an invocation's
+current output into the record wherever its digest moved; where it held,
+the record stays as it is, though it may hold the bytes of the other
+dispatch setting.  So re-recording an unchanged tree under either setting
+leaves both files byte-identical, and any moved byte changes them.
 """
 from __future__ import annotations
 
 import contextlib
+import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -33,7 +45,17 @@ import pytest
 from tiebreak import cli
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
+DIGESTS = GOLDEN.with_name("cli_golden_digests.json")
 COLUMNS = "80"
+
+
+def _record_key() -> str:
+    """`tools/bitscan.py`'s key: Python and NumPy versions and AVX-512 dispatch."""
+    spec = importlib.util.spec_from_file_location(
+        "bitscan", Path(__file__).resolve().parents[1] / "tools" / "bitscan.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.record_key()
 
 # One contest per family, the linear-impact case and a swapped-label contest.
 CONTESTS = {
@@ -149,21 +171,41 @@ def _assert_same_output(got: dict, record: dict) -> None:
     _assert_same_text(got["stdout"], record["stdout"], "stdout")
 
 
+def _run_id(i: int, argv) -> str:
+    return f"{i:02d}-{'-'.join(argv[:1] + argv[2:3])}"
+
+
+def _digest(output: dict) -> str:
+    """The digest of an invocation's exit code, stdout and stderr bytes."""
+    text = json.dumps([output["code"], output["stdout"], output["stderr"]])
+    return hashlib.sha256(text.encode()).hexdigest()[:32]
+
+
 RECORDS = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else []
+RECORDED_DIGESTS = json.loads(DIGESTS.read_text(encoding="utf-8")) if DIGESTS.exists() else {}
+KEY = _record_key()
 
 
-@pytest.mark.parametrize("record", RECORDS,
-                         ids=[f"{i:02d}-{'-'.join(rec['argv'][:1] + rec['argv'][2:3])}"
-                              for i, rec in enumerate(RECORDS)])
-def test_cli_output_matches_recording(record, tmp_path, monkeypatch):
+@pytest.mark.parametrize("run, record", [(_run_id(i, rec["argv"]), rec)
+                                         for i, rec in enumerate(RECORDS)],
+                         ids=[_run_id(i, rec["argv"]) for i, rec in enumerate(RECORDS)])
+def test_cli_output_matches_recording(run, record, tmp_path, monkeypatch):
     monkeypatch.setenv("COLUMNS", COLUMNS)
     spec_path = tmp_path / "contest.json"
     spec_path.write_text(json.dumps(SPEC_DOC), encoding="utf-8")
-    _assert_same_output(invoke(record["argv"], str(spec_path)), record)
+    got = invoke(record["argv"], str(spec_path))
+    _assert_same_output(got, record)
+    want = RECORDED_DIGESTS.get(KEY, {}).get(run)
+    assert want is None or _digest(got) == want, (
+        f"the bytes of {run} moved under {KEY!r}; state the change and re-record with "
+        "AVX-512 dispatch on and off (see the module docstring)")
 
 
 def test_recording_covers_every_case():
     assert [rec["argv"] for rec in RECORDS] == CASES
+    runs = [_run_id(i, argv) for i, argv in enumerate(CASES)]
+    for key, digests in RECORDED_DIGESTS.items():
+        assert sorted(digests) == sorted(runs), key
 
 
 def main() -> None:
@@ -172,19 +214,20 @@ def main() -> None:
     spec_path = GOLDEN.parent / "cli_golden_spec.json"
     spec_path.write_text(json.dumps(SPEC_DOC), encoding="utf-8")
     recorded = {tuple(rec["argv"]): rec for rec in RECORDS}
-    records = []
+    held = RECORDED_DIGESTS.get(KEY, {})
+    records, digests = [], {}
     try:
-        for argv in CASES:
+        for i, argv in enumerate(CASES):
             got = {"argv": argv, **invoke(argv, str(spec_path))}
-            record = recorded.get(tuple(argv), got)
-            try:
-                _assert_same_output(got, record)
-            except AssertionError:  # the output changed
-                record = got
-            records.append(record)
+            run = _run_id(i, argv)
+            digests[run] = _digest(got)
+            keep = tuple(argv) in recorded and held.get(run) == digests[run]
+            records.append(recorded[tuple(argv)] if keep else got)
     finally:
         spec_path.unlink()
     GOLDEN.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
+    DIGESTS.write_text(json.dumps({**RECORDED_DIGESTS, KEY: digests}, indent=1, sort_keys=True)
+                       + "\n", encoding="utf-8")
 
 
 if __name__ == "__main__":

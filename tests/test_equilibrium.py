@@ -222,7 +222,7 @@ class TestConcaveSolver:
         assert eq.corner_flags == (False, True)
         assert eq.x2 == 0.0
         assert eq.x1 == pytest.approx(math.sqrt(4.5) - 1.0, abs=1e-10)
-        assert eq.method is SolveMethod.FOC_SOLVE
+        assert eq.method is SolveMethod.CLOSED_FORM
         assert eq.warnings == ()
         # The cornered player's payoff slope at zero must be nonpositive.
         assert eq.residuals[1] <= 1e-12

@@ -385,10 +385,15 @@ def test_guard_sees_label_reads_in_routes_and_their_helpers():
 
 
 # The kernels of a reduced family take checked input and the primitives, nothing
-# more: each evaluates its own shares, so no caller hands it a precomputed one.
-REDUCED_FAMILIES = ("VesperoniRatio", "JiaRatio", "VesperoniDiff", "JiaDiff")
-KERNEL_PARAMETERS = {"_shares": "self, th, xp", "_triple": "self, th, xp",
+# more: each evaluates its own shares, so no caller hands it a precomputed one
+# (`_shares` may leave the complements out, as `_triple` needs none).  Each
+# reduced form reads its share core once, at its point of theta, and the ratio
+# families own no kernel: each is its difference family read at phi = r log theta.
+KERNEL_PARAMETERS = {"_shares": "self, th, xp, complements", "_triple": "self, th, xp",
                      "_zp": "self, th, qv, xp", "_zslopes": "self, th, qv, xp"}
+KERNEL_OWNERS = {"_ReducedCsf": ("_triple",), "RatioCsf": ("_shares", "_zp", "_zslopes"),
+                 "DiffCsf": ("_shares",), "VesperoniDiff": ("_zp", "_zslopes"),
+                 "JiaDiff": ("_zp", "_zslopes")}
 
 
 def kernel_parameters(source: str) -> dict[str, str]:
@@ -409,8 +414,8 @@ def kernel_parameters(source: str) -> dict[str, str]:
 
 def test_reduced_family_kernels_take_checked_input_and_the_primitives():
     source = (PACKAGE / "families.py").read_text(encoding="utf-8")
-    assert kernel_parameters(source) == {f"{cls}.{name}": params for cls in REDUCED_FAMILIES
-                                         for name, params in KERNEL_PARAMETERS.items()}
+    assert kernel_parameters(source) == {f"{cls}.{name}": KERNEL_PARAMETERS[name]
+                                         for cls, names in KERNEL_OWNERS.items() for name in names}
 
 
 def test_guard_sees_kernel_parameters():
@@ -451,14 +456,24 @@ def kernel_functions(routes: dict[str, ast.FunctionDef],
                      families_source: str) -> dict[str, ast.FunctionDef]:
     """Each function of `families_source` that the `routes` reach, keyed
     `families.Class.method` or `families.function`: the methods of any class
-    that the routes call on `csf`, the methods those call on `self`, and the
-    module functions any of them name."""
+    that the routes call on `csf`, the methods those call on `self`, the
+    module functions that a class attribute they read on `self` names (as
+    `_core = staticmethod(_shares)` does), and the module functions any of
+    them name."""
     tree = ast.parse(families_source)
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     methods: dict[str, list] = {}
     for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
         for item in (item for item in cls.body if isinstance(item, ast.FunctionDef)):
             methods.setdefault(item.name, []).append((f"families.{cls.name}.{item.name}", item))
+        for item in (item for item in cls.body if isinstance(item, ast.Assign)):
+            for target in item.targets:
+                pairs = (zip(target.elts, item.value.elts) if isinstance(target, ast.Tuple)
+                         else [(target, item.value)])
+                for name, value in pairs:
+                    methods.setdefault(name.id, []).extend(
+                        (f"families.{node.id}", functions[node.id]) for node in ast.walk(value)
+                        if isinstance(node, ast.Name) and node.id in functions)
     todo = [(key, function) for route in routes.values()
             for name in _attributes(route, "csf") for key, function in methods.get(name, [])]
     reached = {}
@@ -494,10 +509,10 @@ def test_each_family_kind_has_one_route_that_takes_its_primitives():
     assert defined.isdisjoint(ROUTE_TWINS)
     families_source = (PACKAGE / "families.py").read_text(encoding="utf-8")
     assert route_type_dispatches(source, families_source) == []
-    # the guard follows the routes into every kind's kernels
-    assert {"families.JiaRatio._zp", "families.VesperoniDiff._shares", "families._logistic_shares",
-            "families.BlavatskyyPower._win_d1"} <= set(kernel_functions(route_functions(source),
-                                                                         families_source))
+    # the guard follows the routes into every kind's kernels and share cores
+    assert {"families.RatioCsf._zp", "families.DiffCsf._shares", "families._jia_shares",
+            "families._vesperoni_shares", "families.BlavatskyyPower._win_d1"} <= set(
+                kernel_functions(route_functions(source), families_source))
 
 
 def test_guard_sees_type_dispatch_in_routes_and_their_helpers():
@@ -528,11 +543,14 @@ def test_guard_follows_the_routes_into_the_family_kernels():
         "    return th if isinstance(th, float) else th.sum()",
         "def _parse(theta):",
         "    return [theta] if isinstance(theta, float) else theta",
+        "def _core(th):",
+        "    return th if isinstance(th, int) else th.sum()",
         "class Family:",
+        "    _read, _unread = staticmethod(_core), staticmethod(_parse)",
         "    def _zp(self, th, q, xp):",
         "        return self._shares(th, xp)[0] * q",
         "    def _shares(self, th, xp):",
-        "        return (_helper(th),)",
+        "        return (_helper(th), self._read(th))",
         "    def z_prime(self, theta, q):",
         "        return self._zp(_parse(theta), q, None)",
         "class Other:",
@@ -540,7 +558,7 @@ def test_guard_follows_the_routes_into_the_family_kernels():
         "        return th if isinstance(q, float) else q",
     ])
     assert route_type_dispatches(source, families_source) == [
-        "families.Other._zp", "families._helper"]
+        "families.Other._zp", "families._core", "families._helper"]
 
 
 # The one function of `cli.py` that forms the keywords every solver call takes.

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 import sys
 import tracemalloc
 
@@ -154,9 +155,23 @@ class TestGridNash:
         assert points[0].x2 == pytest.approx(0.205, abs=1e-12)
 
     def test_profiles_sorted_lexicographically(self):
+        """In exact arithmetic the Tullock contest has four equilibria on this
+        grid, (0.2, 0.2), (0.2, 0.3), (0.3, 0.2) and (0.3, 0.3), each at an exact
+        payoff tie; which ties the float payoffs keep is rounding, so each
+        returned profile must be one of the four."""
+        tenths = [Fraction(i, 10) for i in range(11)]
+
+        def win(x, y):  # v = 1, p = x / (x + y), (0, 0) scored at theta = 1
+            return x / (x + y) - x if x + y else Fraction(1, 2)
+
+        exact = {(x, y) for x in tenths for y in tenths
+                 if win(x, y) == max(win(t, y) for t in tenths)
+                 and win(y, x) == max(win(t, x) for t in tenths)}
+        assert exact == {(Fraction(a, 10), Fraction(b, 10)) for a in (2, 3) for b in (2, 3)}
         points = grid_nash(TULLOCK, GridSpec(x_max=1.0, steps=11))
         keys = [(p.x1, p.x2) for p in points]
-        assert len(keys) == 3 and keys == sorted(keys)
+        assert keys and keys == sorted(keys)
+        assert {(Fraction(round(10 * a), 10), Fraction(round(10 * b), 10)) for a, b in keys} <= exact
 
     def test_grid_beyond_the_cell_budget_is_refused_before_its_scan(self, monkeypatch):
         """The scan takes time quadratic in the steps, so a grid of more than
