@@ -2,14 +2,14 @@
 
 Ratio-form contests (linear cost) admit a closed form: both efforts share the
 factor beta * z_q'(beta) at beta = v1/v2.  Difference-form contests
-(quadratic cost) reduce to one root for the equilibrium effort gap, found
-by safeguarded Newton-bisection on the analytic z' and z'', first on its
-log where the root lies past 4 (a gap above 4e, as z' <= 1/e) and log z' is
-nearly linear; each effort is then prize times slope.  Concave-impact
-contests solve the two first-order conditions directly: analytically when
-the impact is linear, where the contest has exactly one equilibrium (see
-`_lottery`), and otherwise by Newton's method with backtracking in
-log-impact coordinates g_i = log(x_i^r).
+(quadratic cost) reduce to one root for the equilibrium effort gap, below
+2048 as z' <= k e^-theta, found by safeguarded Newton-bisection on the
+analytic z' and z'', first on its log past 4 (a gap above 4e, as z' <= 1/e),
+where log z' is nearly linear; each effort is then prize times slope.
+Concave-impact contests solve the two first-order conditions directly:
+analytically when the impact is linear, where the contest has exactly one
+equilibrium (see `_lottery`), and otherwise by Newton's method with
+backtracking in log-impact coordinates g_i = log(x_i^r).
 
 `solve(spec)` is the one way in for one tie rule, `solve_lanes(spec, qs)` for
 many.  Each runs one prologue: it checks family kind, the audited
@@ -63,9 +63,6 @@ ITERATIVE_RESIDUAL = 1e-9
 
 MAX_ITERATIONS = 100
 """Step budget of the gap root and of the concave Newton solve."""
-
-BRACKET_EXPANSIONS = 100
-"""Doublings allowed to bracket the effort-gap root."""
 
 UNCHECKED_ASSUMPTIONS_WARNING = (
     "the audited regularity conditions fail at the larger prize; the solution "
@@ -166,14 +163,6 @@ def _negative_efforts(x1: float, x2: float) -> ValidationError:
 def _ratio_range_error(slope: float, underflow) -> ConvergenceError:
     side = "underflow" if underflow else "overflow"
     return ConvergenceError(f"closed-form efforts {side} double precision (slope {slope})")
-
-
-def _unbracketed(hi: float) -> ConvergenceError:
-    return ConvergenceError(
-        f"could not bracket the effort-gap root within "
-        f"{BRACKET_EXPANSIONS} expansions (last upper bound {hi}); "
-        "the slope condition for existence likely fails at these prizes"
-    )
 
 
 def _gap_residual(resid: float, limit: float) -> ConvergenceError:
@@ -289,34 +278,36 @@ def _safeguarded_root(fdf, lo, hi, x, at_x, stepping, xp: Ops = FLOATS):
 
 def solve_beta(csf, v, q) -> float:
     """Equilibrium effort gap of a difference-form contest at prizes `v` and tie rule `q`:
-    the stronger player's gap, >= 0 and exactly 0.0 for equal prizes.  Checks
-    its inputs, then finds the root as `solve`'s difference-form route does,
-    on the log of the gap equation first past 4 (see `_gap_root`)."""
+    the stronger player's gap, >= 0 and exactly 0.0 for equal prizes.  Checks its inputs,
+    then finds the root below 2048 and gates its residual as `solve` does (see `_gap_root`)."""
     if getattr(csf, "kind", None) != "diff":
         raise ValidationError("solve_beta requires a difference-form family")
     vals = v if isinstance(v, Valuations) else Valuations(*pair_value(v, "prizes"))
     gap = vals.v1 - vals.v2
-    root, _, resid, hi, bracketed = _gap_root(csf, gap, vals.tie_share(q_value(q)))
-    _raise_first(*_gap_gates(gap, resid, hi, bracketed))
+    root, _, resid = _gap_root(csf, gap, vals.tie_share(q_value(q)))
+    _raise_first(_gap_gate(gap, resid))
     return root
 
 
 def _gap_root(csf, gap: float, q_int, xp: Ops = FLOATS):
     """The root of theta = gap * z_q'(theta) for a prize gap >= 0 and internal
-    tie shares, for one tie rule or lanes (`xp`, see `Ops`).
+    tie shares, for one tie rule or lanes (`xp`, see `Ops`): the root (at
+    least 0 unless NaN), z_q' there and its residual.
 
-    The upper bounds 1, 2, 4, ..., 2^`BRACKET_EXPANSIONS` are tried until the
-    left side is ahead of the right, which happens because z' is bounded;
-    `_safeguarded_root` then runs on f = theta - gap z_q' from the last bound
-    behind, lo, whose f, f' and z' it is handed.  Where lo >= 4 (a gap above
-    4e, as every difference family has z_q' <= 1/e), the root lies in z_q''s
-    exponential tail near log(gap), where a Newton step on f gains about one
-    unit of theta: it runs first on g = log(theta) - log(gap z_q'), nearly
-    linear there, from lo's values, other lanes holding, and finishes on f
-    from g's root and its values; a lane stops in either where its Newton
-    step would leave theta in place.  Returns the root (at least 0 unless
-    NaN), z_q' there, its residual, the last bound tried and whether it was
-    ahead."""
+    The bounds 1, 2, 4, ..., 2048 are tried until f = theta - gap z_q' is
+    ahead.  It is by 2048 for every finite gap and k: z_q' <= k e^-theta on
+    theta >= 0 (jia: u ub <= ub <= k e^-theta, w wb <= w <= e^-theta;
+    vesperoni: s^k sb and s sb^k are at most sb <= e^-theta, and z_q' is k
+    times their mix), so f(2048) >= 2048 - gap k e^-2048 > 0 as gap k <
+    e^1420; the kernels read z_q' as 0 from theta = 746, where e^-theta rounds
+    to 0, so ten doublings suffice.  `_safeguarded_root` then runs on f from
+    the last bound behind, lo, handed its f, f' and z'.  Where lo >= 4 (a gap
+    above 4e, as z_q' <= 1/e), the root lies in z_q''s exponential tail near
+    log(gap), where a Newton step on f gains about one unit of theta: it runs
+    first on g = log(theta) - log(gap z_q'), nearly linear there, from lo's
+    values, other lanes holding, and finishes on f from g's root and its
+    values; a lane stops in either where its Newton step would leave theta in
+    place."""
     def fdf(theta):
         zp, zpp = csf._zslopes(theta, q_int, xp)
         return theta - gap * zp, 1.0 - gap * zpp, zp
@@ -324,14 +315,13 @@ def _gap_root(csf, gap: float, q_int, xp: Ops = FLOATS):
     lo, hi = 0.0 * q_int, 0.0 * q_int + 1.0  # floats for one tie rule, arrays for lanes
     at_hi = fdf(hi)
     at_lo = fdf(lo) if xp.live(at_hi[0] > 0.0) else at_hi  # read where the first is ahead
-    for _ in range(BRACKET_EXPANSIONS):
+    for _ in range(11):  # to 2048 at most, where every lane is ahead (see above)
         ahead = at_hi[0] > 0.0
         if not xp.live(ahead ^ True):  # every lane is ahead
             break
         lo, hi, *at_lo = xp.select(ahead, (lo, hi, *at_lo), (hi, 2.0 * hi, *at_hi))
         at_hi = fdf(hi)
-    ahead = at_hi[0] > 0.0
-    x, at_x, stepping, tail = lo, at_lo, ahead, ahead & (lo >= 4.0)  # no bracket, no step
+    x, at_x, stepping, tail = lo, at_lo, True, lo >= 4.0
     if xp.live(tail):
         def stays(theta, f, df):  # where a Newton step on f leaves theta in place
             return theta - f / xp.select(df > 0.0, df, math.nan) == theta
@@ -344,16 +334,15 @@ def _gap_root(csf, gap: float, q_int, xp: Ops = FLOATS):
         x, _, at_root = _safeguarded_root(lambda theta: in_logs(theta, *fdf(theta)), lo, hi, lo,
                                           in_logs(lo, *at_lo), tail, xp)
         x, *at_x = xp.select(tail, (x, *at_root), (lo, *at_x))
-        stepping = stepping & ((tail & stays(x, *at_x[:2])) ^ True)  # where f's stays, f is final
+        stepping = (tail & stays(x, *at_x[:2])) ^ True  # where f's stays, f is final
     root, resid, slope = _safeguarded_root(fdf, lo, hi, x, at_x, stepping, xp)
-    return root, slope, resid, hi, ahead
+    return root, slope, resid
 
 
-def _gap_gates(gap: float, resid, hi, bracketed):
-    """A `_gap_root`'s gates: bracketed, residual within `BETA_RESIDUAL` * max(1, gap)."""
+def _gap_gate(gap: float, resid):
+    """A `_gap_root`'s gate: its residual within `BETA_RESIDUAL` * max(1, gap)."""
     limit = BETA_RESIDUAL * max(1.0, gap)
-    return ((bracketed ^ True, _unbracketed, hi),
-            ((abs(resid) <= limit) ^ True, _gap_residual, resid, limit))
+    return (abs(resid) <= limit) ^ True, _gap_residual, resid, limit
 
 
 def _diff(csf, vals, q_int, xp: Ops):
@@ -361,9 +350,8 @@ def _diff(csf, vals, q_int, xp: Ops):
     is prize * z_q'(gap) at the equilibrium gap, as `_gap_root` last evaluated
     it, so the first-order conditions are exactly v_i * z_q'(gap) = x_i."""
     gap = vals.v1 - vals.v2
-    _, slope, resid, hi, bracketed = _gap_root(csf, gap, q_int, xp)
-    return (vals.v1 * slope, vals.v2 * slope, False, SolveMethod.ROOT_FIND,
-            _gap_gates(gap, resid, hi, bracketed))
+    _, slope, resid = _gap_root(csf, gap, q_int, xp)
+    return vals.v1 * slope, vals.v2 * slope, False, SolveMethod.ROOT_FIND, (_gap_gate(gap, resid),)
 
 
 def _diff_residuals(csf, v1, v2, q, x1, x2, xp: Ops):

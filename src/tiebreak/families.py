@@ -313,14 +313,14 @@ class RatioCsf(_ReducedCsf):
         return tuple(map(_ret, self._triple(theta, LANES)))
 
     def _shares(self, th, xp: Ops, complements: bool = True):
-        """The core's shares at a = theta^-r where theta >= 1 and theta^r below, each
-        side by its own scalar exponent, as `np.power` rounds an array exponent apart."""
+        """The core's shares at a = theta^-r where theta >= 1 and theta^r below, each entry
+        powered once by its side's scalar exponent, as `np.power` rounds an array one apart."""
         below = th < 1.0
         if not xp.live(below):
             a = xp.power((th,), -self.r)[0]
         elif xp.live(below ^ True):
-            a = xp.select(below, xp.power((xp.select(below, th, 1.0),), self.r)[0],
-                          xp.power((xp.select(below, 1.0, th),), -self.r)[0])
+            a = np.power(th, self.r, out=None, where=below)  # the rest is set next
+            np.power(th, -self.r, where=~below, out=a)
         else:
             a = xp.power((th,), self.r)[0]
         return self._core(a, below, self.k, xp, complements)

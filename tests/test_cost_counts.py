@@ -2,8 +2,10 @@
 
 `tools/costscan.py` counts bytecodes (`sys.settrace` opcode events in the
 package's own frames, those whose code lies under `src/tiebreak`) for
-`make_contest`, scalar `solve` and a seeded design-study sample, and NumPy
-calls for a 101-lane `solve_lanes`, on the hard corpus.  The per-kind totals
+`make_contest`, scalar `solve` and a seeded design-study sample, NumPy
+calls for a 101-lane `solve_lanes` on the hard corpus, and NumPy calls and
+the array elements they compute for the grid oracle's `grid_nash` on one
+contest per family kind.  The per-kind totals
 are pinned in `tests/data/cost_counts.json` under the interpreter's Python
 and NumPy versions and NumPy's AVX-512 dispatch; an interpreter with no
 record skips the gate.  Any change in a total, up or down, fails until the
@@ -90,6 +92,20 @@ def test_lane_counts_follow_the_arrays_to_the_result(rows):
     whole loop, not only the calls on the tie rules themselves."""
     lanes = next(row.result for row in rows if row.op == "lanes" and row.kind == "diff")
     assert type(lanes.x1) is costscan.CountedArray
+
+
+def test_element_counts_take_a_masked_call_where_its_mask_holds():
+    """A call computes its outputs' elements, and a `where=` call only those
+    its mask sets: two masked powers that split a block count it once."""
+    counted = costscan.CountedArray
+    counted.calls = counted.elements = 0
+    plain = np.array([[0.5, 2.0], [3.0, 0.25]])
+    th = plain.view(counted)
+    below = th < 1.0  # 4 elements
+    a = np.power(th, 0.5, out=None, where=below)  # 2
+    np.power(th, -0.5, where=~below, out=a)  # 4 for the inversion, 2 for the power
+    assert (counted.calls, counted.elements) == (4, 12)
+    assert a.tobytes() == np.where(plain < 1.0, plain ** 0.5, plain ** -0.5).tobytes()
 
 
 def test_costscan_prints_in_a_fresh_process_what_it_counts_here(rows):

@@ -505,6 +505,40 @@ def test_float_kernels_match_the_lane_kernels_bit_for_bit(family, params, q):
             assert entry[i].tobytes() == ref.tobytes(), (theta, entry[i], ref)
 
 
+class PowerCount(np.ndarray):
+    """An ndarray that counts the entries `np.power` computes on it or on arrays
+    computed from it: its whole output, or where a `where=` mask holds."""
+
+    powered = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        def base(x):
+            return x.view(np.ndarray) if isinstance(x, PowerCount) else x
+
+        kwargs = {key: tuple(map(base, v)) if key == "out" else base(v) for key, v in kwargs.items()}
+        kwargs.setdefault("out", None)  # the out=None NumPy drops: a masked call sets its mask only
+        result = getattr(ufunc, method)(*map(base, inputs), **kwargs)
+        if ufunc is np.power:
+            mask = np.broadcast_to(kwargs.get("where", True), result.shape)
+            PowerCount.powered += np.count_nonzero(mask)
+        return result.view(PowerCount) if type(result) is np.ndarray else result
+
+
+@pytest.mark.parametrize("family, per_entry", [("jia-ratio", 1), ("vesperoni-ratio", 3)])
+def test_ratio_shares_power_each_entry_of_a_mixed_block_once(family, per_entry):
+    """A block on both sides of theta = 1, as the grid oracle evaluates, powers
+    each entry once, by its own side's exponent: jia's core takes no power, and
+    vesperoni's adds s^k and sb^k.  Its bits are the float instance's (see
+    `test_float_kernels_match_the_lane_kernels_bit_for_bit`)."""
+    csf = make_family(family, r=0.5, k=2.0)
+    block = np.array([[1e-3, 0.5, 0.999, 1.0], [1.001, 2.0, 7.0, 1e6]])
+    PowerCount.powered = 0
+    shares = csf._shares(block.view(PowerCount), LANES)
+    assert PowerCount.powered == per_entry * block.size
+    for i, theta in enumerate(block.flat):
+        assert [float(share.flat[i]) for share in shares] == list(csf._shares(theta, FLOATS))
+
+
 @pytest.mark.parametrize("mask, holds", [
     (np.zeros(101, dtype=bool), False),
     (np.arange(101) == 50, True),

@@ -15,10 +15,13 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tiebreak
-from tiebreak import ContestError, ConvergenceError, make_contest, solve, solve_many
+from tiebreak import ContestError, ConvergenceError, make_contest, make_family, solve, solve_many
+from tiebreak.equilibrium import _gap_root
+from tiebreak.families import FLOATS, LANES
 
 WALL_BOUND_S = 1.0
 RESIDUAL_BOUND = 1e-12
@@ -150,33 +153,50 @@ def test_gap_root_evaluates_no_theta_twice(monkeypatch):
         assert (eq.x1.hex(), eq.x2.hex()) in efforts, name
 
 
-def test_unbracketed_gap_root_fails_alike_in_solve_and_lanes(monkeypatch):
-    """A gap root beyond the last doubling (about 12 at prizes (1e6, 1), past 8
-    after three expansions) raises in the scalar solve and fails its lane with
-    the same text, which names the last bound tried."""
-    monkeypatch.setattr(tiebreak.equilibrium, "BRACKET_EXPANSIONS", 3)
-    qs = [0.0, 0.5, 1.0]
-    spec = make_contest("jia-diff", v1=1e6, v2=1.0, q=0.0, k=2.0)
-    lanes = tiebreak.equilibrium.solve_lanes(spec, qs, force=False)
-    assert sorted(lanes.errors) == [0, 1, 2]
-    for i, q in enumerate(qs):
-        with pytest.raises(ConvergenceError, match="could not bracket") as scalar:
-            solve(spec.with_q(q))
-        assert str(lanes.errors[i]) == str(scalar.value)
-        assert "(last upper bound 8.0)" in str(scalar.value)
+# The grid of `test_gap_roots_are_ahead_by_2048_in_ten_doublings`: k, tie rules and gaps.
+BOUND_KS = (1.0, 2.0, 1e9, 1e30, 1e300, sys.float_info.max)
+BOUND_QS = (0.0, 0.3, 0.5, 1.0)
+BOUND_GAPS = (1e-300, 1e-12, 1.0, 3.0, 1e3, 1e12, 1e100, 1e300, sys.float_info.max)
 
 
-def test_gap_root_bracket_tries_its_last_bound(monkeypatch):
-    """Four expansions try the bounds 1, 2, 4, 8 and 16: the gap root near
-    12.02 at prizes (1e6, 1) lies below the last one, so the scalar solve and
-    its lane both find it."""
-    monkeypatch.setattr(tiebreak.equilibrium, "BRACKET_EXPANSIONS", 4)
-    spec = make_contest("jia-diff", v1=1e6, v2=1.0, q=0.0, k=2.0)
-    lanes = tiebreak.equilibrium.solve_lanes(spec, [0.0], force=False)
-    eq = solve(spec)
-    assert lanes.errors == {}
-    assert eq.beta == pytest.approx(12.02, abs=0.01)
-    assert float(lanes.beta[0]) == eq.beta
+def _slopes_at(csf, theta: float):
+    """z_q' at theta and `BOUND_QS` from both kernels, on lanes and on floats."""
+    qs, at = np.array(BOUND_QS), np.full(len(BOUND_QS), theta)
+    floats = [z for q in BOUND_QS for z in (csf._zp(theta, q, FLOATS),
+                                            csf._zslopes(theta, q, FLOATS)[0])]
+    return np.concatenate([csf._zp(at, qs, LANES), csf._zslopes(at, qs, LANES)[0], floats])
+
+
+@pytest.mark.parametrize("family", ["jia-diff", "vesperoni-diff"])
+def test_gap_roots_are_ahead_by_2048_in_ten_doublings(family, monkeypatch):
+    """The gap root's bracket tries the bounds 1, 2, ..., 2048, and no more,
+    because z_q' <= k e^-theta on theta >= 0 (see `_gap_root`).  Both
+    difference cores read z_q' as exactly 0 at theta = 746, 1024 and 2048, on
+    floats and on lanes, for k up to the largest double, so the gap equation
+    is ahead at 2048 at the largest double gap.  And no root, on the hard
+    corpus or on the grid of k, tie rules and gaps from 1e-300 to the largest
+    double, evaluates z_q' past 1024: no contest takes more than ten
+    doublings, and the largest gaps take all ten."""
+    for k in BOUND_KS:
+        csf = make_family(family, k=k)
+        for theta in (746.0, 1024.0, 2048.0):
+            assert not np.any(_slopes_at(csf, theta)), (k, theta)
+        assert np.all(2048.0 - sys.float_info.max * _slopes_at(csf, 2048.0) > 0.0), k
+
+    seen, cls = [], type(make_family(family, k=1.0))
+    kernel = cls._zslopes
+    monkeypatch.setattr(cls, "_zslopes",
+                        lambda self, th, qv, xp: seen.append(np.max(th)) or kernel(self, th, qv, xp))
+    contests = [(make_family(family, k=k), gap) for k in BOUND_KS for gap in BOUND_GAPS]
+    contests += [(spec.csf, spec.valuations.v1 - spec.valuations.v2)
+                 for name, fam, params, v1, v2, q in HARD_CORPUS if fam == family
+                 for spec in [make_contest(fam, v1=v1, v2=v2, q=q, **params)]]
+    with np.errstate(all="ignore"):
+        for csf, gap in contests:
+            _gap_root(csf, gap, np.array(BOUND_QS), LANES)
+            for q in BOUND_QS:
+                _gap_root(csf, gap, q)
+    assert max(seen) == 1024.0
 
 
 @pytest.mark.filterwarnings("error")

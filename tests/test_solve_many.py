@@ -393,21 +393,20 @@ def test_truncated_newton_lanes_take_the_scalar_steps(budget, monkeypatch):
 def test_gap_root_lanes_on_both_sides_of_the_log_form():
     """At k = 1e3 and prizes (1e3, 1), 73 of 101 lanes bracket their root past
     4, so they run the log form first, and the others take the gap equation
-    alone: every lane returns its float instance's root, slope there,
-    residual, last bound and bracket bit for bit, and `solve_lanes` the
-    `Equilibrium` of `solve`."""
+    alone: every lane returns its float instance's root, slope there and
+    residual bit for bit, and `solve_lanes` the `Equilibrium` of `solve`."""
     spec = make_contest("jia-diff", v1=1e3, v2=1.0, q=0.0, k=1e3)
     qs = np.linspace(0.0, 1.0, 101)
     with np.errstate(all="ignore"):
         lanes = _gap_root(spec.csf, 999.0, qs, LANES)
-    assert np.count_nonzero(lanes[3] >= 8.0) == 73  # lo = hi / 2 >= 4
+    # lo >= 4 where the bounds 1, 2 and 4 are all behind (some lanes have three roots)
+    behind = [bound - 999.0 * spec.csf.z_prime(bound, qs) <= 0.0 for bound in (1.0, 2.0, 4.0)]
+    assert np.count_nonzero(np.logical_and.reduce(behind)) == 73
     solved = solve_lanes(spec, qs, force=False)
     assert solved.errors == {}
     for lane, q in enumerate(qs):
-        root, slope, resid, hi, ahead = _gap_root(spec.csf, 999.0, float(q))
-        assert [float(a[lane]).hex() for a in lanes[:4]] == [
-            root.hex(), slope.hex(), resid.hex(), hi.hex()]
-        assert lanes[4][lane] == ahead
+        root, slope, resid = _gap_root(spec.csf, 999.0, float(q))
+        assert [float(a[lane]).hex() for a in lanes] == [root.hex(), slope.hex(), resid.hex()]
         assert solved.equilibrium(lane) == solve(spec.with_q(float(q)))
 
 
@@ -422,9 +421,8 @@ def test_gap_root_lanes_on_both_sides_of_the_log_form():
 ])
 def test_truncated_gap_roots_take_the_scalar_steps(budget, family, params, prizes, monkeypatch):
     """The lane instance of the gap-root body returns each lane's float
-    instance bits: root, slope there, residual, last bound and whether it was
-    ahead; and `solve_lanes` fails each lane with `solve_beta`'s error or finds
-    its root.  The last four contests bracket roots past 4 (at k = 1e3 only
+    instance bits: root, slope there and residual; and `solve_lanes` fails
+    each lane with `solve_beta`'s error or finds its root.  The last four contests bracket roots past 4 (at k = 1e3 only
     the lanes q <= 0.6), whose log form takes 3 to 5 steps and whose finish
     on the gap equation then takes none: budgets 1 to 4 stop a lane inside
     the log form, whose finish then takes 1 or 2 steps, and 1 and 2 stop it
@@ -438,10 +436,8 @@ def test_truncated_gap_roots_take_the_scalar_steps(budget, family, params, prize
         lanes = _gap_root(csf, prizes[0] - prizes[1], qs, LANES)
     errors = solve_lanes(spec, qs, force=False).errors
     for lane, q in enumerate(qs):
-        root, slope, resid, hi, ahead = _gap_root(csf, prizes[0] - prizes[1], float(q))
-        want = [root.hex(), slope.hex(), resid.hex(), hi.hex()]
-        assert [float(a[lane]).hex() for a in lanes[:4]] == want
-        assert lanes[4][lane] == ahead
+        root, slope, resid = _gap_root(csf, prizes[0] - prizes[1], float(q))
+        assert [float(a[lane]).hex() for a in lanes] == [root.hex(), slope.hex(), resid.hex()]
         try:
             ref = solve_beta(csf, prizes, float(q))
         except ConvergenceError as exc:

@@ -2,7 +2,7 @@
 
 Wall clock on a shared host cannot resolve a change of a few percent, but
 the work a call does can be counted exactly, the same on every run.  This
-scan counts two things:
+scan counts three things:
 
 - **Bytecodes**, as `sys.settrace` opcode events in the package's frames
   only, those whose code lies under `src/tiebreak`, for `make_contest` and a
@@ -18,6 +18,12 @@ scan counts two things:
   tie rules are viewed as an ndarray subclass whose `__array_ufunc__` and
   `__array_function__` (NEP 13, NEP 18) count each call the program makes
   on an array that descends from them, then defer to the base class.
+- **NumPy calls and the array elements they compute**, for the grid oracle's
+  `grid_nash` at `ORACLE_STEPS` steps on one contest per family kind: each
+  array `families.float_array` returns (the efforts of every payoff block)
+  is viewed as that subclass, and a call's elements are its outputs' sizes,
+  or where its `where=` mask holds.  The grid axis itself, and the costs
+  formed from it before they meet the outcome, go uncounted.
 
 Each operation is run once before it is counted, and the designer's grid
 memo is emptied before each design operation, so caches are in a fixed
@@ -51,8 +57,9 @@ import numpy as np
 import tiebreak
 from tiebreak import (FAMILIES, ContestError, RandomTieRule, expected_effort, make_contest,
                       optimal_q, solve, sweep)
-from tiebreak import designer, equilibrium
+from tiebreak import designer, equilibrium, families
 from tiebreak.audit import audit_family
+from tiebreak.oracle import GridSpec, grid_nash
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = os.path.join(os.path.dirname(tiebreak.__file__), "")  # the package's files, by prefix
@@ -60,6 +67,9 @@ CORPUS = ROOT / "perfbench" / "corpus.json"
 RECORD = ROOT / "tests" / "data" / "cost_counts.json"
 LANE_QS = np.linspace(0.0, 1.0, 101)
 DESIGN_DRAWS = 100
+ORACLE_STEPS = 201
+ORACLE_CONTESTS = (("vesperoni-ratio", dict(r=0.5, k=2.0)), ("jia-diff", dict(k=2.0)),
+                   ("blavatskyy-power", dict(r=0.5)))  # one per family kind, at prizes (2, 1)
 
 
 def _load_bitscan():
@@ -120,20 +130,25 @@ def bytecodes(call):
     return count, result
 
 
+def _base(x):
+    return x.view(np.ndarray) if isinstance(x, CountedArray) else x
+
+
 class CountedArray(np.ndarray):
     """An ndarray that counts each NumPy call made on it or on arrays computed
-    from it.  Calls nested inside a counted call are not counted again."""
+    from it, and the elements those calls compute: their array outputs' sizes,
+    or where a `where=` mask holds.  Calls nested inside a counted call are not
+    counted again."""
 
-    calls = 0
+    calls = elements = 0
     _depth = 0
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        def base(x):
-            return x.view(np.ndarray) if isinstance(x, CountedArray) else x
-
-        if "out" in kwargs:
-            kwargs["out"] = tuple(map(base, kwargs["out"]))
-        result = self._counted(getattr(ufunc, method), tuple(map(base, inputs)), kwargs)
+        kwargs = {key: tuple(map(_base, v)) if key == "out" else _base(v)
+                  for key, v in kwargs.items()}
+        if "where" in kwargs:
+            kwargs.setdefault("out", None)  # the caller's out=None, which NumPy drops
+        result = self._counted(getattr(ufunc, method), tuple(map(_base, inputs)), kwargs)
         return _counted_view(result)
 
     def __array_function__(self, func, types, args, kwargs):
@@ -143,12 +158,19 @@ class CountedArray(np.ndarray):
 
     @classmethod
     def _counted(cls, call, args, kwargs):
-        cls.calls += cls._depth == 0
+        outer = cls._depth == 0
+        cls.calls += outer
         cls._depth += 1
         try:
-            return call(*args, **kwargs)
+            result = call(*args, **kwargs)
         finally:
             cls._depth -= 1
+        if outer:
+            outputs = result if isinstance(result, tuple) else (result,)
+            where = kwargs.get("where", True)
+            cls.elements += sum(int(np.count_nonzero(np.broadcast_to(where, out.shape)))
+                                for out in outputs if isinstance(out, (np.ndarray, np.generic)))
+        return result
 
 
 def _counted_view(result):
@@ -159,25 +181,24 @@ def _counted_view(result):
     return result
 
 
-_plain_q_array = equilibrium.q_array
-
-
-def _counted_q_array(qs):
-    return _plain_q_array(qs).view(CountedArray)
-
-
-def numpy_calls(call):
-    """(NumPy calls, result) of `call()`, a `solve_lanes`: its checked tie
-    rules become a `CountedArray`, which `q_array`'s `np.asarray` would
-    return as a base array."""
-    CountedArray.calls = 0
-    equilibrium.q_array = _counted_q_array
+def numpy_work(module, name, call):
+    """(NumPy calls, elements they compute, result) of `call()`, with each
+    array `module.name` returns viewed as a `CountedArray`, which its
+    `np.asarray` would return as a base array."""
+    plain = getattr(module, name)
+    CountedArray.calls = CountedArray.elements = 0
+    setattr(module, name, lambda *args: plain(*args).view(CountedArray))
     try:
         with _quiet():
             result = _attempt(call)
     finally:
-        equilibrium.q_array = _plain_q_array
-    return CountedArray.calls, result
+        setattr(module, name, plain)
+    return CountedArray.calls, CountedArray.elements, result
+
+
+# a `solve_lanes`'s checked tie rules, and the oracle's checked efforts
+numpy_calls = functools.partial(numpy_work, equilibrium, "q_array")
+oracle_work = functools.partial(numpy_work, families, "float_array")
 
 
 def corpus():
@@ -207,48 +228,59 @@ def design_op(spec, pairs):
     return expected_effort(spec, RandomTieRule.from_pairs(pairs))
 
 
-Row = namedtuple("Row", "op kind label count result plain")
-Row.__doc__ = """One counted operation: `count` in `UNITS[op]`, `result` what the
-counted call returned or raised, and `plain()` the same call uncounted."""
+Row = namedtuple("Row", "op kind label unit count result plain")
+Row.__doc__ = """One count of an operation: `count` in `unit`, one of `UNITS[op]`,
+`result` what the counted call returned or raised, and `plain()` the same
+call uncounted."""
 
-UNITS = {"make_contest": "bytecodes", "solve": "bytecodes", "lanes": "numpy_calls",
-         "design": "bytecodes"}
+UNITS = {"make_contest": ("bytecodes",), "solve": ("bytecodes",), "lanes": ("numpy_calls",),
+         "design": ("bytecodes",), "oracle": ("numpy_calls", "elements")}
 
 
-def _row(op, family, label, count, call):
-    """`call` counted by `count` after one uncounted run, which fills caches."""
+def _rows(op, family, label, count, call):
+    """A `Row` per unit of `op`: `call` counted by `count`, which returns the
+    counts in `UNITS` order (and maybe more) and the result, after one run
+    that fills caches."""
     count(call)
-    return Row(op, FAMILIES[family].kind, label, *count(call), functools.partial(_attempt, call))
+    *counts, result = count(call)
+    plain = functools.partial(_attempt, call)
+    return [Row(op, FAMILIES[family].kind, label, unit, n, result, plain)
+            for unit, n in zip(UNITS[op], counts)]
 
 
 def scan():
-    """Yield a `Row` per operation: on each corpus contest `make_contest`,
-    `solve` and the lanes, then each draw of the design sample."""
+    """Yield the `Row`s of each operation: on each corpus contest
+    `make_contest`, `solve` and the lanes, then each draw of the design
+    sample, then each oracle contest's `grid_nash`."""
     for name, family, kw in corpus():
         build = functools.partial(make_contest, **kw)
         spec = build()
-        yield _row("make_contest", family, name, bytecodes, build)
-        yield _row("solve", family, name, bytecodes, functools.partial(solve, spec))
-        yield _row("lanes", family, name, numpy_calls, functools.partial(
+        yield from _rows("make_contest", family, name, bytecodes, build)
+        yield from _rows("solve", family, name, bytecodes, functools.partial(solve, spec))
+        yield from _rows("lanes", family, name, numpy_calls, functools.partial(
             equilibrium.solve_lanes, spec, LANE_QS, force=False))
     for index, family, kw, pairs in design_sample():
-        yield _row("design", family, f"{index}-{family}", bytecodes,
-                   functools.partial(design_op, make_contest(**kw), pairs))
+        yield from _rows("design", family, f"{index}-{family}", bytecodes,
+                         functools.partial(design_op, make_contest(**kw), pairs))
+    for family, params in ORACLE_CONTESTS:
+        spec = make_contest(family, v1=2.0, v2=1.0, q=0.5, **params)
+        yield from _rows("oracle", family, f"{family}-{ORACLE_STEPS}", oracle_work, functools.partial(
+            grid_nash, spec, GridSpec.for_contest(spec, ORACLE_STEPS)))
 
 
 def totals(rows) -> dict[str, int]:
     """Per-kind totals, keyed `operation.unit.kind`, in sorted key order."""
     out: dict[str, int] = {}
     for row in rows:
-        key = f"{row.op}.{UNITS[row.op]}.{row.kind}"
+        key = f"{row.op}.{row.unit}.{row.kind}"
         out[key] = out.get(key, 0) + row.count
     return dict(sorted(out.items()))
 
 
 def text(rows) -> str:
-    """The scan's output: the record key, then one line per operation."""
+    """The scan's output: the record key, then one line per count."""
     return "".join([f"# {record_key()}\n", *(
-        f"{row.op} {row.kind} {row.label} {row.count} {UNITS[row.op]}\n" for row in rows)])
+        f"{row.op} {row.kind} {row.label} {row.count} {row.unit}\n" for row in rows)])
 
 
 def main(argv=None) -> int:
