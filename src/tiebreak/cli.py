@@ -143,10 +143,17 @@ def _spec_from_args(args, *, need_q: bool) -> ContestSpec:
                         r=args.r, k=args.k)
 
 
+def _write(path: str, text: str, what: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {what} {path!r}: {exc}") from exc
+
+
 def _maybe_emit_spec(args, spec: ContestSpec) -> None:
     if args.emit_spec:
-        with open(args.emit_spec, "w", encoding="utf-8") as fh:
-            fh.write(spec.to_json())
+        _write(args.emit_spec, spec.to_json(), "spec file")
 
 
 def _preamble(args, *, need_q: bool):
@@ -160,8 +167,7 @@ def _preamble(args, *, need_q: bool):
 
 def _emit(args, text: str) -> None:
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args.output, text, "output file")
     else:
         sys.stdout.write(text)
 

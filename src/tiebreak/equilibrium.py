@@ -362,24 +362,15 @@ def _diff_residuals(csf, v1, v2, q, x1, x2, xp: Ops):
     return theta, v1 * zp - x1, v2 * zp - x2
 
 
-def _concave_marginal(csf, prize: float, own_q, own, other, xp: Ops = FLOATS):
-    """Payoff slope in own effort for a concave-impact contest, linear cost, for one
-    tie rule or lanes (`xp`, see `Ops`): prize * `_win_d1` - 1, and -1 where winning
-    adds nothing (the rival's head x2^r + 1 - own tie share is 0), at own effort > 0
-    (>= 0 for linear impact: below it, efforts pass the underflow gate first)."""
-    win_d1, press = csf._win_d1(own, other, own_q, xp)
-    return xp.select(press > 0.0, prize * win_d1 - 1.0, -1.0)
-
-
 def _lottery(csf, v1: float, v2: float, q_int, xp: Ops = FLOATS):
     """Efforts and cornered flag of the one equilibrium of a linear-impact
     contest, for one tie rule or lanes (`xp`, see `Ops`).  Interior efforts
     are v_i v1 v2 / (v1 + v2)^2 less each tie share, scaled by rho = v2 / v1
     <= 1 so no square leaves the normal range.  Where one is negative, it is
-    (b1(0), 0) if player 2's slope there is at most `CLOSED_FORM_RESIDUAL`
-    (on the interior/corner boundary it rounds a few ulps above 0), else
-    (0, b2(0)), b_i(0) = max(0, sqrt(v_i (1 - q_i)) - 1) answering an
-    inactive rival.
+    (b1(0), 0) if player 2's slope there, v2 * `_win_d1` - 1 (exactly -1 at a
+    zero head), is at most `CLOSED_FORM_RESIDUAL` (on the interior/corner
+    boundary it rounds a few ulps above 0), else (0, b2(0)),
+    b_i(0) = max(0, sqrt(v_i (1 - q_i)) - 1) answering an inactive rival.
 
     Proof, by shares (Szidarovszky and Okuguchi, GEB 18, 1997; Cornes and
     Hartley, Econ. Theory 26, 2005).  With y_i = x_i + q_i, q1 + q2 = 1 and
@@ -404,7 +395,7 @@ def _lottery(csf, v1: float, v2: float, q_int, xp: Ops = FLOATS):
     select, zero = xp.select, 0.0 * q_int
     b1, b2 = xp.sqrt(v1 * (1.0 - q_int)) - 1.0, xp.sqrt(v2 * q_int) - 1.0
     b1, b2 = select(b1 > 0.0, b1, 0.0), select(b2 > 0.0, b2, 0.0)
-    first = _concave_marginal(csf, v2, 1.0 - q_int, zero, b1, xp) <= CLOSED_FORM_RESIDUAL
+    first = v2 * csf._win_d1(zero, b1, 1.0 - q_int, xp) - 1.0 <= CLOSED_FORM_RESIDUAL
     x1, x2 = select(cornered, select(first, (b1, zero), (zero, b2)), (x1, x2))
     return x1, x2, cornered
 
@@ -530,10 +521,12 @@ def _concave(csf, vals, q_int, xp: Ops):
 
 
 def _concave_residuals(csf, v1, v2, q, x1, x2, xp: Ops):
-    """No effort ratio or gap, and each player's payoff slope in own effort,
-    in the caller's labels."""
-    return (None, _concave_marginal(csf, v1, q, x1, x2, xp),
-            _concave_marginal(csf, v2, 1.0 - q, x2, x1, xp))
+    """No effort ratio or gap, and each player's payoff slope in own effort, prize * `_win_d1`
+    less 1, in the caller's labels: -1 where the rival's head is 0, as `_win_d1` reads 0 there
+    at linear impact, and below it no head is 0, as g in each effort e^(g_i / r) is never NaN
+    (Newton takes only trials whose residual norm falls) and the underflow gate fails x < `_TINY`."""
+    return (None, v1 * csf._win_d1(x1, x2, q, xp) - 1.0,
+            v2 * csf._win_d1(x2, x1, 1.0 - q, xp) - 1.0)
 
 
 # (route, residuals) per family kind, each written once against the primitives

@@ -30,13 +30,13 @@ Every method that takes a tie rule q accepts one tie share (a number or a
 `TieRule`) or an array of them, broadcast against the contest states, so one
 call evaluates many tie rules.  Public methods return a builtin float for
 scalar inputs: they check their arguments, then call private kernels
-(`_shares`, `_triple`, `_zp`, `_zslopes`; `_impact`, `_impact_prime`,
-`_win_d1`) that take checked input and the primitives, nothing more.  The
-solvers check once on entry and call only kernels.  Each kernel is written
-once against the primitives `xp` (`Ops`): the scalar solvers pass `FLOATS`,
-whose Python floats get the bits of a one-element array from one NumPy call
-per group of powers or exponentials, and the lane solvers and the public
-methods pass `LANES`.
+(`_shares`, `_triple`, `_zp`, `_zslopes`; `_impact`, `_impact_prime`; and
+`_win_d1`, each concave payoff slope's one call) that take checked input and
+the primitives, nothing more.  The solvers check once on entry and call only
+kernels.  Each kernel is written once against the primitives `xp` (`Ops`):
+the scalar solvers pass `FLOATS`, whose Python floats get the bits of a
+one-element array from one NumPy call per group of powers or exponentials,
+and the lane solvers and the public methods pass `LANES`.
 
 One share core serves both reduced forms.  A ratio family is its difference
 family read at phi = r log theta (Hirshleifer, Public Choice 63, 1989), so
@@ -565,17 +565,17 @@ class BlavatskyyPower(_Family):
             return self.r * (self.r - 1.0) * np.power(x, self.r - 2.0)
 
     def _win_d1(self, x1, x2, qv, xp: Ops):
-        """d/dx1 of player 1's eventual win probability at x1 > 0 (at x1 >= 0 for
-        linear impact), with the rival's head x2^r + 1 - q it is formed from.
-        A power takes one NumPy call per exponent for floats; linear impact takes
-        none, as x^1 = x and x^0 = 1 exactly."""
+        """d/dx1 of player 1's eventual win probability, r x1^(r-1) h / T / T with the
+        rival's head h = x2^r + 1 - q and T = x1^r + x2^r + 1, at x1 > 0 (x1 >= 0 for
+        linear impact, where h = 0 gives exactly 0).  A power takes one NumPy call per
+        exponent for floats; linear impact takes none, as x^1 = x and x^0 = 1 exactly."""
         r = self.r
         if r == 1.0:
             f1, f2, own_slope = x1, x2, 1.0
         else:
             (f1, f2), own_slope = xp.power((x1, x2), r), xp.power((x1,), r - 1.0)[0]
         head, total = f2 + (1.0 - qv), f1 + f2 + 1.0
-        return r * own_slope * head / total / total, head
+        return r * own_slope * head / total / total
 
     def impact(self, x):
         return _ret(self._impact(checked_array(x, "x", nonnegative=True)))
@@ -602,7 +602,7 @@ class BlavatskyyPower(_Family):
         qv = _tie_share(q)
         efforts = self._efforts(x1, x2, own_positive=True)
         with np.errstate(over="ignore"):
-            return _ret(self._win_d1(*efforts, qv, LANES)[0])
+            return _ret(self._win_d1(*efforts, qv, LANES))
 
     def _slope_parts(self, x1, x2):
         """Checked own effort, rival impact, x1^r + x2^r + 1 and the own impact slope."""

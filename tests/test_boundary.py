@@ -15,7 +15,6 @@ import warnings
 import numpy as np
 import pytest
 
-import tiebreak.equilibrium
 from tiebreak import (
     FAMILIES,
     ContestError,
@@ -36,8 +35,8 @@ from tiebreak import (
     verify,
 )
 from tiebreak.audit import audit_family
-from tiebreak.equilibrium import _concave_marginal, solve_lanes
-from tiebreak.families import FLOATS, LANES
+from tiebreak.equilibrium import solve_lanes
+from tiebreak.families import FLOATS, LANES, BlavatskyyPower
 
 from helpers import case_id
 
@@ -195,18 +194,19 @@ def _assert_lane_bits(scalars, lanes):
 
 # r = 0.5: NumPy takes x^0.5 with a scalar exponent as a square root, whose
 # last bit can differ from pow's, so the scalar route must keep that dispatch.
-# Below linear impact the marginal sees own effort > 0 only (see
+# Below linear impact the payoff slope sees own effort > 0 only (see
 # `test_concave_marginal_sees_positive_own_effort_below_linear_impact`).
 @pytest.mark.parametrize("r", [0.01, 0.3, 0.5, 0.9, 0.999])
 @pytest.mark.parametrize("prize", [1.7, 1e6])
 def test_concave_float_marginal_keeps_the_lane_bits(r, prize):
+    """The payoff slope prize * `_win_d1` - 1 has a lane's bits on floats."""
     csf = make_family("blavatskyy-power", r=r)
     for own in KERNEL_EFFORTS[1:]:
         for other in KERNEL_EFFORTS:
             for own_q in (0.0, 0.4, 1.0):
-                scalar = _concave_marginal(csf, prize, own_q, own, other)
-                lane = _concave_marginal(csf, prize, np.array([own_q]),
-                                         np.array([own]), np.array([other]), LANES)
+                scalar = prize * csf._win_d1(own, other, own_q, FLOATS) - 1.0
+                lane = prize * csf._win_d1(np.array([own]), np.array([other]),
+                                           np.array([own_q]), LANES) - 1.0
                 _assert_lane_bits((scalar,), (lane,))
 
 
@@ -220,21 +220,37 @@ def test_concave_marginal_is_prize_times_the_public_derivative_less_one(r, prize
         for other in KERNEL_EFFORTS:
             for own_q in (0.0, 0.4, 1.0):
                 want = prize * csf.win_prob_d1(own, other, own_q) - 1.0
-                got = _concave_marginal(csf, prize, own_q, own, other)
+                got = prize * csf._win_d1(own, other, own_q, FLOATS) - 1.0
                 assert type(got) is float and got.hex() == want.hex(), (own, other, own_q)
 
 
 @pytest.mark.parametrize("other", [1e300, np.array([1e300])])
 def test_linear_marginal_at_zero_effort_against_a_huge_rival_is_quiet(other):
-    """The slope at zero own effort is `_win_d1`'s head / total / total, whose
-    quotients stay in range where total * total would overflow."""
+    """The slope at zero own effort is head / total / total, whose quotients
+    stay in range where total * total would overflow."""
     csf = make_family("blavatskyy-power", r=1.0)
     own = 0.0 * other
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = _concave_marginal(csf, 2.0, 0.5 + own, own, other,
-                                LANES if isinstance(other, np.ndarray) else FLOATS)
-    assert np.all(got == -1.0)
+        got = csf._win_d1(own, other, 0.5 + own,
+                          LANES if isinstance(other, np.ndarray) else FLOATS)
+    assert np.all(got > 0.0) and np.all(2.0 * got - 1.0 == -1.0)
+
+
+@pytest.mark.parametrize("v1, v2, q, residuals", [
+    (0.8, 0.5, 0.0, (-0.19999999999999996, -1.0)),
+    (0.5, 0.8, 1.0, (-1.0, -0.19999999999999996))])
+def test_linear_corner_at_a_zero_head_has_payoff_slope_minus_one(v1, v2, q, residuals):
+    """The weaker player wins every tie, and the stronger player's best reply
+    to no effort is none: the weaker player's rival head is 0 in `_lottery`'s
+    corner test and in its residual, where winning adds nothing and its payoff
+    slope is exactly -1, on floats and on a lane."""
+    spec = make_contest("blavatskyy-power", v1=v1, v2=v2, q=q, r=1.0)
+    eq, lanes = solve(spec), solve_lanes(spec, [q])
+    assert (eq.x1, eq.x2) == (0.0, 0.0) and (lanes.x1[0], lanes.x2[0]) == (0.0, 0.0)
+    assert eq.residuals == residuals
+    assert tuple(float(r[0]) for r in lanes.residuals) == residuals
+    assert not lanes.errors
 
 
 def _concave_draws(count: int):
@@ -263,17 +279,19 @@ UNDERFLOWING = [make_contest("blavatskyy-power", v1=v1, v2=v2, q=0.3, r=r) for r
 
 
 def test_concave_marginal_sees_positive_own_effort_below_linear_impact(monkeypatch):
-    """Zero own effort reaches the payoff slope only from the linear-impact
-    corners: an exponent below one passes its efforts through the underflow
-    gate first, and a failed lane's effort arrives as 1.  So every call at
-    r < 1, through every entry point, has own effort > 0."""
-    marginal, calls = tiebreak.equilibrium._concave_marginal, []
+    """Zero own effort and a zero rival head reach the win slope only from the
+    linear-impact corners, where `_win_d1` reads 0 at a zero head: an exponent
+    below one passes its efforts through the underflow gate first, and a
+    failed lane's effort arrives as 1.  So every call at r < 1, through every
+    entry point, has own effort > 0 and a rival head > 0."""
+    win_d1, calls = BlavatskyyPower._win_d1, []
 
-    def recorded(csf, prize, own_q, own, other, xp=FLOATS):
-        calls.append((csf.r, np.min(own)))
-        return marginal(csf, prize, own_q, own, other, xp)
+    def recorded(csf, own, other, own_q, xp):
+        head = np.power(other, csf.r) + (1.0 - np.asarray(own_q))
+        calls.append((csf.r, np.min(own), np.min(head)))
+        return win_d1(csf, own, other, own_q, xp)
 
-    monkeypatch.setattr(tiebreak.equilibrium, "_concave_marginal", recorded)
+    monkeypatch.setattr(BlavatskyyPower, "_win_d1", recorded)
     rule, underflows = RandomTieRule.from_pairs([(0.1, 0.25), (0.6, 0.5), (0.95, 0.25)]), 0
     for spec in (*_concave_draws(48), *UNDERFLOWING):
         lanes = solve_lanes(spec, np.linspace(0.0, 1.0, 101))
@@ -284,10 +302,11 @@ def test_concave_marginal_sees_positive_own_effort_below_linear_impact(monkeypat
                 call()
             except ContestError:
                 pass
-    below = [own for r, own in calls if r < 1.0]
+    below = [(own, head) for r, own, head in calls if r < 1.0]
     assert underflows > 0 and len(below) > 300
-    assert min(below) > 0.0
-    assert any(own == 0.0 for r, own in calls if r == 1.0)  # the corners' zero effort
+    assert min(own for own, _ in below) > 0.0 and min(head for _, head in below) > 0.0
+    assert any(own == 0.0 for r, own, _ in calls if r == 1.0)  # the corners' zero effort
+    assert any(head == 0.0 for r, _, head in calls if r == 1.0)  # and their zero heads
 
 
 # ------------------------------------------------------------ the boundary

@@ -98,6 +98,22 @@ class TestSolveCommand:
         assert run(["solve", "--spec", path]) == EXIT_INVALID
         assert capsys.readouterr().err.startswith(f"error: cannot read spec file {path!r}: ")
 
+    @pytest.mark.parametrize("argv, flag, what", [
+        (["solve", *SHARP], "--output", "output file"),
+        (["sweep", *SHARP, "--format", "csv"], "--output", "output file"),
+        (["solve", *SHARP], "--emit-spec", "spec file"),
+        (["audit", *SHARP], "--emit-spec", "spec file"),
+    ], ids=["solve-json-output", "sweep-csv-output", "solve-emit-spec", "audit-inline-emit-spec"])
+    @pytest.mark.parametrize("target", ["directory", "missing-parent"])
+    def test_unwritable_path_ends_in_one_error_line(self, capsys, tmp_path, argv, flag, what,
+                                                    target):
+        path = str(tmp_path if target == "directory" else tmp_path / "missing" / "out")
+        assert run([*argv, flag, path]) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {what} {path!r}: ")
+        assert captured.err.count("\n") == 1
+
     def test_inline_spec_needs_both_prizes(self, capsys):
         argv = ["solve", "--family", "jia-ratio", "--r", "1", "--k", "2", "--v1", "2", "--q", "0.5"]
         assert run(argv) == EXIT_INVALID

@@ -352,8 +352,7 @@ def test_routes_stay_label_free():
 
 # One body per solver step, run by each route on floats and on lanes; a lane
 # twin beside a body would be a second copy of its rules.
-SHARED_BODIES = ("_safeguarded_root", "_gap_root", "_concave_newton", "_concave_marginal",
-                 "_lottery")
+SHARED_BODIES = ("_safeguarded_root", "_gap_root", "_concave_newton", "_lottery")
 LANE_TWINS = ("_safeguarded_roots", "_gap_roots", "_concave_newtons", "_concave_marginals",
               "_lottery_corners")
 
