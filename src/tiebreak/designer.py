@@ -215,7 +215,7 @@ def _concave_optimum(spec: ContestSpec, qs: np.ndarray, lanes, totals: np.ndarra
     The candidate is the smallest of q = 0, the argmax and q = 1 within the
     improvement guard of the best.  It is returned only if it is an endpoint
     where dR/dq points outward (<= 0 at q = 0, >= 0 at q = 1); an interior
-    candidate, an inward slope or a NaN one raises `ConvergenceError`.
+    candidate or an inward slope raises `ConvergenceError`.
     """
     last, top = qs.size - 1, int(np.argmax(totals))
     guard = OPTIMAL_IMPROVEMENT_GUARD * (1.0 + abs(float(totals[top])))

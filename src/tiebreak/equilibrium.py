@@ -294,33 +294,35 @@ def _gap_root(csf, gap: float, q_int, xp: Ops = FLOATS):
     tie shares, for one tie rule or lanes (`xp`, see `Ops`): the root (at
     least 0 unless NaN), z_q' there and its residual.
 
-    The bounds 1, 2, 4, ..., 2048 are tried until f = theta - gap z_q' is
-    ahead.  It is by 2048 for every finite gap and k: z_q' <= k e^-theta on
-    theta >= 0 (jia: u ub <= ub <= k e^-theta, w wb <= w <= e^-theta;
-    vesperoni: s^k sb and s sb^k are at most sb <= e^-theta, and z_q' is k
-    times their mix), so f(2048) >= 2048 - gap k e^-2048 > 0 as gap k <
-    e^1420; the kernels read z_q' as 0 from theta = 746, where e^-theta rounds
-    to 0, so ten doublings suffice.  `_safeguarded_root` then runs on f from
-    the last bound behind, lo, handed its f, f' and z'.  Where lo >= 4 (a gap
-    above 4e, as z_q' <= 1/e), the root lies in z_q''s exponential tail near
-    log(gap), where a Newton step on f gains about one unit of theta: it runs
-    first on g = log(theta) - log(gap z_q'), nearly linear there, from lo's
-    values, other lanes holding, and finishes on f from g's root and its
-    values; a lane stops in either where its Newton step would leave theta in
-    place."""
-    def fdf(theta):
-        zp, zpp = csf._zslopes(theta, q_int, xp)
+    The bounds 1, 2, 4, ..., 2048 are tried until f = theta - gap z_q' is ahead,
+    each bound's f from one float's shares, mixed per lane by q: every lane behind
+    has its hi there, and a lane ahead stays so, its f at its hi never changing.
+    It is by 2048 for every finite gap and k: z_q' <= k e^-theta on theta >= 0
+    (jia: u ub <= ub <= k e^-theta, w wb <= w <= e^-theta; vesperoni: s^k sb and
+    s sb^k are at most sb <= e^-theta, and z_q' is k times their mix), so f(2048)
+    >= 2048 - gap k e^-2048 > 0 as gap k < e^1420; the kernels read z_q' as 0 from
+    theta = 746, where e^-theta rounds to 0, so ten doublings suffice.
+    `_safeguarded_root` then runs on f from the last bound behind, lo, handed its
+    f, f' and z'.  Where lo >= 4 (a gap above 4e, as z_q' <= 1/e), the root lies in
+    z_q''s exponential tail near log(gap), where a Newton step on f gains about one
+    unit of theta: it runs first on g = log(theta) - log(gap z_q'), nearly linear
+    there, from lo's values, other lanes holding lo, where the kernels give lo's
+    bits, and finishes on f from g's root and its values; a lane stops in either
+    where its Newton step would leave theta in place."""
+    def fdf(theta, ops=xp):
+        zp, zpp = csf._zslopes(theta, q_int, ops)
         return theta - gap * zp, 1.0 - gap * zpp, zp
 
     lo, hi = 0.0 * q_int, 0.0 * q_int + 1.0  # floats for one tie rule, arrays for lanes
-    at_hi = fdf(hi)
-    at_lo = fdf(lo) if xp.live(at_hi[0] > 0.0) else at_hi  # read where the first is ahead
-    for _ in range(11):  # to 2048 at most, where every lane is ahead (see above)
-        ahead = at_hi[0] > 0.0
-        if not xp.live(ahead ^ True):  # every lane is ahead
+    at_hi = fdf(1.0, FLOATS)
+    ahead = at_hi[0] > 0.0
+    at_lo = fdf(0.0, FLOATS) if xp.live(ahead) else at_hi  # read where the first is ahead
+    for bound in (2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0, 2048.0):
+        if not xp.live(ahead ^ True):  # every lane is ahead, as all are by 2048 (see above)
             break
         lo, hi, *at_lo = xp.select(ahead, (lo, hi, *at_lo), (hi, 2.0 * hi, *at_hi))
-        at_hi = fdf(hi)
+        at_hi = fdf(bound, FLOATS)
+        ahead = ahead | (at_hi[0] > 0.0)
     x, at_x, stepping, tail = lo, at_lo, True, lo >= 4.0
     if xp.live(tail):
         def stays(theta, f, df):  # where a Newton step on f leaves theta in place
@@ -331,9 +333,8 @@ def _gap_root(csf, gap: float, q_int, xp: Ops = FLOATS):
             g = xp.log(theta) - xp.log(gap * zp)
             dg = 1.0 / theta + (df - 1.0) / (gap * zp + (zp == 0.0))
             return xp.select(stays(theta, g, dg), 0.0, g), dg, (f, df, zp)
-        x, _, at_root = _safeguarded_root(lambda theta: in_logs(theta, *fdf(theta)), lo, hi, lo,
-                                          in_logs(lo, *at_lo), tail, xp)
-        x, *at_x = xp.select(tail, (x, *at_root), (lo, *at_x))
+        x, _, at_x = _safeguarded_root(lambda theta: in_logs(theta, *fdf(theta)), lo, hi, lo,
+                                       in_logs(lo, *at_lo), tail, xp)
         stepping = (tail & stays(x, *at_x[:2])) ^ True  # where f's stays, f is final
     root, resid, slope = _safeguarded_root(fdf, lo, hi, x, at_x, stepping, xp)
     return root, slope, resid
@@ -431,9 +432,17 @@ def _concave_newton(csf, v1: float, v2: float, q_int, xp: Ops = FLOATS):
 
     Newton's method on `_log_impact_foc` from g_i = r log(v_i / 4), with
     backtracking on the squared residual norm, for at most `MAX_ITERATIONS`
-    steps; a lane stops at the rounding floor, at a singular Jacobian or
-    when backtracking fails.  The caller checks the efforts e^(g_i / r) and
-    their residuals in effort space.
+    steps; a lane stops at the rounding floor or when backtracking fails.
+    The caller checks the efforts e^(g_i / r) and their residuals in effort space.
+
+    Every step exists.  With s_i = f_i / T, J12 = f2 (a2 - a1) / (a1 T) and J21 =
+    f1 (a1 - a2) / (a2 T) have opposite signs, so det J = (c + 2 s1)(c + 2 s2) - J12 J21
+    = c^2 + 2c (s1 + s2) + f1 f2 / (a1 a2) adds nonnegative terms, c^2 > 1.2e-32 at every
+    double r < 1; J12 J21 rounds positive only where a1 ~ a2 puts both at rounding level,
+    far below J11 J22 >= c^2 + 4 s1 s2.  So -J has a positive diagonal and determinant on
+    R^2, G is one-to-one (Gale and Nikaido, Math. Ann. 159, 1965), and as no equilibrium
+    has a zero effort (its marginal impact is infinite at a positive rival head, and at
+    (0, 0) one head, 1 - q1 or q1, is >= 1/2), the root is the contest's one equilibrium.
     """
     select, live, r = xp.select, xp.live, csf.r
     consts = (math.log(r) + math.log(v1), math.log(r) + math.log(v2), (1.0 - r) / r,
@@ -445,7 +454,7 @@ def _concave_newton(csf, v1: float, v2: float, q_int, xp: Ops = FLOATS):
         g1, g2, G1, G2, J11, J12, J21, J22, S1, S2 = state
         det = J11 * J22 - J12 * J21
         at_rounding_floor = (abs(G1) <= 4.0 * _EPS * S1) & (abs(G2) <= 4.0 * _EPS * S2)
-        moving = moving & (det != 0.0) & (at_rounding_floor ^ True)
+        moving = moving & (at_rounding_floor ^ True)
         if not live(moving):
             break
         d1, d2 = (G1 * J22 - G2 * J12) / det, (J11 * G2 - J21 * G1) / det
@@ -477,9 +486,10 @@ def total_effort_slope(spec: ContestSpec, q: float, x1: float, x2: float,
 
     For r < 1, the implicit function theorem on the log-impact conditions
     G(g; q1) = 0 of `_log_impact_foc` (internal labels) gives
-    dg/dq1 = -J^-1 dG/dq1 with dG/dq1 = (-1/a1, +1/a2), and
-    dR/dq1 = sum_i (x_i / r) dg_i/dq1.  For r = 1, R is constant on the
-    interior closed form, and a lone entrant exerts sqrt(v_i (1 - q_i)) - 1.
+    dg/dq1 = -J^-1 dG/dq1 with dG/dq1 = (-1/a1, +1/a2), det J > 0 at every g
+    (see `_concave_newton`), and dR/dq1 = sum_i (x_i / r) dg_i/dq1.  For
+    r = 1, R is constant on the interior closed form, and a lone entrant
+    exerts sqrt(v_i (1 - q_i)) - 1.
     """
     vals, r = spec.valuations, spec.csf.r
     q1 = float(vals.tie_share(q))
@@ -496,7 +506,7 @@ def total_effort_slope(spec: ContestSpec, q: float, x1: float, x2: float,
             g1, g2, math.log(r * vals.v1), math.log(r * vals.v2), (1.0 - r) / r,
             FLOATS.log(1.0 - q1), FLOATS.log(q1))
         dG1, dG2 = -1.0 / (math.exp(g2) + (1.0 - q1)), 1.0 / (math.exp(g1) + q1)
-        det = J11 * J22 - J12 * J21 or math.nan  # singular: sign unknown, so uncertified
+        det = J11 * J22 - J12 * J21
         dg1, dg2 = (J12 * dG2 - J22 * dG1) / det, (J21 * dG1 - J11 * dG2) / det
         slope = (x1 * dg1 + x2 * dg2) / r
     return slope * (vals.tie_share(1.0) - vals.tie_share(0.0))  # times dq1/dq = +1 or -1

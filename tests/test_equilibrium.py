@@ -1,9 +1,11 @@
 """Equilibrium solvers: anchors, first-order residuals, label handling."""
 from __future__ import annotations
 
+import decimal
 import math
 import random
 import re
+import sys
 import time
 
 import numpy as np
@@ -33,6 +35,7 @@ from tiebreak.equilibrium import (
     _log_impact_foc,
     solve_lanes,
 )
+from tiebreak.families import FLOATS, LANES
 
 from helpers import (DIFF_CASES, FD_REL_TOL, LOTTERY_CONTEST, RATIO_CASES, build, case_id,
                      max_rel_err, solve_at)
@@ -239,19 +242,25 @@ class TestConcaveSolver:
             assert eq.residuals[1] == 2.220446049250313e-16 <= CLOSED_FORM_RESIDUAL
             assert eq.corner_flags == (False, True) and eq.warnings == ()
 
+    # a cornered linear-impact solve is closed form too, on both entry points
     def test_lopsided_prizes_corner_in_closed_form(self):
-        csf = make_family("blavatskyy-power", r=1.0)
-        eq = solve_at(csf, (1e12, 1e-6), 0.5)
-        assert eq.x1 == pytest.approx(math.sqrt(0.5e12) - 1.0, rel=1e-15)
-        assert eq.x2 == 0.0
-        assert eq.corner_flags == (False, True)
-        assert abs(eq.residuals[0]) <= 1e-12 and eq.residuals[1] <= 0.0
+        spec = make_contest("blavatskyy-power", v1=1e12, v2=1e-6, q=0.5, r=1.0)
+        (lane,) = solve_many(spec, [spec.q])
+        for eq in (solve(spec), lane):
+            assert eq.x1 == pytest.approx(math.sqrt(0.5e12) - 1.0, rel=1e-15)
+            assert eq.x2 == 0.0
+            assert eq.corner_flags == (False, True)
+            assert abs(eq.residuals[0]) <= 1e-12 and eq.residuals[1] <= 0.0
+            assert eq.method is SolveMethod.CLOSED_FORM
 
-    def test_small_prizes_collapse_to_inactivity(self):
-        csf = make_family("blavatskyy-power", r=1.0)
-        eq = solve_at(csf, (1.0, 1.0), 0.0)
-        assert (eq.x1, eq.x2) == (0.0, 0.0)
-        assert eq.corner_flags == (True, True)
+    @pytest.mark.parametrize("v", [(1.0, 1.0), (0.8, 0.5)])
+    def test_small_prizes_collapse_to_inactivity(self, v):
+        spec = make_contest("blavatskyy-power", v1=v[0], v2=v[1], q=0.0, r=1.0)
+        (lane,) = solve_many(spec, [spec.q])
+        for eq in (solve(spec), lane):
+            assert (eq.x1, eq.x2) == (0.0, 0.0)
+            assert eq.corner_flags == (True, True)
+            assert eq.method is SolveMethod.CLOSED_FORM
 
     # prizes whose (v1 + v2)^2 would overflow (past about 1.34e154) or
     # underflow to zero (near 1e-300)
@@ -440,6 +449,68 @@ class TestLinearImpactUniqueness:
                 assert eq.warnings == () and lanes.equilibrium(lane) == eq
                 seen.add(active)
         assert len(seen) == 4  # both active, either alone and both idle
+
+
+def _log_impact_states(n: int, seed: int):
+    """Seeded (g1, g2, c, q1) states of `_log_impact_foc`: exponents up to the
+    last double below 1, tie shares at and next to 0 and 1, and log-impacts
+    across [-800, 50], every other one with a1 = f2 + 1 - q1 near a2 = f1 + q1,
+    where J12 and J21 sit at rounding level."""
+    rng = random.Random(seed)
+    rs, qs = (1.0 - 1e-16, 1.0 - 1e-12, 0.999999, 0.5, 1e-3), (0.0, 1.0, 1e-300, 1.0 - 1e-16, 0.5)
+    for i in range(n):
+        r = rng.choice(rs) if i % 3 else rng.uniform(1e-3, 1.0)
+        q1 = rng.choice(qs) if i % 5 else rng.random()
+        g1, g2 = rng.uniform(-800.0, 50.0), rng.uniform(-800.0, 50.0)
+        if i % 2:
+            g1 = rng.uniform(-5.0, 30.0)
+            head = math.exp(g1) + 2.0 * q1 - 1.0  # f2 with a1 = a2
+            if head > 0.0:
+                g2 = math.log(head) + rng.choice((0.0, 1e-15, -1e-15, 1e-9))
+        yield g1, g2, (1.0 - r) / r, q1
+
+
+class TestLogImpactJacobianIsNeverSingular:
+    """Below linear impact, det J = c^2 + 2c (s1 + s2) + f1 f2 / (a1 a2) > 0
+    with J12 J21 <= 0, so every Newton step exists and the contest has one
+    equilibrium (the proof is `equilibrium._concave_newton`'s docstring)."""
+
+    STATES = 20000
+
+    def test_computed_determinant_is_positive_on_both_instances(self):
+        g1, g2, c, q1 = (np.array(column) for column in zip(*_log_impact_states(self.STATES, 59)))
+        with np.errstate(divide="ignore"):
+            lanes = _log_impact_foc(g1, g2, 0.0, 0.0, c, np.log(1.0 - q1), np.log(q1), LANES)
+        floats = [_log_impact_foc(*g, 0.0, 0.0, c_i, FLOATS.log(1.0 - q), FLOATS.log(q))
+                  for *g, c_i, q in zip(g1.tolist(), g2.tolist(), c.tolist(), q1.tolist())]
+        flipped = 0
+        for J11, J12, J21, J22 in (lanes[2:6], [np.array(row) for row in zip(*floats)][2:6]):
+            det, cross = J11 * J22 - J12 * J21, J12 * J21
+            assert np.all(det > 0.0)
+            # a rounding-flipped product is far below J11 J22
+            assert np.all((cross <= 0.0) | (cross < J11 * J22 * sys.float_info.epsilon))
+            flipped += np.count_nonzero(cross > 0.0)
+        assert flipped > 0  # the scan reaches the rounding-level products
+
+    def test_determinant_identity_in_decimal(self):
+        """det J and J12 J21 from J's entries as `_log_impact_foc` forms them,
+        f_i / a_i less 2 s_i, at 60 digits, against the proof's closed form;
+        the float determinant agrees to rounding."""
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            for g1, g2, c, q1 in _log_impact_states(40, 5):
+                d = [decimal.Decimal(v) for v in (g1, g2, c, q1)]
+                f1, f2, c_d, q_d = d[0].exp(), d[1].exp(), d[2], d[3]
+                t, a1, a2 = f1 + f2 + 1, f2 + (1 - q_d), f1 + q_d
+                s1, s2 = f1 / t, f2 / t
+                J11, J22 = -c_d - 2 * s1, -c_d - 2 * s2
+                J12, J21 = f2 / a1 - 2 * s2, f1 / a2 - 2 * s1
+                det = J11 * J22 - J12 * J21
+                closed = c_d * c_d + 2 * c_d * (s1 + s2) + f1 * f2 / (a1 * a2)
+                assert abs(det - closed) <= decimal.Decimal("1e-55") * closed
+                assert J12 * J21 <= 0
+                J = _log_impact_foc(g1, g2, 0.0, 0.0, c, FLOATS.log(1.0 - q1), FLOATS.log(q1))[2:6]
+                assert abs(J[0] * J[3] - J[1] * J[2] - float(closed)) <= 1e-13 * float(closed)
 
 
 class TestDispatch:
