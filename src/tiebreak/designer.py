@@ -170,7 +170,7 @@ def _grid_lanes(spec: ContestSpec, q_count: int, force: bool):
     qs = _q_values(q_count)
     lanes = solve_lanes(spec, qs, force=force)
     totals = _totals(qs, lanes.x1, lanes.x2, lanes.errors)
-    for arr in (totals, lanes.x1, lanes.x2, lanes.beta, *lanes.residuals, lanes.cornered):
+    for arr in (totals, lanes.x1, lanes.x2, lanes.beta, *lanes.residuals):
         if arr is not None:
             arr.flags.writeable = False
     return qs, lanes, totals
@@ -220,7 +220,7 @@ def _concave_optimum(spec: ContestSpec, qs: np.ndarray, lanes, totals: np.ndarra
     last, top = qs.size - 1, int(np.argmax(totals))
     guard = OPTIMAL_IMPROVEMENT_GUARD * (1.0 + abs(float(totals[top])))
     i = min(j for j in (0, top, last) if totals[j] >= totals[top] - guard)
-    slope = total_effort_slope(spec, qs[i], lanes.x1[i], lanes.x2[i], lanes.cornered[i])
+    slope = total_effort_slope(spec, qs[i], lanes.x1[i], lanes.x2[i])
     if (i == 0 and slope <= 0.0) or (i == last and slope >= 0.0):
         return i
     raise ConvergenceError(f"optimal tie rule not certified: the best of {qs.size} grid "

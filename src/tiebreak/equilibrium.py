@@ -52,9 +52,6 @@ from .families import FLOATS, LANES, Ops, q_array
 _EPS = sys.float_info.epsilon
 _TINY = sys.float_info.min
 
-CLOSED_FORM_RESIDUAL = 1e-10
-"""Largest payoff slope at zero effort for which an inactive player is at a corner."""
-
 BETA_RESIDUAL = 1e-12
 """Accepted effort-gap residual, relative to max(1, v1 - v2)."""
 
@@ -87,7 +84,7 @@ class Equilibrium(JsonRecord):
     below linear.  `residuals` are the first-order residuals per player at
     the returned profile: interior players should be at machine-level zeros;
     a cornered player reports the payoff slope at zero effort instead, at
-    most `CLOSED_FORM_RESIDUAL` (see `_lottery`).
+    most 0 to rounding (see `_lottery`).
     """
 
     x1: float
@@ -141,7 +138,6 @@ class Lanes:
     x2: np.ndarray
     beta: np.ndarray | None
     residuals: tuple[np.ndarray, np.ndarray]
-    cornered: np.ndarray
     method: SolveMethod
     warnings: tuple[str, ...]
     errors: dict[int, ContestError]
@@ -232,7 +228,7 @@ def _ratio(csf, vals, q_int, xp: Ops):
     players exert prize * beta * z_q'(beta) at beta = v1/v2."""
     # beta is one float at every tie rule: its shares take the float kernels
     strong, weak, gate = _ratio_range(vals, csf._zp(vals.beta, q_int, FLOATS), xp)
-    return strong, weak, False, SolveMethod.CLOSED_FORM, (gate,)
+    return strong, weak, SolveMethod.CLOSED_FORM, (gate,)
 
 
 def _ratio_residuals(csf, v1, v2, q, x1, x2, xp: Ops):
@@ -352,7 +348,7 @@ def _diff(csf, vals, q_int, xp: Ops):
     it, so the first-order conditions are exactly v_i * z_q'(gap) = x_i."""
     gap = vals.v1 - vals.v2
     _, slope, resid = _gap_root(csf, gap, q_int, xp)
-    return vals.v1 * slope, vals.v2 * slope, False, SolveMethod.ROOT_FIND, (_gap_gate(gap, resid),)
+    return vals.v1 * slope, vals.v2 * slope, SolveMethod.ROOT_FIND, (_gap_gate(gap, resid),)
 
 
 def _diff_residuals(csf, v1, v2, q, x1, x2, xp: Ops):
@@ -363,15 +359,13 @@ def _diff_residuals(csf, v1, v2, q, x1, x2, xp: Ops):
     return theta, v1 * zp - x1, v2 * zp - x2
 
 
-def _lottery(csf, v1: float, v2: float, q_int, xp: Ops = FLOATS):
+def _lottery(v1: float, v2: float, q_int, xp: Ops = FLOATS):
     """Efforts and cornered flag of the one equilibrium of a linear-impact
     contest, for one tie rule or lanes (`xp`, see `Ops`).  Interior efforts
     are v_i v1 v2 / (v1 + v2)^2 less each tie share, scaled by rho = v2 / v1
     <= 1 so no square leaves the normal range.  Where one is negative, it is
-    (b1(0), 0) if player 2's slope there, v2 * `_win_d1` - 1 (exactly -1 at a
-    zero head), is at most `CLOSED_FORM_RESIDUAL` (on the interior/corner
-    boundary it rounds a few ulps above 0), else (0, b2(0)),
-    b_i(0) = max(0, sqrt(v_i (1 - q_i)) - 1) answering an inactive rival.
+    (b1, 0) where b1 > 0 and the interior x2 <= 0, else (0, max(0, b2)), with
+    b_i = sqrt(v_i (1 - q_i)) - 1 answering an inactive rival.
 
     Proof, by shares (Szidarovszky and Okuguchi, GEB 18, 1997; Cornes and
     Hartley, Econ. Theory 26, 2005).  With y_i = x_i + q_i, q1 + q2 = 1 and
@@ -385,8 +379,13 @@ def _lottery(csf, v1: float, v2: float, q_int, xp: Ops = FLOATS):
     of some i); the sum is at least q1 + q2 = 1 at Y = 1 and tends to 0, so
     exactly one Y solves it: there is exactly one equilibrium.  Each player
     there is active on its first-order condition or inactive, so it is the
-    interior profile, (b1(0), 0) or (0, b2(0)) (both (0, 0) where they
-    meet), and where the first axis profile fails, the second holds."""
+    interior profile, (b1, 0) or (0, max(0, b2)).  Which one is a sign: at
+    (b1, 0) with b1 > 0, player 1's condition v1 q2 / Y^2 = 1 gives
+    Y = b1 + 1 = sqrt(v1 q2), and player 2 is idle iff its would-be active
+    share is at most its head, Y - Y^2 / v2 <= q2, that is
+    sqrt(v1 q2) <= q2 (v1 + v2) / v2, v1 v2^2 <= (v1 + v2)^2 q2, the interior
+    x2 <= 0.  At b1 <= 0 the first axis profile is (0, 0), which holds iff
+    b2 <= 0, so (0, max(0, b2)) is the equilibrium wherever (b1, 0) is not."""
     rho = v2 / v1
     scale = rho / (1.0 + rho) ** 2
     x1, x2 = v1 * scale - q_int, v2 * scale - (1.0 - q_int)
@@ -395,8 +394,7 @@ def _lottery(csf, v1: float, v2: float, q_int, xp: Ops = FLOATS):
         return x1, x2, cornered
     select, zero = xp.select, 0.0 * q_int
     b1, b2 = xp.sqrt(v1 * (1.0 - q_int)) - 1.0, xp.sqrt(v2 * q_int) - 1.0
-    b1, b2 = select(b1 > 0.0, b1, 0.0), select(b2 > 0.0, b2, 0.0)
-    first = v2 * csf._win_d1(zero, b1, 1.0 - q_int, xp) - 1.0 <= CLOSED_FORM_RESIDUAL
+    first, b2 = (b1 > 0.0) & (x2 <= 0.0), select(b2 > 0.0, b2, 0.0)
     x1, x2 = select(cornered, select(first, (b1, zero), (zero, b2)), (x1, x2))
     return x1, x2, cornered
 
@@ -443,21 +441,26 @@ def _concave_newton(csf, v1: float, v2: float, q_int, xp: Ops = FLOATS):
     R^2, G is one-to-one (Gale and Nikaido, Math. Ann. 159, 1965), and as no equilibrium
     has a zero effort (its marginal impact is infinite at a positive rival head, and at
     (0, 0) one head, 1 - q1 or q1, is >= 1/2), the root is the contest's one equilibrium.
+    Past c of 1.3e154, where (c + 2)^2 >= |J11 J22| overflows, `_schur_step` forms the step.
     """
     select, live, r = xp.select, xp.live, csf.r
-    consts = (math.log(r) + math.log(v1), math.log(r) + math.log(v2), (1.0 - r) / r,
+    c, zero = (1.0 - r) / r, 0.0 * q_int
+    consts = (math.log(r) + math.log(v1), math.log(r) + math.log(v2), c,
               xp.log(1.0 - q_int), xp.log(q_int), xp)
-    zero = 0.0 * q_int
+    wide = (c + 2.0) * (c + 2.0) == math.inf  # J11 J22 can overflow: see `_schur_step`
     g1, g2 = zero + r * math.log(v1 / 4.0), zero + r * math.log(v2 / 4.0)
     state, moving = (g1, g2, *_log_impact_foc(g1, g2, *consts)), True
     for _ in range(MAX_ITERATIONS):
         g1, g2, G1, G2, J11, J12, J21, J22, S1, S2 = state
-        det = J11 * J22 - J12 * J21
         at_rounding_floor = (abs(G1) <= 4.0 * _EPS * S1) & (abs(G2) <= 4.0 * _EPS * S2)
         moving = moving & (at_rounding_floor ^ True)
         if not live(moving):
             break
-        d1, d2 = (G1 * J22 - G2 * J12) / det, (J11 * G2 - J21 * G1) / det
+        if wide:
+            d1, d2 = _schur_step(G1, G2, J11, J12, J21, J22)
+        else:
+            det = J11 * J22 - J12 * J21
+            d1, d2 = (G1 * J22 - G2 * J12) / det, (J11 * G2 - J21 * G1) / det
         norm, searching = G1 * G1 + G2 * G2, moving
         for halvings in range(40):
             t = 0.5**halvings
@@ -472,6 +475,12 @@ def _concave_newton(csf, v1: float, v2: float, q_int, xp: Ops = FLOATS):
     return state[0], state[1]
 
 
+def _schur_step(G1, G2, J11, J12, J21, J22):
+    """J^-1 G by Schur complements, whose products never reach J11 J22 (see `_concave_newton`)."""
+    return ((G1 - G2 * (J12 / J22)) / (J11 - J12 * (J21 / J22)),
+            (G2 - G1 * (J21 / J11)) / (J22 - J21 * (J12 / J11)))
+
+
 def _newton_efforts(csf, v1: float, v2: float, q_int, xp: Ops = FLOATS):
     """Efforts e^(g_i / r) of `_concave_newton`, and their underflow gate."""
     r = csf.r
@@ -480,34 +489,35 @@ def _newton_efforts(csf, v1: float, v2: float, q_int, xp: Ops = FLOATS):
     return x1, x2, ((x1 < _TINY) | (x2 < _TINY), _effort_underflow, g1, g2, r)
 
 
-def total_effort_slope(spec: ContestSpec, q: float, x1: float, x2: float,
-                       cornered: bool) -> float:
+def total_effort_slope(spec: ContestSpec, q: float, x1: float, x2: float) -> float:
     """dR/dq of a concave contest at tie rule q, at equilibrium efforts x1, x2.
 
     For r < 1, the implicit function theorem on the log-impact conditions
     G(g; q1) = 0 of `_log_impact_foc` (internal labels) gives
     dg/dq1 = -J^-1 dG/dq1 with dG/dq1 = (-1/a1, +1/a2), det J > 0 at every g
-    (see `_concave_newton`), and dR/dq1 = sum_i (x_i / r) dg_i/dq1.  For
-    r = 1, R is constant on the interior closed form, and a lone entrant
-    exerts sqrt(v_i (1 - q_i)) - 1.
+    (see `_concave_newton`, whose step rule forms J^-1 here too), and
+    dR/dq1 = sum_i (x_i / r) dg_i/dq1.  For r = 1, R is constant on the
+    interior closed form, a lone entrant exerts sqrt(v_i (1 - q_i)) - 1, and
+    `_lottery` at q tells which profile the equilibrium is.
     """
     vals, r = spec.valuations, spec.csf.r
     q1 = float(vals.tie_share(q))
     x1, x2 = vals.in_order(float(x1), float(x2))
     if r == 1.0:
-        slope = 0.0
+        slope, cornered = 0.0, _lottery(vals.v1, vals.v2, q1)[2]
         if cornered and x1 > 0.0:
             slope = -0.5 * math.sqrt(vals.v1 / (1.0 - q1))
         elif cornered and x2 > 0.0:
             slope = 0.5 * math.sqrt(vals.v2 / q1)
     else:
-        g1, g2 = r * math.log(x1), r * math.log(x2)
+        g1, g2, c = r * math.log(x1), r * math.log(x2), (1.0 - r) / r
         _, _, J11, J12, J21, J22, _, _ = _log_impact_foc(
-            g1, g2, math.log(r * vals.v1), math.log(r * vals.v2), (1.0 - r) / r,
+            g1, g2, math.log(r * vals.v1), math.log(r * vals.v2), c,
             FLOATS.log(1.0 - q1), FLOATS.log(q1))
         dG1, dG2 = -1.0 / (math.exp(g2) + (1.0 - q1)), 1.0 / (math.exp(g1) + q1)
         det = J11 * J22 - J12 * J21
-        dg1, dg2 = (J12 * dG2 - J22 * dG1) / det, (J21 * dG1 - J11 * dG2) / det
+        dg1, dg2 = (_schur_step(-dG1, -dG2, J11, J12, J21, J22) if (c + 2.0) * (c + 2.0) == math.inf
+                    else ((J12 * dG2 - J22 * dG1) / det, (J21 * dG1 - J11 * dG2) / det))
         slope = (x1 * dg1 + x2 * dg2) / r
     return slope * (vals.tie_share(1.0) - vals.tie_share(0.0))  # times dq1/dq = +1 or -1
 
@@ -517,17 +527,18 @@ def _concave(csf, vals, q_int, xp: Ops):
 
     Linear impact admits a closed form: the classic lottery efforts shifted
     down by each player's own tie share.  When that shift drives an effort
-    negative, the one equilibrium is an axis profile, found in closed form
-    (see `_lottery`).  Concave impact with exponent below one keeps both
-    players active; the Newton solution in log-impact coordinates fails with
-    `ConvergenceError` if an effort underflows double precision, and the
-    entry points accept it only if both effort-space residuals are within
-    `ITERATIVE_RESIDUAL`.
+    negative, the one equilibrium is an axis profile, which the closed
+    form's own signs pick (see `_lottery`).  Concave impact with exponent
+    below one keeps both players active; the Newton solution in log-impact
+    coordinates fails with `ConvergenceError` if an effort underflows double
+    precision, and the entry points accept it only if both effort-space
+    residuals are within `ITERATIVE_RESIDUAL`.
     """
     if csf.r < 1.0:
         x1, x2, gate = _newton_efforts(csf, vals.v1, vals.v2, q_int, xp)
-        return x1, x2, False, SolveMethod.FOC_SOLVE, (gate,)
-    return (*_lottery(csf, vals.v1, vals.v2, q_int, xp), SolveMethod.CLOSED_FORM, ())
+        return x1, x2, SolveMethod.FOC_SOLVE, (gate,)
+    x1, x2, _ = _lottery(vals.v1, vals.v2, q_int, xp)
+    return x1, x2, SolveMethod.CLOSED_FORM, ()
 
 
 def _concave_residuals(csf, v1, v2, q, x1, x2, xp: Ops):
@@ -542,10 +553,9 @@ def _concave_residuals(csf, v1, v2, q, x1, x2, xp: Ops):
 # (route, residuals) per family kind, each written once against the primitives
 # `xp` (see `Ops`): `solve` runs them on `FLOATS`, `solve_lanes` on `LANES`.
 # Routes solve stronger-player-first: they take (csf, vals, q_int, xp) and
-# return the stronger and the weaker player's efforts, the cornered flag, the
-# method and the route's gates, which only the entry points apply.  The
-# residuals take (csf, v1, v2, q, x1, x2, xp) in the caller's labels and return
-# (beta, r1, r2).
+# return the stronger and the weaker player's efforts, the method and the
+# route's gates, which only the entry points apply.  The residuals take
+# (csf, v1, v2, q, x1, x2, xp) in the caller's labels and return (beta, r1, r2).
 _ROUTES = {
     "ratio": (_ratio, _ratio_residuals),
     "diff": (_diff, _diff_residuals),
@@ -582,7 +592,7 @@ def solve(spec: ContestSpec, *, force: bool = False, audited: bool = False) -> E
     `UNCHECKED_ASSUMPTIONS_WARNING`.  `audited` is accepted and ignored.
     """
     (route, residuals), vals, q_int, warnings = _prologue(spec, spec.q, force)
-    strong, weak, _, method, gates = route(spec.csf, vals, q_int, FLOATS)
+    strong, weak, method, gates = route(spec.csf, vals, q_int, FLOATS)
     _raise_first(*gates)
     x1, x2 = vals.in_order(strong, weak)
     beta, r1, r2 = residuals(spec.csf, spec.v1, spec.v2, spec.q, x1, x2, FLOATS)
@@ -606,7 +616,7 @@ def solve_lanes(spec: ContestSpec, qs, *, force: bool = False) -> Lanes:
     failed = np.zeros(q_user.size, dtype=bool)
     # log(0), stopped iterative lanes, failing lanes' efforts and their unused orders
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        strong, weak, cornered, method, gates = route(spec.csf, vals, q_int, LANES)
+        strong, weak, method, gates = route(spec.csf, vals, q_int, LANES)
         for failing, *_ in gates:
             failed |= failing
         # a failed lane takes efforts (1, 1), which keep its unused residuals finite
@@ -616,8 +626,7 @@ def solve_lanes(spec: ContestSpec, qs, *, force: bool = False) -> Lanes:
         gates += (_residual_gate(x1, x2, r1, r2),)
     negative = ((x1 >= 0.0) & (x2 >= 0.0)) ^ True
     errors = _lane_errors(*gates, (negative, _negative_efforts, x1, x2))  # the route's gates first
-    cornered = np.zeros(q_user.size, dtype=bool) | cornered  # routes that never corner give False
-    return Lanes(q_user, x1, x2, beta, (r1, r2), cornered, method, warnings, errors)
+    return Lanes(q_user, x1, x2, beta, (r1, r2), method, warnings, errors)
 
 
 def solve_many(spec: ContestSpec, qs, *, force: bool = False) -> tuple[Equilibrium, ...]:

@@ -242,9 +242,9 @@ def test_linear_marginal_at_zero_effort_against_a_huge_rival_is_quiet(other):
     (0.5, 0.8, 1.0, (-1.0, -0.19999999999999996))])
 def test_linear_corner_at_a_zero_head_has_payoff_slope_minus_one(v1, v2, q, residuals):
     """The weaker player wins every tie, and the stronger player's best reply
-    to no effort is none: the weaker player's rival head is 0 in `_lottery`'s
-    corner test and in its residual, where winning adds nothing and its payoff
-    slope is exactly -1, on floats and on a lane."""
+    to no effort is none: the weaker player's rival head is 0 in its residual,
+    where winning adds nothing and its payoff slope is exactly -1, on floats and
+    on a lane."""
     spec = make_contest("blavatskyy-power", v1=v1, v2=v2, q=q, r=1.0)
     eq, lanes = solve(spec), solve_lanes(spec, [q])
     assert (eq.x1, eq.x2) == (0.0, 0.0) and (lanes.x1[0], lanes.x2[0]) == (0.0, 0.0)

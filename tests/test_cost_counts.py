@@ -64,7 +64,7 @@ def _bits(result):
     if isinstance(result, ContestError):
         return f"{type(result).__name__}: {result}"
     if hasattr(result, "errors"):  # lanes
-        arrays = (result.q, result.x1, result.x2, result.beta, *result.residuals, result.cornered)
+        arrays = (result.q, result.x1, result.x2, result.beta, *result.residuals)
         return ([None if a is None else np.asarray(a).tobytes() for a in arrays],
                 result.method, result.warnings, {i: _bits(e) for i, e in result.errors.items()})
     return repr(result)

@@ -30,15 +30,11 @@ from tiebreak import (
     sweep,
 )
 from tiebreak.designer import OPTIMAL_IMPROVEMENT_GUARD
-from tiebreak.equilibrium import Lanes, SolveMethod, solve_lanes, total_effort_slope
+from tiebreak.equilibrium import Lanes, SolveMethod, _lottery, solve_lanes, total_effort_slope
+from tiebreak.families import LANES
 
 from helpers import LOTTERY_CONTEST
 
-
-def _slope_at(spec, q, eq):
-    """`total_effort_slope` at the equilibrium `eq` of `spec` at tie rule q, with
-    the cornered flag the designer passes."""
-    return total_effort_slope(spec, q, eq.x1, eq.x2, solve_lanes(spec, [q]).cornered[0])
 
 SHARP_RATIO = make_contest(family="jia-ratio", v1=2.0, v2=1.0, q=0.0, r=1.0, k=2)
 SOFT_RATIO = make_contest(family="vesperoni-ratio", v1=2.0, v2=1.0, q=0.0, r=0.5, k=2)
@@ -255,7 +251,8 @@ class TestConcaveOptimum:
     @pytest.mark.parametrize("v1,v2", [(3.0, 1.2), (1.2, 3.0)])
     def test_implicit_slope_matches_differences(self, r, q, v1, v2):
         spec = make_contest(family="blavatskyy-power", v1=v1, v2=v2, q=q, r=r)
-        slope = _slope_at(spec, q, solve(spec))
+        eq = solve(spec)
+        slope = total_effort_slope(spec, q, eq.x1, eq.x2)
         assert slope == pytest.approx(_difference_slope(spec, q), rel=1e-6, abs=0.0)
 
     # Linear impact, one tie rule per regime of the strong player (prize 3 or 12):
@@ -273,7 +270,7 @@ class TestConcaveOptimum:
         eq = solve(spec)
         efforts = (eq.x2, eq.x1) if swapped else (eq.x1, eq.x2)
         assert tuple(x > 0.0 for x in efforts) == active
-        slope = _slope_at(spec, q_user, eq)
+        slope = total_effort_slope(spec, q_user, eq.x1, eq.x2)
         expected = _difference_slope(spec, q_user)
         assert slope == pytest.approx(expected, rel=1e-6, abs=1e-9)
         if all(active):
@@ -299,10 +296,8 @@ class TestConcaveOptimum:
         """`_concave_optimum` on a stubbed 101-point curve R(q) with slope dR/dq."""
         qs = np.linspace(0.0, 1.0, designer_mod.CROSS_CHECK_POINTS)
         zeros = np.zeros(qs.size)
-        lanes = Lanes(qs, totals(qs), zeros, None, (zeros, zeros), zeros.astype(bool),
-                      SolveMethod.FOC_SOLVE, (), {})
-        monkeypatch.setattr(designer_mod, "total_effort_slope",
-                            lambda spec, q, x1, x2, cornered: slope(q))
+        lanes = Lanes(qs, totals(qs), zeros, None, (zeros, zeros), SolveMethod.FOC_SOLVE, (), {})
+        monkeypatch.setattr(designer_mod, "total_effort_slope", lambda spec, q, x1, x2: slope(q))
         return qs, lambda: designer_mod._concave_optimum(None, qs, lanes, lanes.x1 + lanes.x2)
 
     # a peak between grid points lands on the nearest one: inside (0, 1), or
@@ -427,7 +422,7 @@ class TestGridMemo:
         sweep(spec, 101)
         qs, lanes, totals = _held(spec)
         assert designer_mod._grid_lanes.cache_info()[:2] == (1, 1)  # the sweep's batch
-        arrays = [qs, totals, lanes.x1, lanes.x2, lanes.beta, *lanes.residuals, lanes.cornered]
+        arrays = [qs, totals, lanes.x1, lanes.x2, lanes.beta, *lanes.residuals]
         for arr in filter(lambda a: a is not None, arrays):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = arr[1]
@@ -571,10 +566,12 @@ class TestShapeFloor:
             if kind not in THEOREM_SHAPES:
                 continue
             try:
-                _, lanes, totals = designer_mod._grid_lanes(spec.with_q(0.0), 101, False)
+                qs, _, totals = designer_mod._grid_lanes(spec.with_q(0.0), 101, False)
             except ContestError:
                 continue
-            if lanes.cornered.any():  # only an interior linear-impact R is constant
+            vals = spec.valuations  # only an interior linear-impact R is constant
+            if kind == "linear impact" and _lottery(
+                    vals.v1, vals.v2, vals.tie_share(qs), LANES)[2].any():
                 continue
             curves[kind] += 1
             unit = sys.float_info.epsilon * float(totals.max())

@@ -29,7 +29,6 @@ import tiebreak.equilibrium as equilibrium_mod
 from tiebreak.audit import audit_family
 from tiebreak.equilibrium import (
     BETA_RESIDUAL,
-    CLOSED_FORM_RESIDUAL,
     ITERATIVE_RESIDUAL,
     UNCHECKED_ASSUMPTIONS_WARNING,
     _log_impact_foc,
@@ -76,10 +75,11 @@ class TestRatioClosedForm:
 
     @pytest.mark.parametrize("case", RATIO_CASES, ids=case_id)
     def test_first_order_residuals_vanish(self, case):
+        """Closed-form residuals are at rounding level: at most 2 eps here, held to 8 eps."""
         csf = build(case)
         for v, q in [((2.0, 1.0), 0.0), ((1.0, 3.0), 0.7), ((5.0, 4.0), 1.0)]:
             eq = solve_at(csf, v, q)
-            assert max(abs(r) for r in eq.residuals) <= CLOSED_FORM_RESIDUAL
+            assert max(abs(r) for r in eq.residuals) <= 8.0 * sys.float_info.epsilon
 
     def test_swapped_prizes_mirror_the_solution(self):
         # Tie shares 0.25 and 0.75 are exact binary complements, so the
@@ -231,15 +231,15 @@ class TestConcaveSolver:
         assert eq.residuals[1] <= 1e-12
 
     def test_corner_on_the_interior_boundary_keeps_the_first_candidate(self):
-        """Here the interior formula gives x2 = -1.1e-16 and player 2's slope at
-        (b1(0), 0) rounds to +2.2e-16: within `CLOSED_FORM_RESIDUAL`, so that
-        profile is returned, not (0, b2(0)), by both entry points."""
+        """Here the interior formula gives x2 = -1.1e-16 <= 0 with b1 > 0, which
+        decides the corner: (b1, 0) is returned, not (0, b2), by both entry
+        points, and player 2's slope there rounds to +2.2e-16, one eps."""
         spec = make_contest(family="blavatskyy-power", v1=5.321030716303847,
                             v2=3.0170996739989486, q=0.3033129832041895, r=1.0)
         (lane,) = solve_many(spec, [spec.q])
         for eq in (solve(spec), lane):
             assert (eq.x1, eq.x2) == (0.9253812651058497, 0.0)
-            assert eq.residuals[1] == 2.220446049250313e-16 <= CLOSED_FORM_RESIDUAL
+            assert eq.residuals[1] == 2.220446049250313e-16 == sys.float_info.epsilon
             assert eq.corner_flags == (False, True) and eq.warnings == ()
 
     # a cornered linear-impact solve is closed form too, on both entry points
@@ -282,6 +282,26 @@ class TestConcaveSolver:
         best = optimal_q(spec)
         assert best.q_star.q == q_star
         assert best.total_effort == pytest.approx(solve(spec.with_q(q_star)).total, rel=1e-15)
+
+    @pytest.mark.parametrize("r", [1e-155, 1e-200, 1e-300, 1e-305])
+    def test_exponents_past_an_overflowing_determinant_solve(self, r):
+        """Below r of about 7.5e-155, c = (1 - r) / r passes 1.3e154 and J11 J22, so
+        Cramer's det J, would overflow; Newton steps by Schur complements instead.  The efforts
+        are r times their r -> 0 limits (8/15, 14/75), on `solve` and on a
+        `solve_many` lane, and `optimal_q` certifies q = 0 by dR/dq."""
+        spec = make_contest("blavatskyy-power", v1=3.0, v2=1.2, q=0.4, r=r)
+        eq = solve(spec)
+        (lane,) = solve_many(spec, [spec.q])
+        assert lane == eq and eq.method is SolveMethod.FOC_SOLVE
+        assert (eq.x1 / r, eq.x2 / r) == pytest.approx((8.0 / 15.0, 14.0 / 75.0), rel=1e-12)
+        assert max(abs(res) for res in eq.residuals) <= 1e-12
+        best = optimal_q(spec)
+        assert best.q_star.q == 0.0 and best.total_effort / r == pytest.approx(0.8, rel=1e-12)
+
+    def test_an_effort_below_the_normal_range_still_underflows(self):
+        spec = make_contest("blavatskyy-power", v1=3.0, v2=1.2, q=0.4, r=1e-308)
+        with pytest.raises(ConvergenceError, match="underflows double precision"):
+            solve(spec)
 
     def test_concave_impact_square_root_anchors(self):
         csf = make_family("blavatskyy-power", r=0.5)
@@ -444,11 +464,62 @@ class TestLinearImpactUniqueness:
                 eq = solve(spec.with_q(q))
                 assert _is_the_candidate(eq, v1, v2, q, active), (v1, v2, q, active, eq)
                 assert eq.corner_flags == (not active[0], not active[1])
-                assert all(r <= CLOSED_FORM_RESIDUAL
+                # an idle player's slope is <= 0 to rounding: one eps on the
+                # interior/corner boundary, -5.7e-4 at most on these 11,813
+                assert all(r <= 4.0 * sys.float_info.epsilon
                            for r, on in zip(eq.residuals, active) if not on)
                 assert eq.warnings == () and lanes.equilibrium(lane) == eq
                 seen.add(active)
         assert len(seen) == 4  # both active, either alone and both idle
+
+    NEAR_BOUNDARY = 2400  # contests, each within 4 ulps of a tie rule zeroing an effort
+
+    def test_contests_on_the_interior_corner_boundary_return_the_exact_equilibrium(self):
+        """The corner is decided by the sign of the interior x2 as rounded, which can
+        fall on the wrong side of 0 only within rounding of the boundary, where the
+        interior and the axis profile meet.  On seeded contests whose tie rule lies
+        within 4 ulps of one that zeroes an interior effort, so that the effort is a
+        few ulps from 0 on either side, both entry points return the exact
+        equilibrium (candidate decided in integers, efforts at 60 digits) to within
+        4 eps of max(v_i^2 v_j / (v1 + v2)^2, |x_i|) + 1; the worst seen is 1.63 eps.
+        Prizes are drawn stronger player first, so the solver's tie shares are q and
+        1 - q exactly; weak-first, the weaker player's head is 1 - (1 - q), rounded."""
+        rng, checked, pairs, sides = random.Random(60), 0, 0, set()
+        eps = decimal.Decimal(sys.float_info.epsilon)
+        while checked < self.NEAR_BOUNDARY:
+            scale, pairs = 7.0 if pairs % 2 else 300.0, pairs + 1
+            v2, v1 = sorted(math.exp(rng.uniform(-scale, scale)) for _ in range(2))
+            lead1, lead2 = v1 * v1 * v2 / (v1 + v2) ** 2, v2 * v2 * v1 / (v1 + v2) ** 2
+            qs = []
+            for base in (lead1, 1.0 - lead2):  # the tie rules zeroing x1 and x2
+                for ulps in rng.sample(range(-4, 5), 3):
+                    q = base
+                    for _ in range(abs(ulps)):
+                        q = math.nextafter(q, 2.0 if ulps > 0 else -1.0)
+                    if 0.0 <= q <= 1.0:
+                        qs.append(q)
+            if not qs:
+                continue
+            spec = make_contest(family="blavatskyy-power", v1=v1, v2=v2, q=qs[0], r=1.0)
+            lanes = solve_lanes(spec, qs)
+            assert not lanes.errors
+            for lane, q in enumerate(qs):
+                (active,) = _linear_impact_equilibria(v1, v2, q)
+                with decimal.localcontext() as ctx:
+                    ctx.prec = 60
+                    a1, a2, h1 = (decimal.Decimal(value) for value in (v1, v2, q))
+                    lead = (a1 * a1 * a2 / (a1 + a2) ** 2, a2 * a2 * a1 / (a1 + a2) ** 2)
+                    interior = (lead[0] - h1, lead[1] - (1 - h1))
+                    sides.update(x > 0 for x in interior if abs(x) < 1e-12)
+                    exact = (interior if all(active) else
+                             ((a1 * (1 - h1)).sqrt() - 1, 0) if active[0] else
+                             (0, (a2 * h1).sqrt() - 1) if active[1] else (0, 0))
+                    for eq in (solve(spec.with_q(q)), lanes.equilibrium(lane)):
+                        for got, want, lead_i in zip((eq.x1, eq.x2), exact, lead):
+                            limit = 4 * eps * (max(lead_i, abs(want)) + 1)
+                            assert abs(decimal.Decimal(got) - want) <= limit, (v1, v2, q, eq)
+                checked += 1
+        assert sides == {False, True}  # interior efforts on both sides of 0
 
 
 def _log_impact_states(n: int, seed: int):

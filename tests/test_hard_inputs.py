@@ -201,13 +201,13 @@ def test_gap_roots_are_ahead_by_2048_in_ten_doublings(family, monkeypatch):
 
 @pytest.mark.filterwarnings("error")
 def test_interior_linear_impact_lanes_at_huge_prizes_stay_silent():
-    """At prizes (1e300, 1e300) every linear-impact lane is interior, and the
-    corner test's payoff slopes would overflow there: the lanes solve as the
-    scalar solves do, and nothing warns."""
+    """At prizes (1e300, 1e300) every linear-impact lane is interior, with both
+    efforts positive, and (v1 + v2)^2 would overflow there: the lanes solve as
+    the scalar solves do, and nothing warns."""
     spec = make_contest("blavatskyy-power", v1=1e300, v2=1e300, q=0.5, r=1.0)
     qs = [0.0, 0.25, 0.5, 1.0]
     lanes = tiebreak.equilibrium.solve_lanes(spec, qs, force=False)
-    assert lanes.errors == {} and not lanes.cornered.any()
+    assert lanes.errors == {} and np.all(lanes.x1 > 0.0) and np.all(lanes.x2 > 0.0)
     for i, q in enumerate(qs):
         eq = solve(spec.with_q(q))
         assert (float(lanes.x1[i]), float(lanes.x2[i])) == (eq.x1, eq.x2)
