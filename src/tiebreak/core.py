@@ -153,8 +153,9 @@ class CostKind(Enum):
     QUADRATIC_HALF = "quadratic_half"
 
     def cost(self, x):
-        """Cost of effort x; accepts scalars or arrays."""
-        return x if self is CostKind.LINEAR else 0.5 * x * x
+        """Cost of effort x; accepts scalars or arrays; past about 1.9e154 x^2 / 2 is a quiet inf."""
+        with np.errstate(over="ignore"):
+            return x if self is CostKind.LINEAR else 0.5 * x * x
 
     def break_even(self, prize: float) -> float:
         """The effort costing `prize`, above which staying out does better; where 2 prize

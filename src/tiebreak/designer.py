@@ -212,19 +212,21 @@ def _concave_optimum(spec: ContestSpec, qs: np.ndarray, lanes, totals: np.ndarra
     """Index of the best tie rule of a concave contest in its solved batch at `qs`,
     whose total efforts are `totals`.
 
-    The candidate is the smallest of q = 0, the argmax and q = 1 within the
-    improvement guard of the best.  It is returned only if it is an endpoint
-    where dR/dq points outward (<= 0 at q = 0, >= 0 at q = 1); an interior
-    candidate or an inward slope raises `ConvergenceError`.
+    The candidates are q = 0, the argmax and q = 1 within the improvement guard
+    of the best.  The first endpoint candidate where dR/dq points outward (<= 0
+    at q = 0, >= 0 at q = 1) is returned; else `ConvergenceError` names the
+    smallest candidate and its slope.
     """
     last, top = qs.size - 1, int(np.argmax(totals))
     guard = OPTIMAL_IMPROVEMENT_GUARD * (1.0 + abs(float(totals[top])))
-    i = min(j for j in (0, top, last) if totals[j] >= totals[top] - guard)
-    slope = total_effort_slope(spec, qs[i], lanes.x1[i], lanes.x2[i])
-    if (i == 0 and slope <= 0.0) or (i == last and slope >= 0.0):
-        return i
+    near = [j for j in (0, top, last) if totals[j] >= totals[top] - guard]
+    slope = lambda j: total_effort_slope(spec, qs[j], lanes.x1[j], lanes.x2[j])
+    for i, outward in ((0, -1.0), (last, 1.0)):
+        if i in near and outward * slope(i) >= 0.0:
+            return i
+    i = min(near)
     raise ConvergenceError(f"optimal tie rule not certified: the best of {qs.size} grid "
-                           f"points is q = {qs[i]:.17g}, where dR/dq = {slope:.17g}")
+                           f"points is q = {qs[i]:.17g}, where dR/dq = {slope(i):.17g}")
 
 
 def optimal_q(spec: ContestSpec, *, force: bool = False, audited: bool = False) -> OptimalQ:
@@ -236,9 +238,9 @@ def optimal_q(spec: ContestSpec, *, force: bool = False, audited: bool = False) 
     stronger player no tie share (rationale "theorem"), or any q when prizes are
     equal (q = 0, rationale "indifferent"); the curve's best point wins only if
     it beats that candidate beyond a determinism guard (rationale "numeric").
-    Concave contests (rationale "numeric") take the curve's best point, which
-    must be an endpoint certified by the outward sign of dR/dq; any other point
-    raises `ConvergenceError`.  Failures are raised as `sweep` raises them."""
+    Concave contests (rationale "numeric") take an endpoint within the guard of
+    the curve's best point, certified by the outward sign of dR/dq; without one
+    they raise `ConvergenceError`.  Failures are raised as `sweep` raises them."""
     vals = spec.valuations
     qs, lanes, totals = _grid_lanes(spec.with_q(0.0), CROSS_CHECK_POINTS, force)
     if spec.csf.kind == "concave":

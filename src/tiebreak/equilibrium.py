@@ -9,7 +9,7 @@ where log z' is nearly linear; each effort is then prize times slope.
 Concave-impact contests solve the two first-order conditions directly:
 analytically when the impact is linear, where the contest has exactly one
 equilibrium (see `_lottery`), and otherwise by Newton's method with
-backtracking in log-impact coordinates g_i = log(x_i^r).
+backtracking in log efforts y_i = log x_i.
 
 `solve(spec)` is the one way in for one tie rule, `solve_lanes(spec, qs)` for
 many.  Each runs one prologue: it checks family kind, the audited
@@ -165,9 +165,9 @@ def _gap_residual(resid: float, limit: float) -> ConvergenceError:
     return ConvergenceError(f"effort-gap residual {resid:.3e} exceeds {limit:.3e}")
 
 
-def _effort_underflow(g1: float, g2: float, r: float) -> ConvergenceError:
+def _effort_underflow(y1: float, y2: float, r: float) -> ConvergenceError:
     return ConvergenceError(f"an equilibrium effort underflows double precision "
-                            f"(log-impacts {g1:.6g}, {g2:.6g} at r = {r})")
+                            f"(log-impacts {r * y1:.6g}, {r * y2:.6g} at r = {r})")
 
 
 def _newton_residual(x1: float, x2: float, r1: float, r2: float) -> ConvergenceError:
@@ -214,13 +214,19 @@ def _reordered(first_ok, first, second, xp: Ops):
 def _ratio_range(vals: Valuations, slope, xp: Ops):
     """Efforts and range gate of a ratio closed form at slope z_q'(beta): a
     subnormal slope or weak effort has too few bits for a rounding-level
-    residual, and the strong effort v1 * beta * slope, formed as
-    v1 * (beta * slope) where that order overflows, can overflow at finite prizes."""
-    strong = vals.v1 * vals.beta * slope
-    strong = _reordered(strong != math.inf, strong, lambda: vals.v1 * (vals.beta * slope), xp)
-    weak = vals.v2 * vals.beta * slope
+    residual, and each effort v_i * beta * slope, formed as v_i * (beta * slope)
+    where that order overflows, can overflow at finite prizes.  As v2 <= v1 and
+    rounding is monotone, the weak effort overflows, in either order, only where
+    the strong one does, so the strong effort's test and gate serve both."""
+    beta = vals.beta
+    strong, weak = vals.v1 * beta * slope, vals.v2 * beta * slope
+    over = strong == math.inf
+    if xp.live(over):
+        strong = xp.select(over, vals.v1 * (beta * slope), strong)
+        weak = xp.select(weak == math.inf, vals.v2 * (beta * slope), weak)
+        over = strong == math.inf
     underflow = (slope < _TINY) | (weak < _TINY)
-    return strong, weak, (underflow | (strong == math.inf), _ratio_range_error, slope, underflow)
+    return strong, weak, (underflow | over, _ratio_range_error, slope, underflow)
 
 
 def _ratio(csf, vals, q_int, xp: Ops):
@@ -399,72 +405,77 @@ def _lottery(v1: float, v2: float, q_int, xp: Ops = FLOATS):
     return x1, x2, cornered
 
 
-def _log_impact_foc(g1, g2, log_rv1, log_rv2, c, log_head1, log_head2, xp: Ops = FLOATS):
-    """First-order conditions of a power-impact contest in g_i = log(x_i^r).
+def _log_impact_foc(y1, y2, log_rv1, log_rv2, r, log_head1, log_head2, xp: Ops = FLOATS):
+    """First-order conditions of a power-impact contest in log efforts y_i = log x_i.
 
-    G_i = log(r v_i) - c g_i + log a_i - 2 log T is the log of marginal
-    benefit over marginal cost, with c = (1 - r) / r, f_i = e^(g_i),
-    T = f1 + f2 + 1, a1 = f2 + (1 - q1) and a2 = f1 + q1 (the log heads are
-    log(1 - q1) and log(q1)).  Returns the rows G1, G2, J11, J12, J21, J22,
-    S1, S2: G, its exact Jacobian (row-major) and each G_i's summed term
-    magnitudes, the scale of its rounding error.  One tie rule takes math's
-    `exp` and `logaddexp` on floats, lanes NumPy's on arrays (`xp`).
-    Every exponential has a nonpositive argument, so nothing overflows.
+    G_i = log(r v_i) - c y_i + log a_i - 2 log T is the log of marginal benefit
+    over marginal cost, with c = 1 - r, f_i = e^(r y_i) = x_i^r, T = f1 + f2 + 1,
+    a1 = f2 + (1 - q1) and a2 = f1 + q1 (the log heads are log(1 - q1) and
+    log(q1)).  Returns the rows G1, G2, J11, J12, J21, J22, S1, S2: G, its exact
+    Jacobian in y (row-major) and each G_i's summed term magnitudes, the scale of
+    its rounding error.  One tie rule takes math's `exp` and `logaddexp` on
+    floats, lanes NumPy's on arrays (`xp`).  Every exponential has a nonpositive
+    argument and every Jacobian entry is at most 2 in magnitude, so nothing overflows.
     """
-    exp, logaddexp = xp.exp, xp.logaddexp
+    exp, logaddexp, c, two_r = xp.exp, xp.logaddexp, 1.0 - r, 2.0 * r
+    g1, g2 = r * y1, r * y2  # the log-impacts log f_i
     log_t = logaddexp(logaddexp(g1, g2), 0.0)
     log_a1 = logaddexp(g2, log_head1)
     log_a2 = logaddexp(g1, log_head2)
-    two_log_t, c_g1, c_g2 = 2.0 * log_t, c * g1, c * g2
-    two_s1, two_s2 = 2.0 * exp(g1 - log_t), 2.0 * exp(g2 - log_t)
-    return (log_rv1 - c_g1 + log_a1 - two_log_t, log_rv2 - c_g2 + log_a2 - two_log_t,
-            -c - two_s1, exp(g2 - log_a1) - two_s2,
-            exp(g1 - log_a2) - two_s1, -c - two_s2,
-            abs(log_rv1) + abs(c_g1) + abs(log_a1) + two_log_t,
-            abs(log_rv2) + abs(c_g2) + abs(log_a2) + two_log_t)
+    two_log_t, c_y1, c_y2 = 2.0 * log_t, c * y1, c * y2
+    two_rs1, two_rs2 = two_r * exp(g1 - log_t), two_r * exp(g2 - log_t)
+    return (log_rv1 - c_y1 + log_a1 - two_log_t, log_rv2 - c_y2 + log_a2 - two_log_t,
+            -c - two_rs1, r * exp(g2 - log_a1) - two_rs2,
+            r * exp(g1 - log_a2) - two_rs1, -c - two_rs2,
+            abs(log_rv1) + abs(c_y1) + abs(log_a1) + two_log_t,
+            abs(log_rv2) + abs(c_y2) + abs(log_a2) + two_log_t)
+
+
+def _log_impact_consts(r: float, v1: float, v2: float, q_int, xp: Ops):
+    """The arguments of `_log_impact_foc` after (y1, y2), at tie share(s) q_int."""
+    return (math.log(r) + math.log(v1), math.log(r) + math.log(v2), r,
+            xp.log(1.0 - q_int), xp.log(q_int), xp)
 
 
 def _concave_newton(csf, v1: float, v2: float, q_int, xp: Ops = FLOATS):
-    """Log-impacts (g1, g2) of the interior equilibrium of a power-impact
+    """Log efforts (y1, y2) of the interior equilibrium of a power-impact
     contest with exponent below one, for one tie rule or lanes (`xp`, see `Ops`).
 
-    Newton's method on `_log_impact_foc` from g_i = r log(v_i / 4), with
+    Newton's method on `_log_impact_foc` from y_i = log v_i - log 4, with
     backtracking on the squared residual norm, for at most `MAX_ITERATIONS`
     steps; a lane stops at the rounding floor or when backtracking fails.
-    The caller checks the efforts e^(g_i / r) and their residuals in effort space.
+    The caller checks the efforts e^(y_i) and their residuals in effort space.
+    As y = g / r is linear in the log-impacts g_i = r y_i, the iterates are
+    those of Newton in g in exact arithmetic (Newton is affine invariant), but
+    r never divides here, so every double r in (0, 1) is solved alike.
 
-    Every step exists.  With s_i = f_i / T, J12 = f2 (a2 - a1) / (a1 T) and J21 =
-    f1 (a1 - a2) / (a2 T) have opposite signs, so det J = (c + 2 s1)(c + 2 s2) - J12 J21
-    = c^2 + 2c (s1 + s2) + f1 f2 / (a1 a2) adds nonnegative terms, c^2 > 1.2e-32 at every
-    double r < 1; J12 J21 rounds positive only where a1 ~ a2 puts both at rounding level,
-    far below J11 J22 >= c^2 + 4 s1 s2.  So -J has a positive diagonal and determinant on
-    R^2, G is one-to-one (Gale and Nikaido, Math. Ann. 159, 1965), and as no equilibrium
-    has a zero effort (its marginal impact is infinite at a positive rival head, and at
-    (0, 0) one head, 1 - q1 or q1, is >= 1/2), the root is the contest's one equilibrium.
-    Past c of 1.3e154, where (c + 2)^2 >= |J11 J22| overflows, `_schur_step` forms the step.
+    Every step exists.  With s_i = f_i / T, J12 = r f2 (a2 - a1) / (a1 T) and J21 =
+    r f1 (a1 - a2) / (a2 T) have opposite signs, so det J = (1 - r + 2r s1)(1 - r + 2r s2)
+    - J12 J21 = (1 - r)^2 + 2r (1 - r)(s1 + s2) + r^2 f1 f2 / (a1 a2) adds nonnegative
+    terms, (1 - r)^2 >= 2^-106 > 1.2e-32 at every double r < 1; J12 J21 rounds positive
+    only where a1 ~ a2 puts both at rounding level, far below J11 J22 >= (1 - r)^2.  As
+    every entry is at most 2 in magnitude, det J neither overflows nor is 0 at any r.  So
+    -J has a positive diagonal and determinant on R^2, G is one-to-one (Gale and Nikaido,
+    Math. Ann. 159, 1965), and as no equilibrium has a zero effort (its marginal impact is
+    infinite at a positive rival head, and at (0, 0) one head, 1 - q1 or q1, is >= 1/2),
+    the root is the contest's one equilibrium.
     """
-    select, live, r = xp.select, xp.live, csf.r
-    c, zero = (1.0 - r) / r, 0.0 * q_int
-    consts = (math.log(r) + math.log(v1), math.log(r) + math.log(v2), c,
-              xp.log(1.0 - q_int), xp.log(q_int), xp)
-    wide = (c + 2.0) * (c + 2.0) == math.inf  # J11 J22 can overflow: see `_schur_step`
-    g1, g2 = zero + r * math.log(v1 / 4.0), zero + r * math.log(v2 / 4.0)
-    state, moving = (g1, g2, *_log_impact_foc(g1, g2, *consts)), True
+    select, live = xp.select, xp.live
+    consts, zero = _log_impact_consts(csf.r, v1, v2, q_int, xp), 0.0 * q_int
+    y1, y2 = zero + (math.log(v1) - math.log(4.0)), zero + (math.log(v2) - math.log(4.0))
+    state, moving = (y1, y2, *_log_impact_foc(y1, y2, *consts)), True
     for _ in range(MAX_ITERATIONS):
-        g1, g2, G1, G2, J11, J12, J21, J22, S1, S2 = state
+        y1, y2, G1, G2, J11, J12, J21, J22, S1, S2 = state
         at_rounding_floor = (abs(G1) <= 4.0 * _EPS * S1) & (abs(G2) <= 4.0 * _EPS * S2)
         moving = moving & (at_rounding_floor ^ True)
         if not live(moving):
             break
-        if wide:
-            d1, d2 = _schur_step(G1, G2, J11, J12, J21, J22)
-        else:
-            det = J11 * J22 - J12 * J21
-            d1, d2 = (G1 * J22 - G2 * J12) / det, (J11 * G2 - J21 * G1) / det
+        det = J11 * J22 - J12 * J21
+        d1, d2 = (G1 * J22 - G2 * J12) / det, (J11 * G2 - J21 * G1) / det
         norm, searching = G1 * G1 + G2 * G2, moving
         for halvings in range(40):
             t = 0.5**halvings
-            n1, n2 = g1 - t * d1, g2 - t * d2
+            n1, n2 = y1 - t * d1, y2 - t * d2
             trial = (n1, n2, *_log_impact_foc(n1, n2, *consts))
             done = searching & (trial[2] ** 2 + trial[3] ** 2 <= (1.0 - 1e-4 * t) * norm)
             state = select(done, trial, state) if live(done ^ True) else trial
@@ -475,28 +486,14 @@ def _concave_newton(csf, v1: float, v2: float, q_int, xp: Ops = FLOATS):
     return state[0], state[1]
 
 
-def _schur_step(G1, G2, J11, J12, J21, J22):
-    """J^-1 G by Schur complements, whose products never reach J11 J22 (see `_concave_newton`)."""
-    return ((G1 - G2 * (J12 / J22)) / (J11 - J12 * (J21 / J22)),
-            (G2 - G1 * (J21 / J11)) / (J22 - J21 * (J12 / J11)))
-
-
-def _newton_efforts(csf, v1: float, v2: float, q_int, xp: Ops = FLOATS):
-    """Efforts e^(g_i / r) of `_concave_newton`, and their underflow gate."""
-    r = csf.r
-    g1, g2 = _concave_newton(csf, v1, v2, q_int, xp)
-    x1, x2 = xp.exp(g1 / r), xp.exp(g2 / r)
-    return x1, x2, ((x1 < _TINY) | (x2 < _TINY), _effort_underflow, g1, g2, r)
-
-
 def total_effort_slope(spec: ContestSpec, q: float, x1: float, x2: float) -> float:
     """dR/dq of a concave contest at tie rule q, at equilibrium efforts x1, x2.
 
-    For r < 1, the implicit function theorem on the log-impact conditions
-    G(g; q1) = 0 of `_log_impact_foc` (internal labels) gives
-    dg/dq1 = -J^-1 dG/dq1 with dG/dq1 = (-1/a1, +1/a2), det J > 0 at every g
+    For r < 1, the implicit function theorem on the first-order conditions
+    G(y; q1) = 0 of `_log_impact_foc` (internal labels, y_i = log x_i) gives
+    dy/dq1 = -J^-1 dG/dq1 with dG/dq1 = (-1/a1, +1/a2), det J > 0 at every y
     (see `_concave_newton`, whose step rule forms J^-1 here too), and
-    dR/dq1 = sum_i (x_i / r) dg_i/dq1.  For r = 1, R is constant on the
+    dR/dq1 = sum_i x_i dy_i/dq1.  For r = 1, R is constant on the
     interior closed form, a lone entrant exerts sqrt(v_i (1 - q_i)) - 1, and
     `_lottery` at q tells which profile the equilibrium is.
     """
@@ -510,15 +507,12 @@ def total_effort_slope(spec: ContestSpec, q: float, x1: float, x2: float) -> flo
         elif cornered and x2 > 0.0:
             slope = 0.5 * math.sqrt(vals.v2 / q1)
     else:
-        g1, g2, c = r * math.log(x1), r * math.log(x2), (1.0 - r) / r
+        y1, y2 = math.log(x1), math.log(x2)
         _, _, J11, J12, J21, J22, _, _ = _log_impact_foc(
-            g1, g2, math.log(r * vals.v1), math.log(r * vals.v2), c,
-            FLOATS.log(1.0 - q1), FLOATS.log(q1))
-        dG1, dG2 = -1.0 / (math.exp(g2) + (1.0 - q1)), 1.0 / (math.exp(g1) + q1)
+            y1, y2, *_log_impact_consts(r, vals.v1, vals.v2, q1, FLOATS))
+        dG1, dG2 = -1.0 / (math.exp(r * y2) + (1.0 - q1)), 1.0 / (math.exp(r * y1) + q1)
         det = J11 * J22 - J12 * J21
-        dg1, dg2 = (_schur_step(-dG1, -dG2, J11, J12, J21, J22) if (c + 2.0) * (c + 2.0) == math.inf
-                    else ((J12 * dG2 - J22 * dG1) / det, (J21 * dG1 - J11 * dG2) / det))
-        slope = (x1 * dg1 + x2 * dg2) / r
+        slope = x1 * ((J12 * dG2 - J22 * dG1) / det) + x2 * ((J21 * dG1 - J11 * dG2) / det)
     return slope * (vals.tie_share(1.0) - vals.tie_share(0.0))  # times dq1/dq = +1 or -1
 
 
@@ -529,14 +523,16 @@ def _concave(csf, vals, q_int, xp: Ops):
     down by each player's own tie share.  When that shift drives an effort
     negative, the one equilibrium is an axis profile, which the closed
     form's own signs pick (see `_lottery`).  Concave impact with exponent
-    below one keeps both players active; the Newton solution in log-impact
-    coordinates fails with `ConvergenceError` if an effort underflows double
+    below one keeps both players active; the Newton solution in log efforts
+    fails with `ConvergenceError` if an effort underflows double
     precision, and the entry points accept it only if both effort-space
     residuals are within `ITERATIVE_RESIDUAL`.
     """
     if csf.r < 1.0:
-        x1, x2, gate = _newton_efforts(csf, vals.v1, vals.v2, q_int, xp)
-        return x1, x2, SolveMethod.FOC_SOLVE, (gate,)
+        y1, y2 = _concave_newton(csf, vals.v1, vals.v2, q_int, xp)
+        x1, x2 = xp.exp(y1), xp.exp(y2)
+        return x1, x2, SolveMethod.FOC_SOLVE, (((x1 < _TINY) | (x2 < _TINY), _effort_underflow,
+                                                y1, y2, csf.r),)
     x1, x2, _ = _lottery(vals.v1, vals.v2, q_int, xp)
     return x1, x2, SolveMethod.CLOSED_FORM, ()
 
@@ -544,7 +540,7 @@ def _concave(csf, vals, q_int, xp: Ops):
 def _concave_residuals(csf, v1, v2, q, x1, x2, xp: Ops):
     """No effort ratio or gap, and each player's payoff slope in own effort, prize * `_win_d1`
     less 1, in the caller's labels: -1 where the rival's head is 0, as `_win_d1` reads 0 there
-    at linear impact, and below it no head is 0, as g in each effort e^(g_i / r) is never NaN
+    at linear impact, and below it no head is 0, as y in each effort e^(y_i) is never NaN
     (Newton takes only trials whose residual norm falls) and the underflow gate fails x < `_TINY`."""
     return (None, v1 * csf._win_d1(x1, x2, q, xp) - 1.0,
             v2 * csf._win_d1(x2, x1, 1.0 - q, xp) - 1.0)

@@ -416,6 +416,34 @@ def test_ratio_products_that_overflow_only_in_one_order_solve(name, params, priz
         assert lanes.equilibrium(i) == solve(spec.with_q(q), force=True)
 
 
+# A larger prize within rounding of the largest double: v2 * beta rounds past it,
+# so the weak effort v2 * beta * slope overflowed where its other order,
+# v2 * (beta * slope), is finite (a bare ZeroDivisionError on `solve` and an inf
+# lane at the first contest, an infinite x1 returned at the second).  Each
+# family and entry point now ends in finite efforts at rounding-level residuals,
+# the lane that of `solve`, or in a typed error on both.
+RATIO_WEAK_OVERFLOWS = [
+    (dict(r=4.506823366702063e-61, k=1.0), (1.7976931348623157e308, 4.347397171339499e188), 1.0),
+    (dict(r=1.4091461243407474e-46, k=3.229814146782303e25),
+     (1.2558225404922047e133, 1.7976931348623157e308), 0.9986396432541841),
+]
+
+
+@pytest.mark.parametrize("name", ["jia-ratio", "vesperoni-ratio"])
+@pytest.mark.parametrize("params, prizes, q", RATIO_WEAK_OVERFLOWS)
+def test_ratio_weak_efforts_past_the_largest_double_end_finite_or_typed(name, params, prizes, q):
+    spec = make_contest(name, v1=prizes[0], v2=prizes[1], q=q, **params)
+    lanes = solve_lanes(spec, [q], force=True)
+    try:
+        eq = solve(spec, force=True)
+    except ContestError as error:
+        assert str(lanes.errors[0]) == str(error)
+        return
+    assert not lanes.errors and lanes.equilibrium(0) == eq
+    assert all(map(math.isfinite, (eq.x1, eq.x2, eq.beta)))
+    assert max(map(abs, eq.residuals)) <= 4.0 * sys.float_info.epsilon
+
+
 # Finite efforts whose total R = x1 + x2 passes the largest double: the
 # designer's totals raise `ConvergenceError` naming the smallest such q
 # (forced jia-ratio r = 8; R overflows only near the tie rule that favours

@@ -327,6 +327,37 @@ class TestConcaveOptimum:
         qs, optimum = self._stubbed_optimum(monkeypatch, totals, lambda q: slope)
         assert qs[optimum()] == q_star
 
+    # an interior argmax within the guard of both endpoints: the outward
+    # endpoint wins, q = 0 before q = 1, an inward q = 0 leaves it to q = 1,
+    # and inward slopes at both raise naming q = 0
+    @pytest.mark.parametrize("slope,q_star", [
+        (lambda q: -1.0, 0.0), (lambda q: 1.0, 1.0), (lambda q: 1.0 - 2.0 * q, None),
+    ], ids=["falling", "rising", "inward-at-both"])
+    def test_an_outward_endpoint_within_the_guard_beats_an_interior_argmax(
+            self, monkeypatch, slope, q_star):
+        bump = lambda q: 2.0 + 1e-13 * np.sin(np.pi * q)  # below the guard of 3e-12
+        qs, optimum = self._stubbed_optimum(monkeypatch, bump, slope)
+        if q_star is None:
+            with pytest.raises(ConvergenceError, match=r"q = 0, where dR/dq = 1$"):
+                optimum()
+        else:
+            assert qs[optimum()] == q_star
+
+    # bitscan draw 5369: near r = 1 the 101-point curve peaks next to an
+    # endpoint by 2.8e-7 of R = 1.27e7, 2e-14 relative, inside the guard of
+    # the endpoint, whose outward slope certifies it
+    @pytest.mark.parametrize("swapped", [False, True])
+    def test_a_rounding_level_interior_peak_leaves_the_endpoint_certified(self, swapped):
+        prizes = (13198565.790779846, 347397707.9985027)
+        v1, v2 = prizes[::-1] if swapped else prizes
+        spec = make_contest(family="blavatskyy-power", v1=v1, v2=v2, q=0.5,
+                            r=0.9999988862706624)
+        lanes = solve_lanes(spec, np.linspace(0.0, 1.0, designer_mod.CROSS_CHECK_POINTS))
+        assert int(np.argmax(lanes.x1 + lanes.x2)) == (1 if swapped else 99)
+        best = optimal_q(spec)
+        assert (best.q_star.q, best.rationale) == (0.0 if swapped else 1.0, Rationale.NUMERIC)
+        assert best.total_effort == pytest.approx(12715498.879519532, rel=1e-12)
+
     # linear impact with the interior closed form at every q: R is flat up to
     # rounding, so the grid argmax sits inside (0, 1) but the candidate is q = 0
     @pytest.mark.parametrize("v1,v2,total", [

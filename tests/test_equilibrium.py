@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import decimal
+import fractions
 import math
 import random
 import re
@@ -15,15 +16,18 @@ from tiebreak import (
     ConvergenceError,
     CostKind,
     Equilibrium,
+    RandomTieRule,
     SolveMethod,
     ValidationError,
     Valuations,
+    expected_effort,
     make_contest,
     make_family,
     optimal_q,
     solve,
     solve_beta,
     solve_many,
+    sweep,
 )
 import tiebreak.equilibrium as equilibrium_mod
 from tiebreak.audit import audit_family
@@ -283,25 +287,50 @@ class TestConcaveSolver:
         assert best.q_star.q == q_star
         assert best.total_effort == pytest.approx(solve(spec.with_q(q_star)).total, rel=1e-15)
 
-    @pytest.mark.parametrize("r", [1e-155, 1e-200, 1e-300, 1e-305])
-    def test_exponents_past_an_overflowing_determinant_solve(self, r):
-        """Below r of about 7.5e-155, c = (1 - r) / r passes 1.3e154 and J11 J22, so
-        Cramer's det J, would overflow; Newton steps by Schur complements instead.  The efforts
-        are r times their r -> 0 limits (8/15, 14/75), on `solve` and on a
-        `solve_many` lane, and `optimal_q` certifies q = 0 by dR/dq."""
-        spec = make_contest("blavatskyy-power", v1=3.0, v2=1.2, q=0.4, r=r)
+    @pytest.mark.parametrize("r, prizes", [(1e-155, (3.0, 1.2)), (1e-200, (3.0, 1.2)),
+                                           (1e-300, (3.0, 1.2)), (1e-305, (3.0, 1.2)),
+                                           (1e-309, (1e300, 4e299)), (5e-324, (1e300, 4e299))])
+    def test_exponents_far_below_one_solve(self, r, prizes):
+        """Far below linear impact each effort is within 1e-12 of its r -> 0 limit
+        x_i = r v_i a_i / 9, with a1 = 2 - q1 and a2 = 1 + q1 (impacts x^r -> 1, T -> 3),
+        formed in 60-digit `decimal` from the given doubles, on `solve`, on a `solve_many`
+        lane and at `optimal_q`'s q = 0, certified by dR/dq.  In the log-impacts r log x_i,
+        Newton's determinant overflows below r of about 7.5e-155, and c = (1 - r) / r is
+        inf at a subnormal r; in the log efforts every Jacobian entry is at most 2."""
+        (v1, v2), q = prizes, 0.4
+        spec = make_contest("blavatskyy-power", v1=v1, v2=v2, q=q, r=r)
+
+        def limits(q1):
+            with decimal.localcontext() as ctx:
+                ctx.prec = 60
+                d = decimal.Decimal
+                return (d(r) * d(v1) * (2 - d(q1)) / 9, d(r) * d(v2) * (1 + d(q1)) / 9)
+
         eq = solve(spec)
-        (lane,) = solve_many(spec, [spec.q])
+        (lane,) = solve_many(spec, [q])
         assert lane == eq and eq.method is SolveMethod.FOC_SOLVE
-        assert (eq.x1 / r, eq.x2 / r) == pytest.approx((8.0 / 15.0, 14.0 / 75.0), rel=1e-12)
         assert max(abs(res) for res in eq.residuals) <= 1e-12
         best = optimal_q(spec)
-        assert best.q_star.q == 0.0 and best.total_effort / r == pytest.approx(0.8, rel=1e-12)
+        assert best.q_star.q == 0.0
+        for got, q1 in ((eq, q), (best, 0.0)):
+            for x, limit in zip((got.x1, got.x2), limits(q1)):
+                assert abs(decimal.Decimal(x) - limit) <= decimal.Decimal("1e-12") * limit, (got, q1)
 
-    def test_an_effort_below_the_normal_range_still_underflows(self):
-        spec = make_contest("blavatskyy-power", v1=3.0, v2=1.2, q=0.4, r=1e-308)
+    @pytest.mark.parametrize("r", [1e-308, 1e-309, 5e-324])
+    def test_an_effort_below_the_normal_range_still_underflows(self, r):
+        spec = make_contest("blavatskyy-power", v1=3.0, v2=1.2, q=0.4, r=r)
         with pytest.raises(ConvergenceError, match="underflows double precision"):
             solve(spec)
+
+    def test_a_least_subnormal_prize_raises_the_underflow_error(self):
+        """At v2 = 1e-323, v2 / 4 rounds to 0, so a Newton start formed as log(v / 4)
+        raised a bare "math domain error"; from log v - log 4 every entry point raises the
+        typed underflow error."""
+        spec = make_contest("blavatskyy-power", v1=3.0, v2=1e-323, q=0.4, r=0.5)
+        for call in (solve, lambda s: solve_many(s, [0.0, 0.4, 1.0]), lambda s: sweep(s, 11),
+                     optimal_q, lambda s: expected_effort(s, RandomTieRule([(0.4, 1.0)]))):
+            with pytest.raises(ConvergenceError, match="underflows double precision"):
+                call(spec)
 
     def test_concave_impact_square_root_anchors(self):
         csf = make_family("blavatskyy-power", r=0.5)
@@ -339,25 +368,26 @@ class TestConcaveSolver:
         assert time.perf_counter() - started < 0.1
 
     def test_log_impact_jacobian_matches_central_differences(self):
+        """`_log_impact_foc`'s Jacobian in the log efforts y against central differences."""
         h = 1e-6
         for r, v1, v2, q in [(0.5, 4.0, 2.0, 0.3), (0.9, 4.0, 0.5, 0.0),
                              (0.2, 7.0, 1.0, 1.0), (0.7, 1e3, 1e-3, 0.5)]:
-            args = (math.log(r * v1), math.log(r * v2), (1.0 - r) / r,
+            args = (math.log(r * v1), math.log(r * v2), r,
                     math.log(1.0 - q) if q < 1.0 else -math.inf,
                     math.log(q) if q > 0.0 else -math.inf)
-            for g in [(0.3, -0.8), (-2.0, 1.5), (-9.0, -0.1)]:
-                jac = _log_impact_foc(*g, *args)[2:6]
+            for y in [(0.3, -0.8), (-2.0, 1.5), (-9.0, -0.1)]:
+                jac = _log_impact_foc(*y, *args)[2:6]
                 numeric = []
                 for i in range(2):
-                    up = list(g)
-                    down = list(g)
+                    up = list(y)
+                    down = list(y)
                     up[i] += h
                     down[i] -= h
                     g_up = _log_impact_foc(*up, *args)[:2]
                     g_down = _log_impact_foc(*down, *args)[:2]
                     numeric.append([(a - b) / (2.0 * h) for a, b in zip(g_up, g_down)])
                 fd = (numeric[0][0], numeric[1][0], numeric[0][1], numeric[1][1])
-                assert max_rel_err(fd, jac) <= FD_REL_TOL, (r, q, g)
+                assert max_rel_err(fd, jac) <= FD_REL_TOL, (r, q, y)
 
     def test_exhausted_iteration_budget_raises(self, monkeypatch):
         csf = make_family("blavatskyy-power", r=0.5)
@@ -523,65 +553,74 @@ class TestLinearImpactUniqueness:
 
 
 def _log_impact_states(n: int, seed: int):
-    """Seeded (g1, g2, c, q1) states of `_log_impact_foc`: exponents up to the
-    last double below 1, tie shares at and next to 0 and 1, and log-impacts
-    across [-800, 50], every other one with a1 = f2 + 1 - q1 near a2 = f1 + q1,
-    where J12 and J21 sit at rounding level."""
+    """Seeded (y1, y2, r, q1) states of `_log_impact_foc`: exponents from the least
+    subnormal to the last double below 1, tie shares at and next to 0 and 1, and log
+    efforts across [-800, 800], every other one with a1 = f2 + 1 - q1 near
+    a2 = f1 + q1 (f_i = e^(r y_i)), where J12 and J21 sit at rounding level."""
     rng = random.Random(seed)
-    rs, qs = (1.0 - 1e-16, 1.0 - 1e-12, 0.999999, 0.5, 1e-3), (0.0, 1.0, 1e-300, 1.0 - 1e-16, 0.5)
+    rs = (5e-324, 1e-309, 1e-155, 1e-3, 0.5, 0.999999, 1.0 - 1e-12, 1.0 - 2.0**-53)
+    qs = (0.0, 1.0, 1e-300, 1.0 - 1e-16, 0.5)
     for i in range(n):
         r = rng.choice(rs) if i % 3 else rng.uniform(1e-3, 1.0)
         q1 = rng.choice(qs) if i % 5 else rng.random()
-        g1, g2 = rng.uniform(-800.0, 50.0), rng.uniform(-800.0, 50.0)
+        y1, y2 = rng.uniform(-800.0, 800.0), rng.uniform(-800.0, 800.0)
         if i % 2:
-            g1 = rng.uniform(-5.0, 30.0)
+            g1 = rng.uniform(-5.0, 30.0) * min(1.0, r * 800.0)
             head = math.exp(g1) + 2.0 * q1 - 1.0  # f2 with a1 = a2
             if head > 0.0:
-                g2 = math.log(head) + rng.choice((0.0, 1e-15, -1e-15, 1e-9))
-        yield g1, g2, (1.0 - r) / r, q1
+                y = g1 / r, (math.log(head) + rng.choice((0.0, 1e-15, -1e-15, 1e-9))) / r
+                if all(map(math.isfinite, y)):
+                    y1, y2 = y
+        yield y1, y2, r, q1
 
 
 class TestLogImpactJacobianIsNeverSingular:
-    """Below linear impact, det J = c^2 + 2c (s1 + s2) + f1 f2 / (a1 a2) > 0
-    with J12 J21 <= 0, so every Newton step exists and the contest has one
-    equilibrium (the proof is `equilibrium._concave_newton`'s docstring)."""
+    """Below linear impact, the Jacobian in the log efforts y has det J =
+    (1 - r)^2 + 2r (1 - r)(s1 + s2) + r^2 f1 f2 / (a1 a2) >= (1 - r)^2 with
+    J12 J21 <= 0 and every entry at most 2, so every Newton step exists at every
+    double r < 1 and the contest has one equilibrium (the proof is
+    `equilibrium._concave_newton`'s docstring)."""
 
     STATES = 20000
 
     def test_computed_determinant_is_positive_on_both_instances(self):
-        g1, g2, c, q1 = (np.array(column) for column in zip(*_log_impact_states(self.STATES, 59)))
+        y1, y2, r, q1 = (np.array(column) for column in zip(*_log_impact_states(self.STATES, 59)))
         with np.errstate(divide="ignore"):
-            lanes = _log_impact_foc(g1, g2, 0.0, 0.0, c, np.log(1.0 - q1), np.log(q1), LANES)
-        floats = [_log_impact_foc(*g, 0.0, 0.0, c_i, FLOATS.log(1.0 - q), FLOATS.log(q))
-                  for *g, c_i, q in zip(g1.tolist(), g2.tolist(), c.tolist(), q1.tolist())]
+            lanes = _log_impact_foc(y1, y2, 0.0, 0.0, r, np.log(1.0 - q1), np.log(q1), LANES)
+        floats = [_log_impact_foc(*y, 0.0, 0.0, r_i, FLOATS.log(1.0 - q), FLOATS.log(q))
+                  for *y, r_i, q in zip(y1.tolist(), y2.tolist(), r.tolist(), q1.tolist())]
         flipped = 0
         for J11, J12, J21, J22 in (lanes[2:6], [np.array(row) for row in zip(*floats)][2:6]):
             det, cross = J11 * J22 - J12 * J21, J12 * J21
-            assert np.all(det > 0.0)
+            assert np.all(det >= (1.0 - r) ** 2 * (1.0 - 4.0 * sys.float_info.epsilon))
+            assert np.all(np.abs((J11, J12, J21, J22)) <= 2.0)
             # a rounding-flipped product is far below J11 J22
             assert np.all((cross <= 0.0) | (cross < J11 * J22 * sys.float_info.epsilon))
             flipped += np.count_nonzero(cross > 0.0)
         assert flipped > 0  # the scan reaches the rounding-level products
 
-    def test_determinant_identity_in_decimal(self):
+    def test_determinant_identity_in_exact_arithmetic(self):
         """det J and J12 J21 from J's entries as `_log_impact_foc` forms them,
-        f_i / a_i less 2 s_i, at 60 digits, against the proof's closed form;
-        the float determinant agrees to rounding."""
-        with decimal.localcontext() as ctx:
-            ctx.prec = 60
-            for g1, g2, c, q1 in _log_impact_states(40, 5):
-                d = [decimal.Decimal(v) for v in (g1, g2, c, q1)]
-                f1, f2, c_d, q_d = d[0].exp(), d[1].exp(), d[2], d[3]
-                t, a1, a2 = f1 + f2 + 1, f2 + (1 - q_d), f1 + q_d
-                s1, s2 = f1 / t, f2 / t
-                J11, J22 = -c_d - 2 * s1, -c_d - 2 * s2
-                J12, J21 = f2 / a1 - 2 * s2, f1 / a2 - 2 * s1
-                det = J11 * J22 - J12 * J21
-                closed = c_d * c_d + 2 * c_d * (s1 + s2) + f1 * f2 / (a1 * a2)
-                assert abs(det - closed) <= decimal.Decimal("1e-55") * closed
-                assert J12 * J21 <= 0
-                J = _log_impact_foc(g1, g2, 0.0, 0.0, c, FLOATS.log(1.0 - q1), FLOATS.log(q1))[2:6]
-                assert abs(J[0] * J[3] - J[1] * J[2] - float(closed)) <= 1e-13 * float(closed)
+        r (f_i / a_i - 2 s_j) off the diagonal, with f_i = e^(r y_i) to 400 digits
+        and everything after it exact rationals: det J equals the proof's closed
+        form and J12 J21 <= 0 at every r, the least subnormal included; the float
+        determinant agrees to rounding."""
+        for y1, y2, r, q1 in _log_impact_states(40, 5):
+            with decimal.localcontext() as ctx:
+                ctx.prec = 400
+                f1, f2 = (fractions.Fraction((decimal.Decimal(r) * decimal.Decimal(y)).exp())
+                          for y in (y1, y2))
+            r_f, q_f = fractions.Fraction(r), fractions.Fraction(q1)
+            t, a1, a2 = f1 + f2 + 1, f2 + (1 - q_f), f1 + q_f
+            s1, s2 = f1 / t, f2 / t
+            J11, J22 = -(1 - r_f) - 2 * r_f * s1, -(1 - r_f) - 2 * r_f * s2
+            J12, J21 = r_f * (f2 / a1 - 2 * s2), r_f * (f1 / a2 - 2 * s1)
+            closed = ((1 - r_f) ** 2 + 2 * r_f * (1 - r_f) * (s1 + s2)
+                      + r_f * r_f * f1 * f2 / (a1 * a2))
+            assert J11 * J22 - J12 * J21 == closed
+            assert J12 * J21 <= 0
+            J = _log_impact_foc(y1, y2, 0.0, 0.0, r, FLOATS.log(1.0 - q1), FLOATS.log(q1))[2:6]
+            assert abs(J[0] * J[3] - J[1] * J[2] - float(closed)) <= 1e-13 * float(closed)
 
 
 class TestDispatch:

@@ -339,6 +339,15 @@ class TestVerify:
         assert max(report.payoff_losses) <= 1e-6
         assert report.nash_distance <= grid.h
 
+    def test_quadratic_costs_past_the_double_range_are_quiet(self):
+        """At a prize near the largest double the grid reaches about 1.9e154, where the
+        quadratic cost x^2 / 2 overflows to inf: the cost has its sign, the verdict
+        stands and no NumPy overflow warning leaks (the suite makes one an error)."""
+        spec = make_contest(family="jia-diff", v1=1.7e308, v2=1e300, q=0.3, k=2)
+        grid = GridSpec.for_contest(spec, 21)
+        assert grid.x_max > 1.9e154
+        assert verify(spec, solve(spec, force=True), grid).passed
+
     def test_all_zero_profile_rejected_for_tullock(self):
         report = verify(TULLOCK, (0.0, 0.0), GridSpec(x_max=1.0, steps=501))
         assert not report.passed

@@ -375,19 +375,19 @@ BACKTRACKING = [
 @pytest.mark.parametrize("budget", [1, 2, 3, 5, 8])
 def test_truncated_newton_lanes_take_the_scalar_steps(budget, monkeypatch):
     """The lane instance of the Newton body ends each lane where its float
-    instance ends, to the rounding of math's and NumPy's log and exp."""
+    instance ends, to the rounding of math's and NumPy's log and exp: the log
+    efforts y, the log-impacts r y the underflow error quotes, and the efforts e^y."""
     monkeypatch.setattr(equilibrium_mod, "MAX_ITERATIONS", budget)
     for r, v1, v2, q in BACKTRACKING:
         csf = BlavatskyyPower(r)
         qs = np.array([q, 0.0, 0.5, 1.0])
         with np.errstate(all="ignore"):
-            g1, g2 = _concave_newton(csf, v1, v2, qs, LANES)
+            y1, y2 = _concave_newton(csf, v1, v2, qs, LANES)
         for lane, q_lane in enumerate(qs):
             s1, s2 = _concave_newton(csf, v1, v2, float(q_lane))
-            # the underflow error's text, and the efforts
-            assert f"{g1[lane]:.6g}, {g2[lane]:.6g}" == f"{s1:.6g}, {s2:.6g}"
-            assert math.exp(g1[lane] / r) == pytest.approx(math.exp(s1 / r), rel=1e-12, abs=0.0)
-            assert math.exp(g2[lane] / r) == pytest.approx(math.exp(s2 / r), rel=1e-12, abs=0.0)
+            assert f"{r * y1[lane]:.6g}, {r * y2[lane]:.6g}" == f"{r * s1:.6g}, {r * s2:.6g}"
+            assert math.exp(y1[lane]) == pytest.approx(math.exp(s1), rel=1e-12, abs=0.0)
+            assert math.exp(y2[lane]) == pytest.approx(math.exp(s2), rel=1e-12, abs=0.0)
 
 
 def test_gap_root_lanes_on_both_sides_of_the_log_form():
