@@ -21,20 +21,22 @@ which choose the instance: `solve` `FLOATS`, cheaper for one tie rule than
 array code, `solve_lanes` `LANES` over q, one lane per tie rule, each
 iterative lane stopping on its own and then holding its values.  Routes solve
 stronger-player-first and return their acceptance tests as gates, which only
-the entry points apply: `solve` raises the first failing gate's error,
-`solve_lanes` gives each failing lane the error of the first gate it fails.
-Each entry point then maps the efforts to the caller's labels by
-`Valuations.in_order`, evaluates the first-order residuals there and gates
-iterative solves: `solve` returns an `Equilibrium`, `solve_lanes` arrays
-(`Lanes`) with each failing lane's error.  Routes call only the families'
-unchecked kernels, which take the same primitives.  `solve_beta` is the one
-raw-input helper, the effort-gap root of a difference-form contest.
+the entry points apply, and nothing else: `solve` raises the first failing
+gate's error, `solve_lanes` gives each failing lane the error of the first gate
+it fails.  Each entry point then maps the efforts to the caller's labels by
+`Valuations.in_order` and evaluates the first-order residuals there: `solve`
+returns an `Equilibrium`, `solve_lanes` arrays (`Lanes`) with each failing
+lane's error.  Routes call only the families' unchecked kernels, which take
+the same primitives.  `solve_beta` is the one raw-input helper, the effort-gap
+root of a difference-form contest.
 
 Every solver returns an `Equilibrium` carrying per-player first-order
 residuals evaluated at the returned profile, corner flags, and any warnings
 (notably `UNCHECKED_ASSUMPTIONS_WARNING` where the family's audit fails at
-the larger prize).  Residual targets and iteration budgets are the module
-constants below, shared by both instances and read at call time.
+the larger prize).  The effort-gap residual target and the iteration budget
+are the module constants below, shared by both instances and read at call
+time; a concave Newton solve is accepted at its own rounding floor, which
+scales with the terms of its first-order conditions (see `_concave_newton`).
 """
 from __future__ import annotations
 
@@ -54,9 +56,6 @@ _TINY = sys.float_info.min
 
 BETA_RESIDUAL = 1e-12
 """Accepted effort-gap residual, relative to max(1, v1 - v2)."""
-
-ITERATIVE_RESIDUAL = 1e-9
-"""Accepted first-order residual of a Newton-solved concave equilibrium."""
 
 MAX_ITERATIONS = 100
 """Step budget of the gap root and of the concave Newton solve."""
@@ -98,7 +97,7 @@ class Equilibrium(JsonRecord):
     def __post_init__(self) -> None:
         try:
             if not (self.x1 >= 0.0 and self.x2 >= 0.0):
-                raise _negative_efforts(self.x1, self.x2)
+                raise ValidationError(f"efforts must be >= 0, got ({self.x1}, {self.x2})")
             if len(self.residuals) != 2 or len(self.corner_flags) != 2:
                 raise ValidationError("residuals and corner_flags must have one entry per player")
         except TypeError:  # a field of the wrong type: a pair by its own check, else an effort
@@ -127,10 +126,9 @@ class Lanes:
     """One contest at the tie rules `q`, one array entry per lane.
 
     The route solves stronger-player-first on the lane instance; `solve_lanes`
-    applies its gates, maps its efforts to the caller's labels, evaluates the
-    residuals there and gates iterative lanes (`beta` None for concave
-    contests).  `errors` maps each failing lane, whose entries mean nothing,
-    to its scalar solve's error.
+    applies its gates, maps its efforts to the caller's labels and evaluates
+    the residuals there (`beta` None for concave contests).  `errors` maps each
+    failing lane, whose entries mean nothing, to its scalar solve's error.
     """
 
     q: np.ndarray
@@ -152,10 +150,6 @@ class Lanes:
 
 # Errors shared by both instances of the routes, so a lane fails as its scalar
 # solve does.
-def _negative_efforts(x1: float, x2: float) -> ValidationError:
-    return ValidationError(f"efforts must be >= 0, got ({x1}, {x2})")
-
-
 def _ratio_range_error(slope: float, underflow) -> ConvergenceError:
     side = "underflow" if underflow else "overflow"
     return ConvergenceError(f"closed-form efforts {side} double precision (slope {slope})")
@@ -170,12 +164,10 @@ def _effort_underflow(y1: float, y2: float, r: float) -> ConvergenceError:
                             f"(log-impacts {r * y1:.6g}, {r * y2:.6g} at r = {r})")
 
 
-def _newton_residual(x1: float, x2: float, r1: float, r2: float) -> ConvergenceError:
-    return ConvergenceError(
-        f"Newton solve did not reach residual {ITERATIVE_RESIDUAL:.1e} within "
-        f"{MAX_ITERATIONS} iterations; last iterate ({x1}, {x2}) "
-        f"with residuals ({r1:.3e}, {r2:.3e})"
-    )
+def _newton_residual(y1: float, y2: float, r: float) -> ConvergenceError:
+    return ConvergenceError(f"Newton solve did not reach the rounding floor within "
+                            f"{MAX_ITERATIONS} iterations (log-impacts {r * y1:.6g}, "
+                            f"{r * y2:.6g} at r = {r})")
 
 
 # A gate is (failing, error, *args): where `failing` holds, the solve fails with
@@ -198,12 +190,6 @@ def _lane_errors(*gates) -> dict[int, ContestError]:
     return errors
 
 
-def _residual_gate(x1, x2, r1, r2):
-    """Fails unless both residuals are within `ITERATIVE_RESIDUAL`."""
-    converged = (abs(r1) <= ITERATIVE_RESIDUAL) & (abs(r2) <= ITERATIVE_RESIDUAL)
-    return converged ^ True, _newton_residual, x1, x2, r1, r2
-
-
 def _reordered(first_ok, first, second, xp: Ops):
     """`first` where `first_ok` holds and `second()` elsewhere (`xp`, see `Ops`):
     a product is formed in a second order only where its first order leaves
@@ -217,7 +203,9 @@ def _ratio_range(vals: Valuations, slope, xp: Ops):
     residual, and each effort v_i * beta * slope, formed as v_i * (beta * slope)
     where that order overflows, can overflow at finite prizes.  As v2 <= v1 and
     rounding is monotone, the weak effort overflows, in either order, only where
-    the strong one does, so the strong effort's test and gate serve both."""
+    the strong one does, so the strong effort's test and gate serve both.  A NaN
+    slope (vesperoni-ratio's inf * 0 where r k overflows and u^k underflows)
+    fails the underflow test, written so that NaN does not pass it."""
     beta = vals.beta
     strong, weak = vals.v1 * beta * slope, vals.v2 * beta * slope
     over = strong == math.inf
@@ -225,7 +213,7 @@ def _ratio_range(vals: Valuations, slope, xp: Ops):
         strong = xp.select(over, vals.v1 * (beta * slope), strong)
         weak = xp.select(weak == math.inf, vals.v2 * (beta * slope), weak)
         over = strong == math.inf
-    underflow = (slope < _TINY) | (weak < _TINY)
+    underflow = ((slope >= _TINY) & (weak >= _TINY)) ^ True
     return strong, weak, (underflow | over, _ratio_range_error, slope, underflow)
 
 
@@ -439,12 +427,13 @@ def _log_impact_consts(r: float, v1: float, v2: float, q_int, xp: Ops):
 
 def _concave_newton(csf, v1: float, v2: float, q_int, xp: Ops = FLOATS):
     """Log efforts (y1, y2) of the interior equilibrium of a power-impact
-    contest with exponent below one, for one tie rule or lanes (`xp`, see `Ops`).
+    contest with exponent below one, for one tie rule or lanes (`xp`, see `Ops`),
+    and whether the returned state is at the rounding floor.
 
     Newton's method on `_log_impact_foc` from y_i = log v_i - log 4, with
     backtracking on the squared residual norm, for at most `MAX_ITERATIONS`
-    steps; a lane stops at the rounding floor or when backtracking fails.
-    The caller checks the efforts e^(y_i) and their residuals in effort space.
+    steps; a lane stops at the rounding floor, |G_i| <= 4 eps S_i in both rows,
+    or when backtracking fails, off it.  The caller gates on the floor flag.
     As y = g / r is linear in the log-impacts g_i = r y_i, the iterates are
     those of Newton in g in exact arithmetic (Newton is affine invariant), but
     r never divides here, so every double r in (0, 1) is solved alike.
@@ -464,11 +453,11 @@ def _concave_newton(csf, v1: float, v2: float, q_int, xp: Ops = FLOATS):
     consts, zero = _log_impact_consts(csf.r, v1, v2, q_int, xp), 0.0 * q_int
     y1, y2 = zero + (math.log(v1) - math.log(4.0)), zero + (math.log(v2) - math.log(4.0))
     state, moving = (y1, y2, *_log_impact_foc(y1, y2, *consts)), True
-    for _ in range(MAX_ITERATIONS):
+    for steps in range(MAX_ITERATIONS + 1):  # the last pass only reads the last step's floor
         y1, y2, G1, G2, J11, J12, J21, J22, S1, S2 = state
-        at_rounding_floor = (abs(G1) <= 4.0 * _EPS * S1) & (abs(G2) <= 4.0 * _EPS * S2)
-        moving = moving & (at_rounding_floor ^ True)
-        if not live(moving):
+        floor = (abs(G1) <= 4.0 * _EPS * S1) & (abs(G2) <= 4.0 * _EPS * S2)
+        moving = moving & (floor ^ True)
+        if steps == MAX_ITERATIONS or not live(moving):
             break
         det = J11 * J22 - J12 * J21
         d1, d2 = (G1 * J22 - G2 * J12) / det, (J11 * G2 - J21 * G1) / det
@@ -483,7 +472,7 @@ def _concave_newton(csf, v1: float, v2: float, q_int, xp: Ops = FLOATS):
             if not live(searching):
                 break
         moving = moving ^ searching  # backtracking failed
-    return state[0], state[1]
+    return y1, y2, floor
 
 
 def total_effort_slope(spec: ContestSpec, q: float, x1: float, x2: float) -> float:
@@ -524,15 +513,18 @@ def _concave(csf, vals, q_int, xp: Ops):
     negative, the one equilibrium is an axis profile, which the closed
     form's own signs pick (see `_lottery`).  Concave impact with exponent
     below one keeps both players active; the Newton solution in log efforts
-    fails with `ConvergenceError` if an effort underflows double
-    precision, and the entry points accept it only if both effort-space
-    residuals are within `ITERATIVE_RESIDUAL`.
+    fails with `ConvergenceError` if an effort underflows double precision,
+    and otherwise if Newton stopped off the rounding floor of its first-order
+    conditions (see `_concave_newton`): as the contest has one equilibrium,
+    the floor is its whole acceptance test.  Both gates quote the log-impacts
+    r y_i, stronger player first.
     """
     if csf.r < 1.0:
-        y1, y2 = _concave_newton(csf, vals.v1, vals.v2, q_int, xp)
+        y1, y2, floor = _concave_newton(csf, vals.v1, vals.v2, q_int, xp)
         x1, x2 = xp.exp(y1), xp.exp(y2)
-        return x1, x2, SolveMethod.FOC_SOLVE, (((x1 < _TINY) | (x2 < _TINY), _effort_underflow,
-                                                y1, y2, csf.r),)
+        return x1, x2, SolveMethod.FOC_SOLVE, (
+            ((x1 < _TINY) | (x2 < _TINY), _effort_underflow, y1, y2, csf.r),
+            (floor ^ True, _newton_residual, y1, y2, csf.r))
     x1, x2, _ = _lottery(vals.v1, vals.v2, q_int, xp)
     return x1, x2, SolveMethod.CLOSED_FORM, ()
 
@@ -592,18 +584,22 @@ def solve(spec: ContestSpec, *, force: bool = False, audited: bool = False) -> E
     _raise_first(*gates)
     x1, x2 = vals.in_order(strong, weak)
     beta, r1, r2 = residuals(spec.csf, spec.v1, spec.v2, spec.q, x1, x2, FLOATS)
-    if method is SolveMethod.FOC_SOLVE:
-        _raise_first(_residual_gate(x1, x2, r1, r2))
     return _equilibrium(x1, x2, beta, (r1, r2), method, warnings)
 
 
 def solve_lanes(spec: ContestSpec, qs, *, force: bool = False) -> Lanes:
     """The contest at every q in `qs`, as arrays with one lane per q.
 
-    A lane fails with its scalar solve's error, the `Equilibrium` check on
-    its efforts included.  Errors that hold at every q (malformed `qs`,
-    family kind, closed-form precondition, a ratio form's prize ratio) are
-    raised at once.
+    A lane fails with its scalar solve's error, that of the first route gate
+    it fails.  Errors that hold at every q (malformed `qs`, family kind,
+    closed-form precondition, a ratio form's prize ratio) are raised at once.
+
+    No lane needs `Equilibrium`'s check on its efforts, as every lane that
+    passes its route's gates has efforts >= 0, none NaN: a difference lane's
+    are prize * z' with z' >= 0, and a NaN or infinite z' makes the gap
+    residual NaN or +-inf, which fails the gap gate; a ratio lane's NaN slope fails the range
+    gate; a concave lane below linear impact takes e^y >= 0 with y never NaN
+    (see `_concave_residuals`), and `_lottery` clips a linear-impact lane's.
     """
     q_user = q_array(qs)
     if q_user.ndim != 1:
@@ -618,18 +614,14 @@ def solve_lanes(spec: ContestSpec, qs, *, force: bool = False) -> Lanes:
         # a failed lane takes efforts (1, 1), which keep its unused residuals finite
         x1, x2 = vals.in_order(np.where(failed, 1.0, strong), np.where(failed, 1.0, weak))
         beta, r1, r2 = residuals(spec.csf, spec.v1, spec.v2, q_user, x1, x2, LANES)
-    if method is SolveMethod.FOC_SOLVE:
-        gates += (_residual_gate(x1, x2, r1, r2),)
-    negative = ((x1 >= 0.0) & (x2 >= 0.0)) ^ True
-    errors = _lane_errors(*gates, (negative, _negative_efforts, x1, x2))  # the route's gates first
-    return Lanes(q_user, x1, x2, beta, (r1, r2), method, warnings, errors)
+    return Lanes(q_user, x1, x2, beta, (r1, r2), method, warnings, _lane_errors(*gates))
 
 
 def solve_many(spec: ContestSpec, qs, *, force: bool = False) -> tuple[Equilibrium, ...]:
     """Equilibria of one contest at each tie rule in `qs` (the q in `spec` is ignored).
 
     Entry i matches `solve(spec.with_q(qs[i]))` to rounding: same route,
-    steps, stop rules, residual checks, corner flags, warnings and errors.
+    steps, stop rules, gates, corner flags, warnings and errors.
     `qs` must be a one-dimensional sequence of numbers in [0, 1].  If any
     tie rule fails, the error its scalar solve raises is raised, for the
     smallest failing q.

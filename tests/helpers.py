@@ -7,6 +7,9 @@ truncation error quadratic in the step without compounding roundoff.
 """
 from __future__ import annotations
 
+import math
+import sys
+
 import numpy as np
 
 from tiebreak import ContestSpec, CostKind, make_family, solve
@@ -67,6 +70,17 @@ def rel_err(approx, reference):
 
 def max_rel_err(approx, reference) -> float:
     return float(np.max(rel_err(approx, reference)))
+
+
+def concave_residual_bound(spec: ContestSpec) -> float:
+    """Bound on the effort-space first-order residuals of a blavatskyy-power
+    r < 1 solve that Newton accepted at its rounding floor: 32 eps times the
+    log scale 1 + |log r| + |log v1| + |log v2| of its inputs, which bounds the
+    terms of the log-effort conditions that the floor is relative to.  Measured
+    worst: 12.1 times eps times that scale on bitscan's 20,000 draws (101 lanes
+    each), 7.5 on edge-domain draws."""
+    scale = 1.0 + abs(math.log(spec.csf.r)) + abs(math.log(spec.v1)) + abs(math.log(spec.v2))
+    return 32.0 * sys.float_info.epsilon * scale
 
 
 def solve_at(csf, v, q, **kw):

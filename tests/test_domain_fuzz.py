@@ -16,7 +16,10 @@ on the 2^-53 lattice) never does:
 Each draw goes through `solve(force=True)`, an 11-lane `solve_lanes`,
 `sweep(11)`, `optimal_q` and `expected_effort`.  Every call must return finite
 efforts and residuals (a lane's, where it solved) or raise a `ContestError`, and
-no warning may escape but `UNCHECKED_ASSUMPTIONS_WARNING`.  The 2,000 draws take
+no warning may escape but `UNCHECKED_ASSUMPTIONS_WARNING`.  A blavatskyy-power
+r < 1 solve or lane, which Newton's rounding floor alone accepts, must also have
+effort-space residuals within `helpers.concave_residual_bound`, a multiple of
+eps scaled by the log of its inputs.  The 2,000 draws take
 about 3 s on one core of a 2-vCPU host.  At these seeds the draws reach the
 three edge defects this scan was written for: a bare "math domain error" from a
 concave Newton start at a subnormal prize, and a ratio weak effort that
@@ -35,6 +38,8 @@ import pytest
 from tiebreak import (ContestError, RandomTieRule, expected_effort, make_contest, optimal_q, solve,
                       sweep)
 from tiebreak.equilibrium import UNCHECKED_ASSUMPTIONS_WARNING, solve_lanes
+
+from helpers import concave_residual_bound
 
 DRAWS_PER_FAMILY = 400
 FAMILY_PARAMS = {
@@ -79,13 +84,16 @@ def _draws(family: str, seed: int):
         yield make_contest(family, v1=prizes[i % 2], v2=prizes[1 - i % 2], q=q, **params)
 
 
+def _solved(out) -> list[int]:
+    return [i for i in range(out.q.size) if i not in out.errors]
+
+
 def _finite_values(name: str, out) -> list[float]:
     """The efforts, residuals and totals a call returned."""
     if name == "solve":
         return [out.x1, out.x2, *out.residuals]
     if name == "lanes":
-        solved = [i for i in range(out.q.size) if i not in out.errors]
-        return [a[i] for a in (out.x1, out.x2, *out.residuals) for i in solved]
+        return [a[i] for a in (out.x1, out.x2, *out.residuals) for i in _solved(out)]
     if name == "sweep":
         return [*out.x1, *out.x2]
     if name == "optimal_q":
@@ -103,6 +111,7 @@ def test_every_call_ends_in_finite_values_or_a_typed_error(family):
                  "sweep": lambda: sweep(spec, 11, force=True),
                  "optimal_q": lambda: optimal_q(spec, force=True),
                  "expected_effort": lambda: expected_effort(spec, rule, force=True)}
+        newton = spec.csf.kind == "concave" and spec.csf.r < 1.0
         for name, call in calls.items():
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
@@ -119,4 +128,9 @@ def test_every_call_ends_in_finite_values_or_a_typed_error(family):
                 faults.append((name, spec, leaked))
             if out is not None and not all(map(math.isfinite, _finite_values(name, out))):
                 faults.append((name, spec, "non-finite result"))
+            if out is not None and newton and name in ("solve", "lanes"):
+                residuals = (out.residuals if name == "solve" else
+                             [res[i] for res in out.residuals for i in _solved(out)])
+                if max(map(abs, residuals), default=0.0) > concave_residual_bound(spec):
+                    faults.append((name, spec, "residuals above the bound", residuals))
     assert not faults, faults[:5]

@@ -33,15 +33,15 @@ import tiebreak.equilibrium as equilibrium_mod
 from tiebreak.audit import audit_family
 from tiebreak.equilibrium import (
     BETA_RESIDUAL,
-    ITERATIVE_RESIDUAL,
     UNCHECKED_ASSUMPTIONS_WARNING,
+    _concave_newton,
     _log_impact_foc,
     solve_lanes,
 )
 from tiebreak.families import FLOATS, LANES
 
 from helpers import (DIFF_CASES, FD_REL_TOL, LOTTERY_CONTEST, RATIO_CASES, build, case_id,
-                     max_rel_err, solve_at)
+                     concave_residual_bound, max_rel_err, solve_at)
 
 # Root of gap = sigma(gap) * (1 - sigma(gap)) for prize gap 1, computed by an
 # independent 200-step bisection on [0, 1] before the solver existed.
@@ -342,10 +342,10 @@ class TestConcaveSolver:
         assert skewed.x2 == pytest.approx(1.0 / 9.0, abs=1e-12)
 
     def test_iterative_residuals_meet_target(self):
-        csf = make_family("blavatskyy-power", r=0.7)
-        eq = solve_at(csf, (5.0, 2.0), 0.25)
+        spec = make_contest("blavatskyy-power", v1=5.0, v2=2.0, q=0.25, r=0.7)
+        eq = solve(spec)
         assert eq.method is SolveMethod.FOC_SOLVE
-        assert max(abs(r) for r in eq.residuals) <= ITERATIVE_RESIDUAL
+        assert max(abs(r) for r in eq.residuals) <= concave_residual_bound(spec)
 
     def test_swapped_prizes_mirror_the_solution(self):
         csf = make_family("blavatskyy-power", r=0.5)
@@ -392,30 +392,74 @@ class TestConcaveSolver:
     def test_exhausted_iteration_budget_raises(self, monkeypatch):
         csf = make_family("blavatskyy-power", r=0.5)
         monkeypatch.setattr(equilibrium_mod, "MAX_ITERATIONS", 1)
-        with pytest.raises(ConvergenceError, match="residual") as scalar:
+        with pytest.raises(ConvergenceError, match="did not reach the rounding floor") as scalar:
             solve_at(csf, (4.0, 4.0), 0.5)
         with pytest.raises(ConvergenceError) as lane:
             solve_many(make_contest("blavatskyy-power", v1=4.0, v2=4.0, q=0.5, r=0.5), [0.5])
         assert str(lane.value) == str(scalar.value)
 
-    def test_exhausted_budget_reports_the_callers_labels(self, monkeypatch):
-        """The last iterate and its residuals are listed in the caller's order:
-        a weak-first contest reports its strong-first mirror's pairs reversed,
-        so its weaker player 1's effort comes first."""
-        monkeypatch.setattr(equilibrium_mod, "MAX_ITERATIONS", 1)
-        pattern = re.compile(r"last iterate \((.+), (.+)\) with residuals \((.+), (.+)\)")
-        reported = {}
-        for v, q in (((1.0, 4.0), 0.25), ((4.0, 1.0), 0.75)):
-            spec = make_contest("blavatskyy-power", v1=v[0], v2=v[1], q=q, r=0.5)
+    def test_the_floor_is_read_at_the_returned_state(self, monkeypatch):
+        """At prizes (4, 2), q = 0.3 and r = 0.5 Newton reaches its rounding floor on
+        its fourth step: a budget of 4 ends on that step and is accepted by both entry
+        points, a budget of 3 is not."""
+        spec = make_contest("blavatskyy-power", v1=4.0, v2=2.0, q=0.3, r=0.5)
+        monkeypatch.setattr(equilibrium_mod, "MAX_ITERATIONS", 4)
+        assert _concave_newton(spec.csf, 4.0, 2.0, 0.3)[2]
+        (lane,) = solve_many(spec, [0.3])
+        assert lane == solve(spec)
+        monkeypatch.setattr(equilibrium_mod, "MAX_ITERATIONS", 3)
+        with pytest.raises(ConvergenceError, match="^Newton solve did not reach the rounding "
+                           r"floor within 3 iterations \(log-impacts -0.558535, -1.34762 at "
+                           r"r = 0.5\)$"):
+            solve(spec)
+
+    def test_mirrored_contests_quote_the_same_floor_error(self):
+        """At r = 1 - 2^-53 Newton stops off its rounding floor at q1 = 0.6000000000000001
+        (0.7 too) and an effort underflows at most other tie rules.  A contest and its
+        mirror, prizes swapped and q read as 1 - q, solve the same stronger-player-first
+        problem, so their floor errors quote the same log-impacts, stronger player first;
+        each lane of `sweep`'s grid fails with its scalar solve's error, and `sweep` with
+        the first of them."""
+        text = ("Newton solve did not reach the rounding floor within 100 iterations "
+                "(log-impacts -0.190455, -32.1434 at r = 0.9999999999999999)")
+        strong, weak, q = 12.416185386576371, 1.5288262462377622, 0.6000000000000001
+        grid = np.linspace(0.0, 1.0, 11)
+        lane_texts = []
+        for v, q_user in (((strong, weak), q), ((weak, strong), 1.0 - q)):
+            spec = make_contest("blavatskyy-power", v1=v[0], v2=v[1], q=q_user,
+                                r=0.9999999999999999)
             with pytest.raises(ConvergenceError) as scalar:
                 solve(spec)
-            with pytest.raises(ConvergenceError) as lane:
-                solve_many(spec, [q])
-            assert str(lane.value) == str(scalar.value)
-            reported[v] = pattern.search(str(scalar.value)).groups()
-        x1, x2, r1, r2 = reported[(1.0, 4.0)]
-        assert (x2, x1, r2, r1) == reported[(4.0, 1.0)]
-        assert float(x1) < float(x2)
+            assert str(scalar.value) == text
+            assert str(solve_lanes(spec, [0.5, q_user]).errors[1]) == text
+            lanes, texts = solve_lanes(spec, grid), {}
+            for i, q_lane in enumerate(grid.tolist()):
+                try:
+                    solve(spec.with_q(q_lane))
+                except ConvergenceError as error:
+                    texts[i] = str(error)
+            assert {i: str(error) for i, error in lanes.errors.items()} == texts
+            with pytest.raises(ConvergenceError) as swept:
+                sweep(spec, 11)
+            assert str(swept.value).endswith(": " + texts[min(texts)])
+            lane_texts.append(texts)
+        assert lane_texts[0][6] == lane_texts[1][4] == text  # q = 0.6000000000000001 and 0.4
+        assert lane_texts[0][7] == lane_texts[1][3] != text
+        assert "rounding floor" in lane_texts[0][7]
+
+    def test_an_underflow_off_the_floor_raises_the_underflow_error(self):
+        """Here Newton stops off its rounding floor with the weaker effort at
+        e^-4.65e8: the underflow gate comes first, on `solve` and on a lane."""
+        spec = make_contest("blavatskyy-power", v1=0.5890765271355118, v2=0.01019272421015903,
+                            q=2.3914407660929176e-215, r=0.9999989289968744)
+        y1, y2, at_floor = _concave_newton(spec.csf, spec.v1, spec.v2, spec.q)
+        assert not at_floor and math.exp(y2) == 0.0
+        text = ("an equilibrium effort underflows double precision "
+                "(log-impacts -494.681, -4.65265e+08 at r = 0.9999989289968744)")
+        with pytest.raises(ConvergenceError) as scalar:
+            solve(spec)
+        assert str(scalar.value) == text
+        assert str(solve_lanes(spec, [0.5, spec.q]).errors[1]) == text
 
 
 def _on_one_scale(*values: float) -> tuple[list[int], int]:

@@ -185,7 +185,7 @@ def test_whole_contest_errors_raise_at_once():
 
 
 def test_nan_slope_lane_fails_as_its_scalar_solve(monkeypatch):
-    # The batch checks efforts on its arrays, as `Equilibrium` does for a solve.
+    # A NaN slope fails the closed form's range gate, on a lane as on a solve.
     # The solvers evaluate the family's kernel `_zp`, not the checked `z_prime`.
     spec = make_contest("jia-ratio", v1=2.0, v2=1.0, q=0.0, r=0.5, k=2.0)
     zp = JiaRatio._zp
@@ -194,12 +194,29 @@ def test_nan_slope_lane_fails_as_its_scalar_solve(monkeypatch):
         return np.where(np.equal(qv, 0.5), math.nan, zp(self, th, qv, xp))
 
     monkeypatch.setattr(JiaRatio, "_zp", nan_at_half)
-    with pytest.raises(ValidationError, match="efforts must be >= 0") as scalar:
+    with pytest.raises(ConvergenceError,
+                       match=r"^closed-form efforts underflow double precision \(slope nan\)$"
+                       ) as scalar:
         solve(spec.with_q(0.5))
-    with pytest.raises(ValidationError) as lane:
+    with pytest.raises(ConvergenceError) as lane:
         solve_many(spec, [0.0, 0.5, 1.0])
     assert str(lane.value) == str(scalar.value)
     assert set(solve_lanes(spec, [0.0, 0.5, 1.0], force=False).errors) == {1}
+
+
+def test_vesperoni_ratio_past_an_overflowing_r_k_fails_the_range_gate():
+    """Forced past r k = inf, vesperoni-ratio's slope is (k r / theta) times an
+    underflowed u^k, inf * 0 = NaN: the range gate fails it, on `solve` and on
+    every lane, where the efforts used to reach `Equilibrium`'s check as NaN."""
+    spec = make_contest("vesperoni-ratio", v1=2.2250738585072014e-308, v2=3.259868685551024e-266,
+                        q=0.4114613292760084, r=1.0658877141287083e179, k=9.63946636496963e143)
+    text = "closed-form efforts underflow double precision (slope nan)"
+    with pytest.raises(ConvergenceError) as scalar:
+        solve(spec, force=True)
+    assert str(scalar.value) == text
+    lanes = solve_lanes(spec, [0.0, spec.q, 1.0], force=True)
+    assert {i: str(error) for i, error in lanes.errors.items()} == {0: text, 1: text, 2: text}
+    assert all(isinstance(error, ConvergenceError) for error in lanes.errors.values())
 
 
 @pytest.mark.parametrize("qs", [[0.5, math.nan], [math.inf], [-0.1], [0.2, 1.5],
@@ -376,16 +393,18 @@ BACKTRACKING = [
 def test_truncated_newton_lanes_take_the_scalar_steps(budget, monkeypatch):
     """The lane instance of the Newton body ends each lane where its float
     instance ends, to the rounding of math's and NumPy's log and exp: the log
-    efforts y, the log-impacts r y the underflow error quotes, and the efforts e^y."""
+    efforts y, the log-impacts r y the underflow and floor errors quote, the
+    floor flag of the returned state, and the efforts e^y."""
     monkeypatch.setattr(equilibrium_mod, "MAX_ITERATIONS", budget)
     for r, v1, v2, q in BACKTRACKING:
         csf = BlavatskyyPower(r)
         qs = np.array([q, 0.0, 0.5, 1.0])
         with np.errstate(all="ignore"):
-            y1, y2 = _concave_newton(csf, v1, v2, qs, LANES)
+            y1, y2, floor = _concave_newton(csf, v1, v2, qs, LANES)
         for lane, q_lane in enumerate(qs):
-            s1, s2 = _concave_newton(csf, v1, v2, float(q_lane))
+            s1, s2, at_floor = _concave_newton(csf, v1, v2, float(q_lane))
             assert f"{r * y1[lane]:.6g}, {r * y2[lane]:.6g}" == f"{r * s1:.6g}, {r * s2:.6g}"
+            assert floor[lane] == at_floor
             assert math.exp(y1[lane]) == pytest.approx(math.exp(s1), rel=1e-12, abs=0.0)
             assert math.exp(y2[lane]) == pytest.approx(math.exp(s2), rel=1e-12, abs=0.0)
 
