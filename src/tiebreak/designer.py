@@ -5,10 +5,10 @@ This module sweeps R over q, certifies curve shapes (constant, linear,
 monotone decreasing, convex) within explicit bounds, finds the optimal
 deterministic rule, and evaluates random tie-breaking rules by expected
 total effort.  Every curve is solved in one batch over its tie rules
-(`equilibrium.solve_lanes`) and read as x1 + x2 off its effort arrays:
-sweeps and the optimal rule's 101-point cross-check never loop over q or
-build a per-q record, while a random rule, a handful of atoms too few for
-a batch to pay, takes one scalar `solve` per distinct atom.  `sweep` and
+(`equilibrium.solve_lanes`) and read as x1 + x2 off its effort arrays, with
+no per-q loop or record; a random rule, a handful of atoms too few for a
+batch to pay, takes one `equilibrium.solve_route` per distinct atom.  No
+result here reads a first-order residual, so none is formed.  `sweep` and
 `optimal_q` reuse the last grid batch with no failing lane, held by a stdlib
 `lru_cache`, not module state, keyed by the contest at q = 0, count and `force`.
 `audited` is accepted and ignored, as `solve` ignores it: no result here warns.
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ContestSpec, JsonRecord, RandomTieRule, TieRule, count_value, positive_value
-from .equilibrium import solve, solve_lanes, total_effort_slope
+from .equilibrium import solve_lanes, solve_route, total_effort_slope
 from .errors import ConvergenceError, ValidationError
 
 SHAPE_FLOOR = 64.0
@@ -153,11 +153,11 @@ def _totals(qs, x1: np.ndarray, x2: np.ndarray, errors=None) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _q_values(q_count: int) -> np.ndarray:
-    """`q_count` equally spaced tie rules on [0, 1], built once per count, read-only."""
+def _q_values(q_count: int) -> tuple[np.ndarray, tuple[float, ...]]:
+    """`q_count` equally spaced tie rules on [0, 1] once per count: read-only, and a tuple."""
     qs = np.linspace(0.0, 1.0, q_count)
     qs.flags.writeable = False
-    return qs
+    return qs, tuple(qs.tolist())
 
 
 @functools.lru_cache(maxsize=1)
@@ -166,13 +166,12 @@ def _grid_lanes(spec: ContestSpec, q_count: int, force: bool):
     failing lane or total raises as `_totals` raises.  Callers pass the contest
     at q = 0, which `ContestSpec` equality compares by family and prizes (the
     family fixes the cost), so the cache holds the last batch that raised
-    nothing, read-only."""
-    qs = _q_values(q_count)
+    nothing, read-only, its residuals never evaluated."""
+    qs = _q_values(q_count)[0]
     lanes = solve_lanes(spec, qs, force=force)
     totals = _totals(qs, lanes.x1, lanes.x2, lanes.errors)
-    for arr in (totals, lanes.x1, lanes.x2, lanes.beta, *lanes.residuals):
-        if arr is not None:
-            arr.flags.writeable = False
+    for arr in filter(lambda a: a is not None, (totals, lanes.x1, lanes.x2, lanes.beta)):
+        arr.flags.writeable = False
     return qs, lanes, totals
 
 
@@ -187,7 +186,7 @@ def sweep(spec: ContestSpec, q_count: int, *, force: bool = False,
     """
     qs, lanes, totals = _grid_lanes(spec.with_q(0.0), count_value(q_count, "q_count"), force)
     betas = (None,) * qs.size if lanes.beta is None else tuple(lanes.beta.tolist())
-    return EffortCurve(tuple(qs.tolist()), tuple(lanes.x1.tolist()), tuple(lanes.x2.tolist()),
+    return EffortCurve(_q_values(qs.size)[1], tuple(lanes.x1.tolist()), tuple(lanes.x2.tolist()),
                        betas, _certify(totals))
 
 
@@ -262,16 +261,17 @@ def expected_effort(spec: ContestSpec, rule: RandomTieRule, *,
 
     The rule commits to drawing q before efforts are chosen, so the
     expectation is the weight-average of R over the rule's atoms, each
-    distinct q solved once by a scalar `solve`, in increasing q (`audited`
+    distinct q solved once by `solve`'s route step, in increasing q (`audited`
     changes nothing).  If some atoms fail to solve, the error for the
     smallest failing q is raised; else a total effort that overflows raises.
     """
     if not isinstance(rule, RandomTieRule):
         rule = RandomTieRule.from_pairs(rule)
     qs = sorted({atom.q for atom, _ in rule.atoms})
-    solved = [solve(spec.with_q(q), force=force) for q in qs]
-    x1, x2 = np.array([(eq.x1, eq.x2) for eq in solved]).T
-    totals = dict(zip(qs, _totals(qs, x1, x2).tolist()))
+    efforts = [solve_route(spec.with_q(q), force)[:2] for q in qs]
+    totals = {q: x1 + x2 for q, (x1, x2) in zip(qs, efforts)}  # on floats, a few atoms
+    if math.inf in totals.values():
+        _totals(qs, *np.array(efforts).T)  # raises at the first overflow
     return math.fsum(weight * totals[atom.q] for atom, weight in rule.atoms)
 
 

@@ -24,25 +24,28 @@ stronger-player-first and return their acceptance tests as gates, which only
 the entry points apply, and nothing else: `solve` raises the first failing
 gate's error, `solve_lanes` gives each failing lane the error of the first gate
 it fails.  Each entry point then maps the efforts to the caller's labels by
-`Valuations.in_order` and evaluates the first-order residuals there: `solve`
-returns an `Equilibrium`, `solve_lanes` arrays (`Lanes`) with each failing
-lane's error.  Routes call only the families' unchecked kernels, which take
-the same primitives.  `solve_beta` is the one raw-input helper, the effort-gap
-root of a difference-form contest.
+`Valuations.in_order`, forms beta by the route's operator (`solve_route`, for
+one tie rule) and first-order residuals only where read: `solve` returns an
+`Equilibrium`, `solve_lanes` arrays (`Lanes`) with each failing lane's error.
+Routes call only the families' unchecked kernels, on the same primitives;
+`solve_beta`, the one raw-input helper, is a difference-form gap root.
 
-Every solver returns an `Equilibrium` carrying per-player first-order
-residuals evaluated at the returned profile, corner flags, and any warnings
-(notably `UNCHECKED_ASSUMPTIONS_WARNING` where the family's audit fails at
-the larger prize).  The effort-gap residual target and the iteration budget
-are the module constants below, shared by both instances and read at call
-time; a concave Newton solve is accepted at its own rounding floor, which
-scales with the terms of its first-order conditions (see `_concave_newton`).
+An `Equilibrium` carries per-player first-order residuals evaluated at the
+returned profile, corner flags, and any warnings (notably
+`UNCHECKED_ASSUMPTIONS_WARNING` where the family's audit fails at the larger
+prize).  The effort-gap residual target and the iteration budget are the
+module constants below, shared by both instances and read at call time; a
+concave Newton solve is accepted at its own rounding floor, which scales with
+the terms of its first-order conditions (see `_concave_newton`).
 """
 from __future__ import annotations
 
 import enum
+import functools
 import math
+import operator
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -125,27 +128,31 @@ def _equilibrium(x1: float, x2: float, beta, residuals, method: SolveMethod,
 class Lanes:
     """One contest at the tie rules `q`, one array entry per lane.
 
-    The route solves stronger-player-first on the lane instance; `solve_lanes`
-    applies its gates, maps its efforts to the caller's labels and evaluates
-    the residuals there (`beta` None for concave contests).  `errors` maps each
-    failing lane, whose entries mean nothing, to its scalar solve's error.
+    The route solves stronger-player-first on the lane instance; `solve_lanes` applies its
+    gates, maps its efforts to the caller's labels and forms `beta` there (None for concave
+    contests); `residual_step` forms the residuals on first read.  `errors` maps each failing
+    lane, whose efforts are the stand-ins (1, 1), to its scalar solve's error.
     """
 
     q: np.ndarray
     x1: np.ndarray
     x2: np.ndarray
     beta: np.ndarray | None
-    residuals: tuple[np.ndarray, np.ndarray]
     method: SolveMethod
     warnings: tuple[str, ...]
     errors: dict[int, ContestError]
+    residual_step: Callable[[], tuple[np.ndarray, np.ndarray]] = field(repr=False)
+
+    @functools.cached_property
+    def residuals(self) -> tuple[np.ndarray, np.ndarray]:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # as `solve_lanes`
+            return self.residual_step()
 
     def equilibrium(self, i: int) -> Equilibrium:
         """Lane i, which solved, as the `Equilibrium` its scalar solve returns."""
         return _equilibrium(
             float(self.x1[i]), float(self.x2[i]), None if self.beta is None else float(self.beta[i]),
-            (float(self.residuals[0][i]), float(self.residuals[1][i])), self.method,
-            self.warnings)
+            (float(self.residuals[0][i]), float(self.residuals[1][i])), self.method, self.warnings)
 
 
 # Errors shared by both instances of the routes, so a lane fails as its scalar
@@ -222,19 +229,18 @@ def _ratio(csf, vals, q_int, xp: Ops):
     players exert prize * beta * z_q'(beta) at beta = v1/v2."""
     # beta is one float at every tie rule: its shares take the float kernels
     strong, weak, gate = _ratio_range(vals, csf._zp(vals.beta, q_int, FLOATS), xp)
-    return strong, weak, SolveMethod.CLOSED_FORM, (gate,)
+    return strong, weak, operator.truediv, SolveMethod.CLOSED_FORM, (gate,)
 
 
-def _ratio_residuals(csf, v1, v2, q, x1, x2, xp: Ops):
-    """Effort ratio and first-order residuals in the caller's labels.  Player
-    2's marginal benefit v2 * z' * theta is formed as v2 * (z' * theta) where
-    v2 * z' leaves the normal range."""
-    theta = x1 / x2
+def _ratio_residuals(csf, v1, v2, q, x1, x2, theta, xp: Ops):
+    """First-order residuals in the caller's labels at effort ratio theta.
+    Player 2's marginal benefit v2 * z' * theta is formed as v2 * (z' * theta)
+    where v2 * z' leaves the normal range."""
     zp = csf._zp(theta, q, xp)
     head = v2 * zp
     r2 = _reordered((head >= _TINY) & (head * theta != math.inf), head * theta / x2 - 1.0,
                     lambda: v2 * (zp * theta) / x2 - 1.0, xp)
-    return theta, v1 * zp / x2 - 1.0, r2
+    return v1 * zp / x2 - 1.0, r2
 
 
 def _safeguarded_root(fdf, lo, hi, x, at_x, stepping, xp: Ops = FLOATS):
@@ -342,15 +348,15 @@ def _diff(csf, vals, q_int, xp: Ops):
     it, so the first-order conditions are exactly v_i * z_q'(gap) = x_i."""
     gap = vals.v1 - vals.v2
     _, slope, resid = _gap_root(csf, gap, q_int, xp)
-    return vals.v1 * slope, vals.v2 * slope, SolveMethod.ROOT_FIND, (_gap_gate(gap, resid),)
+    return (vals.v1 * slope, vals.v2 * slope, operator.sub, SolveMethod.ROOT_FIND,
+            (_gap_gate(gap, resid),))
 
 
-def _diff_residuals(csf, v1, v2, q, x1, x2, xp: Ops):
-    """Effort gap and first-order residuals v_i * z_q'(gap) - x_i in the
-    caller's labels."""
-    theta = x1 - x2
+def _diff_residuals(csf, v1, v2, q, x1, x2, theta, xp: Ops):
+    """First-order residuals v_i * z_q'(theta) - x_i in the caller's labels at
+    effort gap theta."""
     zp = csf._zp(theta, q, xp)
-    return theta, v1 * zp - x1, v2 * zp - x2
+    return v1 * zp - x1, v2 * zp - x2
 
 
 def _lottery(v1: float, v2: float, q_int, xp: Ops = FLOATS):
@@ -522,28 +528,29 @@ def _concave(csf, vals, q_int, xp: Ops):
     if csf.r < 1.0:
         y1, y2, floor = _concave_newton(csf, vals.v1, vals.v2, q_int, xp)
         x1, x2 = xp.exp(y1), xp.exp(y2)
-        return x1, x2, SolveMethod.FOC_SOLVE, (
+        return x1, x2, None, SolveMethod.FOC_SOLVE, (
             ((x1 < _TINY) | (x2 < _TINY), _effort_underflow, y1, y2, csf.r),
             (floor ^ True, _newton_residual, y1, y2, csf.r))
     x1, x2, _ = _lottery(vals.v1, vals.v2, q_int, xp)
-    return x1, x2, SolveMethod.CLOSED_FORM, ()
+    return x1, x2, None, SolveMethod.CLOSED_FORM, ()
 
 
-def _concave_residuals(csf, v1, v2, q, x1, x2, xp: Ops):
-    """No effort ratio or gap, and each player's payoff slope in own effort, prize * `_win_d1`
-    less 1, in the caller's labels: -1 where the rival's head is 0, as `_win_d1` reads 0 there
+def _concave_residuals(csf, v1, v2, q, x1, x2, beta, xp: Ops):
+    """Each player's payoff slope in own effort, prize * `_win_d1` less 1 (`beta` is None),
+    in the caller's labels: -1 where the rival's head is 0, as `_win_d1` reads 0 there
     at linear impact, and below it no head is 0, as y in each effort e^(y_i) is never NaN
     (Newton takes only trials whose residual norm falls) and the underflow gate fails x < `_TINY`."""
-    return (None, v1 * csf._win_d1(x1, x2, q, xp) - 1.0,
+    return (v1 * csf._win_d1(x1, x2, q, xp) - 1.0,
             v2 * csf._win_d1(x2, x1, 1.0 - q, xp) - 1.0)
 
 
 # (route, residuals) per family kind, each written once against the primitives
 # `xp` (see `Ops`): `solve` runs them on `FLOATS`, `solve_lanes` on `LANES`.
 # Routes solve stronger-player-first: they take (csf, vals, q_int, xp) and
-# return the stronger and the weaker player's efforts, the method and the
-# route's gates, which only the entry points apply.  The residuals take
-# (csf, v1, v2, q, x1, x2, xp) in the caller's labels and return (beta, r1, r2).
+# return the stronger and the weaker player's efforts, the operator that forms
+# beta from the caller's (x1, x2) (None for concave contests), the method and
+# the route's gates, which only the entry points apply.  The residuals take
+# (csf, v1, v2, q, x1, x2, beta, xp) in the caller's labels and return (r1, r2).
 _ROUTES = {
     "ratio": (_ratio, _ratio_residuals),
     "diff": (_diff, _diff_residuals),
@@ -570,6 +577,15 @@ def _prologue(spec: ContestSpec, q_user, force: bool):
     return _ROUTES[kind], vals, vals.tie_share(q_user), warnings
 
 
+def solve_route(spec: ContestSpec, force: bool = False):
+    """`solve`'s route step, raising as it does: x1, x2, beta, method, warnings, residuals."""
+    (route, residuals), vals, q_int, warnings = _prologue(spec, spec.q, force)
+    strong, weak, index, method, gates = route(spec.csf, vals, q_int, FLOATS)
+    _raise_first(*gates)
+    x1, x2 = vals.in_order(strong, weak)
+    return x1, x2, index and index(x1, x2), method, warnings, residuals
+
+
 def solve(spec: ContestSpec, *, force: bool = False, audited: bool = False) -> Equilibrium:
     """Equilibrium of a contest, by its family class's route on one tie rule,
     under the family's cost (linear for ratio and concave classes,
@@ -579,16 +595,13 @@ def solve(spec: ContestSpec, *, force: bool = False, audited: bool = False) -> E
     unless `force` is given, and a returned solve carries
     `UNCHECKED_ASSUMPTIONS_WARNING`.  `audited` is accepted and ignored.
     """
-    (route, residuals), vals, q_int, warnings = _prologue(spec, spec.q, force)
-    strong, weak, method, gates = route(spec.csf, vals, q_int, FLOATS)
-    _raise_first(*gates)
-    x1, x2 = vals.in_order(strong, weak)
-    beta, r1, r2 = residuals(spec.csf, spec.v1, spec.v2, spec.q, x1, x2, FLOATS)
-    return _equilibrium(x1, x2, beta, (r1, r2), method, warnings)
+    x1, x2, beta, method, warnings, residuals = solve_route(spec, force)
+    r1_r2 = residuals(spec.csf, spec.v1, spec.v2, spec.q, x1, x2, beta, FLOATS)
+    return _equilibrium(x1, x2, beta, r1_r2, method, warnings)
 
 
 def solve_lanes(spec: ContestSpec, qs, *, force: bool = False) -> Lanes:
-    """The contest at every q in `qs`, as arrays with one lane per q.
+    """The contest at every q in `qs`, as arrays with one lane per q, residuals formed when read.
 
     A lane fails with its scalar solve's error, that of the first route gate
     it fails.  Errors that hold at every q (malformed `qs`, family kind,
@@ -608,13 +621,15 @@ def solve_lanes(spec: ContestSpec, qs, *, force: bool = False) -> Lanes:
     failed = np.zeros(q_user.size, dtype=bool)
     # log(0), stopped iterative lanes, failing lanes' efforts and their unused orders
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        strong, weak, method, gates = route(spec.csf, vals, q_int, LANES)
+        strong, weak, index, method, gates = route(spec.csf, vals, q_int, LANES)
         for failing, *_ in gates:
             failed |= failing
         # a failed lane takes efforts (1, 1), which keep its unused residuals finite
         x1, x2 = vals.in_order(np.where(failed, 1.0, strong), np.where(failed, 1.0, weak))
-        beta, r1, r2 = residuals(spec.csf, spec.v1, spec.v2, q_user, x1, x2, LANES)
-    return Lanes(q_user, x1, x2, beta, (r1, r2), method, warnings, _lane_errors(*gates))
+        beta = index and index(x1, x2)
+    errors = _lane_errors(*gates) if LANES.live(failed) else {}
+    return Lanes(q_user, x1, x2, beta, method, warnings, errors, functools.partial(
+        residuals, spec.csf, spec.v1, spec.v2, q_user, x1, x2, beta, LANES))
 
 
 def solve_many(spec: ContestSpec, qs, *, force: bool = False) -> tuple[Equilibrium, ...]:

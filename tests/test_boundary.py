@@ -295,9 +295,14 @@ def test_concave_marginal_sees_positive_own_effort_below_linear_impact(monkeypat
     rule, underflows = RandomTieRule.from_pairs([(0.1, 0.25), (0.6, 0.5), (0.95, 0.25)]), 0
     for spec in (*_concave_draws(48), *UNDERFLOWING):
         lanes = solve_lanes(spec, np.linspace(0.0, 1.0, 101))
+        lanes.residuals  # evaluated where read, failing lanes' stand-ins included
         underflows += sum("underflows" in str(error) for error in lanes.errors.values())
-        for call in (lambda: solve(spec), lambda: sweep(spec, 21), lambda: optimal_q(spec),
-                     lambda: expected_effort(spec, rule)):
+        # the designer forms no residual, so its tie rules are read here through the
+        # entry points that do: `sweep`'s lanes and a `solve` per atom of the rule
+        reads = [lambda: solve_lanes(spec, np.linspace(0.0, 1.0, 21)).residuals,
+                 *(lambda q=atom.q: solve(spec.with_q(q)) for atom, _ in rule.atoms)]
+        for call in (lambda: solve(spec), *reads, lambda: sweep(spec, 21),
+                     lambda: optimal_q(spec), lambda: expected_effort(spec, rule)):
             try:
                 call()
             except ContestError:

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import tiebreak.designer as designer_mod
+import tiebreak.equilibrium as equilibrium_mod
 from tiebreak import (
     ContestError,
     ConvergenceError,
@@ -27,6 +28,7 @@ from tiebreak import (
     make_family,
     optimal_q,
     solve,
+    solve_many,
     sweep,
 )
 from tiebreak.designer import OPTIMAL_IMPROVEMENT_GUARD
@@ -296,7 +298,8 @@ class TestConcaveOptimum:
         """`_concave_optimum` on a stubbed 101-point curve R(q) with slope dR/dq."""
         qs = np.linspace(0.0, 1.0, designer_mod.CROSS_CHECK_POINTS)
         zeros = np.zeros(qs.size)
-        lanes = Lanes(qs, totals(qs), zeros, None, (zeros, zeros), SolveMethod.FOC_SOLVE, (), {})
+        lanes = Lanes(qs, totals(qs), zeros, None, SolveMethod.FOC_SOLVE, (), {},
+                      lambda: (zeros, zeros))
         monkeypatch.setattr(designer_mod, "total_effort_slope", lambda spec, q, x1, x2: slope(q))
         return qs, lambda: designer_mod._concave_optimum(None, qs, lanes, lanes.x1 + lanes.x2)
 
@@ -453,7 +456,8 @@ class TestGridMemo:
         sweep(spec, 101)
         qs, lanes, totals = _held(spec)
         assert designer_mod._grid_lanes.cache_info()[:2] == (1, 1)  # the sweep's batch
-        arrays = [qs, totals, lanes.x1, lanes.x2, lanes.beta, *lanes.residuals]
+        assert "residuals" not in vars(lanes)  # never evaluated: no designer result reads them
+        arrays = [qs, totals, lanes.x1, lanes.x2, lanes.beta]
         for arr in filter(lambda a: a is not None, arrays):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = arr[1]
@@ -484,6 +488,59 @@ class TestGridMemo:
             raised.append(info.value)
         assert len({id(exc) for exc in raised}) == len(raised)
         assert _held(base) is held
+
+
+# A contest whose efforts underflow at most of its grid's tie rules: the first of
+# `tests/test_boundary.py`'s UNDERFLOWING, whose lanes at q <= 0.84 fail.
+UNDERFLOWING_AT_SOME_Q = make_contest("blavatskyy-power", v1=860.481530024333,
+                                      v2=11.648007893840989, q=0.3, r=0.9999844130652963)
+
+
+def _unread(*args):
+    raise AssertionError("a first-order residual was formed")
+
+
+class TestResidualsAreFormedWhereRead:
+    """The designer reads efforts and beta alone, so it forms no residual; a batch's
+    residuals are formed when they are first read, from its own efforts."""
+
+    @pytest.mark.parametrize("family,params", MEMO_CONTESTS)
+    @pytest.mark.parametrize("v1,v2", [(3.0, 1.2), (1.2, 3.0)])
+    def test_designer_answers_do_not_read_residuals(self, monkeypatch, family, params, v1, v2):
+        spec = make_contest(family, v1=v1, v2=v2, q=0.0, **params)
+        rule = RandomTieRule.from_pairs([(0.1, 0.25), (0.6, 0.5), (0.95, 0.25)])
+        calls = (lambda: _bits(sweep(spec, 101)), lambda: _bits(optimal_q(spec)),
+                 lambda: expected_effort(spec, rule).hex())
+        want = [call() for call in calls]
+        designer_mod._grid_lanes.cache_clear()
+        for kind, (route, _) in equilibrium_mod._ROUTES.items():  # every residual function raises
+            monkeypatch.setitem(equilibrium_mod._ROUTES, kind, (route, _unread))
+        with pytest.raises(AssertionError, match="residual was formed"):
+            solve(spec)
+        assert [call() for call in calls] == want
+
+    @pytest.mark.parametrize("spec", [
+        *(make_contest(family, v1=v1, v2=v2, q=0.0, **params) for family, params in MEMO_CONTESTS
+          for v1, v2 in ((3.0, 1.2), (1.2, 3.0))),
+        UNDERFLOWING_AT_SOME_Q])
+    def test_residuals_read_after_the_fact_are_solve_many_s(self, spec):
+        qs = np.linspace(0.0, 1.0, 101)
+        lanes = solve_lanes(spec, qs)
+        assert "residuals" not in vars(lanes)
+        for call in (lambda: sweep(spec, 101), lambda: optimal_q(spec)):  # the batch used first
+            try:
+                call()
+            except ContestError:
+                pass
+        solved = [i for i in range(qs.size) if i not in lanes.errors]
+        r1, r2 = lanes.residuals
+        assert [tuple(map(float.hex, eq.residuals)) for eq in solve_many(spec, qs[solved])] == [
+            (float(r1[i]).hex(), float(r2[i]).hex()) for i in solved]
+        # a failing lane's residuals are read at its stand-in efforts (1, 1), where they are finite
+        failed = sorted(lanes.errors)
+        assert (spec is UNDERFLOWING_AT_SOME_Q) == bool(failed) and len(solved) > 0
+        assert np.all(lanes.x1[failed] == 1.0) and np.all(lanes.x2[failed] == 1.0)
+        assert np.all(np.isfinite(r1[failed])) and np.all(np.isfinite(r2[failed]))
 
 
 def _certificate_by_separate_reductions(totals):
@@ -649,13 +706,13 @@ class TestExpectedEffort:
 
     def test_a_repeated_atom_is_solved_once(self, monkeypatch):
         pairs = [(0.7, 0.25), (0.3, 0.25), (0.7, 0.5)]
-        solved = []
+        solved, route = [], designer_mod.solve_route
 
-        def counting(spec, **kwargs):
+        def counting(spec, force):
             solved.append(spec.q)
-            return solve(spec, **kwargs)
+            return route(spec, force)
 
-        monkeypatch.setattr(designer_mod, "solve", counting)
+        monkeypatch.setattr(designer_mod, "solve_route", counting)
         value = expected_effort(SOFT_RATIO, pairs)
         assert solved == [0.3, 0.7]
         assert value == math.fsum(w * solve(SOFT_RATIO.with_q(q)).total for q, w in pairs)

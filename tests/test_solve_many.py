@@ -248,7 +248,8 @@ KINDS = [FIVE_FAMILIES[0], FIVE_FAMILIES[2], FIVE_FAMILIES[4], FIVE_FAMILIES[5]]
 class TestDesignerStaysBatched:
     """The designer's curves come from one batch solve, never a per-q loop.
 
-    A random rule is the one exception: it takes one scalar solve per atom.
+    A random rule is the one exception: it takes one scalar route step per atom,
+    and no `Equilibrium`.
     """
 
     @pytest.fixture
@@ -266,14 +267,14 @@ class TestDesignerStaysBatched:
 
     @pytest.fixture
     def designer_solves(self, monkeypatch):
-        """Tie rules of every scalar `solve` the designer makes."""
-        calls = []
+        """Tie rules of every scalar route step (`solve_route`) the designer makes."""
+        calls, route = [], designer_mod.solve_route
 
-        def counting(spec, **kwargs):
+        def counting(spec, force):
             calls.append(spec.q)
-            return solve(spec, **kwargs)
+            return route(spec, force)
 
-        monkeypatch.setattr(designer_mod, "solve", counting)
+        monkeypatch.setattr(designer_mod, "solve_route", counting)
         return calls
 
     @pytest.mark.parametrize("family,params", FIVE_FAMILIES[:4])
@@ -297,9 +298,8 @@ class TestDesignerStaysBatched:
         spec = make_contest(family, v1=1.3, v2=2.0, q=0.0, **params)
         sweep(spec, 101)
         optimal_q(spec)
+        expected_effort(spec, RandomTieRule.from_pairs(RULES[-1]))  # its atoms take route steps
         assert built == []
-        expected_effort(spec, RandomTieRule.from_pairs(RULES[-1]))
-        assert len(built) == len(RULES[-1])
 
     @pytest.mark.parametrize("family,params", KINDS)
     @pytest.mark.parametrize("v1,v2,q_star", [(3.0, 1.2, 0.0), (1.2, 3.0, 1.0)])
