@@ -23,20 +23,19 @@ smooth, noise-free evaluations, so finite differences appear only in the test
 suite as an oracle; `z_slopes` returns (z_q', z_q'') from one share evaluation;
 a difference family states its supremum over theta and q as `curvature_peak`,
 and where p0 stops being concave as `tie_inflection`.  Because z_q is affine in
-q, the tie-probability derivatives follow exactly: p0' = z_1' - z_0' and
-likewise for p0''.
+q, the tie probability's slopes are z_1' - z_0' and z_1'' - z_0''.
 
 Every method that takes a tie rule q accepts one tie share (a number or a
 `TieRule`) or an array of them, broadcast against the contest states, so one
 call evaluates many tie rules.  Public methods return a builtin float for
 scalar inputs: they check their arguments, then call private kernels
-(`_shares`, `_triple`, `_zp`, `_zslopes`; `_impact`, `_impact_prime`; and
-`_win_d1`, each concave payoff slope's one call) that take checked input and
-the primitives, nothing more.  The solvers check once on entry and call only
-kernels.  Each kernel is written once against the primitives `xp` (`Ops`):
-the scalar solvers pass `FLOATS`, whose Python floats get the bits of a
-one-element array from one NumPy call per group of powers or exponentials,
-and the lane solvers and the public methods pass `LANES`.
+(`_shares`, `_triple`, `_zp`, `_zslopes`; `_impact`; and `_win_d1`, each
+concave payoff slope's one call) that take checked input and the primitives,
+nothing more.  The solvers check once on entry and call only kernels.  Each
+kernel is written once against the primitives `xp` (`Ops`): the scalar solvers
+pass `FLOATS`, whose Python floats get the bits of a one-element array from one
+NumPy call per group of powers or exponentials, and the lane solvers and the
+public methods pass `LANES`.
 
 One share core serves both reduced forms.  A ratio family is its difference
 family read at phi = r log theta (Hirshleifer, Public Choice 63, 1989), so
@@ -137,8 +136,6 @@ FLOATS = Ops(lambda c, a, b: a if c else b, bool, math.sqrt, math.exp,
 LANES = Ops(np.where, lambda c: bool(np.count_nonzero(c)), np.sqrt, np.exp, np.log, np.logaddexp,
             lambda xs, p: [np.power(x, p) for x in xs],  # one call each: no stacking copy
             np.exp)
-_TIE_ROWS = np.array([1.0, 0.0])  # q = 1 and q = 0, whose z_q slopes differ by p0's
-_TIE_ROWS.flags.writeable = False
 
 
 # sup |p''| of the logistic p = 1 / (1 + e^-theta), where p'' = p (1 - p)(1 - 2p)
@@ -258,20 +255,6 @@ class _ReducedCsf(_Family):
         zp, zpp = self._zslopes(self._theta(theta), qv, LANES)
         return _ret(zp), _ret(zpp)
 
-    def z_double_prime(self, theta, q):
-        """d^2 z_q / d theta^2; `z_slopes` evaluates it alongside z_q'."""
-        return self.z_slopes(theta, q)[1]
-
-    def p0_prime(self, theta):
-        """d p0 / d theta = z_1' - z_0' (z_q is affine in q), from one kernel call."""
-        slopes = self._zp(self._theta(theta)[..., None], _TIE_ROWS, LANES)
-        return _ret(slopes[..., 0] - slopes[..., 1])
-
-    def p0_double_prime(self, theta):
-        """d^2 p0 / d theta^2 = z_1'' - z_0'', from one kernel call."""
-        curvatures = self._zslopes(self._theta(theta)[..., None], _TIE_ROWS, LANES)[1]
-        return _ret(curvatures[..., 0] - curvatures[..., 1])
-
 
 @dataclass(frozen=True)
 class RatioCsf(_ReducedCsf):
@@ -339,13 +322,6 @@ class RatioCsf(_ReducedCsf):
         lead, trail = (1.0 - qv) * p * pb, qv * pm * mb
         bend_lead, bend_trail = self._bends(*shares)
         return lead + trail, lead * bend_lead + trail * bend_trail
-
-    def p0_double_prime(self, theta):
-        """z_1'' - z_0'', the rows subtracted before the division by theta^2: p0''
-        is finite wherever it is in range, and +-inf, never nan, where both overflow."""
-        th = self._theta(theta)
-        curvatures = self._sums(self._shares(th[..., None], LANES), _TIE_ROWS)[1]
-        return _ret(self._rate * (curvatures[..., 0] - curvatures[..., 1]) / th / th)
 
 
 @dataclass(frozen=True)
@@ -535,8 +511,7 @@ class BlavatskyyPower(_Family):
     tie rule into impacts, player i eventually wins with probability
     g_i / (g1 + g2) where g1 = x1^r + q and g2 = x2^r + (1 - q), so the tie
     rule acts as a head start on the same scale as the "+1" in the
-    denominator.  No scalar reduction exists here; derivative accessors are
-    partial derivatives in own effort, quietly +-inf where they overflow.
+    denominator.  No scalar reduction exists here.
     """
 
     r: float
@@ -554,16 +529,6 @@ class BlavatskyyPower(_Family):
     def _impact(self, x):
         return np.power(x, self.r)
 
-    def _impact_prime(self, x):
-        with np.errstate(over="ignore"):
-            return self.r * np.power(x, self.r - 1.0)
-
-    def _impact_double_prime(self, x):
-        if self.r == 1.0:  # x^-1 may overflow, but its factor r - 1 is zero
-            return 0.0 * x
-        with np.errstate(over="ignore"):
-            return self.r * (self.r - 1.0) * np.power(x, self.r - 2.0)
-
     def _win_d1(self, x1, x2, qv, xp: Ops):
         """d/dx1 of player 1's eventual win probability, r x1^(r-1) h / T / T with the
         rival's head h = x2^r + 1 - q and T = x1^r + x2^r + 1, at x1 > 0 (x1 >= 0 for
@@ -577,60 +542,34 @@ class BlavatskyyPower(_Family):
         head, total = f2 + (1.0 - qv), f1 + f2 + 1.0
         return r * own_slope * head / total / total
 
-    def impact(self, x):
-        return _ret(self._impact(checked_array(x, "x", nonnegative=True)))
-
-    def impact_prime(self, x):
-        return _ret(self._impact_prime(checked_array(x, "x", positive=True)))
-
-    def impact_double_prime(self, x):
-        return _ret(self._impact_double_prime(checked_array(x, "x", positive=True)))
+    def _terms(self, x1, x2):
+        """(x1^r, x2^r, 1, their sum) at checked efforts, each halved where the sum overflows:
+        the larger impact is then at least half the largest double, so halving is exact."""
+        f1, f2 = map(self._impact, self._efforts(x1, x2))
+        with np.errstate(over="ignore"):
+            total = f1 + f2 + 1.0
+        if not LANES.live(over := total == math.inf):
+            return f1, f2, 1.0, total
+        half = np.where(over, 0.5, 1.0)
+        f1, f2 = f1 * half, f2 * half
+        return f1, f2, half, f1 + f2 + half
 
     def outcome(self, x1, x2):
-        f1, f2 = map(self._impact, self._efforts(x1, x2))
-        total = f1 + f2 + 1.0
-        return (_ret(f1 / total), _ret(f2 / total), _ret(1.0 / total))
+        f1, f2, one, total = self._terms(x1, x2)
+        return (_ret(f1 / total), _ret(f2 / total), _ret(one / total))
 
     def win_prob(self, x1, x2, q):
         """Eventual win probability of player 1: (x1^r + q) / (x1^r + x2^r + 1)."""
         qv = _tie_share(q)
-        f1, f2 = map(self._impact, self._efforts(x1, x2))
-        return _ret((f1 + qv) / (f1 + f2 + 1.0))
+        f1, _, one, total = self._terms(x1, x2)
+        return _ret((f1 + qv * one) / total)
 
     def win_prob_d1(self, x1, x2, q):
-        """d/dx1 of the eventual win probability of player 1."""
+        """d/dx1 of the eventual win probability of player 1, quietly +inf where it overflows."""
         qv = _tie_share(q)
         efforts = self._efforts(x1, x2, own_positive=True)
         with np.errstate(over="ignore"):
             return _ret(self._win_d1(*efforts, qv, LANES))
-
-    def _slope_parts(self, x1, x2):
-        """Checked own effort, rival impact, x1^r + x2^r + 1 and the own impact slope."""
-        x1a, x2a = self._efforts(x1, x2, own_positive=True)
-        f2 = self._impact(x2a)
-        return x1a, f2, self._impact(x1a) + f2 + 1.0, self._impact_prime(x1a)
-
-    def win_prob_d11(self, x1, x2, q):
-        """Second own-effort derivative of player 1's eventual win probability; -0.0
-        where the rival's head x2^r + 1 - q is 0, as it then wins at every effort."""
-        qv = _tie_share(q)
-        x1a, f2, total, fp = self._slope_parts(x1, x2)
-        head, fpp = f2 + (1.0 - qv), self._impact_double_prime(x1a)
-        with np.errstate(over="ignore", invalid="ignore"):
-            d11 = head / total * (fpp * total - 2.0 * fp * fp) / total / total
-        return _ret(np.where(head > 0.0, d11, -0.0))
-
-    def tie_prob_d1(self, x1, x2):
-        """d/dx1 of the tie probability."""
-        _, _, total, fp = self._slope_parts(x1, x2)
-        return _ret(-fp / total / total)
-
-    def tie_prob_d11(self, x1, x2):
-        """Second own-effort derivative of the tie probability."""
-        x1a, _, total, fp = self._slope_parts(x1, x2)
-        fpp = self._impact_double_prime(x1a)
-        with np.errstate(over="ignore"):
-            return _ret((2.0 * fp * fp - fpp * total) / total / total / total)
 
 
 FAMILIES: dict[str, type] = {

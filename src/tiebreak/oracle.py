@@ -32,6 +32,7 @@ point beats the claim.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,14 +84,13 @@ class GridSpec:
         Any effort costing more than the prize is dominated by staying out, so
         the ceiling is the largest prize's break-even effort plus one grid
         step, the fixed point x_max = bound * (steps - 1) / (steps - 2), divided first
-        only where that order overflows; with no finite ceiling it raises `DomainError`.
+        only where that order overflows, and the largest double where both do: no effort exceeds it.
         """
         steps, prize = count_value(steps, "steps", 3), spec.valuations.v1
         bound = spec.cost.break_even(prize)
         x_max = bound * (steps - 1) / (steps - 2)
-        if x_max == math.inf and (x_max := bound / (steps - 2) * (steps - 1)) == math.inf:
-            raise DomainError(f"no finite grid ceiling at prize {prize!r}: "
-                              f"a step above {bound!r} overflows")
+        if x_max == math.inf:
+            x_max = min(bound / (steps - 2) * (steps - 1), sys.float_info.max)
         return cls(x_max=x_max, steps=steps)
 
 

@@ -280,8 +280,7 @@ def main() -> None:
     AUDIT_RECORDS.write_text(json.dumps(doc, indent=1))
 
 
-KERNELS = ("_shares", "_triple", "_zp", "_zslopes", "_impact", "_impact_prime",
-           "_impact_double_prime", "_win_d1")
+KERNELS = ("_shares", "_triple", "_zp", "_zslopes", "_impact", "_win_d1")
 
 
 @pytest.mark.parametrize("audit, case, args", [
@@ -376,10 +375,10 @@ def _within_slack(wrong) -> bool:
 
 def _grid_verdicts(csf, v1=None) -> dict:
     """Whether each sign condition holds on the reference grid of `csf`'s kind."""
-    if csf.kind == "concave":
-        x = np.geomspace(1e-150, 1e150, GRID_POINTS)
-        return {"impact_increasing": _within_slack(-csf._impact_prime(x)),
-                "impact_concave": _within_slack(csf._impact_double_prime(x))}
+    if csf.kind == "concave":  # the impact x^r's slope and curvature, finite on this grid
+        x, r = np.geomspace(1e-150, 1e150, GRID_POINTS), csf.r
+        return {"impact_increasing": _within_slack(-r * x ** (r - 1.0)),
+                "impact_concave": _within_slack(r * (r - 1.0) * x ** (r - 2.0))}
     if csf.kind == "ratio":
         theta, peak = np.geomspace(1e-150, 1e150, GRID_POINTS), 1.0
     else:

@@ -51,17 +51,24 @@ FAMILY_PARAMS = {
 REDUCED = ("vesperoni-ratio", "jia-ratio", "vesperoni-diff", "jia-diff")
 RATIO = ("vesperoni-ratio", "jia-ratio")
 
-THETA_METHODS = ("p", "p0", "z", "z_prime", "z_slopes", "z_double_prime",
-                 "p0_prime", "p0_double_prime")
-Q_METHODS = ("z", "z_prime", "z_slopes", "z_double_prime")
-PAIR_METHODS = ("outcome", "win_prob", "win_prob_d1", "win_prob_d11",
-                "tie_prob_d1", "tie_prob_d11")
-PAIR_Q_METHODS = ("win_prob", "win_prob_d1", "win_prob_d11")
-OWN_POSITIVE = ("win_prob_d1", "win_prob_d11", "tie_prob_d1", "tie_prob_d11")
+THETA_METHODS = ("p", "p0", "z", "z_prime", "z_slopes")
+Q_METHODS = ("z", "z_prime", "z_slopes")
+PAIR_METHODS = ("outcome", "win_prob", "win_prob_d1")
+PAIR_Q_METHODS = ("win_prob", "win_prob_d1")
+OWN_POSITIVE = ("win_prob_d1",)
 
 Q_SCALAR = (ValidationError, "q must lie in [0, 1], got 1.5")
 Q_NAN = (ValidationError, "q must be finite, got nan")
 Q_ARRAY = (ValidationError, "every q must be finite and lie in [0, 1]")
+# an argument that is no number is named in the text, a lone value or an entry
+NO_NUMBERS = ("a", [1.0, "x"])
+Q_NO_NUMBERS = (("a", (ValidationError, "q must be a real number, got 'a'")),
+                (None, (ValidationError, "q must be a real number, got None")),
+                (["a"], (ValidationError, "tie shares must be numbers, got ['a']")))
+
+
+def _no_number(name: str, value):
+    return (ValidationError, f"{name} must be numbers, got {value!r}")
 
 
 def _reduced_call(method: str, theta, q=0.5):
@@ -83,6 +90,9 @@ def _error_cases():
                 for theta in (0.0, -1.0, [1.0, 0.0]):
                     cases.append((name, method, _reduced_call(method, theta),
                                   (DomainError, "theta must be > 0")))
+            for theta in NO_NUMBERS:
+                cases.append((name, method, _reduced_call(method, theta),
+                              _no_number("theta", theta)))
         for method in Q_METHODS:
             cases.append((name, method, (1.0, 1.5), Q_SCALAR))
             cases.append((name, method, (1.0, math.nan), Q_NAN))
@@ -90,22 +100,22 @@ def _error_cases():
             cases.append((name, method, (1.0, [0.5, math.nan]), Q_ARRAY))
             # the tie share is checked before the contest state
             cases.append((name, method, (math.nan, 1.5), Q_SCALAR))
+            for q, expected in Q_NO_NUMBERS:
+                cases.append((name, method, (1.0, q), expected))
         for x1, x2, text in ((math.nan, 1.0, "x1 must be finite"),
                              (1.0, math.inf, "x2 must be finite"),
                              (-1.0, 1.0, "x1 must be >= 0"),
                              (1.0, -1.0, "x2 must be >= 0"),
                              ([1.0, -2.0], 1.0, "x1 must be >= 0")):
             cases.append((name, "outcome", (x1, x2), (DomainError, text)))
+        cases.append((name, "outcome", ("a", 1.0), _no_number("x1", "a")))
+        cases.append((name, "outcome", (1.0, [1.0, "x"]), _no_number("x2", [1.0, "x"])))
 
     name = "blavatskyy-power"
-    for method in ("impact", "impact_prime", "impact_double_prime"):
-        cases.append((name, method, (math.nan,), (DomainError, "x must be finite")))
-        cases.append((name, method, ([1.0, math.inf],), (DomainError, "x must be finite")))
-    cases.append((name, "impact", (-1.0,), (DomainError, "x must be >= 0")))
-    for method in ("impact_prime", "impact_double_prime"):
-        for x in (0.0, -1.0, [1.0, 0.0]):
-            cases.append((name, method, (x,), (DomainError, "x must be > 0")))
     for method in PAIR_METHODS:
+        cases.append((name, method, _pair_call(method, "a", 1.0), _no_number("x1", "a")))
+        cases.append((name, method, _pair_call(method, 1.0, [1.0, "x"]),
+                      _no_number("x2", [1.0, "x"])))
         for x1, x2, text in ((math.nan, 1.0, "x1"), (1.0, math.inf, "x2")):
             cases.append((name, method, _pair_call(method, x1, x2),
                           (DomainError, f"{text} must be finite")))
@@ -123,6 +133,9 @@ def _error_cases():
         cases.append((name, method, (1.0, 1.0, math.nan), Q_NAN))
         cases.append((name, method, (1.0, 1.0, [0.5, 1.5]), Q_ARRAY))
         cases.append((name, method, (-1.0, 1.0, 1.5), Q_SCALAR))
+        cases.append((name, method, ("a", 1.0, 1.5), Q_SCALAR))
+        for q, expected in Q_NO_NUMBERS:
+            cases.append((name, method, (1.0, 1.0, q), expected))
     return cases
 
 
@@ -144,7 +157,7 @@ def test_error_cases_cover_every_public_family_method():
     for name in REDUCED:
         for method in THETA_METHODS + ("outcome",):
             assert (name, method) in covered
-    for method in PAIR_METHODS + ("impact", "impact_prime", "impact_double_prime"):
+    for method in PAIR_METHODS:
         assert ("blavatskyy-power", method) in covered
 
 
@@ -316,16 +329,11 @@ def test_concave_marginal_sees_positive_own_effort_below_linear_impact(monkeypat
 
 # ------------------------------------------------------------ the boundary
 
-PUBLIC_EVALUATIONS = ("p", "p0", "z", "z_prime", "z_slopes", "z_double_prime",
-                      "p0_prime", "p0_double_prime", "impact", "impact_prime",
-                      "impact_double_prime", "win_prob", "win_prob_d1", "win_prob_d11",
-                      "tie_prob_d1", "tie_prob_d11")
+PUBLIC_EVALUATIONS = ("p", "p0", "z", "z_prime", "z_slopes", "win_prob", "win_prob_d1")
 
-DERIVATIVES = ("z_prime", "z_slopes", "z_double_prime", "p0_prime", "p0_double_prime",
-               "impact_prime", "impact_double_prime", "win_prob_d1", "win_prob_d11",
-               "tie_prob_d1", "tie_prob_d11")
+DERIVATIVES = ("z_prime", "z_slopes", "win_prob_d1")
 
-DERIVATIVE_KERNELS = ("_zp", "_zslopes", "_impact_prime", "_impact_double_prime", "_win_d1")
+DERIVATIVE_KERNELS = ("_zp", "_zslopes", "_win_d1")
 
 BOUNDARY_CONTESTS = list(FAMILY_PARAMS.items()) + [("blavatskyy-power", dict(r=1.0))]
 

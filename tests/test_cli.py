@@ -317,6 +317,21 @@ class TestVerifyCommand:
         grid = doc["verification"]["grid"]
         assert grid["x_max"] == pytest.approx(math.sqrt(2.0) * 1e154 * 100 / 99, rel=1e-15)
 
+    @pytest.mark.parametrize("contest", [
+        ["--family", "blavatskyy-power", "--r", "1", "--v2", "1"],
+        ["--family", "jia-ratio", "--r", "0.5", "--k", "2", "--v2", "1e307"],
+        ["--family", "vesperoni-ratio", "--r", "0.5", "--k", "1.5", "--v2", "1e307"],
+    ], ids=["blavatskyy-power", "jia-ratio", "vesperoni-ratio"])
+    def test_the_largest_prize_verifies(self, capsys, contest):
+        """Under linear cost the break-even effort at prize 1.7976931348623157e308 is
+        the prize, so a step above it overflows: the grid runs to the largest
+        double, where the command exited 1 with no finite grid ceiling."""
+        code, doc = run_json(capsys, ["verify", *contest, "--v1", "1.7976931348623157e308",
+                                      "--q", "0.3", "--steps", "101"])
+        report = doc["verification"]
+        assert code == EXIT_OK and report["passed"] is True
+        assert report["grid"]["x_max"] == sys.float_info.max
+
     def test_grid_beyond_the_scan_budget_is_refused_before_the_scan(self, capsys,
                                                                    monkeypatch):
         """`GridSpec` takes 10^6 steps, but `grid_nash` refuses a grid whose

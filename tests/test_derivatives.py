@@ -1,10 +1,13 @@
 """Analytic derivatives cross-checked against central finite differences.
 
 First derivatives are differenced from the value maps; second derivatives
-are differenced from the analytic first derivatives.  Tie-mass derivatives
-get the same treatment.  Everything must agree to FD_REL_TOL relative error
-(relative to 1 + |analytic|), which leaves two orders of headroom over the
-truncation error of the symmetric quotient at FD_STEP.
+are differenced from the analytic first derivatives.  The tie mass's slopes
+p0' = z_1' - z_0' and p0'' = z_1'' - z_0'' (z_q is affine in q) get the same
+treatment, as do the concave family's own-effort partials, whose second
+derivatives and tie partials are written here from the impact x^r.  Everything
+must agree to FD_REL_TOL relative error (relative to 1 + |analytic|), which
+leaves two orders of headroom over the truncation error of the symmetric
+quotient at FD_STEP.
 """
 from __future__ import annotations
 
@@ -47,7 +50,7 @@ class TestReducedDerivatives:
     def test_second_derivative_from_analytic_first(self, case, q):
         csf = build(case)
         theta = grid_for(csf)
-        analytic = csf.z_double_prime(theta, q)
+        analytic = csf.z_slopes(theta, q)[1]
         fd = central_diff(lambda t: csf.z_prime(t, q), theta, FD_STEP)
         assert max_rel_err(fd, analytic) <= FD_REL_TOL
 
@@ -57,32 +60,39 @@ class TestTieMassDerivatives:
     def test_first_derivative_of_tie_mass(self, case):
         csf = build(case)
         theta = grid_for(csf)
-        analytic = csf.p0_prime(theta)
+        analytic = csf.z_prime(theta, 1.0) - csf.z_prime(theta, 0.0)
         fd = central_diff(csf.p0, theta, FD_STEP)
         assert max_rel_err(fd, analytic) <= FD_REL_TOL
 
     def test_second_derivative_of_tie_mass(self, case):
         csf = build(case)
         theta = grid_for(csf)
-        analytic = csf.p0_double_prime(theta)
-        fd = central_diff(csf.p0_prime, theta, FD_STEP)
+        analytic = csf.z_slopes(theta, 1.0)[1] - csf.z_slopes(theta, 0.0)[1]
+        fd = central_diff(lambda t: csf.z_prime(t, 1.0) - csf.z_prime(t, 0.0), theta, FD_STEP)
         assert max_rel_err(fd, analytic) <= FD_REL_TOL
 
     def test_tie_derivatives_are_z_prime_differences(self, case):
-        """The tie-mass slope equals the q=1 slope minus the q=0 slope."""
+        """The tie mass is z_1 - z_0 and z_q is affine in q, so the tie-mass
+        slopes are the q=1 slopes minus the q=0 slopes."""
         csf = build(case)
         theta = grid_for(csf)
-        np.testing.assert_allclose(
-            csf.p0_prime(theta),
-            np.asarray(csf.z_prime(theta, 1.0)) - np.asarray(csf.z_prime(theta, 0.0)),
-            atol=1e-15,
-        )
+        np.testing.assert_allclose(csf.p0(theta), csf.z(theta, 1.0) - csf.z(theta, 0.0),
+                                   atol=1e-15)
+        for slope in (csf.z_prime, lambda t, q: csf.z_slopes(t, q)[1]):
+            ends = slope(theta, 0.0), slope(theta, 1.0)
+            np.testing.assert_allclose(slope(theta, 0.3), 0.7 * ends[0] + 0.3 * ends[1],
+                                       rtol=1e-13, atol=1e-15)
 
 
 @pytest.mark.parametrize("case", CONCAVE_CASES, ids=case_id)
 @pytest.mark.parametrize("q", Q_POINTS)
 class TestConcaveDerivatives:
-    """Own-effort partials of the eventual win probability and the tie mass."""
+    """Own-effort partials of the eventual win probability and the tie mass.
+
+    With f = x^r, f' = r x^(r-1), f'' = r (r-1) x^(r-2), the rival's head
+    h = x2^r + 1 - q and T = f + x2^r + 1: win' = f' h / T^2,
+    win'' = h (f'' T - 2 f'^2) / T^3, p1' = f' (x2^r + 1) / T^2 and tie' = -f' / T^2.
+    """
 
     def test_win_prob_first_partial(self, case, q):
         csf = build(case)
@@ -97,8 +107,11 @@ class TestConcaveDerivatives:
 
     def test_win_prob_second_partial(self, case, q):
         csf = build(case)
+        r, x = csf.r, EFFORT_GRID
+        f, f1, f2 = x ** r, r * x ** (r - 1.0), r * (r - 1.0) * x ** (r - 2.0)
         for other in RIVAL_EFFORTS:
-            analytic = np.array([csf.win_prob_d11(x, other, q) for x in EFFORT_GRID])
+            head, total = other ** r + 1.0 - q, f + other ** r + 1.0
+            analytic = head * (f2 * total - 2.0 * f1 * f1) / total ** 3
             fd = central_diff(
                 lambda x: np.array([csf.win_prob_d1(xi, other, q) for xi in np.atleast_1d(x)]),
                 EFFORT_GRID,
@@ -109,18 +122,15 @@ class TestConcaveDerivatives:
     def test_tie_prob_partials(self, case, q):
         del q
         csf = build(case)
+        r, x = csf.r, EFFORT_GRID
+        f1 = r * x ** (r - 1.0)
         for other in RIVAL_EFFORTS:
-            tie = lambda x: np.array(
-                [csf.outcome(xi, other)[2] for xi in np.atleast_1d(x)]
-            )
-            analytic1 = np.array([csf.tie_prob_d1(x, other) for x in EFFORT_GRID])
-            fd1 = central_diff(tie, EFFORT_GRID, FD_STEP)
-            assert max_rel_err(fd1, analytic1) <= FD_REL_TOL
-
-            analytic2 = np.array([csf.tie_prob_d11(x, other) for x in EFFORT_GRID])
-            fd2 = central_diff(
-                lambda x: np.array([csf.tie_prob_d1(xi, other) for xi in np.atleast_1d(x)]),
-                EFFORT_GRID,
-                FD_STEP,
-            )
-            assert max_rel_err(fd2, analytic2) <= FD_REL_TOL
+            total = x ** r + other ** r + 1.0
+            for share, analytic in ((0, f1 * (other ** r + 1.0) / total ** 2),
+                                    (2, -f1 / total ** 2)):
+                fd = central_diff(
+                    lambda x: np.array([csf.outcome(xi, other)[share] for xi in np.atleast_1d(x)]),
+                    EFFORT_GRID,
+                    FD_STEP,
+                )
+                assert max_rel_err(fd, analytic) <= FD_REL_TOL

@@ -8,6 +8,7 @@ import re
 import sys
 import warnings
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from tiebreak import (
     family_names,
     make_contest,
     make_family,
+    outcome_distribution,
     solve_beta,
 )
 
@@ -159,7 +161,7 @@ class TestReducedStructure:
         for fn in (csf.p, csf.p0):
             assert isinstance(fn(theta), float)
         assert isinstance(csf.z_prime(theta, 0.3), float)
-        assert isinstance(csf.z_double_prime(np.array([theta]), 0.3), np.ndarray)
+        assert isinstance(csf.z_slopes(np.array([theta]), 0.3)[1], np.ndarray)
 
     def test_negative_effort_rejected(self, case):
         csf = build(case)
@@ -254,7 +256,7 @@ class TestConcaveFamily:
     def test_outcome_is_share_of_shifted_total(self, case):
         csf = build(case)
         x1, x2 = 0.8, 0.3
-        f1, f2 = csf.impact(x1), csf.impact(x2)
+        f1, f2 = x1 ** csf.r, x2 ** csf.r
         total = f1 + f2 + 1.0
         p1, p2, p0 = csf.outcome(x1, x2)
         assert p1 == pytest.approx(f1 / total, abs=1e-14)
@@ -267,15 +269,19 @@ class TestConcaveFamily:
         assert csf.win_prob(0.8, 0.3, 0.25) == pytest.approx(p1 + 0.25 * p0, abs=1e-14)
 
     def test_impact_power_curve(self, case):
+        """Own share over the tie share is the impact x^r."""
         csf = build(case)
         x = np.array([0.0, 0.5, 1.0, 4.0])
-        np.testing.assert_allclose(csf.impact(x), x ** csf.r, atol=1e-15)
+        p1, _, p0 = csf.outcome(x, 1.0)
+        np.testing.assert_allclose(p1 / p0, x ** csf.r, rtol=1e-15, atol=1e-15)
 
-    def test_impact_derivative_requires_positive_effort(self, case):
+    def test_win_slope_requires_positive_effort(self, case):
+        """At x1 = 1 against no rival effort the slope is the impact's slope r
+        times the head 1 - q over T^2 = 4."""
         csf = build(case)
         with pytest.raises(DomainError):
-            csf.impact_prime(0.0)
-        assert csf.impact_prime(1.0) == pytest.approx(csf.r, abs=1e-15)
+            csf.win_prob_d1(0.0, 1.0, 0.3)
+        assert csf.win_prob_d1(1.0, 0.0, 0.3) == pytest.approx(csf.r * 0.7 / 4.0, abs=1e-15)
 
     def test_negative_effort_rejected(self, case):
         csf = build(case)
@@ -293,27 +299,33 @@ def test_concave_win_slope_at_huge_efforts_stays_finite(efforts):
     np.testing.assert_allclose(got, 1e-200, rtol=1e-15, atol=0.0)
 
 
-@pytest.mark.parametrize("r", [0.5, 1.0])
-@pytest.mark.parametrize("effort", [1e110, 2.5e199])
-def test_concave_curvature_at_huge_efforts_stays_finite(r, effort):
-    """total**2 and total**3 would overflow; dividing by the total in turn does not."""
-    csf = make_family("blavatskyy-power", r=r)
+@pytest.mark.parametrize("case", CONCAVE_CASES, ids=case_id)
+@pytest.mark.parametrize("effort", [1e110, 2.5e199, 1e308, sys.float_info.max])
+def test_concave_shares_at_huge_efforts_stay_finite(case, effort):
+    """Equal huge efforts split the win evenly and leave the tie 1 / (2 x^r + 1),
+    with no warning, also where 2 x^r + 1 overflows at linear impact."""
+    csf = build(case)
+    r = csf.r
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        tie_d1 = csf.tie_prob_d1(effort, effort)
-        win_d11 = csf.win_prob_d11(effort, effort, 0.5)
-        tie_d11 = csf.tie_prob_d11(effort, effort)
-    assert all(np.isfinite((tie_d1, win_d11, tie_d11)))
-    assert tie_d1 <= 0.0 and win_d11 <= 0.0 and tie_d11 >= 0.0
+        p1, p2, tie = csf.outcome(effort, effort)
+        win = csf.win_prob(effort, effort, 0.3)
+    assert p1 == p2 == win == 0.5
+    assert tie == pytest.approx(0.5 / effort ** r, rel=1e-15, abs=5e-324) and tie > 0.0
 
 
 @pytest.mark.parametrize("case", CONCAVE_CASES, ids=case_id)
-@pytest.mark.parametrize("name", ["impact", "impact_prime", "impact_double_prime"])
-def test_impact_accessors_return_a_builtin_float_for_a_scalar(case, name):
-    method = getattr(build(case), name)
+@pytest.mark.parametrize("name", ["outcome", "win_prob", "win_prob_d1"])
+def test_concave_accessors_return_a_builtin_float_for_a_scalar(case, name):
+    csf = build(case)
+    call = (lambda x: csf.outcome(x, 1.0)) if name == "outcome" else (
+        lambda x: getattr(csf, name)(x, 1.0, 0.3))
     for x in (2.0, np.float64(2.0), np.array(2.0)):
-        assert type(method(x)) is float
-    assert type(method([0.5, 2.0])) is np.ndarray and method([0.5, 2.0]).shape == (2,)
+        got = call(x)
+        assert all(type(v) is float for v in (got if name == "outcome" else (got,)))
+    got = call([0.5, 2.0])
+    for value in (got if name == "outcome" else (got,)):
+        assert type(value) is np.ndarray and value.shape == (2,)
 
 
 def _quiet(call):
@@ -322,62 +334,98 @@ def _quiet(call):
         return call()
 
 
-def test_linear_impact_curvature_at_the_least_effort_is_exact():
-    """x^(r - 2) = 1/x overflows at x1 = 5e-324, but its factor r - 1 is zero:
-    the impact has no curvature, and with T = x1 + x2 + 1 = 2 and the rival's
-    head 1.7, win'' = -2 head / T^3 and tie'' = 2 / T^3 exactly."""
+def test_linear_impact_slope_at_the_least_effort_is_exact():
+    """At x1 = 5e-324, T = x1 + x2 + 1 = 2 and the rival's head is 1.7, so
+    win' = head / T^2 = 0.425 and win = (x1 + 0.3) / T = 0.15 exactly."""
     csf = make_family("blavatskyy-power", r=1.0)
-    assert _quiet(lambda: csf.impact_double_prime(5e-324)) == 0.0
-    assert _quiet(lambda: csf.win_prob_d11(5e-324, 1.0, 0.3)) == -0.425
-    assert _quiet(lambda: csf.tie_prob_d11(5e-324, 1.0)) == 0.25
+    assert _quiet(lambda: csf.win_prob_d1(5e-324, 1.0, 0.3)) == 0.425
+    assert _quiet(lambda: csf.win_prob(5e-324, 1.0, 0.3)) == 0.15
 
 
-def test_concave_curvature_at_tiny_effort_overflows_quietly():
-    """At r = 0.5, x1 = 1e-300: x^-1.5 = 1e450 is past the largest double.  At
-    r = 0.01, x1 = 5e-324: the slope's x^-0.99 is past it too."""
+def test_win_slope_evaluates_no_curvature():
+    """The slope r x^(r - 1) h / T^2 is finite at r = 0.5, x1 = 1e-300, where the
+    curvature's x^(r - 2) is not."""
     csf = make_family("blavatskyy-power", r=0.5)
-    assert _quiet(lambda: csf.impact_double_prime(1e-300)) == -math.inf
-    assert _quiet(lambda: csf.win_prob_d11(1e-300, 1.0, 0.3)) == -math.inf
-    assert _quiet(lambda: csf.tie_prob_d11(1e-300, 1.0)) == math.inf
+    got = _quiet(lambda: csf.win_prob_d1(1e-300, 1.0, 0.3))
+    assert got == pytest.approx(0.5e150 * 1.7 / 4.0, rel=1e-15)
+
+
+def test_win_slope_against_a_zero_head_is_zero():
+    """x2 = 0 and q = 1 leave the rival no head: player 1 wins for sure at
+    every own effort, so win' is 0 even where the impact's slope is 5e149."""
+    csf = make_family("blavatskyy-power", r=0.5)
+    assert _quiet(lambda: csf.win_prob_d1(1e-300, 0.0, 1.0)) == 0.0
+    got = _quiet(lambda: csf.win_prob_d1(np.array([1e-300, 1.0]), 0.0, [1.0, 0.5]))
+    assert got[0] == 0.0 and got[1] > 0.0
+
+
+def test_concave_win_slope_at_tiny_effort_overflows_quietly():
+    """At r = 0.01, x1 = 5e-324: the slope's x^-0.99 is past the largest double."""
     assert _quiet(lambda: make_family("blavatskyy-power", r=0.01).win_prob_d1(
         5e-324, 1.0, 0.2)) == math.inf
 
 
-def test_tie_slope_evaluates_no_curvature():
-    """The slope -r x^(r - 1) / T^2 is finite at r = 0.5, x1 = 1e-300, where the
-    curvature's x^(r - 2) is not: tie_prob_d1 takes only the slope."""
-    csf = make_family("blavatskyy-power", r=0.5)
-    got = _quiet(lambda: csf.tie_prob_d1(1e-300, 1.0))
-    assert got == pytest.approx(-0.5e150 / 4.0, rel=1e-15)
+def test_linear_impact_shares_where_the_impact_total_overflows():
+    """x1 + x2 + 1 overflows at (1.5e308, 1e308), where halving each term is exact:
+    the shares are 0.6, 0.4 and 1 / 2.5e308, with no warning, and an entry whose
+    total is finite keeps its bits beside one whose total overflows."""
+    csf = make_family("blavatskyy-power", r=1.0)
+    want = (0.6, 0.4, 0.5 / 1.25e308)
+    assert _quiet(lambda: csf.outcome(1.5e308, 1e308)) == want
+    assert _quiet(lambda: csf.win_prob(1.5e308, 1e308, 0.3)) == 0.6
+    spec = make_contest("blavatskyy-power", r=1.0, v1=2.0, v2=1.0, q=0.3)
+    got = _quiet(lambda: outcome_distribution(spec, (1.5e308, 1e308)))
+    assert (got.p1, got.p2, got.p0) == want
+    x1, x2 = np.array([1.5e308, 3.0]), np.array([1e308, 1.0])
+    for got, alone in zip(_quiet(lambda: csf.outcome(x1, x2)), zip(want, csf.outcome(3.0, 1.0))):
+        assert got.tolist() == list(alone)
+    assert _quiet(lambda: csf.win_prob(x1, x2, 0.3)).tolist() == [0.6, csf.win_prob(3.0, 1.0, 0.3)]
 
 
-def test_win_curvature_against_a_zero_head_is_zero():
-    """x2 = 0 and q = 1 leave the rival no head: player 1 wins for sure at
-    every own effort, so win'' is 0 even where the impact's curvature is -inf."""
-    csf = make_family("blavatskyy-power", r=0.5)
-    assert _quiet(lambda: csf.win_prob_d11(1e-300, 0.0, 1.0)) == 0.0
-    got = _quiet(lambda: csf.win_prob_d11(np.array([1e-300, 1.0]), 0.0, [1.0, 0.5]))
-    assert got[0] == 0.0 and got[1] < 0.0
+LARGEST = sys.float_info.max
+
+
+@pytest.mark.parametrize("x1, x2", [
+    (1.5e308, 1e308), (1e308, 1.5e308), (LARGEST, LARGEST), (LARGEST, 0.0), (0.0, LARGEST),
+    (LARGEST, 1.0), (5e-324, LARGEST), (LARGEST, 1e307), (1e308, 1e308), (1e308, 8e307),
+    (9e307, 9e307), (8.9e307, 8.9e307), (LARGEST / 2.0, LARGEST / 2.0)])
+def test_linear_impact_shares_near_the_largest_double_are_within_an_ulp(x1, x2):
+    """Each share and the eventual win probability lie within one ulp of the exact
+    rational x_i / (x1 + x2 + 1), quietly, where the total overflows (halved) and
+    where it just stays finite (the last two pairs)."""
+    csf = make_family("blavatskyy-power", r=1.0)
+    total = Fraction(x1) + Fraction(x2) + 1
+    exact = (Fraction(x1) / total, Fraction(x2) / total, 1 / total,
+             (Fraction(x1) + Fraction(0.3)) / total)
+    got = (*_quiet(lambda: csf.outcome(x1, x2)), _quiet(lambda: csf.win_prob(x1, x2, 0.3)))
+    for value, want in zip(got, exact, strict=True):
+        assert abs(Fraction(value) - want) <= Fraction(math.ulp(float(want))), (value, want)
 
 
 @pytest.mark.parametrize("family", ["jia-ratio", "vesperoni-ratio"])
 @pytest.mark.parametrize("theta", [1e200, np.array([1e200, 1e200])])
 def test_ratio_curvature_at_huge_ratios_is_quiet(family, theta):
-    """theta * theta overflows to inf, so z'' is -0.0 and p0'' is 0.0, with no warning."""
+    """theta * theta overflows to inf, so z'' is -0.0, with no warning."""
     csf = make_family(family, r=0.5, k=2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        zpp = (csf.z_slopes(theta, 0.3)[1], csf.z_double_prime(theta, 0.3))
-        p0pp = csf.p0_double_prime(theta)
+        zpp = csf.z_slopes(theta, 0.3)[1]
     assert np.all(np.asarray(zpp) == 0.0) and np.all(np.signbit(zpp))
-    assert np.all(np.asarray(p0pp) == 0.0) and not np.any(np.signbit(p0pp))
 
 
 TIE_RULE_METHODS = {
-    "ratio": ("z", "z_prime", "z_double_prime"),
-    "diff": ("z", "z_prime", "z_double_prime"),
-    "concave": ("win_prob", "win_prob_d1", "win_prob_d11"),
+    "ratio": ("z", "z_prime", "z_slopes"),
+    "diff": ("z", "z_prime", "z_slopes"),
+    "concave": ("win_prob", "win_prob_d1"),
 }
+
+
+def _tie_rule_method(csf, name):
+    """The named method; for `z_slopes` its z_q'' row (its z_q' row is
+    `z_prime`'s, bit for bit, as `TestZSlopes` checks)."""
+    if name == "z_slopes":
+        return lambda *args: csf.z_slopes(*args)[1]
+    return getattr(csf, name)
 
 Q_COLUMN = np.array([0.0, 0.3, 0.5, 0.9871, 1.0])[:, None]
 
@@ -401,7 +449,7 @@ class TestArrayTieShares:
 
     def test_q_column_against_a_state_row_matches_per_q_calls(self, case, name):
         csf = build(case)
-        method, states = getattr(csf, name), _states(csf)
+        method, states = _tie_rule_method(csf, name), _states(csf)
         table = method(*(s[None, :] for s in states), Q_COLUMN)
         assert table.shape == (Q_COLUMN.size, states[0].size)
         for row, q in zip(table, Q_COLUMN[:, 0].tolist()):
@@ -409,7 +457,7 @@ class TestArrayTieShares:
 
     def test_q_array_is_elementwise_with_states(self, case, name):
         csf = build(case)
-        method, states = getattr(csf, name), _states(csf)
+        method, states = _tie_rule_method(csf, name), _states(csf)
         qs = np.linspace(0.0, 1.0, states[0].size)
         out = method(*states, qs)
         assert out.shape == qs.shape
@@ -418,7 +466,7 @@ class TestArrayTieShares:
 
     def test_tie_shares_outside_the_unit_interval_raise(self, case, name):
         csf = build(case)
-        method, states = getattr(csf, name), _states(csf)
+        method, states = _tie_rule_method(csf, name), _states(csf)
         for bad in ([0.2, np.nan], np.array([-0.1]), (0.5, 1.1), np.array([[0.3], [np.inf]]),
                     ["a"]):
             with pytest.raises(ValidationError):
@@ -426,14 +474,14 @@ class TestArrayTieShares:
 
     def test_scalar_inputs_return_a_builtin_float(self, case, name):
         csf = build(case)
-        method, states = getattr(csf, name), _states(csf)
+        method, states = _tie_rule_method(csf, name), _states(csf)
         for q in (0.3, TieRule(0.3), np.float64(0.3)):
             assert type(method(*(float(s[4]) for s in states), q)) is float
 
 
 @pytest.mark.parametrize("case", ALL_REDUCED, ids=case_id)
 class TestZSlopes:
-    """`z_slopes` returns (z_q', z_q'') from one call, exactly as the accessors do."""
+    """`z_slopes` returns (z_q', z_q'') from one call, z_q' exactly as `z_prime` does."""
 
     def test_q_column_against_a_state_row_matches_the_accessors_bit_for_bit(self, case):
         csf = build(case)
@@ -441,7 +489,8 @@ class TestZSlopes:
         zp, zpp = csf.z_slopes(row, Q_COLUMN)
         assert zp.shape == zpp.shape == (Q_COLUMN.size, row.size)
         assert zp.tobytes() == csf.z_prime(row, Q_COLUMN).tobytes()
-        assert zpp.tobytes() == csf.z_double_prime(row, Q_COLUMN).tobytes()
+        for got, q in zip(zpp, Q_COLUMN[:, 0].tolist()):
+            assert got.tobytes() == csf.z_slopes(row[0], q)[1].tobytes()
 
     def test_scalar_inputs_return_builtin_floats(self, case):
         csf = build(case)
@@ -449,7 +498,8 @@ class TestZSlopes:
         for q in (0.3, TieRule(0.3), np.float64(0.3)):
             zp, zpp = csf.z_slopes(theta, q)
             assert type(zp) is float and type(zpp) is float
-            assert (zp, zpp) == (csf.z_prime(theta, q), csf.z_double_prime(theta, q))
+            assert zp == csf.z_prime(theta, q)
+            assert zpp == csf.z_slopes(np.array([theta]), q)[1][0]
 
     def test_tie_shares_outside_the_unit_interval_raise(self, case):
         csf = build(case)
@@ -553,17 +603,14 @@ def test_lane_live_is_a_builtin_bool(mask, holds):
 
 @pytest.mark.parametrize("case", ALL_REDUCED, ids=case_id)
 def test_tie_slopes_evaluate_the_shares_once(monkeypatch, case):
-    """p0' and p0'' take both tie rules' slopes from one share evaluation,
-    with the bits of z_1' - z_0' and z_1'' - z_0'' (2,001 points, as the
-    convexity precondition scans, and one float).  A ratio family subtracts
-    the rows of theta^2 z_q'' before it divides by theta^2, so its p0'' is
-    z_1'' - z_0'' to the rounding of those terms."""
+    """p0' and p0'' are the rows of `z_slopes` at the tie rules 0 and 1, and one
+    call takes both rows from one share evaluation, with the bits of per-q
+    calls (2,001 points, as the convexity precondition scans, and one float)."""
     csf = build(case)
     theta = np.linspace(0.01 if csf.kind == "ratio" else -3.0, 3.0, 2001)
-    wants = [(csf.z_prime(th, 1.0) - csf.z_prime(th, 0.0),
-              csf.z_double_prime(th, 1.0) - csf.z_double_prime(th, 0.0),
-              np.abs(csf.z_double_prime(th, 1.0)) + np.abs(csf.z_double_prime(th, 0.0)))
-             for th in (theta, 0.7)]
+    ends = np.array([[0.0], [1.0]])
+    wants = [([csf.z_slopes(th, q) for q in (0.0, 1.0)],
+              csf.z_prime(th, 1.0) - csf.z_prime(th, 0.0)) for th in (theta, 0.7)]
     shares, calls = type(csf)._shares, []
 
     def counted(self, *args):
@@ -571,18 +618,14 @@ def test_tie_slopes_evaluate_the_shares_once(monkeypatch, case):
         return shares(self, *args)
 
     monkeypatch.setattr(type(csf), "_shares", counted)
-    for th, (want_p, want_pp, scale) in zip((theta, 0.7), wants):
-        got_p = csf.p0_prime(th)
+    for th, (want, want_tie) in zip((theta, 0.7), wants):
+        got = csf.z_slopes(th, ends)
         assert len(calls) == 1
-        got_pp = csf.p0_double_prime(th)
-        assert len(calls) == 2
         calls.clear()
-        assert type(got_p) is type(want_p) and type(got_pp) is type(want_pp)
-        assert np.asarray(got_p).tobytes() == np.asarray(want_p).tobytes()
-        if csf.kind == "ratio":
-            assert np.all(np.abs(got_pp - want_pp) <= 8.0 * np.finfo(float).eps * scale)
-        else:
-            assert np.asarray(got_pp).tobytes() == np.asarray(want_pp).tobytes()
+        for row, slopes in enumerate(want):
+            for i in (0, 1):
+                assert np.asarray(got[i][row]).tobytes() == np.asarray(slopes[i]).tobytes()
+        assert (got[0][1] - got[0][0]).tobytes() == np.asarray(want_tie).tobytes()
 
 
 @pytest.mark.parametrize("family", ["jia-diff", "vesperoni-diff"])
@@ -643,7 +686,7 @@ class TestJiaSlopePrecision:
             w, wb = 1 / (k * e + 1), k * e / (k * e + 1)
             zp, zpp = self._reference(u, ub, w, wb, qd, 1 - 2 * u, 2 * w - 1, 1, 1)
             self._assert_close(csf.z_prime(theta, q), zp)
-            self._assert_close(csf.z_double_prime(theta, q), zpp)
+            self._assert_close(csf.z_slopes(theta, q)[1], zpp)
 
     @pytest.mark.parametrize("theta", [1e8, 1e12, 1e-8, 1e-12])
     @pytest.mark.parametrize("r", [1.0, 0.5])
@@ -659,7 +702,7 @@ class TestJiaSlopePrecision:
             zp, zpp = self._reference(u, ub, w, wb, qd, 2 * rd * u + 1 - rd,
                                       2 * rd * wb + 1 - rd, rd / th, -rd / th**2)
             self._assert_close(csf.z_prime(theta, q), zp)
-            self._assert_close(csf.z_double_prime(theta, q), zpp)
+            self._assert_close(csf.z_slopes(theta, q)[1], zpp)
 
 
 def _ratio_slopes_decimal(family, r, k, theta, q):
@@ -733,28 +776,10 @@ def test_ratio_slopes_at_subnormal_theta_are_finite(family, theta):
     csf = make_family(family, r=0.5, k=2.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = csf.z_prime(theta, 0.3), csf.p0_prime(theta)
+        got = csf.z_prime(theta, 0.3), csf.z_prime(theta, 1.0) - csf.z_prime(theta, 0.0)
     slopes = [_ratio_slopes_decimal(family, 0.5, 2.0, theta, q)[0] for q in (0.3, 1.0, 0.0)]
     for value, ref in zip(got, (slopes[0], slopes[1] - slopes[2])):
         assert math.isfinite(value) and abs((Decimal(value) - ref) / ref) <= Decimal("1e-13")
-
-
-@pytest.mark.parametrize("family", ["jia-ratio", "vesperoni-ratio"])
-@pytest.mark.parametrize("theta", [1e-150, 1e-170, 1e-200, 1e-210])
-def test_ratio_tie_curvature_at_tiny_theta_is_never_nan(family, theta):
-    """p0'' = z_1'' - z_0'' is finite down to theta near 1.6e-206 at r = 0.5, k = 2,
-    where theta^2 has long underflowed: the rows are subtracted before the
-    division by theta^2.  Below, it is -inf (NumPy warns of the overflow)."""
-    csf = make_family(family, r=0.5, k=2.0)
-    with np.errstate(over="ignore"), warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = csf.p0_double_prime(theta)
-    curvatures = [_ratio_slopes_decimal(family, 0.5, 2.0, theta, q)[1] for q in (1.0, 0.0)]
-    ref = curvatures[0] - curvatures[1]
-    if ref < -Decimal(sys.float_info.max):
-        assert got == -math.inf
-    else:
-        assert math.isfinite(got) and abs((Decimal(got) - ref) / ref) <= Decimal("1e-13")
 
 
 def _masked_ratio_outcome(csf, x1, x2):
@@ -831,9 +856,8 @@ def test_tie_curvature_changes_sign_at_the_inflection(family):
         inflection = csf.tie_inflection
         probes = inflection + np.array([-8.0, 8.0]) * np.spacing(inflection)
         theta = np.concatenate([np.linspace(0.0, 2.0 * inflection, 4001), probes])
-        curvature = csf.p0_double_prime(theta)
-        noise = NOISE_EPS * (np.abs(csf.z_double_prime(theta, 0.0))
-                             + np.abs(csf.z_double_prime(theta, 1.0)))
+        lose, win = csf.z_slopes(theta, 0.0)[1], csf.z_slopes(theta, 1.0)[1]
+        curvature, noise = win - lose, NOISE_EPS * (np.abs(lose) + np.abs(win))
         want = np.where(theta < inflection, -1.0, 1.0)
         near = np.abs(theta - inflection) <= 4.0 * np.spacing(inflection)
         wrong = (want * curvature <= 0.0) & (np.abs(curvature) > noise) & ~near

@@ -19,7 +19,9 @@ no other function tests finiteness or integer types by hand.  And each game
 fact is stated once, in `core`: only `core` reads the label swap
 (`Valuations.swapped`) or calls a cost technology's `cost`, and the grid
 oracle depends on `core` (and `errors`) alone.  The CLI forms the solver
-keywords once: only its contest preamble reads `args.force`.
+keywords once: only its contest preamble reads `args.force`.  And every public
+accessor of a family class has a reader outside the tests, or is one of the
+paper's named quantities.
 """
 from __future__ import annotations
 
@@ -28,7 +30,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tiebreak"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "tiebreak"
 MODULES = sorted(PACKAGE.glob("*.py"))
 SIBLINGS = {path.stem for path in MODULES}
 
@@ -291,7 +294,7 @@ def test_guard_sees_grid_builds():
         "from numpy import geomspace",
         "AXIS = np.arange(3)",
         "def scan(csf, v1):",
-        "    return csf.p0_double_prime(np.linspace(0.0, v1, 2001))",
+        "    return csf.p0(np.linspace(0.0, v1, 2001))",
         "class Audit:",
         "    def tail(self):",
         "        return geomspace(1.0, 1e9, 9), np.logspace(0, 3, 4)",
@@ -588,3 +591,65 @@ def test_guard_sees_force_reads():
         "        return {'force': args.force}",
     ])
     assert force_reads("cli", source) == ["cli", "cli.Frame.keywords", "cli._cmd_solve"]
+
+
+# The paper's named quantities, p, p0, z_q and its slopes, which the API keeps
+# whether or not the system reads them; every other public method or property of
+# a family class must be read outside the tests, as an attribute or by its name
+# in a string (as perfbench's tracer names `z_prime`), or it is code kept for
+# its tests alone.
+SYSTEM = ("src", "perfbench", "tools", "demos")
+NAMED_QUANTITIES = {"p", "p0", "z", "z_slopes", "win_prob"}
+
+
+def accessors(source: str) -> set[str]:
+    """Each public method or property that a class of `source` defines."""
+    return {item.name for cls in ast.walk(ast.parse(source)) if isinstance(cls, ast.ClassDef)
+            for item in cls.body
+            if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")}
+
+
+def names_read(source: str) -> set[str]:
+    """Each attribute that `source` reads and each string it holds."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+def test_every_family_accessor_has_a_reader_or_is_a_named_quantity():
+    defined = accessors((PACKAGE / "families.py").read_text(encoding="utf-8"))
+    assert NAMED_QUANTITIES <= defined
+    read = set().union(*(names_read(path.read_text(encoding="utf-8"))
+                         for folder in SYSTEM for path in (ROOT / folder).rglob("*.py")
+                         if "tests" not in path.relative_to(ROOT).parts))
+    assert sorted(defined - read - NAMED_QUANTITIES) == []
+
+
+def test_guard_sees_unread_accessors():
+    family = "\n".join([
+        "class Family:",
+        "    def read(self, x):",
+        "        return self._kernel(x)",
+        "    def named(self):",
+        "        return 0.0",
+        "    def stored(self):",
+        "        return 0.0",
+        "    @property",
+        "    def unread(self):",
+        "        return 0.0",
+        "    def _kernel(self, x):",
+        "        return x",
+        "def helper():",
+        "    return 0.0",
+    ])
+    reader = "\n".join([
+        "csf.read(1.0), helper()",
+        "monkeypatch.setattr(type(csf), 'named', None)",
+        "csf.stored = None",
+    ])
+    assert accessors(family) == {"read", "named", "stored", "unread"}
+    assert sorted(accessors(family) - names_read(reader)) == ["stored", "unread"]

@@ -90,11 +90,22 @@ class TestGridSpec:
         assert GridSpec.for_contest(top, steps=101).x_max == 1.7e308 / 99 * 100
         assert GridSpec.for_contest(SHARP_RATIO, steps=2001).x_max == 2.0 * 2000 / 1999
 
-    def test_for_contest_without_a_finite_ceiling_names_the_prize(self):
+    def test_for_contest_takes_the_largest_double_where_both_orders_overflow(self):
         spec = make_contest(family="jia-ratio", v1=sys.float_info.max, v2=1.0, q=0.5, r=0.5, k=2)
-        with pytest.raises(DomainError, match=r"no finite grid ceiling at prize "
-                                              r"1\.7976931348623157e\+308"):
-            GridSpec.for_contest(spec, steps=101)
+        assert GridSpec.for_contest(spec, steps=101).x_max == sys.float_info.max
+
+    @pytest.mark.parametrize("family, params, rival", [
+        ("blavatskyy-power", dict(r=1.0), 1.0), ("blavatskyy-power", dict(r=0.5), 1.0),
+        ("blavatskyy-power", dict(r=1.0), 1e308), ("blavatskyy-power", dict(r=0.5), 1e308),
+        ("jia-ratio", dict(r=0.5, k=2.0), 1e307), ("vesperoni-ratio", dict(r=0.5, k=1.5), 1e307),
+    ])
+    def test_solves_at_the_largest_prize_verify(self, family, params, rival):
+        """Under linear cost the break-even effort is the prize itself, so the grid
+        runs to the largest double; no payoff on it overflows or leaks a warning."""
+        for v1, v2 in ((sys.float_info.max, rival), (rival, sys.float_info.max)):
+            spec = make_contest(family=family, v1=v1, v2=v2, q=0.3, **params)
+            report = verify(spec, solve(spec), GridSpec.for_contest(spec, steps=101))
+            assert report.passed and report.payoff_losses == (0.0, 0.0), (v1, v2)
 
     def test_for_contest_needs_three_steps(self):
         with pytest.raises(ValidationError):
